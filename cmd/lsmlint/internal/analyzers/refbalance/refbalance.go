@@ -38,6 +38,7 @@ type spec struct {
 var specs = []spec{
 	{call: "pinView", result: 0, method: "unpin", what: "view pin", release: "unpin"},
 	{call: "Snapshot", result: 0, method: "Release", what: "snapshot", release: "Release"},
+	{call: "SnapshotView", result: 0, method: "Release", what: "snapshot", release: "Release"},
 	{call: "NewIterator", result: 1, callRes: true, what: "iterator release func", release: "calling it"},
 	{call: "acquireSnapshot", result: 1, relFunc: "releaseTables", what: "retained table set", release: "releaseTables"},
 	{call: "Ref", result: 0, method: "Unref", what: "ref", release: "Unref"},

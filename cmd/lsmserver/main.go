@@ -126,7 +126,7 @@ func run() error {
 			st.WALRecoveredRecords, st.WALRecoveredBatches, st.WALRecoveredBytes)
 	}
 	if *statsEvery > 0 {
-		go logStats(ctx, eng, *statsEvery)
+		go logStats(ctx, eng, srv, *statsEvery)
 	}
 
 	mode := "foreground-major"
@@ -146,10 +146,12 @@ func run() error {
 	return err
 }
 
-// logStats periodically prints a one-line pipeline summary; the JSON
+// logStats periodically prints a one-line pipeline summary, ending with the
+// connection layer's counters (a client reaped by its lease shows up as
+// lease-expiries going up while streams or snapshots go down); the JSON
 // endpoint (-stats-http) is the machine-readable channel, this one is for
 // humans tailing the log.
-func logStats(ctx context.Context, eng kv.Engine, every time.Duration) {
+func logStats(ctx context.Context, eng kv.Engine, srv *kv.Server, every time.Duration) {
 	var last kv.Stats
 	tick := time.NewTicker(every)
 	defer tick.Stop()
@@ -183,11 +185,12 @@ func logStats(ctx context.Context, eng kv.Engine, every time.Duration) {
 		if len(perShard) == 0 {
 			perShard = append(perShard, fmt.Sprint(st.Tables))
 		}
-		fmt.Printf("lsmserver: stats tables=%d(%s) mem-keys=%d writes=%d groups=%d avg-group=%.1f syncs/write=%.3f cache-hit=%.1f%% cache-balance=%.2f filter-neg=%d filter-fp=%d stalls=%d stall-ms=%d write-amp=%.2f flushed=%d compacted=%d state=%s\n",
+		net := srv.Stats()
+		fmt.Printf("lsmserver: stats tables=%d(%s) mem-keys=%d writes=%d groups=%d avg-group=%.1f syncs/write=%.3f cache-hit=%.1f%% cache-balance=%.2f filter-neg=%d filter-fp=%d stalls=%d stall-ms=%d write-amp=%.2f flushed=%d compacted=%d state=%s in-flight-high=%d streams=%d snapshots=%d lease-expiries=%d\n",
 			st.Tables, strings.Join(perShard, "/"), st.MemtableKeys, writes, groups, groupSize,
 			syncsPerWrite, cacheHitPct, st.BlockCacheShardBalance, st.FilterNegatives, st.FilterFalsePositives,
 			st.WriteStalls, st.WriteStallNanos/1e6, writeAmp, st.BytesFlushed, st.BytesCompacted,
-			st.CompactionState)
+			st.CompactionState, net.InFlightHighWater, net.OpenStreams, net.OpenSnapshots, net.LeaseExpiries)
 		last = st
 	}
 }

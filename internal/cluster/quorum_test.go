@@ -335,3 +335,42 @@ func TestScanSurvivesNodeDown(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterCopiesCallerKey: Put, Get and Delete return at quorum while the
+// slowest replica's request — and any hint or read repair that follows from
+// it — is still to be sent. A caller that reuses one key buffer for the
+// next operation must not rewrite those: 1000 Puts through one buffer at
+// N=3/W=2, each followed by a Get through the same buffer, leave all three
+// replicas byte-identical with every key holding its own value.
+func TestRouterCopiesCallerKey(t *testing.T) {
+	nodes, rt := startChaosCluster(t, 3, Options{})
+	ctx := context.Background()
+	const n = 1000
+	key := make([]byte, 8)
+	for i := 0; i < n; i++ {
+		copy(key, fmt.Sprintf("k%07d", i))
+		if err := rt.Put(ctx, key, []byte(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := rt.Get(ctx, key); err != nil || string(v) != fmt.Sprint(i) {
+			t.Fatalf("Get(%s) = %q, %v", key, v, err)
+		}
+	}
+	rt.Close() // waits for the straggler replica writes
+	if ok, why := replicasConverged(t, nodes); !ok {
+		t.Fatalf("replicas differ after writes through a reused key buffer: %s", why)
+	}
+	state, err := nodeState(t, nodes[0].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(state) != n {
+		t.Fatalf("replica holds %d keys, want %d", len(state), n)
+	}
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("k%07d", i)
+		if rec := state[k]; string(rec.Value) != fmt.Sprint(i) {
+			t.Fatalf("replica holds %s = %q, want %d", k, rec.Value, i)
+		}
+	}
+}

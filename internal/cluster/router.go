@@ -381,13 +381,18 @@ func (rt *Router) kickHandoff() {
 }
 
 // do runs fn against node's connection with the per-request timeout
-// applied. A cached connection can turn out stale only once it is used —
-// the server's idle timeout reaps quiet connections silently — so a
-// transport-level failure (the connection is poisoned afterwards) gets
-// one retry on a fresh connection; every protocol operation is
-// idempotent, so the retry is safe even if the failed attempt reached
-// the server. Failures that are the node's fault (not the caller's
-// cancelled context) are reported to the failure detector.
+// applied. The connection is multiplexed and shared by every caller, so a
+// typed server-side error or the caller's own cancellation leaves it in
+// place. Two things do not: a transport failure (a cached connection can
+// turn out stale only once it is used — the server's idle timeout reaps
+// quiet connections silently), and a request that ran into the
+// per-request timeout, which is this layer's evidence that the peer has
+// gone silent — the connection is dropped so the next attempt re-dials
+// and finds a restarted node. Either gets one retry on a fresh
+// connection; every protocol operation is idempotent, so the retry is
+// safe even if the failed attempt reached the server. Failures that are
+// the node's fault (not the caller's cancelled context) are reported to
+// the failure detector.
 func (rt *Router) do(ctx context.Context, node string, fn func(ctx context.Context, c *kvnet.Client) error) error {
 	for attempt := 0; ; attempt++ {
 		gen := rt.health.generation(node)
@@ -400,15 +405,19 @@ func (rt *Router) do(ctx context.Context, node string, fn func(ctx context.Conte
 		}
 		actx, cancel := context.WithTimeout(ctx, rt.opts.RequestTimeout)
 		err = fn(actx, c)
+		timedOut := actx.Err() != nil
 		cancel()
 		if err == nil {
 			return nil
 		}
-		if c.Healthy() || ctx.Err() != nil {
-			// A typed server-side error (the connection survived), or the
-			// caller's own context expired — nothing to retry and no
-			// verdict on the node.
+		if ctx.Err() != nil || (c.Healthy() && !timedOut) {
+			// The caller's own context expired, or a typed server-side
+			// error came back over a live connection — nothing to retry and
+			// no verdict on the node.
 			return err
+		}
+		if timedOut {
+			c.Close()
 		}
 		if attempt >= 1 {
 			rt.noteFailure(node, gen, err)
@@ -475,6 +484,9 @@ type nodeResult struct {
 
 // quorumWrite replicates a set of logical writes: each op fans out to
 // its full replica set and the call succeeds once every op has W acks.
+// The ops must own their keys and records: the straggler replica's write
+// and any hint it parks run on after the call has returned, when the
+// caller is free to reuse its buffers.
 // Replicas the failure detector considers down are not attempted (unless
 // an op cannot reach quorum without them, covering detector false
 // positives); their share is parked as a hint immediately. Replicas that
@@ -643,7 +655,7 @@ func (rt *Router) Put(ctx context.Context, key, value []byte) error {
 		return err
 	}
 	rec := Record{Version: rt.clock.Next(), Value: value}
-	return rt.quorumWrite(ctx, []repOp{{key: key, rec: rec.Encode(), replicas: rt.ReplicaNodes(key)}})
+	return rt.quorumWrite(ctx, []repOp{{key: bytes.Clone(key), rec: rec.Encode(), replicas: rt.ReplicaNodes(key)}})
 }
 
 // Delete replicates a tombstone for key at write quorum. A delete is a
@@ -654,7 +666,7 @@ func (rt *Router) Delete(ctx context.Context, key []byte) error {
 		return err
 	}
 	rec := Record{Version: rt.clock.Next(), Tombstone: true}
-	return rt.quorumWrite(ctx, []repOp{{key: key, rec: rec.Encode(), replicas: rt.ReplicaNodes(key)}})
+	return rt.quorumWrite(ctx, []repOp{{key: bytes.Clone(key), rec: rec.Encode(), replicas: rt.ReplicaNodes(key)}})
 }
 
 // Write replicates a batch of operations at write quorum. Each replica
@@ -675,7 +687,7 @@ func (rt *Router) Write(ctx context.Context, batch []kvnet.BatchOp) error {
 		if !op.Delete {
 			rec.Value = op.Value
 		}
-		ops[i] = repOp{key: op.Key, rec: rec.Encode(), replicas: rt.ReplicaNodes(op.Key)}
+		ops[i] = repOp{key: bytes.Clone(op.Key), rec: rec.Encode(), replicas: rt.ReplicaNodes(op.Key)}
 	}
 	return rt.quorumWrite(ctx, ops)
 }
@@ -693,6 +705,8 @@ type readResult struct {
 // stale — an older version, or missing the key entirely — are repaired
 // in the background with the winning record.
 func (rt *Router) quorumGet(ctx context.Context, key []byte) (Record, error) {
+	// The slowest replica's read and any read repair outlive the call.
+	key = bytes.Clone(key)
 	replicas := rt.ReplicaNodes(key)
 	if len(replicas) == 0 {
 		return Record{}, fmt.Errorf("cluster: empty ring: %w", kverr.ErrConfig)

@@ -19,33 +19,52 @@ import (
 var ErrNotFound = kverr.ErrNotFound
 
 // ErrClientClosed reports use of a Client whose connection has been closed
-// or poisoned by a cancelled request.
+// or has failed; a transport failure is wrapped alongside it.
 var ErrClientClosed = errors.New("kvnet: client closed")
 
-// Client is a connection to one server. It is safe for concurrent use;
-// requests are serialized over the single connection.
-//
-// Requests are not multiplexed: a context that expires mid-request leaves
-// the connection with an unread (or half-written) frame, so the client
-// closes the connection and every later call returns ErrClientClosed.
-// Callers that need to survive cancelled requests re-dial — the public kv
-// façade does this transparently.
+// Client is a connection to one server, safe for concurrent use. Requests
+// are multiplexed: each goes out under its own tag, any number may be in
+// flight, and one reader goroutine completes whichever call a response
+// frame names. A context that expires cancels only its own request (see
+// the package comment); the connection stays usable. Only a transport
+// failure — or Close — ends the Client, after which every call returns
+// ErrClientClosed.
 type Client struct {
-	mu   sync.Mutex // serializes requests; never held by Close
 	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-	// closed marks a connection torn down by Close or poisoned by a
-	// transport failure; the client is unusable afterwards. It is atomic —
-	// not guarded by mu — so Close can tear down a connection wedged in a
-	// blocking read (conn.Close fails the in-flight I/O) without waiting
-	// for the request holding mu to finish.
-	closed atomic.Bool
 
-	// dlMu guards deadline generation bookkeeping between a request and
-	// the context watcher that force-expires its connection deadline.
-	dlMu  sync.Mutex
-	dlGen uint64
+	wmu sync.Mutex // serializes frame writes
+
+	mu      sync.Mutex
+	pending map[uint32]*call // registered tags
+	nextTag uint32
+	err     error // why the connection is unusable; nil while it is live
+
+	failed     atomic.Bool // err != nil, readable without mu
+	readerDone chan struct{}
+}
+
+// call is one registered tag: a unary request awaiting its response, or a
+// stream for as long as it is open. Calls and their buffers are pooled, so
+// a round trip allocates nothing of its own.
+type call struct {
+	// done is signalled exactly once per arming: by the reader delivering
+	// a frame into buf, or by the connection failing (err).
+	done   chan struct{}
+	buf    []byte // the delivered payload; the reader swaps buffers with the call
+	wbuf   []byte // scratch for the frames this call sends
+	err    error
+	stream bool
+	// armed (guarded by Client.mu) is true while the call awaits a frame.
+	// A stream between chunks stays registered, so its tag is not reused,
+	// but unarmed: frames and failures are then not signalled to it.
+	armed bool
+}
+
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+
+func putCall(cl *call) {
+	cl.err, cl.stream = nil, false
+	callPool.Put(cl)
 }
 
 // Dial connects to a server at addr.
@@ -58,123 +77,235 @@ func Dial(addr string) (*Client, error) {
 }
 
 // NewClient wraps an established connection (useful with net.Pipe in
-// tests).
+// tests) and starts its reader goroutine; Close stops it.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	c := &Client{conn: conn, pending: make(map[uint32]*call), readerDone: make(chan struct{})}
+	go c.readLoop()
+	return c
 }
 
-// Close closes the connection. It deliberately does not take the request
-// lock: a request blocked mid-read against a dead peer holds that lock,
-// and closing the connection out from under it is exactly what unblocks
-// it.
+// Close closes the connection, fails every call in flight with
+// ErrClientClosed and waits for the reader goroutine to exit.
 func (c *Client) Close() error {
-	if !c.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	return c.conn.Close()
+	c.fail(nil)
+	<-c.readerDone
+	return nil
 }
 
-// Healthy reports whether the client's connection is still usable: not
-// closed and not poisoned by a cancelled or failed request.
-func (c *Client) Healthy() bool {
-	return !c.closed.Load()
-}
+// Healthy reports whether the connection is still usable: not closed and
+// not failed.
+func (c *Client) Healthy() bool { return !c.failed.Load() }
 
-// armDeadline points the connection deadline at ctx: the context's
-// deadline if it has one, cleared otherwise, and — for cancellable
-// contexts — a watcher that yanks the deadline to the past the moment ctx
-// is cancelled, failing the in-flight read or write promptly. The returned
-// stop func must be called when the request finishes; the generation
-// counter keeps a late-firing watcher from clobbering a later request's
-// deadline.
-func (c *Client) armDeadline(ctx context.Context) (stop func()) {
-	c.dlMu.Lock()
-	c.dlGen++
-	gen := c.dlGen
-	if dl, ok := ctx.Deadline(); ok {
-		c.conn.SetDeadline(dl)
-	} else {
-		c.conn.SetDeadline(time.Time{})
+// fail makes the connection unusable — cause is the transport failure, or
+// nil for Close — and wakes every armed call with the error.
+func (c *Client) fail(cause error) {
+	c.mu.Lock()
+	if c.err != nil {
+		c.mu.Unlock()
+		return
 	}
-	c.dlMu.Unlock()
-	if ctx.Done() == nil {
-		return func() {}
+	c.err = ErrClientClosed
+	if cause != nil {
+		c.err = fmt.Errorf("%w: %w", ErrClientClosed, cause)
 	}
-	cancel := context.AfterFunc(ctx, func() {
-		c.dlMu.Lock()
-		defer c.dlMu.Unlock()
-		if c.dlGen == gen {
-			c.conn.SetDeadline(time.Now())
+	c.failed.Store(true)
+	var waiting []*call
+	for tag, cl := range c.pending {
+		delete(c.pending, tag)
+		if cl.armed {
+			cl.armed = false
+			cl.err = c.err
+			waiting = append(waiting, cl)
 		}
-	})
-	return func() { cancel() }
+	}
+	c.mu.Unlock()
+	c.conn.Close()
+	for _, cl := range waiting {
+		cl.done <- struct{}{}
+	}
 }
 
-// roundTrip sends one request and reads one response, with the connection
-// deadline derived from ctx so a dead peer (or a cancelled caller) cannot
-// wedge the call forever.
-func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
-	if err := ctx.Err(); err != nil {
-		return Response{}, err
+func (c *Client) readLoop() {
+	defer close(c.readerDone)
+	r := bufio.NewReader(c.conn)
+	var buf []byte
+	for {
+		tag, payload, err := readFrame(r, buf)
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		buf = c.deliver(tag, payload)
 	}
+}
+
+// deliver hands payload to the call registered under tag by swapping
+// buffers with it, and returns the buffer to read the next frame into. A
+// frame for a tag nobody awaits — the late answer to a cancelled request —
+// is dropped.
+func (c *Client) deliver(tag uint32, payload []byte) []byte {
+	c.mu.Lock()
+	cl := c.pending[tag]
+	if cl == nil || !cl.armed {
+		c.mu.Unlock()
+		return payload
+	}
+	cl.armed = false
+	if !cl.stream || len(payload) == 0 || Status(payload[0]) != StatusChunk {
+		delete(c.pending, tag) // the tag's last frame
+	}
+	payload, cl.buf = cl.buf, payload
+	c.mu.Unlock()
+	cl.done <- struct{}{}
+	return payload
+}
+
+// register arms cl under a tag no other call holds.
+func (c *Client) register(cl *call) (uint32, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed.Load() {
-		return Response{}, ErrClientClosed
+	if c.err != nil {
+		return 0, c.err
 	}
-	if err := ctx.Err(); err != nil {
-		// The context expired while this request was queued behind others
-		// on the shared connection. Nothing has touched the wire, so the
-		// frame stream is still synchronized: fail the request but leave
-		// the connection healthy for the requests behind it. Poisoning
-		// here would cascade one slow burst into a redial storm and
-		// false-positive down verdicts for a perfectly live node.
-		return Response{}, fmt.Errorf("kvnet: request aborted: %w", err)
+	for {
+		c.nextTag++
+		if _, used := c.pending[c.nextTag]; !used {
+			break
+		}
 	}
-	stop := c.armDeadline(ctx)
-	defer stop()
-	payload, err := c.exchange(req)
+	cl.armed = true
+	c.pending[c.nextTag] = cl
+	return c.nextTag, nil
+}
+
+// rearm makes a stream's registered call await its next chunk.
+func (c *Client) rearm(cl *call) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return c.err
+	}
+	cl.armed = true
+	return nil
+}
+
+// withdraw removes cl's registration while it still awaits a frame, and
+// reports whether it did. False means the frame or the connection's failure
+// got there first: the signal is (or is about to be) in cl.done.
+func (c *Client) withdraw(tag uint32, cl *call) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pending[tag] != cl || !cl.armed {
+		return false
+	}
+	delete(c.pending, tag)
+	cl.armed = false
+	return true
+}
+
+// forget removes the registration of a stream that is between chunks, and
+// reports whether the stream was still open.
+func (c *Client) forget(tag uint32, cl *call) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pending[tag] != cl {
+		return false
+	}
+	delete(c.pending, tag)
+	return true
+}
+
+// send writes one frame built in cl.wbuf: tag, then req. It returns an
+// error only for a request too large to frame; a write failure fails the
+// connection, which is how the calls in flight learn of it.
+func (c *Client) send(cl *call, tag uint32, req *Request) error {
+	frame, err := endFrame(AppendRequest(beginFrame(cl.wbuf, tag), req))
 	if err != nil {
-		if c.closed.Load() {
-			// Close raced in and failed the I/O on purpose.
-			return Response{}, ErrClientClosed
+		return err
+	}
+	cl.wbuf = frame
+	c.wmu.Lock()
+	c.conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
+	_, err = c.conn.Write(frame)
+	c.wmu.Unlock()
+	if err != nil {
+		c.fail(err)
+	}
+	return nil
+}
+
+// await blocks until cl is signalled or ctx expires; on expiry the request
+// is cancelled by tag and the connection is left intact.
+func (c *Client) await(ctx context.Context, tag uint32, cl *call) error {
+	select {
+	case <-cl.done:
+	case <-ctx.Done():
+		if c.withdraw(tag, cl) {
+			c.send(cl, tag, &Request{Op: OpCancel})
+			return fmt.Errorf("kvnet: request aborted: %w", ctx.Err())
 		}
-		// The frame stream is now unsynchronized: poison the connection.
-		c.closed.Store(true)
-		c.conn.Close()
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return Response{}, fmt.Errorf("kvnet: request aborted: %w", ctxErr)
+		<-cl.done // the answer won the race
+	}
+	return cl.err
+}
+
+// roundTrip sends one unary request and waits for its response. On success
+// the response's byte fields alias the returned call's buffer: the caller
+// hands the call back with putCall once it is done with them.
+func (c *Client) roundTrip(ctx context.Context, req *Request) (*call, Response, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, Response{}, err
+	}
+	cl := callPool.Get().(*call)
+	resp, err := c.exchange(ctx, cl, req)
+	if err != nil {
+		putCall(cl)
+		return nil, Response{}, err
+	}
+	return cl, resp, nil
+}
+
+// start registers cl and sends req under its tag; on error cl is left
+// unregistered and unsignalled.
+func (c *Client) start(cl *call, req *Request) (uint32, error) {
+	tag, err := c.register(cl)
+	if err != nil {
+		return 0, err
+	}
+	if err := c.send(cl, tag, req); err != nil {
+		if !c.withdraw(tag, cl) {
+			<-cl.done
 		}
-		// A connection timeout can race the context's own timer: the only
-		// deadlines armed on this connection come from ctx, so a timeout
-		// here with a ctx deadline in the past is that deadline firing.
-		var netErr net.Error
-		if errors.As(err, &netErr) && netErr.Timeout() {
-			if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-				return Response{}, fmt.Errorf("kvnet: request aborted: %w", context.DeadlineExceeded)
-			}
-		}
+		return 0, err
+	}
+	return tag, nil
+}
+
+func (c *Client) exchange(ctx context.Context, cl *call, req *Request) (Response, error) {
+	tag, err := c.start(cl, req)
+	if err != nil {
 		return Response{}, err
 	}
-	resp, err := DecodeResponse(payload)
+	if err := c.await(ctx, tag, cl); err != nil {
+		return Response{}, err
+	}
+	resp, err := DecodeResponse(cl.buf)
 	if err != nil {
 		return Response{}, err
 	}
 	if resp.Status == StatusError {
-		return resp, decodeServerError(resp.Code, resp.Err)
+		return Response{}, decodeServerError(resp.Code, resp.Err)
 	}
 	return resp, nil
 }
 
-// exchange writes one frame and reads one back; the caller holds c.mu.
-func (c *Client) exchange(req Request) ([]byte, error) {
-	if err := writeFrame(c.w, EncodeRequest(req)); err != nil {
-		return nil, err
+// do is roundTrip for requests whose response carries nothing to keep.
+func (c *Client) do(ctx context.Context, req *Request) error {
+	cl, _, err := c.roundTrip(ctx, req)
+	if err == nil {
+		putCall(cl)
 	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
-	}
-	return readFrame(c.r)
+	return err
 }
 
 // decodeServerError maps a wire error code back to the canonical sentinel
@@ -192,6 +323,8 @@ func decodeServerError(code ErrCode, msg string) error {
 		return fmt.Errorf("kvnet: server: %w", kverr.ErrCorrupt)
 	case CodeReadOnly:
 		return fmt.Errorf("kvnet: server: %w", kverr.ErrReadOnly)
+	case CodeConfig:
+		return fmt.Errorf("kvnet: server: %w", kverr.ErrConfig)
 	case CodeCanceled:
 		return fmt.Errorf("kvnet: server: %w", context.Canceled)
 	case CodeDeadlineExceeded:
@@ -203,8 +336,7 @@ func decodeServerError(code ErrCode, msg string) error {
 
 // Put stores key → value.
 func (c *Client) Put(ctx context.Context, key, value []byte) error {
-	_, err := c.roundTrip(ctx, Request{Op: OpPut, Key: key, Value: value})
-	return err
+	return c.do(ctx, &Request{Op: OpPut, Key: key, Value: value})
 }
 
 // Get returns the value for key, or ErrNotFound. A stored empty value and
@@ -212,20 +344,27 @@ func (c *Client) Put(ctx context.Context, key, value []byte) error {
 // error, the latter ErrNotFound (the wire protocol carries not-found as an
 // explicit status, not as an empty value).
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpGet, Key: key})
+	return c.get(ctx, &Request{Op: OpGet, Key: key})
+}
+
+func (c *Client) get(ctx context.Context, req *Request) ([]byte, error) {
+	cl, resp, err := c.roundTrip(ctx, req)
 	if err != nil {
 		return nil, err
 	}
+	var value []byte
 	if resp.Status == StatusNotFound {
-		return nil, ErrNotFound
+		err = ErrNotFound
+	} else {
+		value = append([]byte{}, resp.Value...)
 	}
-	return resp.Value, nil
+	putCall(cl)
+	return value, err
 }
 
 // Delete removes key.
 func (c *Client) Delete(ctx context.Context, key []byte) error {
-	_, err := c.roundTrip(ctx, Request{Op: OpDelete, Key: key})
-	return err
+	return c.do(ctx, &Request{Op: OpDelete, Key: key})
 }
 
 // Write commits a batch of operations atomically in one round trip: the
@@ -236,36 +375,33 @@ func (c *Client) Write(ctx context.Context, batch []BatchOp) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	_, err := c.roundTrip(ctx, Request{Op: OpWrite, Batch: batch})
-	return err
+	return c.do(ctx, &Request{Op: OpWrite, Batch: batch})
+}
+
+// entries runs a one-shot scan request. The result keeps the response
+// buffer, so the call goes back to the pool without it.
+func (c *Client) entries(ctx context.Context, req *Request) ([]ScanEntry, error) {
+	cl, resp, err := c.roundTrip(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	cl.buf = nil
+	putCall(cl)
+	return resp.Entries, nil
 }
 
 // Scan returns up to limit entries whose keys start with prefix (all keys
 // when prefix is empty), in key order.
 func (c *Client) Scan(ctx context.Context, prefix []byte, limit int) ([]ScanEntry, error) {
-	if limit < 0 {
-		limit = 0
-	}
-	resp, err := c.roundTrip(ctx, Request{Op: OpScan, Prefix: prefix, Limit: uint64(limit)})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Entries, nil
+	return c.entries(ctx, &Request{Op: OpScan, Prefix: prefix, Limit: uint64(max(limit, 0))})
 }
 
-// Range returns up to limit entries with start <= key < end in key order —
-// one page of a range scan. A nil end means no upper bound. Iterating a
-// large range means calling Range repeatedly with start advanced past the
-// last key of the previous page.
+// Range returns up to limit entries with start <= key < end in key order
+// in one response — a bounded page. A nil end means no upper bound. To
+// read a range of unknown size use Stream, which holds one consistent view
+// for the whole scan.
 func (c *Client) Range(ctx context.Context, start, end []byte, limit int) ([]ScanEntry, error) {
-	if limit < 0 {
-		limit = 0
-	}
-	resp, err := c.roundTrip(ctx, Request{Op: OpRange, Start: start, End: end, Limit: uint64(limit)})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Entries, nil
+	return c.entries(ctx, &Request{Op: OpRange, Start: start, End: end, Limit: uint64(max(limit, 0))})
 }
 
 // Ping probes the server for liveness without touching the engine. A nil
@@ -273,22 +409,21 @@ func (c *Client) Range(ctx context.Context, start, end []byte, limit int) ([]Sca
 // live end to end. Health checkers call it on an interval so dead peers
 // are demoted before user requests hit them.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.roundTrip(ctx, Request{Op: OpPing})
-	return err
+	return c.do(ctx, &Request{Op: OpPing})
 }
 
 // Flush forces a memtable flush on the server.
 func (c *Client) Flush(ctx context.Context) error {
-	_, err := c.roundTrip(ctx, Request{Op: OpFlush})
-	return err
+	return c.do(ctx, &Request{Op: OpFlush})
 }
 
 // Compact triggers a major compaction scheduled by the named strategy.
 func (c *Client) Compact(ctx context.Context, strategy string, k int) (*CompactInfo, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpCompact, Strategy: strategy, K: uint64(k)})
+	cl, resp, err := c.roundTrip(ctx, &Request{Op: OpCompact, Strategy: strategy, K: uint64(k)})
 	if err != nil {
 		return nil, err
 	}
+	putCall(cl)
 	if resp.Compact == nil {
 		return nil, fmt.Errorf("kvnet: malformed compact response: %w", ErrProtocol)
 	}
@@ -297,10 +432,11 @@ func (c *Client) Compact(ctx context.Context, strategy string, k int) (*CompactI
 
 // Stats fetches server statistics.
 func (c *Client) Stats(ctx context.Context) (*StatsInfo, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpStats})
+	cl, resp, err := c.roundTrip(ctx, &Request{Op: OpStats})
 	if err != nil {
 		return nil, err
 	}
+	putCall(cl)
 	if resp.Stats == nil {
 		return nil, fmt.Errorf("kvnet: malformed stats response: %w", ErrProtocol)
 	}

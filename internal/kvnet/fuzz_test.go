@@ -1,22 +1,42 @@
 package kvnet
 
-import "testing"
+import (
+	"bytes"
+	"errors"
+	"io"
+	"testing"
+)
 
 // FuzzDecodeRequest ensures arbitrary client bytes cannot panic the
-// server-side decoder.
+// server-side decoder, and that what does decode survives a round trip.
 func FuzzDecodeRequest(f *testing.F) {
-	f.Add(EncodeRequest(Request{Op: OpPut, Key: []byte("k"), Value: []byte("v")}))
-	f.Add(EncodeRequest(Request{Op: OpScan, Prefix: []byte("p"), Limit: 9}))
-	f.Add(EncodeRequest(Request{Op: OpCompact, Strategy: "SI", K: 2}))
-	f.Add(EncodeRequest(Request{Op: OpWrite, Batch: []BatchOp{
-		{Key: []byte("a"), Value: []byte("1")},
-		{Delete: true, Key: []byte("b")},
-	}}))
+	for _, req := range []Request{
+		{Op: OpPut, Key: []byte("k"), Value: []byte("v")},
+		{Op: OpScan, Prefix: []byte("p"), Limit: 9},
+		{Op: OpCompact, Strategy: "SI", K: 2},
+		{Op: OpWrite, Batch: []BatchOp{
+			{Key: []byte("a"), Value: []byte("1")},
+			{Delete: true, Key: []byte("b")},
+		}},
+		{Op: OpStream, Handle: 3, Start: []byte("a"), End: []byte("z"), Credit: initialCredit},
+		{Op: OpStream, Start: nil, End: nil, Credit: 1},
+		{Op: OpCredit, Credit: maxCredit},
+		{Op: OpCancel},
+		{Op: OpSnapshot},
+		{Op: OpSnapGet, Handle: 7, Key: []byte("k")},
+		{Op: OpRelease, Handle: 7},
+	} {
+		f.Add(EncodeRequest(req))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
+	f.Add([]byte{byte(OpStream), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // varint overflow
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(data)
 		if err != nil {
+			if !errors.Is(err, ErrProtocol) {
+				t.Fatalf("decode error does not wrap ErrProtocol: %v", err)
+			}
 			return
 		}
 		// Valid decodes must re-encode/decode stably.
@@ -25,20 +45,112 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		if again.Op != req.Op || again.Strategy != req.Strategy || again.Limit != req.Limit || again.K != req.K ||
-			len(again.Batch) != len(req.Batch) {
-			t.Fatalf("request changed across round trip")
+			len(again.Batch) != len(req.Batch) || again.Handle != req.Handle || again.Credit != req.Credit ||
+			!bytes.Equal(again.Start, req.Start) || !bytes.Equal(again.End, req.End) || (again.End == nil) != (req.End == nil) {
+			t.Fatalf("request changed across round trip: %+v -> %+v", req, again)
 		}
 	})
 }
 
 // FuzzDecodeResponse ensures arbitrary server bytes cannot panic the
-// client-side decoder.
+// client-side decoder or make it allocate by a length the bytes only claim.
 func FuzzDecodeResponse(f *testing.F) {
-	f.Add(EncodeResponse(Response{Status: StatusOK, Value: []byte("v")}))
-	f.Add(EncodeResponse(Response{Status: StatusOK, Entries: []ScanEntry{{Key: []byte("k"), Value: []byte("v")}}}))
-	f.Add(EncodeResponse(Response{Status: StatusError, Err: "x"}))
+	entries := []ScanEntry{{Key: []byte("k"), Value: []byte("v")}, {Key: []byte("k2"), Value: nil}}
+	for _, resp := range []Response{
+		{Status: StatusOK, Value: []byte("v")},
+		{Status: StatusOK, Entries: entries},
+		{Status: StatusChunk, Entries: entries},
+		{Status: StatusChunk, Entries: []ScanEntry{}},
+		{Status: StatusOK, Handle: 42},
+		{Status: StatusError, Code: CodeConfig, Err: "x"},
+		{Status: StatusNotFound},
+	} {
+		f.Add(EncodeResponse(resp))
+	}
 	f.Add([]byte{})
+	f.Add([]byte{byte(StatusChunk), 'V', 0})                            // a chunk must be entries
+	f.Add([]byte{byte(StatusChunk), 'E', 0xff, 0xff, 0xff, 0xff, 0x0f}) // key length far past the payload
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeResponse(data)
+		resp, err := DecodeResponse(data)
+		if err != nil {
+			if !errors.Is(err, ErrProtocol) {
+				t.Fatalf("decode error does not wrap ErrProtocol: %v", err)
+			}
+			return
+		}
+		// Every entry costs at least two payload bytes.
+		if len(resp.Entries) > len(data)/2 {
+			t.Fatalf("%d entries decoded from %d bytes", len(resp.Entries), len(data))
+		}
+	})
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame reader: a truncated
+// header or body, or a length past MaxMessageSize, fails with ErrProtocol;
+// nothing panics; and a hostile length allocates no more than the bytes
+// that actually arrive, plus one read-ahead step.
+func FuzzReadFrame(f *testing.F) {
+	frame := func(tag uint32, req Request) []byte {
+		b, _ := endFrame(AppendRequest(beginFrame(nil, tag), &req))
+		return b
+	}
+	f.Add(frame(1, Request{Op: OpGet, Key: []byte("k")}))
+	f.Add(frame(0xffffffff, Request{Op: OpCancel}))
+	f.Add(append(frame(2, Request{Op: OpCredit, Credit: 8192}), frame(3, Request{Op: OpPing})...))
+	f.Add(frame(4, Request{Op: OpPut, Key: []byte("k"), Value: make([]byte, 300)})[:100]) // cut mid-body
+	f.Add([]byte{0xff, 0xff, 0xff, 0x01, 0, 0, 0, 0})                                     // 32 MiB claimed, none sent
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})                                     // over MaxMessageSize
+	f.Add([]byte{1, 0, 0})                                                                // cut mid-header
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		var buf []byte
+		for {
+			tag, payload, err := readFrame(r, buf)
+			if cap(payload) > len(data)+readChunk {
+				t.Fatalf("buffer of %d bytes for %d bytes of input", cap(payload), len(data))
+			}
+			if err == io.EOF && r.Len() == 0 {
+				return // clean end at a frame boundary
+			}
+			if err != nil {
+				if !errors.Is(err, ErrProtocol) {
+					t.Fatalf("frame error does not wrap ErrProtocol: %v", err)
+				}
+				return
+			}
+			again, _ := endFrame(append(beginFrame(nil, tag), payload...))
+			if !bytes.HasSuffix(data[:len(data)-r.Len()], again) {
+				t.Fatalf("frame (tag %d, %d bytes) does not re-encode to the bytes it was read from", tag, len(payload))
+			}
+			buf = payload
+		}
+	})
+}
+
+// FuzzChunkEntries walks arbitrary bytes as a stream chunk the way the
+// client iterator does, in place: garbage ends with ErrProtocol, never a
+// panic, and never yields more bytes than the chunk holds.
+func FuzzChunkEntries(f *testing.F) {
+	f.Add(appendEntry(appendEntry(nil, []byte("a"), []byte("1")), []byte("b"), nil))
+	f.Add([]byte{1, 'a'})          // value missing
+	f.Add([]byte{0x80})            // unterminated varint
+	f.Add([]byte{5, 'a', 'b'})     // key longer than the chunk
+	f.Add([]byte{0, 0, 0, 0, 0})   // empty keys and values
+	f.Add([]byte{1, 'k', 0xff, 1}) // value length past the end
+	f.Fuzz(func(t *testing.T, data []byte) {
+		yielded := 0
+		for rest := data; len(rest) > 0; {
+			var k, v []byte
+			var err error
+			if k, v, rest, err = nextEntry(rest); err != nil {
+				if !errors.Is(err, ErrProtocol) {
+					t.Fatalf("entry error does not wrap ErrProtocol: %v", err)
+				}
+				return
+			}
+			if yielded += len(k) + len(v); yielded > len(data) {
+				t.Fatalf("yielded %d bytes from a %d-byte chunk", yielded, len(data))
+			}
+		}
 	})
 }

@@ -1,14 +1,58 @@
 // Package kvnet provides the client/server network layer over the LSM
-// engine: a compact length-prefixed binary protocol, a Server that serves
-// one engine to many concurrent connections, and a Client. This is the
-// "NoSQL database server" shape the paper assumes — each server owns its
-// keys and runs compaction locally in the background — made concrete
-// enough to exercise compaction over the wire.
+// engine: a compact multiplexed binary protocol, a Server that serves one
+// engine to many concurrent connections, and a Client. This is the "NoSQL
+// database server" shape the paper assumes — each server owns its keys and
+// runs compaction locally in the background — made concrete enough to
+// exercise compaction over the wire.
 //
-// Wire format: every message (either direction) is a u32 little-endian
-// payload length followed by the payload. Requests start with an op byte,
-// responses with a status byte; strings and byte fields are uvarint
-// length-prefixed.
+// # Frames
+//
+// Every message, in either direction, is one frame:
+//
+//	u32 LE payload length | u32 LE tag | payload
+//
+// A client→server payload starts with an op byte, a server→client payload
+// with a status byte; strings and byte fields are uvarint length-prefixed.
+// The tag names the request a frame belongs to, so any number of requests
+// share one connection and complete in any order.
+//
+// # Tag lifecycle
+//
+// The client picks a tag that is not in use on the connection and
+// registers it before the request frame is written. A unary request (Put,
+// Get, Write, Range, …) gets exactly one response frame with the same tag,
+// which retires it. A request is cancelled by tag: the client unregisters
+// the tag, sends OpCancel under it and returns at once; the server cancels
+// that request's context, and a response that was already on its way is
+// dropped by the client as an unknown tag. Nothing else on the connection
+// is disturbed. OpCancel, OpCredit and OpRelease are control frames: they
+// are never answered.
+//
+// # Streams and credit
+//
+// OpStream opens a scan of [start, end) under its tag and carries a byte
+// credit. The server runs one range scan for the whole stream — one
+// consistent read view end to end — and encodes entries into a chunk until
+// the next entry would exceed the credit; it then sends the chunk
+// (StatusChunk) and parks inside the scan. The client decodes the chunk in
+// place, and when its iterator has drained it sends OpCredit under the
+// stream's tag; the server resumes. The last chunk is a StatusOK entries
+// response, which retires the tag; an error response does too. The first
+// grant is initialCredit and each later grant doubles up to maxCredit, so a
+// short scan fetches little more than it reads, a long one runs in large
+// chunks, and the client never buffers more than maxCredit (or one entry,
+// if a single entry is larger). The server clamps a grant to maxCredit.
+//
+// # Snapshots and leases
+//
+// OpSnapshot pins a point-in-time view on the server and returns a handle,
+// valid on this connection only. OpSnapGet and OpStream name the handle to
+// read through it; OpRelease drops it. A handle that no frame has named for
+// handleLease, and a parked stream that has received no credit for
+// handleLease, are reaped: their table references are released, and a later
+// use of the handle, or a later grant to the stream, is answered with
+// kverr.ErrClosed. Connection loss releases everything the connection held.
+// So a client that vanishes cannot pin tables for longer than the lease.
 package kvnet
 
 import (
@@ -16,6 +60,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"time"
 )
 
 // ErrProtocol reports a malformed or truncated frame — wire bytes that do
@@ -41,16 +87,26 @@ const (
 	// batch becomes durable and visible as a unit.
 	OpWrite
 	// OpRange returns up to Limit entries with Start <= key < End in key
-	// order — one page of a range scan. A client iterator pages through a
-	// range by re-issuing OpRange with Start just past the last key of the
-	// previous page.
+	// order in one response — a bounded page. Unbounded scans use OpStream.
 	OpRange
 	// OpPing is a no-op liveness probe: the server answers StatusOK
 	// without touching the engine. Failure detectors use it to notice a
-	// reaped or dead peer before a user request has to — a poisoned
-	// connection is otherwise only discovered by the next real request
-	// failing on it.
+	// reaped or dead peer before a user request has to.
 	OpPing
+	// OpStream opens a credit-streamed scan of Start <= key < End under
+	// the frame's tag, through snapshot Handle (0 = the live store), with
+	// an initial byte Credit.
+	OpStream
+	// OpCredit grants the stream under the frame's tag Credit more bytes.
+	OpCredit
+	// OpCancel cancels the request or stream under the frame's tag.
+	OpCancel
+	// OpSnapshot pins a point-in-time view and answers with its handle.
+	OpSnapshot
+	// OpSnapGet is OpGet through snapshot Handle.
+	OpSnapGet
+	// OpRelease drops snapshot Handle.
+	OpRelease
 )
 
 // Status is the first byte of every response.
@@ -61,6 +117,9 @@ const (
 	StatusOK Status = iota
 	StatusNotFound
 	StatusError
+	// StatusChunk is StatusOK for a stream's entries response with more to
+	// follow: the stream is parked until the client grants credit.
+	StatusChunk
 )
 
 // ErrCode classifies a StatusError response so clients can decode typed
@@ -79,18 +138,37 @@ const (
 	CodeDeadlineExceeded
 	// CodeCorrupt and CodeReadOnly travel the durability taxonomy: data
 	// failing integrity checks, and an engine that refuses writes after a
-	// durability failure. Appended past the original codes so the byte
-	// values of the existing ones are unchanged on the wire.
+	// durability failure.
 	CodeCorrupt
 	CodeReadOnly
+	// CodeConfig reports a request the served engine cannot answer by
+	// construction, such as OpSnapshot against an engine without snapshots.
+	CodeConfig
 )
 
-// MaxMessageSize bounds a single message; larger frames are rejected as
-// corrupt rather than allocated.
+// MaxMessageSize bounds a single frame payload; larger frames are rejected
+// as corrupt rather than allocated.
 const MaxMessageSize = 32 << 20
 
+// Flow-control and lease constants; see the package comment.
+const (
+	initialCredit = 8 << 10
+	maxCredit     = 256 << 10
+	handleLease   = time.Minute
+	// maxInFlight bounds the unary requests one connection executes at
+	// once; when every worker is busy the server stops reading the
+	// connection, which is the back-pressure.
+	maxInFlight = 64
+	// retainLimit is the largest buffer a connection-lifetime owner (a
+	// server worker) keeps for reuse; larger ones go back to the collector.
+	retainLimit = 1 << 20
+	// maxHandles bounds the streams plus snapshots one connection may hold
+	// open, so a peer cannot park goroutines and pin views without limit.
+	maxHandles = 1024
+)
+
 // ErrTooLarge reports a frame exceeding MaxMessageSize.
-var ErrTooLarge = errors.New("kvnet: message too large")
+var ErrTooLarge = fmt.Errorf("kvnet: message too large: %w", ErrProtocol)
 
 // BatchOp is one operation inside an OpWrite batch.
 type BatchOp struct {
@@ -109,10 +187,14 @@ type Request struct {
 	Strategy string
 	K        uint64
 	Batch    []BatchOp // OpWrite only
-	// Start and End bound an OpRange page: Start <= key < End. A nil End
-	// means no upper bound (End is encoded with a presence flag, so the
-	// open bound survives the round trip).
+	// Start and End bound an OpRange page or an OpStream: Start <= key <
+	// End. A nil End means no upper bound (End is encoded with a presence
+	// flag, so the open bound survives the round trip).
 	Start, End []byte
+	// Handle names a snapshot (OpStream, OpSnapGet, OpRelease); Credit is
+	// a byte grant (OpStream, OpCredit).
+	Handle uint64
+	Credit uint64
 }
 
 // ScanEntry is one key-value pair in a scan response.
@@ -163,37 +245,68 @@ type Response struct {
 	Entries []ScanEntry
 	Compact *CompactInfo
 	Stats   *StatsInfo
+	Handle  uint64 // OpSnapshot's answer
 }
 
-// writeFrame writes one length-prefixed payload.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxMessageSize {
-		return ErrTooLarge
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// frameHeaderLen is the fixed prefix of every frame: payload length, tag.
+const frameHeaderLen = 8
+
+// beginFrame resets buf to a frame header for tag with the length still to
+// be filled in; the payload is appended after it and endFrame completes it.
+func beginFrame(buf []byte, tag uint32) []byte {
+	buf = append(buf[:0], 0, 0, 0, 0)
+	return binary.LittleEndian.AppendUint32(buf, tag)
 }
 
-// readFrame reads one length-prefixed payload.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+// endFrame fills in the payload length of a frame started by beginFrame.
+func endFrame(buf []byte) ([]byte, error) {
+	n := len(buf) - frameHeaderLen
 	if n > MaxMessageSize {
 		return nil, ErrTooLarge
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	binary.LittleEndian.PutUint32(buf, uint32(n))
+	return buf, nil
+}
+
+// readChunk is how much of a frame body is allocated ahead of the bytes
+// actually arriving, so a hostile length field costs at most this much.
+const readChunk = 64 << 10
+
+// readFrame reads one frame, reusing buf's capacity for the payload. A
+// clean end of stream before the first header byte is io.EOF; a frame cut
+// short or longer than MaxMessageSize wraps ErrProtocol.
+func readFrame(r io.Reader, buf []byte) (tag uint32, payload []byte, err error) {
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			err = fmt.Errorf("kvnet: truncated frame header: %w", ErrProtocol)
+		}
+		return 0, buf[:0], err
 	}
-	return payload, nil
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
+	tag = binary.LittleEndian.Uint32(hdr[4:])
+	if n > MaxMessageSize {
+		return tag, buf[:0], ErrTooLarge
+	}
+	payload, err = readBody(r, buf[:0], n)
+	return tag, payload, err
+}
+
+// readBody appends n bytes from r to buf, growing it only as they arrive.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for n > 0 {
+		step := min(n, max(cap(buf)-len(buf), readChunk))
+		buf = slices.Grow(buf, step)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+step]); err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				err = fmt.Errorf("kvnet: truncated frame: %w", ErrProtocol)
+			}
+			return buf, err
+		}
+		buf = buf[:len(buf)+step]
+		n -= step
+	}
+	return buf, nil
 }
 
 func appendBytes(dst, b []byte) []byte {
@@ -218,9 +331,67 @@ func readUvarint(buf []byte) (uint64, []byte, error) {
 	return v, buf[sz:], nil
 }
 
+// appendBound encodes a range end with its presence flag.
+func appendBound(dst, end []byte) []byte {
+	if end == nil {
+		return append(dst, 0)
+	}
+	return appendBytes(append(dst, 1), end)
+}
+
+// readBound decodes what appendBound wrote.
+func readBound(buf []byte) (end, rest []byte, err error) {
+	if len(buf) < 1 {
+		return nil, nil, fmt.Errorf("kvnet: truncated range bound: %w", ErrProtocol)
+	}
+	switch buf[0] {
+	case 0:
+		return nil, buf[1:], nil
+	case 1:
+		return readBytes(buf[1:])
+	}
+	return nil, nil, fmt.Errorf("kvnet: bad range bound flag %d: %w", buf[0], ErrProtocol)
+}
+
+// appendEntry encodes one scan entry; entrySize is the bytes it takes.
+func appendEntry(dst, key, value []byte) []byte {
+	return appendBytes(appendBytes(dst, key), value)
+}
+
+func entrySize(key, value []byte) int {
+	return uvarintLen(len(key)) + len(key) + uvarintLen(len(value)) + len(value)
+}
+
+func uvarintLen(n int) int {
+	l := 1
+	for n >= 0x80 {
+		n >>= 7
+		l++
+	}
+	return l
+}
+
+// nextEntry decodes the entry at the front of an entries body in place.
+func nextEntry(buf []byte) (key, value, rest []byte, err error) {
+	if key, buf, err = readBytes(buf); err != nil {
+		return nil, nil, nil, err
+	}
+	if value, rest, err = readBytes(buf); err != nil {
+		return nil, nil, nil, err
+	}
+	return key, value, rest, nil
+}
+
 // EncodeRequest serializes req into a frame payload.
-func EncodeRequest(req Request) []byte {
-	out := []byte{byte(req.Op)}
+func EncodeRequest(req Request) []byte { return AppendRequest(nil, &req) }
+
+// AppendRequest appends req's payload encoding to out. It takes a pointer,
+// as does every client function on the way here, because a Request is a
+// few hundred bytes: passed by value down the call chain it outgrows the
+// small stack of a freshly started goroutine — the cluster router starts
+// three per operation — and each one pays for a stack copy.
+func AppendRequest(out []byte, req *Request) []byte {
+	out = append(out, byte(req.Op))
 	switch req.Op {
 	case OpPut:
 		out = appendBytes(out, req.Key)
@@ -232,12 +403,7 @@ func EncodeRequest(req Request) []byte {
 		out = binary.AppendUvarint(out, req.Limit)
 	case OpRange:
 		out = appendBytes(out, req.Start)
-		if req.End == nil {
-			out = append(out, 0)
-		} else {
-			out = append(out, 1)
-			out = appendBytes(out, req.End)
-		}
+		out = appendBound(out, req.End)
 		out = binary.AppendUvarint(out, req.Limit)
 	case OpCompact:
 		out = appendBytes(out, []byte(req.Strategy))
@@ -255,11 +421,57 @@ func EncodeRequest(req Request) []byte {
 				out = appendBytes(out, op.Value)
 			}
 		}
+	case OpStream:
+		out = binary.AppendUvarint(out, req.Handle)
+		out = appendBytes(out, req.Start)
+		out = appendBound(out, req.End)
+		out = binary.AppendUvarint(out, req.Credit)
+	case OpCredit:
+		out = binary.AppendUvarint(out, req.Credit)
+	case OpSnapGet:
+		out = binary.AppendUvarint(out, req.Handle)
+		out = appendBytes(out, req.Key)
+	case OpRelease:
+		out = binary.AppendUvarint(out, req.Handle)
 	}
 	return out
 }
 
-// DecodeRequest parses a frame payload into a Request.
+// decodeBatch walks an OpWrite body, handing each operation to fn.
+func decodeBatch(buf []byte, fn func(del bool, key, value []byte)) error {
+	n, buf, err := readUvarint(buf)
+	if err != nil {
+		return err
+	}
+	// Every op consumes at least two payload bytes (kind + key length), so
+	// a count above len(buf)/2 is structurally bogus.
+	if n > uint64(len(buf))/2 {
+		return fmt.Errorf("kvnet: batch count %d exceeds payload: %w", n, ErrProtocol)
+	}
+	for i := uint64(0); i < n; i++ {
+		if len(buf) < 1 {
+			return fmt.Errorf("kvnet: truncated batch op: %w", ErrProtocol)
+		}
+		kind := buf[0]
+		if kind > 1 {
+			return fmt.Errorf("kvnet: unknown batch op kind %d: %w", kind, ErrProtocol)
+		}
+		var key, value []byte
+		if key, buf, err = readBytes(buf[1:]); err != nil {
+			return err
+		}
+		if kind == 0 {
+			if value, buf, err = readBytes(buf); err != nil {
+				return err
+			}
+		}
+		fn(kind == 1, key, value)
+	}
+	return nil
+}
+
+// DecodeRequest parses a frame payload into a Request. Byte fields alias
+// buf.
 func DecodeRequest(buf []byte) (Request, error) {
 	var req Request
 	if len(buf) < 1 {
@@ -291,18 +503,8 @@ func DecodeRequest(buf []byte) (Request, error) {
 		if req.Start, buf, err = readBytes(buf); err != nil {
 			return req, err
 		}
-		if len(buf) < 1 {
-			return req, fmt.Errorf("kvnet: truncated range bound: %w", ErrProtocol)
-		}
-		bounded := buf[0]
-		buf = buf[1:]
-		if bounded > 1 {
-			return req, fmt.Errorf("kvnet: bad range bound flag %d: %w", bounded, ErrProtocol)
-		}
-		if bounded == 1 {
-			if req.End, buf, err = readBytes(buf); err != nil {
-				return req, err
-			}
+		if req.End, buf, err = readBound(buf); err != nil {
+			return req, err
 		}
 		if req.Limit, _, err = readUvarint(buf); err != nil {
 			return req, err
@@ -317,39 +519,43 @@ func DecodeRequest(buf []byte) (Request, error) {
 			return req, err
 		}
 	case OpWrite:
-		var n uint64
-		if n, buf, err = readUvarint(buf); err != nil {
+		// The slice grows only as ops decode, so a hostile count can never
+		// force a large allocation.
+		err = decodeBatch(buf, func(del bool, key, value []byte) {
+			req.Batch = append(req.Batch, BatchOp{Delete: del, Key: key, Value: value})
+		})
+		if err != nil {
 			return req, err
 		}
-		// Every op consumes at least two payload bytes (kind + key length),
-		// so a count above len(buf)/2 is structurally bogus; and the
-		// pre-allocation is capped regardless, so a hostile count can never
-		// force a large allocation — the slice grows only as ops decode.
-		if n > uint64(len(buf))/2 {
-			return req, fmt.Errorf("kvnet: batch count %d exceeds payload: %w", n, ErrProtocol)
+	case OpStream:
+		if req.Handle, buf, err = readUvarint(buf); err != nil {
+			return req, err
 		}
-		req.Batch = make([]BatchOp, 0, min(n, 1024))
-		for i := uint64(0); i < n; i++ {
-			if len(buf) < 1 {
-				return req, fmt.Errorf("kvnet: truncated batch op: %w", ErrProtocol)
-			}
-			kind := buf[0]
-			buf = buf[1:]
-			if kind > 1 {
-				return req, fmt.Errorf("kvnet: unknown batch op kind %d: %w", kind, ErrProtocol)
-			}
-			op := BatchOp{Delete: kind == 1}
-			if op.Key, buf, err = readBytes(buf); err != nil {
-				return req, err
-			}
-			if !op.Delete {
-				if op.Value, buf, err = readBytes(buf); err != nil {
-					return req, err
-				}
-			}
-			req.Batch = append(req.Batch, op)
+		if req.Start, buf, err = readBytes(buf); err != nil {
+			return req, err
 		}
-	case OpFlush, OpStats, OpPing:
+		if req.End, buf, err = readBound(buf); err != nil {
+			return req, err
+		}
+		if req.Credit, _, err = readUvarint(buf); err != nil {
+			return req, err
+		}
+	case OpCredit:
+		if req.Credit, _, err = readUvarint(buf); err != nil {
+			return req, err
+		}
+	case OpSnapGet:
+		if req.Handle, buf, err = readUvarint(buf); err != nil {
+			return req, err
+		}
+		if req.Key, _, err = readBytes(buf); err != nil {
+			return req, err
+		}
+	case OpRelease:
+		if req.Handle, _, err = readUvarint(buf); err != nil {
+			return req, err
+		}
+	case OpFlush, OpStats, OpPing, OpCancel, OpSnapshot:
 	default:
 		return req, fmt.Errorf("kvnet: unknown op %d: %w", req.Op, ErrProtocol)
 	}
@@ -357,15 +563,23 @@ func DecodeRequest(buf []byte) (Request, error) {
 }
 
 // EncodeResponse serializes resp into a frame payload.
-func EncodeResponse(resp Response) []byte {
-	out := []byte{byte(resp.Status)}
+func EncodeResponse(resp Response) []byte { return AppendResponse(nil, resp) }
+
+// AppendResponse appends resp's payload encoding to dst. An entries body
+// (kind 'E', under StatusOK or StatusChunk) is the entries back to back up
+// to the end of the payload: there is no count, so the server can encode
+// entries as a scan produces them, and a stream's chunk differs from its
+// final frame in the status byte alone.
+func AppendResponse(out []byte, resp Response) []byte {
+	out = append(out, byte(resp.Status))
 	switch resp.Status {
 	case StatusError:
 		out = append(out, byte(resp.Code))
-		out = appendBytes(out, []byte(resp.Err))
-		return out
+		return appendBytes(out, []byte(resp.Err))
 	case StatusNotFound:
 		return out
+	case StatusChunk:
+		return appendEntries(append(out, 'E'), resp.Entries)
 	}
 	switch {
 	case resp.Compact != nil:
@@ -383,12 +597,9 @@ func EncodeResponse(resp Response) []byte {
 			out = binary.AppendUvarint(out, v)
 		}
 	case resp.Entries != nil:
-		out = append(out, 'E')
-		out = binary.AppendUvarint(out, uint64(len(resp.Entries)))
-		for _, e := range resp.Entries {
-			out = appendBytes(out, e.Key)
-			out = appendBytes(out, e.Value)
-		}
+		out = appendEntries(append(out, 'E'), resp.Entries)
+	case resp.Handle != 0:
+		out = binary.AppendUvarint(append(out, 'H'), resp.Handle)
 	default:
 		out = append(out, 'V')
 		out = appendBytes(out, resp.Value)
@@ -396,7 +607,33 @@ func EncodeResponse(resp Response) []byte {
 	return out
 }
 
-// DecodeResponse parses a frame payload into a Response.
+func appendEntries(out []byte, entries []ScanEntry) []byte {
+	for _, e := range entries {
+		out = appendEntry(out, e.Key, e.Value)
+	}
+	return out
+}
+
+// decodeEntries decodes an entries body; keys and values alias buf. The
+// result is never nil, and is sized by a first pass over the bytes that
+// actually arrived rather than by anything the peer claims.
+func decodeEntries(buf []byte) ([]ScanEntry, error) {
+	n := 0
+	for rest := buf; len(rest) > 0; n++ {
+		var err error
+		if _, _, rest, err = nextEntry(rest); err != nil {
+			return nil, err
+		}
+	}
+	entries := make([]ScanEntry, n)
+	for i := range entries {
+		entries[i].Key, entries[i].Value, buf, _ = nextEntry(buf)
+	}
+	return entries, nil
+}
+
+// DecodeResponse parses a frame payload into a Response. Byte fields alias
+// buf.
 func DecodeResponse(buf []byte) (Response, error) {
 	var resp Response
 	if len(buf) < 1 {
@@ -420,7 +657,7 @@ func DecodeResponse(buf []byte) (Response, error) {
 		}
 		resp.Err = string(msg)
 		return resp, nil
-	case StatusOK:
+	case StatusOK, StatusChunk:
 	default:
 		return resp, fmt.Errorf("kvnet: unknown status %d: %w", resp.Status, ErrProtocol)
 	}
@@ -429,26 +666,21 @@ func DecodeResponse(buf []byte) (Response, error) {
 	}
 	kind := buf[0]
 	buf = buf[1:]
+	if resp.Status == StatusChunk && kind != 'E' {
+		return resp, fmt.Errorf("kvnet: chunk of kind %q: %w", kind, ErrProtocol)
+	}
 	switch kind {
 	case 'V':
 		if resp.Value, _, err = readBytes(buf); err != nil {
 			return resp, err
 		}
 	case 'E':
-		var n uint64
-		if n, buf, err = readUvarint(buf); err != nil {
+		if resp.Entries, err = decodeEntries(buf); err != nil {
 			return resp, err
 		}
-		resp.Entries = make([]ScanEntry, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var k, v []byte
-			if k, buf, err = readBytes(buf); err != nil {
-				return resp, err
-			}
-			if v, buf, err = readBytes(buf); err != nil {
-				return resp, err
-			}
-			resp.Entries = append(resp.Entries, ScanEntry{Key: k, Value: v})
+	case 'H':
+		if resp.Handle, _, err = readUvarint(buf); err != nil {
+			return resp, err
 		}
 	case 'C':
 		c := &CompactInfo{}

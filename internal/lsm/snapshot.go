@@ -43,6 +43,24 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	return &Snapshot{mem: mem, tables: tables, byseq: sortByMaxSeq(tables)}, nil
 }
 
+// SnapshotView is the read surface of a point-in-time snapshot, the part
+// *Snapshot and the sharded store's snapshot have in common, so the layers
+// above (the network server, the kv façade) can hold either one.
+type SnapshotView interface {
+	Get(key []byte) ([]byte, error)
+	NewIterator(start, end []byte) (iterator.Iterator, func(), error)
+	Release()
+}
+
+// SnapshotView is Snapshot behind the interface both engines share.
+func (db *DB) SnapshotView() (SnapshotView, error) {
+	s, err := db.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // Release drops the snapshot's table references; the last release of a
 // superseded table closes and deletes it. Further reads through the
 // snapshot return ErrClosed. Release is idempotent, and a release

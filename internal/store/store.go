@@ -479,6 +479,15 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 	return snap, nil
 }
 
+// SnapshotView is Snapshot behind the interface both engines share.
+func (s *Store) SnapshotView() (lsm.SnapshotView, error) {
+	snap, err := s.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
 // Snapshot is a point-in-time read view of the whole store: one lsm
 // snapshot per shard, routed and merged with the same hash partitioning
 // the live store uses. Safe for concurrent use; Release is idempotent.

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/kvnet"
 )
+
+// remotePageSize is how many entries a cluster iterator (or snapshot
+// materialization) pulls per quorum round trip.
+const remotePageSize = 512
 
 // DialCluster connects to a replicated cluster of servers and returns an
 // Engine that survives node failure. Every key is stored on N distinct
@@ -130,7 +135,9 @@ func (e *clusterEngine) Snapshot(ctx context.Context) (Snapshot, error) {
 		return nil, ErrClosed
 	}
 	// Materialize the merged, version-resolved keyspace client-side, page
-	// by page — the same trade the single-node remote backend makes.
+	// by page: isolated from every write after Snapshot returns, but pages
+	// are independent quorum views, so a write concurrent with the pulls
+	// may be visible in one page and not an earlier one.
 	var entries []kvnet.ScanEntry
 	var next []byte
 	for {
@@ -251,8 +258,7 @@ func (e *clusterEngine) statsListenAddr() string {
 
 // clusterIterator pages through the cluster's merged key range one
 // quorum RangePage at a time. Pages are independent quorum views: a
-// concurrent writer may be visible in one page and not the previous —
-// the same contract as the single-node remote iterator.
+// concurrent writer may be visible in one page and not the previous.
 type clusterIterator struct {
 	e    *clusterEngine
 	ctx  context.Context
@@ -338,6 +344,117 @@ func (it *clusterIterator) Err() error { return it.err }
 func (it *clusterIterator) Close() error {
 	it.closed = true
 	it.buf = nil
+	return nil
+}
+
+// remoteSnapshot is a client-side materialized view.
+type remoteSnapshot struct {
+	engineClosed *atomic.Bool
+	released     atomic.Bool
+	entries      []kvnet.ScanEntry // sorted by key
+}
+
+func (s *remoteSnapshot) Get(ctx context.Context, key []byte) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if s.released.Load() || s.engineClosed.Load() {
+		return nil, ErrClosed
+	}
+	i := sort.Search(len(s.entries), func(i int) bool {
+		return bytes.Compare(s.entries[i].Key, key) >= 0
+	})
+	if i < len(s.entries) && bytes.Equal(s.entries[i].Key, key) {
+		return append([]byte(nil), s.entries[i].Value...), nil
+	}
+	return nil, ErrNotFound
+}
+
+func (s *remoteSnapshot) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
+	start, end = normBound(start), normBound(end)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if s.released.Load() || s.engineClosed.Load() {
+		return nil, ErrClosed
+	}
+	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
+		return emptyIterator{}, nil
+	}
+	entries := s.entries
+	if start != nil {
+		i := sort.Search(len(entries), func(i int) bool {
+			return bytes.Compare(entries[i].Key, start) >= 0
+		})
+		entries = entries[i:]
+	}
+	if end != nil {
+		i := sort.Search(len(entries), func(i int) bool {
+			return bytes.Compare(entries[i].Key, end) >= 0
+		})
+		entries = entries[:i]
+	}
+	return &sliceIterator{ctx: ctx, entries: entries, engineClosed: s.engineClosed}, nil
+}
+
+func (s *remoteSnapshot) Release() { s.released.Store(true) }
+
+// sliceIterator iterates a materialized entry slice.
+type sliceIterator struct {
+	ctx          context.Context
+	entries      []kvnet.ScanEntry
+	engineClosed *atomic.Bool
+	pos          int
+	err          error
+	closed       bool
+}
+
+func (it *sliceIterator) Valid() bool {
+	if it.err != nil || it.closed {
+		return false
+	}
+	if it.engineClosed.Load() {
+		it.err = ErrClosed
+		return false
+	}
+	return it.pos < len(it.entries)
+}
+
+func (it *sliceIterator) Key() []byte {
+	if !it.Valid() {
+		return nil
+	}
+	return it.entries[it.pos].Key
+}
+
+func (it *sliceIterator) Value() []byte {
+	if !it.Valid() {
+		return nil
+	}
+	return it.entries[it.pos].Value
+}
+
+func (it *sliceIterator) Next() {
+	if it.closed {
+		if it.err == nil {
+			it.err = ErrClosed
+		}
+		return
+	}
+	if it.err != nil {
+		return
+	}
+	if err := it.ctx.Err(); err != nil {
+		it.err = err
+		return
+	}
+	it.pos++
+}
+
+func (it *sliceIterator) Err() error { return it.err }
+
+func (it *sliceIterator) Close() error {
+	it.closed = true
 	return nil
 }
 

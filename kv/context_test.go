@@ -171,24 +171,52 @@ func TestPreCancelledOps(t *testing.T) {
 	})
 }
 
-// TestRemoteCancelRedial: a cancelled remote request poisons the
-// connection; the engine must transparently re-dial so the next operation
-// succeeds.
-func TestRemoteCancelRedial(t *testing.T) {
+// TestRemoteCancelSameConnection: a remote request whose context expires is
+// withdrawn by tag; the engine keeps the very connection it had, and the
+// next operation runs over it.
+func TestRemoteCancelSameConnection(t *testing.T) {
 	eng := openRemote(t)
+	re := eng.(*remoteEngine)
 	ctx := context.Background()
 	if err := eng.Put(ctx, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	// A pre-expired deadline fails the op (possibly before or during the
-	// round trip, poisoning the connection either way is allowed).
-	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	if err := eng.Put(expired, []byte("x"), []byte("y")); err == nil {
-		t.Fatal("expired-deadline Put succeeded")
+	before, err := re.client()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The engine recovers on the next call.
+	// A deadline already past never reaches the wire; a scan cancelled
+	// part-way does — its server-side stream is open and parked.
+	expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+	defer cancel()
+	if err := eng.Put(expired, []byte("x"), []byte("y")); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired-deadline Put = %v, want DeadlineExceeded", err)
+	}
+	fillKeys(t, eng, 2000)
+	scanCtx, cancelScan := context.WithCancel(ctx)
+	defer cancelScan()
+	it, err := eng.NewIterator(scanCtx, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	seen := 0
+	for ; it.Valid(); it.Next() {
+		if seen++; seen == 10 {
+			cancelScan()
+		}
+	}
+	if err := it.Err(); !errors.Is(err, context.Canceled) || seen >= 2000 {
+		t.Fatalf("cancelled scan: Err = %v after %d entries, want context.Canceled part-way", err, seen)
+	}
 	if v, err := eng.Get(ctx, []byte("k")); err != nil || string(v) != "v" {
-		t.Fatalf("Get after poisoned request = %q, %v", v, err)
+		t.Fatalf("Get after cancelled requests = %q, %v", v, err)
+	}
+	after, err := re.client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before || !after.Healthy() {
+		t.Fatal("a cancelled request cost the engine its connection")
 	}
 }

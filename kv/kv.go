@@ -107,9 +107,10 @@ type Engine interface {
 	NewIterator(ctx context.Context, start, end []byte) (Iterator, error)
 	// Snapshot captures a point-in-time read view. Embedded backends pin
 	// the live memtable and sstables by reference (cheap, isolated); the
-	// remote backend materializes the key space client-side at Snapshot
-	// time, which is expensive for large stores. The caller must Release
-	// the snapshot.
+	// remote backend has the server do the same and holds a handle, which
+	// the server reaps if it goes unused for a minute; the cluster backend
+	// materializes the key space client-side at Snapshot time, which is
+	// expensive for large stores. The caller must Release the snapshot.
 	Snapshot(ctx context.Context) (Snapshot, error)
 	// Flush forces buffered writes (the memtable, every shard's memtable)
 	// to sstables.
@@ -149,10 +150,12 @@ type Iterator interface {
 }
 
 // Snapshot is a point-in-time read view. Reads after Release return
-// ErrClosed. On the sharded store each shard's view is internally
-// consistent but the per-shard views are acquired sequentially; on the
-// remote backend the view is materialized client-side page by page, so a
-// concurrent writer may straddle page boundaries.
+// ErrClosed. On the sharded store — embedded or behind a server — each
+// shard's view is internally consistent but the per-shard views are
+// acquired sequentially; on the cluster backend the view is materialized
+// client-side page by page, so a concurrent writer may straddle page
+// boundaries: each key is read at one acknowledged version, never torn,
+// but two keys may come from different moments.
 type Snapshot interface {
 	// Get returns the value stored for key as of the snapshot, or
 	// ErrNotFound.

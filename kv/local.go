@@ -24,23 +24,14 @@ type localBackend interface {
 	Flush() error
 	MajorCompact(strategy string, k int, seed int64) (*lsm.CompactionResult, error)
 	Stats() lsm.Stats
+	SnapshotView() (lsm.SnapshotView, error)
 	Close() error
-}
-
-// localSnap is the snapshot surface shared by *lsm.Snapshot and
-// *store.Snapshot.
-type localSnap interface {
-	Get(key []byte) ([]byte, error)
-	NewIterator(start, end []byte) (iterator.Iterator, func(), error)
-	Release()
 }
 
 // localEngine adapts an embedded backend to the public Engine interface.
 type localEngine struct {
 	b   localBackend
 	raw kvnet.Engine // the same object, for NewServer
-	// newSnap wraps the backend's concretely-typed Snapshot method.
-	newSnap func() (localSnap, error)
 	// shardStats is non-nil on the sharded store.
 	shardStats func() []lsm.Stats
 	backend    string // "lsm" or "store"
@@ -57,23 +48,9 @@ func newLocalEngine(cfg config, db *lsm.DB, st *store.Store) *localEngine {
 	if db != nil {
 		e.b, e.raw = db, db
 		e.backend, e.shards = "lsm", 1
-		e.newSnap = func() (localSnap, error) {
-			s, err := db.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			return s, nil
-		}
 	} else {
 		e.b, e.raw = st, st
 		e.backend, e.shards = "store", st.ShardCount()
-		e.newSnap = func() (localSnap, error) {
-			s, err := st.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			return s, nil
-		}
 		e.shardStats = st.ShardStats
 	}
 	return e
@@ -120,7 +97,7 @@ func (e *localEngine) Snapshot(ctx context.Context) (Snapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s, err := e.newSnap()
+	s, err := e.b.SnapshotView()
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +286,7 @@ func (emptyIterator) Close() error  { return nil }
 
 // localSnapshot adapts an embedded snapshot to the public interface.
 type localSnapshot struct {
-	s            localSnap
+	s            lsm.SnapshotView
 	engineClosed *atomic.Bool
 	released     atomic.Bool
 }

@@ -63,10 +63,12 @@ func Open(dir string, opts ...Option) (Engine, error) {
 }
 
 // Dial connects to a server at addr (see NewServer and cmd/lsmserver) and
-// returns an Engine speaking the kvnet protocol to it. The remote engine
-// serializes requests over one connection; a request cancelled mid-flight
-// poisons that connection and the engine transparently re-dials on the
-// next operation.
+// returns an Engine speaking the kvnet protocol to it. Concurrent
+// operations share one multiplexed connection; cancelling one withdraws
+// only that request. An iterator is one server-side scan under one
+// consistent view, and a Snapshot is held by the server, so neither costs
+// client memory proportional to the data. If the connection breaks the
+// engine re-dials on the next operation.
 func Dial(addr string, opts ...Option) (Engine, error) {
 	cfg := defaultConfig(entryDial)
 	for _, opt := range opts {

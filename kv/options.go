@@ -251,8 +251,7 @@ func WithStatsHandler(addr string) Option {
 }
 
 // WithDialTimeout bounds how long Dial and DialCluster (and any
-// transparent re-dial after a cancelled request poisoned a connection)
-// wait for the TCP connect.
+// transparent re-dial after a connection broke) wait for the TCP connect.
 func WithDialTimeout(d time.Duration) Option {
 	return func(c *config) error {
 		if c.entry != entryDial && c.entry != entryCluster {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,14 +12,11 @@ import (
 	"repro/internal/kvnet"
 )
 
-// remotePageSize is how many entries a remote iterator (or snapshot
-// materialization) pulls per round trip.
-const remotePageSize = 512
-
-// remoteEngine speaks the kvnet protocol to one server. The underlying
-// client serializes requests over a single connection and a cancelled
-// request poisons that connection (the frame stream loses sync), so the
-// engine transparently re-dials on the next operation.
+// remoteEngine speaks the kvnet protocol to one server over one
+// multiplexed connection: concurrent operations share it, and a cancelled
+// operation is withdrawn by tag without disturbing the others. Only a
+// broken transport (the server went away, or reaped an idle connection)
+// makes the engine re-dial, on the next operation.
 type remoteEngine struct {
 	addr   string
 	cfg    config
@@ -41,12 +37,11 @@ func newRemoteEngine(cfg config, addr string) (*remoteEngine, error) {
 	return e, nil
 }
 
-// client returns the live connection, re-dialing if the previous one was
-// closed or poisoned by a cancelled request. The dial happens outside
-// e.mu: a slow or timing-out dial must not hold the lock and queue every
-// other operation on the engine behind it for up to the dial timeout.
-// Concurrent re-dials may race; the losers close their connections and
-// adopt the winner's.
+// client returns the live connection, re-dialing if the previous one
+// failed. The dial happens outside e.mu: a slow or timing-out dial must
+// not hold the lock and queue every other operation on the engine behind
+// it for up to the dial timeout. Concurrent re-dials may race; the losers
+// close their connections and adopt the winner's.
 func (e *remoteEngine) client() (*kvnet.Client, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -75,12 +70,21 @@ func (e *remoteEngine) client() (*kvnet.Client, error) {
 	}
 	if e.c != nil && e.c.Healthy() {
 		// Another goroutine finished its re-dial first; adopt its
-		// connection so requests keep serializing over one conn.
+		// connection so the engine keeps to one.
 		c.Close()
 		return e.c, nil
 	}
 	e.c = c
 	return c, nil
+}
+
+// closedErr maps an error observed after the engine was closed — closing
+// tears the connection down under whatever was in flight — to ErrClosed.
+func (e *remoteEngine) closedErr(err error) error {
+	if err != nil && e.closed.Load() {
+		return ErrClosed
+	}
+	return err
 }
 
 func (e *remoteEngine) Put(ctx context.Context, key, value []byte) error {
@@ -133,46 +137,34 @@ func (e *remoteEngine) NewIterator(ctx context.Context, start, end []byte) (Iter
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if e.closed.Load() {
-		return nil, ErrClosed
+	c, err := e.client()
+	if err != nil {
+		return nil, err
 	}
 	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
 		return emptyIterator{}, nil
 	}
-	it := &remoteIterator{e: e, ctx: ctx, end: end, next: start, more: true}
-	it.fill()
-	return it, nil
+	st, err := c.Stream(ctx, start, end)
+	if err != nil {
+		return nil, e.closedErr(err)
+	}
+	return &remoteIterator{e: e, st: st}, nil
 }
 
+// Snapshot pins a point-in-time view on the server; the client holds only
+// its handle. The view lives on the engine's current connection, under the
+// server's lease: a snapshot left unused for longer, or whose connection
+// broke, answers ErrClosed or the transport's error from then on.
 func (e *remoteEngine) Snapshot(ctx context.Context) (Snapshot, error) {
-	if err := ctx.Err(); err != nil {
+	c, err := e.client()
+	if err != nil {
 		return nil, err
 	}
-	if e.closed.Load() {
-		return nil, ErrClosed
+	sn, err := c.Snapshot(ctx)
+	if err != nil {
+		return nil, e.closedErr(err)
 	}
-	// Materialize the key space client-side, page by page. The result is
-	// isolated from every write after Snapshot returns; writes concurrent
-	// with the page pulls may straddle page boundaries (the server holds
-	// no cursor state between pages).
-	var entries []kvnet.ScanEntry
-	var next []byte
-	for {
-		c, err := e.client()
-		if err != nil {
-			return nil, err
-		}
-		page, err := c.Range(ctx, next, nil, remotePageSize)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, page...)
-		if len(page) < remotePageSize {
-			break
-		}
-		next = keySuccessor(page[len(page)-1].Key)
-	}
-	return &remoteSnapshot{engineClosed: &e.closed, entries: entries}, nil
+	return &serverSnapshot{e: e, sn: sn}, nil
 }
 
 func (e *remoteEngine) Flush(ctx context.Context) error {
@@ -263,97 +255,41 @@ func (e *remoteEngine) statsListenAddr() string {
 	return e.stats.Addr()
 }
 
-// keySuccessor returns the smallest key strictly greater than key: the
-// continuation point of a page that ended at key.
-func keySuccessor(key []byte) []byte {
-	next := make([]byte, len(key)+1)
-	copy(next, key)
-	return next
-}
-
-// remoteIterator pages through a key range one OpRange round trip at a
-// time. Each page is a consistent server-side view, but pages are
-// independent snapshots — a concurrent writer may be visible in one page
-// and not the previous.
+// remoteIterator adapts a server-held stream — one scan under one
+// consistent view, fetched a credit's worth at a time — to Iterator.
 type remoteIterator struct {
-	e    *remoteEngine
-	ctx  context.Context
-	end  []byte
-	next []byte // continuation key for the next page
-	more bool   // server may have more entries past next
-
-	buf    []kvnet.ScanEntry
-	pos    int
+	e      *remoteEngine
+	st     *kvnet.Stream
 	err    error
 	closed bool
 }
 
-// fill pulls the next page into buf; on return either buf has entries,
-// the range is exhausted, or err is set.
-func (it *remoteIterator) fill() {
-	it.buf, it.pos = nil, 0
-	for it.more && it.err == nil {
-		if it.e.closed.Load() {
-			it.err = ErrClosed
-			return
-		}
-		c, err := it.e.client()
-		if err != nil {
-			it.err = err
-			return
-		}
-		page, err := c.Range(it.ctx, it.next, it.end, remotePageSize)
-		if err != nil {
-			it.err = err
-			return
-		}
-		if len(page) < remotePageSize {
-			it.more = false
-		} else {
-			it.next = keySuccessor(page[len(page)-1].Key)
-		}
-		if len(page) > 0 {
-			it.buf = page
-			return
-		}
-	}
-}
-
 func (it *remoteIterator) Valid() bool {
-	return it.err == nil && !it.closed && it.pos < len(it.buf)
+	return it.err == nil && !it.closed && it.st.Valid()
 }
 
 func (it *remoteIterator) Key() []byte {
 	if !it.Valid() {
 		return nil
 	}
-	return it.buf[it.pos].Key
+	return it.st.Key()
 }
 
 func (it *remoteIterator) Value() []byte {
 	if !it.Valid() {
 		return nil
 	}
-	return it.buf[it.pos].Value
+	return it.st.Value()
 }
 
 func (it *remoteIterator) Next() {
-	if it.closed {
-		if it.err == nil {
-			it.err = ErrClosed
-		}
-		return
-	}
-	if it.err != nil {
-		return
-	}
-	if it.e.closed.Load() {
+	switch {
+	case it.err != nil:
+	case it.closed || it.e.closed.Load():
 		it.err = ErrClosed
-		return
-	}
-	it.pos++
-	if it.pos >= len(it.buf) {
-		it.fill()
+	default:
+		it.st.Next()
+		it.err = it.e.closedErr(it.st.Err())
 	}
 }
 
@@ -361,119 +297,49 @@ func (it *remoteIterator) Err() error { return it.err }
 
 func (it *remoteIterator) Close() error {
 	it.closed = true
-	it.buf = nil
-	return nil
+	return it.st.Close()
 }
 
-// remoteSnapshot is a client-side materialized view.
-type remoteSnapshot struct {
-	engineClosed *atomic.Bool
-	released     atomic.Bool
-	entries      []kvnet.ScanEntry // sorted by key
+// serverSnapshot is a handle on a snapshot the server holds.
+type serverSnapshot struct {
+	e        *remoteEngine
+	sn       *kvnet.Snapshot
+	released atomic.Bool
 }
 
-func (s *remoteSnapshot) Get(ctx context.Context, key []byte) ([]byte, error) {
+func (s *serverSnapshot) Get(ctx context.Context, key []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.released.Load() || s.engineClosed.Load() {
+	if s.released.Load() || s.e.closed.Load() {
 		return nil, ErrClosed
 	}
-	i := sort.Search(len(s.entries), func(i int) bool {
-		return bytes.Compare(s.entries[i].Key, key) >= 0
-	})
-	if i < len(s.entries) && bytes.Equal(s.entries[i].Key, key) {
-		return append([]byte(nil), s.entries[i].Value...), nil
-	}
-	return nil, ErrNotFound
+	v, err := s.sn.Get(ctx, key)
+	return v, s.e.closedErr(err)
 }
 
-func (s *remoteSnapshot) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
+func (s *serverSnapshot) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
 	start, end = normBound(start), normBound(end)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.released.Load() || s.engineClosed.Load() {
+	if s.released.Load() || s.e.closed.Load() {
 		return nil, ErrClosed
 	}
 	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
 		return emptyIterator{}, nil
 	}
-	entries := s.entries
-	if start != nil {
-		i := sort.Search(len(entries), func(i int) bool {
-			return bytes.Compare(entries[i].Key, start) >= 0
-		})
-		entries = entries[i:]
+	st, err := s.sn.Stream(ctx, start, end)
+	if err != nil {
+		return nil, s.e.closedErr(err)
 	}
-	if end != nil {
-		i := sort.Search(len(entries), func(i int) bool {
-			return bytes.Compare(entries[i].Key, end) >= 0
-		})
-		entries = entries[:i]
-	}
-	return &sliceIterator{ctx: ctx, entries: entries, engineClosed: s.engineClosed}, nil
+	return &remoteIterator{e: s.e, st: st}, nil
 }
 
-func (s *remoteSnapshot) Release() { s.released.Store(true) }
-
-// sliceIterator iterates a materialized entry slice.
-type sliceIterator struct {
-	ctx          context.Context
-	entries      []kvnet.ScanEntry
-	engineClosed *atomic.Bool
-	pos          int
-	err          error
-	closed       bool
-}
-
-func (it *sliceIterator) Valid() bool {
-	if it.err != nil || it.closed {
-		return false
+func (s *serverSnapshot) Release() {
+	if s.released.CompareAndSwap(false, true) {
+		s.sn.Release()
 	}
-	if it.engineClosed.Load() {
-		it.err = ErrClosed
-		return false
-	}
-	return it.pos < len(it.entries)
-}
-
-func (it *sliceIterator) Key() []byte {
-	if !it.Valid() {
-		return nil
-	}
-	return it.entries[it.pos].Key
-}
-
-func (it *sliceIterator) Value() []byte {
-	if !it.Valid() {
-		return nil
-	}
-	return it.entries[it.pos].Value
-}
-
-func (it *sliceIterator) Next() {
-	if it.closed {
-		if it.err == nil {
-			it.err = ErrClosed
-		}
-		return
-	}
-	if it.err != nil {
-		return
-	}
-	if err := it.ctx.Err(); err != nil {
-		it.err = err
-		return
-	}
-	it.pos++
-}
-
-func (it *sliceIterator) Err() error { return it.err }
-
-func (it *sliceIterator) Close() error {
-	it.closed = true
-	return nil
 }
 
 var _ Engine = (*remoteEngine)(nil)

@@ -8,12 +8,13 @@ import (
 	"testing"
 )
 
-// TestRemoteRedialConcurrent poisons the remote engine's connection and
-// then fires many operations at once. Every operation must transparently
-// re-dial and succeed; the losers of the re-dial race must adopt the
-// winner's connection instead of deadlocking or erroring. This is the
-// regression test for dialing outside e.mu: with the dial inside the
-// lock, a slow dial would serialize all of these behind one another.
+// TestRemoteRedialConcurrent breaks the remote engine's connection — the
+// one thing that still makes it re-dial — and then fires many operations at
+// once. Every operation must transparently re-dial and succeed; the losers
+// of the re-dial race must adopt the winner's connection instead of
+// deadlocking or erroring. This is the regression test for dialing outside
+// e.mu: with the dial inside the lock, a slow dial would serialize all of
+// these behind one another.
 func TestRemoteRedialConcurrent(t *testing.T) {
 	eng := openRemote(t)
 	re, ok := eng.(*remoteEngine)
@@ -25,8 +26,8 @@ func TestRemoteRedialConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Poison the live connection the way a cancelled request would: close
-	// it out from under the engine so Healthy() reports false.
+	// Break the live connection the way a lost transport would: close it
+	// out from under the engine so Healthy() reports false.
 	re.mu.Lock()
 	c := re.c
 	re.mu.Unlock()

@@ -37,6 +37,14 @@ func (s *Server) Serve(ln net.Listener) error { return s.srv.Serve(ln) }
 // requests and waits for handlers to drain.
 func (s *Server) Close() error { return s.srv.Close() }
 
+// ServerStats is a Server's connection-layer counters: the in-flight
+// high-water mark, the streams and snapshot handles clients hold open, and
+// how many of those were reaped because their client went quiet.
+type ServerStats = kvnet.ServerStats
+
+// Stats reports the server's connection-layer counters.
+func (s *Server) Stats() ServerStats { return s.srv.Stats() }
+
 // StatsHandler serves e.Stats as JSON. WithStatsHandler mounts it on a
 // dedicated listener; callers with their own HTTP server can mount this
 // handler wherever they like instead.
