@@ -1,6 +1,6 @@
 // Package refbalance proves, per function, that every acquired reference —
-// a pinned read view, a snapshot, an iterator release func, a retained
-// table set, a Ref'd handle — is released on every control-flow path,
+// a pinned read view, a snapshot, an iterator release func, a read
+// state, a Ref'd handle — is released on every control-flow path,
 // including early error returns. A missed unpin never crashes: it pins an
 // immutable view forever, so obsolete sstables survive compaction and disk
 // usage creeps until an operator notices. That failure mode is exactly the
@@ -29,7 +29,6 @@ type spec struct {
 	call    string // callee name of the acquiring call
 	result  int    // index of the resource in the call's results
 	method  string // release = resource.<method>()
-	relFunc string // release = <relFunc>(resource)
 	callRes bool   // release = resource() — the resource is a release func
 	what    string // human name for diagnostics
 	release string // human description of the release action
@@ -40,7 +39,7 @@ var specs = []spec{
 	{call: "Snapshot", result: 0, method: "Release", what: "snapshot", release: "Release"},
 	{call: "SnapshotView", result: 0, method: "Release", what: "snapshot", release: "Release"},
 	{call: "NewIterator", result: 1, callRes: true, what: "iterator release func", release: "calling it"},
-	{call: "acquireSnapshot", result: 1, relFunc: "releaseTables", what: "retained table set", release: "releaseTables"},
+	{call: "acquireSnapshot", result: 0, method: "release", what: "read state", release: "release"},
 	{call: "Ref", result: 0, method: "Unref", what: "ref", release: "Unref"},
 }
 
@@ -338,15 +337,6 @@ func (c *checker) isRelease(call *ast.CallExpr) bool {
 		return isObjIdent(c.pass, sel.X, c.obj)
 	case c.sp.callRes:
 		return isObjIdent(c.pass, call.Fun, c.obj)
-	case c.sp.relFunc != "":
-		if calleeName(call) != c.sp.relFunc {
-			return false
-		}
-		for _, a := range call.Args {
-			if isObjIdent(c.pass, a, c.obj) {
-				return true
-			}
-		}
 	}
 	return false
 }

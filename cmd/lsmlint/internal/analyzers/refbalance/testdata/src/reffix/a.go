@@ -16,7 +16,6 @@ type Snapshot struct{}
 func (s *Snapshot) Release()    {}
 func (s *Snapshot) stale() bool { return false }
 
-type entry struct{}
 type table struct{}
 
 type iter struct{}
@@ -30,11 +29,13 @@ func (d *db) Snapshot() (*Snapshot, error) { return &Snapshot{}, nil }
 func (d *db) NewIterator(start, end []byte) (*iter, func(), error) {
 	return &iter{}, func() {}, nil
 }
-func (d *db) acquireSnapshot(start, end []byte) ([]entry, []*table, error) {
-	return nil, nil, nil
+func (d *db) acquireSnapshot(start, end []byte) (readState, error) {
+	return readState{}, nil
 }
 
-func releaseTables(tables []*table) {}
+type readState struct{ tables []*table }
+
+func (rs readState) release() {}
 
 func step() error { return nil }
 
@@ -169,30 +170,39 @@ func IterDefer(d *db) error {
 	return nil
 }
 
-// TablesLeak drops the retained table set on the empty-result return.
-func TablesLeak(d *db) error {
-	entries, tables, err := d.acquireSnapshot(nil, nil) // want `retained table set "tables" acquired from acquireSnapshot is not released on every path`
+// StateLeak drops the read state on the empty-result return.
+func StateLeak(d *db) error {
+	rs, err := d.acquireSnapshot(nil, nil) // want `read state "rs" acquired from acquireSnapshot is not released on every path`
 	if err != nil {
 		return err
 	}
-	if len(entries) == 0 {
+	if len(rs.tables) == 0 {
 		return errStale
 	}
-	releaseTables(tables)
+	rs.release()
 	return nil
 }
 
-// TablesDefer releases the set on every path via defer.
-func TablesDefer(d *db) ([]entry, error) {
-	entries, tables, err := d.acquireSnapshot(nil, nil)
+// StateDefer releases the state on every path via defer.
+func StateDefer(d *db) (int, error) {
+	rs, err := d.acquireSnapshot(nil, nil)
+	if err != nil {
+		return 0, err
+	}
+	defer rs.release()
+	if len(rs.tables) == 0 {
+		return 0, errStale
+	}
+	return len(rs.tables), nil
+}
+
+// StateHandOff returns the release as a method value: the caller owns it.
+func StateHandOff(d *db) (func(), error) {
+	rs, err := d.acquireSnapshot(nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer releaseTables(tables)
-	if len(entries) == 0 {
-		return nil, errStale
-	}
-	return entries, nil
+	return rs.release, nil
 }
 
 type handle struct{ refs int }

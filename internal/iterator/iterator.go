@@ -30,26 +30,6 @@ type Iterator interface {
 	Next()
 }
 
-// SliceIterator iterates over an in-memory, pre-sorted slice of entries.
-type SliceIterator struct {
-	entries []Entry
-	pos     int
-}
-
-// NewSlice wraps entries, which must already be sorted by (Key asc, Seq desc).
-func NewSlice(entries []Entry) *SliceIterator {
-	return &SliceIterator{entries: entries}
-}
-
-// Valid implements Iterator.
-func (it *SliceIterator) Valid() bool { return it.pos < len(it.entries) }
-
-// Entry implements Iterator.
-func (it *SliceIterator) Entry() Entry { return it.entries[it.pos] }
-
-// Next implements Iterator.
-func (it *SliceIterator) Next() { it.pos++ }
-
 // Merging merges any number of sorted child iterators into one sorted
 // stream. When two children are positioned at equal keys, the child with
 // the lower index wins ties first (callers order children newest-first so

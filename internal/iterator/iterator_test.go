@@ -25,6 +25,19 @@ func keysOf(entries []Entry) []string {
 	return out
 }
 
+// SliceIterator is the tests' source: an in-memory slice of entries already
+// sorted by (Key asc, Seq desc).
+type SliceIterator struct {
+	entries []Entry
+	pos     int
+}
+
+func NewSlice(entries []Entry) *SliceIterator { return &SliceIterator{entries: entries} }
+
+func (it *SliceIterator) Valid() bool  { return it.pos < len(it.entries) }
+func (it *SliceIterator) Entry() Entry { return it.entries[it.pos] }
+func (it *SliceIterator) Next()        { it.pos++ }
+
 func TestSliceIterator(t *testing.T) {
 	it := NewSlice([]Entry{e("a", 1), e("b", 2)})
 	if !it.Valid() || string(it.Entry().Key) != "a" {

@@ -416,6 +416,40 @@ func TestStreamClientMemoryBounded(t *testing.T) {
 	}
 }
 
+// TestCancelledStreamGrantsNoMoreCredit: a stream whose context was
+// cancelled mid-chunk serves what it already holds and then stops with the
+// context's error; it does not ask the server for another chunk, which
+// could arrive before the cancellation is noticed and be served instead.
+func TestCancelledStreamGrantsNoMoreCredit(t *testing.T) {
+	db := openDB(t)
+	fill(t, db, 2000)
+	srv := NewServer(db)
+	c := serve(t, srv)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st, err := c.Stream(ctx, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	granted, held := st.credit, 0
+	cancel()
+	for ; st.Valid(); st.Next() {
+		held++
+	}
+	if err := st.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Err = %v after %d entries, want context.Canceled", err, held)
+	}
+	if st.credit != granted {
+		t.Errorf("cancelled stream raised its grant from %d to %d", granted, st.credit)
+	}
+	if limit := initialCredit/entrySize(make([]byte, 7), make([]byte, 100)) + 1; held == 0 || held > limit {
+		t.Errorf("cancelled stream served %d entries, want the first chunk's (1..%d)", held, limit)
+	}
+	st.Close()
+	waitFor(t, "the cancelled scan to end", func() bool { return srv.Stats().OpenStreams == 0 })
+}
+
 // TestShortScanFetchesLittle: a scan closed after a few entries costs the
 // server one small chunk, not a page.
 func TestShortScanFetchesLittle(t *testing.T) {

@@ -105,6 +105,13 @@ func (s *Stream) Next() {
 		if !s.more {
 			return
 		}
+		// An expired context asks for nothing more: checked here rather
+		// than left to receive, where a chunk that is already in could
+		// win the race against the expiry.
+		if err := s.ctx.Err(); err != nil {
+			s.err = fmt.Errorf("kvnet: request aborted: %w", err)
+			return
+		}
 		s.credit = min(2*s.credit, maxCredit)
 		if s.err = s.c.rearm(s.cl); s.err != nil {
 			return

@@ -132,9 +132,9 @@ const MaxBatchBytes = 16 << 20
 var writeBatchPool = sync.Pool{New: func() any { return new(WriteBatch) }}
 
 // Write commits the batch atomically: every operation, or none, survives
-// a crash, and scans and snapshots observe the batch as a unit (their
-// memtable materialization is ordered against the apply). Point reads are
-// atomic per key — a Get concurrent with the apply may observe an earlier
+// a crash, and scans and snapshots observe the batch as a unit (they read
+// the memtable under a sequence bound taken between applies). Point reads
+// are atomic per key — a Get concurrent with the apply may observe an earlier
 // operation's effect before a later operation of the same batch has
 // landed, though never a torn value and never effects out of the batch's
 // internal order. Honors Options.SyncWAL. The batch may be reused (after
@@ -401,12 +401,12 @@ func (db *DB) commitGroup(group []*commitReq, doSync bool, stall *bool) error {
 	}
 
 	// Apply under the store lock plus applyMu's write side: scans and
-	// snapshots materialize the memtable under applyMu's read side, so
-	// they observe the group atomically, while point reads run lock-free
-	// against the skiplist (per-key atomicity is enough for a single-key
-	// probe). The leader also runs the write path's maintenance — flush,
-	// auto minor compaction, background trigger — on behalf of the whole
-	// group.
+	// snapshots take their sequence bound under applyMu's read side, so
+	// the group lies wholly above or below it and they observe it
+	// atomically, while point reads run lock-free against the skiplist
+	// (per-key atomicity is enough for a single-key probe). The leader
+	// also runs the write path's maintenance — flush, auto minor
+	// compaction, background trigger — on behalf of the whole group.
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.applyMu.Lock()

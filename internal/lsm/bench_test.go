@@ -346,3 +346,60 @@ func BenchmarkGetCold(b *testing.B) {
 		})
 	}
 }
+
+func scanKey(i int) []byte { return []byte(fmt.Sprintf("key-%012d", i)) }
+
+// scanFixture opens a DB holding `tables` flushed sstables of 2000 entries
+// each over one shared key range, plus memEntries more in the memtable,
+// interleaved with the tables' keys. Shared by the read-path allocation
+// test and BenchmarkScanShort.
+func scanFixture(tb testing.TB, tables, memEntries int) *DB {
+	tb.Helper()
+	db := openTestDB(tb, Options{MemtableBytes: 64 << 20})
+	val := bytes.Repeat([]byte("v"), 100)
+	for t := 0; t < tables; t++ {
+		for i := 0; i < 2000; i++ {
+			if err := db.Put(scanKey(i*8+t), val); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < memEntries; i++ {
+		if err := db.Put(scanKey(i*2+7), val); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return db
+}
+
+// BenchmarkScanShort is the read path's short range scan: a memtable near
+// its default flush threshold (32 000 entries of ~130 bytes), four tables,
+// fifty entries read from a start key that moves through the key space.
+// What it guards is that set-up cost does not depend on how much the
+// memtable holds.
+//
+// Run with:
+//
+//	go test -bench BenchmarkScanShort -run XXX ./internal/lsm
+func BenchmarkScanShort(b *testing.B) {
+	db := scanFixture(b, 4, 32000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it, release, err := db.NewIterator(scanKey((i*7919)%16000), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for ; n < 50 && it.Valid(); n++ {
+			it.Next()
+		}
+		release()
+		if n != 50 {
+			b.Fatalf("scan read %d entries, want 50", n)
+		}
+	}
+}

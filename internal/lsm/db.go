@@ -280,11 +280,13 @@ type DB struct {
 	// or compaction holding mu never stalls them. Every table-set change
 	// installs a fresh view under mu; Close retires it to nil.
 	view atomic.Pointer[readView]
-	// applyMu orders memtable mutation against memtable materialization:
-	// the commit pipeline applies a group's records under the write lock,
-	// scans and snapshots materialize the memtable under the read lock.
-	// Both sections are pure in-memory work — never held across a syscall
-	// — so this lock cannot reintroduce the I/O stalls mu used to cause.
+	// applyMu orders memtable mutation against readers fixing their
+	// point in time: the commit pipeline applies a group's records under
+	// the write lock; a scan or snapshot registers on the memtable and
+	// takes its sequence bound under the read lock — O(1), an atomic add
+	// and a load — and then reads with no lock at all. Both sections are
+	// pure in-memory work — never held across a syscall — so this lock
+	// cannot reintroduce the I/O stalls mu used to cause.
 	// Lock order: pipeMu before mu before applyMu; applyMu's read side is
 	// taken with no other lock held.
 	applyMu sync.RWMutex
@@ -1021,51 +1023,22 @@ func (db *DB) resetWALLocked() error {
 	return nil
 }
 
-// acquireSnapshot captures a consistent read view without touching db.mu:
-// it pins the published view, materializes the view memtable's entries in
-// [start, end) — nil bounds are open — into a slice under applyMu's read
-// side (so a concurrent group commit's records land all-or-nothing in the
-// materialization), and retains every view table whose key range overlaps
-// the requested bounds. Tables are returned in table-set order (newest
-// first). The caller must releaseTables the handles.
-func (db *DB) acquireSnapshot(start, end []byte) ([]iterator.Entry, []*tableHandle, error) {
+// acquireSnapshot captures a consistent read state without touching
+// db.mu: it pins the published view, registers on the view's memtable and
+// takes its sequence bound under applyMu's read side (so a concurrent
+// group commit lies wholly above or wholly below the bound), and retains
+// the view tables narrowed to [start, end). The caller must release the
+// state.
+func (db *DB) acquireSnapshot(start, end []byte) (readState, error) {
 	v, err := db.pinView()
 	if err != nil {
-		return nil, nil, err
+		return readState{}, err
 	}
 	defer v.unpin()
 	db.applyMu.RLock()
-	var it iterator.Iterator
-	if start == nil {
-		it = v.mem.Iter()
-	} else {
-		it = v.mem.IterFrom(start)
-	}
-	var entries []iterator.Entry
-	for ; it.Valid(); it.Next() {
-		e := it.Entry()
-		if end != nil && bytes.Compare(e.Key, end) >= 0 {
-			break
-		}
-		entries = append(entries, e)
-	}
+	bound := v.mem.Pin()
 	db.applyMu.RUnlock()
-	tables := make([]*tableHandle, 0, len(v.tables))
-	for _, th := range v.tables {
-		if start == nil && end == nil {
-			// Whole-keyspace snapshots keep every table: a point-in-time
-			// Snapshot probes by key and needs the full set.
-			tables = append(tables, th)
-			continue
-		}
-		if th.overlaps(start, end) {
-			tables = append(tables, th)
-		}
-	}
-	for _, th := range tables {
-		th.retain()
-	}
-	return entries, tables, nil
+	return readState{mem: v.mem, bound: bound, tables: retainOverlapping(v.tables, start, end)}, nil
 }
 
 // Scan invokes fn for every live key-value pair in ascending key order,
@@ -1172,29 +1145,17 @@ func (it *boundedIter) Valid() bool {
 // NewIterator returns an iterator over the live entries with
 // start <= key < end (nil bounds are open), merged across the memtable and
 // all sstables with deleted keys hidden, plus a release function the caller
-// must invoke when done iterating. The snapshot is taken in a short
-// critical section; iteration proceeds off-lock against reference-counted
-// tables, concurrently with writes and compactions. The sharded store
-// k-way-merges one such iterator per shard into a single ordered stream.
+// must invoke when done iterating. Set-up is O(log memtable + tables): the
+// memtable is read in place under a sequence bound, not copied, and
+// iteration proceeds off-lock against reference-counted tables,
+// concurrently with writes and compactions. The sharded store k-way-merges
+// one such iterator per shard into a single ordered stream.
 func (db *DB) NewIterator(start, end []byte) (iterator.Iterator, func(), error) {
-	memEntries, tables, err := db.acquireSnapshot(start, end)
+	rs, err := db.acquireSnapshot(start, end)
 	if err != nil {
 		return nil, nil, err
 	}
-	children := make([]iterator.Iterator, 0, len(tables)+1)
-	children = append(children, iterator.NewSlice(memEntries))
-	for _, th := range tables {
-		if start == nil {
-			children = append(children, th.rd.Iter())
-		} else {
-			children = append(children, th.rd.IterFrom(start))
-		}
-	}
-	var it iterator.Iterator = iterator.NewDedup(iterator.NewMerging(children...), true)
-	if end != nil {
-		it = &boundedIter{Iterator: it, end: end}
-	}
-	return withErrSources(it, children), func() { releaseTables(tables) }, nil
+	return rs.newIterator(start, end), rs.release, nil
 }
 
 // Stats reports store state.

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-func openTestDB(t *testing.T, opts Options) *DB {
+func openTestDB(t testing.TB, opts Options) *DB {
 	t.Helper()
 	db, err := Open(t.TempDir(), opts)
 	if err != nil {

@@ -1,0 +1,323 @@
+package lsm
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/iterator"
+)
+
+// TestGroupsNeverHalfVisible is the engine-level twin of the kv suite's
+// TestEngineSnapshotIsolation: writers commit two-key batches whose keys
+// sit at opposite ends of the key space with filler between, and every
+// kind of read view — a live iterator, a snapshot's point reads, a
+// snapshot's iterator read twice — must show each pair at one value. The
+// iterator holds no lock while it walks the filler, so a group that lands
+// mid-walk has to be hidden by the sequence bound alone.
+func TestGroupsNeverHalfVisible(t *testing.T) {
+	db := openTestDB(t, Options{MemtableBytes: 256 << 10})
+	const pairs, fillers = 6, 400
+	a := func(i int) []byte { return []byte(fmt.Sprintf("a%02d", i)) }
+	z := func(i int) []byte { return []byte(fmt.Sprintf("z%02d", i)) }
+	commit := func(i, n int) error {
+		var b WriteBatch
+		b.Put(a(i), []byte(fmt.Sprint(n)))
+		b.Put(z(i), []byte(fmt.Sprint(n)))
+		return db.Write(&b)
+	}
+	for i := 0; i < pairs; i++ {
+		if err := commit(i, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fill WriteBatch
+	for i := 0; i < fillers; i++ {
+		fill.Put([]byte(fmt.Sprintf("m%05d", i)), []byte("filler"))
+	}
+	if err := db.Write(&fill); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for n := 1; ; n++ {
+				for i := w; i < pairs; i += 2 {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := commit(i, n); err != nil {
+						t.Errorf("writer %d: %v", w, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	defer writers.Wait()
+	defer close(stop)
+
+	// walk reads every pair key through one iterator.
+	walk := func(newIter func(start, end []byte) (iterator.Iterator, func(), error)) map[string]string {
+		t.Helper()
+		it, release, err := newIter(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		got := map[string]string{}
+		for ; it.Valid(); it.Next() {
+			if e := it.Entry(); e.Key[0] != 'm' {
+				got[string(e.Key)] = string(e.Value)
+			}
+		}
+		return got
+	}
+	checkPairs := func(view string, got map[string]string) {
+		t.Helper()
+		for i := 0; i < pairs; i++ {
+			av, aok := got[string(a(i))]
+			zv, zok := got[string(z(i))]
+			if !aok || !zok || av != zv {
+				t.Fatalf("%s: pair %d torn or missing: %s=%q (%v) %s=%q (%v)", view, i, a(i), av, aok, z(i), zv, zok)
+			}
+		}
+	}
+	for round := 0; round < 150; round++ {
+		checkPairs("live iterator", walk(db.NewIterator))
+
+		snap, err := db.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := walk(snap.NewIterator)
+		checkPairs("snapshot iterator", first)
+		byGet := map[string]string{}
+		for i := 0; i < pairs; i++ {
+			for _, k := range [][]byte{a(i), z(i)} {
+				v, err := snap.Get(k)
+				if err != nil {
+					t.Fatalf("snapshot Get(%s): %v", k, err)
+				}
+				byGet[string(k)] = string(v)
+			}
+		}
+		second := walk(snap.NewIterator)
+		if fmt.Sprint(first) != fmt.Sprint(byGet) || fmt.Sprint(first) != fmt.Sprint(second) {
+			t.Fatalf("one snapshot, three readings:\n iterator %v\n gets     %v\n iterator %v", first, byGet, second)
+		}
+		snap.Release()
+	}
+}
+
+// TestReadBoundCoversRecoveredMemtable: Open re-logs a recovered memtable
+// in key order, so a second unflushed restart replays sequence numbers out
+// of order. The read bound must still cover the newest of them: a scan and
+// a snapshot see every recovered key, tombstones included, as Get does.
+func TestReadBoundCoversRecoveredMemtable(t *testing.T) {
+	dir := t.TempDir()
+	reopen := func() *DB {
+		db, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return db
+	}
+	db := reopen()
+	// Key order is the reverse of sequence order.
+	for _, k := range []string{"d", "c", "b", "a"} {
+		if err := db.Put([]byte(k), []byte("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Delete([]byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 2; round++ {
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db = reopen()
+		snap, err := db.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scanned []string
+		if err := db.Scan(func(k, v []byte) error {
+			scanned = append(scanned, string(k)+"="+string(v))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(scanned), "[a=v-a b=v-b d=v-d]"; got != want {
+			t.Errorf("reopen %d: scan = %s, want %s", round, got, want)
+		}
+		for _, k := range []string{"a", "b", "d"} {
+			if v, err := snap.Get([]byte(k)); err != nil || string(v) != "v-"+k {
+				t.Errorf("reopen %d: Snapshot.Get(%q) = %q, %v", round, k, v, err)
+			}
+		}
+		if _, err := snap.Get([]byte("c")); err != ErrNotFound {
+			t.Errorf("reopen %d: Snapshot.Get(deleted key) = %v, want ErrNotFound", round, err)
+		}
+		snap.Release()
+	}
+	// A write after the recovery lands above the bound of a view taken
+	// before it and below the bound of one taken after.
+	before, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer before.Release()
+	if err := db.Put([]byte("a"), []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := before.Get([]byte("a")); err != nil || string(v) != "v-a" {
+		t.Errorf("snapshot taken before the write reads %q, %v", v, err)
+	}
+	after, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer after.Release()
+	if v, err := after.Get([]byte("a")); err != nil || string(v) != "new" {
+		t.Errorf("snapshot taken after the write reads %q, %v", v, err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPinnedMemtableStillFlushes: what an open snapshot makes its memtable
+// retain is what some reader can see, and that counts toward the flush
+// threshold. A hot key overwritten under the snapshot alone keeps the one
+// version the snapshot sees, so nothing grows; with a scan opened between
+// the writes every superseded version is some scan's, and the memtable is
+// flushed and replaced like any other instead of growing with the write
+// count. Without a reader the same writes retain nothing.
+func TestPinnedMemtableStillFlushes(t *testing.T) {
+	const memtableBytes, writes = 64 << 10, 100000
+	key, val := []byte("hot"), bytes.Repeat([]byte("v"), 100)
+	one := len(key) + 9 + len(val)
+	overwrite := func(db *DB, n int, between func()) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			between()
+			if err := db.Put(key, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	unpinned := openTestDB(t, Options{MemtableBytes: memtableBytes})
+	overwrite(unpinned, writes, func() {})
+	if st := unpinned.Stats(); st.Flushes != 0 {
+		t.Errorf("no reader registered: %d flushes, want 0 (an overwrite retains nothing)", st.Flushes)
+	}
+
+	pinned := openTestDB(t, Options{MemtableBytes: memtableBytes})
+	if err := pinned.Put(key, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := pinned.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	overwrite(pinned, writes, func() {})
+	if st := pinned.Stats(); st.Flushes != 0 {
+		t.Errorf("snapshot open, no other reader: %d flushes, want 0", st.Flushes)
+	}
+	if got, want := snap.rs.mem.SizeBytes(), one+9+len("before"); got != want {
+		t.Errorf("snapshot open, no other reader: memtable holds %d bytes, want %d (the snapshot's version and the live one)", got, want)
+	}
+
+	overwrite(pinned, 2*memtableBytes/one, func() {
+		_, release, err := pinned.NewIterator(key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+	})
+	// Only the snapshot's own memtable has a reader across its writes:
+	// once that one has flushed, each scan of its successor is gone before
+	// the next write, which then retains nothing.
+	if st := pinned.Stats(); st.Flushes != 1 {
+		t.Errorf("snapshot open, a scan per write: %d flushes, want exactly 1 (the pinned memtable reaching %d bytes)", st.Flushes, memtableBytes)
+	}
+	if got := snap.rs.mem.SizeBytes(); got < memtableBytes || got > memtableBytes+2*(len(val)+9) {
+		t.Errorf("pinned memtable holds %d bytes, want just past the %d threshold", got, memtableBytes)
+	}
+	if v, err := snap.Get(key); err != nil || string(v) != "before" {
+		t.Errorf("snapshot Get = %q, %v; want the value from before the overwrites", v, err)
+	}
+	if v, err := pinned.Get(key); err != nil || !bytes.Equal(v, val) {
+		t.Errorf("live Get = %q, %v", v, err)
+	}
+}
+
+// allocBytesPerRun reports the mean bytes allocated by one call of fn.
+func allocBytesPerRun(runs int, fn func()) float64 {
+	fn() // warm up lazily built state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestReadSetUpIndependentOfMemtableSize pins what the versioned memtable
+// bought: a short scan and a snapshot cost the same allocations whether
+// the memtable holds a hundred entries or eight thousand — nothing on the
+// read path is proportional to it. Tables are identical on both sides, so
+// the difference allowed is one allocation size class.
+func TestReadSetUpIndependentOfMemtableSize(t *testing.T) {
+	small := scanFixture(t, 2, 100)
+	large := scanFixture(t, 2, 8000)
+	start := scanKey(40)
+
+	scan := func(db *DB) func() {
+		return func() {
+			it, release, err := db.NewIterator(start, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10 && it.Valid(); i++ {
+				it.Next()
+			}
+			release()
+		}
+	}
+	snapshot := func(db *DB) func() {
+		return func() {
+			s, err := db.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Release()
+		}
+	}
+	for _, op := range []struct {
+		name string
+		fn   func(*DB) func()
+	}{{"NewIterator+10xNext", scan}, {"Snapshot+Release", snapshot}} {
+		if a, b := testing.AllocsPerRun(100, op.fn(small)), testing.AllocsPerRun(100, op.fn(large)); a != b {
+			t.Errorf("%s: %v allocs over a 100-entry memtable, %v over 8000", op.name, a, b)
+		}
+		a, b := allocBytesPerRun(200, op.fn(small)), allocBytesPerRun(200, op.fn(large))
+		if diff := a - b; diff > 64 || diff < -64 {
+			t.Errorf("%s: %.0f bytes over a 100-entry memtable, %.0f over 8000", op.name, a, b)
+		}
+		t.Logf("%s: %.0f B/op (100 entries) %.0f B/op (8000 entries)", op.name, a, b)
+	}
+}

@@ -1,46 +1,104 @@
 package lsm
 
 import (
-	"bytes"
 	"context"
-	"sort"
 	"sync"
 
 	"repro/internal/iterator"
+	"repro/internal/memtable"
 )
 
-// Snapshot is a consistent point-in-time read view of one DB: the memtable
-// entries materialized at acquisition plus the then-live sstables, held
-// alive by reference counts. Writes, flushes and compactions after the
-// acquisition are invisible through it; superseded sstable files are not
-// deleted until every snapshot reading them has been released. A Snapshot
-// is safe for concurrent use and must be Released exactly once.
-type Snapshot struct {
-	// mem holds the memtable's entries at acquisition, sorted by
-	// (key asc, seq desc) — the memtable iterator's order.
-	mem []iterator.Entry
-	// tables is the snapshot's table set in table-set order (newest
-	// first); byseq is the same set sorted by descending maxSeq, the
-	// probe order point lookups use for pruning and early exit.
+// readState is one point-in-time read of a DB: a memtable with the
+// sequence bound under which to read it, plus the sstables that were live
+// beside it, newest first. Holding one keeps a reader registration on the
+// memtable (writes retain the versions it can see, counted toward the
+// flush threshold) and a reference on each table; release drops both.
+type readState struct {
+	mem    *memtable.Table
+	bound  uint64
 	tables []*tableHandle
-	byseq  []*tableHandle
-	// mu makes reads atomic with Release: a reader in Get (or retaining
-	// tables for a new iterator) holds the read lock, so Release cannot
-	// drop the table references out from under it.
+}
+
+func (rs readState) release() {
+	rs.mem.Unpin()
+	releaseTables(rs.tables)
+}
+
+// narrow returns a second, independently released state over the same
+// point in time whose tables are those overlapping [start, end). rs must
+// still be held: the extra registration is for the bound rs already has,
+// so it needs no writer excluded.
+func (rs readState) narrow(start, end []byte) readState {
+	rs.mem.Pin()
+	return readState{mem: rs.mem, bound: rs.bound, tables: retainOverlapping(rs.tables, start, end)}
+}
+
+// retainOverlapping retains and returns the tables whose key range
+// intersects [start, end), in the order given. With both bounds open that
+// is every table, empty ones included: a whole-keyspace snapshot probes by
+// key and keeps the full set.
+func retainOverlapping(tables []*tableHandle, start, end []byte) []*tableHandle {
+	out := make([]*tableHandle, 0, len(tables))
+	for _, th := range tables {
+		if start == nil && end == nil || th.overlaps(start, end) {
+			th.retain()
+			out = append(out, th)
+		}
+	}
+	return out
+}
+
+// newIterator merges the state's memtable and tables over [start, end)
+// (nil bounds are open), newest version per key, deleted keys hidden. The
+// state's tables must already be narrowed to the range and stay held
+// until the iterator is done.
+func (rs readState) newIterator(start, end []byte) iterator.Iterator {
+	children := make([]iterator.Iterator, 0, len(rs.tables)+1)
+	children = append(children, rs.mem.IterAt(start, rs.bound))
+	for _, th := range rs.tables {
+		if start == nil {
+			children = append(children, th.rd.Iter())
+		} else {
+			children = append(children, th.rd.IterFrom(start))
+		}
+	}
+	var it iterator.Iterator = iterator.NewDedup(iterator.NewMerging(children...), true)
+	if end != nil {
+		it = &boundedIter{Iterator: it, end: end}
+	}
+	return withErrSources(it, children)
+}
+
+// Snapshot is a consistent point-in-time read view of one DB: the memtable
+// as of a sequence bound plus the then-live sstables, held alive by a
+// reader registration and reference counts. Writes, flushes and
+// compactions after the acquisition are invisible through it. Taking one
+// costs O(tables) whatever the memtable holds; until it is released its
+// memtable stays in memory, the versions it sees there stay linked and
+// count toward the flush threshold once superseded, and superseded sstable
+// files are not deleted. A Snapshot is safe for concurrent use and must be Released
+// exactly once.
+type Snapshot struct {
+	rs readState
+	// byseq is the state's table set sorted by descending maxSeq, the
+	// probe order point lookups use for pruning and early exit.
+	byseq []*tableHandle
+	// mu makes reads atomic with Release: a reader in Get (or deriving the
+	// state of a new iterator) holds the read lock, so Release cannot drop
+	// the references out from under it.
 	mu       sync.RWMutex
 	released bool
 }
 
 // Snapshot captures a point-in-time view of the whole key space without
-// touching the store lock: the memtable is materialized against the
-// pinned read view (cost proportional to its entry count); the sstables
-// are retained by reference, not copied.
+// touching the store lock: the memtable is pinned at its current sequence
+// bound and the sstables are retained by reference; nothing is copied.
 func (db *DB) Snapshot() (*Snapshot, error) {
-	mem, tables, err := db.acquireSnapshot(nil, nil)
+	rs, err := db.acquireSnapshot(nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{mem: mem, tables: tables, byseq: sortByMaxSeq(tables)}, nil
+	return &Snapshot{rs: rs, byseq: sortByMaxSeq(rs.tables)}, nil
 }
 
 // SnapshotView is the read surface of a point-in-time snapshot, the part
@@ -61,16 +119,16 @@ func (db *DB) SnapshotView() (SnapshotView, error) {
 	return s, nil
 }
 
-// Release drops the snapshot's table references; the last release of a
-// superseded table closes and deletes it. Further reads through the
-// snapshot return ErrClosed. Release is idempotent, and a release
-// concurrent with a read waits for the read to finish.
+// Release drops the snapshot's memtable registration and table references;
+// the last release of a superseded table closes and deletes it. Further
+// reads through the snapshot return ErrClosed. Release is idempotent, and
+// a release concurrent with a read waits for the read to finish.
 func (s *Snapshot) Release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.released {
 		s.released = true
-		releaseTables(s.tables)
+		s.rs.release()
 	}
 }
 
@@ -79,8 +137,8 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	return s.GetContext(context.Background(), key)
 }
 
-// GetContext is Get honoring ctx. The lookup mirrors DB.Get: the
-// materialized memtable wins if it holds any version of the key;
+// GetContext is Get honoring ctx. The lookup mirrors DB.Get: the memtable
+// as of the snapshot's bound wins if it holds any version of the key;
 // otherwise the snapshot's sstables are probed in descending max-sequence
 // order with key-range pruning, early exit, and a context re-check
 // between per-table probes.
@@ -90,13 +148,7 @@ func (s *Snapshot) GetContext(ctx context.Context, key []byte) ([]byte, error) {
 	if s.released {
 		return nil, ErrClosed
 	}
-	// First memtable entry with this key is the newest version (seq desc
-	// within a key run).
-	i := sort.Search(len(s.mem), func(i int) bool {
-		return bytes.Compare(s.mem[i].Key, key) >= 0
-	})
-	if i < len(s.mem) && bytes.Equal(s.mem[i].Key, key) {
-		e := s.mem[i]
+	if e, ok := s.rs.mem.GetAt(key, s.rs.bound); ok {
 		if e.Tombstone {
 			return nil, ErrNotFound
 		}
@@ -112,43 +164,15 @@ func (s *Snapshot) GetContext(ctx context.Context, key []byte) ([]byte, error) {
 // NewIterator returns an iterator over the snapshot's live entries with
 // start <= key < end (nil bounds are open), with deleted keys hidden, plus
 // a release function the caller must invoke when done. The iterator takes
-// its own table references, so it remains valid even if the snapshot is
-// released while it is still draining. Tables whose key range falls
-// outside the bounds are pruned from the merge set.
+// its own memtable registration and table references, so it remains valid
+// even if the snapshot is released while it is still draining. Tables
+// whose key range falls outside the bounds are pruned from the merge set.
 func (s *Snapshot) NewIterator(start, end []byte) (iterator.Iterator, func(), error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.released {
 		return nil, nil, ErrClosed
 	}
-	mem := s.mem
-	if start != nil {
-		i := sort.Search(len(mem), func(i int) bool {
-			return bytes.Compare(mem[i].Key, start) >= 0
-		})
-		mem = mem[i:]
-	}
-	tables := make([]*tableHandle, 0, len(s.tables))
-	for _, th := range s.tables {
-		if start == nil && end == nil || th.overlaps(start, end) {
-			tables = append(tables, th)
-		}
-	}
-	for _, th := range tables {
-		th.retain()
-	}
-	children := make([]iterator.Iterator, 0, len(tables)+1)
-	children = append(children, iterator.NewSlice(mem))
-	for _, th := range tables {
-		if start == nil {
-			children = append(children, th.rd.Iter())
-		} else {
-			children = append(children, th.rd.IterFrom(start))
-		}
-	}
-	var it iterator.Iterator = iterator.NewDedup(iterator.NewMerging(children...), true)
-	if end != nil {
-		it = &boundedIter{Iterator: it, end: end}
-	}
-	return withErrSources(it, children), func() { releaseTables(tables) }, nil
+	rs := s.rs.narrow(start, end)
+	return rs.newIterator(start, end), rs.release, nil
 }

@@ -237,8 +237,8 @@ func TestPinnedViewFrozenAndReleasedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preFiles := make([]string, len(snap.tables))
-	for i, th := range snap.tables {
+	preFiles := make([]string, len(snap.rs.tables))
+	for i, th := range snap.rs.tables {
 		preFiles[i] = th.name
 	}
 	if len(preFiles) != 3 {
@@ -261,7 +261,7 @@ func TestPinnedViewFrozenAndReleasedOnce(t *testing.T) {
 	if v, err := snap.Get([]byte("key-007")); err != nil || string(v) != "t2" {
 		t.Fatalf("snapshot Get after compaction = %q, %v; want the frozen t2", v, err)
 	}
-	for i, th := range snap.tables {
+	for i, th := range snap.rs.tables {
 		if th.name != preFiles[i] {
 			t.Fatalf("snapshot table set changed: %s became %s", preFiles[i], th.name)
 		}
@@ -302,7 +302,7 @@ func TestPinnedViewFrozenAndReleasedOnce(t *testing.T) {
 			t.Fatalf("obsolete table %s not deleted after last release (err=%v)", name, err)
 		}
 	}
-	for _, th := range snap.tables {
+	for _, th := range snap.rs.tables {
 		if refs := th.refs.Load(); refs != 0 {
 			t.Fatalf("table %s has %d refs after final release, want 0", th.name, refs)
 		}

@@ -1,20 +1,42 @@
 // Package skiplist provides an ordered in-memory map from byte-string keys
-// to byte-string values, implemented as a probabilistic skip list. It backs
+// to versioned values, implemented as a probabilistic skip list. It backs
 // the LSM engine's memtable: inserts and lookups are O(log n) expected, and
 // an iterator yields entries in key order so a memtable can be flushed to a
 // sorted sstable in a single pass.
 //
-// The list is safe for any number of concurrent readers (Get, Iter, Seek
-// and iterator traversal) alongside a single writer: nodes are fully
-// initialized before they are published through atomic next pointers, a
-// published node's key is never modified, value replacement swaps an
-// atomic pointer, and nodes are never unlinked. Writers (Set) must still
-// be serialized externally — the memtable's engine runs them under its
-// commit pipeline's store lock.
+// Each key's node holds the head of a version list: the newest write of
+// the key, linked to the write it superseded when the writer asked for
+// that one to be retained. A read names a sequence bound and sees, per
+// key, the newest version whose Seq is at or below it; a key whose
+// versions are all above the bound — in particular every node inserted
+// after the bound was taken — is invisible. A reader that fixed its bound
+// while no Set was running therefore observes one point in time for as
+// long as it likes, without a lock and without a copy. Reading under
+// MaxSeq sees every head: the live view.
+//
+// Retention is the writer's call, per Set: an overwrite keeps the version
+// it supersedes only if that version's Seq is below the retainBelow it is
+// given, and otherwise unlinks it. With retainBelow zero that is a plain
+// map: nothing is ever kept. With retainBelow one past the highest bound
+// any reader holds, exactly the versions some reader can see are kept, so a
+// key's list grows with the number of reader bounds that fall between its
+// writes, not with the number of writes — which matters because reading
+// under a bound walks the list from its head. Nothing here knows who the
+// readers are — the memtable registers them and picks retainBelow.
+//
+// The list is safe for any number of concurrent readers (Get, Seek and
+// iterator traversal) alongside a single writer: nodes and versions are
+// fully initialized before they are published through atomic pointers, a
+// published node's key and a published version are never modified, and
+// nodes are never unlinked. Writers (Set) must be serialized externally —
+// the memtable's engine runs them under its commit pipeline's store lock —
+// and must present non-decreasing sequence numbers per key, which is what
+// keeps every version list sorted newest first.
 package skiplist
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sync/atomic"
 )
@@ -24,18 +46,45 @@ const (
 	// pInverse is the inverse of the promotion probability: each node is
 	// promoted to the next level with probability 1/pInverse.
 	pInverse = 4
+	// versionOverhead is what SizeBytes charges a version on top of its
+	// value: the sequence number and the tombstone flag.
+	versionOverhead = 9
 )
+
+// MaxSeq is the bound under which every key's newest version is visible.
+const MaxSeq = math.MaxUint64
+
+// Version is one write of a key. It is immutable once published; readers
+// may alias Value for as long as they can reach the list.
+type Version struct {
+	Seq       uint64
+	Tombstone bool
+	Value     []byte
+	// prev is the version this one superseded, when the writer retained
+	// it: strictly older, so a walk from the head meets sequences in
+	// descending order.
+	prev *Version
+}
 
 type node struct {
 	key []byte
-	// value is replaced atomically when a key is overwritten, so a
-	// lock-free reader sees either the old or the new value, never a torn
-	// mix.
-	value atomic.Pointer[[]byte]
-	next  [maxHeight]atomic.Pointer[node]
+	// head is swapped atomically when the key is overwritten, so a
+	// lock-free reader sees either the old or the new version, never a
+	// torn mix.
+	head atomic.Pointer[Version]
+	next [maxHeight]atomic.Pointer[node]
 }
 
 func (n *node) loadNext(level int) *node { return n.next[level].Load() }
+
+// at returns the node's newest version with Seq <= bound, or nil.
+func (n *node) at(bound uint64) *Version {
+	v := n.head.Load()
+	for v != nil && v.Seq > bound {
+		v = v.prev
+	}
+	return v
+}
 
 // List is an ordered map with byte-slice keys. The zero value is not
 // usable; construct with New. Readers may run concurrently with one
@@ -45,7 +94,7 @@ type List struct {
 	// height is loaded by lock-free readers while the writer grows it.
 	height atomic.Int32
 	length int
-	bytes  int // sum of key+value lengths, for size accounting
+	bytes  int // keys plus every linked version, for size accounting
 	rng    *rand.Rand
 }
 
@@ -60,13 +109,14 @@ func New(seed int64) *List {
 	return l
 }
 
-// Len returns the number of entries. Writer-side accounting: callers must
-// synchronize with Set externally.
+// Len returns the number of distinct keys. Writer-side accounting: callers
+// must synchronize with Set externally.
 func (l *List) Len() int { return l.length }
 
-// SizeBytes returns the total size of all keys and values, the measure the
-// memtable uses against its flush threshold. Writer-side accounting, like
-// Len.
+// SizeBytes returns the size of all keys plus, per linked version, its
+// value and versionOverhead — retained versions included, which is how a
+// memtable with registered readers still reaches its flush threshold.
+// Writer-side accounting, like Len.
 func (l *List) SizeBytes() int { return l.bytes }
 
 func (l *List) randomHeight() int {
@@ -78,12 +128,16 @@ func (l *List) randomHeight() int {
 }
 
 // findGreaterOrEqual locates the first node with key >= target and fills
-// prev with the rightmost node before it at every level.
+// prev with the rightmost node before it at every level. The node returned
+// is the one the level-0 walk compared against key, not a fresh load of
+// the same pointer: a writer may link a smaller key there in between, and
+// a lock-free reader handed that node would miss a key that is present.
 func (l *List) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node {
 	x := l.head
+	var nx *node
 	for level := int(l.height.Load()) - 1; level >= 0; level-- {
 		for {
-			nx := x.loadNext(level)
+			nx = x.loadNext(level)
 			if nx == nil || bytes.Compare(nx.key, key) >= 0 {
 				break
 			}
@@ -93,18 +147,30 @@ func (l *List) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node {
 			prev[level] = x
 		}
 	}
-	return x.loadNext(0)
+	return nx
 }
 
-// Set inserts key → value, replacing any existing value for key. The key
-// and value slices are retained; callers must not modify them afterwards.
-// Set calls must be serialized externally; readers may run concurrently.
-func (l *List) Set(key, value []byte) {
+// Set records a write of key at sequence seq, superseding any earlier
+// write of it. The superseded version stays linked behind the new one if
+// its Seq is below retainBelow — a reader bounded at or above it may
+// exist; otherwise it is unlinked, and with retainBelow zero so is
+// everything behind it. The key is copied only when it is new to the list;
+// value is retained as is, and the caller must not modify it afterwards.
+// Set calls must be serialized externally, with retainBelow never falling
+// while it is non-zero; readers may run concurrently.
+func (l *List) Set(key, value []byte, seq uint64, tombstone bool, retainBelow uint64) {
+	v := &Version{Seq: seq, Tombstone: tombstone, Value: value}
+	l.bytes += versionOverhead + len(value)
 	var prev [maxHeight]*node
 	if n := l.findGreaterOrEqual(key, &prev); n != nil && bytes.Equal(n.key, key) {
-		old := n.value.Load()
-		l.bytes += len(value) - len(*old)
-		n.value.Store(&value)
+		// Versions behind the head were kept under an earlier, lower
+		// retainBelow, so unless it is zero the walk stops after one step.
+		old := n.head.Load()
+		for ; old != nil && old.Seq >= retainBelow; old = old.prev {
+			l.bytes -= versionOverhead + len(old.Value)
+		}
+		v.prev = old
+		n.head.Store(v)
 		return
 	}
 	h := l.randomHeight()
@@ -114,8 +180,8 @@ func (l *List) Set(key, value []byte) {
 		}
 		l.height.Store(int32(h))
 	}
-	n := &node{key: key}
-	n.value.Store(&value)
+	n := &node{key: append([]byte(nil), key...)}
+	n.head.Store(v)
 	// Initialize every level's forward pointer before publishing the node
 	// at any level: a reader that encounters n through one level's link can
 	// safely continue through any lower level.
@@ -126,34 +192,49 @@ func (l *List) Set(key, value []byte) {
 		prev[level].next[level].Store(n)
 	}
 	l.length++
-	l.bytes += len(key) + len(value)
+	l.bytes += len(key)
 }
 
-// Get returns the value stored for key and whether it exists. Safe to call
-// concurrently with one writer.
-func (l *List) Get(key []byte) ([]byte, bool) {
-	n := l.findGreaterOrEqual(key, nil)
-	if n != nil && bytes.Equal(n.key, key) {
-		return *n.value.Load(), true
+// Get returns key's newest version with Seq <= bound, or nil when the key
+// is absent or every version of it is newer. Safe to call concurrently
+// with one writer.
+func (l *List) Get(key []byte, bound uint64) *Version {
+	if n := l.findGreaterOrEqual(key, nil); n != nil && bytes.Equal(n.key, key) {
+		return n.at(bound)
 	}
-	return nil, false
+	return nil
 }
 
-// Iterator walks the list in ascending key order. Entries inserted after
-// the iterator passes their position are skipped; entries inserted ahead
-// of it become visible — the usual weakly-consistent lock-free contract.
+// Iterator walks the list in ascending key order, yielding for each key
+// its newest version under the iterator's bound and skipping keys that
+// have none. Under MaxSeq that is the usual weakly-consistent lock-free
+// contract — entries inserted ahead of the iterator become visible, those
+// behind it are missed; under a bound taken while no Set was running the
+// traversal is a point-in-time view.
 type Iterator struct {
-	n *node
+	n     *node
+	v     *Version
+	bound uint64
 }
 
-// Iter returns an iterator positioned at the first entry.
-func (l *List) Iter() *Iterator {
-	return &Iterator{n: l.head.loadNext(0)}
+// Seek returns an iterator positioned at the first visible entry with
+// key >= start under bound; a nil start begins at the first key.
+func (l *List) Seek(start []byte, bound uint64) Iterator {
+	// A nil start compares below every key, so the search lands on the
+	// first node.
+	it := Iterator{n: l.findGreaterOrEqual(start, nil), bound: bound}
+	it.settle()
+	return it
 }
 
-// Seek returns an iterator positioned at the first entry with key >= key.
-func (l *List) Seek(key []byte) *Iterator {
-	return &Iterator{n: l.findGreaterOrEqual(key, nil)}
+// settle moves forward to the first node, from the current one on, that
+// has a version under the bound.
+func (it *Iterator) settle() {
+	for ; it.n != nil; it.n = it.n.loadNext(0) {
+		if it.v = it.n.at(it.bound); it.v != nil {
+			return
+		}
+	}
 }
 
 // Valid reports whether the iterator is positioned at an entry.
@@ -162,8 +243,12 @@ func (it *Iterator) Valid() bool { return it.n != nil }
 // Key returns the current key. Only valid when Valid() is true.
 func (it *Iterator) Key() []byte { return it.n.key }
 
-// Value returns the current value. Only valid when Valid() is true.
-func (it *Iterator) Value() []byte { return *it.n.value.Load() }
+// Version returns the current key's version under the iterator's bound.
+// Only valid when Valid() is true.
+func (it *Iterator) Version() *Version { return it.v }
 
-// Next advances to the following entry.
-func (it *Iterator) Next() { it.n = it.n.loadNext(0) }
+// Next advances to the following visible entry.
+func (it *Iterator) Next() {
+	it.n = it.n.loadNext(0)
+	it.settle()
+}

@@ -281,18 +281,44 @@ func searchV3Block(pb parsedBlock, target []byte, h *v3EntryHeader) error {
 	return ErrNotFound
 }
 
-// v3BlockIter walks a parsed block in order. Decoded keys are materialized
-// into an append-only arena rather than a reused buffer: downstream
-// combinators (iterator.Dedup, the k-way merge) legitimately retain an
-// Entry across Next, so a key must stay valid for as long as the iterator
-// — and anything holding its entries — is reachable. Restart keys alias
-// the block payload directly (they are stored whole), which keeps roughly
-// one key per interval out of the arena for free.
+// keyArena is the append-only backing store for keys a block iterator has
+// to rebuild from their prefix-compressed form. It hands out fresh bytes
+// and never reuses any: downstream combinators (iterator.Dedup, the k-way
+// merge) legitimately retain an Entry across Next, so a key must stay
+// valid for as long as anything holding it is reachable. Chunks are sized
+// to the work: the first holds one restart interval's worth of keys of the
+// size first asked for, each later one twice the last up to
+// maxArenaChunk, so a scan that reads a dozen entries does not pay for a
+// table's worth.
+type keyArena struct {
+	buf  []byte
+	next int // size of the next chunk; zero until the first
+}
+
+const maxArenaChunk = 4096
+
+func (a *keyArena) alloc(n int) []byte {
+	if cap(a.buf)-len(a.buf) < n {
+		size := a.next
+		if size == 0 {
+			size = min(n*restartInterval, maxArenaChunk)
+		}
+		size = max(size, n)
+		a.next = min(2*size, maxArenaChunk)
+		a.buf = make([]byte, 0, size)
+	}
+	a.buf = a.buf[:len(a.buf)+n]
+	return a.buf[len(a.buf)-n:]
+}
+
+// v3BlockIter walks a parsed block in order. Keys stored whole — restart
+// keys — alias the block payload directly, which keeps roughly one key per
+// interval out of the arena for free; the rest are rebuilt into it.
 type v3BlockIter struct {
 	pb     parsedBlock
 	off    int
 	curKey []byte // full key of the entry most recently decoded
-	arena  []byte // chunked backing store for materialized keys
+	arena  keyArena
 }
 
 func newV3BlockIter(payload []byte) (*v3BlockIter, error) {
@@ -319,18 +345,9 @@ func (it *v3BlockIter) next(dst *iterator.Entry) (bool, error) {
 		// Full key: alias the block payload, no arena copy needed.
 		it.curKey = h.keySuffix
 	} else {
-		klen := h.shared + h.unshared
-		if cap(it.arena)-len(it.arena) < klen {
-			size := 4096
-			if klen > size {
-				size = klen
-			}
-			it.arena = make([]byte, 0, size)
-		}
-		nk := it.arena[len(it.arena) : len(it.arena)+klen]
+		nk := it.arena.alloc(h.shared + h.unshared)
 		copy(nk, it.curKey[:h.shared])
 		copy(nk[h.shared:], h.keySuffix)
-		it.arena = it.arena[:len(it.arena)+klen]
 		it.curKey = nk
 	}
 	it.off = h.next

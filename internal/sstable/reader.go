@@ -699,6 +699,7 @@ type Iter struct {
 	bi      int           // next block to load within handles
 	block   []byte        // remaining legacy-format block bytes
 	v3      *v3BlockIter  // current version-3 block
+	arena   keyArena      // carried from one version-3 block to the next
 	cur     iterator.Entry
 	valid   bool
 	err     error
@@ -798,6 +799,7 @@ func (it *Iter) nextBlock() bool {
 			it.err = err
 			return false
 		}
+		v3.arena = it.arena
 		it.v3 = v3
 	} else {
 		it.block = payload
@@ -821,7 +823,7 @@ func (it *Iter) advance() {
 					it.valid = true
 					return
 				}
-				it.v3 = nil
+				it.arena, it.v3 = it.v3.arena, nil
 			}
 		} else if len(it.block) > 0 {
 			e, rest, err := decodeEntry(it.block)

@@ -481,3 +481,39 @@ func TestV3CorruptBlocks(t *testing.T) {
 		}
 	})
 }
+
+// TestKeyArenaSizedToWork pins the arena's growth: the first chunk holds
+// one restart interval of keys, chunks double up to maxArenaChunk, an
+// oversized key gets a chunk of its own, and bytes handed out are never
+// handed out again.
+func TestKeyArenaSizedToWork(t *testing.T) {
+	var a keyArena
+	first := a.alloc(20)
+	if cap(a.buf) != 20*restartInterval {
+		t.Errorf("first chunk = %d bytes, want %d", cap(a.buf), 20*restartInterval)
+	}
+	copy(first, "aaaaaaaaaaaaaaaaaaaa")
+	var chunks []int
+	last := cap(a.buf)
+	for i := 0; i < 2000; i++ {
+		copy(a.alloc(20), "bbbbbbbbbbbbbbbbbbbb")
+		if cap(a.buf) != last {
+			last = cap(a.buf)
+			chunks = append(chunks, last)
+		}
+	}
+	if want := "[640 1280 2560 4096]"; fmt.Sprint(chunks) != want {
+		t.Errorf("chunk sizes after the first = %v, want %s", chunks, want)
+	}
+	if string(first) != "aaaaaaaaaaaaaaaaaaaa" {
+		t.Errorf("an earlier key was overwritten: %q", first)
+	}
+	if big := a.alloc(3 * maxArenaChunk); len(big) != 3*maxArenaChunk {
+		t.Errorf("oversized alloc returned %d bytes", len(big))
+	}
+	var b keyArena
+	b.alloc(1000)
+	if cap(b.buf) != maxArenaChunk {
+		t.Errorf("first chunk for 1000-byte keys = %d, want the %d cap", cap(b.buf), maxArenaChunk)
+	}
+}
