@@ -1,19 +1,21 @@
 // Package refbalance proves, per function, that every acquired reference —
 // a pinned read view, a snapshot, an iterator release func, a read
-// state, a Ref'd handle — is released on every control-flow path,
-// including early error returns. A missed unpin never crashes: it pins an
-// immutable view forever, so obsolete sstables survive compaction and disk
-// usage creeps until an operator notices. That failure mode is exactly the
-// kind a path-sensitive check catches and a reviewer eventually misses.
+// state, a Ref'd handle, a pinned cache block — is released on every
+// control-flow path, including early error returns. A missed unpin never
+// crashes: it pins an immutable view forever, so obsolete sstables survive
+// compaction and disk usage creeps until an operator notices. That failure
+// mode is exactly the kind a path-sensitive check catches and a reviewer
+// eventually misses.
 //
 // The analysis walks the lintcore CFG from each acquisition site. A path is
 // balanced when it hits a release call or a defer that releases; a path
 // that hands the resource to another function, stores it, or returns it
 // transfers ownership and is exempt; a path that reaches the function exit
-// with the resource still held is reported. The error-check guard
-// immediately after an acquisition (`if err != nil { return ... }`) is
-// exempt too: on that path the acquisition failed and there is nothing to
-// release.
+// with the resource still held is reported. The failure side of an
+// acquisition's own guard is exempt too — the body of the
+// `if err != nil { ... }` immediately after it, and everything outside the
+// body of the `if v, ok := acquire(); ok { ... }` it initializes: there the
+// acquisition failed and there is nothing to release.
 package refbalance
 
 import (
@@ -41,6 +43,12 @@ var specs = []spec{
 	{call: "NewIterator", result: 1, callRes: true, what: "iterator release func", release: "calling it"},
 	{call: "acquireSnapshot", result: 0, method: "release", what: "read state", release: "release"},
 	{call: "Ref", result: 0, method: "Unref", what: "ref", release: "Unref"},
+	// Cache block pins: a leaked one is never recycled, so a leak on a hot
+	// path quietly turns every cold read back into a 4 KiB allocation.
+	{call: "readBlock", result: 0, method: "Release", what: "block pin", release: "Release"},
+	{call: "GetEntry", result: 1, method: "Release", what: "block pin", release: "Release"},
+	{call: "Get", result: 0, method: "Release", what: "block pin", release: "Release"},
+	{call: "Alloc", result: 0, method: "Release", what: "block pin", release: "Release"},
 }
 
 var Analyzer = &lintcore.Analyzer{
@@ -100,10 +108,19 @@ func checkFunc(pass *lintcore.Pass, fd *ast.FuncDecl) {
 					obj:     obj,
 					sp:      sp,
 					parents: parents,
-					exempt:  errGuardReturns(pass, as, id, parents),
 					visited: map[visitKey]bool{},
 				}
-				c.walk(blk, i+1, false)
+				// Start where the acquisition is known to have succeeded.
+				from, at := blk, i+1
+				if at == len(blk.Nodes)-1 && len(blk.Succs) == 2 {
+					switch cond := blk.Nodes[at]; {
+					case okGuard(pass, as, id, parents) == cond:
+						from, at = blk.Succs[0], 0 // the body of `if v, ok := f(); ok`
+					case errGuard(pass, as, id, parents) == cond:
+						from, at = blk.Succs[1], 0 // past the body of `if err != nil`
+					}
+				}
+				c.walk(from, at, false)
 				if c.leak {
 					pass.Reportf(as.Pos(),
 						"%s %q acquired from %s is not released on every path; release with %s before each return, or defer it",
@@ -142,42 +159,45 @@ func resourceTypeMatches(pass *lintcore.Pass, obj types.Object, sp spec) bool {
 	}
 }
 
-// errGuardReturns marks the returns of the `if err != nil { ... }` guard
-// directly after the acquisition as exempt: on that path the acquisition
-// failed. The exemption applies only to the statement immediately after the
-// acquisition — a later `if err != nil` (after err was reassigned by other
+// errGuard returns the condition of the `if err != nil { ... }` guard
+// directly after the acquisition, or nil: its body runs only when the
+// acquisition failed. Only the statement immediately after the acquisition
+// counts — a later `if err != nil` (after err was reassigned by other
 // work) still owes a release.
-func errGuardReturns(pass *lintcore.Pass, as *ast.AssignStmt, resource *ast.Ident, parents map[ast.Node]ast.Node) map[*ast.ReturnStmt]bool {
-	exempt := map[*ast.ReturnStmt]bool{}
-	errObj := errResult(pass, as, resource)
+func errGuard(pass *lintcore.Pass, as *ast.AssignStmt, resource *ast.Ident, parents map[ast.Node]ast.Node) ast.Expr {
+	errObj := resultOfType(pass, as, resource, types.Universe.Lookup("error").Type())
 	if errObj == nil {
-		return exempt
+		return nil
 	}
-	next := nextSibling(as, parents)
-	ifs, ok := next.(*ast.IfStmt)
+	ifs, ok := nextSibling(as, parents).(*ast.IfStmt)
 	if !ok || ifs.Init != nil {
-		return exempt
+		return nil
 	}
 	bin, ok := ifs.Cond.(*ast.BinaryExpr)
 	if !ok || bin.Op != token.NEQ {
-		return exempt
+		return nil
 	}
 	if !isObjIdent(pass, bin.X, errObj) && !isObjIdent(pass, bin.Y, errObj) {
-		return exempt
+		return nil
 	}
-	ast.Inspect(ifs.Body, func(n ast.Node) bool {
-		if rs, ok := n.(*ast.ReturnStmt); ok {
-			exempt[rs] = true
-		}
-		return true
-	})
-	return exempt
+	return ifs.Cond
 }
 
-// errResult returns the object of the error-typed result of the acquiring
-// assignment, excluding the resource itself.
-func errResult(pass *lintcore.Pass, as *ast.AssignStmt, resource *ast.Ident) types.Object {
-	errType := types.Universe.Lookup("error").Type()
+// okGuard returns the condition of `if v, ok := acquire(); ok { ... }`
+// when the acquisition is that statement's init, or nil: v is held only
+// inside the body.
+func okGuard(pass *lintcore.Pass, as *ast.AssignStmt, resource *ast.Ident, parents map[ast.Node]ast.Node) ast.Expr {
+	okObj := resultOfType(pass, as, resource, types.Typ[types.Bool])
+	ifs, isIf := parents[as].(*ast.IfStmt)
+	if okObj == nil || !isIf || ifs.Init != as || !isObjIdent(pass, ifs.Cond, okObj) {
+		return nil
+	}
+	return ifs.Cond
+}
+
+// resultOfType returns the object of the acquiring assignment's result of
+// type t (its error, or its comma-ok bool), excluding the resource itself.
+func resultOfType(pass *lintcore.Pass, as *ast.AssignStmt, resource *ast.Ident, t types.Type) types.Object {
 	for _, lhs := range as.Lhs {
 		id, ok := lhs.(*ast.Ident)
 		if !ok || id == resource || id.Name == "_" {
@@ -187,7 +207,7 @@ func errResult(pass *lintcore.Pass, as *ast.AssignStmt, resource *ast.Ident) typ
 		if obj == nil {
 			obj = pass.Info.Uses[id]
 		}
-		if obj != nil && types.Identical(obj.Type(), errType) {
+		if obj != nil && types.Identical(obj.Type(), t) {
 			return obj
 		}
 	}
@@ -248,7 +268,6 @@ type checker struct {
 	obj     types.Object
 	sp      spec
 	parents map[ast.Node]ast.Node
-	exempt  map[*ast.ReturnStmt]bool
 	visited map[visitKey]bool
 	leak    bool
 }
@@ -271,8 +290,8 @@ func (c *checker) walk(blk *lintcore.Block, start int, deferCovered bool) {
 			continue
 		}
 		if rs, ok := n.(*ast.ReturnStmt); ok {
-			if c.exempt[rs] || c.usesObj(rs) {
-				return // failed acquisition, or resource returned to caller
+			if c.usesObj(rs) {
+				return // resource returned to caller
 			}
 			if !deferCovered {
 				c.leak = true

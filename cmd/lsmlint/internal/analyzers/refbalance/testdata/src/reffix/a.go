@@ -232,6 +232,104 @@ func CountRef(c *counter) int {
 	return n + 1
 }
 
+type block struct{ data []byte }
+
+func (b *block) Release()     {}
+func (b *block) Data() []byte { return b.data }
+
+type blockCache struct{}
+
+func (c *blockCache) Get(off int) (*block, bool) { return &block{}, true }
+func (c *blockCache) Alloc(n int) *block         { return &block{} }
+func (c *blockCache) Add(b *block)               {}
+
+type reader struct{ blocks *blockCache }
+
+func (r *reader) read(p []byte) error { return nil }
+
+// readBlock is the reader's block read: a hit is handed to the caller
+// inside the comma-ok guard (outside it nothing was pinned), and a fill
+// releases its buffer on every failure before publishing it.
+func (r *reader) readBlock(off int) (*block, error) {
+	if b, ok := r.blocks.Get(off); ok {
+		return b, nil
+	}
+	b := r.blocks.Alloc(4096)
+	if err := r.read(b.Data()); err != nil {
+		b.Release()
+		return nil, err
+	}
+	r.blocks.Add(b)
+	return b, nil
+}
+
+// FillLeak forgets the buffer when the read into it fails.
+func (r *reader) FillLeak(off int) (*block, error) {
+	b := r.blocks.Alloc(4096) // want `block pin "b" acquired from Alloc is not released on every path`
+	if err := r.read(b.Data()); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// HitLeak drops a cache hit's pin on the empty-block return.
+func (r *reader) HitLeak(off int) int {
+	if b, ok := r.blocks.Get(off); ok { // want `block pin "b" acquired from Get is not released on every path`
+		if len(b.Data()) == 0 {
+			return 0
+		}
+		n := len(b.Data())
+		b.Release()
+		return n
+	}
+	return -1
+}
+
+// BlockLeak is the early-error-return leak on a block pin: the search
+// fails after the block was pinned, and the pin is dropped.
+func BlockLeak(r *reader, off int) (byte, error) {
+	b, err := r.readBlock(off) // want `block pin "b" acquired from readBlock is not released on every path`
+	if err != nil {
+		return 0, err
+	}
+	if len(b.Data()) == 0 {
+		return 0, errStale
+	}
+	c := b.Data()[0]
+	b.Release()
+	return c, nil
+}
+
+// BlockProbe is the engine's probe loop: a miss continues from inside the
+// error guard (no pin to release there), a loser is released, the winner
+// changes hands.
+func BlockProbe(r *reader, offs []int) (byte, error) {
+	var best *block
+	defer func() {
+		if best != nil {
+			best.Release()
+		}
+	}()
+	for _, off := range offs {
+		b, err := r.readBlock(off)
+		if err != nil {
+			if err == errStale {
+				continue
+			}
+			return 0, err
+		}
+		if len(b.Data()) == 0 {
+			b.Release()
+			continue
+		}
+		best = b
+	}
+	if best == nil {
+		return 0, errStale
+	}
+	return best.Data()[0], nil
+}
+
 // SuppressedLeak shows the escape hatch: a deliberate long-lived pin with a
 // stated reason.
 func SuppressedLeak(d *db) error {

@@ -4,11 +4,37 @@
 // frequently accessed blocks, which is how production LSM engines
 // (RocksDB, Cassandra) keep read latency flat while compaction churns in
 // the background.
+//
+// # Ownership
+//
+// The cache owns its memory. A cached block is a reference-counted Block —
+// backing array, payload, LRU links and pin count in one struct — and one
+// rule covers every reader: whoever holds a pin may read the block; the
+// last Release returns the array. Get hands out a pinned block; a miss is
+// filled by taking a buffer from the key's stripe with Alloc (a recycled
+// array when one fits, a fresh one otherwise), reading into it, and
+// publishing it with Add, which takes the cache's own reference. Eviction,
+// DropTable and replacement only drop that reference, so a block some
+// reader still pins is never reused under it; the array moves to the
+// stripe's free list when the count reaches zero, and in the steady state
+// the array an eviction frees is the one the next miss fills. A pin that is
+// never released is never recycled: the block falls to the garbage
+// collector once unreachable, so forgetting Release costs reuse, never
+// correctness.
+//
+// The byte budget counts len(payload) of resident blocks, as it always
+// has; admission and eviction order do not depend on pins. Memory outside
+// the budget is bounded by construction: a resident array exceeds its
+// payload by the frame bytes around it plus at most a quarter and one
+// sizeGranule, evicted-but-pinned blocks are bounded by what readers hold
+// (a point read pins one block, an iterator two per table), and each free
+// list holds at most freeListBytes.
 package cache
 
 import (
-	"container/list"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Key identifies one cached block: a reader-unique table ID plus the
@@ -18,9 +44,113 @@ type Key struct {
 	Offset uint64
 }
 
-type entry struct {
-	key   Key
-	value []byte
+// Block is one reference-counted block buffer. The holder of a pin may
+// read Data (and, before publishing, fill Buf); nobody may write to a
+// published block.
+type Block struct {
+	key        Key
+	buf        []byte // the whole backing array; what is recycled
+	data       []byte // the payload readers see and the budget counts
+	refs       atomic.Int32
+	prev, next *Block // LRU links while resident
+	home       *freeList
+}
+
+// Buf is the buffer Alloc sized for the caller to fill before Add.
+func (b *Block) Buf() []byte { return b.buf }
+
+// Data is the block's payload. It stays valid until the caller's Release.
+func (b *Block) Data() []byte { return b.data }
+
+// Release drops one pin. The last reference out — the cache's own goes at
+// eviction — hands the array to its free list; the caller must not touch
+// the block or anything aliasing it afterwards.
+func (b *Block) Release() {
+	switch n := b.refs.Add(-1); {
+	case n == 0:
+		b.home.put(b)
+	case n < 0:
+		panic("cache: Block released more often than pinned")
+	}
+}
+
+// sizeGranule rounds array capacities so blocks of slightly different
+// lengths interchange: data blocks overshoot their 4 KiB target by up to
+// one entry, and without rounding a 4.2 KiB array could not serve a
+// 4.3 KiB read.
+const sizeGranule = 512
+
+// freeListBytes bounds the arrays one free list holds: seven 4.5 KiB
+// arrays, more than a point read and one table's iterator return between
+// two misses, and small enough that an array of an unusual size (a block
+// holding one large value) is simply not kept.
+const freeListBytes = 32 << 10
+
+// PoisonFreed is a test hook: when set, an array is overwritten as it
+// enters a free list, so a read through a released pin fails a value
+// check instead of passing by luck.
+var PoisonFreed atomic.Bool
+
+// freeList holds released blocks, struct and array together, for reuse.
+type freeList struct {
+	mu     sync.Mutex
+	blocks []*Block
+	bytes  int
+}
+
+// get returns a pinned, unpublished block for k with an n-byte Buf: the
+// oldest free array that fits without wasting more than a quarter of
+// itself, or a fresh one.
+func (f *freeList) get(k Key, n int) *Block {
+	need := (n + sizeGranule - 1) / sizeGranule * sizeGranule
+	var b *Block
+	f.mu.Lock()
+	for i, c := range f.blocks {
+		if cap(c.buf) >= n && cap(c.buf) <= need+need/4 {
+			b = c
+			f.bytes -= cap(c.buf)
+			f.blocks = slices.Delete(f.blocks, i, i+1)
+			break
+		}
+	}
+	f.mu.Unlock()
+	if b == nil {
+		b = &Block{buf: make([]byte, need), home: f}
+	}
+	b.key, b.buf = k, b.buf[:n]
+	b.refs.Store(1)
+	return b
+}
+
+// adopt wraps a caller-allocated slice as a pinned, unpublished block.
+func (f *freeList) adopt(k Key, value []byte) *Block {
+	b := &Block{key: k, buf: value, data: value, home: f}
+	b.refs.Store(1)
+	return b
+}
+
+// put takes a block nobody references any more, dropping the oldest
+// entries to stay within freeListBytes.
+func (f *freeList) put(b *Block) {
+	b.buf = b.buf[:cap(b.buf)]
+	b.data = nil
+	if len(b.buf) == 0 || len(b.buf) > freeListBytes {
+		return
+	}
+	if PoisonFreed.Load() {
+		for i := range b.buf {
+			b.buf[i] = 0xdb
+		}
+	}
+	f.mu.Lock()
+	drop := 0
+	for f.bytes+len(b.buf) > freeListBytes {
+		f.bytes -= len(f.blocks[drop].buf)
+		drop++
+	}
+	f.blocks = append(slices.Delete(f.blocks, 0, drop), b)
+	f.bytes += len(b.buf)
+	f.mu.Unlock()
 }
 
 // LRU is a thread-safe least-recently-used cache bounded by total cached
@@ -29,67 +159,96 @@ type LRU struct {
 	mu       sync.Mutex
 	capacity int
 	used     int
-	ll       *list.List // front = most recent
-	index    map[Key]*list.Element
+	root     Block // list sentinel: root.next is most recent, root.prev least
+	index    map[Key]*Block
+	free     freeList
 
 	hits, misses uint64
 }
 
-// New creates a cache bounded to capacity bytes (of cached values; keys
-// and bookkeeping are not counted). capacity must be positive.
+// New creates a cache bounded to capacity bytes (of cached payloads; keys,
+// bookkeeping and array slack are not counted). capacity must be positive.
 func New(capacity int) *LRU {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &LRU{
-		capacity: capacity,
-		ll:       list.New(),
-		index:    make(map[Key]*list.Element),
-	}
+	c := &LRU{capacity: capacity, index: make(map[Key]*Block)}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
 }
 
-// Get returns the cached block and whether it was present. The returned
-// slice is shared: callers must not modify it.
-func (c *LRU) Get(k Key) ([]byte, bool) {
+func (c *LRU) unlink(b *Block) {
+	b.prev.next, b.next.prev = b.next, b.prev
+	b.prev, b.next = nil, nil
+}
+
+func (c *LRU) pushFront(b *Block) {
+	b.prev, b.next = &c.root, c.root.next
+	b.prev.next, b.next.prev = b, b
+}
+
+// evict removes a resident block and drops the cache's reference to it.
+func (c *LRU) evict(b *Block) {
+	c.used -= len(b.data)
+	delete(c.index, b.key)
+	c.unlink(b)
+	b.Release()
+}
+
+// Get returns the cached block, pinned, and whether it was present. The
+// caller must Release it; its Data is shared and must not be modified.
+func (c *LRU) Get(k Key) (*Block, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.index[k]
+	b, ok := c.index[k]
 	if !ok {
 		c.misses++
+		c.mu.Unlock()
 		return nil, false
 	}
 	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry).value, true
+	if c.root.next != b {
+		c.unlink(b)
+		c.pushFront(b)
+	}
+	b.refs.Add(1)
+	c.mu.Unlock()
+	return b, true
 }
 
-// Put inserts or refreshes a block. Values larger than the whole cache are
-// ignored. The cache takes ownership of value; callers must not modify it
-// afterwards.
-func (c *LRU) Put(k Key, value []byte) {
-	if len(value) > c.capacity {
+// Alloc returns a pinned, unpublished block for k whose Buf has length n,
+// recycled from this cache's free list when an array fits.
+func (c *LRU) Alloc(k Key, n int) *Block { return c.free.get(k, n) }
+
+// Add publishes b, obtained from Alloc or Put, with payload — a sub-slice
+// of b.Buf — as its contents, replacing any block cached under the same
+// key. The cache takes its own reference; the caller keeps its pin. A
+// payload larger than the whole cache is not admitted, and the caller's
+// pin is then the only reference.
+func (c *LRU) Add(b *Block, payload []byte) {
+	b.data = payload
+	if len(payload) > c.capacity {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.index[k]; ok {
-		c.used += len(value) - len(el.Value.(*entry).value)
-		el.Value.(*entry).value = value
-		c.ll.MoveToFront(el)
-	} else {
-		c.index[k] = c.ll.PushFront(&entry{key: k, value: value})
-		c.used += len(value)
+	if old, ok := c.index[b.key]; ok {
+		c.evict(old)
 	}
+	b.refs.Add(1)
+	c.index[b.key] = b
+	c.pushFront(b)
+	c.used += len(payload)
 	for c.used > c.capacity {
-		oldest := c.ll.Back()
-		if oldest == nil {
-			break
-		}
-		e := oldest.Value.(*entry)
-		c.used -= len(e.value)
-		delete(c.index, e.key)
-		c.ll.Remove(oldest)
+		c.evict(c.root.prev)
 	}
+	c.mu.Unlock()
+}
+
+// Put caches a caller-allocated slice, which the cache adopts: the caller
+// must not modify it afterwards. It returns the block pinned, like Get.
+func (c *LRU) Put(k Key, value []byte) *Block {
+	b := c.free.adopt(k, value)
+	c.Add(b, value)
+	return b
 }
 
 // DropTable evicts every block belonging to table; called when an sstable
@@ -97,15 +256,12 @@ func (c *LRU) Put(k Key, value []byte) {
 func (c *LRU) DropTable(table uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*entry)
-		if e.key.Table == table {
-			c.used -= len(e.value)
-			delete(c.index, e.key)
-			c.ll.Remove(el)
+	for b := c.root.next; b != &c.root; {
+		next := b.next
+		if b.key.Table == table {
+			c.evict(b)
 		}
-		el = next
+		b = next
 	}
 }
 
@@ -120,8 +276,22 @@ func (c *LRU) Stats() (hits, misses uint64, usedBytes int) {
 func (c *LRU) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.index)
 }
+
+// uncached is the cache of a reader that has none: every Get misses and
+// nothing is published, but block buffers are the same pinned Blocks,
+// recycled through one process-wide free list.
+type uncached struct{ free freeList }
+
+// Uncached serves readers opened without a block cache.
+var Uncached = &uncached{}
+
+func (u *uncached) Get(Key) (*Block, bool)         { return nil, false }
+func (u *uncached) Alloc(k Key, n int) *Block      { return u.free.get(k, n) }
+func (u *uncached) Add(b *Block, payload []byte)   { b.data = payload }
+func (u *uncached) Put(k Key, value []byte) *Block { return u.free.adopt(k, value) }
+func (u *uncached) DropTable(uint64)               {}
 
 // Sharded is a block cache striped over N independent LRU shards, each
 // with its own mutex. A single LRU serializes every Get and Put of every
@@ -187,12 +357,18 @@ func (s *Sharded) shardFor(k Key) *LRU {
 	return s.shards[h&s.mask]
 }
 
-// Get returns the cached block and whether it was present. The returned
-// slice is shared: callers must not modify it.
-func (s *Sharded) Get(k Key) ([]byte, bool) { return s.shardFor(k).Get(k) }
+// Get returns the cached block, pinned, and whether it was present.
+func (s *Sharded) Get(k Key) (*Block, bool) { return s.shardFor(k).Get(k) }
 
-// Put inserts or refreshes a block; the cache takes ownership of value.
-func (s *Sharded) Put(k Key, value []byte) { s.shardFor(k).Put(k, value) }
+// Alloc returns a pinned, unpublished block for k with an n-byte Buf from
+// the free list of k's stripe.
+func (s *Sharded) Alloc(k Key, n int) *Block { return s.shardFor(k).Alloc(k, n) }
+
+// Add publishes a block obtained from Alloc in the stripe of its key.
+func (s *Sharded) Add(b *Block, payload []byte) { s.shardFor(b.key).Add(b, payload) }
+
+// Put caches a caller-allocated slice and returns its block, pinned.
+func (s *Sharded) Put(k Key, value []byte) *Block { return s.shardFor(k).Put(k, value) }
 
 // DropTable evicts every block belonging to table from every shard.
 func (s *Sharded) DropTable(table uint64) {

@@ -152,11 +152,16 @@ func (d *Dedup) Entry() Entry { return d.cur }
 func (d *Dedup) Next() { d.advance() }
 
 // Drain reads all remaining entries from it into a slice; convenience for
-// tests and small merges.
+// tests and small merges. The entries are copies: a source need only keep
+// an Entry valid until it is advanced again (sstable iterators recycle
+// block memory behind them), and Drain keeps every one.
 func Drain(it Iterator) []Entry {
 	var out []Entry
 	for ; it.Valid(); it.Next() {
-		out = append(out, it.Entry())
+		e := it.Entry()
+		e.Key = append(e.Key[:0:0], e.Key...)
+		e.Value = append(e.Value[:0:0], e.Value...)
+		out = append(out, e)
 	}
 	return out
 }

@@ -416,38 +416,71 @@ func TestStreamClientMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestCancelledStreamGrantsNoMoreCredit: a stream whose context was
-// cancelled mid-chunk serves what it already holds and then stops with the
-// context's error; it does not ask the server for another chunk, which
-// could arrive before the cancellation is noticed and be served instead.
+// lateCtx is a context whose expiry its Done channel has not delivered
+// yet: once expire is called Err reports it, but Done never fires. That is
+// the window in which a chunk already on its way wins the select in await
+// against the expiry, made permanent so a test can stand in it.
+type lateCtx struct {
+	context.Context
+	expired atomic.Bool
+}
+
+func (c *lateCtx) expire() { c.expired.Store(true) }
+
+func (c *lateCtx) Err() error {
+	if c.expired.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestCancelledStreamGrantsNoMoreCredit: a stream whose context ended
+// mid-chunk serves what it already holds and then stops with the context's
+// error; it does not ask the server for another chunk, which could arrive
+// before the expiry is noticed and be served instead. The "late" case is
+// that race lost for good: only Stream.Next's own context check can
+// surface the abort, because await never sees Done.
 func TestCancelledStreamGrantsNoMoreCredit(t *testing.T) {
-	db := openDB(t)
-	fill(t, db, 2000)
-	srv := NewServer(db)
-	c := serve(t, srv)
-	ctx, cancel := context.WithCancel(context.Background())
+	late := &lateCtx{Context: context.Background()}
+	cancelled, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	st, err := c.Stream(ctx, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		end  func()
+		want error
+	}{
+		{"cancelled", cancelled, cancel, context.Canceled},
+		{"late", late, late.expire, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := openDB(t)
+			fill(t, db, 2000)
+			srv := NewServer(db)
+			c := serve(t, srv)
+			st, err := c.Stream(tc.ctx, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			granted, held := st.credit, 0
+			tc.end()
+			for ; st.Valid(); st.Next() {
+				held++
+			}
+			if err := st.Err(); !errors.Is(err, tc.want) {
+				t.Fatalf("Err = %v after %d entries, want %v", err, held, tc.want)
+			}
+			if st.credit != granted {
+				t.Errorf("ended stream raised its grant from %d to %d", granted, st.credit)
+			}
+			if limit := initialCredit/entrySize(make([]byte, 7), make([]byte, 100)) + 1; held == 0 || held > limit {
+				t.Errorf("ended stream served %d entries, want the first chunk's (1..%d)", held, limit)
+			}
+			st.Close()
+			waitFor(t, "the ended scan to end", func() bool { return srv.Stats().OpenStreams == 0 })
+		})
 	}
-	defer st.Close()
-	granted, held := st.credit, 0
-	cancel()
-	for ; st.Valid(); st.Next() {
-		held++
-	}
-	if err := st.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Err = %v after %d entries, want context.Canceled", err, held)
-	}
-	if st.credit != granted {
-		t.Errorf("cancelled stream raised its grant from %d to %d", granted, st.credit)
-	}
-	if limit := initialCredit/entrySize(make([]byte, 7), make([]byte, 100)) + 1; held == 0 || held > limit {
-		t.Errorf("cancelled stream served %d entries, want the first chunk's (1..%d)", held, limit)
-	}
-	st.Close()
-	waitFor(t, "the cancelled scan to end", func() bool { return srv.Stats().OpenStreams == 0 })
 }
 
 // TestShortScanFetchesLittle: a scan closed after a few entries costs the

@@ -310,10 +310,13 @@ func BenchmarkMajorCompact(b *testing.B) {
 	}
 }
 
-// BenchmarkGetCold compares table-format versions on the cacheless read
-// path: the block cache is disabled, so every Get pays a block read,
-// decode and in-block search against a flushed sstable. Version 3's
-// restart-point binary search replaces version 2's full linear block walk.
+// BenchmarkGetCold is the read path with every Get paying a block read,
+// decode and in-block search against a flushed sstable. v2 and v3 compare
+// table formats with the block cache disabled (version 3's restart-point
+// binary search replaces version 2's full linear block walk); v3-thrash
+// attaches a cache a twelfth the size of the table, so almost every Get
+// misses, evicts and refills — the path where the allocation count shows
+// whether misses land in recycled arrays.
 //
 // Run with:
 //
@@ -321,11 +324,12 @@ func BenchmarkMajorCompact(b *testing.B) {
 func BenchmarkGetCold(b *testing.B) {
 	const n = 20000
 	for _, tc := range []struct {
-		name   string
-		format int
-	}{{"v2", 2}, {"v3", 3}} {
+		name       string
+		format     int
+		cacheBytes int
+	}{{"v2", 2, -1}, {"v3", 3, -1}, {"v3-thrash", 3, 64 << 10}} {
 		b.Run(tc.name, func(b *testing.B) {
-			db := benchDB(b, Options{BlockCacheBytes: -1, TableFormat: tc.format})
+			db := benchDB(b, Options{BlockCacheBytes: tc.cacheBytes, TableFormat: tc.format})
 			keys := make([][]byte, n)
 			val := bytes.Repeat([]byte("v"), 16)
 			for i := 0; i < n; i++ {
@@ -337,6 +341,7 @@ func BenchmarkGetCold(b *testing.B) {
 			if err := db.Flush(); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := db.Get(keys[(i*7919)%n]); err != nil {

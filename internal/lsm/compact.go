@@ -495,6 +495,7 @@ func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, a
 func tableKeySet(rd *sstable.Reader) (keyset.Set, error) {
 	keys := make([]uint64, 0, rd.EntryCount())
 	it := rd.Iter()
+	defer it.Close()
 	for ; it.Valid(); it.Next() {
 		keys = append(keys, hashBytes(it.Entry().Key))
 	}

@@ -1155,7 +1155,8 @@ func (db *DB) NewIterator(start, end []byte) (iterator.Iterator, func(), error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return rs.newIterator(start, end), rs.release, nil
+	it, release := newIterator(rs, start, end)
+	return it, release, nil
 }
 
 // Stats reports store state.

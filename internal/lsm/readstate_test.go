@@ -321,3 +321,114 @@ func TestReadSetUpIndependentOfMemtableSize(t *testing.T) {
 		t.Logf("%s: %.0f B/op (100 entries) %.0f B/op (8000 entries)", op.name, a, b)
 	}
 }
+
+// coldFixture is one flushed table of n entries (~130 B each, so ~30 per
+// block) behind a block cache of cacheBytes, with every index chunk parsed
+// and the cache full, so that what a read allocates from here on is the
+// read's own.
+func coldFixture(tb testing.TB, n, cacheBytes int) *DB {
+	tb.Helper()
+	db := openTestDB(tb, Options{MemtableBytes: 64 << 20, BlockCacheBytes: cacheBytes})
+	val := bytes.Repeat([]byte("v"), 100)
+	for i := 0; i < n; i++ {
+		if err := db.Put(scanKey(i), val); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.Scan(func(_, _ []byte) error { return nil }); err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
+// TestColdGetAllocatesItsValueAndNothingElse: with the cache full, a Get
+// that misses it reads into the array its own eviction frees — what is
+// left to allocate is the value handed to the caller.
+func TestColdGetAllocatesItsValueAndNothingElse(t *testing.T) {
+	const n = 20000
+	db := coldFixture(t, n, 64<<10) // 16 of ~650 blocks fit
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = scanKey(i)
+	}
+	i := 0
+	get := func() {
+		i++
+		if _, err := db.Get(keys[(i*7919)%n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, before, _ := db.blockCache.Stats()
+	allocs := testing.AllocsPerRun(500, get)
+	bytesPer := allocBytesPerRun(500, get)
+	_, after, _ := db.blockCache.Stats()
+	if after-before < 1000 {
+		t.Fatalf("only %d of 1002 Gets missed the cache; they were not cold", after-before)
+	}
+	if allocs > 1 || bytesPer >= 256 {
+		t.Errorf("cold Get: %v allocs, %.0f B; want 1 alloc (the 100 B value) and < 256 B", allocs, bytesPer)
+	}
+	t.Logf("cold Get: %v allocs, %.0f B", allocs, bytesPer)
+}
+
+// TestScanBytesIndependentOfCacheResidency: the same ten-entry scans
+// allocate the same whether their blocks are all cached or almost never —
+// a missed block lands in a recycled array, not a new one.
+func TestScanBytesIndependentOfCacheResidency(t *testing.T) {
+	const n = 20000
+	measure := func(cacheBytes int) (bytesPer float64, misses uint64) {
+		db := coldFixture(t, n, cacheBytes)
+		i := 0
+		_, before, _ := db.blockCache.Stats()
+		bytesPer = allocBytesPerRun(300, func() {
+			i++
+			it, release, err := db.NewIterator(scanKey((i*7919)%(n-10)), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 10 && it.Valid(); j++ {
+				it.Next()
+			}
+			release()
+		})
+		_, after, _ := db.blockCache.Stats()
+		return bytesPer, after - before
+	}
+	hot, hotMisses := measure(64 << 20) // the table fits
+	cold, coldMisses := measure(64 << 10)
+	if hotMisses != 0 || coldMisses < 300 {
+		t.Fatalf("hot scans missed %d times, cold scans %d times", hotMisses, coldMisses)
+	}
+	if diff := cold - hot; diff > 64 || diff < -64 {
+		t.Errorf("10-entry scan: %.0f B with blocks cached, %.0f B with blocks read", hot, cold)
+	}
+	t.Logf("10-entry scan: %.0f B cached, %.0f B cold", hot, cold)
+}
+
+// TestGetCopiesOnlyTheWinner: however many overlapping tables a Get has to
+// consult, the one thing it allocates is the winning value's copy — a
+// cache hit adds no object, and losing candidates are released, not copied.
+func TestGetCopiesOnlyTheWinner(t *testing.T) {
+	db := scanFixture(t, 8, 0) // eight tables over one key range
+	oldest, val := scanKey(0), bytes.Repeat([]byte("w"), 100)
+	for tbl := 0; tbl < 3; tbl++ { // and one key rewritten in three more
+		if err := db.Put(scanKey(1), val); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, key := range [][]byte{oldest, scanKey(1)} {
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := db.Get(key); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("Get(%s) over %d tables: %v allocs, want 1", key, db.Stats().Tables, n)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/iterator"
 	"repro/internal/memtable"
+	"repro/internal/sstable"
 )
 
 // readState is one point-in-time read of a DB: a memtable with the
@@ -50,9 +51,10 @@ func retainOverlapping(tables []*tableHandle, start, end []byte) []*tableHandle 
 
 // newIterator merges the state's memtable and tables over [start, end)
 // (nil bounds are open), newest version per key, deleted keys hidden. The
-// state's tables must already be narrowed to the range and stay held
-// until the iterator is done.
-func (rs readState) newIterator(start, end []byte) iterator.Iterator {
+// state's tables must already be narrowed to the range. The state changes
+// hands: the returned func ends the read, closing the table iterators
+// (their block pins) and releasing the state.
+func newIterator(rs readState, start, end []byte) (iterator.Iterator, func()) {
 	children := make([]iterator.Iterator, 0, len(rs.tables)+1)
 	children = append(children, rs.mem.IterAt(start, rs.bound))
 	for _, th := range rs.tables {
@@ -66,7 +68,12 @@ func (rs readState) newIterator(start, end []byte) iterator.Iterator {
 	if end != nil {
 		it = &boundedIter{Iterator: it, end: end}
 	}
-	return withErrSources(it, children)
+	return withErrSources(it, children), func() {
+		for _, c := range children[1:] {
+			c.(*sstable.Iter).Close()
+		}
+		rs.release()
+	}
 }
 
 // Snapshot is a consistent point-in-time read view of one DB: the memtable
@@ -173,6 +180,6 @@ func (s *Snapshot) NewIterator(start, end []byte) (iterator.Iterator, func(), er
 	if s.released {
 		return nil, nil, ErrClosed
 	}
-	rs := s.rs.narrow(start, end)
-	return rs.newIterator(start, end), rs.release, nil
+	it, release := newIterator(s.rs.narrow(start, end), start, end)
+	return it, release, nil
 }

@@ -23,6 +23,8 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/cache"
+	"repro/internal/iterator"
 	"repro/internal/memtable"
 	"repro/internal/sstable"
 )
@@ -143,15 +145,17 @@ func (v *readView) get(ctx context.Context, key []byte) ([]byte, *tableHandle, e
 // a table whose blocks fail their checksums.
 func probeTables(ctx context.Context, tables []*tableHandle, key []byte) ([]byte, *tableHandle, error) {
 	var (
-		bestSeq   uint64
-		bestVal   []byte
-		bestTomb  bool
-		bestOwned bool
-		foundAny  bool
+		best    iterator.Entry
+		bestPin *cache.Block // pins the block best.Value aliases; nil until a version is found
 	)
+	defer func() {
+		if bestPin != nil {
+			bestPin.Release()
+		}
+	}()
 	checkCtx := ctx.Done() != nil
 	for _, th := range tables {
-		if foundAny && th.maxSeq <= bestSeq {
+		if bestPin != nil && th.maxSeq <= best.Seq {
 			break
 		}
 		if !th.contains(key) {
@@ -162,27 +166,28 @@ func probeTables(ctx context.Context, tables []*tableHandle, key []byte) ([]byte
 				return nil, nil, err
 			}
 		}
-		e, owned, err := th.rd.GetEntry(key)
-		if err == sstable.ErrNotFound {
-			continue
-		}
+		e, pin, err := th.rd.GetEntry(key)
 		if err != nil {
+			if err == sstable.ErrNotFound {
+				continue
+			}
 			return nil, th, err
 		}
-		if !foundAny || e.Seq > bestSeq {
-			foundAny, bestSeq, bestVal, bestTomb, bestOwned = true, e.Seq, e.Value, e.Tombstone, owned
+		if bestPin != nil {
+			if e.Seq <= best.Seq {
+				pin.Release()
+				continue
+			}
+			bestPin.Release()
 		}
+		best, bestPin = e, pin
 	}
-	if !foundAny || bestTomb {
+	if bestPin == nil || best.Tombstone {
 		return nil, nil, ErrNotFound
 	}
-	if bestOwned {
-		// The winning entry aliases a block buffer owned exclusively by
-		// this probe (read outside the block cache): hand it to the caller
-		// without the defensive copy.
-		return bestVal, nil, nil
-	}
-	return append([]byte(nil), bestVal...), nil, nil
+	// Only the winner is copied, however many tables held a version: the
+	// value aliases its pinned block until the deferred release.
+	return append([]byte(nil), best.Value...), nil, nil
 }
 
 // contains reports whether key falls inside the table's [smallest,

@@ -406,3 +406,45 @@ func TestKeyTableSimulationShape(t *testing.T) {
 			len(updateHeavy), len(insertHeavy))
 	}
 }
+
+// BenchmarkPinnedGetHotKey is the cost of reading, under an old pin, a key
+// that kept being overwritten: one long-lived reader registers, then the
+// key is rewritten 10^5 times with a short-lived registration (a scan)
+// after each write. Retention is judged by the newest registration alone,
+// so every one of those versions stays linked, and the old reader's GetAt
+// and iterator step walk the chain from its newest end — linearly, today.
+// The number is here so that exact version trimming (ROADMAP read-path
+// (b)) has something to be measured against.
+func BenchmarkPinnedGetHotKey(b *testing.B) {
+	const overwrites = 100000
+	mt := New(1)
+	key, val := []byte("hot"), []byte("value")
+	mt.Put([]byte("cold"), val, 1)
+	mt.Put(key, val, 2)
+	bound := mt.Pin()
+	defer mt.Unpin()
+	for i := 0; i < overwrites; i++ {
+		mt.Put(key, val, uint64(3+i))
+		mt.Pin()
+		mt.Unpin()
+	}
+	if retained := mt.SizeBytes(); retained < overwrites*len(val) {
+		b.Fatalf("memtable holds %d bytes: the overwritten versions were not retained", retained)
+	}
+	b.Run("GetAt", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if e, ok := mt.GetAt(key, bound); !ok || e.Seq != 2 {
+				b.Fatalf("GetAt = seq %d, %v; want the pinned version 2", e.Seq, ok)
+			}
+		}
+	})
+	b.Run("IterStep", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			it := mt.IterAt([]byte("cold"), bound)
+			it.Next() // from "cold" onto the hot key's pinned version
+			if !it.Valid() || it.Entry().Seq != 2 {
+				b.Fatal("iterator did not land on the pinned version")
+			}
+		}
+	})
+}

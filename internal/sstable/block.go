@@ -311,9 +311,11 @@ func (a *keyArena) alloc(n int) []byte {
 	return a.buf[len(a.buf)-n:]
 }
 
-// v3BlockIter walks a parsed block in order. Keys stored whole — restart
-// keys — alias the block payload directly, which keeps roughly one key per
-// interval out of the arena for free; the rest are rebuilt into it.
+// v3BlockIter walks version-3 blocks in order, one after another: enter
+// positions it on a block, and the arena carries over. Keys stored whole —
+// restart keys — alias the block payload directly, which keeps roughly one
+// key per interval out of the arena for free; the rest are rebuilt into it.
+// The zero value is positioned past the end of an empty block.
 type v3BlockIter struct {
 	pb     parsedBlock
 	off    int
@@ -321,13 +323,18 @@ type v3BlockIter struct {
 	arena  keyArena
 }
 
-func newV3BlockIter(payload []byte) (*v3BlockIter, error) {
+// enter positions the iterator before the first entry of payload.
+func (it *v3BlockIter) enter(payload []byte) error {
 	pb, err := parseV3Block(payload)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &v3BlockIter{pb: pb}, nil
+	it.pb, it.off, it.curKey = pb, 0, nil
+	return nil
 }
+
+// leave abandons the current block, so next reports its end.
+func (it *v3BlockIter) leave() { it.pb, it.off, it.curKey = parsedBlock{}, 0, nil }
 
 // next decodes the following entry into dst; ok is false at the end of the
 // block. dst is an out-parameter so block iteration does not copy a

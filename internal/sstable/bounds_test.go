@@ -150,38 +150,30 @@ func TestBoundsCorruptRejected(t *testing.T) {
 	}
 }
 
-func TestGetOwnedWithoutCache(t *testing.T) {
+// TestGetEntryPinsItsBlock: with or without a cache, filling read or hit,
+// a found entry comes with the pin its value aliases, and a miss with none.
+func TestGetEntryPinsItsBlock(t *testing.T) {
 	entries := testEntries(100)
-	rd := buildTable(t, entries)
-	// No cache attached: the entry's memory is owned by the caller.
-	e, owned, err := rd.GetEntry(entries[5].Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !owned {
-		t.Error("cacheless GetEntry reported owned=false")
-	}
-	if !bytes.Equal(e.Value, entries[5].Value) {
-		t.Errorf("value = %q, want %q", e.Value, entries[5].Value)
-	}
-}
-
-func TestGetSharedWithCache(t *testing.T) {
-	entries := testEntries(100)
-	rd := buildTable(t, entries)
-	rd.SetBlockCache(cache.NewSharded(1<<20, 4))
-	// Both the filling read and the cache hit share memory with the cache:
-	// neither may be handed out as owned.
-	for pass := 0; pass < 2; pass++ {
-		e, owned, err := rd.GetEntry(entries[5].Key)
-		if err != nil {
-			t.Fatal(err)
+	for _, cached := range []bool{false, true} {
+		rd := buildTable(t, entries)
+		if cached {
+			rd.SetBlockCache(cache.NewSharded(1<<20, 4))
 		}
-		if owned {
-			t.Errorf("pass %d: cached GetEntry reported owned=true", pass)
+		for pass := 0; pass < 2; pass++ {
+			e, pin, err := rd.GetEntry(entries[5].Key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pin == nil {
+				t.Fatalf("cached=%v pass %d: hit returned no pin", cached, pass)
+			}
+			if !bytes.Equal(e.Key, entries[5].Key) || !bytes.Equal(e.Value, entries[5].Value) || e.Seq != entries[5].Seq {
+				t.Errorf("cached=%v pass %d: entry = %q/%q@%d", cached, pass, e.Key, e.Value, e.Seq)
+			}
+			pin.Release()
 		}
-		if !bytes.Equal(e.Value, entries[5].Value) {
-			t.Errorf("pass %d: value = %q, want %q", pass, e.Value, entries[5].Value)
+		if _, pin, err := rd.GetEntry([]byte("key-000005!")); err != ErrNotFound || pin != nil {
+			t.Errorf("cached=%v: absent key: pin %v, err %v", cached, pin, err)
 		}
 	}
 }

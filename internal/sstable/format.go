@@ -436,7 +436,9 @@ func (e *blockEncoder) appendBlock(dst, entries []byte, compression Compression,
 }
 
 // decodeDataBlock validates and unwraps a checksummed data-block frame of
-// the given table format version, returning the raw entry bytes.
+// the given table format version, returning the raw entry bytes: a
+// sub-slice of buf when the frame's codec byte is codecRaw, a fresh
+// allocation for every compressed codec.
 //
 // The decode allocation cap is derived from the version: version-3 frames
 // declare their uncompressed length (under the frame CRC), so the decoder

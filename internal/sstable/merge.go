@@ -44,6 +44,7 @@ func MergeOpts(w io.Writer, dropTombstones bool, opts WriterOptions, inputs ...*
 	expected := 0
 	for i, rd := range inputs {
 		it := rd.Iter()
+		defer it.Close()
 		iters[i] = it
 		children[i] = it
 		stats.BytesRead += rd.FileSize()

@@ -1,0 +1,161 @@
+package sstable
+
+import (
+	"bytes"
+	"fmt"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/iterator"
+)
+
+// churn keeps missing in c from a table of its own until stop closes, so
+// every array that reaches c's free list is refilled (and, with
+// cache.PoisonFreed set, was overwritten first) almost at once.
+func churn(t *testing.T, c Cache, stop <-chan struct{}) *sync.WaitGroup {
+	t.Helper()
+	var other []iterator.Entry
+	for i := 0; i < 400; i++ {
+		other = append(other, entry(fmt.Sprintf("other-%06d", i), fmt.Sprintf("filler-%032d", i), uint64(i+1)))
+	}
+	rd := buildTableOpts(t, other, WriterOptions{BlockSize: 256})
+	rd.SetBlockCache(c)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := rd.Get(other[(i*37)%len(other)].Key); err != nil {
+				t.Errorf("churn Get: %v", err)
+				return
+			}
+		}
+	}()
+	return &wg
+}
+
+func cloneEntry(e iterator.Entry) iterator.Entry {
+	e.Key = append([]byte(nil), e.Key...)
+	e.Value = append([]byte(nil), e.Value...)
+	return e
+}
+
+func sameEntry(a, b iterator.Entry) bool {
+	return bytes.Equal(a.Key, b.Key) && bytes.Equal(a.Value, b.Value) && a.Seq == b.Seq && a.Tombstone == b.Tombstone
+}
+
+// TestEntryValidAcrossOneNext is the iterator validity rule: an Entry read
+// just before a Next is byte-identical after it, block boundary or not,
+// while another reader churns the two-block cache both share and freed
+// arrays are poisoned. Run under -race.
+func TestEntryValidAcrossOneNext(t *testing.T) {
+	cache.PoisonFreed.Store(true)
+	defer cache.PoisonFreed.Store(false)
+	for _, version := range []int{FormatV2, FormatV3} {
+		var entries []iterator.Entry
+		for i := 0; i < 600; i++ {
+			entries = append(entries, entry(fmt.Sprintf("key-%06d", i), fmt.Sprintf("value-%024d", i), uint64(i+1)))
+		}
+		// ~5 entries per block: a boundary every few Nexts.
+		rd := buildTableOpts(t, entries, WriterOptions{FormatVersion: version, BlockSize: 256})
+		c := cache.New(600)
+		rd.SetBlockCache(c)
+		stop := make(chan struct{})
+		wg := churn(t, c, stop)
+
+		for pass := 0; pass < 20; pass++ {
+			it := rd.IterFrom(entries[pass].Key)
+			for i := pass; it.Valid(); i++ {
+				held := it.Entry()
+				want := cloneEntry(held)
+				if !sameEntry(want, entries[i]) {
+					t.Fatalf("v%d: entry %d = %q/%q", version, i, want.Key, want.Value)
+				}
+				it.Next()
+				if !sameEntry(held, want) {
+					t.Fatalf("v%d: entry %d changed across one Next: %q/%q, was %q/%q",
+						version, i, held.Key, held.Value, want.Key, want.Value)
+				}
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			it.Close()
+		}
+		close(stop)
+		wg.Wait()
+		if _, misses, _ := c.Stats(); misses < 1000 {
+			t.Fatalf("v%d: only %d misses; the cache was not churning", version, misses)
+		}
+	}
+}
+
+// TestMergeDedupOverRecycledBlocks: Dedup(Merging(...)) over tables whose
+// duplicate keys straddle block boundaries reads what it always did —
+// newest version per key, tombstones dropped — when the tables share a
+// two-block cache that recycles every array behind the iterators.
+func TestMergeDedupOverRecycledBlocks(t *testing.T) {
+	cache.PoisonFreed.Store(true)
+	defer cache.PoisonFreed.Store(false)
+	const tables, keys = 4, 500
+	newest := map[string]iterator.Entry{}
+	c := cache.New(600)
+	stop := make(chan struct{})
+	wg := churn(t, c, stop)
+	var children []iterator.Iterator
+	for tb := 0; tb < tables; tb++ {
+		var entries []iterator.Entry
+		for i := 0; i < keys; i++ {
+			if (i*7+tb*3)%5 < 2 { // each table holds a different ~3/5 of the keys
+				continue
+			}
+			// Value lengths differ per table, so the same key sits at a
+			// different place in its block in each of them.
+			e := entry(fmt.Sprintf("key-%06d", i), fmt.Sprintf("t%d-%0*d", tb, 8+5*tb, i), uint64(1+i%7*tables+tb))
+			if (i+tb)%11 == 0 {
+				e.Tombstone, e.Value = true, nil
+			}
+			entries = append(entries, e)
+			if old, ok := newest[string(e.Key)]; !ok || e.Seq > old.Seq {
+				newest[string(e.Key)] = e
+			}
+		}
+		rd := buildTableOpts(t, entries, WriterOptions{BlockSize: 200})
+		rd.SetBlockCache(c)
+		it := rd.Iter()
+		defer it.Close()
+		children = append(children, it)
+	}
+	var want []iterator.Entry
+	for _, e := range newest {
+		if !e.Tombstone {
+			want = append(want, e)
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i].Key, want[j].Key) < 0 })
+
+	got := iterator.Drain(iterator.NewDedup(iterator.NewMerging(children...), true))
+	close(stop)
+	wg.Wait()
+	if len(got) != len(want) {
+		t.Fatalf("merged %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !sameEntry(got[i], want[i]) {
+			t.Fatalf("entry %d = %q/%q@%d, want %q/%q@%d", i,
+				got[i].Key, got[i].Value, got[i].Seq, want[i].Key, want[i].Value, want[i].Seq)
+		}
+	}
+	for _, ch := range children {
+		if err := ch.(*Iter).Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

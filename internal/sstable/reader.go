@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bloom"
@@ -30,15 +29,26 @@ type FilterMetrics struct {
 	FalsePositives atomic.Uint64
 }
 
-// Cache is the block-cache surface a Reader uses: satisfied by both the
-// single cache.LRU and the mutex-striped cache.Sharded. Get returns a
-// shared slice callers must not modify; Put transfers ownership of the
-// value to the cache. Keys are (table ID, file offset) pairs; a version-3
-// table's data blocks and index chunks occupy disjoint offsets in the same
-// file, so the one key space covers both without collision.
+// Cache is the block-cache surface a Reader uses: satisfied by the single
+// cache.LRU, the mutex-striped cache.Sharded and cache.Uncached, which
+// readers without a cache get. The cache owns block memory (see package
+// cache): Get returns a pinned block the caller must Release and must not
+// modify; a miss is filled into the Buf of a block from Alloc — a recycled
+// array when the key's stripe has one that fits — and published with Add,
+// after which the filler still holds its pin; Put adopts a slice the
+// caller allocated (a decompressed payload) and returns it pinned. A pin
+// that is never released costs only the reuse of that one array, which the
+// garbage collector reclaims instead. The cache's byte budget counts
+// payload bytes of resident blocks; arrays pinned past their eviction and
+// the free lists (a few arrays per stripe) sit outside it. Keys are
+// (table ID, file offset) pairs; a version-3 table's data blocks and index
+// chunks occupy disjoint offsets in the same file, so the one key space
+// covers both without collision.
 type Cache interface {
-	Get(k cache.Key) ([]byte, bool)
-	Put(k cache.Key, value []byte)
+	Get(k cache.Key) (*cache.Block, bool)
+	Alloc(k cache.Key, n int) *cache.Block
+	Add(b *cache.Block, payload []byte)
+	Put(k cache.Key, value []byte) *cache.Block
 	DropTable(table uint64)
 }
 
@@ -115,7 +125,7 @@ func NewReaderWithBounds(r io.ReaderAt, size int64, hint *Bounds) (*Reader, erro
 		(version >= FormatV2 && !inFile(f.boundsOff, f.boundsLen)) {
 		return nil, ErrCorrupt
 	}
-	rd := &Reader{id: readerIDs.Add(1), r: r, size: size, f: f, version: version}
+	rd := &Reader{id: readerIDs.Add(1), r: r, size: size, f: f, version: version, blocks: cache.Uncached}
 	if err := rd.loadIndex(); err != nil {
 		return nil, err
 	}
@@ -162,7 +172,12 @@ func OpenFS(fsys vfs.FS, path string, hint *Bounds) (*Reader, error) {
 
 // SetBlockCache attaches a shared cache used for data-block reads. Call
 // before serving reads; passing nil disables caching.
-func (rd *Reader) SetBlockCache(c Cache) { rd.blocks = c }
+func (rd *Reader) SetBlockCache(c Cache) {
+	if c == nil {
+		c = cache.Uncached
+	}
+	rd.blocks = c
+}
 
 // SetFilterMetrics attaches a store-shared Bloom-filter counter set that
 // Get updates; passing nil disables counting.
@@ -171,44 +186,11 @@ func (rd *Reader) SetFilterMetrics(m *FilterMetrics) { rd.fm = m }
 // Close releases the underlying file when the Reader was created by Open
 // (otherwise it only detaches cached blocks).
 func (rd *Reader) Close() error {
-	if rd.blocks != nil {
-		rd.blocks.DropTable(rd.id)
-	}
+	rd.blocks.DropTable(rd.id)
 	if rd.closer != nil {
 		return rd.closer.Close()
 	}
 	return nil
-}
-
-// blockBufPool recycles block-read buffers. A buffer re-enters the pool
-// only when the payload provably does not escape the probe: a point
-// lookup that misses inside the block (Bloom false positive, key absent
-// from its candidate block) recycles, as does the frame buffer of a
-// compressed block (its decoded payload is a fresh allocation). Payloads
-// handed to the block cache or returned to callers keep their buffers —
-// those fall to the garbage collector.
-var blockBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// getBlockBuf returns a pooled buffer of length n.
-func getBlockBuf(n int) *[]byte {
-	bp := blockBufPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-// maxPooledBlockBuf caps what re-enters the pool: an occasional giant
-// block (a multi-megabyte value) must not leave its backing array pinned
-// in the pool forever, nor resurface under a small read that would retain
-// far more memory than its length suggests.
-const maxPooledBlockBuf = 128 << 10
-
-func putBlockBuf(bp *[]byte) {
-	if cap(*bp) <= maxPooledBlockBuf {
-		blockBufPool.Put(bp)
-	}
 }
 
 // readChecksummed reads and verifies a framed payload+crc32 region. The
@@ -222,64 +204,33 @@ func (rd *Reader) readChecksummed(off, length uint64) ([]byte, error) {
 	return verifyChecksummed(buf)
 }
 
-// readBlock reads and decodes a data block through the block cache when
-// one is attached. Cached payloads are stored decompressed and verified.
-// The second result is an ownership token: non-nil means the payload's
-// backing memory belongs exclusively to the caller — it may be returned
-// to the user without a defensive copy, and if the payload provably does
-// not escape the probe, passing the token to putBlockBuf recycles the
-// buffer. A nil token means the payload is shared with the block cache
-// and must be copied before it escapes to anyone who could modify it.
-func (rd *Reader) readBlock(h blockHandle) ([]byte, *[]byte, error) {
-	var key cache.Key
-	if rd.blocks != nil {
-		key = cache.Key{Table: rd.id, Offset: h.offset}
-		if payload, ok := rd.blocks.Get(key); ok {
-			return payload, nil, nil
-		}
+// readBlock returns the data block at h, pinned: from the block cache, or
+// read into a buffer the cache recycles, verified, and published there.
+// The caller reads the payload through Data and must Release the block on
+// every path; everything aliasing the payload dies with the pin.
+func (rd *Reader) readBlock(h blockHandle) (*cache.Block, error) {
+	key := cache.Key{Table: rd.id, Offset: h.offset}
+	if b, ok := rd.blocks.Get(key); ok {
+		return b, nil
 	}
-	// A cache-fill read allocates exactly: its payload transfers to the
-	// cache (so a pooled buffer would never return to the pool), and the
-	// LRU accounts len(value) — a payload aliasing an oversized recycled
-	// array would pin memory the cache budget never sees. The pool serves
-	// the cacheless reads, whose buffers provably come back on misses.
-	var bp *[]byte
-	var buf []byte
-	if rd.blocks == nil {
-		bp = getBlockBuf(int(h.length) + 4)
-		buf = *bp
-	} else {
-		buf = make([]byte, h.length+4)
+	b := rd.blocks.Alloc(key, int(h.length)+4)
+	if _, err := rd.r.ReadAt(b.Buf(), int64(h.offset)); err != nil {
+		b.Release()
+		return nil, fmt.Errorf("sstable: read block at %d: %w", h.offset, err)
 	}
-	recycle := func() {
-		if bp != nil {
-			putBlockBuf(bp)
-		}
-	}
-	if _, err := rd.r.ReadAt(buf, int64(h.offset)); err != nil {
-		recycle()
-		return nil, nil, fmt.Errorf("sstable: read block at %d: %w", h.offset, err)
-	}
-	payload, err := decodeDataBlock(buf, rd.version)
+	payload, err := decodeDataBlock(b.Buf(), rd.version)
 	if err != nil {
-		recycle()
-		return nil, nil, err
+		b.Release()
+		return nil, err
 	}
-	if rd.blocks != nil {
-		// Ownership transfers to the cache: shared from here on.
-		rd.blocks.Put(key, payload)
-		return payload, nil, nil
+	if b.Buf()[0] != codecRaw {
+		// A compressed block decodes into a fresh allocation, which the
+		// cache adopts; the frame buffer goes straight back for reuse.
+		b.Release()
+		return rd.blocks.Put(key, payload), nil
 	}
-	// A raw-codec payload aliases the pooled buffer; a compressed (or
-	// empty) payload is a fresh allocation, so its frame buffer recycles
-	// immediately and the payload itself becomes the pooled token.
-	aliases := len(payload) > 0 && len(payload) <= len(buf)-4 &&
-		&payload[0] == &buf[len(buf)-4-len(payload)]
-	if !aliases {
-		recycle()
-		bp = &payload
-	}
-	return payload, bp, nil
+	rd.blocks.Add(b, payload)
+	return b, nil
 }
 
 // parseHandles decodes a run of block handles (a version-1/2 flat index
@@ -455,12 +406,13 @@ func (rd *Reader) loadBounds(hint *Bounds) error {
 		return nil
 	}
 	smallest := append([]byte(nil), rd.index[0].firstKey...)
-	payload, tok, err := rd.readBlock(rd.index[len(rd.index)-1])
+	b, err := rd.readBlock(rd.index[len(rd.index)-1])
 	if err != nil {
 		return err
 	}
+	defer b.Release()
 	var largest []byte
-	for len(payload) > 0 {
+	for payload := b.Data(); len(payload) > 0; {
 		e, rest, err := decodeEntry(payload)
 		if err != nil {
 			return err
@@ -469,9 +421,6 @@ func (rd *Reader) loadBounds(hint *Bounds) error {
 		payload = rest
 	}
 	largest = append([]byte(nil), largest...)
-	if tok != nil {
-		putBlockBuf(tok)
-	}
 	if largest == nil || bytes.Compare(smallest, largest) > 0 {
 		return ErrCorrupt
 	}
@@ -554,128 +503,92 @@ func (rd *Reader) findBlockForKey(key []byte) (blockHandle, bool, error) {
 }
 
 // Get returns the entry for key, or ErrNotFound. The Bloom filter rejects
-// most absent keys without touching data blocks.
+// most absent keys without touching data blocks. The entry's value is the
+// caller's own copy; its key is the probe key.
 func (rd *Reader) Get(key []byte) (iterator.Entry, error) {
-	e, _, err := rd.GetEntry(key)
-	return e, err
+	e, b, err := rd.GetEntry(key)
+	if err != nil {
+		return e, err
+	}
+	e.Value = append(e.Value[:0:0], e.Value...)
+	b.Release()
+	return e, nil
 }
 
-// GetEntry is Get with an ownership report: owned is true when the
-// returned entry's key and value alias memory owned exclusively by the
-// caller (the block was read outside the cache), so the engine may hand
-// the value to its user without a defensive copy. When owned is false the
-// entry aliases a cache-shared block and must be copied before it escapes.
-func (rd *Reader) GetEntry(key []byte) (iterator.Entry, bool, error) {
-	var zero iterator.Entry
+// GetEntry is Get without the copy: on a hit the entry's value aliases the
+// returned block, which is pinned on the caller's behalf — copy out what
+// must outlive it, then Release. The entry's key is the probe key itself.
+// On a miss or an error the block is nil.
+func (rd *Reader) GetEntry(key []byte) (iterator.Entry, *cache.Block, error) {
 	if !rd.filter.MayContain(key) {
 		if rd.fm != nil {
 			rd.fm.Negatives.Add(1)
 		}
-		return zero, false, ErrNotFound
+		return iterator.Entry{}, nil, ErrNotFound
 	}
-	e, owned, err := rd.getPastFilter(key)
+	e, b, err := rd.getPastFilter(key)
 	if err == ErrNotFound && rd.fm != nil {
 		rd.fm.FalsePositives.Add(1)
 	}
-	return e, owned, err
+	return e, b, err
 }
 
-// copyEntryOut materializes an entry into one compact allocation so the
-// (much larger) block buffer it aliases can be recycled immediately
-// instead of escaping with the entry and starving the buffer pool.
-func copyEntryOut(e iterator.Entry) iterator.Entry {
-	kv := make([]byte, len(e.Key)+len(e.Value))
-	copy(kv, e.Key)
-	copy(kv[len(e.Key):], e.Value)
-	out := e
-	out.Key = kv[:len(e.Key):len(e.Key)]
-	if e.Value != nil {
-		out.Value = kv[len(e.Key):]
-	}
-	return out
-}
-
-// getPastFilter is the block-probing half of Get, after the Bloom filter
-// has said "maybe". An exclusively owned block buffer is recycled on every
-// outcome: a miss recycles it directly (nothing escapes), and a hit copies
-// the entry — a few dozen bytes — out of the block first. Returning block
-// buffers on hits is what keeps the pool fed on a read-heavy cacheless
-// workload; before that, every successful Get leaked its buffer to the
-// garbage collector and the pool stayed empty. On version-3 tables the
-// in-block probe binary-searches the restart array instead of scanning
-// the block linearly.
-func (rd *Reader) getPastFilter(key []byte) (iterator.Entry, bool, error) {
+// getPastFilter is the block-probing half of GetEntry, after the Bloom
+// filter has said "maybe": it pins the one block that could hold key and
+// keeps the pin only on a hit.
+func (rd *Reader) getPastFilter(key []byte) (iterator.Entry, *cache.Block, error) {
 	var zero iterator.Entry
 	h, ok, err := rd.findBlockForKey(key)
 	if err != nil {
-		return zero, false, err
+		return zero, nil, err
 	}
 	if !ok {
-		return zero, false, ErrNotFound
+		return zero, nil, ErrNotFound
 	}
-	payload, tok, err := rd.readBlock(h)
+	b, err := rd.readBlock(h)
 	if err != nil {
-		return zero, false, err
+		return zero, nil, err
 	}
-	miss := func() (iterator.Entry, bool, error) {
-		if tok != nil {
-			putBlockBuf(tok)
-		}
-		return zero, false, ErrNotFound
+	e, err := rd.searchBlock(b.Data(), key)
+	if err != nil {
+		b.Release()
+		return zero, nil, err
 	}
-	hit := func(e iterator.Entry) (iterator.Entry, bool, error) {
-		if tok == nil {
-			return e, false, nil
-		}
-		e = copyEntryOut(e)
-		putBlockBuf(tok)
-		return e, true, nil
-	}
+	return e, b, nil
+}
+
+// searchBlock finds key in a data-block payload; the entry's value aliases
+// the payload. On version-3 tables the probe binary-searches the restart
+// array and never rebuilds a key from its prefix encoding — a hit's key is
+// byte-identical to the probe key; legacy blocks are scanned linearly.
+func (rd *Reader) searchBlock(payload, key []byte) (iterator.Entry, error) {
+	var zero iterator.Entry
 	if rd.version >= FormatV3 {
 		pb, err := parseV3Block(payload)
 		if err != nil {
-			return zero, false, err
+			return zero, err
 		}
 		var hd v3EntryHeader
-		err = searchV3Block(pb, key, &hd)
-		if err == ErrNotFound {
-			return miss()
+		if err := searchV3Block(pb, key, &hd); err != nil {
+			return zero, err
 		}
-		if err != nil {
-			return zero, false, err
-		}
-		// A hit's key is byte-identical to the probe key; materialize the
-		// entry without ever reconstructing it from the prefix encoding.
-		if tok != nil {
-			kv := make([]byte, len(key)+len(hd.value))
-			copy(kv, key)
-			copy(kv[len(key):], hd.value)
-			e := iterator.Entry{Key: kv[:len(key):len(key)], Seq: hd.seq, Tombstone: hd.tombstone}
-			if hd.value != nil {
-				e.Value = kv[len(key):]
-			}
-			putBlockBuf(tok)
-			return e, true, nil
-		}
-		return iterator.Entry{
-			Key:   append([]byte(nil), key...),
-			Value: hd.value, Seq: hd.seq, Tombstone: hd.tombstone,
-		}, false, nil
+		return iterator.Entry{Key: key, Value: hd.value, Seq: hd.seq, Tombstone: hd.tombstone}, nil
 	}
 	for len(payload) > 0 {
 		e, rest, err := decodeEntry(payload)
 		if err != nil {
-			return zero, false, err
+			return zero, err
 		}
 		switch bytes.Compare(e.Key, key) {
 		case 0:
-			return hit(e)
+			e.Key = key
+			return e, nil
 		case 1:
-			return miss()
+			return zero, ErrNotFound
 		}
 		payload = rest
 	}
-	return miss()
+	return zero, ErrNotFound
 }
 
 // Iter returns an iterator over the whole table in key order.
@@ -692,14 +605,25 @@ func (rd *Reader) IterFrom(start []byte) *Iter {
 }
 
 // Iter iterates over a Reader's entries block by block, chunk by chunk.
+//
+// Entries alias pinned block memory. The iterator pins the block it is
+// reading and the one before it, so an Entry stays valid until the second
+// following Next (or SeekGE) on its iterator: one Next may cross into the
+// next block, and the block left behind is still held. That is what the
+// combinators need — iterator.Dedup and iterator.Merging read an entry
+// after advancing its source once, never twice, because a table holds one
+// version per key — and it keeps a scan at two pinned blocks per table
+// whatever its length. Close releases both; an iterator that is never
+// closed leaves its last two blocks to the garbage collector.
 type Iter struct {
 	rd      *Reader
 	handles []blockHandle // block handles of the chunk being iterated
 	ci      int           // next chunk to load (handles == nil) or current+1
 	bi      int           // next block to load within handles
-	block   []byte        // remaining legacy-format block bytes
-	v3      *v3BlockIter  // current version-3 block
-	arena   keyArena      // carried from one version-3 block to the next
+	legacy  []byte        // remaining legacy-format block bytes
+	v3      v3BlockIter   // current version-3 block; its arena carries across blocks
+	blk     *cache.Block  // pin on the block being read
+	prev    *cache.Block  // pin on the block before it
 	cur     iterator.Entry
 	valid   bool
 	err     error
@@ -708,6 +632,19 @@ type Iter struct {
 // Err returns the first error encountered while iterating, if any; an
 // iterator that hit an error reports Valid() == false.
 func (it *Iter) Err() error { return it.err }
+
+// Close releases the iterator's block pins. Entries it returned are
+// invalid afterwards, and the iterator must not be used again.
+func (it *Iter) Close() {
+	for _, b := range [...]*cache.Block{it.blk, it.prev} {
+		if b != nil {
+			b.Release()
+		}
+	}
+	it.blk, it.prev = nil, nil
+	it.legacy, it.v3 = nil, v3BlockIter{}
+	it.valid = false
+}
 
 // Valid implements iterator.Iterator.
 func (it *Iter) Valid() bool {
@@ -757,8 +694,8 @@ func (it *Iter) SeekGE(target []byte) {
 	it.handles = handles
 	it.ci = ci + 1
 	it.bi = bi
-	it.block = nil
-	it.v3 = nil
+	it.legacy = nil
+	it.v3.leave()
 	it.valid = false
 	it.advance()
 	for it.valid && bytes.Compare(it.cur.Key, target) < 0 {
@@ -785,24 +722,34 @@ func (it *Iter) nextBlock() bool {
 	}
 	h := it.handles[it.bi]
 	it.bi++
-	// Iterators never recycle owned blocks: entries alias the block
-	// until the caller moves past them, so ownership just falls to the
-	// garbage collector.
-	payload, _, err := it.rd.readBlock(h)
+	b, err := it.rd.readBlock(h)
 	if err != nil {
 		it.err = err
 		return false
 	}
-	if it.rd.version >= FormatV3 {
-		v3, err := newV3BlockIter(payload)
-		if err != nil {
+	// The block just finished stays pinned one block longer; the one before
+	// it is now two Nexts behind every entry anyone may still hold.
+	if it.prev != nil {
+		it.prev.Release()
+	}
+	it.prev, it.blk = it.blk, b
+	var empty bool
+	if it.rd.version < FormatV3 {
+		it.legacy = b.Data()
+		empty = len(it.legacy) == 0
+	} else {
+		if err := it.v3.enter(b.Data()); err != nil {
 			it.err = err
 			return false
 		}
-		v3.arena = it.arena
-		it.v3 = v3
-	} else {
-		it.block = payload
+		empty = it.v3.pb.n == 0
+	}
+	if empty {
+		// The Writer never emits a block without entries; refusing one
+		// keeps "a Next crosses at most one block boundary" — and with it
+		// the validity rule — free of conditions.
+		it.err = ErrCorrupt
+		return false
 	}
 	return true
 }
@@ -813,25 +760,22 @@ func (it *Iter) advance() {
 	}
 	for {
 		if it.rd.version >= FormatV3 {
-			if it.v3 != nil {
-				ok, err := it.v3.next(&it.cur)
-				if err != nil {
-					it.err = err
-					return
-				}
-				if ok {
-					it.valid = true
-					return
-				}
-				it.arena, it.v3 = it.v3.arena, nil
-			}
-		} else if len(it.block) > 0 {
-			e, rest, err := decodeEntry(it.block)
+			ok, err := it.v3.next(&it.cur)
 			if err != nil {
 				it.err = err
 				return
 			}
-			it.block = rest
+			if ok {
+				it.valid = true
+				return
+			}
+		} else if len(it.legacy) > 0 {
+			e, rest, err := decodeEntry(it.legacy)
+			if err != nil {
+				it.err = err
+				return
+			}
+			it.legacy = rest
 			it.cur = e
 			it.valid = true
 			return
