@@ -191,9 +191,9 @@ func execute(db kv.Engine, line string) error {
 		fmt.Printf("shards=%d tables=%d table_bytes=%d memtable_keys=%d flushes=%d filter_neg=%d\n",
 			st.Shards, st.Tables, st.TableBytes, st.MemtableKeys, st.Flushes, st.FilterNegatives)
 		if c := st.Cluster; c != nil {
-			fmt.Printf("  cluster: nodes=%d down=%d n=%d w=%d r=%d hints_parked=%d hints_replayed=%d read_repairs=%d\n",
+			fmt.Printf("  cluster: nodes=%d down=%d n=%d w=%d r=%d hints_parked=%d hints_replayed=%d read_repairs=%d reads=%d read_legs=%d hedged_reads=%d\n",
 				c.Nodes, c.DownNodes, c.ReplicationFactor, c.WriteQuorum, c.ReadQuorum,
-				c.HintsParked, c.HintsReplayed, c.ReadRepairs)
+				c.HintsParked, c.HintsReplayed, c.ReadRepairs, c.Reads, c.ReadLegs, c.HedgedReads)
 		}
 		for i, ss := range st.PerShard {
 			fmt.Printf("  shard %03d: tables=%d table_bytes=%d memtable_keys=%d flushes=%d\n",

@@ -49,6 +49,10 @@ var specs = []spec{
 	{call: "GetEntry", result: 1, method: "Release", what: "block pin", release: "Release"},
 	{call: "Get", result: 0, method: "Release", what: "block pin", release: "Release"},
 	{call: "Alloc", result: 0, method: "Release", what: "block pin", release: "Release"},
+	// The cluster router's pooled quorum op: a caller reference that is
+	// never dropped keeps the op — and the deadline timer it holds — out of
+	// the pool for good.
+	{call: "acquireOp", result: 0, method: "release", what: "quorum op", release: "release"},
 }
 
 var Analyzer = &lintcore.Analyzer{

@@ -340,3 +340,33 @@ func SuppressedLeak(d *db) error {
 	_ = v.seq()
 	return nil
 }
+
+// --- pooled quorum ops (the cluster router) --------------------------------
+
+type router struct{}
+
+type quorumOp struct{}
+
+func (rt *router) acquireOp() *quorumOp { return &quorumOp{} }
+func (o *quorumOp) release()            {}
+func (o *quorumOp) write() error        { return nil }
+
+// OpDeferred is the router's shape: the caller's reference is dropped by a
+// defer, whatever the operation returns.
+func OpDeferred(rt *router) error {
+	o := rt.acquireOp()
+	defer o.release()
+	return o.write()
+}
+
+// OpLeak returns early with the caller's reference still held: the op and
+// the deadline timer inside it never go back to the pool.
+func OpLeak(rt *router, bad bool) error {
+	o := rt.acquireOp() // want `quorum op "o" acquired from acquireOp is not released on every path`
+	if bad {
+		return errStale
+	}
+	err := o.write()
+	o.release()
+	return err
+}

@@ -1,0 +1,85 @@
+package cluster
+
+import (
+	"context"
+	"fmt"
+	"testing"
+)
+
+// loadedCluster is three in-process nodes behind a router, with the keys
+// the allocation test and the benchmarks cycle through already written to
+// every replica.
+func loadedCluster(tb testing.TB) (rt *Router, keys [][]byte, value []byte) {
+	tb.Helper()
+	rt = startCluster(tb, 3)
+	value = make([]byte, 100)
+	keys = make([][]byte, 512)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%012d", i))
+		if err := rt.Put(context.Background(), keys[i], value); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return rt, keys, value
+}
+
+// TestRouterAllocBudget holds the quorum path to its allocation budget,
+// counted over the whole process so the three servers' share is in it.
+// What a Get still allocates is the engine's copy of the value on each of
+// the two replicas asked, the value each leg hands back, and the
+// operation's deadline context; a Put adds, per replica, the commit
+// request, the skiplist node and the engine's key and value copies. The
+// per-op maps, closures, channels and per-leg contexts this replaced cost
+// 40 and 51.
+func TestRouterAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled ops are dropped at random under the race detector")
+	}
+	const getBudget, putBudget = 14, 26
+	rt, keys, value := loadedCluster(t)
+	ctx := context.Background()
+	i := 0
+	get := testing.AllocsPerRun(2000, func() {
+		if _, err := rt.Get(ctx, keys[i%len(keys)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	put := testing.AllocsPerRun(2000, func() {
+		if err := rt.Put(ctx, keys[i%len(keys)], value); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("Router.Get allocates %.0f objects per op, Router.Put %.0f", get, put)
+	if get > getBudget {
+		t.Errorf("Router.Get allocates %.0f objects per op, budget %d", get, getBudget)
+	}
+	if put > putBudget {
+		t.Errorf("Router.Put allocates %.0f objects per op, budget %d", put, putBudget)
+	}
+}
+
+func BenchmarkRouterGet(b *testing.B) {
+	rt, keys, _ := loadedCluster(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rt.Get(ctx, keys[i%len(keys)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkRouterPut(b *testing.B) {
+	rt, keys, value := loadedCluster(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rt.Put(ctx, keys[i%len(keys)], value); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

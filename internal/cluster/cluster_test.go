@@ -107,7 +107,7 @@ func TestEmptyRing(t *testing.T) {
 }
 
 // startCluster brings up n servers and a router over them.
-func startCluster(t *testing.T, n int) *Router {
+func startCluster(t testing.TB, n int) *Router {
 	t.Helper()
 	addrs := make([]string, 0, n)
 	for i := 0; i < n; i++ {

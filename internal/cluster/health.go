@@ -2,83 +2,98 @@ package cluster
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/retry"
 )
 
 // health is the router's failure detector state: one record per node,
-// flipped down by failed probes or failed user requests and back up by a
-// successful probe. Down nodes are probed on a jittered exponential
-// backoff — a crashed peer is retried gently, not hammered — while up
-// nodes are probed every ping interval. The state machine is
-// deliberately pessimistic-fast, optimistic-slow: one transport failure
-// demotes a node immediately (so user requests stop paying its timeout),
-// and only a successful ping promotes it back.
+// indexed by the node's ring id, flipped down by failed probes or failed
+// user requests and back up by a successful probe. Down nodes are probed
+// on a jittered exponential backoff — a crashed peer is retried gently,
+// not hammered — while up nodes are probed every ping interval. The state
+// machine is deliberately pessimistic-fast, optimistic-slow: one
+// transport failure demotes a node immediately (so user requests stop
+// paying its timeout), and only a successful ping promotes it back.
+//
+// Transitions take mu; the two facts every request asks — is the node
+// down, and what is its up-epoch — are atomics written under it, so the
+// request path reads them without a lock.
 type health struct {
 	backoff retry.Backoff
 
 	mu    sync.Mutex
-	nodes map[string]*nodeHealth
+	nodes []nodeHealth
 }
 
 type nodeHealth struct {
-	down bool
-	// failures counts consecutive failed probes while down; it indexes
-	// the backoff schedule for nextProbe.
-	failures  int
-	nextProbe time.Time
+	name string
+	down atomic.Bool
 	// gen is the node's up-epoch: it advances every time the node is
 	// promoted. A demotion verdict carries the epoch it observed and is
 	// discarded if the node has been promoted since — otherwise a slow
 	// goroutine delivering a failure from before a restart would re-demote
 	// a recovered node (and with it, fail quorums that were healthy).
-	gen uint64
-	// lastErr is the failure that caused the most recent demotion, kept
-	// for diagnostics (operators asking "why is this node down?").
-	lastErr error
+	gen atomic.Uint64
+
+	// failures counts consecutive failed probes while down; it indexes
+	// the backoff schedule for nextProbe. lastErr is the failure that
+	// caused the most recent demotion, kept for diagnostics (operators
+	// asking "why is this node down?"). All three are guarded by mu.
+	failures  int
+	nextProbe time.Time
+	lastErr   error
 }
 
-func newHealth(probeBackoff retry.Backoff) *health {
-	return &health{backoff: probeBackoff, nodes: make(map[string]*nodeHealth)}
-}
-
-func (h *health) state(node string) *nodeHealth {
-	s, ok := h.nodes[node]
-	if !ok {
-		s = &nodeHealth{}
-		h.nodes[node] = s
+func newHealth(probeBackoff retry.Backoff, names []string) *health {
+	h := &health{backoff: probeBackoff, nodes: make([]nodeHealth, len(names))}
+	for i, name := range names {
+		h.nodes[i].name = name
 	}
-	return s
+	return h
 }
 
 // generation returns node's current up-epoch. Callers snapshot it
 // before attempting a request and hand it back to markDown with the
 // verdict, so that a failure observed before a promotion cannot demote
 // the node after it.
-func (h *health) generation(node string) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state(node).gen
-}
+func (h *health) generation(node int) uint64 { return h.nodes[node].gen.Load() }
+
+// isDown reports node's current state.
+func (h *health) isDown(node int) bool { return h.nodes[node].down.Load() }
 
 // markDown records a failed probe or request against node, remembering
 // the error for diagnostics. gen must be the node's generation from
 // when the failing attempt began; a stale verdict (the node was
 // promoted since) is discarded. It reports whether this call
 // transitioned the node up → down.
-func (h *health) markDown(node string, gen uint64, err error) bool {
+func (h *health) markDown(node int, gen uint64, err error) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := h.state(node)
-	if s.gen != gen {
+	s := &h.nodes[node]
+	if s.gen.Load() != gen {
 		return false
 	}
-	transition := !s.down
-	s.down = true
+	transition := !s.down.Load()
+	s.down.Store(true)
 	s.failures++
 	s.nextProbe = time.Now().Add(h.backoff.Delay(s.failures - 1))
 	s.lastErr = err
+	return transition
+}
+
+// markUp records a successful probe against node. It reports whether
+// this call transitioned the node down → up.
+func (h *health) markUp(node int) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := &h.nodes[node]
+	transition := s.down.Load()
+	s.down.Store(false)
+	s.failures = 0
+	s.nextProbe = time.Time{}
+	s.gen.Add(1)
 	return transition
 }
 
@@ -88,61 +103,35 @@ func (h *health) downReasons() map[string]error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make(map[string]error)
-	for n, s := range h.nodes {
-		if s.down {
-			out[n] = s.lastErr
+	for i := range h.nodes {
+		if s := &h.nodes[i]; s.down.Load() {
+			out[s.name] = s.lastErr
 		}
 	}
 	return out
 }
 
-// markUp records a successful probe against node. It reports whether
-// this call transitioned the node down → up.
-func (h *health) markUp(node string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := h.state(node)
-	transition := s.down
-	s.down = false
-	s.failures = 0
-	s.nextProbe = time.Time{}
-	s.gen++
-	return transition
-}
-
-// isDown reports node's current state.
-func (h *health) isDown(node string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s, ok := h.nodes[node]
-	return ok && s.down
-}
-
-// downNodes returns the currently-down node names, sorted order not
-// guaranteed.
+// downNodes returns the currently-down node names in ring-id order.
 func (h *health) downNodes() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var out []string
-	for n, s := range h.nodes {
-		if s.down {
-			out = append(out, n)
+	for i := range h.nodes {
+		if s := &h.nodes[i]; s.down.Load() {
+			out = append(out, s.name)
 		}
 	}
 	return out
 }
 
-// dueProbes partitions nodes into the ones worth pinging right now: every
-// up node (the steady-state liveness check) plus the down nodes whose
-// backoff window has elapsed.
-func (h *health) dueProbes(nodes []string, now time.Time) []string {
+// dueProbes returns the nodes worth pinging right now: every up node
+// (the steady-state liveness check) plus the down nodes whose backoff
+// window has elapsed.
+func (h *health) dueProbes(now time.Time) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		s, ok := h.nodes[n]
-		if !ok || !s.down || !now.Before(s.nextProbe) {
-			out = append(out, n)
+	out := make([]int, 0, len(h.nodes))
+	for i := range h.nodes {
+		if s := &h.nodes[i]; !s.down.Load() || !now.Before(s.nextProbe) {
+			out = append(out, i)
 		}
 	}
 	return out

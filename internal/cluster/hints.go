@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/kverr"
@@ -109,11 +108,11 @@ func decodeHintBatch(b []byte) ([]kvnet.BatchOp, error) {
 // are the other ring nodes starting just past the target (so hints for
 // one node spread over its neighbors); the first one that accepts the
 // write holds the hint.
-func (rt *Router) parkHintFor(target string, ops []kvnet.BatchOp) {
+func (rt *Router) parkHintFor(target int, ops []kvnet.BatchOp) {
 	if len(ops) == 0 {
 		return
 	}
-	key := hintKey(target, rt.clock.Next(), rt.token, rt.hintSeq.Add(1))
+	key := hintKey(rt.ring.names[target], rt.clock.Next(), rt.token, rt.hintSeq.Add(1))
 	value := encodeHintBatch(ops)
 	rt.bg.Add(1)
 	go func() {
@@ -133,15 +132,10 @@ func (rt *Router) parkHintFor(target string, ops []kvnet.BatchOp) {
 // that accepts it. Holder candidates are the other ring nodes starting
 // just past the target, so hints for one node spread over its
 // neighbors.
-func (rt *Router) parkEncoded(target string, key, value []byte) bool {
-	nodes := rt.nodeNames()
-	if len(nodes) < 2 {
-		return false
-	}
-	start := sort.SearchStrings(nodes, target)
-	for i := 1; i <= len(nodes); i++ {
-		holder := nodes[(start+i)%len(nodes)]
-		if holder == target || rt.health.isDown(holder) {
+func (rt *Router) parkEncoded(target int, key, value []byte) bool {
+	for i := 1; i < len(rt.conns); i++ {
+		holder := (target + i) % len(rt.conns)
+		if rt.health.isDown(holder) {
 			continue
 		}
 		err := rt.do(rt.baseCtx, holder, func(actx context.Context, c *kvnet.Client) error {
@@ -157,7 +151,7 @@ func (rt *Router) parkEncoded(target string, key, value []byte) bool {
 // deferredHint is a hint no live holder accepted yet, queued in router
 // memory until a sweep can park it durably.
 type deferredHint struct {
-	target     string
+	target     int
 	key, value []byte
 }
 
@@ -166,7 +160,7 @@ type deferredHint struct {
 // behavior instead of growing client memory without limit.
 const maxDeferredHints = 4096
 
-func (rt *Router) deferHint(target string, key, value []byte) {
+func (rt *Router) deferHint(target int, key, value []byte) {
 	rt.hintMu.Lock()
 	defer rt.hintMu.Unlock()
 	rt.deferredHints = append(rt.deferredHints, deferredHint{target: target, key: key, value: value})
@@ -230,7 +224,7 @@ func (rt *Router) Handoff(ctx context.Context) error {
 func (rt *Router) handoffSweep(ctx context.Context) error {
 	rt.reparkDeferred(ctx)
 	var first error
-	for _, holder := range rt.nodeNames() {
+	for holder := range rt.conns {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -247,7 +241,7 @@ func (rt *Router) handoffSweep(ctx context.Context) error {
 // drainHolder replays and deletes holder's parked hints, page by page,
 // until no page makes progress (every remaining hint's target is still
 // down) or the holder is empty.
-func (rt *Router) drainHolder(ctx context.Context, holder string) error {
+func (rt *Router) drainHolder(ctx context.Context, holder int) error {
 	const page = 128
 	for {
 		var entries []kvnet.ScanEntry
@@ -257,7 +251,7 @@ func (rt *Router) drainHolder(ctx context.Context, holder string) error {
 			return err
 		})
 		if err != nil {
-			return fmt.Errorf("cluster: hint scan on %s: %w", holder, err)
+			return fmt.Errorf("cluster: hint scan on %s: %w", rt.ring.names[holder], err)
 		}
 		if len(entries) == 0 {
 			return nil
@@ -267,8 +261,8 @@ func (rt *Router) drainHolder(ctx context.Context, holder string) error {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			target := hintTarget(e.Key)
-			if target == "" {
+			name := hintTarget(e.Key)
+			if name == "" {
 				// Not a hint we understand; delete it rather than rescanning
 				// it forever.
 				if rt.deleteHint(ctx, holder, e.Key) == nil {
@@ -276,7 +270,11 @@ func (rt *Router) drainHolder(ctx context.Context, holder string) error {
 				}
 				continue
 			}
-			if rt.health.isDown(target) {
+			// A hint owed to a node outside this router's ring was parked
+			// under another membership view; it stays for a router that
+			// knows its target.
+			target, member := rt.ring.nodes[name]
+			if !member || rt.health.isDown(target) {
 				continue
 			}
 			if err := rt.replayHint(ctx, holder, target, e); err != nil {
@@ -296,7 +294,7 @@ func (rt *Router) drainHolder(ctx context.Context, holder string) error {
 // holder. Each hinted record is version-checked against the target's
 // current state first: only records still newer than what the target
 // holds are written, so replaying an old hint can never regress a key.
-func (rt *Router) replayHint(ctx context.Context, holder, target string, hint kvnet.ScanEntry) error {
+func (rt *Router) replayHint(ctx context.Context, holder, target int, hint kvnet.ScanEntry) error {
 	ops, err := decodeHintBatch(hint.Value)
 	if err != nil {
 		// The hint itself is damaged; drop it, the data it carried is
@@ -335,7 +333,7 @@ func (rt *Router) replayHint(ctx context.Context, holder, target string, hint kv
 
 // recordVersionOn returns the version of key's record on one node, or 0
 // if the node has never seen the key.
-func (rt *Router) recordVersionOn(ctx context.Context, node string, key []byte) (uint64, error) {
+func (rt *Router) recordVersionOn(ctx context.Context, node int, key []byte) (uint64, error) {
 	var version uint64
 	err := rt.do(ctx, node, func(actx context.Context, c *kvnet.Client) error {
 		raw, err := c.Get(actx, key)
@@ -359,7 +357,7 @@ func (rt *Router) recordVersionOn(ctx context.Context, node string, key []byte) 
 // deleteHint removes a delivered (or undecodable) hint from its holder.
 // This is a node-level delete — hints are router bookkeeping, not
 // replicated user data.
-func (rt *Router) deleteHint(ctx context.Context, holder string, key []byte) error {
+func (rt *Router) deleteHint(ctx context.Context, holder int, key []byte) error {
 	return rt.do(ctx, holder, func(actx context.Context, c *kvnet.Client) error {
 		return c.Delete(actx, key)
 	})
@@ -371,7 +369,7 @@ func (rt *Router) PendingHints(ctx context.Context) (int, error) {
 	rt.hintMu.Lock()
 	total := len(rt.deferredHints)
 	rt.hintMu.Unlock()
-	for _, holder := range rt.nodeNames() {
+	for holder := range rt.conns {
 		if rt.health.isDown(holder) {
 			continue
 		}
@@ -384,7 +382,7 @@ func (rt *Router) PendingHints(ctx context.Context) (int, error) {
 			return nil
 		})
 		if err != nil {
-			return total, fmt.Errorf("cluster: hint count on %s: %w", holder, err)
+			return total, fmt.Errorf("cluster: hint count on %s: %w", rt.ring.names[holder], err)
 		}
 	}
 	return total, nil

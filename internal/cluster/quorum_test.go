@@ -5,11 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/kverr"
 	"repro/internal/kvnet"
+	"repro/internal/lsm"
+	"repro/internal/retry"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -371,6 +375,407 @@ func TestRouterCopiesCallerKey(t *testing.T) {
 		k := fmt.Sprintf("k%07d", i)
 		if rec := state[k]; string(rec.Value) != fmt.Sprint(i) {
 			t.Fatalf("replica holds %s = %q, want %d", k, rec.Value, i)
+		}
+	}
+}
+
+// gatedEngine is a replica's engine with a gate in front of it, so a test
+// decides which replica has seen which write instead of racing for it:
+// holdWrites(n) parks the next n writes (a leg's batch or a repair's put)
+// inside the replica until releaseWrites, and blockReads parks every Get.
+// Pings never reach the engine, so a gated replica stays "up" to the
+// failure detector — blackholed but not demoted.
+type gatedEngine struct {
+	kvnet.Engine
+
+	mu      sync.Mutex
+	toHold  int
+	open    chan struct{} // closed by releaseWrites
+	noReads chan struct{} // non-nil while reads are blocked; closed to unblock
+	// caught gets one token per write parked, so a test can wait until the
+	// write it means to hold back is the one in the gate.
+	caught chan struct{}
+}
+
+func (g *gatedEngine) holdWrites(n int) {
+	g.mu.Lock()
+	g.toHold, g.open = n, make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *gatedEngine) releaseWrites() {
+	g.mu.Lock()
+	g.toHold = 0
+	if g.open != nil {
+		close(g.open)
+		g.open = nil
+	}
+	g.mu.Unlock()
+}
+
+func (g *gatedEngine) blockReads() (unblock func()) {
+	ch := make(chan struct{})
+	g.mu.Lock()
+	g.noReads = ch
+	g.mu.Unlock()
+	return func() {
+		g.mu.Lock()
+		g.noReads = nil
+		g.mu.Unlock()
+		close(ch)
+	}
+}
+
+func (g *gatedEngine) passWrite(ctx context.Context) error {
+	g.mu.Lock()
+	if g.toHold == 0 {
+		g.mu.Unlock()
+		return nil
+	}
+	g.toHold--
+	open := g.open
+	g.mu.Unlock()
+	g.caught <- struct{}{}
+	select {
+	case <-open:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (g *gatedEngine) PutContext(ctx context.Context, key, value []byte) error {
+	if err := g.passWrite(ctx); err != nil {
+		return err
+	}
+	return g.Engine.PutContext(ctx, key, value)
+}
+
+func (g *gatedEngine) WriteContext(ctx context.Context, b *lsm.WriteBatch) error {
+	if err := g.passWrite(ctx); err != nil {
+		return err
+	}
+	return g.Engine.WriteContext(ctx, b)
+}
+
+func (g *gatedEngine) GetContext(ctx context.Context, key []byte) ([]byte, error) {
+	g.mu.Lock()
+	noReads := g.noReads
+	g.mu.Unlock()
+	if noReads != nil {
+		select {
+		case <-noReads:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return g.Engine.GetContext(ctx, key)
+}
+
+// gatedCluster is three gated replicas behind one router, with a direct
+// client to each replica for looking at what it holds.
+type gatedCluster struct {
+	t      *testing.T
+	rt     *Router
+	gates  map[string]*gatedEngine
+	direct map[string]*kvnet.Client
+}
+
+func startGatedCluster(t *testing.T, opts Options) *gatedCluster {
+	t.Helper()
+	gc := &gatedCluster{t: t, gates: map[string]*gatedEngine{}, direct: map[string]*kvnet.Client{}}
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		db, err := lsm.Open(t.TempDir(), lsm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate := &gatedEngine{Engine: db, caught: make(chan struct{}, 16)}
+		srv := kvnet.NewServer(gate)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		addr := ln.Addr().String()
+		c, err := kvnet.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			gate.releaseWrites()
+			c.Close()
+			srv.Close()
+			db.Close()
+		})
+		gc.gates[addr], gc.direct[addr] = gate, c
+		addrs = append(addrs, addr)
+	}
+	rt, err := DialCluster(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	gc.rt = rt
+	return gc
+}
+
+// stored returns the record replica addr holds for key (Version 0: none).
+func (gc *gatedCluster) stored(addr string, key []byte) Record {
+	gc.t.Helper()
+	raw, err := gc.direct[addr].Get(context.Background(), key)
+	if errors.Is(err, kverr.ErrNotFound) {
+		return Record{}
+	}
+	if err != nil {
+		gc.t.Fatalf("direct get on %s: %v", addr, err)
+	}
+	rec, err := decodeRecord(raw)
+	if err != nil {
+		gc.t.Fatal(err)
+	}
+	return rec
+}
+
+// settle waits until every replica of key holds value (or, for a nil
+// value, a tombstone): the stragglers of earlier writes have landed.
+func (gc *gatedCluster) settle(key, value []byte) {
+	gc.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, addr := range gc.rt.ReplicaNodes(key) {
+		for {
+			rec := gc.stored(addr, key)
+			if rec.Version != 0 && rec.Tombstone == (value == nil) && bytes.Equal(rec.Value, value) {
+				break
+			}
+			if time.Now().After(deadline) {
+				gc.t.Fatalf("replica %s never settled on %q for %s (holds %+v)", addr, value, key, rec)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// awaitCaught waits for the gate on addr to have parked a write.
+func (gc *gatedCluster) awaitCaught(addr string) {
+	gc.t.Helper()
+	select {
+	case <-gc.gates[addr].caught:
+	case <-time.After(10 * time.Second):
+		gc.t.Fatalf("no write reached the gate on %s", addr)
+	}
+}
+
+// readFrom makes the router's next read start its R-subset at the given
+// offset into the key's replica set.
+func (gc *gatedCluster) readFrom(offset int) {
+	gc.t.Helper()
+	for seq := gc.rt.readSeq.Load(); ; seq++ {
+		if rotation(seq+1, 3) == offset {
+			gc.rt.readSeq.Store(seq)
+			return
+		}
+	}
+}
+
+// semanticsOptions keep timeouts far from anything a gated test waits on:
+// nothing here may be decided by a deadline.
+func semanticsOptions() Options {
+	return Options{RequestTimeout: 20 * time.Second, RetryBackoff: retry.Backoff{Base: 2 * time.Second, Max: 2 * time.Second, Jitter: -1}}
+}
+
+// TestAckedWriteVisibleToEveryReadSubset is the README's first promise,
+// checked where R-of-N could break it: a write acknowledged at W=2 while
+// the third replica has not applied it is returned by the very next Get,
+// whichever two replicas that Get asks — and when the lagging replica is
+// one of them, it is repaired before the Get answers. The same holds for
+// a delete: the replica that still holds the live value must not bring it
+// back, in the answer or through the repair.
+func TestAckedWriteVisibleToEveryReadSubset(t *testing.T) {
+	gc := startGatedCluster(t, semanticsOptions())
+	ctx := context.Background()
+	for lagging := 0; lagging < 3; lagging++ {
+		for offset := 0; offset < 3; offset++ {
+			for _, del := range []bool{false, true} {
+				key := []byte(fmt.Sprintf("acked-%d-%d-%v", lagging, offset, del))
+				old, want := []byte("old"), []byte(fmt.Sprintf("new-%d-%d", lagging, offset))
+				if err := gc.rt.Put(ctx, key, old); err != nil {
+					t.Fatal(err)
+				}
+				gc.settle(key, old)
+				replicas := gc.rt.ReplicaNodes(key)
+				lag := replicas[lagging]
+				gc.gates[lag].holdWrites(1)
+				var err error
+				if del {
+					err, want = gc.rt.Delete(ctx, key), nil
+				} else {
+					err = gc.rt.Put(ctx, key, want)
+				}
+				if err != nil {
+					t.Fatalf("write with %s held back: %v", lag, err)
+				}
+				gc.awaitCaught(lag) // the lagging replica's share is the write in the gate
+				if rec := gc.stored(lag, key); !bytes.Equal(rec.Value, old) {
+					t.Fatalf("held replica already holds %+v", rec)
+				}
+
+				repairsBefore := gc.rt.Metrics().ReadRepairs
+				gc.readFrom(offset)
+				got, err := gc.rt.Get(ctx, key)
+				if del {
+					if !errors.Is(err, kverr.ErrNotFound) {
+						t.Fatalf("lagging=%d offset=%d: Get after acked delete = %q, %v", lagging, offset, got, err)
+					}
+				} else if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("lagging=%d offset=%d: Get after acked put = %q, %v; want %q", lagging, offset, got, err, want)
+				}
+				// The subset is replicas offset and offset+1: if the lagging
+				// one is in it, the read found it stale and repaired it first.
+				if asked := lagging == offset || lagging == (offset+1)%3; asked {
+					rec := gc.stored(lag, key)
+					if rec.Tombstone != del || !bytes.Equal(rec.Value, want) {
+						t.Fatalf("lagging=%d offset=%d: read answered before repairing %s (holds %+v)", lagging, offset, lag, rec)
+					}
+					if gc.rt.Metrics().ReadRepairs != repairsBefore+1 {
+						t.Errorf("lagging=%d offset=%d: repair not counted", lagging, offset)
+					}
+				}
+				gc.gates[lag].releaseWrites()
+				gc.settle(key, want)
+			}
+		}
+	}
+}
+
+// TestReadNeverGoesBackwards: a write still in flight — on one replica,
+// not acknowledged — may or may not be seen, but once a client has read
+// it, no later read returns the older value. That needs the repair to
+// finish before the read answers: with N=3 R=2 the next read may ask
+// exactly the two replicas the write has not reached.
+func TestReadNeverGoesBackwards(t *testing.T) {
+	gc := startGatedCluster(t, semanticsOptions())
+	ctx := context.Background()
+	key, v1, v2 := []byte("monotonic"), []byte("v1"), []byte("v2")
+	if err := gc.rt.Put(ctx, key, v1); err != nil {
+		t.Fatal(err)
+	}
+	gc.settle(key, v1)
+	replicas := gc.rt.ReplicaNodes(key)
+	gc.gates[replicas[1]].holdWrites(1)
+	gc.gates[replicas[2]].holdWrites(1)
+	putDone := make(chan error, 1)
+	go func() { putDone <- gc.rt.Put(ctx, key, v2) }()
+	gc.awaitCaught(replicas[1])
+	gc.awaitCaught(replicas[2])
+	for deadline := time.Now().Add(10 * time.Second); !bytes.Equal(gc.stored(replicas[0], key).Value, v2); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("in-flight write never reached its first replica")
+		}
+	}
+
+	// Replicas 1 and 2 still hold v1: this read may return either value.
+	gc.readFrom(1)
+	if got, err := gc.rt.Get(ctx, key); err != nil || !bytes.Equal(got, v1) {
+		t.Fatalf("read of the two untouched replicas = %q, %v", got, err)
+	}
+	// This one meets the in-flight write on replica 0 ...
+	gc.readFrom(0)
+	if got, err := gc.rt.Get(ctx, key); err != nil || !bytes.Equal(got, v2) {
+		t.Fatalf("read that met the in-flight write = %q, %v", got, err)
+	}
+	// ... and from here on v1 is gone for good, whichever replicas answer.
+	for round := 0; round < 3; round++ {
+		for offset := 0; offset < 3; offset++ {
+			gc.readFrom(offset)
+			if got, err := gc.rt.Get(ctx, key); err != nil || !bytes.Equal(got, v2) {
+				t.Fatalf("round %d offset %d: read %q, %v after v2 had been returned", round, offset, got, err)
+			}
+		}
+	}
+	select {
+	case err := <-putDone:
+		t.Fatalf("Put returned (%v) with two of its three replicas held back", err)
+	default:
+	}
+	gc.gates[replicas[1]].releaseWrites()
+	gc.gates[replicas[2]].releaseWrites()
+	if err := <-putDone; err != nil {
+		t.Fatalf("Put after release: %v", err)
+	}
+}
+
+// TestSilentReplicaCostsOneHedgeDelay: a replica that stops answering
+// reads but still answers pings is not demoted, so reads keep choosing
+// it. Such a read must cost the hedge delay — one more replica is asked
+// and the two that answer decide — not RequestTimeout.
+func TestSilentReplicaCostsOneHedgeDelay(t *testing.T) {
+	const hedgeDelay = 30 * time.Millisecond
+	gc := startGatedCluster(t, Options{
+		RequestTimeout: 20 * time.Second,
+		PingInterval:   10 * time.Millisecond,
+		RetryBackoff:   retry.Backoff{Base: hedgeDelay, Max: hedgeDelay, Jitter: -1},
+	})
+	ctx := context.Background()
+	key, value := []byte("hedged"), []byte("value")
+	if err := gc.rt.Put(ctx, key, value); err != nil {
+		t.Fatal(err)
+	}
+	gc.settle(key, value)
+	unblock := gc.gates[gc.rt.ReplicaNodes(key)[0]].blockReads()
+	defer unblock() // lets the silent leg finish so Close need not wait it out
+
+	for _, offset := range []int{0, 2} { // both subsets that include replica 0
+		before := gc.rt.Metrics()
+		gc.readFrom(offset)
+		start := time.Now()
+		got, err := gc.rt.Get(ctx, key)
+		took := time.Since(start)
+		if err != nil || !bytes.Equal(got, value) {
+			t.Fatalf("offset %d: Get with a silent replica = %q, %v", offset, got, err)
+		}
+		if took < hedgeDelay || took > 5*time.Second {
+			t.Errorf("offset %d: Get took %v, want about the %v hedge delay", offset, took, hedgeDelay)
+		}
+		after := gc.rt.Metrics()
+		if legs, hedged := after.ReadLegs-before.ReadLegs, after.HedgedReads-before.HedgedReads; legs != 3 || hedged != 1 {
+			t.Errorf("offset %d: read used %d legs, %d hedged; want 3 and 1", offset, legs, hedged)
+		}
+	}
+	// The one subset without the silent replica pays nothing.
+	before := gc.rt.Metrics()
+	gc.readFrom(1)
+	if got, err := gc.rt.Get(ctx, key); err != nil || !bytes.Equal(got, value) {
+		t.Fatalf("Get avoiding the silent replica = %q, %v", got, err)
+	}
+	if after := gc.rt.Metrics(); after.ReadLegs-before.ReadLegs != 2 || after.HedgedReads != before.HedgedReads {
+		t.Errorf("read avoiding the silent replica: %d legs, %d hedged", after.ReadLegs-before.ReadLegs, after.HedgedReads-before.HedgedReads)
+	}
+	if down := gc.rt.DownNodes(); len(down) != 0 {
+		t.Errorf("silent replica was demoted (%v): the test no longer covers the not-yet-demoted case", down)
+	}
+}
+
+// TestRotationSpreadsReads: every offset is used equally often, and a
+// caller whose reads of one key are a fixed number of reads apart — a
+// loop over a fixed key set — still sees that key under every offset.
+func TestRotationSpreadsReads(t *testing.T) {
+	var counts [3]int
+	for seq := uint64(1); seq <= 30000; seq++ {
+		counts[rotation(seq, 3)]++
+	}
+	for offset, n := range counts {
+		if n < 9700 || n > 10300 {
+			t.Errorf("offset %d chosen %d times in 30000 reads, want about 10000", offset, n)
+		}
+	}
+	for stride := uint64(1); stride <= 3000; stride++ {
+		seen := map[int]bool{}
+		for i := uint64(0); i < 40; i++ {
+			seen[rotation(7+i*stride, 3)] = true
+		}
+		if len(seen) != 3 {
+			t.Errorf("reads %d apart reached only offsets %v in 40 tries", stride, seen)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,7 +54,9 @@ type Options struct {
 	// 25ms–250ms, jittered). Replica operations are idempotent — records
 	// carry version stamps and the newest wins — so retrying is always
 	// safe; without it one transient hiccup on a live replica while
-	// another node is down would fail an otherwise healthy quorum.
+	// another node is down would fail an otherwise healthy quorum. Its Base
+	// is also a read's hedge delay: how long a replica may stay silent
+	// before the read asks the next one as well.
 	RetryBackoff retry.Backoff
 }
 
@@ -87,8 +88,11 @@ func (o Options) withDefaults() Options {
 	if o.ProbeBackoff == (retry.Backoff{}) {
 		o.ProbeBackoff = retry.Backoff{Base: 250 * time.Millisecond, Max: 5 * time.Second}
 	}
-	if o.RetryBackoff == (retry.Backoff{}) {
-		o.RetryBackoff = retry.Backoff{Base: 25 * time.Millisecond, Max: 250 * time.Millisecond}
+	if o.RetryBackoff.Base <= 0 {
+		o.RetryBackoff.Base = 25 * time.Millisecond
+	}
+	if o.RetryBackoff.Max <= 0 {
+		o.RetryBackoff.Max = 250 * time.Millisecond
 	}
 	return o
 }
@@ -128,21 +132,41 @@ type Metrics struct {
 	ReadRepairs    uint64
 	NodeDownEvents uint64
 	NodeUpEvents   uint64
+
+	// Reads counts quorum reads and ReadLegs the replica requests they
+	// sent, so ReadLegs/Reads is how many replicas a Get touches: R when
+	// nothing goes wrong, up to N when legs are hedged. HedgedReads counts
+	// the legs added because a contacted replica failed or stayed silent
+	// for RetryBackoff.Base.
+	Reads       uint64
+	ReadLegs    uint64
+	HedgedReads uint64
 }
 
 // Router is a quorum cluster client. Every key is replicated on N
-// distinct ring nodes; writes fan out to all N and acknowledge at W,
-// reads at R, with R+W > N so the quorums overlap and the newest
-// acknowledged version always wins. Each stored value carries a hybrid
-// logical-clock stamp (see Record); divergent replicas are detected on
-// read and repaired in the background, writes that miss a down replica
-// park a hint on a live node and a handoff loop replays it when the peer
-// returns, and a ping-based failure detector demotes dead nodes before
-// user requests pay their timeouts. Safe for concurrent use.
+// distinct ring nodes; writes fan out to all N and acknowledge at W, reads
+// ask R of them (a different R each time) and widen only when a replica
+// fails, stays silent or disagrees, with R+W > N so the quorums overlap
+// and the newest acknowledged version always wins. Each stored value
+// carries a hybrid logical-clock stamp (see Record); replicas a read finds
+// stale are repaired before the read answers, writes that miss a down
+// replica park a hint on a live node and a handoff loop replays it when
+// the peer returns, and a ping-based failure detector demotes dead nodes
+// before user requests pay their timeouts. Safe for concurrent use.
 type Router struct {
 	opts   Options
 	clock  hlc
 	health *health
+
+	// ring is built by DialCluster and never mutated afterwards, so the
+	// request path reads it without a lock. Everything per node — health,
+	// connections, an operation's legs — is indexed by the ring's node id.
+	ring  *Ring
+	conns []atomic.Pointer[kvnet.Client]
+
+	// ops recycles quorumOps; readSeq rotates each read's R-subset.
+	ops     sync.Pool
+	readSeq atomic.Uint64
 
 	// token distinguishes this router's hint keys from other routers'
 	// concurrently parked hints; hintSeq orders them.
@@ -150,7 +174,7 @@ type Router struct {
 	hintSeq atomic.Uint64
 
 	// baseCtx is cancelled by Close; background work (probes, handoff,
-	// read repair, straggler replica writes) runs under it.
+	// read repair of replicas a read did not contact) runs under it.
 	baseCtx     context.Context
 	cancelBase  context.CancelFunc
 	handoffKick chan struct{}
@@ -168,11 +192,12 @@ type Router struct {
 	readRepairs   atomic.Uint64
 	nodeDown      atomic.Uint64
 	nodeUp        atomic.Uint64
+	reads         atomic.Uint64
+	readLegs      atomic.Uint64
+	hedgedReads   atomic.Uint64
 
-	mu      sync.RWMutex
-	ring    *Ring
-	conns   map[string]*kvnet.Client
-	closing bool // Close has begun draining; makes Close idempotent
+	mu      sync.Mutex // serializes redials against each other and Close
+	closing bool       // Close has begun draining; makes Close idempotent
 	closed  bool
 }
 
@@ -189,17 +214,22 @@ func DialCluster(addrs []string, opts Options) (*Router, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	ring := NewRing(opts.VNodes)
+	for _, addr := range addrs {
+		ring.AddNode(addr)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	rt := &Router{
 		opts:        opts,
-		health:      newHealth(opts.ProbeBackoff),
+		health:      newHealth(opts.ProbeBackoff, ring.names),
 		token:       uint32(time.Now().UnixNano()),
 		baseCtx:     ctx,
 		cancelBase:  cancel,
 		handoffKick: make(chan struct{}, 1),
-		ring:        NewRing(opts.VNodes),
-		conns:       make(map[string]*kvnet.Client),
+		ring:        ring,
+		conns:       make([]atomic.Pointer[kvnet.Client], len(ring.names)),
 	}
+	rt.ops.New = func() any { return newQuorumOp(rt) }
 	// A quorum client must come up even when some replicas are down —
 	// that is the whole point. An unreachable node joins the ring marked
 	// down (the health loop probes and re-admits it; requests redial
@@ -207,17 +237,16 @@ func DialCluster(addrs []string, opts Options) (*Router, error) {
 	// dial, since that is indistinguishable from a bad address list.
 	reachable := 0
 	var firstErr error
-	for _, addr := range addrs {
-		rt.ring.AddNode(addr)
+	for node, addr := range ring.names {
 		c, err := rt.dial(addr)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: dial %s: %w", addr, err)
 			}
-			rt.noteFailure(addr, rt.health.generation(addr), err)
+			rt.noteFailure(node, rt.health.generation(node), err)
 			continue
 		}
-		rt.conns[addr] = c
+		rt.conns[node].Store(c)
 		reachable++
 	}
 	if reachable == 0 {
@@ -255,13 +284,18 @@ func (rt *Router) Close() error {
 
 	rt.mu.Lock()
 	rt.closed = true
-	conns := rt.conns
-	rt.conns = map[string]*kvnet.Client{}
+	conns := make([]*kvnet.Client, len(rt.conns))
+	for node := range rt.conns {
+		conns[node] = rt.conns[node].Swap(nil)
+	}
 	rt.mu.Unlock()
 
 	rt.cancelBase()
 	var first error
 	for _, c := range conns {
+		if c == nil {
+			continue
+		}
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -273,11 +307,8 @@ func (rt *Router) Close() error {
 
 // Metrics returns a snapshot of the router's replication counters.
 func (rt *Router) Metrics() Metrics {
-	rt.mu.RLock()
-	nodes := len(rt.ring.nodes)
-	rt.mu.RUnlock()
 	return Metrics{
-		Nodes:             nodes,
+		Nodes:             len(rt.conns),
 		DownNodes:         len(rt.health.downNodes()),
 		ReplicationFactor: rt.opts.ReplicationFactor,
 		WriteQuorum:       rt.opts.WriteQuorum,
@@ -288,6 +319,9 @@ func (rt *Router) Metrics() Metrics {
 		ReadRepairs:       rt.readRepairs.Load(),
 		NodeDownEvents:    rt.nodeDown.Load(),
 		NodeUpEvents:      rt.nodeUp.Load(),
+		Reads:             rt.reads.Load(),
+		ReadLegs:          rt.readLegs.Load(),
+		HedgedReads:       rt.hedgedReads.Load(),
 	}
 }
 
@@ -299,23 +333,11 @@ func (rt *Router) DownNodes() []string {
 
 // Owner returns the primary owner of key — the first member of its
 // replica set.
-func (rt *Router) Owner(key []byte) string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.ring.Lookup(key)
-}
+func (rt *Router) Owner(key []byte) string { return rt.ring.Lookup(key) }
 
 // ReplicaNodes returns the full replica set for key.
 func (rt *Router) ReplicaNodes(key []byte) []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
 	return rt.ring.ReplicaSet(key, rt.opts.ReplicationFactor)
-}
-
-func (rt *Router) nodeNames() []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.ring.Nodes()
 }
 
 func (rt *Router) dial(addr string) (*kvnet.Client, error) {
@@ -327,16 +349,9 @@ func (rt *Router) dial(addr string) (*kvnet.Client, error) {
 }
 
 // client returns node's connection, re-dialing if the cached one was
-// closed or poisoned.
-func (rt *Router) client(node string) (*kvnet.Client, error) {
-	rt.mu.RLock()
-	c, ok := rt.conns[node]
-	closed := rt.closed
-	rt.mu.RUnlock()
-	if closed {
-		return nil, fmt.Errorf("cluster: router closed: %w", kverr.ErrClosed)
-	}
-	if ok && c.Healthy() {
+// closed or has failed. The cached, healthy case is one atomic load.
+func (rt *Router) client(node int) (*kvnet.Client, error) {
+	if c := rt.conns[node].Load(); c != nil && c.Healthy() {
 		return c, nil
 	}
 	rt.mu.Lock()
@@ -344,15 +359,15 @@ func (rt *Router) client(node string) (*kvnet.Client, error) {
 	if rt.closed {
 		return nil, fmt.Errorf("cluster: router closed: %w", kverr.ErrClosed)
 	}
-	// Recheck under the write lock: another goroutine may have re-dialed.
-	if c, ok := rt.conns[node]; ok && c.Healthy() {
+	// Recheck under the lock: another goroutine may have re-dialed.
+	if c := rt.conns[node].Load(); c != nil && c.Healthy() {
 		return c, nil
 	}
-	c, err := rt.dial(node)
+	c, err := rt.dial(rt.ring.names[node])
 	if err != nil {
-		return nil, fmt.Errorf("cluster: redial %s: %w", node, err)
+		return nil, fmt.Errorf("cluster: redial %s: %w", rt.ring.names[node], err)
 	}
-	rt.conns[node] = c
+	rt.conns[node].Store(c)
 	return c, nil
 }
 
@@ -360,7 +375,7 @@ func (rt *Router) client(node string) (*kvnet.Client, error) {
 // is the node's up-epoch from when the failing attempt began; a stale
 // verdict (the node was promoted since) is discarded rather than
 // re-demoting a recovered node.
-func (rt *Router) noteFailure(node string, gen uint64, err error) {
+func (rt *Router) noteFailure(node int, gen uint64, err error) {
 	if rt.health.markDown(node, gen, err) {
 		rt.nodeDown.Add(1)
 	}
@@ -380,8 +395,26 @@ func (rt *Router) kickHandoff() {
 	}
 }
 
+// nodeCall is one request against one node's connection. The quorum
+// legs implement it on their own state, so the request path passes a
+// pointer where a closure would have to be allocated; everything else
+// goes through do with a func.
+type nodeCall interface {
+	call(ctx context.Context, c *kvnet.Client) error
+}
+
+type callFunc func(ctx context.Context, c *kvnet.Client) error
+
+func (f callFunc) call(ctx context.Context, c *kvnet.Client) error { return f(ctx, c) }
+
 // do runs fn against node's connection with the per-request timeout
-// applied. The connection is multiplexed and shared by every caller, so a
+// applied; see doCall.
+func (rt *Router) do(ctx context.Context, node int, fn func(ctx context.Context, c *kvnet.Client) error) error {
+	return rt.doCall(ctx, nil, node, callFunc(fn))
+}
+
+// doCall runs call against node's connection under the per-request
+// timeout. The connection is multiplexed and shared by every caller, so a
 // typed server-side error or the caller's own cancellation leaves it in
 // place. Two things do not: a transport failure (a cached connection can
 // turn out stale only once it is used — the server's idle timeout reaps
@@ -393,7 +426,11 @@ func (rt *Router) kickHandoff() {
 // safe even if the failed attempt reached the server. Failures that are
 // the node's fault (not the caller's cancelled context) are reported to
 // the failure detector.
-func (rt *Router) do(ctx context.Context, node string, fn func(ctx context.Context, c *kvnet.Client) error) error {
+//
+// first, when non-nil, is ctx already bounded by the timeout: a quorum
+// operation derives it once and every leg's first attempt runs under it.
+// Only the retry — already the slow path — derives a deadline of its own.
+func (rt *Router) doCall(ctx, first context.Context, node int, call nodeCall) error {
 	for attempt := 0; ; attempt++ {
 		gen := rt.health.generation(node)
 		c, err := rt.client(node)
@@ -403,10 +440,15 @@ func (rt *Router) do(ctx context.Context, node string, fn func(ctx context.Conte
 			}
 			return err
 		}
-		actx, cancel := context.WithTimeout(ctx, rt.opts.RequestTimeout)
-		err = fn(actx, c)
+		actx, cancel := first, context.CancelFunc(nil)
+		if actx == nil || attempt > 0 {
+			actx, cancel = context.WithTimeout(ctx, rt.opts.RequestTimeout)
+		}
+		err = call.call(actx, c)
 		timedOut := actx.Err() != nil
-		cancel()
+		if cancel != nil {
+			cancel()
+		}
 		if err == nil {
 			return nil
 		}
@@ -439,27 +481,6 @@ func terminalReplicaErr(err error) bool {
 		errors.Is(err, kverr.ErrClosed)
 }
 
-// doRetry runs a replica operation through do, giving transport-level
-// failures one paced re-attempt (Options.RetryBackoff) before the
-// error counts against the quorum. Replica reads and writes are
-// idempotent — records carry version stamps — so the retry is always
-// safe; without it a single hiccup on a live replica while another
-// node is down fails an otherwise healthy quorum.
-func (rt *Router) doRetry(ctx context.Context, node string, fn func(ctx context.Context, c *kvnet.Client) error) error {
-	var last error
-	err := retry.Do(ctx, 2, rt.opts.RetryBackoff, func(int) error {
-		last = rt.do(ctx, node, fn)
-		if last == nil || terminalReplicaErr(last) {
-			return nil // done: success, or an answer no retry can change
-		}
-		return last
-	})
-	if last != nil {
-		return last
-	}
-	return err // ctx expired before the first attempt ran
-}
-
 // checkUserKey rejects keys in the cluster's reserved namespace.
 func checkUserKey(key []byte) error {
 	if bytes.HasPrefix(key, []byte(hintPrefix)) {
@@ -468,205 +489,16 @@ func checkUserKey(key []byte) error {
 	return nil
 }
 
-// repOp is one logical write in flight: a key, its encoded record, and
-// the replica set it targets.
-type repOp struct {
-	key      []byte
-	rec      []byte
-	replicas []string
-}
-
-// nodeResult is one replica's verdict on its share of a quorum write.
-type nodeResult struct {
-	node string
-	err  error
-}
-
-// quorumWrite replicates a set of logical writes: each op fans out to
-// its full replica set and the call succeeds once every op has W acks.
-// The ops must own their keys and records: the straggler replica's write
-// and any hint it parks run on after the call has returned, when the
-// caller is free to reuse its buffers.
-// Replicas the failure detector considers down are not attempted (unless
-// an op cannot reach quorum without them, covering detector false
-// positives); their share is parked as a hint immediately. Replicas that
-// fail or straggle after quorum get their share parked too, so a
-// successful return still converges to N live copies.
-func (rt *Router) quorumWrite(ctx context.Context, ops []repOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	need := make([]int, len(ops)) // effective W per op
-	capacity := make([]int, len(ops))
-	attempt := make(map[string][]int) // node -> op indexes to attempt
-	skip := make(map[string][]int)    // down node -> op indexes parked immediately
-
-	down := make(map[string]bool)
-	for _, n := range rt.health.downNodes() {
-		down[n] = true
-	}
-	for i, op := range ops {
-		if len(op.replicas) == 0 {
-			return fmt.Errorf("cluster: empty ring: %w", kverr.ErrConfig)
-		}
-		w := rt.opts.WriteQuorum
-		if w > len(op.replicas) {
-			w = len(op.replicas)
-		}
-		need[i] = w
-		capacity[i] = len(op.replicas)
-		live := 0
-		for _, n := range op.replicas {
-			if !down[n] {
-				live++
-			}
-		}
-		for _, n := range op.replicas {
-			// A down replica is attempted anyway while the live replicas
-			// have no failure slack (live <= w): the detector may be wrong
-			// — or a beat behind a node that just recovered — and in the
-			// slackless regime a single live-replica hiccup would fail an
-			// otherwise reachable quorum. Only with spare live replicas is
-			// the down node skipped outright, so a blackholed peer costs
-			// nothing. Quorum still comes first: the write acknowledges on
-			// the first w acks, never waiting on the presumed-dead node.
-			if !down[n] || live <= w {
-				attempt[n] = append(attempt[n], i)
-			} else {
-				skip[n] = append(skip[n], i)
-			}
-		}
-	}
-
-	results := make(chan nodeResult, len(attempt))
-	for node, idxs := range attempt {
-		batch := make([]kvnet.BatchOp, len(idxs))
-		for j, i := range idxs {
-			batch[j] = kvnet.BatchOp{Key: ops[i].key, Value: ops[i].rec}
-		}
-		node := node
-		rt.bg.Add(1)
-		go func() {
-			defer rt.bg.Done()
-			err := rt.doRetry(ctx, node, func(actx context.Context, c *kvnet.Client) error {
-				return c.Write(actx, batch)
-			})
-			if err != nil && ctx.Err() == nil {
-				// Park a hint only when the replica, not the caller's
-				// context, is at fault: a cancelled caller got an error
-				// back and expects the write not to converge.
-				rt.parkHintFor(node, batch)
-			}
-			results <- nodeResult{node: node, err: err}
-		}()
-	}
-	for node, idxs := range skip {
-		batch := make([]kvnet.BatchOp, len(idxs))
-		for j, i := range idxs {
-			batch[j] = kvnet.BatchOp{Key: ops[i].key, Value: ops[i].rec}
-		}
-		rt.parkHintFor(node, batch)
-	}
-
-	acks := make([]int, len(ops))
-	fails := make([]int, len(ops))
-	for i := range ops {
-		// Skipped replicas count as failed up front.
-		fails[i] = capacity[i] - replicaAttempts(ops[i].replicas, attempt)
-	}
-	var replicaErrs []error
-	if impossible(need, fails, capacity) {
-		return fmt.Errorf("cluster: write quorum unreachable (replicas down): %w", kverr.ErrUnavailable)
-	}
-	quorumFailed := func() error {
-		cause := errors.Join(replicaErrs...)
-		if cause == nil {
-			cause = fmt.Errorf("cluster: insufficient replicas")
-		}
-		skipped := make([]string, 0, len(skip))
-		for n := range skip {
-			skipped = append(skipped, n)
-		}
-		sort.Strings(skipped)
-		return fmt.Errorf("cluster: write quorum failed (skipped down: %v): %w (replica errors: %w)", skipped, kverr.ErrUnavailable, cause)
-	}
-	pending := len(attempt)
-	for pending > 0 {
-		select {
-		case res := <-results:
-			pending--
-			for _, i := range attempt[res.node] {
-				if res.err == nil {
-					acks[i]++
-				} else {
-					fails[i]++
-				}
-			}
-			if res.err != nil {
-				replicaErrs = append(replicaErrs, fmt.Errorf("%s: %w", res.node, res.err))
-			}
-			if satisfied(acks, need) {
-				return nil
-			}
-			if impossible(need, fails, capacity) {
-				return quorumFailed()
-			}
-		case <-ctx.Done():
-			return fmt.Errorf("cluster: write abandoned: %w", ctx.Err())
-		}
-	}
-	if satisfied(acks, need) {
-		return nil
-	}
-	return quorumFailed()
-}
-
-func replicaAttempts(replicas []string, attempt map[string][]int) int {
-	n := 0
-	for _, r := range replicas {
-		if _, ok := attempt[r]; ok {
-			n++
-		}
-	}
-	return n
-}
-
-func satisfied(acks, need []int) bool {
-	for i := range acks {
-		if acks[i] < need[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func impossible(need, fails, capacity []int) bool {
-	for i := range need {
-		if capacity[i]-fails[i] < need[i] {
-			return true
-		}
-	}
-	return false
-}
-
 // Put replicates key → value at write quorum.
 func (rt *Router) Put(ctx context.Context, key, value []byte) error {
-	if err := checkUserKey(key); err != nil {
-		return err
-	}
-	rec := Record{Version: rt.clock.Next(), Value: value}
-	return rt.quorumWrite(ctx, []repOp{{key: bytes.Clone(key), rec: rec.Encode(), replicas: rt.ReplicaNodes(key)}})
+	return rt.Write(ctx, []kvnet.BatchOp{{Key: key, Value: value}})
 }
 
 // Delete replicates a tombstone for key at write quorum. A delete is a
 // versioned write like any other: replicas that missed it converge via
 // hints and read repair instead of resurrecting the key.
 func (rt *Router) Delete(ctx context.Context, key []byte) error {
-	if err := checkUserKey(key); err != nil {
-		return err
-	}
-	rec := Record{Version: rt.clock.Next(), Tombstone: true}
-	return rt.quorumWrite(ctx, []repOp{{key: bytes.Clone(key), rec: rec.Encode(), replicas: rt.ReplicaNodes(key)}})
+	return rt.Write(ctx, []kvnet.BatchOp{{Key: key, Delete: true}})
 }
 
 // Write replicates a batch of operations at write quorum. Each replica
@@ -678,172 +510,14 @@ func (rt *Router) Write(ctx context.Context, batch []kvnet.BatchOp) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	ops := make([]repOp, len(batch))
-	for i, op := range batch {
-		if err := checkUserKey(op.Key); err != nil {
+	for i := range batch {
+		if err := checkUserKey(batch[i].Key); err != nil {
 			return err
 		}
-		rec := Record{Version: rt.clock.Next(), Tombstone: op.Delete}
-		if !op.Delete {
-			rec.Value = op.Value
-		}
-		ops[i] = repOp{key: bytes.Clone(op.Key), rec: rec.Encode(), replicas: rt.ReplicaNodes(op.Key)}
 	}
-	return rt.quorumWrite(ctx, ops)
-}
-
-// readResult is one replica's answer to a quorum read.
-type readResult struct {
-	node string
-	rec  Record
-	err  error
-}
-
-// quorumGet reads key from its replica set and resolves the newest
-// version. All live replicas are queried (down ones only when needed to
-// reach quorum); the call needs R answers to succeed. Replicas observed
-// stale — an older version, or missing the key entirely — are repaired
-// in the background with the winning record.
-func (rt *Router) quorumGet(ctx context.Context, key []byte) (Record, error) {
-	// The slowest replica's read and any read repair outlive the call.
-	key = bytes.Clone(key)
-	replicas := rt.ReplicaNodes(key)
-	if len(replicas) == 0 {
-		return Record{}, fmt.Errorf("cluster: empty ring: %w", kverr.ErrConfig)
-	}
-	r := rt.opts.ReadQuorum
-	if r > len(replicas) {
-		r = len(replicas)
-	}
-	down := make(map[string]bool)
-	for _, n := range rt.health.downNodes() {
-		down[n] = true
-	}
-	queried := make([]string, 0, len(replicas))
-	live := 0
-	for _, n := range replicas {
-		if !down[n] {
-			queried = append(queried, n)
-			live++
-		}
-	}
-	// Query presumed-down replicas too while the live set has no slack
-	// (live <= r): the detector may be wrong or a beat behind a restart,
-	// and slackless reads would otherwise fail on one live hiccup.
-	if live <= r {
-		queried = append(queried[:0], replicas...)
-	}
-
-	results := make(chan readResult, len(queried))
-	for _, node := range queried {
-		node := node
-		rt.bg.Add(1)
-		go func() {
-			defer rt.bg.Done()
-			var rec Record
-			err := rt.doRetry(ctx, node, func(actx context.Context, c *kvnet.Client) error {
-				raw, err := c.Get(actx, key)
-				if err != nil {
-					if errors.Is(err, kverr.ErrNotFound) {
-						rec = Record{} // version 0: replica has never seen the key
-						return nil
-					}
-					return err
-				}
-				rec, err = decodeRecord(raw)
-				return err
-			})
-			results <- readResult{node: node, rec: rec, err: err}
-		}()
-	}
-
-	// Collect answers from every live replica (their divergence is what
-	// read repair fixes), but never wait on a presumed-down one: once r
-	// answers are in and only down replicas are outstanding, resolve. A
-	// blackholed peer costs the read nothing.
-	outstanding := make(map[string]bool, len(queried))
-	for _, n := range queried {
-		outstanding[n] = true
-	}
-	onlyDownOutstanding := func() bool {
-		for n := range outstanding {
-			if !down[n] {
-				return false
-			}
-		}
-		return true
-	}
-	var (
-		answers  []readResult
-		firstErr error
-	)
-	var replicaErrs []error
-	for len(outstanding) > 0 {
-		if len(answers) >= r && onlyDownOutstanding() {
-			break
-		}
-		select {
-		case res := <-results:
-			delete(outstanding, res.node)
-			if res.err != nil {
-				replicaErrs = append(replicaErrs, fmt.Errorf("%s: %w", res.node, res.err))
-				continue
-			}
-			answers = append(answers, res)
-		case <-ctx.Done():
-			return Record{}, fmt.Errorf("cluster: read abandoned: %w", ctx.Err())
-		}
-	}
-	if len(answers) < r {
-		if firstErr = errors.Join(replicaErrs...); firstErr == nil {
-			firstErr = fmt.Errorf("cluster: insufficient replicas")
-		}
-		return Record{}, fmt.Errorf("cluster: read quorum failed (%d/%d answers from %v): %w (replica errors: %w)", len(answers), r, queried, kverr.ErrUnavailable, firstErr)
-	}
-
-	winner := answers[0]
-	for _, a := range answers[1:] {
-		if a.rec.Version > winner.rec.Version {
-			winner = a
-		}
-	}
-	rt.clock.Observe(winner.rec.Version)
-	if winner.rec.Version != 0 {
-		rt.repairStale(key, winner.rec, answers)
-	}
-	return winner.rec, nil
-}
-
-// repairStale rewrites the winning record onto replicas that answered
-// with an older version (or none at all), in the background.
-func (rt *Router) repairStale(key []byte, winner Record, answers []readResult) {
-	enc := winner.Encode()
-	for _, a := range answers {
-		if a.rec.Version >= winner.Version {
-			continue
-		}
-		node := a.node
-		rt.bg.Add(1)
-		go func() {
-			defer rt.bg.Done()
-			// Re-check the replica's version immediately before writing: a
-			// newer quorum write may have landed since this read answered,
-			// and a blind put of the old winner would regress the replica.
-			// The check narrows that race from the whole read-to-repair
-			// latency to one round trip; a repair that still loses the
-			// sliver is healed by the next read of the key.
-			cur, err := rt.recordVersionOn(rt.baseCtx, node, key)
-			if err != nil || cur >= winner.Version {
-				return
-			}
-			err = rt.do(rt.baseCtx, node, func(actx context.Context, c *kvnet.Client) error {
-				return c.Put(actx, key, enc)
-			})
-			if err == nil {
-				rt.readRepairs.Add(1)
-			}
-		}()
-	}
+	o := rt.acquireOp(ctx)
+	defer o.release()
+	return o.write(batch)
 }
 
 // Get reads key at read quorum, resolving replica divergence to the
@@ -853,7 +527,9 @@ func (rt *Router) Get(ctx context.Context, key []byte) ([]byte, error) {
 	if err := checkUserKey(key); err != nil {
 		return nil, err
 	}
-	rec, err := rt.quorumGet(ctx, key)
+	o := rt.acquireOp(ctx)
+	defer o.release()
+	rec, err := o.get(key)
 	if err != nil {
 		return nil, err
 	}
@@ -869,27 +545,23 @@ func (rt *Router) Get(ctx context.Context, key []byte) ([]byte, error) {
 // the reachable cluster, and a down node catches up through hints, not
 // through a flush it cannot receive.
 func (rt *Router) forAll(ctx context.Context, fn func(ctx context.Context, node string, c *kvnet.Client) error) map[string]error {
-	down := make(map[string]bool)
-	for _, n := range rt.health.downNodes() {
-		down[n] = true
-	}
 	var (
 		wg   sync.WaitGroup
 		emu  sync.Mutex
 		errs = make(map[string]error)
 	)
-	for _, node := range rt.nodeNames() {
-		if down[node] {
+	for node, name := range rt.ring.names {
+		if rt.health.isDown(node) {
 			continue
 		}
 		wg.Add(1)
-		go func(node string) {
+		go func(node int, name string) {
 			defer wg.Done()
-			err := rt.do(ctx, node, func(actx context.Context, c *kvnet.Client) error { return fn(actx, node, c) })
+			err := rt.do(ctx, node, func(actx context.Context, c *kvnet.Client) error { return fn(actx, name, c) })
 			emu.Lock()
-			errs[node] = err
+			errs[name] = err
 			emu.Unlock()
-		}(node)
+		}(node, name)
 	}
 	wg.Wait()
 	return errs
@@ -970,9 +642,9 @@ func (rt *Router) healthLoop() {
 		case <-t.C:
 		}
 		var wg sync.WaitGroup
-		for _, node := range rt.health.dueProbes(rt.nodeNames(), time.Now()) {
+		for _, node := range rt.health.dueProbes(time.Now()) {
 			wg.Add(1)
-			go func(node string) {
+			go func(node int) {
 				defer wg.Done()
 				rt.probe(node)
 			}(node)
@@ -982,7 +654,7 @@ func (rt *Router) healthLoop() {
 }
 
 // probe pings one node and records the verdict.
-func (rt *Router) probe(node string) {
+func (rt *Router) probe(node int) {
 	gen := rt.health.generation(node)
 	ctx, cancel := context.WithTimeout(rt.baseCtx, rt.opts.RequestTimeout)
 	defer cancel()

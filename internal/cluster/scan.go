@@ -53,14 +53,7 @@ func (rt *Router) RangePage(ctx context.Context, start, end []byte, limit int) (
 	if limit <= 0 || limit > 10000 {
 		limit = 10000
 	}
-	nodes := rt.nodeNames()
-	if len(nodes) == 0 {
-		return nil, nil, fmt.Errorf("cluster: empty ring: %w", kverr.ErrConfig)
-	}
-	nEff := rt.opts.ReplicationFactor
-	if nEff > len(nodes) {
-		nEff = len(nodes)
-	}
+	nEff := min(rt.opts.ReplicationFactor, len(rt.conns))
 	rEff := rt.opts.ReadQuorum
 	if rEff > nEff {
 		rEff = nEff
@@ -72,10 +65,6 @@ func (rt *Router) RangePage(ctx context.Context, start, end []byte, limit int) (
 		full    bool
 		err     error
 	}
-	down := make(map[string]bool)
-	for _, n := range rt.health.downNodes() {
-		down[n] = true
-	}
 	var (
 		mu     sync.Mutex
 		pages  []nodePage
@@ -83,13 +72,13 @@ func (rt *Router) RangePage(ctx context.Context, start, end []byte, limit int) (
 		first  error
 		wg     sync.WaitGroup
 	)
-	for _, node := range nodes {
-		if down[node] {
+	for node := range rt.conns {
+		if rt.health.isDown(node) {
 			failed++
 			continue
 		}
 		wg.Add(1)
-		go func(node string) {
+		go func(node int) {
 			defer wg.Done()
 			var entries []kvnet.ScanEntry
 			err := rt.do(ctx, node, func(actx context.Context, c *kvnet.Client) error {

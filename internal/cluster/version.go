@@ -74,14 +74,18 @@ const (
 
 // Encode serializes the record.
 func (r Record) Encode() []byte {
-	out := make([]byte, recordHdrLen+len(r.Value))
-	out[0] = recordFormat
+	return r.AppendTo(make([]byte, 0, recordHdrLen+len(r.Value)))
+}
+
+// AppendTo appends the serialized record to dst.
+func (r Record) AppendTo(dst []byte) []byte {
+	flags := byte(0)
 	if r.Tombstone {
-		out[1] |= recordTombstone
+		flags = recordTombstone
 	}
-	binary.BigEndian.PutUint64(out[2:recordHdrLen], r.Version)
-	copy(out[recordHdrLen:], r.Value)
-	return out
+	dst = append(dst, recordFormat, flags)
+	dst = binary.BigEndian.AppendUint64(dst, r.Version)
+	return append(dst, r.Value...)
 }
 
 // decodeRecord parses a stored record. A malformed envelope means the

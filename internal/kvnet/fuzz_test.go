@@ -1,6 +1,7 @@
 package kvnet
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -102,14 +103,16 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})                                     // over MaxMessageSize
 	f.Add([]byte{1, 0, 0})                                                                // cut mid-header
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
+		src := bytes.NewReader(data)
+		r := bufio.NewReader(src)
+		unread := func() int { return src.Len() + r.Buffered() }
 		var buf []byte
 		for {
 			tag, payload, err := readFrame(r, buf)
 			if cap(payload) > len(data)+readChunk {
 				t.Fatalf("buffer of %d bytes for %d bytes of input", cap(payload), len(data))
 			}
-			if err == io.EOF && r.Len() == 0 {
+			if err == io.EOF && unread() == 0 {
 				return // clean end at a frame boundary
 			}
 			if err != nil {
@@ -119,7 +122,7 @@ func FuzzReadFrame(f *testing.F) {
 				return
 			}
 			again, _ := endFrame(append(beginFrame(nil, tag), payload...))
-			if !bytes.HasSuffix(data[:len(data)-r.Len()], again) {
+			if !bytes.HasSuffix(data[:len(data)-unread()], again) {
 				t.Fatalf("frame (tag %d, %d bytes) does not re-encode to the bytes it was read from", tag, len(payload))
 			}
 			buf = payload

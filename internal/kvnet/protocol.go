@@ -56,6 +56,7 @@
 package kvnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -272,19 +273,23 @@ func endFrame(buf []byte) ([]byte, error) {
 // actually arriving, so a hostile length field costs at most this much.
 const readChunk = 64 << 10
 
-// readFrame reads one frame, reusing buf's capacity for the payload. A
-// clean end of stream before the first header byte is io.EOF; a frame cut
-// short or longer than MaxMessageSize wraps ErrProtocol.
-func readFrame(r io.Reader, buf []byte) (tag uint32, payload []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
+// readFrame reads one frame, reusing buf's capacity for the payload. The
+// header is decoded in place in r's own buffer — a local array handed to
+// io.ReadFull through the io.Reader interface would escape, one heap
+// object per frame on both read loops. A clean end of stream before the
+// first header byte is io.EOF; a frame cut short or longer than
+// MaxMessageSize wraps ErrProtocol.
+func readFrame(r *bufio.Reader, buf []byte) (tag uint32, payload []byte, err error) {
+	hdr, err := r.Peek(frameHeaderLen)
+	if err != nil {
+		if len(hdr) > 0 && errors.Is(err, io.EOF) {
 			err = fmt.Errorf("kvnet: truncated frame header: %w", ErrProtocol)
 		}
 		return 0, buf[:0], err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	tag = binary.LittleEndian.Uint32(hdr[4:])
+	r.Discard(frameHeaderLen) // cannot fail: the bytes were just peeked
 	if n > MaxMessageSize {
 		return tag, buf[:0], ErrTooLarge
 	}

@@ -19,14 +19,21 @@ const remotePageSize = 512
 // DialCluster connects to a replicated cluster of servers and returns an
 // Engine that survives node failure. Every key is stored on N distinct
 // nodes (consistent hashing with per-key replica sets); writes fan out
-// to all N replicas and acknowledge at W, reads resolve the newest
-// version from R answers, with R+W > N so every read quorum overlaps
-// every write quorum. A node going down costs no availability while
-// N−W (writes) and N−R (reads) tolerate it: missed writes park as hints
-// on live nodes and replay when the node returns, divergent replicas
-// are repaired on read, and a ping-based failure detector routes
-// requests away from dead peers. Defaults: N=3, W=2, R=2 — see
-// WithReplication.
+// to all N replicas and acknowledge at W; reads ask R of the N — rotating
+// which, so load is even and every replica keeps being compared — and
+// resolve the newest version among the answers, with R+W > N so any R
+// replicas include one that took any acknowledged write. A read that
+// finds the replicas it asked in disagreement repairs the stale ones
+// before it answers: a client never reads a value and then an older one.
+// A replica that fails or stays silent costs a read one hedge delay
+// (the next replica is asked as well), not the request timeout. A node
+// going down costs no availability while N−W (writes) and N−R (reads)
+// tolerate it: missed writes park as hints on live nodes and replay when
+// the node returns, and a ping-based failure detector routes requests
+// away from dead peers. Defaults: N=3, W=2, R=2 — see WithReplication.
+// Writes that were never acknowledged (an error or a cancelled context
+// came back) may or may not become visible later; once a read has
+// returned one, later reads do not go back.
 //
 // The cluster is operated by the clients: any number of DialCluster
 // engines may point at the same servers, and the servers themselves
@@ -216,6 +223,9 @@ func (e *clusterEngine) Stats(ctx context.Context) (Stats, error) {
 			ReadRepairs:       m.ReadRepairs,
 			NodeDownEvents:    m.NodeDownEvents,
 			NodeUpEvents:      m.NodeUpEvents,
+			Reads:             m.Reads,
+			ReadLegs:          m.ReadLegs,
+			HedgedReads:       m.HedgedReads,
 		},
 	}
 	for _, st := range infos {

@@ -54,10 +54,9 @@ func openRemote(t *testing.T, opts ...Option) Engine {
 	return eng
 }
 
-// openClusterEngine stands up three loopback nodes and a quorum cluster
-// engine over them (N=3, W=2, R=2 defaults). Opts configure the node
-// engines, mirroring openRemote.
-func openClusterEngine(t *testing.T, opts ...Option) Engine {
+// startClusterNodes stands up three loopback nodes and returns their
+// addresses. Opts configure the node engines, mirroring openRemote.
+func startClusterNodes(t *testing.T, opts ...Option) []string {
 	t.Helper()
 	addrs := make([]string, 3)
 	for i := range addrs {
@@ -74,7 +73,14 @@ func openClusterEngine(t *testing.T, opts ...Option) Engine {
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = ln.Addr().String()
 	}
-	eng, err := DialCluster(addrs)
+	return addrs
+}
+
+// openClusterEngine is a quorum cluster engine over three loopback nodes
+// (N=3, W=2, R=2 defaults).
+func openClusterEngine(t *testing.T, opts ...Option) Engine {
+	t.Helper()
+	eng, err := DialCluster(startClusterNodes(t, opts...))
 	if err != nil {
 		t.Fatal(err)
 	}

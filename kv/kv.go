@@ -331,6 +331,14 @@ type ClusterStats struct {
 	ReadRepairs    uint64 `json:"read_repairs"`
 	NodeDownEvents uint64 `json:"node_down_events"`
 	NodeUpEvents   uint64 `json:"node_up_events"`
+
+	// Reads counts quorum reads and ReadLegs the replica requests they
+	// sent: ReadLegs/Reads is how many replicas a Get touches — R while
+	// nothing goes wrong. HedgedReads counts the extra legs sent because
+	// a contacted replica failed or stayed silent.
+	Reads       uint64 `json:"reads"`
+	ReadLegs    uint64 `json:"read_legs"`
+	HedgedReads uint64 `json:"hedged_reads"`
 }
 
 // statsFromLSM maps an engine-internal stats snapshot into the public
