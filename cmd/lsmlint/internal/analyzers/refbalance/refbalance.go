@@ -10,7 +10,10 @@
 // The analysis walks the lintcore CFG from each acquisition site. A path is
 // balanced when it hits a release call or a defer that releases; a path
 // that hands the resource to another function, stores it, or returns it
-// transfers ownership and is exempt; a path that reaches the function exit
+// transfers ownership and is exempt — except a call the spec lists as
+// borrowing, which takes a reference of its own and leaves the caller's:
+// publishing a block with Add is one, so the writer's Alloc → copy → Add
+// still owes its Release; a path that reaches the function exit
 // with the resource still held is reported. The failure side of an
 // acquisition's own guard is exempt too — the body of the
 // `if err != nil { ... }` immediately after it, and everything outside the
@@ -34,6 +37,7 @@ type spec struct {
 	callRes bool   // release = resource() — the resource is a release func
 	what    string // human name for diagnostics
 	release string // human description of the release action
+	borrows string // callee that takes the resource without taking it over
 }
 
 var specs = []spec{
@@ -45,10 +49,14 @@ var specs = []spec{
 	{call: "Ref", result: 0, method: "Unref", what: "ref", release: "Unref"},
 	// Cache block pins: a leaked one is never recycled, so a leak on a hot
 	// path quietly turns every cold read back into a 4 KiB allocation.
+	// Add publishes a block under a reference of the cache's own; the pin
+	// that filled it is still the filler's to release or hand on.
 	{call: "readBlock", result: 0, method: "Release", what: "block pin", release: "Release"},
+	{call: "loadBlock", result: 0, method: "Release", what: "block pin", release: "Release"},
 	{call: "GetEntry", result: 1, method: "Release", what: "block pin", release: "Release"},
 	{call: "Get", result: 0, method: "Release", what: "block pin", release: "Release"},
-	{call: "Alloc", result: 0, method: "Release", what: "block pin", release: "Release"},
+	{call: "Peek", result: 0, method: "Release", what: "block pin", release: "Release"},
+	{call: "Alloc", result: 0, method: "Release", what: "block pin", release: "Release", borrows: "Add"},
 	// The cluster router's pooled quorum op: a caller reference that is
 	// never dropped keeps the op — and the deadline timer it holds — out of
 	// the pool for good.
@@ -403,6 +411,10 @@ func (c *checker) escapes(n ast.Node) bool {
 		case *ast.BinaryExpr:
 			if p.Op == token.EQL || p.Op == token.NEQ {
 				return true // v == nil, v != old
+			}
+		case *ast.CallExpr:
+			if c.sp.borrows != "" && calleeName(p) == c.sp.borrows {
+				return true // c.Add(v, ...): the callee takes its own reference
 			}
 		}
 		esc = true

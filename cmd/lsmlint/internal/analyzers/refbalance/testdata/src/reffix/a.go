@@ -239,9 +239,10 @@ func (b *block) Data() []byte { return b.data }
 
 type blockCache struct{}
 
-func (c *blockCache) Get(off int) (*block, bool) { return &block{}, true }
-func (c *blockCache) Alloc(n int) *block         { return &block{} }
-func (c *blockCache) Add(b *block)               {}
+func (c *blockCache) Get(off int) (*block, bool)  { return &block{}, true }
+func (c *blockCache) Peek(off int) (*block, bool) { return &block{}, true }
+func (c *blockCache) Alloc(n int) *block          { return &block{} }
+func (c *blockCache) Add(b *block)                {}
 
 type reader struct{ blocks *blockCache }
 
@@ -261,6 +262,72 @@ func (r *reader) readBlock(off int) (*block, error) {
 	}
 	r.blocks.Add(b)
 	return b, nil
+}
+
+// publish is the writer's write-through: the cache takes a reference of its
+// own in Add, and the publisher releases the one Alloc gave it.
+func (c *blockCache) publish(body []byte) {
+	b := c.Alloc(len(body))
+	copy(b.Data(), body)
+	c.Add(b)
+	b.Release()
+}
+
+// PublishLeak treats Add as a hand-off: the cache's reference is not the
+// publisher's, which is never dropped.
+func (c *blockCache) PublishLeak(body []byte) {
+	b := c.Alloc(len(body)) // want `block pin "b" acquired from Alloc is not released on every path`
+	copy(b.Data(), body)
+	c.Add(b)
+}
+
+// scanIter is the merge iterator: it reads around the cache.
+type scanIter struct {
+	r       *reader
+	scratch *blockCache
+	cold    bool
+}
+
+// readBlock is its read: a resident block is pinned where it lies, a miss
+// is read into a buffer of the iterator's own (private: the scratch cache's
+// Add publishes nothing), released if the read fails and otherwise handed
+// to the caller like a hit.
+func (it *scanIter) readBlock(off int) (*block, error) {
+	if b, ok := it.r.blocks.Peek(off); ok {
+		it.cold = false
+		return b, nil
+	}
+	it.cold = true
+	b := it.scratch.Alloc(4096)
+	if err := it.r.read(b.Data()); err != nil {
+		b.Release()
+		return nil, err
+	}
+	it.scratch.Add(b)
+	return b, nil
+}
+
+// PeekLeak measures a resident block and forgets the pin Peek took.
+func (r *reader) PeekLeak(off int) int {
+	if b, ok := r.blocks.Peek(off); ok { // want `block pin "b" acquired from Peek is not released on every path`
+		n := len(b.Data())
+		return n
+	}
+	return 0
+}
+
+// ScanLeak drops the private buffer's pin when the block turns out empty.
+func (it *scanIter) ScanLeak(off int) (int, error) {
+	b, err := it.readBlock(off) // want `block pin "b" acquired from readBlock is not released on every path`
+	if err != nil {
+		return 0, err
+	}
+	if len(b.Data()) == 0 {
+		return 0, errStale
+	}
+	n := len(b.Data())
+	b.Release()
+	return n, nil
 }
 
 // FillLeak forgets the buffer when the read into it fails.

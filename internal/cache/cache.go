@@ -22,6 +22,19 @@
 // collector once unreachable, so forgetting Release costs reuse, never
 // correctness.
 //
+// # Write-through and scan resistance
+//
+// Two more entry points keep residency following what users read rather
+// than what maintenance touches. Publish is the write-through path: a table
+// writer that has a block's bytes in hand hands the cache a copy (Alloc,
+// copy, Add, Release), so the block is resident before the first Get lands
+// on it instead of being read back from the device. Peek is the lookup of a
+// reader that must leave the cache as it found it — a compaction merge, a
+// planning scan: it pins a resident block without promoting it and without
+// touching the hit and miss counters, which therefore count user reads
+// only. What such a reader misses it reads into a buffer of its own
+// (Uncached recycles those) and never publishes.
+//
 // The byte budget counts len(payload) of resident blocks, as it always
 // has; admission and eviction order do not depend on pins. Memory outside
 // the budget is bounded by construction: a resident array exceeds its
@@ -215,6 +228,18 @@ func (c *LRU) Get(k Key) (*Block, bool) {
 	return b, true
 }
 
+// Peek is Get for a reader that must not disturb the cache: the block comes
+// back pinned, but its recency is left alone and neither counter moves.
+func (c *LRU) Peek(k Key) (*Block, bool) {
+	c.mu.Lock()
+	b, ok := c.index[k]
+	if ok {
+		b.refs.Add(1)
+	}
+	c.mu.Unlock()
+	return b, ok
+}
+
 // Alloc returns a pinned, unpublished block for k whose Buf has length n,
 // recycled from this cache's free list when an array fits.
 func (c *LRU) Alloc(k Key, n int) *Block { return c.free.get(k, n) }
@@ -251,8 +276,23 @@ func (c *LRU) Put(k Key, value []byte) *Block {
 	return b
 }
 
-// DropTable evicts every block belonging to table; called when an sstable
-// is deleted after compaction so its blocks stop occupying cache space.
+// Publish caches a copy of data under k, most recently used, replacing any
+// block already there; data stays the caller's. Nothing is pinned on
+// return and neither counter moves.
+func (c *LRU) Publish(k Key, data []byte) {
+	if len(data) > c.capacity {
+		return // Add would not admit it; spare the copy
+	}
+	b := c.Alloc(k, len(data))
+	copy(b.Buf(), data)
+	c.Add(b, b.Buf())
+	b.Release()
+}
+
+// DropTable evicts every block belonging to table: called when an sstable
+// is deleted after compaction so its blocks stop occupying cache space,
+// and when a table write is abandoned after publishing blocks under the id
+// reserved for it.
 func (c *LRU) DropTable(table uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -284,10 +324,13 @@ func (c *LRU) Len() int {
 // recycled through one process-wide free list.
 type uncached struct{ free freeList }
 
-// Uncached serves readers opened without a block cache.
+// Uncached serves readers opened without a block cache, and the misses of
+// readers that must not fill the one they have.
 var Uncached = &uncached{}
 
 func (u *uncached) Get(Key) (*Block, bool)         { return nil, false }
+func (u *uncached) Peek(Key) (*Block, bool)        { return nil, false }
+func (u *uncached) Publish(Key, []byte)            {}
 func (u *uncached) Alloc(k Key, n int) *Block      { return u.free.get(k, n) }
 func (u *uncached) Add(b *Block, payload []byte)   { b.data = payload }
 func (u *uncached) Put(k Key, value []byte) *Block { return u.free.adopt(k, value) }
@@ -359,6 +402,13 @@ func (s *Sharded) shardFor(k Key) *LRU {
 
 // Get returns the cached block, pinned, and whether it was present.
 func (s *Sharded) Get(k Key) (*Block, bool) { return s.shardFor(k).Get(k) }
+
+// Peek returns the cached block, pinned, without promoting it or counting
+// the lookup.
+func (s *Sharded) Peek(k Key) (*Block, bool) { return s.shardFor(k).Peek(k) }
+
+// Publish caches a copy of data in the stripe of k.
+func (s *Sharded) Publish(k Key, data []byte) { s.shardFor(k).Publish(k, data) }
 
 // Alloc returns a pinned, unpublished block for k with an n-byte Buf from
 // the free list of k's stripe.

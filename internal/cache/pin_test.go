@@ -85,11 +85,13 @@ func intact(p []byte, v byte) bool {
 func array(b *Block) *byte { return &b.buf[:1][0] }
 
 // TestModelAgainstParentLRU drives random Get / fill / adopting Put /
-// DropTable / Release against the parent's algorithm: same hits, same
-// residents in the same recency order (hence the same eviction victims),
-// used within capacity — and the ownership invariants on top: a pinned
-// block's bytes never change, no array is in two places at once, and the
-// free list stays within its bound.
+// Publish / Peek / DropTable / Release against the parent's algorithm: same
+// hits, same residents in the same recency order (hence the same eviction
+// victims), used within capacity — and the ownership invariants on top: a
+// pinned block's bytes never change, no array is in two places at once, and
+// the free list stays within its bound. To the model a Publish is a put
+// that leaves no pin behind, and a Peek is a lookup that does not touch the
+// order; neither moves the hit and miss counters.
 func TestModelAgainstParentLRU(t *testing.T) {
 	PoisonFreed.Store(true)
 	defer PoisonFreed.Store(false)
@@ -102,9 +104,10 @@ func TestModelAgainstParentLRU(t *testing.T) {
 		want byte
 	}
 	var pins []pin
+	var hits, misses uint64 // of Gets, the only lookups that count
 	randKey := func() Key { return Key{Table: uint64(rng.Intn(3)), Offset: uint64(rng.Intn(24))} }
 	for step := 0; step < 20000; step++ {
-		switch op := rng.Intn(83); {
+		switch op := rng.Intn(113); {
 		case op < 40:
 			k := randKey()
 			b, ok := c.Get(k)
@@ -112,7 +115,35 @@ func TestModelAgainstParentLRU(t *testing.T) {
 				t.Fatalf("step %d: Get(%v) hit = %v, model says %v", step, k, ok, !ok)
 			}
 			if ok {
+				hits++
 				pins = append(pins, pin{b, b.Data()[0]})
+			} else {
+				misses++
+			}
+		case op >= 83 && op < 98:
+			// The merge's lookup: pinned like a hit, invisible otherwise.
+			k := randKey()
+			b, ok := c.Peek(k)
+			if _, resident := m.size[k]; ok != resident {
+				t.Fatalf("step %d: Peek(%v) found = %v, model says %v", step, k, ok, resident)
+			}
+			if ok {
+				pins = append(pins, pin{b, b.Data()[0]})
+			}
+		case op >= 98:
+			// The writer's publish: the cache copies, the caller keeps its
+			// slice and holds no pin.
+			k, n := randKey(), 900+rng.Intn(400)
+			if rng.Intn(20) == 0 {
+				n = capacity + 1 + rng.Intn(capacity)
+			}
+			v := make([]byte, n)
+			fill(v, pattern(k, step))
+			c.Publish(k, v)
+			m.put(k, n)
+			fill(v, 0xee) // the caller reuses its buffer
+			if b := c.index[k]; n <= capacity && (b == nil || b.refs.Load() != 1 || !intact(b.data, pattern(k, step))) {
+				t.Fatalf("step %d: Publish(%v, %d B) left %v resident", step, k, n, b)
 			}
 		case op < 75:
 			// The reader's fill: a payload a few bytes into a recycled buffer.
@@ -199,6 +230,9 @@ func TestModelAgainstParentLRU(t *testing.T) {
 			}
 		}
 	}
+	if c.hits != hits || c.misses != misses {
+		t.Fatalf("counters say %d hits, %d misses; Gets saw %d and %d", c.hits, c.misses, hits, misses)
+	}
 	if c.hits == 0 || c.misses == 0 || len(c.free.blocks) == 0 {
 		t.Fatalf("run exercised nothing: %d hits, %d misses, %d free", c.hits, c.misses, len(c.free.blocks))
 	}
@@ -278,9 +312,9 @@ func TestSteadyStateFillAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPoisonStress runs readers that pin, check and release blocks against
-// fills, evictions and DropTable on a cache a few blocks large, with freed
-// arrays poisoned: a block recycled while still pinned, or read after its
+// TestPoisonStress runs readers that pin (Get or Peek), check and release
+// blocks against fills, publishes, evictions and DropTable on a cache a few
+// blocks large, with freed arrays poisoned: a block recycled while still pinned, or read after its
 // release, shows the poison (or another key's pattern) instead of its own.
 // Run under -race.
 func TestPoisonStress(t *testing.T) {
@@ -299,6 +333,7 @@ func TestPoisonStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			var held []*Block
+			scratch := make([]byte, 0, 4300)
 			check := func(b *Block) {
 				if d := b.Data(); len(d) == 0 || !intact(d, pattern(b.key, 0)) {
 					t.Errorf("block %v: payload is not its own (first byte %#x)", b.key, d[0])
@@ -306,7 +341,18 @@ func TestPoisonStress(t *testing.T) {
 			}
 			for i := 0; i < ops; i++ {
 				k := Key{Table: uint64(rng.Intn(2)), Offset: uint64(rng.Intn(keys))}
-				b, ok := c.Get(k)
+				if i%5 == 0 {
+					// A writer publishes from a buffer it reuses at once.
+					scratch = scratch[:4000+rng.Intn(300)]
+					fill(scratch, pattern(k, 0))
+					c.Publish(k, scratch)
+					fill(scratch, 0xee)
+				}
+				lookup := c.Get
+				if i%3 == 0 {
+					lookup = c.Peek
+				}
+				b, ok := lookup(k)
 				if !ok {
 					n := 4000 + rng.Intn(300)
 					b = c.Alloc(k, n+7)

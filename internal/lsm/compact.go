@@ -449,37 +449,8 @@ func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, a
 			inputs[j] = nodes[in.ID].rd
 		}
 		name := alloc()
-		path := filepath.Join(db.dir, name)
-		f, err := db.fs.Create(path)
+		rd, mstats, err := db.mergeTables(name, step.Output.ID == rootID, inputs)
 		if err != nil {
-			return fmt.Errorf("lsm: compaction output: %w", err)
-		}
-		// Failure cleanup mirrors flushLocked: close before remove, return
-		// the first error, count (never propagate) removal failures.
-		removeOutput := func() {
-			if rerr := db.fs.Remove(path); rerr != nil {
-				db.cleanupFails.Add(1)
-			}
-		}
-		dropTombstones := step.Output.ID == rootID
-		mstats, err := sstable.MergeOpts(f, dropTombstones, db.tableWriterOpts(), inputs...)
-		if err != nil {
-			f.Close()
-			removeOutput()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			removeOutput()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			removeOutput()
-			return fmt.Errorf("lsm: close compaction output: %w", err)
-		}
-		rd, err := db.openTable(name)
-		if err != nil {
-			removeOutput()
 			return err
 		}
 		nodes[step.Output.ID] = db.newTableHandle(name, rd, 0)
@@ -491,10 +462,11 @@ func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, a
 }
 
 // tableKeySet scans a table and returns its keys hashed into the uint64
-// universe of the abstract model.
+// universe of the abstract model. Like the merges it plans, the scan reads
+// around the block cache.
 func tableKeySet(rd *sstable.Reader) (keyset.Set, error) {
 	keys := make([]uint64, 0, rd.EntryCount())
-	it := rd.Iter()
+	it := rd.ScanIter()
 	defer it.Close()
 	for ; it.Valid(); it.Next() {
 		keys = append(keys, hashBytes(it.Entry().Key))

@@ -382,7 +382,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		if mb, ok := man.bounds[name]; ok {
 			hint = &mb
 		}
-		rd, err := db.openTableWithBounds(name, hint)
+		rd, err := db.openTable(name, hint, sstable.ReserveID())
 		if err != nil {
 			releaseTables(db.tables)
 			if errors.Is(err, fs.ErrNotExist) {
@@ -525,23 +525,83 @@ func removeOrphans(fsys vfs.FS, dir string, man *manifest) (failed uint64, err e
 	return failed, nil
 }
 
-// openTable opens an sstable file and attaches the shared block cache.
-func (db *DB) openTable(name string) (*sstable.Reader, error) {
-	return db.openTableWithBounds(name, nil)
+// blocks is the block cache table readers and writers share: the
+// configured one, or cache.Uncached when it is disabled.
+func (db *DB) blocks() sstable.Cache {
+	if db.blockCache == nil {
+		return cache.Uncached
+	}
+	return db.blockCache
 }
 
-// openTableWithBounds is openTable passing a persisted bounds hint from
-// the manifest; see sstable.OpenWithBounds.
-func (db *DB) openTableWithBounds(name string, hint *sstable.Bounds) (*sstable.Reader, error) {
-	rd, err := sstable.OpenFS(db.fs, filepath.Join(db.dir, name), hint)
+// openTable opens an sstable file under block-cache id and attaches the
+// shared block cache. hint is the manifest's persisted bounds, if any; see
+// sstable.OpenWithBounds.
+func (db *DB) openTable(name string, hint *sstable.Bounds, id uint64) (*sstable.Reader, error) {
+	rd, err := sstable.OpenFSWithID(db.fs, filepath.Join(db.dir, name), hint, id)
 	if err != nil {
 		return nil, err
 	}
-	if db.blockCache != nil {
-		rd.SetBlockCache(db.blockCache)
-	}
+	rd.SetBlockCache(db.blocks())
 	rd.SetFilterMetrics(&db.filterMetrics)
 	return rd, nil
+}
+
+// buildTable creates the sstable file name, has fill write and finish it
+// through a Writer sized for expected entries, makes it durable and opens
+// it. The Writer publishes the blocks it writes to the block cache under an
+// id reserved here, and the Reader is opened with that id, so the table is
+// born resident (see sstable.Writer.PublishTo).
+//
+// Every failure aborts cleanly: the partial file is closed before removal
+// (removing an open file works on POSIX but masks close diagnostics), the
+// first error is the one returned, a failed removal is counted rather than
+// allowed to shadow it, and the blocks published so far are dropped. Once
+// the Reader exists its Close drops them, so a caller that abandons the
+// table later (a failed manifest save) closes the Reader and removes the
+// file.
+func (db *DB) buildTable(name string, expected int, fill func(*sstable.Writer) error) (*sstable.Reader, error) {
+	path := filepath.Join(db.dir, name)
+	f, err := db.fs.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("lsm: create sstable: %w", err)
+	}
+	id := sstable.ReserveID()
+	abort := func(first error) (*sstable.Reader, error) {
+		if rerr := db.fs.Remove(path); rerr != nil {
+			db.cleanupFails.Add(1)
+		}
+		db.blocks().DropTable(id)
+		return nil, first
+	}
+	w := sstable.NewWriterOpts(f, expected, db.tableWriterOpts())
+	w.PublishTo(db.blocks(), id)
+	if err := fill(w); err != nil {
+		f.Close()
+		return abort(err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return abort(err)
+	}
+	if err := f.Close(); err != nil {
+		return abort(fmt.Errorf("lsm: close sstable: %w", err))
+	}
+	rd, err := db.openTable(name, nil, id)
+	if err != nil {
+		return abort(err)
+	}
+	return rd, nil
+}
+
+// mergeTables is buildTable for the merge of inputs.
+func (db *DB) mergeTables(name string, dropTombstones bool, inputs []*sstable.Reader) (*sstable.Reader, sstable.MergeStats, error) {
+	var stats sstable.MergeStats
+	rd, err := db.buildTable(name, sstable.MergeEntries(inputs...), func(w *sstable.Writer) (err error) {
+		stats, err = sstable.MergeTo(w, dropTombstones, inputs...)
+		return err
+	})
+	return rd, stats, err
 }
 
 // Close stops background maintenance, flushes nothing (the WAL preserves
@@ -921,42 +981,15 @@ func (db *DB) flushLocked() error {
 	}
 	name := fmt.Sprintf("%06d.sst", db.man.nextFileNum)
 	db.man.nextFileNum++
-	path := filepath.Join(db.dir, name)
-	f, err := db.fs.Create(path)
+	// A failure before the manifest records the table leaves the memtable
+	// and WAL untouched, so the flush simply retries later — nothing
+	// acknowledged is at risk.
+	var w *sstable.Writer
+	rd, err := db.buildTable(name, db.mem.Len(), func(tw *sstable.Writer) error {
+		w = tw
+		return sstable.WriteAll(w, db.mem.Iter())
+	})
 	if err != nil {
-		return fmt.Errorf("lsm: create sstable: %w", err)
-	}
-	// Every failure before the manifest records the table aborts the
-	// flush cleanly: the partial file is closed before removal (removing
-	// an open file works on POSIX but masks close diagnostics), the first
-	// error is the one returned, and a failed removal is counted rather
-	// than allowed to shadow it. The memtable and WAL are untouched, so
-	// the flush simply retries later — nothing acknowledged is at risk.
-	abort := func(first error) error {
-		f.Close()
-		if rerr := db.fs.Remove(path); rerr != nil {
-			db.cleanupFails.Add(1)
-		}
-		return first
-	}
-	w := sstable.NewWriterOpts(f, db.mem.Len(), db.tableWriterOpts())
-	if err := sstable.WriteAll(w, db.mem.Iter()); err != nil {
-		return abort(err)
-	}
-	if err := f.Sync(); err != nil {
-		return abort(err)
-	}
-	if err := f.Close(); err != nil {
-		if rerr := db.fs.Remove(path); rerr != nil {
-			db.cleanupFails.Add(1)
-		}
-		return fmt.Errorf("lsm: close sstable: %w", err)
-	}
-	rd, err := db.openTable(name)
-	if err != nil {
-		if rerr := db.fs.Remove(path); rerr != nil {
-			db.cleanupFails.Add(1)
-		}
 		return err
 	}
 	// Newest first.
@@ -983,7 +1016,7 @@ func (db *DB) flushLocked() error {
 		db.man.tables = db.man.tables[1:]
 		db.man.recordBounds(db.tables)
 		rd.Close()
-		if rerr := db.fs.Remove(path); rerr != nil {
+		if rerr := db.fs.Remove(filepath.Join(db.dir, name)); rerr != nil {
 			db.cleanupFails.Add(1)
 		}
 		db.failDurabilityLocked(err)
@@ -1193,8 +1226,11 @@ type Stats struct {
 	// CompactionState is the major-compaction state machine's current
 	// phase: "idle", "planning", "merging" or "swapping".
 	CompactionState string
-	// BlockCacheHits and BlockCacheMisses count block-cache outcomes; both
-	// are zero when the cache is disabled.
+	// BlockCacheHits and BlockCacheMisses count the block-cache outcomes of
+	// user reads (Get, scans, snapshots) only: compaction merges and
+	// major-compaction planning read around the cache, and a block a flush
+	// or merge publishes is neither a hit nor a miss. Both are zero when
+	// the cache is disabled.
 	BlockCacheHits, BlockCacheMisses uint64
 	// BlockCacheShardBalance is the ratio of the fullest block-cache
 	// stripe's occupancy to the mean stripe occupancy (1.0 = perfectly

@@ -566,32 +566,7 @@ func (db *DB) minorCompactLocked(policy CompactionPolicy) (*MinorCompactionResul
 	start := time.Now()
 	name := fmt.Sprintf("%06d.sst", db.man.nextFileNum)
 	db.man.nextFileNum++
-	path := filepath.Join(db.dir, name)
-	f, err := db.fs.Create(path)
-	if err != nil {
-		return nil, false, fmt.Errorf("lsm: minor compaction output: %w", err)
-	}
-	removeOutput := func() {
-		if rerr := db.fs.Remove(path); rerr != nil {
-			db.cleanupFails.Add(1)
-		}
-	}
-	stats, err := sstable.MergeOpts(f, false, db.tableWriterOpts(), inputs...)
-	if err != nil {
-		f.Close()
-		removeOutput()
-		return nil, false, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		removeOutput()
-		return nil, false, err
-	}
-	if err := f.Close(); err != nil {
-		removeOutput()
-		return nil, false, fmt.Errorf("lsm: close minor compaction output: %w", err)
-	}
-	rd, err := db.openTable(name)
+	rd, stats, err := db.mergeTables(name, false, inputs)
 	if err != nil {
 		return nil, false, err
 	}
@@ -632,7 +607,9 @@ func (db *DB) minorCompactLocked(policy CompactionPolicy) (*MinorCompactionResul
 		db.man.tables = oldManTables
 		db.failDurabilityLocked(err)
 		rd.Close()
-		removeOutput()
+		if rerr := db.fs.Remove(filepath.Join(db.dir, name)); rerr != nil {
+			db.cleanupFails.Add(1)
+		}
 		return nil, false, err
 	}
 	db.tables = kept

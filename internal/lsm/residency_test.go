@@ -1,0 +1,408 @@
+package lsm
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/sstable"
+	"repro/internal/vfs"
+)
+
+// Residency tests for the write-through, scan-resistant block cache: what a
+// flush or merge writes is resident when its table is installed, a merge
+// reads around the cache and carries residency from its inputs to its
+// output, and every abandoned table write takes its published blocks with
+// it. They observe the cache through Sharded.Stats/Len and the device
+// through sstReads.
+
+// sstReads counts ReadAt calls on .sst files: table reads at the device.
+type sstReads struct {
+	vfs.FS
+	calls atomic.Int64
+}
+
+func (c *sstReads) Open(path string) (vfs.File, error) {
+	f, err := c.FS.Open(path)
+	if err != nil || !strings.HasSuffix(path, ".sst") {
+		return f, err
+	}
+	return countedFile{f, &c.calls}, nil
+}
+
+type countedFile struct {
+	vfs.File
+	calls *atomic.Int64
+}
+
+func (f countedFile) ReadAt(p []byte, off int64) (int, error) {
+	f.calls.Add(1)
+	return f.File.ReadAt(p, off)
+}
+
+func residencyValue(i, gen int) []byte {
+	return []byte(fmt.Sprintf("%08d-%04d-%s", i, gen, strings.Repeat("v", 86)))
+}
+
+// flushRange puts keys lo, lo+stride, … below hi at generation gen and
+// flushes them into one table.
+func flushRange(t testing.TB, db *DB, lo, hi, stride, gen int) {
+	t.Helper()
+	for i := lo; i < hi; i += stride {
+		if err := db.Put(scanKey(i), residencyValue(i, gen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readRange Gets the same keys and checks their generation, returning how
+// many block-cache misses and table ReadAts that took.
+func readRange(t testing.TB, db *DB, fsys *sstReads, lo, hi, stride, gen int) (misses uint64, reads int64) {
+	t.Helper()
+	_, misses0, _ := db.blockCache.Stats()
+	reads0 := fsys.calls.Load()
+	for i := lo; i < hi; i += stride {
+		got, err := db.Get(scanKey(i))
+		if err != nil || !bytes.Equal(got, residencyValue(i, gen)) {
+			t.Fatalf("Get(%s) = %.16q, %v; want generation %d", scanKey(i), got, err, gen)
+		}
+	}
+	_, misses1, _ := db.blockCache.Stats()
+	return misses1 - misses0, fsys.calls.Load() - reads0
+}
+
+func sstFiles(t testing.TB, fsys vfs.FS, dir string) int {
+	t.Helper()
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".sst") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFlushedTableIsResident: a flushed memtable is in the block cache when
+// its table is installed. Reading every flushed key back misses the cache
+// never and goes to the file once — the lazy parse of the table's one index
+// chunk, which is not a data block — and a second pass not at all.
+func TestFlushedTableIsResident(t *testing.T) {
+	for _, codec := range []sstable.Compression{sstable.NoCompression, sstable.Fast} {
+		fsys := &sstReads{FS: vfs.Default}
+		db := openTestDB(t, Options{MemtableBytes: 64 << 20, Compression: codec, FS: fsys})
+		flushRange(t, db, 0, 3000, 1, 0)
+		if db.blockCache.Len() < 50 {
+			t.Fatalf("codec %v: %d blocks resident after a 3000-entry flush", codec, db.blockCache.Len())
+		}
+		if misses, reads := readRange(t, db, fsys, 0, 3000, 1, 0); misses != 0 || reads != 1 {
+			t.Errorf("codec %v: reading a flushed table: %d cache misses, %d ReadAt; want 0 and 1 (its index chunk)", codec, misses, reads)
+		}
+		if misses, reads := readRange(t, db, fsys, 0, 3000, 1, 0); misses != 0 || reads != 0 {
+			t.Errorf("codec %v: second pass: %d cache misses, %d ReadAt", codec, misses, reads)
+		}
+	}
+}
+
+// TestMinorCompactionCarriesResidency: merging tables whose blocks are all
+// resident leaves the output all resident — reading every merged key goes
+// to the file for the output's index chunk and nothing else — and leaves no
+// block of a dropped input behind: the cache holds exactly as many blocks
+// as the output has, counted by reading the reopened store cold.
+func TestMinorCompactionCarriesResidency(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &sstReads{FS: vfs.Default}
+	opts := Options{MemtableBytes: 64 << 20, FS: fsys}
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen := 0; gen < 4; gen++ { // four tables over one key range
+		flushRange(t, db, 0, 2000, 1, gen)
+	}
+	hits0, misses0, _ := db.blockCache.Stats()
+	before := db.blockCache.Len()
+	if _, ran, err := db.MinorCompact(pickFirstN{4}); err != nil || !ran {
+		t.Fatalf("MinorCompact: ran=%v err=%v", ran, err)
+	}
+	if hits, misses, _ := db.blockCache.Stats(); hits != hits0 || misses != misses0 {
+		t.Errorf("the merge counted %d hits and %d misses as user reads", hits-hits0, misses-misses0)
+	}
+	after := db.blockCache.Len()
+	if misses, reads := readRange(t, db, fsys, 0, 2000, 1, 3); misses != 0 || reads != 1 {
+		t.Errorf("reading merged keys: %d cache misses, %d ReadAt; want 0 and 1 (the output's index chunk)", misses, reads)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.blockCache.Len() != 0 || db.Stats().Tables != 1 {
+		t.Fatalf("reopened with %d blocks cached, %d tables", db.blockCache.Len(), db.Stats().Tables)
+	}
+	readRange(t, db, fsys, 0, 2000, 1, 3)
+	if outBlocks := db.blockCache.Len(); after != outBlocks || before <= outBlocks {
+		t.Errorf("%d blocks resident before the merge, %d after; the output has %d", before, after, outBlocks)
+	}
+}
+
+// TestColdCompactionLeavesCacheAlone: compacting a cold store more than ten
+// times the cache publishes nothing, evicts nothing and promotes nothing.
+// The cache holds the pre-warmed blocks of one small hot table. A minor
+// compaction of the cold tables (the hot one uninvolved) and then a major
+// compaction of everything (planning scan included; the hot table's keys
+// interleave with cold ones, so no output block is merged from resident
+// inputs alone) each leave exactly those blocks resident, checked at the
+// point where the merge outputs exist and the inputs are still live.
+func TestColdCompactionLeavesCacheAlone(t *testing.T) {
+	const cacheBytes = 256 << 10
+	fsys := &sstReads{FS: vfs.Default}
+	var db *DB
+	var hotBlocks int
+	var hits0, misses0 uint64
+	// undisturbed fails unless the cache is exactly the hot table's blocks
+	// and the counters are where warming left them.
+	undisturbed := func(when string) {
+		t.Helper()
+		if n := db.blockCache.Len(); n != hotBlocks {
+			t.Errorf("%s: %d blocks resident, want the hot table's %d", when, n, hotBlocks)
+		}
+		if hits, misses, _ := db.blockCache.Stats(); hits != hits0 || misses != misses0 {
+			t.Errorf("%s: compaction counted %d hits, %d misses", when, hits-hits0, misses-misses0)
+		}
+	}
+	db = openTestDB(t, Options{
+		MemtableBytes: 64 << 20, BlockCacheBytes: cacheBytes, FS: fsys,
+		HookBeforeSwap: func() error { undisturbed("major compaction, before the swap"); return nil },
+	})
+	for tbl := 0; tbl < 6; tbl++ { // 6 × 5000 × ~130 B ≈ 3.9 MB, 15× the cache
+		flushRange(t, db, tbl, 30000, 6, 0)
+	}
+	flushRange(t, db, 3, 30000, 60, 1) // the hot table: 500 keys scattered over the range
+	// Start from an empty cache, then warm the hot table alone.
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(db.dir, db.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	readRange(t, db, fsys, 3, 30000, 60, 1)
+	hotBlocks = db.blockCache.Len()
+	hits0, misses0, _ = db.blockCache.Stats()
+	if hotBlocks == 0 || hotBlocks*4096 > cacheBytes/2 {
+		t.Fatalf("hot table warmed %d blocks into a %d-byte cache", hotBlocks, cacheBytes)
+	}
+	if sz := db.Stats().TableBytes; sz < 10*cacheBytes {
+		t.Fatalf("store is %d bytes, want at least ten times the %d-byte cache", sz, cacheBytes)
+	}
+
+	// Tables are newest first: index 0 is the hot table.
+	if _, ran, err := db.MinorCompact(pickIndices{[]int{1, 2, 3}}); err != nil || !ran {
+		t.Fatalf("MinorCompact: ran=%v err=%v", ran, err)
+	}
+	undisturbed("minor compaction of cold tables")
+	if misses, reads := readRange(t, db, fsys, 3, 30000, 60, 1); misses != 0 || reads != 0 {
+		t.Errorf("hot keys after the cold merge: %d cache misses, %d ReadAt", misses, reads)
+	}
+	hits0, misses0, _ = db.blockCache.Stats()
+
+	if _, err := db.MajorCompact("BT(I)", 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if db.Stats().Tables != 1 {
+		t.Fatalf("%d tables after the major compaction", db.Stats().Tables)
+	}
+	// Every input is gone, the hot table with them, and nothing took its
+	// place: the one output block in ten that holds a hot key also holds
+	// cold ones.
+	if n := db.blockCache.Len(); n != 0 {
+		t.Errorf("%d blocks resident after a cold major compaction, want 0", n)
+	}
+}
+
+// TestAbandonedTableWritesLeaveNoBlocks: every way a flush, a minor
+// compaction or a scheduled merge can fail between reserving its table's
+// cache id and installing the table — create, a write part-way through,
+// sync, the open after the write, the manifest save — leaves the cache with
+// the blocks it had, the directory with no orphan .sst, and the data
+// readable. The minor-compaction open failure used to leave the merge
+// output on disk.
+func TestAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
+	isTable := func(path string) bool { return strings.HasSuffix(path, ".sst") }
+	faults := []struct {
+		name string
+		arm  func(f *vfs.Fault)
+	}{
+		{"create", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.SetProb(vfs.OpCreate, 1) }},
+		{"write", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.SetDiskFullAfter(20 << 10) }},
+		{"sync", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.FailNthSync(1) }},
+		{"open", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.SetProb(vfs.OpOpen, 1) }},
+		{"manifest", func(f *vfs.Fault) {
+			f.SetPathFilter(func(path string) bool { return strings.Contains(path, manifestName) })
+			f.SetProb(vfs.OpSync, 1)
+		}},
+	}
+	ops := []struct {
+		name string
+		run  func(db *DB) error
+	}{
+		{"flush", func(db *DB) error { return db.Flush() }},
+		{"minor", func(db *DB) error {
+			_, _, err := db.MinorCompact(pickFirstN{3})
+			return err
+		}},
+		{"major", func(db *DB) error {
+			_, err := db.MajorCompact("BT(I)", 2, 1)
+			return err
+		}},
+	}
+	for _, op := range ops {
+		for _, ft := range faults {
+			t.Run(op.name+"/"+ft.name, func(t *testing.T) {
+				fault := vfs.NewFault(vfs.Default, 1)
+				fsys := &sstReads{FS: fault}
+				db := openTestDB(t, Options{MemtableBytes: 64 << 20, FS: fsys})
+				for gen := 0; gen < 3; gen++ {
+					flushRange(t, db, 0, 1500, 1, gen)
+				}
+				if op.name == "flush" {
+					for i := 0; i < 1500; i++ {
+						if err := db.Put(scanKey(i), residencyValue(i, 3)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				blocks, tables := db.blockCache.Len(), db.Stats().Tables
+				if blocks == 0 || tables != 3 {
+					t.Fatalf("fixture: %d blocks resident, %d tables", blocks, tables)
+				}
+
+				ft.arm(fault)
+				err := op.run(db)
+				fault.Disable()
+				if !errors.Is(err, vfs.ErrInjected) {
+					t.Fatalf("%s under a %s fault returned %v", op.name, ft.name, err)
+				}
+				if n := db.blockCache.Len(); n != blocks {
+					t.Errorf("%d blocks resident after the abort, %d before", n, blocks)
+				}
+				if n := sstFiles(t, fsys, db.dir); n != tables || db.Stats().Tables != tables {
+					t.Errorf("%d .sst files and %d live tables after the abort, want %d", n, db.Stats().Tables, tables)
+				}
+				if db.Stats().CleanupFailures != 0 {
+					t.Errorf("%d cleanup failures", db.Stats().CleanupFailures)
+				}
+				gen := 2
+				if op.name == "flush" {
+					gen = 3 // still in the memtable
+				}
+				readRange(t, db, fsys, 0, 1500, 1, gen)
+			})
+		}
+	}
+}
+
+// TestResidencyStress races everything that moves blocks: write-triggered
+// flushes publishing into a cache of a few dozen blocks, live minor
+// compactions peeking at their inputs, publishing their outputs and
+// dropping tables, and readers pinning blocks by Get and by scan — with
+// freed arrays poisoned, so a block recycled under a pin, or published from
+// a buffer the writer has since reused, fails a value check. Run under
+// -race.
+func TestResidencyStress(t *testing.T) {
+	cache.PoisonFreed.Store(true)
+	defer cache.PoisonFreed.Store(false)
+	db := openTestDB(t, Options{
+		MemtableBytes:   32 << 10,
+		BlockCacheBytes: 160 << 10,
+		AutoCompact:     SizeTieredPolicy{},
+		Compression:     sstable.Fast,
+	})
+	const keys = 1500
+	var latest [keys]atomic.Int64 // generation last acknowledged per key
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer stop.Store(true)
+		for gen := 1; gen <= 12; gen++ {
+			for i := 0; i < keys; i++ {
+				if err := db.Put(scanKey(i), residencyValue(i, gen)); err != nil {
+					t.Errorf("Put: %v", err)
+					return
+				}
+				latest[i].Store(int64(gen))
+			}
+		}
+	}()
+	check := func(i int, atLeast int64, got []byte) bool {
+		var gotKey, gen int
+		if _, err := fmt.Sscanf(string(got), "%08d-%04d-", &gotKey, &gen); err != nil ||
+			gotKey != i || int64(gen) < atLeast || !bytes.Equal(got, residencyValue(i, gen)) {
+			t.Errorf("key %d read %.20q…, want generation >= %d", i, got, atLeast)
+			return false
+		}
+		return true
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := r; !stop.Load(); n += 7 {
+				i := n % keys
+				atLeast := latest[i].Load()
+				got, err := db.Get(scanKey(i))
+				if errors.Is(err, ErrNotFound) && atLeast == 0 {
+					continue
+				}
+				if err != nil || !check(i, atLeast, got) {
+					t.Errorf("Get(%d): %v", i, err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			err := db.Scan(func(k, v []byte) error {
+				var i int
+				if _, err := fmt.Sscanf(string(k), "key-%d", &i); err != nil || !check(i, 0, v) {
+					return fmt.Errorf("scan at %q", k)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("Scan: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	st := db.Stats()
+	if st.Flushes < 20 || st.MinorCompactions == 0 {
+		t.Fatalf("stress ran %d flushes and %d minor compactions", st.Flushes, st.MinorCompactions)
+	}
+	if _, _, used := db.blockCache.Stats(); used > 160<<10 {
+		t.Errorf("cache holds %d bytes, over its budget", used)
+	}
+}

@@ -38,21 +38,38 @@ func MergeCompressed(w io.Writer, dropTombstones bool, compression Compression, 
 // MergeOpts is Merge with full writer options for the output table; input
 // tables of any format version merge into an output of the requested one.
 func MergeOpts(w io.Writer, dropTombstones bool, opts WriterOptions, inputs ...*Reader) (MergeStats, error) {
+	return MergeTo(NewWriterOpts(w, MergeEntries(inputs...), opts), dropTombstones, inputs...)
+}
+
+// MergeEntries is the number of entries a merge of inputs reads: the
+// expected-entries estimate for the Writer of its output.
+func MergeEntries(inputs ...*Reader) int {
+	n := 0
+	for _, rd := range inputs {
+		n += int(rd.EntryCount())
+	}
+	return n
+}
+
+// MergeTo is Merge into a Writer the caller built, which it finishes. The
+// inputs are read through ScanIters — a merge reads every block of tables
+// that are obsolete once it commits, so it neither fills the block cache
+// nor reorders it — and a Writer that publishes (PublishTo) carries their
+// residency over to the output.
+func MergeTo(tw *Writer, dropTombstones bool, inputs ...*Reader) (MergeStats, error) {
 	var stats MergeStats
 	children := make([]iterator.Iterator, len(inputs))
 	iters := make([]*Iter, len(inputs))
-	expected := 0
 	for i, rd := range inputs {
-		it := rd.Iter()
+		it := rd.ScanIter()
 		defer it.Close()
 		iters[i] = it
 		children[i] = it
 		stats.BytesRead += rd.FileSize()
 		stats.EntriesIn += rd.EntryCount()
-		expected += int(rd.EntryCount())
 	}
+	tw.inputs = iters
 	merged := iterator.NewDedup(iterator.NewMerging(children...), dropTombstones)
-	tw := NewWriterOpts(w, expected, opts)
 	if err := WriteAll(tw, merged); err != nil {
 		return stats, fmt.Errorf("sstable: merge: %w", err)
 	}

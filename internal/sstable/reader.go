@@ -18,6 +18,12 @@ import (
 // readerIDs hands each Reader a unique ID for block-cache keying.
 var readerIDs atomic.Uint64
 
+// ReserveID returns a fresh table ID before the table exists: a Writer
+// publishes the blocks it writes under it (Writer.PublishTo) and OpenFSWithID
+// opens the finished table with it, so the Reader finds them. Whoever
+// reserves an ID and then abandons the table must DropTable it.
+func ReserveID() uint64 { return readerIDs.Add(1) }
+
 // FilterMetrics accumulates Bloom-filter effectiveness counters across all
 // the readers of a store (tables come and go under compaction, so the
 // counters must outlive any single Reader). Negatives are lookups the
@@ -44,11 +50,20 @@ type FilterMetrics struct {
 // (table ID, file offset) pairs; a version-3 table's data blocks and index
 // chunks occupy disjoint offsets in the same file, so the one key space
 // covers both without collision.
+//
+// Blocks also arrive from the other side: a Writer given a cache and the
+// table's reserved ID Publishes a copy of every data block's decoded body
+// as it writes it, byte for byte what readBlock would cache for the same
+// handle. Readers that must not disturb residency (merge inputs, planning
+// scans — Reader.ScanIter) look blocks up with Peek, which neither promotes
+// nor counts, and read what is missing into buffers of cache.Uncached.
 type Cache interface {
 	Get(k cache.Key) (*cache.Block, bool)
+	Peek(k cache.Key) (*cache.Block, bool)
 	Alloc(k cache.Key, n int) *cache.Block
 	Add(b *cache.Block, payload []byte)
 	Put(k cache.Key, value []byte) *cache.Block
+	Publish(k cache.Key, data []byte)
 	DropTable(table uint64)
 }
 
@@ -87,6 +102,10 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 // The hint is ignored for version-2+ tables — their footer is
 // authoritative — and a nil or implausible hint falls back to backfill.
 func NewReaderWithBounds(r io.ReaderAt, size int64, hint *Bounds) (*Reader, error) {
+	return newReader(r, size, hint, ReserveID())
+}
+
+func newReader(r io.ReaderAt, size int64, hint *Bounds, id uint64) (*Reader, error) {
 	if size < footerV1Size {
 		return nil, ErrCorrupt
 	}
@@ -125,7 +144,7 @@ func NewReaderWithBounds(r io.ReaderAt, size int64, hint *Bounds) (*Reader, erro
 		(version >= FormatV2 && !inFile(f.boundsOff, f.boundsLen)) {
 		return nil, ErrCorrupt
 	}
-	rd := &Reader{id: readerIDs.Add(1), r: r, size: size, f: f, version: version, blocks: cache.Uncached}
+	rd := &Reader{id: id, r: r, size: size, f: f, version: version, blocks: cache.Uncached}
 	if err := rd.loadIndex(); err != nil {
 		return nil, err
 	}
@@ -152,6 +171,12 @@ func OpenWithBounds(path string, hint *Bounds) (*Reader, error) {
 // OpenFS is OpenWithBounds reading through fsys, so tests can serve table
 // reads from a fault-injecting filesystem.
 func OpenFS(fsys vfs.FS, path string, hint *Bounds) (*Reader, error) {
+	return OpenFSWithID(fsys, path, hint, ReserveID())
+}
+
+// OpenFSWithID is OpenFS for a table whose Writer published its blocks
+// under id, obtained from ReserveID.
+func OpenFSWithID(fsys vfs.FS, path string, hint *Bounds, id uint64) (*Reader, error) {
 	file, err := fsys.Open(path)
 	if err != nil {
 		return nil, err
@@ -161,7 +186,7 @@ func OpenFS(fsys vfs.FS, path string, hint *Bounds) (*Reader, error) {
 		file.Close()
 		return nil, err
 	}
-	rd, err := NewReaderWithBounds(file, st.Size(), hint)
+	rd, err := newReader(file, st.Size(), hint, id)
 	if err != nil {
 		file.Close()
 		return nil, fmt.Errorf("sstable: open %s: %w", path, err)
@@ -213,7 +238,13 @@ func (rd *Reader) readBlock(h blockHandle) (*cache.Block, error) {
 	if b, ok := rd.blocks.Get(key); ok {
 		return b, nil
 	}
-	b := rd.blocks.Alloc(key, int(h.length)+4)
+	return rd.loadBlock(rd.blocks, key, h)
+}
+
+// loadBlock reads the data block at h from the file into a buffer of c,
+// verifies it and adds it to c, returning it pinned.
+func (rd *Reader) loadBlock(c Cache, key cache.Key, h blockHandle) (*cache.Block, error) {
+	b := c.Alloc(key, int(h.length)+4)
 	if _, err := rd.r.ReadAt(b.Buf(), int64(h.offset)); err != nil {
 		b.Release()
 		return nil, fmt.Errorf("sstable: read block at %d: %w", h.offset, err)
@@ -227,9 +258,9 @@ func (rd *Reader) readBlock(h blockHandle) (*cache.Block, error) {
 		// A compressed block decodes into a fresh allocation, which the
 		// cache adopts; the frame buffer goes straight back for reuse.
 		b.Release()
-		return rd.blocks.Put(key, payload), nil
+		return c.Put(key, payload), nil
 	}
-	rd.blocks.Add(b, payload)
+	c.Add(b, payload)
 	return b, nil
 }
 
@@ -596,6 +627,15 @@ func (rd *Reader) Iter() *Iter {
 	return &Iter{rd: rd}
 }
 
+// ScanIter is Iter for maintenance that reads a whole table once and must
+// not let that show in the cache — a compaction merge over its inputs, a
+// planning scan: resident blocks are used where they lie, the rest pass
+// through private buffers, and the cache's contents, recency order and
+// hit/miss counters are the same afterwards as before.
+func (rd *Reader) ScanIter() *Iter {
+	return &Iter{rd: rd, nofill: true}
+}
+
 // IterFrom returns an iterator positioned at the first entry with
 // key >= start.
 func (rd *Reader) IterFrom(start []byte) *Iter {
@@ -624,9 +664,14 @@ type Iter struct {
 	v3      v3BlockIter   // current version-3 block; its arena carries across blocks
 	blk     *cache.Block  // pin on the block being read
 	prev    *cache.Block  // pin on the block before it
-	cur     iterator.Entry
-	valid   bool
-	err     error
+	// nofill marks a ScanIter. For one, cold says the block being read was
+	// not resident, and sawCold that an entry has been consumed from such a
+	// block since a merge's Writer last asked (Writer.inputsResident).
+	nofill, cold, sawCold bool
+
+	cur   iterator.Entry
+	valid bool
+	err   error
 }
 
 // Err returns the first error encountered while iterating, if any; an
@@ -659,6 +704,7 @@ func (it *Iter) Entry() iterator.Entry { return it.cur }
 
 // Next implements iterator.Iterator.
 func (it *Iter) Next() {
+	it.sawCold = it.sawCold || it.cold
 	it.valid = false
 	it.advance()
 }
@@ -704,6 +750,25 @@ func (it *Iter) SeekGE(target []byte) {
 	}
 }
 
+// readBlock pins the block at h the way the iterator's mode reads. An Iter
+// reads through the cache. A ScanIter leaves the cache as it found it: a
+// resident block is used without promoting it or counting a hit, a miss is
+// read into a recycled buffer of cache.Uncached that is never published,
+// and cold records which happened.
+func (it *Iter) readBlock(h blockHandle) (*cache.Block, error) {
+	rd := it.rd
+	if !it.nofill {
+		return rd.readBlock(h)
+	}
+	key := cache.Key{Table: rd.id, Offset: h.offset}
+	if b, ok := rd.blocks.Peek(key); ok {
+		it.cold = false
+		return b, nil
+	}
+	it.cold = true
+	return rd.loadBlock(cache.Uncached, key, h)
+}
+
 // nextBlock loads the next data block, crossing into the next index chunk
 // as needed; it reports false at the end of the table or on error.
 func (it *Iter) nextBlock() bool {
@@ -722,7 +787,7 @@ func (it *Iter) nextBlock() bool {
 	}
 	h := it.handles[it.bi]
 	it.bi++
-	b, err := it.rd.readBlock(h)
+	b, err := it.readBlock(h)
 	if err != nil {
 		it.err = err
 		return false

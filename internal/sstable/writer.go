@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"repro/internal/bloom"
+	"repro/internal/cache"
 	"repro/internal/hll"
 	"repro/internal/iterator"
 )
@@ -54,6 +55,12 @@ type Writer struct {
 	off  uint64
 	opts WriterOptions
 
+	// blocks and id are where finished data blocks are published (PublishTo);
+	// inputs, set by a merge, are the iterators the entries come from.
+	blocks Cache
+	id     uint64
+	inputs []*Iter
+
 	block    []byte       // current block payload (version <= 2)
 	bb       blockBuilder // current block (version 3)
 	blockKey []byte       // first key of the current block
@@ -94,9 +101,34 @@ func NewWriterOpts(w io.Writer, expectedEntries int, opts WriterOptions) *Writer
 	return &Writer{
 		w:      w,
 		opts:   opts.withDefaults(),
+		blocks: cache.Uncached,
 		filter: bloom.NewWithEstimates(uint64(expectedEntries), 0.01),
 		sketch: hll.MustNew(SketchPrecision),
 	}
+}
+
+// PublishTo makes the Writer write through c: every data block is handed
+// to c as it is written, under the key a Reader opened with id (from
+// ReserveID; see OpenFSWithID) will look it up by, so the finished table
+// starts out resident instead of being read back on first use. A table
+// written by a merge publishes a block only when the input blocks its
+// entries came from were themselves resident: what was hot stays hot across
+// the rewrite, and compacting cold data adds nothing to the cache. The
+// caller must DropTable(id) if it abandons the table. Call before the
+// first Add.
+func (w *Writer) PublishTo(c Cache, id uint64) { w.blocks, w.id = c, id }
+
+// inputsResident reports whether every entry a merge consumed from its
+// inputs since the previous call — kept, shadowed or dropped — came from a
+// block resident in the cache. A Writer without inputs (a flush) is writing
+// what users just wrote: always resident.
+func (w *Writer) inputsResident() bool {
+	resident := true
+	for _, it := range w.inputs {
+		resident = resident && !it.sawCold
+		it.sawCold = false
+	}
+	return resident
 }
 
 // Add appends an entry. Keys must be strictly increasing; duplicate or
@@ -223,6 +255,9 @@ func (w *Writer) flushBlock() error {
 	})
 	if _, err := w.w.Write(framed); err != nil {
 		return fmt.Errorf("sstable: write block: %w", err)
+	}
+	if w.inputsResident() {
+		w.blocks.Publish(cache.Key{Table: w.id, Offset: w.off}, body)
 	}
 	w.off += uint64(len(framed))
 	w.bb.reset()

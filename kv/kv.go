@@ -260,6 +260,8 @@ type Stats struct {
 	GroupedWrites uint64 `json:"grouped_writes"`
 	WALSyncs      uint64 `json:"wal_syncs"`
 
+	// BlockCacheHits and BlockCacheMisses count user reads only: compaction
+	// reads around the block cache and is in neither.
 	BlockCacheHits   uint64 `json:"block_cache_hits"`
 	BlockCacheMisses uint64 `json:"block_cache_misses"`
 	// BlockCacheShardBalance is the ratio of the fullest block-cache
