@@ -54,6 +54,7 @@ var specs = []spec{
 	{call: "readBlock", result: 0, method: "Release", what: "block pin", release: "Release"},
 	{call: "loadBlock", result: 0, method: "Release", what: "block pin", release: "Release"},
 	{call: "GetEntry", result: 1, method: "Release", what: "block pin", release: "Release"},
+	{call: "GetEntryHashed", result: 1, method: "Release", what: "block pin", release: "Release"},
 	{call: "Get", result: 0, method: "Release", what: "block pin", release: "Release"},
 	{call: "Peek", result: 0, method: "Release", what: "block pin", release: "Release"},
 	{call: "Alloc", result: 0, method: "Release", what: "block pin", release: "Release", borrows: "Add"},

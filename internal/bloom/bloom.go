@@ -8,6 +8,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+
+	"repro/internal/keyhash"
 )
 
 // Filter is a Bloom filter over arbitrary byte keys. The zero value is not
@@ -54,34 +56,19 @@ func NewWithEstimates(n uint64, p float64) *Filter {
 	return New(m, k)
 }
 
-// fnv1a64 is the 64-bit FNV-1a hash; implemented inline to avoid an
-// allocation per probe from hash.Hash64.
-func fnv1a64(data []byte, seed uint64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset) ^ seed
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime
-	}
-	return h
-}
-
-// indices derives hash probe positions with Kirsch–Mitzenmacher double
-// hashing: g_i(x) = h1(x) + i·h2(x).
-func (f *Filter) probe(key []byte, i uint32) uint64 {
-	h1 := fnv1a64(key, 0)
-	h2 := fnv1a64(key, 0x9e3779b97f4a7c15)
-	return (h1 + uint64(i)*h2) % f.nbits
-}
-
 // Add inserts key into the filter.
-func (f *Filter) Add(key []byte) {
+func (f *Filter) Add(key []byte) { f.AddHash(keyhash.Of(key)) }
+
+// AddHash inserts the key whose hash is h. Probe positions follow
+// Kirsch–Mitzenmacher double hashing, g_i = (H1 + i·H2 mod 2^64) mod nbits,
+// stepped by one wrapping addition per probe; the positions are part of the
+// sstable format.
+func (f *Filter) AddHash(h keyhash.Hash) {
+	x := h.H1
 	for i := uint32(0); i < f.hashes; i++ {
-		pos := f.probe(key, i)
+		pos := x % f.nbits
 		f.bits[pos/64] |= 1 << (pos % 64)
+		x += h.H2
 	}
 	f.count++
 }
@@ -95,12 +82,18 @@ func (f *Filter) AddUint64(key uint64) {
 
 // MayContain reports whether key is possibly in the filter. A false return
 // is definitive: the key was never added.
-func (f *Filter) MayContain(key []byte) bool {
+func (f *Filter) MayContain(key []byte) bool { return f.MayContainHash(keyhash.Of(key)) }
+
+// MayContainHash is MayContain for a key already hashed, so a lookup that
+// probes several tables' filters hashes its key once.
+func (f *Filter) MayContainHash(h keyhash.Hash) bool {
+	x := h.H1
 	for i := uint32(0); i < f.hashes; i++ {
-		pos := f.probe(key, i)
+		pos := x % f.nbits
 		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
 			return false
 		}
+		x += h.H2
 	}
 	return true
 }

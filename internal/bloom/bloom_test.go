@@ -1,7 +1,9 @@
 package bloom
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -132,22 +134,137 @@ func TestByteAndUint64KeysAgree(t *testing.T) {
 	}
 }
 
-func BenchmarkAdd(b *testing.B) {
-	f := NewWithEstimates(uint64(b.N)+1, 0.01)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.AddUint64(uint64(i))
+// referenceFilter is the filter as every table on disk was written: each
+// probe position recomputed from two byte-at-a-time FNV-1a passes,
+// (h1 + i·h2) mod nbits. Kept verbatim as the format's definition — the
+// single-pass filter must set exactly these bits.
+type referenceFilter struct {
+	bits   []uint64
+	nbits  uint64
+	hashes uint32
+}
+
+func referenceFNV1a64(data []byte, seed uint64) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset) ^ seed
+	for _, b := range data {
+		h ^= uint64(b)
+		h *= prime
+	}
+	return h
+}
+
+func (f *referenceFilter) probe(key []byte, i uint32) uint64 {
+	h1 := referenceFNV1a64(key, 0)
+	h2 := referenceFNV1a64(key, 0x9e3779b97f4a7c15)
+	return (h1 + uint64(i)*h2) % f.nbits
+}
+
+func (f *referenceFilter) add(key []byte) {
+	for i := uint32(0); i < f.hashes; i++ {
+		pos := f.probe(key, i)
+		f.bits[pos/64] |= 1 << (pos % 64)
 	}
 }
 
-func BenchmarkMayContain(b *testing.B) {
-	f := NewWithEstimates(100000, 0.01)
-	for i := uint64(0); i < 100000; i++ {
-		f.AddUint64(i)
+// referenceOf builds the reference twin of a fresh Filter.
+func referenceOf(f *Filter) *referenceFilter {
+	return &referenceFilter{bits: make([]uint64, len(f.bits)), nbits: f.nbits, hashes: f.hashes}
+}
+
+// TestMarshalMatchesReferenceFormula pins the on-disk format: over random
+// keys of length 0–64 and every probe count 1–16, the serialized filter is
+// byte-identical to one built with the old per-probe formula.
+func TestMarshalMatchesReferenceFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for hashes := uint32(1); hashes <= 16; hashes++ {
+		// Bit counts that are not powers of two: the modulo must see the
+		// wrapped 64-bit sum, not the mathematical one.
+		f := New(uint64(64*(3+rng.Intn(200))), hashes)
+		ref := referenceOf(f)
+		for n := 0; n < 300; n++ {
+			key := make([]byte, rng.Intn(65))
+			rng.Read(key)
+			f.Add(key)
+			ref.add(key)
+			if !f.MayContain(key) {
+				t.Fatalf("hashes=%d: false negative for %x", hashes, key)
+			}
+		}
+		want := &Filter{bits: ref.bits, nbits: ref.nbits, hashes: ref.hashes, count: f.count}
+		if !bytes.Equal(f.Marshal(), want.Marshal()) {
+			t.Fatalf("hashes=%d nbits=%d: Marshal differs from the reference formula", hashes, f.nbits)
+		}
 	}
+}
+
+// FuzzBloomHashCompat: any key sets the same bit positions under the
+// single-pass filter as under the reference formula.
+func FuzzBloomHashCompat(f *testing.F) {
+	f.Add([]byte(nil), uint8(7), uint16(1))
+	f.Add([]byte("key-00000007"), uint8(7), uint16(150))
+	f.Add(bytes.Repeat([]byte{0xff}, 64), uint8(16), uint16(999))
+	f.Fuzz(func(t *testing.T, key []byte, hashes uint8, words uint16) {
+		fl := New(64*uint64(words), uint32(hashes))
+		ref := referenceOf(fl)
+		fl.Add(key)
+		ref.add(key)
+		for i, w := range fl.bits {
+			if w != ref.bits[i] {
+				t.Fatalf("key %x hashes=%d nbits=%d: word %d = %#x, reference %#x", key, fl.hashes, fl.nbits, i, w, ref.bits[i])
+			}
+		}
+		if !fl.MayContain(key) {
+			t.Fatalf("key %x: false negative", key)
+		}
+	})
+}
+
+// benchFilter is a filter sized for, and holding, n 20-byte keys — the
+// harness's key length — plus the keys.
+func benchFilter(n int) (*Filter, [][]byte) {
+	f := NewWithEstimates(uint64(n), 0.01)
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%016d", i))
+		f.Add(keys[i])
+	}
+	return f, keys
+}
+
+var benchSink bool
+
+func BenchmarkFilterAdd(b *testing.B) {
+	_, keys := benchFilter(8192)
+	f := NewWithEstimates(uint64(len(keys)), 0.01)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = f.MayContainUint64(uint64(i))
+		f.Add(keys[i%len(keys)])
+	}
+}
+
+func BenchmarkFilterHit(b *testing.B) {
+	f, keys := benchFilter(8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = f.MayContain(keys[i%len(keys)])
+	}
+}
+
+func BenchmarkFilterMiss(b *testing.B) {
+	f, keys := benchFilter(8192)
+	absent := make([][]byte, len(keys))
+	for i, k := range keys {
+		absent[i] = append(append([]byte(nil), k[:len(k)-1]...), '!')
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = f.MayContain(absent[i%len(absent)])
 	}
 }

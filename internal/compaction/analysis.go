@@ -27,7 +27,7 @@ func (sc *Schedule) CostByElement() int {
 	// unions of descendant leaves), so edges = nodes − 1.
 	total := 0
 	for _, nd := range sc.Nodes() {
-		total += nd.Set.Len()
+		total += nd.Len()
 	}
 	return total
 }
@@ -256,9 +256,9 @@ func (sc *Schedule) WriteDOT(w io.Writer) error {
 	nodes := sc.Nodes()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 	for _, nd := range nodes {
-		label := fmt.Sprintf("n%d |%d|", nd.ID, nd.Set.Len())
+		label := fmt.Sprintf("n%d |%d|", nd.ID, nd.Len())
 		if nd.IsLeaf() {
-			label = fmt.Sprintf("A%d |%d|", nd.TableID+1, nd.Set.Len())
+			label = fmt.Sprintf("A%d |%d|", nd.TableID+1, nd.Len())
 		}
 		if _, err := fmt.Fprintf(w, "  n%d [label=%q];\n", nd.ID, label); err != nil {
 			return err

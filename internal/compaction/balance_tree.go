@@ -122,7 +122,7 @@ func (b *BalanceTree) Choose() ([]*Node, error) {
 		return group, nil
 	default:
 		sort.Slice(at, func(i, j int) bool {
-			if li, lj := at[i].Set.Len(), at[j].Set.Len(); li != lj {
+			if li, lj := at[i].Len(), at[j].Len(); li != lj {
 				return li < lj
 			}
 			return at[i].ID < at[j].ID

@@ -31,16 +31,28 @@ func Run(inst *Instance, k int, chooser Chooser) (*Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	if k < 2 {
-		return nil, fmt.Errorf("compaction: k = %d, need k >= 2", k)
-	}
-
 	leaves := make([]*Node, inst.N())
 	for i, t := range inst.Tables() {
 		leaves[i] = &Node{ID: i, Set: t.Set, TableID: i, Level: 1}
 	}
+	return greedy(leaves, k, chooser, func(merged *Node) {
+		sets := make([]keyset.Set, len(merged.Children))
+		for i, nd := range merged.Children {
+			sets[i] = nd.Set
+		}
+		merged.Set = keyset.UnionAll(sets...)
+	})
+}
+
+// greedy is Algorithm 1 over any node labelling: label fills in what the
+// merge of merged.Children holds — the exact union under Run, estimated
+// statistics under Plan — before the chooser observes the new node.
+func greedy(leaves []*Node, k int, chooser Chooser, label func(merged *Node)) (*Schedule, error) {
+	if k < 2 {
+		return nil, fmt.Errorf("compaction: k = %d, need k >= 2", k)
+	}
 	sc := &Schedule{Strategy: chooser.Name(), K: k, Leaves: leaves}
-	if inst.N() == 1 {
+	if len(leaves) == 1 {
 		sc.Root = leaves[0]
 		return sc, nil
 	}
@@ -48,8 +60,8 @@ func Run(inst *Instance, k int, chooser Chooser) (*Schedule, error) {
 	if err := chooser.Init(leaves, k); err != nil {
 		return nil, err
 	}
-	live := inst.N()
-	nextID := inst.N()
+	live := len(leaves)
+	nextID := len(leaves)
 	alive := make(map[*Node]bool, live)
 	for _, leaf := range leaves {
 		alive[leaf] = true
@@ -64,25 +76,18 @@ func Run(inst *Instance, k int, chooser Chooser) (*Schedule, error) {
 			return nil, fmt.Errorf("compaction: %s chose %d sets (k=%d, live=%d)", chooser.Name(), len(group), k, live)
 		}
 		seen := make(map[*Node]bool, len(group))
-		sets := make([]keyset.Set, len(group))
 		maxLevel := 0
-		for i, nd := range group {
+		for _, nd := range group {
 			if !alive[nd] || seen[nd] {
 				return nil, fmt.Errorf("compaction: %s chose a dead or duplicate node", chooser.Name())
 			}
 			seen[nd] = true
-			sets[i] = nd.Set
 			if nd.Level > maxLevel {
 				maxLevel = nd.Level
 			}
 		}
-		merged := &Node{
-			ID:       nextID,
-			Set:      keyset.UnionAll(sets...),
-			Children: group,
-			TableID:  -1,
-			Level:    maxLevel + 1,
-		}
+		merged := &Node{ID: nextID, Children: group, TableID: -1, Level: maxLevel + 1}
+		label(merged)
 		nextID++
 		for _, nd := range group {
 			delete(alive, nd)

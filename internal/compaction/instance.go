@@ -18,6 +18,16 @@
 // Algorithm 2, and OptimalBinary/OptimalKWay compute exact optima for small
 // instances by dynamic programming over subsets — something the paper could
 // not compare against (it used the Σ|Ai| lower bound instead).
+//
+// The engine does not hand this package key sets. Plan drives the same
+// choosers over LiveTables — the statistics an sstable persists: exact entry
+// count, key bounds, HyperLogLog key sketch — and PickLive is that plan's
+// first choice; planning reads no key data (Section 5.1: "computing the
+// exact output size without merging is as expensive as merging"). Only
+// SO(exact) and LM rank by exact set operations and still need every key;
+// Plan asks its caller for them, for those two strategies alone. A planned
+// schedule's costs are estimates — the engine reports the costs its merges
+// actually counted.
 package compaction
 
 import (

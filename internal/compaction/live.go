@@ -1,11 +1,12 @@
 package compaction
 
 import (
+	"bytes"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/hll"
+	"repro/internal/keyset"
 )
 
 // LiveTable describes one live sstable the way the engine's compaction
@@ -47,8 +48,8 @@ func LiveStrategies() []string {
 	return names
 }
 
-// IsLiveStrategy reports whether name is a registry strategy PickLive can
-// drive from live table statistics.
+// IsLiveStrategy reports whether name is a registry strategy Plan and
+// PickLive can drive from live table statistics.
 func IsLiveStrategy(name string) bool {
 	switch name {
 	case "SI", "SO", "BT", "BT(I)", "BT(O)", "CHAIN", "RANDOM":
@@ -59,147 +60,122 @@ func IsLiveStrategy(name string) bool {
 }
 
 // PickLive selects the next group of tables to merge using a registry
-// strategy, driven by live per-table statistics instead of key sets. It
-// mirrors exactly the first CHOOSETWOSETS pick the same strategy makes on
-// the equivalent Instance — leaf IDs are the slice indices, entry counts
-// stand in for set cardinalities, and persisted sketches stand in for
-// model-built ones (the sstable writer and the model hash keys
-// identically, so the sketches are register-identical) — which is what
-// the picker≡model property test pins. It returns the selected indices,
-// nil when fewer than two tables exist, and ErrNeedsKeys for the
-// exact-set strategies.
+// strategy, driven by live per-table statistics instead of key sets: the
+// first CHOOSETWOSETS call of the schedule Plan would produce, made by the
+// same Chooser the model runs — leaf IDs are the slice indices, entry counts
+// stand in for set cardinalities, and persisted sketches are register for
+// register the model's (the sstable writer and the model hash keys
+// identically). It returns the selected indices, nil when fewer than two
+// tables exist, and ErrNeedsKeys for the exact-set strategies.
 func PickLive(tables []LiveTable, strategy string, k int, seed int64) ([]int, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("compaction: k = %d, need k >= 2", k)
 	}
-	n := len(tables)
-	if n < 2 {
+	if len(tables) < 2 {
 		return nil, nil
 	}
-	g := groupSize(k, n)
-	switch strategy {
-	case "SI", "BT(I)":
-		// SI pops the g smallest sets; BT(I)'s first pick sees every leaf
-		// at level 1 and sorts the same way. Both order by (cardinality,
-		// ID).
-		idx := ascending(n)
-		sort.Slice(idx, func(a, b int) bool {
-			if ea, eb := tables[idx[a]].Entries, tables[idx[b]].Entries; ea != eb {
-				return ea < eb
-			}
-			return idx[a] < idx[b]
-		})
-		return idx[:g], nil
-	case "BT", "CHAIN":
-		// BT's arbitrary order takes the first g leaves by ID; CHAIN takes
-		// them in table order. Identical on the first pick.
-		return ascending(g), nil
-	case "RANDOM":
-		// Same seeded generator, same shuffle over the ID-sorted leaves as
-		// Random.Choose's first call.
-		rng := rand.New(rand.NewSource(seed))
-		idx := ascending(n)
-		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		return idx[:g], nil
-	case "SO", "BT(O)":
-		// Both pick the pair with the smallest estimated union and grow it
-		// greedily; on the first pick (all leaves live, all at one level)
-		// their candidate sets and tie-breaks coincide: minimum score,
-		// earliest indices.
-		return pickSmallestUnion(tables, g), nil
-	case "SO(exact)", "LM":
+	chooser, err := NewChooserByName(strategy, seed)
+	if err != nil {
+		return nil, err
+	}
+	if !IsLiveStrategy(strategy) {
 		return nil, ErrNeedsKeys{Strategy: strategy}
-	default:
-		return nil, fmt.Errorf("compaction: unknown strategy %q", strategy)
 	}
+	if err := chooser.Init(liveLeaves(tables), k); err != nil {
+		return nil, err
+	}
+	group, err := chooser.Choose()
+	if err != nil {
+		return nil, fmt.Errorf("compaction: %s: %w", strategy, err)
+	}
+	picked := make([]int, len(group))
+	for i, nd := range group {
+		picked[i] = nd.ID
+	}
+	return picked, nil
 }
 
-// ascending returns [0, 1, ..., n-1].
-func ascending(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+// Plan schedules the complete merge of tables down to one, with chooser and
+// fan-in k, from the statistics the tables persist — the paper's own
+// implementation note (Section 5.1): a scheduler must not touch key data,
+// since "computing the exact output size without merging is as expensive as
+// merging". A leaf is its exact entry count and persisted sketch, a merge
+// output what mergeLive estimates; the schedule's costs are therefore
+// estimates, and the executed merges report the real ones.
+//
+// Only SO(exact) and LM rank by exact set operations and cannot plan this
+// way. For them alone Plan calls keys once per table for the table's hashed
+// keys (keyhash H1, the model's key universe) and runs the exact model.
+func Plan(tables []LiveTable, k int, chooser Chooser, keys func(table int) ([]uint64, error)) (*Schedule, error) {
+	if len(tables) == 0 {
+		return nil, fmt.Errorf("compaction: plan of no tables")
 	}
-	return idx
+	if IsLiveStrategy(chooser.Name()) {
+		disjoint := rangesDisjoint(tables)
+		return greedy(liveLeaves(tables), k, chooser, func(merged *Node) { mergeLive(merged, disjoint) })
+	}
+	sets := make([]keyset.Set, len(tables))
+	for i := range tables {
+		hashes, err := keys(i)
+		if err != nil {
+			return nil, err
+		}
+		sets[i] = keyset.New(hashes...)
+	}
+	return Run(NewInstance(sets...), k, chooser)
 }
 
-// pickSmallestUnion is the shared SO / BT(O) first pick: the pair
-// minimizing the estimated union cardinality (ties to the earliest index
-// pair), grown one table at a time by the candidate minimizing the group
-// union (ties to the earliest index).
-func pickSmallestUnion(tables []LiveTable, g int) []int {
-	n := len(tables)
-	bestI, bestJ := -1, -1
-	bestScore := 0.0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			score := livePairEstimate(tables, i, j)
-			if bestI < 0 || score < bestScore {
-				bestI, bestJ, bestScore = i, j, score
+// liveLeaves wraps tables as statistics-only leaf nodes.
+func liveLeaves(tables []LiveTable) []*Node {
+	leaves := make([]*Node, len(tables))
+	for i := range tables {
+		leaves[i] = &Node{ID: i, Live: &tables[i], TableID: i, Level: 1}
+	}
+	return leaves
+}
+
+// mergeLive labels a merge output with the statistics its table will have,
+// as far as they can be known without merging: summed bytes, the merged
+// sketch, and as its cardinality the sketch's estimate clamped to what any
+// union satisfies — at least the largest input, at most the sum of all. The
+// sum itself is used when disjoint says no two input tables of the plan
+// share a key (every union is then exactly that), and when a sketch is
+// missing or of another precision, which also leaves the output without one.
+// Key bounds are not carried: nothing ranks by a merge output's range.
+func mergeLive(merged *Node, disjoint bool) {
+	out := &LiveTable{}
+	largest := 0
+	sketches := make([]*hll.Sketch, len(merged.Children))
+	for i, c := range merged.Children {
+		out.SizeBytes += c.Live.SizeBytes
+		out.Entries += c.Live.Entries
+		largest = max(largest, c.Live.Entries)
+		sketches[i] = c.Live.Sketch
+	}
+	out.Sketch = hll.Union(sketches...)
+	if out.Sketch != nil && !disjoint {
+		out.Entries = min(max(out.Sketch.EstimateInt(), largest), out.Entries)
+	}
+	merged.Live = out
+}
+
+// rangesDisjoint reports whether the tables' key ranges are known and no
+// two of them intersect, so that the tables cannot share a key.
+func rangesDisjoint(tables []LiveTable) bool {
+	byStart := make([]*LiveTable, 0, len(tables))
+	for i := range tables {
+		if t := &tables[i]; t.Entries > 0 {
+			if t.Smallest == nil {
+				return false
 			}
+			byStart = append(byStart, t)
 		}
 	}
-	group := []int{bestI, bestJ}
-	for len(group) < g {
-		best := -1
-		bestScore = 0.0
-		for c := 0; c < n; c++ {
-			if containsInt(group, c) {
-				continue
-			}
-			score := liveGroupEstimate(tables, group, c)
-			if best < 0 || score < bestScore {
-				best, bestScore = c, score
-			}
-		}
-		if best < 0 {
-			break
-		}
-		group = append(group, best)
-	}
-	return group
-}
-
-// livePairEstimate estimates |A_i ∪ A_j| from persisted sketches, falling
-// back to the disjoint sum when either sketch is absent.
-func livePairEstimate(tables []LiveTable, i, j int) float64 {
-	if si, sj := tables[i].Sketch, tables[j].Sketch; si != nil && sj != nil {
-		if u, err := hll.UnionEstimate(si, sj); err == nil {
-			return u
+	sort.Slice(byStart, func(i, j int) bool { return bytes.Compare(byStart[i].Smallest, byStart[j].Smallest) < 0 })
+	for i := 1; i < len(byStart); i++ {
+		if bytes.Compare(byStart[i-1].Largest, byStart[i].Smallest) >= 0 {
+			return false
 		}
 	}
-	return float64(tables[i].Entries + tables[j].Entries)
-}
-
-// liveGroupEstimate estimates the union cardinality of group ∪ {extra},
-// falling back to the disjoint sum when any sketch is absent.
-func liveGroupEstimate(tables []LiveTable, group []int, extra int) float64 {
-	acc := tables[extra].Sketch
-	if acc != nil {
-		acc = acc.Clone()
-		for _, gi := range group {
-			s := tables[gi].Sketch
-			if s == nil || acc.Merge(s) != nil {
-				acc = nil
-				break
-			}
-		}
-		if acc != nil {
-			return acc.Estimate()
-		}
-	}
-	sum := tables[extra].Entries
-	for _, gi := range group {
-		sum += tables[gi].Entries
-	}
-	return float64(sum)
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+	return true
 }

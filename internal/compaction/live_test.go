@@ -1,7 +1,11 @@
 package compaction
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -20,9 +24,12 @@ func liveTablesOf(t *testing.T, inst *Instance) []LiveTable {
 		if err != nil {
 			t.Fatalf("sketch: %v", err)
 		}
+		keys := tab.Set.Keys() // sorted
 		tables[i] = LiveTable{
 			SizeBytes: uint64(tab.Set.Len()) * 100,
 			Entries:   tab.Set.Len(),
+			Smallest:  binary.BigEndian.AppendUint64(nil, keys[0]),
+			Largest:   binary.BigEndian.AppendUint64(nil, keys[len(keys)-1]),
 			Sketch:    s,
 		}
 	}
@@ -128,6 +135,192 @@ func TestPickLiveEdgeCases(t *testing.T) {
 	for _, name := range LiveStrategies() {
 		if !IsLiveStrategy(name) {
 			t.Fatalf("LiveStrategies returned non-live %q", name)
+		}
+	}
+}
+
+// planInstance draws n tables of 200–3000 keys. Range-disjoint tables
+// slice one ascending key sequence; otherwise keys are uniform over a
+// universe small enough that tables overlap heavily.
+func planInstance(rng *rand.Rand, n int, rangeDisjoint bool) *Instance {
+	sets := make([]keyset.Set, n)
+	next := uint64(1)
+	for i := range sets {
+		keys := make([]uint64, 200+rng.Intn(2800))
+		for j := range keys {
+			if rangeDisjoint {
+				next += 1 + uint64(rng.Intn(1000))
+				keys[j] = next
+			} else {
+				keys[j] = uint64(rng.Intn(12000))
+			}
+		}
+		sets[i] = keyset.New(keys...)
+	}
+	return NewInstance(sets...)
+}
+
+// stepIDs flattens a schedule to its merges: each step's input node IDs in
+// chooser order, then its output ID.
+func stepIDs(sc *Schedule) [][]int {
+	out := make([][]int, len(sc.Steps))
+	for i, st := range sc.Steps {
+		for _, in := range st.Inputs {
+			out[i] = append(out[i], in.ID)
+		}
+		out[i] = append(out[i], st.Output.ID)
+	}
+	return out
+}
+
+// exactCostActual executes a planned schedule's merge tree on the
+// instance's real key sets and returns the cost the merges would count.
+func exactCostActual(sc *Schedule, inst *Instance) int {
+	sets := make(map[int]keyset.Set)
+	for i, tab := range inst.Tables() {
+		sets[i] = tab.Set
+	}
+	cost := 0
+	for _, st := range sc.Steps {
+		var in []keyset.Set
+		for _, nd := range st.Inputs {
+			in = append(in, sets[nd.ID])
+			cost += sets[nd.ID].Len()
+		}
+		sets[st.Output.ID] = keyset.UnionAll(in...)
+		cost += sets[st.Output.ID].Len()
+	}
+	return cost
+}
+
+func noKeys(int) ([]uint64, error) { return nil, fmt.Errorf("planner asked for keys") }
+
+// TestPlanMatchesModel is the planner≡model property. Planned from
+// statistics alone, a schedule is step for step the one Run produces on the
+// exact key sets whenever the statistics determine it: for the strategies
+// that never look at sizes (BT, CHAIN, RANDOM) always, for SO and BT(O)
+// always too (persisted sketches are the model's sketches), and for SI and
+// BT(I) when the tables' key ranges are disjoint, where a merge output's
+// size is known exactly. Where the planner must estimate — SI and BT(I) over
+// overlapping tables — the merges it schedules cost within 3 % of the exact
+// run's, and so does every schedule's own estimate of its cost.
+func TestPlanMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(19)
+		k := 2 + rng.Intn(4)
+		disjoint := trial%2 == 0
+		inst := planInstance(rng, n, disjoint)
+		live := liveTablesOf(t, inst)
+		seed := rng.Int63()
+		for _, strategy := range LiveStrategies() {
+			modelChooser, _ := NewChooserByName(strategy, seed)
+			model, err := Run(inst, k, modelChooser)
+			if err != nil {
+				t.Fatalf("%s: Run: %v", strategy, err)
+			}
+			planChooser, _ := NewChooserByName(strategy, seed)
+			plan, err := Plan(live, k, planChooser, noKeys)
+			if err != nil {
+				t.Fatalf("%s: Plan: %v", strategy, err)
+			}
+			exact := disjoint || (strategy != "SI" && strategy != "BT(I)")
+			if exact && !reflect.DeepEqual(stepIDs(plan), stepIDs(model)) {
+				t.Fatalf("trial %d %s (n=%d k=%d disjoint=%v):\nplanned %v\nmodel   %v",
+					trial, strategy, n, k, disjoint, stepIDs(plan), stepIDs(model))
+			}
+			want := float64(model.CostActual())
+			if got := float64(exactCostActual(plan, inst)); math.Abs(got-want) > 0.03*want {
+				t.Errorf("trial %d %s: planned merges cost %v keys, exact-set schedule %v", trial, strategy, got, want)
+			}
+			if got := float64(plan.CostActual()); math.Abs(got-want) > 0.03*want {
+				t.Errorf("trial %d %s: plan estimates its cost at %v keys, exact-set schedule %v", trial, strategy, got, want)
+			}
+		}
+	}
+}
+
+// TestPlanDegradesWithoutUsableSketches: a merge that includes a table with
+// no sketch, or one of another precision, is sized as the disjoint sum and
+// carries no sketch onward — never a wrong estimate, never an error — while
+// merges of well-sketched tables keep estimating.
+func TestPlanDegradesWithoutUsableSketches(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	inst := planInstance(rng, 9, false)
+	live := liveTablesOf(t, inst)
+	live[2].Sketch = nil
+	odd, err := hll.SketchOfUint64s(10, inst.Table(5).Set.Keys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	live[5].Sketch = odd
+	for _, strategy := range []string{"SO", "BT(O)", "SI"} {
+		chooser, _ := NewChooserByName(strategy, 1)
+		plan, err := Plan(live, 4, chooser, noKeys)
+		if err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		tainted := map[int]bool{2: true, 5: true}
+		for _, st := range plan.Steps {
+			sum, largest, bad := 0, 0, false
+			for _, in := range st.Inputs {
+				sum += in.Len()
+				largest = max(largest, in.Len())
+				bad = bad || tainted[in.ID]
+			}
+			out := st.Output
+			tainted[out.ID] = bad
+			switch {
+			case bad && (out.Live.Sketch != nil || out.Len() != sum):
+				t.Errorf("%s: node %d merges an unsketched table: size %d (inputs sum to %d), sketch %v",
+					strategy, out.ID, out.Len(), sum, out.Live.Sketch != nil)
+			case !bad && (out.Live.Sketch == nil || out.Len() < largest || out.Len() > sum):
+				t.Errorf("%s: node %d: size %d outside [%d, %d] or sketch lost", strategy, out.ID, out.Len(), largest, sum)
+			}
+		}
+		if !tainted[plan.Root.ID] {
+			t.Errorf("%s: root did not inherit the missing sketch", strategy)
+		}
+	}
+	// With no sketches at all the plan is the disjoint-sum one throughout.
+	bare := make([]LiveTable, len(live))
+	for i, lt := range live {
+		bare[i] = LiveTable{Entries: lt.Entries}
+	}
+	chooser, _ := NewChooserByName("SO", 1)
+	plan, err := Plan(bare, 2, chooser, noKeys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := plan.Root.Len(), inst.LowerBound(); got != want {
+		t.Errorf("sketch-less root size %d, want the disjoint sum %d", got, want)
+	}
+}
+
+// TestPlanScansKeysOnlyForExactStrategies: SO(exact) and LM plan from the
+// key callback and reproduce Run on those sets; everything else never calls
+// it.
+func TestPlanScansKeysOnlyForExactStrategies(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	inst := planInstance(rng, 7, false)
+	live := liveTablesOf(t, inst)
+	for _, strategy := range []string{"SO(exact)", "LM"} {
+		asked := 0
+		chooser, _ := NewChooserByName(strategy, 1)
+		plan, err := Plan(live, 3, chooser, func(i int) ([]uint64, error) {
+			asked++
+			return inst.Table(i).Set.Keys(), nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		if asked != inst.N() {
+			t.Errorf("%s: asked for %d tables' keys, want %d", strategy, asked, inst.N())
+		}
+		modelChooser, _ := NewChooserByName(strategy, 1)
+		model, _ := Run(inst, 3, modelChooser)
+		if !reflect.DeepEqual(stepIDs(plan), stepIDs(model)) {
+			t.Errorf("%s: planned %v, model %v", strategy, stepIDs(plan), stepIDs(model))
 		}
 	}
 }

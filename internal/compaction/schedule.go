@@ -12,8 +12,13 @@ type Node struct {
 	// ID is unique within a Schedule: leaves take 0..n-1 (matching table
 	// IDs), merge outputs continue from n in merge order.
 	ID int
-	// Set is the node's label A_ν: the keys of the (merged) sstable.
+	// Set is the node's label A_ν: the keys of the (merged) sstable. Empty
+	// on a statistics-only node.
 	Set keyset.Set
+	// Live is set on the nodes of a schedule planned from live table
+	// statistics (Plan, PickLive): a leaf's persisted statistics, or a merge
+	// output's estimated ones. Nil under the exact model.
+	Live *LiveTable
 	// Children are the merge inputs; nil for leaves. Length is between 2
 	// and the schedule's K for internal nodes.
 	Children []*Node
@@ -22,6 +27,16 @@ type Node struct {
 	// Level is the BALANCETREE level annotation (leaves start at 1). Other
 	// strategies leave it at the default computed height.
 	Level int
+}
+
+// Len is the node's cardinality |A_ν|, the quantity every chooser ranks by:
+// exact under the model, the entry count or clamped sketch estimate of a
+// statistics-only node.
+func (nd *Node) Len() int {
+	if nd.Live != nil {
+		return nd.Live.Entries
+	}
+	return nd.Set.Len()
 }
 
 // IsLeaf reports whether the node is an input table.
@@ -39,7 +54,7 @@ type Step struct {
 func (s Step) InputSize() int {
 	total := 0
 	for _, in := range s.Inputs {
-		total += in.Set.Len()
+		total += in.Len()
 	}
 	return total
 }
@@ -78,7 +93,7 @@ func (sc *Schedule) Nodes() []*Node {
 func (sc *Schedule) CostSimple() int {
 	total := 0
 	for _, nd := range sc.Nodes() {
-		total += nd.Set.Len()
+		total += nd.Len()
 	}
 	return total
 }
@@ -90,7 +105,7 @@ func (sc *Schedule) CostSimple() int {
 func (sc *Schedule) CostActual() int {
 	total := 0
 	for _, st := range sc.Steps {
-		total += st.InputSize() + st.Output.Set.Len()
+		total += st.InputSize() + st.Output.Len()
 	}
 	return total
 }

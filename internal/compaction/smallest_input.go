@@ -51,7 +51,7 @@ type nodeHeap []*Node
 
 func (h nodeHeap) Len() int { return len(h) }
 func (h nodeHeap) Less(i, j int) bool {
-	if li, lj := h[i].Set.Len(), h[j].Set.Len(); li != lj {
+	if li, lj := h[i].Len(), h[j].Len(); li != lj {
 		return li < lj
 	}
 	return h[i].ID < h[j].ID

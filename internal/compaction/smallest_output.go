@@ -49,9 +49,13 @@ func (ExactEstimator) GroupEstimate(group []*Node, extra *Node) (float64, error)
 }
 
 // HLLEstimator ranks merges by HyperLogLog estimates. Each node carries a
-// sketch: leaves are sketched from their keys, merge outputs by merging the
-// children's sketches (sketch union is exact), so no key data is touched
-// when estimating — the point of the paper's practical SO implementation.
+// sketch: leaves are sketched from their keys — or, planned from live
+// statistics, bring the sketch their table persisted — and merge outputs
+// merge their children's sketches (sketch union is exact), so no key data
+// is touched when estimating: the point of the paper's practical SO
+// implementation. A node without a usable sketch (a table written before
+// sketches were persisted, or at another precision) is ranked as if
+// disjoint from everything: the sum of the cardinalities.
 type HLLEstimator struct {
 	precision uint8
 	sketches  map[*Node]*hll.Sketch
@@ -71,59 +75,45 @@ func (e *HLLEstimator) Prepare(nd *Node) error {
 	if _, ok := e.sketches[nd]; ok {
 		return nil
 	}
-	if !nd.IsLeaf() {
-		// Merge the children's sketches: O(registers), independent of set
-		// size.
-		merged, err := hll.New(e.precision)
+	switch {
+	case nd.Live != nil:
+		e.sketches[nd] = nd.Live.Sketch
+	case nd.IsLeaf():
+		s, err := hll.SketchOfUint64s(e.precision, nd.Set.Keys())
 		if err != nil {
 			return err
 		}
-		for _, c := range nd.Children {
-			cs, ok := e.sketches[c]
-			if !ok {
-				return fmt.Errorf("compaction: child %d has no sketch", c.ID)
-			}
-			if err := merged.Merge(cs); err != nil {
-				return err
-			}
+		e.sketches[nd] = s
+	default:
+		// Merge the children's sketches: O(registers), independent of set
+		// size.
+		sketches := make([]*hll.Sketch, len(nd.Children))
+		for i, c := range nd.Children {
+			sketches[i] = e.sketches[c]
 		}
-		e.sketches[nd] = merged
-		return nil
+		e.sketches[nd] = hll.Union(sketches...)
 	}
-	s, err := hll.SketchOfUint64s(e.precision, nd.Set.Keys())
-	if err != nil {
-		return err
-	}
-	e.sketches[nd] = s
 	return nil
 }
 
 // PairEstimate implements UnionEstimator.
 func (e *HLLEstimator) PairEstimate(a, b *Node) (float64, error) {
-	sa, sb := e.sketches[a], e.sketches[b]
-	if sa == nil || sb == nil {
-		return 0, fmt.Errorf("compaction: missing sketch")
-	}
-	return hll.UnionEstimate(sa, sb)
+	return e.GroupEstimate([]*Node{a}, b)
 }
 
 // GroupEstimate implements UnionEstimator.
 func (e *HLLEstimator) GroupEstimate(group []*Node, extra *Node) (float64, error) {
-	acc := e.sketches[extra]
-	if acc == nil {
-		return 0, fmt.Errorf("compaction: missing sketch")
-	}
-	acc = acc.Clone()
+	sketches := make([]*hll.Sketch, 0, len(group)+1)
+	sum := extra.Len()
+	sketches = append(sketches, e.sketches[extra])
 	for _, nd := range group {
-		s := e.sketches[nd]
-		if s == nil {
-			return 0, fmt.Errorf("compaction: missing sketch")
-		}
-		if err := acc.Merge(s); err != nil {
-			return 0, err
-		}
+		sum += nd.Len()
+		sketches = append(sketches, e.sketches[nd])
 	}
-	return acc.Estimate(), nil
+	if u := hll.Union(sketches...); u != nil {
+		return u.Estimate(), nil
+	}
+	return float64(sum), nil
 }
 
 // SmallestOutput implements the SMALLESTOUTPUT (SO) heuristic of Section

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"repro/internal/keyhash"
 )
 
 // MinPrecision and MaxPrecision bound the sketch precision parameter p;
@@ -68,19 +70,9 @@ func (s *Sketch) AddUint64(key uint64) {
 	s.addHash(hash64(key))
 }
 
-// Add observes an arbitrary byte key.
-func (s *Sketch) Add(key []byte) {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime
-	}
-	s.addHash(hash64(h))
-}
+// Add observes an arbitrary byte key: AddUint64 of the key's first hash, so
+// a caller that already holds the hash passes H1 to AddUint64 instead.
+func (s *Sketch) Add(key []byte) { s.AddUint64(keyhash.Of(key).H1) }
 
 func (s *Sketch) addHash(h uint64) {
 	idx := h >> (64 - s.p)
@@ -167,18 +159,24 @@ func (s *Sketch) Clone() *Sketch {
 	return c
 }
 
-// UnionEstimate estimates |A ∪ B| from the sketches of A and B without
-// mutating either. This is the primitive the SMALLESTOUTPUT strategy calls
-// per candidate pair.
-func UnionEstimate(a, b *Sketch) (float64, error) {
-	if a.p != b.p {
-		return 0, ErrPrecisionMismatch
+// Union returns a fresh sketch of the union of the given sketches' key sets,
+// mutating none of them: the primitive behind every candidate-merge estimate
+// of the SMALLESTOUTPUT strategy. It returns nil when there is no such
+// sketch — none given, one of them nil, or their precisions differ — so that
+// a union nobody can estimate carries no sketch rather than a wrong one.
+func Union(sketches ...*Sketch) *Sketch {
+	var acc *Sketch
+	for _, s := range sketches {
+		switch {
+		case s == nil:
+			return nil
+		case acc == nil:
+			acc = s.Clone()
+		case acc.Merge(s) != nil:
+			return nil
+		}
 	}
-	c := a.Clone()
-	if err := c.Merge(b); err != nil {
-		return 0, err
-	}
-	return c.Estimate(), nil
+	return acc
 }
 
 // StdError returns the theoretical relative standard error 1.04/√m of the

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/compaction"
-	"repro/internal/keyset"
+	"repro/internal/keyhash"
 	"repro/internal/sstable"
 )
 
@@ -53,8 +53,9 @@ func (db *DB) CompactionState() CompactionState {
 
 func (db *DB) setState(s CompactionState) { db.state.Store(int32(s)) }
 
-// CompactionResult reports what a major compaction did: the abstract
-// schedule costs from the paper's model and the real bytes moved on disk.
+// CompactionResult reports what a major compaction did: the paper's costs
+// in keys, counted from the merges that ran, and the real bytes moved on
+// disk.
 type CompactionResult struct {
 	// Strategy is the chooser that scheduled the merges.
 	Strategy string
@@ -71,8 +72,10 @@ type CompactionResult struct {
 	// BytesRead and BytesWritten total the disk I/O: the concrete
 	// realization of costactual.
 	BytesRead, BytesWritten uint64
-	// CostSimple and CostActual are the abstract schedule costs in keys
-	// (equation 2.1 and Section 2 of the paper).
+	// CostSimple and CostActual are the paper's costs of the executed
+	// schedule in keys (equation 2.1 and Section 2), measured rather than
+	// modelled: CostActual sums every merge's entries read and written,
+	// CostSimple counts every input table and every merge output once.
 	CostSimple, CostActual int
 	// Duration is the wall-clock time of planning plus merging.
 	Duration time.Duration
@@ -161,21 +164,10 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 		return nil, err
 	}
 
-	sets := make([]keyset.Set, len(snap))
-	for i, th := range snap {
-		ks, err := tableKeySet(th.rd)
-		if err != nil {
-			return abort(err)
-		}
-		sets[i] = ks
-	}
-	inst := compaction.NewInstance(sets...)
-	sched, err := compaction.Run(inst, k, chooser)
+	sched, err := planMajor(snap, k, chooser)
 	if err != nil {
 		return abort(err)
 	}
-	res.CostSimple = sched.CostSimple()
-	res.CostActual = sched.CostActual()
 
 	// Merging: execute the schedule off-lock on the worker pool. Snapshot
 	// readers serve concurrent Gets and scans while the merges read them.
@@ -196,11 +188,7 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 		removeCreated()
 		return abort(err)
 	}
-	for _, st := range stats {
-		res.StepStats = append(res.StepStats, st)
-		res.BytesRead += st.BytesRead
-		res.BytesWritten += st.BytesWritten
-	}
+	res.record(snap, stats)
 
 	if db.hookBeforeSwap != nil {
 		if err := db.hookBeforeSwap(); err != nil {
@@ -323,21 +311,10 @@ func (db *DB) MajorCompactBlocking(strategy string, k int, seed int64) (*Compact
 		return res, nil
 	}
 
-	sets := make([]keyset.Set, len(db.tables))
-	for i, th := range db.tables {
-		ks, err := tableKeySet(th.rd)
-		if err != nil {
-			return nil, err
-		}
-		sets[i] = ks
-	}
-	inst := compaction.NewInstance(sets...)
-	sched, err := compaction.Run(inst, k, chooser)
+	sched, err := planMajor(db.tables, k, chooser)
 	if err != nil {
 		return nil, err
 	}
-	res.CostSimple = sched.CostSimple()
-	res.CostActual = sched.CostActual()
 
 	db.setState(CompactionMerging)
 	// db.mu is already held for the whole run, but merge workers call
@@ -364,11 +341,7 @@ func (db *DB) MajorCompactBlocking(strategy string, k int, seed int64) (*Compact
 		}
 		return nil, err
 	}
-	for _, st := range stats {
-		res.StepStats = append(res.StepStats, st)
-		res.BytesRead += st.BytesRead
-		res.BytesWritten += st.BytesWritten
-	}
+	res.record(snap, stats)
 
 	db.setState(CompactionSwapping)
 	root := nodes[sched.Root.ID]
@@ -461,32 +434,39 @@ func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, a
 	return nodes, stats, err
 }
 
-// tableKeySet scans a table and returns its keys hashed into the uint64
-// universe of the abstract model. Like the merges it plans, the scan reads
-// around the block cache.
-func tableKeySet(rd *sstable.Reader) (keyset.Set, error) {
-	keys := make([]uint64, 0, rd.EntryCount())
-	it := rd.ScanIter()
-	defer it.Close()
-	for ; it.Valid(); it.Next() {
-		keys = append(keys, hashBytes(it.Entry().Key))
+// planMajor schedules the merge of snap down to one table from the
+// statistics the tables persist — entry counts, key bounds, key sketches —
+// without reading a data block. The two strategies that rank by exact set
+// operations make the planner ask for hashed keys, and only then is a table
+// scanned (around the block cache, like the merges).
+func planMajor(snap []*tableHandle, k int, chooser compaction.Chooser) (*compaction.Schedule, error) {
+	live := make([]compaction.LiveTable, len(snap))
+	for i, th := range snap {
+		live[i] = th.info().live()
 	}
-	if err := it.Err(); err != nil {
-		return keyset.Set{}, err
-	}
-	return keyset.New(keys...), nil
+	return compaction.Plan(live, k, chooser, func(i int) ([]uint64, error) {
+		rd := snap[i].rd
+		keys := make([]uint64, 0, rd.EntryCount())
+		it := rd.ScanIter()
+		defer it.Close()
+		for ; it.Valid(); it.Next() {
+			keys = append(keys, keyhash.Of(it.Entry().Key).H1)
+		}
+		return keys, it.Err()
+	})
 }
 
-// hashBytes is FNV-1a over the key bytes.
-func hashBytes(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
+// record totals the executed merges into the result: bytes moved, and the
+// paper's costs in keys as the merges counted them.
+func (r *CompactionResult) record(snap []*tableHandle, stats []sstable.MergeStats) {
+	r.StepStats = stats
+	for _, th := range snap {
+		r.CostSimple += int(th.rd.EntryCount())
 	}
-	return h
+	for _, st := range stats {
+		r.BytesRead += st.BytesRead
+		r.BytesWritten += st.BytesWritten
+		r.CostSimple += int(st.EntriesOut)
+		r.CostActual += int(st.EntriesIn + st.EntriesOut)
+	}
 }

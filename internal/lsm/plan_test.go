@@ -1,0 +1,188 @@
+package lsm
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/compaction"
+	"repro/internal/hll"
+	"repro/internal/vfs"
+)
+
+// planFixture opens a store without a block cache (so every block a table
+// read needs goes to the file) holding `tables` flushed tables of
+// keys/tables entries each, over interleaved — overlapping-range, disjoint —
+// key sets.
+func planFixture(tb testing.TB, fsys vfs.FS, tables, keys int) *DB {
+	tb.Helper()
+	db := openTestDB(tb, Options{MemtableBytes: 256 << 20, BlockCacheBytes: -1, FS: fsys})
+	val := bytes.Repeat([]byte("v"), 16)
+	for t := 0; t < tables; t++ {
+		for i := t; i < keys; i += tables {
+			if err := db.Put(scanKey(i), val); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return db
+}
+
+// planCost plans the major compaction of db's tables with strategy and
+// returns the bytes the planning read from table files and allocated.
+func planCost(t *testing.T, db *DB, fsys *sstReads, strategy string) (read int64, alloc uint64) {
+	t.Helper()
+	chooser, err := compaction.NewChooserByName(strategy, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	read0 := fsys.bytes.Load()
+	sched, err := planMajor(db.tables, 4, chooser)
+	if err != nil {
+		t.Fatalf("%s: plan: %v", strategy, err)
+	}
+	runtime.ReadMemStats(&after)
+	if len(sched.Steps) != 3 {
+		t.Fatalf("%s: %d steps for 8 tables at k=4, want 3", strategy, len(sched.Steps))
+	}
+	return fsys.bytes.Load() - read0, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMajorCompactReadsEachInputOnce: planning from persisted statistics
+// reads no table data and allocates the same whatever the tables hold, so a
+// major compaction's device reads are its merges' — every step's inputs,
+// once — and nothing more. The key-set strategies (LM here) are the
+// documented exception: they pay one extra pass and O(keys) memory.
+func TestMajorCompactReadsEachInputOnce(t *testing.T) {
+	var statsAlloc []uint64
+	for _, keys := range []int{20_000, 200_000} {
+		fsys := &sstReads{FS: vfs.Default}
+		db := planFixture(t, fsys, 8, keys)
+		var snapBytes int64
+		for _, ti := range db.TableInfos() {
+			snapBytes += int64(ti.SizeBytes)
+		}
+
+		read, alloc := planCost(t, db, fsys, "BT(I)")
+		if read != 0 {
+			t.Errorf("%d keys: planning BT(I) read %d table bytes, want none", keys, read)
+		}
+		statsAlloc = append(statsAlloc, alloc)
+
+		read, alloc = planCost(t, db, fsys, "LM")
+		if read < snapBytes*8/10 || alloc < uint64(8*keys) {
+			t.Errorf("%d keys: planning LM read %d of %d table bytes and allocated %d; want a full pass and at least 8 bytes a key",
+				keys, read, snapBytes, alloc)
+		}
+
+		read0 := fsys.bytes.Load()
+		res, err := db.MajorCompact("BT(I)", 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read = fsys.bytes.Load() - read0
+		var stepBytes int64
+		for _, st := range res.StepStats {
+			stepBytes += int64(st.BytesRead)
+		}
+		// Each step reads its inputs' data blocks (their footers, indexes and
+		// filters were read when they were opened) and opening each output
+		// reads that table's: in total within a few percent of the inputs'
+		// file sizes. A planning scan would add snapBytes — half as much
+		// again at this shape.
+		if read < stepBytes*9/10 || read > stepBytes*21/20 {
+			t.Errorf("%d keys: major compaction read %d bytes for %d bytes of step inputs (%d in the snapshot)",
+				keys, read, stepBytes, snapBytes)
+		}
+		t.Logf("%d keys: snapshot %d B, step inputs %d B, compaction read %d B; LM planning allocated %d B, BT(I) planning %d B",
+			keys, snapBytes, stepBytes, read, alloc, statsAlloc[len(statsAlloc)-1])
+		if want := keys + 2*keys + keys; res.CostActual != want {
+			// Disjoint tables: two level-1 merges read and write every key
+			// once, the root merge once more.
+			t.Errorf("%d keys: CostActual = %d, want %d", keys, res.CostActual, want)
+		}
+	}
+	if statsAlloc[1] > statsAlloc[0]+statsAlloc[0]/4 {
+		t.Errorf("planning BT(I) allocated %d bytes over 20k keys and %d over 200k: not independent of entry count",
+			statsAlloc[0], statsAlloc[1])
+	}
+}
+
+// TestPlanToleratesOddSketches: a snapshot table whose sketch is missing or
+// of another precision must not fail the compaction. The nodes it touches
+// degrade to the disjoint sum, a full SO major compaction still runs and
+// loses nothing, and a live BT(O) pick over the same tables is still valid.
+func TestPlanToleratesOddSketches(t *testing.T) {
+	fsys := &sstReads{FS: vfs.Default}
+	db := planFixture(t, fsys, 6, 6000)
+	db.mu.Lock()
+	db.tables[1].sketch = nil
+	small := hll.MustNew(10)
+	for i := 0; i < 1000; i++ {
+		small.Add(scanKey(6*i + 3))
+	}
+	db.tables[3].sketch = small
+	db.mu.Unlock()
+
+	picked := StrategyPolicy{Strategy: "BT(O)", K: 3, MinTables: 4}.Pick(db.TableInfos())
+	if len(picked) != 3 {
+		t.Fatalf("live BT(O) pick over odd sketches = %v, want 3 tables", picked)
+	}
+	res, err := db.MajorCompact("SO", 4, 1)
+	if err != nil {
+		t.Fatalf("MajorCompact(SO) over odd sketches: %v", err)
+	}
+	if res.TablesAfter != 1 || len(res.StepStats) != 2 {
+		t.Fatalf("result %+v: want one table from two merges", res)
+	}
+	for i := 0; i < 6000; i++ {
+		if _, err := db.Get(scanKey(i)); err != nil {
+			t.Fatalf("Get(%s) after compaction: %v", scanKey(i), err)
+		}
+	}
+}
+
+// BenchmarkProbeTablesMiss is one Get whose key lies inside the range of
+// eight tables and in none of them: eight Bloom filters, one key hash.
+func BenchmarkProbeTablesMiss(b *testing.B) {
+	db := planFixture(b, vfs.Default, 8, 80_000)
+	absent := make([][]byte, 1024)
+	for i := range absent {
+		absent[i] = []byte(fmt.Sprintf("%s!", scanKey(i*61)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Get(absent[i%len(absent)]); err != ErrNotFound {
+			b.Fatalf("Get(absent) = %v", err)
+		}
+	}
+}
+
+// BenchmarkMajorCompactPlan is the planning phase of a major compaction at
+// the harness's read_cold shape — 37 tables of 8 000 entries — from
+// persisted statistics, and from scanned keys for a strategy that needs
+// them.
+func BenchmarkMajorCompactPlan(b *testing.B) {
+	db := planFixture(b, vfs.Default, 37, 37*8000)
+	for _, strategy := range []string{"BT(I)", "SO", "LM"} {
+		b.Run(strategy, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				chooser, err := compaction.NewChooserByName(strategy, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := planMajor(db.tables, 4, chooser); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

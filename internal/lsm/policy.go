@@ -42,6 +42,17 @@ type TableInfo struct {
 	Level int
 }
 
+// live is the table as the compaction package's planner sees it.
+func (t TableInfo) live() compaction.LiveTable {
+	return compaction.LiveTable{
+		SizeBytes: t.SizeBytes,
+		Entries:   int(t.Entries),
+		Smallest:  t.Smallest,
+		Largest:   t.Largest,
+		Sketch:    t.Sketch,
+	}
+}
+
 // CompactionPolicy decides which tables a minor compaction should merge.
 type CompactionPolicy interface {
 	// Name identifies the policy in results and logs.
@@ -196,13 +207,7 @@ func (p StrategyPolicy) Pick(tables []TableInfo) []int {
 	}
 	live := make([]compaction.LiveTable, len(tables))
 	for i, t := range tables {
-		live[i] = compaction.LiveTable{
-			SizeBytes: t.SizeBytes,
-			Entries:   int(t.Entries),
-			Smallest:  t.Smallest,
-			Largest:   t.Largest,
-			Sketch:    t.Sketch,
-		}
+		live[i] = t.live()
 	}
 	picked, err := compaction.PickLive(live, p.Strategy, k, p.Seed)
 	if err != nil || len(picked) < 2 {

@@ -21,10 +21,11 @@ import (
 // it. They observe the cache through Sharded.Stats/Len and the device
 // through sstReads.
 
-// sstReads counts ReadAt calls on .sst files: table reads at the device.
+// sstReads counts ReadAt calls and bytes on .sst files: table reads at the
+// device.
 type sstReads struct {
 	vfs.FS
-	calls atomic.Int64
+	calls, bytes atomic.Int64
 }
 
 func (c *sstReads) Open(path string) (vfs.File, error) {
@@ -32,17 +33,19 @@ func (c *sstReads) Open(path string) (vfs.File, error) {
 	if err != nil || !strings.HasSuffix(path, ".sst") {
 		return f, err
 	}
-	return countedFile{f, &c.calls}, nil
+	return countedFile{f, c}, nil
 }
 
 type countedFile struct {
 	vfs.File
-	calls *atomic.Int64
+	c *sstReads
 }
 
 func (f countedFile) ReadAt(p []byte, off int64) (int, error) {
-	f.calls.Add(1)
-	return f.File.ReadAt(p, off)
+	n, err := f.File.ReadAt(p, off)
+	f.c.calls.Add(1)
+	f.c.bytes.Add(int64(n))
+	return n, err
 }
 
 func residencyValue(i, gen int) []byte {

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/iterator"
+	"repro/internal/keyhash"
 	"repro/internal/memtable"
 	"repro/internal/sstable"
 )
@@ -142,11 +143,13 @@ func (v *readView) get(ctx context.Context, key []byte) ([]byte, *tableHandle, e
 // re-checked between per-table probes, so a cancelled caller stops after
 // at most one table's disk read. On a probe failure the offending table
 // is returned alongside the error, so the DB-level caller can quarantine
-// a table whose blocks fail their checksums.
+// a table whose blocks fail their checksums. The key is hashed once, for
+// every table's Bloom filter.
 func probeTables(ctx context.Context, tables []*tableHandle, key []byte) ([]byte, *tableHandle, error) {
 	var (
 		best    iterator.Entry
 		bestPin *cache.Block // pins the block best.Value aliases; nil until a version is found
+		hash    = keyhash.Of(key)
 	)
 	defer func() {
 		if bestPin != nil {
@@ -166,7 +169,7 @@ func probeTables(ctx context.Context, tables []*tableHandle, key []byte) ([]byte
 				return nil, nil, err
 			}
 		}
-		e, pin, err := th.rd.GetEntry(key)
+		e, pin, err := th.rd.GetEntryHashed(key, hash)
 		if err != nil {
 			if err == sstable.ErrNotFound {
 				continue

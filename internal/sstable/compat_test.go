@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -98,6 +99,13 @@ func TestGoldenTablesReadable(t *testing.T) {
 					t.Fatalf("entry %d = %+v, want %+v", i, g, want)
 				}
 			}
+			// The fixtures' filters were written with the per-probe hash
+			// formula; the single-pass one must find every key in them.
+			for _, e := range entries {
+				if !rd.filter.MayContain(e.Key) {
+					t.Fatalf("filter of %s rejects its own key %q", name, e.Key)
+				}
+			}
 			for _, i := range []int{0, 57, 201, 399} {
 				g, err := rd.Get(entries[i].Key)
 				if err != nil {
@@ -127,5 +135,20 @@ func TestGoldenV2BytesStable(t *testing.T) {
 	}
 	if got := goldenBytes(t, FormatV2); !bytes.Equal(got, want) {
 		t.Fatalf("v2 writer output drifted from committed fixture (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestWriterBytesPinned pins what the current writers emit for the golden
+// entry list to the SHA-256 recorded at PR 21's commit (0f1d4cc), before
+// the key hash became single-pass: filter bits and sketch registers derive
+// from that hash, so any drift in it changes these bytes.
+func TestWriterBytesPinned(t *testing.T) {
+	for version, want := range map[int]string{
+		FormatV2: "04dd3bfc296e60ae6bf216ac4222bd7cb9589b9ed4920b3f49c4d952d0042a2c",
+		FormatV3: "f15328d302fa8c868e54cf43e88d80c78fbff0aaae73e293b1cd7aa195ab53e5",
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(goldenBytes(t, version))); got != want {
+			t.Errorf("v%d table bytes hash to %s, want %s", version, got, want)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/hll"
 	"repro/internal/iterator"
+	"repro/internal/keyhash"
 	"repro/internal/vfs"
 )
 
@@ -551,7 +552,13 @@ func (rd *Reader) Get(key []byte) (iterator.Entry, error) {
 // must outlive it, then Release. The entry's key is the probe key itself.
 // On a miss or an error the block is nil.
 func (rd *Reader) GetEntry(key []byte) (iterator.Entry, *cache.Block, error) {
-	if !rd.filter.MayContain(key) {
+	return rd.GetEntryHashed(key, keyhash.Of(key))
+}
+
+// GetEntryHashed is GetEntry for a caller that has already hashed key (h
+// must be keyhash.Of(key)): a lookup across several tables hashes once.
+func (rd *Reader) GetEntryHashed(key []byte, h keyhash.Hash) (iterator.Entry, *cache.Block, error) {
+	if !rd.filter.MayContainHash(h) {
 		if rd.fm != nil {
 			rd.fm.Negatives.Add(1)
 		}

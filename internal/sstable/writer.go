@@ -10,6 +10,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/hll"
 	"repro/internal/iterator"
+	"repro/internal/keyhash"
 )
 
 // DefaultIndexChunkSize is the number of block handles per index chunk in
@@ -164,8 +165,9 @@ func (w *Writer) Add(e iterator.Entry) error {
 		blockLen = len(w.block)
 	}
 	w.lastKey = append(w.lastKey[:0], e.Key...)
-	w.filter.Add(e.Key)
-	w.sketch.Add(e.Key)
+	h := keyhash.Of(e.Key)
+	w.filter.AddHash(h)
+	w.sketch.AddUint64(h.H1)
 	w.entryCount++
 	w.keyBytes += uint64(len(e.Key))
 	w.valBytes += uint64(len(e.Value))

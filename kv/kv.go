@@ -213,8 +213,9 @@ type CompactionInfo struct {
 	// BytesRead and BytesWritten total the merge disk I/O.
 	BytesRead    uint64 `json:"bytes_read"`
 	BytesWritten uint64 `json:"bytes_written"`
-	// CostActual is the schedule's abstract cost in keys (the paper's
-	// costactual measure).
+	// CostActual is the paper's costactual measure in keys, counted from
+	// the merges that ran: entries read plus entries written, summed over
+	// every merge step.
 	CostActual int `json:"cost_actual"`
 	// Duration is the wall-clock time of planning plus merging.
 	Duration time.Duration `json:"duration_ns"`
