@@ -75,6 +75,10 @@ func (b *Block) Buf() []byte { return b.buf }
 // Data is the block's payload. It stays valid until the caller's Release.
 func (b *Block) Data() []byte { return b.data }
 
+// Pin takes one more pin on behalf of a caller that holds one: readers that
+// share a buffer each release their own.
+func (b *Block) Pin() { b.refs.Add(1) }
+
 // Release drops one pin. The last reference out — the cache's own goes at
 // eviction — hands the array to its free list; the caller must not touch
 // the block or anything aliasing it afterwards.
@@ -93,7 +97,7 @@ func (b *Block) Release() {
 // 4.3 KiB read.
 const sizeGranule = 512
 
-// freeListBytes bounds the arrays one free list holds: seven 4.5 KiB
+// freeListBytes bounds the arrays one cache's free list holds: seven 4.5 KiB
 // arrays, more than a point read and one table's iterator return between
 // two misses, and small enough that an array of an unusual size (a block
 // holding one large value) is simply not kept.
@@ -109,6 +113,7 @@ type freeList struct {
 	mu     sync.Mutex
 	blocks []*Block
 	bytes  int
+	limit  int // bound on bytes, fixed at construction
 }
 
 // get returns a pinned, unpublished block for k with an n-byte Buf: the
@@ -143,11 +148,11 @@ func (f *freeList) adopt(k Key, value []byte) *Block {
 }
 
 // put takes a block nobody references any more, dropping the oldest
-// entries to stay within freeListBytes.
+// entries to stay within the list's limit.
 func (f *freeList) put(b *Block) {
 	b.buf = b.buf[:cap(b.buf)]
 	b.data = nil
-	if len(b.buf) == 0 || len(b.buf) > freeListBytes {
+	if len(b.buf) == 0 || len(b.buf) > f.limit {
 		return
 	}
 	if PoisonFreed.Load() {
@@ -157,7 +162,7 @@ func (f *freeList) put(b *Block) {
 	}
 	f.mu.Lock()
 	drop := 0
-	for f.bytes+len(b.buf) > freeListBytes {
+	for f.bytes+len(b.buf) > f.limit {
 		f.bytes -= len(f.blocks[drop].buf)
 		drop++
 	}
@@ -185,7 +190,7 @@ func New(capacity int) *LRU {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	c := &LRU{capacity: capacity, index: make(map[Key]*Block)}
+	c := &LRU{capacity: capacity, index: make(map[Key]*Block), free: freeList{limit: freeListBytes}}
 	c.root.prev, c.root.next = &c.root, &c.root
 	return c
 }
@@ -325,8 +330,11 @@ func (c *LRU) Len() int {
 type uncached struct{ free freeList }
 
 // Uncached serves readers opened without a block cache, and the misses of
-// readers that must not fill the one they have.
-var Uncached = &uncached{}
+// readers that must not fill the one they have. Those read whole runs of
+// blocks into one buffer (sstable.Reader.ScanIter: up to 36 KiB a run, three
+// in flight per input table), so its free list is allowed a few of that
+// size: a merge in its steady state frees one as it asks for the next.
+var Uncached = &uncached{free: freeList{limit: 256 << 10}}
 
 func (u *uncached) Get(Key) (*Block, bool)         { return nil, false }
 func (u *uncached) Peek(Key) (*Block, bool)        { return nil, false }

@@ -4,10 +4,12 @@
 // leader, drains a prefix of the queue into one group, assigns the group a
 // contiguous sequence range, appends the whole group to the WAL as a single
 // atomic frame with at most one fsync, applies it to the memtable under a
-// short store-lock section, runs post-apply maintenance (flush, auto minor
-// compaction, backpressure), and finally wakes its followers and hands
-// leadership to the next waiter. The fsync cost therefore amortizes over
-// the whole group, and the store lock is never held across a syscall.
+// short store-lock section, rotates the memtable if the group filled it
+// (the flusher goroutine does the flush and the minor compactions that
+// follow — see flusher.go), applies backpressure, and finally wakes its
+// followers and hands leadership to the next waiter. The fsync cost
+// therefore amortizes over the whole group, and no writer waits for an
+// sstable or a manifest to be written.
 package lsm
 
 import (
@@ -336,9 +338,9 @@ func (db *DB) leadGroup(head *commitReq) {
 
 // commitGroup performs one group commit: sequence assignment under the
 // store lock, WAL append + optional fsync under only the pipeline lock,
-// memtable apply and maintenance back under the store lock. On return the
+// memtable apply and rotation back under the store lock. On return the
 // group is durable (if sync) and visible. Sets *stall when the commit
-// flushed the memtable and backpressure should be evaluated.
+// rotated the memtable and backpressure should be evaluated.
 func (db *DB) commitGroup(group []*commitReq, doSync bool, stall *bool) error {
 	db.pipeMu.Lock()
 	defer db.pipeMu.Unlock()
@@ -356,9 +358,9 @@ func (db *DB) commitGroup(group []*commitReq, doSync bool, stall *bool) error {
 	for _, r := range group {
 		n += r.batch.Len()
 	}
-	seq := db.man.nextSeq
-	db.man.nextSeq += uint64(n)
-	log := db.log // stable while pipeMu is held: WAL swaps take pipeMu
+	seq := db.nextSeq
+	db.nextSeq += uint64(n)
+	log := db.log // stable while pipeMu is held: segment swaps take pipeMu
 	db.mu.Unlock()
 
 	// Encode and write the whole group as one WAL frame — one buffer, one
@@ -378,12 +380,16 @@ func (db *DB) commitGroup(group []*commitReq, doSync bool, stall *bool) error {
 		// If that rollback itself failed the log is sticky-poisoned
 		// (log.Err() != nil): records may linger durably past the logical
 		// end, so the whole DB degrades to read-only. A clean rollback
-		// leaves the log valid and the write retryable.
+		// leaves the log valid and the write retryable — and hands the
+		// group's sequence numbers back: recovery tells a lost segment tail
+		// from a clean one by the numbers running on without a gap.
+		db.mu.Lock()
 		if werr := log.Err(); werr != nil {
-			db.mu.Lock()
 			db.failDurabilityLocked(werr)
-			db.mu.Unlock()
+		} else {
+			db.nextSeq = seq // pipeMu: nobody has taken a number since
 		}
+		db.mu.Unlock()
 		return err
 	}
 	if doSync {
@@ -405,8 +411,7 @@ func (db *DB) commitGroup(group []*commitReq, doSync bool, stall *bool) error {
 	// the group lies wholly above or below it and they observe it
 	// atomically, while point reads run lock-free against the skiplist
 	// (per-key atomicity is enough for a single-key probe). The leader
-	// also runs the write path's maintenance — flush, auto minor
-	// compaction, background trigger — on behalf of the whole group.
+	// also rotates a full memtable on behalf of the whole group.
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.applyMu.Lock()
@@ -429,20 +434,20 @@ func (db *DB) commitGroup(group []*commitReq, doSync bool, stall *bool) error {
 		return nil
 	}
 	if db.mem.SizeBytes() >= db.opts.MemtableBytes {
-		if err := db.flushLocked(); err != nil {
+		// One frozen memtable at a time: if the previous one is still being
+		// flushed the group waits here, with pipeMu held, so the rotation
+		// lands after exactly the same write whatever the flusher's speed.
+		// A failure the flusher was holding comes back as this group's
+		// error — the group itself is durable and applied — and the next
+		// commit rotates.
+		if err := db.stallForFlusherLocked(); err != nil {
+			if err == ErrClosed {
+				return nil
+			}
 			return err
 		}
-		if db.opts.AutoCompact != nil {
-			for {
-				_, ran, err := db.minorCompactLocked(db.opts.AutoCompact)
-				if err != nil {
-					return err
-				}
-				if !ran {
-					break
-				}
-				db.minorCompactions++
-			}
+		if err := db.rotateLocked(true); err != nil {
+			return err
 		}
 		*stall = db.opts.Background != nil
 	}

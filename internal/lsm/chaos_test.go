@@ -3,10 +3,16 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
 // TestChaosRandomOpsWithCrashes runs a long random workload against the
@@ -246,4 +252,394 @@ func countSSTFiles(t *testing.T, dir string) int {
 		}
 	}
 	return n
+}
+
+// crashImage copies dir as a process kill would leave it: everything the
+// store has handed to the filesystem, synced or not.
+func crashImage(t *testing.T, dir string) string {
+	t.Helper()
+	image := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(image, ent.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return image
+}
+
+// TestChaosCrashAtFlushPoints kills the store at each instant of a background
+// flush — after the rotation with no table yet, after the table is written
+// and synced but before the manifest names it, after the manifest save but
+// before the frozen memtable's WAL segment is removed — with writes in the
+// next segment that overwrite and delete keys of the first. Every
+// acknowledged write must read back after reopening the crash image: two
+// segments replay in order, a table outside the manifest is removed as an
+// orphan, and records the manifest's tables already hold are skipped rather
+// than replayed into the memtable and flushed a second time.
+func TestChaosCrashAtFlushPoints(t *testing.T) {
+	for point, name := range map[flushPoint]string{
+		beforeBuild:    "no table yet",
+		beforeManifest: "table outside the manifest",
+		beforeRemove:   "segment outlives the manifest save",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			fault := vfs.NewFault(vfs.Default, 1)
+			fault.SetPathFilter(func(path string) bool { return strings.HasPrefix(filepath.Base(path), walPrefix) })
+			db, err := Open(dir, Options{FS: fault, SyncWAL: true, MemtableBytes: 16 << 10, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reached, release := wedgeFlusher(t, db, point)
+			n := fillUntil(t, db, reached, 0, wedgeKey, wedgeVal)
+			// The first write into the second segment fails and is rolled
+			// back: the sequence numbers it was given go to the next write,
+			// or the segment would read as the one after a lost tail.
+			fault.SetProb(vfs.OpWrite, 1)
+			if err := db.Put(wedgeKey(0), []byte("never logged")); !errors.Is(err, vfs.ErrInjected) {
+				t.Fatalf("Put with the segment write failing: %v", err)
+			}
+			fault.SetProb(vfs.OpWrite, 0)
+			db.mu.RLock()
+			after := db.mem.Len() // keys n-after..n-1 went to the second segment
+			db.mu.RUnlock()
+			ref := map[string]string{}
+			for i := 0; i < n; i++ {
+				ref[string(wedgeKey(i))] = string(wedgeVal(i))
+			}
+			// Into the second segment: shadow two keys of the first.
+			if err := db.Delete(wedgeKey(1)); err != nil {
+				t.Fatal(err)
+			}
+			delete(ref, string(wedgeKey(1)))
+			if err := db.Put(wedgeKey(2), []byte("second segment wins")); err != nil {
+				t.Fatal(err)
+			}
+			ref[string(wedgeKey(2))] = "second segment wins"
+			after += 2
+
+			image := crashImage(t, dir)
+			if segs := walSegments(t, image); len(segs) != 2 {
+				t.Fatalf("crash image holds WAL files %v, want two segments", segs)
+			}
+			release()
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if point == beforeRemove {
+				// Every record of the first segment is in the table, so a
+				// tear in it loses nothing and must not end the replay.
+				stale := filepath.Join(image, walSegments(t, image)[0])
+				data, err := os.ReadFile(stale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(stale, data[:len(data)-3], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			db2, err := Open(image, Options{MemtableBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			count := 0
+			if err := db2.Scan(func(k, v []byte) error {
+				if ref[string(k)] != string(v) {
+					return fmt.Errorf("key %s = %.30q, want %.30q", k, v, ref[string(k)])
+				}
+				count++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if count != len(ref) {
+				t.Fatalf("recovered %d keys, want %d", count, len(ref))
+			}
+			if _, err := db2.Get(wedgeKey(1)); err != ErrNotFound {
+				t.Fatalf("Get of a key deleted in the second segment: %v", err)
+			}
+			checkNoOrphans(t, image, db2)
+			st := db2.Stats()
+			wantTables, wantMem, wantRecords := 0, n, n+2
+			if point == beforeRemove {
+				// The first segment's records are in the table the manifest
+				// names: replay must pass over them.
+				wantTables, wantMem, wantRecords = 1, after, after
+			}
+			if st.Tables != wantTables || st.MemtableKeys != wantMem || st.WALRecoveredRecords != wantRecords || st.Flushes != 0 {
+				t.Fatalf("after recovery: %d tables, %d memtable keys, %d records replayed, %d flushes; want %d, %d, %d, 0",
+					st.Tables, st.MemtableKeys, st.WALRecoveredRecords, st.Flushes, wantTables, wantMem, wantRecords)
+			}
+			if segs := walSegments(t, image); len(segs) != 1 {
+				t.Fatalf("after recovery the directory holds WAL files %v, want one segment", segs)
+			}
+		})
+	}
+}
+
+// TestChaosCloseDuringWedgedFlush: Close called while the flusher is stuck
+// mid-flush waits for that flush instead of pulling the files out from under
+// it, and reopening finds every acknowledged write — those of the frozen
+// memtable, flushed or not, and those after it.
+func TestChaosCloseDuringWedgedFlush(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{SyncWAL: true, MemtableBytes: 16 << 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached, release := wedgeFlusher(t, db, beforeManifest)
+	n := fillUntil(t, db, reached, 0, wedgeKey, wedgeVal)
+	closed := make(chan error, 1)
+	go func() { closed <- db.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v with the flusher wedged mid-flush", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	for i := 0; i < n; i++ {
+		if v, err := db2.Get(wedgeKey(i)); err != nil || string(v) != string(wedgeVal(i)) {
+			t.Fatalf("after reopen Get(%s) = %.20q, %v", wedgeKey(i), v, err)
+		}
+	}
+	checkNoOrphans(t, dir, db2)
+}
+
+// TestRecoveryOfOddWALDirectories: a directory from before segments (a bare
+// wal.log) opens as segment 0 and orders before any numbered segment; a
+// leftover wal.log.new — Open killed while re-logging — is ignored and
+// removed; a segment that lost its tail — torn, or cut at a frame boundary —
+// ends the replay, because the segments after it were written after the part
+// that was lost, and a torn segment that lost nothing ends nothing.
+func TestRecoveryOfOddWALDirectories(t *testing.T) {
+	segment := func(t *testing.T, path string, recs ...wal.Record) {
+		t.Helper()
+		w, err := wal.Create(vfs.Default, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := w.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := func(seq uint64, k, v string) wal.Record {
+		return wal.Record{Op: wal.OpPut, Seq: seq, Key: []byte(k), Value: []byte(v)}
+	}
+	dir := t.TempDir()
+	segment(t, filepath.Join(dir, "wal.log"), put(1, "a", "legacy"), put(2, "b", "legacy"))
+	segment(t, filepath.Join(dir, "wal.log.000004"), put(3, "a", "segment 4"))
+	segment(t, filepath.Join(dir, "wal.log.new"), put(9, "a", "abandoned re-log"), put(10, "z", "abandoned re-log"))
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[string]string{"a": "segment 4", "b": "legacy"} {
+		if v, err := db.Get([]byte(k)); err != nil || string(v) != want {
+			t.Fatalf("Get(%s) = %q, %v; want %q", k, v, err, want)
+		}
+	}
+	if _, err := db.Get([]byte("z")); err != ErrNotFound {
+		t.Fatalf("a record of wal.log.new was replayed: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs := walSegments(t, dir); len(segs) != 1 || segs[0] != "wal.log.000005" {
+		t.Fatalf("after recovery the directory holds WAL files %v, want wal.log.000005 alone", segs)
+	}
+
+	// Two segments each; the first loses its tail. Sequence numbers run on
+	// from one segment into the next, so what the second begins with says
+	// whether anything between them is missing.
+	for _, tc := range []struct {
+		name      string
+		first     []wal.Record
+		cut       int // bytes cut from the end of the first segment
+		second    []wal.Record
+		want      map[string]string
+		truncated bool
+		records   int
+	}{
+		{
+			name:  "torn tail ends the replay",
+			first: []wal.Record{put(1, "a", "1"), put(2, "b", "1")}, cut: 3,
+			second:    []wal.Record{put(3, "c", "2")},
+			want:      map[string]string{"a": "1"},
+			truncated: true, records: 1,
+		},
+		{
+			// Without SyncWAL nothing fsyncs a segment when the next one
+			// starts: a crash can drop whole frames off its end and keep the
+			// next segment's pages.
+			name:      "tail lost at a frame boundary ends the replay",
+			first:     []wal.Record{put(1, "a", "1")}, // and 2, lost whole
+			second:    []wal.Record{put(3, "c", "2")},
+			want:      map[string]string{"a": "1"},
+			truncated: true, records: 1,
+		},
+		{
+			// An Open that found the first segment torn re-logged its prefix
+			// into the second and failed before the first was gone; writes
+			// acknowledged since are in the second. The stale torn segment
+			// must not hide them.
+			name:  "torn segment does not hide the re-log that replaced it",
+			first: []wal.Record{put(1, "a", "1"), put(2, "b", "1")}, cut: 3,
+			second:    []wal.Record{put(1, "a", "1"), put(2, "c", "acked")},
+			want:      map[string]string{"a": "1", "c": "acked"},
+			truncated: true, records: 3,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			first := filepath.Join(dir, "wal.log.000001")
+			segment(t, first, tc.first...)
+			data, err := os.ReadFile(first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(first, data[:len(data)-tc.cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			segment(t, filepath.Join(dir, "wal.log.000002"), tc.second...)
+			db, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			got := map[string]string{}
+			if err := db.Scan(func(k, v []byte) error {
+				got[string(k)] = string(v)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(got, tc.want) {
+				t.Fatalf("recovered %v, want %v", got, tc.want)
+			}
+			if st := db.Stats(); st.WALRecoveryTruncated != tc.truncated || st.WALRecoveredRecords != tc.records {
+				t.Fatalf("recovery stats: truncated %v, %d records; want %v, %d",
+					st.WALRecoveryTruncated, st.WALRecoveredRecords, tc.truncated, tc.records)
+			}
+		})
+	}
+}
+
+// TestOpenKeepsNoStaleSegment: Open re-logs what it recovered into a new
+// segment and must not hand out a DB while a segment it replayed is still
+// there — the next Open would read the stale one first. With the removal
+// failing, Open fails, nothing is acknowledged against that directory, and a
+// later Open finds the prefix and keeps what is written after it.
+func TestOpenKeepsNoStaleSegment(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if err := db.Put([]byte(k), []byte("1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := activeSegment(t, dir)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fault := vfs.NewFault(vfs.Default, 1)
+	fault.SetPathFilter(func(path string) bool { return strings.HasPrefix(filepath.Base(path), walPrefix) })
+	fault.SetProb(vfs.OpRemove, 1)
+	if db, err := Open(dir, Options{FS: fault, SyncWAL: true}); !errors.Is(err, vfs.ErrInjected) {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("Open with the torn segment irremovable: %v, want the injected error", err)
+	}
+	fault.Disable()
+	for round := 0; round < 2; round++ {
+		db, err := Open(dir, Options{FS: fault, SyncWAL: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]bool{"a": true, "b": true, "c": false, "acked": round == 1}
+		for k, present := range want {
+			if _, err := db.Get([]byte(k)); (err == nil) != present || (err != nil && err != ErrNotFound) {
+				t.Fatalf("round %d: Get(%s): %v, want present=%v", round, k, err, present)
+			}
+		}
+		if err := db.Put([]byte("acked"), []byte("1")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		activeSegment(t, dir) // one segment, whatever the failed Open left
+	}
+
+	// A segment replay dropped (it begins after a lost tail) must not be
+	// left as the oldest by a removal that fails part-way: it would be
+	// replayed next time.
+	gap := t.TempDir()
+	for name, seq := range map[string]uint64{"wal.log.000001": 1, "wal.log.000002": 3} {
+		w, err := wal.Create(vfs.Default, filepath.Join(gap, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(wal.Record{Op: wal.OpPut, Seq: seq, Key: []byte(name), Value: []byte("1")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fault = vfs.NewFault(vfs.Default, 1)
+	fault.SetPathFilter(func(path string) bool { return filepath.Base(path) == "wal.log.000002" })
+	fault.SetProb(vfs.OpRemove, 1)
+	if db, err := Open(gap, Options{FS: fault}); !errors.Is(err, vfs.ErrInjected) {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("Open with the dropped segment irremovable: %v, want the injected error", err)
+	}
+	fault.Disable()
+	db, err = Open(gap, Options{FS: fault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Get([]byte("wal.log.000001")); err != nil {
+		t.Fatalf("record before the gap: %v", err)
+	}
+	if _, err := db.Get([]byte("wal.log.000002")); err != ErrNotFound {
+		t.Fatalf("record after the gap: %v, want not found", err)
+	}
 }

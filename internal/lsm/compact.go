@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -89,7 +88,8 @@ func (r *CompactionResult) TotalIO() uint64 { return r.BytesRead + r.BytesWritte
 // strategy from the compaction package ("SI", "SO", "BT(I)", ...).
 //
 // The compaction is non-blocking: the live table set is snapshotted and
-// the memtable flushed in a short critical section, the merges execute
+// the memtable flushed (by the flusher, while the caller waits) in a short
+// critical section, the merges execute
 // off-lock on the compaction package's worker pool (so a BALANCETREE
 // schedule's independent merges run in parallel, Section 5.1 of the
 // paper), and the merged root is swapped into the manifest atomically in a
@@ -110,34 +110,32 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 	defer db.majorMu.Unlock()
 	start := time.Now()
 
-	// Planning: flush and snapshot under the locks, then plan off-lock.
-	// The flush swaps the WAL, so the short planning section also holds
-	// the commit-pipeline lock (pipeMu before mu, the global order).
-	db.pipeMu.Lock()
-	db.mu.Lock()
-	if db.closed {
+	// Planning: with the flusher idle and no minor merge in flight, flush
+	// the memtable and snapshot the table set under the locks (pipeMu
+	// before mu, the global order: the flush swaps the WAL segment), then
+	// plan off-lock.
+	if err := db.lockQuiesced(); err != nil {
+		return nil, err
+	}
+	unlock := func() {
 		db.mu.Unlock()
 		db.pipeMu.Unlock()
-		return nil, ErrClosed
 	}
 	if err := db.readOnlyErrLocked(); err != nil {
-		db.mu.Unlock()
-		db.pipeMu.Unlock()
+		unlock()
 		return nil, err
 	}
 	db.setState(CompactionPlanning)
-	if err := db.flushLocked(); err != nil {
+	if err := db.flushMemLocked(); err != nil {
 		db.setState(CompactionIdle)
-		db.mu.Unlock()
-		db.pipeMu.Unlock()
+		unlock()
 		return nil, err
 	}
 	res := &CompactionResult{Strategy: strategy, Mode: "background", TablesBefore: len(db.tables)}
 	if len(db.tables) <= 1 {
 		db.setState(CompactionIdle)
 		res.TablesAfter = len(db.tables)
-		db.mu.Unlock()
-		db.pipeMu.Unlock()
+		unlock()
 		res.Duration = time.Since(start)
 		return res, nil
 	}
@@ -147,8 +145,7 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 		th.retain()
 		th.compacting = true
 	}
-	db.mu.Unlock()
-	db.pipeMu.Unlock()
+	unlock()
 
 	// abort releases the snapshot and resets the state machine without
 	// touching the table set; used on every failure path past this point.
@@ -178,9 +175,7 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 		for _, th := range created {
 			if th != nil {
 				th.rd.Close()
-				if err := db.fs.Remove(filepath.Join(db.dir, th.name)); err != nil {
-					db.cleanupFails.Add(1)
-				}
+				db.removeFile(th.name)
 			}
 		}
 	}
@@ -287,21 +282,20 @@ func (db *DB) MajorCompactBlocking(strategy string, k int, seed int64) (*Compact
 	db.majorMu.Lock()
 	defer db.majorMu.Unlock()
 	// The blocking baseline excludes all concurrent activity: it holds the
-	// commit pipeline and the store lock for the entire run.
-	db.pipeMu.Lock()
-	defer db.pipeMu.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
+	// commit pipeline for the entire run and the store lock for all of it
+	// but the wait for the flusher.
+	if err := db.lockQuiesced(); err != nil {
+		return nil, err
 	}
+	defer db.pipeMu.Unlock()
+	defer db.mu.Unlock()
 	if err := db.readOnlyErrLocked(); err != nil {
 		return nil, err
 	}
 	db.setState(CompactionPlanning)
 	defer db.setState(CompactionIdle)
 	start := time.Now()
-	if err := db.flushLocked(); err != nil {
+	if err := db.flushMemLocked(); err != nil {
 		return nil, err
 	}
 	res := &CompactionResult{Strategy: strategy, Mode: "blocking", TablesBefore: len(db.tables)}
@@ -322,10 +316,8 @@ func (db *DB) MajorCompactBlocking(strategy string, k int, seed int64) (*Compact
 	var allocMu sync.Mutex
 	alloc := func() string {
 		allocMu.Lock()
-		name := fmt.Sprintf("%06d.sst", db.man.nextFileNum)
-		db.man.nextFileNum++
-		allocMu.Unlock()
-		return name
+		defer allocMu.Unlock()
+		return db.allocTableNameLocked()
 	}
 	snap := db.tables
 	nodes, stats, err := db.executeSchedule(sched, snap, alloc)
@@ -334,9 +326,7 @@ func (db *DB) MajorCompactBlocking(strategy string, k int, seed int64) (*Compact
 		for _, th := range created {
 			if th != nil {
 				th.rd.Close()
-				if rerr := db.fs.Remove(filepath.Join(db.dir, th.name)); rerr != nil {
-					db.cleanupFails.Add(1)
-				}
+				db.removeFile(th.name)
 			}
 		}
 		return nil, err
@@ -353,9 +343,7 @@ func (db *DB) MajorCompactBlocking(strategy string, k int, seed int64) (*Compact
 		db.failDurabilityLocked(err)
 		for _, th := range created {
 			th.rd.Close()
-			if rerr := db.fs.Remove(filepath.Join(db.dir, th.name)); rerr != nil {
-				db.cleanupFails.Add(1)
-			}
+			db.removeFile(th.name)
 		}
 		return nil, err
 	}
@@ -388,9 +376,13 @@ func (db *DB) MajorCompactBlocking(strategy string, k int, seed int64) (*Compact
 // flushes.
 func (db *DB) allocTableName() string {
 	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.allocTableNameLocked()
+}
+
+func (db *DB) allocTableNameLocked() string {
 	name := fmt.Sprintf("%06d.sst", db.man.nextFileNum)
 	db.man.nextFileNum++
-	db.mu.Unlock()
 	return name
 }
 

@@ -31,6 +31,21 @@ func wedgeCompactorOptions() (Options, func()) {
 	return opts, release
 }
 
+// putAndFlush writes one key and waits for the flush it triggers (every
+// write rotates under wedgeCompactorOptions), so the next write does not
+// wait for the flusher and count a stall of its own.
+func putAndFlush(t *testing.T, db *DB, k, v string) {
+	t.Helper()
+	if err := db.Put([]byte(k), []byte(v)); err != nil {
+		t.Fatal(err)
+	}
+	db.mu.Lock()
+	for db.imm != nil {
+		db.flushCond.Wait()
+	}
+	db.mu.Unlock()
+}
+
 // waitForStall blocks until the DB reports at least one write stall, or
 // fails the test after a timeout.
 func waitForStall(t *testing.T, db *DB) {
@@ -60,13 +75,10 @@ func TestWriteContextCancelDuringStall(t *testing.T) {
 
 	// Two writes cut two tables, reaching the compaction trigger; the
 	// compactor wedges in the hook. The third write cuts the third table
-	// and stalls.
-	if err := db.Put([]byte("a"), []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Put([]byte("b"), []byte("2")); err != nil {
-		t.Fatal(err)
-	}
+	// and stalls. Each write finds the flusher idle, so the only stall
+	// counted is the backpressure one.
+	putAndFlush(t, db, "a", "1")
+	putAndFlush(t, db, "b", "2")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -109,12 +121,8 @@ func TestWriteContextCancelParkedInQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := db.Put([]byte("a"), []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Put([]byte("b"), []byte("2")); err != nil {
-		t.Fatal(err)
-	}
+	putAndFlush(t, db, "a", "1")
+	putAndFlush(t, db, "b", "2")
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() { leaderErr <- db.PutContext(leaderCtx, []byte("c"), []byte("3")) }()

@@ -73,7 +73,9 @@ var (
 // Options tunes a DB. The zero value is usable.
 type Options struct {
 	// MemtableBytes is the flush threshold for the memtable (keys +
-	// values). Zero selects 4 MiB.
+	// values). Zero selects 4 MiB. A full memtable is flushed in the
+	// background while writes fill the next, so memtable memory peaks at
+	// twice this.
 	MemtableBytes int
 	// SyncWAL forces an fsync after every write; slow but durable.
 	SyncWAL bool
@@ -184,8 +186,10 @@ type tableHandle struct {
 	// corruption was detected reading it: the last release closes the
 	// reader but must not try to remove the (already renamed) file.
 	quarantined atomic.Bool
-	// compacting marks a table captured in a live major-compaction
-	// snapshot; minor compactions must not touch it. Guarded by DB.mu.
+	// compacting marks a table that a merge running off-lock — a minor
+	// compaction's inputs, a major compaction's snapshot — is reading and
+	// will retire at its swap: no other pick may select it and a corruption
+	// found in it is left to that merge. Guarded by DB.mu.
 	compacting bool
 }
 
@@ -258,9 +262,9 @@ type DB struct {
 	state atomic.Int32
 
 	// pipeMu is the commit-pipeline lock: it serializes WAL I/O (group
-	// appends, fsyncs, log swaps) with memtable replacement, so a group
+	// appends, fsyncs, segment swaps) with memtable rotation, so a group
 	// commit's WAL-append → memtable-apply window can run without holding
-	// mu while flushes still observe a quiesced pipeline. Lock order:
+	// mu while rotations still observe a quiesced pipeline. Lock order:
 	// pipeMu before mu; never acquire pipeMu while holding mu.
 	pipeMu sync.Mutex
 	// commitMu guards the commit queue of parked writers; the queue head is
@@ -294,10 +298,37 @@ type DB struct {
 	mu        sync.RWMutex
 	stallCond *sync.Cond // signalled when the table count drops or DB closes
 	mem       *memtable.Table
-	log       *wal.Writer
+	log       *wal.Writer // the active WAL segment, number logNum
+	logNum    uint64
 	man       *manifest
 	tables    []*tableHandle // newest first
 	closed    bool
+	// nextSeq is the next sequence number a commit is given. The manifest
+	// records only one past what the tables hold (see flushImmLocked).
+	nextSeq uint64
+	// imm is the frozen memtable the flusher is writing out (see
+	// flusher.go), nil when there is none; immLogNum is the WAL segment that
+	// holds its records and immPicks whether AutoCompact picks follow its
+	// flush. rotations counts memtables frozen since Open. flushCond is
+	// signalled whenever a rotation, a finished flush or merge, a flusher
+	// failure or Close may let a waiter on the flusher (or the flusher)
+	// proceed; flushing says the flusher is flushing or picking, merging
+	// counts minor merges in flight, and flushErr holds the flusher's last
+	// failure until a waiter takes it.
+	imm       *memtable.Table
+	immLogNum uint64
+	immPicks  bool
+	rotations uint64
+	flushCond *sync.Cond
+	flushing  bool
+	merging   int
+	flushErr  error
+	flusherWG sync.WaitGroup
+	// writeBufs recycles the write-behind buffers of table builds.
+	writeBufs sstable.WriteBuffers
+	// flushHook, when set (tests only, under mu before the first write), is
+	// called by the flusher at each flushPoint, with no lock held.
+	flushHook func(flushPoint)
 	// generation counts table-set changes (flush, minor, major); each
 	// tableHandle records the generation that created it.
 	generation uint64
@@ -350,9 +381,9 @@ type DB struct {
 	hookBeforeSwap func() error
 }
 
-// Open opens (creating if necessary) a store in dir, replaying any WAL left
-// by a previous crash into the memtable and deleting any sstable files a
-// crashed compaction left outside the manifest.
+// Open opens (creating if necessary) a store in dir, replaying the WAL
+// segments left by a previous crash into the memtable and deleting any
+// sstable files a crashed flush or compaction left outside the manifest.
 func Open(dir string, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
 	fsys := opts.FS
@@ -370,6 +401,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	db := &DB{dir: dir, opts: opts, fs: fsys, man: man, mem: memtable.New(opts.Seed)}
 	db.cleanupFails.Add(orphanFails)
 	db.stallCond = sync.NewCond(&db.mu)
+	db.flushCond = sync.NewCond(&db.mu)
 	db.hookBeforeSwap = opts.HookBeforeSwap
 	if opts.BlockCacheBytes > 0 {
 		db.blockCache = cache.NewSharded(opts.BlockCacheBytes, 0)
@@ -403,89 +435,15 @@ func Open(dir string, opts Options) (*DB, error) {
 		th.level = man.levels[name]
 		db.tables = append(db.tables, th)
 	}
-	// Recover the WAL, if present, into the fresh memtable.
-	walPath := filepath.Join(dir, "wal.log")
-	if _, err := fsys.Stat(walPath); err == nil {
-		maxSeq := man.nextSeq
-		stats, err := wal.Replay(fsys, walPath, func(r wal.Record) error {
-			switch r.Op {
-			case wal.OpPut:
-				db.mem.Put(r.Key, r.Value, r.Seq)
-			case wal.OpDelete:
-				db.mem.Delete(r.Key, r.Seq)
-			}
-			if r.Seq >= maxSeq {
-				maxSeq = r.Seq + 1
-			}
-			return nil
-		})
-		if err != nil {
-			releaseTables(db.tables)
-			return nil, err
-		}
-		// Record what recovery found — including a truncated log, which is
-		// a legitimate crash artifact but one operators should be able to
-		// see (Stats.WALRecoveryTruncated).
-		db.walRecovery = stats
-		man.nextSeq = maxSeq
-	}
-	log, err := wal.Create(fsys, walPath+".new")
-	if err != nil {
+	if err := db.recoverWAL(); err != nil {
 		releaseTables(db.tables)
 		return nil, err
 	}
-	// Preserve recovered-but-unflushed data: the fresh log only matters
-	// once the memtable flushes or new writes arrive; we re-log recovered
-	// entries (in chunked batch frames, not one write per record) so the
-	// old log can be replaced atomically.
-	var recs []wal.Record
-	chunkBytes := 0
-	appendChunk := func() error {
-		if len(recs) == 0 {
-			return nil
-		}
-		err := log.AppendBatch(recs)
-		recs, chunkBytes = recs[:0], 0
-		return err
-	}
-	for it := db.mem.Iter(); it.Valid(); it.Next() {
-		e := it.Entry()
-		rec := wal.Record{Op: wal.OpPut, Seq: e.Seq, Key: e.Key, Value: e.Value}
-		if e.Tombstone {
-			rec = wal.Record{Op: wal.OpDelete, Seq: e.Seq, Key: e.Key}
-		}
-		recs = append(recs, rec)
-		chunkBytes += len(rec.Key) + len(rec.Value) + 32
-		// Chunks are bounded by record count and by encoded size: a
-		// recovered memtable full of large values must never build a frame
-		// the replayer (MaxFrameBytes) would refuse.
-		if len(recs) >= 1024 || chunkBytes >= 4<<20 {
-			if err := appendChunk(); err != nil {
-				log.Close()
-				releaseTables(db.tables)
-				return nil, err
-			}
-		}
-	}
-	if err := appendChunk(); err != nil {
-		log.Close()
-		releaseTables(db.tables)
-		return nil, err
-	}
-	if err := log.Sync(); err != nil {
-		log.Close()
-		releaseTables(db.tables)
-		return nil, err
-	}
-	if err := fsys.Rename(walPath+".new", walPath); err != nil {
-		log.Close()
-		releaseTables(db.tables)
-		return nil, fmt.Errorf("lsm: swap wal: %w", err)
-	}
-	db.log = log
 	// Publish the initial read view. No readers exist yet, so holding mu
 	// is not required; installViewLocked's contract is satisfied trivially.
 	db.installViewLocked()
+	db.flusherWG.Add(1)
+	go db.flusher()
 	if opts.Background != nil {
 		db.bgCfg = opts.Background.withDefaults()
 		db.bgKick = make(chan struct{}, 1)
@@ -497,13 +455,14 @@ func Open(dir string, opts Options) (*DB, error) {
 }
 
 // removeOrphans deletes sstable files in dir that the manifest does not
-// reference — the merge outputs of a compaction that crashed between
-// writing its files and committing the swap — plus any stale manifest temp
-// file. Recovery is thereby idempotent: reopening after a crash converges
-// to exactly the manifest's view of the store. A removal that fails is
-// counted and skipped rather than failing Open: an undeletable orphan is
-// only leaked space, and the next Open retries it; quarantined files
-// (.sst.corrupt) are never touched.
+// reference — the output of a flush or merge that crashed between writing
+// its file and committing it — plus any stale manifest or WAL temp file.
+// (WAL segments are not orphans until recoverWAL has replayed them; it
+// removes them itself.) Recovery is thereby idempotent: reopening after a
+// crash converges to exactly the manifest's view of the store. A removal
+// that fails is counted and skipped rather than failing Open: an
+// undeletable orphan is only leaked space, and the next Open retries it;
+// quarantined files (.sst.corrupt) are never touched.
 func removeOrphans(fsys vfs.FS, dir string, man *manifest) (failed uint64, err error) {
 	live := make(map[string]bool, len(man.tables))
 	for _, name := range man.tables {
@@ -516,7 +475,7 @@ func removeOrphans(fsys vfs.FS, dir string, man *manifest) (failed uint64, err e
 	for _, ent := range entries {
 		name := ent.Name()
 		orphanSST := strings.HasSuffix(name, ".sst") && !live[name]
-		if orphanSST || name == manifestName+".tmp" {
+		if orphanSST || name == manifestName+".tmp" || name == walTmpName {
 			if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
 				failed++
 			}
@@ -553,6 +512,10 @@ func (db *DB) openTable(name string, hint *sstable.Bounds, id uint64) (*sstable.
 // id reserved here, and the Reader is opened with that id, so the table is
 // born resident (see sstable.Writer.PublishTo).
 //
+// The Writer writes through a write-behind stage (sstable.WriteBehind, its
+// buffers recycled by the DB): the file writes run beside whatever fill is
+// doing, and a write error surfaces from fill or from the stage's Close.
+//
 // Every failure aborts cleanly: the partial file is closed before removal
 // (removing an open file works on POSIX but masks close diagnostics), the
 // first error is the one returned, a failed removal is counted rather than
@@ -568,15 +531,18 @@ func (db *DB) buildTable(name string, expected int, fill func(*sstable.Writer) e
 	}
 	id := sstable.ReserveID()
 	abort := func(first error) (*sstable.Reader, error) {
-		if rerr := db.fs.Remove(path); rerr != nil {
-			db.cleanupFails.Add(1)
-		}
+		db.removeFile(name)
 		db.blocks().DropTable(id)
 		return nil, first
 	}
-	w := sstable.NewWriterOpts(f, expected, db.tableWriterOpts())
+	wb := db.writeBufs.NewWriter(f)
+	w := sstable.NewWriterOpts(wb, expected, db.tableWriterOpts())
 	w.PublishTo(db.blocks(), id)
-	if err := fill(w); err != nil {
+	err = fill(w)
+	if werr := wb.Close(); err == nil {
+		err = werr
+	}
+	if err != nil {
 		f.Close()
 		return abort(err)
 	}
@@ -605,8 +571,10 @@ func (db *DB) mergeTables(name string, dropTombstones bool, inputs []*sstable.Re
 }
 
 // Close stops background maintenance, flushes nothing (the WAL preserves
-// the memtable) and releases all file handles. An in-flight background
-// compaction aborts at its next phase boundary; snapshots still reading
+// the memtables) and releases all file handles. A flush the flusher has
+// begun is finished, one it has not is left to the next Open's replay, and
+// a failure it was holding for the next waiter is returned here; an
+// in-flight merge aborts at its next phase boundary; snapshots still reading
 // keep their tables open until they drain. The DB is unusable afterwards.
 func (db *DB) Close() error {
 	db.mu.Lock()
@@ -619,8 +587,10 @@ func (db *DB) Close() error {
 		close(db.bgQuit)
 	}
 	db.stallCond.Broadcast()
+	db.flushCond.Broadcast()
 	db.mu.Unlock()
 	db.bgWG.Wait()
+	db.flusherWG.Wait()
 
 	// Quiesce the commit pipeline before closing the log: an in-flight
 	// group leader holds pipeMu across its WAL I/O, and its records must
@@ -629,7 +599,10 @@ func (db *DB) Close() error {
 	defer db.pipeMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	err := db.log.Close()
+	err := db.flushErr
+	if cerr := db.log.Close(); err == nil {
+		err = cerr
+	}
 	// Retire the read view first: new pins fail with ErrClosed, readers
 	// already pinned keep their tables alive until they drain.
 	db.dropViewLocked()
@@ -685,10 +658,19 @@ func (db *DB) maybeStallLocked(ctx context.Context) error {
 	if db.opts.Background == nil {
 		return nil
 	}
-	if len(db.tables) >= db.bgCfg.Trigger {
+	// A frozen memtable counts as the table its flush is about to add, so
+	// the thresholds trip after the same write whether or not the flusher
+	// has got to it yet.
+	pending := func() int {
+		if db.imm != nil {
+			return len(db.tables) + 1
+		}
+		return len(db.tables)
+	}
+	if pending() >= db.bgCfg.Trigger {
 		db.kickBackground()
 	}
-	if len(db.tables) < db.bgCfg.Stall {
+	if pending() < db.bgCfg.Stall {
 		return nil
 	}
 	db.writeStalls++
@@ -704,7 +686,7 @@ func (db *DB) maybeStallLocked(ctx context.Context) error {
 		})
 		defer stop()
 	}
-	for len(db.tables) >= db.bgCfg.Stall && !db.closed && db.bgLastErr == nil && db.roCause == nil {
+	for pending() >= db.bgCfg.Stall && !db.closed && db.bgLastErr == nil && db.roCause == nil {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("%w: %w", ErrStalled, err)
 		}
@@ -938,26 +920,27 @@ func (db *DB) GetContext(ctx context.Context, key []byte) ([]byte, error) {
 	return val, err
 }
 
-// Flush forces the memtable to an sstable even if it is below threshold.
+// Flush forces the memtable to an sstable even if it is below threshold:
+// it waits for the flusher to finish what it has in hand (a flush and the
+// picks after it), hands it the memtable and waits for that flush. No
+// AutoCompact pick follows an explicit flush.
 func (db *DB) Flush() error {
 	return db.FlushContext(context.Background())
 }
 
 // FlushContext is Flush honoring ctx. The flush itself is not interruptible
-// once started — it is one sstable write plus a WAL swap — so the context
-// is only consulted before the work begins.
+// once started — it is one sstable write plus a WAL segment swap — so the
+// context is only consulted before the work begins.
 func (db *DB) FlushContext(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	db.pipeMu.Lock()
-	defer db.pipeMu.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
+	if err := db.lockQuiesced(); err != nil {
+		return err
 	}
-	return db.flushLocked()
+	defer db.pipeMu.Unlock()
+	defer db.mu.Unlock()
+	return db.flushMemLocked()
 }
 
 // tableWriterOpts builds the sstable writer options flushes and
@@ -967,93 +950,6 @@ func (db *DB) tableWriterOpts() sstable.WriterOptions {
 		Compression:   db.opts.Compression,
 		FormatVersion: db.opts.TableFormat,
 	}
-}
-
-// flushLocked writes the memtable to a fresh sstable and starts a new WAL.
-// Callers must hold both pipeMu and mu: the pipeline lock keeps the
-// WAL swap from racing a group commit's append-then-apply window.
-func (db *DB) flushLocked() error {
-	if db.mem.Len() == 0 {
-		return nil
-	}
-	if err := db.readOnlyErrLocked(); err != nil {
-		return err
-	}
-	name := fmt.Sprintf("%06d.sst", db.man.nextFileNum)
-	db.man.nextFileNum++
-	// A failure before the manifest records the table leaves the memtable
-	// and WAL untouched, so the flush simply retries later — nothing
-	// acknowledged is at risk.
-	var w *sstable.Writer
-	rd, err := db.buildTable(name, db.mem.Len(), func(tw *sstable.Writer) error {
-		w = tw
-		return sstable.WriteAll(w, db.mem.Iter())
-	})
-	if err != nil {
-		return err
-	}
-	// Newest first.
-	db.generation++
-	th := db.newTableHandle(name, rd, db.generation)
-	if th.sketch == nil {
-		// Table formats that do not embed the sketch (v2) still get one:
-		// the writer maintained it in memory, and the manifest carries it
-		// across restarts.
-		th.sketch = w.Sketch()
-	}
-	db.tables = append([]*tableHandle{th}, db.tables...)
-	db.man.tables = append([]string{name}, db.man.tables...)
-	db.man.recordBounds(db.tables)
-	if err := db.man.save(db.fs, db.dir); err != nil {
-		// The manifest rewrite (or its fsync) failed: the on-disk manifest
-		// may or may not reference the new table, so the table-set change
-		// cannot be promised durable. Roll the in-memory set back — the
-		// data is still safe in the memtable and WAL — and degrade to
-		// read-only rather than risk acknowledging writes against an
-		// untrustworthy manifest.
-		db.generation++
-		db.tables = db.tables[1:]
-		db.man.tables = db.man.tables[1:]
-		db.man.recordBounds(db.tables)
-		rd.Close()
-		if rerr := db.fs.Remove(filepath.Join(db.dir, name)); rerr != nil {
-			db.cleanupFails.Add(1)
-		}
-		db.failDurabilityLocked(err)
-		return err
-	}
-	// The memtable is durable in the sstable now; start a fresh WAL.
-	if err := db.resetWALLocked(); err != nil {
-		return err
-	}
-	db.mem = memtable.New(db.opts.Seed + int64(db.man.nextFileNum))
-	db.flushCount++
-	db.bytesFlushed += rd.FileSize()
-	// Publish the new (empty memtable, grown table set) pair. Readers
-	// pinned to the old view keep reading the old memtable — whose
-	// contents the new table duplicates — so no version is ever invisible.
-	db.installViewLocked()
-	return nil
-}
-
-// resetWALLocked starts a fresh WAL after a flush made the memtable
-// durable in an sstable. The new log is created before the old one is
-// closed: if creation fails, the old (still valid) writer stays in place
-// and the flush reports a retryable error instead of leaving the DB with
-// a closed log. The old log's close error is counted, not returned — its
-// contents are already durable in the just-flushed table.
-func (db *DB) resetWALLocked() error {
-	log, err := wal.Create(db.fs, filepath.Join(db.dir, "wal.log"))
-	if err != nil {
-		return fmt.Errorf("lsm: reset wal: %w", err)
-	}
-	if db.log != nil {
-		if cerr := db.log.Close(); cerr != nil {
-			db.cleanupFails.Add(1)
-		}
-	}
-	db.log = log
-	return nil
 }
 
 // acquireSnapshot captures a consistent read state without touching
@@ -1071,7 +967,7 @@ func (db *DB) acquireSnapshot(start, end []byte) (readState, error) {
 	db.applyMu.RLock()
 	bound := v.mem.Pin()
 	db.applyMu.RUnlock()
-	return readState{mem: v.mem, bound: bound, tables: retainOverlapping(v.tables, start, end)}, nil
+	return readState{mem: v.mem, bound: bound, imm: v.imm, tables: retainOverlapping(v.tables, start, end)}, nil
 }
 
 // Scan invokes fn for every live key-value pair in ascending key order,
@@ -1198,7 +1094,8 @@ type Stats struct {
 	Tables int
 	// TableBytes is the total size of live sstables on disk.
 	TableBytes uint64
-	// MemtableKeys is the number of keys buffered in the memtable.
+	// MemtableKeys is the number of keys buffered in the memtable, plus
+	// those of a frozen memtable still being flushed.
 	MemtableKeys int
 	// Flushes counts memtable flushes since Open.
 	Flushes int
@@ -1207,7 +1104,8 @@ type Stats struct {
 	// MajorCompactions counts completed major compactions since Open,
 	// blocking and background alike.
 	MajorCompactions int
-	// WriteStalls counts writes delayed by compaction backpressure, and
+	// WriteStalls counts writes delayed by compaction backpressure or by a
+	// full memtable waiting for the previous one's flush, and
 	// WriteStallTime the cumulative wall time those writers spent blocked.
 	WriteStalls    int
 	WriteStallTime time.Duration
@@ -1319,6 +1217,9 @@ func (db *DB) Stats() Stats {
 	if db.blockCache != nil {
 		st.BlockCacheHits, st.BlockCacheMisses, _ = db.blockCache.Stats()
 		st.BlockCacheShardBalance = db.blockCache.Balance()
+	}
+	if db.imm != nil {
+		st.MemtableKeys += db.imm.Len()
 	}
 	for _, th := range db.tables {
 		st.TableBytes += th.rd.FileSize()

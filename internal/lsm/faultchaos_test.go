@@ -24,6 +24,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -405,6 +406,119 @@ func TestFaultENOSPCIsRetryable(t *testing.T) {
 		if got, err := db.Get([]byte(k)); err != nil || string(got) != want {
 			t.Fatalf("%s after reopen: %q, %v", k, got, err)
 		}
+	}
+}
+
+// TestBackgroundFlushFailureSemantics: a flush runs behind the writes, so its
+// failures arrive late and at whoever next has to wait for the flusher.
+//
+// A table that cannot be created, written or synced leaves the frozen
+// memtable and its WAL segment where they are: writes go on succeeding until
+// the next memtable is full too, the writer that then has to wait gets the
+// failure (typed: the injected fault itself), the DB is not read-only, every
+// acknowledged key stays readable throughout, and once the fault clears a
+// Flush goes through — after at most one more report of an attempt that
+// failed while the fault was still on. A manifest save that fails is a
+// durability failure, as it always was: the DB turns read-only, and says so
+// to the writer that meets the flusher and to every write after it.
+func TestBackgroundFlushFailureSemantics(t *testing.T) {
+	isTable := func(path string) bool { return strings.HasSuffix(path, ".sst") }
+	isManifest := func(path string) bool { return strings.Contains(path, "MANIFEST") }
+	for _, tc := range []struct {
+		name     string
+		arm      func(f *vfs.Fault)
+		readOnly bool
+	}{
+		{"table create", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.SetProb(vfs.OpCreate, 1) }, false},
+		{"table write", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.SetProb(vfs.OpWrite, 1) }, false},
+		{"table fsync", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.SetProb(vfs.OpSync, 1) }, false},
+		{"manifest fsync", func(f *vfs.Fault) { f.SetPathFilter(isManifest); f.SetProb(vfs.OpSync, 1) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fault := vfs.NewFault(vfs.Default, 1)
+			opts := lsm.Options{FS: fault, SyncWAL: true, MemtableBytes: 8 << 10, Seed: 1}
+			db, err := lsm.Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := func(i int) []byte { return []byte(fmt.Sprintf("key-%05d", i)) }
+			val := func(i int) []byte { return []byte(fmt.Sprintf("value-%05d-%064d", i, i)) }
+			acked := 0
+			checkAcked := func(when string) {
+				t.Helper()
+				for i := 0; i < acked; i++ {
+					if v, err := db.Get(key(i)); err != nil || !bytes.Equal(v, val(i)) {
+						t.Fatalf("%s: acknowledged key %s reads %q, %v", when, key(i), v, err)
+					}
+				}
+			}
+
+			tc.arm(fault)
+			// One memtable's worth of writes succeed whatever the flusher is
+			// failing at; the failure surfaces within two more.
+			var failure error
+			for i := 0; i < 400 && failure == nil; i++ {
+				if err := db.Put(key(i), val(i)); err != nil {
+					failure = err
+				} else {
+					acked = i + 1
+				}
+			}
+			if failure == nil || !errors.Is(failure, vfs.ErrInjected) {
+				t.Fatalf("400 writes across several memtables under a %s fault ended with %v", tc.name, failure)
+			}
+			if acked < 50 {
+				t.Fatalf("only %d writes were acknowledged before the failure surfaced", acked)
+			}
+			if st := db.Stats(); st.Flushes != 0 || st.Tables != 0 {
+				t.Fatalf("%d flushes, %d tables under a %s fault", st.Flushes, st.Tables, tc.name)
+			}
+			checkAcked("fault on")
+			if ro, cause := db.ReadOnly(); ro != tc.readOnly {
+				t.Fatalf("ReadOnly() = %v (%v), want %v", ro, cause, tc.readOnly)
+			}
+
+			fault.Disable()
+			if tc.readOnly {
+				if err := db.Put(key(acked), val(acked)); !errors.Is(err, lsm.ErrReadOnly) {
+					t.Fatalf("write after a failed manifest save = %v, want ErrReadOnly", err)
+				}
+				if err := db.Flush(); !errors.Is(err, lsm.ErrReadOnly) && !errors.Is(err, vfs.ErrInjected) {
+					t.Fatalf("Flush after a failed manifest save = %v", err)
+				}
+			} else {
+				// Still writable, and the flush goes through now.
+				if err := db.Put(key(acked), val(acked)); err != nil && !errors.Is(err, vfs.ErrInjected) {
+					t.Fatalf("write after the fault cleared = %v", err)
+				} else if err == nil {
+					acked++
+				}
+				err := db.Flush()
+				if errors.Is(err, vfs.ErrInjected) {
+					err = db.Flush() // the first one collected a stale failure
+				}
+				if err != nil {
+					t.Fatalf("Flush after the fault cleared = %v", err)
+				}
+				if st := db.Stats(); st.Flushes == 0 || st.MemtableKeys != 0 {
+					t.Fatalf("after the fault cleared: %d flushes, %d keys still in memtables", st.Flushes, st.MemtableKeys)
+				}
+			}
+			checkAcked("fault off")
+
+			// Crash and recover: nothing acknowledged was at risk.
+			db.Close()
+			db, err = lsm.Open(dir, opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer db.Close()
+			checkAcked("reopened")
+			if err := db.Put([]byte("fresh"), []byte("writable")); err != nil {
+				t.Fatalf("reopened engine not writable: %v", err)
+			}
+		})
 	}
 }
 

@@ -172,7 +172,8 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	walData, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	walPath := activeSegment(t, dir)
+	walData, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 	// Recover the batch commit order straight from the log.
 	var order []string
 	seen := make(map[string]bool)
-	if _, err := wal.Replay(vfs.Default, filepath.Join(dir, "wal.log"), func(r wal.Record) error {
+	if _, err := wal.Replay(vfs.Default, walPath, func(r wal.Record) error {
 		if tag := batchTag(r.Key); !seen[tag] {
 			seen[tag] = true
 			order = append(order, tag)

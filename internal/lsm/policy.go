@@ -3,7 +3,6 @@ package lsm
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -520,7 +519,8 @@ func (th *tableHandle) info() TableInfo {
 
 // MinorCompact asks policy for a group of tables and, if it returns one,
 // merges them into a single table (keeping tombstones). It reports whether
-// a compaction ran.
+// a compaction ran. The store lock is held to pick and to swap, not while
+// the merge runs.
 func (db *DB) MinorCompact(policy CompactionPolicy) (*MinorCompactionResult, bool, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -530,18 +530,20 @@ func (db *DB) MinorCompact(policy CompactionPolicy) (*MinorCompactionResult, boo
 	return db.minorCompactLocked(policy)
 }
 
+// minorCompactLocked runs one minor compaction in the shape of a major one:
+// pick under mu and mark the inputs compacting, merge with mu released, swap
+// under mu. It is called and returns with mu held.
 func (db *DB) minorCompactLocked(policy CompactionPolicy) (*MinorCompactionResult, bool, error) {
-	// Tables captured in a live major-compaction snapshot are off limits:
-	// merging one away would invalidate the snapshot the major compactor
-	// is about to swap out. The policy only sees the eligible tables;
-	// its picks are mapped back to positions in db.tables.
-	eligible := make([]int, 0, len(db.tables))
+	// Tables another merge owns are off limits: merging one away would
+	// invalidate the set that merge is about to swap out. The policy only
+	// sees the eligible tables; its picks are mapped back to handles.
+	eligible := make([]*tableHandle, 0, len(db.tables))
 	infos := make([]TableInfo, 0, len(db.tables))
-	for i, th := range db.tables {
+	for _, th := range db.tables {
 		if th.compacting {
 			continue
 		}
-		eligible = append(eligible, i)
+		eligible = append(eligible, th)
 		infos = append(infos, th.info())
 	}
 	picked := policy.Pick(infos)
@@ -554,52 +556,64 @@ func (db *DB) minorCompactLocked(policy CompactionPolicy) (*MinorCompactionResul
 	if lv, ok := policy.(OutputLeveler); ok {
 		outLevel = lv.OutputLevel(infos, picked)
 	}
-	seen := make(map[int]bool, len(picked))
+	merged := make(map[*tableHandle]bool, len(picked))
+	ins := make([]*tableHandle, 0, len(picked))
 	inputs := make([]*sstable.Reader, 0, len(picked))
 	for _, e := range picked {
 		if e < 0 || e >= len(eligible) {
 			return nil, false, fmt.Errorf("lsm: policy %s picked invalid index %d", policy.Name(), e)
 		}
-		i := eligible[e]
-		if seen[i] {
+		th := eligible[e]
+		if merged[th] {
 			return nil, false, fmt.Errorf("lsm: policy %s picked index %d twice", policy.Name(), e)
 		}
-		seen[i] = true
-		inputs = append(inputs, db.tables[i].rd)
+		merged[th] = true
+		ins = append(ins, th)
+		inputs = append(inputs, th.rd)
 	}
+	// Until the swap the inputs stay in the live set, marked so that no
+	// other pick, major snapshot or quarantine takes them, and retained so
+	// that a Close during the merge does not close their readers.
+	for _, th := range ins {
+		th.compacting = true
+		th.retain()
+	}
+	defer releaseTables(ins)
+	db.merging++
+	name := db.allocTableNameLocked()
+	db.mu.Unlock()
 
 	start := time.Now()
-	name := fmt.Sprintf("%06d.sst", db.man.nextFileNum)
-	db.man.nextFileNum++
 	rd, stats, err := db.mergeTables(name, false, inputs)
+
+	db.mu.Lock()
+	db.merging--
+	db.flushCond.Broadcast()
+	for _, th := range ins {
+		th.compacting = false
+	}
+	if err == nil && db.closed {
+		rd.Close()
+		db.removeFile(name)
+		err = ErrClosed
+	}
 	if err != nil {
 		return nil, false, err
 	}
 
 	// Replace the merged tables: the new table takes the position of the
 	// newest input; the rest disappear.
-	newest := len(db.tables)
-	for i := range db.tables {
-		if seen[i] {
-			newest = i
-			break
-		}
-	}
-	var (
-		kept    []*tableHandle
-		removed []*tableHandle
-	)
-	for i, th := range db.tables {
+	kept := make([]*tableHandle, 0, len(db.tables)-len(merged)+1)
+	placed := false
+	for _, th := range db.tables {
 		switch {
-		case i == newest:
+		case !merged[th]:
+			kept = append(kept, th)
+		case !placed:
 			out := db.newTableHandle(name, rd, db.generation+1)
 			out.level = outLevel
 			kept = append(kept, out)
-			removed = append(removed, th)
-		case seen[i]:
-			removed = append(removed, th)
-		default:
-			kept = append(kept, th)
+			placed = true
 		}
 	}
 	oldManTables := db.man.tables
@@ -612,9 +626,7 @@ func (db *DB) minorCompactLocked(policy CompactionPolicy) (*MinorCompactionResul
 		db.man.tables = oldManTables
 		db.failDurabilityLocked(err)
 		rd.Close()
-		if rerr := db.fs.Remove(filepath.Join(db.dir, name)); rerr != nil {
-			db.cleanupFails.Add(1)
-		}
+		db.removeFile(name)
 		return nil, false, err
 	}
 	db.tables = kept
@@ -627,7 +639,7 @@ func (db *DB) minorCompactLocked(policy CompactionPolicy) (*MinorCompactionResul
 	db.stallCond.Broadcast()
 	// Retired inputs may still be referenced by concurrent scans; the last
 	// reference closes the reader and deletes the file.
-	for _, th := range removed {
+	for _, th := range ins {
 		th.obsolete.Store(true)
 		th.release()
 	}

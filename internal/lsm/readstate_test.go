@@ -250,6 +250,7 @@ func TestPinnedMemtableStillFlushes(t *testing.T) {
 	// Only the snapshot's own memtable has a reader across its writes:
 	// once that one has flushed, each scan of its successor is gone before
 	// the next write, which then retains nothing.
+	drainFlusher(t, pinned)
 	if st := pinned.Stats(); st.Flushes != 1 {
 		t.Errorf("snapshot open, a scan per write: %d flushes, want exactly 1 (the pinned memtable reaching %d bytes)", st.Flushes, memtableBytes)
 	}

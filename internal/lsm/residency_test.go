@@ -246,7 +246,15 @@ func TestColdCompactionLeavesCacheAlone(t *testing.T) {
 // sync, the open after the write, the manifest save — leaves the cache with
 // the blocks it had, the directory with no orphan .sst, and the data
 // readable. The minor-compaction open failure used to leave the merge
-// output on disk.
+// output on disk. The fixture's tables are between one and two write-behind
+// buffers long, so the write fault — the device fills after 20 KiB — is
+// met by the write-behind goroutine and reaches the build only when the
+// finished table's stage is closed.
+//
+// A flush is the flusher's: Flush returns the failure and the flusher tries
+// again behind it. The retry is held at the hook until the abandoned
+// attempt has been inspected, and must then succeed (except after a failed
+// manifest save, which leaves the DB read-only).
 func TestAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
 	isTable := func(path string) bool { return strings.HasSuffix(path, ".sst") }
 	faults := []struct {
@@ -296,6 +304,15 @@ func TestAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
 				if blocks == 0 || tables != 3 {
 					t.Fatalf("fixture: %d blocks resident, %d tables", blocks, tables)
 				}
+				retry := make(chan struct{})
+				var builds atomic.Int32
+				db.mu.Lock()
+				db.flushHook = func(p flushPoint) {
+					if p == beforeBuild && builds.Add(1) == 2 {
+						<-retry
+					}
+				}
+				db.mu.Unlock()
 
 				ft.arm(fault)
 				err := op.run(db)
@@ -315,6 +332,16 @@ func TestAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
 				gen := 2
 				if op.name == "flush" {
 					gen = 3 // still in the memtable
+				}
+				readRange(t, db, fsys, 0, 1500, 1, gen)
+
+				close(retry)
+				if op.name != "flush" || ft.name == "manifest" {
+					return
+				}
+				drainFlusher(t, db)
+				if n := sstFiles(t, fsys, db.dir); n != tables+1 || db.Stats().Tables != tables+1 {
+					t.Errorf("%d .sst files and %d live tables after the retry, want %d", n, db.Stats().Tables, tables+1)
 				}
 				readRange(t, db, fsys, 0, 1500, 1, gen)
 			})

@@ -6,18 +6,32 @@ import (
 
 	"repro/internal/iterator"
 	"repro/internal/memtable"
+	"repro/internal/skiplist"
 	"repro/internal/sstable"
 )
 
 // readState is one point-in-time read of a DB: a memtable with the
-// sequence bound under which to read it, plus the sstables that were live
-// beside it, newest first. Holding one keeps a reader registration on the
-// memtable (writes retain the versions it can see, counted toward the
-// flush threshold) and a reference on each table; release drops both.
+// sequence bound under which to read it, the frozen memtable that was
+// awaiting its flush (nil if none; nothing writes to it, so it needs neither
+// bound nor registration), plus the sstables that were live beside them,
+// newest first. Holding one keeps a reader registration on the memtable
+// (writes retain the versions it can see, counted toward the flush
+// threshold) and a reference on each table; release drops both.
 type readState struct {
 	mem    *memtable.Table
 	bound  uint64
+	imm    *memtable.Table
 	tables []*tableHandle
+}
+
+// getMem is the point read of the state's memtables: the newest version of
+// key as of the state, if they hold one.
+func (rs readState) getMem(key []byte) (iterator.Entry, bool) {
+	e, ok := rs.mem.GetAt(key, rs.bound)
+	if !ok && rs.imm != nil {
+		e, ok = rs.imm.Get(key)
+	}
+	return e, ok
 }
 
 func (rs readState) release() {
@@ -31,7 +45,7 @@ func (rs readState) release() {
 // so it needs no writer excluded.
 func (rs readState) narrow(start, end []byte) readState {
 	rs.mem.Pin()
-	return readState{mem: rs.mem, bound: rs.bound, tables: retainOverlapping(rs.tables, start, end)}
+	return readState{mem: rs.mem, bound: rs.bound, imm: rs.imm, tables: retainOverlapping(rs.tables, start, end)}
 }
 
 // retainOverlapping retains and returns the tables whose key range
@@ -49,14 +63,18 @@ func retainOverlapping(tables []*tableHandle, start, end []byte) []*tableHandle 
 	return out
 }
 
-// newIterator merges the state's memtable and tables over [start, end)
+// newIterator merges the state's memtables and tables over [start, end)
 // (nil bounds are open), newest version per key, deleted keys hidden. The
 // state's tables must already be narrowed to the range. The state changes
 // hands: the returned func ends the read, closing the table iterators
 // (their block pins) and releasing the state.
 func newIterator(rs readState, start, end []byte) (iterator.Iterator, func()) {
-	children := make([]iterator.Iterator, 0, len(rs.tables)+1)
+	children := make([]iterator.Iterator, 0, len(rs.tables)+2)
 	children = append(children, rs.mem.IterAt(start, rs.bound))
+	if rs.imm != nil {
+		children = append(children, rs.imm.IterAt(start, skiplist.MaxSeq))
+	}
+	mems := len(children)
 	for _, th := range rs.tables {
 		if start == nil {
 			children = append(children, th.rd.Iter())
@@ -69,7 +87,7 @@ func newIterator(rs readState, start, end []byte) (iterator.Iterator, func()) {
 		it = &boundedIter{Iterator: it, end: end}
 	}
 	return withErrSources(it, children), func() {
-		for _, c := range children[1:] {
+		for _, c := range children[mems:] {
 			c.(*sstable.Iter).Close()
 		}
 		rs.release()
@@ -77,7 +95,8 @@ func newIterator(rs readState, start, end []byte) (iterator.Iterator, func()) {
 }
 
 // Snapshot is a consistent point-in-time read view of one DB: the memtable
-// as of a sequence bound plus the then-live sstables, held alive by a
+// as of a sequence bound, a frozen memtable awaiting its flush, plus the
+// then-live sstables, held alive by a
 // reader registration and reference counts. Writes, flushes and
 // compactions after the acquisition are invisible through it. Taking one
 // costs O(tables) whatever the memtable holds; until it is released its
@@ -155,7 +174,7 @@ func (s *Snapshot) GetContext(ctx context.Context, key []byte) ([]byte, error) {
 	if s.released {
 		return nil, ErrClosed
 	}
-	if e, ok := s.rs.mem.GetAt(key, s.rs.bound); ok {
+	if e, ok := s.rs.getMem(key); ok {
 		if e.Tombstone {
 			return nil, ErrNotFound
 		}

@@ -1,11 +1,12 @@
-// Lock-free read path. The DB publishes its (memtable, sstables) pair as
-// an immutable, reference-counted readView through an atomic pointer:
-// every table-set change — flush, minor compaction, major-compaction swap,
-// close — builds a fresh view and installs it copy-on-write, so readers
-// pin the current view with one CAS and never touch db.mu. A flush holding
-// the store lock across its sstable write therefore no longer stalls a
-// Get; the worst a reader pays is retrying the pin when a swap drains the
-// view it loaded.
+// Lock-free read path. The DB publishes its (memtable, frozen memtable,
+// sstables) triple as an immutable, reference-counted readView through an
+// atomic pointer: every change to it — a memtable rotation, the flush that
+// turns the frozen memtable into a table, a minor compaction, a
+// major-compaction swap, close — builds a fresh view and installs it
+// copy-on-write, so readers pin the current view with one CAS and never
+// touch db.mu. A manifest save holding the store lock therefore never
+// stalls a Get; the worst a reader pays is retrying the pin when a swap
+// drains the view it loaded.
 //
 // On top of the view, point lookups prune with per-table key bounds (only
 // tables whose [smallest, largest] range covers the key are probed) and
@@ -32,13 +33,16 @@ import (
 
 // readView is one immutable read snapshot: the memtable writers are
 // currently applying into (safe for lock-free point reads concurrently
-// with the single applier; see internal/skiplist) and the then-live
-// sstables, each retained once by the view. The publisher holds one
+// with the single applier; see internal/skiplist), the frozen memtable
+// awaiting its flush if there is one (every version in it is older than any
+// in mem and newer than any in the tables), and the then-live sstables,
+// each retained once by the view. The publisher holds one
 // reference; readers pin and unpin around their probes. Dropping the last
 // reference releases the tables, which closes — and for superseded tables
 // deletes — any whose live reference is already gone.
 type readView struct {
 	mem *memtable.Table
+	imm *memtable.Table // nil when no flush is pending
 	// tables is the live set in table-set order (newest first), the order
 	// scans and snapshots capture.
 	tables []*tableHandle
@@ -80,7 +84,7 @@ func sortByMaxSeq(tables []*tableHandle) []*tableHandle {
 	return byseq
 }
 
-// installViewLocked publishes the DB's current (mem, tables) as the read
+// installViewLocked publishes the DB's current (mem, imm, tables) as the read
 // view, retaining every table on the new view's behalf and dropping the
 // previous view's publisher reference. Callers hold db.mu; the swap itself
 // is what readers observe, atomically.
@@ -90,7 +94,7 @@ func (db *DB) installViewLocked() {
 	for _, th := range tables {
 		th.retain()
 	}
-	v := &readView{mem: db.mem, tables: tables, byseq: sortByMaxSeq(tables)}
+	v := &readView{mem: db.mem, imm: db.imm, tables: tables, byseq: sortByMaxSeq(tables)}
 	v.refs.Store(1)
 	if old := db.view.Swap(v); old != nil {
 		old.unpin()
@@ -122,10 +126,15 @@ func (db *DB) pinView() (*readView, error) {
 }
 
 // get serves a point read against the pinned view: memtable first (the
-// newest version of a key lives there if anywhere), then the sstables in
-// descending max-sequence order with key-range pruning and early exit.
+// newest version of a key lives there if anywhere), then the frozen one,
+// then the sstables in descending max-sequence order with key-range pruning
+// and early exit.
 func (v *readView) get(ctx context.Context, key []byte) ([]byte, *tableHandle, error) {
-	if e, ok := v.mem.Get(key); ok {
+	e, ok := v.mem.Get(key)
+	if !ok && v.imm != nil {
+		e, ok = v.imm.Get(key)
+	}
+	if ok {
 		if e.Tombstone {
 			return nil, nil, ErrNotFound
 		}

@@ -102,6 +102,17 @@ func TestViewStressDuringFlushesAndCompactions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	// Every flush pauses before it writes its table, so that readers spend
+	// a good share of the run on three-part views: a frozen memtable between
+	// the live one and the tables.
+	db.mu.Lock()
+	db.flushHook = func(p flushPoint) {
+		if p == beforeBuild {
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+	db.mu.Unlock()
+	var frozenViews atomic.Int64
 
 	const keys = 64
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d", i)) }
@@ -148,6 +159,9 @@ func TestViewStressDuringFlushesAndCompactions(t *testing.T) {
 			last := make([]int, keys)
 			for n := 0; !stop.Load(); n++ {
 				i := (n*7 + r) % keys
+				if view := db.view.Load(); view != nil && view.imm != nil {
+					frozenViews.Add(1)
+				}
 				v, err := db.Get(key(i))
 				if err != nil {
 					fail("get %s: %v", key(i), err)
@@ -205,6 +219,9 @@ func TestViewStressDuringFlushesAndCompactions(t *testing.T) {
 	if st.Flushes == 0 || st.MajorCompactions+st.MinorCompactions == 0 {
 		t.Fatalf("stress ran without table churn (flushes=%d minor=%d major=%d): nothing was exercised",
 			st.Flushes, st.MinorCompactions, st.MajorCompactions)
+	}
+	if frozenViews.Load() == 0 {
+		t.Fatalf("no reader ever saw a view with a frozen memtable in %d flushes", st.Flushes)
 	}
 }
 

@@ -1,0 +1,385 @@
+package sstable
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/iterator"
+)
+
+// Tests for the two pipeline stages a table build runs through: the
+// read-ahead of Reader.ScanIter and the write-behind of WriteBehind. Both
+// must be invisible in what is read and written — same entries, same bytes,
+// errors at the same place — and neither may leak a pin or a goroutine's
+// worth of blocks when its consumer stops early.
+
+func drainClone(t *testing.T, it *Iter) []iterator.Entry {
+	t.Helper()
+	defer it.Close()
+	var out []iterator.Entry
+	for ; it.Valid(); it.Next() {
+		out = append(out, cloneEntry(it.Entry()))
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func checkSameEntries(t *testing.T, what string, got, want []iterator.Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !sameEntry(got[i], want[i]) {
+			t.Fatalf("%s: entry %d = %q/%q@%d, want %q/%q@%d", what, i,
+				got[i].Key, got[i].Value, got[i].Seq, want[i].Key, want[i].Value, want[i].Seq)
+		}
+	}
+}
+
+// randomEntries is a sorted entry list with value sizes from empty to
+// several blocks, so blocks, runs and spans of every shape occur.
+func randomEntries(rng *rand.Rand, n int) []iterator.Entry {
+	entries := make([]iterator.Entry, n)
+	for i := range entries {
+		e := iterator.Entry{Key: []byte(fmt.Sprintf("key-%08d", i)), Seq: uint64(rng.Intn(1 << 20))}
+		switch r := rng.Intn(100); {
+		case r < 5:
+			e.Tombstone = true
+		case r < 8:
+			e.Value = bytes.Repeat([]byte{byte(i)}, 300+rng.Intn(2500))
+		default:
+			e.Value = bytes.Repeat([]byte{byte(i)}, rng.Intn(60))
+		}
+		entries[i] = e
+	}
+	return entries
+}
+
+// TestScanIterMatchesIter: the read-ahead iterator yields exactly what Iter
+// yields, over the committed fixtures of every format version — one rule:
+// every version reads ahead, the fetcher works on block handles and never
+// looks inside a block — and over random tables, with no cache, with a cache
+// holding some of the blocks (so resident blocks and read runs alternate
+// inside a span), and with every block resident.
+func TestScanIterMatchesIter(t *testing.T) {
+	for _, version := range []int{FormatV1, FormatV2, FormatV3} {
+		data, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("v%d.sst", version)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := drainClone(t, rd.Iter())
+		checkSameEntries(t, fmt.Sprintf("golden v%d", version), drainClone(t, rd.ScanIter()), want)
+		checkSameEntries(t, fmt.Sprintf("golden v%d against the entry list", version), want, goldenEntries())
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 12; round++ {
+		entries := randomEntries(rng, 200+rng.Intn(3000))
+		opts := WriterOptions{
+			FormatVersion:  []int{FormatV2, FormatV3}[round%2],
+			BlockSize:      []int{128, 512, 4096}[round%3],
+			IndexChunkSize: []int{3, 8, 256}[round%3],
+		}
+		if round%4 == 3 {
+			opts.Compression = Fast
+		}
+		rd := buildTableOpts(t, entries, opts)
+		for _, fill := range []string{"uncached", "partly resident", "resident"} {
+			c := cache.New(64 << 20)
+			switch fill {
+			case "uncached":
+				rd.SetBlockCache(nil)
+			case "partly resident":
+				rd.SetBlockCache(c)
+				for i := 0; i < len(entries); i += 1 + rng.Intn(40) {
+					if _, err := rd.Get(entries[i].Key); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case "resident":
+				rd.SetBlockCache(c)
+				drainClone(t, rd.Iter())
+			}
+			hits, misses, used := c.Stats()
+			got := drainClone(t, rd.ScanIter())
+			checkSameEntries(t, fmt.Sprintf("round %d (%+v), %s", round, opts, fill), got, entries)
+			if h, m, u := c.Stats(); h != hits || m != misses || u != used {
+				t.Fatalf("round %d, %s: the scan moved the cache from %d/%d/%d to %d/%d/%d", round, fill, hits, misses, used, h, m, u)
+			}
+		}
+	}
+}
+
+// failingAt fails every ReadAt that touches [lo, hi).
+type failingAt struct {
+	io.ReaderAt
+	lo, hi int64
+}
+
+var errInjectedRead = errors.New("injected read error")
+
+func (f *failingAt) ReadAt(p []byte, off int64) (int, error) {
+	if off < f.hi && off+int64(len(p)) > f.lo {
+		return 0, errInjectedRead
+	}
+	return f.ReaderAt.ReadAt(p, off)
+}
+
+// TestScanIterErrorInOrder: a read error on block j reaches the consumer of
+// a read-ahead iterator after exactly the entries of the blocks before j,
+// although the fetcher met it while reading a run of several blocks, and so
+// does a checksum failure.
+func TestScanIterErrorInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	entries := randomEntries(rng, 1500)
+	var buf bytes.Buffer
+	w := NewWriterOpts(&buf, len(entries), WriterOptions{BlockSize: 256, IndexChunkSize: 16})
+	for _, e := range entries {
+		if err := w.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	blocks := w.index
+	// How many entries lie before block j: its first key's position.
+	before := func(j int) int {
+		for i, e := range entries {
+			if bytes.Equal(e.Key, blocks[j].firstKey) {
+				return i
+			}
+		}
+		t.Fatalf("block %d starts at no entry", j)
+		return 0
+	}
+	for _, j := range []int{0, 1, spanBlocks - 1, spanBlocks, spanBlocks + 3, len(blocks) / 2, len(blocks) - 1} {
+		// A read error.
+		fr := &failingAt{ReaderAt: bytes.NewReader(buf.Bytes()), lo: int64(blocks[j].offset), hi: int64(blocks[j].offset) + 1}
+		rd, err := NewReader(fr, int64(buf.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		it := rd.ScanIter()
+		n := 0
+		for ; it.Valid(); it.Next() {
+			if !sameEntry(it.Entry(), entries[n]) {
+				t.Fatalf("block %d unreadable: entry %d = %q", j, n, it.Entry().Key)
+			}
+			n++
+		}
+		if !errors.Is(it.Err(), errInjectedRead) || n != before(j) {
+			t.Fatalf("block %d unreadable: %d entries then %v, want %d then the injected error", j, n, it.Err(), before(j))
+		}
+		it.Close()
+
+		// A flipped bit.
+		damaged := append([]byte(nil), buf.Bytes()...)
+		damaged[blocks[j].offset+2] ^= 0x40
+		rd, err = NewReader(bytes.NewReader(damaged), int64(len(damaged)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		it = rd.ScanIter()
+		for n = 0; it.Valid(); it.Next() {
+			n++
+		}
+		if !errors.Is(it.Err(), ErrCorrupt) || n != before(j) {
+			t.Fatalf("block %d damaged: %d entries then %v, want %d then ErrCorrupt", j, n, it.Err(), before(j))
+		}
+		it.Close()
+	}
+}
+
+// peekRecorder is a cache that remembers every block it hands out by Peek.
+type peekRecorder struct {
+	*cache.LRU
+	mu     sync.Mutex
+	peeked []*cache.Block
+}
+
+func (c *peekRecorder) Peek(k cache.Key) (*cache.Block, bool) {
+	b, ok := c.LRU.Peek(k)
+	if ok {
+		c.mu.Lock()
+		c.peeked = append(c.peeked, b)
+		c.mu.Unlock()
+	}
+	return b, ok
+}
+
+// released reports whether nothing holds b any more: one more Release then
+// panics instead of dropping someone's pin.
+func released(b *cache.Block) (yes bool) {
+	defer func() { yes = recover() != nil }()
+	b.Release()
+	return false
+}
+
+// TestScanIterEarlyCloseBalancesPins: closing a read-ahead iterator at any
+// point — before its first entry, mid-span with the fetcher holding the next
+// span ready, after the last entry — releases every pin it and its fetcher
+// took. Two in every three blocks are resident, so spans mix cache pins with
+// buffer pins; freed arrays are poisoned, so a pin dropped too early shows in
+// the entries compared; a pin dropped twice panics in Release; and a pin
+// never dropped is found afterwards: once the table has left the cache, every
+// block Peek handed out must have no holder left.
+func TestScanIterEarlyCloseBalancesPins(t *testing.T) {
+	cache.PoisonFreed.Store(true)
+	defer cache.PoisonFreed.Store(false)
+	rng := rand.New(rand.NewSource(11))
+	entries := randomEntries(rng, 4000)
+	rd := buildTableOpts(t, entries, WriterOptions{BlockSize: 256, IndexChunkSize: 16})
+	c := &peekRecorder{LRU: cache.New(8 << 20)}
+	rd.SetBlockCache(c)
+	for i, e := range entries {
+		if i%30 < 20 {
+			if _, err := rd.Get(e.Key); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, stop := range []int{0, 1, 5, 200, 201, 2999, len(entries)} {
+		it := rd.ScanIter()
+		n := 0
+		for ; n < stop && it.Valid(); it.Next() {
+			if !sameEntry(it.Entry(), entries[n]) {
+				t.Fatalf("stop %d: entry %d = %q/%.20q", stop, n, it.Entry().Key, it.Entry().Value)
+			}
+			n++
+		}
+		if n != stop {
+			t.Fatalf("stop %d: iterator ended after %d entries: %v", stop, n, it.Err())
+		}
+		it.Close()
+		if it.scan != nil || it.blk != nil || it.prev != nil {
+			t.Fatalf("stop %d: Close left scan=%v blk=%v prev=%v", stop, it.scan, it.blk, it.prev)
+		}
+	}
+	if len(c.peeked) < 100 {
+		t.Fatalf("only %d resident blocks were scanned", len(c.peeked))
+	}
+	c.DropTable(rd.id)
+	seen := map[*cache.Block]bool{}
+	for _, b := range c.peeked {
+		if !seen[b] && !released(b) {
+			t.Fatalf("a pin on a block handed out by Peek was never released")
+		}
+		seen[b] = true
+	}
+	rd.SetBlockCache(nil)
+	checkSameEntries(t, "after the early closes", drainClone(t, rd.ScanIter()), entries)
+}
+
+// TestWriteBehindBytesPinned: a table written through a write-behind stage
+// is the table written directly — the SHA-256 TestWriterBytesPinned records —
+// whatever the sizes of the writes that reach the stage, and a small table
+// reaches the file only when the stage is closed.
+func TestWriteBehindBytesPinned(t *testing.T) {
+	var pool WriteBuffers
+	for _, version := range []int{FormatV2, FormatV3} {
+		var file bytes.Buffer
+		wb := pool.NewWriter(&file)
+		w := NewWriterOpts(wb, len(goldenEntries()), WriterOptions{FormatVersion: version, BlockSize: 512, IndexChunkSize: 8})
+		for _, e := range goldenEntries() {
+			if err := w.Add(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if file.Len() != 0 {
+			t.Fatalf("v%d: %d bytes reached the file before Close", version, file.Len())
+		}
+		if err := wb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if want := goldenBytes(t, version); !bytes.Equal(file.Bytes(), want) {
+			t.Fatalf("v%d: written through write-behind: %x, direct: %x", version, sha256.Sum256(file.Bytes()), sha256.Sum256(want))
+		}
+	}
+
+	// Several buffers' worth, in writes of every size up to several buffers.
+	rng := rand.New(rand.NewSource(3))
+	want := make([]byte, 5*writeBehindBufBytes+12345)
+	rng.Read(want)
+	var file bytes.Buffer
+	wb := pool.NewWriter(&file)
+	for rest := want; len(rest) > 0; {
+		n := min(len(rest), 1+rng.Intn([]int{10, 5000, 3 * writeBehindBufBytes}[rng.Intn(3)]))
+		if m, err := wb.Write(rest[:n]); m != n || err != nil {
+			t.Fatalf("Write(%d) = %d, %v", n, m, err)
+		}
+		rest = rest[n:]
+	}
+	if err := wb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file.Bytes(), want) {
+		t.Fatal("bytes written through write-behind differ from the bytes written to it")
+	}
+	if len(pool.free) > writeBehindKeep {
+		t.Fatalf("pool keeps %d buffers, limit %d", len(pool.free), writeBehindKeep)
+	}
+}
+
+// failAfter accepts n bytes and fails every write past them.
+type failAfter struct {
+	n       int
+	written bytes.Buffer
+}
+
+var errInjectedWrite = errors.New("injected write error")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.written.Len()+len(p) > f.n {
+		return 0, errInjectedWrite
+	}
+	return f.written.Write(p)
+}
+
+// TestWriteBehindErrorSurfaces: a file-write error reaches the producer — at
+// a later Write if the table is long enough to need the buffer back, at Close
+// otherwise — nothing is written after it, and Close still hands back the
+// buffers.
+func TestWriteBehindErrorSurfaces(t *testing.T) {
+	var pool WriteBuffers
+	for _, total := range []int{writeBehindBufBytes / 2, 8 * writeBehindBufBytes} {
+		f := &failAfter{n: 10 << 10}
+		wb := pool.NewWriter(f)
+		var werr error
+		for sent := 0; sent < total && werr == nil; sent += 1000 {
+			_, werr = wb.Write(make([]byte, 1000))
+		}
+		cerr := wb.Close()
+		if !errors.Is(cerr, errInjectedWrite) {
+			t.Fatalf("%d bytes: Close = %v, want the injected error", total, cerr)
+		}
+		if total > 4*writeBehindBufBytes && !errors.Is(werr, errInjectedWrite) {
+			t.Fatalf("%d bytes: no Write failed", total)
+		}
+		if f.written.Len() > f.n {
+			t.Fatalf("%d bytes written past the failure", f.written.Len()-f.n)
+		}
+		if len(pool.free) != writeBehindDepth {
+			t.Fatalf("%d bytes: %d buffers back in the pool, want %d", total, len(pool.free), writeBehindDepth)
+		}
+	}
+}

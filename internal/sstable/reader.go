@@ -638,7 +638,11 @@ func (rd *Reader) Iter() *Iter {
 // not let that show in the cache — a compaction merge over its inputs, a
 // planning scan: resident blocks are used where they lie, the rest pass
 // through private buffers, and the cache's contents, recency order and
-// hit/miss counters are the same afterwards as before.
+// hit/miss counters are the same afterwards as before. Its blocks are
+// fetched — looked up or read, and verified — readAheadBlocks ahead of the
+// entries by a goroutine of the iterator's own, whatever the table's format
+// version, so a merge overlaps its inputs' reads with its compares and its
+// output; the goroutine ends with the table or with Close.
 func (rd *Reader) ScanIter() *Iter {
 	return &Iter{rd: rd, nofill: true}
 }
@@ -663,18 +667,17 @@ func (rd *Reader) IterFrom(start []byte) *Iter {
 // whatever its length. Close releases both; an iterator that is never
 // closed leaves its last two blocks to the garbage collector.
 type Iter struct {
-	rd      *Reader
-	handles []blockHandle // block handles of the chunk being iterated
-	ci      int           // next chunk to load (handles == nil) or current+1
-	bi      int           // next block to load within handles
-	legacy  []byte        // remaining legacy-format block bytes
-	v3      v3BlockIter   // current version-3 block; its arena carries across blocks
-	blk     *cache.Block  // pin on the block being read
-	prev    *cache.Block  // pin on the block before it
+	rd *Reader
+	cursor
+	legacy []byte       // remaining legacy-format block bytes
+	v3     v3BlockIter  // current version-3 block; its arena carries across blocks
+	blk    *cache.Block // pin on the block being read
+	prev   *cache.Block // pin on the block before it
 	// nofill marks a ScanIter. For one, cold says the block being read was
 	// not resident, and sawCold that an entry has been consumed from such a
 	// block since a merge's Writer last asked (Writer.inputsResident).
 	nofill, cold, sawCold bool
+	scan                  *scanState // a started ScanIter's read-ahead
 
 	cur   iterator.Entry
 	valid bool
@@ -688,6 +691,7 @@ func (it *Iter) Err() error { return it.err }
 // Close releases the iterator's block pins. Entries it returned are
 // invalid afterwards, and the iterator must not be used again.
 func (it *Iter) Close() {
+	it.stopAhead()
 	for _, b := range [...]*cache.Block{it.blk, it.prev} {
 		if b != nil {
 			b.Release()
@@ -744,9 +748,8 @@ func (it *Iter) SeekGE(target []byte) {
 	if bi < 0 {
 		bi = 0
 	}
-	it.handles = handles
-	it.ci = ci + 1
-	it.bi = bi
+	it.stopAhead()
+	it.cursor = cursor{handles: handles, ci: ci + 1, bi: bi}
 	it.legacy = nil
 	it.v3.leave()
 	it.valid = false
@@ -757,60 +760,249 @@ func (it *Iter) SeekGE(target []byte) {
 	}
 }
 
-// readBlock pins the block at h the way the iterator's mode reads. An Iter
-// reads through the cache. A ScanIter leaves the cache as it found it: a
-// resident block is used without promoting it or counting a hit, a miss is
-// read into a recycled buffer of cache.Uncached that is never published,
-// and cold records which happened.
-func (it *Iter) readBlock(h blockHandle) (*cache.Block, error) {
-	rd := it.rd
+// spanBlocks is how far a ScanIter reads ahead of its entries: up to this
+// many consecutive blocks are fetched at a time, the ones that are not
+// resident in runs of one ReadAt each.
+const spanBlocks = 8
+
+// fetched is one block a ScanIter has ready: its payload, the pin that
+// keeps the payload valid — the resident block's, or one reference on the
+// buffer its run was read into — and whether it had to be read.
+type fetched struct {
+	pin  *cache.Block
+	data []byte
+	cold bool
+}
+
+// span is up to spanBlocks fetched blocks in table order and, if fetching
+// stopped early, the error that belongs after the last of them.
+type span struct {
+	blocks [spanBlocks]fetched
+	n      int
+	err    error
+}
+
+// release drops the pins of the blocks from i on.
+func (sp *span) release(i int) {
+	for ; i < sp.n; i++ {
+		sp.blocks[i].pin.Release()
+	}
+	sp.n = 0
+}
+
+// fetchSpan fills sp with the blocks at handles (at most spanBlocks of
+// them), leaving the cache as it found it: a resident block is used where it
+// lies, without promoting it or counting a hit, and each run of blocks in
+// between is read, with one ReadAt when they are adjacent in the file, into
+// a recycled buffer of cache.Uncached that is never published.
+func (rd *Reader) fetchSpan(handles []blockHandle, sp *span) {
+	sp.n, sp.err = 0, nil
+	resident := func(h blockHandle) (*cache.Block, bool) {
+		return rd.blocks.Peek(cache.Key{Table: rd.id, Offset: h.offset})
+	}
+	for i := 0; i < len(handles) && sp.err == nil; {
+		if b, ok := resident(handles[i]); ok {
+			sp.blocks[sp.n] = fetched{pin: b, data: b.Data()}
+			sp.n++
+			i++
+			continue
+		}
+		// The run extends while the next block starts where this one's frame
+		// (payload and checksum) ends and is not resident either.
+		end := i + 1
+		for ; end < len(handles); end++ {
+			if handles[end].offset != handles[end-1].offset+handles[end-1].length+4 {
+				break
+			}
+			if b, ok := resident(handles[end]); ok {
+				b.Release()
+				break
+			}
+		}
+		if sp.err = rd.readRun(handles[i:end], sp); sp.err != nil && end-i > 1 {
+			// Whatever failed, a read or a checksum, belongs to one block:
+			// fetch the run again block by block, so that every block before
+			// that one is delivered and the error follows exactly those.
+			sp.err = nil
+			for ; i < end && sp.err == nil; i++ {
+				sp.err = rd.readRun(handles[i:i+1], sp)
+			}
+		}
+		i = end
+	}
+}
+
+// readRun reads the adjacent blocks at handles with one ReadAt and appends
+// them, verified, to sp, each holding one reference on the buffer. On an
+// error it appends none of them.
+func (rd *Reader) readRun(handles []blockHandle, sp *span) error {
+	first, last := handles[0], handles[len(handles)-1]
+	buf := cache.Uncached.Alloc(cache.Key{Table: rd.id, Offset: first.offset}, int(last.offset+last.length+4-first.offset))
+	if _, err := rd.r.ReadAt(buf.Buf(), int64(first.offset)); err != nil {
+		buf.Release()
+		return fmt.Errorf("sstable: read block at %d: %w", first.offset, err)
+	}
+	blocks := sp.blocks[sp.n : sp.n+len(handles)]
+	for i, h := range handles {
+		off := int(h.offset - first.offset)
+		data, err := decodeDataBlock(buf.Buf()[off:off+int(h.length)+4], rd.version)
+		if err != nil {
+			buf.Release()
+			return err
+		}
+		blocks[i] = fetched{data: data, cold: true}
+	}
+	// Alloc's reference goes with the first block; the others take their own.
+	blocks[0].pin = buf
+	for i := range blocks[1:] {
+		buf.Pin()
+		blocks[i+1].pin = buf
+	}
+	sp.n += len(handles)
+	return nil
+}
+
+// cursor is a position in a table's block index: the next block to load.
+type cursor struct {
+	handles []blockHandle // block handles of the chunk being iterated
+	ci      int           // next chunk to load (handles == nil) or current+1
+	bi      int           // next block to load within handles
+}
+
+// next returns the handles of up to n blocks from the position on, all in
+// one index chunk, and moves past them; none at the end of the table.
+func (c *cursor) next(rd *Reader, n int) ([]blockHandle, error) {
+	for c.handles == nil || c.bi >= len(c.handles) {
+		if c.ci >= rd.numChunks() {
+			return nil, nil
+		}
+		handles, err := rd.chunkHandles(c.ci)
+		if err != nil {
+			return nil, err
+		}
+		c.handles, c.ci, c.bi = handles, c.ci+1, 0
+	}
+	hs := c.handles[c.bi:min(c.bi+n, len(c.handles))]
+	c.bi += len(hs)
+	return hs, nil
+}
+
+// readAhead is the fetcher of one ScanIter: spans arrive on ch in table
+// order, one with an error is the last, and the fetcher closes ch when it
+// ends — at the end of the table, after an error, or because stop closed.
+type readAhead struct {
+	ch   chan span
+	stop chan struct{}
+}
+
+func (ra *readAhead) run(rd *Reader, c cursor) {
+	defer close(ra.ch)
+	var sp span
+	for {
+		hs, err := c.next(rd, spanBlocks)
+		switch {
+		case err != nil:
+			sp.n, sp.err = 0, err
+		case hs == nil:
+			return
+		default:
+			rd.fetchSpan(hs, &sp)
+		}
+		select {
+		case ra.ch <- sp:
+			if sp.err != nil {
+				return
+			}
+		case <-ra.stop:
+			sp.release(0)
+			return
+		}
+	}
+}
+
+// scanState is the read-ahead of a started ScanIter: the span its entries
+// are coming from, of which the blocks from si on are not yet entered, and
+// the fetcher that sends the next.
+type scanState struct {
+	sp    span
+	si    int
+	ahead readAhead
+}
+
+// stopAhead ends a ScanIter's read-ahead, releasing the blocks fetched and
+// not yet entered; the next fetchBlock starts it again at the cursor.
+func (it *Iter) stopAhead() {
+	s := it.scan
+	if s == nil {
+		return
+	}
+	s.sp.release(s.si)
+	close(s.ahead.stop)
+	for sp := range s.ahead.ch {
+		sp.release(0)
+	}
+	it.scan = nil
+}
+
+// fetchBlock returns the next block in table order, pinned; one without a
+// pin and without an error is the end of the table. An Iter reads through
+// the cache, block by block; a ScanIter fetches a span at a time.
+func (it *Iter) fetchBlock() (fetched, error) {
 	if !it.nofill {
-		return rd.readBlock(h)
+		hs, err := it.cursor.next(it.rd, 1)
+		if len(hs) == 0 {
+			return fetched{}, err
+		}
+		b, err := it.rd.readBlock(hs[0])
+		if err != nil {
+			return fetched{}, err
+		}
+		return fetched{pin: b, data: b.Data()}, nil
 	}
-	key := cache.Key{Table: rd.id, Offset: h.offset}
-	if b, ok := rd.blocks.Peek(key); ok {
-		it.cold = false
-		return b, nil
+	s := it.scan
+	if s == nil {
+		s = &scanState{ahead: readAhead{ch: make(chan span), stop: make(chan struct{})}}
+		it.scan = s
+		go s.ahead.run(it.rd, it.cursor)
 	}
-	it.cold = true
-	return rd.loadBlock(cache.Uncached, key, h)
+	for s.si >= s.sp.n {
+		if s.sp.err != nil {
+			return fetched{}, s.sp.err
+		}
+		// A closed channel yields the empty span: the end of the table.
+		s.sp, s.si = <-s.ahead.ch, 0
+		if s.sp.n == 0 && s.sp.err == nil {
+			return fetched{}, nil
+		}
+	}
+	s.si++
+	return s.sp.blocks[s.si-1], nil
 }
 
 // nextBlock loads the next data block, crossing into the next index chunk
 // as needed; it reports false at the end of the table or on error.
 func (it *Iter) nextBlock() bool {
-	for it.handles == nil || it.bi >= len(it.handles) {
-		if it.ci >= it.rd.numChunks() {
-			return false
-		}
-		handles, err := it.rd.chunkHandles(it.ci)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		it.handles = handles
-		it.ci++
-		it.bi = 0
-	}
-	h := it.handles[it.bi]
-	it.bi++
-	b, err := it.readBlock(h)
+	f, err := it.fetchBlock()
 	if err != nil {
 		it.err = err
 		return false
 	}
+	if f.pin == nil {
+		return false
+	}
+	it.cold = f.cold
 	// The block just finished stays pinned one block longer; the one before
 	// it is now two Nexts behind every entry anyone may still hold.
 	if it.prev != nil {
 		it.prev.Release()
 	}
-	it.prev, it.blk = it.blk, b
+	it.prev, it.blk = it.blk, f.pin
 	var empty bool
 	if it.rd.version < FormatV3 {
-		it.legacy = b.Data()
+		it.legacy = f.data
 		empty = len(it.legacy) == 0
 	} else {
-		if err := it.v3.enter(b.Data()); err != nil {
+		if err := it.v3.enter(f.data); err != nil {
 			it.err = err
 			return false
 		}

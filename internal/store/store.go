@@ -137,19 +137,14 @@ func IsShardedFS(fsys vfs.FS, dir string) (bool, error) {
 // data still lives entirely in its WAL must be recognized too — missing it
 // would re-initialize the directory and silently lose those writes.
 func legacyLayout(fsys vfs.FS, dir string) (bool, error) {
-	for _, name := range []string{"MANIFEST", "wal.log"} {
-		if _, err := fsys.Stat(filepath.Join(dir, name)); err == nil {
-			return true, nil
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return false, fmt.Errorf("store: probe %s: %w", name, err)
-		}
-	}
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
-		return false, fmt.Errorf("store: probe sstables: %w", err)
+		return false, fmt.Errorf("store: probe for an unsharded store: %w", err)
 	}
 	for _, ent := range ents {
-		if !ent.IsDir() && strings.HasSuffix(ent.Name(), ".sst") {
+		name := ent.Name()
+		// WAL files are wal.log (before segments) or wal.log.NNNNNN.
+		if !ent.IsDir() && (name == "MANIFEST" || strings.HasPrefix(name, "wal.log") || strings.HasSuffix(name, ".sst")) {
 			return true, nil
 		}
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -197,7 +198,10 @@ func batchTag(key []byte) string {
 // TestStoreCrashRecoveryPerShard kills a sharded store mid-write —
 // concurrent writers commit tagged cross-shard batches, then every shard's
 // WAL is truncated at an independent arbitrary offset, simulating a crash
-// with different amounts of each WAL durable. Every shard must recover a
+// with different amounts of each WAL durable. On every other trial a
+// shard's surviving WAL is laid out as a crash between a memtable rotation
+// and its flush leaves it: two segments, split at a frame boundary, which
+// must replay in order as if they were one. Every shard must recover a
 // prefix-closed, sub-batch-atomic state: for each shard, the recovered
 // sub-batches are a prefix of that shard's commit order, and each
 // sub-batch's keys on that shard are all present or all absent. (There is
@@ -252,7 +256,11 @@ func TestStoreCrashRecoveryPerShard(t *testing.T) {
 	orders := make([][]string, shards)
 	expect := make([]map[string]int, shards)
 	for sh := 0; sh < shards; sh++ {
-		path := filepath.Join(dir, fmt.Sprintf("shard-%03d", sh), "wal.log")
+		segs, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("shard-%03d", sh), "wal.log.*"))
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("shard %d: want one WAL segment after a clean close, have %v (%v)", sh, segs, err)
+		}
+		path := segs[0]
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -291,8 +299,32 @@ func TestStoreCrashRecoveryPerShard(t *testing.T) {
 			if err := os.MkdirAll(sdir, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(sdir, "wal.log"), walData[sh][:cuts[sh]], 0o644); err != nil {
-				t.Fatal(err)
+			surviving := walData[sh][:cuts[sh]]
+			if trial%2 == 0 {
+				// A store from before segments: one bare wal.log.
+				if err := os.WriteFile(filepath.Join(sdir, "wal.log"), surviving, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			// Frames are a u32 payload length, a u32 checksum and the
+			// payload; split after a random whole frame.
+			var bounds []int
+			for off := 0; off+8 <= len(surviving); {
+				off += 8 + int(binary.LittleEndian.Uint32(surviving[off:]))
+				if off <= len(surviving) {
+					bounds = append(bounds, off)
+				}
+			}
+			split := 0
+			if len(bounds) > 0 {
+				split = bounds[rng.Intn(len(bounds))]
+			}
+			for seg, part := range [][]byte{surviving[:split], surviving[split:]} {
+				name := fmt.Sprintf("wal.log.%06d", 7+seg)
+				if err := os.WriteFile(filepath.Join(sdir, name), part, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		s2, err := Open(cdir, Options{})

@@ -67,12 +67,25 @@ func TestCancelBlockedPipeline(t *testing.T) {
 	eng, release := openWedged(t)
 	ctx := context.Background()
 
-	// Reach the compaction trigger; the compactor wedges.
-	if err := eng.Put(ctx, []byte("a"), []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Put(ctx, []byte("b"), []byte("2")); err != nil {
-		t.Fatal(err)
+	// Reach the compaction trigger; the compactor wedges. Each write waits
+	// for the flush it triggers, so that no later write waits for the
+	// flusher and counts a stall that is not backpressure.
+	for i, kv := range [][2]string{{"a", "1"}, {"b", "2"}} {
+		if err := eng.Put(ctx, []byte(kv[0]), []byte(kv[1])); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			st, err := eng.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Flushes > i {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("flush %d never finished", i+1)
+			}
+		}
 	}
 
 	// Third write cuts the stall-threshold table and blocks in

@@ -123,9 +123,11 @@ func WithSyncWAL() Option {
 	})
 }
 
-// WithMemtableBytes sets the per-partition memtable flush threshold.
-// Total buffered memory on a sharded store is shards × n. Zero selects
-// the engine default (4 MiB).
+// WithMemtableBytes sets the per-partition memtable flush threshold. A
+// full memtable is flushed in the background while writes fill the next,
+// so buffered memory peaks at twice the threshold per partition:
+// 2 × shards × n on a sharded store. Zero selects the engine default
+// (4 MiB).
 func WithMemtableBytes(n int) Option {
 	return openOnly("WithMemtableBytes", func(c *config) error {
 		c.memtableBytes = n
