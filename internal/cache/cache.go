@@ -24,16 +24,24 @@
 //
 // # Write-through and scan resistance
 //
-// Two more entry points keep residency following what users read rather
+// Three more entry points keep residency following what users read rather
 // than what maintenance touches. Publish is the write-through path: a table
 // writer that has a block's bytes in hand hands the cache a copy (Alloc,
 // copy, Add, Release), so the block is resident before the first Get lands
-// on it instead of being read back from the device. Peek is the lookup of a
-// reader that must leave the cache as it found it — a compaction merge, a
-// planning scan: it pins a resident block without promoting it and without
-// touching the hit and miss counters, which therefore count user reads
-// only. What such a reader misses it reads into a buffer of its own
-// (Uncached recycles those) and never publishes.
+// on it instead of being read back from the device. Peek is the lookup of
+// maintenance — a compaction merge, a planning scan: it pins a resident
+// block without promoting it and without touching the hit and miss
+// counters, which therefore count user reads only. What such a reader
+// misses it reads into a buffer of its own (Uncached recycles those) and
+// never publishes. Demote is how a merge pays for its output with its own
+// input: a resident block the merge has taken up (and pins), dead once the
+// merge commits, goes to the cold end of its stripe marked spent — readable
+// still, and a Get brings it back as if nothing had happened, but first in
+// line for eviction, so the copy the merge publishes in its place pushes out
+// that block instead of a bystander's. A cold Publish — of a block merged from
+// input that was not resident — is admitted only into free room or a spent
+// block's place, never a live block's: compacting cold data evicts nothing
+// anybody reads.
 //
 // The byte budget counts len(payload) of resident blocks, as it always
 // has; admission and eviction order do not depend on pins. Memory outside
@@ -66,6 +74,7 @@ type Block struct {
 	data       []byte // the payload readers see and the budget counts
 	refs       atomic.Int32
 	prev, next *Block // LRU links while resident
+	spent      bool   // demoted and not read since; guarded by the LRU's mutex
 	home       *freeList
 }
 
@@ -210,6 +219,7 @@ func (c *LRU) evict(b *Block) {
 	c.used -= len(b.data)
 	delete(c.index, b.key)
 	c.unlink(b)
+	b.spent = false
 	b.Release()
 }
 
@@ -224,6 +234,7 @@ func (c *LRU) Get(k Key) (*Block, bool) {
 		return nil, false
 	}
 	c.hits++
+	b.spent = false
 	if c.root.next != b {
 		c.unlink(b)
 		c.pushFront(b)
@@ -245,6 +256,22 @@ func (c *LRU) Peek(k Key) (*Block, bool) {
 	return b, ok
 }
 
+// Demote moves b, which the caller pins and nobody will need once the caller
+// is done, to the cold end and marks it spent: next to be evicted, until a
+// Get takes it back. A block that is not resident — never published, evicted
+// since, or replaced under its key — is left alone, and neither counter
+// moves.
+func (c *LRU) Demote(b *Block) {
+	c.mu.Lock()
+	if c.index[b.key] == b {
+		b.spent = true
+		c.unlink(b)
+		b.prev, b.next = c.root.prev, &c.root
+		b.prev.next, b.next.prev = b, b
+	}
+	c.mu.Unlock()
+}
+
 // Alloc returns a pinned, unpublished block for k whose Buf has length n,
 // recycled from this cache's free list when an array fits.
 func (c *LRU) Alloc(k Key, n int) *Block { return c.free.get(k, n) }
@@ -254,23 +281,39 @@ func (c *LRU) Alloc(k Key, n int) *Block { return c.free.get(k, n) }
 // key. The cache takes its own reference; the caller keeps its pin. A
 // payload larger than the whole cache is not admitted, and the caller's
 // pin is then the only reference.
-func (c *LRU) Add(b *Block, payload []byte) {
+func (c *LRU) Add(b *Block, payload []byte) { c.add(b, payload, false) }
+
+// add is Add; a cold block is admitted only if free room and the spent
+// blocks at the cold end make way for it, and otherwise changes nothing.
+func (c *LRU) add(b *Block, payload []byte, cold bool) {
 	b.data = payload
 	if len(payload) > c.capacity {
 		return
 	}
 	c.mu.Lock()
-	if old, ok := c.index[b.key]; ok {
-		c.evict(old)
-	}
-	b.refs.Add(1)
-	c.index[b.key] = b
-	c.pushFront(b)
-	c.used += len(payload)
-	for c.used > c.capacity {
-		c.evict(c.root.prev)
+	if !cold || c.admitsCold(len(payload)) {
+		if old, ok := c.index[b.key]; ok {
+			c.evict(old)
+		}
+		b.refs.Add(1)
+		c.index[b.key] = b
+		c.pushFront(b)
+		c.used += len(payload)
+		for c.used > c.capacity {
+			c.evict(c.root.prev)
+		}
 	}
 	c.mu.Unlock()
+}
+
+// admitsCold reports whether n more bytes fit once spent blocks, and no
+// others, have been evicted. The caller holds c.mu.
+func (c *LRU) admitsCold(n int) bool {
+	need := c.used + n - c.capacity
+	for b := c.root.prev; need > 0 && b.spent; b = b.prev {
+		need -= len(b.data)
+	}
+	return need <= 0
 }
 
 // Put caches a caller-allocated slice, which the cache adopts: the caller
@@ -282,15 +325,24 @@ func (c *LRU) Put(k Key, value []byte) *Block {
 }
 
 // Publish caches a copy of data under k, most recently used, replacing any
-// block already there; data stays the caller's. Nothing is pinned on
-// return and neither counter moves.
-func (c *LRU) Publish(k Key, data []byte) {
+// block already there; data stays the caller's. A cold publication that
+// free room and spent blocks do not make way for is dropped, the cache left
+// as it was. Nothing is pinned on return and neither counter moves.
+func (c *LRU) Publish(k Key, data []byte, cold bool) {
 	if len(data) > c.capacity {
 		return // Add would not admit it; spare the copy
 	}
+	if cold {
+		c.mu.Lock()
+		ok := c.admitsCold(len(data))
+		c.mu.Unlock()
+		if !ok {
+			return // likewise: a cold merge into a full cache publishes nothing
+		}
+	}
 	b := c.Alloc(k, len(data))
 	copy(b.Buf(), data)
-	c.Add(b, b.Buf())
+	c.add(b, b.Buf(), cold)
 	b.Release()
 }
 
@@ -338,7 +390,8 @@ var Uncached = &uncached{free: freeList{limit: 256 << 10}}
 
 func (u *uncached) Get(Key) (*Block, bool)         { return nil, false }
 func (u *uncached) Peek(Key) (*Block, bool)        { return nil, false }
-func (u *uncached) Publish(Key, []byte)            {}
+func (u *uncached) Demote(*Block)                  {}
+func (u *uncached) Publish(Key, []byte, bool)      {}
 func (u *uncached) Alloc(k Key, n int) *Block      { return u.free.get(k, n) }
 func (u *uncached) Add(b *Block, payload []byte)   { b.data = payload }
 func (u *uncached) Put(k Key, value []byte) *Block { return u.free.adopt(k, value) }
@@ -415,8 +468,11 @@ func (s *Sharded) Get(k Key) (*Block, bool) { return s.shardFor(k).Get(k) }
 // the lookup.
 func (s *Sharded) Peek(k Key) (*Block, bool) { return s.shardFor(k).Peek(k) }
 
+// Demote marks b spent at the cold end of its stripe.
+func (s *Sharded) Demote(b *Block) { s.shardFor(b.key).Demote(b) }
+
 // Publish caches a copy of data in the stripe of k.
-func (s *Sharded) Publish(k Key, data []byte) { s.shardFor(k).Publish(k, data) }
+func (s *Sharded) Publish(k Key, data []byte, cold bool) { s.shardFor(k).Publish(k, data, cold) }
 
 // Alloc returns a pinned, unpublished block for k with an n-byte Buf from
 // the free list of k's stripe.

@@ -3,17 +3,21 @@ package cache
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
 
 // parentLRU is the algorithm this package had before blocks were pinned:
-// a map, a recency order and a byte budget. The model test holds the real
-// cache to its decisions.
+// a map, a recency order and a byte budget — plus the one rule added since:
+// a demoted key goes to the back, spent until it is next read, and a cold
+// put happens only if evicting spent keys is enough. The model test holds
+// the real cache to its decisions.
 type parentLRU struct {
 	capacity, used int
 	order          []Key // front = most recent
 	size           map[Key]int
+	spent          map[Key]bool
 }
 
 func (m *parentLRU) touch(k Key) {
@@ -32,21 +36,49 @@ func (m *parentLRU) get(k Key) bool {
 		return false
 	}
 	m.touch(k)
+	delete(m.spent, k)
 	return true
 }
 
-func (m *parentLRU) put(k Key, n int) {
+func (m *parentLRU) remove(i int) {
+	k := m.order[i]
+	m.order = append(m.order[:i], m.order[i+1:]...)
+	m.used -= m.size[k]
+	delete(m.size, k)
+	delete(m.spent, k)
+}
+
+// put reports whether k was admitted.
+func (m *parentLRU) put(k Key, n int, cold bool) bool {
 	if n > m.capacity {
-		return
+		return false
+	}
+	if cold { // only free room and the spent keys at the back may make way
+		need := m.used + n - m.capacity
+		for i := len(m.order) - 1; need > 0 && i >= 0 && m.spent[m.order[i]]; i-- {
+			need -= m.size[m.order[i]]
+		}
+		if need > 0 {
+			return false
+		}
 	}
 	m.used += n - m.size[k]
 	m.size[k] = n
+	delete(m.spent, k)
 	m.touch(k)
 	for m.used > m.capacity {
-		victim := m.order[len(m.order)-1]
-		m.order = m.order[:len(m.order)-1]
-		m.used -= m.size[victim]
-		delete(m.size, victim)
+		m.remove(len(m.order) - 1)
+	}
+	return true
+}
+
+// demote sends a resident key to the back, spent.
+func (m *parentLRU) demote(k Key) {
+	for i, o := range m.order {
+		if o == k {
+			m.order = append(append(m.order[:i], m.order[i+1:]...), k)
+			m.spent[k] = true
+		}
 	}
 }
 
@@ -56,6 +88,7 @@ func (m *parentLRU) dropTable(table uint64) {
 		if k.Table == table {
 			m.used -= m.size[k]
 			delete(m.size, k)
+			delete(m.spent, k)
 			continue
 		}
 		kept = append(kept, k)
@@ -85,29 +118,33 @@ func intact(p []byte, v byte) bool {
 func array(b *Block) *byte { return &b.buf[:1][0] }
 
 // TestModelAgainstParentLRU drives random Get / fill / adopting Put /
-// Publish / Peek / DropTable / Release against the parent's algorithm: same
-// hits, same residents in the same recency order (hence the same eviction
-// victims), used within capacity — and the ownership invariants on top: a
-// pinned block's bytes never change, no array is in two places at once, and
-// the free list stays within its bound. To the model a Publish is a put
-// that leaves no pin behind, and a Peek is a lookup that does not touch the
-// order; neither moves the hit and miss counters.
+// Publish / Peek / Demote / DropTable / Release against the parent's
+// algorithm: same hits, same residents in the same recency order (hence the
+// same eviction victims) carrying the same spent marks, used within
+// capacity — and the ownership invariants on top: a pinned block's bytes
+// never change, no array is in two places at once, the free list stays
+// within its bound and nothing on it is marked spent. To the model a Publish
+// is a put that leaves no pin behind (a cold one gives way to a live
+// victim), a Peek is a lookup that does not touch the order, and a Demote
+// moves its block only if that block is the one resident under its key;
+// none of the three moves the hit and miss counters.
 func TestModelAgainstParentLRU(t *testing.T) {
 	PoisonFreed.Store(true)
 	defer PoisonFreed.Store(false)
 	const capacity = 8 << 10
 	rng := rand.New(rand.NewSource(1))
 	c := New(capacity)
-	m := &parentLRU{capacity: capacity, size: map[Key]int{}}
+	m := &parentLRU{capacity: capacity, size: map[Key]int{}, spent: map[Key]bool{}}
 	type pin struct {
 		b    *Block
 		want byte
 	}
 	var pins []pin
 	var hits, misses uint64 // of Gets, the only lookups that count
+	var demoted, refused int
 	randKey := func() Key { return Key{Table: uint64(rng.Intn(3)), Offset: uint64(rng.Intn(24))} }
 	for step := 0; step < 20000; step++ {
-		switch op := rng.Intn(113); {
+		switch op := rng.Intn(128); {
 		case op < 40:
 			k := randKey()
 			b, ok := c.Get(k)
@@ -130,20 +167,38 @@ func TestModelAgainstParentLRU(t *testing.T) {
 			if ok {
 				pins = append(pins, pin{b, b.Data()[0]})
 			}
+		case op >= 113:
+			// The merge lets go of a block it still pins: resident, evicted
+			// since, or replaced under its key by a later fill.
+			if len(pins) == 0 {
+				continue
+			}
+			b := pins[rng.Intn(len(pins))].b
+			if c.index[b.key] == b {
+				m.demote(b.key)
+				demoted++
+			}
+			c.Demote(b)
 		case op >= 98:
 			// The writer's publish: the cache copies, the caller keeps its
 			// slice and holds no pin.
-			k, n := randKey(), 900+rng.Intn(400)
+			k, n, cold := randKey(), 900+rng.Intn(400), rng.Intn(2) == 0
 			if rng.Intn(20) == 0 {
 				n = capacity + 1 + rng.Intn(capacity)
 			}
 			v := make([]byte, n)
 			fill(v, pattern(k, step))
-			c.Publish(k, v)
-			m.put(k, n)
+			c.Publish(k, v, cold)
+			admitted := m.put(k, n, cold)
 			fill(v, 0xee) // the caller reuses its buffer
-			if b := c.index[k]; n <= capacity && (b == nil || b.refs.Load() != 1 || !intact(b.data, pattern(k, step))) {
-				t.Fatalf("step %d: Publish(%v, %d B) left %v resident", step, k, n, b)
+			if !admitted {
+				if n <= capacity {
+					refused++
+				}
+				break // whatever k held before stays, as the order check below sees
+			}
+			if b := c.index[k]; b == nil || b.refs.Load() != 1 || !intact(b.data, pattern(k, step)) {
+				t.Fatalf("step %d: Publish(%v, %d B, cold=%v) left resident = %v", step, k, n, cold, b != nil)
 			}
 		case op < 75:
 			// The reader's fill: a payload a few bytes into a recycled buffer.
@@ -154,7 +209,7 @@ func TestModelAgainstParentLRU(t *testing.T) {
 			}
 			fill(b.Buf(), pattern(k, step))
 			c.Add(b, b.Buf()[3:3+n])
-			m.put(k, n)
+			m.put(k, n, false)
 			pins = append(pins, pin{b, pattern(k, step)})
 		case op < 80:
 			// An adopted slice, sometimes larger than the whole cache.
@@ -162,7 +217,7 @@ func TestModelAgainstParentLRU(t *testing.T) {
 			v := make([]byte, n)
 			fill(v, pattern(k, step))
 			b := c.Put(k, v)
-			m.put(k, n)
+			m.put(k, n, false)
 			if len(b.Data()) != n {
 				t.Fatalf("step %d: Put of %d bytes returned a %d-byte block", step, n, len(b.Data()))
 			}
@@ -183,8 +238,8 @@ func TestModelAgainstParentLRU(t *testing.T) {
 		// Same decisions as the parent.
 		i := 0
 		for b := c.root.next; b != &c.root; b = b.next {
-			if i >= len(m.order) || b.key != m.order[i] || len(b.data) != m.size[b.key] {
-				t.Fatalf("step %d: resident #%d is %v (%d B), model order %v", step, i, b.key, len(b.data), m.order)
+			if i >= len(m.order) || b.key != m.order[i] || len(b.data) != m.size[b.key] || b.spent != m.spent[b.key] {
+				t.Fatalf("step %d: resident #%d is %v (%d B, spent=%v), model order %v, spent %v", step, i, b.key, len(b.data), b.spent, m.order, m.spent)
 			}
 			i++
 		}
@@ -209,8 +264,8 @@ func TestModelAgainstParentLRU(t *testing.T) {
 		for _, b := range c.free.blocks {
 			claim(b, "free")
 			free += cap(b.buf)
-			if b.refs.Load() != 0 {
-				t.Fatalf("step %d: free block has %d refs", step, b.refs.Load())
+			if b.refs.Load() != 0 || b.spent {
+				t.Fatalf("step %d: free block has %d refs, spent=%v", step, b.refs.Load(), b.spent)
 			}
 		}
 		if free != c.free.bytes || free > freeListBytes {
@@ -233,8 +288,140 @@ func TestModelAgainstParentLRU(t *testing.T) {
 	if c.hits != hits || c.misses != misses {
 		t.Fatalf("counters say %d hits, %d misses; Gets saw %d and %d", c.hits, c.misses, hits, misses)
 	}
-	if c.hits == 0 || c.misses == 0 || len(c.free.blocks) == 0 {
-		t.Fatalf("run exercised nothing: %d hits, %d misses, %d free", c.hits, c.misses, len(c.free.blocks))
+	if c.hits == 0 || c.misses == 0 || len(c.free.blocks) == 0 || demoted < 100 || refused < 100 {
+		t.Fatalf("run exercised nothing: %d hits, %d misses, %d free, %d demoted, %d cold publishes refused", c.hits, c.misses, len(c.free.blocks), demoted, refused)
+	}
+}
+
+// order lists the resident keys' offsets from most to least recent, a spent
+// block's negated (offsets in these tests start at 1).
+func order(c *LRU) []int {
+	var out []int
+	for b := c.root.next; b != &c.root; b = b.next {
+		o := int(b.key.Offset)
+		if b.spent {
+			o = -o
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
+// TestDemoteAndSpent: Demote sends the resident block it is handed to the
+// cold end, spent — evicted before anything live, readable through its pin
+// and by lookups meanwhile, and back at the front unspent on the next Get. A
+// block that is not the resident one under its key is left alone and moves
+// nothing: one never published, one evicted, one replaced. A cold publish
+// happens where free room and spent blocks make way and not at all where a
+// live block would have to;
+// DropTable finds spent blocks; no recycled array carries the mark.
+func TestDemoteAndSpent(t *testing.T) {
+	PoisonFreed.Store(true)
+	defer PoisonFreed.Store(false)
+	c := New(4000)
+	key := func(i int) Key { return Key{Table: 1, Offset: uint64(i)} }
+	put := func(i int) *Block {
+		b := c.Alloc(key(i), 1000)
+		fill(b.Buf(), byte(i))
+		c.Add(b, b.Buf())
+		return b
+	}
+	expect := func(when string, want ...int) {
+		t.Helper()
+		if got := order(c); !slices.Equal(got, want) {
+			t.Fatalf("%s: order %v, want %v", when, got, want)
+		}
+	}
+	b1, b2 := put(1), put(2)
+	put(3).Release()
+	put(4).Release()
+	expect("filled", 4, 3, 2, 1)
+
+	c.Demote(b2)
+	expect("demoted 2", 4, 3, 1, -2)
+	c.Demote(b1)
+	expect("demoted 1", 4, 3, -2, -1)
+	if p, ok := c.Peek(key(1)); !ok || p != b1 {
+		t.Fatal("a spent block is not resident to Peek")
+	} else {
+		p.Release()
+	}
+	expect("peeked at a spent block", 4, 3, -2, -1)
+	if g, ok := c.Get(key(2)); !ok || g != b2 {
+		t.Fatal("a spent block is not resident to Get")
+	} else {
+		g.Release()
+	}
+	expect("Get took 2 back", 2, 4, 3, -1)
+
+	// Not the cache's to move: unpublished, replaced under its key, evicted.
+	stray := c.Alloc(key(3), 1000)
+	c.Demote(stray)
+	c.Demote(Uncached.Alloc(key(4), 1000))
+	expect("demoted strangers", 2, 4, 3, -1)
+	fill(stray.Buf(), 3)
+	c.Add(stray, stray.Buf()) // replaces 3; the old block is gone
+	old2 := b2
+	b2 = put(2) // replaces the block b2 pinned
+	c.Demote(old2)
+	expect("demoted a replaced block", 2, 3, 4, -1)
+	if !intact(old2.Data(), 2) || !intact(b1.Data(), 1) {
+		t.Fatal("a pinned block changed")
+	}
+	old2.Release()
+	stray.Release()
+
+	// A live fill evicts the spent block first; its pin keeps it readable.
+	put(5).Release()
+	expect("fill against a spent cold end", 5, 2, 3, 4)
+	if b1.spent || !intact(b1.Data(), 1) {
+		t.Fatalf("evicted block: spent=%v, intact=%v", b1.spent, intact(b1.Data(), 1))
+	}
+	c.Demote(b1)
+	expect("demoted an evicted block", 5, 2, 3, 4)
+	b1.Release()
+
+	// Cold publishes: refused by a live cold end, admitted over a spent one
+	// and into free room, and never at the price of a live block.
+	page := make([]byte, 1000)
+	_, _, used0 := c.Stats()
+	c.Publish(key(6), page, true)
+	expect("cold publish into a full live cache", 5, 2, 3, 4)
+	c.Demote(b2)
+	c.Publish(key(6), page, true)
+	expect("cold publish over a spent block", 6, 5, 3, 4)
+	b2.Release()
+	g, _ := c.Get(key(4))
+	c.Demote(g)
+	g.Release()
+	c.Publish(key(7), make([]byte, 1500), true)
+	expect("cold publish needing a spent and a live block's room", 6, 5, 3, -4)
+	c.Publish(key(8), page[:500], true)
+	expect("cold publish over a larger spent block", 8, 6, 5, 3)
+	c.Publish(key(9), page[:500], true)
+	expect("cold publish into free room", 9, 8, 6, 5, 3)
+	c.Publish(key(10), page[:1], true)
+	expect("cold publish into a full live cache again", 9, 8, 6, 5, 3)
+	if _, _, used := c.Stats(); used != used0 {
+		t.Fatalf("used = %d, want %d", used, used0)
+	}
+
+	// DropTable finds spent blocks wherever they are.
+	g, _ = c.Get(key(5))
+	c.Demote(g)
+	g.Release()
+	expect("before DropTable", 9, 8, 6, 3, -5)
+	c.DropTable(1)
+	if c.Len() != 0 || len(c.free.blocks) == 0 {
+		t.Fatalf("after DropTable: %d resident, %d free", c.Len(), len(c.free.blocks))
+	}
+	for _, f := range c.free.blocks {
+		if f.spent {
+			t.Fatal("a free block is marked spent")
+		}
+	}
+	if hits, misses, _ := c.Stats(); hits != 3 || misses != 0 {
+		t.Fatalf("%d hits, %d misses; only the three Gets count", hits, misses)
 	}
 }
 
@@ -312,11 +499,12 @@ func TestSteadyStateFillAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPoisonStress runs readers that pin (Get or Peek), check and release
-// blocks against fills, publishes, evictions and DropTable on a cache a few
-// blocks large, with freed arrays poisoned: a block recycled while still pinned, or read after its
-// release, shows the poison (or another key's pattern) instead of its own.
-// Run under -race.
+// TestPoisonStress runs readers that pin (Get or Peek), check, sometimes
+// demote, and release blocks against fills, publishes warm and cold,
+// evictions and DropTable on a cache a few blocks large, with freed arrays
+// poisoned: a block recycled while still pinned, or read after its release,
+// shows the poison (or another key's pattern) instead of its own. Run under
+// -race.
 func TestPoisonStress(t *testing.T) {
 	PoisonFreed.Store(true)
 	defer PoisonFreed.Store(false)
@@ -345,7 +533,7 @@ func TestPoisonStress(t *testing.T) {
 					// A writer publishes from a buffer it reuses at once.
 					scratch = scratch[:4000+rng.Intn(300)]
 					fill(scratch, pattern(k, 0))
-					c.Publish(k, scratch)
+					c.Publish(k, scratch, i%10 == 0)
 					fill(scratch, 0xee)
 				}
 				lookup := c.Get

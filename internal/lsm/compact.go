@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/compaction"
@@ -58,9 +57,6 @@ func (db *DB) setState(s CompactionState) { db.state.Store(int32(s)) }
 type CompactionResult struct {
 	// Strategy is the chooser that scheduled the merges.
 	Strategy string
-	// Mode is "background" for a non-blocking compaction or "blocking" for
-	// one that held the store lock throughout.
-	Mode string
 	// TablesBefore is the number of sstables merged (the snapshot size).
 	TablesBefore int
 	// TablesAfter is the number of live sstables immediately after the
@@ -131,7 +127,7 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 		unlock()
 		return nil, err
 	}
-	res := &CompactionResult{Strategy: strategy, Mode: "background", TablesBefore: len(db.tables)}
+	res := &CompactionResult{Strategy: strategy, TablesBefore: len(db.tables)}
 	if len(db.tables) <= 1 {
 		db.setState(CompactionIdle)
 		res.TablesAfter = len(db.tables)
@@ -169,7 +165,7 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 	// Merging: execute the schedule off-lock on the worker pool. Snapshot
 	// readers serve concurrent Gets and scans while the merges read them.
 	db.setState(CompactionMerging)
-	nodes, stats, err := db.executeSchedule(sched, snap, db.allocTableName)
+	nodes, stats, err := db.executeSchedule(sched, snap)
 	created := nodes[len(snap):]
 	removeCreated := func() {
 		for _, th := range created {
@@ -267,110 +263,6 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 	return res, nil
 }
 
-// MajorCompactBlocking is MajorCompact holding the store lock for the
-// entire run, stalling every write, flush and minor compaction until the
-// merge completes. It exists as the measurement baseline for the
-// non-blocking path (see BenchmarkGetDuringMajorCompaction) and for
-// callers that want compaction to exclude all concurrent mutation. Point
-// reads, scans and snapshots proceed even here: the lock-free read path
-// pins the published view and never takes the store lock.
-func (db *DB) MajorCompactBlocking(strategy string, k int, seed int64) (*CompactionResult, error) {
-	chooser, err := compaction.NewChooserByName(strategy, seed)
-	if err != nil {
-		return nil, err
-	}
-	db.majorMu.Lock()
-	defer db.majorMu.Unlock()
-	// The blocking baseline excludes all concurrent activity: it holds the
-	// commit pipeline for the entire run and the store lock for all of it
-	// but the wait for the flusher.
-	if err := db.lockQuiesced(); err != nil {
-		return nil, err
-	}
-	defer db.pipeMu.Unlock()
-	defer db.mu.Unlock()
-	if err := db.readOnlyErrLocked(); err != nil {
-		return nil, err
-	}
-	db.setState(CompactionPlanning)
-	defer db.setState(CompactionIdle)
-	start := time.Now()
-	if err := db.flushMemLocked(); err != nil {
-		return nil, err
-	}
-	res := &CompactionResult{Strategy: strategy, Mode: "blocking", TablesBefore: len(db.tables)}
-	if len(db.tables) <= 1 {
-		res.TablesAfter = len(db.tables)
-		res.Duration = time.Since(start)
-		return res, nil
-	}
-
-	sched, err := planMajor(db.tables, k, chooser)
-	if err != nil {
-		return nil, err
-	}
-
-	db.setState(CompactionMerging)
-	// db.mu is already held for the whole run, but merge workers call
-	// alloc concurrently, so the counter needs its own lock here.
-	var allocMu sync.Mutex
-	alloc := func() string {
-		allocMu.Lock()
-		defer allocMu.Unlock()
-		return db.allocTableNameLocked()
-	}
-	snap := db.tables
-	nodes, stats, err := db.executeSchedule(sched, snap, alloc)
-	created := nodes[len(snap):]
-	if err != nil {
-		for _, th := range created {
-			if th != nil {
-				th.rd.Close()
-				db.removeFile(th.name)
-			}
-		}
-		return nil, err
-	}
-	res.record(snap, stats)
-
-	db.setState(CompactionSwapping)
-	root := nodes[sched.Root.ID]
-	oldManTables := db.man.tables
-	db.man.tables = []string{root.name}
-	db.man.recordBounds([]*tableHandle{root})
-	if err := db.man.save(db.fs, db.dir); err != nil {
-		db.man.tables = oldManTables
-		db.failDurabilityLocked(err)
-		for _, th := range created {
-			th.rd.Close()
-			db.removeFile(th.name)
-		}
-		return nil, err
-	}
-	old := db.tables
-	db.tables = []*tableHandle{root}
-	db.installViewLocked()
-	db.generation++
-	root.gen = db.generation
-	db.majorCompactions++
-	db.bytesCompacted += res.BytesWritten
-	db.recordPickLocked(strategy)
-	res.TablesAfter = 1
-	for _, th := range old {
-		th.obsolete.Store(true)
-		th.release()
-	}
-	for _, th := range created {
-		if th != root {
-			th.obsolete.Store(true)
-			th.release()
-		}
-	}
-	db.stallCond.Broadcast()
-	res.Duration = time.Since(start)
-	return res, nil
-}
-
 // allocTableName reserves the next sstable file number in a brief critical
 // section, so merge workers running off-lock never collide with concurrent
 // flushes.
@@ -388,7 +280,7 @@ func (db *DB) allocTableNameLocked() string {
 
 // executeSchedule runs sched's merges on the compaction package's worker
 // pool (compaction.ExecuteParallelFunc): leaf i of the schedule is snap[i],
-// every step merges its inputs' files into a fresh sstable named by alloc,
+// every step merges its inputs' files into a fresh sstable,
 // and independent steps run concurrently up to Options.CompactionWorkers.
 // Tombstones survive intermediate merges — dropping one early would let an
 // older version in a not-yet-merged table resurface — and are purged only
@@ -397,7 +289,7 @@ func (db *DB) allocTableNameLocked() string {
 // The returned slice maps node ID → handle: the first len(snap) entries
 // are the inputs, the rest the created merge outputs (nil where a step did
 // not run). On error the caller owns closing and removing created tables.
-func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, alloc func() string) ([]*tableHandle, []sstable.MergeStats, error) {
+func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle) ([]*tableHandle, []sstable.MergeStats, error) {
 	nodes := make([]*tableHandle, len(snap)+len(sched.Steps))
 	for i, th := range snap {
 		nodes[i] = th
@@ -413,7 +305,7 @@ func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, a
 			}
 			inputs[j] = nodes[in.ID].rd
 		}
-		name := alloc()
+		name := db.allocTableName()
 		rd, mstats, err := db.mergeTables(name, step.Output.ID == rootID, inputs)
 		if err != nil {
 			return err

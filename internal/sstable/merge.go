@@ -53,15 +53,17 @@ func MergeEntries(inputs ...*Reader) int {
 
 // MergeTo is Merge into a Writer the caller built, which it finishes. The
 // inputs are read through ScanIters — a merge reads every block of tables
-// that are obsolete once it commits, so it neither fills the block cache
-// nor reorders it — and a Writer that publishes (PublishTo) carries their
-// residency over to the output.
+// that are obsolete once it commits, so it fills the block cache with none
+// of them and moves each resident block it takes up to the cold end, spent —
+// and a Writer that publishes (PublishTo) carries their residency over to
+// the output, which so displaces its own dead input.
 func MergeTo(tw *Writer, dropTombstones bool, inputs ...*Reader) (MergeStats, error) {
 	var stats MergeStats
 	children := make([]iterator.Iterator, len(inputs))
 	iters := make([]*Iter, len(inputs))
 	for i, rd := range inputs {
 		it := rd.ScanIter()
+		it.spend = true
 		defer it.Close()
 		iters[i] = it
 		children[i] = it

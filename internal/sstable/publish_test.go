@@ -141,17 +141,70 @@ func TestWriterPublishesWhatReadersCache(t *testing.T) {
 	}
 }
 
+// residency reports how many of rd's data blocks are resident in c and how
+// many payload bytes those hold, without disturbing c.
+func residency(t *testing.T, c Cache, rd *Reader) (blocks, bytes int) {
+	t.Helper()
+	for _, h := range allHandles(t, rd) {
+		if b, ok := c.Peek(cache.Key{Table: rd.id, Offset: h.offset}); ok {
+			blocks++
+			bytes += len(b.Data())
+			b.Release()
+		}
+	}
+	return blocks, bytes
+}
+
+// warm reads rd end to end the way a user scan does, filling its cache.
+func warm(t *testing.T, rd *Reader) {
+	t.Helper()
+	it := rd.Iter()
+	for it.Valid() {
+		it.Next()
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	it.Close()
+}
+
+// mergePublished merges inputs into a table published to c and opens it.
+func mergePublished(t *testing.T, c Cache, opts WriterOptions, inputs ...*Reader) *Reader {
+	t.Helper()
+	var buf bytes.Buffer
+	id := ReserveID()
+	w := NewWriterOpts(&buf, MergeEntries(inputs...), opts)
+	w.PublishTo(c, id)
+	if _, err := MergeTo(w, false, inputs...); err != nil {
+		t.Fatal(err)
+	}
+	out, err := newReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// stridedEntries is entries lo, lo+stride, … below n of one interleaved key
+// space: tables built from different lo share every key range and no key.
+func stridedEntries(lo, stride, n int) []iterator.Entry {
+	var entries []iterator.Entry
+	for i := lo; i < n; i += stride {
+		entries = append(entries, entry(fmt.Sprintf("key-%06d", i), fmt.Sprintf("value-%040d", i%9), uint64(i+1)))
+	}
+	return entries
+}
+
 // TestMergeCarriesResidency: a merge reads its inputs around the cache —
-// no fill, no promotion, no hit or miss counted — and its output is
-// resident exactly where its inputs were. Two inputs over disjoint key
-// ranges, one resident and one not, give an output whose blocks from the
-// first range are published and whose blocks from the second are not.
+// no fill, no hit or miss counted — and with room in the cache its output is
+// resident whole: the blocks merged from resident input because what was hot
+// stays hot, the blocks merged from the cold input because they displace
+// nothing (TestColdOutputAdmittedOnlyAgainstSpentInput takes the room away).
 func TestMergeCarriesResidency(t *testing.T) {
 	c := cache.NewSharded(8<<20, 0)
 	opts := WriterOptions{BlockSize: 512}
-	hotEntries, coldEntries := compressibleEntries("a", 600), compressibleEntries("b", 600)
-	hot, _ := publishedTable(t, c, hotEntries, opts)
-	cold, coldSrc := publishedTable(t, c, coldEntries, opts)
+	hot, _ := publishedTable(t, c, compressibleEntries("a", 600), opts)
+	cold, coldSrc := publishedTable(t, c, compressibleEntries("b", 600), opts)
 	c.DropTable(cold.id)
 	hotBlocks := len(allHandles(t, hot))
 	if c.Len() != hotBlocks {
@@ -159,51 +212,175 @@ func TestMergeCarriesResidency(t *testing.T) {
 	}
 	hits0, misses0, _ := c.Stats()
 
-	var buf bytes.Buffer
-	id := ReserveID()
-	w := NewWriterOpts(&buf, MergeEntries(cold, hot), opts)
-	w.PublishTo(c, id)
 	coldSrc.reads = 0
-	stats, err := MergeTo(w, false, cold, hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.EntriesOut != 1200 || coldSrc.reads == 0 {
-		t.Fatalf("merged %d entries with %d reads of the cold input", stats.EntriesOut, coldSrc.reads)
+	out := mergePublished(t, c, opts, cold, hot)
+	if out.EntryCount() != 1200 || coldSrc.reads == 0 {
+		t.Fatalf("merged %d entries with %d reads of the cold input", out.EntryCount(), coldSrc.reads)
 	}
 	if hits, misses, _ := c.Stats(); hits != hits0 || misses != misses0 {
 		t.Fatalf("merge moved the counters: %d hits, %d misses", hits-hits0, misses-misses0)
 	}
-	for _, h := range allHandles(t, cold) {
-		if b, ok := c.Peek(cache.Key{Table: cold.id, Offset: h.offset}); ok {
-			b.Release()
-			t.Fatalf("merge filled the cache with its cold input's block at %d", h.offset)
+	if n, _ := residency(t, c, cold); n != 0 {
+		t.Fatalf("merge filled the cache with %d blocks of its cold input", n)
+	}
+	if n, _ := residency(t, c, hot); n != hotBlocks {
+		t.Fatalf("%d of the hot input's %d blocks resident after a merge into free room", n, hotBlocks)
+	}
+	outBlocks := len(allHandles(t, out))
+	if n, _ := residency(t, c, out); n != outBlocks || outBlocks < 2*hotBlocks-2 {
+		t.Fatalf("%d of %d output blocks resident; inputs had %d each", n, outBlocks, hotBlocks)
+	}
+}
+
+// demoteRecorder is a cache that remembers every block handed to Demote.
+type demoteRecorder struct {
+	*cache.LRU
+	demoted []*cache.Block
+}
+
+func (c *demoteRecorder) Demote(b *cache.Block) {
+	c.demoted = append(c.demoted, b)
+	c.LRU.Demote(b)
+}
+
+// TestMergeSpendsItsInputs: a merge hands every resident input block it
+// takes up to Demote, once, and nobody else does — not a planning scan
+// (a bare ScanIter), which leaves the cache exactly as it found it, and not
+// a user's Iter. None of the three maintenance passes counts a hit or a
+// miss. What demotion buys shows when the cache then has to make room for as
+// many bytes as the inputs hold: the inputs go, all of them and nothing
+// else, although a bystander table was least recently used.
+func TestMergeSpendsItsInputs(t *testing.T) {
+	const capacity = 1 << 20
+	c := &demoteRecorder{LRU: cache.New(capacity)}
+	opts := WriterOptions{BlockSize: 512}
+	bystander, _ := publishedTable(t, c, compressibleEntries("s", 600), opts)
+	a, aSrc := publishedTable(t, c, stridedEntries(0, 2, 1200), opts)
+	b, bSrc := publishedTable(t, c, stridedEntries(1, 2, 1200), opts)
+	aBlocks, aBytes := residency(t, c, a)
+	bBlocks, bBytes := residency(t, c, b)
+	sBlocks, _ := residency(t, c, bystander)
+	if aBlocks < 50 || c.Len() != aBlocks+bBlocks+sBlocks {
+		t.Fatalf("%d blocks resident; tables have %d, %d and %d", c.Len(), aBlocks, bBlocks, sBlocks)
+	}
+	hits0, misses0, _ := c.Stats()
+
+	scan := a.ScanIter()
+	for scan.Valid() {
+		scan.Next()
+	}
+	scan.Close()
+	if hits, misses, _ := c.Stats(); len(c.demoted) != 0 || hits != hits0 || misses != misses0 {
+		t.Fatalf("a planning scan demoted %d blocks, counted %d hits and %d misses", len(c.demoted), hits-hits0, misses-misses0)
+	}
+	warm(t, a)
+	if len(c.demoted) != 0 {
+		t.Fatalf("a user's iterator demoted %d blocks", len(c.demoted))
+	}
+	hits0, misses0, _ = c.Stats()
+	aSrc.reads, bSrc.reads = 0, 0
+
+	out := mergePublished(t, c, opts, a, b)
+	if hits, misses, _ := c.Stats(); hits != hits0 || misses != misses0 || aSrc.reads+bSrc.reads != 0 {
+		t.Fatalf("merge of resident inputs: %d hits, %d misses, %d reads", hits-hits0, misses-misses0, aSrc.reads+bSrc.reads)
+	}
+	once := map[*cache.Block]bool{}
+	for _, blk := range c.demoted {
+		if once[blk] {
+			t.Fatal("a block was demoted twice")
 		}
+		once[blk] = true
+	}
+	if len(once) != aBlocks+bBlocks {
+		t.Fatalf("merge demoted %d blocks; its inputs have %d", len(once), aBlocks+bBlocks)
+	}
+	outBlocks := len(allHandles(t, out))
+	if n, _ := residency(t, c, out); n != outBlocks {
+		t.Fatalf("%d of %d output blocks resident", n, outBlocks)
 	}
 
-	out, err := newReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil, id)
-	if err != nil {
-		t.Fatal(err)
+	// Fill the free room, then as many bytes again as the inputs occupy.
+	_, _, used := c.Stats()
+	filler := make([]byte, 4096)
+	for need, i := capacity-used+aBytes+bBytes, 0; need > 0; i++ {
+		n := min(need, len(filler))
+		c.Publish(cache.Key{Table: 1 << 40, Offset: uint64(i)}, filler[:n], false)
+		need -= n
 	}
-	var published, unpublished int
-	for _, h := range allHandles(t, out) {
-		b, ok := c.Peek(cache.Key{Table: id, Offset: h.offset})
-		if ok {
-			b.Release()
-			published++
-		} else {
-			unpublished++
-		}
-		// "a-…" keys sort first, so the hot range is a prefix of the output;
-		// the one block that may straddle the ranges holds cold entries.
-		switch inHot := h.firstKey[0] == 'a'; {
-		case inHot && !ok && unpublished > 1:
-			t.Fatalf("output block %q merged from resident input was not published", h.firstKey)
-		case !inHot && ok:
-			t.Fatalf("output block %q merged from non-resident input was published", h.firstKey)
-		}
+	na, _ := residency(t, c, a)
+	nb, _ := residency(t, c, b)
+	ns, _ := residency(t, c, bystander)
+	no, _ := residency(t, c, out)
+	if na != 0 || nb != 0 || ns != sBlocks || no != outBlocks {
+		t.Fatalf("after making room for the inputs' bytes: inputs %d+%d blocks resident (want 0), bystander %d of %d, output %d of %d",
+			na, nb, ns, sBlocks, no, outBlocks)
 	}
-	if published < hotBlocks-1 || unpublished < hotBlocks-1 {
-		t.Fatalf("%d output blocks published, %d not; inputs had %d each", published, unpublished, hotBlocks)
+}
+
+// TestColdOutputAdmittedOnlyAgainstSpentInput: an output block merged from
+// input that was not resident may take the place of a block the merge has
+// spent, and of nothing live. The cache is exactly full. Half-cold — one
+// input resident, the other not, their keys interleaved so every output
+// block holds cold entries: the bystander table keeps every block, the
+// resident input is never read from the file (nothing evicted it before the
+// merge reached it), and part of the output is resident in its place. Fully
+// cold: nothing is spent, so nothing is published and nothing evicted.
+func TestColdOutputAdmittedOnlyAgainstSpentInput(t *testing.T) {
+	opts := WriterOptions{BlockSize: 512}
+	sizing := cache.New(64 << 20)
+	bystander, _ := publishedTable(t, sizing, compressibleEntries("s", 600), opts)
+	hot, hotSrc := publishedTable(t, sizing, stridedEntries(0, 2, 1200), opts)
+	cold, _ := publishedTable(t, sizing, stridedEntries(1, 2, 1200), opts)
+	sBlocks, sBytes := residency(t, sizing, bystander)
+	hotBlocks, hotBytes := residency(t, sizing, hot)
+
+	for _, tc := range []struct {
+		name     string
+		resident []*Reader
+	}{
+		{"half-cold", []*Reader{bystander, hot}},
+		{"cold", []*Reader{bystander}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			capacity := sBytes
+			if len(tc.resident) == 2 {
+				capacity += hotBytes
+			}
+			c := cache.New(capacity)
+			for _, rd := range []*Reader{bystander, hot, cold} {
+				rd.SetBlockCache(c)
+			}
+			for _, rd := range tc.resident { // the bystander first: least recently used
+				warm(t, rd)
+			}
+			hits0, misses0, used := c.Stats()
+			if used != capacity {
+				t.Fatalf("cache holds %d of %d bytes, want it full", used, capacity)
+			}
+			before := c.Len()
+			hotSrc.reads = 0
+
+			out := mergePublished(t, c, opts, hot, cold)
+			if hits, misses, _ := c.Stats(); hits != hits0 || misses != misses0 {
+				t.Fatalf("merge moved the counters: %d hits, %d misses", hits-hits0, misses-misses0)
+			}
+			if n, _ := residency(t, c, bystander); n != sBlocks {
+				t.Fatalf("the merge evicted %d of the bystander's %d blocks", sBlocks-n, sBlocks)
+			}
+			published, _ := residency(t, c, out)
+			if len(tc.resident) == 1 {
+				if published != 0 || c.Len() != before || hotSrc.reads == 0 {
+					t.Fatalf("cold merge: %d output blocks published, %d blocks resident (were %d)", published, c.Len(), before)
+				}
+				return
+			}
+			if hotSrc.reads != 0 {
+				t.Fatalf("the resident input was read from the file %d times: evicted before the merge reached it", hotSrc.reads)
+			}
+			left, _ := residency(t, c, hot)
+			if published < hotBlocks/2 || published > hotBlocks || left > hotBlocks-published {
+				t.Fatalf("%d output blocks published over %d input blocks, %d of them still resident", published, hotBlocks, left)
+			}
+		})
 	}
 }

@@ -55,16 +55,20 @@ type FilterMetrics struct {
 // Blocks also arrive from the other side: a Writer given a cache and the
 // table's reserved ID Publishes a copy of every data block's decoded body
 // as it writes it, byte for byte what readBlock would cache for the same
-// handle. Readers that must not disturb residency (merge inputs, planning
-// scans — Reader.ScanIter) look blocks up with Peek, which neither promotes
-// nor counts, and read what is missing into buffers of cache.Uncached.
+// handle; one merged from input that was not resident is published cold,
+// admitted only where it displaces nothing live. Maintenance readers (merge
+// inputs, planning scans — Reader.ScanIter) look blocks up with Peek, which
+// neither promotes nor counts, and read what is missing into buffers of
+// cache.Uncached; a merge, and only a merge, Demotes each resident block as
+// it takes it up, so its dead input is evicted before anything live.
 type Cache interface {
 	Get(k cache.Key) (*cache.Block, bool)
 	Peek(k cache.Key) (*cache.Block, bool)
+	Demote(b *cache.Block)
 	Alloc(k cache.Key, n int) *cache.Block
 	Add(b *cache.Block, payload []byte)
 	Put(k cache.Key, value []byte) *cache.Block
-	Publish(k cache.Key, data []byte)
+	Publish(k cache.Key, data []byte, cold bool)
 	DropTable(table uint64)
 }
 
@@ -635,10 +639,11 @@ func (rd *Reader) Iter() *Iter {
 }
 
 // ScanIter is Iter for maintenance that reads a whole table once and must
-// not let that show in the cache — a compaction merge over its inputs, a
-// planning scan: resident blocks are used where they lie, the rest pass
+// not let that show in the cache — a planning scan, and the inputs of a
+// compaction merge: resident blocks are used where they lie, the rest pass
 // through private buffers, and the cache's contents, recency order and
-// hit/miss counters are the same afterwards as before. Its blocks are
+// hit/miss counters are the same afterwards as before (MergeTo alone goes
+// one step further and spends the resident blocks it consumes). Its blocks are
 // fetched — looked up or read, and verified — readAheadBlocks ahead of the
 // entries by a goroutine of the iterator's own, whatever the table's format
 // version, so a merge overlaps its inputs' reads with its compares and its
@@ -675,9 +680,10 @@ type Iter struct {
 	prev   *cache.Block // pin on the block before it
 	// nofill marks a ScanIter. For one, cold says the block being read was
 	// not resident, and sawCold that an entry has been consumed from such a
-	// block since a merge's Writer last asked (Writer.inputsResident).
-	nofill, cold, sawCold bool
-	scan                  *scanState // a started ScanIter's read-ahead
+	// block since a merge's Writer last asked (Writer.inputsResident); spend,
+	// set by MergeTo, makes it demote each block it enters.
+	nofill, cold, sawCold, spend bool
+	scan                         *scanState // a started ScanIter's read-ahead
 
 	cur   iterator.Entry
 	valid bool
@@ -997,6 +1003,12 @@ func (it *Iter) nextBlock() bool {
 		it.prev.Release()
 	}
 	it.prev, it.blk = it.blk, f.pin
+	if it.spend && !f.cold {
+		// The merge holds its pin; the cache's copy is dead once the merge
+		// commits and is the first to go when the output needs the room. (A
+		// block evicted since the fetch is no longer the cache's to move.)
+		it.rd.blocks.Demote(f.pin)
+	}
 	var empty bool
 	if it.rd.version < FormatV3 {
 		it.legacy = f.data

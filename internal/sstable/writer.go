@@ -112,11 +112,11 @@ func NewWriterOpts(w io.Writer, expectedEntries int, opts WriterOptions) *Writer
 // to c as it is written, under the key a Reader opened with id (from
 // ReserveID; see OpenFSWithID) will look it up by, so the finished table
 // starts out resident instead of being read back on first use. A table
-// written by a merge publishes a block only when the input blocks its
+// written by a merge publishes a block cold unless the input blocks its
 // entries came from were themselves resident: what was hot stays hot across
-// the rewrite, and compacting cold data adds nothing to the cache. The
-// caller must DropTable(id) if it abandons the table. Call before the
-// first Add.
+// the rewrite, and what was not takes the place of input the merge has spent
+// or of nothing. The caller must DropTable(id) if it abandons the table.
+// Call before the first Add.
 func (w *Writer) PublishTo(c Cache, id uint64) { w.blocks, w.id = c, id }
 
 // inputsResident reports whether every entry a merge consumed from its
@@ -258,9 +258,7 @@ func (w *Writer) flushBlock() error {
 	if _, err := w.w.Write(framed); err != nil {
 		return fmt.Errorf("sstable: write block: %w", err)
 	}
-	if w.inputsResident() {
-		w.blocks.Publish(cache.Key{Table: w.id, Offset: w.off}, body)
-	}
+	w.blocks.Publish(cache.Key{Table: w.id, Offset: w.off}, body, !w.inputsResident())
 	w.off += uint64(len(framed))
 	w.bb.reset()
 	w.block = w.block[:0]

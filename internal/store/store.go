@@ -544,7 +544,7 @@ func (s *Store) MajorCompact(strategy string, k int, seed int64) (*lsm.Compactio
 	if err != nil {
 		return nil, err
 	}
-	agg := &lsm.CompactionResult{Strategy: strategy, Mode: results[0].Mode}
+	agg := &lsm.CompactionResult{Strategy: strategy}
 	for _, res := range results {
 		agg.TablesBefore += res.TablesBefore
 		agg.TablesAfter += res.TablesAfter
