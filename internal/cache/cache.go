@@ -113,8 +113,9 @@ const sizeGranule = 512
 const freeListBytes = 32 << 10
 
 // PoisonFreed is a test hook: when set, an array is overwritten as it
-// enters a free list, so a read through a released pin fails a value
-// check instead of passing by luck.
+// enters a free list, and an sstable iterator's key arena as the iterator
+// is recycled, so a read through a released pin or a closed iterator fails
+// a value check instead of passing by luck.
 var PoisonFreed atomic.Bool
 
 // freeList holds released blocks, struct and array together, for reuse.

@@ -191,6 +191,18 @@ func TestReadRepair(t *testing.T) {
 	if err := rt.Put(ctx, key, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
+	// The Put returned on W acks; a third copy still in flight could answer
+	// the quorum read below beside the planted stale one. Wait for it.
+	for _, addr := range rt.ReplicaNodes(key) {
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if st, err := nodeState(t, addr); err == nil && string(st[string(key)].Value) == "new" {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %s never received the write", addr)
+			}
+		}
+	}
 	// Corrupt one replica with an older version, bypassing the router.
 	stale := rt.ReplicaNodes(key)[0]
 	c, err := kvnet.Dial(stale)

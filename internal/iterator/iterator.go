@@ -42,7 +42,15 @@ type Merging struct {
 // NewMerging builds a merging iterator over children. Children that are
 // initially invalid are skipped.
 func NewMerging(children ...Iterator) *Merging {
-	m := &Merging{children: children}
+	m := new(Merging)
+	m.Reset(children...)
+	return m
+}
+
+// Reset points m at new children as NewMerging would, reusing its heap;
+// with none it lets go of the previous ones.
+func (m *Merging) Reset(children ...Iterator) {
+	m.children, m.heap = children, m.heap[:0]
 	for i, c := range children {
 		if c.Valid() {
 			m.heap = append(m.heap, i)
@@ -51,7 +59,6 @@ func NewMerging(children ...Iterator) *Merging {
 	for i := len(m.heap)/2 - 1; i >= 0; i-- {
 		m.siftDown(i)
 	}
-	return m
 }
 
 // less orders child i before child j by (key, child index).
@@ -115,9 +122,15 @@ type Dedup struct {
 
 // NewDedup wraps src. dropTombstones selects major-compaction semantics.
 func NewDedup(src Iterator, dropTombstones bool) *Dedup {
-	d := &Dedup{src: src, dropTombstones: dropTombstones}
-	d.advance()
+	d := new(Dedup)
+	d.Reset(src, dropTombstones)
 	return d
+}
+
+// Reset points d at a new source, as NewDedup would.
+func (d *Dedup) Reset(src Iterator, dropTombstones bool) {
+	*d = Dedup{src: src, dropTombstones: dropTombstones}
+	d.advance()
 }
 
 // advance consumes the next run of equal keys from src and positions d at

@@ -262,10 +262,5 @@ func (sn *srvSnap) touch() {
 // iterator retains its own table references, released when the scan ends.
 func (sn *srvSnap) rangeContext(ctx context.Context, start, end []byte, fn func(key, value []byte) error) error {
 	sn.touch()
-	it, release, err := sn.view.NewIterator(start, end)
-	if err != nil {
-		return err
-	}
-	defer release()
-	return lsm.RangeLoop(ctx, it, fn)
+	return lsm.RangeOver(ctx, sn.view, start, end, fn)
 }

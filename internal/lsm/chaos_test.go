@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -56,7 +57,7 @@ func TestChaosRandomOpsWithCrashes(t *testing.T) {
 		}
 		// Full scan must agree exactly with the reference.
 		count := 0
-		err := db.Scan(func(k, v []byte) error {
+		err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 			want, ok := ref[string(k)]
 			if !ok {
 				return fmt.Errorf("scan surfaced deleted/unknown key %q", k)
@@ -198,7 +199,7 @@ func TestChaosCrashBetweenMergeAndSwap(t *testing.T) {
 
 		// No data loss: the old manifest still governs.
 		count := 0
-		err := db.Scan(func(k, v []byte) error {
+		err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 			want, ok := ref[string(k)]
 			if !ok {
 				return fmt.Errorf("unknown key %q", k)
@@ -353,7 +354,7 @@ func TestChaosCrashAtFlushPoints(t *testing.T) {
 			}
 			defer db2.Close()
 			count := 0
-			if err := db2.Scan(func(k, v []byte) error {
+			if err := db2.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 				if ref[string(k)] != string(v) {
 					return fmt.Errorf("key %s = %.30q, want %.30q", k, v, ref[string(k)])
 				}
@@ -530,7 +531,7 @@ func TestRecoveryOfOddWALDirectories(t *testing.T) {
 			}
 			defer db.Close()
 			got := map[string]string{}
-			if err := db.Scan(func(k, v []byte) error {
+			if err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 				got[string(k)] = string(v)
 				return nil
 			}); err != nil {

@@ -15,7 +15,6 @@
 package lsm
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -956,9 +955,9 @@ func (db *DB) tableWriterOpts() sstable.WriterOptions {
 // db.mu: it pins the published view, registers on the view's memtable and
 // takes its sequence bound under applyMu's read side (so a concurrent
 // group commit lies wholly above or wholly below the bound), and retains
-// the view tables narrowed to [start, end). The caller must release the
-// state.
-func (db *DB) acquireSnapshot(start, end []byte) (readState, error) {
+// the view tables narrowed to [start, end), appending them to tables. The
+// caller must release the state.
+func (db *DB) acquireSnapshot(tables []*tableHandle, start, end []byte) (readState, error) {
 	v, err := db.pinView()
 	if err != nil {
 		return readState{}, err
@@ -967,24 +966,7 @@ func (db *DB) acquireSnapshot(start, end []byte) (readState, error) {
 	db.applyMu.RLock()
 	bound := v.mem.Pin()
 	db.applyMu.RUnlock()
-	return readState{mem: v.mem, bound: bound, imm: v.imm, tables: retainOverlapping(v.tables, start, end)}, nil
-}
-
-// Scan invokes fn for every live key-value pair in ascending key order,
-// merging the memtable and all sstables and hiding deleted keys. fn must
-// not retain its arguments. The snapshot is taken in a short critical
-// section; iteration proceeds off-lock, concurrently with writes and
-// compactions, against reference-counted tables.
-func (db *DB) Scan(fn func(key, value []byte) error) error {
-	return db.Range(nil, nil, fn)
-}
-
-// Range invokes fn for every live key-value pair with start <= key < end,
-// in ascending key order. A nil start begins at the first key; a nil end
-// scans to the last. Like Scan, it merges the memtable and all sstables
-// and hides deleted keys.
-func (db *DB) Range(start, end []byte, fn func(key, value []byte) error) error {
-	return db.RangeContext(context.Background(), start, end, fn)
+	return readState{mem: v.mem, bound: bound, imm: v.imm, tables: retainOverlapping(tables, v.tables, start, end)}, nil
 }
 
 // rangeCtxCheckEvery is how many merged entries a context-aware scan loop
@@ -992,24 +974,25 @@ func (db *DB) Range(start, end []byte, fn func(key, value []byte) error) error {
 // within microseconds, rarely enough that the check costs nothing.
 const rangeCtxCheckEvery = 256
 
-// RangeContext is Range honoring ctx: the merge loop checks for expiry
-// every rangeCtxCheckEvery entries, so a cancelled scan stops promptly and
-// releases its table references instead of draining the whole key space.
+// RangeContext invokes fn for every live key-value pair with
+// start <= key < end in ascending key order (nil bounds are open); see
+// RangeOver.
 func (db *DB) RangeContext(ctx context.Context, start, end []byte, fn func(key, value []byte) error) error {
-	it, release, err := db.NewIterator(start, end)
+	return RangeOver(ctx, db, start, end, fn)
+}
+
+// RangeOver drives the iterator r opens over [start, end) through fn, which
+// must not retain its arguments, checking ctx every rangeCtxCheckEvery
+// entries, and releases it. It returns the iterator's deferred error
+// (IterErr): a corrupt block mid-scan is ErrCorrupt, not a short result.
+func RangeOver(ctx context.Context, r interface {
+	NewIterator(start, end []byte) (iterator.Iterator, func(), error)
+}, start, end []byte, fn func(key, value []byte) error) error {
+	it, release, err := r.NewIterator(start, end)
 	if err != nil {
 		return err
 	}
 	defer release()
-	return RangeLoop(ctx, it, fn)
-}
-
-// RangeLoop drives a merged iterator through fn with periodic context
-// checks; shared by the single-shard and sharded scan paths. When the
-// iterator ends it is checked for a deferred error (IterErr): a corrupt
-// block mid-scan surfaces as ErrCorrupt instead of masquerading as a
-// clean, short result.
-func RangeLoop(ctx context.Context, it iterator.Iterator, fn func(key, value []byte) error) error {
 	for n := 0; it.Valid(); it.Next() {
 		if n%rangeCtxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -1035,57 +1018,15 @@ func IterErr(it iterator.Iterator) error {
 	return nil
 }
 
-// errSourcedIter decorates a merged iterator with the Err() of its
-// children: the merging heap treats an erroring child as exhausted, which
-// silently truncates the stream; the decoration lets RangeLoop (and any
-// caller using IterErr) distinguish a clean end from a failed source.
-type errSourcedIter struct {
-	iterator.Iterator
-	sources []iterator.Iterator
-}
-
-func (it *errSourcedIter) Err() error {
-	for _, s := range it.sources {
-		if ec, ok := s.(interface{ Err() error }); ok {
-			if err := ec.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// withErrSources wraps it so IterErr reports the first deferred error of
-// any source.
-func withErrSources(it iterator.Iterator, sources []iterator.Iterator) iterator.Iterator {
-	return &errSourcedIter{Iterator: it, sources: sources}
-}
-
-// boundedIter truncates a sorted stream at an exclusive end key.
-type boundedIter struct {
-	iterator.Iterator
-	end []byte
-}
-
-func (it *boundedIter) Valid() bool {
-	return it.Iterator.Valid() && bytes.Compare(it.Iterator.Entry().Key, it.end) < 0
-}
-
 // NewIterator returns an iterator over the live entries with
-// start <= key < end (nil bounds are open), merged across the memtable and
-// all sstables with deleted keys hidden, plus a release function the caller
-// must invoke when done iterating. Set-up is O(log memtable + tables): the
-// memtable is read in place under a sequence bound, not copied, and
-// iteration proceeds off-lock against reference-counted tables,
-// concurrently with writes and compactions. The sharded store k-way-merges
-// one such iterator per shard into a single ordered stream.
+// start <= key < end (nil bounds are open), merged across the memtables and
+// the overlapping sstables with deleted keys hidden, plus a release function
+// the caller must invoke exactly once; every entry dies there. Set-up is
+// O(log memtable + tables) time and, once a scan has run, no allocation.
+// Iteration proceeds off-lock against reference-counted tables; a table
+// that fails mid-scan ends it early, with IterErr reporting why.
 func (db *DB) NewIterator(start, end []byte) (iterator.Iterator, func(), error) {
-	rs, err := db.acquireSnapshot(start, end)
-	if err != nil {
-		return nil, nil, err
-	}
-	it, release := newIterator(rs, start, end)
-	return it, release, nil
+	return NewShardIterator([]*DB{db}, start, end)
 }
 
 // Stats reports store state.

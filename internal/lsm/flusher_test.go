@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -195,7 +196,7 @@ func TestFrozenMemtableVisible(t *testing.T) {
 			scans["NewIterator"][string(it.Entry().Key)] = string(it.Entry().Value)
 		}
 		done()
-		if err := db.Range(wedgeKey(0), nil, func(k, v []byte) error {
+		if err := db.RangeContext(context.Background(), wedgeKey(0), nil, func(k, v []byte) error {
 			scans["Range"][string(k)] = string(v)
 			return nil
 		}); err != nil {

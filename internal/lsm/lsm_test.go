@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -108,7 +109,7 @@ func TestScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var keys []string
-	err := db.Scan(func(k, v []byte) error {
+	err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 		keys = append(keys, string(k))
 		return nil
 	})
@@ -146,7 +147,7 @@ func TestRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	var keys []string
-	err := db.Range([]byte("k020"), []byte("k040"), func(k, v []byte) error {
+	err := db.RangeContext(context.Background(), []byte("k020"), []byte("k040"), func(k, v []byte) error {
 		keys = append(keys, string(k))
 		return nil
 	})
@@ -166,14 +167,14 @@ func TestRange(t *testing.T) {
 	}
 	// Unbounded variants.
 	n := 0
-	if err := db.Range(nil, nil, func(k, v []byte) error { n++; return nil }); err != nil {
+	if err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 99 {
 		t.Errorf("full range = %d keys, want 99", n)
 	}
 	n = 0
-	if err := db.Range([]byte("k090"), nil, func(k, v []byte) error { n++; return nil }); err != nil {
+	if err := db.RangeContext(context.Background(), []byte("k090"), nil, func(k, v []byte) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 10 {
@@ -264,7 +265,7 @@ func TestClosedDBErrors(t *testing.T) {
 	if _, err := db.Get([]byte("k")); err != ErrClosed {
 		t.Errorf("Get on closed = %v", err)
 	}
-	if err := db.Scan(func(k, v []byte) error { return nil }); err != ErrClosed {
+	if err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error { return nil }); err != ErrClosed {
 		t.Errorf("Scan on closed = %v", err)
 	}
 	if err := db.Close(); err != ErrClosed {
@@ -358,7 +359,7 @@ func TestMajorCompactPurgesTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := db.Scan(func(k, v []byte) error { n++; return nil }); err != nil {
+	if err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 50 {

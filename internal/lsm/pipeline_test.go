@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -210,7 +211,7 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
 		recovered := make(map[string]int)
-		err = db2.Scan(func(k, v []byte) error {
+		err = db2.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 			tag := batchTag(k)
 			if string(v) != tag {
 				return fmt.Errorf("key %s has value %q, want %q", k, v, tag)
@@ -331,7 +332,7 @@ func TestBatchVisibilityAtomic(t *testing.T) {
 		default:
 		}
 		var x, y []byte
-		err := db.Scan(func(k, v []byte) error {
+		err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 			switch string(k) {
 			case "x":
 				x = append([]byte(nil), v...)
@@ -442,7 +443,7 @@ func TestPipelineStressDuringFlushes(t *testing.T) {
 		defer auxWG.Done()
 		for !stop.Load() {
 			prev := ""
-			err := db.Scan(func(k, v []byte) error {
+			err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 				if string(k) <= prev {
 					return fmt.Errorf("scan out of order: %q after %q", k, prev)
 				}

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -114,7 +115,7 @@ func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 		defer auxWG.Done()
 		for !stop.Load() {
 			prev := ""
-			err := db.Scan(func(k, v []byte) error {
+			err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 				if string(k) <= prev {
 					return fmt.Errorf("scan out of order: %q after %q", k, prev)
 				}

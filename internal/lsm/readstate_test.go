@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -151,7 +152,7 @@ func TestReadBoundCoversRecoveredMemtable(t *testing.T) {
 			t.Fatal(err)
 		}
 		var scanned []string
-		if err := db.Scan(func(k, v []byte) error {
+		if err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 			scanned = append(scanned, string(k)+"="+string(v))
 			return nil
 		}); err != nil {
@@ -265,6 +266,18 @@ func TestPinnedMemtableStillFlushes(t *testing.T) {
 	}
 }
 
+// measureRecycling prepares t to count what a recycled scan allocates: it
+// skips under the race detector, which drops pooled objects at random, and
+// runs the test on one P, since the object sync.Pool keeps in a P's private
+// slot is out of reach of a goroutine that has moved to another P.
+func measureRecycling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("recycled scans are dropped at random under the race detector")
+	}
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // allocBytesPerRun reports the mean bytes allocated by one call of fn.
 func allocBytesPerRun(runs int, fn func()) float64 {
 	fn() // warm up lazily built state
@@ -283,22 +296,11 @@ func allocBytesPerRun(runs int, fn func()) float64 {
 // read path is proportional to it. Tables are identical on both sides, so
 // the difference allowed is one allocation size class.
 func TestReadSetUpIndependentOfMemtableSize(t *testing.T) {
+	measureRecycling(t)
 	small := scanFixture(t, 2, 100)
 	large := scanFixture(t, 2, 8000)
-	start := scanKey(40)
 
-	scan := func(db *DB) func() {
-		return func() {
-			it, release, err := db.NewIterator(start, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 10 && it.Valid(); i++ {
-				it.Next()
-			}
-			release()
-		}
-	}
+	scan := func(db *DB) func() { return shortScan(t, db) }
 	snapshot := func(db *DB) func() {
 		return func() {
 			s, err := db.Snapshot()
@@ -323,6 +325,44 @@ func TestReadSetUpIndependentOfMemtableSize(t *testing.T) {
 	}
 }
 
+// shortScan is the read the set-up tests measure: NewIterator from a key
+// inside every table's range, ten Nexts, release.
+func shortScan(t *testing.T, db *DB) func() {
+	start := scanKey(40)
+	return func() {
+		it, release, err := db.NewIterator(start, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10 && it.Valid(); i++ {
+			it.Next()
+		}
+		release()
+	}
+}
+
+// TestScanSetUpIndependentOfTableCount pins what recycling the read stack
+// bought: a short scan over sixteen overlapping tables costs the same
+// allocations as one over two. The table iterators and their key arenas,
+// the merge heap, the children and table slices and the scan around them
+// are all reused, so nothing a scan sets up grows with the tables it
+// merges.
+func TestScanSetUpIndependentOfTableCount(t *testing.T) {
+	measureRecycling(t)
+	few, many := scanFixture(t, 2, 100), scanFixture(t, 16, 100)
+	if a, b := few.Stats().Tables, many.Stats().Tables; a != 2 || b != 16 {
+		t.Fatalf("fixtures hold %d and %d tables, want 2 and 16", a, b)
+	}
+	if a, b := testing.AllocsPerRun(100, shortScan(t, few)), testing.AllocsPerRun(100, shortScan(t, many)); a != b {
+		t.Errorf("NewIterator+10xNext: %v allocs over 2 tables, %v over 16", a, b)
+	}
+	a, b := allocBytesPerRun(200, shortScan(t, few)), allocBytesPerRun(200, shortScan(t, many))
+	if diff := a - b; diff > 64 || diff < -64 {
+		t.Errorf("NewIterator+10xNext: %.0f bytes over 2 tables, %.0f over 16", a, b)
+	}
+	t.Logf("NewIterator+10xNext: %.0f B/op (2 tables) %.0f B/op (16 tables)", a, b)
+}
+
 // coldFixture is one flushed table of n entries (~130 B each, so ~30 per
 // block) behind a block cache of cacheBytes, with every index chunk parsed
 // and the cache full, so that what a read allocates from here on is the
@@ -339,7 +379,7 @@ func coldFixture(tb testing.TB, n, cacheBytes int) *DB {
 	if err := db.Flush(); err != nil {
 		tb.Fatal(err)
 	}
-	if err := db.Scan(func(_, _ []byte) error { return nil }); err != nil {
+	if err := db.RangeContext(context.Background(), nil, nil, func(_, _ []byte) error { return nil }); err != nil {
 		tb.Fatal(err)
 	}
 	return db
@@ -379,6 +419,7 @@ func TestColdGetAllocatesItsValueAndNothingElse(t *testing.T) {
 // allocate the same whether their blocks are all cached or almost never —
 // a missed block lands in a recycled array, not a new one.
 func TestScanBytesIndependentOfCacheResidency(t *testing.T) {
+	measureRecycling(t)
 	const n = 20000
 	measure := func(cacheBytes int) (bytesPer float64, misses uint64) {
 		db := coldFixture(t, n, cacheBytes)

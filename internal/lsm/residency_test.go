@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -474,7 +475,7 @@ func TestResidencyStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			err := db.Scan(func(k, v []byte) error {
+			err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 				var i int
 				if _, err := fmt.Sscanf(string(k), "key-%d", &i); err != nil || !check(i, 0, v) {
 					return fmt.Errorf("scan at %q", k)

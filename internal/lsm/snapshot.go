@@ -1,7 +1,9 @@
 package lsm
 
 import (
+	"bytes"
 	"context"
+	"slices"
 	"sync"
 
 	"repro/internal/iterator"
@@ -39,59 +41,125 @@ func (rs readState) release() {
 	releaseTables(rs.tables)
 }
 
-// narrow returns a second, independently released state over the same
-// point in time whose tables are those overlapping [start, end). rs must
-// still be held: the extra registration is for the bound rs already has,
-// so it needs no writer excluded.
-func (rs readState) narrow(start, end []byte) readState {
-	rs.mem.Pin()
-	return readState{mem: rs.mem, bound: rs.bound, imm: rs.imm, tables: retainOverlapping(rs.tables, start, end)}
-}
-
-// retainOverlapping retains and returns the tables whose key range
-// intersects [start, end), in the order given. With both bounds open that
-// is every table, empty ones included: a whole-keyspace snapshot probes by
-// key and keeps the full set.
-func retainOverlapping(tables []*tableHandle, start, end []byte) []*tableHandle {
-	out := make([]*tableHandle, 0, len(tables))
+// retainOverlapping retains the tables whose key range intersects
+// [start, end) and appends them to dst, in the order given. With both
+// bounds open that is every table, empty ones included: a whole-keyspace
+// snapshot probes by key and keeps the full set.
+func retainOverlapping(dst, tables []*tableHandle, start, end []byte) []*tableHandle {
+	dst = slices.Grow(dst, len(tables))
 	for _, th := range tables {
 		if start == nil && end == nil || th.overlaps(start, end) {
 			th.retain()
-			out = append(out, th)
+			dst = append(dst, th)
 		}
 	}
-	return out
+	return dst
 }
 
-// newIterator merges the state's memtables and tables over [start, end)
-// (nil bounds are open), newest version per key, deleted keys hidden. The
-// state's tables must already be narrowed to the range. The state changes
-// hands: the returned func ends the read, closing the table iterators
-// (their block pins) and releasing the state.
-func newIterator(rs readState, start, end []byte) (iterator.Iterator, func()) {
-	children := make([]iterator.Iterator, 0, len(rs.tables)+2)
-	children = append(children, rs.mem.IterAt(start, rs.bound))
-	if rs.imm != nil {
-		children = append(children, rs.imm.IterAt(start, skiplist.MaxSeq))
+// scan is one range read: the memtables' and tables' iterators of one or
+// more read states k-way-merged, the newest version of each key kept,
+// deleted keys hidden, the stream cut at an exclusive end. It holds
+// everything a read sets up and is recycled with its slices, so once a scan
+// has run, NewIterator allocates nothing however many tables and shards it
+// merges. Its release closes the table iterators, releases the states and
+// recycles the scan: every entry dies there.
+type scan struct {
+	iterator.Dedup
+	states   []readState
+	handles  []*tableHandle // every state's tables, end to end
+	mems     []memtable.Iter
+	tables   []*sstable.Iter
+	children []iterator.Iterator
+	merge    iterator.Merging
+	end      []byte
+	open     bool
+	release  func() // close, bound once so handing it out allocates nothing
+}
+
+var scans = sync.Pool{New: func() any { return new(scan) }}
+
+// source is what a scan reads: a DB's published view or a snapshot's.
+type source interface {
+	acquireSnapshot(tables []*tableHandle, start, end []byte) (readState, error)
+}
+
+// NewShardIterator is NewIterator over several DBs, or several snapshots,
+// whose key sets are disjoint — the shards of a store — as one merge. Each
+// shard's state is taken in turn: the stream is consistent per shard, not
+// across shards.
+func NewShardIterator[S source](shards []S, start, end []byte) (iterator.Iterator, func(), error) {
+	sc := scans.Get().(*scan)
+	if sc.release == nil {
+		sc.release = sc.close
 	}
-	mems := len(children)
-	for _, th := range rs.tables {
-		if start == nil {
-			children = append(children, th.rd.Iter())
-		} else {
-			children = append(children, th.rd.IterFrom(start))
+	sc.open, sc.end = true, end
+	for _, sh := range shards {
+		n := len(sc.handles)
+		rs, err := sh.acquireSnapshot(sc.handles, start, end)
+		if err != nil {
+			sc.close()
+			return nil, nil, err
+		}
+		sc.handles, rs.tables = rs.tables, rs.tables[n:]
+		sc.states = append(sc.states, rs)
+		sc.mems = append(sc.mems, rs.mem.IterAt(start, rs.bound))
+		if rs.imm != nil {
+			sc.mems = append(sc.mems, rs.imm.IterAt(start, skiplist.MaxSeq))
 		}
 	}
-	var it iterator.Iterator = iterator.NewDedup(iterator.NewMerging(children...), true)
-	if end != nil {
-		it = &boundedIter{Iterator: it, end: end}
+	for i := range sc.mems {
+		sc.children = append(sc.children, &sc.mems[i])
 	}
-	return withErrSources(it, children), func() {
-		for _, c := range children[mems:] {
-			c.(*sstable.Iter).Close()
-		}
+	for _, th := range sc.handles {
+		it := th.rd.IterFrom(start)
+		sc.tables = append(sc.tables, it)
+		sc.children = append(sc.children, it)
+	}
+	sc.merge.Reset(sc.children...)
+	sc.Dedup.Reset(&sc.merge, true)
+	return sc, sc.release, nil
+}
+
+// close ends the read and recycles the scan. A second release would end
+// somebody else's read, so it panics while it still can.
+func (sc *scan) close() {
+	if !sc.open {
+		panic("lsm: iterator released twice")
+	}
+	for _, it := range sc.tables {
+		it.Close()
+	}
+	for _, rs := range sc.states {
 		rs.release()
 	}
+	sc.merge.Reset()
+	*sc = scan{states: emptied(sc.states), handles: emptied(sc.handles), mems: emptied(sc.mems),
+		tables: emptied(sc.tables), children: emptied(sc.children), merge: sc.merge, release: sc.release}
+	scans.Put(sc)
+}
+
+// emptied zeroes s, so a recycled slice holds on to nothing, and returns it
+// with its capacity and no elements.
+func emptied[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+// Valid implements iterator.Iterator.
+func (sc *scan) Valid() bool {
+	return sc.Dedup.Valid() && (sc.end == nil || bytes.Compare(sc.Entry().Key, sc.end) < 0)
+}
+
+// Err reports the error the first failed table iterator ended on: the merge
+// treats a failed source as exhausted, and without it a corrupt block would
+// end the scan as if it were complete.
+func (sc *scan) Err() error {
+	for _, it := range sc.tables {
+		if err := it.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Snapshot is a consistent point-in-time read view of one DB: the memtable
@@ -120,7 +188,7 @@ type Snapshot struct {
 // touching the store lock: the memtable is pinned at its current sequence
 // bound and the sstables are retained by reference; nothing is copied.
 func (db *DB) Snapshot() (*Snapshot, error) {
-	rs, err := db.acquireSnapshot(nil, nil)
+	rs, err := db.acquireSnapshot(nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -159,16 +227,11 @@ func (s *Snapshot) Release() {
 }
 
 // Get returns the value stored for key as of the snapshot, or ErrNotFound.
+// The lookup mirrors DB.Get: the memtable as of the snapshot's bound wins
+// if it holds any version of the key; otherwise the snapshot's sstables are
+// probed in descending max-sequence order with key-range pruning and early
+// exit.
 func (s *Snapshot) Get(key []byte) ([]byte, error) {
-	return s.GetContext(context.Background(), key)
-}
-
-// GetContext is Get honoring ctx. The lookup mirrors DB.Get: the memtable
-// as of the snapshot's bound wins if it holds any version of the key;
-// otherwise the snapshot's sstables are probed in descending max-sequence
-// order with key-range pruning, early exit, and a context re-check
-// between per-table probes.
-func (s *Snapshot) GetContext(ctx context.Context, key []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.released {
@@ -183,22 +246,27 @@ func (s *Snapshot) GetContext(ctx context.Context, key []byte) ([]byte, error) {
 	// The offending table of a failed probe is dropped here: a snapshot
 	// has no DB to quarantine through, and its caller still gets the
 	// typed corruption error.
-	val, _, err := probeTables(ctx, s.byseq, key)
+	val, _, err := probeTables(context.Background(), s.byseq, key)
 	return val, err
 }
 
-// NewIterator returns an iterator over the snapshot's live entries with
-// start <= key < end (nil bounds are open), with deleted keys hidden, plus
-// a release function the caller must invoke when done. The iterator takes
-// its own memtable registration and table references, so it remains valid
-// even if the snapshot is released while it is still draining. Tables
-// whose key range falls outside the bounds are pruned from the merge set.
+// NewIterator is DB.NewIterator over the snapshot. The iterator takes its
+// own memtable registration and table references, so it remains valid even
+// if the snapshot is released while it is still draining.
 func (s *Snapshot) NewIterator(start, end []byte) (iterator.Iterator, func(), error) {
+	return NewShardIterator([]*Snapshot{s}, start, end)
+}
+
+// acquireSnapshot returns a second, independently released state over the
+// snapshot's point in time whose tables, appended to tables, are those
+// overlapping [start, end). The extra registration is for the bound the
+// snapshot already holds, so it needs no writer excluded.
+func (s *Snapshot) acquireSnapshot(tables []*tableHandle, start, end []byte) (readState, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.released {
-		return nil, nil, ErrClosed
+		return readState{}, ErrClosed
 	}
-	it, release := newIterator(s.rs.narrow(start, end), start, end)
-	return it, release, nil
+	s.rs.mem.Pin()
+	return readState{mem: s.rs.mem, bound: s.rs.bound, imm: s.rs.imm, tables: retainOverlapping(tables, s.rs.tables, start, end)}, nil
 }

@@ -191,7 +191,7 @@ func TestViewStressDuringFlushesAndCompactions(t *testing.T) {
 		defer wg.Done()
 		for !stop.Load() {
 			seen := 0
-			err := db.Scan(func(k, v []byte) error {
+			err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 				if len(v) != 128 {
 					return fmt.Errorf("torn scan value %q at %q", v, k)
 				}
@@ -405,7 +405,7 @@ func TestKeyRangePruning(t *testing.T) {
 
 	// Range scans prune too: a scan of [g, h) intersects no table.
 	n := 0
-	if err := db.Range([]byte("g"), []byte("h"), func(k, v []byte) error { n++; return nil }); err != nil {
+	if err := db.RangeContext(context.Background(), []byte("g"), []byte("h"), func(k, v []byte) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
@@ -413,7 +413,7 @@ func TestKeyRangePruning(t *testing.T) {
 	}
 	// And a scan crossing table boundaries sees everything in order.
 	var got []string
-	if err := db.Range([]byte("c"), []byte("n"), func(k, v []byte) error {
+	if err := db.RangeContext(context.Background(), []byte("c"), []byte("n"), func(k, v []byte) error {
 		got = append(got, string(k))
 		return nil
 	}); err != nil {

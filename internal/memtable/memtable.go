@@ -148,21 +148,24 @@ func (t *Table) SizeBytes() int { return t.list.SizeBytes() }
 // Iter yields the newest entry of every buffered key in ascending key
 // order: what a flush writes.
 func (t *Table) Iter() iterator.Iterator {
-	return t.IterAt(nil, skiplist.MaxSeq)
+	it := t.IterAt(nil, skiplist.MaxSeq)
+	return &it
 }
 
 // IterAt yields, in ascending key order from start on (nil: from the first
 // key), each key's newest entry with Seq <= bound, skipping keys that have
 // none. Entries alias the memtable's keys and immutable values.
-func (t *Table) IterAt(start []byte, bound uint64) iterator.Iterator {
-	return &tableIter{t.list.Seek(start, bound)}
+func (t *Table) IterAt(start []byte, bound uint64) Iter {
+	return Iter{t.list.Seek(start, bound)}
 }
 
-type tableIter struct {
+// Iter is an iterator.Iterator (through its pointer) over a memtable.
+type Iter struct {
 	skiplist.Iterator
 }
 
-func (ti *tableIter) Entry() iterator.Entry { return entry(ti.Key(), ti.Version()) }
+// Entry implements iterator.Iterator.
+func (ti *Iter) Entry() iterator.Entry { return entry(ti.Key(), ti.Version()) }
 
 // KeyTable is the paper's simulation memtable: it holds at most capacity
 // distinct uint64 keys. Re-inserting a key already buffered is absorbed

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 
+	"repro/internal/cache"
 	"repro/internal/iterator"
 )
 
@@ -281,21 +282,32 @@ func searchV3Block(pb parsedBlock, target []byte, h *v3EntryHeader) error {
 	return ErrNotFound
 }
 
-// keyArena is the append-only backing store for keys a block iterator has
-// to rebuild from their prefix-compressed form. It hands out fresh bytes
-// and never reuses any: downstream combinators (iterator.Dedup, the k-way
-// merge) legitimately retain an Entry across Next, so a key must stay
-// valid for as long as anything holding it is reachable. Chunks are sized
-// to the work: the first holds one restart interval's worth of keys of the
-// size first asked for, each later one twice the last up to
-// maxArenaChunk, so a scan that reads a dozen entries does not pay for a
-// table's worth.
+// keyArena is the backing store for keys a block iterator has to rebuild
+// from their prefix-compressed form. It only appends while its iterator is
+// open — downstream combinators (iterator.Dedup, the k-way merge)
+// legitimately retain an Entry across Next — and Close empties it, keeping
+// the newest chunk for the iterator's next owner. Chunks are sized to the
+// work: the first holds one restart interval's worth of keys of the size
+// first asked for, each later one twice the last up to maxArenaChunk, so a
+// scan that reads a dozen entries does not pay for a table's worth.
 type keyArena struct {
 	buf  []byte
 	next int // size of the next chunk; zero until the first
 }
 
 const maxArenaChunk = 4096
+
+// empty drops every key; under cache.PoisonFreed the kept chunk is
+// overwritten, so a key read after Close fails a check instead of passing.
+func (a *keyArena) empty() {
+	a.buf = a.buf[:0]
+	if cache.PoisonFreed.Load() {
+		chunk := a.buf[:cap(a.buf)]
+		for i := range chunk {
+			chunk[i] = 0xdb
+		}
+	}
+}
 
 func (a *keyArena) alloc(n int) []byte {
 	if cap(a.buf)-len(a.buf) < n {

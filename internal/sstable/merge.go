@@ -64,13 +64,18 @@ func MergeTo(tw *Writer, dropTombstones bool, inputs ...*Reader) (MergeStats, er
 	for i, rd := range inputs {
 		it := rd.ScanIter()
 		it.spend = true
-		defer it.Close()
 		iters[i] = it
 		children[i] = it
 		stats.BytesRead += rd.FileSize()
 		stats.EntriesIn += rd.EntryCount()
 	}
 	tw.inputs = iters
+	defer func() {
+		tw.inputs = nil // Close recycles them: the Writer lets go first
+		for _, it := range iters {
+			it.Close()
+		}
+	}()
 	merged := iterator.NewDedup(iterator.NewMerging(children...), dropTombstones)
 	if err := WriteAll(tw, merged); err != nil {
 		return stats, fmt.Errorf("sstable: merge: %w", err)

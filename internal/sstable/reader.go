@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/bloom"
@@ -633,10 +634,17 @@ func (rd *Reader) searchBlock(payload, key []byte) (iterator.Entry, error) {
 	return zero, ErrNotFound
 }
 
-// Iter returns an iterator over the whole table in key order.
-func (rd *Reader) Iter() *Iter {
-	return &Iter{rd: rd}
+// iters is the free list Close returns iterators to, key arenas and all.
+var iters = sync.Pool{New: func() any { return new(Iter) }}
+
+func (rd *Reader) newIter(nofill bool) *Iter {
+	it := iters.Get().(*Iter)
+	it.rd, it.nofill = rd, nofill
+	return it
 }
+
+// Iter returns an iterator over the whole table in key order.
+func (rd *Reader) Iter() *Iter { return rd.newIter(false) }
 
 // ScanIter is Iter for maintenance that reads a whole table once and must
 // not let that show in the cache — a planning scan, and the inputs of a
@@ -648,29 +656,31 @@ func (rd *Reader) Iter() *Iter {
 // entries by a goroutine of the iterator's own, whatever the table's format
 // version, so a merge overlaps its inputs' reads with its compares and its
 // output; the goroutine ends with the table or with Close.
-func (rd *Reader) ScanIter() *Iter {
-	return &Iter{rd: rd, nofill: true}
-}
+func (rd *Reader) ScanIter() *Iter { return rd.newIter(true) }
 
 // IterFrom returns an iterator positioned at the first entry with
-// key >= start.
+// key >= start; a nil start is Iter.
 func (rd *Reader) IterFrom(start []byte) *Iter {
-	it := &Iter{rd: rd}
-	it.SeekGE(start)
+	it := rd.newIter(false)
+	if start != nil {
+		it.SeekGE(start)
+	}
 	return it
 }
 
 // Iter iterates over a Reader's entries block by block, chunk by chunk.
 //
-// Entries alias pinned block memory. The iterator pins the block it is
-// reading and the one before it, so an Entry stays valid until the second
-// following Next (or SeekGE) on its iterator: one Next may cross into the
-// next block, and the block left behind is still held. That is what the
-// combinators need — iterator.Dedup and iterator.Merging read an entry
-// after advancing its source once, never twice, because a table holds one
-// version per key — and it keeps a scan at two pinned blocks per table
-// whatever its length. Close releases both; an iterator that is never
-// closed leaves its last two blocks to the garbage collector.
+// Entries alias pinned block memory and the iterator's key arena. The
+// iterator pins the block it is reading and the one before it, so an Entry
+// stays valid until the second following Next (or SeekGE) on its iterator:
+// one Next may cross into the next block, and the block left behind is
+// still held. That is what the combinators need — iterator.Dedup and
+// iterator.Merging read an entry after advancing its source once, never
+// twice, because a table holds one version per key — and it keeps a scan at
+// two pinned blocks per table whatever its length. Close releases both and
+// recycles the iterator, arena included, for the next Iter, IterFrom or
+// ScanIter: every entry dies there, and the iterator must not be touched
+// again, Err included. One never closed is left to the garbage collector.
 type Iter struct {
 	rd *Reader
 	cursor
@@ -694,18 +704,21 @@ type Iter struct {
 // iterator that hit an error reports Valid() == false.
 func (it *Iter) Err() error { return it.err }
 
-// Close releases the iterator's block pins. Entries it returned are
-// invalid afterwards, and the iterator must not be used again.
+// Close releases the iterator's block pins, empties its key arena and
+// recycles it; a second Close before anything reuses it does nothing.
 func (it *Iter) Close() {
+	if it.rd == nil {
+		return
+	}
 	it.stopAhead()
 	for _, b := range [...]*cache.Block{it.blk, it.prev} {
 		if b != nil {
 			b.Release()
 		}
 	}
-	it.blk, it.prev = nil, nil
-	it.legacy, it.v3 = nil, v3BlockIter{}
-	it.valid = false
+	it.v3.arena.empty()
+	*it = Iter{v3: v3BlockIter{arena: it.v3.arena}}
+	iters.Put(it)
 }
 
 // Valid implements iterator.Iterator.

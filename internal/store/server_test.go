@@ -97,3 +97,50 @@ func TestStoreOverKvnet(t *testing.T) {
 		t.Fatalf("Get after compaction = %q, %v", v, err)
 	}
 }
+
+// TestServedScanSurfacesCorruptTable: a kvnet server on a two-shard store
+// whose table fails its checksum mid-scan ends a stream — live or through a
+// snapshot — and a one-shot scan with ErrCorrupt, not with the clean end a
+// complete result would get.
+func TestServedScanSurfacesCorruptTable(t *testing.T) {
+	s := corruptedStore(t, 2)
+	srv := kvnet.NewServer(s)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	c, err := kvnet.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+
+	drain := func(what string, st *kvnet.Stream, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		defer st.Close()
+		n := 0
+		for ; st.Valid(); st.Next() {
+			n++
+		}
+		if !errors.Is(st.Err(), lsm.ErrCorrupt) || n >= corruptKeys {
+			t.Errorf("%s read %d of %d entries and ended with %v, want ErrCorrupt", what, n, corruptKeys, st.Err())
+		}
+	}
+	st, err := c.Stream(ctx, nil, nil)
+	drain("Stream", st, err)
+	sn, err := c.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Release()
+	st, err = sn.Stream(ctx, nil, nil)
+	drain("Snapshot.Stream", st, err)
+	if entries, err := c.Scan(ctx, []byte("key-"), 0); !errors.Is(err, lsm.ErrCorrupt) {
+		t.Errorf("Scan returned %d entries and %v, want ErrCorrupt", len(entries), err)
+	}
+}

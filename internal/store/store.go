@@ -19,9 +19,10 @@
 //     crash-durable on its shard, but there is no cross-shard commit
 //     point: a crash (or a reader racing the commit) can observe some
 //     shards' sub-batches without the others.
-//   - Scan and Range k-way-merge per-shard iterators into one globally
-//     ordered stream. Each shard's view is a point-in-time snapshot, but
-//     the snapshots are not taken at the same instant across shards.
+//   - NewIterator and RangeContext merge every shard's sources into one
+//     globally ordered stream. Each shard's view is a point-in-time
+//     snapshot, but the snapshots are not taken at the same instant across
+//     shards.
 //
 // A Store with a single shard behaves exactly like the DB it wraps.
 package store
@@ -404,57 +405,19 @@ func (s *Store) Flush() error {
 	return s.forAll(func(db *lsm.DB) error { return db.Flush() })
 }
 
-// Scan invokes fn for every live key-value pair across all shards in
-// ascending key order. See Range for snapshot semantics.
-func (s *Store) Scan(fn func(key, value []byte) error) error {
-	return s.Range(nil, nil, fn)
-}
-
-// Range invokes fn for every live key-value pair with start <= key < end
-// in ascending global key order, k-way-merging one snapshot iterator per
-// shard. Hash partitioning makes shard key sets disjoint, so the merge
-// needs no cross-shard dedup. Each shard's iterator is a consistent
-// point-in-time snapshot of that shard, but the per-shard snapshots are
-// acquired sequentially, not atomically across shards.
-func (s *Store) Range(start, end []byte, fn func(key, value []byte) error) error {
-	return s.RangeContext(context.Background(), start, end, fn)
-}
-
-// RangeContext is Range honoring ctx: the k-way merge loop checks for
-// expiry periodically, so a cancelled scan releases every shard's
-// snapshot promptly instead of draining the whole key space.
+// RangeContext invokes fn for every live key-value pair with
+// start <= key < end (nil bounds are open) in ascending global key order;
+// see lsm.RangeOver.
 func (s *Store) RangeContext(ctx context.Context, start, end []byte, fn func(key, value []byte) error) error {
-	it, release, err := s.NewIterator(start, end)
-	if err != nil {
-		return err
-	}
-	defer release()
-	return lsm.RangeLoop(ctx, it, fn)
+	return lsm.RangeOver(ctx, s, start, end, fn)
 }
 
 // NewIterator returns an iterator over the live entries of every shard
-// with start <= key < end (nil bounds are open), k-way-merged into one
-// globally ordered stream, plus a release function the caller must invoke
-// when done. Per-shard snapshots are acquired sequentially, so the merged
-// view is consistent per shard but not across shards.
+// with start <= key < end (nil bounds are open), merged into one globally
+// ordered stream, plus a release function the caller must invoke exactly
+// once: lsm.NewShardIterator over the shards.
 func (s *Store) NewIterator(start, end []byte) (iterator.Iterator, func(), error) {
-	children := make([]iterator.Iterator, 0, len(s.shards))
-	releases := make([]func(), 0, len(s.shards))
-	releaseAll := func() {
-		for _, rel := range releases {
-			rel()
-		}
-	}
-	for _, db := range s.shards {
-		it, release, err := db.NewIterator(start, end)
-		if err != nil {
-			releaseAll()
-			return nil, nil, err
-		}
-		releases = append(releases, release)
-		children = append(children, it)
-	}
-	return iterator.NewMerging(children...), releaseAll, nil
+	return lsm.NewShardIterator(s.shards, start, end)
 }
 
 // Snapshot captures a point-in-time view of every shard. As with Write
@@ -497,26 +460,9 @@ func (sn *Snapshot) Get(key []byte) ([]byte, error) {
 	return sn.shards[sn.store.ShardFor(key)].Get(key)
 }
 
-// NewIterator returns a merged iterator over every shard's snapshot with
-// start <= key < end (nil bounds are open), plus a release function.
+// NewIterator is Store.NewIterator over the snapshot.
 func (sn *Snapshot) NewIterator(start, end []byte) (iterator.Iterator, func(), error) {
-	children := make([]iterator.Iterator, 0, len(sn.shards))
-	releases := make([]func(), 0, len(sn.shards))
-	releaseAll := func() {
-		for _, rel := range releases {
-			rel()
-		}
-	}
-	for _, shard := range sn.shards {
-		it, release, err := shard.NewIterator(start, end)
-		if err != nil {
-			releaseAll()
-			return nil, nil, err
-		}
-		releases = append(releases, release)
-		children = append(children, it)
-	}
-	return iterator.NewMerging(children...), releaseAll, nil
+	return lsm.NewShardIterator(sn.shards, start, end)
 }
 
 // Release drops every shard snapshot's table references.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,10 +31,10 @@ func openStore(t *testing.T, shards int, opts lsm.Options) *Store {
 
 type kv struct{ k, v string }
 
-func collect(t *testing.T, scan func(func(key, value []byte) error) error) []kv {
+func collect(t *testing.T, scan func(ctx context.Context, start, end []byte, fn func(key, value []byte) error) error, start, end []byte) []kv {
 	t.Helper()
 	var out []kv
-	if err := scan(func(k, v []byte) error {
+	if err := scan(context.Background(), start, end, func(k, v []byte) error {
 		out = append(out, kv{string(k), string(v)})
 		return nil
 	}); err != nil {
@@ -113,7 +114,7 @@ func TestStoreEquivalence(t *testing.T) {
 					}
 				}
 				if i%1000 == 999 {
-					got, want := collect(t, s.Scan), collect(t, ref.Scan)
+					got, want := collect(t, s.RangeContext, nil, nil), collect(t, ref.RangeContext, nil, nil)
 					if len(got) != len(want) {
 						t.Fatalf("op %d: scan lengths diverge: store %d, ref %d", i, len(got), len(want))
 					}
@@ -139,12 +140,8 @@ func TestStoreEquivalence(t *testing.T) {
 			}
 
 			// Bounded ranges agree, including bounds that split shards.
-			got := collect(t, func(fn func(k, v []byte) error) error {
-				return s.Range([]byte("key-0100"), []byte("key-0500"), fn)
-			})
-			want := collect(t, func(fn func(k, v []byte) error) error {
-				return ref.Range([]byte("key-0100"), []byte("key-0500"), fn)
-			})
+			got := collect(t, s.RangeContext, []byte("key-0100"), []byte("key-0500"))
+			want := collect(t, ref.RangeContext, []byte("key-0100"), []byte("key-0500"))
 			if len(got) != len(want) {
 				t.Fatalf("range lengths diverge: store %d, ref %d", len(got), len(want))
 			}
@@ -173,7 +170,7 @@ func TestStoreEquivalence(t *testing.T) {
 			if s2.ShardCount() != shards {
 				t.Fatalf("reopen adopted %d shards, want %d", s2.ShardCount(), shards)
 			}
-			got2, want2 := collect(t, s2.Scan), collect(t, ref.Scan)
+			got2, want2 := collect(t, s2.RangeContext, nil, nil), collect(t, ref.RangeContext, nil, nil)
 			if len(got2) != len(want2) {
 				t.Fatalf("post-reopen scan lengths diverge: %d vs %d", len(got2), len(want2))
 			}
@@ -339,7 +336,7 @@ func TestStoreCrashRecoveryPerShard(t *testing.T) {
 		for sh := range recovered {
 			recovered[sh] = make(map[string]int)
 		}
-		err = s2.Scan(func(k, v []byte) error {
+		err = s2.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 			tag := batchTag(k)
 			if string(v) != tag {
 				return fmt.Errorf("key %s has value %q, want %q", k, v, tag)
@@ -465,7 +462,7 @@ func TestStoreRaceShards4(t *testing.T) {
 		defer auxWG.Done()
 		for !stop.Load() {
 			prev := ""
-			err := s.Scan(func(k, v []byte) error {
+			err := s.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
 				if string(k) <= prev {
 					return fmt.Errorf("scan out of order: %q after %q", k, prev)
 				}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/vfs"
@@ -102,4 +104,72 @@ func TestEngineCorruptStatsAcrossLayers(t *testing.T) {
 	if st.CleanupFailures == 0 {
 		t.Fatal("failed removals during compaction were not counted in CleanupFailures")
 	}
+}
+
+// TestShardedIteratorSurfacesCorruptTable: on a two-shard engine, a table
+// that fails its checksum mid-scan ends an iterator — live or through a
+// snapshot — with ErrCorrupt from Err, as it does on one shard, instead of
+// a clean end after a short result.
+func TestShardedIteratorSurfacesCorruptTable(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	eng, err := Open(dir, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000
+	for i := 0; i < n; i++ {
+		if err := eng.Put(ctx, []byte(fmt.Sprintf("key-%06d", i)), bytes.Repeat([]byte{'v'}, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Invert 64 bytes in the middle of one shard's table: inside a data
+	// block, which only a read of that block notices.
+	paths, err := filepath.Glob(filepath.Join(dir, "*", "*.sst"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no tables under %s: %v", dir, err)
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(data) / 2; i < len(data)/2+64; i++ {
+		data[i] ^= 0xff
+	}
+	if err := os.WriteFile(paths[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if eng, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	drain := func(what string, it Iterator, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		defer it.Close()
+		got := 0
+		for ; it.Valid(); it.Next() {
+			got++
+		}
+		if !errors.Is(it.Err(), ErrCorrupt) || got >= n {
+			t.Errorf("%s read %d of %d entries and ended with %v, want ErrCorrupt", what, got, n, it.Err())
+		}
+	}
+	it, err := eng.NewIterator(ctx, nil, nil)
+	drain("NewIterator", it, err)
+	sn, err := eng.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Release()
+	it, err = sn.NewIterator(ctx, nil, nil)
+	drain("Snapshot.NewIterator", it, err)
 }

@@ -212,14 +212,11 @@ func (it *localIterator) Valid() bool {
 	if it.it.Valid() {
 		return true
 	}
-	// A merged scan ends silently when a source iterator fails mid-stream
-	// (a block that flunks its checksum, a read error): the engine wraps
-	// its iterators to record such failures, and an exhausted scan must
-	// surface them through Err rather than report a clean end.
-	if src, ok := it.it.(interface{ Err() error }); ok {
-		if err := src.Err(); err != nil {
-			it.fail(err)
-		}
+	// A merged scan ends early when a source fails mid-stream (a block that
+	// flunks its checksum, a read error); the engine's iterator records why,
+	// and an exhausted scan must surface it rather than report a clean end.
+	if err := lsm.IterErr(it.it); err != nil {
+		it.fail(err)
 	}
 	return false
 }
