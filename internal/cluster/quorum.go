@@ -21,16 +21,22 @@ import (
 // reference out recycles the op, so in steady state an operation allocates
 // nothing of its own: legs live in an array indexed by ring node id, the
 // keys and encoded records in one buffer, results arrive on a channel the
-// op keeps, and one deadline serves every leg's first attempt.
+// op keeps, and one deadline, re-armed per op, serves every leg's first
+// attempt.
 type quorumOp struct {
 	rt   *Router
 	refs atomic.Int32
 
-	// ctx is the caller's; first is ctx bounded by RequestTimeout, derived
-	// once and shared by every leg's first attempt (see Router.doCall).
-	ctx    context.Context
-	first  context.Context
-	cancel context.CancelFunc
+	// ctx is the caller's; first is ctx bounded by RequestTimeout, shared by
+	// every leg's first attempt (see Router.doCall). For a caller context
+	// that is never cancelled — the common case — first is the op's own
+	// deadline; for one that can be, first is derived with
+	// context.WithTimeout so that the cancellation propagates, and cancel
+	// releases it.
+	ctx      context.Context
+	first    context.Context
+	cancel   context.CancelFunc
+	deadline opDeadline
 
 	// buf owns every key and encoded record of the operation, back to
 	// back; batch slices it, one entry per logical write (a read has one
@@ -95,7 +101,12 @@ func (rt *Router) acquireOp(ctx context.Context) *quorumOp {
 	o := rt.ops.Get().(*quorumOp)
 	o.refs.Store(1)
 	o.ctx = ctx
-	o.first, o.cancel = context.WithTimeout(ctx, rt.opts.RequestTimeout)
+	if ctx.Done() == nil {
+		o.deadline.arm(ctx, rt.opts.RequestTimeout)
+		o.first = &o.deadline
+	} else {
+		o.first, o.cancel = context.WithTimeout(ctx, rt.opts.RequestTimeout)
+	}
 	return o
 }
 
@@ -107,7 +118,11 @@ func (o *quorumOp) release() {
 	if o.refs.Add(-1) != 0 {
 		return
 	}
-	o.cancel()
+	if o.cancel != nil {
+		o.cancel()
+	} else {
+		o.deadline.disarm()
+	}
 	o.ctx, o.first, o.cancel = nil, nil, nil
 	if o.hedge != nil {
 		o.hedge.Stop() // left armed it fires a hedge delay from now, waking a P for nothing
@@ -124,6 +139,70 @@ func (o *quorumOp) release() {
 	clear(o.batch) // drops the last references into a buffer that may have been outgrown
 	o.buf, o.batch, o.replicas, o.acks, o.fails = o.buf[:0], o.batch[:0], o.replicas[:0], o.acks[:0], o.fails[:0]
 	o.rt.ops.Put(o)
+}
+
+// opDeadline is a quorum op's own context for its legs' first attempts:
+// its parent, which is never cancelled, bounded by RequestTimeout. It lives
+// in the pooled op with its timer and is re-armed for each op, so an op
+// allocates no context, timer or channel; only a deadline that fires costs
+// a channel, since a closed one cannot be reopened and the next arm
+// replaces it.
+//
+// Recycling is safe because every leg that reads it has reported before
+// the op is released, and the one thing that outlives an op — its timer's
+// callback, started just as the op finished and still running — checks
+// under mu that the deadline it would expire has been reached, which is
+// never true of the next op's.
+type opDeadline struct {
+	parent context.Context
+	timer  *time.Timer // runs expire; created by the first arm
+	mu     sync.Mutex
+	at     time.Time
+	done   chan struct{} // closed at expiry
+	fired  bool
+}
+
+// arm starts the deadline timeout from now for a new op.
+func (d *opDeadline) arm(parent context.Context, timeout time.Duration) {
+	d.mu.Lock()
+	if d.done == nil || d.fired {
+		d.done, d.fired = make(chan struct{}), false
+	}
+	d.parent, d.at = parent, time.Now().Add(timeout)
+	d.mu.Unlock()
+	if d.timer == nil {
+		d.timer = time.AfterFunc(timeout, d.expire)
+	} else {
+		d.timer.Reset(timeout)
+	}
+}
+
+// disarm stops the timer as the op is released.
+func (d *opDeadline) disarm() {
+	d.timer.Stop()
+	d.parent = nil
+}
+
+func (d *opDeadline) expire() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.fired && !time.Now().Before(d.at) {
+		d.fired = true
+		close(d.done)
+	}
+}
+
+func (d *opDeadline) Deadline() (time.Time, bool) { return d.at, true }
+func (d *opDeadline) Done() <-chan struct{}       { return d.done }
+func (d *opDeadline) Value(key any) any           { return d.parent.Value(key) }
+
+func (d *opDeadline) Err() error {
+	select {
+	case <-d.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
 }
 
 // start launches node's leg in the background.

@@ -200,7 +200,7 @@ func fill(t *testing.T, db *lsm.DB, n int) {
 	t.Helper()
 	val := bytes.Repeat([]byte("v"), 100)
 	for i := 0; i < n; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("k%06d", i)), val); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("k%06d", i)), val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -526,7 +526,7 @@ func (e countingEngine) RangeContext(ctx context.Context, start, end []byte, fn 
 // workers, and other clients are served throughout.
 func TestSlowReaderCannotWedgeServer(t *testing.T) {
 	db := openDB(t)
-	if err := db.Put([]byte("big"), make([]byte, 1<<20)); err != nil {
+	if err := db.PutContext(context.Background(), []byte("big"), make([]byte, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(db)

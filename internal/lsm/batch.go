@@ -23,7 +23,7 @@ import (
 )
 
 // WriteBatch accumulates Put and Delete operations for a single atomic
-// commit via DB.Write: all of the batch's operations become visible
+// commit via DB.WriteContext: all of the batch's operations become visible
 // together, occupy one contiguous sequence range, and are recovered
 // all-or-nothing after a crash. A batch buffers its keys and values in one
 // internal arena, so it can be reused via Reset without reallocating.
@@ -104,6 +104,16 @@ func (b *WriteBatch) record(i int, seq uint64) wal.Record {
 // consults its own request's ctx at its cancellation points, and a parked
 // writer whose ctx expires abandons the queue if its request is not yet
 // claimed by a group.
+//
+// Requests, wake channel included, are recycled through commitReqPool. What
+// makes that safe is the wake invariant: a request receives at most one
+// wake, and its writer has consumed it before WriteContext returns. A
+// follower returns only on its wake; a leader got its wake (or, first in an
+// empty queue, never needed one) before it led; and a writer leaves the
+// queue without a wake only through abandonReq, which succeeds only for a
+// request that is unclaimed and not at the head — one that no leader has
+// woken or can still wake. So once WriteContext returns nothing references
+// the request and its channel is empty.
 type commitReq struct {
 	batch *WriteBatch
 	sync  bool
@@ -125,37 +135,40 @@ const maxGroupBytes = 1 << 20
 // overhead, as estimated by SizeBytes). The cap keeps any one batch's WAL
 // frame far below wal.MaxFrameBytes — so a batch that commits alone as its
 // own group always fits one atomic frame — and gives the network layer a
-// boundary it can enforce before shipping a batch to a server. Write
-// returns ErrBatchTooLarge beyond it.
+// boundary it can enforce before shipping a batch to a server.
+// WriteContext returns ErrBatchTooLarge beyond it.
 const MaxBatchBytes = 16 << 20
 
-// writeBatchPool recycles the single-op batches behind Put and Delete so
-// the hot path allocates only the commit request.
-var writeBatchPool = sync.Pool{New: func() any { return new(WriteBatch) }}
+// writeBatchPool recycles the single-op batches behind PutContext and
+// DeleteContext, and commitReqPool the commit requests of every write (see
+// commitReq for why that is safe), so the write path allocates nothing of
+// its own: what a write costs is its memtable version.
+var (
+	writeBatchPool = sync.Pool{New: func() any { return new(WriteBatch) }}
+	commitReqPool  = sync.Pool{New: func() any { return &commitReq{wake: make(chan bool, 1)} }}
+)
 
-// Write commits the batch atomically: every operation, or none, survives
-// a crash, and scans and snapshots observe the batch as a unit (they read
-// the memtable under a sequence bound taken between applies). Point reads
-// are atomic per key — a Get concurrent with the apply may observe an earlier
-// operation's effect before a later operation of the same batch has
-// landed, though never a torn value and never effects out of the batch's
-// internal order. Honors Options.SyncWAL. The batch may be reused (after
-// Reset) once Write returns. Concurrent Write calls are group-committed:
-// one WAL append and at most one fsync per group, not per batch.
-func (db *DB) Write(b *WriteBatch) error {
-	return db.WriteContext(context.Background(), b)
-}
-
-// WriteContext is Write honoring ctx. Cancellation is checked at every
-// point where the pipeline can hold a writer: before enqueueing, while
-// parked in the commit queue (an unclaimed request is removed and its slot
-// released, so a cancelled writer never blocks the pipeline), when taking
-// over group leadership before any WAL I/O has started, and while blocked
-// in write-stall backpressure. Once a leader has claimed the batch into a
-// group the commit is past the point of no return: the write goes through
-// and any later expiry is ignored — except in the stall wait, where
-// ErrStalled (wrapping the context error) reports that the already-durable
-// write abandoned only its backpressure delay.
+// WriteContext commits the batch atomically: every operation, or none,
+// survives a crash, and scans and snapshots observe the batch as a unit
+// (they read the memtable under a sequence bound taken between applies).
+// Point reads are atomic per key — a Get concurrent with the apply may
+// observe an earlier operation's effect before a later operation of the
+// same batch has landed, though never a torn value and never effects out of
+// the batch's internal order. Honors Options.SyncWAL. The batch may be
+// reused (after Reset) once WriteContext returns. Concurrent writes are
+// group-committed: one WAL append and at most one fsync per group, not per
+// batch.
+//
+// Cancellation is checked at every point where the pipeline can hold a
+// writer: before enqueueing, while parked in the commit queue (an unclaimed
+// request is removed and its slot released, so a cancelled writer never
+// blocks the pipeline), when taking over group leadership before any WAL
+// I/O has started, and while blocked in write-stall backpressure. Once a
+// leader has claimed the batch into a group the commit is past the point of
+// no return: the write goes through and any later expiry is ignored —
+// except in the stall wait, where ErrStalled (wrapping the context error)
+// reports that the already-durable write abandoned only its backpressure
+// delay.
 func (db *DB) WriteContext(ctx context.Context, b *WriteBatch) error {
 	if b == nil || b.Len() == 0 {
 		return nil
@@ -174,7 +187,18 @@ func (db *DB) WriteContext(ctx context.Context, b *WriteBatch) error {
 	load := db.loadGauge()
 	load.Add(1)
 	defer load.Add(-1)
-	req := &commitReq{batch: b, sync: db.opts.SyncWAL, ctx: ctx, wake: make(chan bool, 1)}
+	req := commitReqPool.Get().(*commitReq)
+	req.batch, req.sync, req.ctx = b, db.opts.SyncWAL, ctx
+	err := db.commit(req)
+	*req = commitReq{wake: req.wake}
+	commitReqPool.Put(req)
+	return err
+}
+
+// commit runs req through the commit queue and returns its outcome, having
+// consumed every wake sent to req.
+func (db *DB) commit(req *commitReq) error {
+	ctx := req.ctx
 	db.commitMu.Lock()
 	db.commitQueue = append(db.commitQueue, req)
 	leader := len(db.commitQueue) == 1

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -30,7 +31,7 @@ func BenchmarkPut(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%012d", i)), val); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("key-%012d", i)), val); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,7 +78,7 @@ func BenchmarkPutParallel(b *testing.B) {
 						key[n+d] = byte('0' + i%10)
 						i /= 10
 					}
-					if err := db.Put(key[:], val); err != nil {
+					if err := db.PutContext(context.Background(), key[:], val); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -88,8 +89,8 @@ func BenchmarkPutParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteBatch commits multi-record batches through DB.Write: the
-// explicit-batch face of the same pipeline.
+// BenchmarkWriteBatch commits multi-record batches through
+// DB.WriteContext: the explicit-batch face of the same pipeline.
 func BenchmarkWriteBatch(b *testing.B) {
 	for _, size := range []int{16, 128} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
@@ -103,7 +104,7 @@ func BenchmarkWriteBatch(b *testing.B) {
 				for j := 0; j < size; j++ {
 					batch.Put([]byte(fmt.Sprintf("key-%07d-%03d", i, j)), val)
 				}
-				if err := db.Write(&batch); err != nil {
+				if err := db.WriteContext(context.Background(), &batch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -119,13 +120,13 @@ func BenchmarkGetMixed(b *testing.B) {
 	const n = 20000
 	val := bytes.Repeat([]byte("v"), 100)
 	for i := 0; i < n; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%012d", i)), val); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("key-%012d", i)), val); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Get([]byte(fmt.Sprintf("key-%012d", i%n))); err != nil {
+		if _, err := db.GetContext(context.Background(), []byte(fmt.Sprintf("key-%012d", i%n))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -157,7 +158,7 @@ func BenchmarkGetDuringMajorCompaction(b *testing.B) {
 		for tab := 0; tab < tables; tab++ {
 			for j := 0; j < keysPer; j++ {
 				key := fmt.Sprintf("key-%06d", (tab*2711+j*7)%keyspace)
-				if err := db.Put([]byte(key), val); err != nil {
+				if err := db.PutContext(context.Background(), []byte(key), val); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -185,7 +186,7 @@ func BenchmarkGetDuringMajorCompaction(b *testing.B) {
 			default:
 				key := fmt.Sprintf("key-%06d", len(all)*131%keyspace)
 				t0 := time.Now()
-				if _, err := db.Get([]byte(key)); err != nil && err != ErrNotFound {
+				if _, err := db.GetContext(context.Background(), []byte(key)); err != nil && err != ErrNotFound {
 					b.Fatal(err)
 				}
 				all = append(all, time.Since(t0))
@@ -229,7 +230,7 @@ func BenchmarkGetDuringFlush(b *testing.B) {
 		db := benchDB(b, Options{MemtableBytes: 256 << 20})
 		val := bytes.Repeat([]byte("v"), valueBytes)
 		for j := 0; j < keyspace; j++ {
-			if err := db.Put([]byte(fmt.Sprintf("key-%06d", j)), val); err != nil {
+			if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("key-%06d", j)), val); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -248,7 +249,7 @@ func BenchmarkGetDuringFlush(b *testing.B) {
 			default:
 				key := fmt.Sprintf("key-%06d", len(all)*131%keyspace)
 				t0 := time.Now()
-				if _, err := db.Get([]byte(key)); err != nil {
+				if _, err := db.GetContext(context.Background(), []byte(key)); err != nil {
 					b.Fatal(err)
 				}
 				all = append(all, time.Since(t0))
@@ -284,7 +285,7 @@ func BenchmarkMajorCompact(b *testing.B) {
 				for tab := 0; tab < 8; tab++ {
 					for j := 0; j < 500; j++ {
 						key := fmt.Sprintf("key-%05d", (tab*331+j)%2500)
-						if err := db.Put([]byte(key), val); err != nil {
+						if err := db.PutContext(context.Background(), []byte(key), val); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -328,7 +329,7 @@ func BenchmarkGetCold(b *testing.B) {
 			val := bytes.Repeat([]byte("v"), 16)
 			for i := 0; i < n; i++ {
 				keys[i] = []byte(fmt.Sprintf("key-%012d", i))
-				if err := db.Put(keys[i], val); err != nil {
+				if err := db.PutContext(context.Background(), keys[i], val); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -338,7 +339,7 @@ func BenchmarkGetCold(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Get(keys[(i*7919)%n]); err != nil {
+				if _, err := db.GetContext(context.Background(), keys[(i*7919)%n]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -358,7 +359,7 @@ func scanFixture(tb testing.TB, tables, memEntries int) *DB {
 	val := bytes.Repeat([]byte("v"), 100)
 	for t := 0; t < tables; t++ {
 		for i := 0; i < 2000; i++ {
-			if err := db.Put(scanKey(i*8+t), val); err != nil {
+			if err := db.PutContext(context.Background(), scanKey(i*8+t), val); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -367,7 +368,7 @@ func scanFixture(tb testing.TB, tables, memEntries int) *DB {
 		}
 	}
 	for i := 0; i < memEntries; i++ {
-		if err := db.Put(scanKey(i*2+7), val); err != nil {
+		if err := db.PutContext(context.Background(), scanKey(i*2+7), val); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -432,7 +433,7 @@ func BenchmarkPutAcrossRotations(b *testing.B) {
 	for i := 0; i < n; i++ {
 		key = fmt.Appendf(key[:0], "key-%012d", i*7919%n)
 		t0 := time.Now()
-		if err := db.Put(key, val); err != nil {
+		if err := db.PutContext(context.Background(), key, val); err != nil {
 			b.Fatal(err)
 		}
 		lat[i] = time.Since(t0)
@@ -471,7 +472,7 @@ func BenchmarkMergeFourWay(b *testing.B) {
 	val := bytes.Repeat([]byte("v"), 100)
 	for t := 0; t < tables; t++ {
 		for i := 0; i < perTable; i++ {
-			if err := db.Put(scanKey(i*tables+t), val); err != nil {
+			if err := db.PutContext(context.Background(), scanKey(i*tables+t), val); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -544,7 +545,7 @@ func BenchmarkUpdateHeavyCachePressure(b *testing.B) {
 		val := bytes.Repeat([]byte("v"), 100)
 		key := func(id uint64) []byte { return []byte(fmt.Sprintf("user%016x", id)) }
 		for op, ok := gen.NextLoad(); ok; op, ok = gen.NextLoad() {
-			if err := db.Put(key(op.Key), val); err != nil {
+			if err := db.PutContext(context.Background(), key(op.Key), val); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -560,9 +561,9 @@ func BenchmarkUpdateHeavyCachePressure(b *testing.B) {
 			}
 			op, _ := gen.NextRun()
 			if op.Kind == ycsb.OpUpdate {
-				err = db.Put(key(op.Key), val)
+				err = db.PutContext(context.Background(), key(op.Key), val)
 			} else {
-				_, err = db.Get(key(op.Key))
+				_, err = db.GetContext(context.Background(), key(op.Key))
 			}
 			if err != nil {
 				b.Fatal(err)

@@ -43,7 +43,7 @@ func TestChaosRandomOpsWithCrashes(t *testing.T) {
 		// Spot-check a sample of the reference map plus some absent keys.
 		checked := 0
 		for k, v := range ref {
-			got, err := db.Get([]byte(k))
+			got, err := db.GetContext(context.Background(), []byte(k))
 			if err != nil || string(got) != v {
 				t.Fatalf("%s: Get(%s) = %q, %v; want %q", when, k, got, err, v)
 			}
@@ -52,7 +52,7 @@ func TestChaosRandomOpsWithCrashes(t *testing.T) {
 				break
 			}
 		}
-		if _, err := db.Get([]byte("never-written")); err != ErrNotFound {
+		if _, err := db.GetContext(context.Background(), []byte("never-written")); err != ErrNotFound {
 			t.Fatalf("%s: phantom key: %v", when, err)
 		}
 		// Full scan must agree exactly with the reference.
@@ -83,13 +83,13 @@ func TestChaosRandomOpsWithCrashes(t *testing.T) {
 			key := fmt.Sprintf("key-%03d", r.Intn(300))
 			switch r.Intn(10) {
 			case 0, 1: // delete
-				if err := db.Delete([]byte(key)); err != nil {
+				if err := db.DeleteContext(context.Background(), []byte(key)); err != nil {
 					t.Fatal(err)
 				}
 				delete(ref, key)
 			default: // put
 				val := fmt.Sprintf("v-%d-%d", round, i)
-				if err := db.Put([]byte(key), []byte(val)); err != nil {
+				if err := db.PutContext(context.Background(), []byte(key), []byte(val)); err != nil {
 					t.Fatal(err)
 				}
 				ref[key] = val
@@ -170,7 +170,7 @@ func TestChaosCrashBetweenMergeAndSwap(t *testing.T) {
 		for i := 0; i < 600; i++ {
 			key := fmt.Sprintf("key-%03d", (round*131+i)%250)
 			val := fmt.Sprintf("v-%d-%d", round, i)
-			if err := db.Put([]byte(key), []byte(val)); err != nil {
+			if err := db.PutContext(context.Background(), []byte(key), []byte(val)); err != nil {
 				t.Fatal(err)
 			}
 			ref[key] = val
@@ -229,7 +229,7 @@ func TestChaosCrashBetweenMergeAndSwap(t *testing.T) {
 		t.Fatalf("clean compaction left %d tables, want 1", res.TablesAfter)
 	}
 	for k, want := range ref {
-		got, err := db.Get([]byte(k))
+		got, err := db.GetContext(context.Background(), []byte(k))
 		if err != nil || string(got) != want {
 			t.Fatalf("after clean compaction: Get(%s) = %q, %v; want %q", k, got, err, want)
 		}
@@ -305,7 +305,7 @@ func TestChaosCrashAtFlushPoints(t *testing.T) {
 			// back: the sequence numbers it was given go to the next write,
 			// or the segment would read as the one after a lost tail.
 			fault.SetProb(vfs.OpWrite, 1)
-			if err := db.Put(wedgeKey(0), []byte("never logged")); !errors.Is(err, vfs.ErrInjected) {
+			if err := db.PutContext(context.Background(), wedgeKey(0), []byte("never logged")); !errors.Is(err, vfs.ErrInjected) {
 				t.Fatalf("Put with the segment write failing: %v", err)
 			}
 			fault.SetProb(vfs.OpWrite, 0)
@@ -317,11 +317,11 @@ func TestChaosCrashAtFlushPoints(t *testing.T) {
 				ref[string(wedgeKey(i))] = string(wedgeVal(i))
 			}
 			// Into the second segment: shadow two keys of the first.
-			if err := db.Delete(wedgeKey(1)); err != nil {
+			if err := db.DeleteContext(context.Background(), wedgeKey(1)); err != nil {
 				t.Fatal(err)
 			}
 			delete(ref, string(wedgeKey(1)))
-			if err := db.Put(wedgeKey(2), []byte("second segment wins")); err != nil {
+			if err := db.PutContext(context.Background(), wedgeKey(2), []byte("second segment wins")); err != nil {
 				t.Fatal(err)
 			}
 			ref[string(wedgeKey(2))] = "second segment wins"
@@ -366,7 +366,7 @@ func TestChaosCrashAtFlushPoints(t *testing.T) {
 			if count != len(ref) {
 				t.Fatalf("recovered %d keys, want %d", count, len(ref))
 			}
-			if _, err := db2.Get(wedgeKey(1)); err != ErrNotFound {
+			if _, err := db2.GetContext(context.Background(), wedgeKey(1)); err != ErrNotFound {
 				t.Fatalf("Get of a key deleted in the second segment: %v", err)
 			}
 			checkNoOrphans(t, image, db2)
@@ -417,7 +417,7 @@ func TestChaosCloseDuringWedgedFlush(t *testing.T) {
 	}
 	defer db2.Close()
 	for i := 0; i < n; i++ {
-		if v, err := db2.Get(wedgeKey(i)); err != nil || string(v) != string(wedgeVal(i)) {
+		if v, err := db2.GetContext(context.Background(), wedgeKey(i)); err != nil || string(v) != string(wedgeVal(i)) {
 			t.Fatalf("after reopen Get(%s) = %.20q, %v", wedgeKey(i), v, err)
 		}
 	}
@@ -458,11 +458,11 @@ func TestRecoveryOfOddWALDirectories(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, want := range map[string]string{"a": "segment 4", "b": "legacy"} {
-		if v, err := db.Get([]byte(k)); err != nil || string(v) != want {
+		if v, err := db.GetContext(context.Background(), []byte(k)); err != nil || string(v) != want {
 			t.Fatalf("Get(%s) = %q, %v; want %q", k, v, err, want)
 		}
 	}
-	if _, err := db.Get([]byte("z")); err != ErrNotFound {
+	if _, err := db.GetContext(context.Background(), []byte("z")); err != ErrNotFound {
 		t.Fatalf("a record of wal.log.new was replayed: %v", err)
 	}
 	if err := db.Close(); err != nil {
@@ -560,7 +560,7 @@ func TestOpenKeepsNoStaleSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"a", "b", "c"} {
-		if err := db.Put([]byte(k), []byte("1")); err != nil {
+		if err := db.PutContext(context.Background(), []byte(k), []byte("1")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -593,11 +593,11 @@ func TestOpenKeepsNoStaleSegment(t *testing.T) {
 		}
 		want := map[string]bool{"a": true, "b": true, "c": false, "acked": round == 1}
 		for k, present := range want {
-			if _, err := db.Get([]byte(k)); (err == nil) != present || (err != nil && err != ErrNotFound) {
+			if _, err := db.GetContext(context.Background(), []byte(k)); (err == nil) != present || (err != nil && err != ErrNotFound) {
 				t.Fatalf("round %d: Get(%s): %v, want present=%v", round, k, err, present)
 			}
 		}
-		if err := db.Put([]byte("acked"), []byte("1")); err != nil {
+		if err := db.PutContext(context.Background(), []byte("acked"), []byte("1")); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Close(); err != nil {
@@ -637,10 +637,10 @@ func TestOpenKeepsNoStaleSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if _, err := db.Get([]byte("wal.log.000001")); err != nil {
+	if _, err := db.GetContext(context.Background(), []byte("wal.log.000001")); err != nil {
 		t.Fatalf("record before the gap: %v", err)
 	}
-	if _, err := db.Get([]byte("wal.log.000002")); err != ErrNotFound {
+	if _, err := db.GetContext(context.Background(), []byte("wal.log.000002")); err != ErrNotFound {
 		t.Fatalf("record after the gap: %v, want not found", err)
 	}
 }

@@ -36,7 +36,7 @@ func wedgeCompactorOptions() (Options, func()) {
 // wait for the flusher and count a stall of its own.
 func putAndFlush(t *testing.T, db *DB, k, v string) {
 	t.Helper()
-	if err := db.Put([]byte(k), []byte(v)); err != nil {
+	if err := db.PutContext(context.Background(), []byte(k), []byte(v)); err != nil {
 		t.Fatal(err)
 	}
 	db.mu.Lock()
@@ -101,7 +101,7 @@ func TestWriteContextCancelDuringStall(t *testing.T) {
 	// The write is durable despite the error: release the compactor and
 	// confirm the key is there.
 	release()
-	if v, err := db.Get([]byte("c")); err != nil || string(v) != "3" {
+	if v, err := db.GetContext(context.Background(), []byte("c")); err != nil || string(v) != "3" {
 		t.Fatalf("Get(c) after abandoned stall = %q, %v", v, err)
 	}
 	if err := db.Close(); err != nil {
@@ -168,7 +168,7 @@ func TestWriteContextCancelParkedInQueue(t *testing.T) {
 	<-leaderErr
 	release()
 	// The abandoned write must not have been committed.
-	if _, err := db.Get([]byte("d")); !errors.Is(err, ErrNotFound) {
+	if _, err := db.GetContext(context.Background(), []byte("d")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("abandoned write visible: Get(d) err = %v, want ErrNotFound", err)
 	}
 	if err := db.Close(); err != nil {
@@ -195,7 +195,7 @@ func TestWriteContextPreCancelled(t *testing.T) {
 	if err := db.FlushContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("FlushContext(cancelled) = %v, want context.Canceled", err)
 	}
-	if _, err := db.Get([]byte("k")); !errors.Is(err, ErrNotFound) {
+	if _, err := db.GetContext(context.Background(), []byte("k")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("cancelled write leaked into the store: %v", err)
 	}
 }
@@ -208,7 +208,7 @@ func TestRangeContextCancelled(t *testing.T) {
 	}
 	defer db.Close()
 	for i := 0; i < 2000; i++ {
-		if err := db.Put([]byte{byte(i >> 8), byte(i)}, []byte("v")); err != nil {
+		if err := db.PutContext(context.Background(), []byte{byte(i >> 8), byte(i)}, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,10 +239,10 @@ func TestWriteBatchTooLarge(t *testing.T) {
 	defer db.Close()
 	var b WriteBatch
 	b.Put([]byte("k"), make([]byte, MaxBatchBytes+1))
-	if err := db.Write(&b); !errors.Is(err, ErrBatchTooLarge) {
+	if err := db.WriteContext(context.Background(), &b); !errors.Is(err, ErrBatchTooLarge) {
 		t.Errorf("oversized Write = %v, want ErrBatchTooLarge", err)
 	}
-	if _, err := db.Get([]byte("k")); !errors.Is(err, ErrNotFound) {
+	if _, err := db.GetContext(context.Background(), []byte("k")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("rejected batch leaked: %v", err)
 	}
 }
@@ -256,14 +256,14 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	defer db.Close()
 	for i := 0; i < 100; i++ {
-		if err := db.Put([]byte{byte(i)}, []byte{byte(i)}); err != nil {
+		if err := db.PutContext(context.Background(), []byte{byte(i)}, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte{200}, []byte("memtable")); err != nil {
+	if err := db.PutContext(context.Background(), []byte{200}, []byte("memtable")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -274,13 +274,13 @@ func TestSnapshotIsolation(t *testing.T) {
 	defer snap.Release()
 
 	// Mutate heavily after the snapshot.
-	if err := db.Delete([]byte{10}); err != nil {
+	if err := db.DeleteContext(context.Background(), []byte{10}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte{200}, []byte("changed")); err != nil {
+	if err := db.PutContext(context.Background(), []byte{200}, []byte("changed")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte{201}, []byte("new")); err != nil {
+	if err := db.PutContext(context.Background(), []byte{201}, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {

@@ -273,7 +273,7 @@ type DB struct {
 	// walRecs is the leader's scratch slice for group encoding, guarded by
 	// pipeMu.
 	walRecs []wal.Record
-	// writersInFlight counts Write calls currently between entry and
+	// writersInFlight counts WriteContext calls currently between entry and
 	// return; a solo leader yields for group formation only when other
 	// writers are actually in flight (see leadGroup).
 	writersInFlight atomic.Int32
@@ -610,15 +610,10 @@ func (db *DB) Close() error {
 	return err
 }
 
-// Put stores key → value. Concurrent Puts are group-committed: writers
-// enqueue on the commit pipeline and a single leader performs one WAL
-// append (and at most one fsync) for the whole group — see batch.go.
-func (db *DB) Put(key, value []byte) error {
-	return db.PutContext(context.Background(), key, value)
-}
-
-// PutContext is Put honoring ctx: see WriteContext for the cancellation
-// points on the commit pipeline.
+// PutContext stores key → value. Concurrent Puts are group-committed:
+// writers enqueue on the commit pipeline and a single leader performs one
+// WAL append (and at most one fsync) for the whole group — see batch.go,
+// and WriteContext for the cancellation points on the pipeline.
 func (db *DB) PutContext(ctx context.Context, key, value []byte) error {
 	b := writeBatchPool.Get().(*WriteBatch)
 	b.Reset()
@@ -628,15 +623,9 @@ func (db *DB) PutContext(ctx context.Context, key, value []byte) error {
 	return err
 }
 
-// Delete removes key by writing a tombstone; the key physically disappears
-// at the next major compaction. Like Put, deletes ride the group-commit
-// pipeline.
-func (db *DB) Delete(key []byte) error {
-	return db.DeleteContext(context.Background(), key)
-}
-
-// DeleteContext is Delete honoring ctx: see WriteContext for the
-// cancellation points on the commit pipeline.
+// DeleteContext removes key by writing a tombstone; the key physically
+// disappears at the next major compaction. Like Puts, deletes ride the
+// group-commit pipeline.
 func (db *DB) DeleteContext(ctx context.Context, key []byte) error {
 	b := writeBatchPool.Get().(*WriteBatch)
 	b.Reset()
@@ -882,21 +871,16 @@ func (db *DB) BackgroundErr() error {
 	return db.bgLastErr
 }
 
-// Get returns the value stored for key, or ErrNotFound. The read is
+// GetContext returns the value stored for key, or ErrNotFound. The read is
 // coordination-free: it pins the atomically published read view (see
 // view.go) and never touches db.mu, so flushes and compactions holding
 // the store lock cannot stall it. The memtable always holds the newest
 // version of a key if it holds one at all; among sstables the probe runs
 // in descending max-sequence order with key-range pruning and stops as
 // soon as no remaining table can hold a newer version. Bloom filters keep
-// the per-table probes cheap.
-func (db *DB) Get(key []byte) ([]byte, error) {
-	return db.GetContext(context.Background(), key)
-}
-
-// GetContext is Get honoring ctx: expiry is re-checked between per-table
-// probes, so a cold multi-table lookup observes cancellation after at
-// most one table's disk read rather than only at entry.
+// the per-table probes cheap. Expiry of ctx is re-checked between
+// per-table probes, so a cold multi-table lookup observes cancellation
+// after at most one table's disk read rather than only at entry.
 func (db *DB) GetContext(ctx context.Context, key []byte) ([]byte, error) {
 	if ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {

@@ -1,6 +1,7 @@
 package lsm_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -26,7 +27,7 @@ func Example() {
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 100; j++ {
 			key := fmt.Sprintf("user%03d", j)
-			if err := db.Put([]byte(key), []byte(fmt.Sprintf("gen-%d", i))); err != nil {
+			if err := db.PutContext(context.Background(), []byte(key), []byte(fmt.Sprintf("gen-%d", i))); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -34,7 +35,7 @@ func Example() {
 			log.Fatal(err)
 		}
 	}
-	if err := db.Delete([]byte("user007")); err != nil {
+	if err := db.DeleteContext(context.Background(), []byte("user007")); err != nil {
 		log.Fatal(err)
 	}
 
@@ -45,12 +46,12 @@ func Example() {
 	fmt.Println("tables merged:", res.TablesBefore)
 	fmt.Println("tables after:", db.Stats().Tables)
 
-	v, err := db.Get([]byte("user042"))
+	v, err := db.GetContext(context.Background(), []byte("user042"))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("user042 =", string(v))
-	_, err = db.Get([]byte("user007"))
+	_, err = db.GetContext(context.Background(), []byte("user007"))
 	fmt.Println("user007 deleted:", err == lsm.ErrNotFound)
 	// Output:
 	// tables merged: 4

@@ -56,9 +56,9 @@ func typedErr(err error) bool {
 // chaosKV is the slice of the engine API the workload exercises; adapters
 // below bind it to lsm.DB, store.Store and kv.Engine.
 type chaosKV interface {
-	Put(key, value []byte) error
-	Delete(key []byte) error
-	Get(key []byte) ([]byte, error)
+	PutContext(ctx context.Context, key, value []byte) error
+	DeleteContext(ctx context.Context, key []byte) error
+	GetContext(ctx context.Context, key []byte) ([]byte, error)
 	Close() error
 }
 
@@ -149,7 +149,7 @@ func runChaos(t *testing.T, seed int64, fault *vfs.Fault, kvOpen func() (chaosKV
 		switch r := rng.Float64(); {
 		case r < 0.70:
 			v := []byte(fmt.Sprintf("value-%03d-op%04d-%032d", i, op, op))
-			err := db.Put(key(i), v)
+			err := db.PutContext(context.Background(), key(i), v)
 			if err == nil {
 				mod(i).ackPut(v)
 			} else if !typedErr(err) {
@@ -158,7 +158,7 @@ func runChaos(t *testing.T, seed int64, fault *vfs.Fault, kvOpen func() (chaosKV
 				mod(i).failPut(v)
 			}
 		case r < 0.85:
-			err := db.Delete(key(i))
+			err := db.DeleteContext(context.Background(), key(i))
 			if err == nil {
 				mod(i).ackDelete()
 			} else if !typedErr(err) {
@@ -167,7 +167,7 @@ func runChaos(t *testing.T, seed int64, fault *vfs.Fault, kvOpen func() (chaosKV
 				mod(i).failDelete()
 			}
 		default:
-			val, err := db.Get(key(i))
+			val, err := db.GetContext(context.Background(), key(i))
 			switch {
 			case err == nil:
 				if merr := mod(i).check(val, true); merr != nil {
@@ -195,7 +195,7 @@ func runChaos(t *testing.T, seed int64, fault *vfs.Fault, kvOpen func() (chaosKV
 
 	for i := 0; i < keySpace; i++ {
 		m := mod(i)
-		val, err := db.Get(key(i))
+		val, err := db.GetContext(context.Background(), key(i))
 		switch {
 		case err == nil:
 			if merr := m.check(val, true); merr != nil {
@@ -212,10 +212,10 @@ func runChaos(t *testing.T, seed int64, fault *vfs.Fault, kvOpen func() (chaosKV
 
 	// The reopened engine must be fully writable again: degradation is a
 	// property of an incarnation, not of the directory.
-	if err := db.Put([]byte("post-recovery-probe"), []byte("ok")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("post-recovery-probe"), []byte("ok")); err != nil {
 		t.Fatalf("seed %d: write after recovery: %v", seed, err)
 	}
-	if got, err := db.Get([]byte("post-recovery-probe")); err != nil || string(got) != "ok" {
+	if got, err := db.GetContext(context.Background(), []byte("post-recovery-probe")); err != nil || string(got) != "ok" {
 		t.Fatalf("seed %d: read back after recovery: %q, %v", seed, got, err)
 	}
 }
@@ -246,10 +246,6 @@ func TestFaultChaosDB(t *testing.T) {
 	}
 }
 
-// storeChaos adapts store.Store (whose Get/Put/Delete signatures already
-// match) — only present so the compiler checks the adaptation explicitly.
-type storeChaos struct{ *store.Store }
-
 func TestFaultChaosStore(t *testing.T) {
 	for seed := int64(11); seed <= 12; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -260,7 +256,7 @@ func TestFaultChaosStore(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return storeChaos{st}, nil
+				return st, nil
 			})
 		})
 	}
@@ -269,10 +265,12 @@ func TestFaultChaosStore(t *testing.T) {
 // engineChaos adapts the context-aware kv.Engine to the harness.
 type engineChaos struct{ eng kv.Engine }
 
-func (e engineChaos) Put(k, v []byte) error        { return e.eng.Put(context.Background(), k, v) }
-func (e engineChaos) Delete(k []byte) error        { return e.eng.Delete(context.Background(), k) }
-func (e engineChaos) Get(k []byte) ([]byte, error) { return e.eng.Get(context.Background(), k) }
-func (e engineChaos) Close() error                 { return e.eng.Close() }
+func (e engineChaos) PutContext(ctx context.Context, k, v []byte) error { return e.eng.Put(ctx, k, v) }
+func (e engineChaos) DeleteContext(ctx context.Context, k []byte) error { return e.eng.Delete(ctx, k) }
+func (e engineChaos) GetContext(ctx context.Context, k []byte) ([]byte, error) {
+	return e.eng.Get(ctx, k)
+}
+func (e engineChaos) Close() error { return e.eng.Close() }
 
 func TestFaultChaosEngine(t *testing.T) {
 	seed := int64(21)
@@ -308,7 +306,7 @@ func TestFaultChaosKillsDurabilityOnNthSync(t *testing.T) {
 	}
 	key := func(i int) []byte { return []byte(fmt.Sprintf("acked-%02d", i)) }
 	for i := 0; i < 10; i++ {
-		if err := db.Put(key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := db.PutContext(context.Background(), key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -316,13 +314,13 @@ func TestFaultChaosKillsDurabilityOnNthSync(t *testing.T) {
 	// With a large memtable no flush intervenes, so the next fsync the
 	// engine issues is the WAL sync of the next commit group.
 	fault.FailNthSync(1)
-	if err := db.Put([]byte("doomed"), []byte("never-acked")); err == nil {
+	if err := db.PutContext(context.Background(), []byte("doomed"), []byte("never-acked")); err == nil {
 		t.Fatal("put with failed WAL fsync returned nil: acked a non-durable write")
 	} else if !typedErr(err) {
 		t.Fatalf("failed-sync write error is untyped: %v", err)
 	}
 
-	if err := db.Put([]byte("after"), []byte("x")); !errors.Is(err, lsm.ErrReadOnly) {
+	if err := db.PutContext(context.Background(), []byte("after"), []byte("x")); !errors.Is(err, lsm.ErrReadOnly) {
 		t.Fatalf("write after durability failure = %v, want ErrReadOnly", err)
 	}
 	if ro, cause := db.ReadOnly(); !ro || cause == nil {
@@ -332,7 +330,7 @@ func TestFaultChaosKillsDurabilityOnNthSync(t *testing.T) {
 		t.Fatal("Stats().ReadOnly = false after failed fsync")
 	}
 	// Reads ride through degradation.
-	if got, err := db.Get(key(3)); err != nil || string(got) != "v3" {
+	if got, err := db.GetContext(context.Background(), key(3)); err != nil || string(got) != "v3" {
 		t.Fatalf("read while read-only: %q, %v", got, err)
 	}
 
@@ -344,7 +342,7 @@ func TestFaultChaosKillsDurabilityOnNthSync(t *testing.T) {
 	}
 	defer db.Close()
 	for i := 0; i < 10; i++ {
-		got, err := db.Get(key(i))
+		got, err := db.GetContext(context.Background(), key(i))
 		if err != nil || string(got) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("acked write %d after reopen: %q, %v", i, got, err)
 		}
@@ -353,10 +351,10 @@ func TestFaultChaosKillsDurabilityOnNthSync(t *testing.T) {
 	// reached the log before the failed sync. Both outcomes are legal —
 	// what matters is it never displaced an acked value and reads stay
 	// typed.
-	if _, err := db.Get([]byte("doomed")); err != nil && !errors.Is(err, lsm.ErrNotFound) {
+	if _, err := db.GetContext(context.Background(), []byte("doomed")); err != nil && !errors.Is(err, lsm.ErrNotFound) {
 		t.Fatalf("doomed key after reopen: %v", err)
 	}
-	if err := db.Put([]byte("fresh"), []byte("writable-again")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("fresh"), []byte("writable-again")); err != nil {
 		t.Fatalf("reopened engine not writable: %v", err)
 	}
 }
@@ -372,13 +370,13 @@ func TestFaultENOSPCIsRetryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("before"), []byte("kept")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("before"), []byte("kept")); err != nil {
 		t.Fatal(err)
 	}
 
 	fault.SetDiskFullAfter(0)
 	for i := 0; i < 3; i++ {
-		err := db.Put([]byte("full"), []byte("wedged"))
+		err := db.PutContext(context.Background(), []byte("full"), []byte("wedged"))
 		if err == nil {
 			t.Fatal("put on a full disk returned nil")
 		}
@@ -391,7 +389,7 @@ func TestFaultENOSPCIsRetryable(t *testing.T) {
 	}
 
 	fault.SetDiskFullAfter(-1) // space freed
-	if err := db.Put([]byte("after"), []byte("resumed")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("after"), []byte("resumed")); err != nil {
 		t.Fatalf("write after space freed: %v", err)
 	}
 
@@ -403,7 +401,7 @@ func TestFaultENOSPCIsRetryable(t *testing.T) {
 	}
 	defer db.Close()
 	for k, want := range map[string]string{"before": "kept", "after": "resumed"} {
-		if got, err := db.Get([]byte(k)); err != nil || string(got) != want {
+		if got, err := db.GetContext(context.Background(), []byte(k)); err != nil || string(got) != want {
 			t.Fatalf("%s after reopen: %q, %v", k, got, err)
 		}
 	}
@@ -448,7 +446,7 @@ func TestBackgroundFlushFailureSemantics(t *testing.T) {
 			checkAcked := func(when string) {
 				t.Helper()
 				for i := 0; i < acked; i++ {
-					if v, err := db.Get(key(i)); err != nil || !bytes.Equal(v, val(i)) {
+					if v, err := db.GetContext(context.Background(), key(i)); err != nil || !bytes.Equal(v, val(i)) {
 						t.Fatalf("%s: acknowledged key %s reads %q, %v", when, key(i), v, err)
 					}
 				}
@@ -459,7 +457,7 @@ func TestBackgroundFlushFailureSemantics(t *testing.T) {
 			// failing at; the failure surfaces within two more.
 			var failure error
 			for i := 0; i < 400 && failure == nil; i++ {
-				if err := db.Put(key(i), val(i)); err != nil {
+				if err := db.PutContext(context.Background(), key(i), val(i)); err != nil {
 					failure = err
 				} else {
 					acked = i + 1
@@ -481,7 +479,7 @@ func TestBackgroundFlushFailureSemantics(t *testing.T) {
 
 			fault.Disable()
 			if tc.readOnly {
-				if err := db.Put(key(acked), val(acked)); !errors.Is(err, lsm.ErrReadOnly) {
+				if err := db.PutContext(context.Background(), key(acked), val(acked)); !errors.Is(err, lsm.ErrReadOnly) {
 					t.Fatalf("write after a failed manifest save = %v, want ErrReadOnly", err)
 				}
 				if err := db.Flush(); !errors.Is(err, lsm.ErrReadOnly) && !errors.Is(err, vfs.ErrInjected) {
@@ -489,7 +487,7 @@ func TestBackgroundFlushFailureSemantics(t *testing.T) {
 				}
 			} else {
 				// Still writable, and the flush goes through now.
-				if err := db.Put(key(acked), val(acked)); err != nil && !errors.Is(err, vfs.ErrInjected) {
+				if err := db.PutContext(context.Background(), key(acked), val(acked)); err != nil && !errors.Is(err, vfs.ErrInjected) {
 					t.Fatalf("write after the fault cleared = %v", err)
 				} else if err == nil {
 					acked++
@@ -515,7 +513,7 @@ func TestBackgroundFlushFailureSemantics(t *testing.T) {
 			}
 			defer db.Close()
 			checkAcked("reopened")
-			if err := db.Put([]byte("fresh"), []byte("writable")); err != nil {
+			if err := db.PutContext(context.Background(), []byte("fresh"), []byte("writable")); err != nil {
 				t.Fatalf("reopened engine not writable: %v", err)
 			}
 		})
@@ -538,7 +536,7 @@ func TestCorruptSSTableQuarantined(t *testing.T) {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("corrupt-key-%04d", i)) }
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := db.Put(key(i), bytes.Repeat([]byte{byte('a' + i%26)}, 100)); err != nil {
+		if err := db.PutContext(context.Background(), key(i), bytes.Repeat([]byte{byte('a' + i%26)}, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -570,7 +568,7 @@ func TestCorruptSSTableQuarantined(t *testing.T) {
 
 	sawCorrupt := false
 	for i := 0; i < n; i++ {
-		_, err := db.Get(key(i))
+		_, err := db.GetContext(context.Background(), key(i))
 		switch {
 		case err == nil || errors.Is(err, lsm.ErrNotFound):
 		case errors.Is(err, lsm.ErrCorrupt):
@@ -596,7 +594,7 @@ func TestCorruptSSTableQuarantined(t *testing.T) {
 
 	// Quarantine degrades, it does not kill: the engine still writes and
 	// reads, and the next open does not trip over the quarantined file.
-	if err := db.Put([]byte("alive"), []byte("yes")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("alive"), []byte("yes")); err != nil {
 		t.Fatalf("write after quarantine: %v", err)
 	}
 	if err := db.Close(); err != nil {
@@ -607,7 +605,7 @@ func TestCorruptSSTableQuarantined(t *testing.T) {
 		t.Fatalf("reopen after quarantine: %v", err)
 	}
 	defer db.Close()
-	if got, err := db.Get([]byte("alive")); err != nil || string(got) != "yes" {
+	if got, err := db.GetContext(context.Background(), []byte("alive")); err != nil || string(got) != "yes" {
 		t.Fatalf("post-quarantine write after reopen: %q, %v", got, err)
 	}
 }
@@ -621,7 +619,7 @@ func TestOpenMissingTableTypedCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -648,7 +646,7 @@ func TestDoubleClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -678,7 +676,7 @@ func TestCloseRacesBackgroundCompaction(t *testing.T) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				k := []byte(fmt.Sprintf("w%d-key-%06d", w, i))
-				if err := db.Put(k, bytes.Repeat([]byte{'x'}, 128)); err != nil {
+				if err := db.PutContext(context.Background(), k, bytes.Repeat([]byte{'x'}, 128)); err != nil {
 					if !typedErr(err) {
 						t.Errorf("writer %d: untyped error racing close: %v", w, err)
 					}
@@ -692,7 +690,7 @@ func TestCloseRacesBackgroundCompaction(t *testing.T) {
 		t.Fatalf("close racing background compaction: %v", err)
 	}
 	wg.Wait()
-	if err := db.Put([]byte("late"), []byte("x")); !errors.Is(err, lsm.ErrClosed) {
+	if err := db.PutContext(context.Background(), []byte("late"), []byte("x")); !errors.Is(err, lsm.ErrClosed) {
 		t.Fatalf("write after close = %v, want ErrClosed", err)
 	}
 }

@@ -86,7 +86,7 @@ func wedgeFlusher(t testing.TB, db *DB, point flushPoint) (reached <-chan struct
 func fillUntil(t testing.TB, db *DB, done <-chan struct{}, from int, key, val func(int) []byte) int {
 	t.Helper()
 	for i := from; ; i++ {
-		if err := db.Put(key(i), val(i)); err != nil {
+		if err := db.PutContext(context.Background(), key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 		db.mu.RLock()
@@ -114,7 +114,7 @@ func TestFrozenMemtableVisible(t *testing.T) {
 
 	// A few keys and a snapshot from before the rotation.
 	for i := 0; i < 10; i++ {
-		if err := db.Put(wedgeKey(i), wedgeVal(i)); err != nil {
+		if err := db.PutContext(context.Background(), wedgeKey(i), wedgeVal(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,10 +155,10 @@ func TestFrozenMemtableVisible(t *testing.T) {
 	t.Logf("%d keys frozen, %d in the new memtable", frozen, memKeys)
 
 	// In the new memtable: delete one frozen key, overwrite another.
-	if err := db.Delete(wedgeKey(3)); err != nil {
+	if err := db.DeleteContext(context.Background(), wedgeKey(3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put(wedgeKey(4), []byte("overwritten")); err != nil {
+	if err := db.PutContext(context.Background(), wedgeKey(4), []byte("overwritten")); err != nil {
 		t.Fatal(err)
 	}
 	want := func(i int) (string, bool) {
@@ -180,8 +180,8 @@ func TestFrozenMemtableVisible(t *testing.T) {
 		defer now.Release()
 		for i := 0; i < n; i++ {
 			wv, ok := want(i)
-			for name, get := range map[string]func([]byte) ([]byte, error){"Get": db.Get, "Snapshot.Get": now.Get} {
-				v, err := get(wedgeKey(i))
+			for name, get := range map[string]func(context.Context, []byte) ([]byte, error){"GetContext": db.GetContext, "Snapshot.Get": func(_ context.Context, k []byte) ([]byte, error) { return now.Get(k) }} {
+				v, err := get(context.Background(), wedgeKey(i))
 				if ok && (err != nil || string(v) != wv) || !ok && err != ErrNotFound {
 					t.Fatalf("%s: %s(%s) = %q, %v; want %q, present=%v", when, name, wedgeKey(i), v, err, wv, ok)
 				}
@@ -254,7 +254,7 @@ func TestWritesProgressWhileFlushWedged(t *testing.T) {
 					done <- nil
 					return
 				}
-				if err := db.Put(wedgeKey(n+puts), wedgeVal(n+puts)); err != nil {
+				if err := db.PutContext(context.Background(), wedgeKey(n+puts), wedgeVal(n+puts)); err != nil {
 					done <- err
 					return
 				}
@@ -273,7 +273,7 @@ func TestWritesProgressWhileFlushWedged(t *testing.T) {
 			t.Errorf("point %d: %d puts, %d write stalls, %d flushes while under one memtable", point, puts, st.WriteStalls, st.Flushes)
 		}
 		for i := 0; i < n+puts; i += 17 {
-			if v, err := db.Get(wedgeKey(i)); err != nil || !bytes.Equal(v, wedgeVal(i)) {
+			if v, err := db.GetContext(context.Background(), wedgeKey(i)); err != nil || !bytes.Equal(v, wedgeVal(i)) {
 				t.Fatalf("point %d: Get(%s) = %.20q, %v", point, wedgeKey(i), v, err)
 			}
 		}
@@ -332,7 +332,7 @@ func TestFlushScheduleIsDeterministic(t *testing.T) {
 		for i, op := range ops {
 			binary.BigEndian.PutUint64(key[8:], op.Key)
 			binary.BigEndian.PutUint64(val, uint64(i))
-			if err := db.Put(key[:], val); err != nil {
+			if err := db.PutContext(context.Background(), key[:], val); err != nil {
 				t.Fatal(err)
 			}
 		}

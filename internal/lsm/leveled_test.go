@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func TestLeveledNeverOverlapsWithinLevel(t *testing.T) {
 			// A skewed draw keeps key ranges overlapping across flushes.
 			k := fmt.Sprintf("key-%05d", rng.Intn(2000))
 			v := fmt.Sprintf("val-%d-%d", round, i)
-			if err := db.Put([]byte(k), []byte(v)); err != nil {
+			if err := db.PutContext(context.Background(), []byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
 			want[k] = v
@@ -113,7 +114,7 @@ func TestLeveledNeverOverlapsWithinLevel(t *testing.T) {
 		t.Errorf("levels lost across reopen: %d deep tables before, %d after", deep, deepAfter)
 	}
 	for k, v := range want {
-		got, err := db.Get([]byte(k))
+		got, err := db.GetContext(context.Background(), []byte(k))
 		if err != nil || string(got) != v {
 			t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
 		}

@@ -22,30 +22,30 @@ func openTestDB(t testing.TB, opts Options) *DB {
 
 func TestPutGetDelete(t *testing.T) {
 	db := openTestDB(t, Options{})
-	if err := db.Put([]byte("k"), []byte("v1")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.Get([]byte("k"))
+	got, err := db.GetContext(context.Background(), []byte("k"))
 	if err != nil || string(got) != "v1" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	if err := db.Put([]byte("k"), []byte("v2")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = db.Get([]byte("k"))
+	got, _ = db.GetContext(context.Background(), []byte("k"))
 	if string(got) != "v2" {
 		t.Errorf("overwrite lost: %q", got)
 	}
-	if err := db.Delete([]byte("k")); err != nil {
+	if err := db.DeleteContext(context.Background(), []byte("k")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Get([]byte("k")); err != ErrNotFound {
+	if _, err := db.GetContext(context.Background(), []byte("k")); err != ErrNotFound {
 		t.Errorf("deleted key Get err = %v", err)
 	}
-	if _, err := db.Get([]byte("never")); err != ErrNotFound {
+	if _, err := db.GetContext(context.Background(), []byte("never")); err != ErrNotFound {
 		t.Errorf("missing key Get err = %v", err)
 	}
-	if err := db.Put(nil, []byte("v")); err == nil {
+	if err := db.PutContext(context.Background(), nil, []byte("v")); err == nil {
 		t.Errorf("empty key accepted")
 	}
 }
@@ -55,7 +55,7 @@ func TestGetAcrossFlush(t *testing.T) {
 	const n = 2000
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("key-%06d", i))
-		if err := db.Put(k, bytes.Repeat([]byte("v"), 50)); err != nil {
+		if err := db.PutContext(context.Background(), k, bytes.Repeat([]byte("v"), 50)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func TestGetAcrossFlush(t *testing.T) {
 	}
 	for i := 0; i < n; i += 97 {
 		k := []byte(fmt.Sprintf("key-%06d", i))
-		if _, err := db.Get(k); err != nil {
+		if _, err := db.GetContext(context.Background(), k); err != nil {
 			t.Fatalf("Get(%s) after flush: %v", k, err)
 		}
 	}
@@ -73,22 +73,22 @@ func TestGetAcrossFlush(t *testing.T) {
 
 func TestDeleteShadowsFlushedValue(t *testing.T) {
 	db := openTestDB(t, Options{})
-	if err := db.Put([]byte("k"), []byte("old")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("old")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete([]byte("k")); err != nil {
+	if err := db.DeleteContext(context.Background(), []byte("k")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Get([]byte("k")); err != ErrNotFound {
+	if _, err := db.GetContext(context.Background(), []byte("k")); err != ErrNotFound {
 		t.Errorf("tombstone in memtable should shadow sstable value: %v", err)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Get([]byte("k")); err != ErrNotFound {
+	if _, err := db.GetContext(context.Background(), []byte("k")); err != ErrNotFound {
 		t.Errorf("tombstone in sstable should shadow older sstable: %v", err)
 	}
 }
@@ -96,7 +96,7 @@ func TestDeleteShadowsFlushedValue(t *testing.T) {
 func TestScan(t *testing.T) {
 	db := openTestDB(t, Options{})
 	for i := 0; i < 100; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprint(i))); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprint(i))); err != nil {
 			t.Fatal(err)
 		}
 		if i%30 == 29 {
@@ -105,7 +105,7 @@ func TestScan(t *testing.T) {
 			}
 		}
 	}
-	if err := db.Delete([]byte("k050")); err != nil {
+	if err := db.DeleteContext(context.Background(), []byte("k050")); err != nil {
 		t.Fatal(err)
 	}
 	var keys []string
@@ -134,7 +134,7 @@ func TestScan(t *testing.T) {
 func TestRange(t *testing.T) {
 	db := openTestDB(t, Options{})
 	for i := 0; i < 100; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprint(i))); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprint(i))); err != nil {
 			t.Fatal(err)
 		}
 		if i%25 == 24 {
@@ -143,7 +143,7 @@ func TestRange(t *testing.T) {
 			}
 		}
 	}
-	if err := db.Delete([]byte("k030")); err != nil {
+	if err := db.DeleteContext(context.Background(), []byte("k030")); err != nil {
 		t.Fatal(err)
 	}
 	var keys []string
@@ -189,11 +189,11 @@ func TestWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprint(i))); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprint(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Delete([]byte("k07")); err != nil {
+	if err := db.DeleteContext(context.Background(), []byte("k07")); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate crash: close file handles without flushing memtable.
@@ -206,19 +206,19 @@ func TestWALRecovery(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer db2.Close()
-	got, err := db2.Get([]byte("k42"))
+	got, err := db2.GetContext(context.Background(), []byte("k42"))
 	if err != nil || string(got) != "42" {
 		t.Errorf("recovered Get(k42) = %q, %v", got, err)
 	}
-	if _, err := db2.Get([]byte("k07")); err != ErrNotFound {
+	if _, err := db2.GetContext(context.Background(), []byte("k07")); err != ErrNotFound {
 		t.Errorf("recovered delete lost: %v", err)
 	}
 	// Sequence numbers must keep increasing after recovery: a new write
 	// must shadow recovered ones.
-	if err := db2.Put([]byte("k42"), []byte("new")); err != nil {
+	if err := db2.PutContext(context.Background(), []byte("k42"), []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = db2.Get([]byte("k42"))
+	got, _ = db2.GetContext(context.Background(), []byte("k42"))
 	if string(got) != "new" {
 		t.Errorf("post-recovery write lost: %q", got)
 	}
@@ -230,13 +230,13 @@ func TestRecoveryAfterFlushAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("flushed"), []byte("1")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("flushed"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("unflushed"), []byte("2")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("unflushed"), []byte("2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -248,7 +248,7 @@ func TestRecoveryAfterFlushAndRestart(t *testing.T) {
 	}
 	defer db2.Close()
 	for _, k := range []string{"flushed", "unflushed"} {
-		if _, err := db2.Get([]byte(k)); err != nil {
+		if _, err := db2.GetContext(context.Background(), []byte(k)); err != nil {
 			t.Errorf("Get(%s) after restart: %v", k, err)
 		}
 	}
@@ -259,10 +259,10 @@ func TestClosedDBErrors(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("k"), []byte("v")); err != ErrClosed {
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("v")); err != ErrClosed {
 		t.Errorf("Put on closed = %v", err)
 	}
-	if _, err := db.Get([]byte("k")); err != ErrClosed {
+	if _, err := db.GetContext(context.Background(), []byte("k")); err != ErrClosed {
 		t.Errorf("Get on closed = %v", err)
 	}
 	if err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error { return nil }); err != ErrClosed {
@@ -292,7 +292,7 @@ func fillTables(t *testing.T, db *DB, tables, keysPerTable int) map[string]strin
 				k = fmt.Sprintf("t%02d-%04d", tab, i)
 			}
 			v := fmt.Sprintf("v-%d-%d", tab, i)
-			if err := db.Put([]byte(k), []byte(v)); err != nil {
+			if err := db.PutContext(context.Background(), []byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
 			want[k] = v
@@ -328,7 +328,7 @@ func TestMajorCompactStrategies(t *testing.T) {
 			}
 			// Every key must still resolve to its newest value.
 			for k, v := range want {
-				got, err := db.Get([]byte(k))
+				got, err := db.GetContext(context.Background(), []byte(k))
 				if err != nil || string(got) != v {
 					t.Fatalf("Get(%s) after compaction = %q, %v; want %q", k, got, err, v)
 				}
@@ -340,7 +340,7 @@ func TestMajorCompactStrategies(t *testing.T) {
 func TestMajorCompactPurgesTombstones(t *testing.T) {
 	db := openTestDB(t, Options{})
 	for i := 0; i < 100; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,7 +348,7 @@ func TestMajorCompactPurgesTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := db.Delete([]byte(fmt.Sprintf("k%03d", i))); err != nil {
+		if err := db.DeleteContext(context.Background(), []byte(fmt.Sprintf("k%03d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +366,7 @@ func TestMajorCompactPurgesTombstones(t *testing.T) {
 		t.Errorf("post-compaction live keys = %d, want 50", n)
 	}
 	// Deleted keys must stay deleted.
-	if _, err := db.Get([]byte("k000")); err != ErrNotFound {
+	if _, err := db.GetContext(context.Background(), []byte("k000")); err != ErrNotFound {
 		t.Errorf("tombstoned key resurfaced: %v", err)
 	}
 	// On-disk garbage must be gone: only one sstable file remains.
@@ -387,11 +387,11 @@ func TestTombstoneSurvivesIntermediateMerges(t *testing.T) {
 	// the final root merge sees X's old value.
 	db := openTestDB(t, Options{})
 	// Large oldest table with X.
-	if err := db.Put([]byte("x-key"), []byte("old")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("x-key"), []byte("old")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("big-%04d", i)), []byte("v")); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("big-%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -400,7 +400,7 @@ func TestTombstoneSurvivesIntermediateMerges(t *testing.T) {
 	}
 	// Small disjoint table.
 	for i := 0; i < 10; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("small-%02d", i)), []byte("v")); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("small-%02d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -408,11 +408,11 @@ func TestTombstoneSurvivesIntermediateMerges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Small newest table with the tombstone.
-	if err := db.Delete([]byte("x-key")); err != nil {
+	if err := db.DeleteContext(context.Background(), []byte("x-key")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("tiny-%02d", i)), []byte("v")); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("tiny-%02d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -422,11 +422,11 @@ func TestTombstoneSurvivesIntermediateMerges(t *testing.T) {
 	if _, err := db.MajorCompact("SI", 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Get([]byte("x-key")); err != ErrNotFound {
+	if _, err := db.GetContext(context.Background(), []byte("x-key")); err != ErrNotFound {
 		t.Errorf("deleted key resurfaced after compaction: %v", err)
 	}
 	// Live keys intact.
-	if _, err := db.Get([]byte("big-0001")); err != nil {
+	if _, err := db.GetContext(context.Background(), []byte("big-0001")); err != nil {
 		t.Errorf("live key lost: %v", err)
 	}
 }
@@ -455,7 +455,7 @@ func TestMajorCompactTrivialCases(t *testing.T) {
 		t.Errorf("empty compact = %+v, %v", res, err)
 	}
 	// Single table.
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	res, err = db.MajorCompact("SI", 2, 0)
@@ -516,7 +516,7 @@ func TestReopenAfterCompaction(t *testing.T) {
 	}
 	defer db2.Close()
 	for k, v := range want {
-		got, err := db2.Get([]byte(k))
+		got, err := db2.GetContext(context.Background(), []byte(k))
 		if err != nil || string(got) != v {
 			t.Fatalf("Get(%s) after reopen = %q, %v", k, got, err)
 		}
@@ -554,7 +554,7 @@ func TestOpenMissingTableFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -580,7 +580,7 @@ func TestOpenCorruptTableFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -602,7 +602,7 @@ func TestOpenCorruptTableFile(t *testing.T) {
 func TestBlockCacheServesRepeatedReads(t *testing.T) {
 	db := openTestDB(t, Options{BlockCacheBytes: 1 << 20})
 	for i := 0; i < 2000; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%06d", i)), bytes.Repeat([]byte("v"), 40)); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("key-%06d", i)), bytes.Repeat([]byte("v"), 40)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -611,7 +611,7 @@ func TestBlockCacheServesRepeatedReads(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 2000; i += 50 {
-			if _, err := db.Get([]byte(fmt.Sprintf("key-%06d", i))); err != nil {
+			if _, err := db.GetContext(context.Background(), []byte(fmt.Sprintf("key-%06d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -628,14 +628,14 @@ func TestBlockCacheServesRepeatedReads(t *testing.T) {
 
 func TestBlockCacheDisabled(t *testing.T) {
 	db := openTestDB(t, Options{BlockCacheBytes: -1})
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := db.Get([]byte("k")); err != nil {
+		if _, err := db.GetContext(context.Background(), []byte("k")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -651,7 +651,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	for w := 0; w < 2; w++ {
 		go func(w int) {
 			for i := 0; i < 500; i++ {
-				if err := db.Put([]byte(fmt.Sprintf("w%d-%04d", w, i)), []byte("v")); err != nil {
+				if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("w%d-%04d", w, i)), []byte("v")); err != nil {
 					done <- err
 					return
 				}
@@ -662,7 +662,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		go func() {
 			for i := 0; i < 500; i++ {
-				if _, err := db.Get([]byte(fmt.Sprintf("w0-%04d", i))); err != nil && err != ErrNotFound {
+				if _, err := db.GetContext(context.Background(), []byte(fmt.Sprintf("w0-%04d", i))); err != nil && err != ErrNotFound {
 					done <- err
 					return
 				}

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -112,25 +113,25 @@ func TestMixedVersionStore(t *testing.T) {
 		{"mid-only", "from-v2"},
 		{"new-only", "from-v3"},
 	} {
-		got, err := db.Get([]byte(tc.key))
+		got, err := db.GetContext(context.Background(), []byte(tc.key))
 		if err != nil || string(got) != tc.want {
 			t.Errorf("Get(%q) = %q, %v; want %q", tc.key, got, err, tc.want)
 		}
 	}
 	// The v2 tombstone (seq 100) must shadow the v1 value (seq 7) even
 	// though the v1 table was probed first with its pessimistic bounds.
-	if _, err := db.Get([]byte("deleted")); err != ErrNotFound {
+	if _, err := db.GetContext(context.Background(), []byte("deleted")); err != ErrNotFound {
 		t.Errorf("Get(deleted) err = %v, want ErrNotFound", err)
 	}
-	if _, err := db.Get([]byte("absent")); err != ErrNotFound {
+	if _, err := db.GetContext(context.Background(), []byte("absent")); err != ErrNotFound {
 		t.Errorf("Get(absent) err = %v, want ErrNotFound", err)
 	}
 
 	// New writes sequence after next-seq and shadow everything.
-	if err := db.Put([]byte("shadowed"), []byte("rewritten")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("shadowed"), []byte("rewritten")); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := db.Get([]byte("shadowed")); err != nil || string(got) != "rewritten" {
+	if got, err := db.GetContext(context.Background(), []byte("shadowed")); err != nil || string(got) != "rewritten" {
 		t.Errorf("post-write Get(shadowed) = %q, %v", got, err)
 	}
 
@@ -148,12 +149,12 @@ func TestMixedVersionStore(t *testing.T) {
 		{"mid-only", "from-v2"},
 		{"new-only", "from-v3"},
 	} {
-		got, err := db.Get([]byte(tc.key))
+		got, err := db.GetContext(context.Background(), []byte(tc.key))
 		if err != nil || string(got) != tc.want {
 			t.Errorf("post-compaction Get(%q) = %q, %v; want %q", tc.key, got, err, tc.want)
 		}
 	}
-	if _, err := db.Get([]byte("deleted")); err != ErrNotFound {
+	if _, err := db.GetContext(context.Background(), []byte("deleted")); err != ErrNotFound {
 		t.Errorf("post-compaction Get(deleted) err = %v, want ErrNotFound", err)
 	}
 }
@@ -176,7 +177,7 @@ func TestTableFormatOption(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			if err := db.Put([]byte("k"), []byte("v")); err != nil {
+			if err := db.PutContext(context.Background(), []byte("k"), []byte("v")); err != nil {
 				t.Fatal(err)
 			}
 			if err := db.Flush(); err != nil {

@@ -30,7 +30,7 @@ func TestWriteBatchBasics(t *testing.T) {
 	}
 	defer db.Close()
 
-	if err := db.Put([]byte("doomed"), []byte("old")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("doomed"), []byte("old")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -42,16 +42,16 @@ func TestWriteBatchBasics(t *testing.T) {
 	if b.Len() != 4 || b.Empty() {
 		t.Fatalf("Len = %d, Empty = %v", b.Len(), b.Empty())
 	}
-	if err := db.Write(&b); err != nil {
+	if err := db.WriteContext(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 	for key, want := range map[string]string{"a": "1b", "b": "2"} {
-		got, err := db.Get([]byte(key))
+		got, err := db.GetContext(context.Background(), []byte(key))
 		if err != nil || string(got) != want {
 			t.Fatalf("Get(%s) = %q, %v; want %q", key, got, err, want)
 		}
 	}
-	if _, err := db.Get([]byte("doomed")); !errors.Is(err, ErrNotFound) {
+	if _, err := db.GetContext(context.Background(), []byte("doomed")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("batched delete did not apply: %v", err)
 	}
 
@@ -61,29 +61,29 @@ func TestWriteBatchBasics(t *testing.T) {
 		t.Fatalf("after Reset: Len = %d", b.Len())
 	}
 	b.Put([]byte("c"), []byte("3"))
-	if err := db.Write(&b); err != nil {
+	if err := db.WriteContext(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := db.Get([]byte("c")); err != nil || string(got) != "3" {
+	if got, err := db.GetContext(context.Background(), []byte("c")); err != nil || string(got) != "3" {
 		t.Fatalf("Get(c) = %q, %v", got, err)
 	}
 
 	// Empty batches and nil batches are no-ops; empty keys reject the
 	// whole batch with nothing applied.
-	if err := db.Write(nil); err != nil {
+	if err := db.WriteContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var empty WriteBatch
-	if err := db.Write(&empty); err != nil {
+	if err := db.WriteContext(context.Background(), &empty); err != nil {
 		t.Fatal(err)
 	}
 	var bad WriteBatch
 	bad.Put([]byte("good"), []byte("v"))
 	bad.Put(nil, []byte("v"))
-	if err := db.Write(&bad); err == nil {
+	if err := db.WriteContext(context.Background(), &bad); err == nil {
 		t.Fatal("batch with empty key accepted")
 	}
-	if _, err := db.Get([]byte("good")); !errors.Is(err, ErrNotFound) {
+	if _, err := db.GetContext(context.Background(), []byte("good")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("rejected batch partially applied: %v", err)
 	}
 }
@@ -95,7 +95,7 @@ func TestGroupCommitStats(t *testing.T) {
 	}
 	defer db.Close()
 	for i := 0; i < 5; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestGroupCommitStats(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		b.Put([]byte(fmt.Sprintf("b%d", i)), []byte("v"))
 	}
-	if err := db.Write(&b); err != nil {
+	if err := db.WriteContext(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 	st := db.Stats()
@@ -158,7 +158,7 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 				for j := 0; j < keysPer; j++ {
 					b.Put([]byte(fmt.Sprintf("%s-k%d", tag, j)), []byte(tag))
 				}
-				if err := db.Write(&b); err != nil {
+				if err := db.WriteContext(context.Background(), &b); err != nil {
 					writeErr.CompareAndSwap(nil, err)
 					return
 				}
@@ -266,7 +266,7 @@ func TestRecoveryRelogsLargeMemtable(t *testing.T) {
 	val := bytes.Repeat([]byte("v"), 2<<20)
 	const n = 40 // 80 MiB unflushed: over MaxFrameBytes in aggregate
 	for i := 0; i < n; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("big-%03d", i)), val); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("big-%03d", i)), val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +284,7 @@ func TestRecoveryRelogsLargeMemtable(t *testing.T) {
 		t.Fatalf("recovery stats = %+v, want %d records, not truncated", st, n)
 	}
 	for _, i := range []int{0, n / 2, n - 1} {
-		got, err := db.Get([]byte(fmt.Sprintf("big-%03d", i)))
+		got, err := db.GetContext(context.Background(), []byte(fmt.Sprintf("big-%03d", i)))
 		if err != nil || !bytes.Equal(got, val) {
 			t.Fatalf("big-%03d: len=%d, %v", i, len(got), err)
 		}
@@ -304,7 +304,7 @@ func TestBatchVisibilityAtomic(t *testing.T) {
 	var b WriteBatch
 	b.Put([]byte("x"), []byte("0"))
 	b.Put([]byte("y"), []byte("0"))
-	if err := db.Write(&b); err != nil {
+	if err := db.WriteContext(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 
@@ -318,7 +318,7 @@ func TestBatchVisibilityAtomic(t *testing.T) {
 			v := []byte(fmt.Sprint(i))
 			wb.Put([]byte("x"), v)
 			wb.Put([]byte("y"), v)
-			if err := db.Write(&wb); err != nil {
+			if err := db.WriteContext(context.Background(), &wb); err != nil {
 				writerErr = err
 				return
 			}
@@ -394,7 +394,7 @@ func TestPipelineStressDuringFlushes(t *testing.T) {
 				key := fmt.Sprintf("w%d-key-%03d", w, i%keysPer)
 				switch i % 7 {
 				case 3: // single delete
-					if err := db.Delete([]byte(key)); err != nil {
+					if err := db.DeleteContext(context.Background(), []byte(key)); err != nil {
 						fail(fmt.Errorf("writer %d delete: %w", w, err))
 						return
 					}
@@ -407,7 +407,7 @@ func TestPipelineStressDuringFlushes(t *testing.T) {
 					b.Put([]byte(key), []byte(v))
 					b.Put([]byte(k2), []byte(v))
 					b.Delete([]byte(k3))
-					if err := db.Write(&b); err != nil {
+					if err := db.WriteContext(context.Background(), &b); err != nil {
 						fail(fmt.Errorf("writer %d batch: %w", w, err))
 						return
 					}
@@ -415,7 +415,7 @@ func TestPipelineStressDuringFlushes(t *testing.T) {
 					delete(final, k3)
 				default:
 					v := fmt.Sprintf("w%d-val-%d-%s", w, i, pad)
-					if err := db.Put([]byte(key), []byte(v)); err != nil {
+					if err := db.PutContext(context.Background(), []byte(key), []byte(v)); err != nil {
 						fail(fmt.Errorf("writer %d put: %w", w, err))
 						return
 					}
@@ -431,7 +431,7 @@ func TestPipelineStressDuringFlushes(t *testing.T) {
 			defer auxWG.Done()
 			for i := 0; !stop.Load(); i++ {
 				key := fmt.Sprintf("w%d-key-%03d", i%writers, i%keysPer)
-				if _, err := db.Get([]byte(key)); err != nil && !errors.Is(err, ErrNotFound) {
+				if _, err := db.GetContext(context.Background(), []byte(key)); err != nil && !errors.Is(err, ErrNotFound) {
 					fail(fmt.Errorf("reader %d: %w", r, err))
 					return
 				}
@@ -475,7 +475,7 @@ func TestPipelineStressDuringFlushes(t *testing.T) {
 		for i := 0; i < keysPer; i++ {
 			key := fmt.Sprintf("w%d-key-%03d", w, i)
 			want, live := final[key]
-			got, err := db.Get([]byte(key))
+			got, err := db.GetContext(context.Background(), []byte(key))
 			switch {
 			case live && err != nil:
 				t.Fatalf("lost write: Get(%s) = %v, want %q", key, err, want)

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -21,7 +22,7 @@ func planFixture(tb testing.TB, fsys vfs.FS, tables, keys int) *DB {
 	val := bytes.Repeat([]byte("v"), 16)
 	for t := 0; t < tables; t++ {
 		for i := t; i < keys; i += tables {
-			if err := db.Put(scanKey(i), val); err != nil {
+			if err := db.PutContext(context.Background(), scanKey(i), val); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -142,7 +143,7 @@ func TestPlanToleratesOddSketches(t *testing.T) {
 		t.Fatalf("result %+v: want one table from two merges", res)
 	}
 	for i := 0; i < 6000; i++ {
-		if _, err := db.Get(scanKey(i)); err != nil {
+		if _, err := db.GetContext(context.Background(), scanKey(i)); err != nil {
 			t.Fatalf("Get(%s) after compaction: %v", scanKey(i), err)
 		}
 	}
@@ -159,7 +160,7 @@ func BenchmarkProbeTablesMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Get(absent[i%len(absent)]); err != ErrNotFound {
+		if _, err := db.GetContext(context.Background(), absent[i%len(absent)]); err != ErrNotFound {
 			b.Fatalf("Get(absent) = %v", err)
 		}
 	}

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -84,7 +85,7 @@ func TestMinorCompactMergesAndKeepsData(t *testing.T) {
 		t.Errorf("tables after = %d, want 3", got)
 	}
 	for k, v := range want {
-		got, err := db.Get([]byte(k))
+		got, err := db.GetContext(context.Background(), []byte(k))
 		if err != nil || string(got) != v {
 			t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
 		}
@@ -93,19 +94,19 @@ func TestMinorCompactMergesAndKeepsData(t *testing.T) {
 
 func TestMinorCompactKeepsTombstones(t *testing.T) {
 	db := openTestDB(t, Options{})
-	if err := db.Put([]byte("k"), []byte("old")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("old")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete([]byte("k")); err != nil {
+	if err := db.DeleteContext(context.Background(), []byte("k")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("other"), []byte("x")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("other"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -120,7 +121,7 @@ func TestMinorCompactKeepsTombstones(t *testing.T) {
 	if res.Merged != 2 {
 		t.Fatalf("merged %d", res.Merged)
 	}
-	if _, err := db.Get([]byte("k")); err != ErrNotFound {
+	if _, err := db.GetContext(context.Background(), []byte("k")); err != ErrNotFound {
 		t.Errorf("tombstone dropped by minor compaction: %v", err)
 	}
 }
@@ -187,7 +188,7 @@ func TestAutoCompactBoundsTables(t *testing.T) {
 	})
 	for i := 0; i < 5000; i++ {
 		k := []byte(fmt.Sprintf("key-%06d", i))
-		if err := db.Put(k, []byte("some-value-payload")); err != nil {
+		if err := db.PutContext(context.Background(), k, []byte("some-value-payload")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +202,7 @@ func TestAutoCompactBoundsTables(t *testing.T) {
 	// All data still readable.
 	for i := 0; i < 5000; i += 211 {
 		k := []byte(fmt.Sprintf("key-%06d", i))
-		if _, err := db.Get(k); err != nil {
+		if _, err := db.GetContext(context.Background(), k); err != nil {
 			t.Fatalf("Get(%s) = %v", k, err)
 		}
 	}
@@ -220,7 +221,7 @@ func TestMinorThenMajorCompaction(t *testing.T) {
 		t.Errorf("tables after major = %d", got)
 	}
 	for k, v := range want {
-		got, err := db.Get([]byte(k))
+		got, err := db.GetContext(context.Background(), []byte(k))
 		if err != nil || string(got) != v {
 			t.Fatalf("Get(%s) after minor+major = %q, %v", k, got, err)
 		}
@@ -231,21 +232,21 @@ func TestGetPicksNewestAcrossNonAdjacentTables(t *testing.T) {
 	// After a minor compaction merges non-adjacent tables, Get must still
 	// resolve by sequence number, not table position.
 	db := openTestDB(t, Options{})
-	if err := db.Put([]byte("k"), []byte("v1")); err != nil { // oldest table
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("v1")); err != nil { // oldest table
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ { // big middle table, no k
-		if err := db.Put([]byte(fmt.Sprintf("pad-%04d", i)), []byte("p")); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("pad-%04d", i)), []byte("p")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("k"), []byte("v2")); err != nil { // newest table
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("v2")); err != nil { // newest table
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -256,7 +257,7 @@ func TestGetPicksNewestAcrossNonAdjacentTables(t *testing.T) {
 	if err != nil || !ran {
 		t.Fatalf("ran=%v err=%v", ran, err)
 	}
-	got, err := db.Get([]byte("k"))
+	got, err := db.GetContext(context.Background(), []byte("k"))
 	if err != nil || string(got) != "v2" {
 		t.Errorf("Get(k) = %q, %v; want v2", got, err)
 	}

@@ -34,7 +34,7 @@ func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 50; j++ {
 			key := fmt.Sprintf("seed-%02d-%03d", i, j)
-			if err := db.Put([]byte(key), bytes.Repeat([]byte("s"), 64)); err != nil {
+			if err := db.PutContext(context.Background(), []byte(key), bytes.Repeat([]byte("s"), 64)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -70,7 +70,7 @@ func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 			for i := 0; i < opsPerWriter; i++ {
 				key := fmt.Sprintf("w%d-key-%03d", w, i%keysPerWriter)
 				if i%5 == 4 {
-					if err := db.Delete([]byte(key)); err != nil {
+					if err := db.DeleteContext(context.Background(), []byte(key)); err != nil {
 						fail(fmt.Errorf("writer %d delete: %w", w, err))
 						return
 					}
@@ -78,7 +78,7 @@ func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 					continue
 				}
 				val := fmt.Sprintf("w%d-val-%d", w, i)
-				if err := db.Put([]byte(key), []byte(val)); err != nil {
+				if err := db.PutContext(context.Background(), []byte(key), []byte(val)); err != nil {
 					fail(fmt.Errorf("writer %d put: %w", w, err))
 					return
 				}
@@ -95,12 +95,12 @@ func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 			defer auxWG.Done()
 			for i := 0; !stop.Load(); i++ {
 				seeded := fmt.Sprintf("seed-%02d-%03d", i%8, i%50)
-				if _, err := db.Get([]byte(seeded)); err != nil {
+				if _, err := db.GetContext(context.Background(), []byte(seeded)); err != nil {
 					fail(fmt.Errorf("reader %d: seeded key %s: %w", r, seeded, err))
 					return
 				}
 				churning := fmt.Sprintf("w%d-key-%03d", i%writers, i%keysPerWriter)
-				if _, err := db.Get([]byte(churning)); err != nil && !errors.Is(err, ErrNotFound) {
+				if _, err := db.GetContext(context.Background(), []byte(churning)); err != nil && !errors.Is(err, ErrNotFound) {
 					fail(fmt.Errorf("reader %d: churning key %s: %w", r, churning, err))
 					return
 				}
@@ -165,7 +165,7 @@ func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 		for i := 0; i < keysPerWriter; i++ {
 			key := fmt.Sprintf("w%d-key-%03d", w, i)
 			want, live := final[key]
-			got, err := db.Get([]byte(key))
+			got, err := db.GetContext(context.Background(), []byte(key))
 			switch {
 			case live && err != nil:
 				t.Fatalf("lost write: Get(%s) = %v, want %q", key, err, want)
@@ -198,7 +198,7 @@ func TestBackgroundCompactionTriggerAndBackpressure(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		key := fmt.Sprintf("key-%04d", i%500)
 		v := fmt.Sprintf("%s-%d", val, i)
-		if err := db.Put([]byte(key), []byte(v)); err != nil {
+		if err := db.PutContext(context.Background(), []byte(key), []byte(v)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 		want[key] = v
@@ -214,7 +214,7 @@ func TestBackgroundCompactionTriggerAndBackpressure(t *testing.T) {
 		t.Fatalf("backpressure failed to bound tables: %+v", st)
 	}
 	for key, v := range want {
-		got, err := db.Get([]byte(key))
+		got, err := db.GetContext(context.Background(), []byte(key))
 		if err != nil || string(got) != v {
 			t.Fatalf("Get(%s) = %q, %v; want %q", key, got, err, v)
 		}
@@ -234,7 +234,7 @@ func TestCloseDuringBackgroundCompaction(t *testing.T) {
 	for i := 0; i < 1200; i++ {
 		key := fmt.Sprintf("key-%04d", i%300)
 		v := fmt.Sprintf("val-%d", i)
-		if err := db.Put([]byte(key), []byte(v)); err != nil {
+		if err := db.PutContext(context.Background(), []byte(key), []byte(v)); err != nil {
 			t.Fatal(err)
 		}
 		want[key] = v
@@ -263,7 +263,7 @@ func TestCloseDuringBackgroundCompaction(t *testing.T) {
 	}
 	defer db.Close()
 	for key, v := range want {
-		got, err := db.Get([]byte(key))
+		got, err := db.GetContext(context.Background(), []byte(key))
 		if err != nil || string(got) != v {
 			t.Fatalf("after reopen: Get(%s) = %q, %v; want %q", key, got, err, v)
 		}

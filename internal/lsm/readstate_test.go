@@ -27,7 +27,7 @@ func TestGroupsNeverHalfVisible(t *testing.T) {
 		var b WriteBatch
 		b.Put(a(i), []byte(fmt.Sprint(n)))
 		b.Put(z(i), []byte(fmt.Sprint(n)))
-		return db.Write(&b)
+		return db.WriteContext(context.Background(), &b)
 	}
 	for i := 0; i < pairs; i++ {
 		if err := commit(i, 0); err != nil {
@@ -38,7 +38,7 @@ func TestGroupsNeverHalfVisible(t *testing.T) {
 	for i := 0; i < fillers; i++ {
 		fill.Put([]byte(fmt.Sprintf("m%05d", i)), []byte("filler"))
 	}
-	if err := db.Write(&fill); err != nil {
+	if err := db.WriteContext(context.Background(), &fill); err != nil {
 		t.Fatal(err)
 	}
 
@@ -135,11 +135,11 @@ func TestReadBoundCoversRecoveredMemtable(t *testing.T) {
 	db := reopen()
 	// Key order is the reverse of sequence order.
 	for _, k := range []string{"d", "c", "b", "a"} {
-		if err := db.Put([]byte(k), []byte("v-"+k)); err != nil {
+		if err := db.PutContext(context.Background(), []byte(k), []byte("v-"+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Delete([]byte("c")); err != nil {
+	if err := db.DeleteContext(context.Background(), []byte("c")); err != nil {
 		t.Fatal(err)
 	}
 	for round := 1; round <= 2; round++ {
@@ -178,7 +178,7 @@ func TestReadBoundCoversRecoveredMemtable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer before.Release()
-	if err := db.Put([]byte("a"), []byte("new")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("a"), []byte("new")); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := before.Get([]byte("a")); err != nil || string(v) != "v-a" {
@@ -212,7 +212,7 @@ func TestPinnedMemtableStillFlushes(t *testing.T) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			between()
-			if err := db.Put(key, val); err != nil {
+			if err := db.PutContext(context.Background(), key, val); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -225,7 +225,7 @@ func TestPinnedMemtableStillFlushes(t *testing.T) {
 	}
 
 	pinned := openTestDB(t, Options{MemtableBytes: memtableBytes})
-	if err := pinned.Put(key, []byte("before")); err != nil {
+	if err := pinned.PutContext(context.Background(), key, []byte("before")); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := pinned.Snapshot()
@@ -261,7 +261,7 @@ func TestPinnedMemtableStillFlushes(t *testing.T) {
 	if v, err := snap.Get(key); err != nil || string(v) != "before" {
 		t.Errorf("snapshot Get = %q, %v; want the value from before the overwrites", v, err)
 	}
-	if v, err := pinned.Get(key); err != nil || !bytes.Equal(v, val) {
+	if v, err := pinned.GetContext(context.Background(), key); err != nil || !bytes.Equal(v, val) {
 		t.Errorf("live Get = %q, %v", v, err)
 	}
 }
@@ -372,7 +372,7 @@ func coldFixture(tb testing.TB, n, cacheBytes int) *DB {
 	db := openTestDB(tb, Options{MemtableBytes: 64 << 20, BlockCacheBytes: cacheBytes})
 	val := bytes.Repeat([]byte("v"), 100)
 	for i := 0; i < n; i++ {
-		if err := db.Put(scanKey(i), val); err != nil {
+		if err := db.PutContext(context.Background(), scanKey(i), val); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -398,7 +398,7 @@ func TestColdGetAllocatesItsValueAndNothingElse(t *testing.T) {
 	i := 0
 	get := func() {
 		i++
-		if _, err := db.Get(keys[(i*7919)%n]); err != nil {
+		if _, err := db.GetContext(context.Background(), keys[(i*7919)%n]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -457,7 +457,7 @@ func TestGetCopiesOnlyTheWinner(t *testing.T) {
 	db := scanFixture(t, 8, 0) // eight tables over one key range
 	oldest, val := scanKey(0), bytes.Repeat([]byte("w"), 100)
 	for tbl := 0; tbl < 3; tbl++ { // and one key rewritten in three more
-		if err := db.Put(scanKey(1), val); err != nil {
+		if err := db.PutContext(context.Background(), scanKey(1), val); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Flush(); err != nil {
@@ -466,7 +466,7 @@ func TestGetCopiesOnlyTheWinner(t *testing.T) {
 	}
 	for _, key := range [][]byte{oldest, scanKey(1)} {
 		if n := testing.AllocsPerRun(200, func() {
-			if _, err := db.Get(key); err != nil {
+			if _, err := db.GetContext(context.Background(), key); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 1 {

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -86,7 +87,7 @@ func TestRecycledScanStress(t *testing.T) {
 		defer stop.Store(true)
 		for gen := 1; gen <= 8 && !stop.Load(); gen++ {
 			for i := 0; i < keys; i++ {
-				if err := db.Put(scanKey(i), residencyValue(i, gen)); err != nil {
+				if err := db.PutContext(context.Background(), scanKey(i), residencyValue(i, gen)); err != nil {
 					failed(err)
 					return
 				}

@@ -58,7 +58,7 @@ func residencyValue(i, gen int) []byte {
 func flushRange(t testing.TB, db *DB, lo, hi, stride, gen int) {
 	t.Helper()
 	for i := lo; i < hi; i += stride {
-		if err := db.Put(scanKey(i), residencyValue(i, gen)); err != nil {
+		if err := db.PutContext(context.Background(), scanKey(i), residencyValue(i, gen)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +74,7 @@ func readRange(t testing.TB, db *DB, fsys *sstReads, lo, hi, stride, gen int) (m
 	_, misses0, _ := db.blockCache.Stats()
 	reads0 := fsys.calls.Load()
 	for i := lo; i < hi; i += stride {
-		got, err := db.Get(scanKey(i))
+		got, err := db.GetContext(context.Background(), scanKey(i))
 		if err != nil || !bytes.Equal(got, residencyValue(i, gen)) {
 			t.Fatalf("Get(%s) = %.16q, %v; want generation %d", scanKey(i), got, err, gen)
 		}
@@ -356,7 +356,7 @@ func TestAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
 				}
 				if op.name == "flush" {
 					for i := 0; i < 1500; i++ {
-						if err := db.Put(scanKey(i), residencyValue(i, 3)); err != nil {
+						if err := db.PutContext(context.Background(), scanKey(i), residencyValue(i, 3)); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -436,7 +436,7 @@ func TestResidencyStress(t *testing.T) {
 		defer stop.Store(true)
 		for gen := 1; gen <= 12; gen++ {
 			for i := 0; i < keys; i++ {
-				if err := db.Put(scanKey(i), residencyValue(i, gen)); err != nil {
+				if err := db.PutContext(context.Background(), scanKey(i), residencyValue(i, gen)); err != nil {
 					t.Errorf("Put: %v", err)
 					return
 				}
@@ -460,7 +460,7 @@ func TestResidencyStress(t *testing.T) {
 			for n := r; !stop.Load(); n += 7 {
 				i := n % keys
 				atLeast := latest[i].Load()
-				got, err := db.Get(scanKey(i))
+				got, err := db.GetContext(context.Background(), scanKey(i))
 				if errors.Is(err, ErrNotFound) && atLeast == 0 {
 					continue
 				}

@@ -227,10 +227,10 @@ func (s *Snapshot) Release() {
 }
 
 // Get returns the value stored for key as of the snapshot, or ErrNotFound.
-// The lookup mirrors DB.Get: the memtable as of the snapshot's bound wins
-// if it holds any version of the key; otherwise the snapshot's sstables are
-// probed in descending max-sequence order with key-range pruning and early
-// exit.
+// The lookup mirrors DB.GetContext: the memtable as of the snapshot's
+// bound wins if it holds any version of the key; otherwise the snapshot's
+// sstables are probed in descending max-sequence order with key-range
+// pruning and early exit.
 func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

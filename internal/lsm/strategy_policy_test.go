@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestStrategyPolicyDrivesMinorCompaction(t *testing.T) {
 				t.Errorf("CompactionPicks = %v, want one %s pick", st.CompactionPicks, strategy)
 			}
 			for k, v := range want {
-				got, err := db.Get([]byte(k))
+				got, err := db.GetContext(context.Background(), []byte(k))
 				if err != nil || string(got) != v {
 					t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
 				}

@@ -27,7 +27,7 @@ func TestReadsProgressWhileMuHeldExclusively(t *testing.T) {
 	}
 	defer db.Close()
 	for i := 0; i < 500; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,7 +35,7 @@ func TestReadsProgressWhileMuHeldExclusively(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 500; i < 600; i++ { // some keys stay in the memtable
-		if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -44,10 +44,10 @@ func TestReadsProgressWhileMuHeldExclusively(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- func() error {
-			if v, err := db.Get([]byte("key-0123")); err != nil || string(v) != "v123" {
+			if v, err := db.GetContext(context.Background(), []byte("key-0123")); err != nil || string(v) != "v123" {
 				return fmt.Errorf("Get under held mu = %q, %v", v, err)
 			}
-			if v, err := db.Get([]byte("key-0550")); err != nil || string(v) != "v550" {
+			if v, err := db.GetContext(context.Background(), []byte("key-0550")); err != nil || string(v) != "v550" {
 				return fmt.Errorf("memtable Get under held mu = %q, %v", v, err)
 			}
 			it, release, err := db.NewIterator([]byte("key-0100"), []byte("key-0110"))
@@ -122,7 +122,7 @@ func TestViewStressDuringFlushesAndCompactions(t *testing.T) {
 		return []byte(fmt.Sprintf("%08d", ver) + strings.Repeat("x", 120))
 	}
 	for i := 0; i < keys; i++ {
-		if err := db.Put(key(i), val(0)); err != nil {
+		if err := db.PutContext(context.Background(), key(i), val(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestViewStressDuringFlushesAndCompactions(t *testing.T) {
 		defer wg.Done()
 		for ver := 1; !stop.Load(); ver++ {
 			for i := 0; i < keys; i++ {
-				if err := db.Put(key(i), val(ver)); err != nil {
+				if err := db.PutContext(context.Background(), key(i), val(ver)); err != nil {
 					fail("put: %v", err)
 					return
 				}
@@ -162,7 +162,7 @@ func TestViewStressDuringFlushesAndCompactions(t *testing.T) {
 				if view := db.view.Load(); view != nil && view.imm != nil {
 					frozenViews.Add(1)
 				}
-				v, err := db.Get(key(i))
+				v, err := db.GetContext(context.Background(), key(i))
 				if err != nil {
 					fail("get %s: %v", key(i), err)
 					return
@@ -241,7 +241,7 @@ func TestPinnedViewFrozenAndReleasedOnce(t *testing.T) {
 	for tab := 0; tab < 3; tab++ {
 		for i := 0; i < 50; i++ {
 			k := []byte(fmt.Sprintf("key-%03d", i))
-			if err := db.Put(k, []byte(fmt.Sprintf("t%d", tab))); err != nil {
+			if err := db.PutContext(context.Background(), k, []byte(fmt.Sprintf("t%d", tab))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -265,7 +265,7 @@ func TestPinnedViewFrozenAndReleasedOnce(t *testing.T) {
 	// Overwrite everything and compact: the snapshot's tables all become
 	// obsolete.
 	for i := 0; i < 50; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%03d", i)), []byte("post")); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("key-%03d", i)), []byte("post")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -325,7 +325,7 @@ func TestPinnedViewFrozenAndReleasedOnce(t *testing.T) {
 		}
 	}
 	// Current data still reads fine through the live view.
-	if v, err := db.Get([]byte("key-007")); err != nil || string(v) != "post" {
+	if v, err := db.GetContext(context.Background(), []byte("key-007")); err != nil || string(v) != "post" {
 		t.Fatalf("live Get after release = %q, %v", v, err)
 	}
 }
@@ -344,7 +344,7 @@ func TestKeyRangePruning(t *testing.T) {
 	flushKeys := func(keys ...string) {
 		t.Helper()
 		for _, k := range keys {
-			if err := db.Put([]byte(k), []byte("val-"+k)); err != nil {
+			if err := db.PutContext(context.Background(), []byte(k), []byte("val-"+k)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -370,7 +370,7 @@ func TestKeyRangePruning(t *testing.T) {
 		"b": "val-b", "c": "val-c", "d": "val-d", "e": "val-e",
 		"f": "val-f", "m": "val-m", "n": "val-n", "p": "val-p",
 	} {
-		got, err := db.Get([]byte(key))
+		got, err := db.GetContext(context.Background(), []byte(key))
 		if err != nil || string(got) != want {
 			t.Errorf("Get(%q) = %q, %v; want %q", key, got, err, want)
 		}
@@ -381,7 +381,7 @@ func TestKeyRangePruning(t *testing.T) {
 	// read.
 	before := db.Stats()
 	for _, key := range []string{"a", "q", "z"} {
-		if _, err := db.Get([]byte(key)); err != ErrNotFound {
+		if _, err := db.GetContext(context.Background(), []byte(key)); err != ErrNotFound {
 			t.Errorf("Get(%q) err = %v, want ErrNotFound", key, err)
 		}
 	}
@@ -395,7 +395,7 @@ func TestKeyRangePruning(t *testing.T) {
 	// alone cannot answer it — exactly one table's filter must run. "ca"
 	// similarly lies inside [b,d] and [c,n]: probed but absent.
 	for _, key := range []string{"g", "ca"} {
-		if _, err := db.Get([]byte(key)); err != ErrNotFound {
+		if _, err := db.GetContext(context.Background(), []byte(key)); err != ErrNotFound {
 			t.Errorf("Get(%q) err = %v, want ErrNotFound", key, err)
 		}
 	}
@@ -435,7 +435,7 @@ func TestProbeTablesContextCancelled(t *testing.T) {
 	}
 	defer db.Close()
 	for tab := 0; tab < 3; tab++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%d", tab)), []byte("v")); err != nil {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("key-%d", tab)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Flush(); err != nil {
@@ -468,7 +468,7 @@ func TestManifestBoundsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"apple", "mango", "zebra"} {
-		if err := db.Put([]byte(k), []byte("v")); err != nil {
+		if err := db.PutContext(context.Background(), []byte(k), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -512,7 +512,7 @@ func TestManifestBoundsRoundTrip(t *testing.T) {
 	if th.maxSeq != b.MaxSeq || th.minSeq != b.MinSeq {
 		t.Errorf("reopened seq bounds [%d, %d] != manifest [%d, %d]", th.minSeq, th.maxSeq, b.MinSeq, b.MaxSeq)
 	}
-	if v, err := db2.Get([]byte("mango")); err != nil || string(v) != "v" {
+	if v, err := db2.GetContext(context.Background(), []byte("mango")); err != nil || string(v) != "v" {
 		t.Fatalf("Get after reopen = %q, %v", v, err)
 	}
 
@@ -537,7 +537,7 @@ func TestManifestBoundsRoundTrip(t *testing.T) {
 		t.Fatalf("open with bounds-free manifest: %v", err)
 	}
 	defer db3.Close()
-	if v, err := db3.Get([]byte("apple")); err != nil || string(v) != "v" {
+	if v, err := db3.GetContext(context.Background(), []byte("apple")); err != nil || string(v) != "v" {
 		t.Fatalf("Get with bounds-free manifest = %q, %v", v, err)
 	}
 }

@@ -68,9 +68,9 @@ func New(seed int64) *Table {
 
 // Put records a write of key → value at sequence seq, superseding any
 // earlier write of the same key in this memtable. Neither slice is
-// retained.
+// retained: the skiplist copies both.
 func (t *Table) Put(key, value []byte, seq uint64) {
-	t.set(key, append([]byte(nil), value...), seq, false)
+	t.set(key, value, seq, false)
 }
 
 // Delete records a tombstone for key at sequence seq.

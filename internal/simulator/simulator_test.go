@@ -3,6 +3,7 @@ package simulator
 import (
 	"testing"
 
+	"repro/internal/compaction"
 	"repro/internal/ycsb"
 )
 
@@ -159,6 +160,28 @@ func TestRandomWorstAtLowUpdates(t *testing.T) {
 	}
 }
 
+// criticalPathCost is the cost, in keys read and written, of the costliest
+// chain of dependent merges in sched: what its merges cost end to end on
+// unbounded workers, in the units in which CostActual is what they cost on
+// one.
+func criticalPathCost(sched *compaction.Schedule) int {
+	finish := make(map[*compaction.Node]int)
+	for _, st := range sched.Steps {
+		start := 0
+		for _, in := range st.Inputs {
+			start = max(start, finish[in])
+		}
+		finish[st.Output] = start + st.InputSize() + st.Output.Len()
+	}
+	return finish[sched.Root]
+}
+
+// TestBTParallelismExceedsSI: BALANCETREE's merges run four abreast, which
+// the simulator exploits where the paper's SMALLESTINPUT implementation
+// merges one at a time, and its critical path — the costliest chain of
+// dependent merges — is about half its total cost, so enough workers take
+// about half the sequential time. Counted rather than timed, so a loaded
+// machine cannot fail it.
 func TestBTParallelismExceedsSI(t *testing.T) {
 	inst, err := GenerateTables(baseConfig(20, ycsb.Latest, 5))
 	if err != nil {
@@ -171,8 +194,20 @@ func TestBTParallelismExceedsSI(t *testing.T) {
 	if bt.Parallelism < 4 {
 		t.Errorf("BT parallelism = %d, want ≥ 4", bt.Parallelism)
 	}
-	if bt.MergeParallel > bt.MergeSequential*2 {
-		t.Errorf("parallel merge (%v) much slower than sequential (%v)", bt.MergeParallel, bt.MergeSequential)
+	chooser, err := compaction.NewChooserByName("BT(I)", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := compaction.Run(inst, 2, chooser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crit, total := criticalPathCost(sched), sched.CostActual()
+	if total != bt.CostActual {
+		t.Fatalf("schedule costs %d keys, RunStrategy's %d", total, bt.CostActual)
+	}
+	if share := float64(crit) / float64(total); share > 0.55 {
+		t.Errorf("BT critical path %d keys is %.2f of the %d-key total, want ≤ 0.55", crit, share, total)
 	}
 }
 

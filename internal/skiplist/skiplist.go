@@ -24,6 +24,14 @@
 // under a bound walks the list from its head. Nothing here knows who the
 // readers are — the memtable registers them and picks retainBelow.
 //
+// A write allocates one object: its version, which carries a copy of the
+// value inline (up to 208 bytes; a larger value gets an array of its own).
+// Nodes and their key copies are carved from slabs the list owns, since a
+// node lives as long as the list. Versions are not: a superseded version
+// that no reader can see is unlinked and left to the garbage collector, so
+// a key overwritten a million times holds one version's memory, not a
+// million — the same bound SizeBytes reports.
+//
 // The list is safe for any number of concurrent readers (Get, Seek and
 // iterator traversal) alongside a single writer: nodes and versions are
 // fully initialized before they are published through atomic pointers, a
@@ -49,13 +57,19 @@ const (
 	// versionOverhead is what SizeBytes charges a version on top of its
 	// value: the sequence number and the tombstone flag.
 	versionOverhead = 9
+	// nodeSlab is how many nodes one slab holds (16 KiB), and keySlab the
+	// bytes of one key slab; a key longer than maxSlabKey gets an array of
+	// its own rather than strand the rest of a slab.
+	nodeSlab   = 128
+	keySlab    = 4 << 10
+	maxSlabKey = keySlab / 8
 )
 
 // MaxSeq is the bound under which every key's newest version is visible.
 const MaxSeq = math.MaxUint64
 
 // Version is one write of a key. It is immutable once published; readers
-// may alias Value for as long as they can reach the list.
+// may alias Value for as long as they can reach the version.
 type Version struct {
 	Seq       uint64
 	Tombstone bool
@@ -86,6 +100,48 @@ func (n *node) at(bound uint64) *Version {
 	return v
 }
 
+// newVersion allocates a version together with a copy of value. The 48
+// bytes of Version plus each inline size land exactly on a Go size class
+// (64, 96, 160, 256 bytes), so the copy costs no object and no rounding of
+// its own. An empty value stays nil, as a tombstone's is.
+func newVersion(value []byte, seq uint64, tombstone bool) *Version {
+	var v *Version
+	var buf []byte
+	switch n := len(value); {
+	case n == 0:
+		v = new(Version)
+	case n <= 16:
+		iv := new(struct {
+			Version
+			buf [16]byte
+		})
+		v, buf = &iv.Version, iv.buf[:n:n]
+	case n <= 48:
+		iv := new(struct {
+			Version
+			buf [48]byte
+		})
+		v, buf = &iv.Version, iv.buf[:n:n]
+	case n <= 112:
+		iv := new(struct {
+			Version
+			buf [112]byte
+		})
+		v, buf = &iv.Version, iv.buf[:n:n]
+	case n <= 208:
+		iv := new(struct {
+			Version
+			buf [208]byte
+		})
+		v, buf = &iv.Version, iv.buf[:n:n]
+	default:
+		v, buf = new(Version), make([]byte, n)
+	}
+	copy(buf, value)
+	v.Seq, v.Tombstone, v.Value = seq, tombstone, buf
+	return v
+}
+
 // List is an ordered map with byte-slice keys. The zero value is not
 // usable; construct with New. Readers may run concurrently with one
 // writer; see the package comment for the exact contract.
@@ -96,6 +152,10 @@ type List struct {
 	length int
 	bytes  int // keys plus every linked version, for size accounting
 	rng    *rand.Rand
+	// nodes and keys are the unused tails of the current slabs. A slab is
+	// never reused: it lives, through its nodes, as long as the list.
+	nodes []node
+	keys  []byte
 }
 
 // New creates an empty list. seed makes tower heights deterministic, which
@@ -150,16 +210,36 @@ func (l *List) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node {
 	return nx
 }
 
+// newNode carves a node holding a copy of key from the list's slabs.
+func (l *List) newNode(key []byte) *node {
+	if len(l.nodes) == 0 {
+		l.nodes = make([]node, nodeSlab)
+	}
+	n := &l.nodes[0]
+	l.nodes = l.nodes[1:]
+	if len(key) > maxSlabKey {
+		n.key = append([]byte(nil), key...)
+		return n
+	}
+	if len(key) > len(l.keys) {
+		l.keys = make([]byte, keySlab)
+	}
+	n.key = l.keys[:len(key):len(key)]
+	l.keys = l.keys[len(key):]
+	copy(n.key, key)
+	return n
+}
+
 // Set records a write of key at sequence seq, superseding any earlier
 // write of it. The superseded version stays linked behind the new one if
 // its Seq is below retainBelow — a reader bounded at or above it may
 // exist; otherwise it is unlinked, and with retainBelow zero so is
-// everything behind it. The key is copied only when it is new to the list;
-// value is retained as is, and the caller must not modify it afterwards.
-// Set calls must be serialized externally, with retainBelow never falling
-// while it is non-zero; readers may run concurrently.
+// everything behind it. Neither slice is retained: the value is copied
+// into the new version, and the key into a new node when it is new to the
+// list. Set calls must be serialized externally, with retainBelow never
+// falling while it is non-zero; readers may run concurrently.
 func (l *List) Set(key, value []byte, seq uint64, tombstone bool, retainBelow uint64) {
-	v := &Version{Seq: seq, Tombstone: tombstone, Value: value}
+	v := newVersion(value, seq, tombstone)
 	l.bytes += versionOverhead + len(value)
 	var prev [maxHeight]*node
 	if n := l.findGreaterOrEqual(key, &prev); n != nil && bytes.Equal(n.key, key) {
@@ -180,7 +260,7 @@ func (l *List) Set(key, value []byte, seq uint64, tombstone bool, retainBelow ui
 		}
 		l.height.Store(int32(h))
 	}
-	n := &node{key: append([]byte(nil), key...)}
+	n := l.newNode(key)
 	n.head.Store(v)
 	// Initialize every level's forward pointer before publishing the node
 	// at any level: a reader that encounters n through one level's link can

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -53,7 +54,7 @@ func putParallel(b *testing.B, shards int, valueBytes int, opts lsm.Options) {
 				key[n+d] = byte('0' + i%10)
 				i /= 10
 			}
-			if err := s.Put(key[:], val); err != nil {
+			if err := s.PutContext(context.Background(), key[:], val); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -130,7 +131,7 @@ func BenchmarkWriteBatch(b *testing.B) {
 				for j := 0; j < size; j++ {
 					batch.Put([]byte(fmt.Sprintf("key-%07d-%03d", i, j)), val)
 				}
-				if err := s.Write(&batch); err != nil {
+				if err := s.WriteContext(context.Background(), &batch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -159,7 +160,7 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 			val := bytes.Repeat([]byte("v"), 512)
 			key := func(i int) []byte { return []byte(fmt.Sprintf("key-%012d", i%keyspace)) }
 			for i := 0; i < keyspace; i++ {
-				if err := s.Put(key(i), val); err != nil {
+				if err := s.PutContext(context.Background(), key(i), val); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -173,7 +174,7 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 				go func(r int) {
 					defer wg.Done()
 					for i := r; !stop.Load(); i += 7 {
-						if _, err := s.Get(key(i)); err != nil {
+						if _, err := s.GetContext(context.Background(), key(i)); err != nil {
 							b.Error(err)
 							return
 						}
@@ -186,7 +187,7 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if err := s.Put(key(int(ctr.Add(1))), val); err != nil {
+					if err := s.PutContext(context.Background(), key(int(ctr.Add(1))), val); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -210,7 +211,7 @@ func BenchmarkGet(b *testing.B) {
 			const n = 20000
 			val := bytes.Repeat([]byte("v"), 100)
 			for i := 0; i < n; i++ {
-				if err := s.Put([]byte(fmt.Sprintf("key-%012d", i)), val); err != nil {
+				if err := s.PutContext(context.Background(), []byte(fmt.Sprintf("key-%012d", i)), val); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -222,7 +223,7 @@ func BenchmarkGet(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					i := ctr.Add(1)
-					if _, err := s.Get([]byte(fmt.Sprintf("key-%012d", i%n))); err != nil {
+					if _, err := s.GetContext(context.Background(), []byte(fmt.Sprintf("key-%012d", i%n))); err != nil {
 						b.Fatal(err)
 					}
 				}

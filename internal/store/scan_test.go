@@ -26,7 +26,7 @@ func TestScanSetUpIndependentOfTableCount(t *testing.T) {
 		s := openStore(t, shards, lsm.Options{MemtableBytes: 64 << 20})
 		for tbl := 0; tbl < tables; tbl++ {
 			for i := 0; i < 1000; i++ {
-				if err := s.Put([]byte(fmt.Sprintf("key-%06d", i*8+tbl)), val); err != nil {
+				if err := s.PutContext(context.Background(), []byte(fmt.Sprintf("key-%06d", i*8+tbl)), val); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -105,7 +105,7 @@ func corruptedStore(t *testing.T, shards int) *Store {
 		t.Fatal(err)
 	}
 	for i := 0; i < corruptKeys; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("key-%06d", i)), bytes.Repeat([]byte{'v'}, 100)); err != nil {
+		if err := s.PutContext(context.Background(), []byte(fmt.Sprintf("key-%06d", i)), bytes.Repeat([]byte{'v'}, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,9 +14,9 @@
 // Cross-shard semantics are deliberately relaxed where a single DB is
 // strict:
 //
-//   - Write splits a batch by shard and commits the sub-batches through
-//     each shard's pipeline concurrently. Each sub-batch is atomic and
-//     crash-durable on its shard, but there is no cross-shard commit
+//   - WriteContext splits a batch by shard and commits the sub-batches
+//     through each shard's pipeline concurrently. Each sub-batch is atomic
+//     and crash-durable on its shard, but there is no cross-shard commit
 //     point: a crash (or a reader racing the commit) can observe some
 //     shards' sub-batches without the others.
 //   - NewIterator and RangeContext merge every shard's sources into one
@@ -70,8 +70,31 @@ type Options struct {
 type Store struct {
 	dir    string
 	shards []*lsm.DB
-	// subs pools per-Write scratch sub-batches, one slot per shard.
-	subs sync.Pool
+	// writes pools the scratch of a cross-shard WriteContext.
+	writes sync.Pool
+}
+
+// shardWrites is the scratch of one cross-shard WriteContext: a sub-batch
+// per shard and the commit that carries it. Pooled and started through
+// bound method values, a write fanned out over N shards allocates nothing
+// beyond what each shard's own commit does.
+type shardWrites struct {
+	subs []shardWrite
+	wg   sync.WaitGroup
+}
+
+type shardWrite struct {
+	batch lsm.WriteBatch
+	db    *lsm.DB
+	ctx   context.Context
+	err   error
+	wg    *sync.WaitGroup
+	runFn func() // run, bound once: a go statement on it allocates nothing
+}
+
+func (w *shardWrite) run() {
+	defer w.wg.Done()
+	w.err = w.db.WriteContext(w.ctx, &w.batch)
 }
 
 // readMarker parses the persisted shard count, returning 0 when absent.
@@ -230,7 +253,14 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	s := &Store{dir: dir, shards: make([]*lsm.DB, n)}
-	s.subs.New = func() any { return make([]lsm.WriteBatch, n) }
+	s.writes.New = func() any {
+		ws := &shardWrites{subs: make([]shardWrite, n)}
+		for i := range ws.subs {
+			w := &ws.subs[i]
+			w.db, w.wg, w.runFn = s.shards[i], &ws.wg, w.run
+		}
+		return ws
+	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := range s.shards {
@@ -294,53 +324,34 @@ func (s *Store) forAll(fn func(db *lsm.DB) error) error {
 	return s.forAllIndexed(func(_ int, db *lsm.DB) error { return fn(db) })
 }
 
-// Put stores key → value on the owning shard.
-func (s *Store) Put(key, value []byte) error {
-	return s.shards[s.ShardFor(key)].Put(key, value)
-}
-
-// PutContext is Put honoring ctx on the owning shard's commit pipeline.
+// PutContext stores key → value through the owning shard's commit
+// pipeline.
 func (s *Store) PutContext(ctx context.Context, key, value []byte) error {
 	return s.shards[s.ShardFor(key)].PutContext(ctx, key, value)
 }
 
-// Get returns the value stored for key, or lsm.ErrNotFound.
-func (s *Store) Get(key []byte) ([]byte, error) {
-	return s.shards[s.ShardFor(key)].Get(key)
-}
-
-// GetContext is Get honoring ctx.
+// GetContext returns the value stored for key, or lsm.ErrNotFound.
 func (s *Store) GetContext(ctx context.Context, key []byte) ([]byte, error) {
 	return s.shards[s.ShardFor(key)].GetContext(ctx, key)
 }
 
-// Delete removes key on the owning shard.
-func (s *Store) Delete(key []byte) error {
-	return s.shards[s.ShardFor(key)].Delete(key)
-}
-
-// DeleteContext is Delete honoring ctx on the owning shard's pipeline.
+// DeleteContext removes key through the owning shard's pipeline.
 func (s *Store) DeleteContext(ctx context.Context, key []byte) error {
 	return s.shards[s.ShardFor(key)].DeleteContext(ctx, key)
 }
 
-// Write commits the batch, splitting it by owning shard and committing the
-// sub-batches through each shard's group-commit pipeline concurrently.
-// Within one shard the sub-batch is atomic — all of its operations are
-// recovered or none — and operations on the same key keep their batch
-// order. Across shards atomicity is relaxed: there is no global commit
-// point, so a crash between shard commits can persist some sub-batches
-// without the others, and a concurrent reader can observe the same. An
-// error means at least one sub-batch failed; others may have committed.
-func (s *Store) Write(b *lsm.WriteBatch) error {
-	return s.WriteContext(context.Background(), b)
-}
-
-// WriteContext is Write honoring ctx: every shard's sub-commit inherits
-// the context, so a cancellation that lands while sub-batches are parked
-// in their shards' commit queues releases those pipeline slots. As with
-// errors, cancellation is not atomic across shards — some sub-batches may
-// have committed before the context expired.
+// WriteContext commits the batch, splitting it by owning shard and
+// committing the sub-batches through each shard's group-commit pipeline
+// concurrently. Within one shard the sub-batch is atomic — all of its
+// operations are recovered or none — and operations on the same key keep
+// their batch order. Across shards atomicity is relaxed: there is no global
+// commit point, so a crash between shard commits can persist some
+// sub-batches without the others, and a concurrent reader can observe the
+// same. An error means at least one sub-batch failed; others may have
+// committed. Every shard's sub-commit inherits ctx, so a cancellation that
+// lands while sub-batches are parked in their shards' commit queues
+// releases those pipeline slots; as with errors, cancellation is not atomic
+// across shards.
 func (s *Store) WriteContext(ctx context.Context, b *lsm.WriteBatch) error {
 	if b == nil || b.Len() == 0 {
 		return nil
@@ -359,16 +370,11 @@ func (s *Store) WriteContext(ctx context.Context, b *lsm.WriteBatch) error {
 	if len(s.shards) == 1 {
 		return s.shards[0].WriteContext(ctx, b)
 	}
-	subs := s.subs.Get().([]lsm.WriteBatch)
-	defer func() {
-		for i := range subs {
-			subs[i].Reset()
-		}
-		s.subs.Put(subs)
-	}()
+	ws := s.writes.Get().(*shardWrites)
+	subs := ws.subs
 	for i := 0; i < b.Len(); i++ {
 		key, value, del := b.Op(i)
-		sub := &subs[s.ShardFor(key)]
+		sub := &subs[s.ShardFor(key)].batch
 		if del {
 			sub.Delete(key)
 		} else {
@@ -379,24 +385,29 @@ func (s *Store) WriteContext(ctx context.Context, b *lsm.WriteBatch) error {
 	// batch that lands on one shard spawns no goroutines at all.
 	last := -1
 	for i := range subs {
-		if !subs[i].Empty() {
+		if !subs[i].batch.Empty() {
 			last = i
 		}
 	}
-	errs := make([]error, len(subs))
-	var wg sync.WaitGroup
 	for i := range subs {
-		if subs[i].Empty() || i == last {
-			continue
+		if w := &subs[i]; !w.batch.Empty() && i != last {
+			w.ctx = ctx
+			ws.wg.Add(1)
+			go w.runFn()
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = s.shards[i].WriteContext(ctx, &subs[i])
-		}(i)
 	}
-	errs[last] = s.shards[last].WriteContext(ctx, &subs[last])
-	wg.Wait()
+	subs[last].err = s.shards[last].WriteContext(ctx, &subs[last].batch)
+	ws.wg.Wait()
+	var errs []error
+	for i := range subs {
+		w := &subs[i]
+		if w.err != nil {
+			errs = append(errs, w.err)
+		}
+		w.batch.Reset()
+		w.ctx, w.err = nil, nil
+	}
+	s.writes.Put(ws)
 	return errors.Join(errs...)
 }
 
@@ -420,8 +431,8 @@ func (s *Store) NewIterator(start, end []byte) (iterator.Iterator, func(), error
 	return lsm.NewShardIterator(s.shards, start, end)
 }
 
-// Snapshot captures a point-in-time view of every shard. As with Write
-// and Range, the per-shard snapshots are acquired sequentially: each
+// Snapshot captures a point-in-time view of every shard. As with
+// WriteContext and RangeContext, the per-shard snapshots are acquired sequentially: each
 // shard's view is internally consistent, but a concurrent cross-shard
 // batch may be split across the acquisition instants.
 func (s *Store) Snapshot() (*Snapshot, error) {

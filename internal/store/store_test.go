@@ -64,10 +64,10 @@ func TestStoreEquivalence(t *testing.T) {
 				switch rng.Intn(10) {
 				case 0: // delete
 					k := key()
-					if err := s.Delete(k); err != nil {
+					if err := s.DeleteContext(context.Background(), k); err != nil {
 						t.Fatal(err)
 					}
-					if err := ref.Delete(k); err != nil {
+					if err := ref.DeleteContext(context.Background(), k); err != nil {
 						t.Fatal(err)
 					}
 				case 1, 2: // multi-op batch, scattering across shards
@@ -83,10 +83,10 @@ func TestStoreEquivalence(t *testing.T) {
 							rb.Put(k, v)
 						}
 					}
-					if err := s.Write(&sb); err != nil {
+					if err := s.WriteContext(context.Background(), &sb); err != nil {
 						t.Fatal(err)
 					}
-					if err := ref.Write(&rb); err != nil {
+					if err := ref.WriteContext(context.Background(), &rb); err != nil {
 						t.Fatal(err)
 					}
 				case 3:
@@ -106,10 +106,10 @@ func TestStoreEquivalence(t *testing.T) {
 					}
 				default:
 					k, v := key(), []byte(fmt.Sprintf("val-%d", i))
-					if err := s.Put(k, v); err != nil {
+					if err := s.PutContext(context.Background(), k, v); err != nil {
 						t.Fatal(err)
 					}
-					if err := ref.Put(k, v); err != nil {
+					if err := ref.PutContext(context.Background(), k, v); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -129,8 +129,8 @@ func TestStoreEquivalence(t *testing.T) {
 			// Point reads agree over the whole key space.
 			for i := 0; i < 800; i++ {
 				k := []byte(fmt.Sprintf("key-%04d", i))
-				gv, gerr := s.Get(k)
-				wv, werr := ref.Get(k)
+				gv, gerr := s.GetContext(context.Background(), k)
+				wv, werr := ref.GetContext(context.Background(), k)
 				if !errors.Is(gerr, werr) && (gerr != nil || werr != nil) {
 					t.Fatalf("Get(%s): store err %v, ref err %v", k, gerr, werr)
 				}
@@ -232,7 +232,7 @@ func TestStoreCrashRecoveryPerShard(t *testing.T) {
 				for j := 0; j < keysPer; j++ {
 					b.Put([]byte(fmt.Sprintf("%s-k%d", tag, j)), []byte(tag))
 				}
-				if err := s.Write(&b); err != nil {
+				if err := s.WriteContext(context.Background(), &b); err != nil {
 					writeErr.CompareAndSwap(nil, err)
 					return
 				}
@@ -413,7 +413,7 @@ func TestStoreRaceShards4(t *testing.T) {
 				key := fmt.Sprintf("w%d-key-%03d", w, i%keysPer)
 				switch i % 7 {
 				case 3:
-					if err := s.Delete([]byte(key)); err != nil {
+					if err := s.DeleteContext(context.Background(), []byte(key)); err != nil {
 						fail(fmt.Errorf("writer %d delete: %w", w, err))
 						return
 					}
@@ -426,7 +426,7 @@ func TestStoreRaceShards4(t *testing.T) {
 					b.Put([]byte(key), []byte(v))
 					b.Put([]byte(k2), []byte(v))
 					b.Delete([]byte(k3))
-					if err := s.Write(&b); err != nil {
+					if err := s.WriteContext(context.Background(), &b); err != nil {
 						fail(fmt.Errorf("writer %d batch: %w", w, err))
 						return
 					}
@@ -434,7 +434,7 @@ func TestStoreRaceShards4(t *testing.T) {
 					delete(final, k3)
 				default:
 					v := fmt.Sprintf("w%d-val-%d-%s", w, i, pad)
-					if err := s.Put([]byte(key), []byte(v)); err != nil {
+					if err := s.PutContext(context.Background(), []byte(key), []byte(v)); err != nil {
 						fail(fmt.Errorf("writer %d put: %w", w, err))
 						return
 					}
@@ -450,7 +450,7 @@ func TestStoreRaceShards4(t *testing.T) {
 			defer auxWG.Done()
 			for i := 0; !stop.Load(); i++ {
 				key := fmt.Sprintf("w%d-key-%03d", i%writers, i%keysPer)
-				if _, err := s.Get([]byte(key)); err != nil && !errors.Is(err, lsm.ErrNotFound) {
+				if _, err := s.GetContext(context.Background(), []byte(key)); err != nil && !errors.Is(err, lsm.ErrNotFound) {
 					fail(fmt.Errorf("reader %d: %w", r, err))
 					return
 				}
@@ -494,7 +494,7 @@ func TestStoreRaceShards4(t *testing.T) {
 		for i := 0; i < keysPer; i++ {
 			key := fmt.Sprintf("w%d-key-%03d", w, i)
 			want, live := final[key]
-			got, err := s.Get([]byte(key))
+			got, err := s.GetContext(context.Background(), []byte(key))
 			switch {
 			case live && err != nil:
 				t.Fatalf("lost write: Get(%s) = %v, want %q", key, err, want)
@@ -516,7 +516,7 @@ func TestStoreShardMarker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put([]byte("k"), []byte("v")); err != nil {
+	if err := s.PutContext(context.Background(), []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -533,7 +533,7 @@ func TestStoreShardMarker(t *testing.T) {
 	if s2.ShardCount() != 3 {
 		t.Fatalf("adopted %d shards, want 3", s2.ShardCount())
 	}
-	if v, err := s2.Get([]byte("k")); err != nil || string(v) != "v" {
+	if v, err := s2.GetContext(context.Background(), []byte("k")); err != nil || string(v) != "v" {
 		t.Fatalf("Get after adopt = %q, %v", v, err)
 	}
 	s2.Close()
@@ -546,7 +546,7 @@ func TestStoreShardMarker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -563,10 +563,10 @@ func TestStoreShardMarker(t *testing.T) {
 	if legacy.ShardCount() != 1 {
 		t.Fatalf("legacy store adopted as %d shards", legacy.ShardCount())
 	}
-	if v, err := legacy.Get([]byte("k")); err != nil || string(v) != "v" {
+	if v, err := legacy.GetContext(context.Background(), []byte("k")); err != nil || string(v) != "v" {
 		t.Fatalf("Get through legacy adoption = %q, %v", v, err)
 	}
-	if err := legacy.Put([]byte("k2"), []byte("v2")); err != nil {
+	if err := legacy.PutContext(context.Background(), []byte("k2"), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := legacy.Close(); err != nil {
@@ -577,7 +577,7 @@ func TestStoreShardMarker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plain reopen after legacy adoption: %v", err)
 	}
-	if v, err := db.Get([]byte("k2")); err != nil || string(v) != "v2" {
+	if v, err := db.GetContext(context.Background(), []byte("k2")); err != nil || string(v) != "v2" {
 		t.Fatalf("plain Get after legacy adoption = %q, %v", v, err)
 	}
 	db.Close()
@@ -598,7 +598,7 @@ func TestStoreAdoptsWALOnlyLegacyDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("unflushed"), []byte("survives")); err != nil {
+	if err := db.PutContext(context.Background(), []byte("unflushed"), []byte("survives")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil { // no Flush: WAL only, no MANIFEST
@@ -616,7 +616,7 @@ func TestStoreAdoptsWALOnlyLegacyDB(t *testing.T) {
 	if s.ShardCount() != 1 {
 		t.Fatalf("WAL-only legacy store adopted as %d shards", s.ShardCount())
 	}
-	if v, err := s.Get([]byte("unflushed")); err != nil || string(v) != "survives" {
+	if v, err := s.GetContext(context.Background(), []byte("unflushed")); err != nil || string(v) != "survives" {
 		t.Fatalf("Get(unflushed) = %q, %v; WAL-only legacy data lost", v, err)
 	}
 }
@@ -631,7 +631,7 @@ func TestStoreStatsAggregation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		b.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v"))
 	}
-	if err := s.Write(&b); err != nil {
+	if err := s.WriteContext(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -667,7 +667,7 @@ func TestStoreStatsAggregation(t *testing.T) {
 	// the tables' key range — key-range pruning rejects out-of-bounds keys
 	// before the Bloom filter is ever consulted.
 	for i := 0; i < 200; i++ {
-		if _, err := s.Get([]byte(fmt.Sprintf("key-%04d-absent", i))); !errors.Is(err, lsm.ErrNotFound) {
+		if _, err := s.GetContext(context.Background(), []byte(fmt.Sprintf("key-%04d-absent", i))); !errors.Is(err, lsm.ErrNotFound) {
 			t.Fatal(err)
 		}
 	}
