@@ -241,10 +241,7 @@ func TestRouterScanMergesSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, err := rt.Scan(context.Background(), []byte("p:"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := rangeAll(t, rt, []byte("p:"), []byte("p;"))
 	if len(entries) != 200 {
 		t.Fatalf("scan returned %d entries", len(entries))
 	}
@@ -253,13 +250,28 @@ func TestRouterScanMergesSorted(t *testing.T) {
 			t.Fatalf("merged scan out of order")
 		}
 	}
-	limited, err := rt.Scan(context.Background(), nil, 50)
+	limited, next, err := rt.RangePage(context.Background(), nil, nil, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(limited) != 50 {
-		t.Errorf("limited cluster scan = %d", len(limited))
+	if len(limited) != 50 || next == nil {
+		t.Errorf("limited cluster scan = %d entries, next %q", len(limited), next)
 	}
+}
+
+// rangeAll reads the merged view of [start, end) page by page, as a
+// RangePage caller must: until next is nil, not until a page comes up short.
+func rangeAll(t *testing.T, rt *Router, start, end []byte) []kvnet.ScanEntry {
+	t.Helper()
+	var out []kvnet.ScanEntry
+	for start != nil {
+		page, next, err := rt.RangePage(context.Background(), start, end, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, start = append(out, page...), next
+	}
+	return out
 }
 
 func TestDialClusterErrors(t *testing.T) {

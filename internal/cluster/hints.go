@@ -32,8 +32,8 @@ import (
 // target is the node address the hinted write is owed to (addresses
 // never contain NUL); stamp/token/seq make keys unique across routers
 // parking hints concurrently. The value is an encoded batch of (key,
-// record) pairs — see encodeHintBatch.
-const hintPrefix = "\x00\xffcluster.hint\x00"
+// record) pairs — see encodeHintBatch; [hintPrefix, hintEnd) is every hint.
+const hintPrefix, hintEnd = "\x00\xffcluster.hint\x00", "\x00\xffcluster.hint\x01"
 
 func hintKey(target string, stamp uint64, token uint32, seq uint64) []byte {
 	out := make([]byte, 0, len(hintPrefix)+len(target)+1+8+4+8)
@@ -247,7 +247,7 @@ func (rt *Router) drainHolder(ctx context.Context, holder int) error {
 		var entries []kvnet.ScanEntry
 		err := rt.do(ctx, holder, func(actx context.Context, c *kvnet.Client) error {
 			var err error
-			entries, err = c.Scan(actx, []byte(hintPrefix), page)
+			entries, err = c.Range(actx, []byte(hintPrefix), []byte(hintEnd), page)
 			return err
 		})
 		if err != nil {
@@ -374,7 +374,7 @@ func (rt *Router) PendingHints(ctx context.Context) (int, error) {
 			continue
 		}
 		err := rt.do(ctx, holder, func(actx context.Context, c *kvnet.Client) error {
-			entries, err := c.Scan(actx, []byte(hintPrefix), 100000)
+			entries, err := c.Range(actx, []byte(hintPrefix), []byte(hintEnd), 100000)
 			if err != nil {
 				return err
 			}

@@ -333,10 +333,7 @@ func TestScanSurvivesNodeDown(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	entries, err := rt.Scan(ctx, []byte("s:"), 0)
-	if err != nil {
-		t.Fatalf("scan with node down: %v", err)
-	}
+	entries := rangeAll(t, rt, []byte("s:"), []byte("s;"))
 	if len(entries) != 119 {
 		t.Fatalf("scan with node down returned %d entries, want 119", len(entries))
 	}

@@ -30,19 +30,6 @@ func keySuccessor(k []byte) []byte {
 	return out
 }
 
-// prefixSuccessor returns the smallest key greater than every key with
-// the given prefix, or nil (no upper bound) for an all-0xff prefix.
-func prefixSuccessor(prefix []byte) []byte {
-	for i := len(prefix) - 1; i >= 0; i-- {
-		if prefix[i] != 0xff {
-			succ := append([]byte(nil), prefix[:i+1]...)
-			succ[i]++
-			return succ
-		}
-	}
-	return nil
-}
-
 // RangePage returns one page of the merged, version-resolved view of
 // [start, end): up to limit live entries in key order, plus the start
 // key for the next page (nil when the range is exhausted). A page can be
@@ -164,36 +151,4 @@ func (rt *Router) RangePage(ctx context.Context, start, end []byte, limit int) (
 		out[i] = kvnet.ScanEntry{Key: []byte(k), Value: best[k].Value}
 	}
 	return out, next, nil
-}
-
-// Scan gathers up to limit prefix-matching entries from the cluster and
-// returns them merged in global key order, newest version of each key,
-// tombstones elided.
-func (rt *Router) Scan(ctx context.Context, prefix []byte, limit int) ([]kvnet.ScanEntry, error) {
-	if limit <= 0 {
-		limit = 10000
-	}
-	var (
-		out   []kvnet.ScanEntry
-		start []byte
-	)
-	if len(prefix) > 0 {
-		start = prefix
-	}
-	end := prefixSuccessor(prefix)
-	for len(out) < limit {
-		page, next, err := rt.RangePage(ctx, start, end, limit-len(out))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, page...)
-		if next == nil {
-			break
-		}
-		start = next
-	}
-	if len(out) > limit {
-		out = out[:limit]
-	}
-	return out, nil
 }

@@ -378,30 +378,18 @@ func (c *Client) Write(ctx context.Context, batch []BatchOp) error {
 	return c.do(ctx, &Request{Op: OpWrite, Batch: batch})
 }
 
-// entries runs a one-shot scan request. The result keeps the response
-// buffer, so the call goes back to the pool without it.
-func (c *Client) entries(ctx context.Context, req *Request) ([]ScanEntry, error) {
-	cl, resp, err := c.roundTrip(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	cl.buf = nil
-	putCall(cl)
-	return resp.Entries, nil
-}
-
-// Scan returns up to limit entries whose keys start with prefix (all keys
-// when prefix is empty), in key order.
-func (c *Client) Scan(ctx context.Context, prefix []byte, limit int) ([]ScanEntry, error) {
-	return c.entries(ctx, &Request{Op: OpScan, Prefix: prefix, Limit: uint64(max(limit, 0))})
-}
-
 // Range returns up to limit entries with start <= key < end in key order
 // in one response — a bounded page. A nil end means no upper bound. To
 // read a range of unknown size use Stream, which holds one consistent view
 // for the whole scan.
 func (c *Client) Range(ctx context.Context, start, end []byte, limit int) ([]ScanEntry, error) {
-	return c.entries(ctx, &Request{Op: OpRange, Start: start, End: end, Limit: uint64(max(limit, 0))})
+	cl, resp, err := c.roundTrip(ctx, &Request{Op: OpRange, Start: start, End: end, Limit: uint64(max(limit, 0))})
+	if err != nil {
+		return nil, err
+	}
+	cl.buf = nil // the entries keep the response buffer
+	putCall(cl)
+	return resp.Entries, nil
 }
 
 // Ping probes the server for liveness without touching the engine. A nil

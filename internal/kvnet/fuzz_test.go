@@ -13,7 +13,7 @@ import (
 func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range []Request{
 		{Op: OpPut, Key: []byte("k"), Value: []byte("v")},
-		{Op: OpScan, Prefix: []byte("p"), Limit: 9},
+		{Op: OpRange, Start: []byte("p"), End: []byte("q"), Limit: 9},
 		{Op: OpCompact, Strategy: "SI", K: 2},
 		{Op: OpWrite, Batch: []BatchOp{
 			{Key: []byte("a"), Value: []byte("1")},

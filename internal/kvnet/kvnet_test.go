@@ -89,7 +89,8 @@ func TestScanPrefixAndLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, err := c.Scan(context.Background(), []byte("a:"), 0)
+	// A prefix scan is the range from the prefix to its successor.
+	entries, err := c.Range(context.Background(), []byte("a:"), []byte("a;"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestScanPrefixAndLimit(t *testing.T) {
 			t.Fatalf("scan out of order")
 		}
 	}
-	limited, err := c.Scan(context.Background(), nil, 10)
+	limited, err := c.Range(context.Background(), nil, nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{Op: OpPut, Key: []byte("k"), Value: []byte("v")},
 		{Op: OpGet, Key: []byte{0, 1, 2}},
 		{Op: OpDelete, Key: []byte("x")},
-		{Op: OpScan, Prefix: []byte("p"), Limit: 42},
+		{Op: OpRange, Start: []byte("p"), End: []byte("q"), Limit: 42},
 		{Op: OpFlush},
 		{Op: OpCompact, Strategy: "BT(I)", K: 3},
 		{Op: OpStats},
@@ -289,7 +290,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 			t.Fatalf("%+v: %v", req, err)
 		}
 		if got.Op != req.Op || !bytes.Equal(got.Key, req.Key) || !bytes.Equal(got.Value, req.Value) ||
-			!bytes.Equal(got.Prefix, req.Prefix) || got.Limit != req.Limit ||
+			!bytes.Equal(got.Start, req.Start) || !bytes.Equal(got.End, req.End) || got.Limit != req.Limit ||
 			got.Strategy != req.Strategy || got.K != req.K {
 			t.Errorf("round trip changed request: %+v -> %+v", req, got)
 		}
@@ -330,6 +331,9 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 	if _, err := DecodeRequest([]byte{99}); err == nil {
 		t.Errorf("unknown op accepted")
+	}
+	if _, err := DecodeRequest([]byte{byte(OpDelete) + 1, 1, 'p', 0}); err == nil {
+		t.Errorf("the retired prefix scan's op byte accepted")
 	}
 	if _, err := DecodeRequest([]byte{byte(OpPut), 200}); err == nil {
 		t.Errorf("truncated put accepted")

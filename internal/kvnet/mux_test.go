@@ -90,7 +90,7 @@ func TestSharedClientManyInFlight(t *testing.T) {
 					continue
 				}
 				// This goroutine's keys, and only they, in order.
-				st, err := c.Stream(ctx, []byte(prefix), prefixSuccessor([]byte(prefix)))
+				st, err := c.Stream(ctx, []byte(prefix), []byte(fmt.Sprintf("g%02d.", g)))
 				if err != nil {
 					t.Errorf("%s: Stream: %v", prefix, err)
 					return

@@ -42,6 +42,9 @@
 // short scan fetches little more than it reads, a long one runs in large
 // chunks, and the client never buffers more than maxCredit (or one entry,
 // if a single entry is larger). The server clamps a grant to maxCredit.
+// A stream's server state (credit slot, cancel signal, lease timer, bounds)
+// is recycled per connection, so a stream allocates nothing there. Cancel
+// is a flag the scan checks per entry plus a wake for a parked scan.
 //
 // # Snapshots and leases
 //
@@ -51,7 +54,8 @@
 // handleLease, and a parked stream that has received no credit for
 // handleLease, are reaped: their table references are released, and a later
 // use of the handle, or a later grant to the stream, is answered with
-// kverr.ErrClosed. Connection loss releases everything the connection held.
+// kverr.ErrClosed — as is a grant that races the expiry, arriving as the
+// lease fires. Connection loss releases everything the connection held.
 // So a client that vanishes cannot pin tables for longer than the lease.
 package kvnet
 
@@ -79,7 +83,7 @@ const (
 	OpPut Op = iota + 1
 	OpGet
 	OpDelete
-	OpScan
+	_ // the retired prefix scan's; reserved so later op bytes keep their values
 	OpFlush
 	OpCompact
 	OpStats
@@ -166,6 +170,8 @@ const (
 	// maxHandles bounds the streams plus snapshots one connection may hold
 	// open, so a peer cannot park goroutines and pin views without limit.
 	maxHandles = 1024
+	// maxIdleStreams bounds the ended streams a connection keeps for reuse.
+	maxIdleStreams = 16
 )
 
 // ErrTooLarge reports a frame exceeding MaxMessageSize.
@@ -183,7 +189,6 @@ type Request struct {
 	Op       Op
 	Key      []byte
 	Value    []byte
-	Prefix   []byte
 	Limit    uint64
 	Strategy string
 	K        uint64
@@ -403,9 +408,6 @@ func AppendRequest(out []byte, req *Request) []byte {
 		out = appendBytes(out, req.Value)
 	case OpGet, OpDelete:
 		out = appendBytes(out, req.Key)
-	case OpScan:
-		out = appendBytes(out, req.Prefix)
-		out = binary.AppendUvarint(out, req.Limit)
 	case OpRange:
 		out = appendBytes(out, req.Start)
 		out = appendBound(out, req.End)
@@ -495,13 +497,6 @@ func DecodeRequest(buf []byte) (Request, error) {
 		}
 	case OpGet, OpDelete:
 		if req.Key, _, err = readBytes(buf); err != nil {
-			return req, err
-		}
-	case OpScan:
-		if req.Prefix, buf, err = readBytes(buf); err != nil {
-			return req, err
-		}
-		if req.Limit, _, err = readUvarint(buf); err != nil {
 			return req, err
 		}
 	case OpRange:

@@ -64,8 +64,10 @@ type Server struct {
 	// Zero disables. Set before Serve.
 	WriteTimeout time.Duration
 
-	// lease is handleLease; tests shorten it.
-	lease time.Duration
+	// lease is handleLease; tests shorten it. onLeaseExpiry (tests only) runs
+	// in a stream's goroutine as its lease fires, before it unregisters.
+	lease         time.Duration
+	onLeaseExpiry func(*srvStream)
 
 	// baseCtx is cancelled by Close; every request executes under a
 	// context derived from it, so in-flight scans and parked writes abort
@@ -81,7 +83,7 @@ type Server struct {
 
 	mu     sync.Mutex
 	ln     net.Listener
-	conns  map[net.Conn]struct{}
+	conns  map[*srvConn]struct{}
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -122,7 +124,7 @@ func NewServer(db Engine) *Server {
 		lease:        handleLease,
 		baseCtx:      ctx,
 		cancel:       cancel,
-		conns:        make(map[net.Conn]struct{}),
+		conns:        make(map[*srvConn]struct{}),
 	}
 }
 
@@ -147,14 +149,24 @@ func (s *Server) Serve(ln net.Listener) error {
 			conn.Close()
 			return net.ErrClosed
 		}
-		s.conns[conn] = struct{}{}
+		ctx, cancel := context.WithCancel(s.baseCtx)
+		c := &srvConn{
+			s:       s,
+			conn:    conn,
+			ctx:     ctx,
+			cancel:  cancel,
+			work:    make(chan srvReq),
+			streams: make(map[uint32]*srvStream),
+			snaps:   make(map[uint64]*srvSnap),
+		}
+		s.conns[c] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
-			s.handle(conn)
+			c.serve()
 			s.mu.Lock()
-			delete(s.conns, conn)
+			delete(s.conns, c)
 			s.mu.Unlock()
 		}()
 	}
@@ -170,8 +182,8 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	ln := s.ln
-	for conn := range s.conns {
-		conn.Close()
+	for c := range s.conns {
+		c.conn.Close()
 	}
 	s.mu.Unlock()
 	s.cancel()
@@ -188,9 +200,10 @@ func (s *Server) Close() error {
 type srvConn struct {
 	s    *Server
 	conn net.Conn
-	// ctx is cancelled when the connection ends; worker and stream
-	// contexts derive from it.
-	ctx context.Context
+	// ctx is cancelled when the connection ends; worker contexts derive
+	// from it, and streams scan under it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	wmu sync.Mutex // serializes frame writes
 
@@ -207,6 +220,7 @@ type srvConn struct {
 
 	mu         sync.Mutex
 	streams    map[uint32]*srvStream
+	idle       []*srvStream // ended streams' state, for reuse; at most maxIdleStreams
 	snaps      map[uint64]*srvSnap
 	nextHandle uint64
 }
@@ -238,21 +252,12 @@ type worker struct {
 	cancel context.CancelFunc
 }
 
-func (s *Server) handle(conn net.Conn) {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	c := &srvConn{
-		s:       s,
-		conn:    conn,
-		ctx:     ctx,
-		work:    make(chan srvReq),
-		streams: make(map[uint32]*srvStream),
-		snaps:   make(map[uint64]*srvSnap),
-	}
+func (c *srvConn) serve() {
 	c.readLoop()
 	// Teardown: abort what is executing or parked, let the workers and
 	// stream goroutines finish, then drop what the client left pinned.
-	cancel()
-	conn.Close()
+	c.cancel()
+	c.conn.Close()
 	close(c.work)
 	c.wg.Wait()
 	c.releaseSnapshots()
@@ -290,8 +295,9 @@ func (c *srvConn) readLoop() {
 			case req.Op == OpRelease:
 				c.dropSnapshot(req.Handle)
 			default:
-				c.openStream(tag, req, fb)
-				continue // the stream goroutine owns fb now
+				if err := c.openStream(tag, &req); err != nil {
+					c.reply(tag, fb, errResponse(err))
+				}
 			}
 		default:
 			c.dispatch(srvReq{tag: tag, buf: fb})
@@ -398,12 +404,16 @@ func (c *srvConn) cancelTag(tag uint32) {
 		}
 		w.mu.Unlock()
 	}
+	// A stream ends at its next entry or, if parked, at once.
 	c.mu.Lock()
-	st := c.streams[tag]
-	c.mu.Unlock()
-	if st != nil {
-		st.cancel()
+	if st := c.streams[tag]; st != nil {
+		st.cancelled.Store(true)
+		select {
+		case st.wake <- struct{}{}:
+		default:
+		}
 	}
+	c.mu.Unlock()
 }
 
 // writeFrame completes and writes a frame started with beginFrame; one too
@@ -462,21 +472,6 @@ func errResponse(err error) Response {
 	return Response{Status: StatusError, Code: code, Err: err.Error()}
 }
 
-// prefixSuccessor returns the smallest key greater than every key with the
-// given prefix, or nil if no such key exists (an all-0xff prefix). It
-// turns a prefix filter into a range bound so a prefix scan touches only
-// the matching key range.
-func prefixSuccessor(prefix []byte) []byte {
-	for i := len(prefix) - 1; i >= 0; i-- {
-		if prefix[i] != 0xff {
-			succ := append([]byte(nil), prefix[:i+1]...)
-			succ[i]++
-			return succ
-		}
-	}
-	return nil
-}
-
 // okValue is the empty-value StatusOK response every op without a result
 // answers with.
 var okValue = Response{Status: StatusOK}
@@ -512,19 +507,8 @@ func (w *worker) execute(ctx context.Context, payload, out []byte) []byte {
 		return appendResult(out, Response{Status: StatusOK, Value: v}, err)
 	case OpDelete:
 		return appendResult(out, okValue, db.DeleteContext(ctx, req.Key))
-	case OpScan:
-		var start, end []byte
-		if len(req.Prefix) > 0 {
-			start = req.Prefix
-			end = prefixSuccessor(req.Prefix)
-		}
-		return scanRange(ctx, db, out, start, end, req.Limit)
 	case OpRange:
-		var start []byte
-		if len(req.Start) > 0 {
-			start = req.Start
-		}
-		return scanRange(ctx, db, out, start, req.End, req.Limit)
+		return scanRange(ctx, db, out, req.Start, req.End, req.Limit)
 	case OpPing:
 		// Liveness only: answer without touching the engine, so a ping
 		// stays cheap and meaningful even while the engine is degraded
@@ -592,9 +576,8 @@ func boolWord(b bool) uint64 {
 // errScanLimit stops a one-shot scan at its entry limit.
 var errScanLimit = errors.New("scan limit")
 
-// scanRange serves one bounded, limited page of entries in key order — the
-// shared body of OpScan (prefix converted to a range) and OpRange —
-// encoding each entry into the response as the scan produces it.
+// scanRange serves OpRange: one bounded, limited page of entries in key
+// order, encoding each entry into the response as the scan produces it.
 func scanRange(ctx context.Context, db Engine, out, start, end []byte, limit uint64) []byte {
 	if limit == 0 || limit > 100000 {
 		limit = 100000

@@ -11,13 +11,31 @@ import (
 )
 
 // srvStream is one open scan: a goroutine running the engine's range scan,
-// parked inside the scan's callback whenever its credit is spent.
+// parked inside the scan's callback whenever its credit is spent. When the
+// goroutine ends the state joins its connection's idle list and serves a
+// later stream, so opening, parking and closing streams allocates nothing.
 type srvStream struct {
-	cancel context.CancelFunc
-	// credit carries the client's next grant to the parked scan. The
-	// protocol allows one grant per chunk, so one slot is all it needs.
-	credit chan uint64
-	snap   *srvSnap // the snapshot it reads through; nil for the live store
+	c *srvConn
+	// run and emit are serve and entry bound once, so starting the goroutine
+	// and handing the engine its callback allocate nothing.
+	run  func()
+	emit func(key, value []byte) error
+	// grant carries the client's next grant to the parked scan (one per
+	// chunk, so one slot). A cancel sets cancelled, which the callback
+	// checks on every entry, and wakes a parked scan. Both are signalled
+	// only under c.mu while the stream is registered.
+	grant     chan uint64
+	wake      chan struct{}
+	cancelled atomic.Bool
+	lease     *time.Timer // stopped whenever the scan is not parked
+
+	tag        uint32
+	snap       *srvSnap // the snapshot it reads through; nil for the live store
+	start, end []byte   // the request's bounds, copied into bounds
+	bounds     []byte
+	out        *frameBuf // the frame being built
+	body       int       // where the current chunk's entries start in out
+	credit     int
 }
 
 // srvSnap is one snapshot handle. lastUsed (unix nanoseconds) is refreshed
@@ -37,108 +55,160 @@ var errLeaseExpired = fmt.Errorf("kvnet: lease expired: %w", kverr.ErrClosed)
 // text does — close some iterators.
 var errTooManyHandles = fmt.Errorf("kvnet: more than %d streams and snapshots open on one connection", maxHandles)
 
-// openStream starts the goroutine serving OpStream req under tag; req's
-// byte fields alias fb, which the goroutine returns to the pool.
-func (c *srvConn) openStream(tag uint32, req Request, fb *frameBuf) {
-	ctx, cancel := context.WithCancel(c.ctx)
-	st := &srvStream{cancel: cancel, credit: make(chan uint64, 1)}
-	scan := c.s.db.RangeContext
-	var err error
+// openStream registers OpStream req under tag and starts the goroutine
+// serving it. The stream copies what it keeps of req, so the caller's frame
+// buffer is free again when it returns.
+func (c *srvConn) openStream(tag uint32, req *Request) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	var snap *srvSnap
 	switch {
 	case c.streams[tag] != nil:
-		err = fmt.Errorf("kvnet: tag %d already names an open stream: %w", tag, ErrProtocol)
+		return fmt.Errorf("kvnet: tag %d already names an open stream: %w", tag, ErrProtocol)
 	case len(c.streams)+len(c.snaps) >= maxHandles:
-		err = errTooManyHandles
+		return errTooManyHandles
 	case req.Handle != 0:
-		if st.snap = c.snaps[req.Handle]; st.snap == nil {
-			err = fmt.Errorf("kvnet: snapshot %d released or expired: %w", req.Handle, kverr.ErrClosed)
-		} else {
-			scan = st.snap.rangeContext
+		if snap = c.snaps[req.Handle]; snap == nil {
+			return fmt.Errorf("kvnet: snapshot %d released or expired: %w", req.Handle, kverr.ErrClosed)
 		}
+		snap.touch()
 	}
-	if err == nil {
-		c.streams[tag] = st
+	var st *srvStream
+	if n := len(c.idle); n > 0 {
+		st, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else {
+		st = &srvStream{c: c, grant: make(chan uint64, 1), wake: make(chan struct{}, 1), lease: time.NewTimer(time.Hour), bounds: []byte{}}
+		st.run, st.emit = st.serve, st.entry
+		st.lease.Stop()
 	}
-	c.mu.Unlock()
-	if err != nil {
-		cancel()
-		c.reply(tag, fb, errResponse(err))
-		frameBufPool.Put(fb)
-		return
+	st.tag, st.snap, st.credit = tag, snap, int(min(req.Credit, maxCredit))
+	// bounds is never nil, so an empty but present End stays an empty bound.
+	st.bounds = append(append(st.bounds[:0], req.Start...), req.End...)
+	st.start, st.end = st.bounds[:len(req.Start):len(req.Start)], st.bounds[len(req.Start):]
+	if req.End == nil {
+		st.end = nil
 	}
+	c.streams[tag] = st
 	c.busy.Add(1)
 	c.s.openStreams.Add(1)
 	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.runStream(ctx, tag, st, scan, req)
-		cancel()
-		c.mu.Lock()
-		delete(c.streams, tag)
-		c.mu.Unlock()
-		c.s.openStreams.Add(-1)
-		c.busy.Add(-1)
-		frameBufPool.Put(fb)
-	}()
+	go st.run()
+	return nil
 }
 
-// rangeFunc is Engine.RangeContext's shape: the live store's, or a
-// snapshot's.
-type rangeFunc func(ctx context.Context, start, end []byte, fn func(key, value []byte) error) error
-
-// runStream runs one scan for the whole stream. Entries are encoded into
-// the outgoing chunk as the scan's callback receives them; when the next
-// one would overrun the credit the chunk is sent and the callback parks —
-// view, iterators and position all stay where they are — until the client
-// grants more, cancels, or goes quiet past the lease.
-func (c *srvConn) runStream(ctx context.Context, tag uint32, st *srvStream, scan rangeFunc, req Request) {
-	out := frameBufPool.Get().(*frameBuf)
-	defer frameBufPool.Put(out)
-	// A chunk and the final frame differ only in the status byte, so every
-	// frame starts as a chunk and the last one is re-stamped.
-	begin := func() int {
-		out.b = append(beginFrame(out.b, tag), byte(StatusChunk), 'E')
-		return len(out.b)
+// serve runs one scan for the whole stream, under the connection's
+// context. Entries are encoded into the outgoing chunk as the scan's
+// callback receives them; when the next one would overrun the credit the
+// chunk is sent and the callback parks — view, iterators and position all
+// stay where they are — until the client grants more, cancels, or goes
+// quiet past the lease. A chunk and the final frame differ only in the
+// status byte, so every frame starts as a chunk and the last is re-stamped.
+func (st *srvStream) serve() {
+	c := st.c
+	st.out = frameBufPool.Get().(*frameBuf)
+	st.out.b = append(beginFrame(st.out.b, st.tag), byte(StatusChunk), 'E')
+	st.body = len(st.out.b)
+	var err error
+	if st.snap != nil {
+		// The iterator takes table references of its own.
+		err = lsm.RangeOver(c.ctx, st.snap.view, st.start, st.end, st.emit)
+	} else {
+		err = c.s.db.RangeContext(c.ctx, st.start, st.end, st.emit)
 	}
-	body := begin()
-	credit := int(min(req.Credit, maxCredit))
-	var start []byte
-	if len(req.Start) > 0 {
-		start = req.Start
-	}
-	err := scan(ctx, start, req.End, func(k, v []byte) error {
-		if used := len(out.b) - body; used > 0 && used+entrySize(k, v) > credit {
-			c.writeFrame(out.b)
-			body = begin()
-			lease := time.NewTimer(c.s.lease)
-			defer lease.Stop()
-			select {
-			case n := <-st.credit:
-				credit = int(min(n, maxCredit))
-				st.snap.touch()
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-lease.C:
-				c.s.leaseExpiries.Add(1)
-				return errLeaseExpired
-			}
-		}
-		out.b = appendEntry(out.b, k, v)
-		return nil
-	})
 	switch {
-	case ctx.Err() != nil, err == errLeaseExpired:
+	case st.cancelled.Load(), c.ctx.Err() != nil, err == errLeaseExpired:
 		// Cancelled by tag, the connection is going away, or the client
 		// went quiet: nobody is listening for this stream's last frame. (A
 		// client that does come back learns of the expiry from the answer
 		// to its grant.)
 	case err != nil:
-		c.reply(tag, out, errResponse(err))
+		c.reply(st.tag, st.out, errResponse(err))
 	default:
-		out.b[frameHeaderLen] = byte(StatusOK)
-		c.writeFrame(out.b)
+		st.out.b[frameHeaderLen] = byte(StatusOK)
+		c.writeFrame(st.out.b)
 	}
+	st.finish()
+}
+
+// entry is the scan's callback.
+func (st *srvStream) entry(k, v []byte) error {
+	if st.cancelled.Load() {
+		return context.Canceled
+	}
+	if used := len(st.out.b) - st.body; used > 0 && used+entrySize(k, v) > st.credit {
+		if err := st.park(); err != nil {
+			return err
+		}
+	}
+	st.out.b = appendEntry(st.out.b, k, v)
+	return nil
+}
+
+// park sends the chunk and waits, with the lease running, for a grant.
+func (st *srvStream) park() error {
+	c := st.c
+	c.writeFrame(st.out.b)
+	st.out.b = append(beginFrame(st.out.b, st.tag), byte(StatusChunk), 'E')
+	st.body = len(st.out.b)
+	st.lease.Reset(c.s.lease)
+	var err error
+	select {
+	case n := <-st.grant:
+		st.credit = int(min(n, maxCredit))
+		st.snap.touch()
+	case <-st.wake:
+		err = context.Canceled
+	case <-c.ctx.Done():
+		err = c.ctx.Err()
+	case <-st.lease.C:
+		if c.s.onLeaseExpiry != nil {
+			c.s.onLeaseExpiry(st)
+		}
+		c.s.leaseExpiries.Add(1)
+		err = errLeaseExpired
+	}
+	// Stopped and drained, by the pre-Go 1.23 timer rules: a firing that
+	// lost the race above must not cut short a later park.
+	if !st.lease.Stop() {
+		select {
+		case <-st.lease.C:
+		default:
+		}
+	}
+	return err
+}
+
+// finish unregisters the stream and returns its state to the idle list. A
+// grant still in the slot raced the end — the lease fired as it came, or it
+// arrived after the last park — and is answered as a grant to a reaped
+// stream, so no client waits for a frame that will never come.
+func (st *srvStream) finish() {
+	c := st.c
+	c.mu.Lock()
+	delete(c.streams, st.tag)
+	c.mu.Unlock()
+	// Unregistered, the stream is out of grant's and cancelTag's reach:
+	// what its slots hold now is all they will hold.
+	select {
+	case <-st.grant:
+		c.reply(st.tag, st.out, errResponse(errLeaseExpired))
+	default:
+	}
+	select {
+	case <-st.wake:
+	default:
+	}
+	st.cancelled.Store(false)
+	frameBufPool.Put(st.out)
+	st.out, st.snap = nil, nil
+	c.s.openStreams.Add(-1)
+	c.busy.Add(-1)
+	c.mu.Lock()
+	if len(c.idle) < maxIdleStreams && cap(st.bounds) <= retainLimit {
+		c.idle = append(c.idle, st)
+	}
+	c.mu.Unlock()
+	c.wg.Done()
 }
 
 // grant passes a credit frame to the stream under tag. A grant for a stream
@@ -147,13 +217,13 @@ func (c *srvConn) runStream(ctx context.Context, tag uint32, st *srvStream, scan
 // a second grant while one is still waiting breaks the protocol.
 func (c *srvConn) grant(tag uint32, credit uint64) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	st := c.streams[tag]
-	c.mu.Unlock()
 	if st == nil {
 		return errLeaseExpired
 	}
 	select {
-	case st.credit <- credit:
+	case st.grant <- credit:
 		return nil
 	default:
 		return fmt.Errorf("kvnet: second grant to a stream that has not used the first: %w", ErrProtocol)
@@ -256,11 +326,4 @@ func (sn *srvSnap) touch() {
 	if sn != nil {
 		sn.lastUsed.Store(time.Now().UnixNano())
 	}
-}
-
-// rangeContext scans the snapshot with Engine.RangeContext's contract. The
-// iterator retains its own table references, released when the scan ends.
-func (sn *srvSnap) rangeContext(ctx context.Context, start, end []byte, fn func(key, value []byte) error) error {
-	sn.touch()
-	return lsm.RangeOver(ctx, sn.view, start, end, fn)
 }

@@ -33,10 +33,19 @@ type Stream struct {
 // over the live store, positioned at the first entry. The scan lives until
 // ctx expires, the stream is closed, or it is drained.
 func (c *Client) Stream(ctx context.Context, start, end []byte) (*Stream, error) {
-	return c.openStream(ctx, 0, start, end)
+	return new(Stream).open(ctx, c, 0, start, end)
 }
 
-func (c *Client) openStream(ctx context.Context, handle uint64, start, end []byte) (*Stream, error) {
+// OpenStream is Stream into s, which must be new or closed: an iterator
+// that holds its Stream by value opens a scan without allocating one.
+func (c *Client) OpenStream(ctx context.Context, s *Stream, start, end []byte) error {
+	_, err := s.open(ctx, c, 0, start, end)
+	return err
+}
+
+// open opens s on a scan through snapshot handle (0 for the live store) and
+// returns it, or nil and why not.
+func (s *Stream) open(ctx context.Context, c *Client, handle uint64, start, end []byte) (*Stream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -45,7 +54,7 @@ func (c *Client) openStream(ctx context.Context, handle uint64, start, end []byt
 	}
 	cl := callPool.Get().(*call)
 	cl.stream = true
-	s := &Stream{c: c, ctx: ctx, cl: cl, credit: initialCredit}
+	*s = Stream{c: c, ctx: ctx, cl: cl, credit: initialCredit}
 	var err error
 	s.tag, err = c.start(cl, &Request{Op: OpStream, Handle: handle, Start: start, End: end, Credit: s.credit})
 	if err == nil {
@@ -177,7 +186,13 @@ func (s *Snapshot) Get(ctx context.Context, key []byte) ([]byte, error) {
 // Stream is Client.Stream through the snapshot. The stream pins its own
 // table references, so it outlives Release.
 func (s *Snapshot) Stream(ctx context.Context, start, end []byte) (*Stream, error) {
-	return s.c.openStream(ctx, s.handle, start, end)
+	return new(Stream).open(ctx, s.c, s.handle, start, end)
+}
+
+// OpenStream is Client.OpenStream through the snapshot.
+func (s *Snapshot) OpenStream(ctx context.Context, st *Stream, start, end []byte) error {
+	_, err := st.open(ctx, s.c, s.handle, start, end)
+	return err
 }
 
 // Release drops the server-side view without waiting for an answer.

@@ -54,7 +54,7 @@ func TestStoreOverKvnet(t *testing.T) {
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := c.Scan(context.Background(), []byte("key-"), 0)
+	entries, err := c.Range(context.Background(), []byte("key-"), []byte("key."), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestServedScanSurfacesCorruptTable(t *testing.T) {
 	defer sn.Release()
 	st, err = sn.Stream(ctx, nil, nil)
 	drain("Snapshot.Stream", st, err)
-	if entries, err := c.Scan(ctx, []byte("key-"), 0); !errors.Is(err, lsm.ErrCorrupt) {
-		t.Errorf("Scan returned %d entries and %v, want ErrCorrupt", len(entries), err)
+	if entries, err := c.Range(ctx, []byte("key-"), []byte("key."), 0); !errors.Is(err, lsm.ErrCorrupt) {
+		t.Errorf("Range returned %d entries and %v, want ErrCorrupt", len(entries), err)
 	}
 }

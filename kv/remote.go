@@ -144,11 +144,11 @@ func (e *remoteEngine) NewIterator(ctx context.Context, start, end []byte) (Iter
 	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
 		return emptyIterator{}, nil
 	}
-	st, err := c.Stream(ctx, start, end)
-	if err != nil {
+	it := &remoteIterator{e: e}
+	if err := c.OpenStream(ctx, &it.st, start, end); err != nil {
 		return nil, e.closedErr(err)
 	}
-	return &remoteIterator{e: e, st: st}, nil
+	return it, nil
 }
 
 // Snapshot pins a point-in-time view on the server; the client holds only
@@ -256,10 +256,11 @@ func (e *remoteEngine) statsListenAddr() string {
 }
 
 // remoteIterator adapts a server-held stream — one scan under one
-// consistent view, fetched a credit's worth at a time — to Iterator.
+// consistent view, fetched a credit's worth at a time — to Iterator. It
+// holds the stream by value, so a scan allocates the iterator alone.
 type remoteIterator struct {
 	e      *remoteEngine
-	st     *kvnet.Stream
+	st     kvnet.Stream
 	err    error
 	closed bool
 }
@@ -329,11 +330,11 @@ func (s *serverSnapshot) NewIterator(ctx context.Context, start, end []byte) (It
 	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
 		return emptyIterator{}, nil
 	}
-	st, err := s.sn.Stream(ctx, start, end)
-	if err != nil {
+	it := &remoteIterator{e: s.e}
+	if err := s.sn.OpenStream(ctx, &it.st, start, end); err != nil {
 		return nil, s.e.closedErr(err)
 	}
-	return &remoteIterator{e: s.e, st: st}, nil
+	return it, nil
 }
 
 func (s *serverSnapshot) Release() {
