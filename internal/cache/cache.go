@@ -22,6 +22,13 @@
 // collector once unreachable, so forgetting Release costs reuse, never
 // correctness.
 //
+// Once a stripe has filled — an add had to evict for capacity — its budget
+// covers its free arrays too: it keeps what eviction, replacement and
+// DropTable free up to the room its resident blocks leave, so what a flush
+// or merge publishes into a dropped table's room is carved from that
+// table's arrays. A stripe still growing keeps only freeListBytes, the
+// floor of every free list.
+//
 // # Write-through and scan resistance
 //
 // Three more entry points keep residency following what users read rather
@@ -49,11 +56,10 @@
 // payload by the frame bytes around it plus at most a quarter and one
 // sizeGranule, evicted-but-pinned blocks are bounded by what readers hold
 // (a point read pins one block, an iterator two per table), and each free
-// list holds at most freeListBytes.
+// list holds at most its floor or, if more, its filled stripe's free room.
 package cache
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -73,7 +79,7 @@ type Block struct {
 	buf        []byte // the whole backing array; what is recycled
 	data       []byte // the payload readers see and the budget counts
 	refs       atomic.Int32
-	prev, next *Block // LRU links while resident
+	prev, next *Block // LRU links while resident; next links a free list's stack
 	spent      bool   // demoted and not read since; guarded by the LRU's mutex
 	home       *freeList
 }
@@ -106,38 +112,61 @@ func (b *Block) Release() {
 // 4.3 KiB read.
 const sizeGranule = 512
 
-// freeListBytes bounds the arrays one cache's free list holds: seven 4.5 KiB
-// arrays, more than a point read and one table's iterator return between
-// two misses, and small enough that an array of an unusual size (a block
-// holding one large value) is simply not kept.
+// freeListBytes bounds the arrays the free list of a stripe that has not
+// filled holds: seven 4.5 KiB arrays, more than a point read and one
+// table's iterator return between two misses.
 const freeListBytes = 32 << 10
 
 // PoisonFreed is a test hook: when set, an array is overwritten as it
-// enters a free list, and an sstable iterator's key arena as the iterator
-// is recycled, so a read through a released pin or a closed iterator fails
-// a value check instead of passing by luck.
+// enters a free list, an sstable iterator's key arena as it is emptied and
+// a memtable's key slabs as they are recycled, so a read through a
+// released pin, a closed iterator or a released memtable fails a value
+// check instead of passing by luck.
 var PoisonFreed atomic.Bool
 
-// freeList holds released blocks, struct and array together, for reuse.
+// freeList holds released blocks, struct and array together, for reuse: a
+// LIFO stack per array size, linked through Block.next. When the bound
+// leaves no room the sizes asked for least recently go first, so arrays
+// nobody asks for (a table's short last block) cannot crowd out the rest.
 type freeList struct {
-	mu     sync.Mutex
-	blocks []*Block
-	bytes  int
-	limit  int // bound on bytes, fixed at construction
+	mu sync.Mutex
+	// classes[i] holds arrays of i to i+1 granules, up to the floor: one of
+	// an unusual size (a block holding one large value) is simply dropped.
+	classes []sizeClass
+	gets    uint64
+	bytes   int
+	floor   int // bound on bytes, fixed at construction
+	// room is, once the owning stripe has filled, its capacity less its
+	// resident bytes: the bound becomes the larger of the two.
+	room atomic.Int64
 }
 
+type sizeClass struct {
+	top   *Block
+	asked uint64 // the get that last asked for this size
+}
+
+func newFreeList(floor int) freeList {
+	return freeList{floor: floor, classes: make([]sizeClass, floor/sizeGranule+1)}
+}
+
+func (f *freeList) limit() int { return max(f.floor, int(f.room.Load())) }
+
 // get returns a pinned, unpublished block for k with an n-byte Buf: the
-// oldest free array that fits without wasting more than a quarter of
-// itself, or a fresh one.
+// free array last returned among those that fit without wasting more than
+// about a quarter of themselves, or a fresh one.
 func (f *freeList) get(k Key, n int) *Block {
 	need := (n + sizeGranule - 1) / sizeGranule * sizeGranule
 	var b *Block
 	f.mu.Lock()
-	for i, c := range f.blocks {
-		if cap(c.buf) >= n && cap(c.buf) <= need+need/4 {
-			b = c
-			f.bytes -= cap(c.buf)
-			f.blocks = slices.Delete(f.blocks, i, i+1)
+	f.gets++
+	lo := need / sizeGranule
+	if lo < len(f.classes) {
+		f.classes[lo].asked = f.gets
+	}
+	for i := lo; i <= (need+need/4)/sizeGranule && i < len(f.classes); i++ {
+		if f.classes[i].top != nil {
+			b = f.pop(i)
 			break
 		}
 	}
@@ -157,28 +186,52 @@ func (f *freeList) adopt(k Key, value []byte) *Block {
 	return b
 }
 
-// put takes a block nobody references any more, dropping the oldest
-// entries to stay within the list's limit.
+// put takes a block nobody references any more, keeping it if the bound
+// leaves room once arrays of sizes asked for before its own have gone.
 func (f *freeList) put(b *Block) {
 	b.buf = b.buf[:cap(b.buf)]
 	b.data = nil
-	if len(b.buf) == 0 || len(b.buf) > f.limit {
+	i := len(b.buf) / sizeGranule
+	if i == 0 || i >= len(f.classes) {
 		return
 	}
 	if PoisonFreed.Load() {
-		for i := range b.buf {
-			b.buf[i] = 0xdb
+		for j := range b.buf {
+			b.buf[j] = 0xdb
 		}
 	}
 	f.mu.Lock()
-	drop := 0
-	for f.bytes+len(b.buf) > f.limit {
-		f.bytes -= len(f.blocks[drop].buf)
-		drop++
+	for f.bytes+len(b.buf) > f.limit() && f.evict(f.classes[i].asked) {
 	}
-	f.blocks = append(slices.Delete(f.blocks, 0, drop), b)
-	f.bytes += len(b.buf)
+	if f.bytes+len(b.buf) <= f.limit() {
+		f.classes[i].top, b.next = b, f.classes[i].top
+		f.bytes += len(b.buf)
+	}
 	f.mu.Unlock()
+}
+
+// evict drops an array of the size asked for least recently, if that was
+// before asked, and reports whether it did.
+func (f *freeList) evict(asked uint64) bool {
+	v := -1
+	for i := range f.classes {
+		if f.classes[i].top != nil && (v < 0 || f.classes[i].asked <= f.classes[v].asked) {
+			v = i
+		}
+	}
+	if v < 0 || f.classes[v].asked >= asked {
+		return false
+	}
+	f.pop(v)
+	return true
+}
+
+// pop takes the newest array of class i, which must have one.
+func (f *freeList) pop(i int) *Block {
+	b := f.classes[i].top
+	f.classes[i].top, b.next = b.next, nil
+	f.bytes -= cap(b.buf)
+	return b
 }
 
 // LRU is a thread-safe least-recently-used cache bounded by total cached
@@ -187,6 +240,7 @@ type LRU struct {
 	mu       sync.Mutex
 	capacity int
 	used     int
+	filled   bool  // an add has had to evict for capacity
 	root     Block // list sentinel: root.next is most recent, root.prev least
 	index    map[Key]*Block
 	free     freeList
@@ -200,7 +254,7 @@ func New(capacity int) *LRU {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	c := &LRU{capacity: capacity, index: make(map[Key]*Block), free: freeList{limit: freeListBytes}}
+	c := &LRU{capacity: capacity, index: make(map[Key]*Block), free: newFreeList(freeListBytes)}
 	c.root.prev, c.root.next = &c.root, &c.root
 	return c
 }
@@ -215,9 +269,25 @@ func (c *LRU) pushFront(b *Block) {
 	b.prev.next, b.next.prev = b, b
 }
 
+// setRoom tells a filled stripe's free list the room its resident blocks
+// leave, dropping free arrays it no longer covers; the caller holds c.mu
+// and has just changed used.
+func (c *LRU) setRoom() {
+	if !c.filled {
+		return
+	}
+	f := &c.free
+	f.room.Store(int64(c.capacity - c.used))
+	f.mu.Lock()
+	for f.bytes > f.limit() && f.evict(^uint64(0)) {
+	}
+	f.mu.Unlock()
+}
+
 // evict removes a resident block and drops the cache's reference to it.
 func (c *LRU) evict(b *Block) {
 	c.used -= len(b.data)
+	c.setRoom()
 	delete(c.index, b.key)
 	c.unlink(b)
 	b.spent = false
@@ -301,8 +371,10 @@ func (c *LRU) add(b *Block, payload []byte, cold bool) {
 		c.pushFront(b)
 		c.used += len(payload)
 		for c.used > c.capacity {
+			c.filled = true
 			c.evict(c.root.prev)
 		}
+		c.setRoom()
 	}
 	c.mu.Unlock()
 }
@@ -387,7 +459,7 @@ type uncached struct{ free freeList }
 // blocks into one buffer (sstable.Reader.ScanIter: up to 36 KiB a run, three
 // in flight per input table), so its free list is allowed a few of that
 // size: a merge in its steady state frees one as it asks for the next.
-var Uncached = &uncached{free: freeList{limit: 256 << 10}}
+var Uncached = &uncached{free: newFreeList(256 << 10)}
 
 func (u *uncached) Get(Key) (*Block, bool)         { return nil, false }
 func (u *uncached) Peek(Key) (*Block, bool)        { return nil, false }
@@ -502,23 +574,6 @@ func (s *Sharded) Stats() (hits, misses uint64, usedBytes int) {
 		usedBytes += u
 	}
 	return hits, misses, usedBytes
-}
-
-// ShardStat is one stripe's counters, exposed so striping skew (a hot
-// table hashing its blocks unevenly) is observable from engine stats.
-type ShardStat struct {
-	Hits, Misses uint64
-	UsedBytes    int
-}
-
-// ShardStats reports per-stripe hit/miss/occupancy counters.
-func (s *Sharded) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(s.shards))
-	for i, sh := range s.shards {
-		h, m, u := sh.Stats()
-		out[i] = ShardStat{Hits: h, Misses: m, UsedBytes: u}
-	}
-	return out
 }
 
 // Balance summarizes striping skew as the ratio of the fullest shard's

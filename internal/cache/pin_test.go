@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -15,6 +16,7 @@ import (
 // the real cache to its decisions.
 type parentLRU struct {
 	capacity, used int
+	filled         bool  // some put has evicted for capacity
 	order          []Key // front = most recent
 	size           map[Key]int
 	spent          map[Key]bool
@@ -67,6 +69,7 @@ func (m *parentLRU) put(k Key, n int, cold bool) bool {
 	delete(m.spent, k)
 	m.touch(k)
 	for m.used > m.capacity {
+		m.filled = true
 		m.remove(len(m.order) - 1)
 	}
 	return true
@@ -117,6 +120,17 @@ func intact(p []byte, v byte) bool {
 
 func array(b *Block) *byte { return &b.buf[:1][0] }
 
+// freeBlocks lists the blocks on f, every stack top to bottom.
+func freeBlocks(f *freeList) []*Block {
+	var out []*Block
+	for _, c := range f.classes {
+		for b := c.top; b != nil; b = b.next {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
 // TestModelAgainstParentLRU drives random Get / fill / adopting Put /
 // Publish / Peek / Demote / DropTable / Release against the parent's
 // algorithm: same hits, same residents in the same recency order (hence the
@@ -127,11 +141,20 @@ func array(b *Block) *byte { return &b.buf[:1][0] }
 // is a put that leaves no pin behind (a cold one gives way to a live
 // victim), a Peek is a lookup that does not touch the order, and a Demote
 // moves its block only if that block is the one resident under its key;
-// none of the three moves the hit and miss counters.
+// none of the three moves the hit and miss counters. The bound is the fill
+// rule: freeListBytes until the stripe first evicts for capacity, then the
+// larger of that and the room the residents leave, so that resident plus
+// free bytes stay within capacity whenever the free list is above its
+// floor. At 8 KiB the room never reaches the floor; at 96 KiB it does.
 func TestModelAgainstParentLRU(t *testing.T) {
 	PoisonFreed.Store(true)
 	defer PoisonFreed.Store(false)
-	const capacity = 8 << 10
+	for _, run := range []struct{ capacity, steps int }{{8 << 10, 20000}, {96 << 10, 10000}} {
+		t.Run(fmt.Sprint(run.capacity), func(t *testing.T) { modelRun(t, run.capacity, run.steps) })
+	}
+}
+
+func modelRun(t *testing.T, capacity, steps int) {
 	rng := rand.New(rand.NewSource(1))
 	c := New(capacity)
 	m := &parentLRU{capacity: capacity, size: map[Key]int{}, spent: map[Key]bool{}}
@@ -141,9 +164,10 @@ func TestModelAgainstParentLRU(t *testing.T) {
 	}
 	var pins []pin
 	var hits, misses uint64 // of Gets, the only lookups that count
-	var demoted, refused int
-	randKey := func() Key { return Key{Table: uint64(rng.Intn(3)), Offset: uint64(rng.Intn(24))} }
-	for step := 0; step < 20000; step++ {
+	var demoted, refused, aboveFloor int
+	offsets := max(24, capacity>>10) // three to ten times what fits
+	randKey := func() Key { return Key{Table: uint64(rng.Intn(3)), Offset: uint64(rng.Intn(offsets))} }
+	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(128); {
 		case op < 40:
 			k := randKey()
@@ -261,15 +285,25 @@ func TestModelAgainstParentLRU(t *testing.T) {
 			claim(b, "resident")
 		}
 		free := 0
-		for _, b := range c.free.blocks {
+		for _, b := range freeBlocks(&c.free) {
 			claim(b, "free")
 			free += cap(b.buf)
 			if b.refs.Load() != 0 || b.spent {
 				t.Fatalf("step %d: free block has %d refs, spent=%v", step, b.refs.Load(), b.spent)
 			}
 		}
-		if free != c.free.bytes || free > freeListBytes {
-			t.Fatalf("step %d: free list holds %d B, accounts %d, bound %d", step, free, c.free.bytes, freeListBytes)
+		bound := freeListBytes
+		if c.filled != m.filled {
+			t.Fatalf("step %d: filled = %v, model %v", step, c.filled, m.filled)
+		}
+		if m.filled {
+			bound = max(bound, capacity-m.used)
+		}
+		if free != c.free.bytes || free > bound {
+			t.Fatalf("step %d: free list holds %d B, accounts %d, bound %d (used %d)", step, free, c.free.bytes, bound, m.used)
+		}
+		if free > freeListBytes {
+			aboveFloor++
 		}
 		seen := map[*Block]bool{}
 		for _, p := range pins {
@@ -288,9 +322,13 @@ func TestModelAgainstParentLRU(t *testing.T) {
 	if c.hits != hits || c.misses != misses {
 		t.Fatalf("counters say %d hits, %d misses; Gets saw %d and %d", c.hits, c.misses, hits, misses)
 	}
-	if c.hits == 0 || c.misses == 0 || len(c.free.blocks) == 0 || demoted < 100 || refused < 100 {
-		t.Fatalf("run exercised nothing: %d hits, %d misses, %d free, %d demoted, %d cold publishes refused", c.hits, c.misses, len(c.free.blocks), demoted, refused)
+	if c.hits == 0 || c.misses == 0 || len(freeBlocks(&c.free)) == 0 || demoted < 100 || refused < 25 {
+		t.Fatalf("run exercised nothing: %d hits, %d misses, %d free, %d demoted, %d cold publishes refused", c.hits, c.misses, len(freeBlocks(&c.free)), demoted, refused)
 	}
+	if capacity > 2*freeListBytes && aboveFloor < 100 {
+		t.Fatalf("the free list rose above its floor at only %d steps", aboveFloor)
+	}
+	t.Logf("free list above its floor at %d steps", aboveFloor)
 }
 
 // order lists the resident keys' offsets from most to least recent, a spent
@@ -412,10 +450,10 @@ func TestDemoteAndSpent(t *testing.T) {
 	g.Release()
 	expect("before DropTable", 9, 8, 6, 3, -5)
 	c.DropTable(1)
-	if c.Len() != 0 || len(c.free.blocks) == 0 {
-		t.Fatalf("after DropTable: %d resident, %d free", c.Len(), len(c.free.blocks))
+	if c.Len() != 0 || len(freeBlocks(&c.free)) == 0 {
+		t.Fatalf("after DropTable: %d resident, %d free", c.Len(), len(freeBlocks(&c.free)))
 	}
-	for _, f := range c.free.blocks {
+	for _, f := range freeBlocks(&c.free) {
 		if f.spent {
 			t.Fatal("a free block is marked spent")
 		}
@@ -477,6 +515,78 @@ func TestUnreleasedPinNeverRecycled(t *testing.T) {
 	}
 	if !intact(leaked.Data(), 9) {
 		t.Fatal("evicted block changed under its pin")
+	}
+}
+
+// TestDroppedTableFundsItsSuccessor is a merge's cycle in a filled stripe:
+// an output table is published into room the stripe has, the inputs are
+// dropped, and the next output is published into the room they left. The
+// dropped arrays wait on the free list, so from the second cycle on a
+// table's worth of publishes allocates no array. A stripe that has never
+// filled keeps only freeListBytes of what a drop frees: there the same
+// cycle allocates most of its arrays afresh.
+func TestDroppedTableFundsItsSuccessor(t *testing.T) {
+	const blocks, size = 48, 4096 // 192 KiB a table: six times the floor
+	page := make([]byte, size)
+	publish := func(c *LRU, table uint64) {
+		for i := 0; i < blocks; i++ {
+			c.Publish(Key{Table: table, Offset: uint64(i)}, page, false)
+		}
+	}
+	cycle := func(c *LRU) (arrays float64) {
+		table := uint64(100)
+		return testing.AllocsPerRun(20, func() {
+			c.DropTable(table)
+			table++
+			publish(c, table)
+		}) / 2 // a fresh array is two objects: the Block and its array
+	}
+
+	filled := New(1 << 20)
+	publish(filled, 1)
+	for i := 2; !filled.filled; i++ {
+		publish(filled, uint64(i)) // fill it: tables 1 and up until one evicts
+	}
+	filled.DropTable(1) // room for the cycle's table
+	if got := cycle(filled); got != 0 {
+		t.Errorf("filled stripe: republishing a dropped table's bytes allocates %v arrays, want 0", got)
+	}
+	if _, _, used := filled.Stats(); used+filled.free.bytes > filled.capacity {
+		t.Errorf("filled stripe: %d B resident and %d B free exceed the %d B budget", used, filled.free.bytes, filled.capacity)
+	}
+
+	growing := New(1 << 20)
+	publish(growing, 1)
+	if got := cycle(growing); got < blocks/2 {
+		t.Errorf("never-filled stripe: a cycle allocates %v arrays, want most of %d", got, blocks)
+	}
+	if growing.filled || growing.free.bytes > freeListBytes {
+		t.Errorf("never-filled stripe (filled=%v) keeps %d B free, bound %d", growing.filled, growing.free.bytes, freeListBytes)
+	}
+}
+
+// TestUnaskedSizesMakeWay: a free list full of arrays of a size no miss asks
+// for — the short last blocks of flushed tables — gives them up for the
+// arrays misses do ask for, so those misses still recycle.
+func TestUnaskedSizesMakeWay(t *testing.T) {
+	c := New(256 << 10)
+	for i := 0; i < 64; i++ { // small blocks, evicted by the fills below
+		b := c.Alloc(Key{Table: 2, Offset: uint64(i)}, 1000)
+		c.Add(b, b.Buf())
+		b.Release()
+	}
+	i := 0
+	fillOne := func() {
+		b := c.Alloc(Key{Table: 1, Offset: uint64(i)}, 4100)
+		c.Add(b, b.Buf()[3:4096])
+		b.Release()
+		i++
+	}
+	for i < 200 {
+		fillOne()
+	}
+	if n := testing.AllocsPerRun(1000, fillOne); n != 0 {
+		t.Errorf("fills beside a free list of unasked sizes allocate %v objects, want 0", n)
 	}
 }
 

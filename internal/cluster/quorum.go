@@ -77,9 +77,11 @@ type leg struct {
 
 	// The leg's verdict, written by its goroutine before it reports on
 	// op.results: err, and for a read the record as the replica stores it
-	// (Version 0 when it has never seen the key). reported is the
-	// collector's note that it has received the report and may read them.
+	// (Version 0 when it has never seen the key) in val, the leg's buffer.
+	// reported is the collector's note that it has received the report and
+	// may read them.
 	rec      Record
+	val      []byte
 	err      error
 	reported bool
 }
@@ -134,6 +136,9 @@ func (o *quorumOp) release() {
 		l := &o.legs[i]
 		l.writes, l.share, l.skipped = l.writes[:0], l.share[:0], l.skipped[:0]
 		l.rec, l.err, l.reported = Record{}, nil, false
+		if cap(l.val) > 1<<20 { // kvnet's workers' bound: a huge value's buffer goes
+			l.val = nil
+		}
 	}
 	o.read = false
 	clear(o.batch) // drops the last references into a buffer that may have been outgrown
@@ -241,15 +246,15 @@ func (l *leg) call(ctx context.Context, c *kvnet.Client) error {
 	if !l.op.read {
 		return c.Write(ctx, l.share)
 	}
-	raw, err := c.Get(ctx, l.op.batch[0].Key)
-	if err != nil {
+	var err error
+	if l.val, err = c.AppendGet(ctx, l.val[:0], l.op.batch[0].Key); err != nil {
 		if errors.Is(err, kverr.ErrNotFound) {
 			l.rec = Record{} // version 0: the replica has never seen the key
 			return nil
 		}
 		return err
 	}
-	l.rec, err = decodeRecord(raw)
+	l.rec, err = decodeRecord(l.val)
 	return err
 }
 

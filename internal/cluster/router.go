@@ -331,10 +331,6 @@ func (rt *Router) DownNodes() []string {
 	return rt.health.downNodes()
 }
 
-// Owner returns the primary owner of key — the first member of its
-// replica set.
-func (rt *Router) Owner(key []byte) string { return rt.ring.Lookup(key) }
-
 // ReplicaNodes returns the full replica set for key.
 func (rt *Router) ReplicaNodes(key []byte) []string {
 	return rt.ring.ReplicaSet(key, rt.opts.ReplicationFactor)
@@ -536,7 +532,8 @@ func (rt *Router) Get(ctx context.Context, key []byte) ([]byte, error) {
 	if rec.Version == 0 || rec.Tombstone {
 		return nil, kverr.ErrNotFound
 	}
-	return rec.Value, nil
+	// Only the winner's value leaves its leg's buffer, which the op keeps.
+	return append([]byte{}, rec.Value...), nil
 }
 
 // forAll runs fn against every live node concurrently and collects

@@ -344,22 +344,28 @@ func (c *Client) Put(ctx context.Context, key, value []byte) error {
 // error, the latter ErrNotFound (the wire protocol carries not-found as an
 // explicit status, not as an empty value).
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, error) {
-	return c.get(ctx, &Request{Op: OpGet, Key: key})
+	return c.AppendGet(ctx, []byte{}, key)
 }
 
-func (c *Client) get(ctx context.Context, req *Request) ([]byte, error) {
+// AppendGet is Get that appends the value to dst and returns the extended
+// slice, so a caller that reads into a buffer of its own allocates nothing
+// once the buffer is large enough. On an error dst comes back unextended.
+func (c *Client) AppendGet(ctx context.Context, dst, key []byte) ([]byte, error) {
+	return c.get(ctx, dst, &Request{Op: OpGet, Key: key})
+}
+
+func (c *Client) get(ctx context.Context, dst []byte, req *Request) ([]byte, error) {
 	cl, resp, err := c.roundTrip(ctx, req)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	var value []byte
 	if resp.Status == StatusNotFound {
 		err = ErrNotFound
 	} else {
-		value = append([]byte{}, resp.Value...)
+		dst = append(dst, resp.Value...)
 	}
 	putCall(cl)
-	return value, err
+	return dst, err
 }
 
 // Delete removes key.

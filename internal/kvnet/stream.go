@@ -180,7 +180,7 @@ func (c *Client) Snapshot(ctx context.Context) (*Snapshot, error) {
 // Get returns the value stored for key as of the snapshot, ErrNotFound, or
 // kverr.ErrClosed once the handle was released or its lease expired.
 func (s *Snapshot) Get(ctx context.Context, key []byte) ([]byte, error) {
-	return s.c.get(ctx, &Request{Op: OpSnapGet, Handle: s.handle, Key: key})
+	return s.c.get(ctx, []byte{}, &Request{Op: OpSnapGet, Handle: s.handle, Key: key})
 }
 
 // Stream is Client.Stream through the snapshot. The stream pins its own

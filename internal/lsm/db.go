@@ -31,6 +31,7 @@ import (
 	"repro/internal/kverr"
 	"repro/internal/memtable"
 	"repro/internal/retry"
+	"repro/internal/skiplist"
 	"repro/internal/sstable"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -323,6 +324,9 @@ type DB struct {
 	merging   int
 	flushErr  error
 	flusherWG sync.WaitGroup
+	// slabs holds the last memtable nothing reads any more, for the next to
+	// carve from. The DB holds a reference on mem and imm until imm's flush.
+	slabs skiplist.FreeList
 	// writeBufs recycles the write-behind buffers of table builds.
 	writeBufs sstable.WriteBuffers
 	// flushHook, when set (tests only, under mu before the first write), is
@@ -397,7 +401,8 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{dir: dir, opts: opts, fs: fsys, man: man, mem: memtable.New(opts.Seed)}
+	db := &DB{dir: dir, opts: opts, fs: fsys, man: man}
+	db.mem = memtable.NewFrom(&db.slabs, opts.Seed)
 	db.cleanupFails.Add(orphanFails)
 	db.stallCond = sync.NewCond(&db.mu)
 	db.flushCond = sync.NewCond(&db.mu)
@@ -939,8 +944,8 @@ func (db *DB) tableWriterOpts() sstable.WriterOptions {
 // db.mu: it pins the published view, registers on the view's memtable and
 // takes its sequence bound under applyMu's read side (so a concurrent
 // group commit lies wholly above or wholly below the bound), and retains
-// the view tables narrowed to [start, end), appending them to tables. The
-// caller must release the state.
+// the view's memtables and its tables narrowed to [start, end), appending
+// the tables to tables. The caller must release the state.
 func (db *DB) acquireSnapshot(tables []*tableHandle, start, end []byte) (readState, error) {
 	v, err := db.pinView()
 	if err != nil {
@@ -950,6 +955,8 @@ func (db *DB) acquireSnapshot(tables []*tableHandle, start, end []byte) (readSta
 	db.applyMu.RLock()
 	bound := v.mem.Pin()
 	db.applyMu.RUnlock()
+	v.mem.Retain()
+	v.imm.Retain()
 	return readState{mem: v.mem, bound: bound, imm: v.imm, tables: retainOverlapping(tables, v.tables, start, end)}, nil
 }
 

@@ -239,7 +239,7 @@ func (db *DB) rotateLocked(picks bool) error {
 	// The skiplist seed counts rotations, not file numbers: those are
 	// handed out to flushes and merges running beside the writer.
 	db.rotations++
-	db.mem = memtable.New(db.opts.Seed + int64(db.rotations))
+	db.mem = memtable.NewFrom(&db.slabs, db.opts.Seed+int64(db.rotations))
 	db.installViewLocked()
 	db.flushCond.Broadcast()
 	return nil
@@ -414,8 +414,10 @@ func (db *DB) flushImmLocked() error {
 	db.flushCount++
 	db.bytesFlushed += rd.FileSize()
 	// Readers pinned to an older view keep reading imm, whose contents the
-	// new table duplicates: no version is ever invisible.
+	// new table duplicates: no version is ever invisible. The last of them
+	// to let go recycles it.
 	db.installViewLocked()
+	imm.Release()
 	db.flushCond.Broadcast()
 	if db.opts.Background != nil && len(db.tables) >= db.bgCfg.Trigger {
 		db.kickBackground()

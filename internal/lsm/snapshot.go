@@ -18,7 +18,8 @@ import (
 // bound nor registration), plus the sstables that were live beside them,
 // newest first. Holding one keeps a reader registration on the memtable
 // (writes retain the versions it can see, counted toward the flush
-// threshold) and a reference on each table; release drops both.
+// threshold) and a reference on each memtable and table; release drops
+// them all.
 type readState struct {
 	mem    *memtable.Table
 	bound  uint64
@@ -38,6 +39,8 @@ func (rs readState) getMem(key []byte) (iterator.Entry, bool) {
 
 func (rs readState) release() {
 	rs.mem.Unpin()
+	rs.mem.Release()
+	rs.imm.Release()
 	releaseTables(rs.tables)
 }
 
@@ -268,5 +271,7 @@ func (s *Snapshot) acquireSnapshot(tables []*tableHandle, start, end []byte) (re
 		return readState{}, ErrClosed
 	}
 	s.rs.mem.Pin()
+	s.rs.mem.Retain()
+	s.rs.imm.Retain()
 	return readState{mem: s.rs.mem, bound: s.rs.bound, imm: s.rs.imm, tables: retainOverlapping(tables, s.rs.tables, start, end)}, nil
 }

@@ -36,10 +36,11 @@ import (
 // with the single applier; see internal/skiplist), the frozen memtable
 // awaiting its flush if there is one (every version in it is older than any
 // in mem and newer than any in the tables), and the then-live sstables,
-// each retained once by the view. The publisher holds one
-// reference; readers pin and unpin around their probes. Dropping the last
-// reference releases the tables, which closes — and for superseded tables
-// deletes — any whose live reference is already gone.
+// each retained once by the view, as are the memtables. The publisher holds
+// one reference; readers pin and unpin around their probes. Dropping the
+// last reference releases the tables, which closes — and for superseded
+// tables deletes — any whose live reference is already gone, and the
+// memtables, which recycles a flushed one nothing else holds.
 type readView struct {
 	mem *memtable.Table
 	imm *memtable.Table // nil when no flush is pending
@@ -67,10 +68,13 @@ func (v *readView) pin() bool {
 	}
 }
 
-// unpin drops a reference; the last one out releases the view's tables.
+// unpin drops a reference; the last one out releases the view's tables and
+// memtables.
 func (v *readView) unpin() {
 	if v.refs.Add(-1) == 0 {
 		releaseTables(v.tables)
+		v.mem.Release()
+		v.imm.Release()
 	}
 }
 
@@ -85,15 +89,17 @@ func sortByMaxSeq(tables []*tableHandle) []*tableHandle {
 }
 
 // installViewLocked publishes the DB's current (mem, imm, tables) as the read
-// view, retaining every table on the new view's behalf and dropping the
-// previous view's publisher reference. Callers hold db.mu; the swap itself
-// is what readers observe, atomically.
+// view, retaining every table and memtable on the new view's behalf and
+// dropping the previous view's publisher reference. Callers hold db.mu; the
+// swap itself is what readers observe, atomically.
 func (db *DB) installViewLocked() {
 	tables := make([]*tableHandle, len(db.tables))
 	copy(tables, db.tables)
 	for _, th := range tables {
 		th.retain()
 	}
+	db.mem.Retain()
+	db.imm.Retain()
 	v := &readView{mem: db.mem, imm: db.imm, tables: tables, byseq: sortByMaxSeq(tables)}
 	v.refs.Store(1)
 	if old := db.view.Swap(v); old != nil {

@@ -23,6 +23,11 @@
 // writes. What is kept counts toward SizeBytes, so a memtable under scans
 // and overwrites reaches its flush threshold instead of growing without
 // bound.
+//
+// A Table's memory is reference-counted apart from the registrations: the
+// engine holds a reference while a table is its memtable or its frozen one,
+// and every read view, scan and snapshot naming it one more; the last
+// Release hands the skiplist's slabs to the next memtable (NewFrom).
 package memtable
 
 import (
@@ -56,14 +61,37 @@ type Table struct {
 	// last moved.
 	registrations uint64
 	retainBelow   uint64
+	refs          atomic.Int32 // holders of the table's memory
 }
 
 const oneReader = 1<<32 | 1 // a registration, live
 
-// New creates an empty memtable. seed controls skiplist tower heights for
-// reproducibility.
-func New(seed int64) *Table {
-	return &Table{list: skiplist.New(seed)}
+// New creates an empty memtable holding one reference for its creator.
+// seed controls skiplist tower heights for reproducibility.
+func New(seed int64) *Table { return NewFrom(new(skiplist.FreeList), seed) }
+
+// NewFrom is New for a memtable that carves from the slabs free holds and
+// whose last Release returns its own to free.
+func NewFrom(free *skiplist.FreeList, seed int64) *Table {
+	t := &Table{list: free.New(seed)}
+	t.refs.Store(1)
+	return t
+}
+
+// Retain takes one more reference for a holder of one; Retain and Release
+// ignore a nil Table.
+func (t *Table) Retain() {
+	if t != nil {
+		t.refs.Add(1)
+	}
+}
+
+// Release drops one reference. The last one recycles the skiplist: the key
+// of every entry the table handed out dies with it.
+func (t *Table) Release() {
+	if t != nil && t.refs.Add(-1) == 0 {
+		t.list.Recycle()
+	}
 }
 
 // Put records a write of key → value at sequence seq, superseding any

@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/skiplist"
 )
 
 // liveHeap is the heap still reachable after a collection.
@@ -256,4 +260,49 @@ func TestReadersOverSlabsAndInlineVersions(t *testing.T) {
 	done.Store(true)
 	wg.Wait()
 	t.Logf("%d checked reads", reads.Load())
+}
+
+// TestRotationRecyclesSlabs is the engine's rotation with no reader: a
+// memtable fills while the one before it, frozen, is flushed and released.
+// From the third memtable on, each carves from the slabs of the one two
+// before it, so filling one allocates a version per write and the Table
+// itself — no node, tower or key slab, and no skiplist. What a released
+// memtable handed out is gone with it: its keys read as poison.
+func TestRotationRecyclesSlabs(t *testing.T) {
+	cache.PoisonFreed.Store(true)
+	defer cache.PoisonFreed.Store(false)
+	const keys = 2500 // ten node slabs, about 3.3 of 4 tower slabs, ten key slabs
+	var free skiplist.FreeList
+	ks := make([][]byte, keys)
+	for i := range ks {
+		ks[i] = []byte(fmt.Sprintf("key-%012d", i))
+	}
+	val := bytes.Repeat([]byte("v"), 100)
+	var imm *Table
+	seq := uint64(0)
+	// A collection during a rotation would count objects of its own.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for r := 0; r < 20; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := NewFrom(&free, int64(r))
+		for _, k := range ks {
+			seq++
+			m.Put(k, val, seq)
+		}
+		var held []byte
+		if imm != nil {
+			it := imm.Iter()
+			held = it.Entry().Key
+			imm.Release() // flushed
+		}
+		runtime.ReadMemStats(&after)
+		if objects := after.Mallocs - before.Mallocs; r >= 2 && objects != keys+1 {
+			t.Errorf("memtable %d: %d objects for %d writes, want a version per write and the Table", r, objects, keys)
+		}
+		if held != nil && !bytes.Equal(held, bytes.Repeat([]byte{0xdb}, len(held))) {
+			t.Fatalf("memtable %d: a key of its released predecessor still reads %q", r, held)
+		}
+		imm = m
+	}
 }

@@ -26,11 +26,17 @@
 //
 // A write allocates one object: its version, which carries a copy of the
 // value inline (up to 208 bytes; a larger value gets an array of its own).
-// Nodes and their key copies are carved from slabs the list owns, since a
-// node lives as long as the list. Versions are not: a superseded version
-// that no reader can see is unlinked and left to the garbage collector, so
-// a key overwritten a million times holds one version's memory, not a
-// million — the same bound SizeBytes reports.
+// Nodes, their towers of forward pointers — each cut to the node's height —
+// and their key copies are carved from slabs the list owns, since a node
+// lives as long as the list. Versions are not: a superseded version that no
+// reader can see is unlinked and left to the garbage collector, so a key
+// overwritten a million times holds one version's memory, not a million —
+// the same bound SizeBytes reports.
+//
+// A list's slabs come from a FreeList and go back to it, zeroed, when the
+// list is recycled once nothing reads it any more; the memtable filling
+// meanwhile carves from them, so in steady state a memtable allocates no
+// slab.
 //
 // The list is safe for any number of concurrent readers (Get, Seek and
 // iterator traversal) alongside a single writer: nodes and versions are
@@ -46,7 +52,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
+
+	"repro/internal/cache"
 )
 
 const (
@@ -57,10 +66,12 @@ const (
 	// versionOverhead is what SizeBytes charges a version on top of its
 	// value: the sequence number and the tombstone flag.
 	versionOverhead = 9
-	// nodeSlab is how many nodes one slab holds (16 KiB), and keySlab the
+	// nodeSlab is how many nodes one slab holds (14 KiB), towerSlab how many
+	// forward pointers (8 KiB; a node takes 4/3 on average), and keySlab the
 	// bytes of one key slab; a key longer than maxSlabKey gets an array of
 	// its own rather than strand the rest of a slab.
-	nodeSlab   = 128
+	nodeSlab   = 256
+	towerSlab  = 1024
 	keySlab    = 4 << 10
 	maxSlabKey = keySlab / 8
 )
@@ -86,7 +97,7 @@ type node struct {
 	// lock-free reader sees either the old or the new version, never a
 	// torn mix.
 	head atomic.Pointer[Version]
-	next [maxHeight]atomic.Pointer[node]
+	next []atomic.Pointer[node] // one per level the node is linked at
 }
 
 func (n *node) loadNext(level int) *node { return n.next[level].Load() }
@@ -146,27 +157,109 @@ func newVersion(value []byte, seq uint64, tombstone bool) *Version {
 // usable; construct with New. Readers may run concurrently with one
 // writer; see the package comment for the exact contract.
 type List struct {
-	head *node
+	head node
 	// height is loaded by lock-free readers while the writer grows it.
 	height atomic.Int32
 	length int
 	bytes  int // keys plus every linked version, for size accounting
 	rng    *rand.Rand
-	// nodes and keys are the unused tails of the current slabs. A slab is
-	// never reused: it lives, through its nodes, as long as the list.
-	nodes []node
-	keys  []byte
+	nodes  slabs[node]
+	towers slabs[atomic.Pointer[node]]
+	keys   slabs[byte]
+	free   *FreeList // where the slabs come from and Recycle returns them
 }
 
-// New creates an empty list. seed makes tower heights deterministic, which
-// keeps tests and simulations reproducible.
-func New(seed int64) *List {
-	l := &List{
-		head: &node{},
-		rng:  rand.New(rand.NewSource(seed)),
+// slabs carves runs of one kind of element from the slabs in all.
+type slabs[T any] struct {
+	all  [][]T
+	tail []T // what is left of the last slab
+}
+
+// carve returns n elements of the last slab or, if it has too few left, of
+// the next: one popped from spare (under mu), or a fresh one of size
+// elements.
+func (s *slabs[T]) carve(n, size int, mu *sync.Mutex, spare *[][]T) []T {
+	if len(s.tail) < n {
+		mu.Lock()
+		if k := len(*spare); k > 0 {
+			s.tail, (*spare)[k-1], *spare = (*spare)[k-1], nil, (*spare)[:k-1]
+		} else {
+			s.tail = make([]T, size)
+		}
+		mu.Unlock()
+		s.all = append(s.all, s.tail)
+	}
+	run := s.tail[:n:n]
+	s.tail = s.tail[n:]
+	return run
+}
+
+// retire moves the slabs onto spare, which keeps no more than s had, and
+// empties s.
+func (s *slabs[T]) retire(spare [][]T) [][]T {
+	spare = append(spare, s.all[:max(len(s.all)-len(spare), 0)]...)
+	clear(s.all)
+	s.all, s.tail = s.all[:0], nil
+	return spare
+}
+
+// New creates an empty list with a free list of its own. seed makes tower
+// heights deterministic, which keeps tests and simulations reproducible.
+func New(seed int64) *List { return new(FreeList).New(seed) }
+
+// FreeList holds the slabs of the lists recycled into it — about one
+// memtable's worth — for the lists drawn from it to carve from, and the
+// last such list for the next New to reuse. The zero value is empty; it is
+// safe for concurrent use.
+type FreeList struct {
+	mu     sync.Mutex
+	list   *List
+	nodes  [][]node
+	towers [][]atomic.Pointer[node]
+	keys   [][]byte
+}
+
+// New returns an empty list that carves from f's slabs and whose Recycle
+// returns its own to f.
+func (f *FreeList) New(seed int64) *List {
+	f.mu.Lock()
+	l := f.list
+	f.list = nil
+	f.mu.Unlock()
+	if l == nil {
+		l = &List{rng: rand.New(rand.NewSource(seed)), free: f}
+		l.head.next = make([]atomic.Pointer[node], maxHeight)
+	} else {
+		l.rng.Seed(seed)
 	}
 	l.height.Store(1)
 	return l
+}
+
+// Recycle returns the list's slabs to its free list zeroed, so no retired
+// version stays reachable (under cache.PoisonFreed, keys poisoned).
+// Nothing may touch the list, or a key it handed out, afterwards.
+func (l *List) Recycle() {
+	for _, slab := range l.nodes.all {
+		clear(slab)
+	}
+	for _, slab := range l.towers.all {
+		clear(slab)
+	}
+	for _, slab := range l.keys.all {
+		if cache.PoisonFreed.Load() {
+			for i := range slab {
+				slab[i] = 0xdb
+			}
+		}
+	}
+	clear(l.head.next)
+	l.length, l.bytes = 0, 0
+	f := l.free
+	f.mu.Lock()
+	f.nodes, f.towers, f.keys = l.nodes.retire(f.nodes), l.towers.retire(f.towers), l.keys.retire(f.keys)
+	f.list = l
+	f.mu.Unlock()
 }
 
 // Len returns the number of distinct keys. Writer-side accounting: callers
@@ -193,7 +286,7 @@ func (l *List) randomHeight() int {
 // the same pointer: a writer may link a smaller key there in between, and
 // a lock-free reader handed that node would miss a key that is present.
 func (l *List) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node {
-	x := l.head
+	x := &l.head
 	var nx *node
 	for level := int(l.height.Load()) - 1; level >= 0; level-- {
 		for {
@@ -210,23 +303,17 @@ func (l *List) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node {
 	return nx
 }
 
-// newNode carves a node holding a copy of key from the list's slabs.
-func (l *List) newNode(key []byte) *node {
-	if len(l.nodes) == 0 {
-		l.nodes = make([]node, nodeSlab)
-	}
-	n := &l.nodes[0]
-	l.nodes = l.nodes[1:]
+// newNode carves a node of height h holding a copy of key from the slabs.
+func (l *List) newNode(key []byte, h int) *node {
+	f := l.free
+	n := &l.nodes.carve(1, nodeSlab, &f.mu, &f.nodes)[0]
+	n.next = l.towers.carve(h, towerSlab, &f.mu, &f.towers)
 	if len(key) > maxSlabKey {
 		n.key = append([]byte(nil), key...)
-		return n
+	} else {
+		n.key = l.keys.carve(len(key), keySlab, &f.mu, &f.keys)
+		copy(n.key, key)
 	}
-	if len(key) > len(l.keys) {
-		l.keys = make([]byte, keySlab)
-	}
-	n.key = l.keys[:len(key):len(key)]
-	l.keys = l.keys[len(key):]
-	copy(n.key, key)
 	return n
 }
 
@@ -256,11 +343,11 @@ func (l *List) Set(key, value []byte, seq uint64, tombstone bool, retainBelow ui
 	h := l.randomHeight()
 	if h > int(l.height.Load()) {
 		for level := int(l.height.Load()); level < h; level++ {
-			prev[level] = l.head
+			prev[level] = &l.head
 		}
 		l.height.Store(int32(h))
 	}
-	n := l.newNode(key)
+	n := l.newNode(key, h)
 	n.head.Store(v)
 	// Initialize every level's forward pointer before publishing the node
 	// at any level: a reader that encounters n through one level's link can

@@ -92,7 +92,7 @@ func BenchmarkEncodeBlock(b *testing.B) {
 	for _, c := range []struct {
 		name  string
 		codec Compression
-	}{{"raw", NoCompression}, {"fast", Fast}} {
+	}{{"raw", NoCompression}, {"flate", Flate}} {
 		b.Run(c.name, func(b *testing.B) {
 			var enc blockEncoder
 			frameBuf := make([]byte, 0, 2*len(body)+16)
@@ -108,26 +108,4 @@ func BenchmarkEncodeBlock(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkFastCodec measures the snappy-style codec in isolation on a
-// block-sized compressible payload.
-func BenchmarkFastCodec(b *testing.B) {
-	src := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog. "), 100)
-	comp := fastAppendCompress(nil, src)
-	b.Run("compress", func(b *testing.B) {
-		b.SetBytes(int64(len(src)))
-		var dst []byte
-		for i := 0; i < b.N; i++ {
-			dst = fastAppendCompress(dst[:0], src)
-		}
-	})
-	b.Run("decompress", func(b *testing.B) {
-		b.SetBytes(int64(len(src)))
-		for i := 0; i < b.N; i++ {
-			if _, err := fastDecode(comp, len(src)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -282,23 +282,22 @@ func searchV3Block(pb parsedBlock, target []byte, h *v3EntryHeader) error {
 	return ErrNotFound
 }
 
-// keyArena is the backing store for keys a block iterator has to rebuild
-// from their prefix-compressed form. It only appends while its iterator is
-// open — downstream combinators (iterator.Dedup, the k-way merge)
-// legitimately retain an Entry across Next — and Close empties it, keeping
-// the newest chunk for the iterator's next owner. Chunks are sized to the
-// work: the first holds one restart interval's worth of keys of the size
-// first asked for, each later one twice the last up to maxArenaChunk, so a
-// scan that reads a dozen entries does not pay for a table's worth.
+// keyArena is the backing store for the keys of one block that a block
+// iterator has to rebuild from their prefix-compressed form. It only
+// appends while that block's keys may be read, and empty makes it ready for
+// a later block, keeping its newest chunk: in steady state a scan rebuilds
+// every key in memory it already has.
 type keyArena struct {
-	buf  []byte
-	next int // size of the next chunk; zero until the first
+	buf []byte
 }
 
+// maxArenaChunk caps the block size a chunk is fitted to: a block of one
+// large value does not cost a chunk of its size.
 const maxArenaChunk = 4096
 
 // empty drops every key; under cache.PoisonFreed the kept chunk is
-// overwritten, so a key read after Close fails a check instead of passing.
+// overwritten, so a key read after its block was left behind fails a check
+// instead of passing.
 func (a *keyArena) empty() {
 	a.buf = a.buf[:0]
 	if cache.PoisonFreed.Load() {
@@ -309,30 +308,32 @@ func (a *keyArena) empty() {
 	}
 }
 
-func (a *keyArena) alloc(n int) []byte {
+// alloc returns n bytes nothing else handed out since the last empty. A
+// chunk too full for them is replaced — its keys stay valid — by one that
+// fits a block of blockSize bytes (up to maxArenaChunk), or twice the last
+// when a block's keys outgrew that.
+func (a *keyArena) alloc(n, blockSize int) []byte {
 	if cap(a.buf)-len(a.buf) < n {
-		size := a.next
-		if size == 0 {
-			size = min(n*restartInterval, maxArenaChunk)
-		}
-		size = max(size, n)
-		a.next = min(2*size, maxArenaChunk)
-		a.buf = make([]byte, 0, size)
+		a.buf = make([]byte, 0, max(n, min(blockSize, maxArenaChunk), 2*cap(a.buf)))
 	}
 	a.buf = a.buf[:len(a.buf)+n]
 	return a.buf[len(a.buf)-n:]
 }
 
 // v3BlockIter walks version-3 blocks in order, one after another: enter
-// positions it on a block, and the arena carries over. Keys stored whole —
-// restart keys — alias the block payload directly, which keeps roughly one
-// key per interval out of the arena for free; the rest are rebuilt into it.
-// The zero value is positioned past the end of an empty block.
+// positions it on a block. Keys stored whole — restart keys — alias the
+// block payload directly, which keeps roughly one key per interval out of
+// the arenas for free; the rest are rebuilt into the arena of their block.
+// The two arenas alternate: entering a block empties the one the block
+// before the previous one used, so a key stays valid exactly as long as a
+// block's pin does — until the second following Next. The zero value is
+// positioned past the end of an empty block.
 type v3BlockIter struct {
 	pb     parsedBlock
 	off    int
 	curKey []byte // full key of the entry most recently decoded
-	arena  keyArena
+	arenas [2]keyArena
+	cur    int // the arena of the current block
 }
 
 // enter positions the iterator before the first entry of payload.
@@ -342,6 +343,8 @@ func (it *v3BlockIter) enter(payload []byte) error {
 		return err
 	}
 	it.pb, it.off, it.curKey = pb, 0, nil
+	it.cur ^= 1
+	it.arenas[it.cur].empty()
 	return nil
 }
 
@@ -364,7 +367,7 @@ func (it *v3BlockIter) next(dst *iterator.Entry) (bool, error) {
 		// Full key: alias the block payload, no arena copy needed.
 		it.curKey = h.keySuffix
 	} else {
-		nk := it.arena.alloc(h.shared + h.unshared)
+		nk := it.arenas[it.cur].alloc(h.shared+h.unshared, len(it.pb.data))
 		copy(nk, it.curKey[:h.shared])
 		copy(nk[h.shared:], h.keySuffix)
 		it.curKey = nk

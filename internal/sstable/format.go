@@ -14,7 +14,7 @@
 //	           body length, bounding the decode allocation exactly)
 //	           codec 0: body is raw prefix-compressed entries
 //	           codec 1: body is DEFLATE-compressed entries
-//	           codec 2: body is fast-LZ-compressed entries (snappy-style)
+//	           (any other codec byte is corruption)
 //	entries := entry* restartOff u32 × numRestarts, numRestarts u32
 //	entry   := sharedLen uvarint    (0 at restart points)
 //	           unsharedLen uvarint
@@ -129,19 +129,12 @@ const (
 	// that do not shrink are stored raw, so pathological inputs never pay
 	// a size penalty.
 	Flate
-	// Fast compresses each data block with the package's snappy-style
-	// byte-oriented LZ codec (see compress.go): much faster than Flate at
-	// a lower ratio. Version-3 tables only; a version-2 Writer silently
-	// degrades Fast to NoCompression because legacy readers know no such
-	// codec byte.
-	Fast
 )
 
 // codec byte values stored per block.
 const (
 	codecRaw   byte = 0
 	codecFlate byte = 1
-	codecFast  byte = 2
 )
 
 // maxBlockPayload caps a decoded block for legacy (version 1 and 2)
@@ -267,17 +260,9 @@ func marshalBounds(b Bounds) []byte {
 	return out
 }
 
-// unmarshalBounds decodes a checksum-verified bounds-block payload,
-// ignoring any trailing extension bytes. The returned keys are copies,
-// safe to retain.
-func unmarshalBounds(payload []byte) (Bounds, error) {
-	b, _, err := unmarshalBoundsTail(payload)
-	return b, err
-}
-
-// unmarshalBoundsTail is unmarshalBounds returning the unparsed remainder
-// of the payload — the extension area version-3 writers put the key sketch
-// in.
+// unmarshalBoundsTail decodes a checksum-verified bounds-block payload and
+// returns the unparsed remainder — the extension area version-3 writers put
+// the key sketch in. The returned keys are copies, safe to retain.
 func unmarshalBoundsTail(payload []byte) (Bounds, []byte, error) {
 	var b Bounds
 	readKey := func() ([]byte, error) {
@@ -385,18 +370,15 @@ func verifyChecksummed(buf []byte) ([]byte, error) {
 type blockEncoder struct {
 	fbuf bytes.Buffer  // flate output, reused across blocks
 	fw   *flate.Writer // reused flate encoder
-	fast []byte        // fast-codec output, reused across blocks
 }
 
 // appendBlock appends one framed data block (codec byte, version-3 rawLen,
 // body, crc32) to dst and returns the extended slice. Compression falls
-// back to raw when it does not shrink the body; Fast degrades to raw on
-// pre-v3 formats, whose readers know no such codec byte.
+// back to raw when it does not shrink the body.
 func (e *blockEncoder) appendBlock(dst, entries []byte, compression Compression, version int) ([]byte, error) {
 	body := entries
 	codec := codecRaw
-	switch {
-	case compression == Flate:
+	if compression == Flate {
 		e.fbuf.Reset()
 		if e.fw == nil {
 			fw, err := flate.NewWriter(&e.fbuf, flate.BestSpeed)
@@ -416,12 +398,6 @@ func (e *blockEncoder) appendBlock(dst, entries []byte, compression Compression,
 		if e.fbuf.Len() < len(entries) {
 			body = e.fbuf.Bytes()
 			codec = codecFlate
-		}
-	case compression == Fast && version >= FormatV3:
-		e.fast = fastAppendCompress(e.fast[:0], entries)
-		if len(e.fast) < len(entries) {
-			body = e.fast
-			codec = codecFast
 		}
 	}
 	start := len(dst)
@@ -504,11 +480,6 @@ func decodeDataBlock(buf []byte, version int) ([]byte, error) {
 			return nil, ErrCorrupt
 		}
 		return out, nil
-	case codecFast:
-		if len(body) >= rawLen {
-			return nil, ErrCorrupt
-		}
-		return fastDecode(body, rawLen)
 	default:
 		return nil, ErrCorrupt
 	}

@@ -2,6 +2,8 @@ package sstable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/iterator"
@@ -39,10 +41,11 @@ func FuzzDecodeEntry(f *testing.F) {
 // FuzzReaderOpen feeds arbitrary bytes to the table opener: corrupt tables
 // must be rejected with an error, never a panic or a successful open that
 // later misbehaves. Seeds include all three footer versions — the
-// restart-block version 3 (raw, fast-compressed and multi-chunk), the
-// bounds-carrying version 2 and the legacy 64-byte version 1 — so the
-// version-detection path, the v1 bounds backfill, the partitioned-index
-// parser and the prefix-decoding walk are all fuzzed.
+// restart-block version 3 (raw, one whose block carries the retired codec
+// byte 2, compressed and multi-chunk), the bounds-carrying version 2 and
+// the legacy 64-byte version 1 — so the version-detection path, the v1
+// bounds backfill, the partitioned-index parser and the prefix-decoding
+// walk are all fuzzed.
 func FuzzReaderOpen(f *testing.F) {
 	var entries []iterator.Entry
 	for _, k := range []string{"a", "b", "c"} {
@@ -69,7 +72,7 @@ func FuzzReaderOpen(f *testing.F) {
 	f.Add(v3)
 	f.Add(v3[:len(v3)-5])
 	f.Add(v3[:len(v3)-footerSize-3]) // footer gone, index truncated
-	f.Add(build(WriterOptions{Compression: Fast}))
+	f.Add(withBlockCodec(f, v3, 2))
 	f.Add(build(WriterOptions{Compression: Flate}))
 	f.Add(build(WriterOptions{BlockSize: 16, IndexChunkSize: 1})) // many chunks
 	f.Add([]byte("not a table"))
@@ -167,28 +170,45 @@ func FuzzV3Block(f *testing.F) {
 	})
 }
 
-// FuzzFastDecode drives the snappy-style decoder with arbitrary bodies and
-// claimed lengths: it must never panic, never return more than rawLen
-// bytes, and must round-trip everything the compressor emits.
+// FuzzFastDecode frames arbitrary bodies and claimed lengths under codec
+// byte 2, which the retired snappy-style Fast codec wrote and nothing
+// decodes any more: every such frame, checksum intact, fails with
+// ErrCorrupt — never a panic, never a payload.
 func FuzzFastDecode(f *testing.F) {
 	f.Add([]byte{}, 0)
-	f.Add(fastAppendCompress(nil, []byte("hello hello hello hello")), 23)
-	f.Add(fastAppendCompress(nil, bytes.Repeat([]byte{7}, 300)), 300)
+	f.Add([]byte("hello hello hello hello"), 23)
+	f.Add(bytes.Repeat([]byte{7}, 300), 300)
 	f.Add([]byte{0xff, 0xff, 0xff}, 100)
 	f.Fuzz(func(t *testing.T, body []byte, rawLen int) {
-		if rawLen < 0 || rawLen > 1<<20 {
+		if rawLen < 0 {
 			return
 		}
-		out, err := fastDecode(body, rawLen)
-		if err == nil && len(out) != rawLen {
-			t.Fatalf("decode returned %d bytes, claimed %d", len(out), rawLen)
-		}
-		// And independently: whatever the compressor produces must decode
-		// back to the input.
-		comp := fastAppendCompress(nil, body)
-		rt, err := fastDecode(comp, len(body))
-		if err != nil || !bytes.Equal(rt, body) {
-			t.Fatalf("compressor output failed round trip: %v", err)
+		frame := binary.AppendUvarint([]byte{2}, uint64(rawLen))
+		frame = append(frame, body...)
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, crcTable))
+		if out, err := decodeDataBlock(frame, FormatV3); err != ErrCorrupt {
+			t.Fatalf("codec-2 frame decoded to %d bytes, err %v; want ErrCorrupt", len(out), err)
 		}
 	})
+}
+
+// withBlockCodec returns a copy of the table data whose first data block
+// claims codec byte codec, its checksum recomputed so that only the codec
+// is wrong.
+func withBlockCodec(tb testing.TB, data []byte, codec byte) []byte {
+	tb.Helper()
+	rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	handles, err := rd.chunkHandles(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := handles[0]
+	out := append([]byte(nil), data...)
+	frame := out[h.offset : h.offset+h.length]
+	frame[0] = codec
+	binary.LittleEndian.PutUint32(out[h.offset+h.length:], crc32.Checksum(frame, crcTable))
+	return out
 }

@@ -2,7 +2,6 @@ package sstable
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/iterator"
 )
@@ -18,29 +17,6 @@ type MergeStats struct {
 	EntriesOut   uint64
 }
 
-// TotalIO returns BytesRead + BytesWritten.
-func (s MergeStats) TotalIO() uint64 { return s.BytesRead + s.BytesWritten }
-
-// Merge merge-sorts the given tables into a single new table written to w,
-// keeping only the newest (highest-Seq) version of each key; input order
-// does not matter. When dropTombstones is true (a major compaction
-// producing the final table), deletion markers and the versions they
-// shadow are discarded.
-func Merge(w io.Writer, dropTombstones bool, inputs ...*Reader) (MergeStats, error) {
-	return MergeCompressed(w, dropTombstones, NoCompression, inputs...)
-}
-
-// MergeCompressed is Merge with a data-block codec for the output table.
-func MergeCompressed(w io.Writer, dropTombstones bool, compression Compression, inputs ...*Reader) (MergeStats, error) {
-	return MergeOpts(w, dropTombstones, WriterOptions{Compression: compression}, inputs...)
-}
-
-// MergeOpts is Merge with full writer options for the output table; input
-// tables of any format version merge into an output of the requested one.
-func MergeOpts(w io.Writer, dropTombstones bool, opts WriterOptions, inputs ...*Reader) (MergeStats, error) {
-	return MergeTo(NewWriterOpts(w, MergeEntries(inputs...), opts), dropTombstones, inputs...)
-}
-
 // MergeEntries is the number of entries a merge of inputs reads: the
 // expected-entries estimate for the Writer of its output.
 func MergeEntries(inputs ...*Reader) int {
@@ -51,8 +27,12 @@ func MergeEntries(inputs ...*Reader) int {
 	return n
 }
 
-// MergeTo is Merge into a Writer the caller built, which it finishes. The
-// inputs are read through ScanIters — a merge reads every block of tables
+// MergeTo merge-sorts the given tables into a Writer the caller built,
+// which it finishes, keeping only the newest (highest-Seq) version of each
+// key; input order does not matter. When dropTombstones is true (a major
+// compaction producing the final table), deletion markers and the versions
+// they shadow are discarded. Input tables of any format version merge into
+// an output of the Writer's. The inputs are read through ScanIters — a merge reads every block of tables
 // that are obsolete once it commits, so it fills the block cache with none
 // of them and moves each resident block it takes up to the cold end, spent —
 // and a Writer that publishes (PublishTo) carries their residency over to

@@ -3,6 +3,9 @@ package sstable
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"testing"
@@ -157,5 +160,150 @@ func TestMergeDedupOverRecycledBlocks(t *testing.T) {
 		if err := ch.(*Iter).Err(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRebuiltKeysLiveTwoBlocks is the validity rule for keys an iterator
+// rebuilds from their prefix-compressed form: such a key stays intact while
+// its block is the current one or the one before — so across one Next,
+// block boundary or not — and when the iterator enters the block after
+// next, the arena it lies in is reused: under cache.PoisonFreed it then
+// reads as poison. An iterator with one arena, emptied at every block,
+// would break the first half; one that never reuses an arena, the second.
+func TestRebuiltKeysLiveTwoBlocks(t *testing.T) {
+	cache.PoisonFreed.Store(true)
+	defer cache.PoisonFreed.Store(false)
+	var entries []iterator.Entry
+	for i := 0; i < 600; i++ {
+		entries = append(entries, entry(fmt.Sprintf("key-%06d", i), fmt.Sprintf("value-%024d", i), uint64(i+1)))
+	}
+	// ~5 entries per block: each block's first key is stored whole, the rest
+	// are rebuilt.
+	rd := buildTableOpts(t, entries, WriterOptions{BlockSize: 256})
+	for _, scan := range []bool{false, true} {
+		it := rd.Iter()
+		if scan {
+			it = rd.ScanIter()
+		}
+		type held struct {
+			key, want []byte
+			block     int
+		}
+		var keys []held
+		block, poisoned := 0, 0
+		var base *byte
+		for i := 0; it.Valid(); i++ {
+			first := &it.v3.pb.data[0] != base
+			if first {
+				base, block = &it.v3.pb.data[0], block+1
+			}
+			e := it.Entry()
+			if !bytes.Equal(e.Key, entries[i].Key) {
+				t.Fatalf("scan=%v: entry %d has key %q, want %q", scan, i, e.Key, entries[i].Key)
+			}
+			if !first {
+				keys = append(keys, held{e.Key, append([]byte(nil), e.Key...), block})
+			}
+			kept := keys[:0]
+			for _, k := range keys {
+				switch {
+				case k.block >= block-1:
+					if !bytes.Equal(k.key, k.want) {
+						t.Fatalf("scan=%v: key %q of block %d reads %q in block %d", scan, k.want, k.block, k.key, block)
+					}
+					kept = append(kept, k)
+				case bytes.Equal(k.key, bytes.Repeat([]byte{0xdb}, len(k.key))):
+					poisoned++
+				default:
+					t.Fatalf("scan=%v: key %q of block %d reads %q in block %d: its arena was not reused", scan, k.want, k.block, k.key, block)
+				}
+			}
+			keys = kept
+			it.Next()
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		it.Close()
+		if block < 80 || poisoned < 300 {
+			t.Fatalf("scan=%v: %d blocks, %d keys seen reused; the test proved little", scan, block, poisoned)
+		}
+	}
+}
+
+// mallocs reports the heap objects one call of fn allocates, fn warmed up
+// first, with collections held off so pooled iterators stay pooled.
+func mallocs(fn func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestScanAndMergeRecycleArenas: a ScanIter, and a merge through MergeTo,
+// over a table of more than a thousand blocks rebuild every block's keys in
+// one of two arenas, so they allocate no more arena chunks than over ten
+// blocks — at most two more objects all told. (A merge's Writer allocates
+// per block of its output; that share is measured by writing the same
+// entries directly and taken out.)
+func TestScanAndMergeRecycleArenas(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled iterators are dropped at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	opts := WriterOptions{BlockSize: 256}
+	table := func(n int) ([]iterator.Entry, *Reader) {
+		var entries []iterator.Entry
+		for i := 0; i < n; i++ {
+			entries = append(entries, entry(fmt.Sprintf("key-%08d", i), fmt.Sprintf("value-%016d", i), uint64(i+1)))
+		}
+		return entries, buildTableOpts(t, entries, opts)
+	}
+	scan := func(rd *Reader) func() {
+		return func() {
+			it := rd.ScanIter()
+			for it.Valid() {
+				it.Next()
+			}
+			it.Close()
+		}
+	}
+	merge := func(rd *Reader) func() {
+		return func() {
+			if _, err := MergeTo(NewWriterOpts(io.Discard, MergeEntries(rd), opts), false, rd); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write := func(entries []iterator.Entry) func() {
+		return func() {
+			w := NewWriterOpts(io.Discard, len(entries), opts)
+			for _, e := range entries {
+				if err := w.Add(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	smallEntries, small := table(80)
+	largeEntries, large := table(10000)
+	mergeCost := func(entries []iterator.Entry, rd *Reader) int64 {
+		return int64(mallocs(merge(rd))) - int64(mallocs(write(entries)))
+	}
+	ns, nl := len(allHandles(t, small)), len(allHandles(t, large))
+	if nl < 1000 {
+		t.Fatalf("the large table has %d blocks, want at least 1000", nl)
+	}
+	a, b := mallocs(scan(small)), mallocs(scan(large))
+	c, d := mergeCost(smallEntries, small), mergeCost(largeEntries, large)
+	t.Logf("over %d and %d blocks: ScanIter %d and %d objects, MergeTo beyond its Writer %d and %d", ns, nl, a, b, c, d)
+	if b > a+2 || d > c+2 {
+		t.Error("a long scan or merge allocates more than its two arena chunks")
 	}
 }

@@ -97,7 +97,7 @@ func TestScanIterMatchesIter(t *testing.T) {
 			IndexChunkSize: []int{3, 8, 256}[round%3],
 		}
 		if round%4 == 3 {
-			opts.Compression = Fast
+			opts.Compression = Flate
 		}
 		rd := buildTableOpts(t, entries, opts)
 		for _, fill := range []string{"uncached", "partly resident", "resident"} {

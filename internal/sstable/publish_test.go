@@ -80,7 +80,6 @@ func TestWriterPublishesWhatReadersCache(t *testing.T) {
 		compressed bool
 	}{
 		{"v3/raw", WriterOptions{}, false},
-		{"v3/fast", WriterOptions{Compression: Fast}, true},
 		{"v3/flate", WriterOptions{Compression: Flate}, true},
 		{"v2/raw", WriterOptions{FormatVersion: FormatV2}, false},
 		{"v2/flate", WriterOptions{FormatVersion: FormatV2, Compression: Flate}, true},

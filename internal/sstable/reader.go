@@ -492,12 +492,6 @@ func (rd *Reader) FooterVersion() int { return rd.version }
 // EntryCount returns the number of entries in the table.
 func (rd *Reader) EntryCount() uint64 { return rd.f.entryCount }
 
-// KeyBytes returns the total bytes of keys stored.
-func (rd *Reader) KeyBytes() uint64 { return rd.f.keyBytes }
-
-// ValBytes returns the total bytes of values stored.
-func (rd *Reader) ValBytes() uint64 { return rd.f.valBytes }
-
 // FileSize returns the total size of the encoded table in bytes: the
 // quantity compaction counts as disk I/O when the table is read or written.
 func (rd *Reader) FileSize() uint64 { return uint64(rd.size) }
@@ -670,22 +664,25 @@ func (rd *Reader) IterFrom(start []byte) *Iter {
 
 // Iter iterates over a Reader's entries block by block, chunk by chunk.
 //
-// Entries alias pinned block memory and the iterator's key arena. The
-// iterator pins the block it is reading and the one before it, so an Entry
+// Entries alias pinned block memory and the key arena of their block. The
+// iterator pins the block it is reading and the one before it, and keeps
+// the rebuilt keys of each of the two in an arena of its own, so an Entry
 // stays valid until the second following Next (or SeekGE) on its iterator:
 // one Next may cross into the next block, and the block left behind is
 // still held. That is what the combinators need — iterator.Dedup and
 // iterator.Merging read an entry after advancing its source once, never
 // twice, because a table holds one version per key — and it keeps a scan at
-// two pinned blocks per table whatever its length. Close releases both and
-// recycles the iterator, arena included, for the next Iter, IterFrom or
-// ScanIter: every entry dies there, and the iterator must not be touched
-// again, Err included. One never closed is left to the garbage collector.
+// two pinned blocks and two arenas per table whatever its length: entering
+// a block releases the pin and empties the arena of the block two back.
+// Close releases both pins and recycles the iterator, arenas included, for
+// the next Iter, IterFrom or ScanIter: every entry dies there, and the
+// iterator must not be touched again, Err included. One never closed is
+// left to the garbage collector.
 type Iter struct {
 	rd *Reader
 	cursor
 	legacy []byte       // remaining legacy-format block bytes
-	v3     v3BlockIter  // current version-3 block; its arena carries across blocks
+	v3     v3BlockIter  // current version-3 block and the key arenas
 	blk    *cache.Block // pin on the block being read
 	prev   *cache.Block // pin on the block before it
 	// nofill marks a ScanIter. For one, cold says the block being read was
@@ -704,7 +701,7 @@ type Iter struct {
 // iterator that hit an error reports Valid() == false.
 func (it *Iter) Err() error { return it.err }
 
-// Close releases the iterator's block pins, empties its key arena and
+// Close releases the iterator's block pins, empties its key arenas and
 // recycles it; a second Close before anything reuses it does nothing.
 func (it *Iter) Close() {
 	if it.rd == nil {
@@ -716,8 +713,10 @@ func (it *Iter) Close() {
 			b.Release()
 		}
 	}
-	it.v3.arena.empty()
-	*it = Iter{v3: v3BlockIter{arena: it.v3.arena}}
+	for i := range it.v3.arenas {
+		it.v3.arenas[i].empty()
+	}
+	*it = Iter{v3: v3BlockIter{arenas: it.v3.arenas}}
 	iters.Put(it)
 }
 

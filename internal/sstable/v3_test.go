@@ -3,10 +3,7 @@ package sstable
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/iterator"
 )
@@ -62,7 +59,6 @@ func TestRoundTripAcrossVersionsAndCodecs(t *testing.T) {
 		{"v2-flate", WriterOptions{FormatVersion: FormatV2, Compression: Flate}},
 		{"v3-raw", WriterOptions{FormatVersion: FormatV3}},
 		{"v3-flate", WriterOptions{FormatVersion: FormatV3, Compression: Flate}},
-		{"v3-fast", WriterOptions{FormatVersion: FormatV3, Compression: Fast}},
 		{"v3-chunked", WriterOptions{FormatVersion: FormatV3, BlockSize: 256, IndexChunkSize: 4}},
 	}
 	for _, c := range cases {
@@ -188,91 +184,6 @@ func TestRestartSearchWithinBlock(t *testing.T) {
 	}
 }
 
-// TestFastCodecRoundTrip quick-checks the snappy-style codec against
-// arbitrary inputs, compressible and not.
-func TestFastCodecRoundTrip(t *testing.T) {
-	check := func(src []byte) {
-		t.Helper()
-		comp := fastAppendCompress(nil, src)
-		got, err := fastDecode(comp, len(src))
-		if err != nil {
-			t.Fatalf("fastDecode(%d bytes): %v", len(src), err)
-		}
-		if !bytes.Equal(got, src) {
-			t.Fatalf("round trip changed %d-byte input", len(src))
-		}
-	}
-	check(nil)
-	check([]byte("a"))
-	check([]byte(strings.Repeat("abcdef", 1000)))      // highly repetitive
-	check(bytes.Repeat([]byte{0}, 5000))               // RLE / overlapping copies
-	check([]byte("abcdabcdabcdabcdxyzxyzxyzxyz12345")) // short overlaps
-	f := func(seed int64, n uint16) bool {
-		r := rand.New(rand.NewSource(seed))
-		src := make([]byte, int(n)%8192)
-		switch seed % 3 {
-		case 0:
-			r.Read(src) // incompressible
-		case 1:
-			for i := range src {
-				src[i] = byte(r.Intn(4)) // low-entropy
-			}
-		case 2:
-			pat := []byte(fmt.Sprintf("pattern-%d", seed))
-			for i := range src {
-				src[i] = pat[i%len(pat)]
-			}
-		}
-		comp := fastAppendCompress(nil, src)
-		got, err := fastDecode(comp, len(src))
-		return err == nil && bytes.Equal(got, src)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestFastCompressionShrinksTable mirrors the Flate test: compressible
-// values must shrink the file, and the table must read back identically.
-func TestFastCompressionShrinksTable(t *testing.T) {
-	var entries []iterator.Entry
-	for i := 0; i < 3000; i++ {
-		entries = append(entries, entry(fmt.Sprintf("key-%08d", i), strings.Repeat("abcdef", 20), uint64(i+1)))
-	}
-	var raw, fast bytes.Buffer
-	wr := NewWriterOpts(&raw, len(entries), WriterOptions{})
-	wf := NewWriterOpts(&fast, len(entries), WriterOptions{Compression: Fast})
-	for _, e := range entries {
-		if err := wr.Add(e); err != nil {
-			t.Fatal(err)
-		}
-		if err := wf.Add(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := wr.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wf.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if fast.Len() >= raw.Len() {
-		t.Errorf("fast-compressed table (%d) not smaller than raw (%d)", fast.Len(), raw.Len())
-	}
-	rd, err := NewReader(bytes.NewReader(fast.Bytes()), int64(fast.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := iterator.Drain(rd.Iter())
-	if len(got) != len(entries) {
-		t.Fatalf("drained %d entries, want %d", len(got), len(entries))
-	}
-	g, err := rd.Get([]byte("key-00001234"))
-	if err != nil || string(g.Value) != strings.Repeat("abcdef", 20) {
-		t.Errorf("Get on fast-compressed table: %v", err)
-	}
-}
-
 // TestV3PrefixCompressionShrinksKeys proves the restart format actually
 // pays for itself on prefix-heavy keys: the v3 table must be smaller than
 // the same data in v2 layout, both uncompressed.
@@ -315,9 +226,9 @@ func TestMergeAcrossVersions(t *testing.T) {
 	}, WriterOptions{})
 
 	var out bytes.Buffer
-	stats, err := MergeOpts(&out, true, WriterOptions{}, v3rd, v2rd, v1rd)
+	stats, err := MergeTo(NewWriter(&out, MergeEntries(v3rd, v2rd, v1rd)), true, v3rd, v2rd, v1rd)
 	if err != nil {
-		t.Fatalf("MergeOpts: %v", err)
+		t.Fatalf("MergeTo: %v", err)
 	}
 	rd, err := NewReader(bytes.NewReader(out.Bytes()), int64(out.Len()))
 	if err != nil {
@@ -364,17 +275,6 @@ func TestEncodeBlockAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("raw block framing allocates %.1f times per block, want 0", allocs)
-	}
-	// The Fast codec may allocate only on its first run (scratch growth).
-	allocs = testing.AllocsPerRun(100, func() {
-		framed, err := enc.appendBlock(frameBuf[:0], body, Fast, FormatV3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frameBuf = framed[:0]
-	})
-	if allocs != 0 {
-		t.Errorf("fast block framing allocates %.1f times per block after warmup, want 0", allocs)
 	}
 }
 
@@ -449,6 +349,42 @@ func TestV3CorruptBlocks(t *testing.T) {
 		return b
 	})
 
+	// A frame whose codec byte is 2, which the retired Fast codec wrote, is
+	// corrupt however sound its checksum: the table opens, and every read of
+	// that block fails.
+	t.Run("retired codec 2", func(t *testing.T) {
+		var entries []iterator.Entry
+		for i := 0; i < 64; i++ {
+			entries = append(entries, entry(fmt.Sprintf("key-%06d", i), "v", uint64(i+1)))
+		}
+		var buf bytes.Buffer
+		w := NewWriter(&buf, len(entries))
+		for _, e := range entries {
+			if err := w.Add(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		data := withBlockCodec(t, buf.Bytes(), 2)
+		rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if _, err := rd.Get(entries[0].Key); err != ErrCorrupt {
+			t.Fatalf("Get err = %v, want ErrCorrupt", err)
+		}
+		it := rd.Iter()
+		for it.Valid() {
+			it.Next()
+		}
+		if err := it.Err(); err != ErrCorrupt {
+			t.Fatalf("scan err = %v, want ErrCorrupt", err)
+		}
+		it.Close()
+	})
+
 	// A corrupt-shared entry mid-block (shared > previous key length) must
 	// fail during the walk, not mis-decode.
 	t.Run("shared exceeds prev key", func(t *testing.T) {
@@ -482,38 +418,48 @@ func TestV3CorruptBlocks(t *testing.T) {
 	})
 }
 
-// TestKeyArenaSizedToWork pins the arena's growth: the first chunk holds
-// one restart interval of keys, chunks double up to maxArenaChunk, an
-// oversized key gets a chunk of its own, and bytes handed out are never
-// handed out again.
+// TestKeyArenaSizedToWork pins the arena's sizing: a chunk fits the block
+// it serves (up to maxArenaChunk for a block of large values), a block whose
+// keys outgrow it gets one twice the size, an oversized key a chunk of its
+// own, bytes handed out are never handed out again before empty, and empty
+// keeps the chunk, so the next block allocates nothing.
 func TestKeyArenaSizedToWork(t *testing.T) {
 	var a keyArena
-	first := a.alloc(20)
-	if cap(a.buf) != 20*restartInterval {
-		t.Errorf("first chunk = %d bytes, want %d", cap(a.buf), 20*restartInterval)
+	first := a.alloc(20, 1000)
+	if cap(a.buf) != 1000 {
+		t.Errorf("first chunk for a 1000-byte block = %d bytes, want 1000", cap(a.buf))
 	}
 	copy(first, "aaaaaaaaaaaaaaaaaaaa")
 	var chunks []int
 	last := cap(a.buf)
-	for i := 0; i < 2000; i++ {
-		copy(a.alloc(20), "bbbbbbbbbbbbbbbbbbbb")
+	for i := 0; i < 200; i++ {
+		copy(a.alloc(20, 1000), "bbbbbbbbbbbbbbbbbbbb")
 		if cap(a.buf) != last {
 			last = cap(a.buf)
 			chunks = append(chunks, last)
 		}
 	}
-	if want := "[640 1280 2560 4096]"; fmt.Sprint(chunks) != want {
+	if want := "[2000 4000]"; fmt.Sprint(chunks) != want {
 		t.Errorf("chunk sizes after the first = %v, want %s", chunks, want)
 	}
 	if string(first) != "aaaaaaaaaaaaaaaaaaaa" {
 		t.Errorf("an earlier key was overwritten: %q", first)
 	}
-	if big := a.alloc(3 * maxArenaChunk); len(big) != 3*maxArenaChunk {
+	a.empty()
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 150; i++ {
+			a.alloc(20, 1000)
+		}
+		a.empty()
+	}); allocs != 0 || cap(a.buf) != 4000 {
+		t.Errorf("a block's keys after empty cost %v chunks (chunk %d bytes), want 0", allocs, cap(a.buf))
+	}
+	if big := a.alloc(3*maxArenaChunk, 1000); len(big) != 3*maxArenaChunk {
 		t.Errorf("oversized alloc returned %d bytes", len(big))
 	}
 	var b keyArena
-	b.alloc(1000)
+	b.alloc(20, 1<<20)
 	if cap(b.buf) != maxArenaChunk {
-		t.Errorf("first chunk for 1000-byte keys = %d, want the %d cap", cap(b.buf), maxArenaChunk)
+		t.Errorf("first chunk for a 1 MiB block = %d, want the %d cap", cap(b.buf), maxArenaChunk)
 	}
 }

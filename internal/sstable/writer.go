@@ -88,11 +88,6 @@ func NewWriter(w io.Writer, expectedEntries int) *Writer {
 	return NewWriterOpts(w, expectedEntries, WriterOptions{})
 }
 
-// NewWriterCompressed creates a Writer with the given data-block codec.
-func NewWriterCompressed(w io.Writer, expectedEntries int, compression Compression) *Writer {
-	return NewWriterOpts(w, expectedEntries, WriterOptions{Compression: compression})
-}
-
 // NewWriterOpts creates a Writer with full control over format version,
 // codec, block size and index chunking.
 func NewWriterOpts(w io.Writer, expectedEntries int, opts WriterOptions) *Writer {
