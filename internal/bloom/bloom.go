@@ -60,17 +60,28 @@ func NewWithEstimates(n uint64, p float64) *Filter {
 func (f *Filter) Add(key []byte) { f.AddHash(keyhash.Of(key)) }
 
 // AddHash inserts the key whose hash is h. Probe positions follow
-// Kirsch–Mitzenmacher double hashing, g_i = (H1 + i·H2 mod 2^64) mod nbits,
-// stepped by one wrapping addition per probe; the positions are part of the
-// sstable format.
+// Kirsch–Mitzenmacher double hashing over the finalised pair,
+// g_i = (fmix64(H1) + i·fmix64(H2) mod 2^64) mod nbits, stepped by one
+// wrapping addition per probe; the positions are part of the sstable format.
 func (f *Filter) AddHash(h keyhash.Hash) {
-	x := h.H1
+	x, step := fmix64(h.H1), fmix64(h.H2)
 	for i := uint32(0); i < f.hashes; i++ {
 		pos := x % f.nbits
 		f.bits[pos/64] |= 1 << (pos % 64)
-		x += h.H2
+		x += step
 	}
 	f.count++
+}
+
+// fmix64 is the splitmix64 finaliser. keyhash's FNV-1a values are poorly
+// mixed for keys sharing a long prefix — the last bytes enter each through
+// one xor and one multiply by the same prime — and double hashing over the
+// raw pair sets correlated bits: a 1 % filter measures about 4.5 % on keys
+// like "user" + 16 hex digits. Over the finalised pair it measures 1 %.
+func fmix64(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // AddUint64 inserts a fixed-width integer key.
@@ -87,13 +98,13 @@ func (f *Filter) MayContain(key []byte) bool { return f.MayContainHash(keyhash.O
 // MayContainHash is MayContain for a key already hashed, so a lookup that
 // probes several tables' filters hashes its key once.
 func (f *Filter) MayContainHash(h keyhash.Hash) bool {
-	x := h.H1
+	x, step := fmix64(h.H1), fmix64(h.H2)
 	for i := uint32(0); i < f.hashes; i++ {
 		pos := x % f.nbits
 		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
 			return false
 		}
-		x += h.H2
+		x += step
 	}
 	return true
 }

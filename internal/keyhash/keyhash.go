@@ -1,15 +1,16 @@
 // Package keyhash is the engine's one hash of key bytes. A table writer
 // hashes each entry once and a point read hashes its key once; the Bloom
-// filter derives all its probe positions from the pair, the HyperLogLog
-// sketch observes H1, and the abstract compaction model's uint64 key
-// universe is H1 — so a persisted sketch and a model-built one over the same
-// keys are register-identical.
+// filter derives all its probe positions from the finalised pair (package
+// bloom applies splitmix64's finaliser to each half), the HyperLogLog sketch
+// observes H1, and the abstract compaction model's uint64 key universe is
+// H1 — so a persisted sketch and a model-built one over the same keys are
+// register-identical.
 package keyhash
 
 // Hash holds two 64-bit FNV-1a values of one key: H1 from the standard
 // offset basis, H2 from the basis XORed with the golden-ratio constant. The
-// values are part of the sstable format (filter bit positions and sketch
-// registers derive from them) and must never change.
+// values are part of the sstable format (filter bit positions derive from
+// their finalised pair, sketch registers from H1) and must never change.
 type Hash struct{ H1, H2 uint64 }
 
 // Of hashes key in a single pass over its bytes.

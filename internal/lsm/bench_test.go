@@ -306,12 +306,10 @@ func BenchmarkMajorCompact(b *testing.B) {
 }
 
 // BenchmarkGetCold is the read path with every Get paying a block read,
-// decode and in-block search against a flushed sstable. v2 and v3 compare
-// table formats with the block cache disabled (version 3's restart-point
-// binary search replaces version 2's full linear block walk); v3-thrash
-// attaches a cache a twelfth the size of the table, so almost every Get
-// misses, evicts and refills — the path where the allocation count shows
-// whether misses land in recycled arrays.
+// decode and in-block search against a flushed sstable: v3 with the block
+// cache disabled; v3-thrash with a cache a twelfth the size of the table,
+// so almost every Get misses, evicts and refills — the path where the
+// allocation count shows whether misses land in recycled arrays.
 //
 // Run with:
 //
@@ -320,11 +318,10 @@ func BenchmarkGetCold(b *testing.B) {
 	const n = 20000
 	for _, tc := range []struct {
 		name       string
-		format     int
 		cacheBytes int
-	}{{"v2", 2, -1}, {"v3", 3, -1}, {"v3-thrash", 3, 64 << 10}} {
+	}{{"v3", -1}, {"v3-thrash", 64 << 10}} {
 		b.Run(tc.name, func(b *testing.B) {
-			db := benchDB(b, Options{BlockCacheBytes: tc.cacheBytes, TableFormat: tc.format})
+			db := benchDB(b, Options{BlockCacheBytes: tc.cacheBytes})
 			keys := make([][]byte, n)
 			val := bytes.Repeat([]byte("v"), 16)
 			for i := 0; i < n; i++ {

@@ -221,7 +221,7 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 	for i, th := range newTables {
 		db.man.tables[i] = th.name
 	}
-	db.man.recordBounds(newTables)
+	db.man.recordLevels(newTables)
 	if err := db.man.save(db.fs, db.dir); err != nil {
 		// The swap's manifest rewrite failed: the old manifest may no
 		// longer be trustworthy on disk. Keep the old in-memory table set

@@ -57,7 +57,8 @@ var (
 	ErrBatchTooLarge = kverr.ErrBatchTooLarge
 
 	// ErrCorrupt reports on-disk damage: a checksum-failing sstable block,
-	// or a manifest referencing files that no longer exist. A corrupt
+	// a table of an older format, or a manifest that references files that
+	// no longer exist or holds lines this build does not know. A corrupt
 	// sstable detected at read time is quarantined (renamed aside and
 	// dropped from the live set) so the store keeps serving its healthy
 	// tables.
@@ -96,15 +97,6 @@ type Options struct {
 	// BlockCacheBytes bounds the shared sstable block cache. Zero selects
 	// 8 MiB; negative disables caching.
 	BlockCacheBytes int
-	// Compression selects the sstable data-block codec for flushes and
-	// compactions. The zero value stores blocks raw.
-	Compression sstable.Compression
-	// TableFormat selects the sstable format version written by flushes
-	// and compactions: sstable.FormatV3 (the default when zero) or
-	// sstable.FormatV2 for compatibility tooling and format benchmarks.
-	// Tables of any readable version already on disk stay readable
-	// regardless of this setting.
-	TableFormat int
 	// HookBeforeSwap, when non-nil, runs between a major compaction's merge
 	// phase and its manifest swap, off-lock; returning an error aborts the
 	// compaction as if it crashed there. Intended for tests that need to
@@ -170,10 +162,8 @@ type tableHandle struct {
 	smallest, largest []byte
 	minSeq, maxSeq    uint64
 	hasBounds         bool
-	// sketch is the table's HyperLogLog key sketch: read from the bounds
-	// tail of a format-v3 table at open, or restored from the manifest for
-	// tables whose file predates the extension. Nil when never persisted.
-	// Immutable after open — consumers Clone before merging.
+	// sketch is the table's HyperLogLog key sketch, read from its bounds
+	// block at open. Immutable — consumers Clone before merging.
 	sketch *hll.Sketch
 	// level is the table's position in a leveled layout (0 for fresh
 	// flushes and flat layouts), persisted through the manifest. Guarded
@@ -411,14 +401,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		db.blockCache = cache.NewSharded(opts.BlockCacheBytes, 0)
 	}
 	for _, name := range man.tables {
-		// The manifest's persisted bounds let a legacy (version-1 footer)
-		// table skip its open-time backfill read; version-2 tables ignore
-		// the hint in favor of their own bounds block.
-		var hint *sstable.Bounds
-		if mb, ok := man.bounds[name]; ok {
-			hint = &mb
-		}
-		rd, err := db.openTable(name, hint, sstable.ReserveID())
+		rd, err := db.openTable(name, sstable.ReserveID())
 		if err != nil {
 			releaseTables(db.tables)
 			if errors.Is(err, fs.ErrNotExist) {
@@ -430,12 +413,6 @@ func Open(dir string, opts Options) (*DB, error) {
 			return nil, fmt.Errorf("lsm: open table %s: %w", name, err)
 		}
 		th := db.newTableHandle(name, rd, 0)
-		// A table whose file embeds no sketch (format v2, or v3 written
-		// before the extension) may still have one persisted in the
-		// manifest; levels live only in the manifest.
-		if th.sketch == nil {
-			th.sketch = man.sketches[name]
-		}
 		th.level = man.levels[name]
 		db.tables = append(db.tables, th)
 	}
@@ -498,10 +475,9 @@ func (db *DB) blocks() sstable.Cache {
 }
 
 // openTable opens an sstable file under block-cache id and attaches the
-// shared block cache. hint is the manifest's persisted bounds, if any; see
-// sstable.OpenWithBounds.
-func (db *DB) openTable(name string, hint *sstable.Bounds, id uint64) (*sstable.Reader, error) {
-	rd, err := sstable.OpenFSWithID(db.fs, filepath.Join(db.dir, name), hint, id)
+// shared block cache.
+func (db *DB) openTable(name string, id uint64) (*sstable.Reader, error) {
+	rd, err := sstable.OpenFSWithID(db.fs, filepath.Join(db.dir, name), id)
 	if err != nil {
 		return nil, err
 	}
@@ -540,7 +516,7 @@ func (db *DB) buildTable(name string, expected int, fill func(*sstable.Writer) e
 		return nil, first
 	}
 	wb := db.writeBufs.NewWriter(f)
-	w := sstable.NewWriterOpts(wb, expected, db.tableWriterOpts())
+	w := sstable.NewWriter(wb, expected)
 	w.PublishTo(db.blocks(), id)
 	err = fill(w)
 	if werr := wb.Close(); err == nil {
@@ -557,7 +533,7 @@ func (db *DB) buildTable(name string, expected int, fill func(*sstable.Writer) e
 	if err := f.Close(); err != nil {
 		return abort(fmt.Errorf("lsm: close sstable: %w", err))
 	}
-	rd, err := db.openTable(name, nil, id)
+	rd, err := db.openTable(name, id)
 	if err != nil {
 		return abort(err)
 	}
@@ -777,7 +753,7 @@ func (db *DB) quarantineTable(th *tableHandle, cause error) {
 		}
 	}
 	db.man.tables = manTables
-	db.man.recordBounds(db.tables)
+	db.man.recordLevels(db.tables)
 	saveErr := db.man.save(db.fs, db.dir)
 	db.generation++
 	db.quarantined++
@@ -929,15 +905,6 @@ func (db *DB) FlushContext(ctx context.Context) error {
 	defer db.pipeMu.Unlock()
 	defer db.mu.Unlock()
 	return db.flushMemLocked()
-}
-
-// tableWriterOpts builds the sstable writer options flushes and
-// compactions share: the configured codec and table format version.
-func (db *DB) tableWriterOpts() sstable.WriterOptions {
-	return sstable.WriterOptions{
-		Compression:   db.opts.Compression,
-		FormatVersion: db.opts.TableFormat,
-	}
 }
 
 // acquireSnapshot captures a consistent read state without touching

@@ -84,10 +84,7 @@ func (db *DB) recoverWAL() error {
 	}
 	var flushed uint64
 	for _, th := range db.tables {
-		// A legacy table opened without a manifest hint has an unknown
-		// sequence range (its maxSeq is the maximum); it predates segments,
-		// so no record of it can still be in one.
-		if th.hasBounds && th.maxSeq != ^uint64(0) && th.maxSeq > flushed {
+		if th.hasBounds && th.maxSeq > flushed {
 			flushed = th.maxSeq
 		}
 	}
@@ -364,9 +361,7 @@ func (db *DB) flushImmLocked() error {
 	name := db.allocTableNameLocked()
 	db.mu.Unlock()
 	db.atFlushPoint(beforeBuild)
-	var w *sstable.Writer
-	rd, err := db.buildTable(name, imm.Len(), func(tw *sstable.Writer) error {
-		w = tw
+	rd, err := db.buildTable(name, imm.Len(), func(w *sstable.Writer) error {
 		return sstable.WriteAll(w, imm.Iter())
 	})
 	if err == nil {
@@ -379,15 +374,9 @@ func (db *DB) flushImmLocked() error {
 	// Newest first.
 	db.generation++
 	th := db.newTableHandle(name, rd, db.generation)
-	if th.sketch == nil {
-		// Table formats that do not embed the sketch (v2) still get one:
-		// the writer maintained it in memory, and the manifest carries it
-		// across restarts.
-		th.sketch = w.Sketch()
-	}
 	db.tables = append([]*tableHandle{th}, db.tables...)
 	db.man.tables = append([]string{name}, db.man.tables...)
-	db.man.recordBounds(db.tables)
+	db.man.recordLevels(db.tables)
 	// One past what the tables hold, whatever the writer has committed
 	// since the rotation: replay raises it past every surviving WAL record.
 	prevSeq := db.man.nextSeq
@@ -403,7 +392,7 @@ func (db *DB) flushImmLocked() error {
 		db.tables = db.tables[1:]
 		db.man.tables = db.man.tables[1:]
 		db.man.nextSeq = prevSeq
-		db.man.recordBounds(db.tables)
+		db.man.recordLevels(db.tables)
 		rd.Close()
 		db.removeFile(name)
 		db.failDurabilityLocked(err)

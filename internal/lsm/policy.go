@@ -33,8 +33,7 @@ type TableInfo struct {
 	// nil for an empty table.
 	Smallest, Largest []byte
 	// Sketch is the table's HyperLogLog key sketch, persisted at write
-	// time, or nil for tables written before sketches existed. Policies
-	// must treat it as read-only (Clone before merging).
+	// time. Policies must treat it as read-only (Clone before merging).
 	Sketch *hll.Sketch
 	// Level is the table's position in a leveled layout; 0 for fresh
 	// flushes and for flat (size-tiered/threshold) layouts.
@@ -621,7 +620,7 @@ func (db *DB) minorCompactLocked(policy CompactionPolicy) (*MinorCompactionResul
 	for i, th := range kept {
 		db.man.tables[i] = th.name
 	}
-	db.man.recordBounds(kept)
+	db.man.recordLevels(kept)
 	if err := db.man.save(db.fs, db.dir); err != nil {
 		db.man.tables = oldManTables
 		db.failDurabilityLocked(err)

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/sstable"
 	"repro/internal/vfs"
 )
 
@@ -103,19 +102,17 @@ func sstFiles(t testing.TB, fsys vfs.FS, dir string) int {
 // never and goes to the file once — the lazy parse of the table's one index
 // chunk, which is not a data block — and a second pass not at all.
 func TestFlushedTableIsResident(t *testing.T) {
-	for _, codec := range []sstable.Compression{sstable.NoCompression, sstable.Flate} {
-		fsys := &sstReads{FS: vfs.Default}
-		db := openTestDB(t, Options{MemtableBytes: 64 << 20, Compression: codec, FS: fsys})
-		flushRange(t, db, 0, 3000, 1, 0)
-		if db.blockCache.Len() < 50 {
-			t.Fatalf("codec %v: %d blocks resident after a 3000-entry flush", codec, db.blockCache.Len())
-		}
-		if misses, reads := readRange(t, db, fsys, 0, 3000, 1, 0); misses != 0 || reads != 1 {
-			t.Errorf("codec %v: reading a flushed table: %d cache misses, %d ReadAt; want 0 and 1 (its index chunk)", codec, misses, reads)
-		}
-		if misses, reads := readRange(t, db, fsys, 0, 3000, 1, 0); misses != 0 || reads != 0 {
-			t.Errorf("codec %v: second pass: %d cache misses, %d ReadAt", codec, misses, reads)
-		}
+	fsys := &sstReads{FS: vfs.Default}
+	db := openTestDB(t, Options{MemtableBytes: 64 << 20, FS: fsys})
+	flushRange(t, db, 0, 3000, 1, 0)
+	if db.blockCache.Len() < 50 {
+		t.Fatalf("%d blocks resident after a 3000-entry flush", db.blockCache.Len())
+	}
+	if misses, reads := readRange(t, db, fsys, 0, 3000, 1, 0); misses != 0 || reads != 1 {
+		t.Errorf("reading a flushed table: %d cache misses, %d ReadAt; want 0 and 1 (its index chunk)", misses, reads)
+	}
+	if misses, reads := readRange(t, db, fsys, 0, 3000, 1, 0); misses != 0 || reads != 0 {
+		t.Errorf("second pass: %d cache misses, %d ReadAt", misses, reads)
 	}
 }
 
@@ -424,7 +421,6 @@ func TestResidencyStress(t *testing.T) {
 		MemtableBytes:   32 << 10,
 		BlockCacheBytes: 160 << 10,
 		AutoCompact:     SizeTieredPolicy{},
-		Compression:     sstable.Flate,
 	})
 	const keys = 1500
 	var latest [keys]atomic.Int64 // generation last acknowledged per key

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/compaction"
-	"repro/internal/sstable"
 )
 
 // TestStrategyPolicyDrivesMinorCompaction: a registry strategy wired in
@@ -75,49 +74,38 @@ func TestStrategyPolicyMatchesPickLive(t *testing.T) {
 	}
 }
 
-// TestTableInfosCarrySketches: flush outputs carry a persisted sketch the
-// policies can rank with — for the default v3 format from the file's
-// bounds tail, and for v2 tables through the manifest, surviving reopen
-// either way.
+// TestTableInfosCarrySketches: flush outputs carry the sketch their file's
+// bounds block persists, which the policies rank with, surviving reopen.
 func TestTableInfosCarrySketches(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		format int
-	}{
-		{"v3", 0}, // default
-		{"v2", sstable.FormatV2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			opts := Options{TableFormat: tc.format}
-			db, err := Open(dir, opts)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("v3", func(t *testing.T) {
+		dir := t.TempDir()
+		db, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillTables(t, db, 3, 100)
+		for _, info := range db.TableInfos() {
+			if info.Sketch == nil {
+				t.Fatalf("table %s has no sketch before reopen", info.Name)
 			}
-			fillTables(t, db, 3, 100)
-			for _, info := range db.TableInfos() {
-				if info.Sketch == nil {
-					t.Fatalf("table %s has no sketch before reopen", info.Name)
-				}
-				if e := info.Sketch.Estimate(); e < 50 || e > 200 {
-					t.Errorf("table %s sketch estimate %.0f, want ≈100", info.Name, e)
-				}
+			if e := info.Sketch.Estimate(); e < 50 || e > 200 {
+				t.Errorf("table %s sketch estimate %.0f, want ≈100", info.Name, e)
 			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db, err = Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		for _, info := range db.TableInfos() {
+			if info.Sketch == nil {
+				t.Fatalf("table %s lost its sketch across reopen", info.Name)
 			}
-			db, err = Open(dir, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			for _, info := range db.TableInfos() {
-				if info.Sketch == nil {
-					t.Fatalf("table %s lost its sketch across reopen", info.Name)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestPolicyByName resolves every front-end policy name and rejects the

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,8 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/vfs"
 )
 
 // TestReadsProgressWhileMuHeldExclusively is the acceptance check for the
@@ -458,9 +457,10 @@ func TestProbeTablesContextCancelled(t *testing.T) {
 	}
 }
 
-// TestManifestBoundsRoundTrip: table bounds persist through the manifest
-// and are restored on reopen; a manifest without bounds lines (pre-bounds
-// format) still loads.
+// TestManifestBoundsRoundTrip: table bounds survive a manifest save and a
+// reopen, read back from the table file — the manifest names tables and
+// carries no copy of their bounds or sketches — and a manifest that does
+// (what builds before the single table format wrote) is refused.
 func TestManifestBoundsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})
@@ -475,69 +475,48 @@ func TestManifestBoundsRoundTrip(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	man, err := loadManifest(vfs.Default, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man.tables) != 1 {
-		t.Fatalf("manifest holds %d tables, want 1", len(man.tables))
-	}
-	b, ok := man.bounds[man.tables[0]]
-	if !ok {
-		t.Fatal("manifest carries no bounds for the flushed table")
-	}
-	if string(b.Smallest) != "apple" || string(b.Largest) != "zebra" {
-		t.Errorf("manifest bounds = [%q, %q], want [apple, zebra]", b.Smallest, b.Largest)
-	}
-	if b.MinSeq == 0 || b.MaxSeq < b.MinSeq {
-		t.Errorf("manifest seq bounds = [%d, %d]", b.MinSeq, b.MaxSeq)
-	}
+	db.mu.RLock()
+	name, minSeq, maxSeq := db.tables[0].name, db.tables[0].minSeq, db.tables[0].maxSeq
+	db.mu.RUnlock()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte("\nbounds ")) || bytes.Contains(raw, []byte("\nsketch ")) {
+		t.Fatalf("manifest carries table statistics:\n%s", raw)
+	}
 
-	// Reopen: handle bounds restored (from the v2 footer; the manifest
-	// entry agrees), reads prune correctly.
 	db2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db2.Close()
 	db2.mu.RLock()
 	th := db2.tables[0]
 	db2.mu.RUnlock()
 	if !th.hasBounds || string(th.smallest) != "apple" || string(th.largest) != "zebra" {
 		t.Fatalf("reopened handle bounds = %v [%q, %q]", th.hasBounds, th.smallest, th.largest)
 	}
-	if th.maxSeq != b.MaxSeq || th.minSeq != b.MinSeq {
-		t.Errorf("reopened seq bounds [%d, %d] != manifest [%d, %d]", th.minSeq, th.maxSeq, b.MinSeq, b.MaxSeq)
+	if th.minSeq != minSeq || th.maxSeq != maxSeq || minSeq == 0 {
+		t.Errorf("reopened seq bounds [%d, %d], flushed [%d, %d]", th.minSeq, th.maxSeq, minSeq, maxSeq)
+	}
+	if th.sketch == nil {
+		t.Error("reopened table has no sketch")
 	}
 	if v, err := db2.GetContext(context.Background(), []byte("mango")); err != nil || string(v) != "v" {
 		t.Fatalf("Get after reopen = %q, %v", v, err)
 	}
+	if err := db2.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// A manifest stripped of bounds lines (what a pre-bounds build wrote)
-	// still opens; bounds come from the footer.
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
+	old := append(raw, fmt.Sprintf("bounds %s 1 3 6170706c65 7a65627261\n", name)...)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var kept bytes.Buffer
-	for _, line := range bytes.Split(raw, []byte("\n")) {
-		if !bytes.HasPrefix(line, []byte("bounds ")) {
-			kept.Write(line)
-			kept.WriteByte('\n')
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), kept.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	db3, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("open with bounds-free manifest: %v", err)
-	}
-	defer db3.Close()
-	if v, err := db3.GetContext(context.Background(), []byte("apple")); err != nil || string(v) != "v" {
-		t.Fatalf("Get with bounds-free manifest = %q, %v", v, err)
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open with a bounds line in the manifest: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -18,11 +18,11 @@ func benchKeys(n int) [][]byte {
 	return keys
 }
 
-func benchTableVersion(b *testing.B, version int) *Reader {
+func benchTable(b *testing.B) *Reader {
 	b.Helper()
 	keys := benchKeys(benchTableEntries)
 	var buf bytes.Buffer
-	w := NewWriterOpts(&buf, len(keys), WriterOptions{FormatVersion: version})
+	w := NewWriter(&buf, len(keys))
 	for i, k := range keys {
 		if err := w.Add(iterator.Entry{Key: k, Value: []byte("value-payload"), Seq: uint64(i + 1)}); err != nil {
 			b.Fatal(err)
@@ -39,46 +39,36 @@ func benchTableVersion(b *testing.B, version int) *Reader {
 }
 
 // BenchmarkColdGet measures point reads with no block cache attached:
-// every Get pays the full block read, decode and in-block search. This is
-// the format comparison the version-3 restart layout exists for — the v2
-// path walks the block linearly from entry zero, the v3 path binary-
-// searches the restart array and walks at most one interval.
+// every Get pays the full block read, decode and in-block search — a binary
+// search of the restart array and a walk of at most one interval.
 func BenchmarkColdGet(b *testing.B) {
 	keys := benchKeys(benchTableEntries)
-	for _, version := range []int{FormatV2, FormatV3} {
-		b.Run(fmt.Sprintf("v%d", version), func(b *testing.B) {
-			rd := benchTableVersion(b, version)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rd.Get(keys[(i*7919)%len(keys)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	rd := benchTable(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rd.Get(keys[(i*7919)%len(keys)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkColdScan measures a full cacheless table scan per iteration.
 func BenchmarkColdScan(b *testing.B) {
-	for _, version := range []int{FormatV2, FormatV3} {
-		b.Run(fmt.Sprintf("v%d", version), func(b *testing.B) {
-			rd := benchTableVersion(b, version)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				for it := rd.Iter(); it.Valid(); it.Next() {
-					n++
-				}
-				if n != benchTableEntries {
-					b.Fatalf("scan yielded %d entries", n)
-				}
-			}
-		})
+	rd := benchTable(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		for it := rd.Iter(); it.Valid(); it.Next() {
+			n++
+		}
+		if n != benchTableEntries {
+			b.Fatalf("scan yielded %d entries", n)
+		}
 	}
 }
 
 // BenchmarkEncodeBlock is the allocation guard for the single-buffer block
-// framing: the hot loop must report 0 allocs/op for the raw codec.
+// framing: the hot loop must report 0 allocs/op.
 func BenchmarkEncodeBlock(b *testing.B) {
 	var bb blockBuilder
 	for i := 0; i < 180; i++ { // ~a BlockSize worth of entries
@@ -89,23 +79,11 @@ func BenchmarkEncodeBlock(b *testing.B) {
 		})
 	}
 	body := bb.finish()
-	for _, c := range []struct {
-		name  string
-		codec Compression
-	}{{"raw", NoCompression}, {"flate", Flate}} {
-		b.Run(c.name, func(b *testing.B) {
-			var enc blockEncoder
-			frameBuf := make([]byte, 0, 2*len(body)+16)
-			b.ReportAllocs()
-			b.SetBytes(int64(len(body)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				framed, err := enc.appendBlock(frameBuf[:0], body, c.codec, FormatV3)
-				if err != nil {
-					b.Fatal(err)
-				}
-				frameBuf = framed[:0]
-			}
-		})
+	frameBuf := make([]byte, 0, 2*len(body)+16)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frameBuf = appendBlock(frameBuf[:0], body)
 	}
 }

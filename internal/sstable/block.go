@@ -8,7 +8,7 @@ import (
 	"repro/internal/iterator"
 )
 
-// Version-3 data blocks: prefix-compressed entries terminated by a
+// Data blocks: prefix-compressed entries terminated by a
 // restart-point offset array. Every restartInterval-th entry is a restart:
 // it stores its full key (sharedLen 0) and its byte offset is recorded in
 // the trailer, so a point lookup binary-searches the restart array and
@@ -22,7 +22,7 @@ import (
 // full keys at restarts cost little.
 const restartInterval = 16
 
-// blockBuilder accumulates one version-3 data block.
+// blockBuilder accumulates one data block.
 type blockBuilder struct {
 	buf      []byte
 	restarts []uint32
@@ -84,7 +84,7 @@ func (b *blockBuilder) finish() []byte {
 	return b.buf
 }
 
-// parsedBlock is a validated view over a version-3 block payload: the
+// parsedBlock is a validated view over a block payload: the
 // entry region and the restart offsets, both aliasing the payload.
 type parsedBlock struct {
 	data     []byte // entry region
@@ -211,7 +211,7 @@ func (pb *parsedBlock) restartKey(i int) ([]byte, error) {
 	return h.keySuffix, nil
 }
 
-// searchV3Block finds target in a parsed version-3 block: binary search to
+// searchV3Block finds target in a parsed block: binary search to
 // the greatest restart whose key is <= target, then a linear walk of at
 // most one interval. On a hit h holds the matched entry (its keySuffix and
 // value alias the payload); the full key is not materialized — it is by
@@ -320,7 +320,7 @@ func (a *keyArena) alloc(n, blockSize int) []byte {
 	return a.buf[len(a.buf)-n:]
 }
 
-// v3BlockIter walks version-3 blocks in order, one after another: enter
+// v3BlockIter walks blocks in order, one after another: enter
 // positions it on a block. Keys stored whole — restart keys — alias the
 // block payload directly, which keeps roughly one key per interval out of
 // the arenas for free; the rest are rebuilt into the arena of their block.

@@ -9,43 +9,51 @@ import (
 	"repro/internal/iterator"
 )
 
-// FuzzDecodeEntry throws arbitrary bytes at the entry decoder: it must
-// never panic or read out of bounds, and on valid encodings it must
-// round-trip.
+// FuzzDecodeEntry throws arbitrary bytes at the entry decoder, read as the
+// first entry of a block (a restart, no previous key): it must never panic
+// or read out of bounds, and on valid encodings it must round-trip through
+// the block builder.
 func FuzzDecodeEntry(f *testing.F) {
-	seed := appendEntry(nil, iterator.Entry{Key: []byte("key"), Value: []byte("value"), Seq: 7})
-	f.Add(seed)
-	f.Add(appendEntry(nil, iterator.Entry{Key: []byte("k"), Seq: 1, Tombstone: true}))
+	first := func(e iterator.Entry) []byte {
+		var bb blockBuilder
+		bb.add(e)
+		return append([]byte(nil), bb.buf...)
+	}
+	f.Add(first(iterator.Entry{Key: []byte("key"), Value: []byte("value"), Seq: 7}))
+	f.Add(first(iterator.Entry{Key: []byte("k"), Seq: 1, Tombstone: true}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, rest, err := decodeEntry(data)
-		if err != nil {
+		var h v3EntryHeader
+		if err := decodeV3Header(&h, data, 0, 0); err != nil {
+			if err != ErrCorrupt {
+				t.Fatalf("decode err = %v, want ErrCorrupt", err)
+			}
 			return
 		}
-		if len(rest) > len(data) {
-			t.Fatalf("rest grew")
+		if h.next > len(data) || h.shared != 0 {
+			t.Fatalf("decoded past the input (next %d of %d) or shared %d", h.next, len(data), h.shared)
 		}
 		// Re-encode and decode again: must agree.
-		enc := appendEntry(nil, e)
-		e2, _, err := decodeEntry(enc)
-		if err != nil {
+		e := iterator.Entry{Key: h.keySuffix, Value: h.value, Seq: h.seq, Tombstone: h.tombstone}
+		enc := first(e)
+		var h2 v3EntryHeader
+		if err := decodeV3Header(&h2, enc, 0, 0); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !bytes.Equal(e.Key, e2.Key) || e.Seq != e2.Seq || e.Tombstone != e2.Tombstone || !bytes.Equal(e.Value, e2.Value) {
-			t.Fatalf("entry changed across re-encode: %+v vs %+v", e, e2)
+		if !bytes.Equal(h.keySuffix, h2.keySuffix) || h.seq != h2.seq || h.tombstone != h2.tombstone ||
+			!bytes.Equal(h.value, h2.value) || h2.next != len(enc) {
+			t.Fatalf("entry changed across re-encode: %+v vs %+v", h, h2)
 		}
 	})
 }
 
 // FuzzReaderOpen feeds arbitrary bytes to the table opener: corrupt tables
 // must be rejected with an error, never a panic or a successful open that
-// later misbehaves. Seeds include all three footer versions — the
-// restart-block version 3 (raw, one whose block carries the retired codec
-// byte 2, compressed and multi-chunk), the bounds-carrying version 2 and
-// the legacy 64-byte version 1 — so the version-detection path, the v1
-// bounds backfill, the partitioned-index parser and the prefix-decoding
-// walk are all fuzzed.
+// later misbehaves. Seeds include current tables (whole, truncated, one
+// block under each retired codec byte, multi-chunk) and tables under the
+// magics of earlier formats, which must be refused — so the footer check,
+// the partitioned-index parser and the prefix-decoding walk are all fuzzed.
 func FuzzReaderOpen(f *testing.F) {
 	var entries []iterator.Entry
 	for _, k := range []string{"a", "b", "c"} {
@@ -64,18 +72,26 @@ func FuzzReaderOpen(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	v2 := build(WriterOptions{FormatVersion: FormatV2})
+	table := build(WriterOptions{})
+	withMagic := func(magic string) []byte {
+		out := append([]byte(nil), table...)
+		for i := 0; i < 8; i++ {
+			out[len(out)-1-i] = magic[i] // little-endian
+		}
+		return out
+	}
+	v2 := withMagic("STBL002F")
 	f.Add(v2)
 	f.Add(v2[:len(v2)-5])
-	f.Add(buildLegacyV1(f, entries))
-	v3 := build(WriterOptions{})
-	f.Add(v3)
-	f.Add(v3[:len(v3)-5])
-	f.Add(v3[:len(v3)-footerSize-3]) // footer gone, index truncated
-	f.Add(withBlockCodec(f, v3, 2))
-	f.Add(build(WriterOptions{Compression: Flate}))
+	f.Add(withMagic("STBL001F"))
+	f.Add(table)
+	f.Add(table[:len(table)-5])
+	f.Add(table[:len(table)-footerSize-3]) // footer gone, index truncated
+	f.Add(withBlockCodec(f, table, 2))
+	f.Add(withBlockCodec(f, table, 1))
 	f.Add(build(WriterOptions{BlockSize: 16, IndexChunkSize: 1})) // many chunks
 	f.Add([]byte("not a table"))
+	f.Add(withMagic("STBL003F"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
@@ -171,9 +187,9 @@ func FuzzV3Block(f *testing.F) {
 }
 
 // FuzzFastDecode frames arbitrary bodies and claimed lengths under codec
-// byte 2, which the retired snappy-style Fast codec wrote and nothing
-// decodes any more: every such frame, checksum intact, fails with
-// ErrCorrupt — never a panic, never a payload.
+// bytes 2 and 1, which the retired snappy-style Fast codec and DEFLATE wrote
+// and nothing decodes any more: every such frame, checksum intact, fails
+// with ErrCorrupt — never a panic, never a payload.
 func FuzzFastDecode(f *testing.F) {
 	f.Add([]byte{}, 0)
 	f.Add([]byte("hello hello hello hello"), 23)
@@ -183,11 +199,13 @@ func FuzzFastDecode(f *testing.F) {
 		if rawLen < 0 {
 			return
 		}
-		frame := binary.AppendUvarint([]byte{2}, uint64(rawLen))
-		frame = append(frame, body...)
-		frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, crcTable))
-		if out, err := decodeDataBlock(frame, FormatV3); err != ErrCorrupt {
-			t.Fatalf("codec-2 frame decoded to %d bytes, err %v; want ErrCorrupt", len(out), err)
+		for _, codec := range []byte{2, 1} {
+			frame := binary.AppendUvarint([]byte{codec}, uint64(rawLen))
+			frame = append(frame, body...)
+			frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, crcTable))
+			if out, err := decodeDataBlock(frame); err != ErrCorrupt {
+				t.Fatalf("codec-%d frame decoded to %d bytes, err %v; want ErrCorrupt", codec, len(out), err)
+			}
 		}
 	})
 }

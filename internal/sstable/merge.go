@@ -31,12 +31,12 @@ func MergeEntries(inputs ...*Reader) int {
 // which it finishes, keeping only the newest (highest-Seq) version of each
 // key; input order does not matter. When dropTombstones is true (a major
 // compaction producing the final table), deletion markers and the versions
-// they shadow are discarded. Input tables of any format version merge into
-// an output of the Writer's. The inputs are read through ScanIters — a merge reads every block of tables
-// that are obsolete once it commits, so it fills the block cache with none
-// of them and moves each resident block it takes up to the cold end, spent —
-// and a Writer that publishes (PublishTo) carries their residency over to
-// the output, which so displaces its own dead input.
+// they shadow are discarded. The inputs are read through ScanIters — a
+// merge reads every block of tables that are obsolete once it commits, so it
+// fills the block cache with none of them and moves each resident block it
+// takes up to the cold end, spent — and a Writer that publishes (PublishTo)
+// carries their residency over to the output, which so displaces its own
+// dead input.
 func MergeTo(tw *Writer, dropTombstones bool, inputs ...*Reader) (MergeStats, error) {
 	var stats MergeStats
 	children := make([]iterator.Iterator, len(inputs))

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/iterator"
@@ -61,42 +62,40 @@ func sameEntry(a, b iterator.Entry) bool {
 func TestEntryValidAcrossOneNext(t *testing.T) {
 	cache.PoisonFreed.Store(true)
 	defer cache.PoisonFreed.Store(false)
-	for _, version := range []int{FormatV2, FormatV3} {
-		var entries []iterator.Entry
-		for i := 0; i < 600; i++ {
-			entries = append(entries, entry(fmt.Sprintf("key-%06d", i), fmt.Sprintf("value-%024d", i), uint64(i+1)))
-		}
-		// ~5 entries per block: a boundary every few Nexts.
-		rd := buildTableOpts(t, entries, WriterOptions{FormatVersion: version, BlockSize: 256})
-		c := cache.New(600)
-		rd.SetBlockCache(c)
-		stop := make(chan struct{})
-		wg := churn(t, c, stop)
+	var entries []iterator.Entry
+	for i := 0; i < 600; i++ {
+		entries = append(entries, entry(fmt.Sprintf("key-%06d", i), fmt.Sprintf("value-%024d", i), uint64(i+1)))
+	}
+	// ~5 entries per block: a boundary every few Nexts.
+	rd := buildTableOpts(t, entries, WriterOptions{BlockSize: 256})
+	c := cache.New(600)
+	rd.SetBlockCache(c)
+	stop := make(chan struct{})
+	wg := churn(t, c, stop)
 
-		for pass := 0; pass < 20; pass++ {
-			it := rd.IterFrom(entries[pass].Key)
-			for i := pass; it.Valid(); i++ {
-				held := it.Entry()
-				want := cloneEntry(held)
-				if !sameEntry(want, entries[i]) {
-					t.Fatalf("v%d: entry %d = %q/%q", version, i, want.Key, want.Value)
-				}
-				it.Next()
-				if !sameEntry(held, want) {
-					t.Fatalf("v%d: entry %d changed across one Next: %q/%q, was %q/%q",
-						version, i, held.Key, held.Value, want.Key, want.Value)
-				}
+	for pass := 0; pass < 20; pass++ {
+		it := rd.IterFrom(entries[pass].Key)
+		for i := pass; it.Valid(); i++ {
+			held := it.Entry()
+			want := cloneEntry(held)
+			if !sameEntry(want, entries[i]) {
+				t.Fatalf("entry %d = %q/%q", i, want.Key, want.Value)
 			}
-			if err := it.Err(); err != nil {
-				t.Fatal(err)
+			it.Next()
+			if !sameEntry(held, want) {
+				t.Fatalf("entry %d changed across one Next: %q/%q, was %q/%q",
+					i, held.Key, held.Value, want.Key, want.Value)
 			}
-			it.Close()
 		}
-		close(stop)
-		wg.Wait()
-		if _, misses, _ := c.Stats(); misses < 1000 {
-			t.Fatalf("v%d: only %d misses; the cache was not churning", version, misses)
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
 		}
+		it.Close()
+	}
+	close(stop)
+	wg.Wait()
+	if _, misses, _ := c.Stats(); misses < 1000 {
+		t.Fatalf("only %d misses; the cache was not churning", misses)
 	}
 }
 
@@ -305,5 +304,14 @@ func TestScanAndMergeRecycleArenas(t *testing.T) {
 	t.Logf("over %d and %d blocks: ScanIter %d and %d objects, MergeTo beyond its Writer %d and %d", ns, nl, a, b, c, d)
 	if b > a+2 || d > c+2 {
 		t.Error("a long scan or merge allocates more than its two arena chunks")
+	}
+}
+
+// TestIterSizeClass pins the pooled iterator to the 320-byte allocation
+// size class, so a field added to it must be paid for rather than grow it
+// into the next class silently.
+func TestIterSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Iter{}); size > 320 {
+		t.Errorf("sstable.Iter is %d bytes, past the 320-byte size class", size)
 	}
 }

@@ -68,36 +68,28 @@ func randomEntries(rng *rand.Rand, n int) []iterator.Entry {
 }
 
 // TestScanIterMatchesIter: the read-ahead iterator yields exactly what Iter
-// yields, over the committed fixtures of every format version — one rule:
-// every version reads ahead, the fetcher works on block handles and never
-// looks inside a block — and over random tables, with no cache, with a cache
-// holding some of the blocks (so resident blocks and read runs alternate
-// inside a span), and with every block resident.
+// yields, over the committed fixture and over random tables, with no cache,
+// with a cache holding some of the blocks (so resident blocks and read runs
+// alternate inside a span), and with every block resident.
 func TestScanIterMatchesIter(t *testing.T) {
-	for _, version := range []int{FormatV1, FormatV2, FormatV3} {
-		data, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("v%d.sst", version)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := drainClone(t, rd.Iter())
-		checkSameEntries(t, fmt.Sprintf("golden v%d", version), drainClone(t, rd.ScanIter()), want)
-		checkSameEntries(t, fmt.Sprintf("golden v%d against the entry list", version), want, goldenEntries())
+	data, err := os.ReadFile(filepath.Join("testdata", "v3.sst"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	golden, err := NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drainClone(t, golden.Iter())
+	checkSameEntries(t, "golden", drainClone(t, golden.ScanIter()), want)
+	checkSameEntries(t, "golden against the entry list", want, goldenEntries())
 
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 12; round++ {
 		entries := randomEntries(rng, 200+rng.Intn(3000))
 		opts := WriterOptions{
-			FormatVersion:  []int{FormatV2, FormatV3}[round%2],
 			BlockSize:      []int{128, 512, 4096}[round%3],
 			IndexChunkSize: []int{3, 8, 256}[round%3],
-		}
-		if round%4 == 3 {
-			opts.Compression = Flate
 		}
 		rd := buildTableOpts(t, entries, opts)
 		for _, fill := range []string{"uncached", "partly resident", "resident"} {
@@ -293,27 +285,25 @@ func TestScanIterEarlyCloseBalancesPins(t *testing.T) {
 // reaches the file only when the stage is closed.
 func TestWriteBehindBytesPinned(t *testing.T) {
 	var pool WriteBuffers
-	for _, version := range []int{FormatV2, FormatV3} {
-		var file bytes.Buffer
-		wb := pool.NewWriter(&file)
-		w := NewWriterOpts(wb, len(goldenEntries()), WriterOptions{FormatVersion: version, BlockSize: 512, IndexChunkSize: 8})
-		for _, e := range goldenEntries() {
-			if err := w.Add(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Finish(); err != nil {
+	var table bytes.Buffer
+	tw := pool.NewWriter(&table)
+	w := NewWriterOpts(tw, len(goldenEntries()), WriterOptions{BlockSize: 512, IndexChunkSize: 8})
+	for _, e := range goldenEntries() {
+		if err := w.Add(e); err != nil {
 			t.Fatal(err)
 		}
-		if file.Len() != 0 {
-			t.Fatalf("v%d: %d bytes reached the file before Close", version, file.Len())
-		}
-		if err := wb.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if want := goldenBytes(t, version); !bytes.Equal(file.Bytes(), want) {
-			t.Fatalf("v%d: written through write-behind: %x, direct: %x", version, sha256.Sum256(file.Bytes()), sha256.Sum256(want))
-		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if table.Len() != 0 {
+		t.Fatalf("%d bytes reached the file before Close", table.Len())
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := goldenBytes(t); !bytes.Equal(table.Bytes(), want) {
+		t.Fatalf("written through write-behind: %x, direct: %x", sha256.Sum256(table.Bytes()), sha256.Sum256(want))
 	}
 
 	// Several buffers' worth, in writes of every size up to several buffers.

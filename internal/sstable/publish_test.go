@@ -38,7 +38,7 @@ func publishedTable(t *testing.T, c Cache, entries []iterator.Entry, opts Writer
 		t.Fatal(err)
 	}
 	src := &countingReaderAt{r: bytes.NewReader(buf.Bytes())}
-	rd, err := newReader(src, int64(buf.Len()), nil, id)
+	rd, err := newReader(src, int64(buf.Len()), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func publishedTable(t *testing.T, c Cache, entries []iterator.Entry, opts Writer
 func allHandles(t *testing.T, rd *Reader) []blockHandle {
 	t.Helper()
 	var out []blockHandle
-	for ci := 0; ci < rd.numChunks(); ci++ {
+	for ci := range rd.chunks {
 		hs, err := rd.chunkHandles(ci)
 		if err != nil {
 			t.Fatal(err)
@@ -68,76 +68,57 @@ func compressibleEntries(prefix string, n int) []iterator.Entry {
 	return entries
 }
 
-// TestWriterPublishesWhatReadersCache: whatever the format and codec, the
-// block a Writer publishes is byte for byte the payload readBlock produces
-// from the file for the same handle — the decoded body, not the stored
-// frame — every data block is published, and the table then serves a whole
-// scan and every point read without a single ReadAt.
+// TestWriterPublishesWhatReadersCache: the block a Writer publishes is byte
+// for byte the payload readBlock produces from the file for the same handle
+// — the decoded body, not the stored frame — every data block is published,
+// and the table then serves a whole scan and every point read without a
+// single ReadAt.
 func TestWriterPublishesWhatReadersCache(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		opts       WriterOptions
-		compressed bool
-	}{
-		{"v3/raw", WriterOptions{}, false},
-		{"v3/flate", WriterOptions{Compression: Flate}, true},
-		{"v2/raw", WriterOptions{FormatVersion: FormatV2}, false},
-		{"v2/flate", WriterOptions{FormatVersion: FormatV2, Compression: Flate}, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.opts.BlockSize = 512
-			entries := compressibleEntries("key", 800)
-			c := cache.NewSharded(8<<20, 0)
-			rd, src := publishedTable(t, c, entries, tc.opts)
-			handles := allHandles(t, rd)
-			if len(handles) < 50 || c.Len() != len(handles) {
-				t.Fatalf("%d data blocks, %d published", len(handles), c.Len())
+	t.Run("v3/raw", func(t *testing.T) {
+		entries := compressibleEntries("key", 800)
+		c := cache.NewSharded(8<<20, 0)
+		rd, src := publishedTable(t, c, entries, WriterOptions{BlockSize: 512})
+		handles := allHandles(t, rd)
+		if len(handles) < 50 || c.Len() != len(handles) {
+			t.Fatalf("%d data blocks, %d published", len(handles), c.Len())
+		}
+		for _, h := range handles {
+			key := cache.Key{Table: rd.id, Offset: h.offset}
+			pub, ok := c.Peek(key)
+			if !ok {
+				t.Fatalf("block at %d not published", h.offset)
 			}
-			var codec [1]byte
-			if _, err := src.ReadAt(codec[:], int64(handles[0].offset)); err != nil {
+			fromFile, err := rd.loadBlock(cache.Uncached, key, h)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if (codec[0] != codecRaw) != tc.compressed {
-				t.Fatalf("first block stored with codec %d", codec[0])
+			if !bytes.Equal(pub.Data(), fromFile.Data()) {
+				t.Fatalf("block at %d: published %d B differ from the %d B read back", h.offset, len(pub.Data()), len(fromFile.Data()))
 			}
-			for _, h := range handles {
-				key := cache.Key{Table: rd.id, Offset: h.offset}
-				pub, ok := c.Peek(key)
-				if !ok {
-					t.Fatalf("block at %d not published", h.offset)
-				}
-				fromFile, err := rd.loadBlock(cache.Uncached, key, h)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(pub.Data(), fromFile.Data()) {
-					t.Fatalf("block at %d: published %d B differ from the %d B read back", h.offset, len(pub.Data()), len(fromFile.Data()))
-				}
-				pub.Release()
-				fromFile.Release()
-			}
+			pub.Release()
+			fromFile.Release()
+		}
 
-			hits0, misses0, _ := c.Stats()
-			src.reads = 0
-			it := rd.Iter()
-			for i := 0; it.Valid(); i++ {
-				if !sameEntry(it.Entry(), entries[i]) {
-					t.Fatalf("entry %d = %q", i, it.Entry().Key)
-				}
-				it.Next()
+		hits0, misses0, _ := c.Stats()
+		src.reads = 0
+		it := rd.Iter()
+		for i := 0; it.Valid(); i++ {
+			if !sameEntry(it.Entry(), entries[i]) {
+				t.Fatalf("entry %d = %q", i, it.Entry().Key)
 			}
-			it.Close()
-			for _, e := range entries {
-				if got, err := rd.Get(e.Key); err != nil || !bytes.Equal(got.Value, e.Value) {
-					t.Fatalf("Get(%q) = %q, %v", e.Key, got.Value, err)
-				}
+			it.Next()
+		}
+		it.Close()
+		for _, e := range entries {
+			if got, err := rd.Get(e.Key); err != nil || !bytes.Equal(got.Value, e.Value) {
+				t.Fatalf("Get(%q) = %q, %v", e.Key, got.Value, err)
 			}
-			hits, misses, _ := c.Stats()
-			if misses != misses0 || hits == hits0 || src.reads != 0 {
-				t.Fatalf("reading a published table: %d misses, %d ReadAt", misses-misses0, src.reads)
-			}
-		})
-	}
+		}
+		hits, misses, _ := c.Stats()
+		if misses != misses0 || hits == hits0 || src.reads != 0 {
+			t.Fatalf("reading a published table: %d misses, %d ReadAt", misses-misses0, src.reads)
+		}
+	})
 }
 
 // residency reports how many of rd's data blocks are resident in c and how
@@ -177,7 +158,7 @@ func mergePublished(t *testing.T, c Cache, opts WriterOptions, inputs ...*Reader
 	if _, err := MergeTo(w, false, inputs...); err != nil {
 		t.Fatal(err)
 	}
-	out, err := newReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil, id)
+	out, err := newReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,15 +43,13 @@ type FilterMetrics struct {
 // cache): Get returns a pinned block the caller must Release and must not
 // modify; a miss is filled into the Buf of a block from Alloc — a recycled
 // array when the key's stripe has one that fits — and published with Add,
-// after which the filler still holds its pin; Put adopts a slice the
-// caller allocated (a decompressed payload) and returns it pinned. A pin
-// that is never released costs only the reuse of that one array, which the
-// garbage collector reclaims instead. The cache's byte budget counts
-// payload bytes of resident blocks; arrays pinned past their eviction and
-// the free lists (a few arrays per stripe) sit outside it. Keys are
-// (table ID, file offset) pairs; a version-3 table's data blocks and index
-// chunks occupy disjoint offsets in the same file, so the one key space
-// covers both without collision.
+// after which the filler still holds its pin. A pin that is never released
+// costs only the reuse of that one array, which the garbage collector
+// reclaims instead. The cache's byte budget counts payload bytes of
+// resident blocks; arrays pinned past their eviction and the free lists (a
+// few arrays per stripe) sit outside it. Keys are (table ID, file offset)
+// pairs; a table's data blocks and index chunks occupy disjoint offsets in
+// the same file, so the one key space covers both without collision.
 //
 // Blocks also arrive from the other side: a Writer given a cache and the
 // table's reserved ID Publishes a copy of every data block's decoded body
@@ -68,7 +66,6 @@ type Cache interface {
 	Demote(b *cache.Block)
 	Alloc(k cache.Key, n int) *cache.Block
 	Add(b *cache.Block, payload []byte)
-	Put(k cache.Key, value []byte) *cache.Block
 	Publish(k cache.Key, data []byte, cold bool)
 	DropTable(table uint64)
 }
@@ -76,22 +73,18 @@ type Cache interface {
 // Reader serves point lookups and ordered scans from a finished sstable.
 // It is safe for concurrent use: all methods read through an io.ReaderAt.
 type Reader struct {
-	id      uint64
-	r       io.ReaderAt
-	size    int64
-	f       footer
-	version int // footer version: 1 (no bounds block), 2, or 3
-	bounds  Bounds
-	// index is the flat block index of a version-1/2 table; nil for
-	// version 3, whose index is partitioned.
-	index []blockHandle
-	// chunks is the version-3 top-level index; chunkData caches each
-	// chunk's parsed handles, loaded lazily the first time a lookup or
-	// scan lands in the chunk (open materializes only the top level).
+	id     uint64
+	r      io.ReaderAt
+	size   int64
+	f      footer
+	bounds Bounds
+	// chunks is the top-level index; chunkData caches each chunk's parsed
+	// handles, loaded lazily the first time a lookup or scan lands in the
+	// chunk (open materializes only the top level).
 	chunks    []chunkHandle
 	chunkData []atomic.Pointer[[]blockHandle]
 	filter    *bloom.Filter
-	sketch    *hll.Sketch // key sketch from the bounds tail; nil when absent
+	sketch    *hll.Sketch // key sketch from the bounds tail
 	closer    io.Closer   // non-nil when the Reader owns the underlying file
 	blocks    Cache
 	fm        *FilterMetrics
@@ -99,44 +92,18 @@ type Reader struct {
 
 // NewReader opens a table stored in r, whose total length is size bytes.
 func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
-	return NewReaderWithBounds(r, size, nil)
+	return newReader(r, size, ReserveID())
 }
 
-// NewReaderWithBounds is NewReader with externally persisted bounds (the
-// engine's manifest records each table's bounds): a version-1 table
-// adopts a valid hint instead of paying the backfill block read at open.
-// The hint is ignored for version-2+ tables — their footer is
-// authoritative — and a nil or implausible hint falls back to backfill.
-func NewReaderWithBounds(r io.ReaderAt, size int64, hint *Bounds) (*Reader, error) {
-	return newReader(r, size, hint, ReserveID())
-}
-
-func newReader(r io.ReaderAt, size int64, hint *Bounds, id uint64) (*Reader, error) {
-	if size < footerV1Size {
+func newReader(r io.ReaderAt, size int64, id uint64) (*Reader, error) {
+	if size < footerSize {
 		return nil, ErrCorrupt
 	}
-	// The trailing magic picks the footer version; version 1 (64 bytes,
-	// no bounds block) remains readable with bounds backfilled below.
-	var magicBuf [8]byte
-	if _, err := r.ReadAt(magicBuf[:], size-8); err != nil {
-		return nil, fmt.Errorf("sstable: read footer magic: %w", err)
-	}
-	fsize := int64(footerSize)
-	switch binary.LittleEndian.Uint64(magicBuf[:]) {
-	case MagicV1:
-		fsize = footerV1Size
-	case MagicV2, MagicV3:
-	default:
-		return nil, ErrCorrupt
-	}
-	if size < fsize {
-		return nil, ErrCorrupt
-	}
-	buf := make([]byte, fsize)
-	if _, err := r.ReadAt(buf, size-fsize); err != nil {
+	buf := make([]byte, footerSize)
+	if _, err := r.ReadAt(buf, size-footerSize); err != nil {
 		return nil, fmt.Errorf("sstable: read footer: %w", err)
 	}
-	f, version, err := unmarshalFooter(buf)
+	f, err := unmarshalFooter(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -146,18 +113,17 @@ func newReader(r io.ReaderAt, size int64, hint *Bounds, id uint64) (*Reader, err
 	inFile := func(off, length uint64) bool {
 		return length <= uint64(size) && off <= uint64(size)-length
 	}
-	if !inFile(f.indexOff, f.indexLen) || !inFile(f.bloomOff, f.bloomLen) ||
-		(version >= FormatV2 && !inFile(f.boundsOff, f.boundsLen)) {
+	if !inFile(f.indexOff, f.indexLen) || !inFile(f.bloomOff, f.bloomLen) || !inFile(f.boundsOff, f.boundsLen) {
 		return nil, ErrCorrupt
 	}
-	rd := &Reader{id: id, r: r, size: size, f: f, version: version, blocks: cache.Uncached}
+	rd := &Reader{id: id, r: r, size: size, f: f, blocks: cache.Uncached}
 	if err := rd.loadIndex(); err != nil {
 		return nil, err
 	}
 	if err := rd.loadBloom(); err != nil {
 		return nil, err
 	}
-	if err := rd.loadBounds(hint); err != nil {
+	if err := rd.loadBounds(); err != nil {
 		return nil, err
 	}
 	return rd, nil
@@ -165,24 +131,19 @@ func newReader(r io.ReaderAt, size int64, hint *Bounds, id uint64) (*Reader, err
 
 // Open opens an sstable file by path; Close releases the file handle.
 func Open(path string) (*Reader, error) {
-	return OpenWithBounds(path, nil)
+	return OpenFS(vfs.Default, path, nil)
 }
 
-// OpenWithBounds is Open taking a persisted bounds hint; see
-// NewReaderWithBounds.
-func OpenWithBounds(path string, hint *Bounds) (*Reader, error) {
-	return OpenFS(vfs.Default, path, hint)
-}
-
-// OpenFS is OpenWithBounds reading through fsys, so tests can serve table
-// reads from a fault-injecting filesystem.
+// OpenFS is Open reading through fsys, so tests can serve table reads from a
+// fault-injecting filesystem. hint is unused: a table's bounds are always
+// read from the table.
 func OpenFS(fsys vfs.FS, path string, hint *Bounds) (*Reader, error) {
-	return OpenFSWithID(fsys, path, hint, ReserveID())
+	return OpenFSWithID(fsys, path, ReserveID())
 }
 
 // OpenFSWithID is OpenFS for a table whose Writer published its blocks
 // under id, obtained from ReserveID.
-func OpenFSWithID(fsys vfs.FS, path string, hint *Bounds, id uint64) (*Reader, error) {
+func OpenFSWithID(fsys vfs.FS, path string, id uint64) (*Reader, error) {
 	file, err := fsys.Open(path)
 	if err != nil {
 		return nil, err
@@ -192,7 +153,7 @@ func OpenFSWithID(fsys vfs.FS, path string, hint *Bounds, id uint64) (*Reader, e
 		file.Close()
 		return nil, err
 	}
-	rd, err := newReader(file, st.Size(), hint, id)
+	rd, err := newReader(file, st.Size(), id)
 	if err != nil {
 		file.Close()
 		return nil, fmt.Errorf("sstable: open %s: %w", path, err)
@@ -255,24 +216,17 @@ func (rd *Reader) loadBlock(c Cache, key cache.Key, h blockHandle) (*cache.Block
 		b.Release()
 		return nil, fmt.Errorf("sstable: read block at %d: %w", h.offset, err)
 	}
-	payload, err := decodeDataBlock(b.Buf(), rd.version)
+	payload, err := decodeDataBlock(b.Buf())
 	if err != nil {
 		b.Release()
 		return nil, err
-	}
-	if b.Buf()[0] != codecRaw {
-		// A compressed block decodes into a fresh allocation, which the
-		// cache adopts; the frame buffer goes straight back for reuse.
-		b.Release()
-		return c.Put(key, payload), nil
 	}
 	c.Add(b, payload)
 	return b, nil
 }
 
-// parseHandles decodes a run of block handles (a version-1/2 flat index
-// or one version-3 index chunk), validating every referenced block
-// against the file size.
+// parseHandles decodes the block handles of one index chunk, validating
+// every referenced block against the file size.
 func (rd *Reader) parseHandles(payload []byte) ([]blockHandle, error) {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
@@ -314,12 +268,8 @@ func (rd *Reader) loadIndex() error {
 	if err != nil {
 		return err
 	}
-	if rd.version < FormatV3 {
-		rd.index, err = rd.parseHandles(payload)
-		return err
-	}
-	// Version 3: only the top-level chunk index materializes at open;
-	// each chunk's handles parse lazily in chunkHandles.
+	// Only the top-level chunk index materializes at open; each chunk's
+	// handles parse lazily in chunkHandles.
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return ErrCorrupt
@@ -356,12 +306,9 @@ func (rd *Reader) loadIndex() error {
 }
 
 // chunkHandles returns the block handles of chunk ci, parsing and caching
-// them on first use. For version-1/2 tables the flat index is the single
-// chunk. Concurrent first uses may both parse; the store is idempotent.
+// them on first use. Concurrent first uses may both parse; the store is
+// idempotent.
 func (rd *Reader) chunkHandles(ci int) ([]blockHandle, error) {
-	if rd.version < FormatV3 {
-		return rd.index, nil
-	}
 	if p := rd.chunkData[ci].Load(); p != nil {
 		return *p, nil
 	}
@@ -378,15 +325,6 @@ func (rd *Reader) chunkHandles(ci int) ([]blockHandle, error) {
 	return handles, nil
 }
 
-// numChunks reports how many index chunks the table has (1 for the flat
-// legacy index).
-func (rd *Reader) numChunks() int {
-	if rd.version < FormatV3 {
-		return 1
-	}
-	return len(rd.chunks)
-}
-
 func (rd *Reader) loadBloom() error {
 	payload, err := rd.readChecksummed(rd.f.bloomOff, rd.f.bloomLen)
 	if err != nil {
@@ -400,74 +338,26 @@ func (rd *Reader) loadBloom() error {
 	return nil
 }
 
-// loadBounds populates the table's key/sequence bounds: from the bounds
-// block on version-2+ tables; on version-1 tables from a valid persisted
-// hint (the engine manifest's copy, sparing the backfill read) or else
-// backfilled from the data (smallest key from the block index, largest
-// key by scanning the final block; the sequence range is unknowable
-// without a full scan and degrades to [0, MaxUint64], which disables
-// seq-based early exit but never correctness).
-func (rd *Reader) loadBounds(hint *Bounds) error {
-	if rd.version >= FormatV2 {
-		payload, err := rd.readChecksummed(rd.f.boundsOff, rd.f.boundsLen)
-		if err != nil {
-			return err
-		}
-		b, tail, err := unmarshalBoundsTail(payload)
-		if err != nil {
-			return err
-		}
-		if rd.f.entryCount > 0 {
-			if b.Smallest == nil || b.Largest == nil ||
-				bytes.Compare(b.Smallest, b.Largest) > 0 || b.MinSeq > b.MaxSeq {
-				return ErrCorrupt
-			}
-		}
-		rd.bounds = b
-		if rd.sketch, err = decodeBoundsSketch(tail); err != nil {
-			return err
-		}
-		return nil
-	}
-	if len(rd.index) == 0 || rd.f.entryCount == 0 {
-		return nil
-	}
-	if hint != nil && hint.Smallest != nil && hint.Largest != nil &&
-		bytes.Compare(hint.Smallest, hint.Largest) <= 0 && hint.MinSeq <= hint.MaxSeq {
-		rd.bounds = Bounds{
-			Smallest: append([]byte(nil), hint.Smallest...),
-			Largest:  append([]byte(nil), hint.Largest...),
-			MinSeq:   hint.MinSeq,
-			MaxSeq:   hint.MaxSeq,
-		}
-		return nil
-	}
-	smallest := append([]byte(nil), rd.index[0].firstKey...)
-	b, err := rd.readBlock(rd.index[len(rd.index)-1])
+// loadBounds reads the table's key and sequence bounds and its key sketch
+// from the bounds block.
+func (rd *Reader) loadBounds() error {
+	payload, err := rd.readChecksummed(rd.f.boundsOff, rd.f.boundsLen)
 	if err != nil {
 		return err
 	}
-	defer b.Release()
-	var largest []byte
-	for payload := b.Data(); len(payload) > 0; {
-		e, rest, err := decodeEntry(payload)
-		if err != nil {
-			return err
+	b, tail, err := unmarshalBoundsTail(payload)
+	if err != nil {
+		return err
+	}
+	if rd.f.entryCount > 0 {
+		if b.Smallest == nil || b.Largest == nil ||
+			bytes.Compare(b.Smallest, b.Largest) > 0 || b.MinSeq > b.MaxSeq {
+			return ErrCorrupt
 		}
-		largest = e.Key
-		payload = rest
 	}
-	largest = append([]byte(nil), largest...)
-	if largest == nil || bytes.Compare(smallest, largest) > 0 {
-		return ErrCorrupt
-	}
-	rd.bounds = Bounds{
-		Smallest: smallest,
-		Largest:  largest,
-		MinSeq:   0,
-		MaxSeq:   ^uint64(0),
-	}
-	return nil
+	rd.bounds = b
+	rd.sketch, err = decodeBoundsSketch(tail)
+	return err
 }
 
 // Bounds returns the table's key and sequence range. The second result is
@@ -476,18 +366,9 @@ func (rd *Reader) Bounds() (Bounds, bool) {
 	return rd.bounds, rd.f.entryCount > 0
 }
 
-// Sketch returns the table's persisted HyperLogLog key sketch, or nil for
-// tables written before the bounds-tail extension (and all version-1/2
-// tables, which may instead carry a manifest-persisted sketch upstream).
-// Callers must not mutate the returned sketch; Clone before merging into
-// it.
+// Sketch returns the table's persisted HyperLogLog key sketch. Callers must
+// not mutate it; Clone before merging into it.
 func (rd *Reader) Sketch() *hll.Sketch { return rd.sketch }
-
-// FooterVersion reports the on-disk footer version the table was opened
-// with: 3 for current tables (restart-point blocks, partitioned index),
-// 2 for legacy flat-index tables carrying a bounds block, 1 for legacy
-// tables whose bounds were backfilled at open.
-func (rd *Reader) FooterVersion() int { return rd.version }
 
 // EntryCount returns the number of entries in the table.
 func (rd *Reader) EntryCount() uint64 { return rd.f.entryCount }
@@ -504,18 +385,10 @@ func searchHandles(handles []blockHandle, key []byte) int {
 	}) - 1
 }
 
-// findBlockForKey locates the data block that could contain key: one
-// binary search over the flat index on legacy tables, or a top-level
-// chunk search plus an in-chunk search on version-3 tables.
+// findBlockForKey locates the data block that could contain key: a
+// top-level chunk search plus an in-chunk search.
 func (rd *Reader) findBlockForKey(key []byte) (blockHandle, bool, error) {
 	var zero blockHandle
-	if rd.version < FormatV3 {
-		bi := searchHandles(rd.index, key)
-		if bi < 0 {
-			return zero, false, nil
-		}
-		return rd.index[bi], true, nil
-	}
 	ci := sort.Search(len(rd.chunks), func(i int) bool {
 		return bytes.Compare(rd.chunks[i].firstKey, key) > 0
 	}) - 1
@@ -586,46 +459,19 @@ func (rd *Reader) getPastFilter(key []byte) (iterator.Entry, *cache.Block, error
 	if err != nil {
 		return zero, nil, err
 	}
-	e, err := rd.searchBlock(b.Data(), key)
+	// The probe binary-searches the restart array and never rebuilds a key
+	// from its prefix encoding: a hit's key is the probe key, its value
+	// aliases the block.
+	pb, err := parseV3Block(b.Data())
+	var hd v3EntryHeader
+	if err == nil {
+		err = searchV3Block(pb, key, &hd)
+	}
 	if err != nil {
 		b.Release()
 		return zero, nil, err
 	}
-	return e, b, nil
-}
-
-// searchBlock finds key in a data-block payload; the entry's value aliases
-// the payload. On version-3 tables the probe binary-searches the restart
-// array and never rebuilds a key from its prefix encoding — a hit's key is
-// byte-identical to the probe key; legacy blocks are scanned linearly.
-func (rd *Reader) searchBlock(payload, key []byte) (iterator.Entry, error) {
-	var zero iterator.Entry
-	if rd.version >= FormatV3 {
-		pb, err := parseV3Block(payload)
-		if err != nil {
-			return zero, err
-		}
-		var hd v3EntryHeader
-		if err := searchV3Block(pb, key, &hd); err != nil {
-			return zero, err
-		}
-		return iterator.Entry{Key: key, Value: hd.value, Seq: hd.seq, Tombstone: hd.tombstone}, nil
-	}
-	for len(payload) > 0 {
-		e, rest, err := decodeEntry(payload)
-		if err != nil {
-			return zero, err
-		}
-		switch bytes.Compare(e.Key, key) {
-		case 0:
-			e.Key = key
-			return e, nil
-		case 1:
-			return zero, ErrNotFound
-		}
-		payload = rest
-	}
-	return zero, ErrNotFound
+	return iterator.Entry{Key: key, Value: hd.value, Seq: hd.seq, Tombstone: hd.tombstone}, b, nil
 }
 
 // iters is the free list Close returns iterators to, key arenas and all.
@@ -647,8 +493,7 @@ func (rd *Reader) Iter() *Iter { return rd.newIter(false) }
 // hit/miss counters are the same afterwards as before (MergeTo alone goes
 // one step further and spends the resident blocks it consumes). Its blocks are
 // fetched — looked up or read, and verified — readAheadBlocks ahead of the
-// entries by a goroutine of the iterator's own, whatever the table's format
-// version, so a merge overlaps its inputs' reads with its compares and its
+// entries by a goroutine of the iterator's own, so a merge overlaps its inputs' reads with its compares and its
 // output; the goroutine ends with the table or with Close.
 func (rd *Reader) ScanIter() *Iter { return rd.newIter(true) }
 
@@ -681,10 +526,9 @@ func (rd *Reader) IterFrom(start []byte) *Iter {
 type Iter struct {
 	rd *Reader
 	cursor
-	legacy []byte       // remaining legacy-format block bytes
-	v3     v3BlockIter  // current version-3 block and the key arenas
-	blk    *cache.Block // pin on the block being read
-	prev   *cache.Block // pin on the block before it
+	v3   v3BlockIter  // current block and the key arenas
+	blk  *cache.Block // pin on the block being read
+	prev *cache.Block // pin on the block before it
 	// nofill marks a ScanIter. For one, cold says the block being read was
 	// not resident, and sawCold that an entry has been consumed from such a
 	// block since a merge's Writer last asked (Writer.inputsResident); spend,
@@ -744,19 +588,13 @@ func (it *Iter) SeekGE(target []byte) {
 	if it.err != nil {
 		return
 	}
-	if it.rd.numChunks() == 0 {
+	if len(it.rd.chunks) == 0 {
 		it.valid = false
 		return
 	}
-	ci := 0
-	if it.rd.version >= FormatV3 {
-		ci = sort.Search(len(it.rd.chunks), func(i int) bool {
-			return bytes.Compare(it.rd.chunks[i].firstKey, target) > 0
-		}) - 1
-		if ci < 0 {
-			ci = 0
-		}
-	}
+	ci := max(0, sort.Search(len(it.rd.chunks), func(i int) bool {
+		return bytes.Compare(it.rd.chunks[i].firstKey, target) > 0
+	})-1)
 	handles, err := it.rd.chunkHandles(ci)
 	if err != nil {
 		it.err = err
@@ -768,7 +606,6 @@ func (it *Iter) SeekGE(target []byte) {
 	}
 	it.stopAhead()
 	it.cursor = cursor{handles: handles, ci: ci + 1, bi: bi}
-	it.legacy = nil
 	it.v3.leave()
 	it.valid = false
 	it.advance()
@@ -863,7 +700,7 @@ func (rd *Reader) readRun(handles []blockHandle, sp *span) error {
 	blocks := sp.blocks[sp.n : sp.n+len(handles)]
 	for i, h := range handles {
 		off := int(h.offset - first.offset)
-		data, err := decodeDataBlock(buf.Buf()[off:off+int(h.length)+4], rd.version)
+		data, err := decodeDataBlock(buf.Buf()[off : off+int(h.length)+4])
 		if err != nil {
 			buf.Release()
 			return err
@@ -891,7 +728,7 @@ type cursor struct {
 // one index chunk, and moves past them; none at the end of the table.
 func (c *cursor) next(rd *Reader, n int) ([]blockHandle, error) {
 	for c.handles == nil || c.bi >= len(c.handles) {
-		if c.ci >= rd.numChunks() {
+		if c.ci >= len(rd.chunks) {
 			return nil, nil
 		}
 		handles, err := rd.chunkHandles(c.ci)
@@ -1021,18 +858,11 @@ func (it *Iter) nextBlock() bool {
 		// block evicted since the fetch is no longer the cache's to move.)
 		it.rd.blocks.Demote(f.pin)
 	}
-	var empty bool
-	if it.rd.version < FormatV3 {
-		it.legacy = f.data
-		empty = len(it.legacy) == 0
-	} else {
-		if err := it.v3.enter(f.data); err != nil {
-			it.err = err
-			return false
-		}
-		empty = it.v3.pb.n == 0
+	if err := it.v3.enter(f.data); err != nil {
+		it.err = err
+		return false
 	}
-	if empty {
+	if it.v3.pb.n == 0 {
 		// The Writer never emits a block without entries; refusing one
 		// keeps "a Next crosses at most one block boundary" — and with it
 		// the validity rule — free of conditions.
@@ -1047,24 +877,12 @@ func (it *Iter) advance() {
 		return
 	}
 	for {
-		if it.rd.version >= FormatV3 {
-			ok, err := it.v3.next(&it.cur)
-			if err != nil {
-				it.err = err
-				return
-			}
-			if ok {
-				it.valid = true
-				return
-			}
-		} else if len(it.legacy) > 0 {
-			e, rest, err := decodeEntry(it.legacy)
-			if err != nil {
-				it.err = err
-				return
-			}
-			it.legacy = rest
-			it.cur = e
+		ok, err := it.v3.next(&it.cur)
+		if err != nil {
+			it.err = err
+			return
+		}
+		if ok {
 			it.valid = true
 			return
 		}

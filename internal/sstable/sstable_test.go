@@ -322,107 +322,40 @@ func TestMergeKeepTombstones(t *testing.T) {
 	}
 }
 
-func TestCompressedRoundTrip(t *testing.T) {
-	// Highly compressible values: the flate codec must shrink the file and
-	// read back identically.
-	var entries []iterator.Entry
-	for i := 0; i < 3000; i++ {
-		entries = append(entries, entry(fmt.Sprintf("key-%08d", i), strings.Repeat("abcdef", 20), uint64(i)))
-	}
-	var raw, compressed bytes.Buffer
-	wr := NewWriter(&raw, len(entries))
-	wc := NewWriterOpts(&compressed, len(entries), WriterOptions{Compression: Flate})
-	for _, e := range entries {
-		if err := wr.Add(e); err != nil {
-			t.Fatal(err)
-		}
-		if err := wc.Add(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := wr.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wc.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if compressed.Len() >= raw.Len() {
-		t.Errorf("compressed table (%d) not smaller than raw (%d)", compressed.Len(), raw.Len())
-	}
-	rd, err := NewReader(bytes.NewReader(compressed.Bytes()), int64(compressed.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := iterator.Drain(rd.Iter())
-	if len(got) != len(entries) {
-		t.Fatalf("drained %d entries, want %d", len(got), len(entries))
-	}
-	for i, e := range entries {
-		if !bytes.Equal(got[i].Key, e.Key) || !bytes.Equal(got[i].Value, e.Value) {
-			t.Fatalf("entry %d mismatch", i)
-		}
-	}
-	// Point reads and seeks work on compressed tables too.
-	g, err := rd.Get([]byte("key-00001234"))
-	if err != nil || string(g.Value) != strings.Repeat("abcdef", 20) {
-		t.Errorf("Get on compressed table: %v", err)
-	}
-	it := rd.IterFrom([]byte("key-00002990"))
-	n := 0
-	for ; it.Valid(); it.Next() {
-		n++
-	}
-	if n != 10 {
-		t.Errorf("seek on compressed table: %d entries", n)
-	}
-}
-
-func TestIncompressibleFallsBackToRaw(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	var buf bytes.Buffer
-	w := NewWriterOpts(&buf, 100, WriterOptions{Compression: Flate})
-	for i := 0; i < 100; i++ {
-		val := make([]byte, 100)
-		r.Read(val)
-		if err := w.Add(iterator.Entry{Key: []byte(fmt.Sprintf("k%04d", i)), Value: val, Seq: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := iterator.Drain(rd.Iter()); len(got) != 100 {
-		t.Errorf("drained %d", len(got))
-	}
-}
-
+// TestCorruptCompressedBlock: a block frame claiming codec 1, which DEFLATE
+// wrote before it was retired, is corrupt however sound its checksum: the
+// table opens, and every read of that block fails with ErrCorrupt.
 func TestCorruptCompressedBlock(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriterOpts(&buf, 1000, WriterOptions{Compression: Flate})
+	var entries []iterator.Entry
 	for i := 0; i < 1000; i++ {
-		if err := w.Add(entry(fmt.Sprintf("k%06d", i), strings.Repeat("x", 50), uint64(i))); err != nil {
+		entries = append(entries, entry(fmt.Sprintf("k%06d", i), strings.Repeat("x", 50), uint64(i)))
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, len(entries))
+	for _, e := range entries {
+		if err := w.Add(e); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	data[5] ^= 0xff // inside the first compressed block
+	data := withBlockCodec(t, buf.Bytes(), 1)
 	rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
-		return // rejected at open: fine
+		t.Fatalf("open: %v", err)
 	}
-	it := rd.Iter()
-	for it.Valid() {
-		it.Next()
+	if _, err := rd.Get(entries[0].Key); err != ErrCorrupt {
+		t.Fatalf("Get err = %v, want ErrCorrupt", err)
 	}
-	if it.Err() == nil {
-		t.Errorf("corrupt compressed block not detected")
+	for _, it := range []*Iter{rd.Iter(), rd.ScanIter()} {
+		for it.Valid() {
+			it.Next()
+		}
+		if err := it.Err(); err != ErrCorrupt {
+			t.Fatalf("scan err = %v, want ErrCorrupt", err)
+		}
+		it.Close()
 	}
 }
 

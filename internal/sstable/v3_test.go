@@ -46,27 +46,21 @@ func buildTableOpts(t testing.TB, entries []iterator.Entry, opts WriterOptions) 
 	return rd
 }
 
-// TestRoundTripAcrossVersionsAndCodecs proves every (format, codec)
-// combination writes tables that read back identically: point lookups,
-// ordered scans and seeks.
+// TestRoundTripAcrossVersionsAndCodecs proves the default layout and a
+// small-block, many-chunk one write tables that read back identically:
+// point lookups, ordered scans and seeks.
 func TestRoundTripAcrossVersionsAndCodecs(t *testing.T) {
 	entries := prefixedEntries(3000)
 	cases := []struct {
 		name string
 		opts WriterOptions
 	}{
-		{"v2-raw", WriterOptions{FormatVersion: FormatV2}},
-		{"v2-flate", WriterOptions{FormatVersion: FormatV2, Compression: Flate}},
-		{"v3-raw", WriterOptions{FormatVersion: FormatV3}},
-		{"v3-flate", WriterOptions{FormatVersion: FormatV3, Compression: Flate}},
-		{"v3-chunked", WriterOptions{FormatVersion: FormatV3, BlockSize: 256, IndexChunkSize: 4}},
+		{"v3-raw", WriterOptions{}},
+		{"v3-chunked", WriterOptions{BlockSize: 256, IndexChunkSize: 4}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			rd := buildTableOpts(t, entries, c.opts)
-			if got, want := rd.FooterVersion(), c.opts.FormatVersion; got != want {
-				t.Fatalf("FooterVersion = %d, want %d", got, want)
-			}
 			// Every key resolves with its exact version and value.
 			for _, want := range entries {
 				got, err := rd.Get(want.Key)
@@ -110,7 +104,7 @@ func TestRoundTripAcrossVersionsAndCodecs(t *testing.T) {
 	}
 }
 
-// TestPartitionedIndexLazyLoad proves a version-3 open materializes only
+// TestPartitionedIndexLazyLoad proves an open materializes only
 // the top-level chunk index, and that lookups parse exactly the chunks
 // they touch.
 func TestPartitionedIndexLazyLoad(t *testing.T) {
@@ -157,7 +151,7 @@ func TestRestartSearchWithinBlock(t *testing.T) {
 		entries = append(entries, entry(fmt.Sprintf("key-%06d", i*2), fmt.Sprintf("v%d", i), uint64(i+1)))
 	}
 	rd := buildTableOpts(t, entries, WriterOptions{BlockSize: 1 << 20})
-	if n := rd.numChunks(); n != 1 {
+	if n := len(rd.chunks); n != 1 {
 		t.Fatalf("expected single chunk, got %d", n)
 	}
 	handles, err := rd.chunkHandles(0)
@@ -185,73 +179,32 @@ func TestRestartSearchWithinBlock(t *testing.T) {
 }
 
 // TestV3PrefixCompressionShrinksKeys proves the restart format actually
-// pays for itself on prefix-heavy keys: the v3 table must be smaller than
-// the same data in v2 layout, both uncompressed.
+// pays for itself on prefix-heavy keys: the key bytes the data blocks store
+// are under a third of the keys they hold.
 func TestV3PrefixCompressionShrinksKeys(t *testing.T) {
-	entries := prefixedEntries(5000)
-	var v2, v3 bytes.Buffer
-	w2 := NewWriterOpts(&v2, len(entries), WriterOptions{FormatVersion: FormatV2})
-	w3 := NewWriterOpts(&v3, len(entries), WriterOptions{FormatVersion: FormatV3})
-	for _, e := range entries {
-		if err := w2.Add(e); err != nil {
+	rd := buildTableOpts(t, prefixedEntries(5000), WriterOptions{})
+	stored := 0
+	for _, h := range allHandles(t, rd) {
+		b, err := rd.readBlock(h)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w3.Add(e); err != nil {
+		pb, err := parseV3Block(b.Data())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w2.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w3.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if v3.Len() >= v2.Len() {
-		t.Errorf("v3 table (%d bytes) not smaller than v2 (%d bytes) on prefix-heavy keys", v3.Len(), v2.Len())
-	}
-}
-
-// TestMergeAcrossVersions merges v1, v2 and v3 inputs into a v3 output:
-// the cross-version path compaction exercises while a store upgrades.
-func TestMergeAcrossVersions(t *testing.T) {
-	v1data := buildLegacyV1(t, []iterator.Entry{entry("a", "old", 1), entry("b", "old", 2), entry("d", "keep1", 3)})
-	v1rd, err := NewReader(bytes.NewReader(v1data), int64(len(v1data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2rd := buildTableOpts(t, []iterator.Entry{entry("b", "mid", 10), entry("e", "keep2", 11)},
-		WriterOptions{FormatVersion: FormatV2})
-	v3rd := buildTableOpts(t, []iterator.Entry{
-		{Key: []byte("a"), Seq: 20, Tombstone: true}, entry("c", "keep3", 21),
-	}, WriterOptions{})
-
-	var out bytes.Buffer
-	stats, err := MergeTo(NewWriter(&out, MergeEntries(v3rd, v2rd, v1rd)), true, v3rd, v2rd, v1rd)
-	if err != nil {
-		t.Fatalf("MergeTo: %v", err)
-	}
-	rd, err := NewReader(bytes.NewReader(out.Bytes()), int64(out.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.FooterVersion() != FormatV3 {
-		t.Errorf("merged output version = %d, want 3", rd.FooterVersion())
-	}
-	want := map[string]string{"b": "mid", "c": "keep3", "d": "keep1", "e": "keep2"}
-	if rd.EntryCount() != uint64(len(want)) {
-		t.Errorf("merged EntryCount = %d, want %d", rd.EntryCount(), len(want))
-	}
-	for k, v := range want {
-		got, err := rd.Get([]byte(k))
-		if err != nil || string(got.Value) != v {
-			t.Errorf("merged Get(%q) = %+v, %v; want %q", k, got, err, v)
+		var hd v3EntryHeader
+		for off, prev := 0, 0; off < len(pb.data); off = hd.next {
+			if err := decodeV3Header(&hd, pb.data, off, prev); err != nil {
+				t.Fatal(err)
+			}
+			stored += hd.unshared
+			prev = hd.shared + hd.unshared
 		}
+		b.Release()
 	}
-	if _, err := rd.Get([]byte("a")); err != ErrNotFound {
-		t.Error("tombstoned key a survived the cross-version major merge")
-	}
-	if stats.EntriesIn != 7 || stats.EntriesOut != 4 {
-		t.Errorf("stats = %+v", stats)
+	if full := int(rd.f.keyBytes); stored*3 >= full {
+		t.Errorf("blocks store %d key bytes for %d bytes of keys on prefix-heavy keys", stored, full)
 	}
 }
 
@@ -264,17 +217,12 @@ func TestEncodeBlockAllocs(t *testing.T) {
 		bb.add(entry(fmt.Sprintf("key-%06d", i), "some-value-bytes", uint64(i+1)))
 	}
 	body := bb.finish()
-	var enc blockEncoder
 	frameBuf := make([]byte, 0, 2*len(body)+16)
 	allocs := testing.AllocsPerRun(100, func() {
-		framed, err := enc.appendBlock(frameBuf[:0], body, NoCompression, FormatV3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frameBuf = framed[:0]
+		frameBuf = appendBlock(frameBuf[:0], body)
 	})
 	if allocs != 0 {
-		t.Errorf("raw block framing allocates %.1f times per block, want 0", allocs)
+		t.Errorf("block framing allocates %.1f times per block, want 0", allocs)
 	}
 }
 

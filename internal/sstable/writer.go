@@ -13,33 +13,22 @@ import (
 	"repro/internal/keyhash"
 )
 
-// DefaultIndexChunkSize is the number of block handles per index chunk in
-// a version-3 table. At the default block size a chunk covers ~1MiB of
+// DefaultIndexChunkSize is the number of block handles per index chunk. At the default block size a chunk covers ~1MiB of
 // data, so even multi-gigabyte tables open by materializing only a few
 // thousand top-level entries while each chunk parses lazily on first use.
 const DefaultIndexChunkSize = 256
 
 // WriterOptions configures table construction.
 type WriterOptions struct {
-	// Compression selects the data-block codec. The zero value stores
-	// blocks raw.
-	Compression Compression
-	// FormatVersion selects the table format: FormatV3 (the default when
-	// zero) or FormatV2 for compatibility tooling and tests. Version 1 is
-	// read-only.
-	FormatVersion int
-	// BlockSize overrides the target uncompressed data-block payload
-	// size; zero selects BlockSize.
+	// BlockSize overrides the target data-block payload size; zero selects
+	// BlockSize.
 	BlockSize int
 	// IndexChunkSize overrides the number of block handles per index
-	// chunk (version 3 only); zero selects DefaultIndexChunkSize.
+	// chunk; zero selects DefaultIndexChunkSize.
 	IndexChunkSize int
 }
 
 func (o WriterOptions) withDefaults() WriterOptions {
-	if o.FormatVersion == 0 {
-		o.FormatVersion = FormatLatest
-	}
 	if o.BlockSize <= 0 {
 		o.BlockSize = BlockSize
 	}
@@ -62,11 +51,9 @@ type Writer struct {
 	id     uint64
 	inputs []*Iter
 
-	block    []byte       // current block payload (version <= 2)
-	bb       blockBuilder // current block (version 3)
+	bb       blockBuilder // current block
 	blockKey []byte       // first key of the current block
 	frameBuf []byte       // reusable frame buffer, one allocation per table
-	enc      blockEncoder
 	index    []blockHandle
 	filter   *bloom.Filter
 	sketch   *hll.Sketch
@@ -81,15 +68,14 @@ type Writer struct {
 	finished   bool
 }
 
-// NewWriter creates a Writer emitting to w with no block compression.
-// expectedEntries sizes the Bloom filter; an estimate is fine, and zero
+// NewWriter creates a Writer emitting to w. expectedEntries sizes the Bloom filter; an estimate is fine, and zero
 // selects a small default.
 func NewWriter(w io.Writer, expectedEntries int) *Writer {
 	return NewWriterOpts(w, expectedEntries, WriterOptions{})
 }
 
-// NewWriterOpts creates a Writer with full control over format version,
-// codec, block size and index chunking.
+// NewWriterOpts creates a Writer with its block size and index chunking
+// chosen.
 func NewWriterOpts(w io.Writer, expectedEntries int, opts WriterOptions) *Writer {
 	if expectedEntries <= 0 {
 		expectedEntries = 1024
@@ -151,14 +137,7 @@ func (w *Writer) Add(e iterator.Entry) error {
 	if e.Seq > w.maxSeq {
 		w.maxSeq = e.Seq
 	}
-	var blockLen int
-	if w.opts.FormatVersion >= FormatV3 {
-		w.bb.add(e)
-		blockLen = w.bb.size()
-	} else {
-		w.block = appendEntry(w.block, e)
-		blockLen = len(w.block)
-	}
+	w.bb.add(e)
 	w.lastKey = append(w.lastKey[:0], e.Key...)
 	h := keyhash.Of(e.Key)
 	w.filter.AddHash(h)
@@ -166,84 +145,20 @@ func (w *Writer) Add(e iterator.Entry) error {
 	w.entryCount++
 	w.keyBytes += uint64(len(e.Key))
 	w.valBytes += uint64(len(e.Value))
-	if blockLen >= w.opts.BlockSize {
+	if w.bb.size() >= w.opts.BlockSize {
 		return w.flushBlock()
 	}
 	return nil
 }
 
-// appendEntry encodes one entry in the legacy (version <= 2) layout.
-func appendEntry(dst []byte, e iterator.Entry) []byte {
-	dst = binary.AppendUvarint(dst, e.Seq)
-	var flags byte
-	if e.Tombstone {
-		flags |= 1
-	}
-	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, uint64(len(e.Key)))
-	dst = append(dst, e.Key...)
-	if !e.Tombstone {
-		dst = binary.AppendUvarint(dst, uint64(len(e.Value)))
-		dst = append(dst, e.Value...)
-	}
-	return dst
-}
-
-// decodeEntry parses one legacy-layout entry from buf, returning it and
-// the remaining bytes. The returned entry aliases buf.
-func decodeEntry(buf []byte) (iterator.Entry, []byte, error) {
-	var e iterator.Entry
-	seq, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return e, nil, ErrCorrupt
-	}
-	buf = buf[n:]
-	if len(buf) < 1 {
-		return e, nil, ErrCorrupt
-	}
-	flags := buf[0]
-	buf = buf[1:]
-	e.Seq = seq
-	e.Tombstone = flags&1 != 0
-	klen, n := binary.Uvarint(buf)
-	if n <= 0 || uint64(len(buf[n:])) < klen {
-		return e, nil, ErrCorrupt
-	}
-	buf = buf[n:]
-	e.Key = buf[:klen:klen]
-	buf = buf[klen:]
-	if !e.Tombstone {
-		vlen, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf[n:])) < vlen {
-			return e, nil, ErrCorrupt
-		}
-		buf = buf[n:]
-		e.Value = buf[:vlen:vlen]
-		buf = buf[vlen:]
-	}
-	return e, buf, nil
-}
-
 func (w *Writer) flushBlock() error {
-	var body []byte
-	if w.opts.FormatVersion >= FormatV3 {
-		if w.bb.empty() {
-			return nil
-		}
-		body = w.bb.finish()
-	} else {
-		if len(w.block) == 0 {
-			return nil
-		}
-		body = w.block
+	if w.bb.empty() {
+		return nil
 	}
-	// Frame codec+body+crc in one pass into the Writer's reusable buffer:
-	// one allocation for the lifetime of the table instead of two
-	// allocations plus a full copy per block.
-	framed, err := w.enc.appendBlock(w.frameBuf[:0], body, w.opts.Compression, w.opts.FormatVersion)
-	if err != nil {
-		return err
-	}
+	body := w.bb.finish()
+	// Frame the block in one pass into the Writer's reusable buffer: one
+	// allocation for the lifetime of the table.
+	framed := appendBlock(w.frameBuf[:0], body)
 	w.frameBuf = framed
 	w.index = append(w.index, blockHandle{
 		firstKey: w.blockKey,
@@ -256,13 +171,11 @@ func (w *Writer) flushBlock() error {
 	w.blocks.Publish(cache.Key{Table: w.id, Offset: w.off}, body, !w.inputsResident())
 	w.off += uint64(len(framed))
 	w.bb.reset()
-	w.block = w.block[:0]
 	w.blockKey = nil
 	return nil
 }
 
-// appendHandles encodes a run of block handles in the index layout shared
-// by version-2 flat indexes and version-3 chunks.
+// appendHandles encodes the block handles of one index chunk.
 func appendHandles(dst []byte, handles []blockHandle) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(handles)))
 	for _, h := range handles {
@@ -274,19 +187,9 @@ func appendHandles(dst []byte, handles []blockHandle) []byte {
 	return dst
 }
 
-// writeIndex emits the index and points f at it: a single flat block for
-// version 2, or fixed-size chunks plus a top-level chunk index for
-// version 3.
+// writeIndex emits the index — fixed-size chunks plus a top-level chunk
+// index — and points f at it.
 func (w *Writer) writeIndex(f *footer) error {
-	if w.opts.FormatVersion < FormatV3 {
-		framed := appendChecksummed(nil, appendHandles(nil, w.index))
-		f.indexOff, f.indexLen = w.off, uint64(len(framed))
-		if _, err := w.w.Write(framed); err != nil {
-			return fmt.Errorf("sstable: write index: %w", err)
-		}
-		w.off += uint64(len(framed))
-		return nil
-	}
 	chunkSize := w.opts.IndexChunkSize
 	var chunks []chunkHandle
 	for start := 0; start < len(w.index); start += chunkSize {
@@ -350,25 +253,20 @@ func (w *Writer) Finish() error {
 	w.off += uint64(len(framed))
 
 	// Bounds block: the key range and sequence range the engine's read
-	// path prunes with. An empty table encodes nil keys and a zero range.
-	// Version-3 tables carry the key sketch in the payload's extension
-	// tail; version-2 output stays byte-identical to the frozen format.
+	// path prunes with, then the key sketch. An empty table encodes nil keys
+	// and a zero range.
 	var bounds Bounds
 	if w.entryCount > 0 {
 		bounds = Bounds{Smallest: w.firstKey, Largest: w.lastKey, MinSeq: w.minSeq, MaxSeq: w.maxSeq}
 	}
-	payload := marshalBounds(bounds)
-	if w.opts.FormatVersion >= FormatV3 {
-		payload = appendBoundsSketch(payload, w.sketch)
-	}
-	framed = appendChecksummed(nil, payload)
+	framed = appendChecksummed(nil, appendBoundsSketch(marshalBounds(bounds), w.sketch))
 	f.boundsOff, f.boundsLen = w.off, uint64(len(framed))
 	if _, err := w.w.Write(framed); err != nil {
 		return fmt.Errorf("sstable: write bounds: %w", err)
 	}
 	w.off += uint64(len(framed))
 
-	if _, err := w.w.Write(f.marshal(w.opts.FormatVersion)); err != nil {
+	if _, err := w.w.Write(f.marshal()); err != nil {
 		return fmt.Errorf("sstable: write footer: %w", err)
 	}
 	w.off += footerSize
@@ -381,12 +279,6 @@ func (w *Writer) Size() uint64 { return w.off }
 
 // EntryCount returns the number of entries added so far.
 func (w *Writer) EntryCount() uint64 { return w.entryCount }
-
-// Sketch returns the HyperLogLog sketch of every key added so far. The
-// Writer maintains it for all format versions; only version-3 output
-// embeds it, so callers writing older formats can persist it elsewhere
-// (the engine's manifest does).
-func (w *Writer) Sketch() *hll.Sketch { return w.sketch }
 
 // WriteAll drains it into w in order and finishes the table; a convenience
 // wrapper used by flushes and compaction merges.
