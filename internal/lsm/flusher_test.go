@@ -290,26 +290,64 @@ func TestWritesProgressWhileFlushWedged(t *testing.T) {
 // stream produced at the parent commit (468628b), where every flush and pick
 // ran inside the Put that caused it, however the flusher is delayed: by
 // random sleeps at each of its steps and, for one flush in four, until the
-// writer has filled the next memtable and is waiting for it.
+// writer has filled the next memtable and is waiting for it. Every other
+// policy family PolicyByName resolves — Bigtable's count trigger,
+// Cassandra's size tiers, the leveled layout and a sketch-ranked paper
+// strategy — is pinned the same way, undelayed, on the stream's first
+// 40 000 writes through a 256 KiB memtable.
 func TestFlushScheduleIsDeterministic(t *testing.T) {
-	want := Stats{
-		Flushes: 32, MinorCompactions: 8, Tables: 8,
-		BytesFlushed: 33261432, BytesCompacted: 27555733, TableBytes: 21741384,
-		CompactionPicks: map[string]uint64{"BT(I)": 8},
-	}
-	policy, err := PolicyByName("BT(I)", 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gen, err := ycsb.NewGenerator(ycsb.Config{RecordCount: 20_000, OperationCount: 160_000, UpdateProportion: 1, Distribution: ycsb.Zipfian, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := gen.All()
-	for run := 0; run < 5; run++ {
+	all := gen.All()
+	for _, tc := range []struct {
+		policy        string
+		ops, memtable int
+		runs          int
+		want          Stats
+	}{
+		{"BT(I)", len(all), 1 << 20, 5, Stats{
+			Flushes: 32, MinorCompactions: 8, Tables: 8,
+			BytesFlushed: 33261432, BytesCompacted: 27555733, TableBytes: 21741384,
+			CompactionPicks: map[string]uint64{"BT(I)": 8},
+		}},
+		{"threshold", 40_000, 256 << 10, 1, Stats{
+			Flushes: 50, MinorCompactions: 14, Tables: 8,
+			BytesFlushed: 13019570, BytesCompacted: 23024366, TableBytes: 11506568,
+			CompactionPicks: map[string]uint64{"threshold": 14},
+		}},
+		{"size-tiered", 40_000, 256 << 10, 1, Stats{
+			Flushes: 50, MinorCompactions: 15, Tables: 5,
+			BytesFlushed: 13019570, BytesCompacted: 21931438, TableBytes: 10929103,
+			CompactionPicks: map[string]uint64{"size-tiered": 15},
+		}},
+		{"leveled", 40_000, 256 << 10, 1, Stats{
+			Flushes: 50, MinorCompactions: 12, Tables: 3,
+			BytesFlushed: 13019570, BytesCompacted: 70971456, TableBytes: 8909273,
+			CompactionPicks: map[string]uint64{"leveled": 12},
+		}},
+		{"SO", 40_000, 256 << 10, 1, Stats{
+			Flushes: 50, MinorCompactions: 14, Tables: 8,
+			BytesFlushed: 13019570, BytesCompacted: 23028224, TableBytes: 11508342,
+			CompactionPicks: map[string]uint64{"SO": 14},
+		}},
+	} {
+		t.Run(tc.policy, func(t *testing.T) {
+			flushScheduleRuns(t, tc.policy, all[:tc.ops], tc.memtable, tc.runs, tc.want)
+		})
+	}
+}
+
+func flushScheduleRuns(t *testing.T, policyName string, ops []ycsb.Op, memtable, runs int, want Stats) {
+	policy, err := PolicyByName(policyName, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < runs; run++ {
 		// The skiplist seed varies too: tower heights are not part of what a
 		// memtable weighs.
-		db := openTestDB(t, Options{MemtableBytes: 1 << 20, AutoCompact: policy, Seed: int64(run)})
+		db := openTestDB(t, Options{MemtableBytes: memtable, AutoCompact: policy, Seed: int64(run)})
 		delays := rand.New(rand.NewSource(int64(run)))
 		var writerDone atomic.Bool
 		db.mu.Lock()

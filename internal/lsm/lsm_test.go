@@ -449,6 +449,32 @@ func TestMajorCompactKWay(t *testing.T) {
 	}
 }
 
+// TestMajorCompactResultPinned pins what a BT(I) k=4 major compaction of
+// five overlapping flushes does — the tables lsmdb's "fill 3000/2000/2500/
+// 100/4000, flush after each" script leaves — down to the merge count, the
+// measured cost in keys and the bytes it writes.
+func TestMajorCompactResultPinned(t *testing.T) {
+	db := openTestDB(t, Options{})
+	for _, n := range []int{3000, 2000, 2500, 100, 4000} {
+		for i := 0; i < n; i++ {
+			if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("key-%08d", i)), []byte(fmt.Sprintf("value-%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := db.MajorCompact("BT(I)", 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [4]uint64{uint64(len(res.StepStats)), uint64(res.CostActual), res.BytesWritten, uint64(res.TablesAfter)}
+	if want := [4]uint64{2, 21600, 151370, 1}; got != want {
+		t.Errorf("merges, CostActual, BytesWritten, TablesAfter = %v, want %v", got, want)
+	}
+}
+
 func TestMajorCompactTrivialCases(t *testing.T) {
 	db := openTestDB(t, Options{})
 	// Empty store.
