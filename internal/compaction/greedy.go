@@ -35,7 +35,7 @@ func Run(inst *Instance, k int, chooser Chooser) (*Schedule, error) {
 	for i, t := range inst.Tables() {
 		leaves[i] = &Node{ID: i, Set: t.Set, TableID: i, Level: 1}
 	}
-	return greedy(leaves, k, chooser, func(merged *Node) {
+	return greedy(leaves, k, chooser, len(leaves), func(merged *Node) {
 		sets := make([]keyset.Set, len(merged.Children))
 		for i, nd := range merged.Children {
 			sets[i] = nd.Set
@@ -44,10 +44,12 @@ func Run(inst *Instance, k int, chooser Chooser) (*Schedule, error) {
 	})
 }
 
-// greedy is Algorithm 1 over any node labelling: label fills in what the
-// merge of merged.Children holds — the exact union under Run, estimated
-// statistics under Plan — before the chooser observes the new node.
-func greedy(leaves []*Node, k int, chooser Chooser, label func(merged *Node)) (*Schedule, error) {
+// greedy is Algorithm 1 over any node labelling, for at most steps merges:
+// label fills in what the merge of merged.Children holds — the exact union
+// under Run, estimated statistics under Plan — before the chooser observes
+// the new node. The root is the last merge's output, which is the one node
+// left once the loop has run to the end.
+func greedy(leaves []*Node, k int, chooser Chooser, steps int, label func(merged *Node)) (*Schedule, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("compaction: k = %d, need k >= 2", k)
 	}
@@ -67,7 +69,7 @@ func greedy(leaves []*Node, k int, chooser Chooser, label func(merged *Node)) (*
 		alive[leaf] = true
 	}
 
-	for live > 1 {
+	for live > 1 && len(sc.Steps) < steps {
 		group, err := chooser.Choose()
 		if err != nil {
 			return nil, fmt.Errorf("compaction: %s: %w", chooser.Name(), err)
@@ -95,10 +97,8 @@ func greedy(leaves []*Node, k int, chooser Chooser, label func(merged *Node)) (*
 		alive[merged] = true
 		live -= len(group) - 1
 		sc.Steps = append(sc.Steps, Step{Inputs: group, Output: merged})
+		sc.Root = merged
 		chooser.Observe(merged)
-	}
-	for nd := range alive {
-		sc.Root = nd
 	}
 	return sc, nil
 }

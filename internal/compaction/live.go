@@ -26,18 +26,34 @@ type LiveTable struct {
 	Smallest, Largest []byte
 	// Sketch estimates the table's key set; nil when not persisted.
 	Sketch *hll.Sketch
+	// Level is the table's level in the engine's leveled layout: 0 for
+	// fresh flushes and in flat layouts. It is not Node.Level, BALANCETREE's
+	// annotation of a merge tree.
+	Level int
 }
 
-// ErrNeedsKeys reports a strategy that cannot pick from live statistics
-// because it ranks by exact set operations (SO(exact), LM).
-type ErrNeedsKeys struct{ Strategy string }
-
-func (e ErrNeedsKeys) Error() string {
-	return fmt.Sprintf("compaction: strategy %q needs exact key sets and cannot pick from live table stats", e.Strategy)
+// overlaps reports whether two tables' key ranges intersect. A table
+// without bounds (empty) overlaps nothing.
+func (t *LiveTable) overlaps(o *LiveTable) bool {
+	return t.Smallest != nil && o.Smallest != nil &&
+		bytes.Compare(t.Smallest, o.Largest) <= 0 && bytes.Compare(o.Smallest, t.Largest) <= 0
 }
 
-// LiveStrategies returns the strategy names PickLive accepts, sorted: the
-// registry minus the two exact-set strategies.
+// extend widens t's key range to cover o's.
+func (t *LiveTable) extend(o *LiveTable) {
+	if o.Smallest == nil {
+		return
+	}
+	if t.Smallest == nil || bytes.Compare(o.Smallest, t.Smallest) < 0 {
+		t.Smallest = o.Smallest
+	}
+	if t.Largest == nil || bytes.Compare(o.Largest, t.Largest) > 0 {
+		t.Largest = o.Largest
+	}
+}
+
+// LiveStrategies returns the paper's strategies PickLive accepts, sorted:
+// the registry minus the two exact-set strategies.
 func LiveStrategies() []string {
 	var names []string
 	for _, name := range StrategyNames() {
@@ -48,51 +64,82 @@ func LiveStrategies() []string {
 	return names
 }
 
-// IsLiveStrategy reports whether name is a registry strategy Plan and
-// PickLive can drive from live table statistics.
+// IsLiveStrategy reports whether name is a strategy Plan and PickLive can
+// drive from live table statistics: a paper strategy other than the two
+// exact-set ones, or one of the engine's baselines (see Baselines).
 func IsLiveStrategy(name string) bool {
 	switch name {
-	case "SI", "SO", "BT", "BT(I)", "BT(O)", "CHAIN", "RANDOM":
+	case "SI", "SO", "BT", "BT(I)", "BT(O)", "CHAIN", "RANDOM", "leveled", "size-tiered", "threshold":
 		return true
 	default:
 		return false
 	}
 }
 
-// PickLive selects the next group of tables to merge using a registry
-// strategy, driven by live per-table statistics instead of key sets: the
-// first CHOOSETWOSETS call of the schedule Plan would produce, made by the
-// same Chooser the model runs — leaf IDs are the slice indices, entry counts
-// stand in for set cardinalities, and persisted sketches are register for
-// register the model's (the sstable writer and the model hash keys
-// identically). It returns the selected indices, nil when fewer than two
-// tables exist, and ErrNeedsKeys for the exact-set strategies.
+// PickLive selects the next group of tables to merge by strategy name,
+// driven by live per-table statistics instead of key sets: the leaves of
+// Pick's schedule, as indices into tables. For a paper strategy that is the
+// first CHOOSETWOSETS call the model makes on the equivalent instance — leaf
+// IDs are the slice indices, entry counts stand in for set cardinalities,
+// and persisted sketches are register for register the model's (the sstable
+// writer and the model hash keys identically). A baseline picks at its
+// defaults whether or not its trigger holds. PickLive returns nil when fewer
+// than two tables exist, and an error for the exact-set strategies.
 func PickLive(tables []LiveTable, strategy string, k int, seed int64) ([]int, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("compaction: k = %d, need k >= 2", k)
+	chooser, err := newLiveChooser(strategy, seed)
+	if err != nil {
+		return nil, err
 	}
+	sc, err := Pick(tables, k, chooser)
+	if sc == nil {
+		return nil, err
+	}
+	picked := make([]int, len(sc.Leaves))
+	for i, nd := range sc.Leaves {
+		picked[i] = nd.TableID
+	}
+	return picked, nil
+}
+
+// newLiveChooser constructs a fresh chooser for a name IsLiveStrategy
+// accepts, a baseline at its defaults.
+func newLiveChooser(name string, seed int64) (Chooser, error) {
+	switch name {
+	case "leveled":
+		return &Leveled{}, nil
+	case "size-tiered":
+		return &SizeTiered{}, nil
+	case "threshold":
+		return &Threshold{}, nil
+	}
+	chooser, err := NewChooserByName(name, seed)
+	if err == nil && !IsLiveStrategy(name) {
+		err = fmt.Errorf("compaction: strategy %q needs exact key sets and cannot pick from live table stats", name)
+	}
+	return chooser, err
+}
+
+// Pick schedules the first merge Plan would run on tables: a one-merge
+// schedule whose leaves are that merge's inputs, renumbered from 0 with
+// TableID their index in tables, and whose root is its output, labelled as
+// Plan labels it. The engine runs each minor compaction so: the chooser, the
+// statistics and the first step of a full plan. Pick returns nil for fewer
+// than two tables; chooser must be live-capable.
+func Pick(tables []LiveTable, k int, chooser Chooser) (*Schedule, error) {
 	if len(tables) < 2 {
 		return nil, nil
 	}
-	chooser, err := NewChooserByName(strategy, seed)
+	sc, err := planLive(tables, k, chooser, 1)
 	if err != nil {
 		return nil, err
 	}
-	if !IsLiveStrategy(strategy) {
-		return nil, ErrNeedsKeys{Strategy: strategy}
+	st := sc.Steps[0]
+	for i, in := range st.Inputs {
+		in.ID = i
 	}
-	if err := chooser.Init(liveLeaves(tables), k); err != nil {
-		return nil, err
-	}
-	group, err := chooser.Choose()
-	if err != nil {
-		return nil, fmt.Errorf("compaction: %s: %w", strategy, err)
-	}
-	picked := make([]int, len(group))
-	for i, nd := range group {
-		picked[i] = nd.ID
-	}
-	return picked, nil
+	st.Output.ID = len(st.Inputs)
+	sc.Leaves = st.Inputs
+	return sc, nil
 }
 
 // Plan schedules the complete merge of tables down to one, with chooser and
@@ -111,8 +158,7 @@ func Plan(tables []LiveTable, k int, chooser Chooser, keys func(table int) ([]ui
 		return nil, fmt.Errorf("compaction: plan of no tables")
 	}
 	if IsLiveStrategy(chooser.Name()) {
-		disjoint := rangesDisjoint(tables)
-		return greedy(liveLeaves(tables), k, chooser, func(merged *Node) { mergeLive(merged, disjoint) })
+		return planLive(tables, k, chooser, len(tables))
 	}
 	sets := make([]keyset.Set, len(tables))
 	for i := range tables {
@@ -123,6 +169,13 @@ func Plan(tables []LiveTable, k int, chooser Chooser, keys func(table int) ([]ui
 		sets[i] = keyset.New(hashes...)
 	}
 	return Run(NewInstance(sets...), k, chooser)
+}
+
+// planLive is Algorithm 1 over statistics-only nodes, for at most steps
+// merges.
+func planLive(tables []LiveTable, k int, chooser Chooser, steps int) (*Schedule, error) {
+	disjoint := rangesDisjoint(tables)
+	return greedy(liveLeaves(tables), k, chooser, steps, func(merged *Node) { mergeLive(merged, disjoint) })
 }
 
 // liveLeaves wraps tables as statistics-only leaf nodes.
@@ -136,12 +189,12 @@ func liveLeaves(tables []LiveTable) []*Node {
 
 // mergeLive labels a merge output with the statistics its table will have,
 // as far as they can be known without merging: summed bytes, the merged
-// sketch, and as its cardinality the sketch's estimate clamped to what any
-// union satisfies — at least the largest input, at most the sum of all. The
-// sum itself is used when disjoint says no two input tables of the plan
-// share a key (every union is then exactly that), and when a sketch is
-// missing or of another precision, which also leaves the output without one.
-// Key bounds are not carried: nothing ranks by a merge output's range.
+// sketch and key range, its deepest input's level, and as its cardinality
+// the sketch's estimate clamped to what any union satisfies — at least the
+// largest input, at most the sum of all. The sum itself is used when
+// disjoint says no two input tables of the plan share a key (every union is
+// then exactly that), and when a sketch is missing or of another precision,
+// which also leaves the output without one.
 func mergeLive(merged *Node, disjoint bool) {
 	out := &LiveTable{}
 	largest := 0
@@ -149,6 +202,8 @@ func mergeLive(merged *Node, disjoint bool) {
 	for i, c := range merged.Children {
 		out.SizeBytes += c.Live.SizeBytes
 		out.Entries += c.Live.Entries
+		out.Level = max(out.Level, c.Live.Level)
+		out.extend(c.Live)
 		largest = max(largest, c.Live.Entries)
 		sketches[i] = c.Live.Sketch
 	}

@@ -324,3 +324,56 @@ func TestPlanScansKeysOnlyForExactStrategies(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanRunsBaselines: Plan drives the engine's baselines to full
+// schedules from statistics alone, whatever the tables' sizes, ranges and
+// levels; its first step is PickLive's pick; and every leveled merge lands
+// at its deepest input's level, one deeper when its inputs share a level.
+func TestPlanRunsBaselines(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 40; trial++ {
+		n, k := 2+rng.Intn(19), 2+rng.Intn(4)
+		live := liveTablesOf(t, planInstance(rng, n, trial%2 == 0))
+		for i := range live {
+			live[i].SizeBytes = uint64(1 + rng.Intn(4)<<(10*rng.Intn(2)))
+			live[i].Level = rng.Intn(3)
+		}
+		for _, name := range Baselines() {
+			chooser, err := newLiveChooser(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := Plan(live, k, chooser, noKeys)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
+			}
+			if err := plan.Validate(); err != nil || len(plan.Steps) == 0 {
+				t.Fatalf("trial %d %s: not a full schedule of %d tables: %v", trial, name, n, err)
+			}
+			first, err := PickLive(live, name, k, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []int
+			for _, in := range plan.Steps[0].Inputs {
+				want = append(want, in.TableID)
+			}
+			if !reflect.DeepEqual(first, want) {
+				t.Fatalf("trial %d %s: PickLive picked %v, Plan's first step %v", trial, name, first, want)
+			}
+			for _, st := range plan.Steps {
+				shallowest, deepest := st.Inputs[0].Live.Level, 0
+				for _, in := range st.Inputs {
+					shallowest, deepest = min(shallowest, in.Live.Level), max(deepest, in.Live.Level)
+				}
+				want := deepest
+				if name == "leveled" && shallowest == deepest {
+					want++
+				}
+				if st.Output.Live.Level != want {
+					t.Fatalf("trial %d %s: merge of levels %d..%d lands at %d, want %d", trial, name, shallowest, deepest, st.Output.Live.Level, want)
+				}
+			}
+		}
+	}
+}

@@ -30,7 +30,7 @@ func TestChaosRandomOpsWithCrashes(t *testing.T) {
 	open := func() *DB {
 		db, err := Open(dir, Options{
 			MemtableBytes: 4 << 10,
-			AutoCompact:   SizeTieredPolicy{MinThreshold: 4},
+			AutoCompact:   mustPolicy(t, "size-tiered", 4),
 			Seed:          int64(r.Int()),
 		})
 		if err != nil {

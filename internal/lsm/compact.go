@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/compaction"
@@ -51,13 +52,13 @@ func (db *DB) CompactionState() CompactionState {
 
 func (db *DB) setState(s CompactionState) { db.state.Store(int32(s)) }
 
-// CompactionResult reports what a major compaction did: the paper's costs
-// in keys, counted from the merges that ran, and the real bytes moved on
-// disk.
+// CompactionResult reports what a compaction did: the paper's costs in
+// keys, counted from the merges that ran, and the real bytes moved on disk.
 type CompactionResult struct {
-	// Strategy is the chooser that scheduled the merges.
+	// Strategy is the chooser or policy that scheduled the merges.
 	Strategy string
-	// TablesBefore is the number of sstables merged (the snapshot size).
+	// TablesBefore is the number of sstables merged: a major compaction's
+	// snapshot, a minor pick's inputs.
 	TablesBefore int
 	// TablesAfter is the number of live sstables immediately after the
 	// swap; above one for background compactions that overlapped flushes.
@@ -72,7 +73,8 @@ type CompactionResult struct {
 	// modelled: CostActual sums every merge's entries read and written,
 	// CostSimple counts every input table and every merge output once.
 	CostSimple, CostActual int
-	// Duration is the wall-clock time of planning plus merging.
+	// Duration is the wall-clock time of a major compaction's planning plus
+	// merging.
 	Duration time.Duration
 }
 
@@ -85,14 +87,14 @@ func (r *CompactionResult) TotalIO() uint64 { return r.BytesRead + r.BytesWritte
 //
 // The compaction is non-blocking: the live table set is snapshotted and
 // the memtable flushed (by the flusher, while the caller waits) in a short
-// critical section, the merges execute
+// critical section, the schedule is planned and its merges execute
 // off-lock on the compaction package's worker pool (so a BALANCETREE
 // schedule's independent merges run in parallel, Section 5.1 of the
 // paper), and the merged root is swapped into the manifest atomically in a
-// second short critical section. Reads, writes, flushes and minor
-// compactions proceed concurrently throughout; tables that flush during
-// the merge survive the swap, so the store holds those tables plus the
-// merged root afterwards. Concurrent MajorCompact calls serialize.
+// second short critical section (see compact). Reads, writes, flushes and
+// minor compactions proceed concurrently throughout; tables that flush
+// during the merge survive the swap, so the store holds those tables plus
+// the merged root afterwards. Concurrent MajorCompact calls serialize.
 //
 // Crash safety: the manifest is only rewritten at the swap. A crash before
 // the swap leaves the old manifest pointing at the old tables; the merge
@@ -104,6 +106,7 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 	}
 	db.majorMu.Lock()
 	defer db.majorMu.Unlock()
+	defer db.setState(CompactionIdle)
 	start := time.Now()
 
 	// Planning: with the flusher idle and no minor merge in flight, flush
@@ -113,154 +116,171 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 	if err := db.lockQuiesced(); err != nil {
 		return nil, err
 	}
-	unlock := func() {
-		db.mu.Unlock()
-		db.pipeMu.Unlock()
+	err = db.readOnlyErrLocked()
+	if err == nil {
+		db.setState(CompactionPlanning)
+		err = db.flushMemLocked()
 	}
-	if err := db.readOnlyErrLocked(); err != nil {
-		unlock()
+	snap := slices.Clone(db.tables)
+	if err == nil && len(snap) > 1 {
+		claimLocked(snap)
+	}
+	db.mu.Unlock()
+	db.pipeMu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	db.setState(CompactionPlanning)
-	if err := db.flushMemLocked(); err != nil {
-		db.setState(CompactionIdle)
-		unlock()
-		return nil, err
+	if len(snap) <= 1 {
+		return &CompactionResult{Strategy: strategy, TablesBefore: len(snap), TablesAfter: len(snap), Duration: time.Since(start)}, nil
 	}
-	res := &CompactionResult{Strategy: strategy, TablesBefore: len(db.tables)}
-	if len(db.tables) <= 1 {
-		db.setState(CompactionIdle)
-		res.TablesAfter = len(db.tables)
-		unlock()
-		res.Duration = time.Since(start)
-		return res, nil
-	}
-	snap := make([]*tableHandle, len(db.tables))
-	copy(snap, db.tables)
-	for _, th := range snap {
-		th.retain()
-		th.compacting = true
-	}
-	unlock()
-
-	// abort releases the snapshot and resets the state machine without
-	// touching the table set; used on every failure path past this point.
-	abort := func(err error) (*CompactionResult, error) {
-		db.mu.Lock()
-		for _, th := range snap {
-			th.compacting = false
-		}
-		db.setState(CompactionIdle)
-		db.stallCond.Broadcast()
-		db.mu.Unlock()
-		releaseTables(snap)
-		return nil, err
-	}
-
 	sched, err := planMajor(snap, k, chooser)
 	if err != nil {
-		return abort(err)
+		db.unclaim(snap)
+		return nil, err
 	}
+	res, err := db.compact(strategy, sched, snap, true)
+	if err != nil {
+		return nil, err
+	}
+	res.Duration = time.Since(start)
+	return res, nil
+}
 
-	// Merging: execute the schedule off-lock on the worker pool. Snapshot
-	// readers serve concurrent Gets and scans while the merges read them.
-	db.setState(CompactionMerging)
-	nodes, stats, err := db.executeSchedule(sched, snap)
-	created := nodes[len(snap):]
-	removeCreated := func() {
+// claimLocked marks ins as a merge's inputs: until its swap they stay in the
+// live set, but no other pick, major snapshot or quarantine takes them, and
+// a Close during the merge does not close their readers. Callers hold mu.
+func claimLocked(ins []*tableHandle) {
+	for _, th := range ins {
+		th.compacting = true
+		th.retain()
+	}
+}
+
+// unclaim gives back the inputs of a merge that did not install.
+func (db *DB) unclaim(ins []*tableHandle) {
+	db.mu.Lock()
+	for _, th := range ins {
+		th.compacting = false
+	}
+	db.stallCond.Broadcast()
+	db.mu.Unlock()
+	releaseTables(ins)
+}
+
+// compact is the ladder every compaction climbs, minor and major alike.
+// With its inputs ins — sched's leaves, in order — claimed, it executes
+// sched's merges off-lock, then installs the root in their place (see
+// install) and drops its claim. On any failure the outputs are deleted and
+// the table set stays as it was. Only a major compaction's root, which
+// covers all data, drops tombstones, and only a major compaction moves the
+// state machine and runs the swap hook. pick is the name
+// Stats.CompactionPicks counts the compaction under. Called and returns
+// without mu.
+func (db *DB) compact(pick string, sched *compaction.Schedule, ins []*tableHandle, major bool) (*CompactionResult, error) {
+	if major {
+		db.setState(CompactionMerging)
+	}
+	nodes, stats, err := db.executeSchedule(sched, ins, major)
+	created := nodes[len(ins):]
+	res := &CompactionResult{Strategy: pick, TablesBefore: len(ins)}
+	res.record(ins, stats)
+	if err == nil && major && db.hookBeforeSwap != nil {
+		if err = db.hookBeforeSwap(); err != nil {
+			// Simulated crash between merge completion and manifest swap:
+			// leave the merge outputs on disk (recovery must delete them as
+			// orphans) and keep the old table set.
+			for _, th := range created {
+				th.rd.Close()
+			}
+			created = nil
+		}
+	}
+	if err == nil {
+		err = db.install(res, sched, nodes, major)
+	}
+	if err != nil {
 		for _, th := range created {
 			if th != nil {
 				th.rd.Close()
 				db.removeFile(th.name)
 			}
 		}
+		db.unclaim(ins)
+		return nil, err
 	}
-	if err != nil {
-		removeCreated()
-		return abort(err)
-	}
-	res.record(snap, stats)
+	releaseTables(ins) // the claim's reference
+	return res, nil
+}
 
-	if db.hookBeforeSwap != nil {
-		if err := db.hookBeforeSwap(); err != nil {
-			// Simulated crash between merge completion and manifest swap:
-			// leave the merge outputs on disk (recovery must delete them as
-			// orphans), close their readers, and keep the old table set.
-			for _, th := range created {
-				th.rd.Close()
-			}
-			return abort(err)
-		}
-	}
-
-	// Swapping: commit the root to the manifest and the live table set in
-	// a short critical section, then retire the snapshot.
+// install swaps an executed schedule's root into the table set and the
+// manifest in place of its leaves, and retires the leaves and the
+// intermediate outputs. The root takes the newest leaf's position and the
+// deepest leaf's level, or the deeper level its plan gives it (a leveled
+// pick within one level moves down one). On failure nothing changes.
+func (db *DB) install(res *CompactionResult, sched *compaction.Schedule, nodes []*tableHandle, major bool) error {
 	db.mu.Lock()
-	db.setState(CompactionSwapping)
+	defer db.mu.Unlock()
+	if major {
+		db.setState(CompactionSwapping)
+	}
 	if db.closed {
-		db.mu.Unlock()
-		removeCreated()
-		return abort(ErrClosed)
+		return ErrClosed
 	}
-	root := nodes[sched.Root.ID]
-	inSnap := make(map[*tableHandle]bool, len(snap))
-	for _, th := range snap {
-		inSnap[th] = true
+	ins, root := nodes[:len(sched.Leaves)], nodes[sched.Root.ID]
+	retired := make(map[*tableHandle]bool, len(ins))
+	for _, th := range ins {
+		retired[th] = true
+		root.level = max(root.level, th.level)
 	}
-	// Tables flushed or minor-compacted during the merge stay, newest
-	// first; the merged root holds the oldest data and goes last.
-	newTables := make([]*tableHandle, 0, len(db.tables)-len(snap)+1)
+	if lt := sched.Root.Live; lt != nil {
+		root.level = max(root.level, lt.Level)
+	}
+	kept := make([]*tableHandle, 0, len(db.tables)-len(ins)+1)
+	placed := false
 	for _, th := range db.tables {
-		if !inSnap[th] {
-			newTables = append(newTables, th)
+		if !retired[th] {
+			kept = append(kept, th)
+		} else if !placed {
+			kept = append(kept, root)
+			placed = true
 		}
 	}
-	newTables = append(newTables, root)
-	oldManTables := db.man.tables
-	db.man.tables = make([]string, len(newTables))
-	for i, th := range newTables {
-		db.man.tables[i] = th.name
-	}
-	db.man.recordLevels(newTables)
+	db.man.record(kept)
 	if err := db.man.save(db.fs, db.dir); err != nil {
-		// The swap's manifest rewrite failed: the old manifest may no
-		// longer be trustworthy on disk. Keep the old in-memory table set
-		// and degrade to read-only — acknowledging further writes against
-		// an unverifiable manifest risks losing them.
-		db.man.tables = oldManTables
+		// The manifest rewrite failed: the old manifest may no longer be
+		// trustworthy on disk. Keep the old in-memory table set and degrade
+		// to read-only — acknowledging further writes against an
+		// unverifiable manifest risks losing them.
+		db.man.record(db.tables)
 		db.failDurabilityLocked(err)
-		db.mu.Unlock()
-		removeCreated()
-		return abort(err)
+		return err
 	}
-	db.tables = newTables
+	db.tables = kept
 	db.installViewLocked()
 	db.generation++
 	root.gen = db.generation
-	db.majorCompactions++
-	db.bytesCompacted += res.BytesWritten
-	db.recordPickLocked(strategy)
-	res.TablesAfter = len(newTables)
-	// The snapshot tables left the live set: drop their live reference and
-	// mark them for deletion once the last concurrent reader drains.
-	// Intermediate merge outputs are referenced by nobody else and die now.
-	for _, th := range snap {
-		th.compacting = false
-		th.obsolete.Store(true)
-		th.release()
+	if major {
+		db.majorCompactions++
+	} else {
+		db.minorCompactions++
 	}
-	for _, th := range created {
+	db.bytesCompacted += res.BytesWritten
+	db.recordPickLocked(res.Strategy)
+	res.TablesAfter = len(kept)
+	// The table count just dropped: writers stalled on backpressure may be
+	// able to proceed without waiting for the major compactor.
+	db.stallCond.Broadcast()
+	// Retired inputs may still be referenced by concurrent scans; the last
+	// reference closes the reader and deletes the file. Intermediate merge
+	// outputs are referenced by nobody else and die now.
+	for _, th := range nodes {
 		if th != root {
+			th.compacting = false
 			th.obsolete.Store(true)
 			th.release()
 		}
 	}
-	db.setState(CompactionIdle)
-	db.stallCond.Broadcast()
-	db.mu.Unlock()
-	releaseTables(snap) // the compaction's own snapshot reference
-	res.Duration = time.Since(start)
-	return res, nil
+	return nil
 }
 
 // allocTableName reserves the next sstable file number in a brief critical
@@ -284,12 +304,12 @@ func (db *DB) allocTableNameLocked() string {
 // and independent steps run concurrently up to Options.CompactionWorkers.
 // Tombstones survive intermediate merges — dropping one early would let an
 // older version in a not-yet-merged table resurface — and are purged only
-// at the root merge, which covers all snapshot data.
+// at a major compaction's root merge, which covers all data.
 //
 // The returned slice maps node ID → handle: the first len(snap) entries
 // are the inputs, the rest the created merge outputs (nil where a step did
 // not run). On error the caller owns closing and removing created tables.
-func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle) ([]*tableHandle, []sstable.MergeStats, error) {
+func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, major bool) ([]*tableHandle, []sstable.MergeStats, error) {
 	nodes := make([]*tableHandle, len(snap)+len(sched.Steps))
 	for i, th := range snap {
 		nodes[i] = th
@@ -306,7 +326,7 @@ func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle) (
 			inputs[j] = nodes[in.ID].rd
 		}
 		name := db.allocTableName()
-		rd, mstats, err := db.mergeTables(name, step.Output.ID == rootID, inputs)
+		rd, mstats, err := db.mergeTables(name, major && step.Output.ID == rootID, inputs)
 		if err != nil {
 			return err
 		}
@@ -326,7 +346,7 @@ func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle) (
 func planMajor(snap []*tableHandle, k int, chooser compaction.Chooser) (*compaction.Schedule, error) {
 	live := make([]compaction.LiveTable, len(snap))
 	for i, th := range snap {
-		live[i] = th.info().live()
+		live[i] = th.live()
 	}
 	return compaction.Plan(live, k, chooser, func(i int) ([]uint64, error) {
 		rd := snap[i].rd

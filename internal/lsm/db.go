@@ -83,9 +83,9 @@ type Options struct {
 	// Seed makes skiplist behaviour deterministic.
 	Seed int64
 	// AutoCompact, when non-nil, runs minor compactions with this policy
-	// after every memtable flush triggered by a write, keeping the table
-	// count bounded between major compactions.
-	AutoCompact CompactionPolicy
+	// (see PolicyByName) after every memtable flush triggered by a write,
+	// keeping the table count bounded between major compactions.
+	AutoCompact *Policy
 	// Background, when non-nil, starts a maintenance goroutine that runs
 	// non-blocking major compactions whenever the live table count reaches
 	// the configured trigger, stalling writers once the count reaches the
@@ -746,14 +746,7 @@ func (db *DB) quarantineTable(th *tableHandle, cause error) {
 	}
 	th.quarantined.Store(true)
 	db.tables = append(db.tables[:idx:idx], db.tables[idx+1:]...)
-	manTables := make([]string, 0, len(db.man.tables))
-	for _, name := range db.man.tables {
-		if name != th.name {
-			manTables = append(manTables, name)
-		}
-	}
-	db.man.tables = manTables
-	db.man.recordLevels(db.tables)
+	db.man.record(db.tables)
 	saveErr := db.man.save(db.fs, db.dir)
 	db.generation++
 	db.quarantined++
@@ -998,7 +991,7 @@ type Stats struct {
 	MemtableKeys int
 	// Flushes counts memtable flushes since Open.
 	Flushes int
-	// MinorCompactions counts auto-triggered minor compactions since Open.
+	// MinorCompactions counts minor compactions since Open.
 	MinorCompactions int
 	// MajorCompactions counts completed major compactions since Open,
 	// blocking and background alike.

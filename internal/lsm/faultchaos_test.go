@@ -225,11 +225,12 @@ func runChaos(t *testing.T, seed int64, fault *vfs.Fault, kvOpen func() (chaosKV
 // rewrites) happen constantly, and auto minor compaction so the compaction
 // machinery runs under fault too.
 func chaosLSMOptions(fault *vfs.Fault) lsm.Options {
+	threshold, _ := lsm.PolicyByName("threshold", 4, 1)
 	return lsm.Options{
 		FS:            fault,
 		SyncWAL:       true,
 		MemtableBytes: 4 << 10,
-		AutoCompact:   lsm.ThresholdPolicy{},
+		AutoCompact:   threshold,
 		Seed:          1,
 	}
 }

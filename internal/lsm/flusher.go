@@ -342,7 +342,6 @@ func (db *DB) flusher() {
 			if _, ran, err = db.minorCompactLocked(db.opts.AutoCompact); !ran {
 				break
 			}
-			db.minorCompactions++
 		}
 		db.flushing = false
 		if !db.closed {
@@ -375,8 +374,7 @@ func (db *DB) flushImmLocked() error {
 	db.generation++
 	th := db.newTableHandle(name, rd, db.generation)
 	db.tables = append([]*tableHandle{th}, db.tables...)
-	db.man.tables = append([]string{name}, db.man.tables...)
-	db.man.recordLevels(db.tables)
+	db.man.record(db.tables)
 	// One past what the tables hold, whatever the writer has committed
 	// since the rotation: replay raises it past every surviving WAL record.
 	prevSeq := db.man.nextSeq
@@ -390,9 +388,8 @@ func (db *DB) flushImmLocked() error {
 		// an untrustworthy manifest.
 		db.generation++
 		db.tables = db.tables[1:]
-		db.man.tables = db.man.tables[1:]
 		db.man.nextSeq = prevSeq
-		db.man.recordLevels(db.tables)
+		db.man.record(db.tables)
 		rd.Close()
 		db.removeFile(name)
 		db.failDurabilityLocked(err)

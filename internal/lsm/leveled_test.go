@@ -5,7 +5,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/compaction"
 )
 
 // checkLevelInvariant fails the test if any two tables at the same level
@@ -44,7 +47,7 @@ func TestLeveledNeverOverlapsWithinLevel(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
 		MemtableBytes: 4 << 10,
-		AutoCompact:   LeveledPolicy{L0Trigger: 2, BaseTargetBytes: 8 << 10},
+		AutoCompact:   tuned(0, compaction.Leveled{L0Trigger: 2, BaseTargetBytes: 8 << 10}),
 	}
 	db, err := Open(dir, opts)
 	if err != nil {
@@ -68,7 +71,7 @@ func TestLeveledNeverOverlapsWithinLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		_, ran, err := db.MinorCompact(opts.AutoCompact)
+		_, ran, err := db.minorCompact(opts.AutoCompact)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,21 +124,35 @@ func TestLeveledNeverOverlapsWithinLevel(t *testing.T) {
 	}
 }
 
+// level builds a table at level lv spanning [lo, hi].
+func level(lv int, lo, hi string, size uint64) TableInfo {
+	return TableInfo{Name: lo + hi, LiveTable: compaction.LiveTable{Level: lv, Smallest: []byte(lo), Largest: []byte(hi), SizeBytes: size, Entries: 1}}
+}
+
 // TestLeveledOutputLevels pins the level-assignment rule: a single-level
 // pick moves down one level, a two-level pick lands at the deeper level.
 func TestLeveledOutputLevels(t *testing.T) {
-	p := LeveledPolicy{}
-	tables := []TableInfo{
-		{Level: 0}, {Level: 0}, {Level: 1}, {Level: 1},
-	}
-	if got := p.OutputLevel(tables, []int{0, 1}); got != 1 {
-		t.Errorf("L0+L0 output level = %d, want 1", got)
-	}
-	if got := p.OutputLevel(tables, []int{0, 1, 2}); got != 1 {
-		t.Errorf("L0+L1 output level = %d, want 1", got)
-	}
-	if got := p.OutputLevel(tables, []int{2, 3}); got != 2 {
-		t.Errorf("L1+L1 output level = %d, want 2", got)
+	p := tuned(0, compaction.Leveled{L0Trigger: 2, BaseTargetBytes: 10})
+	for _, tc := range []struct {
+		what   string
+		tables []TableInfo
+		want   int
+	}{
+		{"L0+L0", []TableInfo{level(0, "a", "b", 1), level(0, "c", "d", 1)}, 1},
+		{"L0+L1", []TableInfo{level(0, "a", "b", 1), level(0, "c", "d", 1), level(1, "b", "c", 1)}, 1},
+		{"L1+L1", []TableInfo{level(1, "a", "b", 8), level(1, "c", "d", 8)}, 2},
+	} {
+		live := make([]compaction.LiveTable, len(tc.tables))
+		for i, info := range tc.tables {
+			live[i] = info.LiveTable
+		}
+		sc, err := p.pick(live)
+		if err != nil || sc == nil || len(sc.Leaves) != len(tc.tables) {
+			t.Fatalf("%s: pick %v, %v; want every table", tc.what, sc, err)
+		}
+		if got := sc.Root.Live.Level; got != tc.want {
+			t.Errorf("%s output level = %d, want %d", tc.what, got, tc.want)
+		}
 	}
 }
 
@@ -143,22 +160,49 @@ func TestLeveledOutputLevels(t *testing.T) {
 // the combined L0 span covers, including tables pulled in transitively as
 // the span grows.
 func TestLeveledPickClosesOverlap(t *testing.T) {
-	p := LeveledPolicy{L0Trigger: 2}
 	tables := []TableInfo{
-		{Name: "a", Level: 0, Smallest: []byte("a"), Largest: []byte("c"), SizeBytes: 10},
-		{Name: "b", Level: 0, Smallest: []byte("f"), Largest: []byte("h"), SizeBytes: 10},
-		// Covered by the combined span [a,h] though it overlaps neither
-		// L0 table individually.
-		{Name: "mid", Level: 1, Smallest: []byte("d"), Largest: []byte("e"), SizeBytes: 10},
+		level(0, "a", "c", 10),
+		level(0, "f", "h", 10),
+		// Covered by the combined span [a,h] though it overlaps neither L0
+		// table individually.
+		level(1, "d", "e", 10),
 		// Outside the span: stays.
-		{Name: "out", Level: 1, Smallest: []byte("x"), Largest: []byte("z"), SizeBytes: 10},
+		level(1, "x", "z", 10),
 	}
-	picked := p.Pick(tables)
-	got := make(map[string]bool)
-	for _, i := range picked {
-		got[tables[i].Name] = true
+	got := picked(t, mustPolicy(t, "leveled", 2), tables)
+	slices.Sort(got)
+	if !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("picked %v, want both L0 tables and the covered L1 table", got)
 	}
-	if !got["a"] || !got["b"] || !got["mid"] || got["out"] {
-		t.Fatalf("picked %v, want a+b+mid without out", picked)
+}
+
+// TestLeveledMajorRootKeepsDeepestLevel: a major compaction of a leveled
+// layout leaves its root at the deepest level it merged, not at level 0,
+// where the next L0→L1 push-down would rewrite the whole store — whether
+// the plan comes from statistics (BT(I)) or from exact key sets (LM).
+func TestLeveledMajorRootKeepsDeepestLevel(t *testing.T) {
+	for _, strategy := range []string{"BT(I)", "LM"} {
+		db := openTestDB(t, Options{MemtableBytes: 16 << 10, AutoCompact: tuned(0, compaction.Leveled{L0Trigger: 2, BaseTargetBytes: 64 << 10})})
+		for i := 0; i < 6000; i++ {
+			if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("key-%05d", i)), []byte("value-payload-of-some-length")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		deepest := 0
+		for _, info := range db.TableInfos() {
+			deepest = max(deepest, info.Level)
+		}
+		if deepest < 2 {
+			t.Fatalf("workload left no table below level 1: %+v", db.TableInfos())
+		}
+		if _, err := db.MajorCompact(strategy, 4, 1); err != nil {
+			t.Fatal(err)
+		}
+		if infos := db.TableInfos(); len(infos) != 1 || infos[0].Level != deepest {
+			t.Fatalf("%s: after the major compaction: %+v; want one table at level %d", strategy, infos, deepest)
+		}
 	}
 }

@@ -28,11 +28,13 @@ type manifest struct {
 
 const manifestName = "MANIFEST"
 
-// recordLevels rebuilds the manifest's per-table levels from the
-// prospective live handle set, called immediately before save.
-func (m *manifest) recordLevels(handles []*tableHandle) {
+// record rebuilds the manifest's table list and levels from the
+// prospective live handle set, newest first, called immediately before save.
+func (m *manifest) record(handles []*tableHandle) {
+	m.tables = make([]string, len(handles))
 	m.levels = make(map[string]int)
-	for _, th := range handles {
+	for i, th := range handles {
+		m.tables[i] = th.name
 		if th.level != 0 {
 			m.levels[th.name] = th.level
 		}

@@ -131,9 +131,8 @@ func TestPlanToleratesOddSketches(t *testing.T) {
 	db.tables[3].sketch = small
 	db.mu.Unlock()
 
-	picked := StrategyPolicy{Strategy: "BT(O)", K: 3, MinTables: 4}.Pick(db.TableInfos())
-	if len(picked) != 3 {
-		t.Fatalf("live BT(O) pick over odd sketches = %v, want 3 tables", picked)
+	if got := picked(t, mustPolicy(t, "BT(O)", 3), db.TableInfos()); len(got) != 3 {
+		t.Fatalf("live BT(O) pick over odd sketches = %v, want 3 tables", got)
 	}
 	res, err := db.MajorCompact("SO", 4, 1)
 	if err != nil {

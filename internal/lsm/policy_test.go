@@ -4,22 +4,66 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/compaction"
 )
 
 func infos(sizes ...uint64) []TableInfo {
 	out := make([]TableInfo, len(sizes))
 	for i, s := range sizes {
-		out[i] = TableInfo{Name: fmt.Sprintf("%06d.sst", i), SizeBytes: s, Entries: s / 10}
+		out[i] = TableInfo{Name: fmt.Sprintf("%06d.sst", i), LiveTable: compaction.LiveTable{SizeBytes: s, Entries: int(s / 10)}}
 	}
 	return out
 }
 
+// picked returns the indices of the tables p merges next, nil for none.
+func picked(t testing.TB, p *Policy, tables []TableInfo) []int {
+	t.Helper()
+	live := make([]compaction.LiveTable, len(tables))
+	for i, info := range tables {
+		live[i] = info.LiveTable
+	}
+	sc, err := p.pick(live)
+	if err != nil {
+		t.Fatalf("%s: %v", p.Name(), err)
+	}
+	if sc == nil {
+		return nil
+	}
+	var idx []int
+	for _, leaf := range sc.Leaves {
+		idx = append(idx, leaf.TableID)
+	}
+	return idx
+}
+
+// tuned is the engine's policy for a baseline chooser tuned as a test
+// needs, with fan-in k (0 for uncapped); each pick gets a fresh copy of cfg.
+func tuned[C any, P interface {
+	*C
+	compaction.Chooser
+}](k int, cfg C) *Policy {
+	return &Policy{name: P(&cfg).Name(), k: k, chooser: func() compaction.Chooser {
+		c := cfg
+		return P(&c)
+	}}
+}
+
+func mustPolicy(t testing.TB, name string, k int) *Policy {
+	t.Helper()
+	p, err := PolicyByName(name, k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestThresholdPolicy(t *testing.T) {
-	p := ThresholdPolicy{MaxTables: 4, Fanin: 3}
-	if got := p.Pick(infos(10, 20, 30)); got != nil {
+	p := tuned(3, compaction.Threshold{MaxTables: 4})
+	if got := picked(t, p, infos(10, 20, 30)); got != nil {
 		t.Errorf("below threshold picked %v", got)
 	}
-	got := p.Pick(infos(40, 10, 30, 20))
+	got := picked(t, p, infos(40, 10, 30, 20))
 	if len(got) != 3 {
 		t.Fatalf("picked %v, want 3 smallest", got)
 	}
@@ -31,20 +75,20 @@ func TestThresholdPolicy(t *testing.T) {
 		}
 	}
 	// Defaults clamp sensibly.
-	d := ThresholdPolicy{}
-	if d.Pick(infos(1, 2, 3)) != nil {
+	d := mustPolicy(t, "threshold", 4)
+	if picked(t, d, infos(1, 2, 3)) != nil {
 		t.Errorf("default policy fired below default threshold")
 	}
-	if got := d.Pick(infos(1, 2, 3, 4, 5, 6, 7, 8)); len(got) != 4 {
+	if got := picked(t, d, infos(1, 2, 3, 4, 5, 6, 7, 8)); len(got) != 4 {
 		t.Errorf("default fanin = %d", len(got))
 	}
 }
 
 func TestSizeTieredPolicyBuckets(t *testing.T) {
-	p := SizeTieredPolicy{MinThreshold: 3}
+	p := tuned(32, compaction.SizeTiered{MinThreshold: 3})
 	// Four similar-sized tables and two much larger ones: the similar
 	// bucket must be chosen.
-	got := p.Pick(infos(100, 110, 5000, 95, 105, 9000))
+	got := picked(t, p, infos(100, 110, 5000, 95, 105, 9000))
 	if len(got) != 4 {
 		t.Fatalf("picked %v, want the 4 similar tables", got)
 	}
@@ -54,31 +98,30 @@ func TestSizeTieredPolicyBuckets(t *testing.T) {
 		}
 	}
 	// No bucket reaches the threshold: nothing to do.
-	if got := p.Pick(infos(10, 1000, 100000)); got != nil {
+	if got := picked(t, p, infos(10, 1000, 100000)); got != nil {
 		t.Errorf("picked %v from dissimilar tables", got)
 	}
-	// MaxThreshold caps the group.
-	capped := SizeTieredPolicy{MinThreshold: 2, MaxThreshold: 3}
-	if got := capped.Pick(infos(10, 10, 10, 10, 10, 10)); len(got) != 3 {
+	// The fan-in caps the group.
+	capped := tuned(3, compaction.SizeTiered{MinThreshold: 2})
+	if got := picked(t, capped, infos(10, 10, 10, 10, 10, 10)); len(got) != 3 {
 		t.Errorf("cap ignored: picked %d tables", len(got))
 	}
 }
 
 func TestSizeTieredEmptyAndSingle(t *testing.T) {
-	p := SizeTieredPolicy{}
-	if p.Pick(nil) != nil || p.Pick(infos(5)) != nil {
+	p := mustPolicy(t, "size-tiered", 4)
+	if picked(t, p, nil) != nil || picked(t, p, infos(5)) != nil {
 		t.Errorf("degenerate inputs should pick nothing")
 	}
 }
-
 func TestMinorCompactMergesAndKeepsData(t *testing.T) {
 	db := openTestDB(t, Options{})
 	want := fillTables(t, db, 6, 150)
-	res, ran, err := db.MinorCompact(ThresholdPolicy{MaxTables: 2, Fanin: 4})
+	res, ran, err := db.minorCompact(tuned(4, compaction.Threshold{MaxTables: 2}))
 	if err != nil || !ran {
 		t.Fatalf("MinorCompact: ran=%v err=%v", ran, err)
 	}
-	if res.Merged != 4 || res.Stats.BytesWritten == 0 {
+	if res.TablesBefore != 4 || res.BytesWritten == 0 {
 		t.Errorf("result = %+v", res)
 	}
 	if got := db.Stats().Tables; got != 3 { // 6 - 4 + 1
@@ -114,43 +157,60 @@ func TestMinorCompactKeepsTombstones(t *testing.T) {
 	}
 	// Merge only the newest two tables (tombstone + other): the tombstone
 	// must survive to keep shadowing the oldest table's value.
-	res, ran, err := db.MinorCompact(pickFirstN{2})
+	res, ran, err := db.minorCompact(pickFirstN(2))
 	if err != nil || !ran {
 		t.Fatalf("ran=%v err=%v", ran, err)
 	}
-	if res.Merged != 2 {
-		t.Fatalf("merged %d", res.Merged)
+	if res.TablesBefore != 2 {
+		t.Fatalf("merged %d", res.TablesBefore)
 	}
 	if _, err := db.GetContext(context.Background(), []byte("k")); err != ErrNotFound {
 		t.Errorf("tombstone dropped by minor compaction: %v", err)
 	}
 }
 
-// pickFirstN is a test policy merging the first (newest) n tables.
-type pickFirstN struct{ n int }
-
-func (p pickFirstN) Name() string { return "first-n" }
-func (p pickFirstN) Pick(tables []TableInfo) []int {
-	if len(tables) < p.n {
-		return nil
-	}
-	out := make([]int, p.n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+// fixedPick is a test chooser whose first pick is the leaves at idx.
+type fixedPick struct {
+	idx    []int
+	leaves []*compaction.Node
 }
 
-// badPolicy returns invalid indices to exercise validation.
-type badPolicy struct{}
+func (c *fixedPick) Name() string                                { return "fixed" }
+func (c *fixedPick) Init(leaves []*compaction.Node, _ int) error { c.leaves = leaves; return nil }
+func (c *fixedPick) Observe(*compaction.Node)                    {}
+func (c *fixedPick) Choose() ([]*compaction.Node, error) {
+	group := make([]*compaction.Node, len(c.idx))
+	for i, j := range c.idx {
+		if j >= len(c.leaves) {
+			return nil, fmt.Errorf("no table %d", j)
+		}
+		group[i] = c.leaves[j]
+	}
+	return group, nil
+}
 
-func (badPolicy) Name() string           { return "bad" }
-func (badPolicy) Pick([]TableInfo) []int { return []int{0, 0} }
+// pickIndices is a test policy merging the tables at idx, in the table
+// set's order (newest first), once there are at least two tables.
+func pickIndices(idx ...int) *Policy {
+	return &Policy{name: "fixed", k: len(idx), minTables: 2, chooser: func() compaction.Chooser { return &fixedPick{idx: idx} }}
+}
+
+// pickFirstN is a test policy merging the first (newest) n tables once
+// there are n.
+func pickFirstN(n int) *Policy {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	p := pickIndices(idx...)
+	p.minTables = n
+	return p
+}
 
 func TestMinorCompactRejectsBadPolicy(t *testing.T) {
 	db := openTestDB(t, Options{})
 	fillTables(t, db, 3, 50)
-	if _, _, err := db.MinorCompact(badPolicy{}); err == nil {
+	if _, _, err := db.minorCompact(pickIndices(0, 0)); err == nil {
 		t.Errorf("duplicate indices accepted")
 	}
 }
@@ -175,7 +235,7 @@ func TestTableInfos(t *testing.T) {
 func TestMinorCompactNothingToDo(t *testing.T) {
 	db := openTestDB(t, Options{})
 	fillTables(t, db, 2, 50)
-	_, ran, err := db.MinorCompact(SizeTieredPolicy{MinThreshold: 4})
+	_, ran, err := db.minorCompact(mustPolicy(t, "size-tiered", 4))
 	if err != nil || ran {
 		t.Errorf("ran=%v err=%v, want no-op", ran, err)
 	}
@@ -184,7 +244,7 @@ func TestMinorCompactNothingToDo(t *testing.T) {
 func TestAutoCompactBoundsTables(t *testing.T) {
 	db := openTestDB(t, Options{
 		MemtableBytes: 8 << 10,
-		AutoCompact:   ThresholdPolicy{MaxTables: 4, Fanin: 4},
+		AutoCompact:   tuned(4, compaction.Threshold{MaxTables: 4}),
 	})
 	for i := 0; i < 5000; i++ {
 		k := []byte(fmt.Sprintf("key-%06d", i))
@@ -211,7 +271,7 @@ func TestAutoCompactBoundsTables(t *testing.T) {
 func TestMinorThenMajorCompaction(t *testing.T) {
 	db := openTestDB(t, Options{})
 	want := fillTables(t, db, 8, 100)
-	if _, ran, err := db.MinorCompact(SizeTieredPolicy{MinThreshold: 2}); err != nil || !ran {
+	if _, ran, err := db.minorCompact(tuned(32, compaction.SizeTiered{MinThreshold: 2})); err != nil || !ran {
 		t.Fatalf("minor: ran=%v err=%v", ran, err)
 	}
 	if _, err := db.MajorCompact("SI", 2, 0); err != nil {
@@ -252,19 +312,18 @@ func TestGetPicksNewestAcrossNonAdjacentTables(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Merge newest and oldest (indices 0 and 2), skipping the middle.
-	_, ran, err := db.MinorCompact(pickIndices{[]int{0, 2}})
+	// Merge newest and oldest (indices 0 and 2), skipping the middle. The
+	// output takes the newest input's place, in front of the middle table.
+	middle := db.TableInfos()[1].Name
+	_, ran, err := db.minorCompact(pickIndices(0, 2))
 	if err != nil || !ran {
 		t.Fatalf("ran=%v err=%v", ran, err)
+	}
+	if infos := db.TableInfos(); len(infos) != 2 || infos[1].Name != middle {
+		t.Errorf("tables after the merge: %+v; want the output, then %s", infos, middle)
 	}
 	got, err := db.GetContext(context.Background(), []byte("k"))
 	if err != nil || string(got) != "v2" {
 		t.Errorf("Get(k) = %q, %v; want v2", got, err)
 	}
 }
-
-// pickIndices is a test policy returning fixed indices.
-type pickIndices struct{ idx []int }
-
-func (p pickIndices) Name() string           { return "fixed" }
-func (p pickIndices) Pick([]TableInfo) []int { return p.idx }

@@ -63,7 +63,7 @@ func TestRecycledScanStress(t *testing.T) {
 	db := openTestDB(t, Options{
 		MemtableBytes:   16 << 10,
 		BlockCacheBytes: 128 << 10,
-		AutoCompact:     SizeTieredPolicy{},
+		AutoCompact:     mustPolicy(t, "size-tiered", 4),
 	})
 	const keys, window = 1000, 24
 	var latest [keys]atomic.Int64 // generation last acknowledged per key

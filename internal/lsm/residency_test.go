@@ -134,7 +134,7 @@ func TestMinorCompactionCarriesResidency(t *testing.T) {
 	}
 	hits0, misses0, _ := db.blockCache.Stats()
 	before := db.blockCache.Len()
-	if _, ran, err := db.MinorCompact(pickFirstN{4}); err != nil || !ran {
+	if _, ran, err := db.minorCompact(pickFirstN(4)); err != nil || !ran {
 		t.Fatalf("MinorCompact: ran=%v err=%v", ran, err)
 	}
 	if hits, misses, _ := db.blockCache.Stats(); hits != hits0 || misses != misses0 {
@@ -200,7 +200,7 @@ func TestMergeDoesNotEvictBystanders(t *testing.T) {
 			used, tableBytes, db.blockCache.Len(), blocks)
 	}
 	hits0, misses0, _ := db.blockCache.Stats()
-	if _, ran, err := db.MinorCompact(pickIndices{[]int{1, 2, 3, 4}}); err != nil || !ran {
+	if _, ran, err := db.minorCompact(pickIndices(1, 2, 3, 4)); err != nil || !ran {
 		t.Fatalf("MinorCompact: ran=%v err=%v", ran, err)
 	}
 	if hits, misses, _ := db.blockCache.Stats(); hits != hits0 || misses != misses0 {
@@ -277,7 +277,7 @@ func TestColdCompactionLeavesCacheAlone(t *testing.T) {
 	}
 
 	// Tables are newest first: index 0 is the hot table.
-	if _, ran, err := db.MinorCompact(pickIndices{[]int{1, 2, 3}}); err != nil || !ran {
+	if _, ran, err := db.minorCompact(pickIndices(1, 2, 3)); err != nil || !ran {
 		t.Fatalf("MinorCompact: ran=%v err=%v", ran, err)
 	}
 	uncounted("minor compaction of cold tables")
@@ -334,7 +334,7 @@ func TestAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
 	}{
 		{"flush", func(db *DB) error { return db.Flush() }},
 		{"minor", func(db *DB) error {
-			_, _, err := db.MinorCompact(pickFirstN{3})
+			_, _, err := db.minorCompact(pickFirstN(3))
 			return err
 		}},
 		{"major", func(db *DB) error {
@@ -420,7 +420,7 @@ func TestResidencyStress(t *testing.T) {
 	db := openTestDB(t, Options{
 		MemtableBytes:   32 << 10,
 		BlockCacheBytes: 160 << 10,
-		AutoCompact:     SizeTieredPolicy{},
+		AutoCompact:     mustPolicy(t, "size-tiered", 4),
 	})
 	const keys = 1500
 	var latest [keys]atomic.Int64 // generation last acknowledged per key

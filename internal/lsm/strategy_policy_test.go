@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,12 +17,13 @@ func TestStrategyPolicyDrivesMinorCompaction(t *testing.T) {
 		t.Run(strategy, func(t *testing.T) {
 			db := openTestDB(t, Options{})
 			want := fillTables(t, db, 5, 120)
-			p := StrategyPolicy{Strategy: strategy, K: 3, MinTables: 2, Seed: 1}
-			res, ran, err := db.MinorCompact(p)
+			p := mustPolicy(t, strategy, 3)
+			p.minTables = 2
+			res, ran, err := db.minorCompact(p)
 			if err != nil || !ran {
-				t.Fatalf("MinorCompact: ran=%v err=%v", ran, err)
+				t.Fatalf("minorCompact: ran=%v err=%v", ran, err)
 			}
-			if res.Policy != strategy || res.Merged < 2 {
+			if res.Strategy != strategy || res.TablesBefore < 2 {
 				t.Errorf("result = %+v", res)
 			}
 			st := db.Stats()
@@ -42,34 +44,54 @@ func TestStrategyPolicyDrivesMinorCompaction(t *testing.T) {
 	}
 }
 
-// TestStrategyPolicyMatchesPickLive: the policy's pick on live tables is
-// exactly compaction.PickLive on the same statistics — the glue between
-// the engine's TableInfo view and the registry picker adds nothing.
-func TestStrategyPolicyMatchesPickLive(t *testing.T) {
-	db := openTestDB(t, Options{})
-	fillTables(t, db, 6, 200)
-	infos := db.TableInfos()
-	live := make([]compaction.LiveTable, len(infos))
-	for i, info := range infos {
-		live[i] = compaction.LiveTable{
-			SizeBytes: info.SizeBytes, Entries: int(info.Entries),
-			Smallest: info.Smallest, Largest: info.Largest, Sketch: info.Sketch,
+// TestEnginePickIsPlansFirstStep: for every name PolicyByName accepts, the
+// merge the engine runs is the first step of the full schedule
+// compaction.Plan makes of the same TableInfos — the same tables, landing at
+// the level the plan gives them — so the baselines are priced exactly as
+// the paper's strategies are.
+func TestEnginePickIsPlansFirstStep(t *testing.T) {
+	for _, name := range append(compaction.Baselines(), compaction.LiveStrategies()...) {
+		db := openTestDB(t, Options{})
+		fillTables(t, db, 8, 200)
+		infos := db.TableInfos()
+		live := make([]compaction.LiveTable, len(infos))
+		for i, info := range infos {
+			live[i] = info.LiveTable
 		}
-	}
-	for _, strategy := range compaction.LiveStrategies() {
-		p := StrategyPolicy{Strategy: strategy, K: 3, MinTables: 2, Seed: 42}
-		got := p.Pick(infos)
-		want, err := compaction.PickLive(live, strategy, 3, 42)
+		p := mustPolicy(t, name, 3)
+		k := p.k
+		if k == 0 {
+			k = len(live)
+		}
+		plan, err := compaction.Plan(live, k, p.chooser(), nil)
 		if err != nil {
-			t.Fatalf("%s: %v", strategy, err)
+			t.Fatalf("%s: Plan: %v", name, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: policy picked %v, PickLive picked %v", strategy, got, want)
+		if err := plan.Validate(); err != nil || plan.Root.Live.Entries == 0 {
+			t.Fatalf("%s: Plan made no full schedule: %v", name, err)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: policy picked %v, PickLive picked %v", strategy, got, want)
+		want := map[string]bool{}
+		for _, in := range plan.Steps[0].Inputs {
+			want[infos[in.TableID].Name] = true
+		}
+		if _, ran, err := db.minorCompact(p); err != nil || !ran {
+			t.Fatalf("%s: minorCompact: ran=%v err=%v", name, ran, err)
+		}
+		merged := map[string]bool{}
+		for _, info := range infos {
+			merged[info.Name] = true
+		}
+		level := -1
+		for _, info := range db.TableInfos() {
+			if merged[info.Name] {
+				delete(merged, info.Name)
+			} else {
+				level = info.Level
 			}
+		}
+		if !reflect.DeepEqual(merged, want) || level != plan.Steps[0].Output.Live.Level {
+			t.Fatalf("%s: engine merged %v to level %d; Plan's first step merges %v to level %d",
+				name, merged, level, want, plan.Steps[0].Output.Live.Level)
 		}
 	}
 }

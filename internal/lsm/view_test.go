@@ -94,7 +94,7 @@ func TestViewStressDuringFlushesAndCompactions(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{
 		MemtableBytes: 8 << 10,
 		Background:    &BackgroundConfig{Trigger: 4, Stall: 12, Strategy: "BT(I)", K: 3},
-		AutoCompact:   SizeTieredPolicy{},
+		AutoCompact:   mustPolicy(t, "size-tiered", 4),
 		Seed:          42,
 	})
 	if err != nil {

@@ -16,6 +16,9 @@ import (
 // group-commit leaders running concurrently.
 var benchShardCounts = []int{1, 4, 16}
 
+// sizeTiered is the minor-compaction policy the benchmarks run under.
+var sizeTiered, _ = lsm.PolicyByName("size-tiered", 4, 1)
+
 func benchStore(b *testing.B, shards int, opts lsm.Options) *Store {
 	b.Helper()
 	s, err := Open(b.TempDir(), Options{Shards: shards, Options: opts})
@@ -90,7 +93,7 @@ func BenchmarkPutParallel(b *testing.B) {
 				putParallel(b, shards, 4096, lsm.Options{
 					SyncWAL:       sync,
 					MemtableBytes: 256 << 10,
-					AutoCompact:   lsm.SizeTieredPolicy{},
+					AutoCompact:   sizeTiered,
 				})
 			})
 		}
@@ -155,7 +158,7 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			s := benchStore(b, shards, lsm.Options{
 				MemtableBytes: 256 << 10,
-				AutoCompact:   lsm.SizeTieredPolicy{},
+				AutoCompact:   sizeTiered,
 			})
 			val := bytes.Repeat([]byte("v"), 512)
 			key := func(i int) []byte { return []byte(fmt.Sprintf("key-%012d", i%keyspace)) }
