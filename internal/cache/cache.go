@@ -45,7 +45,8 @@
 // merge commits, goes to the cold end of its stripe marked spent — readable
 // still, and a Get brings it back as if nothing had happened, but first in
 // line for eviction, so the copy the merge publishes in its place pushes out
-// that block instead of a bystander's. A cold Publish — of a block merged from
+// that block instead of a bystander's; a merge that fails takes its inputs
+// back with Unspend. A cold Publish — of a block merged from
 // input that was not resident — is admitted only into free room or a spent
 // block's place, never a live block's: compacting cold data evicts nothing
 // anybody reads.
@@ -343,6 +344,19 @@ func (c *LRU) Demote(b *Block) {
 	c.mu.Unlock()
 }
 
+// Unspend clears the spent mark of every block of table, which stays where
+// it is: the blocks of a merge's inputs, live again because the merge will
+// not commit. A cold publication no longer makes way with them.
+func (c *LRU) Unspend(table uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for b := c.root.next; b != &c.root; b = b.next {
+		if b.key.Table == table {
+			b.spent = false
+		}
+	}
+}
+
 // Alloc returns a pinned, unpublished block for k whose Buf has length n,
 // recycled from this cache's free list when an array fits.
 func (c *LRU) Alloc(k Key, n int) *Block { return c.free.get(k, n) }
@@ -421,8 +435,7 @@ func (c *LRU) Publish(k Key, data []byte, cold bool) {
 
 // DropTable evicts every block belonging to table: called when an sstable
 // is deleted after compaction so its blocks stop occupying cache space,
-// and when a table write is abandoned after publishing blocks under the id
-// reserved for it.
+// and when a table write is abandoned after publishing blocks under its id.
 func (c *LRU) DropTable(table uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -464,6 +477,7 @@ var Uncached = &uncached{free: newFreeList(256 << 10)}
 func (u *uncached) Get(Key) (*Block, bool)         { return nil, false }
 func (u *uncached) Peek(Key) (*Block, bool)        { return nil, false }
 func (u *uncached) Demote(*Block)                  {}
+func (u *uncached) Unspend(uint64)                 {}
 func (u *uncached) Publish(Key, []byte, bool)      {}
 func (u *uncached) Alloc(k Key, n int) *Block      { return u.free.get(k, n) }
 func (u *uncached) Add(b *Block, payload []byte)   { b.data = payload }
@@ -561,6 +575,13 @@ func (s *Sharded) Put(k Key, value []byte) *Block { return s.shardFor(k).Put(k, 
 func (s *Sharded) DropTable(table uint64) {
 	for _, sh := range s.shards {
 		sh.DropTable(table)
+	}
+}
+
+// Unspend clears the spent mark of every block of table in every shard.
+func (s *Sharded) Unspend(table uint64) {
+	for _, sh := range s.shards {
+		sh.Unspend(table)
 	}
 }
 

@@ -156,11 +156,13 @@ func claimLocked(ins []*tableHandle) {
 	}
 }
 
-// unclaim gives back the inputs of a merge that did not install.
+// unclaim gives back the inputs of a merge that did not install, live
+// again: the blocks the merge spent are no longer first to go.
 func (db *DB) unclaim(ins []*tableHandle) {
 	db.mu.Lock()
 	for _, th := range ins {
 		th.compacting = false
+		th.rd.Unspend()
 	}
 	db.stallCond.Broadcast()
 	db.mu.Unlock()

@@ -194,6 +194,7 @@ func (db *DB) newTableHandle(name string, rd *sstable.Reader, gen uint64) *table
 		th.hasBounds = true
 	}
 	th.sketch = rd.Sketch()
+	rd.SetFilterMetrics(&db.filterMetrics)
 	th.refs.Store(1)
 	return th
 }
@@ -401,7 +402,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		db.blockCache = cache.NewSharded(opts.BlockCacheBytes, 0)
 	}
 	for _, name := range man.tables {
-		rd, err := db.openTable(name, sstable.ReserveID())
+		rd, err := sstable.OpenFS(fsys, filepath.Join(dir, name), nil)
 		if err != nil {
 			releaseTables(db.tables)
 			if errors.Is(err, fs.ErrNotExist) {
@@ -412,6 +413,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			}
 			return nil, fmt.Errorf("lsm: open table %s: %w", name, err)
 		}
+		rd.SetBlockCache(db.blocks())
 		th := db.newTableHandle(name, rd, 0)
 		th.level = man.levels[name]
 		db.tables = append(db.tables, th)
@@ -474,23 +476,14 @@ func (db *DB) blocks() sstable.Cache {
 	return db.blockCache
 }
 
-// openTable opens an sstable file under block-cache id and attaches the
-// shared block cache.
-func (db *DB) openTable(name string, id uint64) (*sstable.Reader, error) {
-	rd, err := sstable.OpenFSWithID(db.fs, filepath.Join(db.dir, name), id)
-	if err != nil {
-		return nil, err
-	}
-	rd.SetBlockCache(db.blocks())
-	rd.SetFilterMetrics(&db.filterMetrics)
-	return rd, nil
-}
-
 // buildTable creates the sstable file name, has fill write and finish it
-// through a Writer sized for expected entries, makes it durable and opens
-// it. The Writer publishes the blocks it writes to the block cache under an
-// id reserved here, and the Reader is opened with that id, so the table is
-// born resident (see sstable.Writer.PublishTo).
+// through a Writer sized for expected entries, makes it durable and returns
+// the Reader the Writer hands over: born open and resident, it reads from
+// the handle the table was written through and finds every block the Writer
+// published (see sstable.Writer.PublishTo and Reader), so nothing is read
+// back. The one check a re-open made, that the Reader decodes what the
+// Writer encodes, is sstable's FuzzBornReaderMatchesReopened; Open still
+// re-opens and CRC-checks every table.
 //
 // The Writer writes through a write-behind stage (sstable.WriteBehind, its
 // buffers recycled by the DB): the file writes run beside whatever fill is
@@ -500,44 +493,31 @@ func (db *DB) openTable(name string, id uint64) (*sstable.Reader, error) {
 // (removing an open file works on POSIX but masks close diagnostics), the
 // first error is the one returned, a failed removal is counted rather than
 // allowed to shadow it, and the blocks published so far are dropped. Once
-// the Reader exists its Close drops them, so a caller that abandons the
-// table later (a failed manifest save) closes the Reader and removes the
-// file.
+// the Reader exists its Close drops them and closes the file, so a caller
+// that abandons the table later (a failed manifest save) closes the Reader
+// and removes the file.
 func (db *DB) buildTable(name string, expected int, fill func(*sstable.Writer) error) (*sstable.Reader, error) {
-	path := filepath.Join(db.dir, name)
-	f, err := db.fs.Create(path)
+	f, err := db.fs.Create(filepath.Join(db.dir, name))
 	if err != nil {
 		return nil, fmt.Errorf("lsm: create sstable: %w", err)
 	}
-	id := sstable.ReserveID()
-	abort := func(first error) (*sstable.Reader, error) {
-		db.removeFile(name)
-		db.blocks().DropTable(id)
-		return nil, first
-	}
 	wb := db.writeBufs.NewWriter(f)
 	w := sstable.NewWriter(wb, expected)
-	w.PublishTo(db.blocks(), id)
+	w.PublishTo(db.blocks())
 	err = fill(w)
 	if werr := wb.Close(); err == nil {
 		err = werr
 	}
+	if err == nil {
+		err = f.Sync()
+	}
 	if err != nil {
 		f.Close()
-		return abort(err)
+		db.removeFile(name)
+		w.Abandon()
+		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return abort(err)
-	}
-	if err := f.Close(); err != nil {
-		return abort(fmt.Errorf("lsm: close sstable: %w", err))
-	}
-	rd, err := db.openTable(name, id)
-	if err != nil {
-		return abort(err)
-	}
-	return rd, nil
+	return w.Reader(f), nil
 }
 
 // mergeTables is buildTable for the merge of inputs.

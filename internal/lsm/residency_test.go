@@ -22,15 +22,19 @@ import (
 // through sstReads.
 
 // sstReads counts ReadAt calls and bytes on .sst files: table reads at the
-// device.
+// device, through the handle a table was opened with or the one it was
+// created with, which its born Reader keeps reading through.
 type sstReads struct {
 	vfs.FS
 	calls, bytes atomic.Int64
 }
 
-func (c *sstReads) Open(path string) (vfs.File, error) {
-	f, err := c.FS.Open(path)
-	if err != nil || !strings.HasSuffix(path, ".sst") {
+func (c *sstReads) Open(path string) (vfs.File, error) { return c.count(c.FS.Open(path)) }
+
+func (c *sstReads) Create(path string) (vfs.File, error) { return c.count(c.FS.Create(path)) }
+
+func (c *sstReads) count(f vfs.File, err error) (vfs.File, error) {
+	if err != nil || !strings.HasSuffix(f.Name(), ".sst") {
 		return f, err
 	}
 	return countedFile{f, c}, nil
@@ -98,9 +102,9 @@ func sstFiles(t testing.TB, fsys vfs.FS, dir string) int {
 }
 
 // TestFlushedTableIsResident: a flushed memtable is in the block cache when
-// its table is installed. Reading every flushed key back misses the cache
-// never and goes to the file once — the lazy parse of the table's one index
-// chunk, which is not a data block — and a second pass not at all.
+// its table is installed, and its Reader is born with its index parsed.
+// Reading every flushed key back misses the cache never and goes to the file
+// not at all, and neither does a second pass.
 func TestFlushedTableIsResident(t *testing.T) {
 	fsys := &sstReads{FS: vfs.Default}
 	db := openTestDB(t, Options{MemtableBytes: 64 << 20, FS: fsys})
@@ -108,8 +112,8 @@ func TestFlushedTableIsResident(t *testing.T) {
 	if db.blockCache.Len() < 50 {
 		t.Fatalf("%d blocks resident after a 3000-entry flush", db.blockCache.Len())
 	}
-	if misses, reads := readRange(t, db, fsys, 0, 3000, 1, 0); misses != 0 || reads != 1 {
-		t.Errorf("reading a flushed table: %d cache misses, %d ReadAt; want 0 and 1 (its index chunk)", misses, reads)
+	if misses, reads := readRange(t, db, fsys, 0, 3000, 1, 0); misses != 0 || reads != 0 {
+		t.Errorf("reading a flushed table: %d cache misses, %d ReadAt; want 0 and 0", misses, reads)
 	}
 	if misses, reads := readRange(t, db, fsys, 0, 3000, 1, 0); misses != 0 || reads != 0 {
 		t.Errorf("second pass: %d cache misses, %d ReadAt", misses, reads)
@@ -118,9 +122,9 @@ func TestFlushedTableIsResident(t *testing.T) {
 
 // TestMinorCompactionCarriesResidency: merging tables whose blocks are all
 // resident leaves the output all resident — reading every merged key goes
-// to the file for the output's index chunk and nothing else — and leaves no
-// block of a dropped input behind: the cache holds exactly as many blocks
-// as the output has, counted by reading the reopened store cold.
+// to the file not at all — and leaves no block of a dropped input behind:
+// the cache holds exactly as many blocks as the output has, counted by
+// reading the reopened store cold.
 func TestMinorCompactionCarriesResidency(t *testing.T) {
 	dir := t.TempDir()
 	fsys := &sstReads{FS: vfs.Default}
@@ -141,8 +145,8 @@ func TestMinorCompactionCarriesResidency(t *testing.T) {
 		t.Errorf("the merge counted %d hits and %d misses as user reads", hits-hits0, misses-misses0)
 	}
 	after := db.blockCache.Len()
-	if misses, reads := readRange(t, db, fsys, 0, 2000, 1, 3); misses != 0 || reads != 1 {
-		t.Errorf("reading merged keys: %d cache misses, %d ReadAt; want 0 and 1 (the output's index chunk)", misses, reads)
+	if misses, reads := readRange(t, db, fsys, 0, 2000, 1, 3); misses != 0 || reads != 0 {
+		t.Errorf("reading merged keys: %d cache misses, %d ReadAt; want 0 and 0", misses, reads)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -166,9 +170,9 @@ func TestMinorCompactionCarriesResidency(t *testing.T) {
 // its own input. The cache — one stripe — is exactly full of a bystander
 // table, least recently read, and four resident tables about to be merged.
 // After the minor merge the bystander has lost no block and the output is
-// resident whole: reading every key of either goes to the file once, for the
-// output's index chunk. Before a merge spent its inputs, its output pushed
-// out whatever was least recently used — here the bystander.
+// resident whole: reading every key of either goes to the file not at all.
+// Before a merge spent its inputs, its output pushed out whatever was least
+// recently used — here the bystander.
 func TestMergeDoesNotEvictBystanders(t *testing.T) {
 	const keys, tables = 2000, 5
 	dir := t.TempDir()
@@ -215,8 +219,99 @@ func TestMergeDoesNotEvictBystanders(t *testing.T) {
 		m, r := readRange(t, db, fsys, lo, keys, tables, 0)
 		misses, reads = misses+m, reads+r
 	}
-	if misses != 0 || reads != 1 {
-		t.Errorf("merged keys: %d cache misses, %d ReadAt; want 0 and 1 (the output's index chunk)", misses, reads)
+	if misses != 0 || reads != 0 {
+		t.Errorf("merged keys: %d cache misses, %d ReadAt; want 0 and 0", misses, reads)
+	}
+}
+
+// TestBornTablesReadNothingBack: a flush or merge installs the Reader its
+// Writer hands over, index parsed and data blocks published. A flush, a
+// minor compaction and a BT(I) major compaction — every table in the store
+// made by one of them — then a Get of every key and a full scan issue no
+// ReadAt on any table until the DB is reopened; reading the reopened store
+// does, so the counter sees these files.
+func TestBornTablesReadNothingBack(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &sstReads{FS: vfs.Default}
+	opts := Options{MemtableBytes: 64 << 20, FS: fsys}
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen := 0; gen < 4; gen++ {
+		flushRange(t, db, 0, 2000, 1, gen)
+	}
+	if _, ran, err := db.minorCompact(pickFirstN(2)); err != nil || !ran {
+		t.Fatalf("MinorCompact: ran=%v err=%v", ran, err)
+	}
+	for gen := 4; gen < 7; gen++ {
+		flushRange(t, db, 0, 2000, 1, gen)
+	}
+	res, err := db.MajorCompact("BT(I)", 4, 1)
+	if err != nil || len(res.StepStats) < 2 {
+		t.Fatalf("MajorCompact: %+v, %v; want two merges or more", res, err)
+	}
+	readRange(t, db, fsys, 0, 2000, 1, 6)
+	scanned := 0
+	if err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error { scanned++; return nil }); err != nil || scanned != 2000 {
+		t.Fatalf("scan: %d entries, %v", scanned, err)
+	}
+	if n, b := fsys.calls.Load(), fsys.bytes.Load(); n != 0 {
+		t.Errorf("building and reading the store: %d ReadAt, %d bytes; want none", n, b)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if readRange(t, db, fsys, 0, 2000, 1, 6); fsys.calls.Load() == 0 {
+		t.Error("reading the reopened store counted no ReadAt")
+	}
+}
+
+// TestAbortedMergeUnspendsItsInputs: a merge spends each resident input
+// block it takes up, and when the merge then fails its inputs stay live, so
+// their blocks must be live again too. The cache is one stripe, and the
+// merge's write fails part-way (the device fills after 8 KiB). Afterwards,
+// with the cache filled to the brim, a cold publication is refused rather
+// than evict an input block, and a scan of every input misses the cache
+// never. Left spent, the inputs' blocks would make way for the cold block.
+func TestAbortedMergeUnspendsItsInputs(t *testing.T) {
+	const cacheBytes = 200 << 10 // one stripe: three tables and a merge output fit
+	fault := vfs.NewFault(vfs.Default, 1)
+	db := openTestDB(t, Options{MemtableBytes: 64 << 20, BlockCacheBytes: cacheBytes, FS: fault})
+	for gen := 0; gen < 3; gen++ {
+		flushRange(t, db, 0, 300, 1, gen)
+	}
+	blocks := db.blockCache.Len()
+
+	fault.SetPathFilter(func(path string) bool { return strings.HasSuffix(path, ".sst") })
+	fault.SetDiskFullAfter(8 << 10)
+	_, _, err := db.minorCompact(pickFirstN(3))
+	fault.Disable()
+	if !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("merge under a full device returned %v", err)
+	}
+	if n := db.blockCache.Len(); n != blocks || db.Stats().Tables != 3 {
+		t.Fatalf("%d blocks resident after the abort, %d before; %d tables", n, blocks, db.Stats().Tables)
+	}
+
+	_, _, used := db.blockCache.Stats()
+	db.blockCache.Publish(cache.Key{Table: 1 << 40}, make([]byte, cacheBytes-used), false)
+	cold := cache.Key{Table: 1 << 40, Offset: 1}
+	db.blockCache.Publish(cold, make([]byte, 4096), true)
+	if b, ok := db.blockCache.Peek(cold); ok {
+		b.Release()
+		t.Error("a cold publication into the full cache was admitted")
+	}
+	_, misses0, _ := db.blockCache.Stats()
+	if err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses, _ := db.blockCache.Stats(); misses != misses0 {
+		t.Errorf("scanning the inputs after the aborted merge: %d cache misses", misses-misses0)
 	}
 }
 
@@ -299,15 +394,14 @@ func TestColdCompactionLeavesCacheAlone(t *testing.T) {
 }
 
 // TestAbandonedTableWritesLeaveNoBlocks: every way a flush, a minor
-// compaction or a scheduled merge can fail between reserving its table's
-// cache id and installing the table — create, a write part-way through,
-// sync, the open after the write, the manifest save — leaves the cache with
-// the blocks it had, the directory with no orphan .sst, and the data
-// readable. The minor-compaction open failure used to leave the merge
-// output on disk. The fixture's tables are between one and two write-behind
-// buffers long, so the write fault — the device fills after 20 KiB — is
-// met by the write-behind goroutine and reaches the build only when the
-// finished table's stage is closed.
+// compaction or a scheduled merge can fail between creating its table and
+// installing it — create, a write part-way through, sync, the manifest
+// save — leaves the cache with the blocks it had, the directory with no
+// orphan .sst, and the data readable. (There is no open after the write to
+// fail: the Writer hands over the table's Reader.) The fixture's tables are
+// between one and two write-behind buffers long, so the write fault — the
+// device fills after 20 KiB — is met by the write-behind goroutine and
+// reaches the build only when the finished table's stage is closed.
 //
 // A flush is the flusher's: Flush returns the failure and the flusher tries
 // again behind it. The retry is held at the hook until the abandoned
@@ -322,7 +416,6 @@ func TestAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
 		{"create", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.SetProb(vfs.OpCreate, 1) }},
 		{"write", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.SetDiskFullAfter(20 << 10) }},
 		{"sync", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.FailNthSync(1) }},
-		{"open", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.SetProb(vfs.OpOpen, 1) }},
 		{"manifest", func(f *vfs.Fault) {
 			f.SetPathFilter(func(path string) bool { return strings.Contains(path, manifestName) })
 			f.SetProb(vfs.OpSync, 1)

@@ -221,18 +221,12 @@ func decodeBoundsSketch(tail []byte) (*hll.Sketch, error) {
 	return s, nil
 }
 
-// blockHandle locates one data block within the file.
+// blockHandle locates one data block within the file — or, in the top-level
+// index, one index chunk, whose first key is its first block's.
 type blockHandle struct {
 	firstKey []byte
 	offset   uint64
-	length   uint64 // payload length, excluding the trailing crc32
-}
-
-// chunkHandle locates one index chunk within the file.
-type chunkHandle struct {
-	firstKey []byte // first key of the chunk's first block
-	offset   uint64
-	length   uint64 // framed length including the trailing crc32
+	length   uint64 // a block's payload length, excluding its crc32; a chunk's including it
 }
 
 func appendChecksummed(dst, payload []byte) []byte {

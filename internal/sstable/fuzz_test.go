@@ -3,10 +3,14 @@ package sstable
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/iterator"
+	"repro/internal/vfs"
 )
 
 // FuzzDecodeEntry throws arbitrary bytes at the entry decoder, read as the
@@ -113,6 +117,113 @@ func FuzzReaderOpen(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzBornReaderMatchesReopened: the Reader a Writer hands over is the
+// Reader OpenFS makes of the same file — the same footer, bounds, top index,
+// block handles in every chunk, filter and sketch, and the same answer to
+// every Get and a whole Iter. The engine does not re-open the tables it
+// writes, so this is where a Writer/Reader encoding mismatch shows. The
+// fuzzer draws the entry set — its size, values up to many times the block
+// size, tombstones — and the index chunk size (0 selects DefaultIndexChunkSize).
+func FuzzBornReaderMatchesReopened(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(0), uint8(0), uint16(0))      // the empty table
+	f.Add(int64(2), uint16(1), uint16(10), uint8(0), uint16(0))     // one entry
+	f.Add(int64(3), uint16(300), uint16(40), uint8(3), uint16(1))   // tombstones, one block a chunk
+	f.Add(int64(4), uint16(200), uint16(5999), uint8(0), uint16(2)) // large values, two blocks a chunk
+	f.Add(int64(5), uint16(599), uint16(100), uint8(7), uint16(256))
+	f.Fuzz(func(t *testing.T, seed int64, n, maxVal uint16, tombEvery uint8, chunk uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		entries := make([]iterator.Entry, n%600)
+		for i := range entries {
+			e := &entries[i]
+			e.Key = fmt.Appendf(nil, "%08d%s", i*3+rng.Intn(3), bytes.Repeat([]byte{'x'}, rng.Intn(20)))
+			e.Seq = rng.Uint64() >> 8
+			if e.Tombstone = tombEvery > 0 && rng.Intn(int(tombEvery)) == 0; !e.Tombstone {
+				e.Value = bytes.Repeat([]byte{byte(i)}, rng.Intn(int(maxVal%6000)+1))
+			}
+		}
+		path := filepath.Join(t.TempDir(), "t.sst")
+		file, err := vfs.Default.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWriterOpts(file, len(entries), WriterOptions{BlockSize: 256, IndexChunkSize: int(chunk % 1024)})
+		for _, e := range entries {
+			if err := w.Add(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		born := w.Reader(file)
+		defer born.Close()
+		re, err := OpenFS(vfs.Default, path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+
+		if born.f != re.f || born.size != re.size || !sameBounds(born.bounds, re.bounds) {
+			t.Fatalf("footer %+v size %d bounds %+v; reopened %+v %d %+v", born.f, born.size, born.bounds, re.f, re.size, re.bounds)
+		}
+		if !bytes.Equal(born.filter.Marshal(), re.filter.Marshal()) || !bytes.Equal(born.sketch.Marshal(), re.sketch.Marshal()) {
+			t.Fatal("filter or sketch differs from the reopened table's")
+		}
+		if len(born.chunks) != len(re.chunks) {
+			t.Fatalf("%d chunks, reopened %d", len(born.chunks), len(re.chunks))
+		}
+		for ci, c := range born.chunks {
+			rc := re.chunks[ci]
+			if !bytes.Equal(c.firstKey, rc.firstKey) || c.offset != rc.offset || c.length != rc.length {
+				t.Fatalf("chunk %d: %+v, reopened %+v", ci, c, rc)
+			}
+			seeded := born.chunkData[ci].Load()
+			parsed, err := re.chunkHandles(ci)
+			if seeded == nil || err != nil || len(*seeded) != len(parsed) {
+				t.Fatalf("chunk %d: born with %v handles, reopened parses %d (%v)", ci, seeded, len(parsed), err)
+			}
+			for bi, h := range *seeded {
+				if p := parsed[bi]; !bytes.Equal(h.firstKey, p.firstKey) || h.offset != p.offset || h.length != p.length {
+					t.Fatalf("chunk %d block %d: %+v, reopened %+v", ci, bi, h, p)
+				}
+			}
+		}
+
+		for _, e := range entries {
+			for _, key := range [][]byte{e.Key, append(e.Key[:len(e.Key):len(e.Key)], 0)} {
+				got, err := born.Get(key)
+				want, rerr := re.Get(key)
+				if err != rerr || !sameEntry(got, want) {
+					t.Fatalf("Get(%q) = %v, %v; reopened %v, %v", key, got, err, want, rerr)
+				}
+			}
+		}
+		bi, ri := born.Iter(), re.Iter()
+		defer bi.Close()
+		defer ri.Close()
+		for i := 0; ; i++ {
+			if bi.Valid() != ri.Valid() {
+				t.Fatalf("entry %d: valid %v, reopened %v", i, bi.Valid(), ri.Valid())
+			}
+			if !bi.Valid() {
+				if i != len(entries) || bi.Err() != nil || ri.Err() != nil {
+					t.Fatalf("iterated %d of %d entries: %v, reopened %v", i, len(entries), bi.Err(), ri.Err())
+				}
+				break
+			}
+			if !sameEntry(bi.Entry(), ri.Entry()) || !sameEntry(bi.Entry(), entries[i]) {
+				t.Fatalf("entry %d: %q, reopened %q, written %q", i, bi.Entry().Key, ri.Entry().Key, entries[i].Key)
+			}
+			bi.Next()
+			ri.Next()
+		}
+	})
+}
+
+func sameBounds(a, b Bounds) bool {
+	return bytes.Equal(a.Smallest, b.Smallest) && bytes.Equal(a.Largest, b.Largest) && a.MinSeq == b.MinSeq && a.MaxSeq == b.MaxSeq
 }
 
 // FuzzV3Block throws arbitrary payloads at the restart-block parser,

@@ -36,7 +36,7 @@ func MergeEntries(inputs ...*Reader) int {
 // fills the block cache with none of them and moves each resident block it
 // takes up to the cold end, spent — and a Writer that publishes (PublishTo)
 // carries their residency over to the output, which so displaces its own
-// dead input.
+// dead input. A caller whose merge then does not commit Unspends the inputs.
 func MergeTo(tw *Writer, dropTombstones bool, inputs ...*Reader) (MergeStats, error) {
 	var stats MergeStats
 	children := make([]iterator.Iterator, len(inputs))

@@ -21,14 +21,13 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return c.r.ReadAt(p, off)
 }
 
-// publishedTable writes entries through a Writer publishing to c and opens
-// the result under the id it published with, reads counted.
+// publishedTable writes entries through a Writer publishing to c and takes
+// the Reader it hands over, reads counted.
 func publishedTable(t *testing.T, c Cache, entries []iterator.Entry, opts WriterOptions) (*Reader, *countingReaderAt) {
 	t.Helper()
 	var buf bytes.Buffer
-	id := ReserveID()
 	w := NewWriterOpts(&buf, len(entries), opts)
-	w.PublishTo(c, id)
+	w.PublishTo(c)
 	for _, e := range entries {
 		if err := w.Add(e); err != nil {
 			t.Fatal(err)
@@ -38,12 +37,7 @@ func publishedTable(t *testing.T, c Cache, entries []iterator.Entry, opts Writer
 		t.Fatal(err)
 	}
 	src := &countingReaderAt{r: bytes.NewReader(buf.Bytes())}
-	rd, err := newReader(src, int64(buf.Len()), id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd.SetBlockCache(c)
-	return rd, src
+	return w.Reader(src), src
 }
 
 // allHandles lists every data-block handle of rd in file order.
@@ -148,21 +142,17 @@ func warm(t *testing.T, rd *Reader) {
 	it.Close()
 }
 
-// mergePublished merges inputs into a table published to c and opens it.
+// mergePublished merges inputs into a table published to c and takes its
+// Reader.
 func mergePublished(t *testing.T, c Cache, opts WriterOptions, inputs ...*Reader) *Reader {
 	t.Helper()
 	var buf bytes.Buffer
-	id := ReserveID()
 	w := NewWriterOpts(&buf, MergeEntries(inputs...), opts)
-	w.PublishTo(c, id)
+	w.PublishTo(c)
 	if _, err := MergeTo(w, false, inputs...); err != nil {
 		t.Fatal(err)
 	}
-	out, err := newReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return w.Reader(bytes.NewReader(buf.Bytes()))
 }
 
 // stridedEntries is entries lo, lo+stride, … below n of one interleaved key

@@ -17,14 +17,9 @@ import (
 	"repro/internal/vfs"
 )
 
-// readerIDs hands each Reader a unique ID for block-cache keying.
-var readerIDs atomic.Uint64
-
-// ReserveID returns a fresh table ID before the table exists: a Writer
-// publishes the blocks it writes under it (Writer.PublishTo) and OpenFSWithID
-// opens the finished table with it, so the Reader finds them. Whoever
-// reserves an ID and then abandons the table must DropTable it.
-func ReserveID() uint64 { return readerIDs.Add(1) }
+// tableIDs hands each table a unique ID for block-cache keying: a Writer
+// takes one before its first block, a Reader opened from a file at open.
+var tableIDs atomic.Uint64
 
 // FilterMetrics accumulates Bloom-filter effectiveness counters across all
 // the readers of a store (tables come and go under compaction, so the
@@ -51,19 +46,23 @@ type FilterMetrics struct {
 // pairs; a table's data blocks and index chunks occupy disjoint offsets in
 // the same file, so the one key space covers both without collision.
 //
-// Blocks also arrive from the other side: a Writer given a cache and the
-// table's reserved ID Publishes a copy of every data block's decoded body
-// as it writes it, byte for byte what readBlock would cache for the same
-// handle; one merged from input that was not resident is published cold,
-// admitted only where it displaces nothing live. Maintenance readers (merge
-// inputs, planning scans — Reader.ScanIter) look blocks up with Peek, which
-// neither promotes nor counts, and read what is missing into buffers of
-// cache.Uncached; a merge, and only a merge, Demotes each resident block as
-// it takes it up, so its dead input is evicted before anything live.
+// Blocks also arrive from the other side: a Writer given a cache
+// (PublishTo) Publishes a copy of every data block's decoded body under its
+// own table ID as it writes it, byte for byte what readBlock would cache for
+// the same handle, and the Reader it hands over (Writer.Reader) looks them
+// up under that ID; one merged from input that was not resident is
+// published cold, admitted only where it displaces nothing live.
+// Maintenance readers (merge inputs, planning scans — Reader.ScanIter) look
+// blocks up with Peek, which neither promotes nor counts, and read what is
+// missing into buffers of cache.Uncached; a merge, and only a merge,
+// Demotes each resident block as it takes it up, so its dead input is
+// evicted before anything live, and a merge that does not commit Unspends
+// its inputs again.
 type Cache interface {
 	Get(k cache.Key) (*cache.Block, bool)
 	Peek(k cache.Key) (*cache.Block, bool)
 	Demote(b *cache.Block)
+	Unspend(table uint64)
 	Alloc(k cache.Key, n int) *cache.Block
 	Add(b *cache.Block, payload []byte)
 	Publish(k cache.Key, data []byte, cold bool)
@@ -80,8 +79,9 @@ type Reader struct {
 	bounds Bounds
 	// chunks is the top-level index; chunkData caches each chunk's parsed
 	// handles, loaded lazily the first time a lookup or scan lands in the
-	// chunk (open materializes only the top level).
-	chunks    []chunkHandle
+	// chunk (open materializes only the top level; a Writer's Reader is
+	// born with every chunk's handles).
+	chunks    []blockHandle
 	chunkData []atomic.Pointer[[]blockHandle]
 	filter    *bloom.Filter
 	sketch    *hll.Sketch // key sketch from the bounds tail
@@ -92,10 +92,6 @@ type Reader struct {
 
 // NewReader opens a table stored in r, whose total length is size bytes.
 func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
-	return newReader(r, size, ReserveID())
-}
-
-func newReader(r io.ReaderAt, size int64, id uint64) (*Reader, error) {
 	if size < footerSize {
 		return nil, ErrCorrupt
 	}
@@ -116,7 +112,7 @@ func newReader(r io.ReaderAt, size int64, id uint64) (*Reader, error) {
 	if !inFile(f.indexOff, f.indexLen) || !inFile(f.bloomOff, f.bloomLen) || !inFile(f.boundsOff, f.boundsLen) {
 		return nil, ErrCorrupt
 	}
-	rd := &Reader{id: id, r: r, size: size, f: f, blocks: cache.Uncached}
+	rd := &Reader{id: tableIDs.Add(1), r: r, size: size, f: f, blocks: cache.Uncached}
 	if err := rd.loadIndex(); err != nil {
 		return nil, err
 	}
@@ -138,12 +134,6 @@ func Open(path string) (*Reader, error) {
 // fault-injecting filesystem. hint is unused: a table's bounds are always
 // read from the table.
 func OpenFS(fsys vfs.FS, path string, hint *Bounds) (*Reader, error) {
-	return OpenFSWithID(fsys, path, ReserveID())
-}
-
-// OpenFSWithID is OpenFS for a table whose Writer published its blocks
-// under id, obtained from ReserveID.
-func OpenFSWithID(fsys vfs.FS, path string, id uint64) (*Reader, error) {
 	file, err := fsys.Open(path)
 	if err != nil {
 		return nil, err
@@ -153,7 +143,7 @@ func OpenFSWithID(fsys vfs.FS, path string, id uint64) (*Reader, error) {
 		file.Close()
 		return nil, err
 	}
-	rd, err := newReader(file, st.Size(), id)
+	rd, err := NewReader(file, st.Size())
 	if err != nil {
 		file.Close()
 		return nil, fmt.Errorf("sstable: open %s: %w", path, err)
@@ -175,8 +165,13 @@ func (rd *Reader) SetBlockCache(c Cache) {
 // Get updates; passing nil disables counting.
 func (rd *Reader) SetFilterMetrics(m *FilterMetrics) { rd.fm = m }
 
-// Close releases the underlying file when the Reader was created by Open
-// (otherwise it only detaches cached blocks).
+// Unspend takes back every block of the table a merge has spent (see
+// MergeTo): for the inputs of a merge that will not commit, which stay live.
+func (rd *Reader) Unspend() { rd.blocks.Unspend(rd.id) }
+
+// Close releases the underlying file when the Reader owns it — opened by
+// Open, or handed over by a Writer with a file it can close — and in any case
+// detaches the table's cached blocks.
 func (rd *Reader) Close() error {
 	rd.blocks.DropTable(rd.id)
 	if rd.closer != nil {
@@ -225,9 +220,12 @@ func (rd *Reader) loadBlock(c Cache, key cache.Key, h blockHandle) (*cache.Block
 	return b, nil
 }
 
-// parseHandles decodes the block handles of one index chunk, validating
-// every referenced block against the file size.
-func (rd *Reader) parseHandles(payload []byte) ([]blockHandle, error) {
+// parseHandles decodes a list of handles: the block handles of one index
+// chunk, whose frames are length+crc bytes with crc 4, or the top index's
+// chunk handles, whose lengths include the crc (crc 0). Like the footer
+// regions, every frame must hold a byte beyond its crc and lie within the
+// file, or reads would allocate and read garbage-sized buffers.
+func (rd *Reader) parseHandles(payload []byte, crc uint64) ([]blockHandle, error) {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return nil, ErrCorrupt
@@ -252,10 +250,9 @@ func (rd *Reader) parseHandles(payload []byte) ([]blockHandle, error) {
 			return nil, ErrCorrupt
 		}
 		payload = payload[n:]
-		// Like the footer regions: a block must lie within the file (its
-		// frame is length+4 bytes with the crc), or reads would allocate
-		// and read garbage-sized buffers. Ordered to avoid overflow.
-		if length > uint64(rd.size) || length+4 > uint64(rd.size) || off > uint64(rd.size)-(length+4) {
+		// Ordered to avoid overflow.
+		size := uint64(rd.size)
+		if length > size || length+crc > size || length+crc < 5 || off > size-(length+crc) {
 			return nil, ErrCorrupt
 		}
 		handles = append(handles, blockHandle{firstKey: key, offset: off, length: length})
@@ -270,36 +267,8 @@ func (rd *Reader) loadIndex() error {
 	}
 	// Only the top-level chunk index materializes at open; each chunk's
 	// handles parse lazily in chunkHandles.
-	count, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return ErrCorrupt
-	}
-	payload = payload[n:]
-	rd.chunks = make([]chunkHandle, 0, count)
-	for i := uint64(0); i < count; i++ {
-		klen, n := binary.Uvarint(payload)
-		if n <= 0 || uint64(len(payload[n:])) < klen {
-			return ErrCorrupt
-		}
-		payload = payload[n:]
-		key := payload[:klen:klen]
-		payload = payload[klen:]
-		off, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return ErrCorrupt
-		}
-		payload = payload[n:]
-		length, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return ErrCorrupt
-		}
-		payload = payload[n:]
-		// A chunk frame needs at least its count varint and crc, and must
-		// lie within the file.
-		if length < 5 || length > uint64(rd.size) || off > uint64(rd.size)-length {
-			return ErrCorrupt
-		}
-		rd.chunks = append(rd.chunks, chunkHandle{firstKey: key, offset: off, length: length})
+	if rd.chunks, err = rd.parseHandles(payload, 0); err != nil {
+		return err
 	}
 	rd.chunkData = make([]atomic.Pointer[[]blockHandle], len(rd.chunks))
 	return nil
@@ -317,7 +286,7 @@ func (rd *Reader) chunkHandles(ci int) ([]blockHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	handles, err := rd.parseHandles(payload)
+	handles, err := rd.parseHandles(payload, 4)
 	if err != nil {
 		return nil, err
 	}

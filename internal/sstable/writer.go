@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/bloom"
 	"repro/internal/cache"
@@ -45,8 +46,9 @@ type Writer struct {
 	off  uint64
 	opts WriterOptions
 
-	// blocks and id are where finished data blocks are published (PublishTo);
-	// inputs, set by a merge, are the iterators the entries come from.
+	// blocks is where finished data blocks are published (PublishTo), under
+	// the table's id; inputs, set by a merge, are the iterators the entries
+	// come from.
 	blocks Cache
 	id     uint64
 	inputs []*Iter
@@ -66,6 +68,11 @@ type Writer struct {
 	keyBytes   uint64
 	valBytes   uint64
 	finished   bool
+
+	// What Finish wrote, for the Reader it hands over.
+	f      footer
+	bounds Bounds
+	chunks []blockHandle
 }
 
 // NewWriter creates a Writer emitting to w. expectedEntries sizes the Bloom filter; an estimate is fine, and zero
@@ -84,21 +91,47 @@ func NewWriterOpts(w io.Writer, expectedEntries int, opts WriterOptions) *Writer
 		w:      w,
 		opts:   opts.withDefaults(),
 		blocks: cache.Uncached,
+		id:     tableIDs.Add(1),
 		filter: bloom.NewWithEstimates(uint64(expectedEntries), 0.01),
 		sketch: hll.MustNew(SketchPrecision),
 	}
 }
 
 // PublishTo makes the Writer write through c: every data block is handed
-// to c as it is written, under the key a Reader opened with id (from
-// ReserveID; see OpenFSWithID) will look it up by, so the finished table
-// starts out resident instead of being read back on first use. A table
-// written by a merge publishes a block cold unless the input blocks its
-// entries came from were themselves resident: what was hot stays hot across
-// the rewrite, and what was not takes the place of input the merge has spent
-// or of nothing. The caller must DropTable(id) if it abandons the table.
-// Call before the first Add.
-func (w *Writer) PublishTo(c Cache, id uint64) { w.blocks, w.id = c, id }
+// to c as it is written, under the key the Reader the Writer hands over
+// will look it up by, so the finished table starts out resident instead of
+// being read back on first use. A table written by a merge publishes a
+// block cold unless the input blocks its entries came from were themselves
+// resident: what was hot stays hot across the rewrite, and what was not
+// takes the place of input the merge has spent or of nothing. A caller that
+// gives the table up before taking its Reader must Abandon it. Call before
+// the first Add.
+func (w *Writer) PublishTo(c Cache) { w.blocks = c }
+
+// Abandon drops every block the Writer has published.
+func (w *Writer) Abandon() { w.blocks.DropTable(w.id) }
+
+// Reader hands over the finished table as a Reader of file, which holds
+// the bytes the Writer wrote (for a table on disk, the handle it was written
+// through). Everything Finish wrote — footer, filter, bounds, sketch and
+// every index chunk's block handles — comes from what the Writer holds, so
+// the Reader reads nothing back; its data blocks are found in the cache the
+// Writer published them to. If file is also an io.Closer, the Reader owns
+// it: Close closes it. Call once, after a successful Finish.
+func (w *Writer) Reader(file io.ReaderAt) *Reader {
+	if !w.finished {
+		panic("sstable: Reader before Finish")
+	}
+	rd := &Reader{id: w.id, r: file, size: int64(w.off), f: w.f, bounds: w.bounds, chunks: w.chunks,
+		chunkData: make([]atomic.Pointer[[]blockHandle], len(w.chunks)),
+		filter:    w.filter, sketch: w.sketch, blocks: w.blocks}
+	rd.closer, _ = file.(io.Closer)
+	for ci := range rd.chunkData {
+		hs := w.index[ci*w.opts.IndexChunkSize : min((ci+1)*w.opts.IndexChunkSize, len(w.index))]
+		rd.chunkData[ci].Store(&hs)
+	}
+	return rd
+}
 
 // inputsResident reports whether every entry a merge consumed from its
 // inputs since the previous call — kept, shadowed or dropped — came from a
@@ -175,7 +208,8 @@ func (w *Writer) flushBlock() error {
 	return nil
 }
 
-// appendHandles encodes the block handles of one index chunk.
+// appendHandles encodes the block handles of one index chunk, or the chunk
+// handles of the top-level index.
 func appendHandles(dst []byte, handles []blockHandle) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(handles)))
 	for _, h := range handles {
@@ -188,17 +222,13 @@ func appendHandles(dst []byte, handles []blockHandle) []byte {
 }
 
 // writeIndex emits the index — fixed-size chunks plus a top-level chunk
-// index — and points f at it.
+// index, which it keeps in w.chunks — and points f at it.
 func (w *Writer) writeIndex(f *footer) error {
 	chunkSize := w.opts.IndexChunkSize
-	var chunks []chunkHandle
 	for start := 0; start < len(w.index); start += chunkSize {
-		end := start + chunkSize
-		if end > len(w.index) {
-			end = len(w.index)
-		}
+		end := min(start+chunkSize, len(w.index))
 		framed := appendChecksummed(nil, appendHandles(nil, w.index[start:end]))
-		chunks = append(chunks, chunkHandle{
+		w.chunks = append(w.chunks, blockHandle{
 			firstKey: w.index[start].firstKey,
 			offset:   w.off,
 			length:   uint64(len(framed)),
@@ -208,14 +238,7 @@ func (w *Writer) writeIndex(f *footer) error {
 		}
 		w.off += uint64(len(framed))
 	}
-	top := binary.AppendUvarint(nil, uint64(len(chunks)))
-	for _, c := range chunks {
-		top = binary.AppendUvarint(top, uint64(len(c.firstKey)))
-		top = append(top, c.firstKey...)
-		top = binary.AppendUvarint(top, c.offset)
-		top = binary.AppendUvarint(top, c.length)
-	}
-	framed := appendChecksummed(nil, top)
+	framed := appendChecksummed(nil, appendHandles(nil, w.chunks))
 	f.indexOff, f.indexLen = w.off, uint64(len(framed))
 	if _, err := w.w.Write(framed); err != nil {
 		return fmt.Errorf("sstable: write index: %w", err)
@@ -235,12 +258,12 @@ func (w *Writer) Finish() error {
 		return err
 	}
 
-	var f footer
+	f := &w.f
 	f.entryCount = w.entryCount
 	f.keyBytes = w.keyBytes
 	f.valBytes = w.valBytes
 
-	if err := w.writeIndex(&f); err != nil {
+	if err := w.writeIndex(f); err != nil {
 		return err
 	}
 
@@ -255,11 +278,10 @@ func (w *Writer) Finish() error {
 	// Bounds block: the key range and sequence range the engine's read
 	// path prunes with, then the key sketch. An empty table encodes nil keys
 	// and a zero range.
-	var bounds Bounds
 	if w.entryCount > 0 {
-		bounds = Bounds{Smallest: w.firstKey, Largest: w.lastKey, MinSeq: w.minSeq, MaxSeq: w.maxSeq}
+		w.bounds = Bounds{Smallest: w.firstKey, Largest: w.lastKey, MinSeq: w.minSeq, MaxSeq: w.maxSeq}
 	}
-	framed = appendChecksummed(nil, appendBoundsSketch(marshalBounds(bounds), w.sketch))
+	framed = appendChecksummed(nil, appendBoundsSketch(marshalBounds(w.bounds), w.sketch))
 	f.boundsOff, f.boundsLen = w.off, uint64(len(framed))
 	if _, err := w.w.Write(framed); err != nil {
 		return fmt.Errorf("sstable: write bounds: %w", err)
