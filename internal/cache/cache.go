@@ -108,13 +108,13 @@ func (b *Block) Release() {
 }
 
 // sizeGranule rounds array capacities so blocks of slightly different
-// lengths interchange: data blocks overshoot their 4 KiB target by up to
-// one entry, and without rounding a 4.2 KiB array could not serve a
-// 4.3 KiB read.
+// lengths interchange: a data block's frame falls short of its 2 KiB target
+// by up to one entry, and without rounding a 1.9 KiB array could not serve a
+// 2 KiB read; rounded, every full block fills one 2 KiB array.
 const sizeGranule = 512
 
 // freeListBytes bounds the arrays the free list of a stripe that has not
-// filled holds: seven 4.5 KiB arrays, more than a point read and one
+// filled holds: sixteen 2 KiB arrays, more than a point read and one
 // table's iterator return between two misses.
 const freeListBytes = 32 << 10
 
@@ -469,7 +469,7 @@ type uncached struct{ free freeList }
 
 // Uncached serves readers opened without a block cache, and the misses of
 // readers that must not fill the one they have. Those read whole runs of
-// blocks into one buffer (sstable.Reader.ScanIter: up to 36 KiB a run, three
+// blocks into one buffer (sstable.Reader.ScanIter: up to 32 KiB a run, three
 // in flight per input table), so its free list is allowed a few of that
 // size: a merge in its steady state frees one as it asks for the next.
 var Uncached = &uncached{free: newFreeList(256 << 10)}
@@ -503,8 +503,8 @@ const DefaultShards = 16
 
 // minStripeBytes floors a stripe's capacity. Each LRU refuses values
 // larger than its own capacity, so over-striping a small budget would
-// silently make moderately large blocks uncacheable (a data block exceeds
-// the 4 KiB target by up to one entry, and values can be large); the
+// silently make moderately large blocks uncacheable (a data block holding
+// one large value exceeds the 2 KiB target, and values can be large); the
 // stripe count shrinks before a stripe drops below this admission limit.
 const minStripeBytes = 128 << 10
 

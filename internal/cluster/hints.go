@@ -222,6 +222,8 @@ func (rt *Router) Handoff(ctx context.Context) error {
 // not just the ones this router parked on — means a fresh router (or a
 // restarted one) delivers hints parked by routers that no longer exist.
 func (rt *Router) handoffSweep(ctx context.Context) error {
+	rt.sweepMu.Lock()
+	defer rt.sweepMu.Unlock()
 	rt.reparkDeferred(ctx)
 	var first error
 	for holder := range rt.conns {

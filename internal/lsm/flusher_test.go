@@ -309,27 +309,27 @@ func TestFlushScheduleIsDeterministic(t *testing.T) {
 	}{
 		{"BT(I)", len(all), 1 << 20, 5, Stats{
 			Flushes: 32, MinorCompactions: 8, Tables: 8,
-			BytesFlushed: 33261432, BytesCompacted: 27555733, TableBytes: 21741384,
+			BytesFlushed: 33685093, BytesCompacted: 27913854, TableBytes: 22023596,
 			CompactionPicks: map[string]uint64{"BT(I)": 8},
 		}},
 		{"threshold", 40_000, 256 << 10, 1, Stats{
 			Flushes: 50, MinorCompactions: 14, Tables: 8,
-			BytesFlushed: 13019570, BytesCompacted: 23024366, TableBytes: 11506568,
+			BytesFlushed: 13182120, BytesCompacted: 23342010, TableBytes: 11673129,
 			CompactionPicks: map[string]uint64{"threshold": 14},
 		}},
 		{"size-tiered", 40_000, 256 << 10, 1, Stats{
 			Flushes: 50, MinorCompactions: 15, Tables: 5,
-			BytesFlushed: 13019570, BytesCompacted: 21931438, TableBytes: 10929103,
+			BytesFlushed: 13182120, BytesCompacted: 22213357, TableBytes: 11070810,
 			CompactionPicks: map[string]uint64{"size-tiered": 15},
 		}},
 		{"leveled", 40_000, 256 << 10, 1, Stats{
 			Flushes: 50, MinorCompactions: 12, Tables: 3,
-			BytesFlushed: 13019570, BytesCompacted: 70971456, TableBytes: 8909273,
+			BytesFlushed: 13182120, BytesCompacted: 71908490, TableBytes: 9027134,
 			CompactionPicks: map[string]uint64{"leveled": 12},
 		}},
 		{"SO", 40_000, 256 << 10, 1, Stats{
 			Flushes: 50, MinorCompactions: 14, Tables: 8,
-			BytesFlushed: 13019570, BytesCompacted: 23028224, TableBytes: 11508342,
+			BytesFlushed: 13182120, BytesCompacted: 23323985, TableBytes: 11656108,
 			CompactionPicks: map[string]uint64{"SO": 14},
 		}},
 	} {

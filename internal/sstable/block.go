@@ -3,6 +3,7 @@ package sstable
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/iterator"
@@ -42,6 +43,34 @@ func (b *blockBuilder) reset() {
 	b.count = 0
 }
 
+func sharedPrefix(a, b []byte) int {
+	a = a[:min(len(a), len(b))]
+	b = b[:len(a)]
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// frameWith returns the size of the frame appendBlock would make of the block
+// with e added: e's entry, whose key is whole at a restart point, and there
+// one more trailer slot.
+func (b *blockBuilder) frameWith(e iterator.Entry) int {
+	shared, n := 0, b.size()+4
+	if b.count%restartInterval != 0 {
+		shared, n = sharedPrefix(b.prevKey, e.Key), b.size()
+	}
+	n += uvarintLen(uint64(shared)) + uvarintLen(uint64(len(e.Key)-shared)) + uvarintLen(e.Seq) + 1 + len(e.Key) - shared
+	if !e.Tombstone {
+		n += uvarintLen(uint64(len(e.Value))) + len(e.Value)
+	}
+	return 1 + uvarintLen(uint64(n)) + n + 4
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 // add appends an entry; keys must arrive in strictly increasing order
 // (the Writer enforces this).
 func (b *blockBuilder) add(e iterator.Entry) {
@@ -49,13 +78,7 @@ func (b *blockBuilder) add(e iterator.Entry) {
 	if b.count%restartInterval == 0 {
 		b.restarts = append(b.restarts, uint32(len(b.buf)))
 	} else {
-		n := len(b.prevKey)
-		if len(e.Key) < n {
-			n = len(e.Key)
-		}
-		for shared < n && b.prevKey[shared] == e.Key[shared] {
-			shared++
-		}
+		shared = sharedPrefix(b.prevKey, e.Key)
 	}
 	b.buf = binary.AppendUvarint(b.buf, uint64(shared))
 	b.buf = binary.AppendUvarint(b.buf, uint64(len(e.Key)-shared))
@@ -283,10 +306,10 @@ func searchV3Block(pb parsedBlock, target []byte, h *v3EntryHeader) error {
 }
 
 // keyArena is the backing store for the keys of one block that a block
-// iterator has to rebuild from their prefix-compressed form. It only
-// appends while that block's keys may be read, and empty makes it ready for
-// a later block, keeping its newest chunk: in steady state a scan rebuilds
-// every key in memory it already has.
+// iterator has to rebuild from their prefix-compressed form (and for a
+// Writer's index keys). It only appends while that block's keys may be read,
+// and empty makes it ready for a later block, keeping its newest chunk: in
+// steady state a scan rebuilds every key in memory it already has.
 type keyArena struct {
 	buf []byte
 }

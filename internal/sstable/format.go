@@ -22,10 +22,10 @@
 //	           unshared key bytes
 //	           valLen uvarint, val  (omitted entirely when tombstone)
 //	chunk   := count uvarint
-//	           (firstKeyLen uvarint, firstKey, offset uvarint, length uvarint)*
+//	           (keyLen uvarint, key, offset uvarint, length uvarint)*
 //	           crc32
 //	top-index := chunkCount uvarint
-//	           (firstKeyLen uvarint, firstKey, chunkOff uvarint, chunkLen uvarint)*
+//	           (keyLen uvarint, key, chunkOff uvarint, chunkLen uvarint)*
 //	           crc32
 //	bloom   := filter bytes (package bloom's Marshal), crc32
 //	bounds  := smallestLen uvarint, smallestKey,
@@ -45,7 +45,10 @@
 // most one interval of entries instead of scanning the whole block. The
 // block index is partitioned into fixed-size chunks located by a small
 // top-level index; Open materializes only the top level, and each chunk is
-// parsed lazily the first time a lookup or scan lands in it.
+// parsed lazily the first time a lookup or scan lands in it. A block's index
+// key is the shortest prefix of its first key above the previous block's last
+// key (the first block's is its first key whole); a lookup takes the last
+// handle whose key is <= the probe.
 //
 // The Bloom filter probes bit (fmix64(H1) + i·fmix64(H2) mod 2^64) mod nbits
 // for i < k, where H1 and H2 are keyhash.Of(key) and fmix64 is splitmix64's
@@ -71,10 +74,11 @@ import (
 	"repro/internal/kverr"
 )
 
-// BlockSize is the default target uncompressed payload size of a data
-// block. Entries never span blocks; a block may exceed the target by one
-// entry.
-const BlockSize = 4096
+// BlockSize is the default target size of a data block's frame (codec byte,
+// length, body, checksum). The Writer cuts a block before the entry that
+// would take it past the target — only a lone larger entry gets a bigger
+// block — so a block read from the device fits one cache array this size.
+const BlockSize = 2048
 
 // codecRaw is the codec byte of every data block.
 const codecRaw byte = 0
@@ -222,11 +226,11 @@ func decodeBoundsSketch(tail []byte) (*hll.Sketch, error) {
 }
 
 // blockHandle locates one data block within the file — or, in the top-level
-// index, one index chunk, whose first key is its first block's.
+// index, one index chunk — under its index key.
 type blockHandle struct {
-	firstKey []byte
-	offset   uint64
-	length   uint64 // a block's payload length, excluding its crc32; a chunk's including it
+	key    []byte
+	offset uint64
+	length uint64 // a block's payload length, excluding its crc32; a chunk's including it
 }
 
 func appendChecksummed(dst, payload []byte) []byte {

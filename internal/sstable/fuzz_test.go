@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/iterator"
@@ -176,7 +177,7 @@ func FuzzBornReaderMatchesReopened(f *testing.F) {
 		}
 		for ci, c := range born.chunks {
 			rc := re.chunks[ci]
-			if !bytes.Equal(c.firstKey, rc.firstKey) || c.offset != rc.offset || c.length != rc.length {
+			if !bytes.Equal(c.key, rc.key) || c.offset != rc.offset || c.length != rc.length {
 				t.Fatalf("chunk %d: %+v, reopened %+v", ci, c, rc)
 			}
 			seeded := born.chunkData[ci].Load()
@@ -185,7 +186,7 @@ func FuzzBornReaderMatchesReopened(f *testing.F) {
 				t.Fatalf("chunk %d: born with %v handles, reopened parses %d (%v)", ci, seeded, len(parsed), err)
 			}
 			for bi, h := range *seeded {
-				if p := parsed[bi]; !bytes.Equal(h.firstKey, p.firstKey) || h.offset != p.offset || h.length != p.length {
+				if p := parsed[bi]; !bytes.Equal(h.key, p.key) || h.offset != p.offset || h.length != p.length {
 					t.Fatalf("chunk %d block %d: %+v, reopened %+v", ci, bi, h, p)
 				}
 			}
@@ -220,6 +221,131 @@ func FuzzBornReaderMatchesReopened(f *testing.F) {
 			ri.Next()
 		}
 	})
+}
+
+// FuzzSeparatorIndexMatchesModel: a table indexed by shortest separators
+// answers every Get and SeekGE as a sorted slice of its entries does — for
+// present keys, for absent keys between blocks (around each index key), and
+// below the first key and above the last — whether the Reader was handed over
+// by the Writer or opened from the bytes. Keys come from a two-letter alphabet,
+// so they share long prefixes and many are prefixes of the next; block sizes
+// run 16–512 and index chunks 1–256 handles. Every index key is checked to be
+// the shortest prefix of its block's first key above the previous block's last
+// key, and the first block's to be its first key whole.
+func FuzzSeparatorIndexMatchesModel(f *testing.F) {
+	f.Add(int64(1), uint16(1), uint16(0), uint8(0))
+	f.Add(int64(2), uint16(300), uint16(40), uint8(3))
+	f.Add(int64(3), uint16(599), uint16(496), uint8(255))
+	f.Add(int64(4), uint16(150), uint16(100), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, n, blockSize uint16, chunk uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		set := map[string]bool{}
+		for i := 0; i < int(n%600)+1; i++ {
+			k := make([]byte, 1+rng.Intn(12))
+			for j := range k {
+				k[j] = "ab"[rng.Intn(2)]
+			}
+			set[string(k)] = true
+		}
+		keys := make([]string, 0, len(set))
+		for k := range set {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		entries := make([]iterator.Entry, len(keys))
+		for i, k := range keys {
+			entries[i] = iterator.Entry{Key: []byte(k), Seq: uint64(i + 1), Tombstone: rng.Intn(8) == 0}
+			if !entries[i].Tombstone {
+				entries[i].Value = bytes.Repeat([]byte{byte(i)}, rng.Intn(64))
+			}
+		}
+		var buf bytes.Buffer
+		w := NewWriterOpts(&buf, len(entries), WriterOptions{BlockSize: 16 + int(blockSize%497), IndexChunkSize: 1 + int(chunk)})
+		for _, e := range entries {
+			if err := w.Add(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		born := w.Reader(bytes.NewReader(buf.Bytes()))
+		opened, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		probes := [][]byte{{0}, []byte("a"), []byte("b"), []byte("bbbbbbbbbbbbb"), {0xff}}
+		var prevLast []byte
+		for i, h := range allHandles(t, opened) {
+			first, last := blockBounds(t, opened, h)
+			switch {
+			case i == 0 && !bytes.Equal(h.key, first):
+				t.Fatalf("block 0: index key %q, first key %q", h.key, first)
+			case i > 0 && (bytes.Compare(h.key, prevLast) <= 0 || !bytes.HasPrefix(first, h.key) ||
+				bytes.Compare(h.key[:len(h.key)-1], prevLast) > 0):
+				t.Fatalf("block %d: index key %q is not the shortest prefix of %q above %q", i, h.key, first, prevLast)
+			}
+			probes = append(probes, h.key, h.key[:len(h.key)-1], append(bytes.Clone(prevLast), 0), first, last)
+			prevLast = last
+		}
+		for _, e := range entries {
+			probes = append(probes, e.Key, append(bytes.Clone(e.Key), 'a'-1), e.Key[:len(e.Key)-1])
+		}
+
+		for _, rd := range []*Reader{born, opened} {
+			for _, p := range probes {
+				i := sort.Search(len(entries), func(i int) bool { return bytes.Compare(entries[i].Key, p) >= 0 })
+				got, err := rd.Get(p)
+				if i < len(entries) && bytes.Equal(entries[i].Key, p) {
+					if err != nil || !sameEntry(got, entries[i]) {
+						t.Fatalf("Get(%q) = %q, %v; want %q", p, got.Value, err, entries[i].Value)
+					}
+				} else if err != ErrNotFound {
+					t.Fatalf("Get(%q) of an absent key: %v", p, err)
+				}
+				it := rd.IterFrom(p)
+				for j := i; j < min(i+3, len(entries)); j++ {
+					if !it.Valid() || !sameEntry(it.Entry(), entries[j]) {
+						t.Fatalf("SeekGE(%q) entry %d: %q (valid %v, %v), want %q", p, j-i, it.Entry().Key, it.Valid(), it.Err(), entries[j].Key)
+					}
+					it.Next()
+				}
+				if i+3 >= len(entries) && it.Valid() {
+					t.Fatalf("SeekGE(%q): %q past the last entry", p, it.Entry().Key)
+				}
+				it.Close()
+			}
+		}
+	})
+}
+
+// blockBounds returns the first and last key of the data block at h.
+func blockBounds(t *testing.T, rd *Reader, h blockHandle) (first, last []byte) {
+	t.Helper()
+	b, err := rd.readBlock(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Release()
+	var it v3BlockIter
+	if err := it.enter(b.Data()); err != nil {
+		t.Fatal(err)
+	}
+	var e iterator.Entry
+	for {
+		ok, err := it.next(&e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return first, last
+		}
+		if first == nil {
+			first = bytes.Clone(e.Key)
+		}
+		last = bytes.Clone(e.Key)
+	}
 }
 
 func sameBounds(a, b Bounds) bool {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -151,15 +152,10 @@ func TestScanIterErrorInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocks := w.index
-	// How many entries lie before block j: its first key's position.
+	// How many entries lie before block j: the position of the first entry
+	// at or above its index key, which may be shorter than that entry's key.
 	before := func(j int) int {
-		for i, e := range entries {
-			if bytes.Equal(e.Key, blocks[j].firstKey) {
-				return i
-			}
-		}
-		t.Fatalf("block %d starts at no entry", j)
-		return 0
+		return sort.Search(len(entries), func(i int) bool { return bytes.Compare(entries[i].Key, blocks[j].key) >= 0 })
 	}
 	for _, j := range []int{0, 1, spanBlocks - 1, spanBlocks, spanBlocks + 3, len(blocks) / 2, len(blocks) - 1} {
 		// A read error.

@@ -255,7 +255,7 @@ func (rd *Reader) parseHandles(payload []byte, crc uint64) ([]blockHandle, error
 		if length > size || length+crc > size || length+crc < 5 || off > size-(length+crc) {
 			return nil, ErrCorrupt
 		}
-		handles = append(handles, blockHandle{firstKey: key, offset: off, length: length})
+		handles = append(handles, blockHandle{key: key, offset: off, length: length})
 	}
 	return handles, nil
 }
@@ -346,11 +346,11 @@ func (rd *Reader) EntryCount() uint64 { return rd.f.entryCount }
 // quantity compaction counts as disk I/O when the table is read or written.
 func (rd *Reader) FileSize() uint64 { return uint64(rd.size) }
 
-// searchHandles returns the index of the last handle whose firstKey is
+// searchHandles returns the index of the last handle whose index key is
 // <= key, or -1 when key precedes every handle.
 func searchHandles(handles []blockHandle, key []byte) int {
 	return sort.Search(len(handles), func(i int) bool {
-		return bytes.Compare(handles[i].firstKey, key) > 0
+		return bytes.Compare(handles[i].key, key) > 0
 	}) - 1
 }
 
@@ -358,9 +358,7 @@ func searchHandles(handles []blockHandle, key []byte) int {
 // top-level chunk search plus an in-chunk search.
 func (rd *Reader) findBlockForKey(key []byte) (blockHandle, bool, error) {
 	var zero blockHandle
-	ci := sort.Search(len(rd.chunks), func(i int) bool {
-		return bytes.Compare(rd.chunks[i].firstKey, key) > 0
-	}) - 1
+	ci := searchHandles(rd.chunks, key)
 	if ci < 0 {
 		return zero, false, nil
 	}
@@ -461,8 +459,8 @@ func (rd *Reader) Iter() *Iter { return rd.newIter(false) }
 // through private buffers, and the cache's contents, recency order and
 // hit/miss counters are the same afterwards as before (MergeTo alone goes
 // one step further and spends the resident blocks it consumes). Its blocks are
-// fetched — looked up or read, and verified — readAheadBlocks ahead of the
-// entries by a goroutine of the iterator's own, so a merge overlaps its inputs' reads with its compares and its
+// fetched — looked up or read, and verified — a span of spanBlocks ahead of
+// the entries by a goroutine of the iterator's own, so a merge overlaps its inputs' reads with its compares and its
 // output; the goroutine ends with the table or with Close.
 func (rd *Reader) ScanIter() *Iter { return rd.newIter(true) }
 
@@ -561,9 +559,7 @@ func (it *Iter) SeekGE(target []byte) {
 		it.valid = false
 		return
 	}
-	ci := max(0, sort.Search(len(it.rd.chunks), func(i int) bool {
-		return bytes.Compare(it.rd.chunks[i].firstKey, target) > 0
-	})-1)
+	ci := max(0, searchHandles(it.rd.chunks, target))
 	handles, err := it.rd.chunkHandles(ci)
 	if err != nil {
 		it.err = err
@@ -586,8 +582,9 @@ func (it *Iter) SeekGE(target []byte) {
 
 // spanBlocks is how far a ScanIter reads ahead of its entries: up to this
 // many consecutive blocks are fetched at a time, the ones that are not
-// resident in runs of one ReadAt each.
-const spanBlocks = 8
+// resident in runs of one ReadAt each: 32 KiB of default-size blocks a span,
+// so each hand-off between goroutines moves that much.
+const spanBlocks = 16
 
 // fetched is one block a ScanIter has ready: its payload, the pin that
 // keeps the payload valid — the resident block's, or one reference on the

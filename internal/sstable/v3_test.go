@@ -3,8 +3,11 @@ package sstable
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/iterator"
 )
 
@@ -175,6 +178,42 @@ func TestRestartSearchWithinBlock(t *testing.T) {
 	}
 	if _, err := rd.Get([]byte("z")); err != ErrNotFound {
 		t.Fatalf("Get(after-last) err = %v", err)
+	}
+}
+
+// TestFullBlocksFillOneArray: at the default block size, over entries shaped
+// like the benchmark's (20-byte keys, 100-byte values), every data block's
+// frame but the table's last fits BlockSize — the Writer cuts before the entry
+// that would overflow it — and a cold Get reads its block into a cache array of
+// exactly BlockSize bytes, not the next size class up.
+func TestFullBlocksFillOneArray(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ids := make([]uint64, 10_000)
+	for i := range ids {
+		ids[i] = rng.Uint64()
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	entries := make([]iterator.Entry, len(ids))
+	for i, id := range ids {
+		value := make([]byte, 100)
+		rng.Read(value)
+		entries[i] = iterator.Entry{Key: []byte(fmt.Sprintf("user%016x", id)), Value: value, Seq: uint64(i + 1)}
+	}
+	rd := buildTableOpts(t, entries, WriterOptions{})
+	handles := allHandles(t, rd)
+	for i, h := range handles[:len(handles)-1] {
+		if frame := int(h.length) + 4; frame > BlockSize {
+			t.Fatalf("block %d of %d: %d-byte frame, target %d", i, len(handles), frame, BlockSize)
+		}
+	}
+	rd.SetBlockCache(cache.New(1 << 20))
+	_, b, err := rd.GetEntry(entries[len(entries)/2].Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Release()
+	if n := cap(b.Buf()); n != BlockSize {
+		t.Fatalf("a cold Get's block sits in a %d-byte array, want %d", n, BlockSize)
 	}
 }
 

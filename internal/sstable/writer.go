@@ -14,14 +14,14 @@ import (
 	"repro/internal/keyhash"
 )
 
-// DefaultIndexChunkSize is the number of block handles per index chunk. At the default block size a chunk covers ~1MiB of
-// data, so even multi-gigabyte tables open by materializing only a few
+// DefaultIndexChunkSize is the number of block handles per index chunk. At the default block size a chunk covers ~512 KiB
+// of data, so even multi-gigabyte tables open by materializing only a few
 // thousand top-level entries while each chunk parses lazily on first use.
 const DefaultIndexChunkSize = 256
 
 // WriterOptions configures table construction.
 type WriterOptions struct {
-	// BlockSize overrides the target data-block payload size; zero selects
+	// BlockSize overrides the target data-block frame size; zero selects
 	// BlockSize.
 	BlockSize int
 	// IndexChunkSize overrides the number of block handles per index
@@ -54,14 +54,14 @@ type Writer struct {
 	inputs []*Iter
 
 	bb       blockBuilder // current block
-	blockKey []byte       // first key of the current block
+	blockKey []byte       // index key of the current block
+	keys     keyArena     // backs every index key; never emptied
 	frameBuf []byte       // reusable frame buffer, one allocation per table
 	index    []blockHandle
 	filter   *bloom.Filter
 	sketch   *hll.Sketch
 
 	lastKey    []byte
-	firstKey   []byte
 	minSeq     uint64
 	maxSeq     uint64
 	entryCount uint64
@@ -158,11 +158,22 @@ func (w *Writer) Add(e iterator.Entry) error {
 	if w.lastKey != nil && bytes.Compare(e.Key, w.lastKey) <= 0 {
 		return fmt.Errorf("sstable: keys out of order: %q after %q", e.Key, w.lastKey)
 	}
-	if w.blockKey == nil {
-		w.blockKey = append([]byte(nil), e.Key...)
+	// Cut before e if it would take the frame past the target (see BlockSize);
+	// 64 bytes bound every varint, flag and slot, so most entries skip frameWith.
+	if !w.bb.empty() && w.bb.size()+len(e.Key)+len(e.Value)+64 > w.opts.BlockSize && w.bb.frameWith(e) > w.opts.BlockSize {
+		if err := w.flushBlock(); err != nil {
+			return err
+		}
 	}
-	if w.firstKey == nil {
-		w.firstKey = append([]byte(nil), e.Key...)
+	if w.bb.empty() {
+		// The index key: the shortest prefix of e.Key above the last key, e.Key
+		// whole in the first block; carved from chunks that never move.
+		n := len(e.Key)
+		if w.entryCount > 0 {
+			n = sharedPrefix(w.lastKey, e.Key) + 1
+		}
+		w.blockKey = w.keys.alloc(n, w.opts.BlockSize)[:n:n]
+		copy(w.blockKey, e.Key)
 	}
 	if w.entryCount == 0 || e.Seq < w.minSeq {
 		w.minSeq = e.Seq
@@ -178,9 +189,6 @@ func (w *Writer) Add(e iterator.Entry) error {
 	w.entryCount++
 	w.keyBytes += uint64(len(e.Key))
 	w.valBytes += uint64(len(e.Value))
-	if w.bb.size() >= w.opts.BlockSize {
-		return w.flushBlock()
-	}
 	return nil
 }
 
@@ -194,9 +202,9 @@ func (w *Writer) flushBlock() error {
 	framed := appendBlock(w.frameBuf[:0], body)
 	w.frameBuf = framed
 	w.index = append(w.index, blockHandle{
-		firstKey: w.blockKey,
-		offset:   w.off,
-		length:   uint64(len(framed) - 4), // stored payload, excluding crc
+		key:    w.blockKey,
+		offset: w.off,
+		length: uint64(len(framed) - 4), // stored payload, excluding crc
 	})
 	if _, err := w.w.Write(framed); err != nil {
 		return fmt.Errorf("sstable: write block: %w", err)
@@ -213,8 +221,8 @@ func (w *Writer) flushBlock() error {
 func appendHandles(dst []byte, handles []blockHandle) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(handles)))
 	for _, h := range handles {
-		dst = binary.AppendUvarint(dst, uint64(len(h.firstKey)))
-		dst = append(dst, h.firstKey...)
+		dst = binary.AppendUvarint(dst, uint64(len(h.key)))
+		dst = append(dst, h.key...)
 		dst = binary.AppendUvarint(dst, h.offset)
 		dst = binary.AppendUvarint(dst, h.length)
 	}
@@ -229,9 +237,9 @@ func (w *Writer) writeIndex(f *footer) error {
 		end := min(start+chunkSize, len(w.index))
 		framed := appendChecksummed(nil, appendHandles(nil, w.index[start:end]))
 		w.chunks = append(w.chunks, blockHandle{
-			firstKey: w.index[start].firstKey,
-			offset:   w.off,
-			length:   uint64(len(framed)),
+			key:    w.index[start].key,
+			offset: w.off,
+			length: uint64(len(framed)),
 		})
 		if _, err := w.w.Write(framed); err != nil {
 			return fmt.Errorf("sstable: write index chunk: %w", err)
@@ -279,7 +287,7 @@ func (w *Writer) Finish() error {
 	// path prunes with, then the key sketch. An empty table encodes nil keys
 	// and a zero range.
 	if w.entryCount > 0 {
-		w.bounds = Bounds{Smallest: w.firstKey, Largest: w.lastKey, MinSeq: w.minSeq, MaxSeq: w.maxSeq}
+		w.bounds = Bounds{Smallest: w.index[0].key, Largest: w.lastKey, MinSeq: w.minSeq, MaxSeq: w.maxSeq}
 	}
 	framed = appendChecksummed(nil, appendBoundsSketch(marshalBounds(w.bounds), w.sketch))
 	f.boundsOff, f.boundsLen = w.off, uint64(len(framed))

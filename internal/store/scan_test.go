@@ -88,7 +88,7 @@ func allocBytesPerRun(runs int, fn func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// corruptKeys is how many keys corruptedStore writes: about fifty 4 KiB
+// corruptKeys is how many keys corruptedStore writes: about a hundred 2 KiB
 // blocks per shard at two shards, so the damage lands mid-scan.
 const corruptKeys = 20000
 
