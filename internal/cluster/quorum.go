@@ -38,6 +38,13 @@ type quorumOp struct {
 	cancel   context.CancelFunc
 	deadline opDeadline
 
+	// decided is set when the caller stops waiting: the op has its verdict.
+	// A failed leg retries only before that. A retry after it could reach a
+	// restarted replica behind a later op's write to the same key and
+	// overwrite the newer record, so the leg parks a hint instead, and hint
+	// replay is version-checked.
+	decided atomic.Bool
+
 	// buf owns every key and encoded record of the operation, back to
 	// back; batch slices it, one entry per logical write (a read has one
 	// entry, of which only Key is set). Nothing here aliases the caller's
@@ -114,6 +121,12 @@ func (rt *Router) acquireOp(ctx context.Context) *quorumOp {
 
 func (o *quorumOp) retain() { o.refs.Add(1) }
 
+// finish drops the caller's reference once it has its answer.
+func (o *quorumOp) finish() {
+	o.decided.Store(true)
+	o.release()
+}
+
 // release drops one reference; the last one recycles the op. By then
 // every leg has reported, so nothing can send on results or read buf.
 func (o *quorumOp) release() {
@@ -141,6 +154,7 @@ func (o *quorumOp) release() {
 		}
 	}
 	o.read = false
+	o.decided.Store(false)
 	clear(o.batch) // drops the last references into a buffer that may have been outgrown
 	o.buf, o.batch, o.replicas, o.acks, o.fails = o.buf[:0], o.batch[:0], o.replicas[:0], o.acks[:0], o.fails[:0]
 	o.rt.ops.Put(o)
@@ -219,16 +233,16 @@ func (o *quorumOp) start(node int) {
 
 // run executes the leg and reports it. A transport-level failure gets one
 // paced re-attempt (Options.RetryBackoff) before the error counts against
-// the quorum: replica reads and writes are idempotent — records carry
-// version stamps — so the retry is always safe, and without it a single
-// hiccup on a live replica while another node is down fails an otherwise
-// healthy quorum.
+// the quorum, unless the op is decided by the end of the pause: without
+// the retry a single hiccup on a live replica while another node is down
+// fails an otherwise healthy quorum, and once the op is decided nothing
+// waits for it (see decided).
 func (l *leg) run() {
 	o, rt := l.op, l.op.rt
 	defer rt.bg.Done()
 	defer o.release()
 	err := rt.doCall(o.ctx, o.first, l.node, l)
-	if err != nil && !terminalReplicaErr(err) && rt.opts.RetryBackoff.Sleep(o.ctx, 0) == nil {
+	if err != nil && !terminalReplicaErr(err) && rt.opts.RetryBackoff.Sleep(o.ctx, 0) == nil && !o.decided.Load() {
 		err = rt.doCall(o.ctx, nil, l.node, l)
 	}
 	if err != nil && !o.read && o.ctx.Err() == nil {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/kverr"
 	"repro/internal/kvnet"
+	"repro/internal/lsm"
 	"repro/internal/retry"
 )
 
@@ -50,11 +51,10 @@ type Options struct {
 	ProbeBackoff    retry.Backoff
 
 	// RetryBackoff paces the single in-flight re-attempt a replica read
-	// or write gets before it counts against the quorum (default
-	// 25ms–250ms, jittered). Replica operations are idempotent — records
-	// carry version stamps and the newest wins — so retrying is always
-	// safe; without it one transient hiccup on a live replica while
-	// another node is down would fail an otherwise healthy quorum. Its Base
+	// or write gets, while its operation still waits for it, before it
+	// counts against the quorum (default 25ms–250ms, jittered). Without
+	// it one transient hiccup on a live replica while another node is
+	// down would fail an otherwise healthy quorum. Its Base
 	// is also a read's hedge delay: how long a replica may stay silent
 	// before the read asks the next one as well.
 	RetryBackoff retry.Backoff
@@ -111,14 +111,17 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Metrics is a point-in-time snapshot of a Router's replication
-// counters.
+// Metrics is a point-in-time snapshot of a Router's replication counters;
+// kv reports it as Stats.Cluster, in this JSON shape.
 type Metrics struct {
-	Nodes             int
-	DownNodes         int
-	ReplicationFactor int
-	WriteQuorum       int
-	ReadQuorum        int
+	// Nodes is the cluster size; DownNodes is how many of them the
+	// failure detector currently considers unreachable.
+	Nodes     int `json:"nodes"`
+	DownNodes int `json:"down_nodes"`
+
+	ReplicationFactor int `json:"replication_factor"`
+	WriteQuorum       int `json:"write_quorum"`
+	ReadQuorum        int `json:"read_quorum"`
 
 	// HintsParked counts writes parked for an unreachable replica;
 	// HintsReplayed counts hints successfully delivered to a recovered
@@ -126,21 +129,21 @@ type Metrics struct {
 	// hold them. ReadRepairs counts stale replicas rewritten after a
 	// divergent quorum read. NodeDownEvents / NodeUpEvents count
 	// failure-detector transitions.
-	HintsParked    uint64
-	HintsReplayed  uint64
-	HintsDropped   uint64
-	ReadRepairs    uint64
-	NodeDownEvents uint64
-	NodeUpEvents   uint64
+	HintsParked    uint64 `json:"hints_parked"`
+	HintsReplayed  uint64 `json:"hints_replayed"`
+	HintsDropped   uint64 `json:"hints_dropped"`
+	ReadRepairs    uint64 `json:"read_repairs"`
+	NodeDownEvents uint64 `json:"node_down_events"`
+	NodeUpEvents   uint64 `json:"node_up_events"`
 
 	// Reads counts quorum reads and ReadLegs the replica requests they
 	// sent, so ReadLegs/Reads is how many replicas a Get touches: R when
 	// nothing goes wrong, up to N when legs are hedged. HedgedReads counts
 	// the legs added because a contacted replica failed or stayed silent
 	// for RetryBackoff.Base.
-	Reads       uint64
-	ReadLegs    uint64
-	HedgedReads uint64
+	Reads       uint64 `json:"reads"`
+	ReadLegs    uint64 `json:"read_legs"`
+	HedgedReads uint64 `json:"hedged_reads"`
 }
 
 // Router is a quorum cluster client. Every key is replicated on N
@@ -515,7 +518,7 @@ func (rt *Router) Write(ctx context.Context, batch []kvnet.BatchOp) error {
 		}
 	}
 	o := rt.acquireOp(ctx)
-	defer o.release()
+	defer o.finish()
 	return o.write(batch)
 }
 
@@ -527,7 +530,7 @@ func (rt *Router) Get(ctx context.Context, key []byte) ([]byte, error) {
 		return nil, err
 	}
 	o := rt.acquireOp(ctx)
-	defer o.release()
+	defer o.finish()
 	rec, err := o.get(key)
 	if err != nil {
 		return nil, err
@@ -580,48 +583,39 @@ func (rt *Router) FlushAll(ctx context.Context) error {
 
 // CompactAll triggers a major compaction on every live node with the
 // given strategy, returning per-node results.
-func (rt *Router) CompactAll(ctx context.Context, strategy string, k int) (map[string]*kvnet.CompactInfo, error) {
-	var (
-		mu  sync.Mutex
-		out = make(map[string]*kvnet.CompactInfo)
-	)
-	errs := rt.forAll(ctx, func(actx context.Context, node string, c *kvnet.Client) error {
-		info, err := c.Compact(actx, strategy, k)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		out[node] = info
-		mu.Unlock()
-		return nil
+func (rt *Router) CompactAll(ctx context.Context, strategy string, k int) (map[string]*lsm.CompactionResult, error) {
+	return gather(ctx, rt, "compact", func(actx context.Context, c *kvnet.Client) (*lsm.CompactionResult, error) {
+		return c.Compact(actx, strategy, k)
 	})
-	for node, err := range errs {
-		if err != nil {
-			return out, fmt.Errorf("cluster: compact %s: %w", node, err)
-		}
-	}
-	return out, nil
 }
 
 // StatsAll fetches statistics from every live node.
-func (rt *Router) StatsAll(ctx context.Context) (map[string]*kvnet.StatsInfo, error) {
+func (rt *Router) StatsAll(ctx context.Context) (map[string]*lsm.Stats, error) {
+	return gather(ctx, rt, "stats", func(actx context.Context, c *kvnet.Client) (*lsm.Stats, error) {
+		return c.Stats(actx)
+	})
+}
+
+// gather runs fetch against every live node and collects the answers by
+// node name; the first failure is returned beside what did arrive.
+func gather[T any](ctx context.Context, rt *Router, what string, fetch func(context.Context, *kvnet.Client) (T, error)) (map[string]T, error) {
 	var (
 		mu  sync.Mutex
-		out = make(map[string]*kvnet.StatsInfo)
+		out = make(map[string]T)
 	)
 	errs := rt.forAll(ctx, func(actx context.Context, node string, c *kvnet.Client) error {
-		st, err := c.Stats(actx)
+		v, err := fetch(actx, c)
 		if err != nil {
 			return err
 		}
 		mu.Lock()
-		out[node] = st
+		out[node] = v
 		mu.Unlock()
 		return nil
 	})
 	for node, err := range errs {
 		if err != nil {
-			return out, fmt.Errorf("cluster: stats %s: %w", node, err)
+			return out, fmt.Errorf("cluster: %s %s: %w", what, node, err)
 		}
 	}
 	return out, nil

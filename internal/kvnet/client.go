@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/kverr"
+	"repro/internal/lsm"
 )
 
 // ErrNotFound reports a missing key. It aliases the canonical sentinel in
@@ -412,7 +413,7 @@ func (c *Client) Flush(ctx context.Context) error {
 }
 
 // Compact triggers a major compaction scheduled by the named strategy.
-func (c *Client) Compact(ctx context.Context, strategy string, k int) (*CompactInfo, error) {
+func (c *Client) Compact(ctx context.Context, strategy string, k int) (*lsm.CompactionResult, error) {
 	cl, resp, err := c.roundTrip(ctx, &Request{Op: OpCompact, Strategy: strategy, K: uint64(k)})
 	if err != nil {
 		return nil, err
@@ -425,7 +426,7 @@ func (c *Client) Compact(ctx context.Context, strategy string, k int) (*CompactI
 }
 
 // Stats fetches server statistics.
-func (c *Client) Stats(ctx context.Context) (*StatsInfo, error) {
+func (c *Client) Stats(ctx context.Context) (*lsm.Stats, error) {
 	cl, resp, err := c.roundTrip(ctx, &Request{Op: OpStats})
 	if err != nil {
 		return nil, err

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"repro/internal/lsm"
+	"repro/internal/sstable"
 )
 
 // FuzzDecodeRequest ensures arbitrary client bytes cannot panic the
@@ -71,6 +74,8 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(StatusChunk), 'V', 0})                            // a chunk must be entries
 	f.Add([]byte{byte(StatusChunk), 'E', 0xff, 0xff, 0xff, 0xff, 0x0f}) // key length far past the payload
+	f.Add(EncodeResponse(Response{Status: StatusOK, Stats: &lsm.Stats{Tables: 3, CompactionPicks: map[string]uint64{"SI": 2}}}))
+	f.Add(EncodeResponse(Response{Status: StatusOK, Compact: &lsm.CompactionResult{Strategy: "BT(I)", StepStats: make([]sstable.MergeStats, 2)}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := DecodeResponse(data)
 		if err != nil {

@@ -6,12 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/kverr"
 	"repro/internal/lsm"
+	"repro/internal/sstable"
 )
 
 // startServer spins up a server over a fresh DB on a loopback listener and
@@ -134,7 +137,7 @@ func TestCompactOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.TablesBefore != 4 || info.Merges != 3 || info.BytesWritten == 0 || info.CostActual == 0 {
+	if info.TablesBefore != 4 || len(info.StepStats) != 3 || info.BytesWritten == 0 || info.CostActual == 0 {
 		t.Errorf("compact info = %+v", info)
 	}
 	st, err = c.Stats(context.Background())
@@ -300,10 +303,16 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{Status: StatusNotFound},
 		{Status: StatusError, Err: "boom"},
 		{Status: StatusOK, Entries: []ScanEntry{{Key: []byte("a"), Value: []byte("1")}}},
-		{Status: StatusOK, Compact: &CompactInfo{TablesBefore: 3, Merges: 2, BytesRead: 10, BytesWritten: 5, CostActual: 7, DurationMicro: 99}},
-		{Status: StatusOK, Stats: &StatsInfo{Tables: 1, TableBytes: 2, MemtableKeys: 3, Flushes: 4, MinorCompactions: 5,
-			GroupCommits: 6, GroupedWrites: 7, WALSyncs: 8, WriteStalls: 9,
-			ReadOnly: 1, QuarantinedTables: 2, CleanupFailures: 3}},
+		{Status: StatusOK, Compact: &lsm.CompactionResult{Strategy: "BT(I)", TablesBefore: 3, TablesAfter: 1,
+			StepStats: []sstable.MergeStats{{BytesRead: 6, BytesWritten: 3, EntriesIn: 4, EntriesOut: 2}, {BytesRead: 4, BytesWritten: 2, EntriesIn: 2, EntriesOut: 1}},
+			BytesRead: 10, BytesWritten: 5, CostSimple: 6, CostActual: 7, Duration: 99 * time.Microsecond}},
+		{Status: StatusOK, Stats: &lsm.Stats{Tables: 1, TableBytes: 2, MemtableKeys: 3, Flushes: 4, MinorCompactions: 5,
+			MajorCompactions: 6, WriteStalls: 7, WriteStallTime: 8 * time.Millisecond, BytesFlushed: 9, BytesCompacted: 10,
+			CompactionPicks: map[string]uint64{"BT(I)": 11, "size-tiered": 12}, Generation: 13, CompactionState: "merging",
+			BlockCacheHits: 14, BlockCacheMisses: 15, BlockCacheShardBalance: 1.25, FilterNegatives: 16, FilterFalsePositives: 17,
+			GroupCommits: 18, GroupedWrites: 19, WALSyncs: 20, WALRecoveredRecords: 21, WALRecoveredBatches: 22,
+			WALRecoveredBytes: 23, WALRecoveryTruncated: true, ReadOnly: true, QuarantinedTables: 24, CleanupFailures: 25,
+			BackgroundRetries: 26, BackgroundFailures: 27}},
 	}
 	for _, resp := range resps {
 		got, err := DecodeResponse(EncodeResponse(resp))
@@ -313,10 +322,10 @@ func TestProtocolRoundTrip(t *testing.T) {
 		if got.Status != resp.Status || got.Err != resp.Err || !bytes.Equal(got.Value, resp.Value) {
 			t.Errorf("round trip changed response: %+v -> %+v", resp, got)
 		}
-		if resp.Compact != nil && *got.Compact != *resp.Compact {
-			t.Errorf("compact info changed: %+v -> %+v", resp.Compact, got.Compact)
+		if !reflect.DeepEqual(got.Compact, resp.Compact) {
+			t.Errorf("compact result changed: %+v -> %+v", resp.Compact, got.Compact)
 		}
-		if resp.Stats != nil && *got.Stats != *resp.Stats {
+		if !reflect.DeepEqual(got.Stats, resp.Stats) {
 			t.Errorf("stats changed: %+v -> %+v", resp.Stats, got.Stats)
 		}
 		if len(resp.Entries) > 0 && !bytes.Equal(got.Entries[0].Key, resp.Entries[0].Key) {

@@ -62,11 +62,14 @@ package kvnet
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"time"
+
+	"repro/internal/lsm"
 )
 
 // ErrProtocol reports a malformed or truncated frame — wire bytes that do
@@ -208,49 +211,17 @@ type ScanEntry struct {
 	Key, Value []byte
 }
 
-// CompactInfo summarizes a major compaction over the wire.
-type CompactInfo struct {
-	TablesBefore  uint64
-	Merges        uint64
-	BytesRead     uint64
-	BytesWritten  uint64
-	CostActual    uint64
-	DurationMicro uint64
-}
-
-// StatsInfo mirrors lsm.Stats over the wire.
-type StatsInfo struct {
-	Tables           uint64
-	TableBytes       uint64
-	MemtableKeys     uint64
-	Flushes          uint64
-	MinorCompactions uint64
-	MajorCompactions uint64
-	// GroupCommits, GroupedWrites and WALSyncs describe the commit
-	// pipeline: GroupedWrites/GroupCommits is the average group size,
-	// WALSyncs/GroupedWrites the fsyncs paid per write.
-	GroupCommits  uint64
-	GroupedWrites uint64
-	WALSyncs      uint64
-	WriteStalls   uint64
-	// ReadOnly is 1 when the engine has degraded to read-only after a
-	// durability failure. QuarantinedTables counts corrupt sstables
-	// renamed aside; CleanupFailures counts file removals that failed and
-	// left recoverable garbage behind.
-	ReadOnly          uint64
-	QuarantinedTables uint64
-	CleanupFailures   uint64
-}
-
-// Response is a decoded server response.
+// Response is a decoded server response. Compact and Stats, the answers to
+// OpCompact and OpStats, travel as the engine's own structs, JSON-encoded,
+// so every counter the engine keeps reaches the client.
 type Response struct {
 	Status  Status
 	Code    ErrCode // StatusError only
 	Value   []byte
 	Err     string
 	Entries []ScanEntry
-	Compact *CompactInfo
-	Stats   *StatsInfo
+	Compact *lsm.CompactionResult
+	Stats   *lsm.Stats
 	Handle  uint64 // OpSnapshot's answer
 }
 
@@ -571,6 +542,7 @@ func EncodeResponse(resp Response) []byte { return AppendResponse(nil, resp) }
 // entries as a scan produces them, and a stream's chunk differs from its
 // final frame in the status byte alone.
 func AppendResponse(out []byte, resp Response) []byte {
+	start := len(out)
 	out = append(out, byte(resp.Status))
 	switch resp.Status {
 	case StatusError:
@@ -581,21 +553,12 @@ func AppendResponse(out []byte, resp Response) []byte {
 	case StatusChunk:
 		return appendEntries(append(out, 'E'), resp.Entries)
 	}
+	var body any
 	switch {
 	case resp.Compact != nil:
-		out = append(out, 'C')
-		c := resp.Compact
-		for _, v := range []uint64{c.TablesBefore, c.Merges, c.BytesRead, c.BytesWritten, c.CostActual, c.DurationMicro} {
-			out = binary.AppendUvarint(out, v)
-		}
+		out, body = append(out, 'C'), resp.Compact
 	case resp.Stats != nil:
-		out = append(out, 'S')
-		s := resp.Stats
-		for _, v := range []uint64{s.Tables, s.TableBytes, s.MemtableKeys, s.Flushes, s.MinorCompactions,
-			s.MajorCompactions, s.GroupCommits, s.GroupedWrites, s.WALSyncs, s.WriteStalls,
-			s.ReadOnly, s.QuarantinedTables, s.CleanupFailures} {
-			out = binary.AppendUvarint(out, v)
-		}
+		out, body = append(out, 'S'), resp.Stats
 	case resp.Entries != nil:
 		out = appendEntries(append(out, 'E'), resp.Entries)
 	case resp.Handle != 0:
@@ -603,6 +566,13 @@ func AppendResponse(out []byte, resp Response) []byte {
 	default:
 		out = append(out, 'V')
 		out = appendBytes(out, resp.Value)
+	}
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			return AppendResponse(out[:start], Response{Status: StatusError, Err: fmt.Sprintf("kvnet: encode response: %v", err)})
+		}
+		out = append(out, b...)
 	}
 	return out
 }
@@ -630,6 +600,14 @@ func decodeEntries(buf []byte) ([]ScanEntry, error) {
 		entries[i].Key, entries[i].Value, buf, _ = nextEntry(buf)
 	}
 	return entries, nil
+}
+
+// readJSON decodes a 'C' or 'S' body into v.
+func readJSON(buf []byte, v any) error {
+	if err := json.Unmarshal(buf, v); err != nil {
+		return fmt.Errorf("kvnet: malformed response body: %v: %w", err, ErrProtocol)
+	}
+	return nil
 }
 
 // DecodeResponse parses a frame payload into a Response. Byte fields alias
@@ -683,21 +661,15 @@ func DecodeResponse(buf []byte) (Response, error) {
 			return resp, err
 		}
 	case 'C':
-		c := &CompactInfo{}
-		for _, dst := range []*uint64{&c.TablesBefore, &c.Merges, &c.BytesRead, &c.BytesWritten, &c.CostActual, &c.DurationMicro} {
-			if *dst, buf, err = readUvarint(buf); err != nil {
-				return resp, err
-			}
+		c := new(lsm.CompactionResult)
+		if err = readJSON(buf, c); err != nil {
+			return resp, err
 		}
 		resp.Compact = c
 	case 'S':
-		s := &StatsInfo{}
-		for _, dst := range []*uint64{&s.Tables, &s.TableBytes, &s.MemtableKeys, &s.Flushes, &s.MinorCompactions,
-			&s.MajorCompactions, &s.GroupCommits, &s.GroupedWrites, &s.WALSyncs, &s.WriteStalls,
-			&s.ReadOnly, &s.QuarantinedTables, &s.CleanupFailures} {
-			if *dst, buf, err = readUvarint(buf); err != nil {
-				return resp, err
-			}
+		s := new(lsm.Stats)
+		if err = readJSON(buf, s); err != nil {
+			return resp, err
 		}
 		resp.Stats = s
 	default:

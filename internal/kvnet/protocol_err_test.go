@@ -3,6 +3,8 @@ package kvnet
 import (
 	"errors"
 	"testing"
+
+	"repro/internal/lsm"
 )
 
 // TestDecodeErrorsWrapProtocolSentinel pins every decode failure to the
@@ -21,10 +23,15 @@ func TestDecodeErrorsWrapProtocolSentinel(t *testing.T) {
 		}
 	}
 
+	stats := EncodeResponse(Response{Status: StatusOK, Stats: &lsm.Stats{Tables: 1}})
 	badResponses := map[string][]byte{
-		"empty response": nil,
-		"unknown kind":   {byte(StatusOK), 'Z'},
-		"unknown status": {77},
+		"empty response":      nil,
+		"unknown kind":        {byte(StatusOK), 'Z'},
+		"unknown status":      {77},
+		"truncated stats":     stats[:len(stats)-1],
+		"garbage compact":     append([]byte{byte(StatusOK), 'C'}, "{\"TablesBefore\":\"x\"}"...),
+		"empty compact body":  {byte(StatusOK), 'C'},
+		"trailing stats junk": append(stats, '}'),
 	}
 	for name, buf := range badResponses {
 		if _, err := DecodeResponse(buf); !errors.Is(err, ErrProtocol) {

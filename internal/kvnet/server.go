@@ -518,34 +518,10 @@ func (w *worker) execute(ctx context.Context, payload, out []byte) []byte {
 		return appendResult(out, okValue, db.Flush())
 	case OpCompact:
 		res, err := db.MajorCompact(req.Strategy, max(int(req.K), 2), 1)
-		if err != nil {
-			return AppendResponse(out, errResponse(err))
-		}
-		return AppendResponse(out, Response{Status: StatusOK, Compact: &CompactInfo{
-			TablesBefore:  uint64(res.TablesBefore),
-			Merges:        uint64(len(res.StepStats)),
-			BytesRead:     res.BytesRead,
-			BytesWritten:  res.BytesWritten,
-			CostActual:    uint64(res.CostActual),
-			DurationMicro: uint64(res.Duration.Microseconds()),
-		}})
+		return appendResult(out, Response{Status: StatusOK, Compact: res}, err)
 	case OpStats:
 		st := db.Stats()
-		return AppendResponse(out, Response{Status: StatusOK, Stats: &StatsInfo{
-			Tables:            uint64(st.Tables),
-			TableBytes:        st.TableBytes,
-			MemtableKeys:      uint64(st.MemtableKeys),
-			Flushes:           uint64(st.Flushes),
-			MinorCompactions:  uint64(st.MinorCompactions),
-			MajorCompactions:  uint64(st.MajorCompactions),
-			GroupCommits:      st.GroupCommits,
-			GroupedWrites:     st.GroupedWrites,
-			WALSyncs:          st.WALSyncs,
-			WriteStalls:       uint64(st.WriteStalls),
-			ReadOnly:          boolWord(st.ReadOnly),
-			QuarantinedTables: uint64(st.QuarantinedTables),
-			CleanupFailures:   st.CleanupFailures,
-		}})
+		return AppendResponse(out, Response{Status: StatusOK, Stats: &st})
 	case OpSnapshot:
 		handle, err := w.c.openSnapshot()
 		return appendResult(out, Response{Status: StatusOK, Handle: handle}, err)
@@ -563,14 +539,6 @@ func appendResult(out []byte, ok Response, err error) []byte {
 		return AppendResponse(out, errResponse(err))
 	}
 	return AppendResponse(out, ok)
-}
-
-// boolWord encodes a flag as the wire's 0/1 word.
-func boolWord(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // errScanLimit stops a one-shot scan at its entry limit.

@@ -124,10 +124,14 @@ func corruptedStore(t *testing.T, shards int) *Store {
 	return s
 }
 
-// flipMidTable inverts 64 bytes in the middle of the largest table under dir.
+// flipMidTable inverts 64 bytes in the middle of the largest table under
+// dir: in dir itself at one shard, in its shard directories at more.
 func flipMidTable(t *testing.T, dir string) {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "*", "*.sst"))
+	paths, err := filepath.Glob(filepath.Join(dir, "*.sst"))
+	if sharded, _ := filepath.Glob(filepath.Join(dir, "*", "*.sst")); err == nil {
+		paths = append(paths, sharded...)
+	}
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no tables under %s: %v", dir, err)
 	}

@@ -80,8 +80,8 @@ func TestStoreOverKvnet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.TablesBefore < 4 || info.Merges == 0 {
-		t.Fatalf("compaction over %d tables in %d merges; want per-shard merges", info.TablesBefore, info.Merges)
+	if info.TablesBefore < 4 || len(info.StepStats) == 0 {
+		t.Fatalf("compaction over %d tables in %d merges; want per-shard merges", info.TablesBefore, len(info.StepStats))
 	}
 	st, err := c.Stats(context.Background())
 	if err != nil {

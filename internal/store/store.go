@@ -45,9 +45,11 @@ import (
 	"repro/internal/vfs"
 )
 
-// markerName is the file in the store root recording the shard count. The
-// count is fixed at creation: reopening with a different count would split
-// the key space differently and orphan existing data, so Open refuses it.
+// markerName is the file in the store root recording the shard count of a
+// store whose shards live in dir/shard-NNN. The count is fixed at creation:
+// reopening with a different count would split the key space differently
+// and orphan existing data, so Open refuses it. A directory without one is
+// a single shard rooted at the directory itself.
 const markerName = "SHARDS"
 
 // Options tunes a Store. The embedded lsm.Options apply to every shard,
@@ -58,9 +60,8 @@ const markerName = "SHARDS"
 type Options struct {
 	// Shards is the number of partitions. Zero adopts the count persisted
 	// in the store directory, or 1 for a new store. Opening an existing
-	// store with a different non-zero count is an error. A directory
-	// holding a pre-store unsharded lsm.DB opens as a single legacy shard
-	// rooted at the directory itself (Shards above 1 is refused there).
+	// store with a different non-zero count is an error, and so is
+	// Shards above 1 over a directory already holding a single shard.
 	Shards int
 	lsm.Options
 }
@@ -143,24 +144,11 @@ func writeMarker(fsys vfs.FS, dir string, n int) error {
 	return nil
 }
 
-// IsSharded reports whether dir holds a sharded store layout (a SHARDS
-// marker). Callers deciding between a plain lsm.DB and a Store — the kv
-// façade's Open — use it to adopt whatever the directory already is.
-func IsSharded(dir string) (bool, error) {
-	return IsShardedFS(vfs.Default, dir)
-}
-
-// IsShardedFS is IsSharded reading through fsys.
-func IsShardedFS(fsys vfs.FS, dir string) (bool, error) {
-	n, err := readMarker(fsys, dir)
-	return n > 0, err
-}
-
-// legacyLayout reports whether dir holds a pre-store unsharded lsm.DB. A
-// manifest is only cut at the first flush, so a store whose acknowledged
-// data still lives entirely in its WAL must be recognized too — missing it
-// would re-initialize the directory and silently lose those writes.
-func legacyLayout(fsys vfs.FS, dir string) (bool, error) {
+// holdsDB reports whether dir itself holds an lsm.DB. A manifest is only
+// cut at the first flush, so a DB whose acknowledged data still lives
+// entirely in its WAL must be recognized too — missing it would shard over
+// the directory and silently strand those writes.
+func holdsDB(fsys vfs.FS, dir string) (bool, error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return false, fmt.Errorf("store: probe for an unsharded store: %w", err)
@@ -175,9 +163,12 @@ func legacyLayout(fsys vfs.FS, dir string) (bool, error) {
 	return false, nil
 }
 
-// Open opens (creating if necessary) a sharded store rooted at dir, with
-// shard i living in dir/shard-NNN. All shard WALs replay in parallel, so
-// crash recovery costs one shard's replay time, not the sum.
+// Open opens (creating if necessary) a store rooted at dir. A directory
+// without a SHARDS marker is one shard rooted at dir itself — the layout
+// lsm.Open writes — so a fresh open with Shards 0 or 1 writes no marker and
+// the directory keeps opening with lsm.Open. With a marker, shard i lives
+// in dir/shard-NNN. All shard WALs replay in parallel, so crash recovery
+// costs one shard's replay time, not the sum.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("store: negative shard count %d", opts.Shards)
@@ -194,39 +185,22 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	n := opts.Shards
-	legacy := false
-	writeMarkerAfterOpen := false
 	switch {
+	case persisted == 0 && n <= 1:
+		n = 1
 	case persisted == 0:
-		// A directory already holding an unsharded lsm.DB (a pre-store
-		// layout: manifest, WAL or sstables in the root) is adopted in
-		// place as a single legacy shard rooted at dir itself — no marker
-		// is written, so the directory keeps working with plain lsm.Open
-		// too. Re-sharding it would strand its data, so a shard count
-		// above 1 is refused.
-		isLegacy, err := legacyLayout(fsys, dir)
-		if err != nil {
+		// Sharding over a DB in the root would strand its data.
+		if held, err := holdsDB(fsys, dir); err != nil {
 			return nil, err
+		} else if held {
+			return nil, fmt.Errorf("store: %s holds an unsharded lsm store; cannot shard over it (open with Shards <= 1)", dir)
 		}
-		if isLegacy {
-			if n > 1 {
-				return nil, fmt.Errorf("store: %s holds an unsharded lsm store; cannot shard over it (open with Shards <= 1)", dir)
-			}
-			n, legacy = 1, true
-			break
-		}
-		if n == 0 {
-			n = 1
-		}
-		// The marker is committed only after every shard opens, so a
-		// failed first open does not pin a shard count the caller may
-		// want to retry differently.
-		writeMarkerAfterOpen = true
 	case n == 0:
 		n = persisted
 	case n != persisted:
 		return nil, fmt.Errorf("store: %s was created with %d shards, cannot open with %d", dir, persisted, n)
 	}
+	marked := persisted > 0 || n > 1
 
 	// Split the block-cache budget so BlockCacheBytes bounds the store, not
 	// each shard. Zero means "default total" (the lsm default, 8 MiB);
@@ -248,7 +222,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	// All shards share one writers-in-flight gauge so each shard's
 	// group-commit leader can tell that sibling shards' writers are
 	// streaming in and yield for group formation (see lsm.Options.WriteLoad).
-	if shardOpts.WriteLoad == nil {
+	if shardOpts.WriteLoad == nil && n > 1 {
 		shardOpts.WriteLoad = new(atomic.Int32)
 	}
 
@@ -261,53 +235,42 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		return ws
 	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			so := shardOpts
-			so.Seed += int64(i)
-			sdir := s.shardDir(i)
-			if legacy {
-				sdir = dir // adopted unsharded layout: the single shard is the root
-			}
-			s.shards[i], errs[i] = lsm.Open(sdir, so)
-		}(i)
+	err = s.forAllIndexed(func(i int, _ *lsm.DB) error {
+		so, sdir := shardOpts, dir
+		so.Seed += int64(i)
+		if marked {
+			sdir = filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
+		}
+		var err error
+		s.shards[i], err = lsm.Open(sdir, so)
+		return err
+	})
+	// The marker is committed only after every shard opens, so a failed
+	// first open does not pin a shard count the caller may want to retry
+	// differently.
+	if err == nil && persisted == 0 && marked {
+		err = writeMarker(fsys, dir, n)
 	}
-	wg.Wait()
-	closeAll := func() {
+	if err != nil {
 		for _, db := range s.shards {
 			if db != nil {
 				db.Close()
 			}
 		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-	}
-	if writeMarkerAfterOpen {
-		if err := writeMarker(fsys, dir, n); err != nil {
-			closeAll()
-			return nil, err
-		}
+		return nil, err
 	}
 	return s, nil
-}
-
-func (s *Store) shardDir(i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("shard-%03d", i))
 }
 
 // ShardCount returns the number of shards.
 func (s *Store) ShardCount() int { return len(s.shards) }
 
-// ShardFor returns the index of the shard owning key.
+// ShardFor returns the index of the shard owning key; a one-shard store
+// routes without hashing.
 func (s *Store) ShardFor(key []byte) int {
+	if len(s.shards) == 1 {
+		return 0
+	}
 	return int(cluster.KeyHash(key) % uint64(len(s.shards)))
 }
 
@@ -356,6 +319,9 @@ func (s *Store) WriteContext(ctx context.Context, b *lsm.WriteBatch) error {
 	if b == nil || b.Len() == 0 {
 		return nil
 	}
+	if len(s.shards) == 1 {
+		return s.shards[0].WriteContext(ctx, b)
+	}
 	// Validate before splitting: a malformed or oversized batch must
 	// reject whole, not after some shards already committed their
 	// sub-batches.
@@ -366,9 +332,6 @@ func (s *Store) WriteContext(ctx context.Context, b *lsm.WriteBatch) error {
 	}
 	if b.SizeBytes() > lsm.MaxBatchBytes {
 		return fmt.Errorf("%w: %d bytes > %d", lsm.ErrBatchTooLarge, b.SizeBytes(), lsm.MaxBatchBytes)
-	}
-	if len(s.shards) == 1 {
-		return s.shards[0].WriteContext(ctx, b)
 	}
 	ws := s.writes.Get().(*shardWrites)
 	subs := ws.subs

@@ -509,7 +509,9 @@ func TestStoreRaceShards4(t *testing.T) {
 
 // TestStoreShardMarker covers the persisted-shard-count contract: the
 // count is fixed at creation, adopted on reopen with Shards=0, enforced on
-// mismatch, and an unsharded lsm.DB directory is refused.
+// mismatch; a one-shard store is the lsm.DB layout with no marker, so a
+// flushed lsm.DB directory opens as one shard and refuses re-sharding; and
+// a marked one-shard layout still opens.
 func TestStoreShardMarker(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{Shards: 3})
@@ -538,8 +540,34 @@ func TestStoreShardMarker(t *testing.T) {
 	}
 	s2.Close()
 
-	// A directory holding an unsharded lsm.DB is adopted in place as one
-	// legacy shard (so upgraded binaries keep serving old databases), but
+	// A fresh one-shard store, by default or asked for, is the lsm.DB
+	// layout: no marker, and the directory reopens with plain lsm.Open.
+	for _, shards := range []int{0, 1} {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutContext(context.Background(), []byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, markerName)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("Shards=%d: a one-shard store wrote a marker (%v)", shards, err)
+		}
+		db, err := lsm.Open(dir, lsm.Options{})
+		if err != nil {
+			t.Fatalf("Shards=%d: lsm.Open of a one-shard store: %v", shards, err)
+		}
+		if v, err := db.GetContext(context.Background(), []byte("k")); err != nil || string(v) != "v" {
+			t.Fatalf("Shards=%d: lsm.Open Get = %q, %v", shards, v, err)
+		}
+		db.Close()
+	}
+
+	// A flushed lsm.DB opens as one shard rooted at its directory, and
 	// re-sharding it is refused.
 	plain := t.TempDir()
 	db, err := lsm.Open(plain, lsm.Options{})
@@ -556,42 +584,55 @@ func TestStoreShardMarker(t *testing.T) {
 	if _, err := Open(plain, Options{Shards: 2}); err == nil {
 		t.Fatal("sharding over an unsharded store accepted")
 	}
-	legacy, err := Open(plain, Options{})
+	one, err := Open(plain, Options{})
 	if err != nil {
-		t.Fatalf("adopting an unsharded store: %v", err)
+		t.Fatalf("opening an lsm.DB directory: %v", err)
 	}
-	if legacy.ShardCount() != 1 {
-		t.Fatalf("legacy store adopted as %d shards", legacy.ShardCount())
+	if one.ShardCount() != 1 {
+		t.Fatalf("lsm.DB directory opened as %d shards", one.ShardCount())
 	}
-	if v, err := legacy.GetContext(context.Background(), []byte("k")); err != nil || string(v) != "v" {
-		t.Fatalf("Get through legacy adoption = %q, %v", v, err)
+	if v, err := one.GetContext(context.Background(), []byte("k")); err != nil || string(v) != "v" {
+		t.Fatalf("Get through the store = %q, %v", v, err)
 	}
-	if err := legacy.PutContext(context.Background(), []byte("k2"), []byte("v2")); err != nil {
+	if err := one.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Close(); err != nil {
+
+	// A marked one-shard layout — SHARDS=1 beside shard-000 — keeps opening
+	// there, by default and with the count asked for.
+	marked := t.TempDir()
+	db, err = lsm.Open(filepath.Join(marked, "shard-000"), lsm.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// No marker was written: the directory still opens with plain lsm.Open.
-	db, err = lsm.Open(plain, lsm.Options{})
-	if err != nil {
-		t.Fatalf("plain reopen after legacy adoption: %v", err)
-	}
-	if v, err := db.GetContext(context.Background(), []byte("k2")); err != nil || string(v) != "v2" {
-		t.Fatalf("plain Get after legacy adoption = %q, %v", v, err)
+	if err := db.PutContext(context.Background(), []byte("k"), []byte("in shard-000")); err != nil {
+		t.Fatal(err)
 	}
 	db.Close()
+	if err := os.WriteFile(filepath.Join(marked, markerName), []byte("1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1} {
+		s, err := Open(marked, Options{Shards: shards})
+		if err != nil {
+			t.Fatalf("Shards=%d over a marked one-shard store: %v", shards, err)
+		}
+		if v, err := s.GetContext(context.Background(), []byte("k")); s.ShardCount() != 1 || err != nil || string(v) != "in shard-000" {
+			t.Fatalf("Shards=%d: %d shards, Get = %q, %v", shards, s.ShardCount(), v, err)
+		}
+		s.Close()
+	}
 
 	if _, err := Open(t.TempDir(), Options{Shards: -1}); err == nil {
 		t.Fatal("negative shard count accepted")
 	}
 }
 
-// TestStoreAdoptsWALOnlyLegacyDB covers the nastiest legacy shape: an
-// unsharded lsm.DB that never flushed, so its acknowledged data lives only
-// in wal.log and no MANIFEST exists. Open must recognize it as a legacy
-// layout and replay the WAL — re-initializing the directory as a fresh
-// sharded store would silently lose the writes.
+// TestStoreAdoptsWALOnlyLegacyDB covers the nastiest unsharded shape: an
+// lsm.DB that never flushed, so its acknowledged data lives only in its WAL
+// and no MANIFEST exists. Open must refuse to shard over it — a fresh
+// sharded store there would strand the writes — and a one-shard open must
+// replay the WAL.
 func TestStoreAdoptsWALOnlyLegacyDB(t *testing.T) {
 	dir := t.TempDir()
 	db, err := lsm.Open(dir, lsm.Options{})
@@ -608,16 +649,20 @@ func TestStoreAdoptsWALOnlyLegacyDB(t *testing.T) {
 		t.Fatalf("precondition: MANIFEST unexpectedly present (%v)", err)
 	}
 
+	if s, err := Open(dir, Options{Shards: 2}); err == nil {
+		s.Close()
+		t.Fatal("sharding over a WAL-only lsm.DB accepted")
+	}
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	if s.ShardCount() != 1 {
-		t.Fatalf("WAL-only legacy store adopted as %d shards", s.ShardCount())
+		t.Fatalf("WAL-only lsm.DB opened as %d shards", s.ShardCount())
 	}
 	if v, err := s.GetContext(context.Background(), []byte("unflushed")); err != nil || string(v) != "survives" {
-		t.Fatalf("Get(unflushed) = %q, %v; WAL-only legacy data lost", v, err)
+		t.Fatalf("Get(unflushed) = %q, %v; WAL-only data lost", v, err)
 	}
 }
 

@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/kvnet"
+	"repro/internal/lsm"
+	"repro/internal/store"
 )
 
 // remotePageSize is how many entries a cluster iterator (or snapshot
@@ -172,77 +173,33 @@ func (e *clusterEngine) Compact(ctx context.Context, opts *CompactOptions) (*Com
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	strategy, k := e.cfg.compactStrategy, e.cfg.compactK
-	if opts != nil {
-		if opts.Strategy != "" {
-			strategy = opts.Strategy
-		}
-		if opts.K >= 2 {
-			k = opts.K
-		}
-	}
-	infos, err := e.rt.CompactAll(ctx, strategy, k)
+	strategy, k := e.cfg.compactSchedule(opts)
+	byNode, err := e.rt.CompactAll(ctx, strategy, k)
 	if err != nil {
 		return nil, err
 	}
-	out := &CompactionInfo{Strategy: strategy}
-	for _, info := range infos {
-		out.TablesBefore += int(info.TablesBefore)
-		out.Merges += int(info.Merges)
-		out.BytesRead += info.BytesRead
-		out.BytesWritten += info.BytesWritten
-		out.CostActual += int(info.CostActual)
-		if d := time.Duration(info.DurationMicro) * time.Microsecond; d > out.Duration {
-			// Nodes compact concurrently: wall time is the slowest node.
-			out.Duration = d
-		}
+	results := make([]*lsm.CompactionResult, 0, len(byNode))
+	for _, res := range byNode {
+		results = append(results, res)
 	}
-	return out, nil
+	return compactionInfo(strategy, results...), nil
 }
 
 func (e *clusterEngine) Stats(ctx context.Context) (Stats, error) {
 	if e.closed.Load() {
 		return Stats{}, ErrClosed
 	}
-	infos, err := e.rt.StatsAll(ctx)
+	byNode, err := e.rt.StatsAll(ctx)
 	if err != nil {
 		return Stats{}, err
 	}
+	nodes := make([]lsm.Stats, 0, len(byNode))
+	for _, st := range byNode {
+		nodes = append(nodes, *st)
+	}
+	out := statsFromLSM(store.Aggregate(nodes), "cluster", 0)
 	m := e.rt.Metrics()
-	out := Stats{
-		Backend: "cluster",
-		Cluster: &ClusterStats{
-			Nodes:             m.Nodes,
-			DownNodes:         m.DownNodes,
-			ReplicationFactor: m.ReplicationFactor,
-			WriteQuorum:       m.WriteQuorum,
-			ReadQuorum:        m.ReadQuorum,
-			HintsParked:       m.HintsParked,
-			HintsReplayed:     m.HintsReplayed,
-			HintsDropped:      m.HintsDropped,
-			ReadRepairs:       m.ReadRepairs,
-			NodeDownEvents:    m.NodeDownEvents,
-			NodeUpEvents:      m.NodeUpEvents,
-			Reads:             m.Reads,
-			ReadLegs:          m.ReadLegs,
-			HedgedReads:       m.HedgedReads,
-		},
-	}
-	for _, st := range infos {
-		out.Tables += int(st.Tables)
-		out.TableBytes += st.TableBytes
-		out.MemtableKeys += int(st.MemtableKeys)
-		out.Flushes += int(st.Flushes)
-		out.MinorCompactions += int(st.MinorCompactions)
-		out.MajorCompactions += int(st.MajorCompactions)
-		out.WriteStalls += int(st.WriteStalls)
-		out.GroupCommits += st.GroupCommits
-		out.GroupedWrites += st.GroupedWrites
-		out.WALSyncs += st.WALSyncs
-		out.ReadOnly = out.ReadOnly || st.ReadOnly != 0
-		out.QuarantinedTables += int(st.QuarantinedTables)
-		out.CleanupFailures += st.CleanupFailures
-	}
+	out.Cluster = &m
 	return out, nil
 }
 

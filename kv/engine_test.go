@@ -504,8 +504,8 @@ func TestEngineAdoptsExistingLayout(t *testing.T) {
 			t.Fatalf("reopened single-partition Get = %q, %v", v, err)
 		}
 		st, _ := eng.Stats(ctx)
-		if st.Backend != "lsm" || st.Shards != 1 {
-			t.Fatalf("adopted backend = %s/%d, want lsm/1", st.Backend, st.Shards)
+		if st.Backend != "local" || st.Shards != 1 || st.PerShard != nil {
+			t.Fatalf("adopted backend = %s/%d (%d per shard), want local/1 with no breakdown", st.Backend, st.Shards, len(st.PerShard))
 		}
 	})
 	t.Run("sharded store", func(t *testing.T) {
@@ -524,8 +524,8 @@ func TestEngineAdoptsExistingLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st, _ := eng.Stats(ctx); st.Backend != "store" || st.Shards != 4 {
-			t.Fatalf("adopted backend = %s/%d, want store/4", st.Backend, st.Shards)
+		if st, _ := eng.Stats(ctx); st.Backend != "local" || st.Shards != 4 {
+			t.Fatalf("adopted backend = %s/%d, want local/4", st.Backend, st.Shards)
 		}
 		if v, err := eng.Get(ctx, []byte("k")); err != nil || string(v) != "v" {
 			t.Fatalf("reopened sharded Get = %q, %v", v, err)

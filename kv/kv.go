@@ -25,6 +25,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/kverr"
 	"repro/internal/lsm"
 )
@@ -221,16 +222,16 @@ type CompactionInfo struct {
 	Duration time.Duration `json:"duration_ns"`
 }
 
-// Stats is a point-in-time snapshot of engine statistics. Fields the
-// backend cannot observe are zero: the remote backend reports only what
-// the wire protocol carries, and per-shard breakdowns exist only on the
-// sharded store.
+// Stats is a point-in-time snapshot of engine statistics. Every backend
+// fills every engine counter: the remote backend reports the served
+// engine's, and the cluster backend sums its live nodes'. Per-shard
+// breakdowns exist only on an embedded engine of more than one shard.
 type Stats struct {
-	// Backend identifies the engine flavor: "lsm", "store", "remote" or
-	// "cluster".
+	// Backend identifies the engine flavor: "local" (an Open engine, of
+	// any shard count), "remote" or "cluster".
 	Backend string `json:"backend"`
-	// Shards is the partition count (1 for a single embedded engine, 0
-	// when unknown on the remote backend).
+	// Shards is the partition count of a local engine (0 on the remote
+	// and cluster backends, which do not know it).
 	Shards int `json:"shards,omitempty"`
 
 	Tables           int    `json:"tables"`
@@ -300,7 +301,8 @@ type Stats struct {
 	BackgroundRetries  int `json:"background_retries,omitempty"`
 	BackgroundFailures int `json:"background_failures,omitempty"`
 
-	// PerShard is the per-shard breakdown on a sharded store.
+	// PerShard is the per-shard breakdown of a local engine of more than
+	// one shard.
 	PerShard []Stats `json:"per_shard,omitempty"`
 
 	// Cluster is the replication health of a DialCluster engine (nil on
@@ -312,36 +314,22 @@ type Stats struct {
 // ClusterStats describes a replicated cluster's health: membership,
 // quorum configuration, and the counters behind its convergence
 // machinery (hinted handoff and read repair).
-type ClusterStats struct {
-	// Nodes is the cluster size; DownNodes is how many of them the
-	// failure detector currently considers unreachable.
-	Nodes     int `json:"nodes"`
-	DownNodes int `json:"down_nodes"`
+type ClusterStats = cluster.Metrics
 
-	ReplicationFactor int `json:"replication_factor"`
-	WriteQuorum       int `json:"write_quorum"`
-	ReadQuorum        int `json:"read_quorum"`
-
-	// HintsParked counts writes parked for an unreachable replica,
-	// HintsReplayed hints delivered after the replica returned, and
-	// HintsDropped hints lost because no live node could hold them.
-	// ReadRepairs counts stale replicas rewritten after divergent quorum
-	// reads. NodeDownEvents and NodeUpEvents count failure-detector
-	// transitions.
-	HintsParked    uint64 `json:"hints_parked"`
-	HintsReplayed  uint64 `json:"hints_replayed"`
-	HintsDropped   uint64 `json:"hints_dropped"`
-	ReadRepairs    uint64 `json:"read_repairs"`
-	NodeDownEvents uint64 `json:"node_down_events"`
-	NodeUpEvents   uint64 `json:"node_up_events"`
-
-	// Reads counts quorum reads and ReadLegs the replica requests they
-	// sent: ReadLegs/Reads is how many replicas a Get touches — R while
-	// nothing goes wrong. HedgedReads counts the extra legs sent because
-	// a contacted replica failed or stayed silent.
-	Reads       uint64 `json:"reads"`
-	ReadLegs    uint64 `json:"read_legs"`
-	HedgedReads uint64 `json:"hedged_reads"`
+// compactionInfo summarizes what one Compact did: the result of the one
+// engine it ran on, or of each cluster node, which compact concurrently,
+// so wall time is the slowest node's.
+func compactionInfo(strategy string, results ...*lsm.CompactionResult) *CompactionInfo {
+	info := &CompactionInfo{Strategy: strategy}
+	for _, res := range results {
+		info.TablesBefore += res.TablesBefore
+		info.Merges += len(res.StepStats)
+		info.BytesRead += res.BytesRead
+		info.BytesWritten += res.BytesWritten
+		info.CostActual += res.CostActual
+		info.Duration = max(info.Duration, res.Duration)
+	}
+	return info
 }
 
 // statsFromLSM maps an engine-internal stats snapshot into the public

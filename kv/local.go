@@ -7,72 +7,37 @@ import (
 	"sync/atomic"
 
 	"repro/internal/iterator"
-	"repro/internal/kvnet"
 	"repro/internal/lsm"
 	"repro/internal/store"
 )
 
-// localBackend is the method surface shared by the two embedded engines,
-// *lsm.DB and *store.Store. Error values are already canonical (the
-// internal layers alias internal/kverr), so no translation happens here.
-type localBackend interface {
-	PutContext(ctx context.Context, key, value []byte) error
-	GetContext(ctx context.Context, key []byte) ([]byte, error)
-	DeleteContext(ctx context.Context, key []byte) error
-	WriteContext(ctx context.Context, b *lsm.WriteBatch) error
-	NewIterator(start, end []byte) (iterator.Iterator, func(), error)
-	Flush() error
-	MajorCompact(strategy string, k int, seed int64) (*lsm.CompactionResult, error)
-	Stats() lsm.Stats
-	SnapshotView() (lsm.SnapshotView, error)
-	Close() error
-}
-
-// localEngine adapts an embedded backend to the public Engine interface.
+// localEngine adapts the embedded store — one shard or many — to the public
+// Engine interface. Error values are already canonical (the internal layers
+// alias internal/kverr), so no translation happens here.
 type localEngine struct {
-	b   localBackend
-	raw kvnet.Engine // the same object, for NewServer
-	// shardStats is non-nil on the sharded store.
-	shardStats func() []lsm.Stats
-	backend    string // "lsm" or "store"
-	shards     int
-	cfg        config
-	closed     atomic.Bool
-	stats      *statsServer // nil unless WithStatsHandler
-}
-
-// newLocalEngine wires a backend into the façade; db and st are mutually
-// exclusive.
-func newLocalEngine(cfg config, db *lsm.DB, st *store.Store) *localEngine {
-	e := &localEngine{cfg: cfg}
-	if db != nil {
-		e.b, e.raw = db, db
-		e.backend, e.shards = "lsm", 1
-	} else {
-		e.b, e.raw = st, st
-		e.backend, e.shards = "store", st.ShardCount()
-		e.shardStats = st.ShardStats
-	}
-	return e
+	st     *store.Store
+	cfg    config
+	closed atomic.Bool
+	stats  *statsServer // nil unless WithStatsHandler
 }
 
 func (e *localEngine) Put(ctx context.Context, key, value []byte) error {
-	return e.b.PutContext(ctx, key, value)
+	return e.st.PutContext(ctx, key, value)
 }
 
 func (e *localEngine) Get(ctx context.Context, key []byte) ([]byte, error) {
-	return e.b.GetContext(ctx, key)
+	return e.st.GetContext(ctx, key)
 }
 
 func (e *localEngine) Delete(ctx context.Context, key []byte) error {
-	return e.b.DeleteContext(ctx, key)
+	return e.st.DeleteContext(ctx, key)
 }
 
 func (e *localEngine) Write(ctx context.Context, b *Batch) error {
 	if b == nil {
 		return nil
 	}
-	return e.b.WriteContext(ctx, &b.wb)
+	return e.st.WriteContext(ctx, &b.wb)
 }
 
 func (e *localEngine) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
@@ -86,7 +51,7 @@ func (e *localEngine) NewIterator(ctx context.Context, start, end []byte) (Itera
 	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
 		return emptyIterator{}, nil
 	}
-	it, release, err := e.b.NewIterator(start, end)
+	it, release, err := e.st.NewIterator(start, end)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +62,7 @@ func (e *localEngine) Snapshot(ctx context.Context) (Snapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s, err := e.b.SnapshotView()
+	s, err := e.st.Snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -108,35 +73,19 @@ func (e *localEngine) Flush(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return e.b.Flush()
+	return e.st.Flush()
 }
 
 func (e *localEngine) Compact(ctx context.Context, opts *CompactOptions) (*CompactionInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	strategy, k := e.cfg.compactStrategy, e.cfg.compactK
-	if opts != nil {
-		if opts.Strategy != "" {
-			strategy = opts.Strategy
-		}
-		if opts.K >= 2 {
-			k = opts.K
-		}
-	}
-	res, err := e.b.MajorCompact(strategy, k, 1)
+	strategy, k := e.cfg.compactSchedule(opts)
+	res, err := e.st.MajorCompact(strategy, k, 1)
 	if err != nil {
 		return nil, err
 	}
-	return &CompactionInfo{
-		Strategy:     strategy,
-		TablesBefore: res.TablesBefore,
-		Merges:       len(res.StepStats),
-		BytesRead:    res.BytesRead,
-		BytesWritten: res.BytesWritten,
-		CostActual:   res.CostActual,
-		Duration:     res.Duration,
-	}, nil
+	return compactionInfo(strategy, res), nil
 }
 
 func (e *localEngine) Stats(ctx context.Context) (Stats, error) {
@@ -146,16 +95,15 @@ func (e *localEngine) Stats(ctx context.Context) (Stats, error) {
 	if e.closed.Load() {
 		return Stats{}, ErrClosed
 	}
-	if e.shardStats != nil {
-		per := e.shardStats()
-		st := statsFromLSM(store.Aggregate(per), e.backend, e.shards)
+	per := e.st.ShardStats()
+	st := statsFromLSM(store.Aggregate(per), "local", len(per))
+	if len(per) > 1 {
 		st.PerShard = make([]Stats, len(per))
 		for i, ss := range per {
-			st.PerShard[i] = statsFromLSM(ss, "lsm", 1)
+			st.PerShard[i] = statsFromLSM(ss, "local", 1)
 		}
-		return st, nil
 	}
-	return statsFromLSM(e.b.Stats(), e.backend, e.shards), nil
+	return st, nil
 }
 
 func (e *localEngine) Close() error {
@@ -163,7 +111,7 @@ func (e *localEngine) Close() error {
 	if e.stats != nil {
 		e.stats.Close()
 	}
-	return e.b.Close()
+	return e.st.Close()
 }
 
 // statsListenAddr exposes the stats endpoint's bound address; tests use it
@@ -283,7 +231,7 @@ func (emptyIterator) Close() error  { return nil }
 
 // localSnapshot adapts an embedded snapshot to the public interface.
 type localSnapshot struct {
-	s            lsm.SnapshotView
+	s            *store.Snapshot
 	engineClosed *atomic.Bool
 	released     atomic.Bool
 }

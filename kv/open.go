@@ -3,9 +3,7 @@ package kv
 import (
 	"fmt"
 
-	"repro/internal/lsm"
 	"repro/internal/store"
-	"repro/internal/vfs"
 )
 
 // Open opens (creating if necessary) an embedded engine rooted at dir.
@@ -22,39 +20,15 @@ func Open(dir string, opts ...Option) (Engine, error) {
 			return nil, err
 		}
 	}
-	sharded := cfg.shards > 1
-	if !sharded {
-		// Shards <= 1: adopt a persisted sharded layout if one exists (the
-		// store validates that its count matches an explicit request);
-		// otherwise this is a plain single-partition directory.
-		fsys := cfg.fs
-		if fsys == nil {
-			fsys = vfs.Default
-		}
-		existing, err := store.IsShardedFS(fsys, dir)
-		if err != nil {
-			return nil, err
-		}
-		sharded = existing
+	st, err := store.Open(dir, store.Options{Shards: cfg.shards, Options: cfg.lsmOptions()})
+	if err != nil {
+		return nil, err
 	}
-	var eng *localEngine
-	if sharded {
-		st, err := store.Open(dir, store.Options{Shards: cfg.shards, Options: cfg.lsmOptions()})
-		if err != nil {
-			return nil, err
-		}
-		eng = newLocalEngine(cfg, nil, st)
-	} else {
-		db, err := lsm.Open(dir, cfg.lsmOptions())
-		if err != nil {
-			return nil, err
-		}
-		eng = newLocalEngine(cfg, db, nil)
-	}
+	eng := &localEngine{st: st, cfg: cfg}
 	if cfg.statsAddr != "" {
 		stats, err := startStatsServer(cfg.statsAddr, eng)
 		if err != nil {
-			eng.b.Close()
+			st.Close()
 			return nil, err
 		}
 		eng.stats = stats

@@ -84,6 +84,21 @@ func (c *config) lsmOptions() lsm.Options {
 	return opts
 }
 
+// compactSchedule resolves one Compact call's strategy and fan-in: opts
+// where set, the configured defaults otherwise.
+func (c *config) compactSchedule(opts *CompactOptions) (strategy string, k int) {
+	strategy, k = c.compactStrategy, c.compactK
+	if opts != nil {
+		if opts.Strategy != "" {
+			strategy = opts.Strategy
+		}
+		if opts.K >= 2 {
+			k = opts.K
+		}
+	}
+	return strategy, k
+}
+
 // Option configures Open or Dial.
 type Option func(*config) error
 
@@ -99,10 +114,11 @@ func openOnly(name string, f func(*config) error) Option {
 
 // WithShards partitions the key space over n independent engine shards,
 // each with its own WAL, commit pipeline and compaction (directory layout:
-// dir/shard-NNN). n == 1 opens a plain single-partition engine; n == 0
-// (the default) adopts whatever layout the directory already holds. The
-// shard count is fixed at creation — reopening an existing store with a
-// different count is an error.
+// dir/shard-NNN beside a SHARDS marker). n == 1 opens a single partition
+// rooted at dir itself, the layout lsm.Open writes; n == 0 (the default)
+// adopts whatever layout the directory already holds. The shard count is
+// fixed at creation — reopening an existing store with a different count
+// is an error.
 func WithShards(n int) Option {
 	return openOnly("WithShards", func(c *config) error {
 		if n < 0 {

@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/kvnet"
 )
@@ -176,32 +175,16 @@ func (e *remoteEngine) Flush(ctx context.Context) error {
 }
 
 func (e *remoteEngine) Compact(ctx context.Context, opts *CompactOptions) (*CompactionInfo, error) {
-	strategy, k := e.cfg.compactStrategy, e.cfg.compactK
-	if opts != nil {
-		if opts.Strategy != "" {
-			strategy = opts.Strategy
-		}
-		if opts.K >= 2 {
-			k = opts.K
-		}
-	}
+	strategy, k := e.cfg.compactSchedule(opts)
 	c, err := e.client()
 	if err != nil {
 		return nil, err
 	}
-	info, err := c.Compact(ctx, strategy, k)
+	res, err := c.Compact(ctx, strategy, k)
 	if err != nil {
 		return nil, err
 	}
-	return &CompactionInfo{
-		Strategy:     strategy,
-		TablesBefore: int(info.TablesBefore),
-		Merges:       int(info.Merges),
-		BytesRead:    info.BytesRead,
-		BytesWritten: info.BytesWritten,
-		CostActual:   int(info.CostActual),
-		Duration:     time.Duration(info.DurationMicro) * time.Microsecond,
-	}, nil
+	return compactionInfo(strategy, res), nil
 }
 
 func (e *remoteEngine) Stats(ctx context.Context) (Stats, error) {
@@ -213,22 +196,7 @@ func (e *remoteEngine) Stats(ctx context.Context) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	return Stats{
-		Backend:           "remote",
-		Tables:            int(st.Tables),
-		TableBytes:        st.TableBytes,
-		MemtableKeys:      int(st.MemtableKeys),
-		Flushes:           int(st.Flushes),
-		MinorCompactions:  int(st.MinorCompactions),
-		MajorCompactions:  int(st.MajorCompactions),
-		WriteStalls:       int(st.WriteStalls),
-		GroupCommits:      st.GroupCommits,
-		GroupedWrites:     st.GroupedWrites,
-		WALSyncs:          st.WALSyncs,
-		ReadOnly:          st.ReadOnly != 0,
-		QuarantinedTables: int(st.QuarantinedTables),
-		CleanupFailures:   st.CleanupFailures,
-	}, nil
+	return statsFromLSM(*st, "remote", 0), nil
 }
 
 // Close closes the connection. Unlike the embedded backends, closing a

@@ -26,7 +26,7 @@ func NewServer(e Engine) (*Server, error) {
 	if !ok {
 		return nil, errNotServable
 	}
-	return &Server{srv: kvnet.NewServer(le.raw)}, nil
+	return &Server{srv: kvnet.NewServer(le.st)}, nil
 }
 
 // Serve accepts connections on ln until Close. It always returns a

@@ -3,8 +3,11 @@ package kv
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -42,8 +45,8 @@ func TestWithStatsHandler(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Backend != "store" || st.Shards != 2 {
-		t.Errorf("stats = %s/%d shards, want store/2", st.Backend, st.Shards)
+	if st.Backend != "local" || st.Shards != 2 {
+		t.Errorf("stats = %s/%d shards, want local/2", st.Backend, st.Shards)
 	}
 	if len(st.PerShard) != 2 {
 		t.Errorf("per-shard stats missing: %+v", st.PerShard)
@@ -55,6 +58,113 @@ func TestWithStatsHandler(t *testing.T) {
 	}
 	if _, err := client.Get(fmt.Sprintf("http://%s/stats", addr)); err == nil {
 		t.Error("stats endpoint still serving after engine close")
+	}
+}
+
+// carried is a slice of the engine counters Stats reports, compared whole
+// across backends.
+type carried struct {
+	BytesFlushed, BytesCompacted    uint64
+	BlockCacheHits, FilterNegatives uint64
+	CompactionPicks                 map[string]uint64
+	WriteStallNanos                 int64
+}
+
+func carriedOf(st Stats) carried {
+	return carried{st.BytesFlushed, st.BytesCompacted, st.BlockCacheHits, st.FilterNegatives, st.CompactionPicks, st.WriteStallNanos}
+}
+
+func (c *carried) add(o carried) {
+	c.BytesFlushed += o.BytesFlushed
+	c.BytesCompacted += o.BytesCompacted
+	c.BlockCacheHits += o.BlockCacheHits
+	c.FilterNegatives += o.FilterNegatives
+	c.WriteStallNanos += o.WriteStallNanos
+	for name, n := range o.CompactionPicks {
+		if c.CompactionPicks == nil {
+			c.CompactionPicks = make(map[string]uint64)
+		}
+		c.CompactionPicks[name] += n
+	}
+}
+
+// TestRemoteAndClusterStatsCarryEveryCounter: kv.Dial reports the served
+// engine's counters, not a subset, and DialCluster their sum over its
+// nodes.
+func TestRemoteAndClusterStatsCarryEveryCounter(t *testing.T) {
+	ctx := context.Background()
+	var (
+		nodes []Engine
+		addrs []string
+	)
+	for i := 0; i < 3; i++ {
+		eng := openLocal(t, 1)
+		for gen := 0; gen < 2; gen++ {
+			fillKeys(t, eng, 200+100*i)
+			if err := eng.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eng.Compact(ctx, nil); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 50; j++ {
+			if _, err := eng.Get(ctx, []byte(fmt.Sprintf("k%04d", j))); err != nil { // a block-cache hit
+				t.Fatal(err)
+			}
+			if _, err := eng.Get(ctx, []byte(fmt.Sprintf("k%04d-absent", j))); !errors.Is(err, ErrNotFound) { // a filter negative
+				t.Fatal(err)
+			}
+		}
+		srv, err := NewServer(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		nodes, addrs = append(nodes, eng), append(addrs, ln.Addr().String())
+	}
+
+	remote, err := Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	clustered, err := DialCluster(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clustered.Close()
+	rst, err := remote.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cst, err := clustered.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var sum carried
+	for i, eng := range nodes {
+		st, err := eng.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := carriedOf(st)
+		if c.BytesFlushed == 0 || c.BytesCompacted == 0 || c.BlockCacheHits == 0 || c.FilterNegatives == 0 || len(c.CompactionPicks) == 0 {
+			t.Fatalf("node %d: set-up left a counter at zero: %+v", i, c)
+		}
+		if i == 0 && !reflect.DeepEqual(carriedOf(rst), c) {
+			t.Errorf("remote Stats = %+v, served engine = %+v", carriedOf(rst), c)
+		}
+		sum.add(c)
+	}
+	if !reflect.DeepEqual(carriedOf(cst), sum) {
+		t.Errorf("cluster Stats = %+v, sum over nodes = %+v", carriedOf(cst), sum)
 	}
 }
 
