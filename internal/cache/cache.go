@@ -22,12 +22,15 @@
 // collector once unreachable, so forgetting Release costs reuse, never
 // correctness.
 //
-// Once a stripe has filled — an add had to evict for capacity — its budget
-// covers its free arrays too: it keeps what eviction, replacement and
-// DropTable free up to the room its resident blocks leave, so what a flush
-// or merge publishes into a dropped table's room is carved from that
-// table's arrays. A stripe still growing keeps only freeListBytes, the
-// floor of every free list.
+// Free arrays share one bound with resident blocks, cache-wide: resident
+// plus free bytes, summed over a cache's stripes, stay within the most
+// bytes the cache has ever held resident at once — its high-water mark
+// (its capacity, once every stripe has filled) — except that each stripe
+// may keep freeListBytes of free arrays, the floor of every free list,
+// whatever the mark. So what eviction, replacement and DropTable free waits
+// for the next block up to the room the residents leave below the mark, and
+// what a flush or merge publishes into a dropped table's room is carved
+// from that table's arrays, whether or not the cache has ever filled.
 //
 // # Write-through and scan resistance
 //
@@ -57,7 +60,8 @@
 // payload by the frame bytes around it plus at most a quarter and one
 // sizeGranule, evicted-but-pinned blocks are bounded by what readers hold
 // (a point read pins one block, an iterator two per table), and each free
-// list holds at most its floor or, if more, its filled stripe's free room.
+// list holds at most its floor, and all of them together the room below
+// their cache's high-water mark.
 package cache
 
 import (
@@ -113,9 +117,9 @@ func (b *Block) Release() {
 // 2 KiB read; rounded, every full block fills one 2 KiB array.
 const sizeGranule = 512
 
-// freeListBytes bounds the arrays the free list of a stripe that has not
-// filled holds: sixteen 2 KiB arrays, more than a point read and one
-// table's iterator return between two misses.
+// freeListBytes is the floor of every free list's bound: sixteen 2 KiB
+// arrays, more than a point read and one table's iterator return between
+// two misses.
 const freeListBytes = 32 << 10
 
 // PoisonFreed is a test hook: when set, an array is overwritten as it
@@ -136,10 +140,31 @@ type freeList struct {
 	classes []sizeClass
 	gets    uint64
 	bytes   int
-	floor   int // bound on bytes, fixed at construction
-	// room is, once the owning stripe has filled, its capacity less its
-	// resident bytes: the bound becomes the larger of the two.
-	room atomic.Int64
+	floor   int   // bound on bytes whatever the mark, fixed at construction
+	mark    *mark // the owning cache's; nil for a list bound by its floor alone
+}
+
+// mark is the high-water rule of one cache, shared by its stripes: the
+// bytes resident and free across them, and the most bytes ever resident at
+// once, a stripe counting at most its capacity — so the mark never exceeds
+// the cache's capacity, and reaches it once every stripe has filled.
+type mark struct {
+	used, free, peak atomic.Int64
+}
+
+// room is the free bytes the mark allows: the high-water mark less the
+// bytes resident now, less those already free.
+func (m *mark) room() int64 { return m.peak.Load() - m.used.Load() - m.free.Load() }
+
+// raise lifts the high-water mark to the bytes resident now less excess,
+// what a stripe holds beyond its capacity until it evicts.
+func (m *mark) raise(excess int64) {
+	for used := m.used.Load() - excess; ; {
+		peak := m.peak.Load()
+		if used <= peak || m.peak.CompareAndSwap(peak, used) {
+			return
+		}
+	}
 }
 
 type sizeClass struct {
@@ -147,11 +172,24 @@ type sizeClass struct {
 	asked uint64 // the get that last asked for this size
 }
 
-func newFreeList(floor int) freeList {
-	return freeList{floor: floor, classes: make([]sizeClass, floor/sizeGranule+1)}
+func newFreeList(floor int, m *mark) freeList {
+	return freeList{floor: floor, mark: m, classes: make([]sizeClass, floor/sizeGranule+1)}
 }
 
-func (f *freeList) limit() int { return max(f.floor, int(f.room.Load())) }
+// fits reports whether n more free bytes keep the list within its bound.
+// The caller holds f.mu.
+func (f *freeList) fits(n int) bool {
+	return f.bytes+n <= f.floor || f.mark != nil && int64(n) <= f.mark.room()
+}
+
+// trim drops free arrays, least asked for first, while the list is over
+// its bound.
+func (f *freeList) trim() {
+	f.mu.Lock()
+	for !f.fits(0) && f.evict(^uint64(0)) {
+	}
+	f.mu.Unlock()
+}
 
 // get returns a pinned, unpublished block for k with an n-byte Buf: the
 // free array last returned among those that fit without wasting more than
@@ -202,11 +240,14 @@ func (f *freeList) put(b *Block) {
 		}
 	}
 	f.mu.Lock()
-	for f.bytes+len(b.buf) > f.limit() && f.evict(f.classes[i].asked) {
+	for !f.fits(len(b.buf)) && f.evict(f.classes[i].asked) {
 	}
-	if f.bytes+len(b.buf) <= f.limit() {
+	if f.fits(len(b.buf)) {
 		f.classes[i].top, b.next = b, f.classes[i].top
 		f.bytes += len(b.buf)
+		if f.mark != nil {
+			f.mark.free.Add(int64(len(b.buf)))
+		}
 	}
 	f.mu.Unlock()
 }
@@ -232,6 +273,9 @@ func (f *freeList) pop(i int) *Block {
 	b := f.classes[i].top
 	f.classes[i].top, b.next = b.next, nil
 	f.bytes -= cap(b.buf)
+	if f.mark != nil {
+		f.mark.free.Add(-int64(cap(b.buf)))
+	}
 	return b
 }
 
@@ -241,7 +285,7 @@ type LRU struct {
 	mu       sync.Mutex
 	capacity int
 	used     int
-	filled   bool  // an add has had to evict for capacity
+	mark     *mark // the high-water rule of the cache this is a stripe of
 	root     Block // list sentinel: root.next is most recent, root.prev least
 	index    map[Key]*Block
 	free     freeList
@@ -251,11 +295,14 @@ type LRU struct {
 
 // New creates a cache bounded to capacity bytes (of cached payloads; keys,
 // bookkeeping and array slack are not counted). capacity must be positive.
-func New(capacity int) *LRU {
+func New(capacity int) *LRU { return newLRU(capacity, new(mark)) }
+
+// newLRU creates a cache, or one stripe of one, under the high-water rule m.
+func newLRU(capacity int, m *mark) *LRU {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	c := &LRU{capacity: capacity, index: make(map[Key]*Block), free: newFreeList(freeListBytes)}
+	c := &LRU{capacity: capacity, index: make(map[Key]*Block), mark: m, free: newFreeList(freeListBytes, m)}
 	c.root.prev, c.root.next = &c.root, &c.root
 	return c
 }
@@ -270,25 +317,10 @@ func (c *LRU) pushFront(b *Block) {
 	b.prev.next, b.next.prev = b, b
 }
 
-// setRoom tells a filled stripe's free list the room its resident blocks
-// leave, dropping free arrays it no longer covers; the caller holds c.mu
-// and has just changed used.
-func (c *LRU) setRoom() {
-	if !c.filled {
-		return
-	}
-	f := &c.free
-	f.room.Store(int64(c.capacity - c.used))
-	f.mu.Lock()
-	for f.bytes > f.limit() && f.evict(^uint64(0)) {
-	}
-	f.mu.Unlock()
-}
-
 // evict removes a resident block and drops the cache's reference to it.
 func (c *LRU) evict(b *Block) {
 	c.used -= len(b.data)
-	c.setRoom()
+	c.mark.used.Add(-int64(len(b.data)))
 	delete(c.index, b.key)
 	c.unlink(b)
 	b.spent = false
@@ -384,11 +416,14 @@ func (c *LRU) add(b *Block, payload []byte, cold bool) {
 		c.index[b.key] = b
 		c.pushFront(b)
 		c.used += len(payload)
+		c.mark.used.Add(int64(len(payload)))
+		// The residents grew: raise the mark, or give up the free room
+		// they took.
+		c.mark.raise(int64(max(0, c.used-c.capacity)))
 		for c.used > c.capacity {
-			c.filled = true
 			c.evict(c.root.prev)
 		}
-		c.setRoom()
+		c.free.trim()
 	}
 	c.mu.Unlock()
 }
@@ -472,7 +507,7 @@ type uncached struct{ free freeList }
 // blocks into one buffer (sstable.Reader.ScanIter: up to 32 KiB a run, three
 // in flight per input table), so its free list is allowed a few of that
 // size: a merge in its steady state frees one as it asks for the next.
-var Uncached = &uncached{free: newFreeList(256 << 10)}
+var Uncached = &uncached{free: newFreeList(256<<10, nil)}
 
 func (u *uncached) Get(Key) (*Block, bool)         { return nil, false }
 func (u *uncached) Peek(Key) (*Block, bool)        { return nil, false }
@@ -529,8 +564,9 @@ func NewSharded(capacity, n int) *Sharded {
 		capacity = shards
 	}
 	s := &Sharded{shards: make([]*LRU, shards), mask: uint64(shards - 1)}
+	m := new(mark)
 	for i := range s.shards {
-		s.shards[i] = New(capacity / shards)
+		s.shards[i] = newLRU(capacity/shards, m)
 	}
 	return s
 }

@@ -16,7 +16,7 @@ import (
 // the real cache to its decisions.
 type parentLRU struct {
 	capacity, used int
-	filled         bool  // some put has evicted for capacity
+	peak           int   // the most bytes resident after any put, capped at capacity
 	order          []Key // front = most recent
 	size           map[Key]int
 	spent          map[Key]bool
@@ -68,8 +68,8 @@ func (m *parentLRU) put(k Key, n int, cold bool) bool {
 	m.size[k] = n
 	delete(m.spent, k)
 	m.touch(k)
+	m.peak = max(m.peak, min(m.used, m.capacity))
 	for m.used > m.capacity {
-		m.filled = true
 		m.remove(len(m.order) - 1)
 	}
 	return true
@@ -141,11 +141,11 @@ func freeBlocks(f *freeList) []*Block {
 // is a put that leaves no pin behind (a cold one gives way to a live
 // victim), a Peek is a lookup that does not touch the order, and a Demote
 // moves its block only if that block is the one resident under its key;
-// none of the three moves the hit and miss counters. The bound is the fill
-// rule: freeListBytes until the stripe first evicts for capacity, then the
-// larger of that and the room the residents leave, so that resident plus
-// free bytes stay within capacity whenever the free list is above its
-// floor. At 8 KiB the room never reaches the floor; at 96 KiB it does.
+// none of the three moves the hit and miss counters. The bound is the
+// high-water rule: the larger of freeListBytes and the room the residents
+// leave below the most bytes ever resident, so that resident plus free
+// bytes stay within that mark whenever the free list is above its floor.
+// At 8 KiB the room never reaches the floor; at 96 KiB it does.
 func TestModelAgainstParentLRU(t *testing.T) {
 	PoisonFreed.Store(true)
 	defer PoisonFreed.Store(false)
@@ -292,13 +292,11 @@ func modelRun(t *testing.T, capacity, steps int) {
 				t.Fatalf("step %d: free block has %d refs, spent=%v", step, b.refs.Load(), b.spent)
 			}
 		}
-		bound := freeListBytes
-		if c.filled != m.filled {
-			t.Fatalf("step %d: filled = %v, model %v", step, c.filled, m.filled)
+		if peak := int(c.mark.peak.Load()); peak != m.peak || c.mark.used.Load() != int64(c.used) || c.mark.free.Load() != int64(c.free.bytes) {
+			t.Fatalf("step %d: high-water mark = %d, model %d (mark: %d B used, %d B free; stripe: %d, %d)",
+				step, peak, m.peak, c.mark.used.Load(), c.mark.free.Load(), c.used, c.free.bytes)
 		}
-		if m.filled {
-			bound = max(bound, capacity-m.used)
-		}
+		bound := max(freeListBytes, m.peak-m.used)
 		if free != c.free.bytes || free > bound {
 			t.Fatalf("step %d: free list holds %d B, accounts %d, bound %d (used %d)", step, free, c.free.bytes, bound, m.used)
 		}
@@ -518,13 +516,13 @@ func TestUnreleasedPinNeverRecycled(t *testing.T) {
 	}
 }
 
-// TestDroppedTableFundsItsSuccessor is a merge's cycle in a filled stripe:
-// an output table is published into room the stripe has, the inputs are
-// dropped, and the next output is published into the room they left. The
-// dropped arrays wait on the free list, so from the second cycle on a
-// table's worth of publishes allocates no array. A stripe that has never
-// filled keeps only freeListBytes of what a drop frees: there the same
-// cycle allocates most of its arrays afresh.
+// TestDroppedTableFundsItsSuccessor is a merge's cycle: an output table is
+// published into room the stripe has, the inputs are dropped, and the next
+// output is published into the room they left. The dropped arrays wait on
+// the free list, so from the second cycle on a table's worth of publishes
+// allocates no array — in a stripe that has filled and in one that never
+// has, whose high-water mark stands in for capacity — while resident plus
+// free bytes stay within that mark.
 func TestDroppedTableFundsItsSuccessor(t *testing.T) {
 	const blocks, size = 48, 4096 // 192 KiB a table: six times the floor
 	page := make([]byte, size)
@@ -544,8 +542,8 @@ func TestDroppedTableFundsItsSuccessor(t *testing.T) {
 
 	filled := New(1 << 20)
 	publish(filled, 1)
-	for i := 2; !filled.filled; i++ {
-		publish(filled, uint64(i)) // fill it: tables 1 and up until one evicts
+	for i := 2; int(filled.mark.peak.Load()) < filled.capacity; i++ {
+		publish(filled, uint64(i)) // fill it: tables 1 and up until it is full
 	}
 	filled.DropTable(1) // room for the cycle's table
 	if got := cycle(filled); got != 0 {
@@ -557,11 +555,51 @@ func TestDroppedTableFundsItsSuccessor(t *testing.T) {
 
 	growing := New(1 << 20)
 	publish(growing, 1)
-	if got := cycle(growing); got < blocks/2 {
-		t.Errorf("never-filled stripe: a cycle allocates %v arrays, want most of %d", got, blocks)
+	if got := cycle(growing); got != 0 {
+		t.Errorf("never-filled stripe: republishing a dropped table's bytes allocates %v arrays, want 0", got)
 	}
-	if growing.filled || growing.free.bytes > freeListBytes {
-		t.Errorf("never-filled stripe (filled=%v) keeps %d B free, bound %d", growing.filled, growing.free.bytes, freeListBytes)
+	if _, _, used := growing.Stats(); int(growing.mark.peak.Load()) >= growing.capacity || used+growing.free.bytes > int(growing.mark.peak.Load()) {
+		t.Errorf("never-filled stripe: %d B resident and %d B free exceed its %d B high-water mark (capacity %d)",
+			used, growing.free.bytes, growing.mark.peak.Load(), growing.capacity)
+	}
+}
+
+// TestStripesShareOneMark: the high-water rule is cache-wide. A table
+// dropped from a striped cache that has never filled funds its successor in
+// every stripe, and the stripes' free arrays together stay within the room
+// the residents leave below the cache's one mark, plus a floor per stripe.
+func TestStripesShareOneMark(t *testing.T) {
+	const blocks, size = 256, 2048
+	c := NewSharded(4<<20, 4)
+	page := make([]byte, size)
+	table := uint64(1)
+	publish := func() {
+		for i := 0; i < blocks; i++ {
+			c.Publish(Key{Table: table, Offset: uint64(i * size)}, page, false)
+		}
+	}
+	publish()
+	arrays := testing.AllocsPerRun(10, func() {
+		c.DropTable(table)
+		table++
+		publish()
+	}) / 2
+	// Arrays do not move between stripes, so where the two tables' blocks
+	// hash unevenly a stripe allocates a few while another drops some.
+	if arrays > blocks/8 {
+		t.Errorf("republishing a dropped table's bytes allocates %v arrays of %d", arrays, blocks)
+	}
+	m := c.shards[0].mark
+	used, free := 0, 0
+	for _, sh := range c.shards {
+		if sh.mark != m {
+			t.Fatal("stripes keep marks of their own")
+		}
+		used += sh.used
+		free += sh.free.bytes
+	}
+	if peak := int(m.peak.Load()); peak >= 4<<20 || used+free > peak+len(c.shards)*freeListBytes {
+		t.Errorf("%d B resident and %d B free across the stripes, high-water mark %d B", used, free, peak)
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/kverr"
@@ -16,9 +16,9 @@ import (
 // lost and not blocked: the missed share is parked as a *hint* — a
 // regular key-value pair under a reserved key prefix — on a live node,
 // and the handoff loop replays it to the target once the target answers
-// pings again. Replay is version-checked against the target's current
-// record, so a hint that was overtaken by newer writes (or already
-// delivered by read repair) is discarded rather than regressing the key.
+// pings again. Replay is a versioned write, so the target drops a hinted
+// record that newer writes (or read repair) have overtaken rather than
+// regressing the key.
 //
 // Hints live in the holders' ordinary keyspace, which buys durability
 // for free: they ride the holder's WAL and survive the holder itself
@@ -222,8 +222,6 @@ func (rt *Router) Handoff(ctx context.Context) error {
 // not just the ones this router parked on — means a fresh router (or a
 // restarted one) delivers hints parked by routers that no longer exist.
 func (rt *Router) handoffSweep(ctx context.Context) error {
-	rt.sweepMu.Lock()
-	defer rt.sweepMu.Unlock()
 	rt.reparkDeferred(ctx)
 	var first error
 	for holder := range rt.conns {
@@ -293,9 +291,10 @@ func (rt *Router) drainHolder(ctx context.Context, holder int) error {
 }
 
 // replayHint delivers one hint to its target and deletes it from the
-// holder. Each hinted record is version-checked against the target's
-// current state first: only records still newer than what the target
-// holds are written, so replaying an old hint can never regress a key.
+// holder. The hinted records go in one versioned write, which the target
+// applies only where they are newer than what it holds, so replaying an
+// old hint — or two sweeps replaying hints of one key in either order —
+// never regresses a key.
 func (rt *Router) replayHint(ctx context.Context, holder, target int, hint kvnet.ScanEntry) error {
 	ops, err := decodeHintBatch(hint.Value)
 	if err != nil {
@@ -304,56 +303,24 @@ func (rt *Router) replayHint(ctx context.Context, holder, target int, hint kvnet
 		rt.deleteHint(ctx, holder, hint.Key)
 		return nil
 	}
-	fresh := make([]kvnet.BatchOp, 0, len(ops))
-	for _, op := range ops {
-		rec, err := decodeRecord(op.Value)
-		if err != nil {
-			continue
-		}
-		cur, err := rt.recordVersionOn(ctx, target, op.Key)
-		if err != nil {
-			return err
-		}
-		if rec.Version > cur {
-			fresh = append(fresh, op)
-		}
-	}
-	if len(fresh) > 0 {
-		err := rt.do(ctx, target, func(actx context.Context, c *kvnet.Client) error {
-			return c.Write(actx, fresh)
-		})
-		if err != nil {
-			return err
-		}
+	// A record that does not decode would fail the whole batch; it is
+	// dropped like a damaged hint.
+	fresh := slices.DeleteFunc(ops, func(op kvnet.BatchOp) bool {
+		_, err := decodeRecord(op.Value)
+		return err != nil
+	})
+	err = rt.do(ctx, target, func(actx context.Context, c *kvnet.Client) error {
+		_, err := c.WriteVersioned(actx, fresh)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	if err := rt.deleteHint(ctx, holder, hint.Key); err != nil {
 		return err
 	}
 	rt.hintsReplayed.Add(1)
 	return nil
-}
-
-// recordVersionOn returns the version of key's record on one node, or 0
-// if the node has never seen the key.
-func (rt *Router) recordVersionOn(ctx context.Context, node int, key []byte) (uint64, error) {
-	var version uint64
-	err := rt.do(ctx, node, func(actx context.Context, c *kvnet.Client) error {
-		raw, err := c.Get(actx, key)
-		if err != nil {
-			if errors.Is(err, kverr.ErrNotFound) {
-				version = 0
-				return nil
-			}
-			return err
-		}
-		rec, err := decodeRecord(raw)
-		if err != nil {
-			return err
-		}
-		version = rec.Version
-		return nil
-	})
-	return version, err
 }
 
 // deleteHint removes a delivered (or undecodable) hint from its holder.

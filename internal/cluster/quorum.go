@@ -39,10 +39,10 @@ type quorumOp struct {
 	deadline opDeadline
 
 	// decided is set when the caller stops waiting: the op has its verdict.
-	// A failed leg retries only before that. A retry after it could reach a
-	// restarted replica behind a later op's write to the same key and
-	// overwrite the newer record, so the leg parks a hint instead, and hint
-	// replay is version-checked.
+	// A failed leg retries only before that, and parks a hint after it: a
+	// retry nobody waits for would only cost traffic. (Correctness does not
+	// depend on it: a node keeps the highest stamp it is sent, whatever
+	// order writes arrive in — see kvnet.OpVersionedWrite.)
 	decided atomic.Bool
 
 	// buf owns every key and encoded record of the operation, back to
@@ -255,10 +255,12 @@ func (l *leg) run() {
 	o.results <- l.node
 }
 
-// call is the leg's request: its share of the write, or the read.
+// call is the leg's request: its share of the write, versioned so the node
+// keeps the newer record if a later write got there first, or the read.
 func (l *leg) call(ctx context.Context, c *kvnet.Client) error {
 	if !l.op.read {
-		return c.Write(ctx, l.share)
+		_, err := c.WriteVersioned(ctx, l.share)
+		return err
 	}
 	var err error
 	if l.val, err = c.AppendGet(ctx, l.val[:0], l.op.batch[0].Key); err != nil {
@@ -437,7 +439,7 @@ func rotation(seq uint64, width int) int { return int(mix64(seq) % uint64(width)
 // last acknowledged write: every acked write is visible to the next read.
 // When the R stamps agree — the common case — that is the whole read.
 // When they differ, the stale replicas that answered are rewritten with
-// the winner before the read returns (each re-checked first, so a newer
+// the winner before the read returns (by a versioned write, so a newer
 // write that landed meanwhile is not regressed), and the replicas that
 // were not asked are checked and repaired in the background. A value
 // that is returned therefore sits on R replicas, and with 2R > N any
@@ -556,7 +558,9 @@ func (o *quorumOp) armHedge() <-chan time.Time {
 // divergent. The replicas that answered stale are repaired before it
 // returns — the read's caller is about to be told winner, and must find
 // it on R replicas from then on — and the rest (not asked, or silent) in
-// the background, under the router's context rather than the caller's.
+// the background, under the router's context rather than the caller's. A
+// repair is one versioned write: a node that has meanwhile taken a newer
+// write keeps it.
 func (o *quorumOp) repair(winner Record, order []int) {
 	rt := o.rt
 	// The winning record goes into the op's buffer behind the key: the
@@ -571,24 +575,21 @@ func (o *quorumOp) repair(winner Record, order []int) {
 			o.repairs.Add(1)
 			o.retain()
 			rt.bg.Add(1)
-			go o.repairNode(o.ctx, node, winner.Version, true)
+			go o.repairNode(o.ctx, node, true)
 		case !l.answered() && !rt.health.isDown(node):
 			o.retain()
 			rt.bg.Add(1)
-			go o.repairNode(rt.baseCtx, node, winner.Version, false)
+			go o.repairNode(rt.baseCtx, node, false)
 		}
 	}
 	o.repairs.Wait()
 }
 
-// repairNode writes the winning record (in buf, behind the key) to node
-// unless the node already holds that version or a newer one. The check runs immediately before
-// the write: a newer quorum write may have landed since the read
-// answered, and a blind put of the old winner would regress the replica.
-// It narrows that race from the whole read-to-repair latency to one round
-// trip; a repair that still loses the sliver is healed by the next read
-// that compares the replica.
-func (o *quorumOp) repairNode(ctx context.Context, node int, version uint64, awaited bool) {
+// repairNode writes the winning record (in buf, behind the key) to node as
+// a versioned write, which the node drops if it already holds that version
+// or a newer one: a quorum write that landed since the read answered is
+// never regressed.
+func (o *quorumOp) repairNode(ctx context.Context, node int, awaited bool) {
 	rt := o.rt
 	defer rt.bg.Done()
 	defer o.release()
@@ -596,15 +597,12 @@ func (o *quorumOp) repairNode(ctx context.Context, node int, version uint64, awa
 		defer o.repairs.Done()
 	}
 	key := o.batch[0].Key
-	enc := o.buf[len(key):]
-	cur, err := rt.recordVersionOn(ctx, node, key)
-	if err != nil || cur >= version {
-		return
-	}
-	err = rt.do(ctx, node, func(actx context.Context, c *kvnet.Client) error {
-		return c.Put(actx, key, enc)
+	applied := 0
+	err := rt.do(ctx, node, func(actx context.Context, c *kvnet.Client) (err error) {
+		applied, err = c.WriteVersioned(actx, []kvnet.BatchOp{{Key: key, Value: o.buf[len(key):]}})
+		return err
 	})
-	if err == nil {
+	if err == nil && applied > 0 {
 		rt.readRepairs.Add(1)
 	}
 }

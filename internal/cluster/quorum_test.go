@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -388,14 +390,17 @@ func TestRouterCopiesCallerKey(t *testing.T) {
 	}
 }
 
-// gatedEngine is a replica's engine with a gate in front of it, so a test
-// decides which replica has seen which write instead of racing for it:
-// holdWrites(n) parks the next n writes (a leg's batch or a repair's put)
-// inside the replica until releaseWrites, and blockReads parks every Get.
-// Pings never reach the engine, so a gated replica stays "up" to the
-// failure detector — blackholed but not demoted.
-type gatedEngine struct {
-	kvnet.Engine
+// gatedLink is a replica's network link with a gate in it: a proxy in
+// front of the replica's server that forwards frames both ways, so a test
+// decides which replica has seen which write instead of racing for it.
+// holdWrites(n) parks the next n write requests — a leg's batch, a repair,
+// a replayed or parked hint — in the link until releaseWrites, and
+// blockReads parks every Get; each is delivered late, after whatever the
+// test sent meanwhile, as a slow network would deliver it. Pings pass, so
+// a gated replica stays "up" to the failure detector — blackholed but not
+// demoted.
+type gatedLink struct {
+	server string // the replica's own address
 
 	mu      sync.Mutex
 	toHold  int
@@ -406,13 +411,13 @@ type gatedEngine struct {
 	caught chan struct{}
 }
 
-func (g *gatedEngine) holdWrites(n int) {
+func (g *gatedLink) holdWrites(n int) {
 	g.mu.Lock()
 	g.toHold, g.open = n, make(chan struct{})
 	g.mu.Unlock()
 }
 
-func (g *gatedEngine) releaseWrites() {
+func (g *gatedLink) releaseWrites() {
 	g.mu.Lock()
 	g.toHold = 0
 	if g.open != nil {
@@ -422,7 +427,7 @@ func (g *gatedEngine) releaseWrites() {
 	g.mu.Unlock()
 }
 
-func (g *gatedEngine) blockReads() (unblock func()) {
+func (g *gatedLink) blockReads() (unblock func()) {
 	ch := make(chan struct{})
 	g.mu.Lock()
 	g.noReads = ch
@@ -435,84 +440,114 @@ func (g *gatedEngine) blockReads() (unblock func()) {
 	}
 }
 
-func (g *gatedEngine) passWrite(ctx context.Context) error {
+// gateFor returns what a request with op byte op waits for before it goes
+// on to the server: nil for one that passes at once.
+func (g *gatedLink) gateFor(op kvnet.Op) chan struct{} {
 	g.mu.Lock()
-	if g.toHold == 0 {
-		g.mu.Unlock()
-		return nil
-	}
-	g.toHold--
-	open := g.open
-	g.mu.Unlock()
-	g.caught <- struct{}{}
-	select {
-	case <-open:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (g *gatedEngine) PutContext(ctx context.Context, key, value []byte) error {
-	if err := g.passWrite(ctx); err != nil {
-		return err
-	}
-	return g.Engine.PutContext(ctx, key, value)
-}
-
-func (g *gatedEngine) WriteContext(ctx context.Context, b *lsm.WriteBatch) error {
-	if err := g.passWrite(ctx); err != nil {
-		return err
-	}
-	return g.Engine.WriteContext(ctx, b)
-}
-
-func (g *gatedEngine) GetContext(ctx context.Context, key []byte) ([]byte, error) {
-	g.mu.Lock()
-	noReads := g.noReads
-	g.mu.Unlock()
-	if noReads != nil {
-		select {
-		case <-noReads:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	defer g.mu.Unlock()
+	switch op {
+	case kvnet.OpPut, kvnet.OpWrite, kvnet.OpVersionedWrite:
+		if g.toHold == 0 {
+			return nil
 		}
+		g.toHold--
+		g.caught <- struct{}{}
+		return g.open
+	case kvnet.OpGet:
+		return g.noReads
 	}
-	return g.Engine.GetContext(ctx, key)
+	return nil
 }
 
-// gatedCluster is three gated replicas behind one router, with a direct
-// client to each replica for looking at what it holds.
+// serve proxies the connections ln accepts to the server until ln closes.
+func (g *gatedLink) serve(ln net.Listener) {
+	for {
+		client, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		server, err := net.Dial("tcp", g.server)
+		if err != nil {
+			client.Close()
+			continue
+		}
+		go func() {
+			io.Copy(client, server) // responses pass ungated
+			client.Close()
+		}()
+		go g.forward(client, server)
+	}
+}
+
+// forward copies client's request frames to server, each whole, parking
+// the ones the gate holds in a goroutine that sends them when it opens.
+func (g *gatedLink) forward(client, server net.Conn) {
+	defer server.Close()
+	var wmu sync.Mutex
+	send := func(frame []byte) {
+		wmu.Lock()
+		server.Write(frame)
+		wmu.Unlock()
+	}
+	for {
+		var hdr [8]byte
+		if _, err := io.ReadFull(client, hdr[:]); err != nil {
+			return
+		}
+		frame := make([]byte, 8+binary.LittleEndian.Uint32(hdr[:4]))
+		copy(frame, hdr[:])
+		if _, err := io.ReadFull(client, frame[8:]); err != nil || len(frame) == 8 {
+			return
+		}
+		if gate := g.gateFor(kvnet.Op(frame[8])); gate != nil {
+			go func() {
+				<-gate
+				send(frame)
+			}()
+			continue
+		}
+		send(frame)
+	}
+}
+
+// gatedCluster is three replicas behind gated links and one router, with
+// a direct client to each replica for looking at what it holds.
 type gatedCluster struct {
 	t      *testing.T
 	rt     *Router
-	gates  map[string]*gatedEngine
+	gates  map[string]*gatedLink
 	direct map[string]*kvnet.Client
 }
 
 func startGatedCluster(t *testing.T, opts Options) *gatedCluster {
 	t.Helper()
-	gc := &gatedCluster{t: t, gates: map[string]*gatedEngine{}, direct: map[string]*kvnet.Client{}}
+	gc := &gatedCluster{t: t, gates: map[string]*gatedLink{}, direct: map[string]*kvnet.Client{}}
 	var addrs []string
 	for i := 0; i < 3; i++ {
 		db, err := lsm.Open(t.TempDir(), lsm.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gate := &gatedEngine{Engine: db, caught: make(chan struct{}, 16)}
-		srv := kvnet.NewServer(gate)
+		srv := kvnet.NewServer(db)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		go srv.Serve(ln)
-		addr := ln.Addr().String()
-		c, err := kvnet.Dial(addr)
+		gate := &gatedLink{server: ln.Addr().String(), caught: make(chan struct{}, 16)}
+		gateLn, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		go gate.serve(gateLn)
+		c, err := kvnet.Dial(gate.server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := gateLn.Addr().String()
 		t.Cleanup(func() {
 			gate.releaseWrites()
+			gateLn.Close()
 			c.Close()
 			srv.Close()
 			db.Close()
@@ -711,6 +746,89 @@ func TestReadNeverGoesBackwards(t *testing.T) {
 	gc.gates[replicas[2]].releaseWrites()
 	if err := <-putDone; err != nil {
 		t.Fatalf("Put after release: %v", err)
+	}
+}
+
+// TestReplicaWritesCommute: a node keeps the record with the highest stamp
+// it is sent, whatever order the sends arrive in. One replica gets v2, the
+// newer record, before v1, and then must still hold v2 — with v1 arriving
+// late as a write leg, as a read repair and as a hint replay. A node that
+// applied the late v1 would hold a record older than an acknowledged write,
+// and an R-read that asked it and a lagging replica would go back in time.
+func TestReplicaWritesCommute(t *testing.T) {
+	ctx := context.Background()
+	for _, late := range []string{"leg", "repair", "replay"} {
+		t.Run(late, func(t *testing.T) {
+			gc := startGatedCluster(t, semanticsOptions())
+			key := []byte("commute-" + late)
+			replicas := gc.rt.ReplicaNodes(key)
+			node := replicas[0]
+			v1 := Record{Version: gc.rt.clock.Next(), Value: []byte("v1")}
+			// Every late writer is held on its way to node, delivered after
+			// v2 has landed there, and waited for before node is looked at.
+			gc.gates[node].holdWrites(1)
+			var delivered func()
+			switch late {
+			case "leg":
+				if err := gc.rt.Put(ctx, key, v1.Value); err != nil {
+					t.Fatal(err)
+				}
+				gc.awaitCaught(node)
+				delivered = gc.rt.bg.Wait
+			case "repair":
+				// v1 is on the other two replicas only: a read that asks node
+				// and one of them repairs node with v1.
+				for _, addr := range replicas[1:] {
+					if err := gc.direct[addr].Put(ctx, key, v1.Encode()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				gc.readFrom(0)
+				read := make(chan error, 1)
+				go func() {
+					_, err := gc.rt.Get(ctx, key)
+					read <- err
+				}()
+				gc.awaitCaught(node)
+				delivered = func() {
+					if err := <-read; err != nil {
+						t.Errorf("read that repaired node: %v", err)
+					}
+					gc.rt.bg.Wait()
+				}
+			case "replay":
+				target := gc.rt.ring.nodes[node]
+				hint := hintKey(node, gc.rt.clock.Next(), gc.rt.token, gc.rt.hintSeq.Add(1))
+				if !gc.rt.parkEncoded(target, hint, encodeHintBatch([]kvnet.BatchOp{{Key: key, Value: v1.Encode()}})) {
+					t.Fatal("no holder took the hint")
+				}
+				replayed := make(chan error, 1)
+				go func() { replayed <- gc.rt.Handoff(ctx) }()
+				gc.awaitCaught(node)
+				delivered = func() {
+					if err := <-replayed; err != nil {
+						t.Errorf("handoff: %v", err)
+					}
+				}
+			}
+			// v2, a delete, reaches node while v1 is still on its way.
+			if err := gc.rt.Delete(ctx, key); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				if rec := gc.stored(node, key); rec.Tombstone {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("the delete never reached %s", node)
+				}
+			}
+			gc.gates[node].releaseWrites()
+			delivered()
+			if rec := gc.stored(node, key); !rec.Tombstone {
+				t.Fatalf("late %s of v1 overwrote the newer delete on %s: it holds %+v", late, node, rec)
+			}
+		})
 	}
 }
 

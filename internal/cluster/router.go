@@ -188,9 +188,6 @@ type Router struct {
 	// peer was unreachable for a beat); the handoff loop re-parks them.
 	hintMu        sync.Mutex
 	deferredHints []deferredHint
-	// sweepMu runs one handoff sweep at a time: replayHint checks, then
-	// writes, so two sweeps could land an older hinted record after a newer.
-	sweepMu sync.Mutex
 
 	hintsParked   atomic.Uint64
 	hintsReplayed atomic.Uint64

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/kverr"
+	"repro/internal/kvnet"
 )
 
 // Replica versioning. Every user value a Router stores on a node is
@@ -64,11 +65,12 @@ type Record struct {
 	Value     []byte
 }
 
-// Record wire layout: format byte, flags byte (bit 0 = tombstone),
-// big-endian version, then the raw user value.
+// Record wire layout: kvnet's record envelope (format byte, flags byte,
+// big-endian version, then the raw user value), so a node can read a
+// record's stamp (kvnet.RecordStamp) and keep the highest; flags bit 0
+// marks a tombstone.
 const (
-	recordFormat    = 0x01
-	recordHdrLen    = 1 + 1 + 8
+	recordHdrLen    = kvnet.RecordHeaderLen
 	recordTombstone = 0x01
 )
 
@@ -83,7 +85,7 @@ func (r Record) AppendTo(dst []byte) []byte {
 	if r.Tombstone {
 		flags = recordTombstone
 	}
-	dst = append(dst, recordFormat, flags)
+	dst = append(dst, kvnet.RecordFormat, flags)
 	dst = binary.BigEndian.AppendUint64(dst, r.Version)
 	return append(dst, r.Value...)
 }
@@ -92,11 +94,12 @@ func (r Record) AppendTo(dst []byte) []byte {
 // value was written around the Router (or damaged), which the cluster
 // treats as corruption: the versioning invariant it relies on is gone.
 func decodeRecord(b []byte) (Record, error) {
-	if len(b) < recordHdrLen || b[0] != recordFormat {
+	version, ok := kvnet.RecordStamp(b)
+	if !ok {
 		return Record{}, fmt.Errorf("cluster: undecodable replica record (%d bytes): %w", len(b), kverr.ErrCorrupt)
 	}
 	return Record{
-		Version:   binary.BigEndian.Uint64(b[2:recordHdrLen]),
+		Version:   version,
 		Tombstone: b[1]&recordTombstone != 0,
 		Value:     b[recordHdrLen:],
 	}, nil

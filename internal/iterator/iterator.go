@@ -1,9 +1,9 @@
 // Package iterator defines the entry and iterator abstractions shared by
 // memtables, sstables and the LSM engine, plus combinators: a k-way heap
 // merging iterator (the core of compaction's merge-sort) and a dedup filter
-// that keeps only the newest version of each key and optionally drops
-// tombstones (the behaviour of a major compaction, where deleted keys are
-// purged).
+// that keeps only the newest version of each key and drops the winners a
+// predicate names: tombstones, for a major compaction and for reads, or
+// versions a merge has proved shadowed by a newer table outside it.
 package iterator
 
 import "bytes"
@@ -109,32 +109,36 @@ func (m *Merging) Next() {
 }
 
 // Dedup filters a sorted stream so each key appears once, keeping the
-// highest-Seq (newest) version within each run of equal keys. If
-// dropTombstones is set, keys whose newest version is a deletion are
-// omitted entirely — the semantics of a major compaction producing the
-// single final sstable.
+// highest-Seq (newest) version within each run of equal keys. If drop is
+// set, a winning version it reports true for is omitted entirely: with
+// IsTombstone, keys whose newest version is a deletion — the semantics of a
+// read, and of a major compaction producing the single final sstable.
 type Dedup struct {
-	src            Iterator
-	dropTombstones bool
-	cur            Entry
-	valid          bool
+	src   Iterator
+	drop  func(Entry) bool
+	cur   Entry
+	valid bool
 }
 
-// NewDedup wraps src. dropTombstones selects major-compaction semantics.
-func NewDedup(src Iterator, dropTombstones bool) *Dedup {
+// IsTombstone is the drop predicate of a read and of a major compaction's
+// root: a key whose newest version is a deletion is absent.
+func IsTombstone(e Entry) bool { return e.Tombstone }
+
+// NewDedup wraps src, dropping the winners drop reports (none when nil).
+func NewDedup(src Iterator, drop func(Entry) bool) *Dedup {
 	d := new(Dedup)
-	d.Reset(src, dropTombstones)
+	d.Reset(src, drop)
 	return d
 }
 
 // Reset points d at a new source, as NewDedup would.
-func (d *Dedup) Reset(src Iterator, dropTombstones bool) {
-	*d = Dedup{src: src, dropTombstones: dropTombstones}
+func (d *Dedup) Reset(src Iterator, drop func(Entry) bool) {
+	*d = Dedup{src: src, drop: drop}
 	d.advance()
 }
 
 // advance consumes the next run of equal keys from src and positions d at
-// the winning version, skipping dropped tombstones.
+// the winning version, skipping dropped ones.
 func (d *Dedup) advance() {
 	for d.src.Valid() {
 		best := d.src.Entry()
@@ -145,7 +149,7 @@ func (d *Dedup) advance() {
 			}
 			d.src.Next()
 		}
-		if best.Tombstone && d.dropTombstones {
+		if d.drop != nil && d.drop(best) {
 			continue
 		}
 		d.cur = best

@@ -93,7 +93,7 @@ func TestMergingEmptyChildren(t *testing.T) {
 func TestDedupKeepsNewest(t *testing.T) {
 	newer := NewSlice([]Entry{e("a", 5), e("b", 5)})
 	older := NewSlice([]Entry{e("a", 1), e("c", 1)})
-	d := NewDedup(NewMerging(newer, older), false)
+	d := NewDedup(NewMerging(newer, older), nil)
 	got := Drain(d)
 	if len(got) != 3 {
 		t.Fatalf("got %d entries, want 3", len(got))
@@ -107,12 +107,12 @@ func TestDedupTombstones(t *testing.T) {
 	newer := NewSlice([]Entry{tomb("a", 5)})
 	older := NewSlice([]Entry{e("a", 1), e("b", 1)})
 	// Major compaction: tombstone and all shadowed versions vanish.
-	drop := Drain(NewDedup(NewMerging(newer, older), true))
+	drop := Drain(NewDedup(NewMerging(newer, older), IsTombstone))
 	if got := keysOf(drop); fmt.Sprint(got) != "[b]" {
 		t.Errorf("drop-tombstones keys = %v, want [b]", got)
 	}
 	// Minor compaction: tombstone survives to shadow older tables.
-	keep := Drain(NewDedup(NewMerging(NewSlice([]Entry{tomb("a", 5)}), NewSlice([]Entry{e("a", 1), e("b", 1)})), false))
+	keep := Drain(NewDedup(NewMerging(NewSlice([]Entry{tomb("a", 5)}), NewSlice([]Entry{e("a", 1), e("b", 1)})), nil))
 	if len(keep) != 2 || !keep[0].Tombstone {
 		t.Errorf("keep-tombstones = %+v", keep)
 	}
@@ -122,7 +122,7 @@ func TestDedupTombstoneShadowsAcrossAdvance(t *testing.T) {
 	// Tombstone for "a" then live "a" then live "b": dropping tombstones
 	// must also drop the shadowed live "a".
 	src := NewSlice([]Entry{tomb("a", 9), e("a", 3), e("b", 1)})
-	got := keysOf(Drain(NewDedup(src, true)))
+	got := keysOf(Drain(NewDedup(src, IsTombstone)))
 	if fmt.Sprint(got) != "[b]" {
 		t.Errorf("got %v, want [b]", got)
 	}
@@ -167,7 +167,7 @@ func TestQuickDedupYieldsDistinctSortedKeys(t *testing.T) {
 			}
 			its = append(its, NewSlice(entries))
 		}
-		got := Drain(NewDedup(NewMerging(its...), false))
+		got := Drain(NewDedup(NewMerging(its...), nil))
 		for i := 1; i < len(got); i++ {
 			if bytes.Compare(got[i-1].Key, got[i].Key) >= 0 {
 				return false

@@ -3,6 +3,7 @@ package kvnet
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -383,6 +384,23 @@ func (c *Client) Write(ctx context.Context, batch []BatchOp) error {
 		return nil
 	}
 	return c.do(ctx, &Request{Op: OpWrite, Batch: batch})
+}
+
+// WriteVersioned is Write for stamped records (OpVersionedWrite): the
+// server keeps, of each key, the record with the highest stamp it has been
+// sent, so a late write never overwrites a newer one. It returns how many
+// of the batch's puts the server applied. An empty batch is a no-op.
+func (c *Client) WriteVersioned(ctx context.Context, batch []BatchOp) (applied int, err error) {
+	if len(batch) == 0 {
+		return 0, nil
+	}
+	cl, resp, err := c.roundTrip(ctx, &Request{Op: OpVersionedWrite, Batch: batch})
+	if err != nil {
+		return 0, err
+	}
+	n, _ := binary.Uvarint(resp.Value)
+	putCall(cl)
+	return int(n), nil
 }
 
 // Range returns up to limit entries with start <= key < end in key order

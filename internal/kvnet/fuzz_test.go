@@ -22,6 +22,9 @@ func FuzzDecodeRequest(f *testing.F) {
 			{Key: []byte("a"), Value: []byte("1")},
 			{Delete: true, Key: []byte("b")},
 		}},
+		{Op: OpVersionedWrite, Batch: []BatchOp{
+			{Key: []byte("a"), Value: []byte{RecordFormat, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'v'}},
+		}},
 		{Op: OpStream, Handle: 3, Start: []byte("a"), End: []byte("z"), Credit: initialCredit},
 		{Op: OpStream, Start: nil, End: nil, Credit: 1},
 		{Op: OpCredit, Credit: maxCredit},

@@ -3,6 +3,7 @@ package kvnet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -230,6 +231,116 @@ func TestWriteRequestRoundTrip(t *testing.T) {
 			t.Fatalf("truncated batch request at %d decoded without error", cut)
 		}
 	}
+}
+
+// stamped is a value in the record envelope with the given stamp.
+func stamped(stamp uint64, value string) []byte {
+	out := binary.BigEndian.AppendUint64([]byte{RecordFormat, 0}, stamp)
+	return append(out, value...)
+}
+
+// TestVersionedWriteKeepsHighestStamp: a node keeps, of each key, the
+// record with the highest stamp it has been sent, whatever the arrival
+// order — across requests and within one batch — and says how many puts it
+// applied. A delete, or a value outside the envelope, fails the batch.
+func TestVersionedWriteKeepsHighestStamp(t *testing.T) {
+	ctx := context.Background()
+	c, _, _ := startServer(t)
+	write := func(ops ...BatchOp) int {
+		t.Helper()
+		n, err := c.WriteVersioned(ctx, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	holds := func(key string, want []byte) {
+		t.Helper()
+		if got, err := c.Get(ctx, []byte(key)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s = %q, %v; want %q", key, got, err, want)
+		}
+	}
+	if n := write(BatchOp{Key: []byte("k"), Value: stamped(2, "v2")}); n != 1 {
+		t.Fatalf("first write applied %d puts", n)
+	}
+	if n := write(BatchOp{Key: []byte("k"), Value: stamped(1, "v1")}); n != 0 {
+		t.Fatalf("an older stamp applied %d puts", n)
+	}
+	if n := write(BatchOp{Key: []byte("k"), Value: stamped(2, "again")}); n != 0 {
+		t.Fatalf("an equal stamp applied %d puts", n)
+	}
+	holds("k", stamped(2, "v2"))
+	n := write(
+		BatchOp{Key: []byte("b"), Value: stamped(9, "b9")},
+		BatchOp{Key: []byte("a"), Value: stamped(5, "a5")},
+		BatchOp{Key: []byte("b"), Value: stamped(7, "b7")},
+		BatchOp{Key: []byte("k"), Value: stamped(3, "v3")},
+	)
+	if n != 3 {
+		t.Fatalf("batch applied %d puts, want 3 (a, b at 9, k)", n)
+	}
+	holds("a", stamped(5, "a5"))
+	holds("b", stamped(9, "b9"))
+	holds("k", stamped(3, "v3"))
+	for name, op := range map[string]BatchOp{
+		"delete":    {Key: []byte("k"), Delete: true},
+		"unstamped": {Key: []byte("k"), Value: []byte("plain")},
+	} {
+		if _, err := c.WriteVersioned(ctx, []BatchOp{{Key: []byte("x"), Value: stamped(50, "x")}, op}); err == nil {
+			t.Errorf("%s in a versioned batch was accepted", name)
+		}
+	}
+	if _, err := c.Get(ctx, []byte("x")); !errors.Is(err, ErrNotFound) {
+		t.Errorf("a refused batch applied part of itself: %v", err)
+	}
+	holds("k", stamped(3, "v3"))
+}
+
+// TestVersionedWriteOverStoredRecords: a server started over records it
+// did not write — another server's, or its own plain puts — holds every
+// versioned write to them to their stamps, though fresh writes skip reading
+// what is stored (see stampFloor).
+func TestVersionedWriteOverStoredRecords(t *testing.T) {
+	ctx := context.Background()
+	db, err := lsm.Open(t.TempDir(), lsm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	serve := func() (*Client, func()) {
+		srv := NewServer(db)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		c, err := Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, func() { c.Close(); srv.Close() }
+	}
+	c, stop := serve()
+	if _, err := c.WriteVersioned(ctx, []BatchOp{{Key: []byte("k"), Value: stamped(5, "k5")}}); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	c, stop = serve()
+	defer stop()
+	versioned := func(key string, stamp uint64, want int) {
+		t.Helper()
+		n, err := c.WriteVersioned(ctx, []BatchOp{{Key: []byte(key), Value: stamped(stamp, "")}})
+		if err != nil || n != want {
+			t.Fatalf("%s at stamp %d applied %d puts, %v; want %d", key, stamp, n, err, want)
+		}
+	}
+	versioned("k", 3, 0) // the first server's record
+	if err := c.Put(ctx, []byte("j"), stamped(9, "j9")); err != nil {
+		t.Fatal(err)
+	}
+	versioned("j", 7, 0) // a plain put's record
+	versioned("k", 6, 1)
+	versioned("j", 10, 1)
 }
 
 // TestWriteBatchOverWire commits a mixed put/delete batch in one round trip

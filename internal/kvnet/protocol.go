@@ -115,6 +115,16 @@ const (
 	OpSnapGet
 	// OpRelease drops snapshot Handle.
 	OpRelease
+	// OpVersionedWrite is OpWrite for stamped records, the writes of a
+	// replicated cluster: a batch of puts only, each value a record (see
+	// RecordStamp). The server applies a put only if its stamp is above
+	// the stamp of the record it holds under the key, checking and writing
+	// under a per-key lock, so writes to one key commute: a node ends at
+	// the highest stamp it was sent, whatever order the sends arrive in.
+	// Puts that lose are dropped, not failed: the answer is StatusOK with
+	// the number of puts applied as a uvarint value. A delete, or a value
+	// that is not a record, fails the batch.
+	OpVersionedWrite
 )
 
 // Status is the first byte of every response.
@@ -180,7 +190,25 @@ const (
 // ErrTooLarge reports a frame exceeding MaxMessageSize.
 var ErrTooLarge = fmt.Errorf("kvnet: message too large: %w", ErrProtocol)
 
-// BatchOp is one operation inside an OpWrite batch.
+// Versioned records: the envelope a replicated cluster stores every value
+// in, and the only values OpVersionedWrite takes — a format byte
+// (RecordFormat), a flags byte, the record's stamp as a big-endian u64,
+// then the user value.
+const (
+	RecordFormat    = 0x01
+	RecordHeaderLen = 1 + 1 + 8
+)
+
+// RecordStamp returns the stamp of a value in the record envelope, or
+// false if b is not one.
+func RecordStamp(b []byte) (uint64, bool) {
+	if len(b) < RecordHeaderLen || b[0] != RecordFormat {
+		return 0, false
+	}
+	return binary.BigEndian.Uint64(b[2:RecordHeaderLen]), true
+}
+
+// BatchOp is one operation inside an OpWrite or OpVersionedWrite batch.
 type BatchOp struct {
 	Delete bool
 	Key    []byte
@@ -195,7 +223,7 @@ type Request struct {
 	Limit    uint64
 	Strategy string
 	K        uint64
-	Batch    []BatchOp // OpWrite only
+	Batch    []BatchOp // OpWrite and OpVersionedWrite only
 	// Start and End bound an OpRange page or an OpStream: Start <= key <
 	// End. A nil End means no upper bound (End is encoded with a presence
 	// flag, so the open bound survives the round trip).
@@ -386,7 +414,7 @@ func AppendRequest(out []byte, req *Request) []byte {
 	case OpCompact:
 		out = appendBytes(out, []byte(req.Strategy))
 		out = binary.AppendUvarint(out, req.K)
-	case OpWrite:
+	case OpWrite, OpVersionedWrite:
 		out = binary.AppendUvarint(out, uint64(len(req.Batch)))
 		for _, op := range req.Batch {
 			kind := byte(0)
@@ -415,7 +443,8 @@ func AppendRequest(out []byte, req *Request) []byte {
 	return out
 }
 
-// decodeBatch walks an OpWrite body, handing each operation to fn.
+// decodeBatch walks an OpWrite or OpVersionedWrite body, handing each
+// operation to fn.
 func decodeBatch(buf []byte, fn func(del bool, key, value []byte)) error {
 	n, buf, err := readUvarint(buf)
 	if err != nil {
@@ -489,7 +518,7 @@ func DecodeRequest(buf []byte) (Request, error) {
 		if req.K, _, err = readUvarint(buf); err != nil {
 			return req, err
 		}
-	case OpWrite:
+	case OpWrite, OpVersionedWrite:
 		// The slice grows only as ops decode, so a hostile count can never
 		// force a large allocation.
 		err = decodeBatch(buf, func(del bool, key, value []byte) {

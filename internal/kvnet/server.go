@@ -3,6 +3,7 @@ package kvnet
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -80,6 +81,11 @@ type Server struct {
 	openStreams   atomic.Int64
 	openSnapshots atomic.Int64
 	leaseExpiries atomic.Uint64
+
+	// stamps serialise versioned writes per key, and floor lets most of
+	// them skip reading the stamp they must beat (see writeVersioned).
+	stamps stampLocks
+	floor  stampFloor
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -241,9 +247,10 @@ var frameBufPool = sync.Pool{New: func() any { return new(frameBuf) }}
 // across requests, so the common case allocates none: only a request that
 // is actually cancelled costs a new context for the next one.
 type worker struct {
-	c     *srvConn
-	batch lsm.WriteBatch // reused for OpWrite
-	out   []byte         // response frame scratch
+	c         *srvConn
+	batch     lsm.WriteBatch // reused for OpWrite and OpVersionedWrite
+	out       []byte         // response frame scratch
+	versioned                // OpVersionedWrite's scratch
 
 	mu     sync.Mutex // guards the fields below against cancel(tag)
 	tag    uint32
@@ -480,13 +487,19 @@ var okValue = Response{Status: StatusOK}
 // which already holds the frame header.
 func (w *worker) execute(ctx context.Context, payload, out []byte) []byte {
 	db := w.c.s.db
-	if Op(payload[0]) == OpWrite {
+	switch Op(payload[0]) {
+	case OpVersionedWrite:
+		n, err := w.writeVersioned(ctx, payload[1:])
+		w.applied = binary.AppendUvarint(w.applied[:0], uint64(n))
+		return appendResult(out, Response{Status: StatusOK, Value: w.applied}, err)
+	case OpWrite:
 		// Decoded straight into the worker's batch: no []BatchOp in between.
 		w.batch.Reset()
 		err := decodeBatch(payload[1:], func(del bool, key, value []byte) {
 			if del {
 				w.batch.Delete(key)
 			} else {
+				w.c.s.floor.raise(value)
 				w.batch.Put(key, value)
 			}
 		})
@@ -501,6 +514,7 @@ func (w *worker) execute(ctx context.Context, payload, out []byte) []byte {
 	}
 	switch req.Op {
 	case OpPut:
+		w.c.s.floor.raise(req.Value)
 		return appendResult(out, okValue, db.PutContext(ctx, req.Key, req.Value))
 	case OpGet:
 		v, err := db.GetContext(ctx, req.Key)

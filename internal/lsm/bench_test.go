@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/iterator"
 	"repro/internal/sstable"
 	"repro/internal/vfs"
 	"repro/internal/ycsb"
@@ -489,7 +490,7 @@ func BenchmarkMergeFourWay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("bench-%06d.sst", i)
-		rd, _, err := db.mergeTables(name, true, inputs)
+		rd, _, err := db.mergeTables(name, iterator.IsTombstone, inputs)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,11 +1,14 @@
 package lsm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/compaction"
+	"repro/internal/iterator"
 	"repro/internal/keyhash"
 	"repro/internal/sstable"
 )
@@ -73,6 +76,9 @@ type CompactionResult struct {
 	// modelled: CostActual sums every merge's entries read and written,
 	// CostSimple counts every input table and every merge output once.
 	CostSimple, CostActual int
+	// VersionsPurged counts the versions the merges dropped because a
+	// table outside the compaction held a newer one (see shadowedBy).
+	VersionsPurged uint64
 	// Duration is the wall-clock time of a major compaction's planning plus
 	// merging.
 	Duration time.Duration
@@ -123,7 +129,7 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 	}
 	snap := slices.Clone(db.tables)
 	if err == nil && len(snap) > 1 {
-		claimLocked(snap)
+		db.claimLocked(snap) // every table: the outside set is empty
 	}
 	db.mu.Unlock()
 	db.pipeMu.Unlock()
@@ -138,7 +144,7 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 		db.unclaim(snap)
 		return nil, err
 	}
-	res, err := db.compact(strategy, sched, snap, true)
+	res, err := db.compact(strategy, sched, snap, nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -148,11 +154,53 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 
 // claimLocked marks ins as a merge's inputs: until its swap they stay in the
 // live set, but no other pick, major snapshot or quarantine takes them, and
-// a Close during the merge does not close their readers. Callers hold mu.
-func claimLocked(ins []*tableHandle) {
+// a Close during the merge does not close their readers. It returns the
+// merge's outside set — every other live table, claimed by another merge or
+// not — retained until the merge ends and ordered by maxSeq, newest first,
+// for the merge's purge test (shadowedBy). Callers hold mu.
+func (db *DB) claimLocked(ins []*tableHandle) (outside []*tableHandle) {
 	for _, th := range ins {
 		th.compacting = true
 		th.retain()
+	}
+	for _, th := range db.tables {
+		if !slices.Contains(ins, th) {
+			th.retain()
+			outside = append(outside, th)
+		}
+	}
+	slices.SortFunc(outside, func(a, b *tableHandle) int { return cmp.Compare(b.maxSeq, a.maxSeq) })
+	return outside
+}
+
+// shadowedBy is the purge test of a merge with the outside set outside
+// (newest first, as claimLocked orders it): a version goes when a table
+// there provably holds a newer version of its key from memory alone
+// (sstable.Reader.HoldsNewer), and each one that goes counts in purged.
+// The newest version of a key is never dropped, so what a read of the live
+// set returns is unchanged, and the test reads nothing from the device.
+// The memtable is no proof — with SyncWAL off its versions are not durable
+// — and snapshots and iterators pin the tables they read. An empty outside
+// set (a major compaction's) gives nil: nothing to test.
+func shadowedBy(outside []*tableHandle, purged *atomic.Uint64) func(iterator.Entry) bool {
+	if len(outside) == 0 {
+		return nil
+	}
+	return func(e iterator.Entry) bool {
+		if outside[0].maxSeq <= e.Seq {
+			return false
+		}
+		h := keyhash.Of(e.Key)
+		for _, th := range outside {
+			if th.maxSeq <= e.Seq {
+				return false
+			}
+			if th.rd.HoldsNewer(e.Key, h, e.Seq) {
+				purged.Add(1)
+				return true
+			}
+		}
+		return false
 	}
 }
 
@@ -170,21 +218,23 @@ func (db *DB) unclaim(ins []*tableHandle) {
 }
 
 // compact is the ladder every compaction climbs, minor and major alike.
-// With its inputs ins — sched's leaves, in order — claimed, it executes
-// sched's merges off-lock, then installs the root in their place (see
-// install) and drops its claim. On any failure the outputs are deleted and
-// the table set stays as it was. Only a major compaction's root, which
-// covers all data, drops tombstones, and only a major compaction moves the
-// state machine and runs the swap hook. pick is the name
-// Stats.CompactionPicks counts the compaction under. Called and returns
-// without mu.
-func (db *DB) compact(pick string, sched *compaction.Schedule, ins []*tableHandle, major bool) (*CompactionResult, error) {
+// With its inputs ins — sched's leaves, in order — claimed along with its
+// outside set, it executes sched's merges off-lock, then installs the root
+// in their place (see install) and drops its claim and the outside set. On
+// any failure the outputs are deleted and the table set stays as it was.
+// Only a major compaction's root, which covers all data, drops tombstones,
+// and only a major compaction moves the state machine and runs the swap
+// hook. pick is the name Stats.CompactionPicks counts the compaction under.
+// Called and returns without mu.
+func (db *DB) compact(pick string, sched *compaction.Schedule, ins, outside []*tableHandle, major bool) (*CompactionResult, error) {
+	defer releaseTables(outside)
 	if major {
 		db.setState(CompactionMerging)
 	}
-	nodes, stats, err := db.executeSchedule(sched, ins, major)
+	var purged atomic.Uint64
+	nodes, stats, err := db.executeSchedule(sched, ins, shadowedBy(outside, &purged), major)
 	created := nodes[len(ins):]
-	res := &CompactionResult{Strategy: pick, TablesBefore: len(ins)}
+	res := &CompactionResult{Strategy: pick, TablesBefore: len(ins), VersionsPurged: purged.Load()}
 	res.record(ins, stats)
 	if err == nil && major && db.hookBeforeSwap != nil {
 		if err = db.hookBeforeSwap(); err != nil {
@@ -267,6 +317,7 @@ func (db *DB) install(res *CompactionResult, sched *compaction.Schedule, nodes [
 		db.minorCompactions++
 	}
 	db.bytesCompacted += res.BytesWritten
+	db.versionsPurged += res.VersionsPurged
 	db.recordPickLocked(res.Strategy)
 	res.TablesAfter = len(kept)
 	// The table count just dropped: writers stalled on backpressure may be
@@ -302,16 +353,17 @@ func (db *DB) allocTableNameLocked() string {
 
 // executeSchedule runs sched's merges on the compaction package's worker
 // pool (compaction.ExecuteParallelFunc): leaf i of the schedule is snap[i],
-// every step merges its inputs' files into a fresh sstable,
-// and independent steps run concurrently up to Options.CompactionWorkers.
-// Tombstones survive intermediate merges — dropping one early would let an
-// older version in a not-yet-merged table resurface — and are purged only
-// at a major compaction's root merge, which covers all data.
+// every step merges its inputs' files into a fresh sstable, dropping what
+// shadowed reports, and independent steps run concurrently up to
+// Options.CompactionWorkers. Tombstones survive intermediate merges —
+// dropping one early would let an older version in a not-yet-merged table
+// resurface — and are purged only at a major compaction's root merge, which
+// covers all data.
 //
 // The returned slice maps node ID → handle: the first len(snap) entries
 // are the inputs, the rest the created merge outputs (nil where a step did
 // not run). On error the caller owns closing and removing created tables.
-func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, major bool) ([]*tableHandle, []sstable.MergeStats, error) {
+func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, shadowed func(iterator.Entry) bool, major bool) ([]*tableHandle, []sstable.MergeStats, error) {
 	nodes := make([]*tableHandle, len(snap)+len(sched.Steps))
 	for i, th := range snap {
 		nodes[i] = th
@@ -327,8 +379,12 @@ func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, m
 			}
 			inputs[j] = nodes[in.ID].rd
 		}
+		drop := shadowed
+		if major && step.Output.ID == rootID {
+			drop = iterator.IsTombstone
+		}
 		name := db.allocTableName()
-		rd, mstats, err := db.mergeTables(name, major && step.Output.ID == rootID, inputs)
+		rd, mstats, err := db.mergeTables(name, drop, inputs)
 		if err != nil {
 			return err
 		}

@@ -337,9 +337,11 @@ type DB struct {
 	// their ratio is the store's write amplification. stallTime is the
 	// cumulative wall time writers spent blocked in backpressure stalls.
 	// compactionPicks counts completed compactions by the policy or
-	// strategy that picked them. All guarded by mu.
+	// strategy that picked them, and versionsPurged the versions their
+	// merges dropped as shadowed by a table outside them. All guarded by mu.
 	bytesFlushed    uint64
 	bytesCompacted  uint64
+	versionsPurged  uint64
 	stallTime       time.Duration
 	compactionPicks map[string]uint64
 	bgLastErr       error
@@ -520,11 +522,12 @@ func (db *DB) buildTable(name string, expected int, fill func(*sstable.Writer) e
 	return w.Reader(f), nil
 }
 
-// mergeTables is buildTable for the merge of inputs.
-func (db *DB) mergeTables(name string, dropTombstones bool, inputs []*sstable.Reader) (*sstable.Reader, sstable.MergeStats, error) {
+// mergeTables is buildTable for the merge of inputs, dropping what drop
+// reports (see sstable.MergeTo).
+func (db *DB) mergeTables(name string, drop func(iterator.Entry) bool, inputs []*sstable.Reader) (*sstable.Reader, sstable.MergeStats, error) {
 	var stats sstable.MergeStats
 	rd, err := db.buildTable(name, sstable.MergeEntries(inputs...), func(w *sstable.Writer) (err error) {
-		stats, err = sstable.MergeTo(w, dropTombstones, inputs...)
+		stats, err = sstable.MergeTo(w, drop, inputs...)
 		return err
 	})
 	return rd, stats, err
@@ -991,6 +994,10 @@ type Stats struct {
 	// strategy name that picked them ("size-tiered", "SI", "BT(I)", ...).
 	// Nil when no compaction has run.
 	CompactionPicks map[string]uint64
+	// VersionsPurged counts versions compactions dropped because a newer
+	// version of the key lived on in a table outside the merge (see
+	// docs/compaction.md, "What a merge drops").
+	VersionsPurged uint64
 	// Generation counts table-set changes (flushes and compactions).
 	Generation uint64
 	// CompactionState is the major-compaction state machine's current
@@ -1060,6 +1067,7 @@ func (db *DB) Stats() Stats {
 		WriteStallTime:   db.stallTime,
 		BytesFlushed:     db.bytesFlushed,
 		BytesCompacted:   db.bytesCompacted,
+		VersionsPurged:   db.versionsPurged,
 		Generation:       db.generation,
 		CompactionState:  db.CompactionState().String(),
 

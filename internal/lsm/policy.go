@@ -197,10 +197,10 @@ func (db *DB) minorCompactLocked(p *Policy) (*CompactionResult, bool, error) {
 	for i, leaf := range sched.Leaves {
 		ins[i] = eligible[leaf.TableID]
 	}
-	claimLocked(ins)
+	outside := db.claimLocked(ins)
 	db.merging++
 	db.mu.Unlock()
-	res, err := db.compact(p.name, sched, ins, false)
+	res, err := db.compact(p.name, sched, ins, outside, false)
 	db.mu.Lock()
 	db.merging--
 	db.flushCond.Broadcast()

@@ -1,0 +1,370 @@
+package lsm
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/compaction"
+	"repro/internal/vfs"
+)
+
+// oneMerge is a chooser that merges the live tables at fixed positions,
+// newest first as DB.tables holds them: a test's way to leave a chosen
+// table outside a merge.
+type oneMerge struct {
+	at     []int
+	leaves []*compaction.Node
+}
+
+func (c *oneMerge) Name() string { return "fixed" }
+
+func (c *oneMerge) Init(leaves []*compaction.Node, _ int) error {
+	c.leaves = leaves
+	return nil
+}
+
+func (c *oneMerge) Choose() ([]*compaction.Node, error) {
+	var out []*compaction.Node
+	for _, i := range c.at {
+		out = append(out, c.leaves[i])
+	}
+	return out, nil
+}
+
+func (c *oneMerge) Observe(*compaction.Node) {}
+
+// mergeAt runs one minor compaction of the live tables at positions at.
+func mergeAt(t testing.TB, db *DB, at ...int) *CompactionResult {
+	t.Helper()
+	p := &Policy{name: "fixed", k: len(at), chooser: func() compaction.Chooser { return &oneMerge{at: at} }}
+	res, ran, err := db.minorCompact(p)
+	if err != nil || !ran {
+		t.Fatalf("merge of tables %v: ran=%v, %v", at, ran, err)
+	}
+	return res
+}
+
+// putRange writes prefix-000 … prefix-(n-1), each with value.
+func putRange(t testing.TB, db *DB, prefix string, n int, value string) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("%s-%03d", prefix, i)), []byte(value)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func flush(t testing.TB, db *DB) {
+	t.Helper()
+	if err := db.FlushContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// shadowFixture writes three tables: A holds k-000…k-099 at "old", C the
+// unrelated m-000…m-099, and B, newest, k-000…k-049 at "new" — so DB.tables
+// is [B, C, A], and a merge of C and A leaves B outside, shadowing half of
+// A. value pads every value to size bytes.
+func shadowFixture(t testing.TB, db *DB, size int) {
+	t.Helper()
+	pad := func(v string) string { return v + strings.Repeat(".", size-len(v)) }
+	putRange(t, db, "k", 100, pad("old"))
+	flush(t, db)
+	putRange(t, db, "m", 100, pad("m"))
+	flush(t, db)
+	putRange(t, db, "k", 50, pad("new"))
+	flush(t, db)
+}
+
+// tableKeys lists the keys of one live table.
+func tableKeys(t testing.TB, th *tableHandle) []string {
+	t.Helper()
+	var keys []string
+	it := th.rd.Iter()
+	defer it.Close()
+	for ; it.Valid(); it.Next() {
+		keys = append(keys, string(it.Entry().Key))
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
+// TestMergeDropsVersionsANewerTableShadows: a merge whose inputs hold
+// versions a newer live table outside it also holds writes none of them,
+// counts them in VersionsPurged, and every read still returns the newest
+// version of every key.
+func TestMergeDropsVersionsANewerTableShadows(t *testing.T) {
+	ctx := context.Background()
+	db := openTestDB(t, Options{})
+	shadowFixture(t, db, 8)
+	res := mergeAt(t, db, 1, 2)
+	if res.VersionsPurged != 50 || db.Stats().VersionsPurged != 50 {
+		t.Fatalf("purged %d versions (stats %d), want the 50 that B shadows", res.VersionsPurged, db.Stats().VersionsPurged)
+	}
+	keys := tableKeys(t, db.tables[1])
+	if len(keys) != 150 || keys[0] != "k-050" {
+		t.Fatalf("merge output holds %d keys from %s, want k-050…k-099 and m-000…m-099", len(keys), keys[0])
+	}
+	for i := 0; i < 100; i++ {
+		want := "old"
+		if i < 50 {
+			want = "new"
+		}
+		v, err := db.GetContext(ctx, []byte(fmt.Sprintf("k-%03d", i)))
+		if err != nil || !strings.HasPrefix(string(v), want) {
+			t.Fatalf("k-%03d = %q, %v; want %s", i, v, err, want)
+		}
+	}
+}
+
+// TestPurgedVersionStaysWithItsReaders: an iterator and a snapshot opened
+// before the newer version existed still read the version a later merge
+// purges — they pin the tables they were opened on.
+func TestPurgedVersionStaysWithItsReaders(t *testing.T) {
+	db := openTestDB(t, Options{})
+	putRange(t, db, "k", 100, "old")
+	flush(t, db)
+	putRange(t, db, "m", 100, "m")
+	flush(t, db)
+	it, release, err := db.NewIterator(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	putRange(t, db, "k", 50, "new")
+	flush(t, db)
+	if res := mergeAt(t, db, 1, 2); res.VersionsPurged != 50 {
+		t.Fatalf("purged %d versions, want 50", res.VersionsPurged)
+	}
+	for i := 0; i < 100; i++ {
+		key := []byte(fmt.Sprintf("k-%03d", i))
+		if v, err := snap.Get(key); err != nil || string(v) != "old" {
+			t.Fatalf("snapshot: %s = %q, %v; want old", key, v, err)
+		}
+	}
+	n := 0
+	for ; it.Valid(); it.Next() {
+		e := it.Entry()
+		want := "m"
+		if bytes.HasPrefix(e.Key, []byte("k")) {
+			want = "old"
+		}
+		if string(e.Value) != want {
+			t.Fatalf("iterator: %s = %q, want %s", e.Key, e.Value, want)
+		}
+		n++
+	}
+	if err := IterErr(it); err != nil || n != 200 {
+		t.Fatalf("iterator read %d entries, %v; want 200", n, err)
+	}
+}
+
+// TestMemtableVersionPurgesNothing: a newer version that lives only in the
+// memtable proves nothing — with SyncWAL off it is not durable — so the
+// merge keeps every version it was given.
+func TestMemtableVersionPurgesNothing(t *testing.T) {
+	db := openTestDB(t, Options{})
+	putRange(t, db, "k", 100, "old")
+	flush(t, db)
+	putRange(t, db, "m", 100, "m")
+	flush(t, db)
+	putRange(t, db, "k", 50, "new")
+	if res := mergeAt(t, db, 0, 1); res.VersionsPurged != 0 {
+		t.Fatalf("purged %d versions on the memtable's word", res.VersionsPurged)
+	}
+	if keys := tableKeys(t, db.tables[0]); len(keys) != 200 {
+		t.Fatalf("merge output holds %d keys, want all 200", len(keys))
+	}
+}
+
+// fileReads counts the bytes ReadAt returns per sstable file.
+type fileReads struct {
+	vfs.FS
+	mu    sync.Mutex
+	bytes map[string]int64
+}
+
+func (c *fileReads) Open(path string) (vfs.File, error)   { return c.wrap(c.FS.Open(path)) }
+func (c *fileReads) Create(path string) (vfs.File, error) { return c.wrap(c.FS.Create(path)) }
+
+func (c *fileReads) wrap(f vfs.File, err error) (vfs.File, error) {
+	if err != nil || !strings.HasSuffix(f.Name(), ".sst") {
+		return f, err
+	}
+	return readsOf{f, c}, nil
+}
+
+// snapshot returns the counts so far.
+func (c *fileReads) snapshot() map[string]int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]int64, len(c.bytes))
+	for k, v := range c.bytes {
+		out[k] = v
+	}
+	return out
+}
+
+type readsOf struct {
+	vfs.File
+	c *fileReads
+}
+
+func (f readsOf) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.c.mu.Lock()
+	f.c.bytes[filepath.Base(f.Name())] += int64(n)
+	f.c.mu.Unlock()
+	return n, err
+}
+
+// TestPurgeReadsNothingButItsInputs: the purge test answers from memory, so
+// a merge reads no table but its inputs. Reopened, the outside table has no
+// index chunk parsed and no block resident: it proves nothing and nothing
+// is purged. Once Gets have cached some of its blocks, exactly the versions
+// those blocks shadow go — and still nothing outside the inputs is read.
+func TestPurgeReadsNothingButItsInputs(t *testing.T) {
+	for _, warm := range []int{0, 20} {
+		t.Run(fmt.Sprintf("warm=%d", warm), func(t *testing.T) {
+			ctx := context.Background()
+			dir := t.TempDir()
+			fsys := &fileReads{FS: vfs.Default, bytes: map[string]int64{}}
+			db, err := Open(dir, Options{FS: fsys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shadowFixture(t, db, 200)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = Open(dir, Options{FS: fsys}); err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for i := 0; i < warm; i++ {
+				if _, err := db.GetContext(ctx, []byte(fmt.Sprintf("k-%03d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inputs := map[string]bool{db.tables[1].name: true, db.tables[2].name: true}
+			before := fsys.snapshot()
+			res := mergeAt(t, db, 1, 2)
+			for name, n := range fsys.snapshot() {
+				if !inputs[name] && n != before[name] {
+					t.Errorf("the merge read %d B of %s, which is not one of its inputs", n-before[name], name)
+				}
+			}
+			switch {
+			case warm == 0 && res.VersionsPurged != 0:
+				t.Errorf("purged %d versions with nothing of the newer table in memory", res.VersionsPurged)
+			case warm > 0 && (res.VersionsPurged < uint64(warm) || res.VersionsPurged >= 50):
+				t.Errorf("purged %d versions with the blocks of %d of the 50 shadowing keys cached; want those blocks' keys only", res.VersionsPurged, warm)
+			}
+		})
+	}
+}
+
+// TestPurgeKeepsEveryReadRight checks every Get and a full scan against a
+// model map after every merge of every policy family, over a stream of
+// overwrites and one of deletes. The merges run one at a time between
+// explicit flushes, so the model is exact.
+func TestPurgeKeepsEveryReadRight(t *testing.T) {
+	families := append(compaction.Baselines(), compaction.LiveStrategies()...)
+	for _, stream := range []struct {
+		name      string
+		deleteOdd float64
+	}{{"overwrite", 0}, {"delete", 0.4}} {
+		purged := uint64(0)
+		for _, family := range families {
+			t.Run(stream.name+"/"+family, func(t *testing.T) {
+				policy, err := PolicyByName(family, 2, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				db := openTestDB(t, Options{})
+				purged += purgeModelRun(t, db, policy, stream.deleteOdd)
+			})
+		}
+		if purged == 0 {
+			t.Errorf("%s: no family's merges purged anything: the model test tests nothing", stream.name)
+		}
+	}
+}
+
+func purgeModelRun(t *testing.T, db *DB, policy *Policy, deleteOdd float64) uint64 {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(7))
+	const keys = 300
+	model := map[string]string{}
+	check := func(when string) {
+		t.Helper()
+		for i := 0; i < keys; i++ {
+			key := fmt.Sprintf("key-%04d", i)
+			v, err := db.GetContext(ctx, []byte(key))
+			want, ok := model[key]
+			if ok != (err == nil) || ok && string(v) != want {
+				t.Fatalf("%s: Get(%s) = %q, %v; model has %q (present %v)", when, key, v, err, want, ok)
+			}
+		}
+		var got []string
+		if err := db.RangeContext(ctx, nil, nil, func(k, v []byte) error {
+			got = append(got, string(k)+"="+string(v))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for k, v := range model {
+			want = append(want, k+"="+v)
+		}
+		sort.Strings(want)
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("%s: scan returned %d entries, model %d", when, len(got), len(want))
+		}
+	}
+	op := 0
+	for round := 0; round < 24; round++ {
+		for i := 0; i < 120; i++ {
+			op++
+			key := fmt.Sprintf("key-%04d", rng.Intn(keys))
+			if rng.Float64() < deleteOdd {
+				if err := db.DeleteContext(ctx, []byte(key)); err != nil {
+					t.Fatal(err)
+				}
+				delete(model, key)
+				continue
+			}
+			v := fmt.Sprintf("v%06d", op)
+			if err := db.PutContext(ctx, []byte(key), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			model[key] = v
+		}
+		flush(t, db)
+		for merge := 0; ; merge++ {
+			_, ran, err := db.minorCompact(policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ran {
+				break
+			}
+			check(fmt.Sprintf("round %d, merge %d", round, merge))
+		}
+	}
+	return db.Stats().VersionsPurged
+}

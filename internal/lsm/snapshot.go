@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/iterator"
+	"repro/internal/keyhash"
 	"repro/internal/memtable"
 	"repro/internal/skiplist"
 	"repro/internal/sstable"
@@ -47,11 +48,19 @@ func (rs readState) release() {
 // retainOverlapping retains the tables whose key range intersects
 // [start, end) and appends them to dst, in the order given. With both
 // bounds open that is every table, empty ones included: a whole-keyspace
-// snapshot probes by key and keeps the full set.
+// snapshot probes by key and keeps the full set. A range of one key,
+// [k, k+"\x00") — how a kvnet server reads a stored record's stamp —
+// also skips the tables whose Bloom filter rules k out (a raw probe,
+// counted nowhere), so it seeks only where k may be.
 func retainOverlapping(dst, tables []*tableHandle, start, end []byte) []*tableHandle {
 	dst = slices.Grow(dst, len(tables))
+	oneKey := len(end) == len(start)+1 && end[len(start)] == 0 && bytes.HasPrefix(end, start)
+	var h keyhash.Hash
+	if oneKey {
+		h = keyhash.Of(start)
+	}
 	for _, th := range tables {
-		if start == nil && end == nil || th.overlaps(start, end) {
+		if start == nil && end == nil || th.overlaps(start, end) && (!oneKey || th.rd.MayContainHash(h)) {
 			th.retain()
 			dst = append(dst, th)
 		}
@@ -119,7 +128,7 @@ func NewShardIterator[S source](shards []S, start, end []byte) (iterator.Iterato
 		sc.children = append(sc.children, it)
 	}
 	sc.merge.Reset(sc.children...)
-	sc.Dedup.Reset(&sc.merge, true)
+	sc.Dedup.Reset(&sc.merge, iterator.IsTombstone)
 	return sc, sc.release, nil
 }
 

@@ -29,15 +29,18 @@ func MergeEntries(inputs ...*Reader) int {
 
 // MergeTo merge-sorts the given tables into a Writer the caller built,
 // which it finishes, keeping only the newest (highest-Seq) version of each
-// key; input order does not matter. When dropTombstones is true (a major
-// compaction producing the final table), deletion markers and the versions
-// they shadow are discarded. The inputs are read through ScanIters — a
-// merge reads every block of tables that are obsolete once it commits, so it
-// fills the block cache with none of them and moves each resident block it
-// takes up to the cold end, spent — and a Writer that publishes (PublishTo)
-// carries their residency over to the output, which so displaces its own
-// dead input. A caller whose merge then does not commit Unspends the inputs.
-func MergeTo(tw *Writer, dropTombstones bool, inputs ...*Reader) (MergeStats, error) {
+// key; input order does not matter. When drop is set, a newest version it
+// reports true for is discarded as well: iterator.IsTombstone for a major
+// compaction producing the final table, whose deletion markers and the
+// versions they shadow go, or a test that a newer version lives on in a
+// table outside the merge (see Reader.HoldsNewer). The inputs are read
+// through ScanIters — a merge reads every block of tables that are obsolete
+// once it commits, so it fills the block cache with none of them and moves
+// each resident block it takes up to the cold end, spent — and a Writer that
+// publishes (PublishTo) carries their residency over to the output, which so
+// displaces its own dead input. A caller whose merge then does not commit
+// Unspends the inputs.
+func MergeTo(tw *Writer, drop func(iterator.Entry) bool, inputs ...*Reader) (MergeStats, error) {
 	var stats MergeStats
 	children := make([]iterator.Iterator, len(inputs))
 	iters := make([]*Iter, len(inputs))
@@ -56,7 +59,7 @@ func MergeTo(tw *Writer, dropTombstones bool, inputs ...*Reader) (MergeStats, er
 			it.Close()
 		}
 	}()
-	merged := iterator.NewDedup(iterator.NewMerging(children...), dropTombstones)
+	merged := iterator.NewDedup(iterator.NewMerging(children...), drop)
 	if err := WriteAll(tw, merged); err != nil {
 		return stats, fmt.Errorf("sstable: merge: %w", err)
 	}

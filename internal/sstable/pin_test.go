@@ -143,7 +143,7 @@ func TestMergeDedupOverRecycledBlocks(t *testing.T) {
 	}
 	sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i].Key, want[j].Key) < 0 })
 
-	got := iterator.Drain(iterator.NewDedup(iterator.NewMerging(children...), true))
+	got := iterator.Drain(iterator.NewDedup(iterator.NewMerging(children...), iterator.IsTombstone))
 	close(stop)
 	wg.Wait()
 	if len(got) != len(want) {
@@ -272,7 +272,7 @@ func TestScanAndMergeRecycleArenas(t *testing.T) {
 	}
 	merge := func(rd *Reader) func() {
 		return func() {
-			if _, err := MergeTo(NewWriterOpts(io.Discard, MergeEntries(rd), opts), false, rd); err != nil {
+			if _, err := MergeTo(NewWriterOpts(io.Discard, MergeEntries(rd), opts), nil, rd); err != nil {
 				t.Fatal(err)
 			}
 		}

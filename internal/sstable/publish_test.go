@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/iterator"
+	"repro/internal/keyhash"
 )
 
 // countingReaderAt counts the ReadAt calls that reach the table's bytes.
@@ -149,7 +150,7 @@ func mergePublished(t *testing.T, c Cache, opts WriterOptions, inputs ...*Reader
 	var buf bytes.Buffer
 	w := NewWriterOpts(&buf, MergeEntries(inputs...), opts)
 	w.PublishTo(c)
-	if _, err := MergeTo(w, false, inputs...); err != nil {
+	if _, err := MergeTo(w, nil, inputs...); err != nil {
 		t.Fatal(err)
 	}
 	return w.Reader(bytes.NewReader(buf.Bytes()))
@@ -352,5 +353,78 @@ func TestColdOutputAdmittedOnlyAgainstSpentInput(t *testing.T) {
 				t.Fatalf("%d output blocks published over %d input blocks, %d of them still resident", published, hotBlocks, left)
 			}
 		})
+	}
+}
+
+// TestHoldsNewerProvesFromMemoryOnly: the purge probe answers from what is
+// already in memory. A born table, every chunk parsed and every block
+// resident, proves each of its keys newer than any lower sequence number —
+// and not newer than its own, nor anything about a key it lacks. A block
+// that is not resident, or a chunk not yet parsed, proves nothing. No probe
+// reads the table, moves the cache's counters or counts a filter outcome.
+func TestHoldsNewerProvesFromMemoryOnly(t *testing.T) {
+	entries := compressibleEntries("key", 800)
+	c := cache.New(8 << 20)
+	rd, src := publishedTable(t, c, entries, WriterOptions{BlockSize: 512, IndexChunkSize: 8})
+	var fm FilterMetrics
+	rd.SetFilterMetrics(&fm)
+	holds := func(rd *Reader, key []byte, seq uint64) bool { return rd.HoldsNewer(key, keyhash.Of(key), seq) }
+	quiet := func(when string, reads int) {
+		t.Helper()
+		if hits, misses, _ := c.Stats(); hits != 0 || misses != 0 || src.reads != reads {
+			t.Fatalf("%s: %d hits, %d misses, %d reads (want %d)", when, hits, misses, src.reads, reads)
+		}
+		if fm.Negatives.Load() != 0 || fm.FalsePositives.Load() != 0 {
+			t.Fatalf("%s: filter counted %d negatives, %d false positives", when, fm.Negatives.Load(), fm.FalsePositives.Load())
+		}
+	}
+	for _, e := range entries {
+		if !holds(rd, e.Key, e.Seq-1) {
+			t.Fatalf("born table does not prove %s newer than seq %d", e.Key, e.Seq-1)
+		}
+		if holds(rd, e.Key, e.Seq) {
+			t.Fatalf("%s at seq %d proved newer than itself", e.Key, e.Seq)
+		}
+	}
+	for _, key := range []string{"key-0000005x", "kex", "kez"} { // between keys, below, above
+		if holds(rd, []byte(key), 0) {
+			t.Fatalf("absent key %q proved present", key)
+		}
+	}
+	quiet("born table", 0)
+
+	c.DropTable(rd.id)
+	for _, e := range entries {
+		if holds(rd, e.Key, 0) {
+			t.Fatalf("%s proved with its block no longer resident", e.Key)
+		}
+	}
+	quiet("blocks dropped", 0)
+
+	opened, err := NewReader(src, rd.size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened.SetBlockCache(c)
+	opened.SetFilterMetrics(&fm)
+	atOpen := src.reads
+	for _, e := range entries {
+		if holds(opened, e.Key, 0) {
+			t.Fatalf("%s proved by a table whose chunks were never parsed", e.Key)
+		}
+	}
+	quiet("opened table", atOpen)
+
+	probe := entries[400]
+	if _, err := opened.Get(probe.Key); err != nil {
+		t.Fatal(err)
+	}
+	_, misses, _ := c.Stats()
+	reads := src.reads
+	if !holds(opened, probe.Key, probe.Seq-1) {
+		t.Fatalf("%s not proved once a Get has cached its block", probe.Key)
+	}
+	if hits, m, _ := c.Stats(); hits != 0 || m != misses || src.reads != reads {
+		t.Fatalf("probe after the Get moved the cache (%d hits, %d→%d misses) or read (%d→%d)", hits, misses, m, reads, src.reads)
 	}
 }

@@ -373,6 +373,47 @@ func (rd *Reader) findBlockForKey(key []byte) (blockHandle, bool, error) {
 	return handles[bi], true, nil
 }
 
+// MayContainHash reports whether the table's Bloom filter lets through the
+// key h is keyhash.Of of: false means the table does not hold the key. It
+// counts nothing in the FilterMetrics.
+func (rd *Reader) MayContainHash(h keyhash.Hash) bool { return rd.filter.MayContainHash(h) }
+
+// HoldsNewer reports whether the table provably holds key (h is
+// keyhash.Of(key)) at a sequence number above seq, from memory alone: the
+// bounds, the Bloom filter, an index chunk already loaded and a data block
+// resident in the cache. Whatever it cannot prove without a read — a chunk
+// not yet parsed, a block not resident — is false. Nothing is read, no block
+// is promoted and no counter moves, the filter metrics included: it is the
+// purge test of a merge (see MergeTo), which must cost the device nothing.
+func (rd *Reader) HoldsNewer(key []byte, h keyhash.Hash, seq uint64) bool {
+	b := &rd.bounds
+	if rd.f.entryCount == 0 || b.MaxSeq <= seq ||
+		bytes.Compare(key, b.Smallest) < 0 || bytes.Compare(key, b.Largest) > 0 ||
+		!rd.MayContainHash(h) {
+		return false
+	}
+	ci := searchHandles(rd.chunks, key)
+	if ci < 0 {
+		return false
+	}
+	p := rd.chunkData[ci].Load()
+	if p == nil {
+		return false
+	}
+	bi := searchHandles(*p, key)
+	if bi < 0 {
+		return false
+	}
+	var hd v3EntryHeader
+	found := false
+	if blk, ok := rd.blocks.Peek(cache.Key{Table: rd.id, Offset: (*p)[bi].offset}); ok {
+		pb, err := parseV3Block(blk.Data())
+		found = err == nil && searchV3Block(pb, key, &hd) == nil
+		blk.Release()
+	}
+	return found && hd.seq > seq
+}
+
 // Get returns the entry for key, or ErrNotFound. The Bloom filter rejects
 // most absent keys without touching data blocks. The entry's value is the
 // caller's own copy; its key is the probe key.

@@ -282,7 +282,7 @@ func TestMergeDedupAndTombstones(t *testing.T) {
 	})
 
 	var out bytes.Buffer
-	stats, err := MergeTo(NewWriter(&out, MergeEntries(newer, older)), true, newer, older)
+	stats, err := MergeTo(NewWriter(&out, MergeEntries(newer, older)), iterator.IsTombstone, newer, older)
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
@@ -309,7 +309,7 @@ func TestMergeKeepTombstones(t *testing.T) {
 	newer := buildTable(t, []iterator.Entry{{Key: []byte("a"), Seq: 10, Tombstone: true}})
 	older := buildTable(t, []iterator.Entry{entry("a", "old", 1)})
 	var out bytes.Buffer
-	if _, err := MergeTo(NewWriter(&out, MergeEntries(newer, older)), false, newer, older); err != nil {
+	if _, err := MergeTo(NewWriter(&out, MergeEntries(newer, older)), nil, newer, older); err != nil {
 		t.Fatal(err)
 	}
 	rd, err := NewReader(bytes.NewReader(out.Bytes()), int64(out.Len()))

@@ -541,6 +541,7 @@ func Aggregate(shardStats []lsm.Stats) lsm.Stats {
 		agg.WriteStallTime += st.WriteStallTime
 		agg.BytesFlushed += st.BytesFlushed
 		agg.BytesCompacted += st.BytesCompacted
+		agg.VersionsPurged += st.VersionsPurged
 		for name, n := range st.CompactionPicks {
 			if agg.CompactionPicks == nil {
 				agg.CompactionPicks = make(map[string]uint64)

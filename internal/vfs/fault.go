@@ -76,13 +76,13 @@ func (e *injectedError) Unwrap() []error { return []error{ErrInjected, e.errno} 
 type Fault struct {
 	inner FS
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	enabled  bool
-	prob     [numOps]float64
-	match    func(path string) bool // nil means all paths
-	counts   [numOps]uint64
-	syncSeen int
+	mu           sync.Mutex
+	rng          *rand.Rand
+	enabled      bool
+	prob         [numOps]float64
+	match        func(path string) bool // nil means all paths
+	counts       [numOps]uint64
+	syncSeen     int
 	failSyncAt   int   // fail the Nth matching sync (1-based); 0 = off
 	diskFree     int64 // bytes until ENOSPC; -1 = unlimited
 	failTruncate bool  // fail the next Truncate (one-shot)

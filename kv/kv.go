@@ -254,6 +254,9 @@ type Stats struct {
 	// CompactionPicks counts completed compactions by the policy or
 	// strategy name that picked them.
 	CompactionPicks map[string]uint64 `json:"compaction_picks,omitempty"`
+	// VersionsPurged counts versions compactions dropped because a newer
+	// version lived on in a table outside the merge.
+	VersionsPurged uint64 `json:"versions_purged,omitempty"`
 
 	// GroupCommits, GroupedWrites and WALSyncs describe the group-commit
 	// pipeline: GroupedWrites/GroupCommits is the average group size,
@@ -349,6 +352,7 @@ func statsFromLSM(st lsm.Stats, backend string, shards int) Stats {
 		BytesFlushed:           st.BytesFlushed,
 		BytesCompacted:         st.BytesCompacted,
 		CompactionPicks:        st.CompactionPicks,
+		VersionsPurged:         st.VersionsPurged,
 		GroupCommits:           st.GroupCommits,
 		GroupedWrites:          st.GroupedWrites,
 		WALSyncs:               st.WALSyncs,
