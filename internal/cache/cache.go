@@ -27,10 +27,13 @@
 // bytes the cache has ever held resident at once — its high-water mark
 // (its capacity, once every stripe has filled) — except that each stripe
 // may keep freeListBytes of free arrays, the floor of every free list,
-// whatever the mark. So what eviction, replacement and DropTable free waits
-// for the next block up to the room the residents leave below the mark, and
-// what a flush or merge publishes into a dropped table's room is carved
-// from that table's arrays, whether or not the cache has ever filled.
+// whatever the mark. When the residents grow into the room, every stripe
+// gives up the free arrays it holds above its floor until the sum is back
+// within the mark, so a cache holds at most its mark plus a floor per
+// stripe. So what eviction, replacement and DropTable free waits for the
+// next block up to the room the residents leave below the mark, and what a
+// flush or merge publishes into a dropped table's room is carved from that
+// table's arrays, whether or not the cache has ever filled.
 //
 // # Write-through and scan resistance
 //
@@ -147,9 +150,12 @@ type freeList struct {
 // mark is the high-water rule of one cache, shared by its stripes: the
 // bytes resident and free across them, and the most bytes ever resident at
 // once, a stripe counting at most its capacity — so the mark never exceeds
-// the cache's capacity, and reaches it once every stripe has filled.
+// the cache's capacity, and reaches it once every stripe has filled. over
+// is the free bytes the stripes hold above their floors, which trim gives
+// up when the residents need the room.
 type mark struct {
-	used, free, peak atomic.Int64
+	used, free, peak, over atomic.Int64
+	lists                  []*freeList // every stripe's, fixed at construction
 }
 
 // room is the free bytes the mark allows: the high-water mark less the
@@ -164,6 +170,18 @@ func (m *mark) raise(excess int64) {
 		if used <= peak || m.peak.CompareAndSwap(peak, used) {
 			return
 		}
+	}
+}
+
+// trim drops free arrays above the floors, stripe by stripe, until resident
+// plus free bytes are back within the mark or no list holds more than its
+// floor.
+func (m *mark) trim() {
+	for _, f := range m.lists {
+		if m.room() >= 0 || m.over.Load() == 0 {
+			return
+		}
+		f.trim()
 	}
 }
 
@@ -244,12 +262,20 @@ func (f *freeList) put(b *Block) {
 	}
 	if f.fits(len(b.buf)) {
 		f.classes[i].top, b.next = b, f.classes[i].top
-		f.bytes += len(b.buf)
-		if f.mark != nil {
-			f.mark.free.Add(int64(len(b.buf)))
-		}
+		f.account(len(b.buf))
 	}
 	f.mu.Unlock()
+}
+
+// account adds n bytes, or takes -n away, from the list and its mark. The
+// caller holds f.mu.
+func (f *freeList) account(n int) {
+	over := max(0, f.bytes-f.floor)
+	f.bytes += n
+	if f.mark != nil {
+		f.mark.free.Add(int64(n))
+		f.mark.over.Add(int64(max(0, f.bytes-f.floor) - over))
+	}
 }
 
 // evict drops an array of the size asked for least recently, if that was
@@ -272,10 +298,7 @@ func (f *freeList) evict(asked uint64) bool {
 func (f *freeList) pop(i int) *Block {
 	b := f.classes[i].top
 	f.classes[i].top, b.next = b.next, nil
-	f.bytes -= cap(b.buf)
-	if f.mark != nil {
-		f.mark.free.Add(-int64(cap(b.buf)))
-	}
+	f.account(-cap(b.buf))
 	return b
 }
 
@@ -304,6 +327,7 @@ func newLRU(capacity int, m *mark) *LRU {
 	}
 	c := &LRU{capacity: capacity, index: make(map[Key]*Block), mark: m, free: newFreeList(freeListBytes, m)}
 	c.root.prev, c.root.next = &c.root, &c.root
+	m.lists = append(m.lists, &c.free)
 	return c
 }
 
@@ -423,7 +447,7 @@ func (c *LRU) add(b *Block, payload []byte, cold bool) {
 		for c.used > c.capacity {
 			c.evict(c.root.prev)
 		}
-		c.free.trim()
+		c.mark.trim()
 	}
 	c.mu.Unlock()
 }

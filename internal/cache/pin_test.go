@@ -603,6 +603,43 @@ func TestStripesShareOneMark(t *testing.T) {
 	}
 }
 
+// TestFreeArraysYieldAcrossStripes: the residents of one stripe growing
+// into the room takes free arrays from every stripe. A table whose blocks
+// all live in one stripe is dropped, leaving that stripe's free list the
+// whole room; the next table's blocks all hash to the other stripes, and as
+// they come in the first stripe gives its arrays up, so resident plus free
+// bytes never exceed the mark by more than a floor per stripe.
+func TestFreeArraysYieldAcrossStripes(t *testing.T) {
+	const blocks, size = 256, 2048 // 512 KiB a table: half a stripe
+	c := NewSharded(4<<20, 4)
+	page := make([]byte, size)
+	publish := func(table uint64, home bool) {
+		for off, n := uint64(0), 0; n < blocks; off += size {
+			if k := (Key{Table: table, Offset: off}); (c.shardFor(k) == c.shards[0]) == home {
+				c.Publish(k, page, false)
+				n++
+			}
+		}
+	}
+	publish(1, true)
+	c.DropTable(1)
+	if free := c.shards[0].free.bytes; free < blocks*size/2 {
+		t.Fatalf("the dropped table left %d B free in its stripe, want most of %d", free, blocks*size)
+	}
+	m := c.shards[0].mark
+	for table := uint64(2); table < 4; table++ {
+		publish(table, false)
+		used, free := 0, 0
+		for _, sh := range c.shards {
+			used += sh.used
+			free += sh.free.bytes
+		}
+		if peak := int(m.peak.Load()); used+free > peak+len(c.shards)*freeListBytes {
+			t.Errorf("table %d: %d B resident and %d B free across the stripes, high-water mark %d B", table, used, free, peak)
+		}
+	}
+}
+
 // TestUnaskedSizesMakeWay: a free list full of arrays of a size no miss asks
 // for — the short last blocks of flushed tables — gives them up for the
 // arrays misses do ask for, so those misses still recycle.

@@ -60,10 +60,18 @@ func hintTarget(key []byte) string {
 	return string(rest[:i])
 }
 
+// hintFormat is a hint batch's first byte. It is any byte but
+// kvnet.RecordFormat: a holder parks a hint with a plain put, and a value
+// that read as a record would lift the holder's stamp floor (see
+// kvnet.OpVersionedWrite) to whatever its bytes 2..9 hold — a hinted key's
+// first eight bytes, far above any real stamp.
+const hintFormat = 0x02
+
 // encodeHintBatch serializes the (key, record) pairs owed to a target:
-// uvarint count, then per pair uvarint-length-prefixed key and record.
+// hintFormat, uvarint count, then per pair uvarint-length-prefixed key and
+// record.
 func encodeHintBatch(ops []kvnet.BatchOp) []byte {
-	var out []byte
+	out := []byte{hintFormat}
 	out = binary.AppendUvarint(out, uint64(len(ops)))
 	for _, op := range ops {
 		out = binary.AppendUvarint(out, uint64(len(op.Key)))
@@ -78,11 +86,14 @@ func decodeHintBatch(b []byte) ([]kvnet.BatchOp, error) {
 	bad := func() ([]kvnet.BatchOp, error) {
 		return nil, fmt.Errorf("cluster: undecodable hint batch: %w", kverr.ErrCorrupt)
 	}
-	n, sz := binary.Uvarint(b)
+	if len(b) == 0 || b[0] != hintFormat {
+		return bad()
+	}
+	n, sz := binary.Uvarint(b[1:])
 	if sz <= 0 {
 		return bad()
 	}
-	b = b[sz:]
+	b = b[1+sz:]
 	ops := make([]kvnet.BatchOp, 0, n)
 	for i := uint64(0); i < n; i++ {
 		klen, sz := binary.Uvarint(b)

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,8 +60,100 @@ func TestHintBatchRoundTrip(t *testing.T) {
 			t.Errorf("op %d mangled", i)
 		}
 	}
-	if _, err := decodeHintBatch([]byte{0x05, 0x01}); !errors.Is(err, kverr.ErrCorrupt) {
+	if _, err := decodeHintBatch([]byte{hintFormat, 0x05, 0x01}); !errors.Is(err, kverr.ErrCorrupt) {
 		t.Errorf("truncated hint batch decoded: %v", err)
+	}
+	if _, err := decodeHintBatch(encodeHintBatch(ops)[1:]); !errors.Is(err, kverr.ErrCorrupt) {
+		t.Errorf("hint batch without its format byte decoded: %v", err)
+	}
+}
+
+// stampReadCounter is a node's engine that counts one-key scans: the reads
+// of a stored stamp that a versioned write makes when its stamp is not
+// above the node's stamp floor.
+type stampReadCounter struct {
+	*lsm.DB
+	reads atomic.Int64
+}
+
+func (e *stampReadCounter) RangeContext(ctx context.Context, start, end []byte, fn func(key, value []byte) error) error {
+	if len(end) == len(start)+1 && bytes.HasPrefix(end, start) && end[len(start)] == 0 {
+		e.reads.Add(1)
+	}
+	return e.DB.RangeContext(ctx, start, end, fn)
+}
+
+// TestParkedHintKeepsStampFloor: a hint is parked with a plain put, which
+// raises the holder's stamp floor to the stamp of any value that reads as a
+// record. A hint must not read as one — for one hinted key its bytes would
+// be a stamp far above any clock's — so a fresh versioned write to the
+// holder still skips reading what is stored.
+func TestParkedHintKeepsStampFloor(t *testing.T) {
+	ctx := context.Background()
+	var engines []*stampReadCounter
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		db, err := lsm.Open(t.TempDir(), lsm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &stampReadCounter{DB: db}
+		srv := kvnet.NewServer(e)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() {
+			srv.Close()
+			db.Close()
+		})
+		engines = append(engines, e)
+		addrs = append(addrs, ln.Addr().String())
+	}
+	rt, err := DialCluster(addrs, Options{VNodes: 64, HandoffInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	holder := 0
+	target := (holder + len(addrs) - 1) % len(addrs) // the holder is the first candidate
+	e := engines[slices.Index(addrs, rt.ring.names[holder])]
+	c, err := kvnet.Dial(rt.ring.names[holder])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	freshWriteReads := func(i int) bool {
+		t.Helper()
+		rec := Record{Version: rt.clock.Next(), Value: []byte("fresh")}
+		before := e.reads.Load()
+		if n, err := c.WriteVersioned(ctx, []kvnet.BatchOp{{Key: []byte(fmt.Sprintf("fresh-%d", i)), Value: rec.Encode()}}); err != nil || n != 1 {
+			t.Fatalf("fresh write %d applied %d puts, %v", i, n, err)
+		}
+		return e.reads.Load() != before
+	}
+	// The holder scans for its floor in the background; until then every
+	// write reads.
+	for i, deadline := 0, time.Now().Add(10*time.Second); freshWriteReads(i); i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("fresh writes never stopped reading their stored stamp")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	hinted := []kvnet.BatchOp{{Key: []byte("user0123456789abcdef"), Value: Record{Version: rt.clock.Next(), Value: []byte("v")}.Encode()}}
+	if _, ok := kvnet.RecordStamp(encodeHintBatch(hinted)); ok {
+		t.Error("a one-op hint batch reads as a record")
+	}
+	key := hintKey(rt.ring.names[target], rt.clock.Next(), rt.token, rt.hintSeq.Add(1))
+	if !rt.parkEncoded(target, key, encodeHintBatch(hinted)) {
+		t.Fatal("no holder took the hint")
+	}
+	if _, err := c.Get(ctx, key); err != nil {
+		t.Fatalf("the hint is not on the holder: %v", err)
+	}
+	if freshWriteReads(-1) {
+		t.Error("a fresh versioned write read its stored stamp after a hint was parked on the node")
 	}
 }
 

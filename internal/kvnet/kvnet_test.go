@@ -9,6 +9,7 @@ import (
 	"net"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -341,6 +342,92 @@ func TestVersionedWriteOverStoredRecords(t *testing.T) {
 	versioned("j", 7, 0) // a plain put's record
 	versioned("k", 6, 1)
 	versioned("j", 10, 1)
+}
+
+// slowScan is an engine whose scans of the whole keyspace wait until
+// released or cancelled: a node holding more than a request's deadline can
+// scan. It counts the one-key scans that read a stored stamp.
+type slowScan struct {
+	*lsm.DB
+	release    chan struct{}
+	stampReads atomic.Int64
+}
+
+func (e *slowScan) RangeContext(ctx context.Context, start, end []byte, fn func(key, value []byte) error) error {
+	if start == nil && end == nil {
+		select {
+		case <-e.release:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	} else {
+		e.stampReads.Add(1)
+	}
+	return e.DB.RangeContext(ctx, start, end, fn)
+}
+
+// TestVersionedWriteDoesNotWaitForFloor: a server whose scan for the stamp
+// floor outlasts a request's deadline still answers versioned writes within
+// it, holding each to its key's stored stamp; once the scan is done, fresh
+// writes stop reading what is stored.
+func TestVersionedWriteDoesNotWaitForFloor(t *testing.T) {
+	db, err := lsm.Open(t.TempDir(), lsm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.PutContext(context.Background(), []byte("k"), stamped(5, "k5")); err != nil {
+		t.Fatal(err)
+	}
+	e := &slowScan{DB: db, release: make(chan struct{})}
+	srv := NewServer(e)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	versioned := func(key string, stamp uint64) int {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		n, err := c.WriteVersioned(ctx, []BatchOp{{Key: []byte(key), Value: stamped(stamp, "")}})
+		if err != nil {
+			t.Fatalf("%s at stamp %d while the floor scan is held: %v", key, stamp, err)
+		}
+		return n
+	}
+	if n := versioned("k", 3); n != 0 {
+		t.Fatalf("k at stamp 3 over the stored 5 applied %d puts", n)
+	}
+	if n := versioned("j", 9); n != 1 {
+		t.Fatalf("fresh j applied %d puts", n)
+	}
+	if got := e.stampReads.Load(); got != 2 {
+		t.Fatalf("%d stamp reads before the floor is known, want 2: one per put", got)
+	}
+	close(e.release)
+	for i, deadline := 0, time.Now().Add(10*time.Second); ; i++ {
+		before := e.stampReads.Load()
+		if n := versioned(fmt.Sprintf("fresh-%d", i), uint64(100+i)); n != 1 {
+			t.Fatalf("fresh write %d applied %d puts", i, n)
+		}
+		if e.stampReads.Load() == before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("fresh writes still read their stored stamp after the floor scan was released")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := versioned("k", 4); n != 0 {
+		t.Fatalf("k at stamp 4 over the stored 5 applied %d puts once the floor is known", n)
+	}
 }
 
 // TestWriteBatchOverWire commits a mixed put/delete batch in one round trip

@@ -178,8 +178,9 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops accepting, closes all connections, aborts in-flight requests
-// and streams, and waits for every connection's goroutines.
+// Close stops accepting, closes all connections, aborts in-flight requests,
+// streams and the stamp floor's scan, and waits for every goroutine the
+// server started.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {

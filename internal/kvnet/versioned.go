@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -24,14 +25,15 @@ type stampLocks [stampStripes]sync.Mutex
 // stampFloor is at least the stamp of every record the engine holds, so a
 // versioned put stamped above it cannot lose and skips the read of its
 // key's stored stamp: the common case, a fresh write. One scan of the
-// engine finds it at the first versioned write, and every put the server
-// applies raises it before it lands (a write that fails may have landed
-// all the same). That assumes the server is the engine's only writer, as a
-// cluster node's is.
+// engine finds it, started in the background at the first versioned write
+// (a server that never takes one never scans); until the scan has finished
+// every versioned put reads its stored stamp, so no write waits for the
+// scan. Every put the server applies raises the floor before it lands (a
+// write that fails may have landed all the same). That assumes the server
+// is the engine's only writer, as a cluster node's is.
 type stampFloor struct {
-	mu    sync.Mutex
-	known atomic.Bool
-	v     atomic.Uint64
+	started, known atomic.Bool
+	v              atomic.Uint64
 }
 
 // raise lifts the floor to the stamp of value, if value is a record.
@@ -46,22 +48,34 @@ func (f *stampFloor) raiseTo(stamp uint64) {
 	}
 }
 
-// find scans db for the floor, the first time it is called.
-func (f *stampFloor) find(ctx context.Context, db Engine) error {
-	if f.known.Load() {
-		return nil
+// findFloor starts the scan for the stamp floor, the first time it is
+// called: in the background and under the server's own context, so no
+// request waits for it and no request's cancellation stops it. If the scan
+// fails the floor stays unknown, and every versioned put goes on reading
+// its stored stamp. Callers serve a request, so s.wg is above zero.
+func (s *Server) findFloor() {
+	f := &s.floor
+	if f.started.Load() || !f.started.CompareAndSwap(false, true) {
+		return
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.known.Load() {
-		return nil
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		err := s.db.RangeContext(s.baseCtx, nil, nil, func(_, value []byte) error {
+			f.raise(value)
+			return nil
+		})
+		f.known.Store(err == nil)
+	}()
+}
+
+// get returns the floor, or the largest stamp while it is unknown: no put
+// is then stamped above it.
+func (f *stampFloor) get() uint64 {
+	if !f.known.Load() {
+		return math.MaxUint64
 	}
-	err := db.RangeContext(ctx, nil, nil, func(_, value []byte) error {
-		f.raise(value)
-		return nil
-	})
-	f.known.Store(err == nil)
-	return err
+	return f.v.Load()
 }
 
 // stripeOf hashes key (FNV-1a) onto a stripe.
@@ -113,9 +127,7 @@ func (w *worker) writeVersioned(ctx context.Context, body []byte) (int, error) {
 		return 0, err
 	}
 	s := w.c.s
-	if err := s.floor.find(ctx, s.db); err != nil {
-		return 0, err
-	}
+	s.findFloor()
 	v.stripes = v.stripes[:0]
 	for _, op := range v.ops {
 		v.stripes = append(v.stripes, stripeOf(op.Key))
@@ -140,7 +152,7 @@ func (w *worker) writeVersioned(ctx context.Context, body []byte) (int, error) {
 		return cmp.Compare(sa, sb)
 	})
 	w.batch.Reset()
-	floor, top := s.floor.v.Load(), uint64(0)
+	floor, top := s.floor.get(), uint64(0)
 	for i, op := range v.ops {
 		if i+1 < len(v.ops) && bytes.Equal(op.Key, v.ops[i+1].Key) {
 			continue // the next put of the key stamps at least as high

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -129,7 +128,7 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 	}
 	snap := slices.Clone(db.tables)
 	if err == nil && len(snap) > 1 {
-		db.claimLocked(snap) // every table: the outside set is empty
+		claimLocked(snap)
 	}
 	db.mu.Unlock()
 	db.pipeMu.Unlock()
@@ -154,27 +153,32 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 
 // claimLocked marks ins as a merge's inputs: until its swap they stay in the
 // live set, but no other pick, major snapshot or quarantine takes them, and
-// a Close during the merge does not close their readers. It returns the
-// merge's outside set — every other live table, claimed by another merge or
-// not — retained until the merge ends and ordered by maxSeq, newest first,
-// for the merge's purge test (shadowedBy). Callers hold mu.
-func (db *DB) claimLocked(ins []*tableHandle) (outside []*tableHandle) {
+// a Close during the merge does not close their readers. Callers hold mu.
+func claimLocked(ins []*tableHandle) {
 	for _, th := range ins {
 		th.compacting = true
 		th.retain()
 	}
-	for _, th := range db.tables {
+}
+
+// outsideLocked returns the outside set of a merge of ins, for its purge
+// test (shadowedBy): every other live table, claimed by another merge or
+// not, newest maxSeq first — the order of the current view's byseq — and
+// retained until the merge ends. The inputs are left out: none holds a
+// version newer than the merge's own newest, so probing them finds
+// nothing. Callers hold mu, under which the current view is db.tables'.
+func (db *DB) outsideLocked(ins []*tableHandle) (outside []*tableHandle) {
+	for _, th := range db.view.Load().byseq {
 		if !slices.Contains(ins, th) {
 			th.retain()
 			outside = append(outside, th)
 		}
 	}
-	slices.SortFunc(outside, func(a, b *tableHandle) int { return cmp.Compare(b.maxSeq, a.maxSeq) })
 	return outside
 }
 
 // shadowedBy is the purge test of a merge with the outside set outside
-// (newest first, as claimLocked orders it): a version goes when a table
+// (newest first, as outsideLocked orders it): a version goes when a table
 // there provably holds a newer version of its key from memory alone
 // (sstable.Reader.HoldsNewer), and each one that goes counts in purged.
 // The newest version of a key is never dropped, so what a read of the live

@@ -294,10 +294,15 @@ func TestWritesProgressWhileFlushWedged(t *testing.T) {
 // policy family PolicyByName resolves — Bigtable's count trigger,
 // Cassandra's size tiers, the leveled layout and a sketch-ranked paper
 // strategy — is pinned the same way, undelayed, on the stream's first
-// 40 000 writes through a 256 KiB memtable. The byte counts of the three
-// families whose merges leave newer tables outside them (BT(I), threshold,
-// SO) were re-pinned when merges began to drop the versions those tables
-// shadow; every count of tables, flushes and picks is the parent's.
+// 40 000 writes through a 256 KiB memtable.
+//
+// Every run uses the default block cache and must end with the pinned
+// counts of flushes, minor compactions, tables and picks, and the bytes
+// flushed. The bytes a merge writes are pinned by one more undelayed run
+// with a cache the stream never fills (see scheduleCacheBytes). The byte
+// counts of the three families whose merges leave newer tables outside
+// them (BT(I), threshold, SO) were re-pinned when merges began to drop the
+// versions those tables shadow; every count is the parent's.
 func TestFlushScheduleIsDeterministic(t *testing.T) {
 	gen, err := ycsb.NewGenerator(ycsb.Config{RecordCount: 20_000, OperationCount: 160_000, UpdateProportion: 1, Distribution: ycsb.Zipfian, Seed: 42})
 	if err != nil {
@@ -344,66 +349,86 @@ func TestFlushScheduleIsDeterministic(t *testing.T) {
 
 // scheduleCacheBytes is a block cache the schedule runs never fill. A merge
 // drops the versions a resident block of a newer table shadows, so under
-// eviction its bytes would depend on which stripe each block hashes to —
-// on table IDs, which are process-wide — and on how far a merge's
-// read-ahead runs before its output evicts what it would have found; with
+// eviction the bytes it writes depend on which stripe each block hashes to
+// — on table IDs, which are process-wide — and on how far a merge's
+// read-ahead runs before its output evicts what it would have found. With
 // nothing evicted, every table's published blocks stay resident until the
-// table goes, and the bytes are again a function of the stream alone.
+// table goes, and the bytes are again a function of the stream alone. The
+// counts hold under eviction too: a purge only shrinks the tables a merge
+// writes, and on this stream no shrink changes what a policy picks.
 const scheduleCacheBytes = 64 << 20
 
 func flushScheduleRuns(t *testing.T, policyName string, ops []ycsb.Op, memtable, runs int, want Stats) {
+	counts := func(st Stats) Stats {
+		return Stats{
+			Flushes: st.Flushes, MinorCompactions: st.MinorCompactions, Tables: st.Tables,
+			BytesFlushed: st.BytesFlushed, CompactionPicks: st.CompactionPicks,
+		}
+	}
+	for run := 0; run < runs; run++ {
+		if got := flushScheduleRun(t, policyName, ops, memtable, run, 0); !reflect.DeepEqual(counts(got), counts(want)) {
+			t.Fatalf("run %d: flushes %d minor %d tables %d flushed %d picks %v;\nwant    flushes %d minor %d tables %d flushed %d picks %v",
+				run, got.Flushes, got.MinorCompactions, got.Tables, got.BytesFlushed, got.CompactionPicks,
+				want.Flushes, want.MinorCompactions, want.Tables, want.BytesFlushed, want.CompactionPicks)
+		}
+	}
+	if got := flushScheduleRun(t, policyName, ops, memtable, 0, scheduleCacheBytes); !reflect.DeepEqual(got, want) {
+		t.Fatalf("with a %d MiB cache: flushes %d minor %d tables %d flushed %d compacted %d table bytes %d picks %v;\nwant    flushes %d minor %d tables %d flushed %d compacted %d table bytes %d picks %v",
+			scheduleCacheBytes>>20, got.Flushes, got.MinorCompactions, got.Tables, got.BytesFlushed, got.BytesCompacted, got.TableBytes, got.CompactionPicks,
+			want.Flushes, want.MinorCompactions, want.Tables, want.BytesFlushed, want.BytesCompacted, want.TableBytes, want.CompactionPicks)
+	}
+}
+
+// flushScheduleRun writes ops through a DB with the named auto-compaction
+// policy and a block cache of cacheBytes (0: the default), its flusher
+// delayed at random unless run is 0, and returns the DB's schedule
+// counters.
+func flushScheduleRun(t *testing.T, policyName string, ops []ycsb.Op, memtable, run, cacheBytes int) Stats {
 	policy, err := PolicyByName(policyName, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for run := 0; run < runs; run++ {
-		// The skiplist seed varies too: tower heights are not part of what a
-		// memtable weighs.
-		db := openTestDB(t, Options{MemtableBytes: memtable, AutoCompact: policy, Seed: int64(run), BlockCacheBytes: scheduleCacheBytes})
-		delays := rand.New(rand.NewSource(int64(run)))
-		var writerDone atomic.Bool
-		db.mu.Lock()
-		db.flushHook = func(p flushPoint) { // the flusher's goroutine only
-			if run == 0 {
-				return // as fast as it goes
-			}
-			time.Sleep(time.Duration(delays.Intn(2000)) * time.Microsecond)
-			if p == beforeBuild && delays.Intn(4) == 0 {
-				for full := false; !full && !writerDone.Load(); time.Sleep(100 * time.Microsecond) {
-					db.mu.RLock()
-					full = db.mem.SizeBytes() >= db.opts.MemtableBytes
-					db.mu.RUnlock()
-				}
+	// The skiplist seed varies too: tower heights are not part of what a
+	// memtable weighs.
+	db := openTestDB(t, Options{MemtableBytes: memtable, AutoCompact: policy, Seed: int64(run), BlockCacheBytes: cacheBytes})
+	defer db.Close()
+	delays := rand.New(rand.NewSource(int64(run)))
+	var writerDone atomic.Bool
+	db.mu.Lock()
+	db.flushHook = func(p flushPoint) { // the flusher's goroutine only
+		if run == 0 {
+			return // as fast as it goes
+		}
+		time.Sleep(time.Duration(delays.Intn(2000)) * time.Microsecond)
+		if p == beforeBuild && delays.Intn(4) == 0 {
+			for full := false; !full && !writerDone.Load(); time.Sleep(100 * time.Microsecond) {
+				db.mu.RLock()
+				full = db.mem.SizeBytes() >= db.opts.MemtableBytes
+				db.mu.RUnlock()
 			}
 		}
-		db.mu.Unlock()
-		var key [16]byte
-		val := make([]byte, 400)
-		for i, op := range ops {
-			binary.BigEndian.PutUint64(key[8:], op.Key)
-			binary.BigEndian.PutUint64(val, uint64(i))
-			if err := db.PutContext(context.Background(), key[:], val); err != nil {
-				t.Fatal(err)
-			}
-		}
-		writerDone.Store(true)
-		if err := db.Flush(); err != nil {
+	}
+	db.mu.Unlock()
+	var key [16]byte
+	val := make([]byte, 400)
+	for i, op := range ops {
+		binary.BigEndian.PutUint64(key[8:], op.Key)
+		binary.BigEndian.PutUint64(val, uint64(i))
+		if err := db.PutContext(context.Background(), key[:], val); err != nil {
 			t.Fatal(err)
 		}
-		st := db.Stats()
-		got := Stats{
-			Flushes: st.Flushes, MinorCompactions: st.MinorCompactions, Tables: st.Tables,
-			BytesFlushed: st.BytesFlushed, BytesCompacted: st.BytesCompacted, TableBytes: st.TableBytes,
-			CompactionPicks: st.CompactionPicks,
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("run %d: flushes %d minor %d tables %d flushed %d compacted %d table bytes %d picks %v;\nwant    flushes %d minor %d tables %d flushed %d compacted %d table bytes %d picks %v",
-				run, got.Flushes, got.MinorCompactions, got.Tables, got.BytesFlushed, got.BytesCompacted, got.TableBytes, got.CompactionPicks,
-				want.Flushes, want.MinorCompactions, want.Tables, want.BytesFlushed, want.BytesCompacted, want.TableBytes, want.CompactionPicks)
-		}
-		if run > 0 && st.WriteStalls == 0 {
-			t.Errorf("run %d: the delayed flusher never made the writer wait; the delays test nothing", run)
-		}
-		db.Close()
+	}
+	writerDone.Store(true)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := db.Stats()
+	if run > 0 && st.WriteStalls == 0 {
+		t.Errorf("run %d: the delayed flusher never made the writer wait; the delays test nothing", run)
+	}
+	return Stats{
+		Flushes: st.Flushes, MinorCompactions: st.MinorCompactions, Tables: st.Tables,
+		BytesFlushed: st.BytesFlushed, BytesCompacted: st.BytesCompacted, TableBytes: st.TableBytes,
+		CompactionPicks: st.CompactionPicks,
 	}
 }

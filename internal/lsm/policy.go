@@ -197,7 +197,8 @@ func (db *DB) minorCompactLocked(p *Policy) (*CompactionResult, bool, error) {
 	for i, leaf := range sched.Leaves {
 		ins[i] = eligible[leaf.TableID]
 	}
-	outside := db.claimLocked(ins)
+	claimLocked(ins)
+	outside := db.outsideLocked(ins)
 	db.merging++
 	db.mu.Unlock()
 	res, err := db.compact(p.name, sched, ins, outside, false)
