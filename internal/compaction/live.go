@@ -11,17 +11,21 @@ import (
 
 // LiveTable describes one live sstable the way the engine's compaction
 // picker sees it: no key data, only the statistics the write path persists
-// — exact entry count (sstable keys are unique, so the count is the
-// cardinality), byte size, key bounds from the bounds block, and the
-// per-table HyperLogLog key sketch for overlap estimation. Sketch may be
-// nil on tables written before sketches were persisted; strategies that
-// rank by union size then degrade to a disjointness assumption for the
-// affected pairs.
+// — entry count (sstable keys are unique, so the count is the
+// cardinality), byte size, key bounds from the bounds block, newest
+// sequence number, and the per-table HyperLogLog key sketch for overlap
+// estimation. Sketch may be nil on tables written before sketches were
+// persisted; strategies that rank by union size then degrade to a
+// disjointness assumption for the affected pairs.
 type LiveTable struct {
 	// SizeBytes is the table's file size.
 	SizeBytes uint64
-	// Entries is the table's exact key count.
+	// Entries is the table's key count: exact for a major compaction's
+	// plan, and for a minor pick the live count LiveEntries estimates —
+	// the keys no table of higher MaxSeq holds.
 	Entries int
+	// MaxSeq is the newest sequence number the table holds.
+	MaxSeq uint64
 	// Smallest and Largest bound the table's key range (both inclusive).
 	Smallest, Largest []byte
 	// Sketch estimates the table's key set; nil when not persisted.
@@ -233,4 +237,47 @@ func rangesDisjoint(tables []LiveTable) bool {
 		}
 	}
 	return true
+}
+
+// LiveEntries estimates, for each table, how many of its keys no table of
+// higher MaxSeq holds: |T \ ∪ newer|, the keys a merge of T still writes once
+// the newer tables outside it shadow the rest. It walks the tables newest
+// first with one running union U of their sketches and takes
+// |U ∪ S| − |U|, inclusion–exclusion over HyperLogLog; the error is that of
+// the two estimates, a few per cent of |U ∪ S|, and largest when T is small
+// next to U. Newness is by table, not by key: tables bound their sequence
+// numbers, so a newer table's copy counts as shadowing even when it came
+// from an older input of a merge whose range spans T's. The estimate is
+// clamped to [1, Entries] for a non-empty table. The newest table, and a
+// table whose sketch is nil or of another precision than the first one
+// met, keep their exact count; such a table does not join U.
+func LiveEntries(tables []LiveTable) []int {
+	order := make([]int, len(tables))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return tables[order[a]].MaxSeq > tables[order[b]].MaxSeq })
+	live := make([]int, len(tables))
+	var union *hll.Sketch
+	var seen float64
+	for _, i := range order {
+		t := &tables[i]
+		live[i] = t.Entries
+		switch {
+		case t.Sketch == nil:
+			continue
+		case union == nil:
+			union = t.Sketch.Clone()
+			seen = union.Estimate()
+			continue
+		case union.Merge(t.Sketch) != nil:
+			continue
+		}
+		now := union.Estimate()
+		if t.Entries > 0 {
+			live[i] = min(max(int(now-seen+0.5), 1), t.Entries)
+		}
+		seen = now
+	}
+	return live
 }

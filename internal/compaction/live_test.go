@@ -377,3 +377,118 @@ func TestPlanRunsBaselines(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveEntriesMatchesExactShadowing is the estimator's model test: over
+// random key sets with their own sequence ranges, each table's estimate is
+// within the HyperLogLog error of the exact |T \ ∪ newer| — each of the two
+// estimates it subtracts within 4σ of its exact union, since the raw
+// estimator's bias just above its switch from linear counting (2.5·2^p keys)
+// adds to the standard error when the two straddle it — never above
+// Entries, and the same whatever order the tables come in.
+func TestLiveEntriesMatchesExactShadowing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sigma := hll.MustNew(DefaultHLLPrecision).StdError()
+	worst := 0.0
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(9)
+		universe := 500 + rng.Intn(40_000)
+		sets := make([][]uint64, n)
+		tables := make([]LiveTable, n)
+		for i, seq := range rng.Perm(n) {
+			keys := make([]uint64, 1+rng.Intn(universe/2))
+			for j := range keys {
+				keys[j] = uint64(rng.Intn(universe))
+			}
+			sets[i] = keyset.New(keys...).Keys()
+			sketch, err := hll.SketchOfUint64s(DefaultHLLPrecision, sets[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables[i] = LiveTable{Entries: len(sets[i]), MaxSeq: uint64(seq+1) * 1000, Sketch: sketch}
+		}
+		got := LiveEntries(tables)
+		byseq := rng.Perm(n)
+		sort.Slice(byseq, func(a, b int) bool { return tables[byseq[a]].MaxSeq > tables[byseq[b]].MaxSeq })
+		newer := map[uint64]bool{}
+		for _, i := range byseq {
+			before := len(newer)
+			for _, k := range sets[i] {
+				newer[k] = true
+			}
+			exact := len(newer) - before
+			if got[i] > tables[i].Entries || got[i] < 1 {
+				t.Fatalf("trial %d table %d: estimate %d outside [1, %d]", trial, i, got[i], tables[i].Entries)
+			}
+			tol := 4*sigma*float64(before+len(newer)) + 1
+			if err := math.Abs(float64(got[i] - exact)); err > tol {
+				t.Fatalf("trial %d table %d: estimate %d, exact %d (|T| %d, |newer| %d): error %.0f above %.0f",
+					trial, i, got[i], exact, len(sets[i]), before, err, tol)
+			} else if before > 0 {
+				worst = max(worst, err/(sigma*float64(before+len(newer))))
+			}
+		}
+		perm := rng.Perm(n)
+		shuffled := make([]LiveTable, n)
+		for i, j := range perm {
+			shuffled[i] = tables[j]
+		}
+		for i, e := range LiveEntries(shuffled) {
+			if e != got[perm[i]] {
+				t.Fatalf("trial %d: estimates depend on the order the tables come in", trial)
+			}
+		}
+	}
+	t.Logf("worst error: %.2fσ of |newer| + |newer ∪ T|", worst)
+}
+
+// TestLiveEntriesClamps: the newest table and every table the estimate
+// cannot size keep their exact counts, a shadowed table keeps 1, an empty
+// one 0, and no estimate exceeds the count it stands for.
+func TestLiveEntriesClamps(t *testing.T) {
+	sketch := func(p uint8, from, to int) *hll.Sketch {
+		s := hll.MustNew(p)
+		for k := from; k < to; k++ {
+			s.AddUint64(uint64(k))
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		what   string
+		tables []LiveTable
+		want   []int
+	}{
+		{"newest exact, shadowed 1", []LiveTable{
+			{Entries: 1234, MaxSeq: 30, Sketch: sketch(12, 0, 1000)},
+			{Entries: 1000, MaxSeq: 20, Sketch: sketch(12, 0, 1000)},
+			{Entries: 500, MaxSeq: 10, Sketch: sketch(12, 0, 500)},
+		}, []int{1234, 1, 1}},
+		{"nil sketch exact", []LiveTable{
+			{Entries: 1000, MaxSeq: 30, Sketch: sketch(12, 0, 1000)},
+			{Entries: 1000, MaxSeq: 20},
+			{Entries: 10, MaxSeq: 10, Sketch: sketch(12, 1000, 2000)},
+		}, []int{1000, 1000, 10}},
+		{"other precision exact and out of the union", []LiveTable{
+			{Entries: 1000, MaxSeq: 30, Sketch: sketch(12, 0, 1000)},
+			{Entries: 2000, MaxSeq: 20, Sketch: sketch(10, 0, 2000)},
+			{Entries: 10, MaxSeq: 10, Sketch: sketch(12, 1000, 2000)},
+		}, []int{1000, 2000, 10}},
+		{"newest without a sketch: the next seeds the union", []LiveTable{
+			{Entries: 7, MaxSeq: 30},
+			{Entries: 1234, MaxSeq: 20, Sketch: sketch(12, 0, 1000)},
+			{Entries: 1000, MaxSeq: 10, Sketch: sketch(12, 0, 1000)},
+		}, []int{7, 1234, 1}},
+		{"empty table", []LiveTable{
+			{Entries: 1000, MaxSeq: 30, Sketch: sketch(12, 0, 1000)},
+			{Entries: 0, MaxSeq: 0, Sketch: sketch(12, 0, 0)},
+			{Entries: 0, MaxSeq: 0},
+		}, []int{1000, 0, 0}},
+		{"never above Entries", []LiveTable{
+			{Entries: 1000, MaxSeq: 30, Sketch: sketch(12, 0, 1000)},
+			{Entries: 10, MaxSeq: 20, Sketch: sketch(12, 1000, 3000)},
+		}, []int{1000, 10}},
+	} {
+		if got := LiveEntries(tc.tables); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: LiveEntries = %v, want %v", tc.what, got, tc.want)
+		}
+	}
+}

@@ -161,45 +161,33 @@ func claimLocked(ins []*tableHandle) {
 	}
 }
 
-// outsideLocked returns the outside set of a merge of ins, for its purge
-// test (shadowedBy): every other live table, claimed by another merge or
-// not, newest maxSeq first — the order of the current view's byseq — and
-// retained until the merge ends. The inputs are left out: none holds a
-// version newer than the merge's own newest, so probing them finds
-// nothing. Callers hold mu, under which the current view is db.tables'.
-func (db *DB) outsideLocked(ins []*tableHandle) (outside []*tableHandle) {
-	for _, th := range db.view.Load().byseq {
-		if !slices.Contains(ins, th) {
-			th.retain()
-			outside = append(outside, th)
-		}
-	}
-	return outside
-}
-
-// shadowedBy is the purge test of a merge with the outside set outside
-// (newest first, as outsideLocked orders it): a version goes when a table
-// there provably holds a newer version of its key from memory alone
-// (sstable.Reader.HoldsNewer), and each one that goes counts in purged.
-// The newest version of a key is never dropped, so what a read of the live
-// set returns is unchanged, and the test reads nothing from the device.
-// The memtable is no proof — with SyncWAL off its versions are not durable
-// — and snapshots and iterators pin the tables they read. An empty outside
-// set (a major compaction's) gives nil: nothing to test.
-func shadowedBy(outside []*tableHandle, purged *atomic.Uint64) func(iterator.Entry) bool {
-	if len(outside) == 0 {
+// shadowedBy is the purge test of a merge of ins that pinned the view v when
+// it claimed them. Its outside set is every other table of v, claimed by
+// another merge or not, tried in v's byseq order (newest maxSeq first) and
+// kept open by the pin until the merge ends; the inputs are left out, since
+// none holds a version newer than the merge's own newest. A version goes
+// when an outside table provably holds a newer version of its key from
+// memory alone (sstable.Reader.HoldsNewer), and each one that goes counts
+// in purged. The newest version of a key is never dropped, so what a read
+// of the live set returns is unchanged, and the test reads nothing from the
+// device. The memtable is no proof — with SyncWAL off its versions are not
+// durable — and snapshots and iterators pin the tables they read. No view
+// (a major compaction's, which claims every table) or no outside table
+// gives nil: nothing to test.
+func shadowedBy(v *readView, ins []*tableHandle, purged *atomic.Uint64) func(iterator.Entry) bool {
+	if v == nil || len(v.byseq) == len(ins) {
 		return nil
 	}
 	return func(e iterator.Entry) bool {
-		if outside[0].maxSeq <= e.Seq {
+		if v.byseq[0].maxSeq <= e.Seq {
 			return false
 		}
 		h := keyhash.Of(e.Key)
-		for _, th := range outside {
+		for _, th := range v.byseq {
 			if th.maxSeq <= e.Seq {
 				return false
 			}
-			if th.rd.HoldsNewer(e.Key, h, e.Seq) {
+			if !slices.Contains(ins, th) && th.rd.HoldsNewer(e.Key, h, e.Seq) {
 				purged.Add(1)
 				return true
 			}
@@ -222,21 +210,23 @@ func (db *DB) unclaim(ins []*tableHandle) {
 }
 
 // compact is the ladder every compaction climbs, minor and major alike.
-// With its inputs ins — sched's leaves, in order — claimed along with its
-// outside set, it executes sched's merges off-lock, then installs the root
-// in their place (see install) and drops its claim and the outside set. On
-// any failure the outputs are deleted and the table set stays as it was.
-// Only a major compaction's root, which covers all data, drops tombstones,
-// and only a major compaction moves the state machine and runs the swap
-// hook. pick is the name Stats.CompactionPicks counts the compaction under.
-// Called and returns without mu.
-func (db *DB) compact(pick string, sched *compaction.Schedule, ins, outside []*tableHandle, major bool) (*CompactionResult, error) {
-	defer releaseTables(outside)
+// With its inputs ins — sched's leaves, in order — claimed, and for a minor
+// merge the view v pinned (see shadowedBy), it executes sched's merges
+// off-lock, then installs the root in their place (see install) and drops
+// its claim and the pin. On any failure the outputs are deleted and the
+// table set stays as it was. Only a major compaction's root, which covers
+// all data, drops tombstones, and only a major compaction moves the state
+// machine and runs the swap hook. pick is the name Stats.CompactionPicks
+// counts the compaction under. Called and returns without mu.
+func (db *DB) compact(pick string, sched *compaction.Schedule, ins []*tableHandle, v *readView, major bool) (*CompactionResult, error) {
+	if v != nil {
+		defer v.unpin()
+	}
 	if major {
 		db.setState(CompactionMerging)
 	}
 	var purged atomic.Uint64
-	nodes, stats, err := db.executeSchedule(sched, ins, shadowedBy(outside, &purged), major)
+	nodes, stats, err := db.executeSchedule(sched, ins, shadowedBy(v, ins, &purged), major)
 	created := nodes[len(ins):]
 	res := &CompactionResult{Strategy: pick, TablesBefore: len(ins), VersionsPurged: purged.Load()}
 	res.record(ins, stats)

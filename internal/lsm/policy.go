@@ -17,8 +17,9 @@ import (
 // compaction: only a major compaction's root covers all data and may purge
 // them.
 
-// TableInfo describes one live sstable: the statistics a compaction chooser
-// ranks by, and its file name.
+// TableInfo describes one live sstable: the statistics a minor pick ranks
+// it by — Entries is its estimated live count, the keys no table of higher
+// maxSeq holds (see liveTables) — and its file name.
 type TableInfo struct {
 	compaction.LiveTable
 	// Name is the sstable file name.
@@ -48,18 +49,26 @@ type trigger interface {
 // Name identifies the policy in Stats.CompactionPicks and logs.
 func (p *Policy) Name() string { return p.name }
 
+// due reports whether p's trigger holds over tables. No trigger reads
+// Entries, so the answer is the same before and after liveTables sizes them.
+func (p *Policy) due(tables []compaction.LiveTable) bool {
+	if tr, ok := p.chooser().(trigger); ok {
+		return tr.Due(tables)
+	}
+	return len(tables) >= p.minTables
+}
+
 // pick returns the one-merge schedule p makes of tables, or nil when its
 // trigger does not hold.
 func (p *Policy) pick(tables []compaction.LiveTable) (*compaction.Schedule, error) {
-	ch := p.chooser()
-	if tr, ok := ch.(trigger); ok && !tr.Due(tables) || !ok && len(tables) < p.minTables {
+	if !p.due(tables) {
 		return nil, nil
 	}
 	k := p.k
 	if k == 0 {
 		k = len(tables)
 	}
-	return compaction.Pick(tables, k, ch)
+	return compaction.Pick(tables, k, p.chooser())
 }
 
 // PolicyByName resolves a compaction-policy name the way the engine's
@@ -140,27 +149,47 @@ func (c BackgroundConfig) withDefaults() BackgroundConfig {
 	return c
 }
 
-// TableInfos returns descriptors of the live sstables, newest first.
+// TableInfos returns descriptors of the live sstables, newest first, sized
+// as a minor pick over all of them ranks them.
 func (db *DB) TableInfos() []TableInfo {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	live := liveTables(db.tables)
 	infos := make([]TableInfo, len(db.tables))
 	for i, th := range db.tables {
-		infos[i] = TableInfo{LiveTable: th.live(), Name: th.name}
+		infos[i] = TableInfo{LiveTable: live[i], Name: th.name}
 	}
 	return infos
 }
 
-// live is the table as a compaction chooser sees it.
+// live is the table as a compaction chooser sees it, with its exact entry
+// count.
 func (th *tableHandle) live() compaction.LiveTable {
 	return compaction.LiveTable{
 		SizeBytes: th.rd.FileSize(),
 		Entries:   int(th.rd.EntryCount()),
+		MaxSeq:    th.maxSeq,
 		Smallest:  th.smallest,
 		Largest:   th.largest,
 		Sketch:    th.sketch,
 		Level:     th.level,
 	}
+}
+
+// liveTables returns tables as a minor pick ranks them: each one's
+// statistics, with Entries its estimated live count, the keys no table of
+// higher maxSeq among tables holds (compaction.LiveEntries walks them in the
+// view's byseq order). The estimate only decides which tables merge; what a
+// merge drops is still proved key by key (see shadowedBy).
+func liveTables(tables []*tableHandle) []compaction.LiveTable {
+	live := make([]compaction.LiveTable, len(tables))
+	for i, th := range tables {
+		live[i] = th.live()
+	}
+	for i, n := range compaction.LiveEntries(live) {
+		live[i].Entries = n
+	}
+	return live
 }
 
 // minorCompact asks p for a merge of the tables no other merge owns and, if
@@ -180,7 +209,8 @@ func (db *DB) minorCompact(p *Policy) (*CompactionResult, bool, error) {
 // mu held; it does not wait for the flusher, on whose goroutine it runs.
 func (db *DB) minorCompactLocked(p *Policy) (*CompactionResult, bool, error) {
 	// Tables another merge owns are off limits: merging one away would
-	// invalidate the set that merge is about to swap out.
+	// invalidate the set that merge is about to swap out. They still shadow
+	// the others' keys, so a due pick sizes every live table.
 	var eligible []*tableHandle
 	var live []compaction.LiveTable
 	for _, th := range db.tables {
@@ -189,8 +219,21 @@ func (db *DB) minorCompactLocked(p *Policy) (*CompactionResult, bool, error) {
 			live = append(live, th.live())
 		}
 	}
+	if !p.due(live) {
+		return nil, false, nil
+	}
+	live = live[:0]
+	for i, lt := range liveTables(db.tables) {
+		if !db.tables[i].compacting {
+			live = append(live, lt)
+		}
+	}
 	sched, err := p.pick(live)
 	if err != nil || sched == nil {
+		return nil, false, err
+	}
+	v, err := db.pinView()
+	if err != nil {
 		return nil, false, err
 	}
 	ins := make([]*tableHandle, len(sched.Leaves))
@@ -198,10 +241,9 @@ func (db *DB) minorCompactLocked(p *Policy) (*CompactionResult, bool, error) {
 		ins[i] = eligible[leaf.TableID]
 	}
 	claimLocked(ins)
-	outside := db.outsideLocked(ins)
 	db.merging++
 	db.mu.Unlock()
-	res, err := db.compact(p.name, sched, ins, outside, false)
+	res, err := db.compact(p.name, sched, ins, v, false)
 	db.mu.Lock()
 	db.merging--
 	db.flushCond.Broadcast()

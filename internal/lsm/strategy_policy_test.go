@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -92,6 +93,68 @@ func TestEnginePickIsPlansFirstStep(t *testing.T) {
 		if !reflect.DeepEqual(merged, want) || level != plan.Steps[0].Output.Live.Level {
 			t.Fatalf("%s: engine merged %v to level %d; Plan's first step merges %v to level %d",
 				name, merged, level, want, plan.Steps[0].Output.Live.Level)
+		}
+	}
+}
+
+// TestMinorPickMergesShadowedTables: four old tables of 400 keys each, every
+// key overwritten by four newer flushes of 100 keys. Ranked by raw entry
+// counts, BT(I) k=4 would merge the four fresh flushes; ranked by live keys,
+// the old tables hold one each, so it merges them, and the purge drops all
+// but a few of what the merge's dedup keeps.
+func TestMinorPickMergesShadowedTables(t *testing.T) {
+	db := openTestDB(t, Options{})
+	put := func(from, to int, gen string) {
+		for i := from; i < to; i++ {
+			if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("key-%04d", i)), []byte(strings.Repeat(gen, 100))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for gen := 0; gen < 4; gen++ {
+		put(0, 400, fmt.Sprint(gen))
+	}
+	old := map[string]bool{}
+	for _, info := range db.TableInfos() {
+		old[info.Name] = true
+	}
+	for part := 0; part < 4; part++ {
+		put(100*part, 100*(part+1), "n")
+	}
+	infos := db.TableInfos()
+	for _, info := range infos {
+		lo, hi := 90, 100
+		if old[info.Name] {
+			lo, hi = 1, 1
+		}
+		if info.Entries < lo || info.Entries > hi {
+			t.Errorf("table %s sized %d, want %d–%d", info.Name, info.Entries, lo, hi)
+		}
+	}
+	res, ran, err := db.minorCompact(mustPolicy(t, "BT(I)", 4))
+	if err != nil || !ran {
+		t.Fatalf("minorCompact: ran=%v err=%v", ran, err)
+	}
+	merged := map[string]bool{}
+	for _, info := range infos {
+		merged[info.Name] = true
+	}
+	for _, info := range db.TableInfos() {
+		delete(merged, info.Name)
+	}
+	if !reflect.DeepEqual(merged, old) {
+		t.Fatalf("BT(I) merged %v; want the shadowed tables %v", merged, old)
+	}
+	out := res.StepStats[0].EntriesOut
+	if out > 4 || out+res.VersionsPurged != 400 {
+		t.Errorf("merge wrote %d entries and purged %d versions; want at most 4 written and 400 in all", out, res.VersionsPurged)
+	}
+	for i := 0; i < 400; i++ {
+		if v, err := db.GetContext(context.Background(), []byte(fmt.Sprintf("key-%04d", i))); err != nil || string(v) != strings.Repeat("n", 100) {
+			t.Fatalf("Get(key-%04d) = %.10q, %v after the merge", i, v, err)
 		}
 	}
 }
