@@ -115,14 +115,14 @@ func (b *Block) Release() {
 }
 
 // sizeGranule rounds array capacities so blocks of slightly different
-// lengths interchange: a data block's frame falls short of its 2 KiB target
-// by up to one entry, and without rounding a 1.9 KiB array could not serve a
-// 2 KiB read; rounded, every full block fills one 2 KiB array.
+// lengths interchange: a data block's frame falls short of its 1.5 KiB target
+// by up to one entry, and without rounding a 1.4 KiB array could not serve a
+// 1.5 KiB read; rounded, every full block fills one 1.5 KiB array.
 const sizeGranule = 512
 
-// freeListBytes is the floor of every free list's bound: sixteen 2 KiB
-// arrays, more than a point read and one table's iterator return between
-// two misses.
+// freeListBytes is the floor of every free list's bound: about twenty
+// 1.5 KiB arrays, more than a point read and one table's iterator return
+// between two misses.
 const freeListBytes = 32 << 10
 
 // PoisonFreed is a test hook: when set, an array is overwritten as it
@@ -563,7 +563,7 @@ const DefaultShards = 16
 // minStripeBytes floors a stripe's capacity. Each LRU refuses values
 // larger than its own capacity, so over-striping a small budget would
 // silently make moderately large blocks uncacheable (a data block holding
-// one large value exceeds the 2 KiB target, and values can be large); the
+// one large value exceeds the 1.5 KiB target, and values can be large); the
 // stripe count shrinks before a stripe drops below this admission limit.
 const minStripeBytes = 128 << 10
 

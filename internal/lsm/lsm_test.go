@@ -470,7 +470,7 @@ func TestMajorCompactResultPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := [4]uint64{uint64(len(res.StepStats)), uint64(res.CostActual), res.BytesWritten, uint64(res.TablesAfter)}
-	if want := [4]uint64{2, 21600, 152001, 1}; got != want {
+	if want := [4]uint64{2, 21600, 153307, 1}; got != want {
 		t.Errorf("merges, CostActual, BytesWritten, TablesAfter = %v, want %v", got, want)
 	}
 }

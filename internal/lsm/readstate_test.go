@@ -363,7 +363,7 @@ func TestScanSetUpIndependentOfTableCount(t *testing.T) {
 	t.Logf("NewIterator+10xNext: %.0f B/op (2 tables) %.0f B/op (16 tables)", a, b)
 }
 
-// coldFixture is one flushed table of n entries (~130 B each, so ~30 per
+// coldFixture is one flushed table of n entries (~112 B each, so ~13 per
 // block) behind a block cache of cacheBytes, with every index chunk parsed
 // and the cache full, so that what a read allocates from here on is the
 // read's own.
@@ -390,7 +390,7 @@ func coldFixture(tb testing.TB, n, cacheBytes int) *DB {
 // left to allocate is the value handed to the caller.
 func TestColdGetAllocatesItsValueAndNothingElse(t *testing.T) {
 	const n = 20000
-	db := coldFixture(t, n, 64<<10) // 16 of ~650 blocks fit
+	db := coldFixture(t, n, 64<<10) // ~46 of ~1 500 blocks fit
 	keys := make([][]byte, n)
 	for i := range keys {
 		keys[i] = scanKey(i)

@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/sstable"
 	"repro/internal/vfs"
 )
 
@@ -364,7 +366,7 @@ func TestColdCompactionLeavesCacheAlone(t *testing.T) {
 	readRange(t, db, fsys, 3, 30000, 60, 1)
 	hotBlocks = db.blockCache.Len()
 	hits0, misses0, _ = db.blockCache.Stats()
-	if hotBlocks == 0 || hotBlocks*4096 > cacheBytes/2 {
+	if hotBlocks == 0 || hotBlocks*sstable.BlockSize > cacheBytes/2 {
 		t.Fatalf("hot table warmed %d blocks into a %d-byte cache", hotBlocks, cacheBytes)
 	}
 	if sz := db.Stats().TableBytes; sz < 10*cacheBytes {
@@ -391,6 +393,64 @@ func TestColdCompactionLeavesCacheAlone(t *testing.T) {
 		t.Fatalf("%d tables after the major compaction", db.Stats().Tables)
 	}
 	readRange(t, db, fsys, 3, 30000, 60, 1)
+}
+
+// TestColdGetReadsOneFrame: a Get that misses the cache reads one block
+// frame with one ReadAt, and no more than a frame: over the benchmark
+// harness's key shape ("user" + 16 hex digits, 100 B values), in one table
+// thirty times the cache, with its index born parsed so no chunk is read,
+// every cold Get issues exactly one ReadAt of at most sstable.BlockSize
+// bytes, and the mean is at most three 512 B cache granules, the most a
+// cold read should move for one 120 B record.
+func TestColdGetReadsOneFrame(t *testing.T) {
+	const n, wantMean = 20000, 3 * 512
+	fsys := &sstReads{FS: vfs.Default}
+	db := openTestDB(t, Options{MemtableBytes: 64 << 20, BlockCacheBytes: 64 << 10, FS: fsys})
+	ctx := context.Background()
+	key := func(id uint64) []byte { return []byte(fmt.Sprintf("user%016x", id)) }
+	rng := rand.New(rand.NewSource(49))
+	ids := make([]uint64, n)
+	val := bytes.Repeat([]byte("v"), 100)
+	for i := range ids {
+		ids[i] = rng.Uint64()
+		if err := db.PutContext(ctx, key(ids[i]), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if sz := db.Stats().TableBytes; sz < 30*(64<<10) {
+		t.Fatalf("table is %d bytes, want at least thirty times the cache", sz)
+	}
+	var cold, total int64
+	for _, i := range rng.Perm(n) {
+		_, misses0, _ := db.blockCache.Stats()
+		calls0, bytes0 := fsys.calls.Load(), fsys.bytes.Load()
+		if _, err := db.GetContext(ctx, key(ids[i])); err != nil {
+			t.Fatal(err)
+		}
+		_, misses1, _ := db.blockCache.Stats()
+		calls, read := fsys.calls.Load()-calls0, fsys.bytes.Load()-bytes0
+		if misses1 == misses0 {
+			if calls != 0 {
+				t.Fatalf("Get served from the cache issued %d ReadAt", calls)
+			}
+			continue
+		}
+		if calls != 1 || read > sstable.BlockSize {
+			t.Fatalf("cold Get: %d ReadAt of %d B; want one of at most %d", calls, read, sstable.BlockSize)
+		}
+		cold++
+		total += read
+	}
+	if cold < n/2 {
+		t.Fatalf("only %d of %d Gets missed the cache", cold, n)
+	}
+	if mean := total / cold; mean > wantMean {
+		t.Errorf("cold Get reads %d B on average, want at most %d", mean, wantMean)
+	}
+	t.Logf("%d cold Gets read %d B on average", cold, total/cold)
 }
 
 // TestAbandonedTableWritesLeaveNoBlocks: every way a flush, a minor

@@ -75,10 +75,10 @@ import (
 )
 
 // BlockSize is the default target size of a data block's frame (codec byte,
-// length, body, checksum). The Writer cuts a block before the entry that
-// would take it past the target — only a lone larger entry gets a bigger
-// block — so a block read from the device fits one cache array this size.
-const BlockSize = 2048
+// length, body, checksum), three cache granules. The Writer cuts a block before
+// the entry that would take it past the target — only a lone larger entry gets
+// a bigger block — so a block read from the device fits one cache array this size.
+const BlockSize = 1536
 
 // codecRaw is the codec byte of every data block.
 const codecRaw byte = 0

@@ -624,8 +624,8 @@ func (it *Iter) SeekGE(target []byte) {
 // spanBlocks is how far a ScanIter reads ahead of its entries: up to this
 // many consecutive blocks are fetched at a time, the ones that are not
 // resident in runs of one ReadAt each: 32 KiB of default-size blocks a span,
-// so each hand-off between goroutines moves that much.
-const spanBlocks = 16
+// so each hand-off between goroutines moves about that much.
+const spanBlocks = 32 << 10 / BlockSize
 
 // fetched is one block a ScanIter has ready: its payload, the pin that
 // keeps the payload valid — the resident block's, or one reference on the

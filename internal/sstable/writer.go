@@ -14,7 +14,7 @@ import (
 	"repro/internal/keyhash"
 )
 
-// DefaultIndexChunkSize is the number of block handles per index chunk. At the default block size a chunk covers ~512 KiB
+// DefaultIndexChunkSize is the number of block handles per index chunk. At the default block size a chunk covers ~384 KiB
 // of data, so even multi-gigabyte tables open by materializing only a few
 // thousand top-level entries while each chunk parses lazily on first use.
 const DefaultIndexChunkSize = 256
