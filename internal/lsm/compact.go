@@ -166,11 +166,11 @@ func claimLocked(ins []*tableHandle) {
 // another merge or not, tried in v's byseq order (newest maxSeq first) and
 // kept open by the pin until the merge ends; the inputs are left out, since
 // none holds a version newer than the merge's own newest. A version goes
-// when an outside table provably holds a newer version of its key from
-// memory alone (sstable.Reader.HoldsNewer), and each one that goes counts
-// in purged. The newest version of a key is never dropped, so what a read
-// of the live set returns is unchanged, and the test reads nothing from the
-// device. The memtable is no proof — with SyncWAL off its versions are not
+// when an outside table provably holds a newer version of its key
+// (sstable.Reader.HoldsNewer, which answers from the table whatever the
+// cache holds), and each one that goes counts in purged. The newest version
+// of a key is never dropped, so what a read of the live set returns is
+// unchanged. The memtable is no proof — with SyncWAL off its versions are not
 // durable — and snapshots and iterators pin the tables they read. No view
 // (a major compaction's, which claims every table) or no outside table
 // gives nil: nothing to test.

@@ -293,14 +293,13 @@ func TestWritesProgressWhileFlushWedged(t *testing.T) {
 // writer has filled the next memtable and is waiting for it. Every other
 // policy family PolicyByName resolves — Bigtable's count trigger,
 // Cassandra's size tiers, the leveled layout and a sketch-ranked paper
-// strategy — is pinned the same way, undelayed, on the stream's first
-// 40 000 writes through a 256 KiB memtable.
+// strategy — is pinned the same way, once undelayed and once delayed, on
+// the stream's first 40 000 writes through a 256 KiB memtable.
 //
-// Every run uses the default block cache and must end with the pinned
-// counts of flushes, minor compactions, tables and picks, and the bytes
-// flushed. The bytes a merge writes are pinned by one more undelayed run
-// with a cache the stream never fills (see scheduleCacheBytes). The byte
-// counts of the three families whose merges leave newer tables outside
+// Every run, the families' one delayed run each included, uses the default
+// block cache and must end with every pinned counter, bytes included: what
+// a merge drops is proved from the tables, whatever the cache holds. The
+// byte counts of the three families whose merges leave newer tables outside
 // them (BT(I), threshold, SO) were re-pinned when merges began to drop the
 // versions those tables shadow, BT(I)'s again when minor picks began to
 // rank each table by its estimated live keys, and every family's byte
@@ -323,79 +322,51 @@ func TestFlushScheduleIsDeterministic(t *testing.T) {
 			BytesFlushed: 33947322, BytesCompacted: 22568237, TableBytes: 16934408,
 			CompactionPicks: map[string]uint64{"BT(I)": 8},
 		}},
-		{"threshold", 40_000, 256 << 10, 1, Stats{
+		{"threshold", 40_000, 256 << 10, 2, Stats{
 			Flushes: 50, MinorCompactions: 14, Tables: 8,
 			BytesFlushed: 13281902, BytesCompacted: 22838966, TableBytes: 11074150,
 			CompactionPicks: map[string]uint64{"threshold": 14},
 		}},
-		{"size-tiered", 40_000, 256 << 10, 1, Stats{
+		{"size-tiered", 40_000, 256 << 10, 2, Stats{
 			Flushes: 50, MinorCompactions: 15, Tables: 5,
 			BytesFlushed: 13281902, BytesCompacted: 22387757, TableBytes: 11158455,
 			CompactionPicks: map[string]uint64{"size-tiered": 15},
 		}},
-		{"leveled", 40_000, 256 << 10, 1, Stats{
+		{"leveled", 40_000, 256 << 10, 2, Stats{
 			Flushes: 50, MinorCompactions: 12, Tables: 3,
 			BytesFlushed: 13281902, BytesCompacted: 72485156, TableBytes: 9099662,
 			CompactionPicks: map[string]uint64{"leveled": 12},
 		}},
-		{"SO", 40_000, 256 << 10, 1, Stats{
+		{"SO", 40_000, 256 << 10, 2, Stats{
 			Flushes: 50, MinorCompactions: 14, Tables: 8,
 			BytesFlushed: 13281902, BytesCompacted: 22841318, TableBytes: 11082162,
 			CompactionPicks: map[string]uint64{"SO": 14},
 		}},
 	} {
 		t.Run(tc.policy, func(t *testing.T) {
-			flushScheduleRuns(t, tc.policy, all[:tc.ops], tc.memtable, tc.runs, tc.want)
+			for run := 0; run < tc.runs; run++ {
+				got, want := flushScheduleRun(t, tc.policy, all[:tc.ops], tc.memtable, run), tc.want
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("run %d: flushes %d minor %d tables %d flushed %d compacted %d table bytes %d picks %v;\nwant    flushes %d minor %d tables %d flushed %d compacted %d table bytes %d picks %v",
+						run, got.Flushes, got.MinorCompactions, got.Tables, got.BytesFlushed, got.BytesCompacted, got.TableBytes, got.CompactionPicks,
+						want.Flushes, want.MinorCompactions, want.Tables, want.BytesFlushed, want.BytesCompacted, want.TableBytes, want.CompactionPicks)
+				}
+			}
 		})
 	}
 }
 
-// scheduleCacheBytes is a block cache the schedule runs never fill. A merge
-// drops the versions a resident block of a newer table shadows, so under
-// eviction the bytes it writes depend on which stripe each block hashes to
-// — on table IDs, which are process-wide — and on how far a merge's
-// read-ahead runs before its output evicts what it would have found. With
-// nothing evicted, every table's published blocks stay resident until the
-// table goes, and the bytes are again a function of the stream alone. The
-// counts hold under eviction too, though picks now read the sketches merges
-// write: a purge drops only keys a newer table holds, which a table's live
-// estimate does not count, so what the cache lets a merge prove barely moves
-// the estimate, and on this stream it moves no pick.
-const scheduleCacheBytes = 64 << 20
-
-func flushScheduleRuns(t *testing.T, policyName string, ops []ycsb.Op, memtable, runs int, want Stats) {
-	counts := func(st Stats) Stats {
-		return Stats{
-			Flushes: st.Flushes, MinorCompactions: st.MinorCompactions, Tables: st.Tables,
-			BytesFlushed: st.BytesFlushed, CompactionPicks: st.CompactionPicks,
-		}
-	}
-	for run := 0; run < runs; run++ {
-		if got := flushScheduleRun(t, policyName, ops, memtable, run, 0); !reflect.DeepEqual(counts(got), counts(want)) {
-			t.Fatalf("run %d: flushes %d minor %d tables %d flushed %d picks %v;\nwant    flushes %d minor %d tables %d flushed %d picks %v",
-				run, got.Flushes, got.MinorCompactions, got.Tables, got.BytesFlushed, got.CompactionPicks,
-				want.Flushes, want.MinorCompactions, want.Tables, want.BytesFlushed, want.CompactionPicks)
-		}
-	}
-	if got := flushScheduleRun(t, policyName, ops, memtable, 0, scheduleCacheBytes); !reflect.DeepEqual(got, want) {
-		t.Fatalf("with a %d MiB cache: flushes %d minor %d tables %d flushed %d compacted %d table bytes %d picks %v;\nwant    flushes %d minor %d tables %d flushed %d compacted %d table bytes %d picks %v",
-			scheduleCacheBytes>>20, got.Flushes, got.MinorCompactions, got.Tables, got.BytesFlushed, got.BytesCompacted, got.TableBytes, got.CompactionPicks,
-			want.Flushes, want.MinorCompactions, want.Tables, want.BytesFlushed, want.BytesCompacted, want.TableBytes, want.CompactionPicks)
-	}
-}
-
 // flushScheduleRun writes ops through a DB with the named auto-compaction
-// policy and a block cache of cacheBytes (0: the default), its flusher
-// delayed at random unless run is 0, and returns the DB's schedule
-// counters.
-func flushScheduleRun(t *testing.T, policyName string, ops []ycsb.Op, memtable, run, cacheBytes int) Stats {
+// policy, its flusher delayed at random unless run is 0, and returns the
+// DB's schedule counters.
+func flushScheduleRun(t *testing.T, policyName string, ops []ycsb.Op, memtable, run int) Stats {
 	policy, err := PolicyByName(policyName, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The skiplist seed varies too: tower heights are not part of what a
 	// memtable weighs.
-	db := openTestDB(t, Options{MemtableBytes: memtable, AutoCompact: policy, Seed: int64(run), BlockCacheBytes: cacheBytes})
+	db := openTestDB(t, Options{MemtableBytes: memtable, AutoCompact: policy, Seed: int64(run)})
 	defer db.Close()
 	delays := rand.New(rand.NewSource(int64(run)))
 	var writerDone atomic.Bool

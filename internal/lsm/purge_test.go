@@ -5,10 +5,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/compaction"
@@ -103,7 +104,6 @@ func tableKeys(t testing.TB, th *tableHandle) []string {
 // counts them in VersionsPurged, and every read still returns the newest
 // version of every key.
 func TestMergeDropsVersionsANewerTableShadows(t *testing.T) {
-	ctx := context.Background()
 	db := openTestDB(t, Options{})
 	shadowFixture(t, db, 8)
 	res := mergeAt(t, db, 1, 2)
@@ -114,15 +114,35 @@ func TestMergeDropsVersionsANewerTableShadows(t *testing.T) {
 	if len(keys) != 150 || keys[0] != "k-050" {
 		t.Fatalf("merge output holds %d keys from %s, want k-050…k-099 and m-000…m-099", len(keys), keys[0])
 	}
-	for i := 0; i < 100; i++ {
-		want := "old"
-		if i < 50 {
-			want = "new"
+	readsRight(t, db)
+}
+
+// readsRight checks every Get and a full scan of shadowFixture's keys: B's
+// "new" for k-000…k-049, A's "old" for the rest, C's "m" for m-*.
+func readsRight(t *testing.T, db *DB) {
+	t.Helper()
+	ctx := context.Background()
+	var want []string
+	for i := 0; i < 200; i++ {
+		key, v := fmt.Sprintf("k-%03d", i), "new"
+		switch {
+		case i >= 100:
+			key, v = fmt.Sprintf("m-%03d", i-100), "m"
+		case i >= 50:
+			v = "old"
 		}
-		v, err := db.GetContext(ctx, []byte(fmt.Sprintf("k-%03d", i)))
-		if err != nil || !strings.HasPrefix(string(v), want) {
-			t.Fatalf("k-%03d = %q, %v; want %s", i, v, err, want)
+		got, err := db.GetContext(ctx, []byte(key))
+		if err != nil || !strings.HasPrefix(string(got), v) {
+			t.Fatalf("%s = %q, %v; want %s", key, got, err, v)
 		}
+		want = append(want, key+"="+v)
+	}
+	var got []string
+	if err := db.RangeContext(ctx, nil, nil, func(k, v []byte) error {
+		got = append(got, string(k)+"="+strings.TrimRight(string(v), "."))
+		return nil
+	}); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("scan returned %d entries, %v; want %d", len(got), err, len(want))
 	}
 }
 
@@ -191,89 +211,104 @@ func TestMemtableVersionPurgesNothing(t *testing.T) {
 	}
 }
 
-// fileReads counts the bytes ReadAt returns per sstable file.
-type fileReads struct {
-	vfs.FS
-	mu    sync.Mutex
-	bytes map[string]int64
-}
-
-func (c *fileReads) Open(path string) (vfs.File, error)   { return c.wrap(c.FS.Open(path)) }
-func (c *fileReads) Create(path string) (vfs.File, error) { return c.wrap(c.FS.Create(path)) }
-
-func (c *fileReads) wrap(f vfs.File, err error) (vfs.File, error) {
-	if err != nil || !strings.HasSuffix(f.Name(), ".sst") {
-		return f, err
+// reopened writes shadowFixture's tables through fsys, with 200-byte
+// values, and reopens the DB, so that the outside table B has no index
+// chunk parsed and no block resident until Gets of k-000…k-(warm-1) cache
+// theirs. It returns the DB and B's path.
+func reopened(t *testing.T, fsys vfs.FS, warm int) (*DB, string) {
+	t.Helper()
+	dir := t.TempDir()
+	db, err := Open(dir, Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return readsOf{f, c}, nil
-}
-
-// snapshot returns the counts so far.
-func (c *fileReads) snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.bytes))
-	for k, v := range c.bytes {
-		out[k] = v
+	shadowFixture(t, db, 200)
+	path := filepath.Join(dir, db.tables[0].name)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	if db, err = Open(dir, Options{FS: fsys}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	for i := 0; i < warm; i++ {
+		if _, err := db.GetContext(context.Background(), []byte(fmt.Sprintf("k-%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, path
 }
 
-type readsOf struct {
-	vfs.File
-	c *fileReads
-}
-
-func (f readsOf) ReadAt(p []byte, off int64) (int, error) {
-	n, err := f.File.ReadAt(p, off)
-	f.c.mu.Lock()
-	f.c.bytes[filepath.Base(f.Name())] += int64(n)
-	f.c.mu.Unlock()
-	return n, err
-}
-
-// TestPurgeReadsNothingButItsInputs: the purge test answers from memory, so
-// a merge reads no table but its inputs. Reopened, the outside table has no
-// index chunk parsed and no block resident: it proves nothing and nothing
-// is purged. Once Gets have cached some of its blocks, exactly the versions
-// those blocks shadow go — and still nothing outside the inputs is read.
-func TestPurgeReadsNothingButItsInputs(t *testing.T) {
+// TestPurgeIgnoresResidency: what a merge drops is a function of the
+// tables alone. Reopened, the outside table has no index chunk parsed and
+// no block resident, and the merge drops exactly the 50 versions it
+// shadows — as many as once Gets have cached some of its blocks — and
+// moves no hit or miss counter.
+func TestPurgeIgnoresResidency(t *testing.T) {
 	for _, warm := range []int{0, 20} {
 		t.Run(fmt.Sprintf("warm=%d", warm), func(t *testing.T) {
-			ctx := context.Background()
-			dir := t.TempDir()
-			fsys := &fileReads{FS: vfs.Default, bytes: map[string]int64{}}
-			db, err := Open(dir, Options{FS: fsys})
+			db, _ := reopened(t, vfs.Default, warm)
+			before := db.Stats()
+			res := mergeAt(t, db, 1, 2)
+			after := db.Stats()
+			if res.VersionsPurged != 50 {
+				t.Errorf("purged %d versions, want the 50 that B shadows", res.VersionsPurged)
+			}
+			if after.BlockCacheHits != before.BlockCacheHits || after.BlockCacheMisses != before.BlockCacheMisses {
+				t.Errorf("the merge moved the cache's counters: hits %d→%d, misses %d→%d",
+					before.BlockCacheHits, after.BlockCacheHits, before.BlockCacheMisses, after.BlockCacheMisses)
+			}
+		})
+	}
+}
+
+// TestPurgeKeepsWhatItCannotRead: a proof whose block read fails — the
+// read itself, or the block's checksum — proves nothing. The merge still
+// installs, keeps every version it could not prove, counts only the drops
+// it proved, and once the outside table reads again every Get and the scan
+// are right.
+func TestPurgeKeepsWhatItCannotRead(t *testing.T) {
+	for _, flip := range []bool{false, true} {
+		t.Run(fmt.Sprintf("flip=%v", flip), func(t *testing.T) {
+			// Gets cache the blocks of k-000…k-019 before B's reads fail,
+			// and only the proof reads k-049's; a flipped byte lands in B's
+			// first block, which holds k-000.
+			warm, kept := 20, "k-049"
+			if flip {
+				warm, kept = 0, "k-000"
+			}
+			fsys := vfs.NewFault(vfs.Default, 1)
+			db, path := reopened(t, fsys, warm)
+			orig, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			shadowFixture(t, db, 200)
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if db, err = Open(dir, Options{FS: fsys}); err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			for i := 0; i < warm; i++ {
-				if _, err := db.GetContext(ctx, []byte(fmt.Sprintf("k-%03d", i))); err != nil {
+			if flip {
+				bad := bytes.Clone(orig)
+				bad[100] ^= 0xff
+				if err := os.WriteFile(path, bad, 0o644); err != nil {
 					t.Fatal(err)
 				}
+			} else {
+				fsys.SetPathFilter(func(p string) bool { return p == path })
+				fsys.SetProb(vfs.OpRead, 1)
 			}
-			inputs := map[string]bool{db.tables[1].name: true, db.tables[2].name: true}
-			before := fsys.snapshot()
 			res := mergeAt(t, db, 1, 2)
-			for name, n := range fsys.snapshot() {
-				if !inputs[name] && n != before[name] {
-					t.Errorf("the merge read %d B of %s, which is not one of its inputs", n-before[name], name)
-				}
+			if !flip && fsys.Injected(vfs.OpRead) == 0 {
+				t.Fatal("no read of B failed: the test tests nothing")
 			}
-			switch {
-			case warm == 0 && res.VersionsPurged != 0:
-				t.Errorf("purged %d versions with nothing of the newer table in memory", res.VersionsPurged)
-			case warm > 0 && (res.VersionsPurged < uint64(warm) || res.VersionsPurged >= 50):
-				t.Errorf("purged %d versions with the blocks of %d of the 50 shadowing keys cached; want those blocks' keys only", res.VersionsPurged, warm)
+			fsys.Disable()
+			if err := os.WriteFile(path, orig, 0o644); err != nil {
+				t.Fatal(err)
 			}
+			keys := tableKeys(t, db.tables[1])
+			if res.VersionsPurged == 0 || res.VersionsPurged >= 50 || len(keys) != 200-int(res.VersionsPurged) {
+				t.Fatalf("purged %d versions and wrote %d keys; want some of B's 50 purged and the rest kept", res.VersionsPurged, len(keys))
+			}
+			if !slices.Contains(keys, kept) {
+				t.Fatalf("%s, which B's unreadable block holds, was dropped", kept)
+			}
+			readsRight(t, db)
 		})
 	}
 }

@@ -33,13 +33,13 @@ func MergeEntries(inputs ...*Reader) int {
 // reports true for is discarded as well: iterator.IsTombstone for a major
 // compaction producing the final table, whose deletion markers and the
 // versions they shadow go, or a test that a newer version lives on in a
-// table outside the merge (see Reader.HoldsNewer). The inputs are read
-// through ScanIters — a merge reads every block of tables that are obsolete
-// once it commits, so it fills the block cache with none of them and moves
-// each resident block it takes up to the cold end, spent — and a Writer that
-// publishes (PublishTo) carries their residency over to the output, which so
-// displaces its own dead input. A caller whose merge then does not commit
-// Unspends the inputs.
+// table outside the merge (see Reader.HoldsNewer), whose block reads the
+// stats do not count. The inputs are read through ScanIters — a merge reads
+// every block of tables that are obsolete once it commits, so it fills the
+// block cache with none of them and moves each resident block it takes up
+// to the cold end, spent — and a Writer that publishes (PublishTo) carries
+// their residency over to the output, which so displaces its own dead
+// input. A caller whose merge then does not commit Unspends the inputs.
 func MergeTo(tw *Writer, drop func(iterator.Entry) bool, inputs ...*Reader) (MergeStats, error) {
 	var stats MergeStats
 	children := make([]iterator.Iterator, len(inputs))

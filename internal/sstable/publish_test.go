@@ -356,75 +356,70 @@ func TestColdOutputAdmittedOnlyAgainstSpentInput(t *testing.T) {
 	}
 }
 
-// TestHoldsNewerProvesFromMemoryOnly: the purge probe answers from what is
-// already in memory. A born table, every chunk parsed and every block
-// resident, proves each of its keys newer than any lower sequence number —
-// and not newer than its own, nor anything about a key it lacks. A block
-// that is not resident, or a chunk not yet parsed, proves nothing. No probe
-// reads the table, moves the cache's counters or counts a filter outcome.
-func TestHoldsNewerProvesFromMemoryOnly(t *testing.T) {
+// TestHoldsNewerIgnoresResidency: the purge probe's answer is a function of
+// the table alone. A born table (every chunk parsed, every block resident),
+// the same table with its blocks dropped from the cache, and the table
+// reopened with no chunk parsed each prove every key newer than any lower
+// sequence number — and not newer than its own, nor anything about a key it
+// lacks. No pass moves the cache's hits, misses or resident set or counts a
+// filter outcome, and no probe the filter rejects reads the table.
+func TestHoldsNewerIgnoresResidency(t *testing.T) {
 	entries := compressibleEntries("key", 800)
 	c := cache.New(8 << 20)
-	rd, src := publishedTable(t, c, entries, WriterOptions{BlockSize: 512, IndexChunkSize: 8})
+	born, src := publishedTable(t, c, entries, WriterOptions{BlockSize: 512, IndexChunkSize: 8})
 	var fm FilterMetrics
-	rd.SetFilterMetrics(&fm)
-	holds := func(rd *Reader, key []byte, seq uint64) bool { return rd.HoldsNewer(key, keyhash.Of(key), seq) }
-	quiet := func(when string, reads int) {
+	absent := []string{"kex", "kez"} // below, above
+	for i := range entries {
+		absent = append(absent, fmt.Sprintf("key-%06dx", i)) // between keys
+	}
+	// pass probes rd and returns the ReadAt calls it took.
+	pass := func(when string, rd *Reader) int {
 		t.Helper()
-		if hits, misses, _ := c.Stats(); hits != 0 || misses != 0 || src.reads != reads {
-			t.Fatalf("%s: %d hits, %d misses, %d reads (want %d)", when, hits, misses, src.reads, reads)
+		rd.SetFilterMetrics(&fm)
+		hits, misses, used := c.Stats()
+		resident, start := c.Len(), src.reads
+		holds := func(key []byte, seq uint64) bool {
+			at := src.reads
+			held := rd.HoldsNewer(key, keyhash.Of(key), seq)
+			if src.reads != at && !rd.MayContainHash(keyhash.Of(key)) {
+				t.Fatalf("%s: %q, which the filter rejects, read the table", when, key)
+			}
+			return held
+		}
+		for _, e := range entries {
+			if !holds(e.Key, e.Seq-1) {
+				t.Fatalf("%s: %s not proved newer than seq %d", when, e.Key, e.Seq-1)
+			}
+			if holds(e.Key, e.Seq) {
+				t.Fatalf("%s: %s at seq %d proved newer than itself", when, e.Key, e.Seq)
+			}
+		}
+		for _, key := range absent {
+			if holds([]byte(key), 0) {
+				t.Fatalf("%s: absent key %q proved present", when, key)
+			}
+		}
+		if h, m, u := c.Stats(); h != hits || m != misses || u != used || c.Len() != resident {
+			t.Fatalf("%s: hits %d→%d, misses %d→%d, %d→%d B in %d→%d blocks", when, hits, h, misses, m, used, u, resident, c.Len())
 		}
 		if fm.Negatives.Load() != 0 || fm.FalsePositives.Load() != 0 {
 			t.Fatalf("%s: filter counted %d negatives, %d false positives", when, fm.Negatives.Load(), fm.FalsePositives.Load())
 		}
+		return src.reads - start
 	}
-	for _, e := range entries {
-		if !holds(rd, e.Key, e.Seq-1) {
-			t.Fatalf("born table does not prove %s newer than seq %d", e.Key, e.Seq-1)
-		}
-		if holds(rd, e.Key, e.Seq) {
-			t.Fatalf("%s at seq %d proved newer than itself", e.Key, e.Seq)
-		}
+	if reads := pass("born table", born); reads != 0 {
+		t.Fatalf("born table: %d reads with every block resident", reads)
 	}
-	for _, key := range []string{"key-0000005x", "kex", "kez"} { // between keys, below, above
-		if holds(rd, []byte(key), 0) {
-			t.Fatalf("absent key %q proved present", key)
-		}
+	c.DropTable(born.id)
+	if reads := pass("blocks dropped", born); reads == 0 {
+		t.Fatal("blocks dropped: every proof made without a read")
 	}
-	quiet("born table", 0)
-
-	c.DropTable(rd.id)
-	for _, e := range entries {
-		if holds(rd, e.Key, 0) {
-			t.Fatalf("%s proved with its block no longer resident", e.Key)
-		}
-	}
-	quiet("blocks dropped", 0)
-
-	opened, err := NewReader(src, rd.size)
+	opened, err := NewReader(src, born.size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opened.SetBlockCache(c)
-	opened.SetFilterMetrics(&fm)
-	atOpen := src.reads
-	for _, e := range entries {
-		if holds(opened, e.Key, 0) {
-			t.Fatalf("%s proved by a table whose chunks were never parsed", e.Key)
-		}
-	}
-	quiet("opened table", atOpen)
-
-	probe := entries[400]
-	if _, err := opened.Get(probe.Key); err != nil {
-		t.Fatal(err)
-	}
-	_, misses, _ := c.Stats()
-	reads := src.reads
-	if !holds(opened, probe.Key, probe.Seq-1) {
-		t.Fatalf("%s not proved once a Get has cached its block", probe.Key)
-	}
-	if hits, m, _ := c.Stats(); hits != 0 || m != misses || src.reads != reads {
-		t.Fatalf("probe after the Get moved the cache (%d hits, %d→%d misses) or read (%d→%d)", hits, misses, m, reads, src.reads)
+	if reads := pass("reopened", opened); reads == 0 {
+		t.Fatal("reopened: every proof made without a read")
 	}
 }

@@ -52,12 +52,12 @@ type FilterMetrics struct {
 // the same handle, and the Reader it hands over (Writer.Reader) looks them
 // up under that ID; one merged from input that was not resident is
 // published cold, admitted only where it displaces nothing live.
-// Maintenance readers (merge inputs, planning scans — Reader.ScanIter) look
-// blocks up with Peek, which neither promotes nor counts, and read what is
-// missing into buffers of cache.Uncached; a merge, and only a merge,
-// Demotes each resident block as it takes it up, so its dead input is
-// evicted before anything live, and a merge that does not commit Unspends
-// its inputs again.
+// Maintenance readers (merge inputs, planning scans — Reader.ScanIter — and
+// a merge's purge probe, Reader.HoldsNewer) look blocks up with Peek, which
+// neither promotes nor counts, and read what is missing into buffers of
+// cache.Uncached; a merge, and only a merge, Demotes each resident block as
+// it takes it up, so its dead input is evicted before anything live, and a
+// merge that does not commit Unspends its inputs again.
 type Cache interface {
 	Get(k cache.Key) (*cache.Block, bool)
 	Peek(k cache.Key) (*cache.Block, bool)
@@ -378,13 +378,15 @@ func (rd *Reader) findBlockForKey(key []byte) (blockHandle, bool, error) {
 // counts nothing in the FilterMetrics.
 func (rd *Reader) MayContainHash(h keyhash.Hash) bool { return rd.filter.MayContainHash(h) }
 
-// HoldsNewer reports whether the table provably holds key (h is
-// keyhash.Of(key)) at a sequence number above seq, from memory alone: the
-// bounds, the Bloom filter, an index chunk already loaded and a data block
-// resident in the cache. Whatever it cannot prove without a read — a chunk
-// not yet parsed, a block not resident — is false. Nothing is read, no block
-// is promoted and no counter moves, the filter metrics included: it is the
-// purge test of a merge (see MergeTo), which must cost the device nothing.
+// HoldsNewer reports whether the table holds key (h is keyhash.Of(key)) at a
+// sequence number above seq: the purge test of a merge (see MergeTo), whose
+// answer is a function of the table alone, whatever the cache holds. The
+// bounds and the Bloom filter answer most keys; past them the key's block is
+// fetched as a ScanIter fetches it (see fetchSpan) — used where it lies if
+// resident, else read into a buffer that is never published — so no block
+// is promoted and no counter moves, the filter metrics included. A read or
+// checksum error proves nothing: the answer is false, and the merge keeps
+// the version, which is always correct.
 func (rd *Reader) HoldsNewer(key []byte, h keyhash.Hash, seq uint64) bool {
 	b := &rd.bounds
 	if rd.f.entryCount == 0 || b.MaxSeq <= seq ||
@@ -392,25 +394,18 @@ func (rd *Reader) HoldsNewer(key []byte, h keyhash.Hash, seq uint64) bool {
 		!rd.MayContainHash(h) {
 		return false
 	}
-	ci := searchHandles(rd.chunks, key)
-	if ci < 0 {
+	bh, ok, err := rd.findBlockForKey(key)
+	if err != nil || !ok {
 		return false
 	}
-	p := rd.chunkData[ci].Load()
-	if p == nil {
-		return false
-	}
-	bi := searchHandles(*p, key)
-	if bi < 0 {
+	var sp span
+	if rd.fetchSpan([]blockHandle{bh}, &sp); sp.n == 0 {
 		return false
 	}
 	var hd v3EntryHeader
-	found := false
-	if blk, ok := rd.blocks.Peek(cache.Key{Table: rd.id, Offset: (*p)[bi].offset}); ok {
-		pb, err := parseV3Block(blk.Data())
-		found = err == nil && searchV3Block(pb, key, &hd) == nil
-		blk.Release()
-	}
+	pb, err := parseV3Block(sp.blocks[0].data)
+	found := err == nil && searchV3Block(pb, key, &hd) == nil
+	sp.release(0)
 	return found && hd.seq > seq
 }
 
