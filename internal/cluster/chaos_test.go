@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/kvnet"
 	"repro/internal/lsm"
+	"repro/internal/model"
 	"repro/internal/retry"
 )
 
@@ -195,9 +196,34 @@ func replicasConverged(t *testing.T, nodes []*testNode) (bool, string) {
 	return true, ""
 }
 
-type ackedWrite struct {
-	value   string
-	deleted bool
+// routerReader reads the cluster through a router for model.Check, with
+// kvnet.ErrNotFound as not found.
+type routerReader struct{ *Router }
+
+func (r routerReader) Get(key []byte) ([]byte, bool, error) {
+	v, err := r.Router.Get(context.Background(), key)
+	if errors.Is(err, kvnet.ErrNotFound) {
+		return nil, false, nil
+	}
+	return v, err == nil, err
+}
+
+func (r routerReader) Scan(start, end []byte, fn func(key, value []byte) error) error {
+	for {
+		page, next, err := r.RangePage(context.Background(), start, end, 1000)
+		if err != nil {
+			return err
+		}
+		for _, e := range page {
+			if err := fn(e.Key, e.Value); err != nil {
+				return err
+			}
+		}
+		if next == nil {
+			return nil
+		}
+		start = next
+	}
 }
 
 // TestClusterChaos is the acceptance test for the replicated cluster:
@@ -214,18 +240,18 @@ func TestClusterChaos(t *testing.T) {
 
 	const writers = 4
 	const keysPerWriter = 25
+	m := model.New()
 	var (
-		ackMu sync.Mutex
-		acked = map[string]ackedWrite{}
+		errMu  sync.Mutex
+		opErrs []error
 	)
-	var opErrs []error
 	recordErr := func(err error) {
 		// Snapshot the failure detector's view at failure time: by the
 		// time errors are reported the nodes have recovered.
 		err = fmt.Errorf("%w (down at failure: %v)", err, rt.DownReasons())
-		ackMu.Lock()
+		errMu.Lock()
 		opErrs = append(opErrs, err)
-		ackMu.Unlock()
+		errMu.Unlock()
 	}
 
 	stop := make(chan struct{})
@@ -241,24 +267,19 @@ func TestClusterChaos(t *testing.T) {
 					return
 				default:
 				}
-				key := fmt.Sprintf("chaos-%d-%02d", w, seq%keysPerWriter)
-				if seq%10 == 9 {
-					if err := rt.Delete(ctx, []byte(key)); err != nil {
-						recordErr(fmt.Errorf("delete %s: %w", key, err))
-					} else {
-						ackMu.Lock()
-						acked[key] = ackedWrite{deleted: true}
-						ackMu.Unlock()
-					}
+				op := model.Op{Key: fmt.Sprintf("chaos-%d-%02d", w, seq%keysPerWriter), Delete: seq%10 == 9}
+				var err error
+				if op.Delete {
+					err = rt.Delete(ctx, []byte(op.Key))
 				} else {
-					val := fmt.Sprintf("w%d-seq%d", w, seq)
-					if err := rt.Put(ctx, []byte(key), []byte(val)); err != nil {
-						recordErr(fmt.Errorf("put %s: %w", key, err))
-					} else {
-						ackMu.Lock()
-						acked[key] = ackedWrite{value: val}
-						ackMu.Unlock()
-					}
+					op.Value = fmt.Sprintf("w%d-seq%d", w, seq)
+					err = rt.Put(ctx, []byte(op.Key), []byte(op.Value))
+				}
+				if err != nil {
+					recordErr(fmt.Errorf("write %s: %w", op.Key, err))
+					m.Fail(op)
+				} else {
+					m.Apply(op)
 				}
 				seq++
 				time.Sleep(time.Millisecond)
@@ -307,15 +328,12 @@ func TestClusterChaos(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	ackMu.Lock()
-	errs := append([]error(nil), opErrs...)
-	total := len(acked)
-	ackMu.Unlock()
-	for _, err := range errs {
+	keys := m.Keys()
+	for _, err := range opErrs {
 		t.Errorf("operation failed during chaos: %v", err)
 	}
-	if total < writers*keysPerWriter/2 {
-		t.Fatalf("workload too small to be meaningful: %d acked keys", total)
+	if len(keys) < writers*keysPerWriter/2 {
+		t.Fatalf("workload too small to be meaningful: %d keys written", len(keys))
 	}
 
 	// Convergence: hinted handoff drains, then every replica holds the
@@ -329,7 +347,7 @@ func TestClusterChaos(t *testing.T) {
 		// of every key heals any replica a late repair or missed hint left
 		// stale (the cluster is quiescent now, so repairs cannot race new
 		// writes).
-		for key := range acked {
+		for _, key := range keys {
 			if _, err := rt.Get(ctx, []byte(key)); err != nil && !errors.Is(err, kvnet.ErrNotFound) {
 				t.Logf("convergence read %s: %v", key, err)
 			}
@@ -349,26 +367,15 @@ func TestClusterChaos(t *testing.T) {
 	}
 
 	// No acknowledged write lost: the router serves exactly what was
-	// acked for every key.
-	for key, want := range acked {
-		got, err := rt.Get(ctx, []byte(key))
-		if want.deleted {
-			if !errors.Is(err, kvnet.ErrNotFound) {
-				t.Errorf("key %s: acked delete, but Get = %q, %v", key, got, err)
-			}
-			continue
-		}
-		if err != nil || string(got) != want.value {
-			t.Errorf("key %s: acked %q, Get = %q, %v", key, want.value, got, err)
-		}
-	}
+	// acked for every key, by Get and by scan.
+	model.Check(t, routerReader{rt}, m)
 
-	m := rt.Metrics()
-	if m.NodeDownEvents == 0 || m.NodeUpEvents == 0 {
-		t.Errorf("failure detector saw no transitions: %+v", m)
+	met := rt.Metrics()
+	if met.NodeDownEvents == 0 || met.NodeUpEvents == 0 {
+		t.Errorf("failure detector saw no transitions: %+v", met)
 	}
-	if m.HintsParked == 0 {
-		t.Errorf("no hints parked across three node kills: %+v", m)
+	if met.HintsParked == 0 {
+		t.Errorf("no hints parked across three node kills: %+v", met)
 	}
-	t.Logf("chaos metrics: %+v, acked keys: %d", m, total)
+	t.Logf("chaos metrics: %+v, keys written: %d", met, len(keys))
 }

@@ -85,7 +85,14 @@ func ExampleSchedule_CostSubmodular() {
 	withInit := sched.CostSubmodular(keyset.InitPlusCardinalityCost(100))
 	fmt.Println("cardinality:", plain)
 	fmt.Println("with init cost:", withInit)
+	// Fewer, wider merges pay the init cost fewer times.
+	wide, err := compaction.Run(inst, 3, compaction.NewSmallestInput())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("with init cost, k=3:", wide.CostSubmodular(keyset.InitPlusCardinalityCost(100)))
 	// Output:
 	// cardinality: 30
 	// with init cost: 430
+	// with init cost, k=3: 216
 }

@@ -12,21 +12,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/vfs"
 	"repro/internal/wal"
 )
 
 // TestChaosRandomOpsWithCrashes runs a long random workload against the
 // store, interleaving crashes (close without flushing), recoveries, minor
-// and major compactions, and checks the store against an in-memory
-// reference map after every recovery and at the end. This is the
-// failure-injection integration test for the whole write path:
-// WAL → memtable → sstables → compactions.
+// and major compactions, and checks the store against the model after
+// every round and after a last recovery. This is the failure-injection
+// integration test for the whole write path: WAL → memtable → sstables →
+// compactions.
 func TestChaosRandomOpsWithCrashes(t *testing.T) {
 	dir := t.TempDir()
 	r := rand.New(rand.NewSource(97))
-	ref := map[string]string{}
-
+	m := model.New()
 	open := func() *DB {
 		db, err := Open(dir, Options{
 			MemtableBytes: 4 << 10,
@@ -38,62 +38,16 @@ func TestChaosRandomOpsWithCrashes(t *testing.T) {
 		}
 		return db
 	}
-	verify := func(db *DB, when string) {
-		t.Helper()
-		// Spot-check a sample of the reference map plus some absent keys.
-		checked := 0
-		for k, v := range ref {
-			got, err := db.GetContext(context.Background(), []byte(k))
-			if err != nil || string(got) != v {
-				t.Fatalf("%s: Get(%s) = %q, %v; want %q", when, k, got, err, v)
-			}
-			checked++
-			if checked >= 80 {
-				break
-			}
-		}
-		if _, err := db.GetContext(context.Background(), []byte("never-written")); err != ErrNotFound {
-			t.Fatalf("%s: phantom key: %v", when, err)
-		}
-		// Full scan must agree exactly with the reference.
-		count := 0
-		err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
-			want, ok := ref[string(k)]
-			if !ok {
-				return fmt.Errorf("scan surfaced deleted/unknown key %q", k)
-			}
-			if string(v) != want {
-				return fmt.Errorf("scan %q = %q, want %q", k, v, want)
-			}
-			count++
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", when, err)
-		}
-		if count != len(ref) {
-			t.Fatalf("%s: scan found %d keys, reference has %d", when, count, len(ref))
-		}
-	}
 
 	db := open()
-	const rounds = 6
+	const rounds, perRound = 6, 400
+	stream := model.Stream(97, rounds*perRound, model.Mix{Keys: 300, Delete: 0.2})
 	for round := 0; round < rounds; round++ {
-		for i := 0; i < 400; i++ {
-			key := fmt.Sprintf("key-%03d", r.Intn(300))
-			switch r.Intn(10) {
-			case 0, 1: // delete
-				if err := db.DeleteContext(context.Background(), []byte(key)); err != nil {
-					t.Fatal(err)
-				}
-				delete(ref, key)
-			default: // put
-				val := fmt.Sprintf("v-%d-%d", round, i)
-				if err := db.PutContext(context.Background(), []byte(key), []byte(val)); err != nil {
-					t.Fatal(err)
-				}
-				ref[key] = val
+		for _, w := range stream[round*perRound : (round+1)*perRound] {
+			if err := write(db, w); err != nil {
+				t.Fatal(err)
 			}
+			m.Apply(w...)
 		}
 		switch round % 3 {
 		case 0: // crash: close without flushing, reopen, recover from WAL
@@ -101,28 +55,25 @@ func TestChaosRandomOpsWithCrashes(t *testing.T) {
 				t.Fatal(err)
 			}
 			db = open()
-			verify(db, fmt.Sprintf("round %d after crash-recovery", round))
 		case 1: // major compaction mid-stream
 			strat := []string{"SI", "BT(I)", "RANDOM"}[r.Intn(3)]
 			if _, err := db.MajorCompact(strat, 2+r.Intn(3), int64(round)); err != nil {
 				t.Fatal(err)
 			}
-			verify(db, fmt.Sprintf("round %d after major compaction", round))
 		default: // just flush
 			if err := db.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			verify(db, fmt.Sprintf("round %d after flush", round))
 		}
+		model.Check(t, dbReader{db}, m)
 	}
-	verify(db, "final")
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// One last recovery pass.
 	db = open()
 	defer db.Close()
-	verify(db, "after final reopen")
+	model.Check(t, dbReader{db}, m)
 }
 
 // errSimulatedCrash marks a fault injected by the compaction test hook.
@@ -155,7 +106,7 @@ func checkNoOrphans(t *testing.T, dir string, db *DB) {
 // pre-crash data and delete the orphaned merge outputs.
 func TestChaosCrashBetweenMergeAndSwap(t *testing.T) {
 	dir := t.TempDir()
-	ref := map[string]string{}
+	m := model.New()
 	open := func() *DB {
 		db, err := Open(dir, Options{MemtableBytes: 2 << 10, Seed: 11})
 		if err != nil {
@@ -173,7 +124,7 @@ func TestChaosCrashBetweenMergeAndSwap(t *testing.T) {
 			if err := db.PutContext(context.Background(), []byte(key), []byte(val)); err != nil {
 				t.Fatal(err)
 			}
-			ref[key] = val
+			m.Put(key, val)
 		}
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
@@ -198,24 +149,7 @@ func TestChaosCrashBetweenMergeAndSwap(t *testing.T) {
 		db = open()
 
 		// No data loss: the old manifest still governs.
-		count := 0
-		err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
-			want, ok := ref[string(k)]
-			if !ok {
-				return fmt.Errorf("unknown key %q", k)
-			}
-			if string(v) != want {
-				return fmt.Errorf("key %q = %q, want %q", k, v, want)
-			}
-			count++
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("round %d after crash: %v", round, err)
-		}
-		if count != len(ref) {
-			t.Fatalf("round %d after crash: scan found %d keys, want %d", round, count, len(ref))
-		}
+		model.Check(t, dbReader{db}, m)
 		// No orphans: recovery removed the abandoned merge outputs.
 		checkNoOrphans(t, dir, db)
 	}
@@ -228,12 +162,7 @@ func TestChaosCrashBetweenMergeAndSwap(t *testing.T) {
 	if res.TablesAfter != 1 {
 		t.Fatalf("clean compaction left %d tables, want 1", res.TablesAfter)
 	}
-	for k, want := range ref {
-		got, err := db.GetContext(context.Background(), []byte(k))
-		if err != nil || string(got) != want {
-			t.Fatalf("after clean compaction: Get(%s) = %q, %v; want %q", k, got, err, want)
-		}
-	}
+	model.Check(t, dbReader{db}, m)
 	checkNoOrphans(t, dir, db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -312,19 +241,19 @@ func TestChaosCrashAtFlushPoints(t *testing.T) {
 			db.mu.RLock()
 			after := db.mem.Len() // keys n-after..n-1 went to the second segment
 			db.mu.RUnlock()
-			ref := map[string]string{}
+			m := model.New()
 			for i := 0; i < n; i++ {
-				ref[string(wedgeKey(i))] = string(wedgeVal(i))
+				m.Put(string(wedgeKey(i)), string(wedgeVal(i)))
 			}
 			// Into the second segment: shadow two keys of the first.
 			if err := db.DeleteContext(context.Background(), wedgeKey(1)); err != nil {
 				t.Fatal(err)
 			}
-			delete(ref, string(wedgeKey(1)))
+			m.Delete(string(wedgeKey(1)))
 			if err := db.PutContext(context.Background(), wedgeKey(2), []byte("second segment wins")); err != nil {
 				t.Fatal(err)
 			}
-			ref[string(wedgeKey(2))] = "second segment wins"
+			m.Put(string(wedgeKey(2)), "second segment wins")
 			after += 2
 
 			image := crashImage(t, dir)
@@ -353,22 +282,7 @@ func TestChaosCrashAtFlushPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db2.Close()
-			count := 0
-			if err := db2.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
-				if ref[string(k)] != string(v) {
-					return fmt.Errorf("key %s = %.30q, want %.30q", k, v, ref[string(k)])
-				}
-				count++
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if count != len(ref) {
-				t.Fatalf("recovered %d keys, want %d", count, len(ref))
-			}
-			if _, err := db2.GetContext(context.Background(), wedgeKey(1)); err != ErrNotFound {
-				t.Fatalf("Get of a key deleted in the second segment: %v", err)
-			}
+			model.Check(t, dbReader{db2}, m)
 			checkNoOrphans(t, image, db2)
 			st := db2.Stats()
 			wantTables, wantMem, wantRecords := 0, n, n+2

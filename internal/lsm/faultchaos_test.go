@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/lsm"
+	"repro/internal/model"
 	"repro/internal/store"
 	"repro/internal/vfs"
 	"repro/kv"
@@ -59,67 +59,34 @@ type chaosKV interface {
 	PutContext(ctx context.Context, key, value []byte) error
 	DeleteContext(ctx context.Context, key []byte) error
 	GetContext(ctx context.Context, key []byte) ([]byte, error)
+	RangeContext(ctx context.Context, start, end []byte, fn func(key, value []byte) error) error
 	Close() error
 }
 
-// keyModel tracks what the harness may legally observe for one key after
-// a crash. The final acknowledged operation must win unless a later
-// errored write overtook it: an errored write is allowed to surface (its
-// records can be durable in the WAL even though the writer got an error —
-// e.g. the group's fsync failed after the kernel took the data, or the
-// flush after a successful append failed) but is never required to.
-type keyModel struct {
-	ackedSet bool   // some operation on this key returned nil
-	ackedDel bool   // ... and the last such operation was a delete
-	acked    []byte // value of the last acknowledged put
-	// maybe holds values of errored puts issued after the last acked
-	// operation; maybeDel records an errored delete in that window.
-	maybe    [][]byte
-	maybeDel bool
-}
+// chaosReader reads a chaosKV for model.Check, with ErrNotFound as not
+// found.
+type chaosReader struct{ chaosKV }
 
-func (m *keyModel) ackPut(v []byte) {
-	m.ackedSet, m.ackedDel, m.acked = true, false, append([]byte(nil), v...)
-	m.maybe, m.maybeDel = nil, false
-}
-
-func (m *keyModel) ackDelete() {
-	m.ackedSet, m.ackedDel, m.acked = true, true, nil
-	m.maybe, m.maybeDel = nil, false
-}
-
-func (m *keyModel) failPut(v []byte) { m.maybe = append(m.maybe, append([]byte(nil), v...)) }
-func (m *keyModel) failDelete()      { m.maybeDel = true }
-
-// check validates one observed (value, found) pair against the model.
-func (m *keyModel) check(val []byte, found bool) error {
-	if !found {
-		if m.ackedSet && !m.ackedDel && !m.maybeDel {
-			return fmt.Errorf("acknowledged value %q lost", m.acked)
-		}
-		return nil
+func (r chaosReader) Get(key []byte) ([]byte, bool, error) {
+	v, err := r.GetContext(context.Background(), key)
+	if errors.Is(err, lsm.ErrNotFound) {
+		return nil, false, nil
 	}
-	if m.ackedSet && !m.ackedDel && bytes.Equal(val, m.acked) {
-		return nil
-	}
-	for _, v := range m.maybe {
-		if bytes.Equal(val, v) {
-			return nil
-		}
-	}
-	return fmt.Errorf("got %q, want acked %q (ackedSet=%v ackedDel=%v, %d maybe-values)",
-		val, m.acked, m.ackedSet, m.ackedDel, len(m.maybe))
+	return v, err == nil, err
 }
 
-// runChaos drives one seeded chaos round: a mixed workload against kvOpen
-// under randomized faults, then a simulated crash (faults off, close with
-// its error ignored), a reopen, and a full verification sweep.
+func (r chaosReader) Scan(start, end []byte, fn func(key, value []byte) error) error {
+	return r.RangeContext(context.Background(), start, end, fn)
+}
+
+// runChaos drives one seeded chaos round: a stream of writes against
+// kvOpen under randomized faults, with a live read after every sixth, then a
+// simulated crash (faults off, close with its error ignored), a reopen, and
+// a model.Check of the recovered engine. A write that returned a typed
+// error is recorded with Model.Fail: it may surface, but need not.
 func runChaos(t *testing.T, seed int64, fault *vfs.Fault, kvOpen func() (chaosKV, error)) {
 	t.Helper()
-	const keySpace = 64
-	rng := rand.New(rand.NewSource(seed))
-	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d", i)) }
-
+	ctx := context.Background()
 	db, err := kvOpen()
 	if err != nil {
 		t.Fatalf("seed %d: open: %v", seed, err)
@@ -136,50 +103,35 @@ func runChaos(t *testing.T, seed int64, fault *vfs.Fault, kvOpen func() (chaosKV
 	fault.SetProb(vfs.OpRemove, 0.02)
 	fault.SetProb(vfs.OpSyncDir, 0.01)
 
-	model := make(map[string]*keyModel, keySpace)
-	mod := func(i int) *keyModel {
-		k := string(key(i))
-		if model[k] == nil {
-			model[k] = &keyModel{}
+	m := model.New()
+	stream := model.Stream(seed, 300, model.Mix{Keys: 64, Delete: 0.18, Pad: 53})
+	for i, w := range stream {
+		op := w[0]
+		if op.Delete {
+			err = db.DeleteContext(ctx, []byte(op.Key))
+		} else {
+			err = db.PutContext(ctx, []byte(op.Key), []byte(op.Value))
 		}
-		return model[k]
-	}
-	for op := 0; op < 300; op++ {
-		i := rng.Intn(keySpace)
-		switch r := rng.Float64(); {
-		case r < 0.70:
-			v := []byte(fmt.Sprintf("value-%03d-op%04d-%032d", i, op, op))
-			err := db.PutContext(context.Background(), key(i), v)
-			if err == nil {
-				mod(i).ackPut(v)
-			} else if !typedErr(err) {
-				t.Fatalf("seed %d op %d: untyped put error: %v", seed, op, err)
-			} else {
-				mod(i).failPut(v)
-			}
-		case r < 0.85:
-			err := db.DeleteContext(context.Background(), key(i))
-			if err == nil {
-				mod(i).ackDelete()
-			} else if !typedErr(err) {
-				t.Fatalf("seed %d op %d: untyped delete error: %v", seed, op, err)
-			} else {
-				mod(i).failDelete()
-			}
+		switch {
+		case err == nil:
+			m.Apply(op)
+		case !typedErr(err):
+			t.Fatalf("seed %d op %d: untyped write error: %v", seed, i, err)
 		default:
-			val, err := db.GetContext(context.Background(), key(i))
-			switch {
-			case err == nil:
-				if merr := mod(i).check(val, true); merr != nil {
-					t.Fatalf("seed %d op %d: live read of %s: %v", seed, op, key(i), merr)
-				}
-			case errors.Is(err, lsm.ErrNotFound):
-				if merr := mod(i).check(nil, false); merr != nil {
-					t.Fatalf("seed %d op %d: live read of %s: %v", seed, op, key(i), merr)
-				}
-			case !typedErr(err):
-				t.Fatalf("seed %d op %d: untyped get error: %v", seed, op, err)
+			m.Fail(op)
+		}
+		if i%6 != 5 {
+			continue
+		}
+		key := stream[i/2][0].Key
+		val, err := db.GetContext(ctx, []byte(key))
+		switch {
+		case err == nil || errors.Is(err, lsm.ErrNotFound):
+			if merr := m.Verify(key, string(val), err == nil); merr != nil {
+				t.Fatalf("seed %d op %d: live read: %v", seed, i, merr)
 			}
+		case !typedErr(err):
+			t.Fatalf("seed %d op %d: untyped get error: %v", seed, i, err)
 		}
 	}
 
@@ -192,30 +144,14 @@ func runChaos(t *testing.T, seed int64, fault *vfs.Fault, kvOpen func() (chaosKV
 		t.Fatalf("seed %d: reopen after chaos: %v", seed, err)
 	}
 	defer db.Close()
-
-	for i := 0; i < keySpace; i++ {
-		m := mod(i)
-		val, err := db.GetContext(context.Background(), key(i))
-		switch {
-		case err == nil:
-			if merr := m.check(val, true); merr != nil {
-				t.Errorf("seed %d: after reopen, %s: %v", seed, key(i), merr)
-			}
-		case errors.Is(err, lsm.ErrNotFound):
-			if merr := m.check(nil, false); merr != nil {
-				t.Errorf("seed %d: after reopen, %s: %v", seed, key(i), merr)
-			}
-		default:
-			t.Errorf("seed %d: after reopen, %s: unexpected error %v", seed, key(i), err)
-		}
-	}
+	model.Check(t, chaosReader{db}, m)
 
 	// The reopened engine must be fully writable again: degradation is a
 	// property of an incarnation, not of the directory.
-	if err := db.PutContext(context.Background(), []byte("post-recovery-probe"), []byte("ok")); err != nil {
+	if err := db.PutContext(ctx, []byte("post-recovery-probe"), []byte("ok")); err != nil {
 		t.Fatalf("seed %d: write after recovery: %v", seed, err)
 	}
-	if got, err := db.GetContext(context.Background(), []byte("post-recovery-probe")); err != nil || string(got) != "ok" {
+	if got, err := db.GetContext(ctx, []byte("post-recovery-probe")); err != nil || string(got) != "ok" {
 		t.Fatalf("seed %d: read back after recovery: %q, %v", seed, got, err)
 	}
 }
@@ -272,6 +208,19 @@ func (e engineChaos) GetContext(ctx context.Context, k []byte) ([]byte, error) {
 	return e.eng.Get(ctx, k)
 }
 func (e engineChaos) Close() error { return e.eng.Close() }
+func (e engineChaos) RangeContext(ctx context.Context, start, end []byte, fn func(k, v []byte) error) error {
+	it, err := e.eng.NewIterator(ctx, start, end)
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for ; it.Valid(); it.Next() {
+		if err := fn(it.Key(), it.Value()); err != nil {
+			return err
+		}
+	}
+	return it.Err()
+}
 
 func TestFaultChaosEngine(t *testing.T) {
 	seed := int64(21)
@@ -305,11 +254,13 @@ func TestFaultChaosKillsDurabilityOnNthSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := func(i int) []byte { return []byte(fmt.Sprintf("acked-%02d", i)) }
+	m := model.New()
 	for i := 0; i < 10; i++ {
-		if err := db.PutContext(context.Background(), key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		k, v := fmt.Sprintf("acked-%02d", i), fmt.Sprintf("v%d", i)
+		if err := db.PutContext(context.Background(), []byte(k), []byte(v)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
+		m.Put(k, v)
 	}
 
 	// With a large memtable no flush intervenes, so the next fsync the
@@ -320,6 +271,8 @@ func TestFaultChaosKillsDurabilityOnNthSync(t *testing.T) {
 	} else if !typedErr(err) {
 		t.Fatalf("failed-sync write error is untyped: %v", err)
 	}
+	// It may or may not have reached the log before the failed sync.
+	m.Fail(model.Op{Key: "doomed", Value: "never-acked"})
 
 	if err := db.PutContext(context.Background(), []byte("after"), []byte("x")); !errors.Is(err, lsm.ErrReadOnly) {
 		t.Fatalf("write after durability failure = %v, want ErrReadOnly", err)
@@ -331,7 +284,7 @@ func TestFaultChaosKillsDurabilityOnNthSync(t *testing.T) {
 		t.Fatal("Stats().ReadOnly = false after failed fsync")
 	}
 	// Reads ride through degradation.
-	if got, err := db.GetContext(context.Background(), key(3)); err != nil || string(got) != "v3" {
+	if got, err := db.GetContext(context.Background(), []byte("acked-03")); err != nil || string(got) != "v3" {
 		t.Fatalf("read while read-only: %q, %v", got, err)
 	}
 
@@ -342,19 +295,7 @@ func TestFaultChaosKillsDurabilityOnNthSync(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer db.Close()
-	for i := 0; i < 10; i++ {
-		got, err := db.GetContext(context.Background(), key(i))
-		if err != nil || string(got) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("acked write %d after reopen: %q, %v", i, got, err)
-		}
-	}
-	// The doomed write was never acknowledged; it may or may not have
-	// reached the log before the failed sync. Both outcomes are legal —
-	// what matters is it never displaced an acked value and reads stay
-	// typed.
-	if _, err := db.GetContext(context.Background(), []byte("doomed")); err != nil && !errors.Is(err, lsm.ErrNotFound) {
-		t.Fatalf("doomed key after reopen: %v", err)
-	}
+	model.Check(t, chaosReader{db}, m)
 	if err := db.PutContext(context.Background(), []byte("fresh"), []byte("writable-again")); err != nil {
 		t.Fatalf("reopened engine not writable: %v", err)
 	}
@@ -374,6 +315,8 @@ func TestFaultENOSPCIsRetryable(t *testing.T) {
 	if err := db.PutContext(context.Background(), []byte("before"), []byte("kept")); err != nil {
 		t.Fatal(err)
 	}
+	m := model.New()
+	m.Put("before", "kept")
 
 	fault.SetDiskFullAfter(0)
 	for i := 0; i < 3; i++ {
@@ -393,6 +336,7 @@ func TestFaultENOSPCIsRetryable(t *testing.T) {
 	if err := db.PutContext(context.Background(), []byte("after"), []byte("resumed")); err != nil {
 		t.Fatalf("write after space freed: %v", err)
 	}
+	m.Put("after", "resumed")
 
 	fault.Disable()
 	db.Close()
@@ -401,11 +345,8 @@ func TestFaultENOSPCIsRetryable(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer db.Close()
-	for k, want := range map[string]string{"before": "kept", "after": "resumed"} {
-		if got, err := db.GetContext(context.Background(), []byte(k)); err != nil || string(got) != want {
-			t.Fatalf("%s after reopen: %q, %v", k, got, err)
-		}
-	}
+	// The writes the full disk refused were rolled back: none surfaces.
+	model.Check(t, chaosReader{db}, m)
 }
 
 // TestBackgroundFlushFailureSemantics: a flush runs behind the writes, so its
@@ -443,14 +384,18 @@ func TestBackgroundFlushFailureSemantics(t *testing.T) {
 			}
 			key := func(i int) []byte { return []byte(fmt.Sprintf("key-%05d", i)) }
 			val := func(i int) []byte { return []byte(fmt.Sprintf("value-%05d-%064d", i, i)) }
-			acked := 0
-			checkAcked := func(when string) {
-				t.Helper()
-				for i := 0; i < acked; i++ {
-					if v, err := db.GetContext(context.Background(), key(i)); err != nil || !bytes.Equal(v, val(i)) {
-						t.Fatalf("%s: acknowledged key %s reads %q, %v", when, key(i), v, err)
-					}
+			m, acked := model.New(), 0
+			// put writes key i and records it; a write that was handed a
+			// flush failure may have been applied.
+			put := func(i int) error {
+				err := db.PutContext(context.Background(), key(i), val(i))
+				if op := (model.Op{Key: string(key(i)), Value: string(val(i))}); err != nil {
+					m.Fail(op)
+				} else {
+					m.Apply(op)
+					acked = i + 1
 				}
+				return err
 			}
 
 			tc.arm(fault)
@@ -458,11 +403,7 @@ func TestBackgroundFlushFailureSemantics(t *testing.T) {
 			// failing at; the failure surfaces within two more.
 			var failure error
 			for i := 0; i < 400 && failure == nil; i++ {
-				if err := db.PutContext(context.Background(), key(i), val(i)); err != nil {
-					failure = err
-				} else {
-					acked = i + 1
-				}
+				failure = put(i)
 			}
 			if failure == nil || !errors.Is(failure, vfs.ErrInjected) {
 				t.Fatalf("400 writes across several memtables under a %s fault ended with %v", tc.name, failure)
@@ -473,7 +414,7 @@ func TestBackgroundFlushFailureSemantics(t *testing.T) {
 			if st := db.Stats(); st.Flushes != 0 || st.Tables != 0 {
 				t.Fatalf("%d flushes, %d tables under a %s fault", st.Flushes, st.Tables, tc.name)
 			}
-			checkAcked("fault on")
+			model.Check(t, chaosReader{db}, m)
 			if ro, cause := db.ReadOnly(); ro != tc.readOnly {
 				t.Fatalf("ReadOnly() = %v (%v), want %v", ro, cause, tc.readOnly)
 			}
@@ -488,10 +429,8 @@ func TestBackgroundFlushFailureSemantics(t *testing.T) {
 				}
 			} else {
 				// Still writable, and the flush goes through now.
-				if err := db.PutContext(context.Background(), key(acked), val(acked)); err != nil && !errors.Is(err, vfs.ErrInjected) {
+				if err := put(acked); err != nil && !errors.Is(err, vfs.ErrInjected) {
 					t.Fatalf("write after the fault cleared = %v", err)
-				} else if err == nil {
-					acked++
 				}
 				err := db.Flush()
 				if errors.Is(err, vfs.ErrInjected) {
@@ -504,7 +443,7 @@ func TestBackgroundFlushFailureSemantics(t *testing.T) {
 					t.Fatalf("after the fault cleared: %d flushes, %d keys still in memtables", st.Flushes, st.MemtableKeys)
 				}
 			}
-			checkAcked("fault off")
+			model.Check(t, chaosReader{db}, m)
 
 			// Crash and recover: nothing acknowledged was at risk.
 			db.Close()
@@ -513,7 +452,7 @@ func TestBackgroundFlushFailureSemantics(t *testing.T) {
 				t.Fatalf("reopen: %v", err)
 			}
 			defer db.Close()
-			checkAcked("reopened")
+			model.Check(t, chaosReader{db}, m)
 			if err := db.PutContext(context.Background(), []byte("fresh"), []byte("writable")); err != nil {
 				t.Fatalf("reopened engine not writable: %v", err)
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/compaction"
+	"repro/internal/model"
 )
 
 // checkLevelInvariant fails the test if any two tables at the same level
@@ -54,7 +55,7 @@ func TestLeveledNeverOverlapsWithinLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	want := make(map[string]string)
+	want := model.New()
 	for round := 0; round < 30; round++ {
 		for i := 0; i < 120; i++ {
 			// A skewed draw keeps key ranges overlapping across flushes.
@@ -63,7 +64,7 @@ func TestLeveledNeverOverlapsWithinLevel(t *testing.T) {
 			if err := db.PutContext(context.Background(), []byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
-			want[k] = v
+			want.Put(k, v)
 		}
 		checkLevelInvariant(t, db.TableInfos())
 	}
@@ -116,12 +117,7 @@ func TestLeveledNeverOverlapsWithinLevel(t *testing.T) {
 	if deepAfter != deep {
 		t.Errorf("levels lost across reopen: %d deep tables before, %d after", deep, deepAfter)
 	}
-	for k, v := range want {
-		got, err := db.GetContext(context.Background(), []byte(k))
-		if err != nil || string(got) != v {
-			t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
-		}
-	}
+	model.Check(t, dbReader{db}, want)
 }
 
 // level builds a table at level lv spanning [lo, hi].

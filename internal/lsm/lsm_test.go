@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/model"
 )
 
 func openTestDB(t testing.TB, opts Options) *DB {
@@ -20,6 +22,41 @@ func openTestDB(t testing.TB, opts Options) *DB {
 	}
 	t.Cleanup(func() { db.Close() })
 	return db
+}
+
+// dbReader reads a DB for model.Check, with ErrNotFound as not found.
+type dbReader struct{ *DB }
+
+func (r dbReader) Get(key []byte) ([]byte, bool, error) {
+	v, err := r.GetContext(context.Background(), key)
+	if errors.Is(err, ErrNotFound) {
+		return nil, false, nil
+	}
+	return v, err == nil, err
+}
+
+func (r dbReader) Scan(start, end []byte, fn func(key, value []byte) error) error {
+	return r.RangeContext(context.Background(), start, end, fn)
+}
+
+// write commits one write of a model.Stream: a put, a delete, or a batch.
+func write(db *DB, w []model.Op) error {
+	ctx := context.Background()
+	switch {
+	case len(w) == 1 && w[0].Delete:
+		return db.DeleteContext(ctx, []byte(w[0].Key))
+	case len(w) == 1:
+		return db.PutContext(ctx, []byte(w[0].Key), []byte(w[0].Value))
+	}
+	var b WriteBatch
+	for _, op := range w {
+		if op.Delete {
+			b.Delete([]byte(op.Key))
+		} else {
+			b.Put([]byte(op.Key), []byte(op.Value))
+		}
+	}
+	return db.WriteContext(ctx, &b)
 }
 
 func TestPutGetDelete(t *testing.T) {
@@ -279,10 +316,10 @@ func TestClosedDBErrors(t *testing.T) {
 }
 
 // fillTables loads the store so that several sstables exist, with
-// overlapping keys across tables.
-func fillTables(t *testing.T, db *DB, tables, keysPerTable int) map[string]string {
+// overlapping keys across tables, and returns the model of what it wrote.
+func fillTables(t *testing.T, db *DB, tables, keysPerTable int) *model.Model {
 	t.Helper()
-	want := map[string]string{}
+	want := model.New()
 	r := rand.New(rand.NewSource(1))
 	for tab := 0; tab < tables; tab++ {
 		for i := 0; i < keysPerTable; i++ {
@@ -297,7 +334,7 @@ func fillTables(t *testing.T, db *DB, tables, keysPerTable int) map[string]strin
 			if err := db.PutContext(context.Background(), []byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
-			want[k] = v
+			want.Put(k, v)
 		}
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
@@ -328,13 +365,7 @@ func TestMajorCompactStrategies(t *testing.T) {
 			if res.BytesRead == 0 || res.BytesWritten == 0 || res.CostSimple == 0 {
 				t.Errorf("zero I/O recorded: %+v", res)
 			}
-			// Every key must still resolve to its newest value.
-			for k, v := range want {
-				got, err := db.GetContext(context.Background(), []byte(k))
-				if err != nil || string(got) != v {
-					t.Fatalf("Get(%s) after compaction = %q, %v; want %q", k, got, err, v)
-				}
-			}
+			model.Check(t, dbReader{db}, want)
 		})
 	}
 }
@@ -543,12 +574,7 @@ func TestReopenAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	for k, v := range want {
-		got, err := db2.GetContext(context.Background(), []byte(k))
-		if err != nil || string(got) != v {
-			t.Fatalf("Get(%s) after reopen = %q, %v", k, got, err)
-		}
-	}
+	model.Check(t, dbReader{db2}, want)
 }
 
 func TestCorruptManifestRejected(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/vfs"
 	"repro/internal/wal"
 )
@@ -130,10 +131,10 @@ func batchTag(key []byte) string {
 // TestGroupCommitCrashRecovery is the durability property test for the
 // pipeline: 8 concurrent sync writers commit tagged batches, then the WAL
 // is truncated at arbitrary offsets to simulate crashes mid-write. Every
-// recovery must see (a) no batch partially applied — each tag's keys are
-// all present with correct values or all absent — and (b) a prefix-closed
-// set of batches in WAL commit order. The untruncated log must recover
-// every acknowledged batch, and Stats must report truncated recoveries.
+// recovery must be the model's prefix check: no batch partially applied,
+// and a prefix-closed set of batches in WAL commit order. The untruncated
+// log must recover every acknowledged batch, and Stats must report
+// truncated recoveries.
 func TestGroupCommitCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{SyncWAL: true, MemtableBytes: 256 << 20, Seed: 7})
@@ -179,20 +180,24 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recover the batch commit order straight from the log.
-	var order []string
-	seen := make(map[string]bool)
+	// Recover the batch commit order straight from the log: a batch's
+	// records are contiguous, and its keys share its tag. The model's value
+	// is the tag the writers put, not the logged one, so a value the log
+	// got wrong still fails the check.
+	m, batch, logged := model.New(), []model.Op(nil), 0
 	if _, err := wal.Replay(vfs.Default, walPath, func(r wal.Record) error {
-		if tag := batchTag(r.Key); !seen[tag] {
-			seen[tag] = true
-			order = append(order, tag)
+		if len(batch) > 0 && batchTag(r.Key) != batchTag([]byte(batch[0].Key)) {
+			m.Apply(batch...)
+			batch, logged = nil, logged+1
 		}
+		batch = append(batch, model.Op{Key: string(r.Key), Value: batchTag(r.Key)})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != writers*batches {
-		t.Fatalf("full log holds %d batches, want %d", len(order), writers*batches)
+	m.Apply(batch...)
+	if logged++; logged != writers*batches {
+		t.Fatalf("full log holds %d batches, want %d", logged, writers*batches)
 	}
 
 	// Crash-recover at the full length, at arbitrary offsets, and at zero.
@@ -210,34 +215,11 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
-		recovered := make(map[string]int)
-		err = db2.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
-			tag := batchTag(k)
-			if string(v) != tag {
-				return fmt.Errorf("key %s has value %q, want %q", k, v, tag)
-			}
-			recovered[tag]++
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("cut %d: scan: %v", cut, err)
-		}
-		// (a) Batch atomicity: all of a batch's keys or none.
-		for tag, n := range recovered {
-			if n != keysPer {
-				t.Fatalf("cut %d: batch %s partially applied: %d/%d keys", cut, tag, n, keysPer)
-			}
-		}
-		// (b) Prefix-closedness in commit order.
-		for i, tag := range order {
-			if _, ok := recovered[tag]; ok != (i < len(recovered)) {
-				t.Fatalf("cut %d: recovered %d batches but batch %d (%s) present=%v: not a prefix",
-					cut, len(recovered), i, tag, ok)
-			}
-		}
-		// Acknowledged durability: the intact log recovers everything.
-		if cut == len(walData) && len(recovered) != len(order) {
-			t.Fatalf("full log recovered %d/%d acknowledged batches", len(recovered), len(order))
+		// Whole batches, a prefix of the commit order, and every one of
+		// them from the intact log.
+		n := m.Prefix(t, dbReader{db2})
+		if cut == len(walData) && n != logged {
+			t.Fatalf("full log recovered %d/%d acknowledged batches", n, logged)
 		}
 		// Observability: a cut that doesn't land on a frame boundary must
 		// be reported as a truncated recovery.
@@ -246,8 +228,8 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 			t.Fatalf("cut %d: recovered %d bytes mid-frame but truncation not reported: %+v",
 				cut, st.WALRecoveredBytes, st)
 		}
-		if st.WALRecoveredRecords != keysPer*len(recovered) {
-			t.Fatalf("cut %d: WALRecoveredRecords = %d, want %d", cut, st.WALRecoveredRecords, keysPer*len(recovered))
+		if st.WALRecoveredRecords != keysPer*n {
+			t.Fatalf("cut %d: WALRecoveredRecords = %d, want %d", cut, st.WALRecoveredRecords, keysPer*n)
 		}
 		db2.Close()
 	}
@@ -380,47 +362,21 @@ func TestPipelineStressDuringFlushes(t *testing.T) {
 		testErr atomic.Value
 	)
 	fail := func(err error) { testErr.CompareAndSwap(nil, err) }
-	pad := strings.Repeat("x", 100) // value padding so the workload spans many flushes
 
-	finals := make([]map[string]string, writers)
+	m := model.New()
 	for w := 0; w < writers; w++ {
-		finals[w] = make(map[string]string)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			final := finals[w]
-			var b WriteBatch
-			for i := 0; i < opsPerWriter; i++ {
-				key := fmt.Sprintf("w%d-key-%03d", w, i%keysPer)
-				switch i % 7 {
-				case 3: // single delete
-					if err := db.DeleteContext(context.Background(), []byte(key)); err != nil {
-						fail(fmt.Errorf("writer %d delete: %w", w, err))
-						return
-					}
-					delete(final, key)
-				case 5: // multi-op batch: two puts and a delete
-					b.Reset()
-					k2 := fmt.Sprintf("w%d-key-%03d", w, (i+1)%keysPer)
-					k3 := fmt.Sprintf("w%d-key-%03d", w, (i+2)%keysPer)
-					v := fmt.Sprintf("w%d-batch-%d-%s", w, i, pad)
-					b.Put([]byte(key), []byte(v))
-					b.Put([]byte(k2), []byte(v))
-					b.Delete([]byte(k3))
-					if err := db.WriteContext(context.Background(), &b); err != nil {
-						fail(fmt.Errorf("writer %d batch: %w", w, err))
-						return
-					}
-					final[key], final[k2] = v, v
-					delete(final, k3)
-				default:
-					v := fmt.Sprintf("w%d-val-%d-%s", w, i, pad)
-					if err := db.PutContext(context.Background(), []byte(key), []byte(v)); err != nil {
-						fail(fmt.Errorf("writer %d put: %w", w, err))
-						return
-					}
-					final[key] = v
+			// One write in seven is a batch, one op in seven a delete; the
+			// padding makes the workload span many flushes.
+			mix := model.Mix{Prefix: fmt.Sprintf("w%d-", w), Keys: keysPer, Delete: 1.0 / 7, Batch: 1.0 / 7, Pad: 100}
+			for _, op := range model.Stream(int64(w), opsPerWriter, mix) {
+				if err := write(db, op); err != nil {
+					fail(fmt.Errorf("writer %d: %w", w, err))
+					return
 				}
+				m.Apply(op...)
 			}
 		}(w)
 	}
@@ -430,7 +386,7 @@ func TestPipelineStressDuringFlushes(t *testing.T) {
 		go func(r int) {
 			defer auxWG.Done()
 			for i := 0; !stop.Load(); i++ {
-				key := fmt.Sprintf("w%d-key-%03d", i%writers, i%keysPer)
+				key := fmt.Sprintf("w%d-key-%04d", i%writers, i%keysPer)
 				if _, err := db.GetContext(context.Background(), []byte(key)); err != nil && !errors.Is(err, ErrNotFound) {
 					fail(fmt.Errorf("reader %d: %w", r, err))
 					return
@@ -471,19 +427,5 @@ func TestPipelineStressDuringFlushes(t *testing.T) {
 	if st.Flushes == 0 {
 		t.Error("stress never flushed: memtable threshold not exercised")
 	}
-	for w, final := range finals {
-		for i := 0; i < keysPer; i++ {
-			key := fmt.Sprintf("w%d-key-%03d", w, i)
-			want, live := final[key]
-			got, err := db.GetContext(context.Background(), []byte(key))
-			switch {
-			case live && err != nil:
-				t.Fatalf("lost write: Get(%s) = %v, want %q", key, err, want)
-			case live && string(got) != want:
-				t.Fatalf("wrong value: Get(%s) = %q, want %q", key, got, want)
-			case !live && !errors.Is(err, ErrNotFound):
-				t.Fatalf("deleted key resurfaced: Get(%s) = %q, %v", key, got, err)
-			}
-		}
-	}
+	model.Check(t, dbReader{db}, m)
 }

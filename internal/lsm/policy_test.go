@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/compaction"
+	"repro/internal/model"
 )
 
 func infos(sizes ...uint64) []TableInfo {
@@ -127,12 +128,7 @@ func TestMinorCompactMergesAndKeepsData(t *testing.T) {
 	if got := db.Stats().Tables; got != 3 { // 6 - 4 + 1
 		t.Errorf("tables after = %d, want 3", got)
 	}
-	for k, v := range want {
-		got, err := db.GetContext(context.Background(), []byte(k))
-		if err != nil || string(got) != v {
-			t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
-		}
-	}
+	model.Check(t, dbReader{db}, want)
 }
 
 func TestMinorCompactKeepsTombstones(t *testing.T) {
@@ -280,12 +276,7 @@ func TestMinorThenMajorCompaction(t *testing.T) {
 	if got := db.Stats().Tables; got != 1 {
 		t.Errorf("tables after major = %d", got)
 	}
-	for k, v := range want {
-		got, err := db.GetContext(context.Background(), []byte(k))
-		if err != nil || string(got) != v {
-			t.Fatalf("Get(%s) after minor+major = %q, %v", k, got, err)
-		}
-	}
+	model.Check(t, dbReader{db}, want)
 }
 
 func TestGetPicksNewestAcrossNonAdjacentTables(t *testing.T) {

@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/compaction"
+	"repro/internal/model"
 	"repro/internal/vfs"
 )
 
@@ -52,13 +51,16 @@ func mergeAt(t testing.TB, db *DB, at ...int) *CompactionResult {
 	return res
 }
 
-// putRange writes prefix-000 … prefix-(n-1), each with value.
-func putRange(t testing.TB, db *DB, prefix string, n int, value string) {
+// putRange writes prefix-000 … prefix-(n-1), each with value, and records
+// the puts in m.
+func putRange(t testing.TB, db *DB, m *model.Model, prefix string, n int, value string) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("%s-%03d", prefix, i)), []byte(value)); err != nil {
+		key := fmt.Sprintf("%s-%03d", prefix, i)
+		if err := db.PutContext(context.Background(), []byte(key), []byte(value)); err != nil {
 			t.Fatal(err)
 		}
+		m.Put(key, value)
 	}
 }
 
@@ -72,16 +74,19 @@ func flush(t testing.TB, db *DB) {
 // shadowFixture writes three tables: A holds k-000…k-099 at "old", C the
 // unrelated m-000…m-099, and B, newest, k-000…k-049 at "new" — so DB.tables
 // is [B, C, A], and a merge of C and A leaves B outside, shadowing half of
-// A. value pads every value to size bytes.
-func shadowFixture(t testing.TB, db *DB, size int) {
+// A. value pads every value to size bytes. It returns the model of the
+// three tables.
+func shadowFixture(t testing.TB, db *DB, size int) *model.Model {
 	t.Helper()
+	m := model.New()
 	pad := func(v string) string { return v + strings.Repeat(".", size-len(v)) }
-	putRange(t, db, "k", 100, pad("old"))
+	putRange(t, db, m, "k", 100, pad("old"))
 	flush(t, db)
-	putRange(t, db, "m", 100, pad("m"))
+	putRange(t, db, m, "m", 100, pad("m"))
 	flush(t, db)
-	putRange(t, db, "k", 50, pad("new"))
+	putRange(t, db, m, "k", 50, pad("new"))
 	flush(t, db)
+	return m
 }
 
 // tableKeys lists the keys of one live table.
@@ -105,7 +110,7 @@ func tableKeys(t testing.TB, th *tableHandle) []string {
 // version of every key.
 func TestMergeDropsVersionsANewerTableShadows(t *testing.T) {
 	db := openTestDB(t, Options{})
-	shadowFixture(t, db, 8)
+	m := shadowFixture(t, db, 8)
 	res := mergeAt(t, db, 1, 2)
 	if res.VersionsPurged != 50 || db.Stats().VersionsPurged != 50 {
 		t.Fatalf("purged %d versions (stats %d), want the 50 that B shadows", res.VersionsPurged, db.Stats().VersionsPurged)
@@ -114,46 +119,17 @@ func TestMergeDropsVersionsANewerTableShadows(t *testing.T) {
 	if len(keys) != 150 || keys[0] != "k-050" {
 		t.Fatalf("merge output holds %d keys from %s, want k-050…k-099 and m-000…m-099", len(keys), keys[0])
 	}
-	readsRight(t, db)
-}
-
-// readsRight checks every Get and a full scan of shadowFixture's keys: B's
-// "new" for k-000…k-049, A's "old" for the rest, C's "m" for m-*.
-func readsRight(t *testing.T, db *DB) {
-	t.Helper()
-	ctx := context.Background()
-	var want []string
-	for i := 0; i < 200; i++ {
-		key, v := fmt.Sprintf("k-%03d", i), "new"
-		switch {
-		case i >= 100:
-			key, v = fmt.Sprintf("m-%03d", i-100), "m"
-		case i >= 50:
-			v = "old"
-		}
-		got, err := db.GetContext(ctx, []byte(key))
-		if err != nil || !strings.HasPrefix(string(got), v) {
-			t.Fatalf("%s = %q, %v; want %s", key, got, err, v)
-		}
-		want = append(want, key+"="+v)
-	}
-	var got []string
-	if err := db.RangeContext(ctx, nil, nil, func(k, v []byte) error {
-		got = append(got, string(k)+"="+strings.TrimRight(string(v), "."))
-		return nil
-	}); err != nil || !slices.Equal(got, want) {
-		t.Fatalf("scan returned %d entries, %v; want %d", len(got), err, len(want))
-	}
+	model.Check(t, dbReader{db}, m)
 }
 
 // TestPurgedVersionStaysWithItsReaders: an iterator and a snapshot opened
 // before the newer version existed still read the version a later merge
 // purges — they pin the tables they were opened on.
 func TestPurgedVersionStaysWithItsReaders(t *testing.T) {
-	db := openTestDB(t, Options{})
-	putRange(t, db, "k", 100, "old")
+	db, m := openTestDB(t, Options{}), model.New()
+	putRange(t, db, m, "k", 100, "old")
 	flush(t, db)
-	putRange(t, db, "m", 100, "m")
+	putRange(t, db, m, "m", 100, "m")
 	flush(t, db)
 	it, release, err := db.NewIterator(nil, nil)
 	if err != nil {
@@ -165,7 +141,7 @@ func TestPurgedVersionStaysWithItsReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Release()
-	putRange(t, db, "k", 50, "new")
+	putRange(t, db, m, "k", 50, "new")
 	flush(t, db)
 	if res := mergeAt(t, db, 1, 2); res.VersionsPurged != 50 {
 		t.Fatalf("purged %d versions, want 50", res.VersionsPurged)
@@ -197,12 +173,12 @@ func TestPurgedVersionStaysWithItsReaders(t *testing.T) {
 // memtable proves nothing — with SyncWAL off it is not durable — so the
 // merge keeps every version it was given.
 func TestMemtableVersionPurgesNothing(t *testing.T) {
-	db := openTestDB(t, Options{})
-	putRange(t, db, "k", 100, "old")
+	db, m := openTestDB(t, Options{}), model.New()
+	putRange(t, db, m, "k", 100, "old")
 	flush(t, db)
-	putRange(t, db, "m", 100, "m")
+	putRange(t, db, m, "m", 100, "m")
 	flush(t, db)
-	putRange(t, db, "k", 50, "new")
+	putRange(t, db, m, "k", 50, "new")
 	if res := mergeAt(t, db, 0, 1); res.VersionsPurged != 0 {
 		t.Fatalf("purged %d versions on the memtable's word", res.VersionsPurged)
 	}
@@ -214,15 +190,15 @@ func TestMemtableVersionPurgesNothing(t *testing.T) {
 // reopened writes shadowFixture's tables through fsys, with 200-byte
 // values, and reopens the DB, so that the outside table B has no index
 // chunk parsed and no block resident until Gets of k-000…k-(warm-1) cache
-// theirs. It returns the DB and B's path.
-func reopened(t *testing.T, fsys vfs.FS, warm int) (*DB, string) {
+// theirs. It returns the DB, B's path and the model of the tables.
+func reopened(t *testing.T, fsys vfs.FS, warm int) (*DB, string, *model.Model) {
 	t.Helper()
 	dir := t.TempDir()
 	db, err := Open(dir, Options{FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadowFixture(t, db, 200)
+	m := shadowFixture(t, db, 200)
 	path := filepath.Join(dir, db.tables[0].name)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -236,7 +212,7 @@ func reopened(t *testing.T, fsys vfs.FS, warm int) (*DB, string) {
 			t.Fatal(err)
 		}
 	}
-	return db, path
+	return db, path, m
 }
 
 // TestPurgeIgnoresResidency: what a merge drops is a function of the
@@ -247,7 +223,7 @@ func reopened(t *testing.T, fsys vfs.FS, warm int) (*DB, string) {
 func TestPurgeIgnoresResidency(t *testing.T) {
 	for _, warm := range []int{0, 20} {
 		t.Run(fmt.Sprintf("warm=%d", warm), func(t *testing.T) {
-			db, _ := reopened(t, vfs.Default, warm)
+			db, _, _ := reopened(t, vfs.Default, warm)
 			before := db.Stats()
 			res := mergeAt(t, db, 1, 2)
 			after := db.Stats()
@@ -278,7 +254,7 @@ func TestPurgeKeepsWhatItCannotRead(t *testing.T) {
 				warm, kept = 0, "k-000"
 			}
 			fsys := vfs.NewFault(vfs.Default, 1)
-			db, path := reopened(t, fsys, warm)
+			db, path, m := reopened(t, fsys, warm)
 			orig, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -308,15 +284,15 @@ func TestPurgeKeepsWhatItCannotRead(t *testing.T) {
 			if !slices.Contains(keys, kept) {
 				t.Fatalf("%s, which B's unreadable block holds, was dropped", kept)
 			}
-			readsRight(t, db)
+			model.Check(t, dbReader{db}, m)
 		})
 	}
 }
 
-// TestPurgeKeepsEveryReadRight checks every Get and a full scan against a
-// model map after every merge of every policy family, over a stream of
-// overwrites and one of deletes. The merges run one at a time between
-// explicit flushes, so the model is exact.
+// TestPurgeKeepsEveryReadRight checks every read against the model after
+// every merge of every policy family, over a stream of overwrites and one
+// of deletes. The merges run one at a time between explicit flushes, so the
+// model is exact.
 func TestPurgeKeepsEveryReadRight(t *testing.T) {
 	families := append(compaction.Baselines(), compaction.LiveStrategies()...)
 	for _, stream := range []struct {
@@ -341,56 +317,18 @@ func TestPurgeKeepsEveryReadRight(t *testing.T) {
 }
 
 func purgeModelRun(t *testing.T, db *DB, policy *Policy, deleteOdd float64) uint64 {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(7))
-	const keys = 300
-	model := map[string]string{}
-	check := func(when string) {
-		t.Helper()
-		for i := 0; i < keys; i++ {
-			key := fmt.Sprintf("key-%04d", i)
-			v, err := db.GetContext(ctx, []byte(key))
-			want, ok := model[key]
-			if ok != (err == nil) || ok && string(v) != want {
-				t.Fatalf("%s: Get(%s) = %q, %v; model has %q (present %v)", when, key, v, err, want, ok)
-			}
-		}
-		var got []string
-		if err := db.RangeContext(ctx, nil, nil, func(k, v []byte) error {
-			got = append(got, string(k)+"="+string(v))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		var want []string
-		for k, v := range model {
-			want = append(want, k+"="+v)
-		}
-		sort.Strings(want)
-		if strings.Join(got, ",") != strings.Join(want, ",") {
-			t.Fatalf("%s: scan returned %d entries, model %d", when, len(got), len(want))
-		}
-	}
-	op := 0
-	for round := 0; round < 24; round++ {
-		for i := 0; i < 120; i++ {
-			op++
-			key := fmt.Sprintf("key-%04d", rng.Intn(keys))
-			if rng.Float64() < deleteOdd {
-				if err := db.DeleteContext(ctx, []byte(key)); err != nil {
-					t.Fatal(err)
-				}
-				delete(model, key)
-				continue
-			}
-			v := fmt.Sprintf("v%06d", op)
-			if err := db.PutContext(ctx, []byte(key), []byte(v)); err != nil {
+	const rounds, perRound = 24, 120
+	m := model.New()
+	stream := model.Stream(7, rounds*perRound, model.Mix{Keys: 300, Delete: deleteOdd})
+	for round := 0; round < rounds; round++ {
+		for _, w := range stream[round*perRound : (round+1)*perRound] {
+			if err := write(db, w); err != nil {
 				t.Fatal(err)
 			}
-			model[key] = v
+			m.Apply(w...)
 		}
 		flush(t, db)
-		for merge := 0; ; merge++ {
+		for {
 			_, ran, err := db.minorCompact(policy)
 			if err != nil {
 				t.Fatal(err)
@@ -398,7 +336,7 @@ func purgeModelRun(t *testing.T, db *DB, policy *Policy, deleteOdd float64) uint
 			if !ran {
 				break
 			}
-			check(fmt.Sprintf("round %d, merge %d", round, merge))
+			model.Check(t, dbReader{db}, m)
 		}
 	}
 	return db.Stats().VersionsPurged

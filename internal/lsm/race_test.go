@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/model"
 )
 
 // This file is the race harness for non-blocking major compaction:
@@ -31,12 +34,14 @@ func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 	defer db.Close()
 
 	// Seed enough tables that the first compaction has real work.
+	m := model.New()
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 50; j++ {
-			key := fmt.Sprintf("seed-%02d-%03d", i, j)
-			if err := db.PutContext(context.Background(), []byte(key), bytes.Repeat([]byte("s"), 64)); err != nil {
+			key, val := fmt.Sprintf("seed-%02d-%03d", i, j), strings.Repeat("s", 64)
+			if err := db.PutContext(context.Background(), []byte(key), []byte(val)); err != nil {
 				t.Fatal(err)
 			}
+			m.Put(key, val)
 		}
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
@@ -58,31 +63,19 @@ func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 		testErr.CompareAndSwap(nil, err)
 	}
 
-	// Writers: each owns a disjoint key range and records its final
-	// values; every fifth op is a delete.
-	finals := make([]map[string]string, writers)
+	// Writers: each owns a disjoint key range and records its writes in
+	// the model; one op in five is a delete.
 	for w := 0; w < writers; w++ {
-		finals[w] = make(map[string]string)
 		writerWG.Add(1)
 		go func(w int) {
 			defer writerWG.Done()
-			final := finals[w]
-			for i := 0; i < opsPerWriter; i++ {
-				key := fmt.Sprintf("w%d-key-%03d", w, i%keysPerWriter)
-				if i%5 == 4 {
-					if err := db.DeleteContext(context.Background(), []byte(key)); err != nil {
-						fail(fmt.Errorf("writer %d delete: %w", w, err))
-						return
-					}
-					delete(final, key)
-					continue
-				}
-				val := fmt.Sprintf("w%d-val-%d", w, i)
-				if err := db.PutContext(context.Background(), []byte(key), []byte(val)); err != nil {
-					fail(fmt.Errorf("writer %d put: %w", w, err))
+			mix := model.Mix{Prefix: fmt.Sprintf("w%d-", w), Keys: keysPerWriter, Delete: 0.2}
+			for _, op := range model.Stream(int64(w), opsPerWriter, mix) {
+				if err := write(db, op); err != nil {
+					fail(fmt.Errorf("writer %d: %w", w, err))
 					return
 				}
-				final[key] = val
+				m.Apply(op...)
 			}
 		}(w)
 	}
@@ -99,7 +92,7 @@ func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 					fail(fmt.Errorf("reader %d: seeded key %s: %w", r, seeded, err))
 					return
 				}
-				churning := fmt.Sprintf("w%d-key-%03d", i%writers, i%keysPerWriter)
+				churning := fmt.Sprintf("w%d-key-%04d", i%writers, i%keysPerWriter)
 				if _, err := db.GetContext(context.Background(), []byte(churning)); err != nil && !errors.Is(err, ErrNotFound) {
 					fail(fmt.Errorf("reader %d: churning key %s: %w", r, churning, err))
 					return
@@ -156,26 +149,12 @@ func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 		t.Fatal("no compaction completed during the workload")
 	}
 
-	// One final compaction, then verify no write was lost and every
-	// deleted key stays gone.
+	// One final compaction, then check no write was lost and every deleted
+	// key stays gone.
 	if _, err := db.MajorCompact("BT(I)", 3, 1); err != nil {
 		t.Fatal(err)
 	}
-	for w, final := range finals {
-		for i := 0; i < keysPerWriter; i++ {
-			key := fmt.Sprintf("w%d-key-%03d", w, i)
-			want, live := final[key]
-			got, err := db.GetContext(context.Background(), []byte(key))
-			switch {
-			case live && err != nil:
-				t.Fatalf("lost write: Get(%s) = %v, want %q", key, err, want)
-			case live && string(got) != want:
-				t.Fatalf("wrong value: Get(%s) = %q, want %q", key, got, want)
-			case !live && !errors.Is(err, ErrNotFound):
-				t.Fatalf("deleted key resurfaced: Get(%s) = %q, %v", key, got, err)
-			}
-		}
-	}
+	model.Check(t, dbReader{db}, m)
 }
 
 // TestBackgroundCompactionTriggerAndBackpressure drives a write burst with
@@ -193,7 +172,7 @@ func TestBackgroundCompactionTriggerAndBackpressure(t *testing.T) {
 	}
 	defer db.Close()
 
-	want := make(map[string]string)
+	want := model.New()
 	val := bytes.Repeat([]byte("v"), 128)
 	for i := 0; i < 3000; i++ {
 		key := fmt.Sprintf("key-%04d", i%500)
@@ -201,7 +180,7 @@ func TestBackgroundCompactionTriggerAndBackpressure(t *testing.T) {
 		if err := db.PutContext(context.Background(), []byte(key), []byte(v)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
-		want[key] = v
+		want.Put(key, v)
 	}
 	if err := db.BackgroundErr(); err != nil {
 		t.Fatalf("background compactor failed: %v", err)
@@ -213,12 +192,7 @@ func TestBackgroundCompactionTriggerAndBackpressure(t *testing.T) {
 	if st.Tables >= 8 {
 		t.Fatalf("backpressure failed to bound tables: %+v", st)
 	}
-	for key, v := range want {
-		got, err := db.GetContext(context.Background(), []byte(key))
-		if err != nil || string(got) != v {
-			t.Fatalf("Get(%s) = %q, %v; want %q", key, got, err, v)
-		}
-	}
+	model.Check(t, dbReader{db}, want)
 }
 
 // TestCloseDuringBackgroundCompaction closes the store while a major
@@ -230,14 +204,14 @@ func TestCloseDuringBackgroundCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make(map[string]string)
+	want := model.New()
 	for i := 0; i < 1200; i++ {
 		key := fmt.Sprintf("key-%04d", i%300)
 		v := fmt.Sprintf("val-%d", i)
 		if err := db.PutContext(context.Background(), []byte(key), []byte(v)); err != nil {
 			t.Fatal(err)
 		}
-		want[key] = v
+		want.Put(key, v)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
@@ -262,10 +236,5 @@ func TestCloseDuringBackgroundCompaction(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer db.Close()
-	for key, v := range want {
-		got, err := db.GetContext(context.Background(), []byte(key))
-		if err != nil || string(got) != v {
-			t.Fatalf("after reopen: Get(%s) = %q, %v; want %q", key, got, err, v)
-		}
-	}
+	model.Check(t, dbReader{db}, want)
 }

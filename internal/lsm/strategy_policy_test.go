@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/compaction"
+	"repro/internal/model"
 )
 
 // TestStrategyPolicyDrivesMinorCompaction: a registry strategy wired in
@@ -35,12 +36,7 @@ func TestStrategyPolicyDrivesMinorCompaction(t *testing.T) {
 			if st.CompactionPicks[strategy] != 1 {
 				t.Errorf("CompactionPicks = %v, want one %s pick", st.CompactionPicks, strategy)
 			}
-			for k, v := range want {
-				got, err := db.GetContext(context.Background(), []byte(k))
-				if err != nil || string(got) != v {
-					t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
-				}
-			}
+			model.Check(t, dbReader{db}, want)
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -15,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/lsm"
+	"repro/internal/model"
 	"repro/internal/vfs"
 	"repro/internal/wal"
 )
@@ -29,132 +29,73 @@ func openStore(t *testing.T, shards int, opts lsm.Options) *Store {
 	return s
 }
 
-type kv struct{ k, v string }
+// readable is the read API a store shares with its shards.
+type readable interface {
+	GetContext(ctx context.Context, key []byte) ([]byte, error)
+	RangeContext(ctx context.Context, start, end []byte, fn func(key, value []byte) error) error
+}
 
-func collect(t *testing.T, scan func(ctx context.Context, start, end []byte, fn func(key, value []byte) error) error, start, end []byte) []kv {
-	t.Helper()
-	var out []kv
-	if err := scan(context.Background(), start, end, func(k, v []byte) error {
-		out = append(out, kv{string(k), string(v)})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+// reader reads a store, or one of its shards, for model.Check, with
+// ErrNotFound as not found.
+type reader struct{ readable }
+
+func (r reader) Get(key []byte) ([]byte, bool, error) {
+	v, err := r.GetContext(context.Background(), key)
+	if errors.Is(err, lsm.ErrNotFound) {
+		return nil, false, nil
 	}
-	return out
+	return v, err == nil, err
+}
+
+func (r reader) Scan(start, end []byte, fn func(key, value []byte) error) error {
+	return r.RangeContext(context.Background(), start, end, fn)
+}
+
+// write commits one write of a model.Stream: a put, a delete, or a batch.
+func write(s *Store, w []model.Op) error {
+	ctx := context.Background()
+	switch {
+	case len(w) == 1 && w[0].Delete:
+		return s.DeleteContext(ctx, []byte(w[0].Key))
+	case len(w) == 1:
+		return s.PutContext(ctx, []byte(w[0].Key), []byte(w[0].Value))
+	}
+	var b lsm.WriteBatch
+	for _, op := range w {
+		if op.Delete {
+			b.Delete([]byte(op.Key))
+		} else {
+			b.Put([]byte(op.Key), []byte(op.Value))
+		}
+	}
+	return s.WriteContext(ctx, &b)
 }
 
 // TestStoreEquivalence is the observational-equivalence property test: a
-// sharded store with N ∈ {1, 2, 8} shards must behave exactly like a
-// single lsm.DB under random Put/Delete/Write/Scan sequences interleaved
-// with flushes and major compactions.
+// sharded store with N ∈ {1, 2, 8} shards must behave exactly like the
+// model under a stream of puts, deletes and cross-shard batches interleaved
+// with flushes and major compactions, and again after a reopen.
 func TestStoreEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			s := openStore(t, shards, lsm.Options{MemtableBytes: 16 << 10, Seed: 3})
-			ref, err := lsm.Open(t.TempDir(), lsm.Options{MemtableBytes: 16 << 10, Seed: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ref.Close()
-
-			rng := rand.New(rand.NewSource(int64(shards) * 71))
-			key := func() []byte { return []byte(fmt.Sprintf("key-%04d", rng.Intn(800))) }
-			const ops = 3000
-			for i := 0; i < ops; i++ {
-				switch rng.Intn(10) {
-				case 0: // delete
-					k := key()
-					if err := s.DeleteContext(context.Background(), k); err != nil {
+			m := model.New()
+			stream := model.Stream(int64(shards)*71, 3000, model.Mix{Keys: 800, Delete: 0.15, Batch: 0.2})
+			for i, w := range stream {
+				if err := write(s, w); err != nil {
+					t.Fatal(err)
+				}
+				m.Apply(w...)
+				if i%500 == 3 { // occasional maintenance
+					if err := s.Flush(); err != nil {
 						t.Fatal(err)
 					}
-					if err := ref.DeleteContext(context.Background(), k); err != nil {
-						t.Fatal(err)
-					}
-				case 1, 2: // multi-op batch, scattering across shards
-					var sb, rb lsm.WriteBatch
-					for j := 0; j < 1+rng.Intn(6); j++ {
-						k := key()
-						if rng.Intn(4) == 0 {
-							sb.Delete(k)
-							rb.Delete(k)
-						} else {
-							v := []byte(fmt.Sprintf("batch-%d-%d", i, j))
-							sb.Put(k, v)
-							rb.Put(k, v)
-						}
-					}
-					if err := s.WriteContext(context.Background(), &sb); err != nil {
-						t.Fatal(err)
-					}
-					if err := ref.WriteContext(context.Background(), &rb); err != nil {
-						t.Fatal(err)
-					}
-				case 3:
-					if i%500 == 3 { // occasional maintenance
-						if err := s.Flush(); err != nil {
-							t.Fatal(err)
-						}
-						if err := ref.Flush(); err != nil {
-							t.Fatal(err)
-						}
-						if _, err := s.MajorCompact("BT(I)", 2, int64(i)); err != nil {
-							t.Fatal(err)
-						}
-						if _, err := ref.MajorCompact("BT(I)", 2, int64(i)); err != nil {
-							t.Fatal(err)
-						}
-					}
-				default:
-					k, v := key(), []byte(fmt.Sprintf("val-%d", i))
-					if err := s.PutContext(context.Background(), k, v); err != nil {
-						t.Fatal(err)
-					}
-					if err := ref.PutContext(context.Background(), k, v); err != nil {
+					if _, err := s.MajorCompact("BT(I)", 2, int64(i)); err != nil {
 						t.Fatal(err)
 					}
 				}
 				if i%1000 == 999 {
-					got, want := collect(t, s.RangeContext, nil, nil), collect(t, ref.RangeContext, nil, nil)
-					if len(got) != len(want) {
-						t.Fatalf("op %d: scan lengths diverge: store %d, ref %d", i, len(got), len(want))
-					}
-					for j := range got {
-						if got[j] != want[j] {
-							t.Fatalf("op %d: scan diverges at %d: store %+v, ref %+v", i, j, got[j], want[j])
-						}
-					}
-				}
-			}
-
-			// Point reads agree over the whole key space.
-			for i := 0; i < 800; i++ {
-				k := []byte(fmt.Sprintf("key-%04d", i))
-				gv, gerr := s.GetContext(context.Background(), k)
-				wv, werr := ref.GetContext(context.Background(), k)
-				if !errors.Is(gerr, werr) && (gerr != nil || werr != nil) {
-					t.Fatalf("Get(%s): store err %v, ref err %v", k, gerr, werr)
-				}
-				if !bytes.Equal(gv, wv) {
-					t.Fatalf("Get(%s): store %q, ref %q", k, gv, wv)
-				}
-			}
-
-			// Bounded ranges agree, including bounds that split shards.
-			got := collect(t, s.RangeContext, []byte("key-0100"), []byte("key-0500"))
-			want := collect(t, ref.RangeContext, []byte("key-0100"), []byte("key-0500"))
-			if len(got) != len(want) {
-				t.Fatalf("range lengths diverge: store %d, ref %d", len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("range diverges at %d: store %+v, ref %+v", j, got[j], want[j])
-				}
-			}
-
-			// Scan output globally sorted (the k-way merge's contract).
-			for j := 1; j < len(got); j++ {
-				if got[j-1].k >= got[j].k {
-					t.Fatalf("merged scan out of order: %q before %q", got[j-1].k, got[j].k)
+					model.Check(t, reader{s}, m)
 				}
 			}
 
@@ -170,15 +111,7 @@ func TestStoreEquivalence(t *testing.T) {
 			if s2.ShardCount() != shards {
 				t.Fatalf("reopen adopted %d shards, want %d", s2.ShardCount(), shards)
 			}
-			got2, want2 := collect(t, s2.RangeContext, nil, nil), collect(t, ref.RangeContext, nil, nil)
-			if len(got2) != len(want2) {
-				t.Fatalf("post-reopen scan lengths diverge: %d vs %d", len(got2), len(want2))
-			}
-			for j := range got2 {
-				if got2[j] != want2[j] {
-					t.Fatalf("post-reopen scan diverges at %d", j)
-				}
-			}
+			model.Check(t, reader{s2}, m)
 		})
 	}
 }
@@ -198,12 +131,11 @@ func batchTag(key []byte) string {
 // with different amounts of each WAL durable. On every other trial a
 // shard's surviving WAL is laid out as a crash between a memtable rotation
 // and its flush leaves it: two segments, split at a frame boundary, which
-// must replay in order as if they were one. Every shard must recover a
-// prefix-closed, sub-batch-atomic state: for each shard, the recovered
-// sub-batches are a prefix of that shard's commit order, and each
-// sub-batch's keys on that shard are all present or all absent. (There is
-// deliberately no cross-shard prefix property — the documented relaxed
-// atomicity of cross-shard writes.)
+// must replay in order as if they were one. Every shard must pass its own
+// model's prefix check: the recovered sub-batches are a prefix of that
+// shard's commit order, and each sub-batch's keys on that shard are all
+// present or all absent. (There is deliberately no cross-shard prefix
+// property — the documented relaxed atomicity of cross-shard writes.)
 func TestStoreCrashRecoveryPerShard(t *testing.T) {
 	const shards = 4
 	dir := t.TempDir()
@@ -247,32 +179,36 @@ func TestStoreCrashRecoveryPerShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Per shard: the full WAL bytes, the sub-batch commit order, and each
-	// sub-batch's key count on that shard.
+	// Per shard: the full WAL bytes, and a model of the sub-batches in the
+	// shard's commit order. A sub-batch's records are contiguous, and its
+	// keys share its tag. The model's value is the tag the writers put, not
+	// the logged one, so a value the log got wrong still fails the check.
 	walData := make([][]byte, shards)
-	orders := make([][]string, shards)
-	expect := make([]map[string]int, shards)
+	models := make([]*model.Model, shards)
+	logged := make([]int, shards)
 	for sh := 0; sh < shards; sh++ {
 		segs, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("shard-%03d", sh), "wal.log.*"))
 		if err != nil || len(segs) != 1 {
 			t.Fatalf("shard %d: want one WAL segment after a clean close, have %v (%v)", sh, segs, err)
 		}
-		path := segs[0]
-		data, err := os.ReadFile(path)
-		if err != nil {
+		if walData[sh], err = os.ReadFile(segs[0]); err != nil {
 			t.Fatal(err)
 		}
-		walData[sh] = data
-		expect[sh] = make(map[string]int)
-		if _, err := wal.Replay(vfs.Default, path, func(r wal.Record) error {
-			tag := batchTag(r.Key)
-			if expect[sh][tag] == 0 {
-				orders[sh] = append(orders[sh], tag)
+		models[sh] = model.New()
+		var batch []model.Op
+		if _, err := wal.Replay(vfs.Default, segs[0], func(r wal.Record) error {
+			if len(batch) > 0 && batchTag(r.Key) != batchTag([]byte(batch[0].Key)) {
+				models[sh].Apply(batch...)
+				batch, logged[sh] = nil, logged[sh]+1
 			}
-			expect[sh][tag]++
+			batch = append(batch, model.Op{Key: string(r.Key), Value: batchTag(r.Key)})
 			return nil
 		}); err != nil {
 			t.Fatal(err)
+		}
+		if len(batch) > 0 {
+			models[sh].Apply(batch...)
+			logged[sh]++
 		}
 	}
 
@@ -331,42 +267,10 @@ func TestStoreCrashRecoveryPerShard(t *testing.T) {
 		if s2.ShardCount() != shards {
 			t.Fatalf("trial %d: adopted %d shards", trial, s2.ShardCount())
 		}
-		// Group the recovered keys per shard per tag.
-		recovered := make([]map[string]int, shards)
-		for sh := range recovered {
-			recovered[sh] = make(map[string]int)
-		}
-		err = s2.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
-			tag := batchTag(k)
-			if string(v) != tag {
-				return fmt.Errorf("key %s has value %q, want %q", k, v, tag)
-			}
-			recovered[s2.ShardFor(k)][tag]++
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("trial %d: scan: %v", trial, err)
-		}
 		for sh := 0; sh < shards; sh++ {
-			// (a) Sub-batch atomicity: a shard holds all of its slice of a
-			// batch or none of it.
-			for tag, n := range recovered[sh] {
-				if n != expect[sh][tag] {
-					t.Fatalf("trial %d shard %d cut %d: batch %s partially applied: %d/%d keys",
-						trial, sh, cuts[sh], tag, n, expect[sh][tag])
-				}
-			}
-			// (b) Prefix-closedness in the shard's commit order.
-			for i, tag := range orders[sh] {
-				if _, ok := recovered[sh][tag]; ok != (i < len(recovered[sh])) {
-					t.Fatalf("trial %d shard %d cut %d: recovered %d sub-batches but #%d (%s) present=%v: not a prefix",
-						trial, sh, cuts[sh], len(recovered[sh]), i, tag, ok)
-				}
-			}
-			// (c) Acknowledged durability on a clean crash.
-			if cuts[sh] == len(walData[sh]) && len(recovered[sh]) != len(orders[sh]) {
-				t.Fatalf("trial %d shard %d: full WAL recovered %d/%d sub-batches",
-					trial, sh, len(recovered[sh]), len(orders[sh]))
+			n := models[sh].Prefix(t, reader{s2.Shard(sh)})
+			if cuts[sh] == len(walData[sh]) && n != logged[sh] {
+				t.Fatalf("trial %d shard %d: full WAL recovered %d/%d sub-batches", trial, sh, n, logged[sh])
 			}
 		}
 		s2.Close()
@@ -399,47 +303,21 @@ func TestStoreRaceShards4(t *testing.T) {
 		testErr atomic.Value
 	)
 	fail := func(err error) { testErr.CompareAndSwap(nil, err) }
-	pad := strings.Repeat("x", 256)
 
-	finals := make([]map[string]string, writers)
+	m := model.New()
 	for w := 0; w < writers; w++ {
-		finals[w] = make(map[string]string)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			final := finals[w]
-			var b lsm.WriteBatch
-			for i := 0; i < opsPerWriter; i++ {
-				key := fmt.Sprintf("w%d-key-%03d", w, i%keysPer)
-				switch i % 7 {
-				case 3:
-					if err := s.DeleteContext(context.Background(), []byte(key)); err != nil {
-						fail(fmt.Errorf("writer %d delete: %w", w, err))
-						return
-					}
-					delete(final, key)
-				case 5: // cross-shard batch: two puts and a delete
-					b.Reset()
-					k2 := fmt.Sprintf("w%d-key-%03d", w, (i+1)%keysPer)
-					k3 := fmt.Sprintf("w%d-key-%03d", w, (i+2)%keysPer)
-					v := fmt.Sprintf("w%d-batch-%d-%s", w, i, pad)
-					b.Put([]byte(key), []byte(v))
-					b.Put([]byte(k2), []byte(v))
-					b.Delete([]byte(k3))
-					if err := s.WriteContext(context.Background(), &b); err != nil {
-						fail(fmt.Errorf("writer %d batch: %w", w, err))
-						return
-					}
-					final[key], final[k2] = v, v
-					delete(final, k3)
-				default:
-					v := fmt.Sprintf("w%d-val-%d-%s", w, i, pad)
-					if err := s.PutContext(context.Background(), []byte(key), []byte(v)); err != nil {
-						fail(fmt.Errorf("writer %d put: %w", w, err))
-						return
-					}
-					final[key] = v
+			// One write in seven is a cross-shard batch, one op in seven a
+			// delete.
+			mix := model.Mix{Prefix: fmt.Sprintf("w%d-", w), Keys: keysPer, Delete: 1.0 / 7, Batch: 1.0 / 7, Pad: 256}
+			for _, op := range model.Stream(int64(w), opsPerWriter, mix) {
+				if err := write(s, op); err != nil {
+					fail(fmt.Errorf("writer %d: %w", w, err))
+					return
 				}
+				m.Apply(op...)
 			}
 		}(w)
 	}
@@ -449,7 +327,7 @@ func TestStoreRaceShards4(t *testing.T) {
 		go func(r int) {
 			defer auxWG.Done()
 			for i := 0; !stop.Load(); i++ {
-				key := fmt.Sprintf("w%d-key-%03d", i%writers, i%keysPer)
+				key := fmt.Sprintf("w%d-key-%04d", i%writers, i%keysPer)
 				if _, err := s.GetContext(context.Background(), []byte(key)); err != nil && !errors.Is(err, lsm.ErrNotFound) {
 					fail(fmt.Errorf("reader %d: %w", r, err))
 					return
@@ -490,21 +368,7 @@ func TestStoreRaceShards4(t *testing.T) {
 	if st.Flushes == 0 {
 		t.Error("stress never flushed: memtable threshold not exercised")
 	}
-	for w, final := range finals {
-		for i := 0; i < keysPer; i++ {
-			key := fmt.Sprintf("w%d-key-%03d", w, i)
-			want, live := final[key]
-			got, err := s.GetContext(context.Background(), []byte(key))
-			switch {
-			case live && err != nil:
-				t.Fatalf("lost write: Get(%s) = %v, want %q", key, err, want)
-			case live && string(got) != want:
-				t.Fatalf("wrong value: Get(%s) = %q, want %q", key, got, want)
-			case !live && !errors.Is(err, lsm.ErrNotFound):
-				t.Fatalf("deleted key resurfaced: Get(%s) = %q, %v", key, got, err)
-			}
-		}
-	}
+	model.Check(t, reader{s}, m)
 }
 
 // TestStoreShardMarker covers the persisted-shard-count contract: the

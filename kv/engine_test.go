@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/model"
 )
 
 // backendCase builds a fresh engine of one backend flavor. The same test
@@ -97,13 +98,40 @@ func backendCases() []backendCase {
 	}
 }
 
-// forEachBackend runs fn as a subtest against every backend.
-func forEachBackend(t *testing.T, fn func(t *testing.T, eng Engine)) {
+// forEachBackend runs fn as a subtest against every backend, each opened
+// with opts.
+func forEachBackend(t *testing.T, fn func(t *testing.T, eng Engine), opts ...Option) {
 	for _, bc := range backendCases() {
 		t.Run(bc.name, func(t *testing.T) {
-			fn(t, bc.open(t))
+			fn(t, bc.open(t, opts...))
 		})
 	}
+}
+
+// engineReader reads an Engine for model.Check, with ErrNotFound as not
+// found.
+type engineReader struct{ Engine }
+
+func (r engineReader) Get(key []byte) ([]byte, bool, error) {
+	v, err := r.Engine.Get(context.Background(), key)
+	if errors.Is(err, ErrNotFound) {
+		return nil, false, nil
+	}
+	return v, err == nil, err
+}
+
+func (r engineReader) Scan(start, end []byte, fn func(key, value []byte) error) error {
+	it, err := r.NewIterator(context.Background(), start, end)
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for ; it.Valid(); it.Next() {
+		if err := fn(it.Key(), it.Value()); err != nil {
+			return err
+		}
+	}
+	return it.Err()
 }
 
 func TestEngineCRUD(t *testing.T) {
@@ -451,6 +479,45 @@ func TestEngineFlushCompactStats(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestEnginePurgeMatchesModel runs a short form of the lsm purge model
+// test, rounds of overwrites and deletes, on every backend, with BT(I) minor
+// compactions after the flushes a small memtable forces, and checks every
+// read against the model after each round's flush. Every backend must
+// report purged versions, or the test tests nothing.
+func TestEnginePurgeMatchesModel(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, eng Engine) {
+		ctx := context.Background()
+		const rounds, perRound = 4, 80
+		m := model.New()
+		stream := model.Stream(7, rounds*perRound, model.Mix{Keys: 80, Delete: 0.4})
+		for round := 0; round < rounds; round++ {
+			for _, w := range stream[round*perRound : (round+1)*perRound] {
+				op, err := w[0], error(nil)
+				if op.Delete {
+					err = eng.Delete(ctx, []byte(op.Key))
+				} else {
+					err = eng.Put(ctx, []byte(op.Key), []byte(op.Value))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Apply(op)
+			}
+			if err := eng.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			model.Check(t, engineReader{eng}, m)
+		}
+		st, err := eng.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.VersionsPurged == 0 {
+			t.Error("no merge purged a version: the test tests nothing")
+		}
+	}, WithAutoCompact("BT(I)"), WithMemtableBytes(256))
 }
 
 // TestEngineOpsAfterClose: every operation on a closed engine returns
