@@ -140,30 +140,24 @@ func nodeState(t *testing.T, addr string) (replicaState, error) {
 		return nil, err
 	}
 	defer c.Close()
-	ctx := context.Background()
+	st, err := c.Stream(context.Background(), nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
 	state := replicaState{}
-	var start []byte
-	for {
-		entries, err := c.Range(ctx, start, nil, 1000)
+	for ; st.Valid(); st.Next() {
+		if bytes.HasPrefix(st.Key(), []byte(hintPrefix)) {
+			continue
+		}
+		rec, err := decodeRecord(st.Value())
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range entries {
-			if bytes.HasPrefix(e.Key, []byte(hintPrefix)) {
-				continue
-			}
-			rec, err := decodeRecord(e.Value)
-			if err != nil {
-				return nil, err
-			}
-			rec.Value = append([]byte(nil), rec.Value...)
-			state[string(e.Key)] = rec
-		}
-		if len(entries) < 1000 {
-			return state, nil
-		}
-		start = append(append([]byte(nil), entries[len(entries)-1].Key...), 0)
+		rec.Value = append([]byte(nil), rec.Value...)
+		state[string(st.Key())] = rec
 	}
+	return state, st.Err()
 }
 
 // replicasConverged reports whether every node holds the identical
@@ -209,21 +203,17 @@ func (r routerReader) Get(key []byte) ([]byte, bool, error) {
 }
 
 func (r routerReader) Scan(start, end []byte, fn func(key, value []byte) error) error {
-	for {
-		page, next, err := r.RangePage(context.Background(), start, end, 1000)
-		if err != nil {
+	it, err := r.NewIterator(context.Background(), start, end)
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for ; it.Valid(); it.Next() {
+		if err := fn(it.Key(), it.Value()); err != nil {
 			return err
 		}
-		for _, e := range page {
-			if err := fn(e.Key, e.Value); err != nil {
-				return err
-			}
-		}
-		if next == nil {
-			return nil
-		}
-		start = next
 	}
+	return it.Err()
 }
 
 // TestClusterChaos is the acceptance test for the replicated cluster:

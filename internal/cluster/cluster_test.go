@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -250,26 +251,44 @@ func TestRouterScanMergesSorted(t *testing.T) {
 			t.Fatalf("merged scan out of order")
 		}
 	}
-	limited, next, err := rt.RangePage(context.Background(), nil, nil, 50)
+	// Tombstones and parked hints (a hint key sorts before every user key)
+	// never surface, not even in an open-ended scan.
+	if err := rt.Delete(context.Background(), []byte("q:0000")); err != nil {
+		t.Fatal(err)
+	}
+	c, err := rt.client(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(limited) != 50 || next == nil {
-		t.Errorf("limited cluster scan = %d entries, next %q", len(limited), next)
+	if err := c.Put(context.Background(), hintKey("elsewhere", 1, 2, 3), []byte{hintFormat, 0}); err != nil {
+		t.Fatal(err)
+	}
+	all := rangeAll(t, rt, nil, nil)
+	if len(all) != 399 {
+		t.Fatalf("open-ended cluster scan = %d entries, want 399", len(all))
+	}
+	if string(all[0].Key) != "p:0000" || string(all[200].Key) != "q:0001" {
+		t.Errorf("open-ended cluster scan starts at %q and holds %q for q:0001", all[0].Key, all[200].Key)
 	}
 }
 
-// rangeAll reads the merged view of [start, end) page by page, as a
-// RangePage caller must: until next is nil, not until a page comes up short.
-func rangeAll(t *testing.T, rt *Router, start, end []byte) []kvnet.ScanEntry {
+// scanEntry is one entry a test collected from a merged scan.
+type scanEntry struct{ Key, Value []byte }
+
+// rangeAll collects the merged view of [start, end) in one iterator pass.
+func rangeAll(t *testing.T, rt *Router, start, end []byte) []scanEntry {
 	t.Helper()
-	var out []kvnet.ScanEntry
-	for start != nil {
-		page, next, err := rt.RangePage(context.Background(), start, end, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, start = append(out, page...), next
+	it, err := rt.NewIterator(context.Background(), start, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	var out []scanEntry
+	for ; it.Valid(); it.Next() {
+		out = append(out, scanEntry{bytes.Clone(it.Key()), bytes.Clone(it.Value())})
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
 	}
 	return out
 }

@@ -249,56 +249,34 @@ func (rt *Router) handoffSweep(ctx context.Context) error {
 	return first
 }
 
-// drainHolder replays and deletes holder's parked hints, page by page,
-// until no page makes progress (every remaining hint's target is still
-// down) or the holder is empty.
+// drainHolder replays and deletes holder's parked hints in one pass over
+// them; a hint whose target is still down stays for a later sweep.
 func (rt *Router) drainHolder(ctx context.Context, holder int) error {
-	const page = 128
-	for {
-		var entries []kvnet.ScanEntry
-		err := rt.do(ctx, holder, func(actx context.Context, c *kvnet.Client) error {
-			var err error
-			entries, err = c.Range(actx, []byte(hintPrefix), []byte(hintEnd), page)
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("cluster: hint scan on %s: %w", rt.ring.names[holder], err)
+	var st kvnet.Stream
+	if err := rt.stream(ctx, holder, &st, []byte(hintPrefix), []byte(hintEnd)); err != nil {
+		return fmt.Errorf("cluster: hint scan on %s: %w", rt.ring.names[holder], err)
+	}
+	defer st.Close()
+	for ; st.Valid(); st.Next() {
+		name := hintTarget(st.Key())
+		if name == "" {
+			// Not a hint we understand; delete it rather than rescanning
+			// it forever.
+			rt.deleteHint(ctx, holder, st.Key())
+			continue
 		}
-		if len(entries) == 0 {
-			return nil
-		}
-		progress := 0
-		for _, e := range entries {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			name := hintTarget(e.Key)
-			if name == "" {
-				// Not a hint we understand; delete it rather than rescanning
-				// it forever.
-				if rt.deleteHint(ctx, holder, e.Key) == nil {
-					progress++
-				}
-				continue
-			}
-			// A hint owed to a node outside this router's ring was parked
-			// under another membership view; it stays for a router that
-			// knows its target.
-			target, member := rt.ring.nodes[name]
-			if !member || rt.health.isDown(target) {
-				continue
-			}
-			if err := rt.replayHint(ctx, holder, target, e); err != nil {
-				// Target refused or vanished mid-replay; leave the hint for
-				// the next sweep.
-				continue
-			}
-			progress++
-		}
-		if progress == 0 || len(entries) < page {
-			return nil
+		// A hint owed to a node outside this router's ring was parked
+		// under another membership view; it stays for a router that
+		// knows its target. One the target refuses, or vanishes during,
+		// stays for the next sweep.
+		if target, member := rt.ring.nodes[name]; member && !rt.health.isDown(target) {
+			rt.replayHint(ctx, holder, target, st.Key(), st.Value())
 		}
 	}
+	if err := st.Err(); err != nil {
+		return fmt.Errorf("cluster: hint scan on %s: %w", rt.ring.names[holder], err)
+	}
+	return nil
 }
 
 // replayHint delivers one hint to its target and deletes it from the
@@ -306,12 +284,12 @@ func (rt *Router) drainHolder(ctx context.Context, holder int) error {
 // applies only where they are newer than what it holds, so replaying an
 // old hint — or two sweeps replaying hints of one key in either order —
 // never regresses a key.
-func (rt *Router) replayHint(ctx context.Context, holder, target int, hint kvnet.ScanEntry) error {
-	ops, err := decodeHintBatch(hint.Value)
+func (rt *Router) replayHint(ctx context.Context, holder, target int, key, value []byte) error {
+	ops, err := decodeHintBatch(value)
 	if err != nil {
 		// The hint itself is damaged; drop it, the data it carried is
 		// also on the W-quorum replicas and read repair covers the rest.
-		rt.deleteHint(ctx, holder, hint.Key)
+		rt.deleteHint(ctx, holder, key)
 		return nil
 	}
 	// A record that does not decode would fail the whole batch; it is
@@ -327,7 +305,7 @@ func (rt *Router) replayHint(ctx context.Context, holder, target int, hint kvnet
 	if err != nil {
 		return err
 	}
-	if err := rt.deleteHint(ctx, holder, hint.Key); err != nil {
+	if err := rt.deleteHint(ctx, holder, key); err != nil {
 		return err
 	}
 	rt.hintsReplayed.Add(1)
@@ -353,14 +331,15 @@ func (rt *Router) PendingHints(ctx context.Context) (int, error) {
 		if rt.health.isDown(holder) {
 			continue
 		}
-		err := rt.do(ctx, holder, func(actx context.Context, c *kvnet.Client) error {
-			entries, err := c.Range(actx, []byte(hintPrefix), []byte(hintEnd), 100000)
-			if err != nil {
-				return err
+		var st kvnet.Stream
+		err := rt.stream(ctx, holder, &st, []byte(hintPrefix), []byte(hintEnd))
+		if err == nil {
+			for ; st.Valid(); st.Next() {
+				total++
 			}
-			total += len(entries)
-			return nil
-		})
+			err = st.Err()
+			st.Close()
+		}
 		if err != nil {
 			return total, fmt.Errorf("cluster: hint count on %s: %w", rt.ring.names[holder], err)
 		}

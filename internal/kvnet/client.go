@@ -403,20 +403,6 @@ func (c *Client) WriteVersioned(ctx context.Context, batch []BatchOp) (applied i
 	return int(n), nil
 }
 
-// Range returns up to limit entries with start <= key < end in key order
-// in one response — a bounded page. A nil end means no upper bound. To
-// read a range of unknown size use Stream, which holds one consistent view
-// for the whole scan.
-func (c *Client) Range(ctx context.Context, start, end []byte, limit int) ([]ScanEntry, error) {
-	cl, resp, err := c.roundTrip(ctx, &Request{Op: OpRange, Start: start, End: end, Limit: uint64(max(limit, 0))})
-	if err != nil {
-		return nil, err
-	}
-	cl.buf = nil // the entries keep the response buffer
-	putCall(cl)
-	return resp.Entries, nil
-}
-
 // Ping probes the server for liveness without touching the engine. A nil
 // return means the peer decoded a frame and answered: the connection is
 // live end to end. Health checkers call it on an interval so dead peers

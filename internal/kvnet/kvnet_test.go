@@ -95,24 +95,38 @@ func TestScanPrefixAndLimit(t *testing.T) {
 		}
 	}
 	// A prefix scan is the range from the prefix to its successor.
-	entries, err := c.Range(context.Background(), []byte("a:"), []byte("a;"), 0)
+	st, err := c.Stream(context.Background(), []byte("a:"), []byte("a;"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 50 {
-		t.Errorf("prefix scan returned %d entries, want 50", len(entries))
-	}
-	for i := 1; i < len(entries); i++ {
-		if bytes.Compare(entries[i-1].Key, entries[i].Key) >= 0 {
+	defer st.Close()
+	var prev []byte
+	n := 0
+	for ; st.Valid(); st.Next() {
+		if n > 0 && bytes.Compare(prev, st.Key()) >= 0 {
 			t.Fatalf("scan out of order")
 		}
+		prev = append(prev[:0], st.Key()...)
+		n++
 	}
-	limited, err := c.Range(context.Background(), nil, nil, 10)
+	if err := st.Err(); err != nil || n != 50 {
+		t.Errorf("prefix scan returned %d entries, %v; want 50", n, err)
+	}
+	// A limit is the caller's: read ten entries and close the stream; the
+	// connection carries on.
+	st, err = c.Stream(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(limited) != 10 {
-		t.Errorf("limited scan returned %d", len(limited))
+	for n = 0; n < 10 && st.Valid(); st.Next() {
+		n++
+	}
+	st.Close()
+	if n != 10 {
+		t.Errorf("limited scan returned %d", n)
+	}
+	if v, err := c.Get(context.Background(), []byte("b:019")); err != nil || string(v) != "y" {
+		t.Errorf("Get after a closed stream = %q, %v", v, err)
 	}
 }
 
@@ -480,7 +494,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{Op: OpPut, Key: []byte("k"), Value: []byte("v")},
 		{Op: OpGet, Key: []byte{0, 1, 2}},
 		{Op: OpDelete, Key: []byte("x")},
-		{Op: OpRange, Start: []byte("p"), End: []byte("q"), Limit: 42},
+		{Op: OpStream, Handle: 2, Start: []byte("p"), End: []byte("q"), Credit: 42},
 		{Op: OpFlush},
 		{Op: OpCompact, Strategy: "BT(I)", K: 3},
 		{Op: OpStats},
@@ -491,7 +505,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 			t.Fatalf("%+v: %v", req, err)
 		}
 		if got.Op != req.Op || !bytes.Equal(got.Key, req.Key) || !bytes.Equal(got.Value, req.Value) ||
-			!bytes.Equal(got.Start, req.Start) || !bytes.Equal(got.End, req.End) || got.Limit != req.Limit ||
+			!bytes.Equal(got.Start, req.Start) || !bytes.Equal(got.End, req.End) || got.Credit != req.Credit ||
 			got.Strategy != req.Strategy || got.K != req.K {
 			t.Errorf("round trip changed request: %+v -> %+v", req, got)
 		}
@@ -500,7 +514,6 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{Status: StatusOK, Value: []byte("v")},
 		{Status: StatusNotFound},
 		{Status: StatusError, Err: "boom"},
-		{Status: StatusOK, Entries: []ScanEntry{{Key: []byte("a"), Value: []byte("1")}}},
 		{Status: StatusOK, Compact: &lsm.CompactionResult{Strategy: "BT(I)", TablesBefore: 3, TablesAfter: 1,
 			StepStats: []sstable.MergeStats{{BytesRead: 6, BytesWritten: 3, EntriesIn: 4, EntriesOut: 2}, {BytesRead: 4, BytesWritten: 2, EntriesIn: 2, EntriesOut: 1}},
 			BytesRead: 10, BytesWritten: 5, CostSimple: 6, CostActual: 7, Duration: 99 * time.Microsecond}},
@@ -525,9 +538,6 @@ func TestProtocolRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Stats, resp.Stats) {
 			t.Errorf("stats changed: %+v -> %+v", resp.Stats, got.Stats)
-		}
-		if len(resp.Entries) > 0 && !bytes.Equal(got.Entries[0].Key, resp.Entries[0].Key) {
-			t.Errorf("entries changed")
 		}
 	}
 }

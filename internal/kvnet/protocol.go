@@ -20,7 +20,7 @@
 //
 // The client picks a tag that is not in use on the connection and
 // registers it before the request frame is written. A unary request (Put,
-// Get, Write, Range, …) gets exactly one response frame with the same tag,
+// Get, Write, Snapshot, …) gets exactly one response frame with the same tag,
 // which retires it. A request is cancelled by tag: the client unregisters
 // the tag, sends OpCancel under it and returns at once; the server cancels
 // that request's context, and a response that was already on its way is
@@ -94,9 +94,7 @@ const (
 	// applies it through the engine's group-commit pipeline, so the whole
 	// batch becomes durable and visible as a unit.
 	OpWrite
-	// OpRange returns up to Limit entries with Start <= key < End in key
-	// order in one response — a bounded page. Unbounded scans use OpStream.
-	OpRange
+	_ // the retired OpRange's (one-page range scan); reserved likewise
 	// OpPing is a no-op liveness probe: the server answers StatusOK
 	// without touching the engine. Failure detectors use it to notice a
 	// reaped or dead peer before a user request has to.
@@ -220,23 +218,17 @@ type Request struct {
 	Op       Op
 	Key      []byte
 	Value    []byte
-	Limit    uint64
 	Strategy string
 	K        uint64
 	Batch    []BatchOp // OpWrite and OpVersionedWrite only
-	// Start and End bound an OpRange page or an OpStream: Start <= key <
-	// End. A nil End means no upper bound (End is encoded with a presence
-	// flag, so the open bound survives the round trip).
+	// Start and End bound an OpStream: Start <= key < End. A nil End means
+	// no upper bound (End is encoded with a presence flag, so the open bound
+	// survives the round trip).
 	Start, End []byte
 	// Handle names a snapshot (OpStream, OpSnapGet, OpRelease); Credit is
 	// a byte grant (OpStream, OpCredit).
 	Handle uint64
 	Credit uint64
-}
-
-// ScanEntry is one key-value pair in a scan response.
-type ScanEntry struct {
-	Key, Value []byte
 }
 
 // Response is a decoded server response. Compact and Stats, the answers to
@@ -247,7 +239,6 @@ type Response struct {
 	Code    ErrCode // StatusError only
 	Value   []byte
 	Err     string
-	Entries []ScanEntry
 	Compact *lsm.CompactionResult
 	Stats   *lsm.Stats
 	Handle  uint64 // OpSnapshot's answer
@@ -407,10 +398,6 @@ func AppendRequest(out []byte, req *Request) []byte {
 		out = appendBytes(out, req.Value)
 	case OpGet, OpDelete:
 		out = appendBytes(out, req.Key)
-	case OpRange:
-		out = appendBytes(out, req.Start)
-		out = appendBound(out, req.End)
-		out = binary.AppendUvarint(out, req.Limit)
 	case OpCompact:
 		out = appendBytes(out, []byte(req.Strategy))
 		out = binary.AppendUvarint(out, req.K)
@@ -499,16 +486,6 @@ func DecodeRequest(buf []byte) (Request, error) {
 		if req.Key, _, err = readBytes(buf); err != nil {
 			return req, err
 		}
-	case OpRange:
-		if req.Start, buf, err = readBytes(buf); err != nil {
-			return req, err
-		}
-		if req.End, buf, err = readBound(buf); err != nil {
-			return req, err
-		}
-		if req.Limit, _, err = readUvarint(buf); err != nil {
-			return req, err
-		}
 	case OpCompact:
 		var s []byte
 		if s, buf, err = readBytes(buf); err != nil {
@@ -565,11 +542,11 @@ func DecodeRequest(buf []byte) (Request, error) {
 // EncodeResponse serializes resp into a frame payload.
 func EncodeResponse(resp Response) []byte { return AppendResponse(nil, resp) }
 
-// AppendResponse appends resp's payload encoding to dst. An entries body
-// (kind 'E', under StatusOK or StatusChunk) is the entries back to back up
-// to the end of the payload: there is no count, so the server can encode
-// entries as a scan produces them, and a stream's chunk differs from its
-// final frame in the status byte alone.
+// AppendResponse appends resp's payload encoding to dst. A stream's
+// entries frames are not Responses: kind 'E', under StatusChunk or (the
+// last) StatusOK, then the entries back to back up to the end of the
+// payload. There is no count, so the server encodes entries as its scan
+// produces them, and the client's Stream walks them in place.
 func AppendResponse(out []byte, resp Response) []byte {
 	start := len(out)
 	out = append(out, byte(resp.Status))
@@ -579,8 +556,6 @@ func AppendResponse(out []byte, resp Response) []byte {
 		return appendBytes(out, []byte(resp.Err))
 	case StatusNotFound:
 		return out
-	case StatusChunk:
-		return appendEntries(append(out, 'E'), resp.Entries)
 	}
 	var body any
 	switch {
@@ -588,8 +563,6 @@ func AppendResponse(out []byte, resp Response) []byte {
 		out, body = append(out, 'C'), resp.Compact
 	case resp.Stats != nil:
 		out, body = append(out, 'S'), resp.Stats
-	case resp.Entries != nil:
-		out = appendEntries(append(out, 'E'), resp.Entries)
 	case resp.Handle != 0:
 		out = binary.AppendUvarint(append(out, 'H'), resp.Handle)
 	default:
@@ -606,31 +579,6 @@ func AppendResponse(out []byte, resp Response) []byte {
 	return out
 }
 
-func appendEntries(out []byte, entries []ScanEntry) []byte {
-	for _, e := range entries {
-		out = appendEntry(out, e.Key, e.Value)
-	}
-	return out
-}
-
-// decodeEntries decodes an entries body; keys and values alias buf. The
-// result is never nil, and is sized by a first pass over the bytes that
-// actually arrived rather than by anything the peer claims.
-func decodeEntries(buf []byte) ([]ScanEntry, error) {
-	n := 0
-	for rest := buf; len(rest) > 0; n++ {
-		var err error
-		if _, _, rest, err = nextEntry(rest); err != nil {
-			return nil, err
-		}
-	}
-	entries := make([]ScanEntry, n)
-	for i := range entries {
-		entries[i].Key, entries[i].Value, buf, _ = nextEntry(buf)
-	}
-	return entries, nil
-}
-
 // readJSON decodes a 'C' or 'S' body into v.
 func readJSON(buf []byte, v any) error {
 	if err := json.Unmarshal(buf, v); err != nil {
@@ -640,7 +588,7 @@ func readJSON(buf []byte, v any) error {
 }
 
 // DecodeResponse parses a frame payload into a Response. Byte fields alias
-// buf.
+// buf. A stream's entries frames are not Responses (see AppendResponse).
 func DecodeResponse(buf []byte) (Response, error) {
 	var resp Response
 	if len(buf) < 1 {
@@ -664,7 +612,7 @@ func DecodeResponse(buf []byte) (Response, error) {
 		}
 		resp.Err = string(msg)
 		return resp, nil
-	case StatusOK, StatusChunk:
+	case StatusOK:
 	default:
 		return resp, fmt.Errorf("kvnet: unknown status %d: %w", resp.Status, ErrProtocol)
 	}
@@ -673,16 +621,9 @@ func DecodeResponse(buf []byte) (Response, error) {
 	}
 	kind := buf[0]
 	buf = buf[1:]
-	if resp.Status == StatusChunk && kind != 'E' {
-		return resp, fmt.Errorf("kvnet: chunk of kind %q: %w", kind, ErrProtocol)
-	}
 	switch kind {
 	case 'V':
 		if resp.Value, _, err = readBytes(buf); err != nil {
-			return resp, err
-		}
-	case 'E':
-		if resp.Entries, err = decodeEntries(buf); err != nil {
 			return resp, err
 		}
 	case 'H':

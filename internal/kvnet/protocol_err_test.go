@@ -16,6 +16,9 @@ func TestDecodeErrorsWrapProtocolSentinel(t *testing.T) {
 		"unknown op":      {99},
 		"truncated field": {byte(OpPut), 200},
 		"truncated batch": {byte(OpWrite), 5, 0},
+		// The retired prefix and range scans' bytes, with bodies they took.
+		"prefix scan op": {byte(OpDelete) + 1, 1, 'p', 0},
+		"range op":       {byte(OpWrite) + 1, 1, 'a', 0, 10},
 	}
 	for name, buf := range badRequests {
 		if _, err := DecodeRequest(buf); !errors.Is(err, ErrProtocol) {
@@ -28,6 +31,8 @@ func TestDecodeErrorsWrapProtocolSentinel(t *testing.T) {
 		"empty response":      nil,
 		"unknown kind":        {byte(StatusOK), 'Z'},
 		"unknown status":      {77},
+		"stream entries":      {byte(StatusChunk), 'E', 1, 'k', 1, 'v'},
+		"last stream entries": {byte(StatusOK), 'E', 1, 'k', 1, 'v'},
 		"truncated stats":     stats[:len(stats)-1],
 		"garbage compact":     append([]byte{byte(StatusOK), 'C'}, "{\"TablesBefore\":\"x\"}"...),
 		"empty compact body":  {byte(StatusOK), 'C'},

@@ -522,8 +522,6 @@ func (w *worker) execute(ctx context.Context, payload, out []byte) []byte {
 		return appendResult(out, Response{Status: StatusOK, Value: v}, err)
 	case OpDelete:
 		return appendResult(out, okValue, db.DeleteContext(ctx, req.Key))
-	case OpRange:
-		return scanRange(ctx, db, out, req.Start, req.End, req.Limit)
 	case OpPing:
 		// Liveness only: answer without touching the engine, so a ping
 		// stays cheap and meaningful even while the engine is degraded
@@ -554,30 +552,6 @@ func appendResult(out []byte, ok Response, err error) []byte {
 		return AppendResponse(out, errResponse(err))
 	}
 	return AppendResponse(out, ok)
-}
-
-// errScanLimit stops a one-shot scan at its entry limit.
-var errScanLimit = errors.New("scan limit")
-
-// scanRange serves OpRange: one bounded, limited page of entries in key
-// order, encoding each entry into the response as the scan produces it.
-func scanRange(ctx context.Context, db Engine, out, start, end []byte, limit uint64) []byte {
-	if limit == 0 || limit > 100000 {
-		limit = 100000
-	}
-	hdr := len(out)
-	out = append(out, byte(StatusOK), 'E')
-	err := db.RangeContext(ctx, start, end, func(k, v []byte) error {
-		out = appendEntry(out, k, v)
-		if limit--; limit == 0 {
-			return errScanLimit
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errScanLimit) {
-		return AppendResponse(out[:hdr], errResponse(err))
-	}
-	return out
 }
 
 var _ io.Closer = (*Server)(nil)

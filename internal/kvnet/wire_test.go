@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -75,56 +74,6 @@ func TestTypedErrorsOverWire(t *testing.T) {
 			t.Fatalf("Put against closed engine = %v, want ErrClosed", err)
 		}
 	})
-}
-
-// TestRangePaging: OpRange serves bounded pages a client can stitch into a
-// full ordered scan.
-func TestRangePaging(t *testing.T) {
-	c, _, _ := startServer(t)
-	ctx := context.Background()
-	const n = 57
-	for i := 0; i < n; i++ {
-		if err := c.Put(ctx, []byte(fmt.Sprintf("k%03d", i)), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []ScanEntry
-	start := []byte("k010")
-	end := []byte("k045")
-	for {
-		page, err := c.Range(ctx, start, end, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, page...)
-		if len(page) < 10 {
-			break
-		}
-		last := page[len(page)-1].Key
-		start = append(append([]byte(nil), last...), 0)
-	}
-	if len(got) != 35 {
-		t.Fatalf("paged range returned %d entries, want 35", len(got))
-	}
-	for i, e := range got {
-		want := fmt.Sprintf("k%03d", i+10)
-		if string(e.Key) != want {
-			t.Fatalf("entry %d = %q, want %q", i, e.Key, want)
-		}
-	}
-	// Open end bound: nil end scans to the last key.
-	all, err := c.Range(ctx, nil, nil, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != n {
-		t.Fatalf("open range returned %d entries, want %d", len(all), n)
-	}
-	// Degenerate page: start past the last key.
-	none, err := c.Range(ctx, []byte("z"), nil, 10)
-	if err != nil || len(none) != 0 {
-		t.Fatalf("range past the end = %d entries, %v", len(none), err)
-	}
 }
 
 // TestClientContextCancellation: a context cancelled mid-request releases
@@ -258,9 +207,9 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 // nil (open) end is not confused with an empty one.
 func TestRangeRequestRoundTrip(t *testing.T) {
 	for _, req := range []Request{
-		{Op: OpRange, Start: []byte("a"), End: []byte("b"), Limit: 7},
-		{Op: OpRange, Start: nil, End: nil, Limit: 0},
-		{Op: OpRange, Start: []byte("x"), End: nil, Limit: 3},
+		{Op: OpStream, Start: []byte("a"), End: []byte("b"), Credit: 7},
+		{Op: OpStream, Start: nil, End: nil, Credit: 0},
+		{Op: OpStream, Start: []byte("x"), End: nil, Credit: 3},
 	} {
 		got, err := DecodeRequest(EncodeRequest(req))
 		if err != nil {
@@ -275,8 +224,8 @@ func TestRangeRequestRoundTrip(t *testing.T) {
 		if !bytes.Equal(got.End, req.End) {
 			t.Fatalf("end %q -> %q", req.End, got.End)
 		}
-		if got.Limit != req.Limit {
-			t.Fatalf("limit %d -> %d", req.Limit, got.Limit)
+		if got.Credit != req.Credit {
+			t.Fatalf("credit %d -> %d", req.Credit, got.Credit)
 		}
 	}
 }

@@ -54,18 +54,22 @@ func TestStoreOverKvnet(t *testing.T) {
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := c.Range(context.Background(), []byte("key-"), []byte("key."), 0)
+	scan, err := c.Stream(context.Background(), []byte("key-"), []byte("key."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != n-1 {
-		t.Fatalf("scan returned %d entries, want %d", len(entries), n-1)
-	}
-	for i := 1; i < len(entries); i++ {
-		if string(entries[i-1].Key) >= string(entries[i].Key) {
+	scanned := 0
+	for prev := ""; scan.Valid(); scan.Next() {
+		if scanned > 0 && prev >= string(scan.Key()) {
 			t.Fatal("cross-shard scan out of global order")
 		}
+		prev = string(scan.Key())
+		scanned++
 	}
+	if err := scan.Err(); err != nil || scanned != n-1 {
+		t.Fatalf("scan returned %d entries, %v; want %d", scanned, err, n-1)
+	}
+	scan.Close()
 	// Build a second generation of tables so the fan-out compaction has
 	// real merging to do on every shard.
 	for i := 0; i < n; i++ {
@@ -140,7 +144,6 @@ func TestServedScanSurfacesCorruptTable(t *testing.T) {
 	defer sn.Release()
 	st, err = sn.Stream(ctx, nil, nil)
 	drain("Snapshot.Stream", st, err)
-	if entries, err := c.Range(ctx, []byte("key-"), []byte("key."), 0); !errors.Is(err, lsm.ErrCorrupt) {
-		t.Errorf("Range returned %d entries and %v, want ErrCorrupt", len(entries), err)
-	}
+	st, err = c.Stream(ctx, []byte("key-"), []byte("key."))
+	drain("bounded Stream", st, err)
 }

@@ -1,10 +1,8 @@
 package kv
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -12,10 +10,6 @@ import (
 	"repro/internal/lsm"
 	"repro/internal/store"
 )
-
-// remotePageSize is how many entries a cluster iterator (or snapshot
-// materialization) pulls per quorum round trip.
-const remotePageSize = 512
 
 // DialCluster connects to a replicated cluster of servers and returns an
 // Engine that survives node failure. Every key is stored on N distinct
@@ -120,21 +114,17 @@ func (e *clusterEngine) Write(ctx context.Context, b *Batch) error {
 }
 
 func (e *clusterEngine) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
-	start, end = normBound(start), normBound(end)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
-		return emptyIterator{}, nil
-	}
-	it := &clusterIterator{e: e, ctx: ctx, end: end, next: start, more: true}
-	it.fill()
-	return it, nil
+	return asIterator(e.rt.NewIterator(ctx, normBound(start), normBound(end)))
 }
 
+// Snapshot pins a view on every live node; the client holds only the
+// handles (see cluster.Snapshot).
 func (e *clusterEngine) Snapshot(ctx context.Context) (Snapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -142,24 +132,11 @@ func (e *clusterEngine) Snapshot(ctx context.Context) (Snapshot, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	// Materialize the merged, version-resolved keyspace client-side, page
-	// by page: isolated from every write after Snapshot returns, but pages
-	// are independent quorum views, so a write concurrent with the pulls
-	// may be visible in one page and not an earlier one.
-	var entries []kvnet.ScanEntry
-	var next []byte
-	for {
-		page, cont, err := e.rt.RangePage(ctx, next, nil, remotePageSize)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, page...)
-		if cont == nil {
-			break
-		}
-		next = cont
+	sn, err := e.rt.Snapshot(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return &remoteSnapshot{engineClosed: &e.closed, entries: entries}, nil
+	return clusterSnapshot{sn}, nil
 }
 
 func (e *clusterEngine) Flush(ctx context.Context) error {
@@ -223,206 +200,20 @@ func (e *clusterEngine) statsListenAddr() string {
 	return e.stats.Addr()
 }
 
-// clusterIterator pages through the cluster's merged key range one
-// quorum RangePage at a time. Pages are independent quorum views: a
-// concurrent writer may be visible in one page and not the previous.
-type clusterIterator struct {
-	e    *clusterEngine
-	ctx  context.Context
-	end  []byte
-	next []byte // continuation key for the next page
-	more bool   // cluster may have more entries past next
-
-	buf    []kvnet.ScanEntry
-	pos    int
-	err    error
-	closed bool
-}
-
-// fill pulls pages until one yields entries, the range is exhausted, or
-// an error lands. A page can be empty while more remain — tombstones
-// and replication bookkeeping consume page budget without producing
-// entries — so exhaustion is signalled by the continuation key, not by
-// page size.
-func (it *clusterIterator) fill() {
-	it.buf, it.pos = nil, 0
-	for it.more && it.err == nil {
-		if it.e.closed.Load() {
-			it.err = ErrClosed
-			return
-		}
-		page, cont, err := it.e.rt.RangePage(it.ctx, it.next, it.end, remotePageSize)
-		if err != nil {
-			it.err = err
-			return
-		}
-		if cont == nil {
-			it.more = false
-		} else {
-			it.next = cont
-		}
-		if len(page) > 0 {
-			it.buf = page
-			return
-		}
-	}
-}
-
-func (it *clusterIterator) Valid() bool {
-	return it.err == nil && !it.closed && it.pos < len(it.buf)
-}
-
-func (it *clusterIterator) Key() []byte {
-	if !it.Valid() {
-		return nil
-	}
-	return it.buf[it.pos].Key
-}
-
-func (it *clusterIterator) Value() []byte {
-	if !it.Valid() {
-		return nil
-	}
-	return it.buf[it.pos].Value
-}
-
-func (it *clusterIterator) Next() {
-	if it.closed {
-		if it.err == nil {
-			it.err = ErrClosed
-		}
-		return
-	}
-	if it.err != nil {
-		return
-	}
-	if it.e.closed.Load() {
-		it.err = ErrClosed
-		return
-	}
-	it.pos++
-	if it.pos >= len(it.buf) {
-		it.fill()
-	}
-}
-
-func (it *clusterIterator) Err() error { return it.err }
-
-func (it *clusterIterator) Close() error {
-	it.closed = true
-	it.buf = nil
-	return nil
-}
-
-// remoteSnapshot is a client-side materialized view.
-type remoteSnapshot struct {
-	engineClosed *atomic.Bool
-	released     atomic.Bool
-	entries      []kvnet.ScanEntry // sorted by key
-}
-
-func (s *remoteSnapshot) Get(ctx context.Context, key []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
+// asIterator hands a merged cluster scan out as an Iterator, and a
+// failed open as a nil interface rather than a typed nil.
+func asIterator(it *cluster.Iterator, err error) (Iterator, error) {
+	if err != nil {
 		return nil, err
 	}
-	if s.released.Load() || s.engineClosed.Load() {
-		return nil, ErrClosed
-	}
-	i := sort.Search(len(s.entries), func(i int) bool {
-		return bytes.Compare(s.entries[i].Key, key) >= 0
-	})
-	if i < len(s.entries) && bytes.Equal(s.entries[i].Key, key) {
-		return append([]byte(nil), s.entries[i].Value...), nil
-	}
-	return nil, ErrNotFound
+	return it, nil
 }
 
-func (s *remoteSnapshot) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
-	start, end = normBound(start), normBound(end)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.released.Load() || s.engineClosed.Load() {
-		return nil, ErrClosed
-	}
-	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
-		return emptyIterator{}, nil
-	}
-	entries := s.entries
-	if start != nil {
-		i := sort.Search(len(entries), func(i int) bool {
-			return bytes.Compare(entries[i].Key, start) >= 0
-		})
-		entries = entries[i:]
-	}
-	if end != nil {
-		i := sort.Search(len(entries), func(i int) bool {
-			return bytes.Compare(entries[i].Key, end) >= 0
-		})
-		entries = entries[:i]
-	}
-	return &sliceIterator{ctx: ctx, entries: entries, engineClosed: s.engineClosed}, nil
-}
+// clusterSnapshot adapts cluster.Snapshot to Snapshot.
+type clusterSnapshot struct{ *cluster.Snapshot }
 
-func (s *remoteSnapshot) Release() { s.released.Store(true) }
-
-// sliceIterator iterates a materialized entry slice.
-type sliceIterator struct {
-	ctx          context.Context
-	entries      []kvnet.ScanEntry
-	engineClosed *atomic.Bool
-	pos          int
-	err          error
-	closed       bool
-}
-
-func (it *sliceIterator) Valid() bool {
-	if it.err != nil || it.closed {
-		return false
-	}
-	if it.engineClosed.Load() {
-		it.err = ErrClosed
-		return false
-	}
-	return it.pos < len(it.entries)
-}
-
-func (it *sliceIterator) Key() []byte {
-	if !it.Valid() {
-		return nil
-	}
-	return it.entries[it.pos].Key
-}
-
-func (it *sliceIterator) Value() []byte {
-	if !it.Valid() {
-		return nil
-	}
-	return it.entries[it.pos].Value
-}
-
-func (it *sliceIterator) Next() {
-	if it.closed {
-		if it.err == nil {
-			it.err = ErrClosed
-		}
-		return
-	}
-	if it.err != nil {
-		return
-	}
-	if err := it.ctx.Err(); err != nil {
-		it.err = err
-		return
-	}
-	it.pos++
-}
-
-func (it *sliceIterator) Err() error { return it.err }
-
-func (it *sliceIterator) Close() error {
-	it.closed = true
-	return nil
+func (s clusterSnapshot) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
+	return asIterator(s.Snapshot.NewIterator(ctx, normBound(start), normBound(end)))
 }
 
 var _ Engine = (*clusterEngine)(nil)

@@ -110,8 +110,8 @@ type Engine interface {
 	// the live memtable and sstables by reference (cheap, isolated); the
 	// remote backend has the server do the same and holds a handle, which
 	// the server reaps if it goes unused for a minute; the cluster backend
-	// materializes the key space client-side at Snapshot time, which is
-	// expensive for large stores. The caller must Release the snapshot.
+	// holds one such handle per live node. The caller must Release the
+	// snapshot.
 	Snapshot(ctx context.Context) (Snapshot, error)
 	// Flush forces buffered writes (the memtable, every shard's memtable)
 	// to sstables.
@@ -143,8 +143,9 @@ type Iterator interface {
 	// Next advances to the following entry.
 	Next()
 	// Err returns the first error the iterator hit: a context expiry,
-	// ErrClosed, or a transport failure on the remote backend. A fully
-	// drained healthy iterator returns nil.
+	// ErrClosed, a transport failure on the remote backend, or
+	// ErrUnavailable on the cluster backend once more than N−R nodes
+	// failed. A fully drained healthy iterator returns nil.
 	Err() error
 	// Close releases the iterator's resources. Idempotent.
 	Close() error
@@ -153,10 +154,10 @@ type Iterator interface {
 // Snapshot is a point-in-time read view. Reads after Release return
 // ErrClosed. On the sharded store — embedded or behind a server — each
 // shard's view is internally consistent but the per-shard views are
-// acquired sequentially; on the cluster backend the view is materialized
-// client-side page by page, so a concurrent writer may straddle page
-// boundaries: each key is read at one acknowledged version, never torn,
-// but two keys may come from different moments.
+// acquired sequentially; on the cluster backend it is one view per live
+// node, each of which holds a replica's share of a batch whole or not at
+// all, and every read merges the same views — so a batch is never seen
+// torn.
 type Snapshot interface {
 	// Get returns the value stored for key as of the snapshot, or
 	// ErrNotFound.
