@@ -457,9 +457,9 @@ func BenchmarkPutAcrossRotations(b *testing.B) {
 // BenchmarkMergeFourWay is one merge as a major compaction's upper levels
 // run it: four 9 MiB tables with interleaved keys into one, through
 // buildTable (file, write path, fsync, reopen), reported as MB/s of input.
-// At GOMAXPROCS=1 the merge's read-ahead and write-behind goroutines share
-// its processor, so that figure is the pipeline's overhead; at 2 it is its
-// gain.
+// The merge reads its inputs and writes its output in 32 KiB pieces on one
+// goroutine, so -cpu 2 differs from -cpu 1 only by what the runtime and the
+// garbage collector do beside it.
 //
 // Run with:
 //

@@ -15,6 +15,7 @@
 package lsm
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -26,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/compaction"
 	"repro/internal/hll"
 	"repro/internal/iterator"
 	"repro/internal/kverr"
@@ -318,8 +320,6 @@ type DB struct {
 	// slabs holds the last memtable nothing reads any more, for the next to
 	// carve from. The DB holds a reference on mem and imm until imm's flush.
 	slabs skiplist.FreeList
-	// writeBufs recycles the write-behind buffers of table builds.
-	writeBufs sstable.WriteBuffers
 	// flushHook, when set (tests only, under mu before the first write), is
 	// called by the flusher at each flushPoint, with no lock held.
 	flushHook func(flushPoint)
@@ -382,6 +382,11 @@ type DB struct {
 // sstable files a crashed flush or compaction left outside the manifest.
 func Open(dir string, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
+	if bg := opts.Background; bg != nil {
+		if _, err := compaction.NewChooserByName(bg.withDefaults().Strategy, bg.Seed); err != nil {
+			return nil, fmt.Errorf("lsm: background %w: %w", err, kverr.ErrConfig)
+		}
+	}
 	fsys := opts.FS
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lsm: mkdir: %w", err)
@@ -487,9 +492,9 @@ func (db *DB) blocks() sstable.Cache {
 // Writer encodes, is sstable's FuzzBornReaderMatchesReopened; Open still
 // re-opens and CRC-checks every table.
 //
-// The Writer writes through a write-behind stage (sstable.WriteBehind, its
-// buffers recycled by the DB): the file writes run beside whatever fill is
-// doing, and a write error surfaces from fill or from the stage's Close.
+// The Writer writes through a 32 KiB buffer, the size of the span a merge
+// reads its inputs in, on the goroutine that called: a write error surfaces
+// from fill, or from the buffer's flush before the fsync.
 //
 // Every failure aborts cleanly: the partial file is closed before removal
 // (removing an open file works on POSIX but masks close diagnostics), the
@@ -503,12 +508,14 @@ func (db *DB) buildTable(name string, expected int, fill func(*sstable.Writer) e
 	if err != nil {
 		return nil, fmt.Errorf("lsm: create sstable: %w", err)
 	}
-	wb := db.writeBufs.NewWriter(f)
-	w := sstable.NewWriter(wb, expected)
+	bw := bufio.NewWriterSize(f, 32<<10)
+	w := sstable.NewWriter(bw, expected)
 	w.PublishTo(db.blocks())
 	err = fill(w)
-	if werr := wb.Close(); err == nil {
-		err = werr
+	if err == nil {
+		if err = bw.Flush(); err != nil {
+			err = fmt.Errorf("lsm: write sstable: %w", err)
+		}
 	}
 	if err == nil {
 		err = f.Sync()

@@ -2,10 +2,12 @@ package lsm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/compaction"
+	"repro/internal/kverr"
 	"repro/internal/model"
 )
 
@@ -316,5 +318,23 @@ func TestGetPicksNewestAcrossNonAdjacentTables(t *testing.T) {
 	got, err := db.GetContext(context.Background(), []byte("k"))
 	if err != nil || string(got) != "v2" {
 		t.Errorf("Get(k) = %q, %v; want v2", got, err)
+	}
+}
+
+// TestOpenRejectsUnknownStrategy: a background strategy name the compaction
+// package does not know fails Open with ErrConfig, rather than every
+// background run (whose parked error would also turn backpressure off), and
+// an empty name still selects BT(I).
+func TestOpenRejectsUnknownStrategy(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{Background: &BackgroundConfig{Strategy: "nope"}})
+	if !errors.Is(err, kverr.ErrConfig) {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("Open with strategy \"nope\" = %v, want ErrConfig", err)
+	}
+	db = openTestDB(t, Options{Background: &BackgroundConfig{}})
+	if db.bgCfg.Strategy != "BT(I)" {
+		t.Fatalf("an empty strategy selected %q", db.bgCfg.Strategy)
 	}
 }

@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/iterator"
 	"repro/internal/sstable"
 	"repro/internal/vfs"
 )
@@ -25,10 +27,11 @@ import (
 
 // sstReads counts ReadAt calls and bytes on .sst files: table reads at the
 // device, through the handle a table was opened with or the one it was
-// created with, which its born Reader keeps reading through.
+// created with, which its born Reader keeps reading through. It also counts
+// the bytes written to them.
 type sstReads struct {
 	vfs.FS
-	calls, bytes atomic.Int64
+	calls, bytes, written atomic.Int64
 }
 
 func (c *sstReads) Open(path string) (vfs.File, error) { return c.count(c.FS.Open(path)) }
@@ -51,6 +54,12 @@ func (f countedFile) ReadAt(p []byte, off int64) (int, error) {
 	n, err := f.File.ReadAt(p, off)
 	f.c.calls.Add(1)
 	f.c.bytes.Add(int64(n))
+	return n, err
+}
+
+func (f countedFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.c.written.Add(int64(n))
 	return n, err
 }
 
@@ -455,13 +464,14 @@ func TestColdGetReadsOneFrame(t *testing.T) {
 
 // TestAbandonedTableWritesLeaveNoBlocks: every way a flush, a minor
 // compaction or a scheduled merge can fail between creating its table and
-// installing it — create, a write part-way through, sync, the manifest
-// save — leaves the cache with the blocks it had, the directory with no
-// orphan .sst, and the data readable. (There is no open after the write to
-// fail: the Writer hands over the table's Reader.) The fixture's tables are
-// between one and two write-behind buffers long, so the write fault — the
-// device fills after 20 KiB — is met by the write-behind goroutine and
-// reaches the build only when the finished table's stage is closed.
+// installing it — create, a write part-way through, the last write, sync,
+// the manifest save — leaves the cache with the blocks it had, the
+// directory with no orphan .sst, and the data readable. (There is no open
+// after the write to fail: the Writer hands over the table's Reader.) A
+// table is written through a 32 KiB buffer, so the "early-write" fault —
+// the device fills after 20 KiB — is met inside fill, and the "write" fault
+// — the device fills one byte short of what the operation writes when
+// nothing fails — is met by the last table's buffer flush before its fsync.
 //
 // A flush is the flusher's: Flush returns the failure and the flusher tries
 // again behind it. The retry is held at the hook until the abandoned
@@ -471,12 +481,13 @@ func TestAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
 	isTable := func(path string) bool { return strings.HasSuffix(path, ".sst") }
 	faults := []struct {
 		name string
-		arm  func(f *vfs.Fault)
+		arm  func(f *vfs.Fault, tableBytes int64)
 	}{
-		{"create", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.SetProb(vfs.OpCreate, 1) }},
-		{"write", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.SetDiskFullAfter(20 << 10) }},
-		{"sync", func(f *vfs.Fault) { f.SetPathFilter(isTable); f.FailNthSync(1) }},
-		{"manifest", func(f *vfs.Fault) {
+		{"create", func(f *vfs.Fault, _ int64) { f.SetPathFilter(isTable); f.SetProb(vfs.OpCreate, 1) }},
+		{"early-write", func(f *vfs.Fault, _ int64) { f.SetPathFilter(isTable); f.SetDiskFullAfter(20 << 10) }},
+		{"write", func(f *vfs.Fault, tableBytes int64) { f.SetPathFilter(isTable); f.SetDiskFullAfter(tableBytes - 1) }},
+		{"sync", func(f *vfs.Fault, _ int64) { f.SetPathFilter(isTable); f.FailNthSync(1) }},
+		{"manifest", func(f *vfs.Fault, _ int64) {
 			f.SetPathFilter(func(path string) bool { return strings.Contains(path, manifestName) })
 			f.SetProb(vfs.OpSync, 1)
 		}},
@@ -495,37 +506,53 @@ func TestAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
 			return err
 		}},
 	}
+	// setUp opens the fixture — three tables of the same keys and, for a
+	// flush, a memtable of them — over a fault FS, with the flusher's second
+	// build held at the hook until retry is closed.
+	setUp := func(t *testing.T, flush bool) (db *DB, fault *vfs.Fault, fsys *sstReads, retry chan struct{}) {
+		fault = vfs.NewFault(vfs.Default, 1)
+		fsys = &sstReads{FS: fault}
+		db = openTestDB(t, Options{MemtableBytes: 64 << 20, FS: fsys})
+		for gen := 0; gen < 3; gen++ {
+			flushRange(t, db, 0, 1500, 1, gen)
+		}
+		if flush {
+			for i := 0; i < 1500; i++ {
+				if err := db.PutContext(context.Background(), scanKey(i), residencyValue(i, 3)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		retry = make(chan struct{})
+		var builds atomic.Int32
+		db.mu.Lock()
+		db.flushHook = func(p flushPoint) {
+			if p == beforeBuild && builds.Add(1) == 2 {
+				<-retry
+			}
+		}
+		db.mu.Unlock()
+		return db, fault, fsys, retry
+	}
 	for _, op := range ops {
+		// What op writes to tables when nothing fails.
+		db, _, fsys, retry := setUp(t, op.name == "flush")
+		close(retry)
+		written := fsys.written.Load()
+		if err := op.run(db); err != nil {
+			t.Fatal(err)
+		}
+		tableBytes := fsys.written.Load() - written
+
 		for _, ft := range faults {
 			t.Run(op.name+"/"+ft.name, func(t *testing.T) {
-				fault := vfs.NewFault(vfs.Default, 1)
-				fsys := &sstReads{FS: fault}
-				db := openTestDB(t, Options{MemtableBytes: 64 << 20, FS: fsys})
-				for gen := 0; gen < 3; gen++ {
-					flushRange(t, db, 0, 1500, 1, gen)
-				}
-				if op.name == "flush" {
-					for i := 0; i < 1500; i++ {
-						if err := db.PutContext(context.Background(), scanKey(i), residencyValue(i, 3)); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
+				db, fault, fsys, retry := setUp(t, op.name == "flush")
 				blocks, tables := db.blockCache.Len(), db.Stats().Tables
 				if blocks == 0 || tables != 3 {
 					t.Fatalf("fixture: %d blocks resident, %d tables", blocks, tables)
 				}
-				retry := make(chan struct{})
-				var builds atomic.Int32
-				db.mu.Lock()
-				db.flushHook = func(p flushPoint) {
-					if p == beforeBuild && builds.Add(1) == 2 {
-						<-retry
-					}
-				}
-				db.mu.Unlock()
 
-				ft.arm(fault)
+				ft.arm(fault, tableBytes)
 				err := op.run(db)
 				fault.Disable()
 				if !errors.Is(err, vfs.ErrInjected) {
@@ -557,6 +584,30 @@ func TestAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
 				readRange(t, db, fsys, 0, 1500, 1, gen)
 			})
 		}
+	}
+}
+
+// TestTableBuildStartsNoGoroutine: a table build writes on the goroutine
+// that asked for it — while fill runs, no goroutine has been started beside
+// it.
+func TestTableBuildStartsNoGoroutine(t *testing.T) {
+	db := openTestDB(t, Options{})
+	before, during := runtime.NumGoroutine(), 0
+	rd, err := db.buildTable(db.allocTableName(), 1000, func(w *sstable.Writer) error {
+		during = runtime.NumGoroutine()
+		for i := 0; i < 1000; i++ {
+			if err := w.Add(iterator.Entry{Key: scanKey(i), Value: residencyValue(i, 0), Seq: uint64(i + 1)}); err != nil {
+				return err
+			}
+		}
+		return w.Finish()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd.Close()
+	if during > before {
+		t.Fatalf("%d goroutines before the build, %d while it filled its table", before, during)
 	}
 }
 

@@ -2,13 +2,13 @@ package sstable
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -17,11 +17,10 @@ import (
 	"repro/internal/iterator"
 )
 
-// Tests for the two pipeline stages a table build runs through: the
-// read-ahead of Reader.ScanIter and the write-behind of WriteBehind. Both
-// must be invisible in what is read and written — same entries, same bytes,
-// errors at the same place — and neither may leak a pin or a goroutine's
-// worth of blocks when its consumer stops early.
+// Tests for the span reads of Reader.ScanIter: a span of blocks fetched at a
+// time — resident ones where they lie, the rest in runs of one ReadAt each —
+// must be invisible in what is read: the same entries as Iter, errors at the
+// same place, and no pin left behind when the consumer stops early.
 
 func drainClone(t *testing.T, it *Iter) []iterator.Entry {
 	t.Helper()
@@ -68,7 +67,7 @@ func randomEntries(rng *rand.Rand, n int) []iterator.Entry {
 	return entries
 }
 
-// TestScanIterMatchesIter: the read-ahead iterator yields exactly what Iter
+// TestScanIterMatchesIter: the span-reading iterator yields exactly what Iter
 // yields, over the committed fixture and over random tables, with no cache,
 // with a cache holding some of the blocks (so resident blocks and read runs
 // alternate inside a span), and with every block resident.
@@ -135,9 +134,9 @@ func (f *failingAt) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestScanIterErrorInOrder: a read error on block j reaches the consumer of
-// a read-ahead iterator after exactly the entries of the blocks before j,
-// although the fetcher met it while reading a run of several blocks, and so
-// does a checksum failure.
+// a ScanIter after exactly the entries of the blocks before j, although the
+// iterator met it while reading a run of several blocks, and so does a
+// checksum failure.
 func TestScanIterErrorInOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	entries := randomEntries(rng, 1500)
@@ -220,10 +219,9 @@ func released(b *cache.Block) (yes bool) {
 	return false
 }
 
-// TestScanIterEarlyCloseBalancesPins: closing a read-ahead iterator at any
-// point — before its first entry, mid-span with the fetcher holding the next
-// span ready, after the last entry — releases every pin it and its fetcher
-// took. Two in every three blocks are resident, so spans mix cache pins with
+// TestScanIterEarlyCloseBalancesPins: closing a ScanIter at any point —
+// before its first entry, mid-span with blocks fetched and not yet entered,
+// after the last entry — releases every pin it took. Two in every three blocks are resident, so spans mix cache pins with
 // buffer pins; freed arrays are poisoned, so a pin dropped too early shows in
 // the entries compared; a pin dropped twice panics in Release; and a pin
 // never dropped is found afterwards: once the table has left the cache, every
@@ -275,97 +273,22 @@ func TestScanIterEarlyCloseBalancesPins(t *testing.T) {
 	checkSameEntries(t, "after the early closes", drainClone(t, rd.ScanIter()), entries)
 }
 
-// TestWriteBehindBytesPinned: a table written through a write-behind stage
-// is the table written directly — the SHA-256 TestWriterBytesPinned records —
-// whatever the sizes of the writes that reach the stage, and a small table
-// reaches the file only when the stage is closed.
-func TestWriteBehindBytesPinned(t *testing.T) {
-	var pool WriteBuffers
-	var table bytes.Buffer
-	tw := pool.NewWriter(&table)
-	w := NewWriterOpts(tw, len(goldenEntries()), WriterOptions{BlockSize: 512, IndexChunkSize: 8})
-	for _, e := range goldenEntries() {
-		if err := w.Add(e); err != nil {
-			t.Fatal(err)
-		}
+// TestScanIterStartsNoGoroutine: a ScanIter reads its spans on the goroutine
+// that iterates — entering a table of several spans starts nothing beside it.
+func TestScanIterStartsNoGoroutine(t *testing.T) {
+	entries := randomEntries(rand.New(rand.NewSource(13)), 3000)
+	rd := buildTableOpts(t, entries, WriterOptions{BlockSize: 256, IndexChunkSize: 64})
+	if n := len(rd.chunks); n < 2 {
+		t.Fatalf("the table has %d index chunks; the test needs several spans", n)
 	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
+	before := runtime.NumGoroutine()
+	it := rd.ScanIter()
+	defer it.Close()
+	if !it.Valid() {
+		t.Fatal(it.Err())
 	}
-	if table.Len() != 0 {
-		t.Fatalf("%d bytes reached the file before Close", table.Len())
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("entering a ScanIter took the goroutine count from %d to %d", before, after)
 	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if want := goldenBytes(t); !bytes.Equal(table.Bytes(), want) {
-		t.Fatalf("written through write-behind: %x, direct: %x", sha256.Sum256(table.Bytes()), sha256.Sum256(want))
-	}
-
-	// Several buffers' worth, in writes of every size up to several buffers.
-	rng := rand.New(rand.NewSource(3))
-	want := make([]byte, 5*writeBehindBufBytes+12345)
-	rng.Read(want)
-	var file bytes.Buffer
-	wb := pool.NewWriter(&file)
-	for rest := want; len(rest) > 0; {
-		n := min(len(rest), 1+rng.Intn([]int{10, 5000, 3 * writeBehindBufBytes}[rng.Intn(3)]))
-		if m, err := wb.Write(rest[:n]); m != n || err != nil {
-			t.Fatalf("Write(%d) = %d, %v", n, m, err)
-		}
-		rest = rest[n:]
-	}
-	if err := wb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(file.Bytes(), want) {
-		t.Fatal("bytes written through write-behind differ from the bytes written to it")
-	}
-	if len(pool.free) > writeBehindKeep {
-		t.Fatalf("pool keeps %d buffers, limit %d", len(pool.free), writeBehindKeep)
-	}
-}
-
-// failAfter accepts n bytes and fails every write past them.
-type failAfter struct {
-	n       int
-	written bytes.Buffer
-}
-
-var errInjectedWrite = errors.New("injected write error")
-
-func (f *failAfter) Write(p []byte) (int, error) {
-	if f.written.Len()+len(p) > f.n {
-		return 0, errInjectedWrite
-	}
-	return f.written.Write(p)
-}
-
-// TestWriteBehindErrorSurfaces: a file-write error reaches the producer — at
-// a later Write if the table is long enough to need the buffer back, at Close
-// otherwise — nothing is written after it, and Close still hands back the
-// buffers.
-func TestWriteBehindErrorSurfaces(t *testing.T) {
-	var pool WriteBuffers
-	for _, total := range []int{writeBehindBufBytes / 2, 8 * writeBehindBufBytes} {
-		f := &failAfter{n: 10 << 10}
-		wb := pool.NewWriter(f)
-		var werr error
-		for sent := 0; sent < total && werr == nil; sent += 1000 {
-			_, werr = wb.Write(make([]byte, 1000))
-		}
-		cerr := wb.Close()
-		if !errors.Is(cerr, errInjectedWrite) {
-			t.Fatalf("%d bytes: Close = %v, want the injected error", total, cerr)
-		}
-		if total > 4*writeBehindBufBytes && !errors.Is(werr, errInjectedWrite) {
-			t.Fatalf("%d bytes: no Write failed", total)
-		}
-		if f.written.Len() > f.n {
-			t.Fatalf("%d bytes written past the failure", f.written.Len()-f.n)
-		}
-		if len(pool.free) != writeBehindDepth {
-			t.Fatalf("%d bytes: %d buffers back in the pool, want %d", total, len(pool.free), writeBehindDepth)
-		}
-	}
+	checkSameEntries(t, "the scan", drainClone(t, it), entries)
 }

@@ -495,9 +495,8 @@ func (rd *Reader) Iter() *Iter { return rd.newIter(false) }
 // through private buffers, and the cache's contents, recency order and
 // hit/miss counters are the same afterwards as before (MergeTo alone goes
 // one step further and spends the resident blocks it consumes). Its blocks are
-// fetched — looked up or read, and verified — a span of spanBlocks ahead of
-// the entries by a goroutine of the iterator's own, so a merge overlaps its inputs' reads with its compares and its
-// output; the goroutine ends with the table or with Close.
+// fetched — looked up or read, and verified — a span of spanBlocks at a time,
+// on the goroutine that iterates, when its entries reach the next span.
 func (rd *Reader) ScanIter() *Iter { return rd.newIter(true) }
 
 // IterFrom returns an iterator positioned at the first entry with
@@ -537,7 +536,7 @@ type Iter struct {
 	// block since a merge's Writer last asked (Writer.inputsResident); spend,
 	// set by MergeTo, makes it demote each block it enters.
 	nofill, cold, sawCold, spend bool
-	scan                         *scanState // a started ScanIter's read-ahead
+	scan                         *scanState // a started ScanIter's span
 
 	cur   iterator.Entry
 	valid bool
@@ -616,10 +615,9 @@ func (it *Iter) SeekGE(target []byte) {
 	}
 }
 
-// spanBlocks is how far a ScanIter reads ahead of its entries: up to this
-// many consecutive blocks are fetched at a time, the ones that are not
-// resident in runs of one ReadAt each: 32 KiB of default-size blocks a span,
-// so each hand-off between goroutines moves about that much.
+// spanBlocks is how many consecutive blocks a ScanIter fetches at a time,
+// the ones that are not resident in runs of one ReadAt each: 32 KiB of
+// default-size blocks a span, so a merge input costs a read call per 32 KiB.
 const spanBlocks = 32 << 10 / BlockSize
 
 // fetched is one block a ScanIter has ready: its payload, the pin that
@@ -744,61 +742,20 @@ func (c *cursor) next(rd *Reader, n int) ([]blockHandle, error) {
 	return hs, nil
 }
 
-// readAhead is the fetcher of one ScanIter: spans arrive on ch in table
-// order, one with an error is the last, and the fetcher closes ch when it
-// ends — at the end of the table, after an error, or because stop closed.
-type readAhead struct {
-	ch   chan span
-	stop chan struct{}
-}
-
-func (ra *readAhead) run(rd *Reader, c cursor) {
-	defer close(ra.ch)
-	var sp span
-	for {
-		hs, err := c.next(rd, spanBlocks)
-		switch {
-		case err != nil:
-			sp.n, sp.err = 0, err
-		case hs == nil:
-			return
-		default:
-			rd.fetchSpan(hs, &sp)
-		}
-		select {
-		case ra.ch <- sp:
-			if sp.err != nil {
-				return
-			}
-		case <-ra.stop:
-			sp.release(0)
-			return
-		}
-	}
-}
-
-// scanState is the read-ahead of a started ScanIter: the span its entries
-// are coming from, of which the blocks from si on are not yet entered, and
-// the fetcher that sends the next.
+// scanState is a started ScanIter's span: the blocks it fetched last, of
+// which those from si on are not yet entered.
 type scanState struct {
-	sp    span
-	si    int
-	ahead readAhead
+	sp span
+	si int
 }
 
-// stopAhead ends a ScanIter's read-ahead, releasing the blocks fetched and
-// not yet entered; the next fetchBlock starts it again at the cursor.
+// stopAhead releases the blocks a ScanIter fetched and has not yet entered;
+// its next fetchBlock reads on from the cursor.
 func (it *Iter) stopAhead() {
-	s := it.scan
-	if s == nil {
-		return
+	if s := it.scan; s != nil {
+		s.sp.release(s.si)
+		it.scan = nil
 	}
-	s.sp.release(s.si)
-	close(s.ahead.stop)
-	for sp := range s.ahead.ch {
-		sp.release(0)
-	}
-	it.scan = nil
 }
 
 // fetchBlock returns the next block in table order, pinned; one without a
@@ -818,18 +775,21 @@ func (it *Iter) fetchBlock() (fetched, error) {
 	}
 	s := it.scan
 	if s == nil {
-		s = &scanState{ahead: readAhead{ch: make(chan span), stop: make(chan struct{})}}
+		s = new(scanState)
 		it.scan = s
-		go s.ahead.run(it.rd, it.cursor)
 	}
-	for s.si >= s.sp.n {
+	if s.si >= s.sp.n {
 		if s.sp.err != nil {
 			return fetched{}, s.sp.err
 		}
-		// A closed channel yields the empty span: the end of the table.
-		s.sp, s.si = <-s.ahead.ch, 0
-		if s.sp.n == 0 && s.sp.err == nil {
-			return fetched{}, nil
+		hs, err := it.cursor.next(it.rd, spanBlocks)
+		if len(hs) == 0 {
+			return fetched{}, err
+		}
+		it.rd.fetchSpan(hs, &s.sp)
+		s.si = 0
+		if s.sp.n == 0 {
+			return fetched{}, s.sp.err
 		}
 	}
 	s.si++

@@ -38,6 +38,15 @@ func TestConfigErrorsWrapSentinel(t *testing.T) {
 			_, err := Open(t.TempDir(), WithStatsHandler(""))
 			return err
 		}},
+		// An unknown strategy name fails Open, not every compaction after it.
+		{"unknown background strategy", func() error {
+			_, err := Open(t.TempDir(), WithBackgroundCompaction(BackgroundConfig{Strategy: "nope"}))
+			return err
+		}},
+		{"unknown compaction strategy", func() error {
+			_, err := Open(t.TempDir(), WithCompactionStrategy("nope", 4))
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		err := tc.call()

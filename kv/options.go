@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/compaction"
 	"repro/internal/lsm"
 	"repro/internal/vfs"
 )
@@ -213,7 +214,7 @@ type BackgroundConfig struct {
 func WithBackgroundCompaction(cfg BackgroundConfig) Option {
 	return openOnly("WithBackgroundCompaction", func(c *config) error {
 		c.background = &cfg
-		return nil
+		return checkStrategy(cfg.Strategy)
 	})
 }
 
@@ -250,8 +251,20 @@ func WithCompactionStrategy(strategy string, k int) Option {
 		if k >= 2 {
 			c.compactK = k
 		}
+		return checkStrategy(strategy)
+	}
+}
+
+// checkStrategy rejects a strategy name the compaction package does not
+// know; "" keeps the default.
+func checkStrategy(name string) error {
+	if name == "" {
 		return nil
 	}
+	if _, err := compaction.NewChooserByName(name, 0); err != nil {
+		return fmt.Errorf("kv: %w: %w", err, ErrConfig)
+	}
+	return nil
 }
 
 // WithStatsHandler serves the engine's statistics as JSON over HTTP at
