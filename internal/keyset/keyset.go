@@ -227,3 +227,18 @@ func (s Set) String() string {
 	b.WriteByte('}')
 	return b.String()
 }
+
+// CostFn maps a merged set to its merge cost. The paper requires cost
+// functions to be monotone submodular; the constructors in this package all
+// satisfy that.
+type CostFn func(Set) float64
+
+// CardinalityCost is the BINARYMERGING cost: f(X) = |X|.
+func CardinalityCost(s Set) float64 { return float64(s.Len()) }
+
+// InitPlusCardinalityCost returns f(X) = init + |X|, the paper's example of
+// "a constant cost ... involved with initializing a new sstable". Monotone
+// and submodular for init >= 0.
+func InitPlusCardinalityCost(init float64) CostFn {
+	return func(s Set) float64 { return init + float64(s.Len()) }
+}

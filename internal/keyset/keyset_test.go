@@ -198,18 +198,6 @@ func TestCardinalityIsSubmodular(t *testing.T) {
 	}
 }
 
-func TestWeights(t *testing.T) {
-	s := New(1, 2, 3)
-	var nilW Weights
-	if got := nilW.WeightOf(s); got != 3 {
-		t.Errorf("nil weights WeightOf = %v, want 3", got)
-	}
-	w := Weights{1: 2.5, 3: 0.5}
-	if got := w.WeightOf(s); got != 4 { // 2.5 + 1 (default) + 0.5
-		t.Errorf("WeightOf = %v, want 4", got)
-	}
-}
-
 func TestCostFns(t *testing.T) {
 	s := New(1, 2, 3, 4)
 	if got := CardinalityCost(s); got != 4 {
@@ -217,29 +205,6 @@ func TestCostFns(t *testing.T) {
 	}
 	if got := InitPlusCardinalityCost(10)(s); got != 14 {
 		t.Errorf("InitPlusCardinalityCost = %v", got)
-	}
-	if got := WeightedCost(Weights{1: 3})(s); got != 6 {
-		t.Errorf("WeightedCost = %v", got)
-	}
-}
-
-func TestWeightedCostIsMonotoneSubmodular(t *testing.T) {
-	f := func(seed int64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		w := Weights{}
-		for k := uint64(0); k < 60; k++ {
-			w[k] = rr.Float64() * 5
-		}
-		cost := WeightedCost(w)
-		s, tt := randomSet(rr, 40, 60), randomSet(rr, 40, 60)
-		// Monotone: f(S) <= f(S∪T). Submodular (modular here):
-		// f(S∪T) + f(S∩T) <= f(S) + f(T) within float tolerance.
-		u, x := s.Union(tt), s.Intersect(tt)
-		const eps = 1e-9
-		return cost(s) <= cost(u)+eps && cost(u)+cost(x) <= cost(s)+cost(tt)+eps
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -57,6 +57,14 @@
 // kverr.ErrClosed — as is a grant that races the expiry, arriving as the
 // lease fires. Connection loss releases everything the connection held.
 // So a client that vanishes cannot pin tables for longer than the lease.
+//
+// # Statistics
+//
+// OpStats is answered with a kind-'S' body: the JSON of lsm.Stats, whose
+// snake_case keys are the public /stats keys kv.Stats prints. Keys a
+// reader does not know are ignored and keys it misses read as zero, so a
+// client and a server that disagree on the key names (CamelCase before
+// lsm.Stats was tagged) read each other's counters as zero.
 package kvnet
 
 import (

@@ -447,10 +447,10 @@ func (db *DB) commitGroup(group []*commitReq, doSync bool, stall *bool) error {
 		}
 	}
 	db.applyMu.Unlock()
-	db.groupCommits++
-	db.groupedWrites += uint64(n)
+	db.stats.GroupCommits++
+	db.stats.GroupedWrites += uint64(n)
 	if doSync {
-		db.walSyncs++
+		db.stats.WALSyncs++
 	}
 	if db.closed {
 		// Close raced in after the sequence check. The group is durable in

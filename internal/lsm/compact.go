@@ -303,15 +303,15 @@ func (db *DB) install(res *CompactionResult, sched *compaction.Schedule, nodes [
 	}
 	db.tables = kept
 	db.installViewLocked()
-	db.generation++
-	root.gen = db.generation
+	db.stats.Generation++
+	root.gen = db.stats.Generation
 	if major {
-		db.majorCompactions++
+		db.stats.MajorCompactions++
 	} else {
-		db.minorCompactions++
+		db.stats.MinorCompactions++
 	}
-	db.bytesCompacted += res.BytesWritten
-	db.versionsPurged += res.VersionsPurged
+	db.stats.BytesCompacted += res.BytesWritten
+	db.stats.VersionsPurged += res.VersionsPurged
 	db.recordPickLocked(res.Strategy)
 	res.TablesAfter = len(kept)
 	// The table count just dropped: writers stalled on backpressure may be

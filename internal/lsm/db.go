@@ -323,47 +323,16 @@ type DB struct {
 	// flushHook, when set (tests only, under mu before the first write), is
 	// called by the flusher at each flushPoint, with no lock held.
 	flushHook func(flushPoint)
-	// generation counts table-set changes (flush, minor, major); each
-	// tableHandle records the generation that created it.
-	generation uint64
-	// flushCount, minorCompactions, majorCompactions and writeStalls count
-	// maintenance work, exposed through Stats.
-	flushCount       int
-	minorCompactions int
-	majorCompactions int
-	writeStalls      int
-	// bytesFlushed and bytesCompacted total the sstable bytes written by
-	// memtable flushes and by compactions (minor and major) respectively;
-	// their ratio is the store's write amplification. stallTime is the
-	// cumulative wall time writers spent blocked in backpressure stalls.
-	// compactionPicks counts completed compactions by the policy or
-	// strategy that picked them, and versionsPurged the versions their
-	// merges dropped as shadowed by a table outside them. All guarded by mu.
-	bytesFlushed    uint64
-	bytesCompacted  uint64
-	versionsPurged  uint64
-	stallTime       time.Duration
-	compactionPicks map[string]uint64
-	bgLastErr       error
-	// roCause is the durability failure that degraded the DB to read-only
-	// (nil while writable); quarantined counts corrupt tables renamed
-	// aside since Open. Both guarded by mu.
-	roCause     error
-	quarantined int
-	// bgRetries counts background-compaction attempts retried after a
-	// transient failure; bgFailures counts runs that exhausted their
-	// retry budget. Guarded by mu.
-	bgRetries  int
-	bgFailures int
-	// groupCommits, groupedWrites and walSyncs count commit-pipeline work:
-	// groups committed, records committed through groups, and WAL fsyncs
-	// issued, exposed through Stats (avg group size, syncs per write).
-	groupCommits  uint64
-	groupedWrites uint64
-	walSyncs      uint64
-	// walRecovery records what WAL replay recovered at Open, including
-	// whether the log was truncated by a crash (see Stats).
-	walRecovery wal.ReplayStats
+	// stats holds the counters Stats reports that the DB keeps itself:
+	// maintenance work, the commit pipeline, WAL recovery at Open,
+	// quarantines, background retries and the table-set generation, which
+	// each tableHandle also records. Stats fills in the rest. Guarded by mu.
+	stats Stats
+	// bgLastErr is the background compactor's last failure, nil after a
+	// success; roCause is the durability failure that degraded the DB to
+	// read-only (nil while writable). Both guarded by mu.
+	bgLastErr error
+	roCause   error
 
 	bgCfg  BackgroundConfig
 	bgKick chan struct{}
@@ -632,9 +601,9 @@ func (db *DB) maybeStallLocked(ctx context.Context) error {
 	if pending() < db.bgCfg.Stall {
 		return nil
 	}
-	db.writeStalls++
+	db.stats.WriteStalls++
 	stallStart := time.Now()
-	defer func() { db.stallTime += time.Since(stallStart) }()
+	defer func() { db.stats.WriteStallTime += time.Since(stallStart) }()
 	// stallCond has no select form, so context expiry is delivered by a
 	// watcher that wakes every waiter; each one rechecks its own ctx.
 	if ctx.Done() != nil {
@@ -658,10 +627,10 @@ func (db *DB) maybeStallLocked(ctx context.Context) error {
 // recordPickLocked counts a completed compaction against the policy or
 // strategy that picked it. Callers hold mu.
 func (db *DB) recordPickLocked(name string) {
-	if db.compactionPicks == nil {
-		db.compactionPicks = make(map[string]uint64)
+	if db.stats.CompactionPicks == nil {
+		db.stats.CompactionPicks = make(map[string]uint64)
 	}
-	db.compactionPicks[name]++
+	db.stats.CompactionPicks[name]++
 }
 
 // kickBackground nudges the maintenance goroutine without blocking.
@@ -738,8 +707,8 @@ func (db *DB) quarantineTable(th *tableHandle, cause error) {
 	db.tables = append(db.tables[:idx:idx], db.tables[idx+1:]...)
 	db.man.record(db.tables)
 	saveErr := db.man.save(db.fs, db.dir)
-	db.generation++
-	db.quarantined++
+	db.stats.Generation++
+	db.stats.QuarantinedTables++
 	db.installViewLocked()
 	if saveErr != nil {
 		// The on-disk manifest still references the quarantined file, so
@@ -798,7 +767,7 @@ func (db *DB) backgroundCompactor() {
 				// is permanent, so retrying it would just spin.
 				retries++
 				db.mu.Lock()
-				db.bgRetries++
+				db.stats.BackgroundRetries++
 				db.mu.Unlock()
 				select {
 				case <-db.bgQuit:
@@ -814,7 +783,7 @@ func (db *DB) backgroundCompactor() {
 			// rather than hanging them.
 			db.bgLastErr = err
 			if err != nil {
-				db.bgFailures++
+				db.stats.BackgroundFailures++
 				db.stallCond.Broadcast()
 			}
 			db.mu.Unlock()
@@ -968,148 +937,4 @@ func IterErr(it iterator.Iterator) error {
 // that fails mid-scan ends it early, with IterErr reporting why.
 func (db *DB) NewIterator(start, end []byte) (iterator.Iterator, func(), error) {
 	return NewShardIterator([]*DB{db}, start, end)
-}
-
-// Stats reports store state.
-type Stats struct {
-	// Tables is the number of live sstables.
-	Tables int
-	// TableBytes is the total size of live sstables on disk.
-	TableBytes uint64
-	// MemtableKeys is the number of keys buffered in the memtable, plus
-	// those of a frozen memtable still being flushed.
-	MemtableKeys int
-	// Flushes counts memtable flushes since Open.
-	Flushes int
-	// MinorCompactions counts minor compactions since Open.
-	MinorCompactions int
-	// MajorCompactions counts completed major compactions since Open,
-	// blocking and background alike.
-	MajorCompactions int
-	// WriteStalls counts writes delayed by compaction backpressure or by a
-	// full memtable waiting for the previous one's flush, and
-	// WriteStallTime the cumulative wall time those writers spent blocked.
-	WriteStalls    int
-	WriteStallTime time.Duration
-	// BytesFlushed totals sstable bytes written by memtable flushes and
-	// BytesCompacted sstable bytes written by compactions, minor and major
-	// alike. (BytesFlushed + BytesCompacted) / BytesFlushed is the store's
-	// write amplification — the quantity the paper's compaction strategies
-	// minimize.
-	BytesFlushed, BytesCompacted uint64
-	// CompactionPicks counts completed compactions by the policy or
-	// strategy name that picked them ("size-tiered", "SI", "BT(I)", ...).
-	// Nil when no compaction has run.
-	CompactionPicks map[string]uint64
-	// VersionsPurged counts versions compactions dropped because a newer
-	// version of the key lived on in a table outside the merge (see
-	// docs/compaction.md, "What a merge drops").
-	VersionsPurged uint64
-	// Generation counts table-set changes (flushes and compactions).
-	Generation uint64
-	// CompactionState is the major-compaction state machine's current
-	// phase: "idle", "planning", "merging" or "swapping".
-	CompactionState string
-	// BlockCacheHits and BlockCacheMisses count the block-cache outcomes of
-	// user reads (Get, scans, snapshots) only: compaction merges and
-	// major-compaction planning read around the cache, and a block a flush
-	// or merge publishes is neither a hit nor a miss. Both are zero when
-	// the cache is disabled.
-	BlockCacheHits, BlockCacheMisses uint64
-	// BlockCacheShardBalance is the ratio of the fullest block-cache
-	// stripe's occupancy to the mean stripe occupancy (1.0 = perfectly
-	// even, stripe count = fully skewed, 0 = empty cache): the observable
-	// for hash-striping skew. On a sharded store the aggregate reports
-	// the worst shard's ratio.
-	BlockCacheShardBalance float64
-	// FilterNegatives counts point lookups a Bloom filter rejected without
-	// reading a data block (the I/O the filters saved); FilterFalsePositives
-	// counts lookups a filter let through that found no key (the wasted
-	// block probes). Their ratio is the realized filter effectiveness.
-	FilterNegatives, FilterFalsePositives uint64
-	// GroupCommits counts commit groups written through the pipeline, and
-	// GroupedWrites the records they carried; GroupedWrites/GroupCommits is
-	// the average group size.
-	GroupCommits, GroupedWrites uint64
-	// WALSyncs counts WAL fsyncs issued by group leaders; with SyncWAL,
-	// WALSyncs/GroupedWrites is the (amortized) syncs-per-write ratio.
-	WALSyncs uint64
-	// WALRecoveredRecords and WALRecoveredBatches count what WAL replay
-	// recovered at Open; WALRecoveredBytes is the length of the log prefix
-	// that replayed cleanly.
-	WALRecoveredRecords, WALRecoveredBatches int
-	WALRecoveredBytes                        int64
-	// WALRecoveryTruncated reports that replay stopped at a torn or
-	// corrupt frame instead of a clean end-of-file: the store recovered a
-	// crash-truncated prefix rather than the full log.
-	WALRecoveryTruncated bool
-	// ReadOnly reports the DB has permanently degraded to read-only after
-	// a durability failure (a failed WAL or manifest fsync); writes fail
-	// with ErrReadOnly while reads continue.
-	ReadOnly bool
-	// QuarantinedTables counts corrupt sstables renamed aside (.corrupt)
-	// and dropped from the live set since Open.
-	QuarantinedTables int
-	// CleanupFailures counts file removals that failed — orphan cleanup,
-	// obsolete-table deletion, aborted flush or compaction outputs. Each
-	// is leaked-but-recoverable space the next Open retries.
-	CleanupFailures uint64
-	// BackgroundRetries counts background-compaction attempts retried
-	// after transient failures; BackgroundFailures counts runs that
-	// exhausted the retry budget and surfaced through BackgroundErr.
-	BackgroundRetries, BackgroundFailures int
-}
-
-// Stats returns a snapshot of store statistics.
-func (db *DB) Stats() Stats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	st := Stats{
-		Tables:           len(db.tables),
-		MemtableKeys:     db.mem.Len(),
-		Flushes:          db.flushCount,
-		MinorCompactions: db.minorCompactions,
-		MajorCompactions: db.majorCompactions,
-		WriteStalls:      db.writeStalls,
-		WriteStallTime:   db.stallTime,
-		BytesFlushed:     db.bytesFlushed,
-		BytesCompacted:   db.bytesCompacted,
-		VersionsPurged:   db.versionsPurged,
-		Generation:       db.generation,
-		CompactionState:  db.CompactionState().String(),
-
-		FilterNegatives:      db.filterMetrics.Negatives.Load(),
-		FilterFalsePositives: db.filterMetrics.FalsePositives.Load(),
-
-		GroupCommits:         db.groupCommits,
-		GroupedWrites:        db.groupedWrites,
-		WALSyncs:             db.walSyncs,
-		WALRecoveredRecords:  db.walRecovery.Records,
-		WALRecoveredBatches:  db.walRecovery.Batches,
-		WALRecoveredBytes:    db.walRecovery.GoodBytes,
-		WALRecoveryTruncated: db.walRecovery.Truncated,
-
-		ReadOnly:           db.roCause != nil,
-		QuarantinedTables:  db.quarantined,
-		CleanupFailures:    db.cleanupFails.Load(),
-		BackgroundRetries:  db.bgRetries,
-		BackgroundFailures: db.bgFailures,
-	}
-	if len(db.compactionPicks) > 0 {
-		st.CompactionPicks = make(map[string]uint64, len(db.compactionPicks))
-		for k, v := range db.compactionPicks {
-			st.CompactionPicks[k] = v
-		}
-	}
-	if db.blockCache != nil {
-		st.BlockCacheHits, st.BlockCacheMisses, _ = db.blockCache.Stats()
-		st.BlockCacheShardBalance = db.blockCache.Balance()
-	}
-	if db.imm != nil {
-		st.MemtableKeys += db.imm.Len()
-	}
-	for _, th := range db.tables {
-		st.TableBytes += th.rd.FileSize()
-	}
-	return st
 }

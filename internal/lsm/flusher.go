@@ -113,7 +113,7 @@ func (db *DB) recoverWAL() error {
 			return nil
 		})
 		if err == errWALGap {
-			db.walRecovery.Truncated = true
+			db.stats.WALRecoveryTruncated = true
 			replayed = i
 			break
 		}
@@ -122,10 +122,10 @@ func (db *DB) recoverWAL() error {
 		}
 		// A truncated log is a legitimate crash artifact, but one operators
 		// should be able to see (Stats.WALRecoveryTruncated).
-		db.walRecovery.Records += stats.Records - skipped
-		db.walRecovery.Batches += stats.Batches
-		db.walRecovery.GoodBytes += stats.GoodBytes
-		db.walRecovery.Truncated = db.walRecovery.Truncated || stats.Truncated
+		db.stats.WALRecoveredRecords += stats.Records - skipped
+		db.stats.WALRecoveredBatches += stats.Batches
+		db.stats.WALRecoveredBytes += stats.GoodBytes
+		db.stats.WALRecoveryTruncated = db.stats.WALRecoveryTruncated || stats.Truncated
 	}
 
 	// Re-log what was recovered, in chunked batch frames, into a temporary
@@ -371,8 +371,8 @@ func (db *DB) flushImmLocked() error {
 		return err
 	}
 	// Newest first.
-	db.generation++
-	th := db.newTableHandle(name, rd, db.generation)
+	db.stats.Generation++
+	th := db.newTableHandle(name, rd, db.stats.Generation)
 	db.tables = append([]*tableHandle{th}, db.tables...)
 	db.man.record(db.tables)
 	// One past what the tables hold, whatever the writer has committed
@@ -386,7 +386,7 @@ func (db *DB) flushImmLocked() error {
 		// in-memory set back — the data is safe in imm and its segment —
 		// and degrade to read-only rather than acknowledge writes against
 		// an untrustworthy manifest.
-		db.generation++
+		db.stats.Generation++
 		db.tables = db.tables[1:]
 		db.man.nextSeq = prevSeq
 		db.man.record(db.tables)
@@ -397,8 +397,8 @@ func (db *DB) flushImmLocked() error {
 	}
 	seg := segmentName(db.immLogNum)
 	db.imm = nil
-	db.flushCount++
-	db.bytesFlushed += rd.FileSize()
+	db.stats.Flushes++
+	db.stats.BytesFlushed += rd.FileSize()
 	// Readers pinned to an older view keep reading imm, whose contents the
 	// new table duplicates: no version is ever invisible. The last of them
 	// to let go recycles it.
@@ -419,9 +419,9 @@ func (db *DB) flushImmLocked() error {
 // rotates again, counted with the backpressure stalls.
 func (db *DB) stallForFlusherLocked() error {
 	if db.imm != nil {
-		db.writeStalls++
+		db.stats.WriteStalls++
 		start := time.Now()
-		defer func() { db.stallTime += time.Since(start) }()
+		defer func() { db.stats.WriteStallTime += time.Since(start) }()
 	}
 	return db.waitFlusherLocked(false)
 }

@@ -507,77 +507,14 @@ func (s *Store) BackgroundErr() error {
 	return nil
 }
 
-// statePhaseRank orders compaction phases by how deep into a compaction a
-// shard is, so the aggregate reports the busiest shard's phase.
-var statePhaseRank = map[string]int{
-	lsm.CompactionIdle.String():     0,
-	lsm.CompactionPlanning.String(): 1,
-	lsm.CompactionMerging.String():  2,
-	lsm.CompactionSwapping.String(): 3,
-}
-
-// Stats returns store statistics aggregated across shards; see Aggregate.
-// Use ShardStats for the per-shard breakdown, or call Aggregate on a
-// ShardStats slice to get both from one pass over the shards.
+// Stats returns store statistics summed across shards with lsm.Stats.Add.
+// Use ShardStats for the per-shard breakdown.
 func (s *Store) Stats() lsm.Stats {
-	return Aggregate(s.ShardStats())
-}
-
-// Aggregate combines per-shard statistics into one store-wide view:
-// counters are summed, WALRecoveryTruncated is true if any shard recovered
-// a truncated log, and CompactionState reports the busiest phase any shard
-// is in (idle < planning < merging < swapping).
-func Aggregate(shardStats []lsm.Stats) lsm.Stats {
-	var agg lsm.Stats
-	agg.CompactionState = lsm.CompactionIdle.String()
-	for _, st := range shardStats {
-		agg.Tables += st.Tables
-		agg.TableBytes += st.TableBytes
-		agg.MemtableKeys += st.MemtableKeys
-		agg.Flushes += st.Flushes
-		agg.MinorCompactions += st.MinorCompactions
-		agg.MajorCompactions += st.MajorCompactions
-		agg.WriteStalls += st.WriteStalls
-		agg.WriteStallTime += st.WriteStallTime
-		agg.BytesFlushed += st.BytesFlushed
-		agg.BytesCompacted += st.BytesCompacted
-		agg.VersionsPurged += st.VersionsPurged
-		for name, n := range st.CompactionPicks {
-			if agg.CompactionPicks == nil {
-				agg.CompactionPicks = make(map[string]uint64)
-			}
-			agg.CompactionPicks[name] += n
-		}
-		agg.Generation += st.Generation
-		if statePhaseRank[st.CompactionState] > statePhaseRank[agg.CompactionState] {
-			agg.CompactionState = st.CompactionState
-		}
-		agg.BlockCacheHits += st.BlockCacheHits
-		agg.BlockCacheMisses += st.BlockCacheMisses
-		// Striping skew is a per-cache ratio, not summable: report the
-		// worst shard's imbalance.
-		if st.BlockCacheShardBalance > agg.BlockCacheShardBalance {
-			agg.BlockCacheShardBalance = st.BlockCacheShardBalance
-		}
-		agg.FilterNegatives += st.FilterNegatives
-		agg.FilterFalsePositives += st.FilterFalsePositives
-		agg.GroupCommits += st.GroupCommits
-		agg.GroupedWrites += st.GroupedWrites
-		agg.WALSyncs += st.WALSyncs
-		agg.WALRecoveredRecords += st.WALRecoveredRecords
-		agg.WALRecoveredBatches += st.WALRecoveredBatches
-		agg.WALRecoveredBytes += st.WALRecoveredBytes
-		agg.WALRecoveryTruncated = agg.WALRecoveryTruncated || st.WALRecoveryTruncated
-		// Fault-resilience counters: a store is read-only for writes once
-		// any shard is (a cross-shard batch touching that shard fails), so
-		// the aggregate ORs the flag; the rest are summable.
-		agg.ReadOnly = agg.ReadOnly || st.ReadOnly
-		agg.QuarantinedTables += st.QuarantinedTables
-		agg.CleanupFailures += st.CleanupFailures
-		agg.BackgroundRetries += st.BackgroundRetries
-		agg.BackgroundFailures += st.BackgroundFailures
+	var sum lsm.Stats
+	for _, db := range s.shards {
+		sum.Add(db.Stats())
 	}
-	return agg
+	return sum
 }
 
 // ShardStats returns each shard's statistics, indexed by shard.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/kvnet"
 	"repro/internal/lsm"
-	"repro/internal/store"
 )
 
 // DialCluster connects to a replicated cluster of servers and returns an
@@ -170,11 +169,11 @@ func (e *clusterEngine) Stats(ctx context.Context) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	nodes := make([]lsm.Stats, 0, len(byNode))
+	var sum lsm.Stats
 	for _, st := range byNode {
-		nodes = append(nodes, *st)
+		sum.Add(*st)
 	}
-	out := statsFromLSM(store.Aggregate(nodes), "cluster", 0)
+	out := statsFromLSM(sum, "cluster", 0)
 	m := e.rt.Metrics()
 	out.Cluster = &m
 	return out, nil

@@ -32,12 +32,11 @@ func openLocal(t *testing.T, shards int, opts ...Option) Engine {
 	return eng
 }
 
-// openRemote stands up a sharded store behind a loopback kv.Server and
-// dials it.
-func openRemote(t *testing.T, opts ...Option) Engine {
+// serveLocal stands up a local engine of the given shard count behind a
+// loopback kv.Server and returns the server's address.
+func serveLocal(t *testing.T, shards int, opts ...Option) string {
 	t.Helper()
-	backing := openLocal(t, 2, opts...)
-	srv, err := NewServer(backing)
+	srv, err := NewServer(openLocal(t, shards, opts...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,14 @@ func openRemote(t *testing.T, opts ...Option) Engine {
 	}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
-	eng, err := Dial(ln.Addr().String())
+	return ln.Addr().String()
+}
+
+// openRemote stands up a sharded store behind a loopback kv.Server and
+// dials it.
+func openRemote(t *testing.T, opts ...Option) Engine {
+	t.Helper()
+	eng, err := Dial(serveLocal(t, 2, opts...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,18 +67,7 @@ func startClusterNodes(t *testing.T, opts ...Option) []string {
 	t.Helper()
 	addrs := make([]string, 3)
 	for i := range addrs {
-		backing := openLocal(t, 1, opts...)
-		srv, err := NewServer(backing)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(ln)
-		t.Cleanup(func() { srv.Close() })
-		addrs[i] = ln.Addr().String()
+		addrs[i] = serveLocal(t, 1, opts...)
 	}
 	return addrs
 }

@@ -235,75 +235,15 @@ type Stats struct {
 	// and cluster backends, which do not know it).
 	Shards int `json:"shards,omitempty"`
 
-	Tables           int    `json:"tables"`
-	TableBytes       uint64 `json:"table_bytes"`
-	MemtableKeys     int    `json:"memtable_keys"`
-	Flushes          int    `json:"flushes"`
-	MinorCompactions int    `json:"minor_compactions"`
-	MajorCompactions int    `json:"major_compactions"`
-	WriteStalls      int    `json:"write_stalls"`
-	// WriteStallNanos is the cumulative wall time writers spent blocked
-	// in compaction backpressure.
-	WriteStallNanos int64 `json:"write_stall_nanos,omitempty"`
-
-	// BytesFlushed and BytesCompacted total the sstable bytes written by
-	// memtable flushes and by compactions respectively:
-	// (BytesFlushed + BytesCompacted) / BytesFlushed is the engine's
-	// write amplification.
-	BytesFlushed   uint64 `json:"bytes_flushed,omitempty"`
-	BytesCompacted uint64 `json:"bytes_compacted,omitempty"`
-	// CompactionPicks counts completed compactions by the policy or
-	// strategy name that picked them.
-	CompactionPicks map[string]uint64 `json:"compaction_picks,omitempty"`
-	// VersionsPurged counts versions compactions dropped because a newer
-	// version lived on in a table outside the merge.
-	VersionsPurged uint64 `json:"versions_purged,omitempty"`
-
-	// GroupCommits, GroupedWrites and WALSyncs describe the group-commit
-	// pipeline: GroupedWrites/GroupCommits is the average group size,
-	// WALSyncs/GroupedWrites the fsyncs paid per write.
-	GroupCommits  uint64 `json:"group_commits"`
-	GroupedWrites uint64 `json:"grouped_writes"`
-	WALSyncs      uint64 `json:"wal_syncs"`
-
-	// BlockCacheHits and BlockCacheMisses count user reads only: compaction
-	// reads around the block cache and is in neither.
-	BlockCacheHits   uint64 `json:"block_cache_hits"`
-	BlockCacheMisses uint64 `json:"block_cache_misses"`
-	// BlockCacheShardBalance is the ratio of the fullest block-cache
-	// stripe's occupancy to the mean stripe occupancy (1.0 = perfectly
-	// even, stripe count = fully skewed, 0 = empty or disabled cache);
-	// on a sharded store, the worst shard's ratio.
-	BlockCacheShardBalance float64 `json:"block_cache_shard_balance,omitempty"`
-	FilterNegatives        uint64  `json:"filter_negatives"`
-	FilterFalsePositives   uint64  `json:"filter_false_positives"`
-
-	// CompactionState is the major-compaction state machine's phase
-	// ("idle", "planning", "merging", "swapping"); on a sharded store the
-	// busiest shard's phase.
-	CompactionState string `json:"compaction_state,omitempty"`
-
-	// WAL recovery counters from the last Open; see lsm.Stats.
-	WALRecoveredRecords  int   `json:"wal_recovered_records,omitempty"`
-	WALRecoveredBatches  int   `json:"wal_recovered_batches,omitempty"`
-	WALRecoveredBytes    int64 `json:"wal_recovered_bytes,omitempty"`
-	WALRecoveryTruncated bool  `json:"wal_recovery_truncated,omitempty"`
-
-	// ReadOnly reports the engine has permanently degraded to read-only
-	// after a durability failure: writes fail with ErrReadOnly while reads
-	// continue. On a sharded store, true if any shard degraded.
-	ReadOnly bool `json:"read_only,omitempty"`
-	// QuarantinedTables counts corrupt sstables renamed aside (.corrupt)
-	// and dropped from the live set since Open.
-	QuarantinedTables int `json:"quarantined_tables,omitempty"`
-	// CleanupFailures counts file removals that failed, leaving orphaned
-	// files the next Open's cleanup pass retries.
-	CleanupFailures uint64 `json:"cleanup_failures,omitempty"`
-	// BackgroundRetries and BackgroundFailures count background-compaction
-	// attempts retried after transient failures, and runs that exhausted
-	// the retry budget.
-	BackgroundRetries  int `json:"background_retries,omitempty"`
-	BackgroundFailures int `json:"background_failures,omitempty"`
+	// The storage counters (Tables, Flushes, BytesFlushed, BytesCompacted,
+	// CompactionPicks, BlockCacheHits, ...) are the engine's own, defined,
+	// documented and JSON-tagged in one place. On a sharded or cluster
+	// engine they are summed over the shards or live nodes.
+	lsm.Stats
+	// WriteStallNanos is WriteStallTime in nanoseconds, for callers that
+	// read the stall time as a number (the JSON's write_stall_nanos is
+	// WriteStallTime).
+	WriteStallNanos int64 `json:"-"`
 
 	// PerShard is the per-shard breakdown of a local engine of more than
 	// one shard.
@@ -336,43 +276,9 @@ func compactionInfo(strategy string, results ...*lsm.CompactionResult) *Compacti
 	return info
 }
 
-// statsFromLSM maps an engine-internal stats snapshot into the public
-// shape.
+// statsFromLSM wraps an engine's stats snapshot in the public shape.
 func statsFromLSM(st lsm.Stats, backend string, shards int) Stats {
-	return Stats{
-		Backend:                backend,
-		Shards:                 shards,
-		Tables:                 st.Tables,
-		TableBytes:             st.TableBytes,
-		MemtableKeys:           st.MemtableKeys,
-		Flushes:                st.Flushes,
-		MinorCompactions:       st.MinorCompactions,
-		MajorCompactions:       st.MajorCompactions,
-		WriteStalls:            st.WriteStalls,
-		WriteStallNanos:        st.WriteStallTime.Nanoseconds(),
-		BytesFlushed:           st.BytesFlushed,
-		BytesCompacted:         st.BytesCompacted,
-		CompactionPicks:        st.CompactionPicks,
-		VersionsPurged:         st.VersionsPurged,
-		GroupCommits:           st.GroupCommits,
-		GroupedWrites:          st.GroupedWrites,
-		WALSyncs:               st.WALSyncs,
-		BlockCacheHits:         st.BlockCacheHits,
-		BlockCacheMisses:       st.BlockCacheMisses,
-		BlockCacheShardBalance: st.BlockCacheShardBalance,
-		FilterNegatives:        st.FilterNegatives,
-		FilterFalsePositives:   st.FilterFalsePositives,
-		CompactionState:        st.CompactionState,
-		WALRecoveredRecords:    st.WALRecoveredRecords,
-		WALRecoveredBatches:    st.WALRecoveredBatches,
-		WALRecoveredBytes:      st.WALRecoveredBytes,
-		WALRecoveryTruncated:   st.WALRecoveryTruncated,
-		ReadOnly:               st.ReadOnly,
-		QuarantinedTables:      st.QuarantinedTables,
-		CleanupFailures:        st.CleanupFailures,
-		BackgroundRetries:      st.BackgroundRetries,
-		BackgroundFailures:     st.BackgroundFailures,
-	}
+	return Stats{Backend: backend, Shards: shards, Stats: st, WriteStallNanos: st.WriteStallTime.Nanoseconds()}
 }
 
 // normBound canonicalizes an iterator bound: nil and empty both mean

@@ -96,7 +96,11 @@ func (e *localEngine) Stats(ctx context.Context) (Stats, error) {
 		return Stats{}, ErrClosed
 	}
 	per := e.st.ShardStats()
-	st := statsFromLSM(store.Aggregate(per), "local", len(per))
+	var sum lsm.Stats
+	for _, ss := range per {
+		sum.Add(ss)
+	}
+	st := statsFromLSM(sum, "local", len(per))
 	if len(per) > 1 {
 		st.PerShard = make([]Stats, len(per))
 		for i, ss := range per {

@@ -8,88 +8,242 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/kvnet"
+	"repro/internal/lsm"
 )
 
+// statsKeys are the keys /stats prints: kv.Stats's own and the json tags
+// of the embedded lsm.Stats, as they stood when lsm.Stats became their one
+// definition. Scripts and dashboards read them, so a key may be added but
+// never renamed.
+var statsKeys = strings.Fields(`backend shards tables table_bytes memtable_keys flushes
+	minor_compactions major_compactions write_stalls write_stall_nanos bytes_flushed
+	bytes_compacted compaction_picks versions_purged group_commits grouped_writes wal_syncs
+	block_cache_hits block_cache_misses block_cache_shard_balance filter_negatives
+	filter_false_positives compaction_state wal_recovered_records wal_recovered_batches
+	wal_recovered_bytes wal_recovery_truncated read_only quarantined_tables cleanup_failures
+	background_retries background_failures per_shard cluster`)
+
 // TestWithStatsHandler: the optional HTTP endpoint serves the same Stats
-// shape Engine.Stats returns, as JSON.
+// shape Engine.Stats returns, as JSON, on every backend; every key it
+// prints is one of statsKeys or generation; every key statsKeys printed
+// after the same fill and flush still prints; and the endpoint dies with
+// the engine.
 func TestWithStatsHandler(t *testing.T) {
-	eng, err := Open(t.TempDir(),
-		WithShards(2),
-		WithStatsHandler("127.0.0.1:0"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	fillKeys(t, eng, 100)
+	ctx := context.Background()
+	const addr = "127.0.0.1:0"
+	// printed is what every backend prints after a fill and a flush: the
+	// counters without omitempty, plus those the fill and flush move.
+	printed := strings.Fields(`backend tables table_bytes memtable_keys flushes
+		minor_compactions major_compactions write_stalls bytes_flushed group_commits
+		grouped_writes wal_syncs block_cache_hits block_cache_misses block_cache_shard_balance
+		filter_negatives filter_false_positives compaction_state`)
+	for _, tc := range []struct {
+		name, backend string
+		shards        int
+		open          func(t *testing.T) (Engine, error)
+		alsoPrinted   []string
+	}{
+		{"local-1", "local", 1, func(t *testing.T) (Engine, error) {
+			return Open(t.TempDir(), WithStatsHandler(addr))
+		}, []string{"shards"}},
+		{"local-2", "local", 2, func(t *testing.T) (Engine, error) {
+			return Open(t.TempDir(), WithShards(2), WithStatsHandler(addr))
+		}, []string{"shards", "per_shard"}},
+		{"remote", "remote", 0, func(t *testing.T) (Engine, error) {
+			return Dial(serveLocal(t, 2), WithStatsHandler(addr))
+		}, nil},
+		{"cluster", "cluster", 0, func(t *testing.T) (Engine, error) {
+			return DialCluster(startClusterNodes(t), WithStatsHandler(addr))
+		}, []string{"cluster"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := tc.open(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			fillKeys(t, eng, 100)
+			if err := eng.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
 
-	addr := eng.(*localEngine).statsListenAddr()
-	if addr == "" {
-		t.Fatal("stats listener has no address")
-	}
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(fmt.Sprintf("http://%s/stats", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /stats = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Backend != "local" || st.Shards != 2 {
-		t.Errorf("stats = %s/%d shards, want local/2", st.Backend, st.Shards)
-	}
-	if len(st.PerShard) != 2 {
-		t.Errorf("per-shard stats missing: %+v", st.PerShard)
-	}
+			url := fmt.Sprintf("http://%s/stats", eng.(interface{ statsListenAddr() string }).statsListenAddr())
+			client := &http.Client{Timeout: 5 * time.Second}
+			resp, err := client.Get(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET /stats = %d", resp.StatusCode)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Errorf("Content-Type = %q", ct)
+			}
+			var raw json.RawMessage
+			if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+				t.Fatal(err)
+			}
+			var st Stats
+			if err := json.Unmarshal(raw, &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Backend != tc.backend || st.Shards != tc.shards {
+				t.Errorf("stats = %s/%d shards, want %s/%d", st.Backend, st.Shards, tc.backend, tc.shards)
+			}
+			if st.Flushes == 0 || st.BytesFlushed == 0 || st.GroupedWrites == 0 {
+				t.Errorf("counters lost on the way to /stats: %+v", st.Stats)
+			}
 
-	// The endpoint dies with the engine.
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Get(fmt.Sprintf("http://%s/stats", addr)); err == nil {
-		t.Error("stats endpoint still serving after engine close")
+			checkStatsKeys(t, "/stats", raw, append(slices.Clone(printed), tc.alsoPrinted...))
+			var top struct {
+				PerShard []json.RawMessage `json:"per_shard"`
+			}
+			if err := json.Unmarshal(raw, &top); err != nil {
+				t.Fatal(err)
+			}
+			wantPer := 0 // per_shard exists above one shard only
+			if tc.shards > 1 {
+				wantPer = tc.shards
+			}
+			if len(top.PerShard) != wantPer {
+				t.Errorf("per_shard has %d entries, want %d", len(top.PerShard), wantPer)
+			}
+			for i, ss := range top.PerShard {
+				checkStatsKeys(t, fmt.Sprintf("per_shard[%d]", i), ss, append(slices.Clone(printed), "shards"))
+			}
+
+			// The endpoint dies with the engine.
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := client.Get(url); err == nil {
+				t.Error("stats endpoint still serving after engine close")
+			}
+		})
 	}
 }
 
-// carried is a slice of the engine counters Stats reports, compared whole
-// across backends.
-type carried struct {
-	BytesFlushed, BytesCompacted    uint64
-	BlockCacheHits, FilterNegatives uint64
-	CompactionPicks                 map[string]uint64
-	WriteStallNanos                 int64
-}
-
-func carriedOf(st Stats) carried {
-	return carried{st.BytesFlushed, st.BytesCompacted, st.BlockCacheHits, st.FilterNegatives, st.CompactionPicks, st.WriteStallNanos}
-}
-
-func (c *carried) add(o carried) {
-	c.BytesFlushed += o.BytesFlushed
-	c.BytesCompacted += o.BytesCompacted
-	c.BlockCacheHits += o.BlockCacheHits
-	c.FilterNegatives += o.FilterNegatives
-	c.WriteStallNanos += o.WriteStallNanos
-	for name, n := range o.CompactionPicks {
-		if c.CompactionPicks == nil {
-			c.CompactionPicks = make(map[string]uint64)
+// checkStatsKeys checks the keys of one /stats JSON object: each is one
+// of statsKeys or generation, and each of want is present.
+func checkStatsKeys(t *testing.T, what string, obj []byte, want []string) {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(obj, &m); err != nil {
+		t.Fatal(err)
+	}
+	for k := range m {
+		if k != "generation" && !slices.Contains(statsKeys, k) {
+			t.Errorf("%s prints key %q, which is neither a published key nor generation", what, k)
 		}
-		c.CompactionPicks[name] += n
+	}
+	for _, k := range want {
+		if _, ok := m[k]; !ok {
+			t.Errorf("%s no longer prints %q", what, k)
+		}
+	}
+}
+
+// everyCounter returns an lsm.Stats whose every exported field holds a
+// distinct non-zero value: numbers count up from 1 in field order, the
+// picks map has one entry, CompactionState is "merging" and bools are
+// true. A field of a kind it cannot fill fails the test, so a new counter
+// is covered the day it is declared.
+func everyCounter(t *testing.T) lsm.Stats {
+	var st lsm.Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, n := v.Field(i), i+1
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(n))
+		case reflect.Uint64:
+			f.SetUint(uint64(n))
+		case reflect.Float64:
+			f.SetFloat(float64(n) + 0.25)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.String:
+			f.SetString(lsm.CompactionMerging.String())
+		case reflect.Map:
+			f.Set(reflect.ValueOf(map[string]uint64{"BT(I)": uint64(n)}))
+		default:
+			t.Fatalf("lsm.Stats.%s: no test value for a %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return st
+}
+
+// TestNoLayerDropsACounter: every counter lsm.Stats declares has its own
+// snake_case key, survives a sum, the kvnet wire and the public JSON.
+func TestNoLayerDropsACounter(t *testing.T) {
+	want := everyCounter(t)
+
+	snake := regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+	seen := map[string]string{"backend": "Stats.Backend", "shards": "Stats.Shards", "per_shard": "Stats.PerShard", "cluster": "Stats.Cluster"}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(want)) {
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if !snake.MatchString(key) {
+			t.Errorf("lsm.Stats.%s has json key %q, want snake_case", f.Name, key)
+			continue
+		}
+		if other, dup := seen[key]; dup {
+			t.Errorf("lsm.Stats.%s and %s share json key %q", f.Name, other, key)
+		}
+		seen[key] = "lsm.Stats." + f.Name
+	}
+
+	var sum lsm.Stats
+	sum.Add(want)
+	if !reflect.DeepEqual(sum, want) {
+		t.Errorf("Add into a zero Stats = %+v, want %+v", sum, want)
+	}
+	sum.CompactionPicks["BT(I)"]++
+	if !reflect.DeepEqual(everyCounter(t), want) {
+		t.Error("Add shares its argument's CompactionPicks map")
+	}
+
+	resp, err := kvnet.DecodeResponse(kvnet.EncodeResponse(kvnet.Response{Status: kvnet.StatusOK, Stats: &want}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stats == nil || !reflect.DeepEqual(*resp.Stats, want) {
+		t.Errorf("kvnet round trip = %+v, want %+v", resp.Stats, want)
+	}
+
+	b, err := json.Marshal(statsFromLSM(want, "local", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var public Stats
+	if err := json.Unmarshal(b, &public); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(public.Stats, want) {
+		t.Errorf("public JSON round trip = %+v, want %+v", public.Stats, want)
+	}
+	if got := statsFromLSM(want, "local", 1).WriteStallNanos; got != want.WriteStallTime.Nanoseconds() {
+		t.Errorf("WriteStallNanos = %d, want %d", got, want.WriteStallTime.Nanoseconds())
+	}
+}
+
+// sameCounters fails unless got reports want's counters, every one of them.
+func sameCounters(t *testing.T, what string, got, want Stats) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Stats, want.Stats) || got.WriteStallNanos != want.WriteStallNanos {
+		t.Errorf("%s Stats = %+v (stall %d ns), want %+v (stall %d ns)", what, got.Stats, got.WriteStallNanos, want.Stats, want.WriteStallNanos)
 	}
 }
 
 // TestRemoteAndClusterStatsCarryEveryCounter: kv.Dial reports the served
-// engine's counters, not a subset, and DialCluster their sum over its
+// engine's counters, every one of them, and DialCluster their sum over its
 // nodes.
 func TestRemoteAndClusterStatsCarryEveryCounter(t *testing.T) {
 	ctx := context.Background()
@@ -148,24 +302,21 @@ func TestRemoteAndClusterStatsCarryEveryCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var sum carried
+	var sum lsm.Stats
 	for i, eng := range nodes {
 		st, err := eng.Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := carriedOf(st)
-		if c.BytesFlushed == 0 || c.BytesCompacted == 0 || c.BlockCacheHits == 0 || c.FilterNegatives == 0 || len(c.CompactionPicks) == 0 {
-			t.Fatalf("node %d: set-up left a counter at zero: %+v", i, c)
+		if st.BytesFlushed == 0 || st.BytesCompacted == 0 || st.BlockCacheHits == 0 || st.FilterNegatives == 0 || len(st.CompactionPicks) == 0 || st.Generation == 0 {
+			t.Fatalf("node %d: set-up left a counter at zero: %+v", i, st.Stats)
 		}
-		if i == 0 && !reflect.DeepEqual(carriedOf(rst), c) {
-			t.Errorf("remote Stats = %+v, served engine = %+v", carriedOf(rst), c)
+		if i == 0 {
+			sameCounters(t, "remote", rst, st)
 		}
-		sum.add(c)
+		sum.Add(st.Stats)
 	}
-	if !reflect.DeepEqual(carriedOf(cst), sum) {
-		t.Errorf("cluster Stats = %+v, sum over nodes = %+v", carriedOf(cst), sum)
-	}
+	sameCounters(t, "cluster", cst, statsFromLSM(sum, "cluster", 0))
 }
 
 // TestClusterStatsCountReadLegs: "how many replicas does a Get touch" is
