@@ -1,9 +1,9 @@
 // Command lsmdb is a small interactive/scriptable shell over the LSM
 // engine, for poking at the real write path through the public kv API:
 // puts land in the WAL and memtable, flushes cut sstables, and
-// `compact <strategy>` runs a major compaction scheduled by any of the
-// paper's strategies, printing the abstract cost alongside the real bytes
-// moved.
+// `compact <strategy>` runs a major compaction scheduled by any strategy
+// the engine plans with (the banner lists them), printing the abstract cost
+// alongside the real bytes moved.
 //
 // Usage:
 //
@@ -78,7 +78,7 @@ func main() {
 	}
 	defer db.Close()
 
-	fmt.Printf("lsmdb at %s — strategies: %s\n", at, strings.Join(compaction.StrategyNames(), ", "))
+	fmt.Printf("lsmdb at %s — strategies: %s\n", at, strings.Join(append(compaction.Baselines(), compaction.LiveStrategies()...), ", "))
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

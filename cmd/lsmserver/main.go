@@ -3,7 +3,7 @@
 // memtable backed by a WAL, sstables accumulate on disk, minor compactions
 // (size-tiered by default, the Cassandra policy the paper's related work
 // describes) keep the table count bounded, and clients can trigger a major
-// compaction with any of the paper's strategies.
+// compaction with any strategy that plans from table statistics.
 //
 // The process is a thin shell over the public kv package: kv.Open builds
 // the engine (single partition or -shards N hash-sharded), kv.NewServer
@@ -60,7 +60,7 @@ func run() error {
 		background = flag.Bool("background", false, "run non-blocking background major compactions")
 		bgTrigger  = flag.Int("bg-trigger", 8, "table count that triggers a background major compaction")
 		bgStall    = flag.Int("bg-stall", 0, "table count that stalls writers (0 = 4x trigger)")
-		bgStrategy = flag.String("bg-strategy", "BT(I)", "merge-scheduling strategy for background compactions")
+		bgStrategy = flag.String("bg-strategy", "BT(I)", "merge-scheduling strategy for background compactions: size-tiered, threshold, leveled, or a paper strategy (SI, SO, BT, BT(I), BT(O), CHAIN, RANDOM)")
 		bgK        = flag.Int("bg-k", 4, "maximum merge fan-in for background compactions")
 		workers    = flag.Int("compact-workers", 0, "merge worker pool size (0 = GOMAXPROCS)")
 		statsEvery = flag.Duration("stats-every", 0, "periodically log write-pipeline stats (0 = off)")

@@ -42,7 +42,7 @@
 // writer that has a block's bytes in hand hands the cache a copy (Alloc,
 // copy, Add, Release), so the block is resident before the first Get lands
 // on it instead of being read back from the device. Peek is the lookup of
-// maintenance — a compaction merge, a planning scan: it pins a resident
+// maintenance — a compaction merge, its purge probe: it pins a resident
 // block without promoting it and without touching the hit and miss
 // counters, which therefore count user reads only. What such a reader
 // misses it reads into a buffer of its own (Uncached recycles those) and

@@ -23,11 +23,11 @@
 // choosers over LiveTables — the statistics an sstable persists: exact entry
 // count, key bounds, HyperLogLog key sketch — and PickLive is that plan's
 // first choice; planning reads no key data (Section 5.1: "computing the
-// exact output size without merging is as expensive as merging"). Only
-// SO(exact) and LM rank by exact set operations and still need every key;
-// Plan asks its caller for them, for those two strategies alone. A planned
-// schedule's costs are estimates — the engine reports the costs its merges
-// actually counted.
+// exact output size without merging is as expensive as merging").
+// SO(exact) and LM rank by exact set operations, so only Run plans with them:
+// NewLiveChooser, the engine's one resolver of strategy names, refuses them.
+// A planned schedule's costs are estimates — the engine reports the costs
+// its merges actually counted.
 package compaction
 
 import (

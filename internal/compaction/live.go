@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/hll"
-	"repro/internal/keyset"
+	"repro/internal/kverr"
 )
 
 // LiveTable describes one live sstable the way the engine's compaction
@@ -70,7 +71,8 @@ func LiveStrategies() []string {
 
 // IsLiveStrategy reports whether name is a strategy Plan and PickLive can
 // drive from live table statistics: a paper strategy other than the two
-// exact-set ones, or one of the engine's baselines (see Baselines).
+// exact-set ones, or one of the engine's baselines (see Baselines). These
+// ten are the names the engine accepts (see NewLiveChooser).
 func IsLiveStrategy(name string) bool {
 	switch name {
 	case "SI", "SO", "BT", "BT(I)", "BT(O)", "CHAIN", "RANDOM", "leveled", "size-tiered", "threshold":
@@ -88,9 +90,9 @@ func IsLiveStrategy(name string) bool {
 // and persisted sketches are register for register the model's (the sstable
 // writer and the model hash keys identically). A baseline picks at its
 // defaults whether or not its trigger holds. PickLive returns nil when fewer
-// than two tables exist, and an error for the exact-set strategies.
+// than two tables exist, and NewLiveChooser's error for any other name.
 func PickLive(tables []LiveTable, strategy string, k int, seed int64) ([]int, error) {
-	chooser, err := newLiveChooser(strategy, seed)
+	chooser, err := NewLiveChooser(strategy, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -105,9 +107,12 @@ func PickLive(tables []LiveTable, strategy string, k int, seed int64) ([]int, er
 	return picked, nil
 }
 
-// newLiveChooser constructs a fresh chooser for a name IsLiveStrategy
-// accepts, a baseline at its defaults.
-func newLiveChooser(name string, seed int64) (Chooser, error) {
+// NewLiveChooser constructs a fresh chooser for a name IsLiveStrategy
+// accepts, a baseline at its defaults; seed feeds RANDOM. It is the one
+// resolver of the engine's strategy names. Any other name, the exact-set
+// strategies included, is an error wrapping kverr.ErrConfig that lists the
+// accepted set.
+func NewLiveChooser(name string, seed int64) (Chooser, error) {
 	switch name {
 	case "leveled":
 		return &Leveled{}, nil
@@ -116,11 +121,11 @@ func newLiveChooser(name string, seed int64) (Chooser, error) {
 	case "threshold":
 		return &Threshold{}, nil
 	}
-	chooser, err := NewChooserByName(name, seed)
-	if err == nil && !IsLiveStrategy(name) {
-		err = fmt.Errorf("compaction: strategy %q needs exact key sets and cannot pick from live table stats", name)
+	if !IsLiveStrategy(name) {
+		return nil, fmt.Errorf("compaction: strategy %q cannot plan from table statistics (have %s): %w",
+			name, strings.Join(append(Baselines(), LiveStrategies()...), ", "), kverr.ErrConfig)
 	}
-	return chooser, err
+	return NewChooserByName(name, seed)
 }
 
 // Pick schedules the first merge Plan would run on tables: a one-merge
@@ -152,27 +157,16 @@ func Pick(tables []LiveTable, k int, chooser Chooser) (*Schedule, error) {
 // since "computing the exact output size without merging is as expensive as
 // merging". A leaf is its exact entry count and persisted sketch, a merge
 // output what mergeLive estimates; the schedule's costs are therefore
-// estimates, and the executed merges report the real ones.
-//
-// Only SO(exact) and LM rank by exact set operations and cannot plan this
-// way. For them alone Plan calls keys once per table for the table's hashed
-// keys (keyhash H1, the model's key universe) and runs the exact model.
-func Plan(tables []LiveTable, k int, chooser Chooser, keys func(table int) ([]uint64, error)) (*Schedule, error) {
+// estimates, and the executed merges report the real ones. Only Run plans
+// with the exact-set strategies (SO(exact), LM).
+func Plan(tables []LiveTable, k int, chooser Chooser) (*Schedule, error) {
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("compaction: plan of no tables")
 	}
-	if IsLiveStrategy(chooser.Name()) {
-		return planLive(tables, k, chooser, len(tables))
+	if !IsLiveStrategy(chooser.Name()) {
+		return nil, fmt.Errorf("compaction: %s cannot plan from table statistics", chooser.Name())
 	}
-	sets := make([]keyset.Set, len(tables))
-	for i := range tables {
-		hashes, err := keys(i)
-		if err != nil {
-			return nil, err
-		}
-		sets[i] = keyset.New(hashes...)
-	}
-	return Run(NewInstance(sets...), k, chooser)
+	return planLive(tables, k, chooser, len(tables))
 }
 
 // planLive is Algorithm 1 over statistics-only nodes, for at most steps

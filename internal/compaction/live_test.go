@@ -2,7 +2,7 @@ package compaction
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/hll"
 	"repro/internal/keyset"
+	"repro/internal/kverr"
 )
 
 // liveTablesOf builds the live-statistics view of an instance the way the
@@ -193,8 +194,6 @@ func exactCostActual(sc *Schedule, inst *Instance) int {
 	return cost
 }
 
-func noKeys(int) ([]uint64, error) { return nil, fmt.Errorf("planner asked for keys") }
-
 // TestPlanMatchesModel is the planner≡model property. Planned from
 // statistics alone, a schedule is step for step the one Run produces on the
 // exact key sets whenever the statistics determine it: for the strategies
@@ -220,7 +219,7 @@ func TestPlanMatchesModel(t *testing.T) {
 				t.Fatalf("%s: Run: %v", strategy, err)
 			}
 			planChooser, _ := NewChooserByName(strategy, seed)
-			plan, err := Plan(live, k, planChooser, noKeys)
+			plan, err := Plan(live, k, planChooser)
 			if err != nil {
 				t.Fatalf("%s: Plan: %v", strategy, err)
 			}
@@ -256,7 +255,7 @@ func TestPlanDegradesWithoutUsableSketches(t *testing.T) {
 	live[5].Sketch = odd
 	for _, strategy := range []string{"SO", "BT(O)", "SI"} {
 		chooser, _ := NewChooserByName(strategy, 1)
-		plan, err := Plan(live, 4, chooser, noKeys)
+		plan, err := Plan(live, 4, chooser)
 		if err != nil {
 			t.Fatalf("%s: %v", strategy, err)
 		}
@@ -288,7 +287,7 @@ func TestPlanDegradesWithoutUsableSketches(t *testing.T) {
 		bare[i] = LiveTable{Entries: lt.Entries}
 	}
 	chooser, _ := NewChooserByName("SO", 1)
-	plan, err := Plan(bare, 2, chooser, noKeys)
+	plan, err := Plan(bare, 2, chooser)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,30 +296,20 @@ func TestPlanDegradesWithoutUsableSketches(t *testing.T) {
 	}
 }
 
-// TestPlanScansKeysOnlyForExactStrategies: SO(exact) and LM plan from the
-// key callback and reproduce Run on those sets; everything else never calls
-// it.
-func TestPlanScansKeysOnlyForExactStrategies(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	inst := planInstance(rng, 7, false)
-	live := liveTablesOf(t, inst)
+// TestPlanRefusesExactStrategies: SO(exact) and LM rank by exact set
+// operations, which only Run has, so Plan refuses them and NewLiveChooser
+// answers their names, like an unknown one, with ErrConfig.
+func TestPlanRefusesExactStrategies(t *testing.T) {
+	live := liveTablesOf(t, planInstance(rand.New(rand.NewSource(3)), 7, false))
 	for _, strategy := range []string{"SO(exact)", "LM"} {
-		asked := 0
 		chooser, _ := NewChooserByName(strategy, 1)
-		plan, err := Plan(live, 3, chooser, func(i int) ([]uint64, error) {
-			asked++
-			return inst.Table(i).Set.Keys(), nil
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", strategy, err)
+		if plan, err := Plan(live, 3, chooser); err == nil {
+			t.Errorf("%s: Plan made %v, want an error", strategy, stepIDs(plan))
 		}
-		if asked != inst.N() {
-			t.Errorf("%s: asked for %d tables' keys, want %d", strategy, asked, inst.N())
-		}
-		modelChooser, _ := NewChooserByName(strategy, 1)
-		model, _ := Run(inst, 3, modelChooser)
-		if !reflect.DeepEqual(stepIDs(plan), stepIDs(model)) {
-			t.Errorf("%s: planned %v, model %v", strategy, stepIDs(plan), stepIDs(model))
+	}
+	for _, name := range []string{"SO(exact)", "LM", "nope", ""} {
+		if _, err := NewLiveChooser(name, 1); !errors.Is(err, kverr.ErrConfig) {
+			t.Errorf("NewLiveChooser(%q) = %v, want ErrConfig", name, err)
 		}
 	}
 }
@@ -339,11 +328,11 @@ func TestPlanRunsBaselines(t *testing.T) {
 			live[i].Level = rng.Intn(3)
 		}
 		for _, name := range Baselines() {
-			chooser, err := newLiveChooser(name, 1)
+			chooser, err := NewLiveChooser(name, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := Plan(live, k, chooser, noKeys)
+			plan, err := Plan(live, k, chooser)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}

@@ -163,9 +163,11 @@ func TestCompactOverWire(t *testing.T) {
 	if st.Tables != 1 {
 		t.Errorf("tables after = %d", st.Tables)
 	}
-	// Unknown strategy surfaces as a server error.
-	if _, err := c.Compact(context.Background(), "nope", 2); err == nil {
-		t.Errorf("unknown strategy accepted over wire")
+	// An unknown or exact-set strategy surfaces as the server's ErrConfig.
+	for _, strategy := range []string{"nope", "LM"} {
+		if _, err := c.Compact(context.Background(), strategy, 2); !errors.Is(err, kverr.ErrConfig) {
+			t.Errorf("strategy %q over wire: %v, want ErrConfig", strategy, err)
+		}
 	}
 }
 

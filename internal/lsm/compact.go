@@ -86,9 +86,26 @@ type CompactionResult struct {
 // TotalIO returns BytesRead + BytesWritten.
 func (r *CompactionResult) TotalIO() uint64 { return r.BytesRead + r.BytesWritten }
 
+// Add sums o into r, as the results of compactions that ran side by side
+// (one per shard or node): counts and bytes add, StepStats concatenates, and
+// Duration is the slowest one's. Strategy stays r's.
+func (r *CompactionResult) Add(o *CompactionResult) {
+	r.TablesBefore += o.TablesBefore
+	r.TablesAfter += o.TablesAfter
+	r.StepStats = append(r.StepStats, o.StepStats...)
+	r.BytesRead += o.BytesRead
+	r.BytesWritten += o.BytesWritten
+	r.CostSimple += o.CostSimple
+	r.CostActual += o.CostActual
+	r.VersionsPurged += o.VersionsPurged
+	r.Duration = max(r.Duration, o.Duration)
+}
+
 // MajorCompact merges all live sstables (after flushing the memtable) into
 // a single table, scheduling the pairwise/k-way merges with the named
-// strategy from the compaction package ("SI", "SO", "BT(I)", ...).
+// strategy from the compaction package ("SI", "SO", "BT(I)", ...): any name
+// compaction.NewLiveChooser accepts. Any other name fails with
+// kverr.ErrConfig before the compaction touches a table.
 //
 // The compaction is non-blocking: the live table set is snapshotted and
 // the memtable flushed (by the flusher, while the caller waits) in a short
@@ -105,9 +122,9 @@ func (r *CompactionResult) TotalIO() uint64 { return r.BytesRead + r.BytesWritte
 // the swap leaves the old manifest pointing at the old tables; the merge
 // outputs become orphans that Open deletes on recovery.
 func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResult, error) {
-	chooser, err := compaction.NewChooserByName(strategy, seed)
+	chooser, err := compaction.NewLiveChooser(strategy, seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lsm: major compaction: %w", err)
 	}
 	db.majorMu.Lock()
 	defer db.majorMu.Unlock()
@@ -392,24 +409,13 @@ func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, s
 
 // planMajor schedules the merge of snap down to one table from the
 // statistics the tables persist — entry counts, key bounds, key sketches —
-// without reading a data block. The two strategies that rank by exact set
-// operations make the planner ask for hashed keys, and only then is a table
-// scanned (around the block cache, like the merges).
+// without reading a data block.
 func planMajor(snap []*tableHandle, k int, chooser compaction.Chooser) (*compaction.Schedule, error) {
 	live := make([]compaction.LiveTable, len(snap))
 	for i, th := range snap {
 		live[i] = th.live()
 	}
-	return compaction.Plan(live, k, chooser, func(i int) ([]uint64, error) {
-		rd := snap[i].rd
-		keys := make([]uint64, 0, rd.EntryCount())
-		it := rd.ScanIter()
-		defer it.Close()
-		for ; it.Valid(); it.Next() {
-			keys = append(keys, keyhash.Of(it.Entry().Key).H1)
-		}
-		return keys, it.Err()
-	})
+	return compaction.Plan(live, k, chooser)
 }
 
 // record totals the executed merges into the result: bytes moved, and the

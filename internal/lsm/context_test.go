@@ -192,9 +192,6 @@ func TestWriteContextPreCancelled(t *testing.T) {
 	if _, err := db.GetContext(ctx, []byte("k")); !errors.Is(err, context.Canceled) {
 		t.Errorf("GetContext(cancelled) = %v, want context.Canceled", err)
 	}
-	if err := db.FlushContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("FlushContext(cancelled) = %v, want context.Canceled", err)
-	}
 	if _, err := db.GetContext(context.Background(), []byte("k")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("cancelled write leaked into the store: %v", err)
 	}

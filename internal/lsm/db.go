@@ -352,8 +352,8 @@ type DB struct {
 func Open(dir string, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
 	if bg := opts.Background; bg != nil {
-		if _, err := compaction.NewChooserByName(bg.withDefaults().Strategy, bg.Seed); err != nil {
-			return nil, fmt.Errorf("lsm: background %w: %w", err, kverr.ErrConfig)
+		if _, err := compaction.NewLiveChooser(bg.withDefaults().Strategy, 0); err != nil {
+			return nil, fmt.Errorf("lsm: background %w", err)
 		}
 	}
 	fsys := opts.FS
@@ -756,7 +756,7 @@ func (db *DB) backgroundCompactor() {
 			if closed || readOnly || n < db.bgCfg.Trigger {
 				break
 			}
-			_, err := db.MajorCompact(db.bgCfg.Strategy, db.bgCfg.K, db.bgCfg.Seed)
+			_, err := db.MajorCompact(db.bgCfg.Strategy, db.bgCfg.K, 0)
 			if errors.Is(err, ErrClosed) {
 				return
 			}
@@ -841,16 +841,6 @@ func (db *DB) GetContext(ctx context.Context, key []byte) ([]byte, error) {
 // picks after it), hands it the memtable and waits for that flush. No
 // AutoCompact pick follows an explicit flush.
 func (db *DB) Flush() error {
-	return db.FlushContext(context.Background())
-}
-
-// FlushContext is Flush honoring ctx. The flush itself is not interruptible
-// once started — it is one sstable write plus a WAL segment swap — so the
-// context is only consulted before the work begins.
-func (db *DB) FlushContext(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	if err := db.lockQuiesced(); err != nil {
 		return err
 	}

@@ -8,10 +8,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/kverr"
 	"repro/internal/model"
+	"repro/internal/sstable"
 )
 
 func openTestDB(t testing.TB, opts Options) *DB {
@@ -523,8 +526,39 @@ func TestMajorCompactTrivialCases(t *testing.T) {
 	}
 	// Unknown strategy.
 	fillTables(t, db, 3, 50)
-	if _, err := db.MajorCompact("nope", 2, 0); err == nil {
-		t.Errorf("unknown strategy accepted")
+	if _, err := db.MajorCompact("nope", 2, 0); !errors.Is(err, kverr.ErrConfig) {
+		t.Errorf("unknown strategy: %v, want ErrConfig", err)
+	}
+}
+
+// TestCompactionResultAddDropsNothing: Add into a zero result returns its
+// argument, every field but Strategy (the receiver's) filled with its own
+// value; a second Add doubles the counts and keeps the slower Duration.
+func TestCompactionResultAddDropsNothing(t *testing.T) {
+	var want CompactionResult
+	v := reflect.ValueOf(&want).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, n := v.Field(i), i+1
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(n))
+		case reflect.Uint64:
+			f.SetUint(uint64(n))
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]sstable.MergeStats{{BytesRead: uint64(n), EntriesOut: 1}}))
+		case reflect.String:
+		default:
+			t.Fatalf("CompactionResult.%s: no test value for a %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var sum CompactionResult
+	sum.Add(&want)
+	if !reflect.DeepEqual(sum, want) {
+		t.Fatalf("Add into a zero result = %+v, want %+v", sum, want)
+	}
+	sum.Add(&want)
+	if sum.CostActual != 2*want.CostActual || len(sum.StepStats) != 2 || sum.Duration != want.Duration {
+		t.Errorf("second Add = %+v", sum)
 	}
 }
 

@@ -3,12 +3,14 @@ package lsm
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/compaction"
 	"repro/internal/hll"
+	"repro/internal/kverr"
 	"repro/internal/vfs"
 )
 
@@ -37,7 +39,7 @@ func planFixture(tb testing.TB, fsys vfs.FS, tables, keys int) *DB {
 // returns the bytes the planning read from table files and allocated.
 func planCost(t *testing.T, db *DB, fsys *sstReads, strategy string) (read int64, alloc uint64) {
 	t.Helper()
-	chooser, err := compaction.NewChooserByName(strategy, 1)
+	chooser, err := compaction.NewLiveChooser(strategy, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +60,8 @@ func planCost(t *testing.T, db *DB, fsys *sstReads, strategy string) (read int64
 // TestMajorCompactReadsEachInputOnce: planning from persisted statistics
 // reads no table data and allocates the same whatever the tables hold, so a
 // major compaction's device reads are its merges' — every step's inputs,
-// once — and nothing more. The key-set strategies (LM here) are the
-// documented exception: they pay one extra pass and O(keys) memory.
+// once — and nothing more. The key-set strategies, which would need a pass
+// over every key, are refused with ErrConfig before a table is read.
 func TestMajorCompactReadsEachInputOnce(t *testing.T) {
 	var statsAlloc []uint64
 	for _, keys := range []int{20_000, 200_000} {
@@ -76,10 +78,14 @@ func TestMajorCompactReadsEachInputOnce(t *testing.T) {
 		}
 		statsAlloc = append(statsAlloc, alloc)
 
-		read, alloc = planCost(t, db, fsys, "LM")
-		if read < snapBytes*8/10 || alloc < uint64(8*keys) {
-			t.Errorf("%d keys: planning LM read %d of %d table bytes and allocated %d; want a full pass and at least 8 bytes a key",
-				keys, read, snapBytes, alloc)
+		refused0 := fsys.bytes.Load()
+		for _, strategy := range []string{"LM", "SO(exact)"} {
+			if _, err := db.MajorCompact(strategy, 4, 1); !errors.Is(err, kverr.ErrConfig) {
+				t.Errorf("%d keys: MajorCompact(%s) = %v, want ErrConfig", keys, strategy, err)
+			}
+		}
+		if read := fsys.bytes.Load() - refused0; read != 0 {
+			t.Errorf("%d keys: refusing the key-set strategies read %d table bytes, want none", keys, read)
 		}
 
 		read0 := fsys.bytes.Load()
@@ -101,8 +107,8 @@ func TestMajorCompactReadsEachInputOnce(t *testing.T) {
 			t.Errorf("%d keys: major compaction read %d bytes for %d bytes of step inputs (%d in the snapshot)",
 				keys, read, stepBytes, snapBytes)
 		}
-		t.Logf("%d keys: snapshot %d B, step inputs %d B, compaction read %d B; LM planning allocated %d B, BT(I) planning %d B",
-			keys, snapBytes, stepBytes, read, alloc, statsAlloc[len(statsAlloc)-1])
+		t.Logf("%d keys: snapshot %d B, step inputs %d B, compaction read %d B; BT(I) planning allocated %d B",
+			keys, snapBytes, stepBytes, read, alloc)
 		if want := keys + 2*keys + keys; res.CostActual != want {
 			// Disjoint tables: two level-1 merges read and write every key
 			// once, the root merge once more.
@@ -167,15 +173,14 @@ func BenchmarkProbeTablesMiss(b *testing.B) {
 
 // BenchmarkMajorCompactPlan is the planning phase of a major compaction at
 // the harness's read_cold shape — 37 tables of 8 000 entries — from
-// persisted statistics, and from scanned keys for a strategy that needs
-// them.
+// persisted statistics.
 func BenchmarkMajorCompactPlan(b *testing.B) {
 	db := planFixture(b, vfs.Default, 37, 37*8000)
-	for _, strategy := range []string{"BT(I)", "SO", "LM"} {
+	for _, strategy := range []string{"BT(I)", "SO"} {
 		b.Run(strategy, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				chooser, err := compaction.NewChooserByName(strategy, 1)
+				chooser, err := compaction.NewLiveChooser(strategy, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/compaction"
 )
@@ -79,8 +78,8 @@ func (p *Policy) pick(tables []compaction.LiveTable) (*compaction.Schedule, erro
 // the paper's strategies, which trigger at 2k live tables, and leveled's L0
 // trigger; size-tiered merges up to 32 tables at once (Cassandra's
 // max_threshold) and leveled whatever its overlap closure holds. k below 2
-// selects 4; seed feeds RANDOM. Unknown names are an error listing the
-// accepted set.
+// selects 4; seed feeds RANDOM. Any other name is compaction.NewLiveChooser's
+// error, which wraps kverr.ErrConfig and lists the accepted set.
 func PolicyByName(name string, k int, seed int64) (*Policy, error) {
 	if k < 2 {
 		k = 4
@@ -95,15 +94,14 @@ func PolicyByName(name string, k int, seed int64) (*Policy, error) {
 	case "leveled":
 		return &Policy{name: name, chooser: func() compaction.Chooser { return &compaction.Leveled{L0Trigger: k} }}, nil
 	}
-	if !compaction.IsLiveStrategy(name) {
-		return nil, fmt.Errorf("lsm: unknown compaction policy %q (have none, %s, %s)", name,
-			strings.Join(compaction.Baselines(), ", "), strings.Join(compaction.LiveStrategies(), ", "))
+	if _, err := compaction.NewLiveChooser(name, seed); err != nil {
+		return nil, fmt.Errorf("lsm: compaction policy (none or a strategy): %w", err)
 	}
 	// Trigger at 2k live tables and merge k of them: the gap between trigger
 	// and fan-in is what gives the strategy a real choice — at exactly k
 	// tables every strategy would pick the same set.
 	return &Policy{name: name, k: k, minTables: 2 * k, chooser: func() compaction.Chooser {
-		ch, _ := compaction.NewChooserByName(name, seed) // a live strategy's name: never fails
+		ch, _ := compaction.NewLiveChooser(name, seed) // resolved above: never fails
 		return ch
 	}}, nil
 }
@@ -126,8 +124,6 @@ type BackgroundConfig struct {
 	Strategy string
 	// K is the maximum merge fan-in. Zero selects 4.
 	K int
-	// Seed feeds randomized strategies.
-	Seed int64
 }
 
 func (c BackgroundConfig) withDefaults() BackgroundConfig {

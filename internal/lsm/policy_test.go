@@ -321,19 +321,21 @@ func TestGetPicksNewestAcrossNonAdjacentTables(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsUnknownStrategy: a background strategy name the compaction
-// package does not know fails Open with ErrConfig, rather than every
-// background run (whose parked error would also turn backpressure off), and
-// an empty name still selects BT(I).
+// TestOpenRejectsUnknownStrategy: a background strategy name the engine
+// does not plan with, unknown or exact-set, fails Open with ErrConfig,
+// rather than every background run (whose parked error would also turn
+// backpressure off), and an empty name still selects BT(I).
 func TestOpenRejectsUnknownStrategy(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{Background: &BackgroundConfig{Strategy: "nope"}})
-	if !errors.Is(err, kverr.ErrConfig) {
-		if err == nil {
-			db.Close()
+	for _, strategy := range []string{"nope", "LM", "SO(exact)"} {
+		db, err := Open(t.TempDir(), Options{Background: &BackgroundConfig{Strategy: strategy}})
+		if !errors.Is(err, kverr.ErrConfig) {
+			if err == nil {
+				db.Close()
+			}
+			t.Fatalf("Open with strategy %q = %v, want ErrConfig", strategy, err)
 		}
-		t.Fatalf("Open with strategy \"nope\" = %v, want ErrConfig", err)
 	}
-	db = openTestDB(t, Options{Background: &BackgroundConfig{}})
+	db := openTestDB(t, Options{Background: &BackgroundConfig{}})
 	if db.bgCfg.Strategy != "BT(I)" {
 		t.Fatalf("an empty strategy selected %q", db.bgCfg.Strategy)
 	}

@@ -66,7 +66,7 @@ func putRange(t testing.TB, db *DB, m *model.Model, prefix string, n int, value 
 
 func flush(t testing.TB, db *DB) {
 	t.Helper()
-	if err := db.FlushContext(context.Background()); err != nil {
+	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -60,7 +60,7 @@ func TestEnginePickIsPlansFirstStep(t *testing.T) {
 		if k == 0 {
 			k = len(live)
 		}
-		plan, err := compaction.Plan(live, k, p.chooser(), nil)
+		plan, err := compaction.Plan(live, k, p.chooser())
 		if err != nil {
 			t.Fatalf("%s: Plan: %v", name, err)
 		}

@@ -52,8 +52,8 @@ type FilterMetrics struct {
 // the same handle, and the Reader it hands over (Writer.Reader) looks them
 // up under that ID; one merged from input that was not resident is
 // published cold, admitted only where it displaces nothing live.
-// Maintenance readers (merge inputs, planning scans — Reader.ScanIter — and
-// a merge's purge probe, Reader.HoldsNewer) look blocks up with Peek, which
+// Maintenance readers (merge inputs — Reader.ScanIter — and a merge's purge
+// probe, Reader.HoldsNewer) look blocks up with Peek, which
 // neither promotes nor counts, and read what is missing into buffers of
 // cache.Uncached; a merge, and only a merge, Demotes each resident block as
 // it takes it up, so its dead input is evicted before anything live, and a
@@ -490,11 +490,11 @@ func (rd *Reader) newIter(nofill bool) *Iter {
 func (rd *Reader) Iter() *Iter { return rd.newIter(false) }
 
 // ScanIter is Iter for maintenance that reads a whole table once and must
-// not let that show in the cache — a planning scan, and the inputs of a
-// compaction merge: resident blocks are used where they lie, the rest pass
-// through private buffers, and the cache's contents, recency order and
-// hit/miss counters are the same afterwards as before (MergeTo alone goes
-// one step further and spends the resident blocks it consumes). Its blocks are
+// not let that show in the cache — the inputs of a compaction merge:
+// resident blocks are used where they lie, the rest pass through private
+// buffers, and the cache's contents, recency order and hit/miss counters
+// are the same afterwards as before (MergeTo alone goes one step further
+// and spends the resident blocks it consumes). Its blocks are
 // fetched — looked up or read, and verified — a span of spanBlocks at a time,
 // on the goroutine that iterates, when its entries reach the next span.
 func (rd *Reader) ScanIter() *Iter { return rd.newIter(true) }

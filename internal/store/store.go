@@ -37,7 +37,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/iterator"
@@ -454,7 +453,6 @@ func (sn *Snapshot) Release() {
 // concatenated per-merge stats, and the wall-clock duration of the slowest
 // shard. Per-shard results are available through Shard(i).
 func (s *Store) MajorCompact(strategy string, k int, seed int64) (*lsm.CompactionResult, error) {
-	start := time.Now()
 	results := make([]*lsm.CompactionResult, len(s.shards))
 	err := s.forAllIndexed(func(i int, db *lsm.DB) error {
 		res, err := db.MajorCompact(strategy, k, seed+int64(i))
@@ -466,15 +464,8 @@ func (s *Store) MajorCompact(strategy string, k int, seed int64) (*lsm.Compactio
 	}
 	agg := &lsm.CompactionResult{Strategy: strategy}
 	for _, res := range results {
-		agg.TablesBefore += res.TablesBefore
-		agg.TablesAfter += res.TablesAfter
-		agg.StepStats = append(agg.StepStats, res.StepStats...)
-		agg.BytesRead += res.BytesRead
-		agg.BytesWritten += res.BytesWritten
-		agg.CostSimple += res.CostSimple
-		agg.CostActual += res.CostActual
+		agg.Add(res)
 	}
-	agg.Duration = time.Since(start)
 	return agg, nil
 }
 

@@ -38,13 +38,22 @@ func TestConfigErrorsWrapSentinel(t *testing.T) {
 			_, err := Open(t.TempDir(), WithStatsHandler(""))
 			return err
 		}},
-		// An unknown strategy name fails Open, not every compaction after it.
+		// An unknown or exact-set strategy name fails Open, not every
+		// compaction after it.
 		{"unknown background strategy", func() error {
 			_, err := Open(t.TempDir(), WithBackgroundCompaction(BackgroundConfig{Strategy: "nope"}))
 			return err
 		}},
+		{"exact-set background strategy", func() error {
+			_, err := Open(t.TempDir(), WithBackgroundCompaction(BackgroundConfig{Strategy: "LM"}))
+			return err
+		}},
 		{"unknown compaction strategy", func() error {
 			_, err := Open(t.TempDir(), WithCompactionStrategy("nope", 4))
+			return err
+		}},
+		{"exact-set compaction strategy", func() error {
+			_, err := Open(t.TempDir(), WithCompactionStrategy("LM", 4))
 			return err
 		}},
 	}

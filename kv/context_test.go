@@ -181,6 +181,12 @@ func TestPreCancelledOps(t *testing.T) {
 		if _, err := eng.Snapshot(ctx); !errors.Is(err, context.Canceled) {
 			t.Errorf("Snapshot = %v", err)
 		}
+		if err := eng.Flush(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("Flush = %v", err)
+		}
+		if _, err := eng.Compact(ctx, nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("Compact = %v", err)
+		}
 	})
 }
 

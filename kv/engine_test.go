@@ -476,6 +476,27 @@ func TestEngineFlushCompactStats(t *testing.T) {
 	})
 }
 
+// TestCompactRefusesNonLiveStrategies: a per-call strategy the engine does
+// not plan with, unknown or exact-set, fails with ErrConfig on every backend.
+func TestCompactRefusesNonLiveStrategies(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, eng Engine) {
+		ctx := context.Background()
+		for i := 0; i < 2; i++ {
+			if err := eng.Put(ctx, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, strategy := range []string{"nope", "LM", "SO(exact)"} {
+			if _, err := eng.Compact(ctx, &CompactOptions{Strategy: strategy}); !errors.Is(err, ErrConfig) {
+				t.Errorf("Compact(%q) = %v, want ErrConfig", strategy, err)
+			}
+		}
+	})
+}
+
 // TestEnginePurgeMatchesModel runs a short form of the lsm purge model
 // test, rounds of overwrites and deletes, on every backend, with BT(I) minor
 // compactions after the flushes a small memtable forces, and checks every

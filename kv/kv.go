@@ -194,10 +194,11 @@ func (b *Batch) Reset() { b.wb.Reset() }
 
 // CompactOptions selects the merge schedule of one Compact call.
 type CompactOptions struct {
-	// Strategy names a merge-scheduling strategy from the paper's set —
-	// "BT", "BT(I)", "SI", "SO", "LM", "RANDOM", ... Empty selects the
-	// engine's configured default (WithCompactionStrategy, itself
-	// defaulting to "BT(I)").
+	// Strategy names a merge-scheduling strategy that plans from table
+	// statistics — "BT", "BT(I)", "SI", "SO", "RANDOM", ..., or a baseline
+	// such as "size-tiered" (see compaction.NewLiveChooser); any other name
+	// fails with ErrConfig. Empty selects the engine's configured default
+	// (WithCompactionStrategy, itself defaulting to "BT(I)").
 	Strategy string
 	// K bounds the merge fan-in. Zero selects the configured default.
 	K int
@@ -264,16 +265,12 @@ type ClusterStats = cluster.Metrics
 // engine it ran on, or of each cluster node, which compact concurrently,
 // so wall time is the slowest node's.
 func compactionInfo(strategy string, results ...*lsm.CompactionResult) *CompactionInfo {
-	info := &CompactionInfo{Strategy: strategy}
+	var sum lsm.CompactionResult
 	for _, res := range results {
-		info.TablesBefore += res.TablesBefore
-		info.Merges += len(res.StepStats)
-		info.BytesRead += res.BytesRead
-		info.BytesWritten += res.BytesWritten
-		info.CostActual += res.CostActual
-		info.Duration = max(info.Duration, res.Duration)
+		sum.Add(res)
 	}
-	return info
+	return &CompactionInfo{Strategy: strategy, TablesBefore: sum.TablesBefore, Merges: len(sum.StepStats),
+		BytesRead: sum.BytesRead, BytesWritten: sum.BytesWritten, CostActual: sum.CostActual, Duration: sum.Duration}
 }
 
 // statsFromLSM wraps an engine's stats snapshot in the public shape.

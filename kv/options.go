@@ -74,14 +74,7 @@ func (c *config) lsmOptions() lsm.Options {
 	if p, err := lsm.PolicyByName(c.autoCompact, c.compactK, 1); err == nil {
 		opts.AutoCompact = p
 	}
-	if c.background != nil {
-		opts.Background = &lsm.BackgroundConfig{
-			Trigger:  c.background.Trigger,
-			Stall:    c.background.Stall,
-			Strategy: c.background.Strategy,
-			K:        c.background.K,
-		}
-	}
+	opts.Background = c.background
 	return opts
 }
 
@@ -191,21 +184,9 @@ func WithAutoCompact(policy string) Option {
 
 // BackgroundConfig tunes background major compaction; see
 // WithBackgroundCompaction. Zero fields select engine defaults (trigger 8,
-// stall 4×trigger, strategy "BT(I)", fan-in 4).
-type BackgroundConfig struct {
-	// Trigger is the live table count that starts a background major
-	// compaction.
-	Trigger int
-	// Stall is the table count at which writers block until the
-	// compactor catches up (write backpressure). A write whose context
-	// expires while stalled returns ErrStalled wrapping the context
-	// error.
-	Stall int
-	// Strategy names the merge-scheduling strategy.
-	Strategy string
-	// K bounds the merge fan-in.
-	K int
-}
+// stall 4×trigger, strategy "BT(I)", fan-in 4). A write whose context
+// expires while stalled returns ErrStalled wrapping the context error.
+type BackgroundConfig = lsm.BackgroundConfig
 
 // WithBackgroundCompaction starts a per-partition maintenance goroutine
 // that runs non-blocking major compactions at cfg.Trigger live tables and
@@ -255,14 +236,14 @@ func WithCompactionStrategy(strategy string, k int) Option {
 	}
 }
 
-// checkStrategy rejects a strategy name the compaction package does not
-// know; "" keeps the default.
+// checkStrategy rejects a strategy name the engine does not plan with (see
+// compaction.NewLiveChooser); "" keeps the default.
 func checkStrategy(name string) error {
 	if name == "" {
 		return nil
 	}
-	if _, err := compaction.NewChooserByName(name, 0); err != nil {
-		return fmt.Errorf("kv: %w: %w", err, ErrConfig)
+	if _, err := compaction.NewLiveChooser(name, 0); err != nil {
+		return fmt.Errorf("kv: %w", err)
 	}
 	return nil
 }
