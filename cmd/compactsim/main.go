@@ -1,6 +1,6 @@
-// Command compactsim regenerates the paper's evaluation figures from the
-// simulator. Each figure prints as an aligned text table; -csv additionally
-// writes machine-readable data.
+// Command compactsim regenerates the paper's evaluation figures from
+// internal/experiments. Each figure prints as an aligned text table; -csv
+// additionally writes machine-readable data.
 //
 // Usage:
 //
@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,37 +29,60 @@ import (
 
 	"repro/internal/compaction"
 	"repro/internal/experiments"
-	"repro/internal/simulator"
 	"repro/internal/vfs"
 	"repro/internal/ycsb"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		fmt.Fprintln(os.Stderr, "compactsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args as compactsim's command line and prints the requested
+// figures, score or dump report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("compactsim", flag.ContinueOnError)
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: 7, 7a, 7b, 8, 9a, 9b, optgap, ablation, all")
-		ops     = flag.Int("ops", 100000, "YCSB operationcount")
-		records = flag.Int("records", 1000, "YCSB recordcount")
-		mem     = flag.Int("memtable", 1000, "memtable capacity in distinct keys")
-		runs    = flag.Int("runs", 3, "independent runs to average")
-		k       = flag.Int("k", 2, "sstables merged per iteration")
-		workers = flag.Int("workers", 0, "merge parallelism for BT (0 = GOMAXPROCS)")
-		dist    = flag.String("dist", "latest", "key distribution for figure 7: uniform, zipfian, latest")
-		seed    = flag.Int64("seed", 1, "base random seed")
-		csvDir  = flag.String("csv", "", "directory to also write CSV files into")
-		tables  = flag.Int("optgap-tables", 10, "sstable count for the optimality-gap experiment")
-		trials  = flag.Int("optgap-trials", 5, "trials for the optimality-gap experiment")
-		score   = flag.String("score", "", "score an instance file (one table per line, keys or lo-hi ranges) with every strategy and exit")
-		dump    = flag.String("dump", "", "generate one workload instance (using -ops/-records/-memtable/-dist) and write it to this file, then exit")
-		strats  = flag.String("strategies", "", "comma-separated strategy subset for figure 7 (registry names, same as the live engine; empty = the paper's five)")
+		fig     = fs.String("fig", "all", "figure to regenerate: 7, 7a, 7b, 8, 9a, 9b, optgap, ablation, all")
+		ops     = fs.Int("ops", 100000, "YCSB operationcount")
+		records = fs.Int("records", 1000, "YCSB recordcount")
+		mem     = fs.Int("memtable", 1000, "memtable capacity in distinct keys")
+		runs    = fs.Int("runs", 3, "independent runs to average")
+		k       = fs.Int("k", 2, "sstables merged per iteration")
+		workers = fs.Int("workers", 0, "merge parallelism for BT (0 = GOMAXPROCS)")
+		dist    = fs.String("dist", "latest", "key distribution for figure 7: uniform, zipfian, latest")
+		seed    = fs.Int64("seed", 1, "base random seed")
+		csvDir  = fs.String("csv", "", "directory to also write CSV files into")
+		tables  = fs.Int("optgap-tables", 10, "sstable count for the optimality-gap experiment")
+		trials  = fs.Int("optgap-trials", 5, "trials for the optimality-gap experiment")
+		score   = fs.String("score", "", "score an instance file (one table per line, keys or lo-hi ranges) with every strategy and exit")
+		dump    = fs.String("dump", "", "generate one workload instance (using -ops/-records/-memtable/-dist) and write it to this file, then exit")
+		strats  = fs.String("strategies", "", "comma-separated strategy subset for figure 7 (the model's strategy names, not the live engine's; empty = the paper's five)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// Params treats a zero as "the paper's default"; on the command line
+	// an out-of-range value is an error, never a silent substitution.
+	if *k < 2 {
+		return fmt.Errorf("-k must be at least 2, got %d", *k)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"runs", *runs}, {"ops", *ops}, {"records", *records}, {"memtable", *mem}, {"optgap-tables", *tables}, {"optgap-trials", *trials}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v)
+		}
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers must not be negative, got %d", *workers)
+	}
 
 	d, err := ycsb.ParseDistribution(*dist)
 	if err != nil {
@@ -85,10 +109,10 @@ func run() error {
 		}
 	}
 	if *score != "" {
-		return scoreFile(*score, *k, *seed)
+		return scoreFile(stdout, *score, *k, *seed)
 	}
 	if *dump != "" {
-		return dumpInstance(*dump, p)
+		return dumpInstance(stdout, *dump, p)
 	}
 
 	want := func(names ...string) bool {
@@ -107,7 +131,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatFig7(rows))
+		fmt.Fprint(stdout, experiments.FormatFig7(rows))
 		if err := writeCSV(*csvDir, "fig7.csv", func(f io.Writer) error {
 			return experiments.WriteFig7CSV(f, rows)
 		}); err != nil {
@@ -120,7 +144,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.FormatFig8(rows))
+		fmt.Fprintln(stdout, experiments.FormatFig8(rows))
 		if err := writeCSV(*csvDir, "fig8.csv", func(f io.Writer) error {
 			return experiments.WriteFig8CSV(f, rows)
 		}); err != nil {
@@ -133,7 +157,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.FormatFig9("Figure 9a: SI cost vs time, update percentage sweep", "update%", rows))
+		fmt.Fprintln(stdout, experiments.FormatFig9("Figure 9a: SI cost vs time, update percentage sweep", "update%", rows))
 		if err := writeCSV(*csvDir, "fig9a.csv", func(f io.Writer) error {
 			return experiments.WriteFig9CSV(f, "update_pct", rows)
 		}); err != nil {
@@ -146,7 +170,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.FormatFig9("Figure 9b: SI cost vs time, operationcount sweep", "opcount", rows))
+		fmt.Fprintln(stdout, experiments.FormatFig9("Figure 9b: SI cost vs time, operationcount sweep", "opcount", rows))
 		if err := writeCSV(*csvDir, "fig9b.csv", func(f io.Writer) error {
 			return experiments.WriteFig9CSV(f, "operation_count", rows)
 		}); err != nil {
@@ -159,7 +183,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.FormatOptGap(rows))
+		fmt.Fprintln(stdout, experiments.FormatOptGap(rows))
 	}
 	if want("ablation") {
 		ran = true
@@ -167,12 +191,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.FormatKSweep(ks))
+		fmt.Fprintln(stdout, experiments.FormatKSweep(ks))
 		hs, err := experiments.HLLSweep(p, 40, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.FormatHLLSweep(hs))
+		fmt.Fprintln(stdout, experiments.FormatHLLSweep(hs))
 	}
 	if !ran {
 		return fmt.Errorf("unknown figure %q (want 7, 7a, 7b, 8, 9a, 9b, optgap, ablation, all)", *fig)
@@ -181,9 +205,9 @@ func run() error {
 }
 
 // parseStrategies splits a comma-separated strategy list and validates
-// every name against the registry — the same name list the live engine
-// accepts. An unknown name is an error naming the accepted set, never a
-// silent fallback to the defaults.
+// every name against the model's registry, compaction.StrategyNames. An
+// unknown name is an error naming the accepted set, never a silent
+// fallback to the defaults.
 func parseStrategies(s string) ([]string, error) {
 	if s == "" {
 		return nil, nil
@@ -209,7 +233,7 @@ func parseStrategies(s string) ([]string, error) {
 
 // scoreFile scores an instance file with every strategy (and the exact
 // optimum when feasible), printing simple and actual costs.
-func scoreFile(path string, k int, seed int64) error {
+func scoreFile(stdout io.Writer, path string, k int, seed int64) error {
 	f, err := vfs.Default.Open(path)
 	if err != nil {
 		return err
@@ -228,14 +252,14 @@ func scoreFile(path string, k int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("instance: %d tables, %d distinct keys, LOPT = %d\n\n",
+	fmt.Fprintf(stdout, "instance: %d tables, %d distinct keys, LOPT = %d\n\n",
 		inst.N(), inst.Universe().Len(), inst.LowerBound())
 	names := make([]string, 0, len(scores))
 	for name := range scores {
 		names = append(names, name)
 	}
 	sort.Slice(names, func(i, j int) bool { return scores[names[i]][0] < scores[names[j]][0] })
-	tw := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "strategy\tcost (eq 2.1)\tcostactual")
 	for _, name := range names {
 		fmt.Fprintf(tw, "%s\t%d\t%d\n", name, scores[name][0], scores[name][1])
@@ -245,18 +269,16 @@ func scoreFile(path string, k int, seed int64) error {
 
 // dumpInstance generates one phase-one instance from the workload
 // parameters and writes it in the instance text format.
-func dumpInstance(path string, p experiments.Params) error {
-	inst, err := simulator.GenerateTables(simulator.Config{
-		Workload: ycsb.Config{
-			RecordCount:      p.RecordCount,
-			OperationCount:   p.OperationCount,
-			UpdateProportion: 0.6,
-			InsertProportion: 0.4,
-			Distribution:     p.Distribution,
-			Seed:             p.Seed,
-		},
-		MemtableKeys: p.MemtableKeys,
-	})
+func dumpInstance(stdout io.Writer, path string, p experiments.Params) error {
+	cfg := ycsb.Config{
+		RecordCount:      p.RecordCount,
+		OperationCount:   p.OperationCount,
+		UpdateProportion: 0.6,
+		InsertProportion: 0.4,
+		Distribution:     p.Distribution,
+		Seed:             p.Seed,
+	}
+	inst, err := experiments.GenerateTables(cfg, p.MemtableKeys)
 	if err != nil {
 		return err
 	}
@@ -271,7 +293,7 @@ func dumpInstance(path string, p experiments.Params) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d tables to %s\n", inst.N(), path)
+	fmt.Fprintf(stdout, "wrote %d tables to %s\n", inst.N(), path)
 	return nil
 }
 

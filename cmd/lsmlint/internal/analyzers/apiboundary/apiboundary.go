@@ -1,6 +1,6 @@
 // Package apiboundary enforces the public-API façade: binaries (cmd/) and
-// examples build against the public kv package — plus the paper's
-// simulator layer, which has no kv façade — never against the engine
+// examples build against the public kv package — plus the paper's model
+// of compaction, which has no kv façade — never against the engine
 // internals kv wraps. It replaces the CI grep step with a real analyzer
 // (kv.TestPublicAPIBoundary remains as the in-tree twin); unlike the
 // grep, it is allowlist-based, so a newly added internal package is
@@ -19,11 +19,9 @@ import (
 // sstable,memtable,vfs,...} — is reachable only through the kv façade.
 var allowedSuffixes = map[string]bool{
 	"kv": true,
-	// The paper's compaction-strategy simulator layer: pure analysis
-	// code with no engine state, exercised directly by compactsim and
-	// the strategy examples.
+	// The paper's model of compaction and its evaluation: pure analysis
+	// code with no engine state, exercised directly by compactsim.
 	"internal/compaction":  true,
-	"internal/simulator":   true,
 	"internal/experiments": true,
 	"internal/ycsb":        true,
 	"internal/keyset":      true,
@@ -35,7 +33,7 @@ var allowedSuffixes = map[string]bool{
 
 var Analyzer = &lintcore.Analyzer{
 	Name: "apiboundary",
-	Doc:  "cmd/ and examples/ import the public kv façade (and the paper's simulator layer), never engine internals",
+	Doc:  "cmd/ and examples/ import the public kv façade (and the paper's model of compaction), never engine internals",
 	Run:  run,
 }
 

@@ -1,22 +1,14 @@
-// ycsb_compaction: a miniature of the paper's Figure 7 experiment. It
-// generates YCSB-style workloads at several update percentages (latest
-// distribution), flushes them through a fixed-size memtable into sstables,
-// and compares all five evaluated strategies on compaction cost and time.
-// Watch for the paper's shapes: cost falls as updates rise, RANDOM is worst
-// at 0% updates, and the spread vanishes at 100%.
+// ycsb_compaction benchmarks compaction policies against each other on the
+// real engine: for every (strategy, shard count) pair it drives a
+// write-heavy YCSB workload through a fresh store with that policy as the
+// live auto-compaction picker, then measures point-read throughput against
+// the resulting table layout. Write amplification ((flushed + compacted) /
+// flushed), merge counts, write-stall time and read/write throughput land
+// in the -bench FILE as JSON — the strategy-vs-strategy comparison the
+// paper's model (cmd/compactsim) cannot make, because it never pays real
+// I/O.
 //
-// With -shards N (N > 0) the 50%-update workload additionally runs against
-// the real sharded engine: the YCSB operations commit through N per-shard
-// group-commit pipelines and the cluster-wide compaction happens per shard.
-//
-// With -bench FILE the program instead benchmarks compaction policies
-// against each other on the real engine: for every (strategy, shard count)
-// pair it drives a write-heavy YCSB workload through a fresh store with
-// that policy as the live auto-compaction picker, then measures point-read
-// throughput against the resulting table layout. Write amplification
-// ((flushed + compacted) / flushed), merge counts, write-stall time and
-// read/write throughput land in FILE as JSON — the strategy-vs-strategy
-// comparison the simulator cannot make, because it never pays real I/O.
+//	go run ./examples/ycsb_compaction -bench out.json
 package main
 
 import (
@@ -32,8 +24,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/compaction"
-	"repro/internal/simulator"
 	"repro/internal/ycsb"
 	"repro/kv"
 )
@@ -41,8 +31,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ycsb_compaction: ")
-	shards := flag.Int("shards", 0, "also drive the workload through a real store with this many shards (0 = simulator only)")
-	bench := flag.String("bench", "", "benchmark auto-compaction policies on the real engine and write JSON results to this file (skips the simulator table)")
+	bench := flag.String("bench", "", "benchmark auto-compaction policies on the real engine and write JSON results to this file")
 	benchOps := flag.Int("bench-ops", 40000, "benchmark run-phase operation count")
 	benchRecords := flag.Int("bench-records", 5000, "benchmark load-phase record count")
 	benchReads := flag.Int("bench-reads", 8000, "benchmark point reads against the final layout")
@@ -53,141 +42,23 @@ func main() {
 	benchStrategies := flag.String("bench-strategies", "size-tiered,BT(I),leveled", "comma-separated auto-compaction policies to benchmark")
 	flag.Parse()
 
-	if *bench != "" {
-		if err := runBench(benchConfig{
-			Out:        *bench,
-			Ops:        *benchOps,
-			Records:    *benchRecords,
-			Reads:      *benchReads,
-			Memtable:   *benchMem,
-			Update:     *benchUpdate,
-			K:          *benchK,
-			Shards:     splitInts(*benchShards),
-			Strategies: splitNames(*benchStrategies),
-		}); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if *bench == "" {
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	const (
-		operationCount = 30000
-		recordCount    = 1000
-		memtableKeys   = 1000
-	)
-	strategies := compaction.EvaluatedStrategies()
-
-	tw := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-	fmt.Fprint(tw, "update%\tsstables")
-	for _, s := range strategies {
-		fmt.Fprintf(tw, "\t%s cost\t%s ms", s, s)
-	}
-	fmt.Fprintln(tw)
-
-	for _, pct := range []int{0, 25, 50, 75, 100} {
-		inst, err := simulator.GenerateTables(simulator.Config{
-			Workload: ycsb.Config{
-				RecordCount:      recordCount,
-				OperationCount:   operationCount,
-				UpdateProportion: float64(pct) / 100,
-				InsertProportion: 1 - float64(pct)/100,
-				Distribution:     ycsb.Latest,
-				Seed:             7,
-			},
-			MemtableKeys: memtableKeys,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(tw, "%d\t%d", pct, inst.N())
-		for _, strat := range strategies {
-			res, err := simulator.RunStrategy(inst, strat, 2, 1, 4)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(tw, "\t%d\t%.2f", res.CostActual, float64(res.Reported.Microseconds())/1000)
-		}
-		fmt.Fprintln(tw)
-	}
-	if err := tw.Flush(); err != nil {
+	if err := runBench(benchConfig{
+		Out:        *bench,
+		Ops:        *benchOps,
+		Records:    *benchRecords,
+		Reads:      *benchReads,
+		Memtable:   *benchMem,
+		Update:     *benchUpdate,
+		K:          *benchK,
+		Shards:     splitInts(*benchShards),
+		Strategies: splitNames(*benchStrategies),
+	}); err != nil {
 		log.Fatal(err)
 	}
-
-	if *shards > 0 {
-		runEngine(*shards, operationCount, recordCount)
-	}
-}
-
-// runEngine replays the 50%-update YCSB workload against a real sharded
-// store and reports write throughput plus the per-shard compaction shape.
-func runEngine(shards, operationCount, recordCount int) {
-	dir, err := os.MkdirTemp("", "ycsb-engine-")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir) //lint:allow vfsdirect vfs.FS has no RemoveAll; example scratch-dir cleanup, not engine I/O
-	ctx := context.Background()
-	st, err := kv.Open(dir, kv.WithShards(shards), kv.WithMemtableBytes(64<<10))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer st.Close()
-
-	gen, err := ycsb.NewGenerator(ycsb.Config{
-		RecordCount:      recordCount,
-		OperationCount:   operationCount,
-		UpdateProportion: 0.5,
-		InsertProportion: 0.5,
-		Distribution:     ycsb.Latest,
-		Seed:             7,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	writes := 0
-	start := time.Now()
-	emit := func(op ycsb.Op) {
-		if !op.Mutates() {
-			return
-		}
-		if err := st.Put(ctx, []byte(fmt.Sprintf("user%016x", op.Key)), []byte("profile-data")); err != nil {
-			log.Fatal(err)
-		}
-		writes++
-	}
-	for {
-		op, ok := gen.NextLoad()
-		if !ok {
-			break
-		}
-		emit(op)
-	}
-	for {
-		op, ok := gen.NextRun()
-		if !ok {
-			break
-		}
-		emit(op)
-	}
-	if err := st.Flush(ctx); err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	stats, err := st.Stats(ctx)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nengine mode: %d writes through %d shards in %v (%.0f writes/sec)\n",
-		writes, stats.Shards, elapsed.Round(time.Millisecond), float64(writes)/elapsed.Seconds())
-	for i, ss := range stats.PerShard {
-		fmt.Printf("  shard %d: %d sstables, %d flushes\n", i, ss.Tables, ss.Flushes)
-	}
-	res, err := st.Compact(ctx, &kv.CompactOptions{Strategy: "BT(I)", K: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("per-shard BT(I) compaction: %d tables in %d merges, cost %d keys, %v\n",
-		res.TablesBefore, res.Merges, res.CostActual, res.Duration.Round(time.Millisecond))
 }
 
 // benchConfig parameterizes the strategy-vs-strategy engine benchmark.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/compaction"
-	"repro/internal/simulator"
 )
 
 // Ablation experiments for the design choices DESIGN.md calls out: the
@@ -45,14 +44,11 @@ func KSweep(p Params, updatePct int, ks []int) ([]KSweepRow, error) {
 			var costs, steps, times, lopts []float64
 			for run := 0; run < p.Runs; run++ {
 				seed := p.Seed + int64(run)*1000
-				inst, err := simulator.GenerateTables(simulator.Config{
-					Workload:     workloadConfig(p, updatePct, seed),
-					MemtableKeys: p.MemtableKeys,
-				})
+				inst, err := GenerateTables(workloadConfig(p, updatePct, seed), p.MemtableKeys)
 				if err != nil {
 					return nil, err
 				}
-				res, err := simulator.RunStrategy(inst, strat, k, seed+7, p.Workers)
+				res, err := runStrategy(inst, strat, k, seed+7, p.Workers)
 				if err != nil {
 					return nil, err
 				}
@@ -124,10 +120,7 @@ func HLLSweep(p Params, updatePct int, precisions []uint8) ([]HLLSweepRow, error
 
 	for run := 0; run < p.Runs; run++ {
 		seed := p.Seed + int64(run)*1000
-		inst, err := simulator.GenerateTables(simulator.Config{
-			Workload:     workloadConfig(p, updatePct, seed),
-			MemtableKeys: p.MemtableKeys,
-		})
+		inst, err := GenerateTables(workloadConfig(p, updatePct, seed), p.MemtableKeys)
 		if err != nil {
 			return nil, err
 		}

@@ -1,11 +1,19 @@
-// Package experiments regenerates every figure of the paper's evaluation
-// (Section 5) from the simulator: Figure 7 (cost and time versus update
-// percentage for the five strategies), Figure 8 (BT(I) cost versus the
-// Σ|A_i| lower bound while the memtable size sweeps four decades), and
-// Figure 9 (cost versus completion time for SI as update percentage and
-// operation count vary). An additional optimality-gap experiment compares
-// every heuristic against the exact DP optimum on small instances, a
-// comparison the paper approximated with the lower bound.
+// Package experiments reimplements the paper's two-phase evaluation
+// pipeline (Section 5.1) and regenerates every figure of its evaluation
+// from it. Phase one (GenerateTables) feeds a YCSB operation stream through
+// a memtable of fixed key count, flushing a new sstable (modeled as a key
+// set) whenever it fills — so update-heavy workloads, which rewrite the
+// same keys, produce fewer and more overlapping sstables. Phase two merges
+// the generated sstables to a single table with a chosen strategy,
+// measuring the abstract costs and the wall-clock running time.
+//
+// The figures are Figure 7 (cost and time versus update percentage for the
+// five strategies), Figure 8 (BT(I) cost versus the Σ|A_i| lower bound
+// while the memtable size sweeps four decades), and Figure 9 (cost versus
+// completion time for SI as update percentage and operation count vary).
+// An additional optimality-gap experiment compares every heuristic against
+// the exact DP optimum on small instances, a comparison the paper
+// approximated with the lower bound.
 //
 // Each experiment averages over independent runs (the paper uses 3) and
 // reports mean ± standard deviation.

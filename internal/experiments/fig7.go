@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/compaction"
-	"repro/internal/simulator"
 )
 
 // Fig7Cell is one (update %, strategy) measurement: compaction cost
@@ -42,16 +41,13 @@ func Fig7(p Params) ([]Fig7Row, error) {
 		var tables []float64
 		for run := 0; run < p.Runs; run++ {
 			seed := p.Seed + int64(run)*1000 + int64(pct)
-			inst, err := simulator.GenerateTables(simulator.Config{
-				Workload:     workloadConfig(p, pct, seed),
-				MemtableKeys: p.MemtableKeys,
-			})
+			inst, err := GenerateTables(workloadConfig(p, pct, seed), p.MemtableKeys)
 			if err != nil {
 				return nil, fmt.Errorf("fig7 pct=%d: %w", pct, err)
 			}
 			tables = append(tables, float64(inst.N()))
 			for _, strat := range strategies {
-				res, err := simulator.RunStrategy(inst, strat, p.K, seed+7, p.Workers)
+				res, err := runStrategy(inst, strat, p.K, seed+7, p.Workers)
 				if err != nil {
 					return nil, fmt.Errorf("fig7 pct=%d %s: %w", pct, strat, err)
 				}

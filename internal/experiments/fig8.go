@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/simulator"
 	"repro/internal/ycsb"
 )
 
@@ -38,6 +37,8 @@ func Fig8(p Params) ([]Fig8Row, error) {
 	p = p.withDefaults()
 	var rows []Fig8Row
 	for _, dist := range []ycsb.Distribution{ycsb.Uniform, ycsb.Zipfian, ycsb.Latest} {
+		pd := p
+		pd.Distribution = dist
 		for _, ms := range Fig8MemtableSizes {
 			// Paper formula: operationcount = memtable_size × 100 −
 			// recordcount, so load + run total ms×100 key writes. At
@@ -49,21 +50,13 @@ func Fig8(p Params) ([]Fig8Row, error) {
 			var costs, lopts, tables []float64
 			for run := 0; run < p.Runs; run++ {
 				seed := p.Seed + int64(run)*1000 + int64(ms)
-				inst, err := simulator.GenerateTables(simulator.Config{
-					Workload: ycsb.Config{
-						RecordCount:      p.RecordCount,
-						OperationCount:   opCount,
-						UpdateProportion: 0.6,
-						InsertProportion: 0.4,
-						Distribution:     dist,
-						Seed:             seed,
-					},
-					MemtableKeys: ms,
-				})
+				cfg := workloadConfig(pd, 60, seed)
+				cfg.OperationCount = opCount
+				inst, err := GenerateTables(cfg, ms)
 				if err != nil {
 					return nil, fmt.Errorf("fig8 ms=%d: %w", ms, err)
 				}
-				res, err := simulator.RunStrategy(inst, "BT(I)", p.K, seed+7, p.Workers)
+				res, err := runStrategy(inst, "BT(I)", p.K, seed+7, p.Workers)
 				if err != nil {
 					return nil, fmt.Errorf("fig8 ms=%d: %w", ms, err)
 				}

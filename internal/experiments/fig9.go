@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/simulator"
 	"repro/internal/ycsb"
 )
 
@@ -67,11 +66,11 @@ func fig9Point(p Params, updatePct, opCount, x int) (Fig9Row, error) {
 		seed := p.Seed + int64(run)*1000 + int64(x)
 		cfg := workloadConfig(p, updatePct, seed)
 		cfg.OperationCount = opCount
-		inst, err := simulator.GenerateTables(simulator.Config{Workload: cfg, MemtableKeys: p.MemtableKeys})
+		inst, err := GenerateTables(cfg, p.MemtableKeys)
 		if err != nil {
 			return Fig9Row{}, err
 		}
-		res, err := simulator.RunStrategy(inst, "SI", p.K, seed+7, 1)
+		res, err := runStrategy(inst, "SI", p.K, seed+7, 1)
 		if err != nil {
 			return Fig9Row{}, err
 		}

@@ -1,28 +1,29 @@
-package simulator
+package experiments
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/compaction"
 	"repro/internal/ycsb"
 )
 
-func baseConfig(updatePct int, dist ycsb.Distribution, seed int64) Config {
-	return Config{
-		Workload: ycsb.Config{
-			RecordCount:      1000,
-			OperationCount:   20000,
-			UpdateProportion: float64(updatePct) / 100,
-			InsertProportion: 1 - float64(updatePct)/100,
-			Distribution:     dist,
-			Seed:             seed,
-		},
-		MemtableKeys: 1000,
+// baseMemtableKeys is the memtable capacity of the baseConfig workloads.
+const baseMemtableKeys = 1000
+
+func baseConfig(updatePct int, dist ycsb.Distribution, seed int64) ycsb.Config {
+	return ycsb.Config{
+		RecordCount:      1000,
+		OperationCount:   20000,
+		UpdateProportion: float64(updatePct) / 100,
+		InsertProportion: 1 - float64(updatePct)/100,
+		Distribution:     dist,
+		Seed:             seed,
 	}
 }
 
 func TestGenerateTablesBasic(t *testing.T) {
-	inst, err := GenerateTables(baseConfig(0, ycsb.Latest, 1))
+	inst, err := GenerateTables(baseConfig(0, ycsb.Latest, 1), baseMemtableKeys)
 	if err != nil {
 		t.Fatalf("GenerateTables: %v", err)
 	}
@@ -36,11 +37,11 @@ func TestGenerateTablesBasic(t *testing.T) {
 }
 
 func TestUpdateHeavyProducesFewerOverlappingTables(t *testing.T) {
-	insertHeavy, err := GenerateTables(baseConfig(0, ycsb.Latest, 1))
+	insertHeavy, err := GenerateTables(baseConfig(0, ycsb.Latest, 1), baseMemtableKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	updateHeavy, err := GenerateTables(baseConfig(100, ycsb.Latest, 1))
+	updateHeavy, err := GenerateTables(baseConfig(100, ycsb.Latest, 1), baseMemtableKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,30 +61,29 @@ func TestUpdateHeavyProducesFewerOverlappingTables(t *testing.T) {
 
 func TestGenerateTablesErrors(t *testing.T) {
 	cfg := baseConfig(0, ycsb.Uniform, 1)
-	cfg.MemtableKeys = 0
-	if _, err := GenerateTables(cfg); err == nil {
+	if _, err := GenerateTables(cfg, 0); err == nil {
 		t.Errorf("zero memtable capacity accepted")
 	}
 	cfg = baseConfig(0, ycsb.Uniform, 1)
-	cfg.Workload.RecordCount = 0
-	cfg.Workload.OperationCount = 0
-	if _, err := GenerateTables(cfg); err == nil {
+	cfg.RecordCount = 0
+	cfg.OperationCount = 0
+	if _, err := GenerateTables(cfg, baseMemtableKeys); err == nil {
 		t.Errorf("empty workload accepted")
 	}
 	cfg = baseConfig(0, ycsb.Uniform, 1)
-	cfg.Workload.UpdateProportion = -1
-	if _, err := GenerateTables(cfg); err == nil {
+	cfg.UpdateProportion = -1
+	if _, err := GenerateTables(cfg, baseMemtableKeys); err == nil {
 		t.Errorf("invalid workload accepted")
 	}
 }
 
 func TestRunStrategyAllEvaluated(t *testing.T) {
-	inst, err := GenerateTables(baseConfig(40, ycsb.Latest, 2))
+	inst, err := GenerateTables(baseConfig(40, ycsb.Latest, 2), baseMemtableKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, strat := range []string{"SI", "SO", "BT(I)", "BT(O)", "RANDOM"} {
-		res, err := RunStrategy(inst, strat, 2, 1, 4)
+		res, err := runStrategy(inst, strat, 2, 1, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -105,11 +105,11 @@ func TestRunStrategyAllEvaluated(t *testing.T) {
 }
 
 func TestRunStrategyUnknown(t *testing.T) {
-	inst, err := GenerateTables(baseConfig(0, ycsb.Uniform, 1))
+	inst, err := GenerateTables(baseConfig(0, ycsb.Uniform, 1), baseMemtableKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunStrategy(inst, "nope", 2, 0, 1); err == nil {
+	if _, err := runStrategy(inst, "nope", 2, 0, 1); err == nil {
 		t.Errorf("unknown strategy accepted")
 	}
 }
@@ -120,11 +120,11 @@ func TestCostDecreasesWithUpdates(t *testing.T) {
 	for _, strat := range []string{"SI", "BT(I)", "RANDOM"} {
 		cost0, cost100 := 0, 0
 		for _, pct := range []int{0, 100} {
-			inst, err := GenerateTables(baseConfig(pct, ycsb.Latest, 3))
+			inst, err := GenerateTables(baseConfig(pct, ycsb.Latest, 3), baseMemtableKeys)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunStrategy(inst, strat, 2, 1, 1)
+			res, err := runStrategy(inst, strat, 2, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,15 +143,15 @@ func TestCostDecreasesWithUpdates(t *testing.T) {
 func TestRandomWorstAtLowUpdates(t *testing.T) {
 	// Figure 7a: RANDOM is clearly worse than the informed strategies at
 	// low update percentages.
-	inst, err := GenerateTables(baseConfig(0, ycsb.Latest, 4))
+	inst, err := GenerateTables(baseConfig(0, ycsb.Latest, 4), baseMemtableKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, err := RunStrategy(inst, "SI", 2, 1, 1)
+	si, err := runStrategy(inst, "SI", 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := RunStrategy(inst, "RANDOM", 2, 1, 1)
+	rnd, err := runStrategy(inst, "RANDOM", 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +183,11 @@ func criticalPathCost(sched *compaction.Schedule) int {
 // about half the sequential time. Counted rather than timed, so a loaded
 // machine cannot fail it.
 func TestBTParallelismExceedsSI(t *testing.T) {
-	inst, err := GenerateTables(baseConfig(20, ycsb.Latest, 5))
+	inst, err := GenerateTables(baseConfig(20, ycsb.Latest, 5), baseMemtableKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := RunStrategy(inst, "BT(I)", 2, 1, 4)
+	bt, err := runStrategy(inst, "BT(I)", 2, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestBTParallelismExceedsSI(t *testing.T) {
 	}
 	crit, total := criticalPathCost(sched), sched.CostActual()
 	if total != bt.CostActual {
-		t.Fatalf("schedule costs %d keys, RunStrategy's %d", total, bt.CostActual)
+		t.Fatalf("schedule costs %d keys, runStrategy's %d", total, bt.CostActual)
 	}
 	if share := float64(crit) / float64(total); share > 0.55 {
 		t.Errorf("BT critical path %d keys is %.2f of the %d-key total, want ≤ 0.55", crit, share, total)
@@ -212,17 +212,85 @@ func TestBTParallelismExceedsSI(t *testing.T) {
 }
 
 func TestOverheadNeverNegative(t *testing.T) {
-	inst, err := GenerateTables(baseConfig(50, ycsb.Zipfian, 6))
+	inst, err := GenerateTables(baseConfig(50, ycsb.Zipfian, 6), baseMemtableKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, strat := range []string{"SI", "SO"} {
-		res, err := RunStrategy(inst, strat, 2, 1, 2)
+		res, err := runStrategy(inst, strat, 2, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Overhead() < 0 {
 			t.Errorf("%s overhead negative", strat)
 		}
+	}
+}
+
+func TestKeyTableDedupes(t *testing.T) {
+	kt := newKeyTable(3)
+	if kt.Add(1) || kt.Add(1) || kt.Add(1) {
+		t.Errorf("re-adding the same key should not fill the memtable")
+	}
+	if kt.Len() != 1 {
+		t.Errorf("Len = %d, want 1", kt.Len())
+	}
+	kt.Add(2)
+	if !kt.Add(3) {
+		t.Errorf("third distinct key should report full")
+	}
+}
+
+func TestKeyTableFlushResets(t *testing.T) {
+	kt := newKeyTable(10)
+	for k := uint64(0); k < 5; k++ {
+		kt.Add(k * 10)
+	}
+	s := kt.Flush()
+	if s.Len() != 5 {
+		t.Errorf("flushed set size = %d", s.Len())
+	}
+	for k := uint64(0); k < 5; k++ {
+		if !s.Contains(k * 10) {
+			t.Errorf("flushed set missing %d", k*10)
+		}
+	}
+	if !kt.Empty() {
+		t.Errorf("memtable not empty after flush")
+	}
+	if !kt.Flush().Empty() {
+		t.Errorf("flush of empty memtable should be empty set")
+	}
+}
+
+func TestKeyTableDegenerateCapacity(t *testing.T) {
+	kt := newKeyTable(0)
+	if !kt.Add(1) {
+		t.Errorf("capacity-clamped memtable should fill at one key")
+	}
+}
+
+func TestKeyTableSimulationShape(t *testing.T) {
+	// Update-heavy streams (few distinct keys) must produce smaller
+	// sstables than insert-heavy streams, the effect driving Figure 7.
+	r := rand.New(rand.NewSource(1))
+	flushSizes := func(distinct int) []int {
+		kt := newKeyTable(100)
+		var sizes []int
+		for i := 0; i < 2000; i++ {
+			if kt.Add(uint64(r.Intn(distinct))) {
+				sizes = append(sizes, kt.Flush().Len())
+			}
+		}
+		return sizes
+	}
+	insertHeavy := flushSizes(1 << 30)
+	updateHeavy := flushSizes(120)
+	if len(insertHeavy) == 0 || len(updateHeavy) == 0 {
+		t.Fatalf("no flushes: %d, %d", len(insertHeavy), len(updateHeavy))
+	}
+	if len(updateHeavy) >= len(insertHeavy) {
+		t.Errorf("update-heavy flushed %d times, insert-heavy %d times; expected fewer for updates",
+			len(updateHeavy), len(insertHeavy))
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/compaction"
-	"repro/internal/simulator"
-	"repro/internal/ycsb"
 )
 
 // OptGapRow reports how far one strategy lands from the exact optimum over
@@ -39,17 +37,10 @@ func OptGap(p Params, tables int, trials int) ([]OptGapRow, error) {
 	for trial := 0; trial < trials; trial++ {
 		seed := p.Seed + int64(trial)*101
 		// Target `tables` sstables: ops ≈ memtable × tables at 50:50 mix.
-		inst, err := simulator.GenerateTables(simulator.Config{
-			Workload: ycsb.Config{
-				RecordCount:      p.MemtableKeys,
-				OperationCount:   p.MemtableKeys*tables - p.MemtableKeys,
-				UpdateProportion: 0.5,
-				InsertProportion: 0.5,
-				Distribution:     p.Distribution,
-				Seed:             seed,
-			},
-			MemtableKeys: p.MemtableKeys,
-		})
+		cfg := workloadConfig(p, 50, seed)
+		cfg.RecordCount = p.MemtableKeys
+		cfg.OperationCount = p.MemtableKeys*tables - p.MemtableKeys
+		inst, err := GenerateTables(cfg, p.MemtableKeys)
 		if err != nil {
 			return nil, fmt.Errorf("optgap trial %d: %w", trial, err)
 		}
@@ -71,7 +62,7 @@ func OptGap(p Params, tables int, trials int) ([]OptGapRow, error) {
 				}
 				cost = float64(sc.CostSimple())
 			} else {
-				res, err := simulator.RunStrategy(inst, strat, p.K, seed+7, 1)
+				res, err := runStrategy(inst, strat, p.K, seed+7, 1)
 				if err != nil {
 					return nil, err
 				}

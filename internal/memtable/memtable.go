@@ -3,13 +3,9 @@
 // called a memtable. When the memtable becomes old or large, its contents
 // are sorted by key and flushed to disk" (Section 1 of the paper).
 //
-// Two variants are provided. Table is the engine memtable: a skiplist of
-// byte keys whose nodes carry a short list of versions (sequence number,
-// tombstone flag, value), flushed to a real sstable. KeyTable is the
-// simulation memtable used by the paper's evaluation: a fixed capacity in
-// number of distinct keys, holding bare uint64 keys, flushed to a keyset
-// (Section 5.1, "operations ... are first inserted into a fixed size
-// (number of keys) memtable").
+// Table is the engine memtable: a skiplist of byte keys whose nodes carry
+// a short list of versions (sequence number, tombstone flag, value),
+// flushed to a real sstable.
 //
 // A point-in-time read of a Table is a sequence bound, not a copy. The
 // reader registers with Pin, which hands it the bound, while no writer is
@@ -34,7 +30,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/iterator"
-	"repro/internal/keyset"
 	"repro/internal/skiplist"
 )
 
@@ -194,46 +189,3 @@ type Iter struct {
 
 // Entry implements iterator.Iterator.
 func (ti *Iter) Entry() iterator.Entry { return entry(ti.Key(), ti.Version()) }
-
-// KeyTable is the paper's simulation memtable: it holds at most capacity
-// distinct uint64 keys. Re-inserting a key already buffered is absorbed
-// ("As a memtable may contain duplicate keys, sstables may be smaller and
-// vary in size", Section 5.1) — which is why update-heavy workloads produce
-// smaller, overlapping sstables.
-type KeyTable struct {
-	capacity int
-	keys     map[uint64]struct{}
-}
-
-// NewKeyTable creates a simulation memtable holding up to capacity distinct
-// keys. capacity must be positive.
-func NewKeyTable(capacity int) *KeyTable {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &KeyTable{capacity: capacity, keys: make(map[uint64]struct{}, capacity)}
-}
-
-// Add buffers a write of key and reports whether the memtable is full and
-// must be flushed.
-func (kt *KeyTable) Add(key uint64) (full bool) {
-	kt.keys[key] = struct{}{}
-	return len(kt.keys) >= kt.capacity
-}
-
-// Len returns the number of distinct keys buffered.
-func (kt *KeyTable) Len() int { return len(kt.keys) }
-
-// Empty reports whether no keys are buffered.
-func (kt *KeyTable) Empty() bool { return len(kt.keys) == 0 }
-
-// Flush returns the buffered keys as a sorted set — the flushed sstable of
-// the paper's model — and resets the memtable for reuse.
-func (kt *KeyTable) Flush() keyset.Set {
-	keys := make([]uint64, 0, len(kt.keys))
-	for k := range kt.keys {
-		keys = append(keys, k)
-	}
-	kt.keys = make(map[uint64]struct{}, kt.capacity)
-	return keyset.New(keys...)
-}

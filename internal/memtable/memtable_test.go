@@ -339,74 +339,6 @@ func TestPinBoundIsHighestSeqNotLast(t *testing.T) {
 	}
 }
 
-func TestKeyTableDedupes(t *testing.T) {
-	kt := NewKeyTable(3)
-	if kt.Add(1) || kt.Add(1) || kt.Add(1) {
-		t.Errorf("re-adding the same key should not fill the memtable")
-	}
-	if kt.Len() != 1 {
-		t.Errorf("Len = %d, want 1", kt.Len())
-	}
-	kt.Add(2)
-	if !kt.Add(3) {
-		t.Errorf("third distinct key should report full")
-	}
-}
-
-func TestKeyTableFlushResets(t *testing.T) {
-	kt := NewKeyTable(10)
-	for k := uint64(0); k < 5; k++ {
-		kt.Add(k * 10)
-	}
-	s := kt.Flush()
-	if s.Len() != 5 {
-		t.Errorf("flushed set size = %d", s.Len())
-	}
-	for k := uint64(0); k < 5; k++ {
-		if !s.Contains(k * 10) {
-			t.Errorf("flushed set missing %d", k*10)
-		}
-	}
-	if !kt.Empty() {
-		t.Errorf("memtable not empty after flush")
-	}
-	if !kt.Flush().Empty() {
-		t.Errorf("flush of empty memtable should be empty set")
-	}
-}
-
-func TestKeyTableDegenerateCapacity(t *testing.T) {
-	kt := NewKeyTable(0)
-	if !kt.Add(1) {
-		t.Errorf("capacity-clamped memtable should fill at one key")
-	}
-}
-
-func TestKeyTableSimulationShape(t *testing.T) {
-	// Update-heavy streams (few distinct keys) must produce smaller
-	// sstables than insert-heavy streams, the effect driving Figure 7.
-	r := rand.New(rand.NewSource(1))
-	flushSizes := func(distinct int) []int {
-		kt := NewKeyTable(100)
-		var sizes []int
-		for i := 0; i < 2000; i++ {
-			if kt.Add(uint64(r.Intn(distinct))) {
-				sizes = append(sizes, kt.Flush().Len())
-			}
-		}
-		return sizes
-	}
-	insertHeavy := flushSizes(1 << 30)
-	updateHeavy := flushSizes(120)
-	if len(insertHeavy) == 0 || len(updateHeavy) == 0 {
-		t.Fatalf("no flushes: %d, %d", len(insertHeavy), len(updateHeavy))
-	}
-	if len(updateHeavy) >= len(insertHeavy) {
-		t.Errorf("update-heavy flushed %d times, insert-heavy %d times; expected fewer for updates",
-			len(updateHeavy), len(insertHeavy))
-	}
-}
-
 // BenchmarkPinnedGetHotKey is the cost of reading, under an old pin, a key
 // that kept being overwritten: one long-lived reader registers, then the
 // key is rewritten 10^5 times with a short-lived registration (a scan)

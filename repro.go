@@ -2,9 +2,9 @@
 // Algorithms for NoSQL Databases" (Ghosh, Gupta, Gupta, Kumar — ICDCS
 // 2015): major compaction as an NP-hard optimization problem, the paper's
 // greedy merge-scheduling heuristics with their approximation guarantees,
-// and the full evaluation pipeline (YCSB-style workload generation, the
-// memtable/sstable simulator, and a real embedded LSM storage engine whose
-// major compaction is scheduled by the same strategies).
+// the full evaluation pipeline (YCSB-style workload generation through the
+// paper's fixed-key-count memtable model), and a real embedded LSM storage
+// engine whose major compaction is scheduled by the same strategies.
 //
 // The storage engine runs major compaction in the background without
 // blocking reads or writes: the live sstable set is snapshotted in a short
@@ -16,10 +16,11 @@
 // outputs of a compaction that crashed before its swap. See README.md for
 // the architecture and internal/lsm for the implementation.
 //
-// The library lives under internal/: see internal/compaction for the
-// paper's contribution, internal/simulator and internal/experiments for
-// the evaluation, and internal/lsm for the storage engine. Runnable entry
-// points are cmd/compactsim, cmd/lsmdb, cmd/lsmserver and the examples/
-// directory. The benchmarks in bench_test.go regenerate every figure of
-// the paper's evaluation section.
+// The public API is the kv package; everything behind it lives under
+// internal/: see internal/compaction for the paper's contribution,
+// internal/experiments for the evaluation, and internal/lsm for the
+// storage engine. Runnable entry points are
+// cmd/compactsim (which regenerates every figure of the paper's
+// evaluation section), cmd/lsmdb, cmd/lsmserver and the examples/
+// directory; the engine's benchmark harness is the nested bench/ module.
 package repro
