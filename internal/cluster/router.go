@@ -510,6 +510,9 @@ func (rt *Router) Write(ctx context.Context, batch []kvnet.BatchOp) error {
 		return nil
 	}
 	for i := range batch {
+		if len(batch[i].Key) == 0 {
+			return fmt.Errorf("cluster: empty key: %w", kverr.ErrConfig)
+		}
 		if err := checkUserKey(batch[i].Key); err != nil {
 			return err
 		}

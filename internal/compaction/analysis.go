@@ -2,8 +2,6 @@ package compaction
 
 import (
 	"fmt"
-	"io"
-	"sort"
 
 	"repro/internal/keyset"
 )
@@ -244,31 +242,4 @@ func PadWithDisjoint(inst *Instance, size int) *Instance {
 // MinPadSize returns the Lemma A.5 threshold 2mn+1 for the instance.
 func MinPadSize(inst *Instance) int {
 	return 2*inst.Universe().Len()*inst.N() + 1
-}
-
-// WriteDOT renders the merge tree in Graphviz DOT format for inspection:
-// leaves are labeled with their table ID and size, internal nodes with the
-// merge order and output size.
-func (sc *Schedule) WriteDOT(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "digraph merge {\n  rankdir=BT;\n  node [shape=box];\n"); err != nil {
-		return err
-	}
-	nodes := sc.Nodes()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	for _, nd := range nodes {
-		label := fmt.Sprintf("n%d |%d|", nd.ID, nd.Len())
-		if nd.IsLeaf() {
-			label = fmt.Sprintf("A%d |%d|", nd.TableID+1, nd.Len())
-		}
-		if _, err := fmt.Fprintf(w, "  n%d [label=%q];\n", nd.ID, label); err != nil {
-			return err
-		}
-		for _, c := range nd.Children {
-			if _, err := fmt.Fprintf(w, "  n%d -> n%d;\n", c.ID, nd.ID); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
 }

@@ -3,7 +3,6 @@ package compaction
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -240,20 +239,6 @@ func TestNextPermutation(t *testing.T) {
 	}
 	if count != 6 {
 		t.Errorf("enumerated %d permutations of 3, want 6", count)
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	sc := runStrategy(t, WorkingExample(), 2, "SI")
-	var b strings.Builder
-	if err := sc.WriteDOT(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"digraph merge", "A1 |4|", "->", "}"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
 	}
 }
 

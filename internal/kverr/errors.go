@@ -33,9 +33,10 @@ var (
 	// than retry.
 	ErrCorrupt = errors.New("kv: corrupt data")
 
-	// ErrConfig reports an invalid configuration rejected before the engine
-	// touched any state: a bad option value, an option applied to the wrong
-	// entry point, a missing address. Nothing was opened and nothing needs
+	// ErrConfig reports an invalid configuration or argument rejected before
+	// the engine touched any state: a bad option value, an option applied to
+	// the wrong entry point, a missing address, an unknown strategy name, a
+	// write of the empty key. Nothing was opened or written and nothing needs
 	// cleanup; the call can simply be retried with a fixed configuration.
 	ErrConfig = errors.New("kv: invalid configuration")
 

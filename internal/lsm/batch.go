@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/kverr"
 	"repro/internal/wal"
 )
 
@@ -116,7 +117,6 @@ func (b *WriteBatch) record(i int, seq uint64) wal.Record {
 // the request and its channel is empty.
 type commitReq struct {
 	batch *WriteBatch
-	sync  bool
 	ctx   context.Context
 	err   error
 	wake  chan bool
@@ -175,7 +175,7 @@ func (db *DB) WriteContext(ctx context.Context, b *WriteBatch) error {
 	}
 	for _, op := range b.ops {
 		if op.keyLen == 0 {
-			return fmt.Errorf("lsm: empty key")
+			return fmt.Errorf("lsm: empty key: %w", kverr.ErrConfig)
 		}
 	}
 	if b.SizeBytes() > MaxBatchBytes {
@@ -188,7 +188,7 @@ func (db *DB) WriteContext(ctx context.Context, b *WriteBatch) error {
 	load.Add(1)
 	defer load.Add(-1)
 	req := commitReqPool.Get().(*commitReq)
-	req.batch, req.sync, req.ctx = b, db.opts.SyncWAL, ctx
+	req.batch, req.ctx = b, ctx
 	err := db.commit(req)
 	*req = commitReq{wake: req.wake}
 	commitReqPool.Put(req)
@@ -302,18 +302,12 @@ func (db *DB) leadGroup(head *commitReq) {
 		}
 	}
 
-	// Collect the group: a prefix of the queue. A sync leader absorbs
-	// non-sync followers (they get durability for free); a non-sync leader
-	// stops before the first sync request so a non-sync group never pays an
-	// fsync it didn't ask for — the sync writer leads the next group.
+	// Collect the group: a prefix of the queue.
 	db.commitMu.Lock()
 	group := db.commitQueue[:1:1]
 	head.claimed = true
 	size := head.batch.SizeBytes()
 	for _, r := range db.commitQueue[1:] {
-		if r.sync && !head.sync {
-			break
-		}
 		if sz := r.batch.SizeBytes(); size+sz <= maxGroupBytes {
 			r.claimed = true
 			group = append(group, r)
@@ -325,7 +319,7 @@ func (db *DB) leadGroup(head *commitReq) {
 	db.commitMu.Unlock()
 
 	var stall bool
-	err := db.commitGroup(group, head.sync, &stall)
+	err := db.commitGroup(group, &stall)
 	for _, r := range group {
 		r.err = err
 	}
@@ -361,11 +355,11 @@ func (db *DB) leadGroup(head *commitReq) {
 }
 
 // commitGroup performs one group commit: sequence assignment under the
-// store lock, WAL append + optional fsync under only the pipeline lock,
-// memtable apply and rotation back under the store lock. On return the
-// group is durable (if sync) and visible. Sets *stall when the commit
-// rotated the memtable and backpressure should be evaluated.
-func (db *DB) commitGroup(group []*commitReq, doSync bool, stall *bool) error {
+// store lock, WAL append + fsync (with Options.SyncWAL) under only the
+// pipeline lock, memtable apply and rotation back under the store lock. On
+// return the group is durable (with SyncWAL) and visible. Sets *stall when
+// the commit rotated the memtable and backpressure should be evaluated.
+func (db *DB) commitGroup(group []*commitReq, stall *bool) error {
 	db.pipeMu.Lock()
 	defer db.pipeMu.Unlock()
 
@@ -416,7 +410,7 @@ func (db *DB) commitGroup(group []*commitReq, doSync bool, stall *bool) error {
 		db.mu.Unlock()
 		return err
 	}
-	if doSync {
+	if db.opts.SyncWAL {
 		if err := log.Sync(); err != nil {
 			// The records were acked by the kernel but may not have reached
 			// stable media, and after a failed fsync the page cache state is
@@ -449,7 +443,7 @@ func (db *DB) commitGroup(group []*commitReq, doSync bool, stall *bool) error {
 	db.applyMu.Unlock()
 	db.stats.GroupCommits++
 	db.stats.GroupedWrites += uint64(n)
-	if doSync {
+	if db.opts.SyncWAL {
 		db.stats.WALSyncs++
 	}
 	if db.closed {

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/iterator"
 	"repro/internal/keyhash"
 	"repro/internal/sstable"
+	"repro/internal/vfs"
 )
 
 // CompactionState is the phase of the major-compaction state machine. It
@@ -308,20 +310,15 @@ func (db *DB) install(res *CompactionResult, sched *compaction.Schedule, nodes [
 			placed = true
 		}
 	}
-	db.man.record(kept)
-	if err := db.man.save(db.fs, db.dir); err != nil {
-		// The manifest rewrite failed: the old manifest may no longer be
-		// trustworthy on disk. Keep the old in-memory table set and degrade
-		// to read-only — acknowledging further writes against an
-		// unverifiable manifest risks losing them.
-		db.man.record(db.tables)
-		db.failDurabilityLocked(err)
+	if err := db.setTablesLocked(kept); err != nil {
+		if errors.Is(err, vfs.ErrRenamed) {
+			// The manifest renamed into place names the root, so its file
+			// stays for the next Open: compact's clean-up skips a nil node.
+			root.rd.Close()
+			nodes[sched.Root.ID] = nil
+		}
 		return err
 	}
-	db.tables = kept
-	db.installViewLocked()
-	db.stats.Generation++
-	root.gen = db.stats.Generation
 	if major {
 		db.stats.MajorCompactions++
 	} else {
@@ -331,9 +328,6 @@ func (db *DB) install(res *CompactionResult, sched *compaction.Schedule, nodes [
 	db.stats.VersionsPurged += res.VersionsPurged
 	db.recordPickLocked(res.Strategy)
 	res.TablesAfter = len(kept)
-	// The table count just dropped: writers stalled on backpressure may be
-	// able to proceed without waiting for the major compactor.
-	db.stallCond.Broadcast()
 	// Retired inputs may still be referenced by concurrent scans; the last
 	// reference closes the reader and deletes the file. Intermediate merge
 	// outputs are referenced by nobody else and die now.
@@ -399,7 +393,7 @@ func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, s
 		if err != nil {
 			return err
 		}
-		nodes[step.Output.ID] = db.newTableHandle(name, rd, 0)
+		nodes[step.Output.ID] = db.newTableHandle(name, rd)
 		stats[i] = mstats
 		return nil
 	}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -153,9 +154,7 @@ type tableHandle struct {
 	// outlive the DB's locks, so the counter is shared by pointer).
 	fs           vfs.FS
 	cleanupFails *atomic.Uint64
-	// gen is the table-set generation that created this table.
-	gen  uint64
-	refs atomic.Int32
+	refs         atomic.Int32
 	// smallest/largest bound the table's key range and maxSeq its
 	// sequence range (all immutable after open): the read path prunes
 	// point probes to tables whose range covers the key and stops probing
@@ -185,9 +184,9 @@ type tableHandle struct {
 	compacting bool
 }
 
-func (db *DB) newTableHandle(name string, rd *sstable.Reader, gen uint64) *tableHandle {
+func (db *DB) newTableHandle(name string, rd *sstable.Reader) *tableHandle {
 	th := &tableHandle{
-		name: name, rd: rd, dir: db.dir, gen: gen,
+		name: name, rd: rd, dir: db.dir,
 		fs: db.fs, cleanupFails: &db.cleanupFails,
 	}
 	if b, ok := rd.Bounds(); ok {
@@ -390,7 +389,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			return nil, fmt.Errorf("lsm: open table %s: %w", name, err)
 		}
 		rd.SetBlockCache(db.blocks())
-		th := db.newTableHandle(name, rd, 0)
+		th := db.newTableHandle(name, rd)
 		th.level = man.levels[name]
 		db.tables = append(db.tables, th)
 	}
@@ -677,6 +676,25 @@ func (db *DB) ReadOnly() (bool, error) {
 	return db.roCause != nil, db.roCause
 }
 
+// setTablesLocked commits next as the live table set, newest first. Every
+// change to the set after Open — a flush, a merge's install, a quarantine —
+// goes through it: it saves the manifest naming next, and only then makes
+// next live, bumps Stats.Generation, publishes the read view and wakes
+// writers stalled on the table count. A failed save changes nothing in
+// memory and degrades the DB to read-only: the manifest on disk may name
+// either set, so no later write could be promised durable. Callers hold mu.
+func (db *DB) setTablesLocked(next []*tableHandle) error {
+	if err := db.man.save(db.fs, db.dir, next); err != nil {
+		db.failDurabilityLocked(err)
+		return err
+	}
+	db.tables = next
+	db.stats.Generation++
+	db.installViewLocked()
+	db.stallCond.Broadcast()
+	return nil
+}
+
 // quarantineTable handles a corruption detected while reading th: the
 // table leaves the live set and the manifest, and its file is renamed
 // aside (name.corrupt) for forensics — never silently deleted, never
@@ -684,46 +702,33 @@ func (db *DB) ReadOnly() (bool, error) {
 // ErrCorrupt; quarantining just stops the damage from wedging every later
 // read that lands on the same table. Tables captured in a live compaction
 // snapshot are skipped (the compaction owns their lifecycle and will fail
-// on its own read of the damage).
+// on its own read of the damage). If the manifest rewrite fails the table
+// stays live under its name, as the manifest on disk may still name it,
+// and the DB is read-only.
 func (db *DB) quarantineTable(th *tableHandle, cause error) {
 	db.mu.Lock()
 	if db.closed || th.compacting || th.quarantined.Load() {
 		db.mu.Unlock()
 		return
 	}
-	idx := -1
-	for i, t := range db.tables {
-		if t == th {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(db.tables, th)
 	if idx < 0 {
 		// Already superseded by a compaction; the obsolete path owns it.
 		db.mu.Unlock()
 		return
 	}
-	th.quarantined.Store(true)
-	db.tables = append(db.tables[:idx:idx], db.tables[idx+1:]...)
-	db.man.record(db.tables)
-	saveErr := db.man.save(db.fs, db.dir)
-	db.stats.Generation++
-	db.stats.QuarantinedTables++
-	db.installViewLocked()
-	if saveErr != nil {
-		// The on-disk manifest still references the quarantined file, so
-		// the table-set change cannot be promised durable: degrade to
-		// read-only and leave the file under its manifest name for the
-		// next Open to sort out.
-		db.failDurabilityLocked(saveErr)
+	err := db.setTablesLocked(append(db.tables[:idx:idx], db.tables[idx+1:]...))
+	if err == nil {
+		th.quarantined.Store(true)
+		db.stats.QuarantinedTables++
 	}
 	db.mu.Unlock()
-
-	if saveErr == nil {
-		path := filepath.Join(db.dir, th.name)
-		if err := db.fs.Rename(path, path+".corrupt"); err != nil {
-			db.cleanupFails.Add(1)
-		}
+	if err != nil {
+		return
+	}
+	path := filepath.Join(db.dir, th.name)
+	if err := db.fs.Rename(path, path+".corrupt"); err != nil {
+		db.cleanupFails.Add(1)
 	}
 	th.release() // the live set's reference
 }

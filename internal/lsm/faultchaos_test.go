@@ -550,6 +550,154 @@ func TestCorruptSSTableQuarantined(t *testing.T) {
 	}
 }
 
+// TestQuarantineKeepsTableWhenManifestRewriteFails: a corrupt table whose
+// quarantine cannot rewrite the manifest stays live under its own name,
+// as the manifest on disk still names it, and the DB degrades to
+// read-only. The read still reports ErrCorrupt, and nothing is counted as
+// quarantined.
+func TestQuarantineKeepsTableWhenManifestRewriteFails(t *testing.T) {
+	dir := t.TempDir()
+	fault := vfs.NewFault(vfs.Default, 1)
+	opts := lsm.Options{FS: fault, BlockCacheBytes: -1}
+	db, err := lsm.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("corrupt-key-%04d", i)) }
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := db.PutContext(context.Background(), key(i), bytes.Repeat([]byte{'v'}, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ssts, err := filepath.Glob(filepath.Join(dir, "*.sst"))
+	if err != nil || len(ssts) != 1 {
+		t.Fatalf("want one sstable on disk, got %v (%v)", ssts, err)
+	}
+	raw, err := os.ReadFile(ssts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[16] ^= 0xff // inside the first data block; the footer stays intact
+	if err := os.WriteFile(ssts[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "MANIFEST")
+	before, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = lsm.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	fault.SetPathFilter(func(path string) bool { return strings.HasSuffix(path, "MANIFEST.tmp") })
+	fault.SetProb(vfs.OpCreate, 1)
+	if _, err := db.GetContext(context.Background(), key(0)); !errors.Is(err, lsm.ErrCorrupt) {
+		t.Fatalf("read of the corrupt block = %v, want ErrCorrupt", err)
+	}
+	if ro, cause := db.ReadOnly(); !ro || !errors.Is(cause, vfs.ErrInjected) {
+		t.Fatalf("ReadOnly() = %v (%v), want read-only from the failed manifest rewrite", ro, cause)
+	}
+	name := filepath.Base(ssts[0])
+	if infos := db.TableInfos(); len(infos) != 1 || infos[0].Name != name {
+		t.Fatalf("TableInfos() = %+v, want %s still live", infos, name)
+	}
+	if after, err := os.ReadFile(manifest); err != nil || string(after) != string(before) {
+		t.Fatalf("MANIFEST after the failed rewrite = %q, %v; want %q", after, err, before)
+	}
+	if _, err := os.Stat(ssts[0]); err != nil {
+		t.Fatalf("table file renamed or gone: %v", err)
+	}
+	if corrupted, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(corrupted) != 0 {
+		t.Fatalf("quarantined files %v after a failed rewrite", corrupted)
+	}
+	if st := db.Stats(); st.QuarantinedTables != 0 || st.Tables != 1 {
+		t.Fatalf("Stats(): %d quarantined, %d tables; want 0 and 1", st.QuarantinedTables, st.Tables)
+	}
+	if err := db.PutContext(context.Background(), []byte("after"), []byte("x")); !errors.Is(err, lsm.ErrReadOnly) {
+		t.Fatalf("write after the failed rewrite = %v, want ErrReadOnly", err)
+	}
+}
+
+// TestFailedManifestDirSyncReopens fails the directory fsync of the
+// manifest write that commits a flush or a major compaction. The rename
+// before it has happened, so the manifest on disk names the new table even
+// though the DB kept its old set and degraded to read-only. The new table's
+// file must therefore stay until the next Open, which then reads every
+// acknowledged write back.
+func TestFailedManifestDirSyncReopens(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tables int // flushed before the fault is armed
+		commit func(db *lsm.DB) error
+	}{
+		{"flush", 0, func(db *lsm.DB) error { return db.Flush() }},
+		{"major compaction", 2, func(db *lsm.DB) error {
+			_, err := db.MajorCompact("BT(I)", 2, 0)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fault := vfs.NewFault(vfs.Default, 1)
+			db, err := lsm.Open(dir, lsm.Options{FS: fault})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := model.New()
+			put := func(round int) {
+				for i := 0; i < 50; i++ {
+					op := model.Op{Key: fmt.Sprintf("k%03d", i), Value: fmt.Sprintf("v%d", round)}
+					if err := db.PutContext(context.Background(), []byte(op.Key), []byte(op.Value)); err != nil {
+						t.Fatal(err)
+					}
+					m.Apply(op)
+				}
+			}
+			for round := 0; round < tc.tables; round++ {
+				put(round)
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.tables == 0 {
+				put(0)
+			}
+			fault.SetPathFilter(func(path string) bool { return path == dir })
+			fault.SetProb(vfs.OpSyncDir, 1)
+			if err := tc.commit(db); !errors.Is(err, vfs.ErrInjected) {
+				t.Fatalf("%s under a failed manifest directory sync = %v", tc.name, err)
+			}
+			if ro, _ := db.ReadOnly(); !ro {
+				t.Fatal("DB writable after a failed manifest directory sync")
+			}
+			model.Check(t, chaosReader{db}, m)
+			db.Close()
+
+			db, err = lsm.Open(dir, lsm.Options{})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer db.Close()
+			model.Check(t, chaosReader{db}, m)
+			if tc.tables > 0 {
+				if n := len(db.TableInfos()); n != 1 {
+					t.Fatalf("%d tables after reopen, want the merge's root alone", n)
+				}
+			}
+		})
+	}
+}
+
 // TestOpenMissingTableTypedCorrupt: a manifest referencing an sstable
 // that no longer exists must fail Open with the typed ErrCorrupt, not a
 // bare fs.ErrNotExist the caller cannot classify.

@@ -370,39 +370,32 @@ func (db *DB) flushImmLocked() error {
 	if err != nil {
 		return err
 	}
-	// Newest first.
-	db.stats.Generation++
-	th := db.newTableHandle(name, rd, db.stats.Generation)
-	db.tables = append([]*tableHandle{th}, db.tables...)
-	db.man.record(db.tables)
+	th := db.newTableHandle(name, rd)
 	// One past what the tables hold, whatever the writer has committed
 	// since the rotation: replay raises it past every surviving WAL record.
 	prevSeq := db.man.nextSeq
 	if th.hasBounds {
 		db.man.nextSeq = th.maxSeq + 1
 	}
-	if err := db.man.save(db.fs, db.dir); err != nil {
-		// The on-disk manifest may or may not name the new table. Roll the
-		// in-memory set back — the data is safe in imm and its segment —
-		// and degrade to read-only rather than acknowledge writes against
-		// an untrustworthy manifest.
-		db.stats.Generation++
-		db.tables = db.tables[1:]
-		db.man.nextSeq = prevSeq
-		db.man.record(db.tables)
+	// Newest first. imm leaves with the commit, so the view it publishes
+	// is the flush's one view install.
+	db.imm = nil
+	if err := db.setTablesLocked(append([]*tableHandle{th}, db.tables...)); err != nil {
+		// The data is safe in imm and its segment. A manifest renamed into
+		// place names the table, so its file stays for the next Open.
+		db.imm, db.man.nextSeq = imm, prevSeq
 		rd.Close()
-		db.removeFile(name)
-		db.failDurabilityLocked(err)
+		if !errors.Is(err, vfs.ErrRenamed) {
+			db.removeFile(name)
+		}
 		return err
 	}
 	seg := segmentName(db.immLogNum)
-	db.imm = nil
 	db.stats.Flushes++
 	db.stats.BytesFlushed += rd.FileSize()
 	// Readers pinned to an older view keep reading imm, whose contents the
 	// new table duplicates: no version is ever invisible. The last of them
 	// to let go recycles it.
-	db.installViewLocked()
 	imm.Release()
 	db.flushCond.Broadcast()
 	if db.opts.Background != nil && len(db.tables) >= db.bgCfg.Trigger {

@@ -13,33 +13,21 @@ import (
 	"repro/internal/vfs"
 )
 
-// manifest records the durable state of the store: the next file number and
-// the list of live sstables, newest first. A table's bounds and key sketch
-// live in its own file. The manifest is rewritten atomically (write temp,
-// fsync, rename) on every change, the classic small-manifest design.
+// manifest records the durable state of the store: the next file number,
+// the next sequence number and the list of live sstables, newest first, with
+// the level of each table not at level 0. A table's bounds and key sketch
+// live in its own file. The manifest is rewritten atomically
+// (vfs.WriteFileAtomic) on every change, the classic small-manifest design.
 type manifest struct {
 	nextFileNum uint64
 	nextSeq     uint64
-	tables      []string // sstable file names, newest first
-	// levels records each table's position in a leveled layout; tables at
-	// level 0 (fresh flushes, flat layouts) are omitted.
+	// tables and levels are the table list as loaded, for Open and
+	// removeOrphans; save writes the list from the set it commits.
+	tables []string // sstable file names, newest first
 	levels map[string]int
 }
 
 const manifestName = "MANIFEST"
-
-// record rebuilds the manifest's table list and levels from the
-// prospective live handle set, newest first, called immediately before save.
-func (m *manifest) record(handles []*tableHandle) {
-	m.tables = make([]string, len(handles))
-	m.levels = make(map[string]int)
-	for i, th := range handles {
-		m.tables[i] = th.name
-		if th.level != 0 {
-			m.levels[th.name] = th.level
-		}
-	}
-}
 
 // loadManifest reads the manifest in dir, returning an empty manifest if
 // none exists yet.
@@ -97,46 +85,21 @@ func loadManifest(fsys vfs.FS, dir string) (*manifest, error) {
 	return m, nil
 }
 
-// save atomically persists the manifest into dir through fsys: write a
-// temp file, fsync it, rename over the live name, fsync the directory. A
-// failure anywhere means the on-disk manifest cannot be trusted to match
-// the in-memory table set; callers committing a table-set change must
-// treat it as a durability failure.
-func (m *manifest) save(fsys vfs.FS, dir string) error {
+// save atomically persists the manifest naming tables, newest first, into
+// dir through fsys. A failure anywhere means the on-disk manifest cannot be
+// trusted to match any in-memory table set; DB.setTablesLocked, its one
+// caller, treats it as a durability failure.
+func (m *manifest) save(fsys vfs.FS, dir string, tables []*tableHandle) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# lsm manifest\nnext-file %d\nnext-seq %d\n", m.nextFileNum, m.nextSeq)
-	for _, t := range m.tables {
-		fmt.Fprintf(&b, "table %s\n", t)
-		if lv, ok := m.levels[t]; ok {
-			fmt.Fprintf(&b, "level %s %d\n", t, lv)
+	for _, th := range tables {
+		fmt.Fprintf(&b, "table %s\n", th.name)
+		if th.level != 0 {
+			fmt.Fprintf(&b, "level %s %d\n", th.name, th.level)
 		}
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := fsys.Create(tmp)
-	if err != nil {
+	if err := vfs.WriteFileAtomic(fsys, filepath.Join(dir, manifestName), []byte(b.String())); err != nil {
 		return fmt.Errorf("lsm: write manifest: %w", err)
-	}
-	if _, err := f.Write([]byte(b.String())); err != nil {
-		f.Close()
-		return fmt.Errorf("lsm: write manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("lsm: sync manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("lsm: close manifest: %w", err)
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("lsm: rename manifest: %w", err)
-	}
-	// The rename is only durable once the directory entry is flushed; a
-	// compaction swap that skipped this could survive a crash with the old
-	// manifest naming deleted tables. (Platforms that refuse to fsync
-	// directories degrade to no-op inside SyncDir rather than failing the
-	// commit.)
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("lsm: sync dir: %w", err)
 	}
 	return nil
 }

@@ -45,8 +45,9 @@ type Stats struct {
 	// version of the key lived on in a table outside the merge (see
 	// docs/compaction.md, "What a merge drops").
 	VersionsPurged uint64 `json:"versions_purged,omitempty"`
-	// Generation counts table-set changes (flushes, compactions and
-	// quarantines); each table records the generation that created it.
+	// Generation counts committed table-set changes (flushes, compactions
+	// and quarantines), one each; a change whose manifest save failed
+	// does not count.
 	Generation uint64 `json:"generation,omitempty"`
 	// CompactionState is the major-compaction state machine's current
 	// phase: "idle", "planning", "merging" or "swapping".

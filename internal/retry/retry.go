@@ -102,31 +102,3 @@ func (b Backoff) Sleep(ctx context.Context, attempt int) error {
 		return nil
 	}
 }
-
-// Do runs fn up to attempts times, sleeping the backoff delay between
-// tries. It returns nil on the first success; the last failure when every
-// attempt errored; and ctx's error immediately if the context expires
-// while waiting (the in-flight fn is never interrupted — bound it with its
-// own deadline if it can block). fn receives the attempt number, counted
-// from 0.
-func Do(ctx context.Context, attempts int, b Backoff, fn func(attempt int) error) error {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var last error
-	for i := 0; i < attempts; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if last = fn(i); last == nil {
-			return nil
-		}
-		if i == attempts-1 {
-			break
-		}
-		if err := b.Sleep(ctx, i); err != nil {
-			return err
-		}
-	}
-	return last
-}

@@ -3,7 +3,6 @@ package retry
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -63,66 +62,5 @@ func TestSleepHonorsContext(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Sleep did not return after cancellation")
-	}
-}
-
-func TestDoRetriesUntilSuccess(t *testing.T) {
-	b := Backoff{Base: time.Millisecond, Jitter: -1}
-	calls := 0
-	err := Do(context.Background(), 5, b, func(attempt int) error {
-		if attempt != calls {
-			t.Errorf("attempt = %d on call %d", attempt, calls)
-		}
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("Do = %v after %d calls", err, calls)
-	}
-}
-
-func TestDoReturnsLastError(t *testing.T) {
-	b := Backoff{Base: time.Millisecond, Jitter: -1}
-	boom := errors.New("boom")
-	calls := 0
-	err := Do(context.Background(), 3, b, func(int) error { calls++; return boom })
-	if !errors.Is(err, boom) || calls != 3 {
-		t.Fatalf("Do = %v after %d calls, want boom after 3", err, calls)
-	}
-}
-
-func TestDoStopsOnContextExpiry(t *testing.T) {
-	b := Backoff{Base: time.Hour, Jitter: -1}
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls atomic.Int32
-	done := make(chan error, 1)
-	go func() {
-		done <- Do(ctx, 10, b, func(int) error { calls.Add(1); return errors.New("x") })
-	}()
-	for calls.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Do = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Do did not return after cancellation")
-	}
-	if n := calls.Load(); n != 1 {
-		t.Errorf("fn ran %d times after cancellation mid-backoff", n)
-	}
-}
-
-func TestDoPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := Do(ctx, 3, Backoff{}, func(int) error { t.Fatal("fn ran"); return nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Do on cancelled ctx = %v", err)
 	}
 }

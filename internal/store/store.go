@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/iterator"
+	"repro/internal/kverr"
 	"repro/internal/lsm"
 	"repro/internal/vfs"
 )
@@ -113,32 +114,13 @@ func readMarker(fsys vfs.FS, dir string) (int, error) {
 	return n, nil
 }
 
-// writeMarker durably persists the shard count: write-temp, fsync, rename,
-// fsync-dir — the same sequence the engine's manifest uses, so a crash
-// leaves either no marker or a complete one, never a torn file that would
-// refuse every subsequent Open.
+// writeMarker durably persists the shard count through
+// vfs.WriteFileAtomic, as the engine writes its manifest, so a crash leaves
+// either no marker or a complete one, never a torn file that would refuse
+// every subsequent Open.
 func writeMarker(fsys vfs.FS, dir string, n int) error {
-	tmp := filepath.Join(dir, markerName+".tmp")
-	f, err := fsys.Create(tmp)
-	if err != nil {
+	if err := vfs.WriteFileAtomic(fsys, filepath.Join(dir, markerName), fmt.Appendf(nil, "%d\n", n)); err != nil {
 		return fmt.Errorf("store: write shard marker: %w", err)
-	}
-	if _, err := fmt.Fprintf(f, "%d\n", n); err != nil {
-		f.Close()
-		return fmt.Errorf("store: write shard marker: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: sync shard marker: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: close shard marker: %w", err)
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, markerName)); err != nil {
-		return fmt.Errorf("store: rename shard marker: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("store: sync store dir: %w", err)
 	}
 	return nil
 }
@@ -326,7 +308,7 @@ func (s *Store) WriteContext(ctx context.Context, b *lsm.WriteBatch) error {
 	// sub-batches.
 	for i := 0; i < b.Len(); i++ {
 		if key, _, _ := b.Op(i); len(key) == 0 {
-			return fmt.Errorf("store: empty key")
+			return fmt.Errorf("store: empty key: %w", kverr.ErrConfig)
 		}
 	}
 	if b.SizeBytes() > lsm.MaxBatchBytes {

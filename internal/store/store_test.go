@@ -603,3 +603,66 @@ func TestStoreRouterBalance(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyTheFailingShardDegrades fails a WAL fsync in one shard of a
+// four-shard store: the write routed there fails and later writes there
+// get ErrReadOnly, while the other three shards keep acknowledging writes
+// and ShardStats reports ReadOnly for the failing shard alone.
+func TestOnlyTheFailingShardDegrades(t *testing.T) {
+	const shards, bad = 4, 2
+	dir := t.TempDir()
+	fault := vfs.NewFault(vfs.Default, 1)
+	s, err := Open(dir, Options{Shards: shards, Options: lsm.Options{FS: fault, SyncWAL: true, Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	badDir := filepath.Join(dir, fmt.Sprintf("shard-%03d", bad)) + string(filepath.Separator)
+	fault.SetPathFilter(func(path string) bool { return strings.HasPrefix(path, badDir) })
+	fault.FailNthSync(1)
+
+	ctx := context.Background()
+	// keys[i] holds two keys ShardFor routes to shard i.
+	keys := make([][][]byte, shards)
+	for i := 0; ; i++ {
+		k := []byte(fmt.Sprintf("key-%04d", i))
+		if sh := s.ShardFor(k); len(keys[sh]) < 2 {
+			keys[sh] = append(keys[sh], k)
+		}
+		full := true
+		for _, ks := range keys {
+			full = full && len(ks) == 2
+		}
+		if full {
+			break
+		}
+	}
+	if err := s.PutContext(ctx, keys[bad][0], []byte("v")); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("write to the failing shard = %v, want the injected fsync error", err)
+	}
+	if err := s.PutContext(ctx, keys[bad][1], []byte("v")); !errors.Is(err, lsm.ErrReadOnly) {
+		t.Fatalf("later write to the failing shard = %v, want ErrReadOnly", err)
+	}
+	m := model.New()
+	for sh, ks := range keys {
+		if sh == bad {
+			continue
+		}
+		for _, k := range ks {
+			if err := s.PutContext(ctx, k, []byte("v")); err != nil {
+				t.Fatalf("write to healthy shard %d = %v", sh, err)
+			}
+			m.Apply(model.Op{Key: string(k), Value: "v"})
+		}
+	}
+	for sh, st := range s.ShardStats() {
+		if st.ReadOnly != (sh == bad) {
+			t.Fatalf("shard %d: ReadOnly = %v, want %v", sh, st.ReadOnly, sh == bad)
+		}
+	}
+	if !s.Stats().ReadOnly {
+		t.Fatal("store Stats().ReadOnly = false with a read-only shard")
+	}
+	m.Fail(model.Op{Key: string(keys[bad][0]), Value: "v"})
+	model.Check(t, reader{s}, m)
+}

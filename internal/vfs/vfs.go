@@ -12,9 +12,11 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"syscall"
 )
 
@@ -65,6 +67,47 @@ type FS interface {
 	// is durable. Filesystems that do not support fsync on directories
 	// (EINVAL/ENOTSUP) are treated as success.
 	SyncDir(path string) error
+}
+
+// ErrRenamed marks a WriteFileAtomic failure that came after its rename:
+// path holds the new data, but its directory entry may not be durable.
+var ErrRenamed = errors.New("vfs: file renamed into place, directory sync failed")
+
+// WriteFileAtomic replaces path with data so that a crash leaves either the
+// old file or the complete new one, never a torn one: it creates path.tmp,
+// writes data in one call, fsyncs and closes it, renames it over path and
+// fsyncs the directory. On an error path keeps its old contents, unless the
+// error wraps ErrRenamed; a stale path.tmp may be left behind.
+//
+// The directory fsync also makes durable every entry created in the
+// directory before it. The engine relies on that: a new table's file is
+// fsynced but its directory entry is not, and it becomes durable through the
+// SyncDir of the manifest write that names it, which lives in the same
+// directory.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		return err
+	}
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("%w: %w", ErrRenamed, err)
+	}
+	return nil
 }
 
 // Default is the production filesystem: a passthrough to the os package.

@@ -223,3 +223,50 @@ func TestFaultDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteFileAtomicKeepsOldBytesOnFault fails each step of
+// WriteFileAtomic before its rename in turn: every time the call errors and
+// the target still holds its old bytes. A failed directory sync comes after
+// the rename, so the call errors with ErrRenamed and the new bytes in place.
+func TestWriteFileAtomicKeepsOldBytesOnFault(t *testing.T) {
+	old, next := []byte("old contents\n"), []byte("new contents, somewhat longer\n")
+	for _, tc := range []struct {
+		name string
+		arm  func(f *Fault)
+		want []byte
+	}{
+		{"create", func(f *Fault) { f.SetProb(OpCreate, 1) }, old},
+		{"torn write", func(f *Fault) { f.SetProb(OpWrite, 1) }, old},
+		{"disk full", func(f *Fault) { f.SetDiskFullAfter(5) }, old},
+		{"sync", func(f *Fault) { f.FailNthSync(1) }, old},
+		{"rename", func(f *Fault) { f.SetProb(OpRename, 1) }, old},
+		{"syncdir", func(f *Fault) { f.SetProb(OpSyncDir, 1) }, next},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "MANIFEST")
+			fsys := NewFault(Default, 1)
+			if err := WriteFileAtomic(fsys, path, old); err != nil {
+				t.Fatal(err)
+			}
+			tc.arm(fsys)
+			err := WriteFileAtomic(fsys, path, next)
+			renamed := string(tc.want) == string(next)
+			if !errors.Is(err, ErrInjected) || errors.Is(err, ErrRenamed) != renamed {
+				t.Fatalf("WriteFileAtomic under a %s fault = %v, want an injected error, ErrRenamed iff renamed", tc.name, err)
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != string(tc.want) {
+				t.Fatalf("target after a %s fault = %q, %v; want %q", tc.name, got, err, tc.want)
+			}
+			fsys.Disable()
+			if err := WriteFileAtomic(fsys, path, next); err != nil {
+				t.Fatalf("WriteFileAtomic after the fault cleared = %v", err)
+			}
+			if got, _ := os.ReadFile(path); string(got) != string(next) {
+				t.Fatalf("target after a clean write = %q, want %q", got, next)
+			}
+			if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("temp file left after a clean write: %v", err)
+			}
+		})
+	}
+}

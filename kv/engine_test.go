@@ -497,6 +497,34 @@ func TestCompactRefusesNonLiveStrategies(t *testing.T) {
 	})
 }
 
+// TestEmptyKeyIsConfigError: the empty key is invalid on every backend. A
+// Put, a Delete or a Write holding one fails with ErrConfig, never the
+// retryable ErrUnavailable, and the batch's valid put is not applied. A Get
+// of the empty key is ErrNotFound.
+func TestEmptyKeyIsConfigError(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, eng Engine) {
+		ctx := context.Background()
+		var b Batch
+		b.Put([]byte("valid"), []byte("v"))
+		b.Delete(nil)
+		for name, err := range map[string]error{
+			"Put(nil)":            eng.Put(ctx, nil, []byte("v")),
+			"Delete([]byte{})":    eng.Delete(ctx, []byte{}),
+			"Write(valid, empty)": eng.Write(ctx, &b),
+		} {
+			if !errors.Is(err, ErrConfig) || errors.Is(err, ErrUnavailable) {
+				t.Errorf("%s = %v, want ErrConfig", name, err)
+			}
+		}
+		if _, err := eng.Get(ctx, []byte("valid")); !errors.Is(err, ErrNotFound) {
+			t.Errorf("the batch's valid put: Get = %v, want ErrNotFound", err)
+		}
+		if _, err := eng.Get(ctx, nil); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Get(nil) = %v, want ErrNotFound", err)
+		}
+	})
+}
+
 // TestEnginePurgeMatchesModel runs a short form of the lsm purge model
 // test, rounds of overwrites and deletes, on every backend, with BT(I) minor
 // compactions after the flushes a small memtable forces, and checks every

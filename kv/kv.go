@@ -56,9 +56,11 @@ var (
 	// serving what remains.
 	ErrCorrupt = kverr.ErrCorrupt
 
-	// ErrConfig reports an Open or Dial rejected for an invalid
-	// configuration — a bad option value, an option applied to the wrong
-	// entry point, a missing address — before any state was touched.
+	// ErrConfig reports a call rejected for an invalid configuration or
+	// argument before any state was touched: an Open or Dial with a bad
+	// option value, an option applied to the wrong entry point or a missing
+	// address; a strategy name the engine does not plan with; a write of
+	// the empty key. Retrying the same call cannot succeed.
 	ErrConfig = kverr.ErrConfig
 
 	// ErrReadOnly reports a write rejected because the engine permanently
@@ -85,7 +87,9 @@ const MaxBatchBytes = lsm.MaxBatchBytes
 // closed engine (and Next on iterators created before the close) return
 // ErrClosed.
 type Engine interface {
-	// Put stores key → value. The empty key is invalid.
+	// Put stores key → value. The empty key is invalid: Put, Delete and a
+	// Write holding it fail with ErrConfig and apply nothing, like a bad
+	// strategy name.
 	Put(ctx context.Context, key, value []byte) error
 	// Get returns the value stored for key, or ErrNotFound. A stored
 	// empty value is distinct from a missing key: it returns an empty
