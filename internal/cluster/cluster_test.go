@@ -5,25 +5,49 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/keyhash"
 	"repro/internal/kvnet"
 	"repro/internal/lsm"
 )
 
 func TestKeyHashShared(t *testing.T) {
-	// KeyHash is the placement hash shared with the in-process shard
-	// router (internal/store): deterministic, and sensitive to every byte.
-	if KeyHash([]byte("key-1")) != KeyHash([]byte("key-1")) {
-		t.Fatal("KeyHash not deterministic")
+	// keyhash.Placement is the ring's hash, shared with the in-process
+	// shard router (internal/store): deterministic, and sensitive to every
+	// byte.
+	if keyhash.Placement([]byte("key-1")) != keyhash.Placement([]byte("key-1")) {
+		t.Fatal("Placement not deterministic")
 	}
 	seen := map[uint64]bool{}
 	for i := 0; i < 1000; i++ {
-		seen[KeyHash([]byte(fmt.Sprintf("key-%d", i)))] = true
+		seen[keyhash.Placement([]byte(fmt.Sprintf("key-%d", i)))] = true
 	}
 	if len(seen) != 1000 {
-		t.Errorf("KeyHash collided on %d/1000 similar keys", 1000-len(seen))
+		t.Errorf("Placement collided on %d/1000 similar keys", 1000-len(seen))
+	}
+}
+
+// TestRingPlacementPinned: a key's replica set on a fixed ring. Every
+// node's data sits where the ring put it, so a change here strands keys.
+func TestRingPlacementPinned(t *testing.T) {
+	r := NewRing(64)
+	for _, n := range []string{"node-a:7000", "node-b:7000", "node-c:7000", "node-d:7000"} {
+		r.AddNode(n)
+	}
+	for key, want := range map[string][]string{
+		"":                     {"node-c:7000", "node-a:7000", "node-b:7000"},
+		"a":                    {"node-a:7000", "node-b:7000", "node-c:7000"},
+		"key-1":                {"node-c:7000", "node-d:7000", "node-a:7000"},
+		"foobar":               {"node-b:7000", "node-c:7000", "node-d:7000"},
+		"user0000000000000001": {"node-c:7000", "node-d:7000", "node-a:7000"},
+		"user00000000deadbeef": {"node-b:7000", "node-d:7000", "node-c:7000"},
+	} {
+		if got := r.ReplicaSet([]byte(key), 3); !slices.Equal(got, want) {
+			t.Errorf("ReplicaSet(%q) = %q, want %q", key, got, want)
+		}
 	}
 }
 

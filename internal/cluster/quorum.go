@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/keyhash"
 	"repro/internal/kverr"
 	"repro/internal/kvnet"
 )
@@ -421,7 +422,7 @@ func (o *quorumOp) quorumFailed(what string) error {
 // whose length is a multiple of width would then see every key pinned to
 // one offset — and the replica outside it never compared; hashed, no
 // stride lines up.
-func rotation(seq uint64, width int) int { return int(mix64(seq) % uint64(width)) }
+func rotation(seq uint64, width int) int { return int(keyhash.Mix64(seq) % uint64(width)) }
 
 // get reads key from R of its N replicas and resolves the newest version.
 //

@@ -22,6 +22,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/keyhash"
 )
 
 // Ring is a consistent-hash ring with virtual nodes. It is not safe for
@@ -54,35 +56,6 @@ func NewRing(replicas int) *Ring {
 	return &Ring{replicas: replicas, nodes: make(map[string]int)}
 }
 
-// KeyHash maps a key to the ring's hash space: FNV-1a with a 64-bit
-// finalizer for avalanche on similar keys. It is the single hash shared by
-// every layer that partitions the key space — the network ring below and
-// the in-process shard router in internal/store — so a key's placement is
-// computed the same way whether shards live in one process or many.
-func KeyHash(key []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime
-	}
-	return mix64(h)
-}
-
-// mix64 is a 64-bit finalizer: it spreads the differences between similar
-// inputs (consecutive counters, keys with a shared prefix) over all bits.
-func mix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
-func ringHash(s string) uint64 { return KeyHash([]byte(s)) }
-
 // AddNode inserts a node (idempotent).
 func (r *Ring) AddNode(name string) {
 	if _, ok := r.nodes[name]; ok {
@@ -92,7 +65,7 @@ func (r *Ring) AddNode(name string) {
 	r.names = append(r.names, name)
 	r.nodes[name] = id
 	for i := 0; i < r.replicas; i++ {
-		r.vnodes = append(r.vnodes, vnode{hash: ringHash(fmt.Sprintf("%s#%d", name, i)), id: id})
+		r.vnodes = append(r.vnodes, vnode{hash: keyhash.Placement(fmt.Appendf(nil, "%s#%d", name, i)), id: id})
 	}
 	sort.Slice(r.vnodes, func(a, b int) bool { return r.vnodes[a].hash < r.vnodes[b].hash })
 }
@@ -167,7 +140,7 @@ func (r *Ring) AppendReplicaIDs(dst []int, key []byte, n int) []int {
 	if n <= 0 {
 		return dst
 	}
-	h := KeyHash(key)
+	h := keyhash.Placement(key)
 	i := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].hash >= h })
 	base := len(dst)
 walk:

@@ -481,3 +481,45 @@ func TestLiveEntriesClamps(t *testing.T) {
 		}
 	}
 }
+
+// TestOneStepPickAliases: a single Pick under SI and under BT(I) takes the
+// same tables, and so does one under CHAIN and under BT. BALANCETREE's Init
+// puts every leaf at level 1, so its first merge is over all of them: the k
+// smallest under BT(I), as SI takes, and the first k in table order under
+// BT, as CHAIN takes. (The engine's minor picks are such single steps.)
+func TestOneStepPickAliases(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		tables := make([]LiveTable, 2+rng.Intn(12))
+		for i := range tables {
+			lo := rng.Uint64() % 1000
+			tables[i] = LiveTable{
+				SizeBytes: uint64(1 + rng.Intn(5000)),
+				Entries:   1 + rng.Intn(60), // ties are common
+				MaxSeq:    rng.Uint64(),
+				Smallest:  binary.BigEndian.AppendUint64(nil, lo),
+				Largest:   binary.BigEndian.AppendUint64(nil, lo+rng.Uint64()%1000),
+			}
+		}
+		k := 2 + rng.Intn(4)
+		for _, pair := range [][2]string{{"SI", "BT(I)"}, {"CHAIN", "BT"}} {
+			var picks [2][]int
+			for i, name := range pair {
+				chooser, err := NewLiveChooser(name, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc, err := Pick(tables, k, chooser)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, leaf := range sc.Leaves {
+					picks[i] = append(picks[i], leaf.TableID)
+				}
+			}
+			if !reflect.DeepEqual(picks[0], picks[1]) {
+				t.Fatalf("trial %d, k=%d: %s picked %v, %s picked %v", trial, k, pair[0], picks[0], pair[1], picks[1])
+			}
+		}
+	}
+}

@@ -114,3 +114,22 @@ func BenchmarkPlanningOverhead(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEngineMatrix runs the whole engine matrix (see EngineMatrix);
+// BT(I)_write_amp is its mean over the mixes.
+func BenchmarkEngineMatrix(b *testing.B) {
+	var cells []EngineCell
+	for i := 0; i < b.N; i++ {
+		var err error
+		if cells, err = EngineMatrix(b.TempDir()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	amp := 0.0
+	for _, c := range cells {
+		if c.Policy == "BT(I)" {
+			amp += c.WriteAmp / float64(len(EngineMixes))
+		}
+	}
+	b.ReportMetric(amp, "BT(I)_write_amp")
+}

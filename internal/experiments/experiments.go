@@ -17,6 +17,11 @@
 //
 // Each experiment averages over independent runs (the paper uses 3) and
 // reports mean ± standard deviation.
+//
+// EngineMatrix asks the same question of the real engine, through the kv
+// package: every minor policy over a few YCSB write streams, in counts
+// alone, so that one run is the answer and a committed copy is checked
+// exactly.
 package experiments
 
 import (

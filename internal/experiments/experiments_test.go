@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ycsb"
 )
@@ -194,8 +195,32 @@ func TestFig9TimeGrowsWithCost(t *testing.T) {
 		if last.Cost.Mean <= first.Cost.Mean {
 			t.Errorf("%s: cost did not grow with opcount", dist)
 		}
-		if last.TimeMs.Mean <= first.TimeMs.Mean {
-			t.Errorf("%s: time did not grow with opcount (%.3f → %.3f ms)", dist, first.TimeMs.Mean, last.TimeMs.Mean)
+	}
+	// Time is checked at the two ends of the sweep only, each end timed as
+	// the fastest of several SI merges of one generated instance: a single
+	// run's time is at the mercy of whatever else the host runs.
+	ends := []int{Fig9bOperationCounts[0], Fig9bOperationCounts[len(Fig9bOperationCounts)-1]}
+	for _, dist := range []ycsb.Distribution{ycsb.Uniform, ycsb.Zipfian, ycsb.Latest} {
+		var fastest [2]time.Duration
+		for i, ops := range ends {
+			cfg := workloadConfig(p, 60, p.Seed)
+			cfg.Distribution, cfg.OperationCount = dist, ops
+			inst, err := GenerateTables(cfg, p.MemtableKeys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rep := 0; rep < 5; rep++ {
+				res, err := runStrategy(inst, "SI", p.K, p.Seed, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep == 0 || res.Reported < fastest[i] {
+					fastest[i] = res.Reported
+				}
+			}
+		}
+		if fastest[1] <= fastest[0] {
+			t.Errorf("%s: time did not grow with opcount (%v → %v)", dist, fastest[0], fastest[1])
 		}
 	}
 }

@@ -35,3 +35,20 @@ func TestOfIsFNV1a(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPlacementPinned: Placement's values, which place every key of a
+// sharded directory and a cluster. A change would strand existing keys.
+func TestPlacementPinned(t *testing.T) {
+	for key, want := range map[string]uint64{
+		"":                     0xecba3df2c3383c52,
+		"a":                    0xed8170de1919a24d,
+		"key-1":                0x82cf29c031760973,
+		"foobar":               0x6916ce8b48d4bc55,
+		"user0000000000000001": 0xd01f0cc2b926fa14,
+		"user00000000deadbeef": 0xd7e79b10a6d80b58,
+	} {
+		if got := Placement([]byte(key)); got != want {
+			t.Errorf("Placement(%q) = %#x, want %#x", key, got, want)
+		}
+	}
+}

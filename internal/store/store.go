@@ -2,7 +2,7 @@
 // in-process analogue of the paper's deployment model, where every server
 // compacts its own local sstables. A Store routes each key to one of N
 // lsm.DB shards with the same hash the network ring uses
-// (cluster.KeyHash), so a key's placement is computed identically whether
+// (keyhash.Placement), so a key's placement is computed identically whether
 // the partitions live in one process or across a cluster.
 //
 // Each shard is a complete engine: its own directory, WAL, group-commit
@@ -38,8 +38,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cluster"
 	"repro/internal/iterator"
+	"repro/internal/keyhash"
 	"repro/internal/kverr"
 	"repro/internal/lsm"
 	"repro/internal/vfs"
@@ -252,7 +252,7 @@ func (s *Store) ShardFor(key []byte) int {
 	if len(s.shards) == 1 {
 		return 0
 	}
-	return int(cluster.KeyHash(key) % uint64(len(s.shards)))
+	return int(keyhash.Placement(key) % uint64(len(s.shards)))
 }
 
 // Shard returns shard i's engine, for per-shard inspection (stats, tests).

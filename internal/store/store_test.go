@@ -586,7 +586,7 @@ func TestStoreStatsAggregation(t *testing.T) {
 	}
 }
 
-// TestStoreRouterBalance checks the KeyHash router spreads realistic keys
+// TestStoreRouterBalance checks the Placement router spreads realistic keys
 // roughly evenly over shards — the property that makes per-shard pipelines
 // scale.
 func TestStoreRouterBalance(t *testing.T) {
@@ -600,6 +600,28 @@ func TestStoreRouterBalance(t *testing.T) {
 		share := float64(c) / keys
 		if share < 0.06 || share > 0.20 {
 			t.Errorf("shard %d owns %.1f%% of keys; want roughly 12.5%%", sh, share*100)
+		}
+	}
+}
+
+// TestShardPlacementPinned: the shard a key lands on at 4 and 8 shards. A
+// sharded directory's data sits where ShardFor put it, so a change here
+// strands keys.
+func TestShardPlacementPinned(t *testing.T) {
+	want := map[string][2]int{
+		"":                     {2, 2},
+		"a":                    {1, 5},
+		"key-1":                {3, 3},
+		"foobar":               {1, 5},
+		"user0000000000000001": {0, 4},
+		"user00000000deadbeef": {0, 0},
+	}
+	for i, shards := range []int{4, 8} {
+		s := openStore(t, shards, lsm.Options{})
+		for key, w := range want {
+			if got := s.ShardFor([]byte(key)); got != w[i] {
+				t.Errorf("%d shards: ShardFor(%q) = %d, want %d", shards, key, got, w[i])
+			}
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cluster"
+	"repro/internal/keyhash"
 	"repro/internal/model"
 )
 
@@ -676,7 +676,7 @@ func isolationPairs(n int) (as, zs [][]byte) {
 		a := []byte(fmt.Sprintf("a%03d", i))
 		for j := 0; ; j++ {
 			z := []byte(fmt.Sprintf("z%03d-%d", i, j))
-			if cluster.KeyHash(a)%4 == cluster.KeyHash(z)%4 {
+			if keyhash.Placement(a)%4 == keyhash.Placement(z)%4 {
 				as, zs = append(as, a), append(zs, z)
 				break
 			}
