@@ -722,7 +722,7 @@ func semanticsOptions() Options {
 	return Options{RequestTimeout: 20 * time.Second, RetryBackoff: retry.Backoff{Base: 2 * time.Second, Max: 2 * time.Second, Jitter: -1}}
 }
 
-// TestAckedWriteVisibleToEveryReadSubset is the README's first promise,
+// TestAckedWriteVisibleToEveryReadSubset is docs/cluster.md's first promise,
 // checked where R-of-N could break it: a write acknowledged at W=2 while
 // the third replica has not applied it is returned by the very next Get,
 // whichever two replicas that Get asks — and when the lagging replica is

@@ -145,7 +145,7 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 		db.setState(CompactionPlanning)
 		err = db.flushMemLocked()
 	}
-	snap := slices.Clone(db.tables)
+	snap := oldestFirst(db.tables)
 	if err == nil && len(snap) > 1 {
 		claimLocked(snap)
 	}

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/compaction"
 )
@@ -145,17 +146,29 @@ func (c BackgroundConfig) withDefaults() BackgroundConfig {
 	return c
 }
 
-// TableInfos returns descriptors of the live sstables, newest first, sized
-// as a minor pick over all of them ranks them.
+// TableInfos returns descriptors of the live sstables, oldest first (the
+// order a minor pick sees them in), sized as a minor pick over all of them
+// ranks them.
 func (db *DB) TableInfos() []TableInfo {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	live := liveTables(db.tables)
-	infos := make([]TableInfo, len(db.tables))
-	for i, th := range db.tables {
+	tables := oldestFirst(db.tables)
+	live := liveTables(tables)
+	infos := make([]TableInfo, len(tables))
+	for i, th := range tables {
 		infos[i] = TableInfo{LiveTable: live[i], Name: th.name}
 	}
 	return infos
+}
+
+// oldestFirst returns a copy of tables, which the DB keeps newest first,
+// in creation order: the paper's input order, which the order-taking
+// choosers (BT, CHAIN) merge from the front of. Every plan, minor or major,
+// sees the tables through it.
+func oldestFirst(tables []*tableHandle) []*tableHandle {
+	out := slices.Clone(tables)
+	slices.Reverse(out)
+	return out
 }
 
 // live is the table as a compaction chooser sees it, with its exact entry
@@ -207,9 +220,10 @@ func (db *DB) minorCompactLocked(p *Policy) (*CompactionResult, bool, error) {
 	// Tables another merge owns are off limits: merging one away would
 	// invalidate the set that merge is about to swap out. They still shadow
 	// the others' keys, so a due pick sizes every live table.
+	tables := oldestFirst(db.tables)
 	var eligible []*tableHandle
 	var live []compaction.LiveTable
-	for _, th := range db.tables {
+	for _, th := range tables {
 		if !th.compacting {
 			eligible = append(eligible, th)
 			live = append(live, th.live())
@@ -219,8 +233,8 @@ func (db *DB) minorCompactLocked(p *Policy) (*CompactionResult, bool, error) {
 		return nil, false, nil
 	}
 	live = live[:0]
-	for i, lt := range liveTables(db.tables) {
-		if !db.tables[i].compacting {
+	for i, lt := range liveTables(tables) {
+		if !tables[i].compacting {
 			live = append(live, lt)
 		}
 	}

@@ -155,7 +155,7 @@ func TestMinorCompactKeepsTombstones(t *testing.T) {
 	}
 	// Merge only the newest two tables (tombstone + other): the tombstone
 	// must survive to keep shadowing the oldest table's value.
-	res, ran, err := db.minorCompact(pickFirstN(2))
+	res, ran, err := db.minorCompact(pickIndices(1, 2))
 	if err != nil || !ran {
 		t.Fatalf("ran=%v err=%v", ran, err)
 	}
@@ -188,12 +188,12 @@ func (c *fixedPick) Choose() ([]*compaction.Node, error) {
 }
 
 // pickIndices is a test policy merging the tables at idx, in the table
-// set's order (newest first), once there are at least two tables.
+// set's order (oldest first), once there are at least two tables.
 func pickIndices(idx ...int) *Policy {
 	return &Policy{name: "fixed", k: len(idx), minTables: 2, chooser: func() compaction.Chooser { return &fixedPick{idx: idx} }}
 }
 
-// pickFirstN is a test policy merging the first (newest) n tables once
+// pickFirstN is a test policy merging the first (oldest) n tables once
 // there are n.
 func pickFirstN(n int) *Policy {
 	idx := make([]int, n)
@@ -305,15 +305,15 @@ func TestGetPicksNewestAcrossNonAdjacentTables(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Merge newest and oldest (indices 0 and 2), skipping the middle. The
-	// output takes the newest input's place, in front of the middle table.
+	// Merge oldest and newest (indices 0 and 2), skipping the middle. The
+	// output takes the newest input's place, after the middle table.
 	middle := db.TableInfos()[1].Name
 	_, ran, err := db.minorCompact(pickIndices(0, 2))
 	if err != nil || !ran {
 		t.Fatalf("ran=%v err=%v", ran, err)
 	}
-	if infos := db.TableInfos(); len(infos) != 2 || infos[1].Name != middle {
-		t.Errorf("tables after the merge: %+v; want the output, then %s", infos, middle)
+	if infos := db.TableInfos(); len(infos) != 2 || infos[0].Name != middle {
+		t.Errorf("tables after the merge: %+v; want %s, then the output", infos, middle)
 	}
 	got, err := db.GetContext(context.Background(), []byte("k"))
 	if err != nil || string(got) != "v2" {

@@ -111,7 +111,7 @@ func tableKeys(t testing.TB, th *tableHandle) []string {
 func TestMergeDropsVersionsANewerTableShadows(t *testing.T) {
 	db := openTestDB(t, Options{})
 	m := shadowFixture(t, db, 8)
-	res := mergeAt(t, db, 1, 2)
+	res := mergeAt(t, db, 0, 1)
 	if res.VersionsPurged != 50 || db.Stats().VersionsPurged != 50 {
 		t.Fatalf("purged %d versions (stats %d), want the 50 that B shadows", res.VersionsPurged, db.Stats().VersionsPurged)
 	}
@@ -143,7 +143,7 @@ func TestPurgedVersionStaysWithItsReaders(t *testing.T) {
 	defer snap.Release()
 	putRange(t, db, m, "k", 50, "new")
 	flush(t, db)
-	if res := mergeAt(t, db, 1, 2); res.VersionsPurged != 50 {
+	if res := mergeAt(t, db, 0, 1); res.VersionsPurged != 50 {
 		t.Fatalf("purged %d versions, want 50", res.VersionsPurged)
 	}
 	for i := 0; i < 100; i++ {
@@ -225,7 +225,7 @@ func TestPurgeIgnoresResidency(t *testing.T) {
 		t.Run(fmt.Sprintf("warm=%d", warm), func(t *testing.T) {
 			db, _, _ := reopened(t, vfs.Default, warm)
 			before := db.Stats()
-			res := mergeAt(t, db, 1, 2)
+			res := mergeAt(t, db, 0, 1)
 			after := db.Stats()
 			if res.VersionsPurged != 50 {
 				t.Errorf("purged %d versions, want the 50 that B shadows", res.VersionsPurged)
@@ -269,7 +269,7 @@ func TestPurgeKeepsWhatItCannotRead(t *testing.T) {
 				fsys.SetPathFilter(func(p string) bool { return p == path })
 				fsys.SetProb(vfs.OpRead, 1)
 			}
-			res := mergeAt(t, db, 1, 2)
+			res := mergeAt(t, db, 0, 1)
 			if !flip && fsys.Injected(vfs.OpRead) == 0 {
 				t.Fatal("no read of B failed: the test tests nothing")
 			}

@@ -193,7 +193,7 @@ func TestMergeDoesNotEvictBystanders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for lo := 0; lo < tables; lo++ { // the bystander, lo = 4, is flushed last: table 0
+	for lo := 0; lo < tables; lo++ { // the bystander, lo = 4, is flushed last: table 4
 		flushRange(t, db, lo, keys, tables, 0)
 	}
 	_, _, tableBytes := db.blockCache.Stats() // every block was published
@@ -215,7 +215,7 @@ func TestMergeDoesNotEvictBystanders(t *testing.T) {
 			used, tableBytes, db.blockCache.Len(), blocks)
 	}
 	hits0, misses0, _ := db.blockCache.Stats()
-	if _, ran, err := db.minorCompact(pickIndices(1, 2, 3, 4)); err != nil || !ran {
+	if _, ran, err := db.minorCompact(pickIndices(0, 1, 2, 3)); err != nil || !ran {
 		t.Fatalf("MinorCompact: ran=%v err=%v", ran, err)
 	}
 	if hits, misses, _ := db.blockCache.Stats(); hits != hits0 || misses != misses0 {
@@ -382,8 +382,8 @@ func TestColdCompactionLeavesCacheAlone(t *testing.T) {
 		t.Fatalf("store is %d bytes, want at least ten times the %d-byte cache", sz, cacheBytes)
 	}
 
-	// Tables are newest first: index 0 is the hot table.
-	if _, ran, err := db.minorCompact(pickIndices(1, 2, 3)); err != nil || !ran {
+	// Tables are oldest first: index 6 is the hot table.
+	if _, ran, err := db.minorCompact(pickIndices(0, 1, 2)); err != nil || !ran {
 		t.Fatalf("MinorCompact: ran=%v err=%v", ran, err)
 	}
 	uncounted("minor compaction of cold tables")

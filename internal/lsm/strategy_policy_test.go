@@ -93,6 +93,34 @@ func TestEnginePickIsPlansFirstStep(t *testing.T) {
 	}
 }
 
+// TestMajorPlansOldestFirst: a major compaction plans from the tables in
+// creation order, as a minor pick does, so the order-taking strategies fold
+// the oldest tables first. Four flushes of 10, 20, 30 and 40 distinct keys:
+// BT and CHAIN at k=2 first merge the 10 and the 20 (newest first, they
+// merged the 40 and the 30).
+func TestMajorPlansOldestFirst(t *testing.T) {
+	for _, name := range []string{"BT", "CHAIN"} {
+		db := openTestDB(t, Options{})
+		for tab := 1; tab <= 4; tab++ {
+			for i := 0; i < 10*tab; i++ {
+				if err := db.PutContext(context.Background(), fmt.Appendf(nil, "t%d-%03d", tab, i), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := db.MajorCompact(name, 2, 1)
+		if err != nil {
+			t.Fatalf("%s: MajorCompact: %v", name, err)
+		}
+		if got := res.StepStats[0].EntriesIn; got != 30 {
+			t.Fatalf("%s: first merge read %d entries, want 30 (the two oldest tables)", name, got)
+		}
+	}
+}
+
 // TestMinorPickMergesShadowedTables: four old tables of 400 keys each, every
 // key overwritten by four newer flushes of 100 keys. Ranked by raw entry
 // counts, BT(I) k=4 would merge the four fresh flushes; ranked by live keys,

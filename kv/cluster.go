@@ -113,29 +113,22 @@ func (e *clusterEngine) Write(ctx context.Context, b *Batch) error {
 }
 
 func (e *clusterEngine) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	return asIterator(e.rt.NewIterator(ctx, normBound(start), normBound(end)))
+	return openRange(ctx, e.closed.Load(), start, end, func(start, end []byte) (Iterator, error) {
+		return asIterator(e.rt.NewIterator(ctx, start, end))
+	})
 }
 
 // Snapshot pins a view on every live node; the client holds only the
 // handles (see cluster.Snapshot).
 func (e *clusterEngine) Snapshot(ctx context.Context) (Snapshot, error) {
-	if err := ctx.Err(); err != nil {
+	if err := guard(ctx, e.closed.Load()); err != nil {
 		return nil, err
-	}
-	if e.closed.Load() {
-		return nil, ErrClosed
 	}
 	sn, err := e.rt.Snapshot(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return clusterSnapshot{sn}, nil
+	return &clusterSnapshot{Snapshot: sn, engineClosed: &e.closed}, nil
 }
 
 func (e *clusterEngine) Flush(ctx context.Context) error {
@@ -209,10 +202,22 @@ func asIterator(it *cluster.Iterator, err error) (Iterator, error) {
 }
 
 // clusterSnapshot adapts cluster.Snapshot to Snapshot.
-type clusterSnapshot struct{ *cluster.Snapshot }
+type clusterSnapshot struct {
+	*cluster.Snapshot
+	engineClosed *atomic.Bool
+	released     atomic.Bool
+}
 
-func (s clusterSnapshot) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
-	return asIterator(s.Snapshot.NewIterator(ctx, normBound(start), normBound(end)))
+func (s *clusterSnapshot) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
+	return openRange(ctx, s.released.Load() || s.engineClosed.Load(), start, end, func(start, end []byte) (Iterator, error) {
+		return asIterator(s.Snapshot.NewIterator(ctx, start, end))
+	})
+}
+
+func (s *clusterSnapshot) Release() {
+	if s.released.CompareAndSwap(false, true) {
+		s.Snapshot.Release()
+	}
 }
 
 var _ Engine = (*clusterEngine)(nil)

@@ -22,6 +22,7 @@
 package kv
 
 import (
+	"bytes"
 	"context"
 	"time"
 
@@ -282,12 +283,35 @@ func statsFromLSM(st lsm.Stats, backend string, shards int) Stats {
 	return Stats{Backend: backend, Shards: shards, Stats: st, WriteStallNanos: st.WriteStallTime.Nanoseconds()}
 }
 
-// normBound canonicalizes an iterator bound: nil and empty both mean
-// "open", so every backend (and the wire protocol) agrees on what an
-// absent bound looks like.
-func normBound(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
+// guard is the first check of an engine or snapshot operation, in one
+// order: a done ctx fails first, then a closed engine or a released
+// snapshot with ErrClosed.
+func guard(ctx context.Context, closed bool) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	return b
+	if closed {
+		return ErrClosed
+	}
+	return nil
+}
+
+// openRange is every backend's NewIterator: after guard, reversed bounds
+// make an empty iterator; otherwise open opens the range. Bounds reach open
+// canonical, nil for an empty one: nil and empty both mean "open", so every
+// backend and the wire protocol agree on what an absent bound looks like.
+func openRange(ctx context.Context, closed bool, start, end []byte, open func(start, end []byte) (Iterator, error)) (Iterator, error) {
+	if err := guard(ctx, closed); err != nil {
+		return nil, err
+	}
+	if len(start) == 0 {
+		start = nil
+	}
+	if len(end) == 0 {
+		end = nil
+	}
+	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
+		return emptyIterator{}, nil
+	}
+	return open(start, end)
 }

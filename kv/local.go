@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync/atomic"
@@ -41,21 +40,13 @@ func (e *localEngine) Write(ctx context.Context, b *Batch) error {
 }
 
 func (e *localEngine) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
-	start, end = normBound(start), normBound(end)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
-		return emptyIterator{}, nil
-	}
-	it, release, err := e.st.NewIterator(start, end)
-	if err != nil {
-		return nil, err
-	}
-	return &localIterator{ctx: ctx, it: it, release: release, engineClosed: &e.closed}, nil
+	return openRange(ctx, e.closed.Load(), start, end, func(start, end []byte) (Iterator, error) {
+		it, release, err := e.st.NewIterator(start, end)
+		if err != nil {
+			return nil, err
+		}
+		return &localIterator{ctx: ctx, it: it, release: release, engineClosed: &e.closed}, nil
+	})
 }
 
 func (e *localEngine) Snapshot(ctx context.Context) (Snapshot, error) {
@@ -89,11 +80,8 @@ func (e *localEngine) Compact(ctx context.Context, opts *CompactOptions) (*Compa
 }
 
 func (e *localEngine) Stats(ctx context.Context) (Stats, error) {
-	if err := ctx.Err(); err != nil {
+	if err := guard(ctx, e.closed.Load()); err != nil {
 		return Stats{}, err
-	}
-	if e.closed.Load() {
-		return Stats{}, ErrClosed
 	}
 	per := e.st.ShardStats()
 	var sum lsm.Stats
@@ -188,14 +176,10 @@ func (it *localIterator) Value() []byte {
 }
 
 func (it *localIterator) Next() {
-	if it.closed {
-		it.fail(ErrClosed)
-		return
-	}
 	if it.err != nil {
 		return
 	}
-	if it.engineClosed.Load() {
+	if it.closed || it.engineClosed.Load() {
 		it.fail(ErrClosed)
 		return
 	}
@@ -211,10 +195,9 @@ func (it *localIterator) Next() {
 
 func (it *localIterator) Err() error { return it.err }
 
+// Close is idempotent: the first call hands the scan back, and fail and
+// Close both drop release once they have called it.
 func (it *localIterator) Close() error {
-	if it.closed {
-		return nil
-	}
 	it.closed = true
 	if it.release != nil {
 		it.release()
@@ -241,33 +224,22 @@ type localSnapshot struct {
 }
 
 func (s *localSnapshot) Get(ctx context.Context, key []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
+	if err := guard(ctx, s.released.Load() || s.engineClosed.Load()); err != nil {
 		return nil, err
-	}
-	if s.released.Load() || s.engineClosed.Load() {
-		return nil, ErrClosed
 	}
 	return s.s.Get(key)
 }
 
 func (s *localSnapshot) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
-	start, end = normBound(start), normBound(end)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.released.Load() || s.engineClosed.Load() {
-		return nil, ErrClosed
-	}
-	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
-		return emptyIterator{}, nil
-	}
-	it, release, err := s.s.NewIterator(start, end)
-	if err != nil {
-		return nil, err
-	}
-	// Snapshot iterators pin their own table references, so they survive
-	// snapshot release; engine close still invalidates them.
-	return &localIterator{ctx: ctx, it: it, release: release, engineClosed: s.engineClosed}, nil
+	return openRange(ctx, s.released.Load() || s.engineClosed.Load(), start, end, func(start, end []byte) (Iterator, error) {
+		it, release, err := s.s.NewIterator(start, end)
+		if err != nil {
+			return nil, err
+		}
+		// Snapshot iterators pin their own table references, so they
+		// survive snapshot release; engine close still invalidates them.
+		return &localIterator{ctx: ctx, it: it, release: release, engineClosed: s.engineClosed}, nil
+	})
 }
 
 func (s *localSnapshot) Release() {

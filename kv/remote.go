@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -132,22 +131,17 @@ func (e *remoteEngine) Write(ctx context.Context, b *Batch) error {
 }
 
 func (e *remoteEngine) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
-	start, end = normBound(start), normBound(end)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c, err := e.client()
-	if err != nil {
-		return nil, err
-	}
-	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
-		return emptyIterator{}, nil
-	}
-	it := &remoteIterator{e: e}
-	if err := c.OpenStream(ctx, &it.st, start, end); err != nil {
-		return nil, e.closedErr(err)
-	}
-	return it, nil
+	return openRange(ctx, e.closed.Load(), start, end, func(start, end []byte) (Iterator, error) {
+		c, err := e.client()
+		if err != nil {
+			return nil, err
+		}
+		it := &remoteIterator{e: e}
+		if err := c.OpenStream(ctx, &it.st, start, end); err != nil {
+			return nil, e.closedErr(err)
+		}
+		return it, nil
+	})
 }
 
 // Snapshot pins a point-in-time view on the server; the client holds only
@@ -277,32 +271,21 @@ type serverSnapshot struct {
 }
 
 func (s *serverSnapshot) Get(ctx context.Context, key []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
+	if err := guard(ctx, s.released.Load() || s.e.closed.Load()); err != nil {
 		return nil, err
-	}
-	if s.released.Load() || s.e.closed.Load() {
-		return nil, ErrClosed
 	}
 	v, err := s.sn.Get(ctx, key)
 	return v, s.e.closedErr(err)
 }
 
 func (s *serverSnapshot) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
-	start, end = normBound(start), normBound(end)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.released.Load() || s.e.closed.Load() {
-		return nil, ErrClosed
-	}
-	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
-		return emptyIterator{}, nil
-	}
-	it := &remoteIterator{e: s.e}
-	if err := s.sn.OpenStream(ctx, &it.st, start, end); err != nil {
-		return nil, s.e.closedErr(err)
-	}
-	return it, nil
+	return openRange(ctx, s.released.Load() || s.e.closed.Load(), start, end, func(start, end []byte) (Iterator, error) {
+		it := &remoteIterator{e: s.e}
+		if err := s.sn.OpenStream(ctx, &it.st, start, end); err != nil {
+			return nil, s.e.closedErr(err)
+		}
+		return it, nil
+	})
 }
 
 func (s *serverSnapshot) Release() {
