@@ -17,7 +17,7 @@ type db struct {
 	mu        sync.Mutex
 	applyMu   sync.Mutex
 	flushedCh chan struct{}
-	stallCond *sync.Cond
+	flushCond *sync.Cond
 	log       *file
 }
 
@@ -74,7 +74,7 @@ func (d *db) goodKickBackground() {
 func (d *db) goodCondWait() {
 	d.mu.Lock()
 	for d.log == nil {
-		d.stallCond.Wait()
+		d.flushCond.Wait()
 	}
 	d.mu.Unlock()
 }

@@ -10,10 +10,9 @@
 // serves it, and -stats-http exposes the same statistics kv.Engine.Stats
 // reports as JSON (GET /stats) for scraping — no log-line parsing needed.
 //
-// With -background, a maintenance goroutine additionally runs non-blocking
-// major compactions whenever the live table count reaches -bg-trigger,
-// stalling writers at -bg-stall (backpressure); reads and writes keep
-// being served while the merge runs.
+// The -auto policy is the one automatic compaction path. A major
+// compaction runs only when a client asks for one, and reads and writes
+// keep being served while its merges run.
 //
 // A replicated deployment is just several of these processes: the servers
 // hold no replication state — clients connect to all of them at once with
@@ -24,7 +23,7 @@
 // Usage:
 //
 //	lsmserver -dir /var/lib/lsm -listen 127.0.0.1:7700 -auto size-tiered
-//	lsmserver -dir /var/lib/lsm -background -bg-trigger 8 -bg-strategy "BT(I)"
+//	lsmserver -dir /var/lib/lsm -auto "BT(I)"
 //	lsmserver -dir /var/lib/lsm -shards 4 -sync -stats-http 127.0.0.1:7701
 package main
 
@@ -57,11 +56,6 @@ func run() error {
 		auto       = flag.String("auto", "size-tiered", "auto minor compaction: size-tiered, threshold, leveled, a paper strategy (SI, SO, BT, BT(I), BT(O), CHAIN, RANDOM), or none")
 		memSize    = flag.Int("memtable", 4<<20, "memtable flush threshold in bytes, per shard (total buffered memory is shards x this)")
 		sync       = flag.Bool("sync", false, "fsync the WAL on every write")
-		background = flag.Bool("background", false, "run non-blocking background major compactions")
-		bgTrigger  = flag.Int("bg-trigger", 8, "table count that triggers a background major compaction")
-		bgStall    = flag.Int("bg-stall", 0, "table count that stalls writers (0 = 4x trigger)")
-		bgStrategy = flag.String("bg-strategy", "BT(I)", "merge-scheduling strategy for background compactions: size-tiered, threshold, leveled, or a paper strategy (SI, SO, BT, BT(I), BT(O), CHAIN, RANDOM)")
-		bgK        = flag.Int("bg-k", 4, "maximum merge fan-in for background compactions")
 		workers    = flag.Int("compact-workers", 0, "merge worker pool size (0 = GOMAXPROCS)")
 		statsEvery = flag.Duration("stats-every", 0, "periodically log write-pipeline stats (0 = off)")
 		statsHTTP  = flag.String("stats-http", "", "serve engine stats as JSON at this address (GET /stats; empty = off)")
@@ -80,14 +74,6 @@ func run() error {
 	}
 	if *sync {
 		opts = append(opts, kv.WithSyncWAL())
-	}
-	if *background {
-		opts = append(opts, kv.WithBackgroundCompaction(kv.BackgroundConfig{
-			Trigger:  *bgTrigger,
-			Stall:    *bgStall,
-			Strategy: *bgStrategy,
-			K:        *bgK,
-		}))
 	}
 	if *statsHTTP != "" {
 		opts = append(opts, kv.WithStatsHandler(*statsHTTP))
@@ -129,16 +115,12 @@ func run() error {
 		go logStats(ctx, eng, srv, *statsEvery)
 	}
 
-	mode := "foreground-major"
-	if *background {
-		mode = fmt.Sprintf("background-major(trigger=%d, strategy=%s)", *bgTrigger, *bgStrategy)
-	}
 	extra := ""
 	if *statsHTTP != "" {
 		extra = fmt.Sprintf(", stats at http://%s/stats", *statsHTTP)
 	}
-	fmt.Printf("lsmserver: serving %s on %s (shards=%d, auto=%s, %s%s)\n",
-		*dir, ln.Addr(), st.Shards, *auto, mode, extra)
+	fmt.Printf("lsmserver: serving %s on %s (shards=%d, auto=%s%s)\n",
+		*dir, ln.Addr(), st.Shards, *auto, extra)
 	err = srv.Serve(ln)
 	if errors.Is(err, net.ErrClosed) {
 		return nil

@@ -1,12 +1,8 @@
-// Package retry is the engine's one implementation of jittered
-// exponential backoff. It exists because backoff keeps being needed at
-// every layer that talks to something that can transiently fail — the
-// background compactor retrying after an injected I/O error, the cluster
-// router retrying a replica write, the failure detector probing a down
-// node — and each ad-hoc copy picks different constants and a different
-// jitter story. The package is a leaf (it imports only the standard
-// library) so any layer can depend on it without cycles.
-package retry
+package cluster
+
+// This file is the router's one implementation of jittered exponential
+// backoff: the failure detector's probes of a down node (ProbeBackoff) and
+// the re-attempt a replica read or write gets (RetryBackoff) both use it.
 
 import (
 	"context"
@@ -38,8 +34,8 @@ const (
 )
 
 // jitterRand is the shared jitter source. math/rand's global functions
-// would do, but a dedicated locked source keeps this package independent
-// of global seeding and makes the lock scope explicit.
+// would do, but a dedicated locked source keeps backoff independent of
+// global seeding and makes the lock scope explicit.
 var (
 	jitterMu   sync.Mutex
 	jitterRand = rand.New(rand.NewSource(time.Now().UnixNano()))

@@ -13,7 +13,6 @@ import (
 	"repro/internal/kvnet"
 	"repro/internal/lsm"
 	"repro/internal/model"
-	"repro/internal/retry"
 )
 
 // testNode is a restartable in-process cluster node: an lsm engine
@@ -110,7 +109,7 @@ func chaosOptions() Options {
 		RequestTimeout:  1500 * time.Millisecond,
 		PingInterval:    40 * time.Millisecond,
 		HandoffInterval: 150 * time.Millisecond,
-		ProbeBackoff:    retry.Backoff{Base: 20 * time.Millisecond, Max: 150 * time.Millisecond},
+		ProbeBackoff:    Backoff{Base: 20 * time.Millisecond, Max: 150 * time.Millisecond},
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/retry"
 )
 
 // health is the router's failure detector state: one record per node,
@@ -21,7 +19,7 @@ import (
 // down, and what is its up-epoch — are atomics written under it, so the
 // request path reads them without a lock.
 type health struct {
-	backoff retry.Backoff
+	backoff Backoff
 
 	mu    sync.Mutex
 	nodes []nodeHealth
@@ -46,7 +44,7 @@ type nodeHealth struct {
 	lastErr   error
 }
 
-func newHealth(probeBackoff retry.Backoff, names []string) *health {
+func newHealth(probeBackoff Backoff, names []string) *health {
 	h := &health{backoff: probeBackoff, nodes: make([]nodeHealth, len(names))}
 	for i, name := range names {
 		h.nodes[i].name = name

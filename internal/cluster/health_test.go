@@ -3,8 +3,6 @@ package cluster
 import (
 	"errors"
 	"testing"
-
-	"repro/internal/retry"
 )
 
 // TestHealthEpochGuardDiscardsStaleVerdicts pins the failure detector's
@@ -13,7 +11,7 @@ import (
 // delivering a failure from before a node's restart re-demotes the
 // recovered node and fails quorums that were healthy.
 func TestHealthEpochGuardDiscardsStaleVerdicts(t *testing.T) {
-	h := newHealth(retry.Backoff{}, []string{"n1"})
+	h := newHealth(Backoff{}, []string{"n1"})
 	const n1 = 0
 	errBoom := errors.New("boom")
 

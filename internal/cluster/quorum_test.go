@@ -17,7 +17,6 @@ import (
 	"repro/internal/kverr"
 	"repro/internal/kvnet"
 	"repro/internal/lsm"
-	"repro/internal/retry"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -719,7 +718,7 @@ func (gc *gatedCluster) readFrom(offset int) {
 // semanticsOptions keep timeouts far from anything a gated test waits on:
 // nothing here may be decided by a deadline.
 func semanticsOptions() Options {
-	return Options{RequestTimeout: 20 * time.Second, RetryBackoff: retry.Backoff{Base: 2 * time.Second, Max: 2 * time.Second, Jitter: -1}}
+	return Options{RequestTimeout: 20 * time.Second, RetryBackoff: Backoff{Base: 2 * time.Second, Max: 2 * time.Second, Jitter: -1}}
 }
 
 // TestAckedWriteVisibleToEveryReadSubset is docs/cluster.md's first promise,
@@ -935,7 +934,7 @@ func TestSilentReplicaCostsOneHedgeDelay(t *testing.T) {
 	gc := startGatedCluster(t, Options{
 		RequestTimeout: 20 * time.Second,
 		PingInterval:   10 * time.Millisecond,
-		RetryBackoff:   retry.Backoff{Base: hedgeDelay, Max: hedgeDelay, Jitter: -1},
+		RetryBackoff:   Backoff{Base: hedgeDelay, Max: hedgeDelay, Jitter: -1},
 	})
 	ctx := context.Background()
 	key, value := []byte("hedged"), []byte("value")

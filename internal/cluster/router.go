@@ -13,7 +13,6 @@ import (
 	"repro/internal/kverr"
 	"repro/internal/kvnet"
 	"repro/internal/lsm"
-	"repro/internal/retry"
 )
 
 // Options configures a Router's replication and failure-handling
@@ -48,7 +47,7 @@ type Options struct {
 	// (default 2s); a node coming back is also swept immediately.
 	PingInterval    time.Duration
 	HandoffInterval time.Duration
-	ProbeBackoff    retry.Backoff
+	ProbeBackoff    Backoff
 
 	// RetryBackoff paces the single in-flight re-attempt a replica read
 	// or write gets, while its operation still waits for it, before it
@@ -57,7 +56,7 @@ type Options struct {
 	// down would fail an otherwise healthy quorum. Its Base
 	// is also a read's hedge delay: how long a replica may stay silent
 	// before the read asks the next one as well.
-	RetryBackoff retry.Backoff
+	RetryBackoff Backoff
 }
 
 func (o Options) withDefaults() Options {
@@ -85,8 +84,8 @@ func (o Options) withDefaults() Options {
 	if o.HandoffInterval <= 0 {
 		o.HandoffInterval = 2 * time.Second
 	}
-	if o.ProbeBackoff == (retry.Backoff{}) {
-		o.ProbeBackoff = retry.Backoff{Base: 250 * time.Millisecond, Max: 5 * time.Second}
+	if o.ProbeBackoff == (Backoff{}) {
+		o.ProbeBackoff = Backoff{Base: 250 * time.Millisecond, Max: 5 * time.Second}
 	}
 	if o.RetryBackoff.Base <= 0 {
 		o.RetryBackoff.Base = 25 * time.Millisecond
@@ -469,9 +468,9 @@ func (rt *Router) doCall(ctx, first context.Context, node int, call nodeCall) er
 
 // terminalReplicaErr reports whether a replica error is a typed engine
 // answer a retry cannot change: the server processed the request and
-// said no. Transport failures, timeouts and ErrStalled (compaction
-// backpressure — exactly the transient condition backoff exists for)
-// are worth re-attempting.
+// said no. Transport failures, timeouts and ErrStalled (a write that
+// outwaited its deadline behind a busy flusher — exactly the transient
+// condition backoff exists for) are worth re-attempting.
 func terminalReplicaErr(err error) bool {
 	return errors.Is(err, kverr.ErrReadOnly) ||
 		errors.Is(err, kverr.ErrCorrupt) ||

@@ -37,8 +37,8 @@ func ExecuteParallel(sc *Schedule, workers int) error {
 // ExecuteParallelFunc drives sc's merge DAG on a bounded worker pool,
 // invoking run(i) for step i once every input of that step has been
 // produced. It is the executor behind both ExecuteParallel (which re-merges
-// the abstract key sets) and the LSM engine's background major compaction
-// (which merges the real sstable files). Steps whose inputs are all leaves
+// the abstract key sets) and the LSM engine's major compaction (which
+// merges the real sstable files). Steps whose inputs are all leaves
 // start immediately; a step becomes ready the moment its last dependency's
 // run call returns, so available parallelism is exploited without barriers
 // between tree levels.

@@ -68,9 +68,9 @@ type EngineCell struct {
 // EngineMatrix runs every EngineMixes stream through a fresh engine under
 // every minor policy the engine accepts except "none" (the baselines, then
 // the paper's live strategies), each cell in its own directory under dir,
-// and returns the cells mix by mix in policy order. One writer, one shard
-// and no background compaction make every count a function of the stream
-// and the policy alone; cells share nothing, so four run at once.
+// and returns the cells mix by mix in policy order. One writer and one
+// shard make every count a function of the stream and the policy alone;
+// cells share nothing, so four run at once.
 func EngineMatrix(dir string) ([]EngineCell, error) {
 	policies := append(compaction.Baselines(), compaction.LiveStrategies()...)
 	cells := make([]EngineCell, len(EngineMixes)*len(policies))

@@ -15,11 +15,11 @@ var (
 	// ErrClosed reports use of a closed engine, iterator or snapshot.
 	ErrClosed = errors.New("kv: engine closed")
 
-	// ErrStalled marks a write aborted (or abandoned by its caller) while
-	// blocked in compaction write-stall backpressure. It is always wrapped
+	// ErrStalled marks a write abandoned by its caller while waiting for
+	// the flusher to clear the previous full memtable. It is always wrapped
 	// together with the cause — typically a context error — so both
 	// errors.Is(err, ErrStalled) and errors.Is(err, context.Canceled) hold.
-	ErrStalled = errors.New("kv: write stalled by compaction backpressure")
+	ErrStalled = errors.New("kv: write stalled behind the flusher")
 
 	// ErrBatchTooLarge reports a write batch exceeding the engine's batch
 	// size limit; such a batch cannot commit as one atomic unit.

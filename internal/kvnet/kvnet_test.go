@@ -524,8 +524,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 			CompactionPicks: map[string]uint64{"BT(I)": 11, "size-tiered": 12}, Generation: 13, CompactionState: "merging",
 			BlockCacheHits: 14, BlockCacheMisses: 15, BlockCacheShardBalance: 1.25, FilterNegatives: 16, FilterFalsePositives: 17,
 			GroupCommits: 18, GroupedWrites: 19, WALSyncs: 20, WALRecoveredRecords: 21, WALRecoveredBatches: 22,
-			WALRecoveredBytes: 23, WALRecoveryTruncated: true, ReadOnly: true, QuarantinedTables: 24, CleanupFailures: 25,
-			BackgroundRetries: 26, BackgroundFailures: 27}},
+			WALRecoveredBytes: 23, WALRecoveryTruncated: true, ReadOnly: true, QuarantinedTables: 24, CleanupFailures: 25}},
 	}
 	for _, resp := range resps {
 		got, err := DecodeResponse(EncodeResponse(resp))

@@ -6,14 +6,16 @@
 // atomic frame with at most one fsync, applies it to the memtable under a
 // short store-lock section, rotates the memtable if the group filled it
 // (the flusher goroutine does the flush and the minor compactions that
-// follow — see flusher.go), applies backpressure, and finally wakes its
-// followers and hands leadership to the next waiter. The fsync cost
-// therefore amortizes over the whole group, and no writer waits for an
-// sstable or a manifest to be written.
+// follow — see flusher.go), and finally wakes its followers and hands
+// leadership to the next waiter. The fsync cost therefore amortizes over the
+// whole group, and no writer waits for an sstable or a manifest to be
+// written, except that a rotation waits for the previous memtable's flush:
+// the engine's one writer backpressure.
 package lsm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -163,12 +165,12 @@ var (
 // writer: before enqueueing, while parked in the commit queue (an unclaimed
 // request is removed and its slot released, so a cancelled writer never
 // blocks the pipeline), when taking over group leadership before any WAL
-// I/O has started, and while blocked in write-stall backpressure. Once a
-// leader has claimed the batch into a group the commit is past the point of
-// no return: the write goes through and any later expiry is ignored —
-// except in the stall wait, where ErrStalled (wrapping the context error)
-// reports that the already-durable write abandoned only its backpressure
-// delay.
+// I/O has started, and while the leader waits for the flusher to clear the
+// frozen memtable. Once a leader has claimed the batch into a group the
+// commit is past the point of no return: the write goes through and any
+// later expiry is ignored — except in that wait, where ErrStalled (wrapping
+// the context error) reports that the already-durable write abandoned only
+// the wait, leaving the memtable's rotation to the next commit.
 func (db *DB) WriteContext(ctx context.Context, b *WriteBatch) error {
 	if b == nil || b.Len() == 0 {
 		return nil
@@ -318,23 +320,16 @@ func (db *DB) leadGroup(head *commitReq) {
 	}
 	db.commitMu.Unlock()
 
-	var stall bool
-	err := db.commitGroup(group, &stall)
-	for _, r := range group {
-		r.err = err
+	err := db.commitGroup(head.ctx, group)
+	head.err = err
+	if errors.Is(err, ErrStalled) {
+		// The leader waited for the flusher on the group's behalf under its
+		// own context: only it learns of the abandoned wait, as its
+		// followers' writes committed normally.
+		err = nil
 	}
-	if stall {
-		// Backpressure runs outside the pipeline lock so the background
-		// compactor can flush and swap while this group's writers wait. The
-		// leader stalls on behalf of the whole group under its own context;
-		// if that context expires mid-stall only the leader learns of the
-		// abandoned delay — its followers' writes committed normally.
-		db.mu.Lock()
-		stallErr := db.maybeStallLocked(head.ctx)
-		db.mu.Unlock()
-		if stallErr != nil && head.err == nil {
-			head.err = stallErr
-		}
+	for _, r := range group[1:] {
+		r.err = err
 	}
 
 	// Pop the group and pass leadership on before releasing followers, so
@@ -357,9 +352,9 @@ func (db *DB) leadGroup(head *commitReq) {
 // commitGroup performs one group commit: sequence assignment under the
 // store lock, WAL append + fsync (with Options.SyncWAL) under only the
 // pipeline lock, memtable apply and rotation back under the store lock. On
-// return the group is durable (with SyncWAL) and visible. Sets *stall when
-// the commit rotated the memtable and backpressure should be evaluated.
-func (db *DB) commitGroup(group []*commitReq, stall *bool) error {
+// return the group is durable (with SyncWAL) and visible; ctx, the leader's,
+// bounds only the wait for the flusher before a rotation.
+func (db *DB) commitGroup(ctx context.Context, group []*commitReq) error {
 	db.pipeMu.Lock()
 	defer db.pipeMu.Unlock()
 
@@ -455,19 +450,16 @@ func (db *DB) commitGroup(group []*commitReq, stall *bool) error {
 		// One frozen memtable at a time: if the previous one is still being
 		// flushed the group waits here, with pipeMu held, so the rotation
 		// lands after exactly the same write whatever the flusher's speed.
-		// A failure the flusher was holding comes back as this group's
-		// error — the group itself is durable and applied — and the next
-		// commit rotates.
-		if err := db.stallForFlusherLocked(); err != nil {
+		// A failure the flusher was holding, or the leader's ctx expiring
+		// in the wait, comes back as this group's error — the group itself
+		// is durable and applied — and the next commit rotates.
+		if err := db.stallForFlusherLocked(ctx); err != nil {
 			if err == ErrClosed {
 				return nil
 			}
 			return err
 		}
-		if err := db.rotateLocked(true); err != nil {
-			return err
-		}
-		*stall = db.opts.Background != nil
+		return db.rotateLocked(true)
 	}
 	return nil
 }

@@ -65,7 +65,7 @@ type CompactionResult struct {
 	// snapshot, a minor pick's inputs.
 	TablesBefore int
 	// TablesAfter is the number of live sstables immediately after the
-	// swap; above one for background compactions that overlapped flushes.
+	// swap; above one for a major compaction that overlapped flushes.
 	TablesAfter int
 	// StepStats holds per-merge disk I/O, indexed by schedule step.
 	StepStats []sstable.MergeStats
@@ -223,7 +223,6 @@ func (db *DB) unclaim(ins []*tableHandle) {
 		th.compacting = false
 		th.rd.Unspend()
 	}
-	db.stallCond.Broadcast()
 	db.mu.Unlock()
 	releaseTables(ins)
 }

@@ -7,43 +7,19 @@ import (
 	"time"
 )
 
-// wedgeCompactor returns Options that wedge the background compactor
-// between merge and swap (so write-stall backpressure, once entered, does
-// not clear) plus the release function. MemtableBytes 1 makes every write
-// flush a table, so the stall threshold is reached deterministically.
-func wedgeCompactorOptions() (Options, func()) {
-	block := make(chan struct{})
-	var once bool
-	release := func() {
-		if !once {
-			once = true
-			close(block)
-		}
-	}
-	opts := Options{
-		MemtableBytes: 1,
-		Background:    &BackgroundConfig{Trigger: 2, Stall: 3, Strategy: "BT(I)", K: 2},
-		HookBeforeSwap: func() error {
-			<-block
-			return nil
-		},
-	}
-	return opts, release
-}
-
-// putAndFlush writes one key and waits for the flush it triggers (every
-// write rotates under wedgeCompactorOptions), so the next write does not
-// wait for the flusher and count a stall of its own.
-func putAndFlush(t *testing.T, db *DB, k, v string) {
+// openStalled opens a DB whose flusher wedges before it writes its first
+// table and has one write rotate the memtable into it, so the next write
+// that fills a memtable waits for the flusher until release is called.
+// MemtableBytes 1 makes every write fill a memtable.
+func openStalled(t *testing.T) (*DB, func()) {
 	t.Helper()
-	if err := db.PutContext(context.Background(), []byte(k), []byte(v)); err != nil {
+	db := openTestDB(t, Options{MemtableBytes: 1})
+	reached, release := wedgeFlusher(t, db, beforeBuild)
+	if err := db.PutContext(context.Background(), []byte("a"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	db.mu.Lock()
-	for db.imm != nil {
-		db.flushCond.Wait()
-	}
-	db.mu.Unlock()
+	<-reached
+	return db, release
 }
 
 // waitForStall blocks until the DB reports at least one write stall, or
@@ -60,25 +36,13 @@ func waitForStall(t *testing.T, db *DB) {
 	t.Fatal("no write stall observed")
 }
 
-// TestWriteContextCancelDuringStall wedges the compactor, drives the table
-// count to the stall threshold, and cancels the stalled writer's context:
-// the write must return promptly with an error that is both ErrStalled and
-// context.Canceled (the write itself is durable; only the backpressure
-// delay was abandoned).
+// TestWriteContextCancelDuringStall wedges the flusher, has a writer fill
+// the next memtable and wait for it, and cancels the waiting writer's
+// context: the write must return promptly with an error that is both
+// ErrStalled and context.Canceled (the write itself is durable; only the
+// wait was abandoned), and the next commit rotates the memtable it left.
 func TestWriteContextCancelDuringStall(t *testing.T) {
-	opts, release := wedgeCompactorOptions()
-	defer release()
-	db, err := Open(t.TempDir(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Two writes cut two tables, reaching the compaction trigger; the
-	// compactor wedges in the hook. The third write cuts the third table
-	// and stalls. Each write finds the flusher idle, so the only stall
-	// counted is the backpressure one.
-	putAndFlush(t, db, "a", "1")
-	putAndFlush(t, db, "b", "2")
+	db, release := openStalled(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -98,31 +62,34 @@ func TestWriteContextCancelDuringStall(t *testing.T) {
 		t.Fatal("cancelled stalled write did not return")
 	}
 
-	// The write is durable despite the error: release the compactor and
-	// confirm the key is there.
+	// The write is durable despite the error: release the flusher and
+	// confirm the key is there, and that the next write rotates the
+	// memtable the cancelled leader left full.
 	release()
 	if v, err := db.GetContext(context.Background(), []byte("c")); err != nil || string(v) != "3" {
 		t.Fatalf("Get(c) after abandoned stall = %q, %v", v, err)
+	}
+	if err := db.PutContext(context.Background(), []byte("d"), []byte("4")); err != nil {
+		t.Fatal(err)
+	}
+	db.mu.RLock()
+	rotations := db.rotations
+	db.mu.RUnlock()
+	if rotations != 2 {
+		t.Errorf("rotations = %d after the write that followed the abandoned wait, want 2", rotations)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestWriteContextCancelParkedInQueue blocks the pipeline (leader wedged
-// in write-stall backpressure) and parks a second writer in the commit
-// queue; cancelling the parked writer must release it promptly with
+// TestWriteContextCancelParkedInQueue blocks the pipeline (leader waiting
+// for the wedged flusher) and parks a second writer in the commit queue;
+// cancelling the parked writer must release it promptly with
 // context.Canceled, without committing its batch.
 func TestWriteContextCancelParkedInQueue(t *testing.T) {
-	opts, release := wedgeCompactorOptions()
-	defer release()
-	db, err := Open(t.TempDir(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, release := openStalled(t)
 
-	putAndFlush(t, db, "a", "1")
-	putAndFlush(t, db, "b", "2")
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() { leaderErr <- db.PutContext(leaderCtx, []byte("c"), []byte("3")) }()
@@ -165,7 +132,14 @@ func TestWriteContextCancelParkedInQueue(t *testing.T) {
 	}
 
 	cancelLeader()
-	<-leaderErr
+	select {
+	case err := <-leaderErr:
+		if !errors.Is(err, ErrStalled) || !errors.Is(err, context.Canceled) {
+			t.Errorf("stalled leader returned %v, want ErrStalled wrapping context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled stalled leader did not return")
+	}
 	release()
 	// The abandoned write must not have been committed.
 	if _, err := db.GetContext(context.Background(), []byte("d")); !errors.Is(err, ErrNotFound) {

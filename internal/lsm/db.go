@@ -25,15 +25,12 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cache"
-	"repro/internal/compaction"
 	"repro/internal/hll"
 	"repro/internal/iterator"
 	"repro/internal/kverr"
 	"repro/internal/memtable"
-	"repro/internal/retry"
 	"repro/internal/skiplist"
 	"repro/internal/sstable"
 	"repro/internal/vfs"
@@ -50,10 +47,10 @@ var (
 	// ErrClosed reports use of a closed DB.
 	ErrClosed = kverr.ErrClosed
 
-	// ErrStalled marks a write that was aborted by its context while blocked
-	// in write-stall backpressure. The group is already durable and visible
-	// when this is returned — only the backpressure delay was abandoned —
-	// and the context's own error is wrapped alongside it.
+	// ErrStalled marks a write that was aborted by its context while
+	// waiting for the flusher to clear the frozen memtable. The group is
+	// already durable and visible when this is returned — only the wait was
+	// abandoned — and the context's own error is wrapped alongside it.
 	ErrStalled = kverr.ErrStalled
 
 	// ErrBatchTooLarge reports a WriteBatch larger than MaxBatchBytes.
@@ -89,11 +86,6 @@ type Options struct {
 	// (see PolicyByName) after every memtable flush triggered by a write,
 	// keeping the table count bounded between major compactions.
 	AutoCompact *Policy
-	// Background, when non-nil, starts a maintenance goroutine that runs
-	// non-blocking major compactions whenever the live table count reaches
-	// the configured trigger, stalling writers once the count reaches the
-	// configured stall threshold (backpressure).
-	Background *BackgroundConfig
 	// CompactionWorkers bounds the merge worker pool used by major
 	// compactions. Zero selects GOMAXPROCS.
 	CompactionWorkers int
@@ -103,7 +95,7 @@ type Options struct {
 	// HookBeforeSwap, when non-nil, runs between a major compaction's merge
 	// phase and its manifest swap, off-lock; returning an error aborts the
 	// compaction as if it crashed there. Intended for tests that need to
-	// wedge or fail the compactor at a deterministic point.
+	// wedge or fail a major compaction at a deterministic point.
 	HookBeforeSwap func() error
 	// FS is the filesystem every durability-critical operation goes
 	// through: WAL and sstable creation, manifest rewrites, table reads,
@@ -247,8 +239,8 @@ type DB struct {
 	// readers, surviving table turnover under compaction.
 	filterMetrics sstable.FilterMetrics
 
-	// majorMu serializes major compactions (blocking or background); the
-	// store lock mu is only held for their short snapshot/swap sections.
+	// majorMu serializes major compactions; the store lock mu is only held
+	// for their short snapshot/swap sections.
 	majorMu sync.Mutex
 	// state is the major-compaction state machine, readable without mu.
 	state atomic.Int32
@@ -287,14 +279,13 @@ type DB struct {
 	// taken with no other lock held.
 	applyMu sync.RWMutex
 
-	mu        sync.RWMutex
-	stallCond *sync.Cond // signalled when the table count drops or DB closes
-	mem       *memtable.Table
-	log       *wal.Writer // the active WAL segment, number logNum
-	logNum    uint64
-	man       *manifest
-	tables    []*tableHandle // newest first
-	closed    bool
+	mu     sync.RWMutex
+	mem    *memtable.Table
+	log    *wal.Writer // the active WAL segment, number logNum
+	logNum uint64
+	man    *manifest
+	tables []*tableHandle // newest first
+	closed bool
 	// nextSeq is the next sequence number a commit is given. The manifest
 	// records only one past what the tables hold (see flushImmLocked).
 	nextSeq uint64
@@ -324,22 +315,15 @@ type DB struct {
 	flushHook func(flushPoint)
 	// stats holds the counters Stats reports that the DB keeps itself:
 	// maintenance work, the commit pipeline, WAL recovery at Open,
-	// quarantines, background retries and the table-set generation, which
-	// each tableHandle also records. Stats fills in the rest. Guarded by mu.
+	// quarantines and the table-set generation, which each tableHandle
+	// also records. Stats fills in the rest. Guarded by mu.
 	stats Stats
-	// bgLastErr is the background compactor's last failure, nil after a
-	// success; roCause is the durability failure that degraded the DB to
-	// read-only (nil while writable). Both guarded by mu.
-	bgLastErr error
-	roCause   error
-
-	bgCfg  BackgroundConfig
-	bgKick chan struct{}
-	bgQuit chan struct{}
-	bgWG   sync.WaitGroup
+	// roCause is the durability failure that degraded the DB to read-only
+	// (nil while writable). Guarded by mu.
+	roCause error
 
 	// hookBeforeSwap, when set (tests only), runs after every merge of a
-	// background major compaction completes but before the manifest swap.
+	// major compaction completes but before the manifest swap.
 	// Returning an error aborts the compaction as a simulated crash:
 	// merge outputs are left on disk and the manifest is not touched.
 	hookBeforeSwap func() error
@@ -350,11 +334,6 @@ type DB struct {
 // sstable files a crashed flush or compaction left outside the manifest.
 func Open(dir string, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
-	if bg := opts.Background; bg != nil {
-		if _, err := compaction.NewLiveChooser(bg.withDefaults().Strategy, 0); err != nil {
-			return nil, fmt.Errorf("lsm: background %w", err)
-		}
-	}
 	fsys := opts.FS
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lsm: mkdir: %w", err)
@@ -370,7 +349,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	db := &DB{dir: dir, opts: opts, fs: fsys, man: man}
 	db.mem = memtable.NewFrom(&db.slabs, opts.Seed)
 	db.cleanupFails.Add(orphanFails)
-	db.stallCond = sync.NewCond(&db.mu)
 	db.flushCond = sync.NewCond(&db.mu)
 	db.hookBeforeSwap = opts.HookBeforeSwap
 	if opts.BlockCacheBytes > 0 {
@@ -402,13 +380,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.installViewLocked()
 	db.flusherWG.Add(1)
 	go db.flusher()
-	if opts.Background != nil {
-		db.bgCfg = opts.Background.withDefaults()
-		db.bgKick = make(chan struct{}, 1)
-		db.bgQuit = make(chan struct{})
-		db.bgWG.Add(1)
-		go db.backgroundCompactor()
-	}
 	return db, nil
 }
 
@@ -508,8 +479,8 @@ func (db *DB) mergeTables(name string, drop func(iterator.Entry) bool, inputs []
 	return rd, stats, err
 }
 
-// Close stops background maintenance, flushes nothing (the WAL preserves
-// the memtables) and releases all file handles. A flush the flusher has
+// Close stops the flusher, flushes nothing (the WAL preserves the
+// memtables) and releases all file handles. A flush the flusher has
 // begun is finished, one it has not is left to the next Open's replay, and
 // a failure it was holding for the next waiter is returned here; an
 // in-flight merge aborts at its next phase boundary; snapshots still reading
@@ -521,13 +492,8 @@ func (db *DB) Close() error {
 		return ErrClosed
 	}
 	db.closed = true
-	if db.bgQuit != nil {
-		close(db.bgQuit)
-	}
-	db.stallCond.Broadcast()
 	db.flushCond.Broadcast()
 	db.mu.Unlock()
-	db.bgWG.Wait()
 	db.flusherWG.Wait()
 
 	// Quiesce the commit pipeline before closing the log: an in-flight
@@ -574,55 +540,6 @@ func (db *DB) DeleteContext(ctx context.Context, key []byte) error {
 	return err
 }
 
-// maybeStallLocked implements write backpressure for the background
-// compactor: kick a compaction at the trigger threshold, and above the
-// stall threshold block the writer (releasing the lock while waiting)
-// until compaction brings the table count back down. The write itself has
-// already been applied; stalling only delays the return to the caller, so
-// when ctx expires mid-stall the returned error (ErrStalled wrapping the
-// context error) reports an abandoned delay, not a lost write.
-func (db *DB) maybeStallLocked(ctx context.Context) error {
-	if db.opts.Background == nil {
-		return nil
-	}
-	// A frozen memtable counts as the table its flush is about to add, so
-	// the thresholds trip after the same write whether or not the flusher
-	// has got to it yet.
-	pending := func() int {
-		if db.imm != nil {
-			return len(db.tables) + 1
-		}
-		return len(db.tables)
-	}
-	if pending() >= db.bgCfg.Trigger {
-		db.kickBackground()
-	}
-	if pending() < db.bgCfg.Stall {
-		return nil
-	}
-	db.stats.WriteStalls++
-	stallStart := time.Now()
-	defer func() { db.stats.WriteStallTime += time.Since(stallStart) }()
-	// stallCond has no select form, so context expiry is delivered by a
-	// watcher that wakes every waiter; each one rechecks its own ctx.
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			db.mu.Lock()
-			db.stallCond.Broadcast()
-			db.mu.Unlock()
-		})
-		defer stop()
-	}
-	for pending() >= db.bgCfg.Stall && !db.closed && db.bgLastErr == nil && db.roCause == nil {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%w: %w", ErrStalled, err)
-		}
-		db.kickBackground()
-		db.stallCond.Wait()
-	}
-	return nil
-}
-
 // recordPickLocked counts a completed compaction against the policy or
 // strategy that picked it. Callers hold mu.
 func (db *DB) recordPickLocked(name string) {
@@ -632,31 +549,20 @@ func (db *DB) recordPickLocked(name string) {
 	db.stats.CompactionPicks[name]++
 }
 
-// kickBackground nudges the maintenance goroutine without blocking.
-func (db *DB) kickBackground() {
-	if db.bgKick == nil {
-		return
-	}
-	select {
-	case db.bgKick <- struct{}{}:
-	default:
-	}
-}
-
 // failDurabilityLocked permanently degrades the DB to read-only, recording
 // cause. Called (under mu) when a WAL or manifest fsync fails — after a
 // failed fsync the kernel may have dropped the dirty pages, so nothing
 // later written could be trusted as durable, and acknowledging writes
 // would risk silently losing them. Reads keep working; every subsequent
-// write fails with ErrReadOnly wrapping the cause. Stalled writers are
-// released so they fail fast instead of hanging.
+// write fails with ErrReadOnly wrapping the cause. Writers waiting on the
+// flusher are released so they fail fast instead of hanging.
 func (db *DB) failDurabilityLocked(cause error) {
 	if db.roCause != nil {
 		return
 	}
 	db.roCause = cause
 	db.ro.Store(true)
-	db.stallCond.Broadcast()
+	db.flushCond.Broadcast()
 }
 
 // readOnlyErrLocked returns the composed read-only error, or nil while the
@@ -679,8 +585,8 @@ func (db *DB) ReadOnly() (bool, error) {
 // setTablesLocked commits next as the live table set, newest first. Every
 // change to the set after Open — a flush, a merge's install, a quarantine —
 // goes through it: it saves the manifest naming next, and only then makes
-// next live, bumps Stats.Generation, publishes the read view and wakes
-// writers stalled on the table count. A failed save changes nothing in
+// next live, bumps Stats.Generation and publishes the read view. A failed
+// save changes nothing in
 // memory and degrades the DB to read-only: the manifest on disk may name
 // either set, so no later write could be promised durable. Callers hold mu.
 func (db *DB) setTablesLocked(next []*tableHandle) error {
@@ -691,7 +597,6 @@ func (db *DB) setTablesLocked(next []*tableHandle) error {
 	db.tables = next
 	db.stats.Generation++
 	db.installViewLocked()
-	db.stallCond.Broadcast()
 	return nil
 }
 
@@ -731,82 +636,6 @@ func (db *DB) quarantineTable(th *tableHandle, cause error) {
 		db.cleanupFails.Add(1)
 	}
 	th.release() // the live set's reference
-}
-
-// backgroundCompactor is the maintenance goroutine: it waits for kicks from
-// the write path and runs non-blocking major compactions until the live
-// table count is back under the trigger threshold.
-// bgMaxRetries bounds how many times the background compactor retries a
-// failing compaction before giving up and surfacing the error; retries
-// back off on bgBackoff's jittered exponential schedule.
-const bgMaxRetries = 3
-
-var bgBackoff = retry.Backoff{Base: 10 * time.Millisecond, Max: 2 * time.Second}
-
-func (db *DB) backgroundCompactor() {
-	defer db.bgWG.Done()
-	retries := 0
-	for {
-		select {
-		case <-db.bgQuit:
-			return
-		case <-db.bgKick:
-		}
-		for {
-			db.mu.RLock()
-			n := len(db.tables)
-			closed := db.closed
-			readOnly := db.roCause != nil
-			db.mu.RUnlock()
-			if closed || readOnly || n < db.bgCfg.Trigger {
-				break
-			}
-			_, err := db.MajorCompact(db.bgCfg.Strategy, db.bgCfg.K, 0)
-			if errors.Is(err, ErrClosed) {
-				return
-			}
-			if err != nil && !errors.Is(err, ErrReadOnly) && retries < bgMaxRetries {
-				// Transient failures (an injected I/O error, a momentary
-				// ENOSPC) get a bounded, backed-off retry before the error
-				// sticks and disables backpressure. Read-only degradation
-				// is permanent, so retrying it would just spin.
-				retries++
-				db.mu.Lock()
-				db.stats.BackgroundRetries++
-				db.mu.Unlock()
-				select {
-				case <-db.bgQuit:
-					return
-				case <-time.After(bgBackoff.Delay(retries - 1)):
-				}
-				continue
-			}
-			db.mu.Lock()
-			// A success clears any earlier transient failure so
-			// backpressure stalls re-arm; a failure that exhausted its
-			// retries records the error and releases stalled writers
-			// rather than hanging them.
-			db.bgLastErr = err
-			if err != nil {
-				db.stats.BackgroundFailures++
-				db.stallCond.Broadcast()
-			}
-			db.mu.Unlock()
-			if err != nil {
-				break
-			}
-			retries = 0
-		}
-	}
-}
-
-// BackgroundErr returns the first error the background compactor hit, if
-// any. A non-nil result means backpressure stalls are disabled and the
-// table count may grow unbounded; callers should surface it.
-func (db *DB) BackgroundErr() error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.bgLastErr
 }
 
 // GetContext returns the value stored for key, or ErrNotFound. The read is

@@ -745,19 +745,31 @@ func TestDoubleClose(t *testing.T) {
 	}
 }
 
-// TestCloseRacesBackgroundCompaction closes the DB while concurrent
-// writers are feeding the background compactor. Whatever interleaving
-// happens, writers must only ever see typed errors and Close must return.
-// (The -race runs in CI are the other half of this test.)
-func TestCloseRacesBackgroundCompaction(t *testing.T) {
-	db, err := lsm.Open(t.TempDir(), lsm.Options{
-		MemtableBytes: 2 << 10,
-		Background:    &lsm.BackgroundConfig{Trigger: 2, Stall: 64},
-	})
+// TestCloseRacesMajorCompaction closes the DB while concurrent writers
+// keep flushing tables and a compactor keeps running major compactions over
+// them. Whatever interleaving happens, writers and the compactor must only
+// ever see typed errors and Close must return. (The -race runs in CI are the
+// other half of this test.)
+func TestCloseRacesMajorCompaction(t *testing.T) {
+	db, err := lsm.Open(t.TempDir(), lsm.Options{MemtableBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			if _, err := db.MajorCompact("BT(I)", 2, 0); err != nil {
+				if !typedErr(err) {
+					t.Errorf("compactor: untyped error racing close: %v", err)
+				}
+				if errors.Is(err, lsm.ErrClosed) {
+					return
+				}
+			}
+		}
+	}()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -775,7 +787,7 @@ func TestCloseRacesBackgroundCompaction(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 	if err := db.Close(); err != nil {
-		t.Fatalf("close racing background compaction: %v", err)
+		t.Fatalf("close racing major compaction: %v", err)
 	}
 	wg.Wait()
 	if err := db.PutContext(context.Background(), []byte("late"), []byte("x")); !errors.Is(err, lsm.ErrClosed) {

@@ -7,6 +7,7 @@
 package lsm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -246,8 +247,12 @@ func (db *DB) rotateLocked(picks bool) error {
 // until the picks that follow a flush and every other minor merge have
 // finished too. A failure the flusher is holding is handed to this caller,
 // and taking it is what makes the flusher try again. Callers hold mu;
-// holding pipeMu as well keeps writers from rotating in a new imm.
-func (db *DB) waitFlusherLocked(idle bool) error {
+// holding pipeMu as well keeps writers from rotating in a new imm. A wait
+// cut short by ctx returns ErrStalled wrapping ctx's error; a caller whose
+// ctx can expire arranges for its expiry to broadcast flushCond (see
+// stallForFlusherLocked). Flush and MajorCompact take no ctx and wait
+// under context.Background.
+func (db *DB) waitFlusherLocked(ctx context.Context, idle bool) error {
 	for {
 		if err := db.flushErr; err != nil {
 			db.flushErr = nil
@@ -263,6 +268,9 @@ func (db *DB) waitFlusherLocked(idle bool) error {
 		if err := db.readOnlyErrLocked(); err != nil {
 			return err
 		}
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("%w: %w", ErrStalled, err)
+		}
 		db.flushCond.Wait()
 	}
 }
@@ -273,7 +281,7 @@ func (db *DB) waitFlusherLocked(idle bool) error {
 func (db *DB) lockQuiesced() error {
 	db.pipeMu.Lock()
 	db.mu.Lock()
-	err := db.waitFlusherLocked(true)
+	err := db.waitFlusherLocked(context.Background(), true)
 	if err == nil && db.closed {
 		err = ErrClosed
 	}
@@ -297,7 +305,7 @@ func (db *DB) flushMemLocked() error {
 	if err := db.rotateLocked(false); err != nil {
 		return err
 	}
-	return db.waitFlusherLocked(true)
+	return db.waitFlusherLocked(context.Background(), true)
 }
 
 // flushPoint names the places the flusher calls the test hook.
@@ -398,9 +406,6 @@ func (db *DB) flushImmLocked() error {
 	// to let go recycles it.
 	imm.Release()
 	db.flushCond.Broadcast()
-	if db.opts.Background != nil && len(db.tables) >= db.bgCfg.Trigger {
-		db.kickBackground()
-	}
 	db.mu.Unlock()
 	db.atFlushPoint(beforeRemove)
 	db.removeFile(seg)
@@ -409,12 +414,23 @@ func (db *DB) flushImmLocked() error {
 }
 
 // stallForFlusherLocked is the write path's wait for imm to clear before it
-// rotates again, counted with the backpressure stalls.
-func (db *DB) stallForFlusherLocked() error {
+// rotates again: the engine's one writer backpressure, counted in
+// Stats.WriteStalls. ctx is the group leader's. flushCond has no select
+// form, so ctx's expiry is delivered by a broadcast that wakes every
+// waiter, and each rechecks its own ctx.
+func (db *DB) stallForFlusherLocked(ctx context.Context) error {
 	if db.imm != nil {
 		db.stats.WriteStalls++
 		start := time.Now()
 		defer func() { db.stats.WriteStallTime += time.Since(start) }()
+		if ctx.Done() != nil {
+			stop := context.AfterFunc(ctx, func() {
+				db.mu.Lock()
+				db.flushCond.Broadcast()
+				db.mu.Unlock()
+			})
+			defer stop()
+		}
 	}
-	return db.waitFlusherLocked(false)
+	return db.waitFlusherLocked(ctx, false)
 }

@@ -23,7 +23,7 @@ import (
 func drainFlusher(t testing.TB, db *DB) {
 	t.Helper()
 	db.mu.Lock()
-	err := db.waitFlusherLocked(true)
+	err := db.waitFlusherLocked(context.Background(), true)
 	db.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/compaction"
 	"repro/internal/model"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -337,13 +338,14 @@ func TestBatchVisibilityAtomic(t *testing.T) {
 
 // TestPipelineStressDuringFlushes hammers the commit pipeline with mixed
 // Put/Delete/WriteBatch writers while readers and scanners run and a tiny
-// memtable forces constant flushes with background compaction and
-// backpressure — the -race harness for the lock-shedding commit path.
+// memtable forces constant flushes, with minor merges overlapping them —
+// the -race harness for the lock-shedding commit path.
 func TestPipelineStressDuringFlushes(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{
 		MemtableBytes: 8 << 10,
-		Background:    &BackgroundConfig{Trigger: 4, Stall: 10, Strategy: "BT(I)", K: 3},
-		Seed:          11,
+		// A merge at every second table: the run may flush only three times.
+		AutoCompact: tuned(2, compaction.Threshold{MaxTables: 2}),
+		Seed:        11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -419,13 +421,12 @@ func TestPipelineStressDuringFlushes(t *testing.T) {
 	if err, _ := testErr.Load().(error); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.BackgroundErr(); err != nil {
-		t.Fatal(err)
-	}
-
 	st := db.Stats()
 	if st.Flushes == 0 {
 		t.Error("stress never flushed: memtable threshold not exercised")
+	}
+	if st.MinorCompactions == 0 {
+		t.Error("stress never merged: no minor compaction overlapped the reads")
 	}
 	model.Check(t, dbReader{db}, m)
 }

@@ -107,45 +107,6 @@ func PolicyByName(name string, k int, seed int64) (*Policy, error) {
 	}}, nil
 }
 
-// BackgroundConfig configures the background major-compaction trigger and
-// its write backpressure. The zero value of every field selects a default,
-// so &BackgroundConfig{} enables background compaction with sane settings.
-type BackgroundConfig struct {
-	// Trigger is the live table count that starts a background major
-	// compaction. Zero selects 8.
-	Trigger int
-	// Stall is the live table count at which writers block until the
-	// compactor catches up — the backpressure valve that keeps a write
-	// burst from outrunning compaction indefinitely. Zero selects
-	// 4×Trigger; values at or below Trigger are raised to Trigger+1.
-	Stall int
-	// Strategy names the merge-scheduling strategy (see the compaction
-	// package). Empty selects "BT(I)", the paper's parallel-friendly
-	// BALANCETREE ordered by smallest input.
-	Strategy string
-	// K is the maximum merge fan-in. Zero selects 4.
-	K int
-}
-
-func (c BackgroundConfig) withDefaults() BackgroundConfig {
-	if c.Trigger <= 1 {
-		c.Trigger = 8
-	}
-	if c.Stall <= 0 {
-		c.Stall = 4 * c.Trigger
-	}
-	if c.Stall <= c.Trigger {
-		c.Stall = c.Trigger + 1
-	}
-	if c.Strategy == "" {
-		c.Strategy = "BT(I)"
-	}
-	if c.K < 2 {
-		c.K = 4
-	}
-	return c
-}
-
 // TableInfos returns descriptors of the live sstables, oldest first (the
 // order a minor pick sees them in), sized as a minor pick over all of them
 // ranks them.

@@ -321,22 +321,19 @@ func TestGetPicksNewestAcrossNonAdjacentTables(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsUnknownStrategy: a background strategy name the engine
-// does not plan with, unknown or exact-set, fails Open with ErrConfig,
-// rather than every background run (whose parked error would also turn
-// backpressure off), and an empty name still selects BT(I).
+// TestOpenRejectsUnknownStrategy: a policy name the engine does not plan
+// with, unknown or exact-set, fails PolicyByName — the resolver every front
+// end runs before Open — with ErrConfig, rather than every pick after Open,
+// and "" and "none" select no policy.
 func TestOpenRejectsUnknownStrategy(t *testing.T) {
 	for _, strategy := range []string{"nope", "LM", "SO(exact)"} {
-		db, err := Open(t.TempDir(), Options{Background: &BackgroundConfig{Strategy: strategy}})
-		if !errors.Is(err, kverr.ErrConfig) {
-			if err == nil {
-				db.Close()
-			}
-			t.Fatalf("Open with strategy %q = %v, want ErrConfig", strategy, err)
+		if _, err := PolicyByName(strategy, 4, 1); !errors.Is(err, kverr.ErrConfig) {
+			t.Fatalf("PolicyByName(%q) = %v, want ErrConfig", strategy, err)
 		}
 	}
-	db := openTestDB(t, Options{Background: &BackgroundConfig{}})
-	if db.bgCfg.Strategy != "BT(I)" {
-		t.Fatalf("an empty strategy selected %q", db.bgCfg.Strategy)
+	for _, none := range []string{"", "none"} {
+		if p, err := PolicyByName(none, 4, 1); p != nil || err != nil {
+			t.Fatalf("PolicyByName(%q) = %v, %v; want no policy", none, p, err)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -21,7 +20,7 @@ import (
 // detector and closed-file errors would catch the latter).
 
 // TestConcurrentOpsDuringMajorCompact runs writers, point readers and
-// scanners concurrently with repeated background major compactions, then
+// scanners concurrently with repeated non-blocking major compactions, then
 // verifies every writer's final value survived.
 func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{
@@ -155,44 +154,6 @@ func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	model.Check(t, dbReader{db}, m)
-}
-
-// TestBackgroundCompactionTriggerAndBackpressure drives a write burst with
-// the background compactor enabled and verifies the trigger fires, the
-// table count converges below the stall threshold, and stalled writes are
-// not lost.
-func TestBackgroundCompactionTriggerAndBackpressure(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{
-		MemtableBytes: 1 << 10,
-		Background:    &BackgroundConfig{Trigger: 4, Stall: 8, Strategy: "BT(I)", K: 3},
-		Seed:          2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	want := model.New()
-	val := bytes.Repeat([]byte("v"), 128)
-	for i := 0; i < 3000; i++ {
-		key := fmt.Sprintf("key-%04d", i%500)
-		v := fmt.Sprintf("%s-%d", val, i)
-		if err := db.PutContext(context.Background(), []byte(key), []byte(v)); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-		want.Put(key, v)
-	}
-	if err := db.BackgroundErr(); err != nil {
-		t.Fatalf("background compactor failed: %v", err)
-	}
-	st := db.Stats()
-	if st.MajorCompactions == 0 {
-		t.Fatalf("background compactor never ran: %+v", st)
-	}
-	if st.Tables >= 8 {
-		t.Fatalf("backpressure failed to bound tables: %+v", st)
-	}
-	model.Check(t, dbReader{db}, want)
 }
 
 // TestCloseDuringBackgroundCompaction closes the store while a major

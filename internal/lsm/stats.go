@@ -21,13 +21,11 @@ type Stats struct {
 	Flushes int `json:"flushes"`
 	// MinorCompactions counts minor compactions since Open.
 	MinorCompactions int `json:"minor_compactions"`
-	// MajorCompactions counts completed major compactions since Open,
-	// blocking and background alike.
+	// MajorCompactions counts completed major compactions since Open.
 	MajorCompactions int `json:"major_compactions"`
-	// WriteStalls counts writes delayed by compaction backpressure or by a
-	// full memtable waiting for the previous one's flush, and
-	// WriteStallTime the cumulative wall time those writers spent blocked
-	// (in JSON, integer nanoseconds).
+	// WriteStalls counts writes that filled the memtable and waited for the
+	// previous one's flush, and WriteStallTime the cumulative wall time
+	// those writers spent blocked (in JSON, integer nanoseconds).
 	WriteStalls    int           `json:"write_stalls"`
 	WriteStallTime time.Duration `json:"write_stall_nanos,omitempty"`
 	// BytesFlushed totals sstable bytes written by memtable flushes and
@@ -99,11 +97,6 @@ type Stats struct {
 	// obsolete-table deletion, aborted flush or compaction outputs. Each
 	// is leaked-but-recoverable space the next Open retries.
 	CleanupFailures uint64 `json:"cleanup_failures,omitempty"`
-	// BackgroundRetries counts background-compaction attempts retried
-	// after transient failures; BackgroundFailures counts runs that
-	// exhausted the retry budget and surfaced through BackgroundErr.
-	BackgroundRetries  int `json:"background_retries,omitempty"`
-	BackgroundFailures int `json:"background_failures,omitempty"`
 }
 
 // statePhaseRank orders compaction phases by how deep into a compaction a
@@ -158,8 +151,6 @@ func (s *Stats) Add(o Stats) {
 	s.ReadOnly = s.ReadOnly || o.ReadOnly
 	s.QuarantinedTables += o.QuarantinedTables
 	s.CleanupFailures += o.CleanupFailures
-	s.BackgroundRetries += o.BackgroundRetries
-	s.BackgroundFailures += o.BackgroundFailures
 }
 
 // Stats returns a snapshot of store statistics: the counters the DB keeps

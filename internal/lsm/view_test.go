@@ -86,14 +86,12 @@ func TestReadsProgressWhileMuHeldExclusively(t *testing.T) {
 
 // TestViewStressDuringFlushesAndCompactions is the -race harness for the
 // view lifecycle: concurrent point reads and scans run against views that
-// flushes, minor compactions and background major-compaction swaps keep
-// replacing underneath them. Every read must observe a value that was
-// current at some point (values are version-stamped per key and only move
-// forward).
+// flushes and minor-compaction swaps keep replacing underneath them. Every
+// read must observe a value that was current at some point (values are
+// version-stamped per key and only move forward).
 func TestViewStressDuringFlushesAndCompactions(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{
 		MemtableBytes: 8 << 10,
-		Background:    &BackgroundConfig{Trigger: 4, Stall: 12, Strategy: "BT(I)", K: 3},
 		AutoCompact:   mustPolicy(t, "size-tiered", 4),
 		Seed:          42,
 	})

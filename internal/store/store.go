@@ -6,10 +6,9 @@
 // the partitions live in one process or across a cluster.
 //
 // Each shard is a complete engine: its own directory, WAL, group-commit
-// queue and background-compaction maintenance goroutine. Writers on
-// different shards never contend — N group-commit leaders append to N WALs
-// concurrently — which is what turns the single-leader commit pipeline
-// into a parallel one.
+// queue and flusher goroutine. Writers on different shards never contend —
+// N group-commit leaders append to N WALs concurrently — which is what
+// turns the single-leader commit pipeline into a parallel one.
 //
 // Cross-shard semantics are deliberately relaxed where a single DB is
 // strict:
@@ -467,17 +466,6 @@ func (s *Store) forAllIndexed(fn func(i int, db *lsm.DB) error) error {
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// BackgroundErr returns the first error any shard's background compactor
-// hit, if any.
-func (s *Store) BackgroundErr() error {
-	for _, db := range s.shards {
-		if err := db.BackgroundErr(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Stats returns store statistics summed across shards with lsm.Stats.Add.

@@ -279,15 +279,15 @@ func TestStoreCrashRecoveryPerShard(t *testing.T) {
 
 // TestStoreRaceShards4 is the -race suite for the sharded store: mixed
 // Put/Delete/cross-shard Write against Get/Scan on 4 shards while tiny
-// memtables force constant flushes and per-shard background compactions
-// churn every shard's table set.
+// memtables force constant flushes and per-shard minor compactions churn
+// every shard's table set.
 func TestStoreRaceShards4(t *testing.T) {
 	// The 4 KiB per-shard memtable against 4 writers × 60 keys × ~300-byte
 	// values keeps every shard flushing (the key set splits 4 ways, and
 	// overwrites of live keys do not grow a memtable).
 	s := openStore(t, 4, lsm.Options{
 		MemtableBytes: 4 << 10,
-		Background:    &lsm.BackgroundConfig{Trigger: 4, Stall: 10, Strategy: "BT(I)", K: 3},
+		AutoCompact:   sizeTiered,
 		Seed:          11,
 	})
 
@@ -360,13 +360,12 @@ func TestStoreRaceShards4(t *testing.T) {
 	if err, _ := testErr.Load().(error); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BackgroundErr(); err != nil {
-		t.Fatal(err)
-	}
-
 	st := s.Stats()
 	if st.Flushes == 0 {
 		t.Error("stress never flushed: memtable threshold not exercised")
+	}
+	if st.MinorCompactions == 0 {
+		t.Error("stress never merged: no minor compaction overlapped the reads")
 	}
 	model.Check(t, reader{s}, m)
 }

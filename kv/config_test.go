@@ -40,14 +40,6 @@ func TestConfigErrorsWrapSentinel(t *testing.T) {
 		}},
 		// An unknown or exact-set strategy name fails Open, not every
 		// compaction after it.
-		{"unknown background strategy", func() error {
-			_, err := Open(t.TempDir(), WithBackgroundCompaction(BackgroundConfig{Strategy: "nope"}))
-			return err
-		}},
-		{"exact-set background strategy", func() error {
-			_, err := Open(t.TempDir(), WithBackgroundCompaction(BackgroundConfig{Strategy: "LM"}))
-			return err
-		}},
 		{"unknown compaction strategy", func() error {
 			_, err := Open(t.TempDir(), WithCompactionStrategy("nope", 4))
 			return err

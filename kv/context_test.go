@@ -3,41 +3,27 @@ package kv
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/vfs"
 )
 
-// openWedged opens a single-partition engine whose background compactor
-// wedges between merge and swap, so write-stall backpressure, once
-// entered, does not clear until release is called. A 1-byte memtable makes
-// every Put cut a table, reaching the stall threshold deterministically.
-func openWedged(t *testing.T) (Engine, func()) {
-	t.Helper()
-	block := make(chan struct{})
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			close(block)
-		}
+// gatedFS is a filesystem whose sstable creates wait for gate to close: an
+// engine opened on it takes writes, but its flusher wedges in its first
+// flush, so a writer that fills the next memtable waits for it.
+type gatedFS struct {
+	vfs.FS
+	gate chan struct{}
+}
+
+func (g gatedFS) Create(path string) (vfs.File, error) {
+	if strings.HasSuffix(path, ".sst") {
+		<-g.gate
 	}
-	eng, err := Open(t.TempDir(),
-		WithShards(1),
-		WithMemtableBytes(1),
-		WithBackgroundCompaction(BackgroundConfig{Trigger: 2, Stall: 3, Strategy: "BT(I)", K: 2}),
-		withHookBeforeSwap(func() error {
-			<-block
-			return nil
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		release()
-		eng.Close()
-	})
-	return eng, release
+	return g.FS.Create(path)
 }
 
 // waitForStalls polls until the engine reports a write stall.
@@ -58,81 +44,93 @@ func waitForStalls(t *testing.T, eng Engine) {
 	t.Fatal("no write stall observed")
 }
 
-// TestCancelBlockedPipeline is the façade-level acceptance test: with the
-// pipeline blocked (compactor wedged, writer stalled in backpressure), a
-// context cancelled while blocked in the stall wait and one cancelled
-// while parked in the commit queue must both return promptly with
-// context.Canceled.
+// TestCancelBlockedPipeline is the façade-level acceptance test: on every
+// backend, with the pipeline blocked (flusher wedged, a writer waiting for
+// it), a write cancelled in that wait returns promptly. On a local engine,
+// of one shard or four, the error is ErrStalled wrapping context.Canceled
+// (the write is durable; only the wait was abandoned), and a write
+// cancelled while parked in the commit queue behind it returns
+// context.Canceled and never commits. A remote or cluster client withdraws
+// its request with context.Canceled. Either way the next request on the
+// same engine succeeds once the flusher is let go.
 func TestCancelBlockedPipeline(t *testing.T) {
-	eng, release := openWedged(t)
-	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		local bool
+		open  func(t *testing.T, opts ...Option) Engine
+	}{
+		{"local-1", true, func(t *testing.T, opts ...Option) Engine { return openLocal(t, 1, opts...) }},
+		{"local-4", true, func(t *testing.T, opts ...Option) Engine { return openLocal(t, 4, opts...) }},
+		{"remote", false, openRemote},
+		{"cluster", false, openClusterEngine},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := gatedFS{FS: vfs.Default, gate: make(chan struct{})}
+			var once sync.Once
+			release := func() { once.Do(func() { close(fs.gate) }) }
+			// A one-byte memtable makes every write fill one. Cleanups run
+			// last first, so the flusher is let go before the engine closes.
+			eng := tc.open(t, WithFS(fs), WithMemtableBytes(1))
+			t.Cleanup(release)
+			ctx := context.Background()
 
-	// Reach the compaction trigger; the compactor wedges. Each write waits
-	// for the flush it triggers, so that no later write waits for the
-	// flusher and counts a stall that is not backpressure.
-	for i, kv := range [][2]string{{"a", "1"}, {"b", "2"}} {
-		if err := eng.Put(ctx, []byte(kv[0]), []byte(kv[1])); err != nil {
-			t.Fatal(err)
-		}
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			st, err := eng.Stats(ctx)
-			if err != nil {
+			// The first write hands its memtable to the flusher, which
+			// wedges; the second, to the same key and so the same shard,
+			// fills the next and waits.
+			if err := eng.Put(ctx, []byte("k"), []byte("1")); err != nil {
 				t.Fatal(err)
 			}
-			if st.Flushes > i {
-				break
+			stallCtx, cancelStalled := context.WithCancel(ctx)
+			stalled := make(chan error, 1)
+			go func() { stalled <- eng.Put(stallCtx, []byte("k"), []byte("2")) }()
+			waitForStalls(t, eng)
+
+			if tc.local {
+				// A third write, to the same shard, parks in the commit
+				// queue behind the waiting leader.
+				parkCtx, cancelParked := context.WithCancel(ctx)
+				parked := make(chan error, 1)
+				go func() { parked <- eng.Put(parkCtx, []byte("k"), []byte("3")) }()
+				time.Sleep(20 * time.Millisecond) // let it enqueue behind the leader
+				cancelParked()
+				select {
+				case err := <-parked:
+					if !errors.Is(err, context.Canceled) {
+						t.Errorf("parked write = %v, want context.Canceled", err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("write parked in the commit queue did not return after cancel")
+				}
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("flush %d never finished", i+1)
+
+			cancelStalled()
+			select {
+			case err := <-stalled:
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("stalled write = %v, want context.Canceled", err)
+				}
+				if tc.local && !errors.Is(err, ErrStalled) {
+					t.Errorf("stalled write = %v, want ErrStalled wrapped", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("write waiting for the flusher did not return after cancel")
 			}
-		}
-	}
 
-	// Third write cuts the stall-threshold table and blocks in
-	// backpressure.
-	stallCtx, cancelStalled := context.WithCancel(context.Background())
-	stalledErr := make(chan error, 1)
-	go func() { stalledErr <- eng.Put(stallCtx, []byte("c"), []byte("3")) }()
-	waitForStalls(t, eng)
-
-	// Fourth write parks in the commit queue behind the stalled leader.
-	parkCtx, cancelParked := context.WithCancel(context.Background())
-	parkedErr := make(chan error, 1)
-	go func() { parkedErr <- eng.Put(parkCtx, []byte("d"), []byte("4")) }()
-	time.Sleep(20 * time.Millisecond) // let it enqueue behind the leader
-
-	cancelParked()
-	select {
-	case err := <-parkedErr:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("parked write = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("write parked in commit queue did not return after cancel")
-	}
-
-	cancelStalled()
-	select {
-	case err := <-stalledErr:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("stalled write = %v, want context.Canceled", err)
-		}
-		if !errors.Is(err, ErrStalled) {
-			t.Errorf("stalled write = %v, want ErrStalled wrapped", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("write blocked in backpressure did not return after cancel")
-	}
-
-	// Unwedge and verify the store: the stalled write was already durable
-	// (only its delay was abandoned), the abandoned parked write never
-	// committed.
-	release()
-	if v, err := eng.Get(ctx, []byte("c")); err != nil || string(v) != "3" {
-		t.Errorf("Get(c) = %q, %v; stalled write should be durable", v, err)
-	}
-	if _, err := eng.Get(ctx, []byte("d")); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get(d) = %v; abandoned parked write should not commit", err)
+			release()
+			if err := eng.Put(ctx, []byte("next"), []byte("4")); err != nil {
+				t.Fatalf("write after release: %v", err)
+			}
+			if v, err := eng.Get(ctx, []byte("next")); err != nil || string(v) != "4" {
+				t.Fatalf("Get(next) = %q, %v", v, err)
+			}
+			if !tc.local {
+				return
+			}
+			// The stalled write is durable, the parked one never committed.
+			if v, err := eng.Get(ctx, []byte("k")); err != nil || string(v) != "2" {
+				t.Errorf("Get(k) = %q, %v; want the stalled write's 2", v, err)
+			}
+		})
 	}
 }
 

@@ -8,12 +8,12 @@
 //
 // Every operation takes a context.Context and honors cancellation at the
 // points where the engine can hold a caller: parked in the commit queue,
-// blocked in write-stall backpressure, draining a scan, or waiting on the
-// network. Errors are typed — ErrNotFound, ErrClosed, ErrStalled,
-// ErrBatchTooLarge, ErrCorrupt, ErrReadOnly — and compare with errors.Is
-// identically across all
-// three backends; the network layer carries them as wire codes and
-// rehydrates the same sentinels on the client side.
+// waiting for the flusher to clear a full memtable, draining a scan, or
+// waiting on the network. Errors are typed — ErrNotFound, ErrClosed,
+// ErrStalled, ErrBatchTooLarge, ErrCorrupt, ErrReadOnly — and compare with
+// errors.Is identically across all three backends; the network layer
+// carries them as wire codes and rehydrates the same sentinels on the
+// client side.
 //
 // The paper's fast-compaction machinery (conf_icdcs_GhoshGGK15) sits
 // underneath: Compact runs a major compaction scheduled by any of the
@@ -41,10 +41,10 @@ var (
 	// ErrClosed reports use of a closed engine, iterator or snapshot.
 	ErrClosed = kverr.ErrClosed
 
-	// ErrStalled marks a write whose context expired while blocked in
-	// compaction write-stall backpressure. The write itself is already
-	// durable and visible — only the backpressure delay was abandoned —
-	// and the context's error is wrapped alongside, so both
+	// ErrStalled marks a write whose context expired while it waited for
+	// the flusher to clear the previous full memtable. The write itself is
+	// already durable and visible — only the wait was abandoned — and the
+	// context's error is wrapped alongside, so both
 	// errors.Is(err, ErrStalled) and errors.Is(err, ctx.Err()) hold.
 	ErrStalled = kverr.ErrStalled
 

@@ -30,9 +30,7 @@ type config struct {
 	blockCacheBytes   int
 	compactionWorkers int
 	autoCompact       string
-	background        *BackgroundConfig
 	fs                vfs.FS
-	hookBeforeSwap    func() error // tests only (withHookBeforeSwap)
 
 	// Both.
 	compactStrategy string
@@ -67,14 +65,12 @@ func (c *config) lsmOptions() lsm.Options {
 		BlockCacheBytes:   c.blockCacheBytes,
 		CompactionWorkers: c.compactionWorkers,
 		FS:                c.fs,
-		HookBeforeSwap:    c.hookBeforeSwap,
 	}
 	// WithAutoCompact already validated the name, so resolution here
 	// cannot fail; the strategy seed and fan-in ride the Compact defaults.
 	if p, err := lsm.PolicyByName(c.autoCompact, c.compactK, 1); err == nil {
 		opts.AutoCompact = p
 	}
-	opts.Background = c.background
 	return opts
 }
 
@@ -182,23 +178,6 @@ func WithAutoCompact(policy string) Option {
 	})
 }
 
-// BackgroundConfig tunes background major compaction; see
-// WithBackgroundCompaction. Zero fields select engine defaults (trigger 8,
-// stall 4×trigger, strategy "BT(I)", fan-in 4). A write whose context
-// expires while stalled returns ErrStalled wrapping the context error.
-type BackgroundConfig = lsm.BackgroundConfig
-
-// WithBackgroundCompaction starts a per-partition maintenance goroutine
-// that runs non-blocking major compactions at cfg.Trigger live tables and
-// stalls writers at cfg.Stall (backpressure), while reads and writes keep
-// flowing.
-func WithBackgroundCompaction(cfg BackgroundConfig) Option {
-	return openOnly("WithBackgroundCompaction", func(c *config) error {
-		c.background = &cfg
-		return checkStrategy(cfg.Strategy)
-	})
-}
-
 // WithFS routes every filesystem operation the engine performs — WAL,
 // manifest, sstables, directory maintenance — through fsys instead of the
 // OS filesystem. The primary use is fault injection (vfs.NewFault) in
@@ -212,40 +191,25 @@ func WithFS(fsys vfs.FS) Option {
 	})
 }
 
-// withHookBeforeSwap wires a test hook between a major compaction's merge
-// and swap phases; see lsm.Options.HookBeforeSwap. Unexported: tests only.
-func withHookBeforeSwap(f func() error) Option {
-	return openOnly("withHookBeforeSwap", func(c *config) error {
-		c.hookBeforeSwap = f
-		return nil
-	})
-}
-
 // WithCompactionStrategy sets the default merge-scheduling strategy and
 // fan-in used by Compact calls whose CompactOptions do not override them.
 // The initial default is "BT(I)" with fan-in 4.
 func WithCompactionStrategy(strategy string, k int) Option {
 	return func(c *config) error {
-		if strategy != "" {
-			c.compactStrategy = strategy
-		}
 		if k >= 2 {
 			c.compactK = k
 		}
-		return checkStrategy(strategy)
-	}
-}
-
-// checkStrategy rejects a strategy name the engine does not plan with (see
-// compaction.NewLiveChooser); "" keeps the default.
-func checkStrategy(name string) error {
-	if name == "" {
+		if strategy == "" {
+			return nil
+		}
+		// A name the engine does not plan with (see
+		// compaction.NewLiveChooser) fails here, not at every Compact.
+		if _, err := compaction.NewLiveChooser(strategy, 0); err != nil {
+			return fmt.Errorf("kv: %w", err)
+		}
+		c.compactStrategy = strategy
 		return nil
 	}
-	if _, err := compaction.NewLiveChooser(name, 0); err != nil {
-		return fmt.Errorf("kv: %w", err)
-	}
-	return nil
 }
 
 // WithStatsHandler serves the engine's statistics as JSON over HTTP at

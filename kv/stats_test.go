@@ -28,7 +28,7 @@ var statsKeys = strings.Fields(`backend shards tables table_bytes memtable_keys 
 	block_cache_hits block_cache_misses block_cache_shard_balance filter_negatives
 	filter_false_positives compaction_state wal_recovered_records wal_recovered_batches
 	wal_recovered_bytes wal_recovery_truncated read_only quarantined_tables cleanup_failures
-	background_retries background_failures per_shard cluster`)
+	per_shard cluster`)
 
 // TestWithStatsHandler: the optional HTTP endpoint serves the same Stats
 // shape Engine.Stats returns, as JSON, on every backend; every key it
