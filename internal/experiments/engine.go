@@ -74,39 +74,47 @@ type EngineCell struct {
 func EngineMatrix(dir string) ([]EngineCell, error) {
 	policies := append(compaction.Baselines(), compaction.LiveStrategies()...)
 	cells := make([]EngineCell, len(EngineMixes)*len(policies))
-	errs := make([]error, len(cells))
+	return cells, inParallel(len(cells), func(i int) (err error) {
+		mix, policy := EngineMixes[i/len(policies)], policies[i%len(policies)]
+		if cells[i], _, err = engineCell(filepath.Join(dir, strconv.Itoa(i)), mix, policy, unsynced{vfs.Default}); err != nil {
+			err = fmt.Errorf("engine matrix %s %s: %w", mix.Name, policy, err)
+		}
+		return err
+	})
+}
+
+// inParallel runs f(0) to f(n-1), four at a time, and joins their errors.
+func inParallel(n int, f func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	slots := make(chan struct{}, 4)
-	for i := range cells {
-		mix, policy := EngineMixes[i/len(policies)], policies[i%len(policies)]
+	for i := range errs {
 		wg.Add(1)
 		slots <- struct{}{}
 		go func() {
 			defer func() { <-slots; wg.Done() }()
-			if cells[i], errs[i] = engineCell(filepath.Join(dir, strconv.Itoa(i)), mix, policy); errs[i] != nil {
-				errs[i] = fmt.Errorf("engine matrix %s %s: %w", mix.Name, policy, errs[i])
-			}
+			errs[i] = f(i)
 		}()
 	}
 	wg.Wait()
-	return cells, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
-// engineCell writes mix's stream through a fresh engine with policy as its
-// minor picker and 256 KiB memtables, flushes, reads the stream's counts,
-// then runs one BT(I) major compaction.
-func engineCell(dir string, mix EngineMix, policy string) (EngineCell, error) {
+// engineCell writes mix's stream through a fresh engine on fsys with policy
+// as its minor picker and 256 KiB memtables, flushes, reads the stream's
+// counts and its write stalls, then runs one BT(I) major compaction.
+func engineCell(dir string, mix EngineMix, policy string, fsys vfs.FS) (_ EngineCell, stalls int, err error) {
 	ctx := context.Background()
 	eng, err := kv.Open(dir, kv.WithShards(1), kv.WithMemtableBytes(256<<10), kv.WithAutoCompact(policy),
-		kv.WithCompactionStrategy("BT(I)", engineK), kv.WithFS(unsynced{vfs.Default}))
+		kv.WithCompactionStrategy("BT(I)", engineK), kv.WithFS(fsys))
 	if err != nil {
-		return EngineCell{}, err
+		return EngineCell{}, 0, err
 	}
-	defer eng.Close()
+	defer func() { err = errors.Join(err, eng.Close()) }()
 	gen, err := ycsb.NewGenerator(ycsb.Config{RecordCount: mix.Records, OperationCount: mix.Ops,
 		UpdateProportion: mix.Update, InsertProportion: 1 - mix.Update, Distribution: mix.Distribution, Seed: 7})
 	if err != nil {
-		return EngineCell{}, err
+		return EngineCell{}, 0, err
 	}
 	value := []byte(strings.Repeat("x", engineValueBytes))
 	ops := gen.All()
@@ -115,21 +123,21 @@ func engineCell(dir string, mix EngineMix, policy string) (EngineCell, error) {
 		b.Put(fmt.Appendf(nil, "user%016x", op.Key), value)
 		if b.Len() == engineBatch || i == len(ops)-1 {
 			if err := eng.Write(ctx, &b); err != nil {
-				return EngineCell{}, err
+				return EngineCell{}, 0, err
 			}
 			b.Reset()
 		}
 	}
 	if err := eng.Flush(ctx); err != nil {
-		return EngineCell{}, err
+		return EngineCell{}, 0, err
 	}
 	st, err := eng.Stats(ctx)
 	if err != nil {
-		return EngineCell{}, err
+		return EngineCell{}, 0, err
 	}
 	info, err := eng.Compact(ctx, &kv.CompactOptions{Strategy: "BT(I)", K: engineK})
 	if err != nil {
-		return EngineCell{}, err
+		return EngineCell{}, 0, err
 	}
 	return EngineCell{
 		Mix:               mix.Name,
@@ -142,7 +150,7 @@ func engineCell(dir string, mix EngineMix, policy string) (EngineCell, error) {
 		VersionsPurged:    st.VersionsPurged,
 		MajorCost:         info.CostActual,
 		MajorBytesWritten: info.BytesWritten,
-	}, nil
+	}, st.WriteStalls, nil
 }
 
 // unsynced is a filesystem whose fsyncs do nothing: no count depends on

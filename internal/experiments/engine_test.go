@@ -3,10 +3,18 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
+	"math/rand"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/vfs"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/engine_matrix.json and README.md's engine table from a fresh EngineMatrix run")
@@ -26,7 +34,8 @@ type engineReport struct {
 
 // TestEngineMatrixGolden recomputes the engine matrix and compares it, count
 // for count, with the committed testdata/engine_matrix.json and with the
-// table README.md renders from it; -update rewrites both.
+// table README.md renders from it; -update rewrites both. Its delayed
+// subtest re-runs one mix of it with the flusher and the merges slowed.
 func TestEngineMatrixGolden(t *testing.T) {
 	start := time.Now()
 	cells, err := EngineMatrix(t.TempDir())
@@ -35,6 +44,7 @@ func TestEngineMatrixGolden(t *testing.T) {
 	}
 	t.Logf("%d cells in %v", len(cells), time.Since(start))
 	checkEngineClaims(t, cells)
+	t.Run("delayed", func(t *testing.T) { checkDelayedCells(t, cells) })
 	got, err := json.MarshalIndent(engineReport{EngineMixes, cells}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -138,3 +148,105 @@ func checkEngineClaims(t *testing.T, cells []EngineCell) {
 		}
 	}
 }
+
+// checkDelayedCells re-runs every policy's cell of the first mix, and
+// BT(I) on that mix at four times its ops, on a filesystem that delays each
+// table the flusher and the merges create, and requires every cell to equal
+// its undelayed twin: where memtables are cut, what each flush holds and
+// which tables each pick merges are functions of the write stream alone,
+// however slow the flusher is. A delayed writer must wait for the flusher
+// at least once, and the long stream must pick at least eight times.
+func checkDelayedCells(t *testing.T, cells []EngineCell) {
+	long := EngineMixes[0]
+	long.Ops *= 4
+	type run struct {
+		mix    EngineMix
+		policy string
+	}
+	// The long stream goes first, so that the short ones fill in around it:
+	// run 0 undelayed, run 1 its delayed twin.
+	runs := []run{{long, "BT(I)"}, {long, "BT(I)"}}
+	var want []EngineCell
+	for _, c := range cells {
+		if c.Mix == long.Name {
+			runs = append(runs, run{EngineMixes[0], c.Policy})
+			want = append(want, c)
+		}
+	}
+	got, stalls := make([]EngineCell, len(runs)), make([]int, len(runs))
+	start, dir := time.Now(), t.TempDir()
+	err := inParallel(len(runs), func(i int) (err error) {
+		var fsys vfs.FS = &delaying{unsynced: unsynced{vfs.Default}, rng: rand.New(rand.NewSource(int64(i)))}
+		if i == 0 {
+			fsys = unsynced{vfs.Default}
+		}
+		got[i], stalls[i], err = engineCell(filepath.Join(dir, strconv.Itoa(i)), runs[i].mix, runs[i].policy, fsys)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append([]EngineCell{got[0]}, want...)
+	total := 0
+	for i, c := range got[1:] {
+		if c != want[i] {
+			t.Errorf("%s %s at %d ops delayed:\n%+v\nundelayed:\n%+v", c.Mix, c.Policy, runs[i+1].mix.Ops, c, want[i])
+		}
+		total += stalls[i+1]
+	}
+	t.Logf("%d delayed cells (%d write stalls) and one undelayed in %v", len(runs)-1, total, time.Since(start))
+	if total == 0 {
+		t.Error("the delays never made a writer wait; they test nothing")
+	}
+	if picks := got[1].MinorPicks; picks < 8 {
+		t.Errorf("BT(I) at %d ops made %d minor picks, want at least 8", long.Ops, picks)
+	}
+}
+
+// delaying is unsynced with a seeded random sleep before each table is
+// created: 0-2 ms, and one time in four 5 ms more, long enough for the
+// writer to fill the next 256 KiB memtable and wait for the flusher (an
+// undelayed writer fills one faster than the flusher writes it).
+type delaying struct {
+	unsynced
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+func (d *delaying) Create(path string) (vfs.File, error) {
+	if filepath.Ext(path) == ".sst" {
+		d.mu.Lock()
+		delay := time.Duration(d.rng.Intn(2000)) * time.Microsecond
+		if d.rng.Intn(4) == 0 {
+			delay += 5 * time.Millisecond
+		}
+		d.mu.Unlock()
+		time.Sleep(delay)
+	}
+	return d.unsynced.Create(path)
+}
+
+// TestEngineCellReportsCloseError: a cell whose engine fails to close
+// fails, here on a filesystem whose WAL segments fail to close.
+func TestEngineCellReportsCloseError(t *testing.T) {
+	_, _, err := engineCell(t.TempDir(), EngineMixes[0], "BT(I)", walCloseFails{unsynced{vfs.Default}})
+	if !errors.Is(err, errWALClose) {
+		t.Fatalf("engineCell = %v, want the engine's close error", err)
+	}
+}
+
+var errWALClose = errors.New("WAL segment close failed")
+
+type walCloseFails struct{ unsynced }
+
+func (w walCloseFails) Create(path string) (vfs.File, error) {
+	f, err := w.unsynced.Create(path)
+	if err != nil || !strings.HasPrefix(filepath.Base(path), "wal.log") {
+		return f, err
+	}
+	return walCloseFailsFile{f}, nil
+}
+
+type walCloseFailsFile struct{ vfs.File }
+
+func (walCloseFailsFile) Close() error { return errWALClose }

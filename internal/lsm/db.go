@@ -92,11 +92,6 @@ type Options struct {
 	// BlockCacheBytes bounds the shared sstable block cache. Zero selects
 	// 8 MiB; negative disables caching.
 	BlockCacheBytes int
-	// HookBeforeSwap, when non-nil, runs between a major compaction's merge
-	// phase and its manifest swap, off-lock; returning an error aborts the
-	// compaction as if it crashed there. Intended for tests that need to
-	// wedge or fail a major compaction at a deterministic point.
-	HookBeforeSwap func() error
 	// FS is the filesystem every durability-critical operation goes
 	// through: WAL and sstable creation, manifest rewrites, table reads,
 	// orphan cleanup. Nil selects the real OS filesystem (vfs.Default);
@@ -350,7 +345,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.mem = memtable.NewFrom(&db.slabs, opts.Seed)
 	db.cleanupFails.Add(orphanFails)
 	db.flushCond = sync.NewCond(&db.mu)
-	db.hookBeforeSwap = opts.HookBeforeSwap
 	if opts.BlockCacheBytes > 0 {
 		db.blockCache = cache.NewSharded(opts.BlockCacheBytes, 0)
 	}

@@ -315,7 +315,6 @@ const (
 	beforeBuild    flushPoint = iota // imm and two segments exist, no table yet
 	beforeManifest                   // the table is written and synced
 	beforeRemove                     // the manifest names the table; imm's segment is still there
-	beforePick                       // about to ask AutoCompact for a pick
 )
 
 func (db *DB) atFlushPoint(p flushPoint) {
@@ -343,9 +342,6 @@ func (db *DB) flusher() {
 		picks := db.immPicks && db.opts.AutoCompact != nil
 		err := db.flushImmLocked()
 		for picks && err == nil && !db.closed {
-			db.mu.Unlock()
-			db.atFlushPoint(beforePick)
-			db.mu.Lock()
 			var ran bool
 			if _, ran, err = db.minorCompactLocked(db.opts.AutoCompact); !ran {
 				break

@@ -3,19 +3,14 @@ package lsm
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/ycsb"
 )
 
 // drainFlusher waits until the flusher has flushed the frozen memtable and
@@ -279,134 +274,5 @@ func TestWritesProgressWhileFlushWedged(t *testing.T) {
 		}
 		release()
 		drainFlusher(t, db)
-	}
-}
-
-// TestFlushScheduleIsDeterministic pins what the hand-off must not change:
-// where memtables are cut, what each flush holds and which tables each pick
-// merges are functions of the write stream alone. A seeded single-writer
-// zipfian stream through a 1 MiB memtable with the BT(I) k=4 live picker —
-// 31 rotations and a final Flush — ends with exactly the counters the same
-// stream produced at the parent commit (468628b), where every flush and pick
-// ran inside the Put that caused it, however the flusher is delayed: by
-// random sleeps at each of its steps and, for one flush in four, until the
-// writer has filled the next memtable and is waiting for it. Every other
-// policy family PolicyByName resolves — Bigtable's count trigger,
-// Cassandra's size tiers, the leveled layout and a sketch-ranked paper
-// strategy — is pinned the same way, once undelayed and once delayed, on
-// the stream's first 40 000 writes through a 256 KiB memtable.
-//
-// Every run, the families' one delayed run each included, uses the default
-// block cache and must end with every pinned counter, bytes included: what
-// a merge drops is proved from the tables, whatever the cache holds. The
-// byte counts of the three families whose merges leave newer tables outside
-// them (BT(I), threshold, SO) were re-pinned when merges began to drop the
-// versions those tables shadow, BT(I)'s again when minor picks began to
-// rank each table by its estimated live keys, and every family's byte
-// counts (flushed, compacted, table bytes) when data blocks shrank from
-// 2 KiB to 1.5 KiB, and SO's when minor picks were handed the tables oldest
-// first (SO breaks a tie between equal union estimates by table position);
-// every count is the parent's.
-func TestFlushScheduleIsDeterministic(t *testing.T) {
-	gen, err := ycsb.NewGenerator(ycsb.Config{RecordCount: 20_000, OperationCount: 160_000, UpdateProportion: 1, Distribution: ycsb.Zipfian, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := gen.All()
-	for _, tc := range []struct {
-		policy        string
-		ops, memtable int
-		runs          int
-		want          Stats
-	}{
-		{"BT(I)", len(all), 1 << 20, 5, Stats{
-			Flushes: 32, MinorCompactions: 8, Tables: 8,
-			BytesFlushed: 33947322, BytesCompacted: 22568237, TableBytes: 16934408,
-			CompactionPicks: map[string]uint64{"BT(I)": 8},
-		}},
-		{"threshold", 40_000, 256 << 10, 2, Stats{
-			Flushes: 50, MinorCompactions: 14, Tables: 8,
-			BytesFlushed: 13281902, BytesCompacted: 22838966, TableBytes: 11074150,
-			CompactionPicks: map[string]uint64{"threshold": 14},
-		}},
-		{"size-tiered", 40_000, 256 << 10, 2, Stats{
-			Flushes: 50, MinorCompactions: 15, Tables: 5,
-			BytesFlushed: 13281902, BytesCompacted: 22387757, TableBytes: 11158455,
-			CompactionPicks: map[string]uint64{"size-tiered": 15},
-		}},
-		{"leveled", 40_000, 256 << 10, 2, Stats{
-			Flushes: 50, MinorCompactions: 12, Tables: 3,
-			BytesFlushed: 13281902, BytesCompacted: 72485156, TableBytes: 9099662,
-			CompactionPicks: map[string]uint64{"leveled": 12},
-		}},
-		{"SO", 40_000, 256 << 10, 2, Stats{
-			Flushes: 50, MinorCompactions: 14, Tables: 8,
-			BytesFlushed: 13281902, BytesCompacted: 22830685, TableBytes: 11071007,
-			CompactionPicks: map[string]uint64{"SO": 14},
-		}},
-	} {
-		t.Run(tc.policy, func(t *testing.T) {
-			for run := 0; run < tc.runs; run++ {
-				got, want := flushScheduleRun(t, tc.policy, all[:tc.ops], tc.memtable, run), tc.want
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("run %d: flushes %d minor %d tables %d flushed %d compacted %d table bytes %d picks %v;\nwant    flushes %d minor %d tables %d flushed %d compacted %d table bytes %d picks %v",
-						run, got.Flushes, got.MinorCompactions, got.Tables, got.BytesFlushed, got.BytesCompacted, got.TableBytes, got.CompactionPicks,
-						want.Flushes, want.MinorCompactions, want.Tables, want.BytesFlushed, want.BytesCompacted, want.TableBytes, want.CompactionPicks)
-				}
-			}
-		})
-	}
-}
-
-// flushScheduleRun writes ops through a DB with the named auto-compaction
-// policy, its flusher delayed at random unless run is 0, and returns the
-// DB's schedule counters.
-func flushScheduleRun(t *testing.T, policyName string, ops []ycsb.Op, memtable, run int) Stats {
-	policy, err := PolicyByName(policyName, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The skiplist seed varies too: tower heights are not part of what a
-	// memtable weighs.
-	db := openTestDB(t, Options{MemtableBytes: memtable, AutoCompact: policy, Seed: int64(run)})
-	defer db.Close()
-	delays := rand.New(rand.NewSource(int64(run)))
-	var writerDone atomic.Bool
-	db.mu.Lock()
-	db.flushHook = func(p flushPoint) { // the flusher's goroutine only
-		if run == 0 {
-			return // as fast as it goes
-		}
-		time.Sleep(time.Duration(delays.Intn(2000)) * time.Microsecond)
-		if p == beforeBuild && delays.Intn(4) == 0 {
-			for full := false; !full && !writerDone.Load(); time.Sleep(100 * time.Microsecond) {
-				db.mu.RLock()
-				full = db.mem.SizeBytes() >= db.opts.MemtableBytes
-				db.mu.RUnlock()
-			}
-		}
-	}
-	db.mu.Unlock()
-	var key [16]byte
-	val := make([]byte, 400)
-	for i, op := range ops {
-		binary.BigEndian.PutUint64(key[8:], op.Key)
-		binary.BigEndian.PutUint64(val, uint64(i))
-		if err := db.PutContext(context.Background(), key[:], val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writerDone.Store(true)
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := db.Stats()
-	if run > 0 && st.WriteStalls == 0 {
-		t.Errorf("run %d: the delayed flusher never made the writer wait; the delays test nothing", run)
-	}
-	return Stats{
-		Flushes: st.Flushes, MinorCompactions: st.MinorCompactions, Tables: st.Tables,
-		BytesFlushed: st.BytesFlushed, BytesCompacted: st.BytesCompacted, TableBytes: st.TableBytes,
-		CompactionPicks: st.CompactionPicks,
 	}
 }

@@ -355,10 +355,9 @@ func TestColdCompactionLeavesCacheAlone(t *testing.T) {
 			t.Errorf("%s: cache holds %d bytes of %d", when, used, cacheBytes)
 		}
 	}
-	db = openTestDB(t, Options{
-		MemtableBytes: 64 << 20, BlockCacheBytes: cacheBytes, FS: fsys,
-		HookBeforeSwap: func() error { uncounted("major compaction, before the swap"); return nil },
-	})
+	beforeSwap := func() error { uncounted("major compaction, before the swap"); return nil }
+	db = openTestDB(t, Options{MemtableBytes: 64 << 20, BlockCacheBytes: cacheBytes, FS: fsys})
+	db.hookBeforeSwap = beforeSwap
 	for tbl := 0; tbl < 6; tbl++ { // 6 × 5000 × ~130 B ≈ 3.9 MB, 15× the cache
 		flushRange(t, db, tbl, 30000, 6, 0)
 	}
@@ -371,6 +370,7 @@ func TestColdCompactionLeavesCacheAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.hookBeforeSwap = beforeSwap
 	t.Cleanup(func() { db.Close() })
 	readRange(t, db, fsys, 3, 30000, 60, 1)
 	hotBlocks = db.blockCache.Len()
