@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -12,25 +13,40 @@ import (
 
 // TestCIRunPatternsNameTests: every alternative of every quoted -run
 // pattern in the CI workflow matches a test or fuzz target declared in one
-// of the packages its go test line lists. A -run pattern that matches
-// nothing passes silently, so a renamed test would otherwise drop out of CI
-// unnoticed.
+// of the packages its go test line lists (a dir/... field lists every
+// package of the module below dir). A -run pattern that matches nothing
+// passes silently, so a renamed test would otherwise drop out of CI
+// unnoticed. The stress step selects by name prefix alone: ^TestStress under
+// -race and ^TestAlloc without it, so that no second list of tests exists.
 func TestCIRunPatternsNameTests(t *testing.T) {
 	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	const stressStep = "Stress (race) and allocation counts"
 	runFlag := regexp.MustCompile(`-run '([^']*)'`)
-	lines := 0
+	stepName := regexp.MustCompile(`^\s*- name: (.*)$`)
+	step, lines := "", 0
+	var stress []string // the stress step's -run alternatives, each with its line's -race
 	for _, line := range strings.Split(string(ci), "\n") {
+		if m := stepName.FindStringSubmatch(line); m != nil {
+			step = m[1]
+		}
 		m := runFlag.FindStringSubmatch(line)
 		if m == nil || !strings.Contains(line, "go test") {
 			continue
 		}
 		lines++
+		if step == stressStep {
+			for _, alt := range strings.Split(m[1], "|") {
+				stress = append(stress, fmt.Sprintf("%s race=%t", alt, strings.Contains(line, " -race ")))
+			}
+		}
 		var names []string
 		for _, field := range strings.Fields(line) {
-			if strings.HasPrefix(field, "./") {
+			if dir, ok := strings.CutSuffix(field, "/..."); ok {
+				names = append(names, testNames(t, dir, true)...)
+			} else if strings.HasPrefix(field, "./") {
 				names = append(names, testNames(t, field, false)...)
 			}
 		}
@@ -45,6 +61,10 @@ func TestCIRunPatternsNameTests(t *testing.T) {
 	}
 	if lines == 0 {
 		t.Fatal("found no go test -run line in the CI workflow")
+	}
+	slices.Sort(stress)
+	if want := []string{"^TestAlloc race=false", "^TestStress race=true"}; !slices.Equal(stress, want) {
+		t.Errorf("stress step %q selects %q, want exactly %q", stressStep, stress, want)
 	}
 }
 

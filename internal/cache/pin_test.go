@@ -131,7 +131,7 @@ func freeBlocks(f *freeList) []*Block {
 	return out
 }
 
-// TestModelAgainstParentLRU drives random Get / fill / adopting Put /
+// TestStressModelAgainstParentLRU drives random Get / fill / adopting Put /
 // Publish / Peek / Demote / DropTable / Release against the parent's
 // algorithm: same hits, same residents in the same recency order (hence the
 // same eviction victims) carrying the same spent marks, used within
@@ -146,7 +146,7 @@ func freeBlocks(f *freeList) []*Block {
 // leave below the most bytes ever resident, so that resident plus free
 // bytes stay within that mark whenever the free list is above its floor.
 // At 8 KiB the room never reaches the floor; at 96 KiB it does.
-func TestModelAgainstParentLRU(t *testing.T) {
+func TestStressModelAgainstParentLRU(t *testing.T) {
 	PoisonFreed.Store(true)
 	defer PoisonFreed.Store(false)
 	for _, run := range []struct{ capacity, steps int }{{8 << 10, 20000}, {96 << 10, 10000}} {
@@ -516,14 +516,14 @@ func TestUnreleasedPinNeverRecycled(t *testing.T) {
 	}
 }
 
-// TestDroppedTableFundsItsSuccessor is a merge's cycle: an output table is
+// TestAllocDroppedTableFundsItsSuccessor is a merge's cycle: an output table is
 // published into room the stripe has, the inputs are dropped, and the next
 // output is published into the room they left. The dropped arrays wait on
 // the free list, so from the second cycle on a table's worth of publishes
 // allocates no array — in a stripe that has filled and in one that never
 // has, whose high-water mark stands in for capacity — while resident plus
 // free bytes stay within that mark.
-func TestDroppedTableFundsItsSuccessor(t *testing.T) {
+func TestAllocDroppedTableFundsItsSuccessor(t *testing.T) {
 	const blocks, size = 48, 4096 // 192 KiB a table: six times the floor
 	page := make([]byte, size)
 	publish := func(c *LRU, table uint64) {
@@ -564,11 +564,11 @@ func TestDroppedTableFundsItsSuccessor(t *testing.T) {
 	}
 }
 
-// TestStripesShareOneMark: the high-water rule is cache-wide. A table
+// TestAllocStripesShareOneMark: the high-water rule is cache-wide. A table
 // dropped from a striped cache that has never filled funds its successor in
 // every stripe, and the stripes' free arrays together stay within the room
 // the residents leave below the cache's one mark, plus a floor per stripe.
-func TestStripesShareOneMark(t *testing.T) {
+func TestAllocStripesShareOneMark(t *testing.T) {
 	const blocks, size = 256, 2048
 	c := NewSharded(4<<20, 4)
 	page := make([]byte, size)
@@ -640,10 +640,10 @@ func TestFreeArraysYieldAcrossStripes(t *testing.T) {
 	}
 }
 
-// TestUnaskedSizesMakeWay: a free list full of arrays of a size no miss asks
-// for — the short last blocks of flushed tables — gives them up for the
+// TestAllocUnaskedSizesMakeWay: a free list full of arrays of a size no miss
+// asks for — the short last blocks of flushed tables — gives them up for the
 // arrays misses do ask for, so those misses still recycle.
-func TestUnaskedSizesMakeWay(t *testing.T) {
+func TestAllocUnaskedSizesMakeWay(t *testing.T) {
 	c := New(256 << 10)
 	for i := 0; i < 64; i++ { // small blocks, evicted by the fills below
 		b := c.Alloc(Key{Table: 2, Offset: uint64(i)}, 1000)
@@ -684,13 +684,13 @@ func TestSteadyStateFillAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPoisonStress runs readers that pin (Get or Peek), check, sometimes
+// TestStressPoison runs readers that pin (Get or Peek), check, sometimes
 // demote, and release blocks against fills, publishes warm and cold,
 // evictions and DropTable on a cache a few blocks large, with freed arrays
 // poisoned: a block recycled while still pinned, or read after its release,
 // shows the poison (or another key's pattern) instead of its own. Run under
 // -race.
-func TestPoisonStress(t *testing.T) {
+func TestStressPoison(t *testing.T) {
 	PoisonFreed.Store(true)
 	defer PoisonFreed.Store(false)
 	c := NewSharded(12<<10, 1) // three blocks

@@ -23,7 +23,7 @@ func loadedCluster(tb testing.TB) (rt *Router, keys [][]byte, value []byte) {
 	return rt, keys, value
 }
 
-// TestRouterAllocBudget holds the quorum path to its allocation budget,
+// TestAllocRouterBudget holds the quorum path to its allocation budget,
 // counted over the whole process so the three servers' share is in it.
 // What a Get still allocates is the engine's copy of the value on each of
 // the two replicas asked and the winner's value copied out for the caller
@@ -33,7 +33,7 @@ func loadedCluster(tb testing.TB) (rt *Router, keys [][]byte, value []byte) {
 // channels and per-leg contexts this replaced cost 40 and 51; a
 // context.WithTimeout per op, with each engine's commit request and key and
 // value copies, 9 and 17; a fresh value per leg, 4 for a Get.
-func TestRouterAllocBudget(t *testing.T) {
+func TestAllocRouterBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled ops are dropped at random under the race detector")
 	}

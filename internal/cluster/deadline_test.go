@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// TestOpDeadlineNotInheritedOnReuse: a quorum op keeps its legs' deadline
+// TestStressOpDeadlineNotInheritedOnReuse: a quorum op keeps its legs' deadline
 // in itself and re-arms it for the next op. Each round here arms an op with
 // a deadline of a few dozen microseconds and gives it a leg that runs about
 // as long, so the deadline fires mid-leg in some rounds and just as the op
@@ -18,7 +18,7 @@ import (
 // The op is recycled as the leg reports and taken again at once with an
 // hour to run, and that op's leg must see neither the expiry nor the
 // closed channel of the one before. Run under -race.
-func TestOpDeadlineNotInheritedOnReuse(t *testing.T) {
+func TestStressOpDeadlineNotInheritedOnReuse(t *testing.T) {
 	rt := &Router{}
 	rt.ops.New = func() any { return newQuorumOp(rt) }
 	r := rand.New(rand.NewSource(1))
@@ -84,12 +84,12 @@ func TestOpDeadlineNotInheritedOnReuse(t *testing.T) {
 	}
 }
 
-// TestCancelledCallerReachesLegs: under a caller context that can be
+// TestStressCancelledCallerReachesLegs: under a caller context that can be
 // cancelled an op's legs run under context.WithTimeout of it, so the
 // cancellation withdraws requests already on the wire. With every replica
 // stalling reads, a cancelled Get returns at once and its legs finish with
 // it, long before the 20 s request timeout.
-func TestCancelledCallerReachesLegs(t *testing.T) {
+func TestStressCancelledCallerReachesLegs(t *testing.T) {
 	gc := startGatedCluster(t, semanticsOptions())
 	key, value := []byte("cancelled"), []byte("v")
 	if err := gc.rt.Put(context.Background(), key, value); err != nil {

@@ -155,7 +155,9 @@ func checkEngineClaims(t *testing.T, cells []EngineCell) {
 // its undelayed twin: where memtables are cut, what each flush holds and
 // which tables each pick merges are functions of the write stream alone,
 // however slow the flusher is. A delayed writer must wait for the flusher
-// at least once, and the long stream must pick at least eight times.
+// at least once, and the long stream must pick at least eight times. The
+// long delayed run's filesystem holds its first minor merge until a
+// memtable rotates, and the rotation, not the hold's timeout, must end it.
 func checkDelayedCells(t *testing.T, cells []EngineCell) {
 	long := EngineMixes[0]
 	long.Ops *= 4
@@ -175,10 +177,14 @@ func checkDelayedCells(t *testing.T, cells []EngineCell) {
 	}
 	got, stalls := make([]EngineCell, len(runs)), make([]int, len(runs))
 	start, dir := time.Now(), t.TempDir()
+	held := &delaying{unsynced: unsynced{vfs.Default}, rng: rand.New(rand.NewSource(1)), hold: true}
 	err := inParallel(len(runs), func(i int) (err error) {
 		var fsys vfs.FS = &delaying{unsynced: unsynced{vfs.Default}, rng: rand.New(rand.NewSource(int64(i)))}
-		if i == 0 {
+		switch i {
+		case 0:
 			fsys = unsynced{vfs.Default}
+		case 1:
+			fsys = held
 		}
 		got[i], stalls[i], err = engineCell(filepath.Join(dir, strconv.Itoa(i)), runs[i].mix, runs[i].policy, fsys)
 		return err
@@ -198,6 +204,13 @@ func checkDelayedCells(t *testing.T, cells []EngineCell) {
 	if total == 0 {
 		t.Error("the delays never made a writer wait; they test nothing")
 	}
+	if !held.rotated {
+		t.Error("the first minor merge's output was held until its timeout: no memtable rotated meanwhile")
+	}
+	if held.mergeInputs != engineK {
+		t.Errorf("%d tables were removed before the held one's successor was created, want the merge's %d inputs",
+			held.mergeInputs, engineK)
+	}
 	if picks := got[1].MinorPicks; picks < 8 {
 		t.Errorf("BT(I) at %d ops made %d minor picks, want at least 8", long.Ops, picks)
 	}
@@ -207,23 +220,77 @@ func checkDelayedCells(t *testing.T, cells []EngineCell) {
 // created: 0-2 ms, and one time in four 5 ms more, long enough for the
 // writer to fill the next 256 KiB memtable and wait for the flusher (an
 // undelayed writer fills one faster than the flusher writes it).
+//
+// With hold set it also holds back table 2k+1, the first minor merge's
+// output (BT(I)'s pick is due at 2k tables), until the writer has created
+// a WAL segment since table 2k was created. That segment is a memtable
+// rotation, which can only come once flush 2k has cleared imm, so a
+// memtable rotates while the merge is in flight. The merge runs with mu
+// released, so the writer is free to rotate; after 10 s the hold gives up.
 type delaying struct {
 	unsynced
-	mu  sync.Mutex
-	rng *rand.Rand
+	hold bool
+	mu   sync.Mutex
+	rng  *rand.Rand
+	// tables and removes count .sst creates and removes; rotation is closed
+	// by the first WAL segment created after table 2k.
+	tables, removes int
+	rotation        chan struct{}
+	// rotated: the hold ended by a rotation. mergeInputs: the tables
+	// removed before table 2k+2 was created, the held merge's inputs.
+	rotated     bool
+	mergeInputs int
 }
 
 func (d *delaying) Create(path string) (vfs.File, error) {
-	if filepath.Ext(path) == ".sst" {
+	if filepath.Ext(path) != ".sst" {
 		d.mu.Lock()
-		delay := time.Duration(d.rng.Intn(2000)) * time.Microsecond
-		if d.rng.Intn(4) == 0 {
-			delay += 5 * time.Millisecond
+		if d.rotation != nil && strings.HasPrefix(filepath.Base(path), "wal.log.") {
+			select {
+			case <-d.rotation:
+			default:
+				close(d.rotation)
+			}
 		}
 		d.mu.Unlock()
-		time.Sleep(delay)
+		return d.unsynced.Create(path)
 	}
+	d.mu.Lock()
+	d.tables++
+	var hold chan struct{}
+	if d.hold {
+		switch d.tables {
+		case 2 * engineK:
+			d.rotation = make(chan struct{})
+		case 2*engineK + 1:
+			hold = d.rotation
+		case 2*engineK + 2:
+			d.mergeInputs = d.removes
+		}
+	}
+	delay := time.Duration(d.rng.Intn(2000)) * time.Microsecond
+	if d.rng.Intn(4) == 0 {
+		delay += 5 * time.Millisecond
+	}
+	d.mu.Unlock()
+	if hold != nil {
+		select {
+		case <-hold:
+			d.rotated = true
+		case <-time.After(10 * time.Second):
+		}
+	}
+	time.Sleep(delay)
 	return d.unsynced.Create(path)
+}
+
+func (d *delaying) Remove(path string) error {
+	if filepath.Ext(path) == ".sst" {
+		d.mu.Lock()
+		d.removes++
+		d.mu.Unlock()
+	}
+	return d.unsynced.Remove(path)
 }
 
 // TestEngineCellReportsCloseError: a cell whose engine fails to close

@@ -15,7 +15,7 @@ import (
 	"repro/kv"
 )
 
-// TestStreamAllocatesOnlyItsIterator pins what a short remote scan costs the
+// TestAllocStreamOnlyItsIterator pins what a short remote scan costs the
 // whole process, server included: open a stream, take ten entries, close it
 // and wait for the server to end the scan. The round parks the scan once (ten
 // entries are far short of the first chunk), so it covers the stream's
@@ -24,7 +24,7 @@ import (
 // server state (a request copy, the stream, its channels, a cancel context,
 // closures, a lease timer per park) cost about seventeen objects before it
 // was recycled per connection.
-func TestStreamAllocatesOnlyItsIterator(t *testing.T) {
+func TestAllocStreamOnlyItsIterator(t *testing.T) {
 	if kvnet.RaceEnabled {
 		t.Skip("pooled objects are dropped at random under the race detector")
 	}

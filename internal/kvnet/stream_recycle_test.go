@@ -14,12 +14,12 @@ import (
 	"repro/internal/kverr"
 )
 
-// TestGrantRacingLeaseExpiryIsAnswered: a grant that reaches a stream whose
-// lease has just fired, while the stream is still registered, is answered
-// ErrClosed. Before grants and unregistering shared the connection's lock
-// the grant went into the dying stream's slot, no frame ever came under the
-// tag, and the client waited for as long as the connection lived.
-func TestGrantRacingLeaseExpiryIsAnswered(t *testing.T) {
+// TestStressGrantRacingLeaseExpiryIsAnswered: a grant that reaches a stream
+// whose lease has just fired, while the stream is still registered, is
+// answered ErrClosed. Before grants and unregistering shared the connection's
+// lock the grant went into the dying stream's slot, no frame ever came under
+// the tag, and the client waited for as long as the connection lived.
+func TestStressGrantRacingLeaseExpiryIsAnswered(t *testing.T) {
 	db := openDB(t)
 	fill(t, db, 500)
 	srv := NewServer(db)
@@ -55,7 +55,7 @@ func TestGrantRacingLeaseExpiryIsAnswered(t *testing.T) {
 	}
 }
 
-// TestRecycledStreamStateIsolated stresses one connection whose streams
+// TestStressRecycledStreamStateIsolated stresses one connection whose streams
 // share recycled server state: short scans closed early, long scans granted
 // to the end, snapshot streams, parked streams reaped by a short lease, and
 // grants sent hard behind cancels. Every entry is checked against the
@@ -65,7 +65,7 @@ func TestGrantRacingLeaseExpiryIsAnswered(t *testing.T) {
 // rather than hanging it. Then 1000 streams open at once on a connection
 // and close: it keeps at most maxIdleStreams of their states, none with an
 // armed timer, and no goroutine outlives them.
-func TestRecycledStreamStateIsolated(t *testing.T) {
+func TestStressRecycledStreamStateIsolated(t *testing.T) {
 	const n = 3000
 	db := openDB(t)
 	keys, vals := make([][]byte, n), make([][]byte, n)

@@ -26,13 +26,13 @@ func mallocsPerRun(runs int, fn func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// TestPutAllocatesOneObject pins the write path's allocation budget: on a
+// TestAllocPutOneObject pins the write path's allocation budget: on a
 // warm DB a put allocates its memtable version, which carries the value,
 // and nothing else. The commit request, its wake channel and the single-op
 // batch are recycled, and a new key's node and key copy are carved from the
 // memtable's slabs, whose share here is about 1 %. A 16-op batch allocates
 // its 16 versions.
-func TestPutAllocatesOneObject(t *testing.T) {
+func TestAllocPutOneObject(t *testing.T) {
 	measureRecycling(t)
 	db := openTestDB(t, Options{MemtableBytes: 64 << 20})
 	ctx := context.Background()
@@ -74,7 +74,7 @@ func TestPutAllocatesOneObject(t *testing.T) {
 	}
 }
 
-// TestCommitCancellationStress races writers whose deadlines expire at
+// TestStressCommitCancellation races writers whose deadlines expire at
 // random points of the commit pipeline — before they enqueue, while parked,
 // while their group is being claimed, after it committed — against each
 // other. Every write that returned nil must be readable and every write
@@ -82,7 +82,7 @@ func TestPutAllocatesOneObject(t *testing.T) {
 // recycled, so one put back while a wake was still on its way would hand
 // that wake to the next writer, which would return an outcome that is not
 // its own; that fails here. Run under -race.
-func TestCommitCancellationStress(t *testing.T) {
+func TestStressCommitCancellation(t *testing.T) {
 	db := openTestDB(t, Options{SyncWAL: true, MemtableBytes: 256 << 10})
 	const writers, writes = 8, 250
 	type outcome struct {

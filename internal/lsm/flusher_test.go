@@ -97,13 +97,13 @@ func fillUntil(t testing.TB, db *DB, done <-chan struct{}, from int, key, val fu
 func wedgeKey(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
 func wedgeVal(i int) []byte { return []byte(fmt.Sprintf("value-%06d-%s", i, strings.Repeat("x", 100))) }
 
-// TestFrozenMemtableVisible: while a frozen memtable waits for its flush —
-// the flusher is wedged before it writes a byte — every read path sees every
-// key in it: Get, NewIterator, Range and a Snapshot taken now. Deletes and
-// overwrites that land in the new memtable shadow it; and a snapshot taken
-// before the rotation reads the same after the flush has installed the
-// table and dropped the frozen memtable from the view.
-func TestFrozenMemtableVisible(t *testing.T) {
+// TestStressFrozenMemtableVisible: while a frozen memtable waits for its
+// flush — the flusher is wedged before it writes a byte — every read path
+// sees every key in it: Get, NewIterator, Range and a Snapshot taken now.
+// Deletes and overwrites that land in the new memtable shadow it; and a
+// snapshot taken before the rotation reads the same after the flush has
+// installed the table and dropped the frozen memtable from the view.
+func TestStressFrozenMemtableVisible(t *testing.T) {
 	db := openTestDB(t, Options{MemtableBytes: 16 << 10, Seed: 5})
 	reached, release := wedgeFlusher(t, db, beforeBuild)
 
@@ -228,11 +228,11 @@ func TestFrozenMemtableVisible(t *testing.T) {
 	check("flush installed")
 }
 
-// TestWritesProgressWhileFlushWedged: with the flusher wedged mid-flush,
+// TestStressWritesProgressWhileFlushWedged: with the flusher wedged mid-flush,
 // every write that leaves the new memtable below its threshold completes —
 // none waits for the table, the manifest or the segment removal, whichever
 // of those the flusher is stuck before.
-func TestWritesProgressWhileFlushWedged(t *testing.T) {
+func TestStressWritesProgressWhileFlushWedged(t *testing.T) {
 	const memtable = 256 << 10
 	for _, point := range []flushPoint{beforeBuild, beforeManifest, beforeRemove} {
 		db := openTestDB(t, Options{MemtableBytes: memtable, Seed: 5})

@@ -722,13 +722,13 @@ func TestOpenRefusesOldFormatTable(t *testing.T) {
 	}
 }
 
-// TestFilterFalsePositivesAtDesignRate: over keys shaped like the benchmark
-// harness's — "user" + 16 hex digits — in several flushed tables, Gets of
-// absent keys pass each table's filter at its 1 % design rate, counted by
-// the FilterFalsePositives and FilterNegatives statistics the benchmark's
-// sstable.filter_fp_rate reads. Without the finaliser on the filter's
-// probes it measures about 4.5 %.
-func TestFilterFalsePositivesAtDesignRate(t *testing.T) {
+// TestAllocFilterFalsePositivesAtDesignRate: over keys shaped like the
+// benchmark harness's — "user" + 16 hex digits — in several flushed tables,
+// Gets of absent keys pass each table's filter at its 1 % design rate,
+// counted by the FilterFalsePositives and FilterNegatives statistics the
+// benchmark's sstable.filter_fp_rate reads. Without the finaliser on the
+// filter's probes it measures about 4.5 %.
+func TestAllocFilterFalsePositivesAtDesignRate(t *testing.T) {
 	db := openTestDB(t, Options{MemtableBytes: 64 << 20})
 	ctx := context.Background()
 	key := func(id uint64) []byte { return []byte(fmt.Sprintf("user%016x", id)) }

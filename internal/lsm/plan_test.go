@@ -6,12 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/compaction"
 	"repro/internal/hll"
+	"repro/internal/keyset"
 	"repro/internal/kverr"
 	"repro/internal/vfs"
+	"repro/internal/ycsb"
 )
 
 // planFixture opens a store without a block cache (so every block a table
@@ -189,5 +193,79 @@ func BenchmarkMajorCompactPlan(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestMajorCostActualIsTheModelsCost: a major compaction's CostActual, the
+// entries its merges read plus the entries they wrote, is the paper's cost
+// of the schedule it ran priced on exact key sets. Two YCSB put-and-update
+// streams, shaped like the engine matrix's update50-zipfian and
+// update97-latest, are flushed into 12 to 16 tables with no minor merges.
+// For every live strategy the test plans the oldest-first snapshot itself
+// with planMajor, gives each leaf the keys its table holds and each merge
+// the union of its children's, and requires Schedule.CostActual to equal
+// what MajorCompact measured.
+func TestMajorCostActualIsTheModelsCost(t *testing.T) {
+	streams := []ycsb.Config{
+		{RecordCount: 1_000, OperationCount: 2_500, UpdateProportion: 0.5, InsertProportion: 0.5,
+			Distribution: ycsb.Zipfian, Seed: 7},
+		{RecordCount: 2_000, OperationCount: 2_500, UpdateProportion: 0.97, InsertProportion: 0.03,
+			Distribution: ycsb.Latest, Seed: 7},
+	}
+	value := bytes.Repeat([]byte("x"), 1000)
+	for _, cfg := range streams {
+		for _, strategy := range compaction.LiveStrategies() {
+			gen, err := ycsb.NewGenerator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := openTestDB(t, Options{MemtableBytes: 256 << 10})
+			for _, op := range gen.All() {
+				if err := db.PutContext(context.Background(), fmt.Appendf(nil, "user%016x", op.Key), value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			snap := oldestFirst(db.tables)
+			if n := len(snap); n < 12 || n > 16 {
+				t.Fatalf("%v: %d tables, want 12 to 16", cfg.Distribution, n)
+			}
+			chooser, err := compaction.NewLiveChooser(strategy, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched, err := planMajor(snap, 4, chooser)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, leaf := range sched.Leaves {
+				var keys []uint64
+				for _, k := range tableKeys(t, snap[leaf.TableID]) {
+					id, err := strconv.ParseUint(strings.TrimPrefix(k, "user"), 16, 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					keys = append(keys, id)
+				}
+				leaf.Set, leaf.Live = keyset.New(keys...), nil
+			}
+			for _, st := range sched.Steps {
+				sets := make([]keyset.Set, len(st.Inputs))
+				for i, in := range st.Inputs {
+					sets[i] = in.Set
+				}
+				st.Output.Set, st.Output.Live = keyset.UnionAll(sets...), nil
+			}
+			res, err := db.MajorCompact(strategy, 4, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := sched.CostActual(); res.CostActual != want {
+				t.Errorf("%v %s over %d tables: MajorCompact's CostActual = %d, the model's = %d",
+					cfg.Distribution, strategy, len(snap), res.CostActual, want)
+			}
+		}
 	}
 }

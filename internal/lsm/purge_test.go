@@ -104,11 +104,11 @@ func tableKeys(t testing.TB, th *tableHandle) []string {
 	return keys
 }
 
-// TestMergeDropsVersionsANewerTableShadows: a merge whose inputs hold
+// TestStressMergeDropsVersionsANewerTableShadows: a merge whose inputs hold
 // versions a newer live table outside it also holds writes none of them,
 // counts them in VersionsPurged, and every read still returns the newest
 // version of every key.
-func TestMergeDropsVersionsANewerTableShadows(t *testing.T) {
+func TestStressMergeDropsVersionsANewerTableShadows(t *testing.T) {
 	db := openTestDB(t, Options{})
 	m := shadowFixture(t, db, 8)
 	res := mergeAt(t, db, 0, 1)
@@ -122,10 +122,10 @@ func TestMergeDropsVersionsANewerTableShadows(t *testing.T) {
 	model.Check(t, dbReader{db}, m)
 }
 
-// TestPurgedVersionStaysWithItsReaders: an iterator and a snapshot opened
+// TestStressPurgedVersionStaysWithItsReaders: an iterator and a snapshot opened
 // before the newer version existed still read the version a later merge
 // purges — they pin the tables they were opened on.
-func TestPurgedVersionStaysWithItsReaders(t *testing.T) {
+func TestStressPurgedVersionStaysWithItsReaders(t *testing.T) {
 	db, m := openTestDB(t, Options{}), model.New()
 	putRange(t, db, m, "k", 100, "old")
 	flush(t, db)
@@ -169,10 +169,10 @@ func TestPurgedVersionStaysWithItsReaders(t *testing.T) {
 	}
 }
 
-// TestMemtableVersionPurgesNothing: a newer version that lives only in the
-// memtable proves nothing — with SyncWAL off it is not durable — so the
+// TestStressMemtableVersionPurgesNothing: a newer version that lives only in
+// the memtable proves nothing — with SyncWAL off it is not durable — so the
 // merge keeps every version it was given.
-func TestMemtableVersionPurgesNothing(t *testing.T) {
+func TestStressMemtableVersionPurgesNothing(t *testing.T) {
 	db, m := openTestDB(t, Options{}), model.New()
 	putRange(t, db, m, "k", 100, "old")
 	flush(t, db)
@@ -215,12 +215,12 @@ func reopened(t *testing.T, fsys vfs.FS, warm int) (*DB, string, *model.Model) {
 	return db, path, m
 }
 
-// TestPurgeIgnoresResidency: what a merge drops is a function of the
+// TestStressPurgeIgnoresResidency: what a merge drops is a function of the
 // tables alone. Reopened, the outside table has no index chunk parsed and
 // no block resident, and the merge drops exactly the 50 versions it
 // shadows — as many as once Gets have cached some of its blocks — and
 // moves no hit or miss counter.
-func TestPurgeIgnoresResidency(t *testing.T) {
+func TestStressPurgeIgnoresResidency(t *testing.T) {
 	for _, warm := range []int{0, 20} {
 		t.Run(fmt.Sprintf("warm=%d", warm), func(t *testing.T) {
 			db, _, _ := reopened(t, vfs.Default, warm)
@@ -289,11 +289,11 @@ func TestPurgeKeepsWhatItCannotRead(t *testing.T) {
 	}
 }
 
-// TestPurgeKeepsEveryReadRight checks every read against the model after
+// TestStressPurgeKeepsEveryReadRight checks every read against the model after
 // every merge of every policy family, over a stream of overwrites and one
 // of deletes. The merges run one at a time between explicit flushes, so the
 // model is exact.
-func TestPurgeKeepsEveryReadRight(t *testing.T) {
+func TestStressPurgeKeepsEveryReadRight(t *testing.T) {
 	families := append(compaction.Baselines(), compaction.LiveStrategies()...)
 	for _, stream := range []struct {
 		name      string

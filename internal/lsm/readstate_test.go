@@ -341,13 +341,13 @@ func shortScan(t *testing.T, db *DB) func() {
 	}
 }
 
-// TestScanSetUpIndependentOfTableCount pins what recycling the read stack
+// TestAllocScanSetUpIndependentOfTableCount pins what recycling the read stack
 // bought: a short scan over sixteen overlapping tables costs the same
 // allocations as one over two. The table iterators and their key arenas,
 // the merge heap, the children and table slices and the scan around them
 // are all reused, so nothing a scan sets up grows with the tables it
 // merges.
-func TestScanSetUpIndependentOfTableCount(t *testing.T) {
+func TestAllocScanSetUpIndependentOfTableCount(t *testing.T) {
 	measureRecycling(t)
 	few, many := scanFixture(t, 2, 100), scanFixture(t, 16, 100)
 	if a, b := few.Stats().Tables, many.Stats().Tables; a != 2 || b != 16 {

@@ -49,7 +49,7 @@ func (m *rangeModel) skipTo(i int) error {
 	return nil
 }
 
-// TestRecycledScanStress races short scans and snapshot iterators — each
+// TestStressRecycledScan races short scans and snapshot iterators — each
 // drawing its merge, table iterators and key arenas from the free lists the
 // last one returned them to — against write-triggered flushes, live minor
 // compactions and repeated major compactions, with freed block arrays and
@@ -57,7 +57,7 @@ func (m *rangeModel) skipTo(i int) error {
 // two iterators over one snapshot are read in lockstep, so an iterator
 // recycled while a merge, a scan or its caller still reads it fails a
 // comparison here. Run under -race.
-func TestRecycledScanStress(t *testing.T) {
+func TestStressRecycledScan(t *testing.T) {
 	cache.PoisonFreed.Store(true)
 	defer cache.PoisonFreed.Store(false)
 	db := openTestDB(t, Options{
@@ -188,13 +188,13 @@ func TestRecycledScanStress(t *testing.T) {
 	t.Logf("%d short scans, %d snapshots read twice, %d major compactions", scans.Load(), snapshots.Load(), db.Stats().MajorCompactions)
 }
 
-// TestHeldMemtableKeepsItsSlabs: a scan or a snapshot holding a memtable the
-// DB has flushed keeps its slabs out of reuse, however many memtables rotate
-// meanwhile, and reads it whole; the release of the last holder recycles
-// them, and under cache.PoisonFreed a key the scan handed out then reads as
-// poison. Were the DB to recycle a memtable on its own reference alone, the
-// key would change while the scan still held it.
-func TestHeldMemtableKeepsItsSlabs(t *testing.T) {
+// TestStressHeldMemtableKeepsItsSlabs: a scan or a snapshot holding a
+// memtable the DB has flushed keeps its slabs out of reuse, however many
+// memtables rotate meanwhile, and reads it whole; the release of the last
+// holder recycles them, and under cache.PoisonFreed a key the scan handed out
+// then reads as poison. Were the DB to recycle a memtable on its own
+// reference alone, the key would change while the scan still held it.
+func TestStressHeldMemtableKeepsItsSlabs(t *testing.T) {
 	cache.PoisonFreed.Store(true)
 	defer cache.PoisonFreed.Store(false)
 	db := openTestDB(t, Options{MemtableBytes: 64 << 20})
@@ -259,7 +259,7 @@ func TestHeldMemtableKeepsItsSlabs(t *testing.T) {
 	}
 }
 
-// TestRecycledMemtableStress races point reads, short scans and snapshots
+// TestStressRecycledMemtable races point reads, short scans and snapshots
 // against a writer whose memtables rotate every few dozen puts and an
 // explicit flusher, with recycled key slabs poisoned: every memtable a read
 // still names must stay whole while the DB recycles the ones nobody names.
@@ -268,7 +268,7 @@ func TestHeldMemtableKeepsItsSlabs(t *testing.T) {
 // answers the same before and after rotations it outlives. Recycling a
 // memtable on the DB's reference alone, ignoring the read views and read
 // states that hold it, fails here. Run under -race.
-func TestRecycledMemtableStress(t *testing.T) {
+func TestStressRecycledMemtable(t *testing.T) {
 	cache.PoisonFreed.Store(true)
 	defer cache.PoisonFreed.Store(false)
 	db := openTestDB(t, Options{MemtableBytes: 8 << 10, BlockCacheBytes: 64 << 10})

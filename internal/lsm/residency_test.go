@@ -112,11 +112,11 @@ func sstFiles(t testing.TB, fsys vfs.FS, dir string) int {
 	return n
 }
 
-// TestFlushedTableIsResident: a flushed memtable is in the block cache when
-// its table is installed, and its Reader is born with its index parsed.
+// TestStressFlushedTableIsResident: a flushed memtable is in the block cache
+// when its table is installed, and its Reader is born with its index parsed.
 // Reading every flushed key back misses the cache never and goes to the file
 // not at all, and neither does a second pass.
-func TestFlushedTableIsResident(t *testing.T) {
+func TestStressFlushedTableIsResident(t *testing.T) {
 	fsys := &sstReads{FS: vfs.Default}
 	db := openTestDB(t, Options{MemtableBytes: 64 << 20, FS: fsys})
 	flushRange(t, db, 0, 3000, 1, 0)
@@ -131,12 +131,12 @@ func TestFlushedTableIsResident(t *testing.T) {
 	}
 }
 
-// TestMinorCompactionCarriesResidency: merging tables whose blocks are all
-// resident leaves the output all resident — reading every merged key goes
-// to the file not at all — and leaves no block of a dropped input behind:
-// the cache holds exactly as many blocks as the output has, counted by
-// reading the reopened store cold.
-func TestMinorCompactionCarriesResidency(t *testing.T) {
+// TestStressMinorCompactionCarriesResidency: merging tables whose blocks are
+// all resident leaves the output all resident — reading every merged key goes
+// to the file not at all — and leaves no block of a dropped input behind: the
+// cache holds exactly as many blocks as the output has, counted by reading
+// the reopened store cold.
+func TestStressMinorCompactionCarriesResidency(t *testing.T) {
 	dir := t.TempDir()
 	fsys := &sstReads{FS: vfs.Default}
 	opts := Options{MemtableBytes: 64 << 20, FS: fsys}
@@ -177,14 +177,14 @@ func TestMinorCompactionCarriesResidency(t *testing.T) {
 	}
 }
 
-// TestMergeDoesNotEvictBystanders: a merge makes room for its output out of
-// its own input. The cache — one stripe — is exactly full of a bystander
-// table, least recently read, and four resident tables about to be merged.
-// After the minor merge the bystander has lost no block and the output is
-// resident whole: reading every key of either goes to the file not at all.
-// Before a merge spent its inputs, its output pushed out whatever was least
-// recently used — here the bystander.
-func TestMergeDoesNotEvictBystanders(t *testing.T) {
+// TestStressMergeDoesNotEvictBystanders: a merge makes room for its output
+// out of its own input. The cache — one stripe — is exactly full of a
+// bystander table, least recently read, and four resident tables about to be
+// merged. After the minor merge the bystander has lost no block and the
+// output is resident whole: reading every key of either goes to the file not
+// at all. Before a merge spent its inputs, its output pushed out whatever was
+// least recently used — here the bystander.
+func TestStressMergeDoesNotEvictBystanders(t *testing.T) {
 	const keys, tables = 2000, 5
 	dir := t.TempDir()
 	fsys := &sstReads{FS: vfs.Default}
@@ -326,18 +326,18 @@ func TestAbortedMergeUnspendsItsInputs(t *testing.T) {
 	}
 }
 
-// TestColdCompactionLeavesCacheAlone: compacting a cold store more than ten
-// times the cache evicts nothing live, promotes nothing and counts nothing.
-// The cache holds the pre-warmed blocks of one small hot table and has room
-// to spare. A minor compaction of the cold tables (the hot one uninvolved)
-// publishes into that room and no further: the hot table's blocks are all
-// still there, read back without a miss. A major compaction of everything
-// (the hot table's keys interleave with cold ones, so no output block is
-// merged from resident inputs alone) spends the hot table with the rest of
-// its inputs, stays within the cache's budget and, checked at the point
-// where the merge outputs exist and the inputs are still live, has counted
-// no lookup of its own as a user's.
-func TestColdCompactionLeavesCacheAlone(t *testing.T) {
+// TestStressColdCompactionLeavesCacheAlone: compacting a cold store more than
+// ten times the cache evicts nothing live, promotes nothing and counts
+// nothing. The cache holds the pre-warmed blocks of one small hot table and
+// has room to spare. A minor compaction of the cold tables (the hot one
+// uninvolved) publishes into that room and no further: the hot table's blocks
+// are all still there, read back without a miss. A major compaction of
+// everything (the hot table's keys interleave with cold ones, so no output
+// block is merged from resident inputs alone) spends the hot table with the
+// rest of its inputs, stays within the cache's budget and, checked at the
+// point where the merge outputs exist and the inputs are still live, has
+// counted no lookup of its own as a user's.
+func TestStressColdCompactionLeavesCacheAlone(t *testing.T) {
 	const cacheBytes = 256 << 10
 	fsys := &sstReads{FS: vfs.Default}
 	var db *DB
@@ -462,7 +462,7 @@ func TestColdGetReadsOneFrame(t *testing.T) {
 	t.Logf("%d cold Gets read %d B on average", cold, total/cold)
 }
 
-// TestAbandonedTableWritesLeaveNoBlocks: every way a flush, a minor
+// TestStressAbandonedTableWritesLeaveNoBlocks: every way a flush, a minor
 // compaction or a scheduled merge can fail between creating its table and
 // installing it — create, a write part-way through, the last write, sync,
 // the manifest save — leaves the cache with the blocks it had, the
@@ -477,7 +477,7 @@ func TestColdGetReadsOneFrame(t *testing.T) {
 // again behind it. The retry is held at the hook until the abandoned
 // attempt has been inspected, and must then succeed (except after a failed
 // manifest save, which leaves the DB read-only).
-func TestAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
+func TestStressAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
 	isTable := func(path string) bool { return strings.HasSuffix(path, ".sst") }
 	faults := []struct {
 		name string
@@ -611,14 +611,14 @@ func TestTableBuildStartsNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestResidencyStress races everything that moves blocks: write-triggered
+// TestStressResidency races everything that moves blocks: write-triggered
 // flushes publishing into a cache of a few dozen blocks, live minor
 // compactions peeking at their inputs, publishing their outputs and
 // dropping tables, and readers pinning blocks by Get and by scan — with
 // freed arrays poisoned, so a block recycled under a pin, or published from
 // a buffer the writer has since reused, fails a value check. Run under
 // -race.
-func TestResidencyStress(t *testing.T) {
+func TestStressResidency(t *testing.T) {
 	cache.PoisonFreed.Store(true)
 	defer cache.PoisonFreed.Store(false)
 	db := openTestDB(t, Options{

@@ -14,12 +14,12 @@ import (
 	"time"
 )
 
-// TestReadsProgressWhileMuHeldExclusively is the acceptance check for the
+// TestStressReadsProgressWhileMuHeldExclusively is the acceptance check for the
 // lock-free read path: with db.mu held exclusively (the test standing in
 // for a flush or compaction critical section), Get, NewIterator and
 // Snapshot must all complete — none of them may acquire db.mu on the hot
 // path.
-func TestReadsProgressWhileMuHeldExclusively(t *testing.T) {
+func TestStressReadsProgressWhileMuHeldExclusively(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -84,12 +84,13 @@ func TestReadsProgressWhileMuHeldExclusively(t *testing.T) {
 	}
 }
 
-// TestViewStressDuringFlushesAndCompactions is the -race harness for the
+// TestStressViewDuringFlushesAndCompactions is the -race harness for the
 // view lifecycle: concurrent point reads and scans run against views that
-// flushes and minor-compaction swaps keep replacing underneath them. Every
+// flushes and minor-compaction swaps keep replacing underneath them, some of
+// them three-part views whose frozen memtable waits for its flush. Every
 // read must observe a value that was current at some point (values are
 // version-stamped per key and only move forward).
-func TestViewStressDuringFlushesAndCompactions(t *testing.T) {
+func TestStressViewDuringFlushesAndCompactions(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{
 		MemtableBytes: 8 << 10,
 		AutoCompact:   mustPolicy(t, "size-tiered", 4),

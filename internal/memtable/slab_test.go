@@ -23,14 +23,14 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestOverwriteMemoryBounded: versions are allocated one by one and not
+// TestAllocOverwriteMemoryBounded: versions are allocated one by one and not
 // from the memtable's slabs, so a superseded version nobody can read goes
 // back to the collector. A key overwritten a million times with no reader
 // registered leaves the live heap where a thousand overwrites left it
 // (slab-held values would hold 10^6 × 160 B while SizeBytes reported one
 // version). What readers keep, SizeBytes charges, and the heap gives it back
 // once they are gone.
-func TestOverwriteMemoryBounded(t *testing.T) {
+func TestAllocOverwriteMemoryBounded(t *testing.T) {
 	m := New(1)
 	key, val := []byte("hot"), bytes.Repeat([]byte("v"), 100)
 	one := len(key) + 9 + len(val)
@@ -182,7 +182,7 @@ func (o stressOrder) read(m *Table, keys [][]byte, k int, bound uint64, window i
 	return nil
 }
 
-// TestReadersOverSlabsAndInlineVersions races lock-free readers against a
+// TestStressReadersOverSlabsAndInlineVersions races lock-free readers against a
 // writer that fills memtable after memtable: two of 3000 keys, crossing
 // node and key slab boundaries all the way, and between them one of 16 hot
 // keys, each overwritten every few microseconds. Readers pin a bound as the
@@ -193,7 +193,7 @@ func (o stressOrder) read(m *Table, keys [][]byte, k int, bound uint64, window i
 // byte for byte against the key and sequence it was written with, so a
 // superseded version whose inline value were rewritten in place, or a key
 // slab handed out twice, fails here. Run under -race.
-func TestReadersOverSlabsAndInlineVersions(t *testing.T) {
+func TestStressReadersOverSlabsAndInlineVersions(t *testing.T) {
 	const writes, window = 12000, 40
 	type memtable struct {
 		m     *Table
@@ -262,13 +262,13 @@ func TestReadersOverSlabsAndInlineVersions(t *testing.T) {
 	t.Logf("%d checked reads", reads.Load())
 }
 
-// TestRotationRecyclesSlabs is the engine's rotation with no reader: a
+// TestAllocRotationRecyclesSlabs is the engine's rotation with no reader: a
 // memtable fills while the one before it, frozen, is flushed and released.
 // From the third memtable on, each carves from the slabs of the one two
 // before it, so filling one allocates a version per write and the Table
 // itself — no node, tower or key slab, and no skiplist. What a released
 // memtable handed out is gone with it: its keys read as poison.
-func TestRotationRecyclesSlabs(t *testing.T) {
+func TestAllocRotationRecyclesSlabs(t *testing.T) {
 	cache.PoisonFreed.Store(true)
 	defer cache.PoisonFreed.Store(false)
 	const keys = 2500 // ten node slabs, about 3.3 of 4 tower slabs, ten key slabs

@@ -244,13 +244,15 @@ func TestQuickMatchesReferenceMap(t *testing.T) {
 	}
 }
 
-// TestReadersNeverMissPresentKey is the regression test for the lookup
+// TestStressReadersNeverMissPresentKey is the regression test for the lookup
 // that re-loaded the level-0 successor after comparing it: a writer
 // linking a smaller key in between made a lock-free Get or Seek land on
 // that key and report the target — present all along — as absent. One
 // writer inserts ascending keys, each of which lands directly before the
-// target, while readers look the target up. Run under -race.
-func TestReadersNeverMissPresentKey(t *testing.T) {
+// target, while readers look the target up. Run under -race, ten times:
+// this race failed the engine's view stress test about one run in eight,
+// and single runs let it survive several changes.
+func TestStressReadersNeverMissPresentKey(t *testing.T) {
 	l := New(1)
 	target := []byte("zzz")
 	put(l, "zzz", "present", 1)

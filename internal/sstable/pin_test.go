@@ -55,11 +55,11 @@ func sameEntry(a, b iterator.Entry) bool {
 	return bytes.Equal(a.Key, b.Key) && bytes.Equal(a.Value, b.Value) && a.Seq == b.Seq && a.Tombstone == b.Tombstone
 }
 
-// TestEntryValidAcrossOneNext is the iterator validity rule: an Entry read
-// just before a Next is byte-identical after it, block boundary or not,
-// while another reader churns the two-block cache both share and freed
-// arrays are poisoned. Run under -race.
-func TestEntryValidAcrossOneNext(t *testing.T) {
+// TestStressEntryValidAcrossOneNext is the iterator validity rule: an Entry
+// read just before a Next is byte-identical after it, block boundary or not,
+// while another reader churns the two-block cache both share and freed arrays
+// are poisoned. Run under -race.
+func TestStressEntryValidAcrossOneNext(t *testing.T) {
 	cache.PoisonFreed.Store(true)
 	defer cache.PoisonFreed.Store(false)
 	var entries []iterator.Entry
@@ -99,11 +99,11 @@ func TestEntryValidAcrossOneNext(t *testing.T) {
 	}
 }
 
-// TestMergeDedupOverRecycledBlocks: Dedup(Merging(...)) over tables whose
+// TestStressMergeDedupOverRecycledBlocks: Dedup(Merging(...)) over tables whose
 // duplicate keys straddle block boundaries reads what it always did —
 // newest version per key, tombstones dropped — when the tables share a
 // two-block cache that recycles every array behind the iterators.
-func TestMergeDedupOverRecycledBlocks(t *testing.T) {
+func TestStressMergeDedupOverRecycledBlocks(t *testing.T) {
 	cache.PoisonFreed.Store(true)
 	defer cache.PoisonFreed.Store(false)
 	const tables, keys = 4, 500
@@ -162,14 +162,14 @@ func TestMergeDedupOverRecycledBlocks(t *testing.T) {
 	}
 }
 
-// TestRebuiltKeysLiveTwoBlocks is the validity rule for keys an iterator
+// TestStressRebuiltKeysLiveTwoBlocks is the validity rule for keys an iterator
 // rebuilds from their prefix-compressed form: such a key stays intact while
 // its block is the current one or the one before — so across one Next,
 // block boundary or not — and when the iterator enters the block after
 // next, the arena it lies in is reused: under cache.PoisonFreed it then
 // reads as poison. An iterator with one arena, emptied at every block,
 // would break the first half; one that never reuses an arena, the second.
-func TestRebuiltKeysLiveTwoBlocks(t *testing.T) {
+func TestStressRebuiltKeysLiveTwoBlocks(t *testing.T) {
 	cache.PoisonFreed.Store(true)
 	defer cache.PoisonFreed.Store(false)
 	var entries []iterator.Entry
@@ -242,13 +242,13 @@ func mallocs(fn func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestScanAndMergeRecycleArenas: a ScanIter, and a merge through MergeTo,
+// TestAllocScanAndMergeRecycleArenas: a ScanIter, and a merge through MergeTo,
 // over a table of more than a thousand blocks rebuild every block's keys in
 // one of two arenas, so they allocate no more arena chunks than over ten
 // blocks — at most two more objects all told. (A merge's Writer allocates
 // per block of its output; that share is measured by writing the same
 // entries directly and taken out.)
-func TestScanAndMergeRecycleArenas(t *testing.T) {
+func TestAllocScanAndMergeRecycleArenas(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled iterators are dropped at random under the race detector")
 	}
@@ -307,10 +307,10 @@ func TestScanAndMergeRecycleArenas(t *testing.T) {
 	}
 }
 
-// TestIterSizeClass pins the pooled iterator to the 320-byte allocation
+// TestAllocIterSizeClass pins the pooled iterator to the 320-byte allocation
 // size class, so a field added to it must be paid for rather than grow it
 // into the next class silently.
-func TestIterSizeClass(t *testing.T) {
+func TestAllocIterSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Iter{}); size > 320 {
 		t.Errorf("sstable.Iter is %d bytes, past the 320-byte size class", size)
 	}

@@ -67,11 +67,11 @@ func randomEntries(rng *rand.Rand, n int) []iterator.Entry {
 	return entries
 }
 
-// TestScanIterMatchesIter: the span-reading iterator yields exactly what Iter
-// yields, over the committed fixture and over random tables, with no cache,
-// with a cache holding some of the blocks (so resident blocks and read runs
-// alternate inside a span), and with every block resident.
-func TestScanIterMatchesIter(t *testing.T) {
+// TestStressScanIterMatchesIter: the span-reading iterator yields exactly
+// what Iter yields, over the committed fixture and over random tables, with
+// no cache, with a cache holding some of the blocks (so resident blocks and
+// read runs alternate inside a span), and with every block resident.
+func TestStressScanIterMatchesIter(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "v3.sst"))
 	if err != nil {
 		t.Fatal(err)
@@ -133,11 +133,11 @@ func (f *failingAt) ReadAt(p []byte, off int64) (int, error) {
 	return f.ReaderAt.ReadAt(p, off)
 }
 
-// TestScanIterErrorInOrder: a read error on block j reaches the consumer of
-// a ScanIter after exactly the entries of the blocks before j, although the
-// iterator met it while reading a run of several blocks, and so does a
-// checksum failure.
-func TestScanIterErrorInOrder(t *testing.T) {
+// TestStressScanIterErrorInOrder: a read error on block j reaches the
+// consumer of a ScanIter after exactly the entries of the blocks before j,
+// although the iterator met it while reading a run of several blocks, and so
+// does a checksum failure.
+func TestStressScanIterErrorInOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	entries := randomEntries(rng, 1500)
 	var buf bytes.Buffer
@@ -219,14 +219,14 @@ func released(b *cache.Block) (yes bool) {
 	return false
 }
 
-// TestScanIterEarlyCloseBalancesPins: closing a ScanIter at any point —
+// TestStressScanIterEarlyCloseBalancesPins: closing a ScanIter at any point —
 // before its first entry, mid-span with blocks fetched and not yet entered,
 // after the last entry — releases every pin it took. Two in every three blocks are resident, so spans mix cache pins with
 // buffer pins; freed arrays are poisoned, so a pin dropped too early shows in
 // the entries compared; a pin dropped twice panics in Release; and a pin
 // never dropped is found afterwards: once the table has left the cache, every
 // block Peek handed out must have no holder left.
-func TestScanIterEarlyCloseBalancesPins(t *testing.T) {
+func TestStressScanIterEarlyCloseBalancesPins(t *testing.T) {
 	cache.PoisonFreed.Store(true)
 	defer cache.PoisonFreed.Store(false)
 	rng := rand.New(rand.NewSource(11))

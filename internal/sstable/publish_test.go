@@ -63,12 +63,12 @@ func compressibleEntries(prefix string, n int) []iterator.Entry {
 	return entries
 }
 
-// TestWriterPublishesWhatReadersCache: the block a Writer publishes is byte
-// for byte the payload readBlock produces from the file for the same handle
-// — the decoded body, not the stored frame — every data block is published,
-// and the table then serves a whole scan and every point read without a
-// single ReadAt.
-func TestWriterPublishesWhatReadersCache(t *testing.T) {
+// TestStressWriterPublishesWhatReadersCache: the block a Writer publishes is
+// byte for byte the payload readBlock produces from the file for the same
+// handle — the decoded body, not the stored frame — every data block is
+// published, and the table then serves a whole scan and every point read
+// without a single ReadAt.
+func TestStressWriterPublishesWhatReadersCache(t *testing.T) {
 	t.Run("v3/raw", func(t *testing.T) {
 		entries := compressibleEntries("key", 800)
 		c := cache.NewSharded(8<<20, 0)
@@ -166,12 +166,13 @@ func stridedEntries(lo, stride, n int) []iterator.Entry {
 	return entries
 }
 
-// TestMergeCarriesResidency: a merge reads its inputs around the cache —
-// no fill, no hit or miss counted — and with room in the cache its output is
-// resident whole: the blocks merged from resident input because what was hot
-// stays hot, the blocks merged from the cold input because they displace
-// nothing (TestColdOutputAdmittedOnlyAgainstSpentInput takes the room away).
-func TestMergeCarriesResidency(t *testing.T) {
+// TestStressMergeCarriesResidency: a merge reads its inputs around the cache
+// — no fill, no hit or miss counted — and with room in the cache its output
+// is resident whole: the blocks merged from resident input because what was
+// hot stays hot, the blocks merged from the cold input because they displace
+// nothing (TestStressColdOutputAdmittedOnlyAgainstSpentInput takes the room
+// away).
+func TestStressMergeCarriesResidency(t *testing.T) {
 	c := cache.NewSharded(8<<20, 0)
 	opts := WriterOptions{BlockSize: 512}
 	hot, _ := publishedTable(t, c, compressibleEntries("a", 600), opts)
@@ -214,14 +215,14 @@ func (c *demoteRecorder) Demote(b *cache.Block) {
 	c.LRU.Demote(b)
 }
 
-// TestMergeSpendsItsInputs: a merge hands every resident input block it
+// TestStressMergeSpendsItsInputs: a merge hands every resident input block it
 // takes up to Demote, once, and nobody else does — not a planning scan
 // (a bare ScanIter), which leaves the cache exactly as it found it, and not
 // a user's Iter. None of the three maintenance passes counts a hit or a
 // miss. What demotion buys shows when the cache then has to make room for as
 // many bytes as the inputs hold: the inputs go, all of them and nothing
 // else, although a bystander table was least recently used.
-func TestMergeSpendsItsInputs(t *testing.T) {
+func TestStressMergeSpendsItsInputs(t *testing.T) {
 	const capacity = 1 << 20
 	c := &demoteRecorder{LRU: cache.New(capacity)}
 	opts := WriterOptions{BlockSize: 512}
@@ -288,15 +289,15 @@ func TestMergeSpendsItsInputs(t *testing.T) {
 	}
 }
 
-// TestColdOutputAdmittedOnlyAgainstSpentInput: an output block merged from
-// input that was not resident may take the place of a block the merge has
-// spent, and of nothing live. The cache is exactly full. Half-cold — one
-// input resident, the other not, their keys interleaved so every output
-// block holds cold entries: the bystander table keeps every block, the
-// resident input is never read from the file (nothing evicted it before the
-// merge reached it), and part of the output is resident in its place. Fully
-// cold: nothing is spent, so nothing is published and nothing evicted.
-func TestColdOutputAdmittedOnlyAgainstSpentInput(t *testing.T) {
+// TestStressColdOutputAdmittedOnlyAgainstSpentInput: an output block merged
+// from input that was not resident may take the place of a block the merge
+// has spent, and of nothing live. The cache is exactly full. Half-cold — one
+// input resident, the other not, their keys interleaved so every output block
+// holds cold entries: the bystander table keeps every block, the resident
+// input is never read from the file (nothing evicted it before the merge
+// reached it), and part of the output is resident in its place. Fully cold:
+// nothing is spent, so nothing is published and nothing evicted.
+func TestStressColdOutputAdmittedOnlyAgainstSpentInput(t *testing.T) {
 	opts := WriterOptions{BlockSize: 512}
 	sizing := cache.New(64 << 20)
 	bystander, _ := publishedTable(t, sizing, compressibleEntries("s", 600), opts)
@@ -356,14 +357,14 @@ func TestColdOutputAdmittedOnlyAgainstSpentInput(t *testing.T) {
 	}
 }
 
-// TestHoldsNewerIgnoresResidency: the purge probe's answer is a function of
-// the table alone. A born table (every chunk parsed, every block resident),
-// the same table with its blocks dropped from the cache, and the table
-// reopened with no chunk parsed each prove every key newer than any lower
-// sequence number — and not newer than its own, nor anything about a key it
-// lacks. No pass moves the cache's hits, misses or resident set or counts a
-// filter outcome, and no probe the filter rejects reads the table.
-func TestHoldsNewerIgnoresResidency(t *testing.T) {
+// TestStressHoldsNewerIgnoresResidency: the purge probe's answer is a
+// function of the table alone. A born table (every chunk parsed, every block
+// resident), the same table with its blocks dropped from the cache, and the
+// table reopened with no chunk parsed each prove every key newer than any
+// lower sequence number — and not newer than its own, nor anything about a
+// key it lacks. No pass moves the cache's hits, misses or resident set or
+// counts a filter outcome, and no probe the filter rejects reads the table.
+func TestStressHoldsNewerIgnoresResidency(t *testing.T) {
 	entries := compressibleEntries("key", 800)
 	c := cache.New(8 << 20)
 	born, src := publishedTable(t, c, entries, WriterOptions{BlockSize: 512, IndexChunkSize: 8})

@@ -23,11 +23,11 @@ func mallocsPerRun(runs int, fn func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// TestPutAllocatesOneObject is lsm's test of the same name through the
+// TestAllocPutOneObject is lsm's test of the same name through the
 // store, at one shard and at four: routing a put costs nothing, and a
 // 16-op batch split across four shards — three sub-batches committed on
 // goroutines of their own — still allocates only its 16 versions.
-func TestPutAllocatesOneObject(t *testing.T) {
+func TestAllocPutOneObject(t *testing.T) {
 	measureRecycling(t)
 	ctx := context.Background()
 	const runs = 10000

@@ -14,11 +14,11 @@ import (
 	"repro/internal/lsm"
 )
 
-// TestScanSetUpIndependentOfTableCount is lsm's test of the same name one
+// TestAllocScanSetUpIndependentOfTableCount is lsm's test of the same name one
 // layer up: through the store a short scan allocates the same at two tables
 // per shard and at sixteen, and at one shard and at four — every shard's
 // sources go into one recycled merge.
-func TestScanSetUpIndependentOfTableCount(t *testing.T) {
+func TestAllocScanSetUpIndependentOfTableCount(t *testing.T) {
 	measureRecycling(t)
 	val := bytes.Repeat([]byte("v"), 100)
 	start := []byte(fmt.Sprintf("key-%06d", 40))
@@ -154,11 +154,11 @@ func flipMidTable(t *testing.T, dir string) {
 	}
 }
 
-// TestScanSurfacesCorruptTable: a table that fails its checksum mid-scan
+// TestStressScanSurfacesCorruptTable: a table that fails its checksum mid-scan
 // ends a store scan with ErrCorrupt — through RangeContext, through
 // NewIterator and IterErr, and through a snapshot's iterator — at one shard
 // and at two, instead of ending it early as if it were complete.
-func TestScanSurfacesCorruptTable(t *testing.T) {
+func TestStressScanSurfacesCorruptTable(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			s := corruptedStore(t, shards)

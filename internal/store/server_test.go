@@ -102,11 +102,11 @@ func TestStoreOverKvnet(t *testing.T) {
 	}
 }
 
-// TestServedScanSurfacesCorruptTable: a kvnet server on a two-shard store
+// TestStressServedScanSurfacesCorruptTable: a kvnet server on a two-shard store
 // whose table fails its checksum mid-scan ends a stream — live or through a
 // snapshot — and a one-shot scan with ErrCorrupt, not with the clean end a
 // complete result would get.
-func TestServedScanSurfacesCorruptTable(t *testing.T) {
+func TestStressServedScanSurfacesCorruptTable(t *testing.T) {
 	s := corruptedStore(t, 2)
 	srv := kvnet.NewServer(s)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
