@@ -69,20 +69,21 @@ func TestCIRunPatternsNameTests(t *testing.T) {
 }
 
 // TestDocsCiteDeclaredTestsAndLinks: every Test…, Benchmark… or Fuzz… name
-// README.md and docs/*.md cite prefixes a function declared in a _test.go
-// file of the repository (the bench module's included), every alternative
-// of a quoted -run or -bench pattern they cite matches one, and every
-// relative link they hold resolves to a file. A renamed test or a moved
+// README.md, docs/*.md and the verify skill's SKILL.md cite prefixes a
+// function declared in a _test.go file of the repository (the bench
+// module's included), every alternative of a quoted -run or -bench pattern
+// they cite matches one, and every relative link they hold resolves to a
+// file. A renamed test or a moved
 // file would otherwise leave the docs pointing at nothing.
 func TestDocsCiteDeclaredTestsAndLinks(t *testing.T) {
 	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
 	if err != nil || len(docs) == 0 {
 		t.Fatalf("no docs/*.md (%v)", err)
 	}
-	docs = append([]string{"README.md"}, docs...)
+	docs = append([]string{"README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}, docs...)
 	names := append(testNames(t, ".", true), testNames(t, "bench", true)...)
 	cited := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
-	pattern := regexp.MustCompile(`-(?:run|bench) '([^']*)'`)
+	pattern := regexp.MustCompile(`-(?:run|bench)\s+'([^']*)'`)
 	link := regexp.MustCompile(`\]\(([^)\s]+)\)`)
 	for _, doc := range docs {
 		src, err := os.ReadFile(doc)

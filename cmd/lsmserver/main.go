@@ -6,9 +6,10 @@
 // compaction with any strategy that plans from table statistics.
 //
 // The process is a thin shell over the public kv package: kv.Open builds
-// the engine (single partition or -shards N hash-sharded), kv.NewServer
-// serves it, and -stats-http exposes the same statistics kv.Engine.Stats
-// reports as JSON (GET /stats) for scraping — no log-line parsing needed.
+// the engine (single partition or -shards N hash-sharded) and kv.NewServer
+// serves it. The process owns its one HTTP server: -stats-http mounts
+// kv.StatsHandler at /stats, the same statistics kv.Engine.Stats reports,
+// as JSON for scraping — no log-line parsing needed.
 //
 // The -auto policy is the one automatic compaction path. A major
 // compaction runs only when a client asks for one, and reads and writes
@@ -33,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -56,7 +58,6 @@ func run() error {
 		auto       = flag.String("auto", "size-tiered", "auto minor compaction: size-tiered, threshold, leveled, a paper strategy (SI, SO, BT, BT(I), BT(O), CHAIN, RANDOM), or none")
 		memSize    = flag.Int("memtable", 4<<20, "memtable flush threshold in bytes, per shard (total buffered memory is shards x this)")
 		sync       = flag.Bool("sync", false, "fsync the WAL on every write")
-		workers    = flag.Int("compact-workers", 0, "merge worker pool size (0 = GOMAXPROCS)")
 		statsEvery = flag.Duration("stats-every", 0, "periodically log write-pipeline stats (0 = off)")
 		statsHTTP  = flag.String("stats-http", "", "serve engine stats as JSON at this address (GET /stats; empty = off)")
 		shards     = flag.Int("shards", 0, "engine shard count (0 = adopt existing store, 1 for a new one)")
@@ -69,20 +70,30 @@ func run() error {
 	opts := []kv.Option{
 		kv.WithShards(*shards),
 		kv.WithMemtableBytes(*memSize),
-		kv.WithCompactionWorkers(*workers),
 		kv.WithAutoCompact(*auto),
 	}
 	if *sync {
 		opts = append(opts, kv.WithSyncWAL())
-	}
-	if *statsHTTP != "" {
-		opts = append(opts, kv.WithStatsHandler(*statsHTTP))
 	}
 	eng, err := kv.Open(*dir, opts...)
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
+
+	extra := ""
+	if *statsHTTP != "" {
+		hln, err := net.Listen("tcp", *statsHTTP)
+		if err != nil {
+			return err
+		}
+		mux := http.NewServeMux()
+		mux.Handle("/stats", kv.StatsHandler(eng))
+		hsrv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+		go hsrv.Serve(hln)
+		defer hsrv.Close()
+		extra = fmt.Sprintf(", stats at http://%s/stats", hln.Addr())
+	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -115,10 +126,6 @@ func run() error {
 		go logStats(ctx, eng, srv, *statsEvery)
 	}
 
-	extra := ""
-	if *statsHTTP != "" {
-		extra = fmt.Sprintf(", stats at http://%s/stats", *statsHTTP)
-	}
 	fmt.Printf("lsmserver: serving %s on %s (shards=%d, auto=%s%s)\n",
 		*dir, ln.Addr(), st.Shards, *auto, extra)
 	err = srv.Serve(ln)

@@ -79,18 +79,19 @@ func (c *Threshold) Due(tables []LiveTable) bool {
 func (c *Threshold) Choose() ([]*Node, error) { return c.smallest(), nil }
 
 // SizeTiered is Cassandra's STCS: tables are grouped into buckets of similar
-// size (within [BucketLow·avg, BucketHigh·avg] of the bucket's running
+// size (within [bucketLow·avg, bucketHigh·avg] of the bucket's running
 // average), and the fullest bucket of at least MinThreshold tables merges,
 // up to k of them.
 type SizeTiered struct {
 	// MinThreshold is the smallest bucket that triggers a merge. Zero
 	// selects Cassandra's 4.
 	MinThreshold int
-	// BucketLow/BucketHigh bound a bucket relative to its average size.
-	// Zeros select Cassandra's 0.5 and 1.5.
-	BucketLow, BucketHigh float64
 	liveSet
 }
+
+// bucketLow and bucketHigh bound a size-tiered bucket relative to its
+// average size: Cassandra's defaults.
+const bucketLow, bucketHigh = 0.5, 1.5
 
 // Name implements Chooser.
 func (c *SizeTiered) Name() string { return "size-tiered" }
@@ -109,15 +110,9 @@ func (c *SizeTiered) Choose() ([]*Node, error) {
 // bucket returns the fullest bucket of nodes that reaches MinThreshold, or
 // nil.
 func (c *SizeTiered) bucket(nodes []*Node) []*Node {
-	minT, low, high := c.MinThreshold, c.BucketLow, c.BucketHigh
+	minT := c.MinThreshold
 	if minT <= 1 {
 		minT = 4
-	}
-	if low <= 0 {
-		low = 0.5
-	}
-	if high <= 0 {
-		high = 1.5
 	}
 	var best, bucket []*Node
 	var avg float64
@@ -128,7 +123,7 @@ func (c *SizeTiered) bucket(nodes []*Node) []*Node {
 	}
 	for _, nd := range bySize(nodes) {
 		size := float64(nd.Live.SizeBytes)
-		if len(bucket) == 0 || (size >= low*avg && size <= high*avg) {
+		if len(bucket) == 0 || (size >= bucketLow*avg && size <= bucketHigh*avg) {
 			bucket = append(bucket, nd)
 			// A running average keeps the bucket's center tracking its
 			// members.
@@ -147,7 +142,7 @@ func (c *SizeTiered) bucket(nodes []*Node) []*Node {
 // arbitrarily; every level >= 1 keeps its tables disjoint by key range. Once
 // level 0 holds L0Trigger tables they merge, with every level-1 table they
 // overlap, down to level 1; once a level's total size exceeds its target —
-// BaseTargetBytes at level 1, multiplied by Multiplier per level below — its
+// BaseTargetBytes at level 1, ten times larger per level below — its
 // largest table merges with the tables it overlaps one level down. Merging
 // into the overlap keeps each level disjoint, so a point read probes at most
 // one table per level >= 1; the price is rewriting overlapping runs. A merge
@@ -159,10 +154,12 @@ type Leveled struct {
 	L0Trigger int
 	// BaseTargetBytes is level 1's size target. Zero selects 8 MiB.
 	BaseTargetBytes uint64
-	// Multiplier grows the target per level. Zero selects 10.
-	Multiplier int
 	liveSet
 }
+
+// levelGrowth grows a leveled layout's size target per level, as
+// LevelDB's does.
+const levelGrowth = 10
 
 // Name implements Chooser.
 func (c *Leveled) Name() string { return "leveled" }
@@ -193,15 +190,12 @@ func (c *Leveled) Observe(merged *Node) {
 // shallowest level over its target plus the tables it covers one level
 // down), or nil when neither is due.
 func (c *Leveled) group(nodes []*Node) []*Node {
-	l0Trigger, target, mult := c.L0Trigger, c.BaseTargetBytes, c.Multiplier
+	l0Trigger, target := c.L0Trigger, c.BaseTargetBytes
 	if l0Trigger <= 1 {
 		l0Trigger = 4
 	}
 	if target == 0 {
 		target = 8 << 20
-	}
-	if mult <= 1 {
-		mult = 10
 	}
 	byLevel := make(map[int][]*Node)
 	deepest := 0
@@ -214,7 +208,7 @@ func (c *Leveled) group(nodes []*Node) []*Node {
 			return g
 		}
 	}
-	for level := 1; level <= deepest; level, target = level+1, target*uint64(mult) {
+	for level := 1; level <= deepest; level, target = level+1, target*levelGrowth {
 		var total uint64
 		for _, nd := range byLevel[level] {
 			total += nd.Live.SizeBytes

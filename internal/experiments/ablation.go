@@ -9,7 +9,7 @@ import (
 	"repro/internal/compaction"
 )
 
-// Ablation experiments for the design choices DESIGN.md calls out: the
+// Ablation experiments for two design choices of this reproduction: the
 // merge fan-in k (K-WAYMERGING) and the HyperLogLog precision behind the
 // practical SMALLESTOUTPUT strategy. Neither is swept in the paper — k is
 // fixed to 2 and HLL precision is unstated — so these quantify the choices

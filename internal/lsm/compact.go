@@ -358,8 +358,8 @@ func (db *DB) allocTableNameLocked() string {
 // executeSchedule runs sched's merges on the compaction package's worker
 // pool (compaction.ExecuteParallelFunc): leaf i of the schedule is snap[i],
 // every step merges its inputs' files into a fresh sstable, dropping what
-// shadowed reports, and independent steps run concurrently up to
-// Options.CompactionWorkers. Tombstones survive intermediate merges —
+// shadowed reports, and independent steps run concurrently on up to
+// GOMAXPROCS workers. Tombstones survive intermediate merges —
 // dropping one early would let an older version in a not-yet-merged table
 // resurface — and are purged only at a major compaction's root merge, which
 // covers all data.
@@ -396,7 +396,7 @@ func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, s
 		stats[i] = mstats
 		return nil
 	}
-	err := compaction.ExecuteParallelFunc(sched, db.opts.CompactionWorkers, run)
+	err := compaction.ExecuteParallelFunc(sched, 0, run)
 	return nodes, stats, err
 }
 

@@ -86,9 +86,6 @@ type Options struct {
 	// (see PolicyByName) after every memtable flush triggered by a write,
 	// keeping the table count bounded between major compactions.
 	AutoCompact *Policy
-	// CompactionWorkers bounds the merge worker pool used by major
-	// compactions. Zero selects GOMAXPROCS.
-	CompactionWorkers int
 	// BlockCacheBytes bounds the shared sstable block cache. Zero selects
 	// 8 MiB; negative disables caching.
 	BlockCacheBytes int

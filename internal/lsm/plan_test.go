@@ -39,18 +39,20 @@ func planFixture(tb testing.TB, fsys vfs.FS, tables, keys int) *DB {
 	return db
 }
 
-// planCost plans the major compaction of db's tables with strategy and
-// returns the bytes the planning read from table files and allocated.
+// planCost plans the major compaction of db's tables with strategy, oldest
+// first as MajorCompact does, and returns the bytes the planning read from
+// table files and allocated.
 func planCost(t *testing.T, db *DB, fsys *sstReads, strategy string) (read int64, alloc uint64) {
 	t.Helper()
 	chooser, err := compaction.NewLiveChooser(strategy, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := oldestFirst(db.tables)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	read0 := fsys.bytes.Load()
-	sched, err := planMajor(db.tables, 4, chooser)
+	sched, err := planMajor(snap, 4, chooser)
 	if err != nil {
 		t.Fatalf("%s: plan: %v", strategy, err)
 	}

@@ -53,16 +53,7 @@ func DialCluster(addrs []string, opts ...Option) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := &clusterEngine{cfg: cfg, rt: rt}
-	if cfg.statsAddr != "" {
-		stats, err := startStatsServer(cfg.statsAddr, eng)
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		eng.stats = stats
-	}
-	return eng, nil
+	return &clusterEngine{cfg: cfg, rt: rt}, nil
 }
 
 // clusterEngine adapts the quorum router to the Engine interface.
@@ -70,7 +61,6 @@ type clusterEngine struct {
 	cfg    config
 	rt     *cluster.Router
 	closed atomic.Bool
-	stats  *statsServer // nil unless WithStatsHandler
 }
 
 func (e *clusterEngine) Put(ctx context.Context, key, value []byte) error {
@@ -179,17 +169,7 @@ func (e *clusterEngine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if e.stats != nil {
-		e.stats.Close()
-	}
 	return e.rt.Close()
-}
-
-func (e *clusterEngine) statsListenAddr() string {
-	if e.stats == nil {
-		return ""
-	}
-	return e.stats.Addr()
 }
 
 // asIterator hands a merged cluster scan out as an Iterator, and a

@@ -34,10 +34,6 @@ func TestConfigErrorsWrapSentinel(t *testing.T) {
 			_, err := Dial("127.0.0.1:1", WithDialTimeout(0))
 			return err
 		}},
-		{"stats handler without address", func() error {
-			_, err := Open(t.TempDir(), WithStatsHandler(""))
-			return err
-		}},
 		// An unknown or exact-set strategy name fails Open, not every
 		// compaction after it.
 		{"unknown compaction strategy", func() error {

@@ -17,7 +17,6 @@ type localEngine struct {
 	st     *store.Store
 	cfg    config
 	closed atomic.Bool
-	stats  *statsServer // nil unless WithStatsHandler
 }
 
 func (e *localEngine) Put(ctx context.Context, key, value []byte) error {
@@ -100,19 +99,7 @@ func (e *localEngine) Stats(ctx context.Context) (Stats, error) {
 
 func (e *localEngine) Close() error {
 	e.closed.Store(true)
-	if e.stats != nil {
-		e.stats.Close()
-	}
 	return e.st.Close()
-}
-
-// statsListenAddr exposes the stats endpoint's bound address; tests use it
-// with a ":0" listener.
-func (e *localEngine) statsListenAddr() string {
-	if e.stats == nil {
-		return ""
-	}
-	return e.stats.Addr()
 }
 
 // localIterator adapts an internal merged iterator, adding context expiry

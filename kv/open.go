@@ -24,16 +24,7 @@ func Open(dir string, opts ...Option) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := &localEngine{st: st, cfg: cfg}
-	if cfg.statsAddr != "" {
-		stats, err := startStatsServer(cfg.statsAddr, eng)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		eng.stats = stats
-	}
-	return eng, nil
+	return &localEngine{st: st, cfg: cfg}, nil
 }
 
 // Dial connects to a server at addr (see NewServer and cmd/lsmserver) and
@@ -53,17 +44,5 @@ func Dial(addr string, opts ...Option) (Engine, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("kv: empty address: %w", ErrConfig)
 	}
-	eng, err := newRemoteEngine(cfg, addr)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.statsAddr != "" {
-		stats, err := startStatsServer(cfg.statsAddr, eng)
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		eng.stats = stats
-	}
-	return eng, nil
+	return newRemoteEngine(cfg, addr)
 }

@@ -24,18 +24,16 @@ type config struct {
 	entry entryPoint
 
 	// Open.
-	shards            int
-	memtableBytes     int
-	syncWAL           bool
-	blockCacheBytes   int
-	compactionWorkers int
-	autoCompact       string
-	fs                vfs.FS
+	shards          int
+	memtableBytes   int
+	syncWAL         bool
+	blockCacheBytes int
+	autoCompact     string
+	fs              vfs.FS
 
 	// Both.
 	compactStrategy string
 	compactK        int
-	statsAddr       string
 
 	// Dial and DialCluster.
 	dialTimeout time.Duration
@@ -60,11 +58,10 @@ func defaultConfig(entry entryPoint) config {
 // lsmOptions builds the per-partition engine options from the config.
 func (c *config) lsmOptions() lsm.Options {
 	opts := lsm.Options{
-		MemtableBytes:     c.memtableBytes,
-		SyncWAL:           c.syncWAL,
-		BlockCacheBytes:   c.blockCacheBytes,
-		CompactionWorkers: c.compactionWorkers,
-		FS:                c.fs,
+		MemtableBytes:   c.memtableBytes,
+		SyncWAL:         c.syncWAL,
+		BlockCacheBytes: c.blockCacheBytes,
+		FS:              c.fs,
 	}
 	// WithAutoCompact already validated the name, so resolution here
 	// cannot fail; the strategy seed and fan-in ride the Compact defaults.
@@ -151,15 +148,6 @@ func WithBlockCacheBytes(n int) Option {
 	})
 }
 
-// WithCompactionWorkers bounds the merge worker pool used by major
-// compactions. Zero selects GOMAXPROCS.
-func WithCompactionWorkers(n int) Option {
-	return openOnly("WithCompactionWorkers", func(c *config) error {
-		c.compactionWorkers = n
-		return nil
-	})
-}
-
 // WithAutoCompact enables minor compactions after flushes with the named
 // policy: "size-tiered" (Cassandra's bucketing), "threshold" (Bigtable's
 // count trigger), "leveled" (the LevelDB-style layout with per-level
@@ -208,20 +196,6 @@ func WithCompactionStrategy(strategy string, k int) Option {
 			return fmt.Errorf("kv: %w", err)
 		}
 		c.compactStrategy = strategy
-		return nil
-	}
-}
-
-// WithStatsHandler serves the engine's statistics as JSON over HTTP at
-// addr (GET /stats), using the same Stats shape Engine.Stats returns. The
-// listener starts with the engine and stops at Close. Applies to Open and
-// Dial alike.
-func WithStatsHandler(addr string) Option {
-	return func(c *config) error {
-		if addr == "" {
-			return fmt.Errorf("kv: WithStatsHandler requires an address: %w", ErrConfig)
-		}
-		c.statsAddr = addr
 		return nil
 	}
 }

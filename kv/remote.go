@@ -19,7 +19,6 @@ type remoteEngine struct {
 	addr   string
 	cfg    config
 	closed atomic.Bool
-	stats  *statsServer // nil unless WithStatsHandler
 
 	mu sync.Mutex
 	c  *kvnet.Client
@@ -199,22 +198,12 @@ func (e *remoteEngine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if e.stats != nil {
-		e.stats.Close()
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.c != nil {
 		return e.c.Close()
 	}
 	return nil
-}
-
-func (e *remoteEngine) statsListenAddr() string {
-	if e.stats == nil {
-		return ""
-	}
-	return e.stats.Addr()
 }
 
 // remoteIterator adapts a server-held stream — one scan under one

@@ -1,11 +1,9 @@
 package kv
 
 import (
-	"context"
 	"encoding/json"
 	"net"
 	"net/http"
-	"time"
 
 	"repro/internal/kvnet"
 )
@@ -45,9 +43,10 @@ type ServerStats = kvnet.ServerStats
 // Stats reports the server's connection-layer counters.
 func (s *Server) Stats() ServerStats { return s.srv.Stats() }
 
-// StatsHandler serves e.Stats as JSON. WithStatsHandler mounts it on a
-// dedicated listener; callers with their own HTTP server can mount this
-// handler wherever they like instead.
+// StatsHandler serves e.Stats as JSON, the same Stats shape Engine.Stats
+// returns, on whatever mux the caller mounts it (lsmserver's -stats-http
+// mounts it at /stats). The engine starts no listener of its own; once it
+// is closed the handler answers 500.
 func StatsHandler(e Engine) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		st, err := e.Stats(r.Context())
@@ -60,32 +59,4 @@ func StatsHandler(e Engine) http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(st)
 	})
-}
-
-// statsServer is the HTTP listener WithStatsHandler starts alongside an
-// engine; it lives and dies with the engine.
-type statsServer struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-func startStatsServer(addr string, e Engine) (*statsServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/stats", StatsHandler(e))
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	go srv.Serve(ln)
-	return &statsServer{ln: ln, srv: srv}, nil
-}
-
-// Addr returns the listener's bound address (useful with ":0").
-func (s *statsServer) Addr() string { return s.ln.Addr().String() }
-
-func (s *statsServer) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	return s.srv.Shutdown(ctx)
 }

@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/kvnet"
 	"repro/internal/lsm"
@@ -30,14 +30,12 @@ var statsKeys = strings.Fields(`backend shards tables table_bytes memtable_keys 
 	wal_recovered_bytes wal_recovery_truncated read_only quarantined_tables cleanup_failures
 	per_shard cluster`)
 
-// TestWithStatsHandler: the optional HTTP endpoint serves the same Stats
-// shape Engine.Stats returns, as JSON, on every backend; every key it
-// prints is one of statsKeys or generation; every key statsKeys printed
-// after the same fill and flush still prints; and the endpoint dies with
-// the engine.
-func TestWithStatsHandler(t *testing.T) {
+// TestStatsHandler: StatsHandler serves the same Stats shape Engine.Stats
+// returns, as JSON, on every backend; every key it prints is one of
+// statsKeys or generation; every key statsKeys printed after the same fill
+// and flush still prints; and once the engine is closed it answers 500.
+func TestStatsHandler(t *testing.T) {
 	ctx := context.Background()
-	const addr = "127.0.0.1:0"
 	// printed is what every backend prints after a fill and a flush: the
 	// counters without omitempty, plus those the fill and flush move.
 	printed := strings.Fields(`backend tables table_bytes memtable_keys flushes
@@ -51,16 +49,16 @@ func TestWithStatsHandler(t *testing.T) {
 		alsoPrinted   []string
 	}{
 		{"local-1", "local", 1, func(t *testing.T) (Engine, error) {
-			return Open(t.TempDir(), WithStatsHandler(addr))
+			return Open(t.TempDir())
 		}, []string{"shards"}},
 		{"local-2", "local", 2, func(t *testing.T) (Engine, error) {
-			return Open(t.TempDir(), WithShards(2), WithStatsHandler(addr))
+			return Open(t.TempDir(), WithShards(2))
 		}, []string{"shards", "per_shard"}},
 		{"remote", "remote", 0, func(t *testing.T) (Engine, error) {
-			return Dial(serveLocal(t, 2), WithStatsHandler(addr))
+			return Dial(serveLocal(t, 2))
 		}, nil},
 		{"cluster", "cluster", 0, func(t *testing.T) (Engine, error) {
-			return DialCluster(startClusterNodes(t), WithStatsHandler(addr))
+			return DialCluster(startClusterNodes(t))
 		}, []string{"cluster"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,23 +72,14 @@ func TestWithStatsHandler(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			url := fmt.Sprintf("http://%s/stats", eng.(interface{ statsListenAddr() string }).statsListenAddr())
-			client := &http.Client{Timeout: 5 * time.Second}
-			resp, err := client.Get(url)
-			if err != nil {
-				t.Fatal(err)
+			resp := getStats(t, eng)
+			if resp.Code != http.StatusOK {
+				t.Fatalf("GET /stats = %d", resp.Code)
 			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET /stats = %d", resp.StatusCode)
-			}
-			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			if ct := resp.Header().Get("Content-Type"); ct != "application/json" {
 				t.Errorf("Content-Type = %q", ct)
 			}
-			var raw json.RawMessage
-			if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-				t.Fatal(err)
-			}
+			raw := json.RawMessage(resp.Body.Bytes())
 			var st Stats
 			if err := json.Unmarshal(raw, &st); err != nil {
 				t.Fatal(err)
@@ -120,15 +109,22 @@ func TestWithStatsHandler(t *testing.T) {
 				checkStatsKeys(t, fmt.Sprintf("per_shard[%d]", i), ss, append(slices.Clone(printed), "shards"))
 			}
 
-			// The endpoint dies with the engine.
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := client.Get(url); err == nil {
-				t.Error("stats endpoint still serving after engine close")
+			if resp := getStats(t, eng); resp.Code != http.StatusInternalServerError {
+				t.Errorf("GET /stats after Close = %d, want 500", resp.Code)
 			}
 		})
 	}
+}
+
+// getStats serves one GET /stats through StatsHandler(eng).
+func getStats(t *testing.T, eng Engine) *httptest.ResponseRecorder {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	StatsHandler(eng).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	return rec
 }
 
 // checkStatsKeys checks the keys of one /stats JSON object: each is one
@@ -324,7 +320,7 @@ func TestRemoteAndClusterStatsCarryEveryCounter(t *testing.T) {
 // through the /stats JSON alike. With every node up and nothing slow, a
 // Get asks R = 2 of its N = 3 replicas.
 func TestClusterStatsCountReadLegs(t *testing.T) {
-	eng, err := DialCluster(startClusterNodes(t), WithStatsHandler("127.0.0.1:0"))
+	eng, err := DialCluster(startClusterNodes(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,13 +339,8 @@ func TestClusterStatsCountReadLegs(t *testing.T) {
 		}
 	}
 
-	resp, err := (&http.Client{Timeout: 5 * time.Second}).Get(fmt.Sprintf("http://%s/stats", eng.(*clusterEngine).statsListenAddr()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var served Stats
-	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil {
+	if err := json.Unmarshal(getStats(t, eng).Body.Bytes(), &served); err != nil {
 		t.Fatal(err)
 	}
 	if served.Cluster == nil {
