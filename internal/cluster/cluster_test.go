@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/keyhash"
 	"repro/internal/kvnet"
@@ -368,9 +368,33 @@ func TestDialClusterToleratesDownNode(t *testing.T) {
 	}
 }
 
-// TestRouterRedialsReapedConnection: a router whose node connection was
-// reaped by the server's idle timeout must re-dial transparently instead
-// of failing every subsequent operation.
+// connTracker is a listener that keeps the connections it accepts, so a
+// test can drop them from the server's side.
+type connTracker struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *connTracker) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *connTracker) accepted() []net.Conn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.conns)
+}
+
+// TestRouterRedialsReapedConnection: a router whose node connection the
+// server dropped, as its idle timeout reaps a quiet one, must re-dial
+// transparently instead of failing every subsequent operation.
 func TestRouterRedialsReapedConnection(t *testing.T) {
 	db, err := lsm.Open(t.TempDir(), lsm.Options{})
 	if err != nil {
@@ -378,11 +402,11 @@ func TestRouterRedialsReapedConnection(t *testing.T) {
 	}
 	defer db.Close()
 	srv := kvnet.NewServer(db)
-	srv.IdleTimeout = 50 * time.Millisecond
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	ln := &connTracker{Listener: inner}
 	go srv.Serve(ln)
 	defer srv.Close()
 
@@ -395,12 +419,20 @@ func TestRouterRedialsReapedConnection(t *testing.T) {
 	if err := rt.Put(ctx, []byte("k"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	// Let the server reap the idle connection, then keep using the router.
-	time.Sleep(300 * time.Millisecond)
+	dropped := ln.accepted()
+	if len(dropped) == 0 {
+		t.Fatal("the router's connection never reached the server")
+	}
+	for _, c := range dropped {
+		c.Close()
+	}
 	if err := rt.Put(ctx, []byte("k"), []byte("v2")); err != nil {
-		t.Fatalf("Put after idle reap = %v, want transparent redial", err)
+		t.Fatalf("Put after the connection was dropped = %v, want transparent redial", err)
 	}
 	if v, err := rt.Get(ctx, []byte("k")); err != nil || string(v) != "v2" {
 		t.Fatalf("Get after redial = %q, %v", v, err)
+	}
+	if n := len(ln.accepted()); n <= len(dropped) {
+		t.Fatalf("%d connections accepted, %d dropped: the router never re-dialed", n, len(dropped))
 	}
 }

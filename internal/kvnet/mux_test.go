@@ -60,11 +60,44 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// overlapEngine holds the first Put or Get to reach it until a second one
+// has, so that two requests are in flight together whatever the scheduler
+// does.
+type overlapEngine struct {
+	Engine
+	entered atomic.Int32
+	second  chan struct{}
+}
+
+func (e *overlapEngine) enter() {
+	switch e.entered.Add(1) {
+	case 1:
+		select {
+		case <-e.second:
+		case <-time.After(10 * time.Second): // the high-water check reports it
+		}
+	case 2:
+		close(e.second)
+	}
+}
+
+func (e *overlapEngine) PutContext(ctx context.Context, key, value []byte) error {
+	e.enter()
+	return e.Engine.PutContext(ctx, key, value)
+}
+
+func (e *overlapEngine) GetContext(ctx context.Context, key []byte) ([]byte, error) {
+	e.enter()
+	return e.Engine.GetContext(ctx, key)
+}
+
 // TestSharedClientManyInFlight: 64 goroutines share one Client with Gets,
 // Puts and streams in flight together, and every reply matches its
-// request. Run under -race this is the multiplexer's acceptance test.
+// request. Run under -race this is the multiplexer's acceptance test. The
+// engine holds the first request until a second has arrived: one
+// connection must carry both at once.
 func TestSharedClientManyInFlight(t *testing.T) {
-	srv := NewServer(openDB(t))
+	srv := NewServer(&overlapEngine{Engine: openDB(t), second: make(chan struct{})})
 	c := serve(t, srv)
 	ctx := context.Background()
 	const goroutines, rounds = 64, 40
@@ -522,7 +555,7 @@ func (e countingEngine) RangeContext(ctx context.Context, start, end []byte, fn 
 
 // TestSlowReaderCannotWedgeServer: a peer that sends requests and never
 // reads the answers fills its socket; the blocked write times out after
-// WriteTimeout and the server drops the connection instead of wedging its
+// writeTimeout and the server drops the connection instead of wedging its
 // workers, and other clients are served throughout.
 func TestSlowReaderCannotWedgeServer(t *testing.T) {
 	db := openDB(t)
@@ -530,7 +563,7 @@ func TestSlowReaderCannotWedgeServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(db)
-	srv.WriteTimeout = 200 * time.Millisecond
+	srv.writeTimeout = 200 * time.Millisecond
 	addr := listen(t, srv)
 	other, err := Dial(addr)
 	if err != nil {

@@ -42,7 +42,7 @@ type snapshotter interface {
 	SnapshotView() (lsm.SnapshotView, error)
 }
 
-// Default connection deadlines; see the Server fields of the same names.
+// Default connection deadlines (see Server.idleTimeout).
 const (
 	DefaultIdleTimeout  = 5 * time.Minute
 	DefaultWriteTimeout = time.Minute
@@ -55,15 +55,14 @@ const (
 type Server struct {
 	db Engine
 
-	// IdleTimeout bounds how long a connection with nothing in flight and
+	// idleTimeout bounds how long a connection with nothing in flight and
 	// no open stream or snapshot may sit without sending a frame; a peer
 	// that died without closing its socket is reaped instead of pinning
-	// its goroutines forever. Zero disables. Set before Serve.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds writing one frame; a peer that stopped reading
-	// cannot wedge the connection's workers in a blocked send for longer.
-	// Zero disables. Set before Serve.
-	WriteTimeout time.Duration
+	// its goroutines forever. writeTimeout bounds writing one frame; a
+	// peer that stopped reading cannot wedge the connection's workers in a
+	// blocked send for longer. They are DefaultIdleTimeout and
+	// DefaultWriteTimeout; tests shorten them.
+	idleTimeout, writeTimeout time.Duration
 
 	// lease is handleLease; tests shorten it. onLeaseExpiry (tests only) runs
 	// in a stream's goroutine as its lease fires, before it unregisters.
@@ -125,8 +124,8 @@ func NewServer(db Engine) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		db:           db,
-		IdleTimeout:  DefaultIdleTimeout,
-		WriteTimeout: DefaultWriteTimeout,
+		idleTimeout:  DefaultIdleTimeout,
+		writeTimeout: DefaultWriteTimeout,
 		lease:        handleLease,
 		baseCtx:      ctx,
 		cancel:       cancel,
@@ -315,15 +314,13 @@ func (c *srvConn) readLoop() {
 	}
 }
 
-// awaitFrame waits for the next frame header, applying IdleTimeout only
+// awaitFrame waits for the next frame header, applying idleTimeout only
 // while the connection has nothing in flight and holds nothing open: a
 // long compaction or a parked stream must not get its connection reaped.
 // The wait peeks, so a timeout that lands mid-header loses no bytes.
 func (c *srvConn) awaitFrame(r *bufio.Reader) bool {
 	for {
-		if c.s.IdleTimeout > 0 {
-			c.conn.SetReadDeadline(time.Now().Add(c.s.IdleTimeout))
-		}
+		c.conn.SetReadDeadline(time.Now().Add(c.s.idleTimeout))
 		_, err := r.Peek(frameHeaderLen)
 		if err == nil {
 			return true
@@ -434,9 +431,7 @@ func (c *srvConn) writeFrame(frame []byte) {
 		out, _ = endFrame(AppendResponse(frame[:frameHeaderLen], errResponse(err)))
 	}
 	c.wmu.Lock()
-	if c.s.WriteTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.s.WriteTimeout))
-	}
+	c.conn.SetWriteDeadline(time.Now().Add(c.s.writeTimeout))
 	_, err = c.conn.Write(out)
 	c.wmu.Unlock()
 	if err != nil {

@@ -167,7 +167,7 @@ func TestServerIdleTimeout(t *testing.T) {
 	}
 	defer db.Close()
 	srv := NewServer(db)
-	srv.IdleTimeout = 100 * time.Millisecond
+	srv.idleTimeout = 100 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -299,7 +299,7 @@ func BenchmarkMajorCompact(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				lastIO = res.TotalIO()
+				lastIO = res.BytesRead + res.BytesWritten
 			}
 			b.ReportMetric(float64(lastIO), "io_bytes")
 		})

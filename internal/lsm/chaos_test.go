@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,7 +32,6 @@ func TestChaosRandomOpsWithCrashes(t *testing.T) {
 		db, err := Open(dir, Options{
 			MemtableBytes: 4 << 10,
 			AutoCompact:   mustPolicy(t, "size-tiered", 4),
-			Seed:          int64(r.Int()),
 		})
 		if err != nil {
 			t.Fatalf("open: %v", err)
@@ -76,9 +76,6 @@ func TestChaosRandomOpsWithCrashes(t *testing.T) {
 	model.Check(t, dbReader{db}, m)
 }
 
-// errSimulatedCrash marks a fault injected by the compaction test hook.
-var errSimulatedCrash = errors.New("simulated crash")
-
 // checkNoOrphans asserts every sstable file in dir is referenced by the
 // manifest the given open DB loaded — i.e. recovery deleted the merge
 // outputs a crashed compaction left behind.
@@ -102,13 +99,23 @@ func checkNoOrphans(t *testing.T, dir string, db *DB) {
 // TestChaosCrashBetweenMergeAndSwap kills a major compaction after every
 // merge has completed but before the manifest swap — the riskiest instant
 // of the background design, when gigabytes of merged output exist on disk
-// yet the manifest still points at the old tables. Recovery must see all
-// pre-crash data and delete the orphaned merge outputs.
+// yet the manifest still points at the old tables. The crash image is taken
+// as the swap begins to write the new manifest. Recovery from it must see
+// all pre-crash data and delete the orphaned merge outputs.
 func TestChaosCrashBetweenMergeAndSwap(t *testing.T) {
 	dir := t.TempDir()
 	m := model.New()
+	// While swapping is set, the first manifest create takes the crash
+	// image: the major's swap, on the test's goroutine.
+	var swapping atomic.Bool
+	var image string
+	fsys := &gateFS{FS: vfs.Default, at: func(op fileOp, _ string) {
+		if op == manifestCreate && swapping.Load() && image == "" {
+			image = crashImage(t, dir)
+		}
+	}}
 	open := func() *DB {
-		db, err := Open(dir, Options{MemtableBytes: 2 << 10, Seed: 11})
+		db, err := Open(dir, Options{MemtableBytes: 2 << 10, FS: fsys})
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
@@ -131,21 +138,26 @@ func TestChaosCrashBetweenMergeAndSwap(t *testing.T) {
 		}
 		sstBefore := countSSTFiles(t, dir)
 
-		// Compact with a fault injected between merging and swapping.
-		db.hookBeforeSwap = func() error { return errSimulatedCrash }
 		strat := []string{"SI", "BT(I)", "SO", "RANDOM"}[round]
-		if _, err := db.MajorCompact(strat, 2+round%2, int64(round)); !errors.Is(err, errSimulatedCrash) {
-			t.Fatalf("round %d: MajorCompact = %v, want simulated crash", round, err)
+		image = ""
+		swapping.Store(true)
+		_, err := db.MajorCompact(strat, 2+round%2, int64(round))
+		swapping.Store(false)
+		if err != nil {
+			t.Fatalf("round %d: MajorCompact: %v", round, err)
 		}
-		db.hookBeforeSwap = nil
-		if got := countSSTFiles(t, dir); got <= sstBefore {
-			t.Fatalf("round %d: crash left no merge outputs on disk (%d -> %d .sst files); fault injected too early", round, sstBefore, got)
+		if image == "" {
+			t.Fatalf("round %d: the major compaction wrote no manifest", round)
+		}
+		if got := countSSTFiles(t, image); got <= sstBefore {
+			t.Fatalf("round %d: the crash image holds no merge outputs (%d -> %d .sst files); taken too early", round, sstBefore, got)
 		}
 
-		// "Kill" the process: close without any further compaction, reopen.
+		// "Kill" the process: carry on from the crash image.
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
+		dir = image
 		db = open()
 
 		// No data loss: the old manifest still governs.
@@ -154,7 +166,7 @@ func TestChaosCrashBetweenMergeAndSwap(t *testing.T) {
 		checkNoOrphans(t, dir, db)
 	}
 
-	// A compaction with no fault must now succeed and still lose nothing.
+	// A compaction with no crash must now leave one table and lose nothing.
 	res, err := db.MajorCompact("BT(I)", 3, 99)
 	if err != nil {
 		t.Fatal(err)
@@ -215,20 +227,20 @@ func crashImage(t *testing.T, dir string) string {
 // orphan, and records the manifest's tables already hold are skipped rather
 // than replayed into the memtable and flushed a second time.
 func TestChaosCrashAtFlushPoints(t *testing.T) {
-	for point, name := range map[flushPoint]string{
-		beforeBuild:    "no table yet",
-		beforeManifest: "table outside the manifest",
-		beforeRemove:   "segment outlives the manifest save",
+	for op, name := range map[fileOp]string{
+		tableCreate:   "no table yet",
+		tableSynced:   "table outside the manifest",
+		segmentRemove: "segment outlives the manifest save",
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			fault := vfs.NewFault(vfs.Default, 1)
 			fault.SetPathFilter(func(path string) bool { return strings.HasPrefix(filepath.Base(path), walPrefix) })
-			db, err := Open(dir, Options{FS: fault, SyncWAL: true, MemtableBytes: 16 << 10, Seed: 3})
+			fsys, reached, release := wedgeFlusher(t, fault, op)
+			db, err := Open(dir, Options{FS: fsys, SyncWAL: true, MemtableBytes: 16 << 10})
 			if err != nil {
 				t.Fatal(err)
 			}
-			reached, release := wedgeFlusher(t, db, point)
 			n := fillUntil(t, db, reached, 0, wedgeKey, wedgeVal)
 			// The first write into the second segment fails and is rolled
 			// back: the sequence numbers it was given go to the next write,
@@ -264,7 +276,7 @@ func TestChaosCrashAtFlushPoints(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if point == beforeRemove {
+			if op == segmentRemove {
 				// Every record of the first segment is in the table, so a
 				// tear in it loses nothing and must not end the replay.
 				stale := filepath.Join(image, walSegments(t, image)[0])
@@ -286,7 +298,7 @@ func TestChaosCrashAtFlushPoints(t *testing.T) {
 			checkNoOrphans(t, image, db2)
 			st := db2.Stats()
 			wantTables, wantMem, wantRecords := 0, n, n+2
-			if point == beforeRemove {
+			if op == segmentRemove {
 				// The first segment's records are in the table the manifest
 				// names: replay must pass over them.
 				wantTables, wantMem, wantRecords = 1, after, after
@@ -308,11 +320,11 @@ func TestChaosCrashAtFlushPoints(t *testing.T) {
 // memtable, flushed or not, and those after it.
 func TestChaosCloseDuringWedgedFlush(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{SyncWAL: true, MemtableBytes: 16 << 10, Seed: 3})
+	fsys, reached, release := wedgeFlusher(t, vfs.Default, tableSynced)
+	db, err := Open(dir, Options{FS: fsys, SyncWAL: true, MemtableBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reached, release := wedgeFlusher(t, db, beforeManifest)
 	n := fillUntil(t, db, reached, 0, wedgeKey, wedgeVal)
 	closed := make(chan error, 1)
 	go func() { closed <- db.Close() }()

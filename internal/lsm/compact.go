@@ -85,9 +85,6 @@ type CompactionResult struct {
 	Duration time.Duration
 }
 
-// TotalIO returns BytesRead + BytesWritten.
-func (r *CompactionResult) TotalIO() uint64 { return r.BytesRead + r.BytesWritten }
-
 // Add sums o into r, as the results of compactions that ran side by side
 // (one per shard or node): counts and bytes add, StepStats concatenates, and
 // Duration is the slowest one's. Strategy stays r's.
@@ -234,8 +231,8 @@ func (db *DB) unclaim(ins []*tableHandle) {
 // its claim and the pin. On any failure the outputs are deleted and the
 // table set stays as it was. Only a major compaction's root, which covers
 // all data, drops tombstones, and only a major compaction moves the state
-// machine and runs the swap hook. pick is the name Stats.CompactionPicks
-// counts the compaction under. Called and returns without mu.
+// machine. pick is the name Stats.CompactionPicks counts the compaction
+// under. Called and returns without mu.
 func (db *DB) compact(pick string, sched *compaction.Schedule, ins []*tableHandle, v *readView, major bool) (*CompactionResult, error) {
 	if v != nil {
 		defer v.unpin()
@@ -245,25 +242,13 @@ func (db *DB) compact(pick string, sched *compaction.Schedule, ins []*tableHandl
 	}
 	var purged atomic.Uint64
 	nodes, stats, err := db.executeSchedule(sched, ins, shadowedBy(v, ins, &purged), major)
-	created := nodes[len(ins):]
 	res := &CompactionResult{Strategy: pick, TablesBefore: len(ins), VersionsPurged: purged.Load()}
 	res.record(ins, stats)
-	if err == nil && major && db.hookBeforeSwap != nil {
-		if err = db.hookBeforeSwap(); err != nil {
-			// Simulated crash between merge completion and manifest swap:
-			// leave the merge outputs on disk (recovery must delete them as
-			// orphans) and keep the old table set.
-			for _, th := range created {
-				th.rd.Close()
-			}
-			created = nil
-		}
-	}
 	if err == nil {
 		err = db.install(res, sched, nodes, major)
 	}
 	if err != nil {
-		for _, th := range created {
+		for _, th := range nodes[len(ins):] {
 			if th != nil {
 				th.rd.Close()
 				db.removeFile(th.name)

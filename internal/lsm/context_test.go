@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/vfs"
 )
 
 // openStalled opens a DB whose flusher wedges before it writes its first
@@ -13,8 +15,8 @@ import (
 // MemtableBytes 1 makes every write fill a memtable.
 func openStalled(t *testing.T) (*DB, func()) {
 	t.Helper()
-	db := openTestDB(t, Options{MemtableBytes: 1})
-	reached, release := wedgeFlusher(t, db, beforeBuild)
+	fsys, reached, release := wedgeFlusher(t, vfs.Default, tableCreate)
+	db := openTestDB(t, Options{MemtableBytes: 1, FS: fsys})
 	if err := db.PutContext(context.Background(), []byte("a"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}

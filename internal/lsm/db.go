@@ -80,8 +80,6 @@ type Options struct {
 	MemtableBytes int
 	// SyncWAL forces an fsync after every write; slow but durable.
 	SyncWAL bool
-	// Seed makes skiplist behaviour deterministic.
-	Seed int64
 	// AutoCompact, when non-nil, runs minor compactions with this policy
 	// (see PolicyByName) after every memtable flush triggered by a write,
 	// keeping the table count bounded between major compactions.
@@ -92,7 +90,8 @@ type Options struct {
 	// FS is the filesystem every durability-critical operation goes
 	// through: WAL and sstable creation, manifest rewrites, table reads,
 	// orphan cleanup. Nil selects the real OS filesystem (vfs.Default);
-	// tests substitute a vfs.Fault to inject disk failures.
+	// tests substitute a vfs.Fault to inject disk failures, or a
+	// filesystem that holds the engine at one of its file operations.
 	FS vfs.FS
 	// WriteLoad, when non-nil, is a shared gauge of writers in flight
 	// across a family of related DBs — the shards of a store.Store. A
@@ -302,9 +301,6 @@ type DB struct {
 	// slabs holds the last memtable nothing reads any more, for the next to
 	// carve from. The DB holds a reference on mem and imm until imm's flush.
 	slabs skiplist.FreeList
-	// flushHook, when set (tests only, under mu before the first write), is
-	// called by the flusher at each flushPoint, with no lock held.
-	flushHook func(flushPoint)
 	// stats holds the counters Stats reports that the DB keeps itself:
 	// maintenance work, the commit pipeline, WAL recovery at Open,
 	// quarantines and the table-set generation, which each tableHandle
@@ -313,12 +309,6 @@ type DB struct {
 	// roCause is the durability failure that degraded the DB to read-only
 	// (nil while writable). Guarded by mu.
 	roCause error
-
-	// hookBeforeSwap, when set (tests only), runs after every merge of a
-	// major compaction completes but before the manifest swap.
-	// Returning an error aborts the compaction as a simulated crash:
-	// merge outputs are left on disk and the manifest is not touched.
-	hookBeforeSwap func() error
 }
 
 // Open opens (creating if necessary) a store in dir, replaying the WAL
@@ -339,7 +329,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{dir: dir, opts: opts, fs: fsys, man: man}
-	db.mem = memtable.NewFrom(&db.slabs, opts.Seed)
+	db.mem = memtable.NewFrom(&db.slabs, 0)
 	db.cleanupFails.Add(orphanFails)
 	db.flushCond = sync.NewCond(&db.mu)
 	if opts.BlockCacheBytes > 0 {
@@ -563,14 +553,6 @@ func (db *DB) readOnlyErrLocked() error {
 		return nil
 	}
 	return fmt.Errorf("%w (cause: %w)", ErrReadOnly, db.roCause)
-}
-
-// ReadOnly reports whether the DB has degraded to read-only after a
-// durability failure, and the cause if so.
-func (db *DB) ReadOnly() (bool, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.roCause != nil, db.roCause
 }
 
 // setTablesLocked commits next as the live table set, newest first. Every

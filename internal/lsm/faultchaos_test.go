@@ -167,7 +167,6 @@ func chaosLSMOptions(fault *vfs.Fault) lsm.Options {
 		SyncWAL:       true,
 		MemtableBytes: 4 << 10,
 		AutoCompact:   threshold,
-		Seed:          1,
 	}
 }
 
@@ -274,11 +273,8 @@ func TestFaultChaosKillsDurabilityOnNthSync(t *testing.T) {
 	// It may or may not have reached the log before the failed sync.
 	m.Fail(model.Op{Key: "doomed", Value: "never-acked"})
 
-	if err := db.PutContext(context.Background(), []byte("after"), []byte("x")); !errors.Is(err, lsm.ErrReadOnly) {
-		t.Fatalf("write after durability failure = %v, want ErrReadOnly", err)
-	}
-	if ro, cause := db.ReadOnly(); !ro || cause == nil {
-		t.Fatalf("ReadOnly() = %v, %v after failed fsync", ro, cause)
+	if err := db.PutContext(context.Background(), []byte("after"), []byte("x")); !errors.Is(err, lsm.ErrReadOnly) || !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("write after durability failure = %v, want ErrReadOnly wrapping the failed fsync", err)
 	}
 	if !db.Stats().ReadOnly {
 		t.Fatal("Stats().ReadOnly = false after failed fsync")
@@ -328,7 +324,7 @@ func TestFaultENOSPCIsRetryable(t *testing.T) {
 			t.Fatalf("put on full disk = %v, want ENOSPC", err)
 		}
 	}
-	if ro, _ := db.ReadOnly(); ro {
+	if db.Stats().ReadOnly {
 		t.Fatal("ENOSPC with a clean WAL rollback must not poison durability")
 	}
 
@@ -377,7 +373,7 @@ func TestBackgroundFlushFailureSemantics(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			fault := vfs.NewFault(vfs.Default, 1)
-			opts := lsm.Options{FS: fault, SyncWAL: true, MemtableBytes: 8 << 10, Seed: 1}
+			opts := lsm.Options{FS: fault, SyncWAL: true, MemtableBytes: 8 << 10}
 			db, err := lsm.Open(dir, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -415,8 +411,8 @@ func TestBackgroundFlushFailureSemantics(t *testing.T) {
 				t.Fatalf("%d flushes, %d tables under a %s fault", st.Flushes, st.Tables, tc.name)
 			}
 			model.Check(t, chaosReader{db}, m)
-			if ro, cause := db.ReadOnly(); ro != tc.readOnly {
-				t.Fatalf("ReadOnly() = %v (%v), want %v", ro, cause, tc.readOnly)
+			if ro := db.Stats().ReadOnly; ro != tc.readOnly {
+				t.Fatalf("Stats().ReadOnly = %v, want %v", ro, tc.readOnly)
 			}
 
 			fault.Disable()
@@ -604,8 +600,8 @@ func TestQuarantineKeepsTableWhenManifestRewriteFails(t *testing.T) {
 	if _, err := db.GetContext(context.Background(), key(0)); !errors.Is(err, lsm.ErrCorrupt) {
 		t.Fatalf("read of the corrupt block = %v, want ErrCorrupt", err)
 	}
-	if ro, cause := db.ReadOnly(); !ro || !errors.Is(cause, vfs.ErrInjected) {
-		t.Fatalf("ReadOnly() = %v (%v), want read-only from the failed manifest rewrite", ro, cause)
+	if !db.Stats().ReadOnly {
+		t.Fatal("DB writable after the failed manifest rewrite")
 	}
 	name := filepath.Base(ssts[0])
 	if infos := db.TableInfos(); len(infos) != 1 || infos[0].Name != name {
@@ -623,8 +619,8 @@ func TestQuarantineKeepsTableWhenManifestRewriteFails(t *testing.T) {
 	if st := db.Stats(); st.QuarantinedTables != 0 || st.Tables != 1 {
 		t.Fatalf("Stats(): %d quarantined, %d tables; want 0 and 1", st.QuarantinedTables, st.Tables)
 	}
-	if err := db.PutContext(context.Background(), []byte("after"), []byte("x")); !errors.Is(err, lsm.ErrReadOnly) {
-		t.Fatalf("write after the failed rewrite = %v, want ErrReadOnly", err)
+	if err := db.PutContext(context.Background(), []byte("after"), []byte("x")); !errors.Is(err, lsm.ErrReadOnly) || !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("write after the failed rewrite = %v, want ErrReadOnly wrapping the injected fault", err)
 	}
 }
 
@@ -677,7 +673,7 @@ func TestFailedManifestDirSyncReopens(t *testing.T) {
 			if err := tc.commit(db); !errors.Is(err, vfs.ErrInjected) {
 				t.Fatalf("%s under a failed manifest directory sync = %v", tc.name, err)
 			}
-			if ro, _ := db.ReadOnly(); !ro {
+			if !db.Stats().ReadOnly {
 				t.Fatal("DB writable after a failed manifest directory sync")
 			}
 			model.Check(t, chaosReader{db}, m)

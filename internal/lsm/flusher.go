@@ -237,7 +237,7 @@ func (db *DB) rotateLocked(picks bool) error {
 	// The skiplist seed counts rotations, not file numbers: those are
 	// handed out to flushes and merges running beside the writer.
 	db.rotations++
-	db.mem = memtable.NewFrom(&db.slabs, db.opts.Seed+int64(db.rotations))
+	db.mem = memtable.NewFrom(&db.slabs, int64(db.rotations))
 	db.installViewLocked()
 	db.flushCond.Broadcast()
 	return nil
@@ -308,21 +308,6 @@ func (db *DB) flushMemLocked() error {
 	return db.waitFlusherLocked(context.Background(), true)
 }
 
-// flushPoint names the places the flusher calls the test hook.
-type flushPoint int
-
-const (
-	beforeBuild    flushPoint = iota // imm and two segments exist, no table yet
-	beforeManifest                   // the table is written and synced
-	beforeRemove                     // the manifest names the table; imm's segment is still there
-)
-
-func (db *DB) atFlushPoint(p flushPoint) {
-	if db.flushHook != nil {
-		db.flushHook(p)
-	}
-}
-
 // flusher is the DB's flush goroutine: it flushes each imm and runs the
 // picks that follow, until Close. A failure waits in flushErr for whoever
 // next waits on the flusher; the flusher itself does nothing more until
@@ -363,13 +348,9 @@ func (db *DB) flushImmLocked() error {
 	imm := db.imm
 	name := db.allocTableNameLocked()
 	db.mu.Unlock()
-	db.atFlushPoint(beforeBuild)
 	rd, err := db.buildTable(name, imm.Len(), func(w *sstable.Writer) error {
 		return sstable.WriteAll(w, imm.Iter())
 	})
-	if err == nil {
-		db.atFlushPoint(beforeManifest)
-	}
 	db.mu.Lock()
 	if err != nil {
 		return err
@@ -403,7 +384,6 @@ func (db *DB) flushImmLocked() error {
 	imm.Release()
 	db.flushCond.Broadcast()
 	db.mu.Unlock()
-	db.atFlushPoint(beforeRemove)
 	db.removeFile(seg)
 	db.mu.Lock()
 	return nil

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/vfs"
 )
 
 // drainFlusher waits until the flusher has flushed the frozen memtable and
@@ -52,25 +54,86 @@ func activeSegment(t testing.TB, dir string) string {
 	return filepath.Join(dir, segs[0])
 }
 
-// wedgeFlusher makes the flusher stop at point the first time it gets there:
-// reached closes when it has, and release lets it go on (once; also at test
-// cleanup, so a failing test does not hang Close). Call before the first
-// write.
-func wedgeFlusher(t testing.TB, db *DB, point flushPoint) (reached <-chan struct{}, release func()) {
+// fileOp names a file operation gateFS reports. Each marks an instant of a
+// flush or a compaction that a test can hold the engine at, or take a crash
+// image at.
+type fileOp int
+
+const (
+	tableCreate    fileOp = iota // before an .sst is created: the data to write is in hand, no table yet
+	tableSynced                  // after an .sst's Sync returned: the table is durable, no manifest names it
+	segmentRemove                // before a WAL segment is removed: the manifest names the table holding it
+	manifestCreate               // before MANIFEST.tmp is created: a new table set is about to be committed
+)
+
+func (op fileOp) String() string {
+	return [...]string{"table create", "table sync", "segment remove", "manifest create"}[op]
+}
+
+// gateFS passes every operation on to FS and calls at at each fileOp, on
+// the engine goroutine that performs it. A flush or compaction holds mu at
+// a manifest create and no lock at the other three. at may block to hold
+// the engine there: it is how the tests step the flusher and compactions.
+type gateFS struct {
+	vfs.FS
+	at func(op fileOp, path string)
+}
+
+func (g *gateFS) Create(path string) (vfs.File, error) {
+	switch name := filepath.Base(path); {
+	case strings.HasSuffix(name, ".sst"):
+		g.at(tableCreate, path)
+		f, err := g.FS.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		return gateFile{f, g}, nil
+	case name == manifestName+".tmp":
+		g.at(manifestCreate, path)
+	}
+	return g.FS.Create(path)
+}
+
+func (g *gateFS) Remove(path string) error {
+	if strings.HasPrefix(filepath.Base(path), walPrefix) {
+		g.at(segmentRemove, path)
+	}
+	return g.FS.Remove(path)
+}
+
+// gateFile is an .sst created through a gateFS.
+type gateFile struct {
+	vfs.File
+	g *gateFS
+}
+
+func (f gateFile) Sync() error {
+	err := f.File.Sync()
+	if err == nil {
+		f.g.at(tableSynced, f.Name())
+	}
+	return err
+}
+
+// wedgeFlusher returns a filesystem over fsys that holds the engine the
+// first time it reaches op: reached closes when it has, and release lets it
+// go on (once; the end of the test lets it go as well, so a failing test
+// does not hang Close). Open the DB on it.
+func wedgeFlusher(t testing.TB, fsys vfs.FS, op fileOp) (gated vfs.FS, reached <-chan struct{}, release func()) {
 	t.Helper()
 	arrived, gate := make(chan struct{}), make(chan struct{})
 	var once, first sync.Once
-	release = func() { once.Do(func() { close(gate) }) }
-	t.Cleanup(release)
-	db.mu.Lock()
-	db.flushHook = func(p flushPoint) {
-		if p == point {
+	done := t.Context().Done()
+	gated = &gateFS{FS: fsys, at: func(o fileOp, _ string) {
+		if o == op {
 			first.Do(func() { close(arrived) })
-			<-gate
+			select {
+			case <-gate:
+			case <-done:
+			}
 		}
-	}
-	db.mu.Unlock()
-	return arrived, release
+	}}
+	return gated, arrived, func() { once.Do(func() { close(gate) }) }
 }
 
 // fillUntil puts key(i) → val(i) for i = from, from+1, … until a write has
@@ -104,8 +167,8 @@ func wedgeVal(i int) []byte { return []byte(fmt.Sprintf("value-%06d-%s", i, stri
 // snapshot taken before the rotation reads the same after the flush has
 // installed the table and dropped the frozen memtable from the view.
 func TestStressFrozenMemtableVisible(t *testing.T) {
-	db := openTestDB(t, Options{MemtableBytes: 16 << 10, Seed: 5})
-	reached, release := wedgeFlusher(t, db, beforeBuild)
+	fsys, reached, release := wedgeFlusher(t, vfs.Default, tableCreate)
+	db := openTestDB(t, Options{MemtableBytes: 16 << 10, FS: fsys})
 
 	// A few keys and a snapshot from before the rotation.
 	for i := 0; i < 10; i++ {
@@ -234,9 +297,9 @@ func TestStressFrozenMemtableVisible(t *testing.T) {
 // of those the flusher is stuck before.
 func TestStressWritesProgressWhileFlushWedged(t *testing.T) {
 	const memtable = 256 << 10
-	for _, point := range []flushPoint{beforeBuild, beforeManifest, beforeRemove} {
-		db := openTestDB(t, Options{MemtableBytes: memtable, Seed: 5})
-		reached, release := wedgeFlusher(t, db, point)
+	for _, op := range []fileOp{tableCreate, tableSynced, segmentRemove} {
+		fsys, reached, release := wedgeFlusher(t, vfs.Default, op)
+		db := openTestDB(t, Options{MemtableBytes: memtable, FS: fsys})
 		n := fillUntil(t, db, reached, 0, wedgeKey, wedgeVal)
 		done := make(chan error, 1)
 		puts := 0
@@ -262,14 +325,14 @@ func TestStressWritesProgressWhileFlushWedged(t *testing.T) {
 				t.Fatal(err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("writes blocked behind a flusher wedged at point %d", point)
+			t.Fatalf("writes blocked behind a flusher wedged at its %v", op)
 		}
 		if st := db.Stats(); puts < 100 || st.WriteStalls != 0 || st.Flushes > 1 {
-			t.Errorf("point %d: %d puts, %d write stalls, %d flushes while under one memtable", point, puts, st.WriteStalls, st.Flushes)
+			t.Errorf("%v: %d puts, %d write stalls, %d flushes while under one memtable", op, puts, st.WriteStalls, st.Flushes)
 		}
 		for i := 0; i < n+puts; i += 17 {
 			if v, err := db.GetContext(context.Background(), wedgeKey(i)); err != nil || !bytes.Equal(v, wedgeVal(i)) {
-				t.Fatalf("point %d: Get(%s) = %.20q, %v", point, wedgeKey(i), v, err)
+				t.Fatalf("%v: Get(%s) = %.20q, %v", op, wedgeKey(i), v, err)
 			}
 		}
 		release()

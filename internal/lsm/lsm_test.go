@@ -580,8 +580,8 @@ func TestCompactionCostActualMatchesBytesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rSmall := float64(resSmall.TotalIO()) / float64(resSmall.CostActual)
-	rBig := float64(resBig.TotalIO()) / float64(resBig.CostActual)
+	rSmall := float64(resSmall.BytesRead+resSmall.BytesWritten) / float64(resSmall.CostActual)
+	rBig := float64(resBig.BytesRead+resBig.BytesWritten) / float64(resBig.CostActual)
 	if rSmall <= 0 || rBig <= 0 {
 		t.Fatalf("degenerate ratios %v %v", rSmall, rBig)
 	}

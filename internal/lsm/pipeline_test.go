@@ -138,7 +138,7 @@ func batchTag(key []byte) string {
 // truncated recoveries.
 func TestGroupCommitCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{SyncWAL: true, MemtableBytes: 256 << 20, Seed: 7})
+	db, err := Open(dir, Options{SyncWAL: true, MemtableBytes: 256 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 // ErrBatchTooLarge and the store would be unopenable after a crash.
 func TestRecoveryRelogsLargeMemtable(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{MemtableBytes: 256 << 20, Seed: 5})
+	db, err := Open(dir, Options{MemtableBytes: 256 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestRecoveryRelogsLargeMemtable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, err = Open(dir, Options{MemtableBytes: 256 << 20, Seed: 6})
+	db, err = Open(dir, Options{MemtableBytes: 256 << 20})
 	if err != nil {
 		t.Fatalf("reopen with large unflushed memtable: %v", err)
 	}
@@ -345,7 +345,6 @@ func TestPipelineStressDuringFlushes(t *testing.T) {
 		MemtableBytes: 8 << 10,
 		// A merge at every second table: the run may flush only three times.
 		AutoCompact: tuned(2, compaction.Threshold{MaxTables: 2}),
-		Seed:        11,
 	})
 	if err != nil {
 		t.Fatal(err)

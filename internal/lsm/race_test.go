@@ -25,7 +25,6 @@ import (
 func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{
 		MemtableBytes: 2 << 10, // tiny: force frequent flushes
-		Seed:          1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +160,7 @@ func TestConcurrentOpsDuringMajorCompact(t *testing.T) {
 // must see every acknowledged write.
 func TestCloseDuringBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{MemtableBytes: 1 << 10, Seed: 3})
+	db, err := Open(dir, Options{MemtableBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +191,7 @@ func TestCloseDuringBackgroundCompaction(t *testing.T) {
 		t.Fatalf("compaction during close: %v", err)
 	}
 
-	db, err = Open(dir, Options{Seed: 4})
+	db, err = Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

@@ -339,7 +339,6 @@ func TestAbortedMergeUnspendsItsInputs(t *testing.T) {
 // counted no lookup of its own as a user's.
 func TestStressColdCompactionLeavesCacheAlone(t *testing.T) {
 	const cacheBytes = 256 << 10
-	fsys := &sstReads{FS: vfs.Default}
 	var db *DB
 	var hotBlocks int
 	var hits0, misses0 uint64
@@ -355,9 +354,16 @@ func TestStressColdCompactionLeavesCacheAlone(t *testing.T) {
 			t.Errorf("%s: cache holds %d bytes of %d", when, used, cacheBytes)
 		}
 	}
-	beforeSwap := func() error { uncounted("major compaction, before the swap"); return nil }
+	// The major's manifest create is its swap: the outputs are written and
+	// the inputs still live.
+	var major, swapChecked atomic.Bool
+	fsys := &sstReads{FS: &gateFS{FS: vfs.Default, at: func(op fileOp, _ string) {
+		if op == manifestCreate && major.Load() {
+			uncounted("major compaction, before the swap")
+			swapChecked.Store(true)
+		}
+	}}}
 	db = openTestDB(t, Options{MemtableBytes: 64 << 20, BlockCacheBytes: cacheBytes, FS: fsys})
-	db.hookBeforeSwap = beforeSwap
 	for tbl := 0; tbl < 6; tbl++ { // 6 × 5000 × ~130 B ≈ 3.9 MB, 15× the cache
 		flushRange(t, db, tbl, 30000, 6, 0)
 	}
@@ -370,7 +376,6 @@ func TestStressColdCompactionLeavesCacheAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.hookBeforeSwap = beforeSwap
 	t.Cleanup(func() { db.Close() })
 	readRange(t, db, fsys, 3, 30000, 60, 1)
 	hotBlocks = db.blockCache.Len()
@@ -395,8 +400,13 @@ func TestStressColdCompactionLeavesCacheAlone(t *testing.T) {
 	}
 	hits0, misses0, _ = db.blockCache.Stats()
 
+	major.Store(true)
 	if _, err := db.MajorCompact("BT(I)", 2, 1); err != nil {
 		t.Fatal(err)
+	}
+	major.Store(false)
+	if !swapChecked.Load() {
+		t.Error("the major compaction never reached its swap")
 	}
 	if db.Stats().Tables != 1 {
 		t.Fatalf("%d tables after the major compaction", db.Stats().Tables)
@@ -507,11 +517,23 @@ func TestStressAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
 		}},
 	}
 	// setUp opens the fixture — three tables of the same keys and, for a
-	// flush, a memtable of them — over a fault FS, with the flusher's second
-	// build held at the hook until retry is closed.
+	// flush, a memtable of them — over a fault FS. For a flush, the second
+	// table create after that (the flusher's retry) is held until retry is
+	// closed or the test ends.
 	setUp := func(t *testing.T, flush bool) (db *DB, fault *vfs.Fault, fsys *sstReads, retry chan struct{}) {
 		fault = vfs.NewFault(vfs.Default, 1)
-		fsys = &sstReads{FS: fault}
+		retry = make(chan struct{})
+		var armed atomic.Bool
+		var creates atomic.Int32
+		done := t.Context().Done()
+		fsys = &sstReads{FS: &gateFS{FS: fault, at: func(op fileOp, _ string) {
+			if op == tableCreate && armed.Load() && creates.Add(1) == 2 {
+				select {
+				case <-retry:
+				case <-done:
+				}
+			}
+		}}}
 		db = openTestDB(t, Options{MemtableBytes: 64 << 20, FS: fsys})
 		for gen := 0; gen < 3; gen++ {
 			flushRange(t, db, 0, 1500, 1, gen)
@@ -523,15 +545,7 @@ func TestStressAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
 				}
 			}
 		}
-		retry = make(chan struct{})
-		var builds atomic.Int32
-		db.mu.Lock()
-		db.flushHook = func(p flushPoint) {
-			if p == beforeBuild && builds.Add(1) == 2 {
-				<-retry
-			}
-		}
-		db.mu.Unlock()
+		armed.Store(flush)
 		return db, fault, fsys, retry
 	}
 	for _, op := range ops {

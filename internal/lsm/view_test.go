@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/vfs"
 )
 
 // TestStressReadsProgressWhileMuHeldExclusively is the acceptance check for the
@@ -89,28 +91,49 @@ func TestStressReadsProgressWhileMuHeldExclusively(t *testing.T) {
 // flushes and minor-compaction swaps keep replacing underneath them, some of
 // them three-part views whose frozen memtable waits for its flush. Every
 // read must observe a value that was current at some point (values are
-// version-stamped per key and only move forward).
+// version-stamped per key and only move forward). The run ends once it has
+// done enough: viewFlushes flushes, a minor merge and a read of a
+// three-part view.
 func TestStressViewDuringFlushesAndCompactions(t *testing.T) {
+	const viewFlushes = 50
+	var (
+		db          *DB
+		frozenViews atomic.Int64
+		sawFrozen   = make(chan struct{}, 1)
+		stopped     = make(chan struct{})
+		enough      = make(chan struct{})
+		enoughOnce  sync.Once
+	)
+	// Every table create waits until a reader has seen a view with a frozen
+	// memtable, so that readers spend a good share of the run on three-part
+	// views: a frozen memtable between the live one and the tables. Each
+	// flush's segment removal checks whether the run has done enough.
+	fsys := &gateFS{FS: vfs.Default, at: func(op fileOp, _ string) {
+		switch op {
+		case tableCreate:
+			select { // a sighting from before this create proves nothing
+			case <-sawFrozen:
+			default:
+			}
+			select {
+			case <-sawFrozen:
+			case <-stopped:
+			}
+		case segmentRemove:
+			if st := db.Stats(); st.Flushes >= viewFlushes && st.MinorCompactions > 0 && frozenViews.Load() > 0 {
+				enoughOnce.Do(func() { close(enough) })
+			}
+		}
+	}}
 	db, err := Open(t.TempDir(), Options{
 		MemtableBytes: 8 << 10,
 		AutoCompact:   mustPolicy(t, "size-tiered", 4),
-		Seed:          42,
+		FS:            fsys,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	// Every flush pauses before it writes its table, so that readers spend
-	// a good share of the run on three-part views: a frozen memtable between
-	// the live one and the tables.
-	db.mu.Lock()
-	db.flushHook = func(p flushPoint) {
-		if p == beforeBuild {
-			time.Sleep(200 * time.Microsecond)
-		}
-	}
-	db.mu.Unlock()
-	var frozenViews atomic.Int64
 
 	const keys = 64
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d", i)) }
@@ -129,10 +152,12 @@ func TestStressViewDuringFlushesAndCompactions(t *testing.T) {
 		stop    atomic.Bool
 		wg      sync.WaitGroup
 		readErr atomic.Value
+		failed  = make(chan struct{})
 	)
 	fail := func(format string, args ...any) {
-		readErr.CompareAndSwap(nil, fmt.Sprintf(format, args...))
-		stop.Store(true)
+		if readErr.CompareAndSwap(nil, fmt.Sprintf(format, args...)) {
+			close(failed)
+		}
 	}
 
 	// Writer: bump per-key versions (8-digit, monotone per key).
@@ -159,6 +184,10 @@ func TestStressViewDuringFlushesAndCompactions(t *testing.T) {
 				i := (n*7 + r) % keys
 				if view := db.view.Load(); view != nil && view.imm != nil {
 					frozenViews.Add(1)
+					select {
+					case sawFrozen <- struct{}{}:
+					default:
+					}
 				}
 				v, err := db.GetContext(context.Background(), key(i))
 				if err != nil {
@@ -207,20 +236,21 @@ func TestStressViewDuringFlushesAndCompactions(t *testing.T) {
 		}
 	}()
 
-	time.Sleep(2 * time.Second)
+	select {
+	case <-enough:
+	case <-failed:
+	case <-time.After(30 * time.Second):
+		st := db.Stats()
+		fail("after 30 s only %d flushes, %d minor merges and %d reads of a frozen view",
+			st.Flushes, st.MinorCompactions, frozenViews.Load())
+	}
 	stop.Store(true)
+	close(stopped)
 	wg.Wait()
 	if msg := readErr.Load(); msg != nil {
 		t.Fatal(msg)
 	}
-	st := db.Stats()
-	if st.Flushes == 0 || st.MajorCompactions+st.MinorCompactions == 0 {
-		t.Fatalf("stress ran without table churn (flushes=%d minor=%d major=%d): nothing was exercised",
-			st.Flushes, st.MinorCompactions, st.MajorCompactions)
-	}
-	if frozenViews.Load() == 0 {
-		t.Fatalf("no reader ever saw a view with a frozen memtable in %d flushes", st.Flushes)
-	}
+	t.Logf("%d flushes, %d minor merges, %d reads of a frozen view", db.Stats().Flushes, db.Stats().MinorCompactions, frozenViews.Load())
 }
 
 // TestPinnedViewFrozenAndReleasedOnce is the view-lifecycle property test:

@@ -216,13 +216,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		return ws
 	}
 	err = s.forAllIndexed(func(i int, _ *lsm.DB) error {
-		so, sdir := shardOpts, dir
-		so.Seed += int64(i)
+		sdir := dir
 		if marked {
 			sdir = filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
 		}
 		var err error
-		s.shards[i], err = lsm.Open(sdir, so)
+		s.shards[i], err = lsm.Open(sdir, shardOpts)
 		return err
 	})
 	// The marker is committed only after every shard opens, so a failed

@@ -78,7 +78,7 @@ func write(s *Store, w []model.Op) error {
 func TestStoreEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := openStore(t, shards, lsm.Options{MemtableBytes: 16 << 10, Seed: 3})
+			s := openStore(t, shards, lsm.Options{MemtableBytes: 16 << 10})
 			m := model.New()
 			stream := model.Stream(int64(shards)*71, 3000, model.Mix{Keys: 800, Delete: 0.15, Batch: 0.2})
 			for i, w := range stream {
@@ -141,7 +141,7 @@ func TestStoreCrashRecoveryPerShard(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{
 		Shards:  shards,
-		Options: lsm.Options{SyncWAL: true, MemtableBytes: 256 << 20, Seed: 7},
+		Options: lsm.Options{SyncWAL: true, MemtableBytes: 256 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,6 @@ func TestStoreRaceShards4(t *testing.T) {
 	s := openStore(t, 4, lsm.Options{
 		MemtableBytes: 4 << 10,
 		AutoCompact:   sizeTiered,
-		Seed:          11,
 	})
 
 	const (
@@ -633,7 +632,7 @@ func TestOnlyTheFailingShardDegrades(t *testing.T) {
 	const shards, bad = 4, 2
 	dir := t.TempDir()
 	fault := vfs.NewFault(vfs.Default, 1)
-	s, err := Open(dir, Options{Shards: shards, Options: lsm.Options{FS: fault, SyncWAL: true, Seed: 7}})
+	s, err := Open(dir, Options{Shards: shards, Options: lsm.Options{FS: fault, SyncWAL: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
