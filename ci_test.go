@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/compaction"
 )
 
 // TestCIRunPatternsNameTests: every alternative of every quoted -run
@@ -111,6 +113,37 @@ func TestDocsCiteDeclaredTestsAndLinks(t *testing.T) {
 				t.Errorf("%s links to %s: %v", doc, m[1], err)
 			}
 		}
+	}
+}
+
+// TestDocsNameEveryEngineStrategy: README's WithAutoCompact(policy) options
+// row quotes exactly the names the engine accepts (the compaction package's
+// strategy table) and "none", so a strategy added to, renamed in or retired
+// from the table cannot leave the documented set behind.
+func TestDocsNameEveryEngineStrategy(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rowStart = "| `WithAutoCompact(policy)` |"
+	var row string
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, rowStart) {
+			row = line
+		}
+	}
+	if row == "" {
+		t.Fatalf("README.md has no row beginning %s", rowStart)
+	}
+	var quoted []string
+	for _, m := range regexp.MustCompile("`\"([^\"`]*)\"`").FindAllStringSubmatch(row, -1) {
+		quoted = append(quoted, m[1])
+	}
+	slices.Sort(quoted)
+	want := append(compaction.EngineStrategies(), "none")
+	slices.Sort(want)
+	if got := slices.Compact(quoted); !slices.Equal(got, want) {
+		t.Errorf("README's WithAutoCompact row quotes %q, want %q", got, want)
 	}
 }
 

@@ -205,26 +205,17 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // parseStrategies splits a comma-separated strategy list and validates
-// every name against the model's registry, compaction.StrategyNames. An
-// unknown name is an error naming the accepted set, never a silent
+// every name through the model's resolver, compaction.NewChooserByName. An
+// unknown name is its error, which names the accepted set, never a silent
 // fallback to the defaults.
 func parseStrategies(s string) ([]string, error) {
-	if s == "" {
-		return nil, nil
-	}
-	valid := make(map[string]bool)
-	for _, name := range compaction.StrategyNames() {
-		valid[name] = true
-	}
 	var out []string
 	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
+		if name = strings.TrimSpace(name); name == "" {
 			continue
 		}
-		if !valid[name] {
-			return nil, fmt.Errorf("unknown strategy %q (have %s)",
-				name, strings.Join(compaction.StrategyNames(), ", "))
+		if _, err := compaction.NewChooserByName(name, 0); err != nil {
+			return nil, err
 		}
 		out = append(out, name)
 	}

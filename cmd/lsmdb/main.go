@@ -43,10 +43,11 @@ import (
 )
 
 func main() {
+	autoUsage := fmt.Sprintf("auto minor compaction: %s, a paper strategy (%s), or none", strings.Join(compaction.Baselines(), ", "), strings.Join(compaction.LiveStrategies(), ", "))
 	dir := flag.String("dir", "", "database directory (required)")
 	sync := flag.Bool("sync", false, "fsync the WAL on every write")
 	shards := flag.Int("shards", 0, "engine shard count (0 = adopt existing store, 1 for a new one)")
-	auto := flag.String("auto", "none", "auto minor compaction: size-tiered, threshold, leveled, a paper strategy (SI, SO, BT, BT(I), BT(O), CHAIN, RANDOM), or none")
+	auto := flag.String("auto", "none", autoUsage)
 	clusterAddrs := flag.String("cluster", "", "comma-separated server addresses; connect as a quorum client instead of opening -dir")
 	rf := flag.Int("rf", 3, "cluster replication factor N (with -cluster)")
 	w := flag.Int("w", 2, "cluster write quorum W (with -cluster)")
@@ -78,7 +79,7 @@ func main() {
 	}
 	defer db.Close()
 
-	fmt.Printf("lsmdb at %s — strategies: %s\n", at, strings.Join(append(compaction.Baselines(), compaction.LiveStrategies()...), ", "))
+	fmt.Printf("lsmdb at %s — strategies: %s\n", at, strings.Join(compaction.EngineStrategies(), ", "))
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

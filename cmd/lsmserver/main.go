@@ -41,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/compaction"
 	"repro/kv"
 )
 
@@ -52,10 +53,11 @@ func main() {
 }
 
 func run() error {
+	autoUsage := fmt.Sprintf("auto minor compaction: %s, a paper strategy (%s), or none", strings.Join(compaction.Baselines(), ", "), strings.Join(compaction.LiveStrategies(), ", "))
 	var (
 		dir        = flag.String("dir", "", "database directory (required)")
 		listen     = flag.String("listen", "127.0.0.1:7700", "listen address")
-		auto       = flag.String("auto", "size-tiered", "auto minor compaction: size-tiered, threshold, leveled, a paper strategy (SI, SO, BT, BT(I), BT(O), CHAIN, RANDOM), or none")
+		auto       = flag.String("auto", "size-tiered", autoUsage)
 		memSize    = flag.Int("memtable", 4<<20, "memtable flush threshold in bytes, per shard (total buffered memory is shards x this)")
 		sync       = flag.Bool("sync", false, "fsync the WAL on every write")
 		statsEvery = flag.Duration("stats-every", 0, "periodically log write-pipeline stats (0 = off)")

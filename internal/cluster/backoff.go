@@ -3,6 +3,8 @@ package cluster
 // This file is the router's one implementation of jittered exponential
 // backoff: the failure detector's probes of a down node (ProbeBackoff) and
 // the re-attempt a replica read or write gets (RetryBackoff) both use it.
+// Only the probes grow: a replica's one re-attempt is attempt 0, uniform in
+// [Base/2, Base] at the default jitter (12.5–25ms at the default Base).
 
 import (
 	"context"

@@ -152,7 +152,7 @@ func startCluster(t testing.TB, n int) *Router {
 		})
 		addrs = append(addrs, ln.Addr().String())
 	}
-	rt, err := DialCluster(addrs, Options{VNodes: 64})
+	rt, err := DialCluster(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestRouterRedialsReapedConnection(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	rt, err := DialCluster([]string{ln.Addr().String()}, Options{VNodes: 8})
+	rt, err := DialCluster([]string{ln.Addr().String()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

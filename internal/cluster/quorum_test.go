@@ -110,7 +110,7 @@ func TestParkedHintKeepsStampFloor(t *testing.T) {
 		engines = append(engines, e)
 		addrs = append(addrs, ln.Addr().String())
 	}
-	rt, err := DialCluster(addrs, Options{VNodes: 64, HandoffInterval: time.Hour})
+	rt, err := DialCluster(addrs, Options{HandoffInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

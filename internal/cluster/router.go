@@ -15,14 +15,14 @@ import (
 	"repro/internal/lsm"
 )
 
+// vnodes is the number of virtual nodes per physical node on a Router's
+// ring.
+const vnodes = 64
+
 // Options configures a Router's replication and failure-handling
 // behavior. The zero value is usable: DialCluster fills in the defaults
 // below.
 type Options struct {
-	// VNodes is the number of virtual nodes per physical node on the
-	// ring (default 64).
-	VNodes int
-
 	// ReplicationFactor (N) is how many distinct nodes store each key.
 	// WriteQuorum (W) and ReadQuorum (R) are how many replicas must
 	// acknowledge a write and answer a read; R+W > N is required so any
@@ -51,18 +51,17 @@ type Options struct {
 
 	// RetryBackoff paces the single in-flight re-attempt a replica read
 	// or write gets, while its operation still waits for it, before it
-	// counts against the quorum (default 25ms–250ms, jittered). Without
-	// it one transient hiccup on a live replica while another node is
-	// down would fail an otherwise healthy quorum. Its Base
-	// is also a read's hedge delay: how long a replica may stay silent
-	// before the read asks the next one as well.
+	// counts against the quorum. The re-attempt is the first retry, so it
+	// waits Base less its jitter, uniformly in [Base/2, Base] at the
+	// default jitter, and Max never grows it. Base defaults to 25ms: a
+	// 12.5–25ms wait. Without it one transient hiccup on a live replica
+	// while another node is down would fail an otherwise healthy quorum.
+	// Its Base is also a read's hedge delay: how long a replica may stay
+	// silent before the read asks the next one as well.
 	RetryBackoff Backoff
 }
 
 func (o Options) withDefaults() Options {
-	if o.VNodes <= 0 {
-		o.VNodes = 64
-	}
 	if o.ReplicationFactor == 0 {
 		o.ReplicationFactor = 3
 	}
@@ -89,9 +88,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryBackoff.Base <= 0 {
 		o.RetryBackoff.Base = 25 * time.Millisecond
-	}
-	if o.RetryBackoff.Max <= 0 {
-		o.RetryBackoff.Max = 250 * time.Millisecond
 	}
 	return o
 }
@@ -216,7 +212,7 @@ func DialCluster(addrs []string, opts Options) (*Router, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	ring := NewRing(opts.VNodes)
+	ring := NewRing(vnodes)
 	for _, addr := range addrs {
 		ring.AddNode(addr)
 	}

@@ -16,9 +16,6 @@ import (
 // is due, which only a full Plan asks about, each merges the k smallest
 // tables by size.
 
-// Baselines returns the names of the engine's baseline choosers, sorted.
-func Baselines() []string { return []string{"leveled", "size-tiered", "threshold"} }
-
 // liveSet is a baseline's collection of live nodes, in the order Init and
 // Observe delivered them.
 type liveSet struct {

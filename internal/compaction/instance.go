@@ -26,6 +26,8 @@
 // exact output size without merging is as expensive as merging").
 // SO(exact) and LM rank by exact set operations, so only Run plans with them:
 // NewLiveChooser, the engine's one resolver of strategy names, refuses them.
+// One table (registry.go) names every strategy, the engine's baselines too,
+// with what it plans over; every resolver and name list reads it.
 // A planned schedule's costs are estimates — the engine reports the costs
 // its merges actually counted.
 package compaction

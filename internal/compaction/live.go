@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/hll"
-	"repro/internal/kverr"
 )
 
 // LiveTable describes one live sstable the way the engine's compaction
@@ -57,31 +55,6 @@ func (t *LiveTable) extend(o *LiveTable) {
 	}
 }
 
-// LiveStrategies returns the paper's strategies PickLive accepts, sorted:
-// the registry minus the two exact-set strategies.
-func LiveStrategies() []string {
-	var names []string
-	for _, name := range StrategyNames() {
-		if IsLiveStrategy(name) {
-			names = append(names, name)
-		}
-	}
-	return names
-}
-
-// IsLiveStrategy reports whether name is a strategy Plan and PickLive can
-// drive from live table statistics: a paper strategy other than the two
-// exact-set ones, or one of the engine's baselines (see Baselines). These
-// ten are the names the engine accepts (see NewLiveChooser).
-func IsLiveStrategy(name string) bool {
-	switch name {
-	case "SI", "SO", "BT", "BT(I)", "BT(O)", "CHAIN", "RANDOM", "leveled", "size-tiered", "threshold":
-		return true
-	default:
-		return false
-	}
-}
-
 // PickLive selects the next group of tables to merge by strategy name,
 // driven by live per-table statistics instead of key sets: the leaves of
 // Pick's schedule, as indices into tables. For a paper strategy that is the
@@ -105,27 +78,6 @@ func PickLive(tables []LiveTable, strategy string, k int, seed int64) ([]int, er
 		picked[i] = nd.TableID
 	}
 	return picked, nil
-}
-
-// NewLiveChooser constructs a fresh chooser for a name IsLiveStrategy
-// accepts, a baseline at its defaults; seed feeds RANDOM. It is the one
-// resolver of the engine's strategy names. Any other name, the exact-set
-// strategies included, is an error wrapping kverr.ErrConfig that lists the
-// accepted set.
-func NewLiveChooser(name string, seed int64) (Chooser, error) {
-	switch name {
-	case "leveled":
-		return &Leveled{}, nil
-	case "size-tiered":
-		return &SizeTiered{}, nil
-	case "threshold":
-		return &Threshold{}, nil
-	}
-	if !IsLiveStrategy(name) {
-		return nil, fmt.Errorf("compaction: strategy %q cannot plan from table statistics (have %s): %w",
-			name, strings.Join(append(Baselines(), LiveStrategies()...), ", "), kverr.ErrConfig)
-	}
-	return NewChooserByName(name, seed)
 }
 
 // Pick schedules the first merge Plan would run on tables: a one-merge
@@ -157,13 +109,14 @@ func Pick(tables []LiveTable, k int, chooser Chooser) (*Schedule, error) {
 // since "computing the exact output size without merging is as expensive as
 // merging". A leaf is its exact entry count and persisted sketch, a merge
 // output what mergeLive estimates; the schedule's costs are therefore
-// estimates, and the executed merges report the real ones. Only Run plans
-// with the exact-set strategies (SO(exact), LM).
+// estimates, and the executed merges report the real ones. Plan refuses a
+// chooser the strategy table does not let plan from table statistics: only
+// Run plans with the exact-set strategies (SO(exact), LM).
 func Plan(tables []LiveTable, k int, chooser Chooser) (*Schedule, error) {
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("compaction: plan of no tables")
 	}
-	if !IsLiveStrategy(chooser.Name()) {
+	if strategies[chooser.Name()].over&tableStats == 0 {
 		return nil, fmt.Errorf("compaction: %s cannot plan from table statistics", chooser.Name())
 	}
 	return planLive(tables, k, chooser, len(tables))

@@ -2,48 +2,100 @@ package compaction
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+
+	"repro/internal/kverr"
 )
 
 // DefaultHLLPrecision is the sketch precision used by the SO and BT(O)
 // strategies when constructed by name (2^12 registers, ≈1.6% error).
 const DefaultHLLPrecision = 12
 
-// NewChooserByName constructs a fresh chooser for one run. Recognized
-// names: "SI", "SO" (HyperLogLog-estimated), "SO(exact)", "BT" (arbitrary
-// within-level order), "BT(I)", "BT(O)", "LM", "CHAIN" (left-to-right
-// baseline), "RANDOM". seed is used by RANDOM only.
-func NewChooserByName(name string, seed int64) (Chooser, error) {
-	switch name {
-	case "SI":
-		return NewSmallestInput(), nil
-	case "SO":
-		return NewSmallestOutput(NewHLLEstimator(DefaultHLLPrecision)), nil
-	case "SO(exact)":
-		return NewSmallestOutput(ExactEstimator{}), nil
-	case "BT":
-		return NewBalanceTree(OrderArbitrary, nil), nil
-	case "BT(I)":
-		return NewBalanceTree(OrderSmallestInput, nil), nil
-	case "BT(O)":
-		return NewBalanceTree(OrderSmallestOutput, NewHLLEstimator(DefaultHLLPrecision)), nil
-	case "LM":
-		return NewLargestMatch(), nil
-	case "CHAIN":
-		return NewChain(), nil
-	case "RANDOM":
-		return NewRandom(seed), nil
-	default:
-		return nil, fmt.Errorf("compaction: unknown strategy %q", name)
-	}
+// plansOver says what a chooser can plan over: the exact key sets of the
+// model (Run), the statistics a table persists (Plan, Pick, the engine), or
+// both.
+type plansOver uint8
+
+const (
+	keySets plansOver = 1 << iota
+	tableStats
+)
+
+// strategies is the one table of strategy names, keyed by the name each
+// chooser's Name reports. Every resolver and name list reads it: the model
+// takes the entries that plan over key sets (the paper's strategies), the
+// engine those that plan over table statistics (the paper's strategies but
+// SO(exact) and LM, and the baselines). build constructs a fresh chooser, a
+// baseline at its defaults; seed feeds RANDOM.
+var strategies = map[string]struct {
+	over  plansOver
+	build func(seed int64) Chooser
+}{
+	"SI":          {keySets | tableStats, func(int64) Chooser { return NewSmallestInput() }},
+	"SO":          {keySets | tableStats, func(int64) Chooser { return NewSmallestOutput(NewHLLEstimator(DefaultHLLPrecision)) }},
+	"BT":          {keySets | tableStats, func(int64) Chooser { return NewBalanceTree(OrderArbitrary, nil) }},
+	"BT(I)":       {keySets | tableStats, func(int64) Chooser { return NewBalanceTree(OrderSmallestInput, nil) }},
+	"BT(O)":       {keySets | tableStats, func(int64) Chooser { return NewBalanceTree(OrderSmallestOutput, NewHLLEstimator(DefaultHLLPrecision)) }},
+	"CHAIN":       {keySets | tableStats, func(int64) Chooser { return NewChain() }},
+	"RANDOM":      {keySets | tableStats, func(seed int64) Chooser { return NewRandom(seed) }},
+	"SO(exact)":   {keySets, func(int64) Chooser { return NewSmallestOutput(ExactEstimator{}) }},
+	"LM":          {keySets, func(int64) Chooser { return NewLargestMatch() }},
+	"leveled":     {tableStats, func(int64) Chooser { return &Leveled{} }},
+	"size-tiered": {tableStats, func(int64) Chooser { return &SizeTiered{} }},
+	"threshold":   {tableStats, func(int64) Chooser { return &Threshold{} }},
 }
 
-// StrategyNames returns the names accepted by NewChooserByName, sorted.
-func StrategyNames() []string {
-	names := []string{"SI", "SO", "SO(exact)", "BT", "BT(I)", "BT(O)", "LM", "CHAIN", "RANDOM"}
-	sort.Strings(names)
-	return names
+// names returns the table's names whose entry, masked by mask, plans over
+// exactly want, sorted.
+func names(mask, want plansOver) []string {
+	var out []string
+	for name, s := range strategies {
+		if s.over&mask == want {
+			out = append(out, name)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
+
+// NewChooserByName constructs a fresh chooser for one run of the model:
+// any name StrategyNames lists; seed is used by RANDOM only. Any other
+// name, a baseline's included, is an error listing the accepted set.
+func NewChooserByName(name string, seed int64) (Chooser, error) {
+	if strategies[name].over&keySets == 0 {
+		return nil, fmt.Errorf("compaction: unknown strategy %q (have %s)", name, strings.Join(StrategyNames(), ", "))
+	}
+	return strategies[name].build(seed), nil
+}
+
+// NewLiveChooser constructs a fresh chooser for a name EngineStrategies
+// lists, a baseline at its defaults; seed feeds RANDOM. It is the one
+// resolver of the engine's strategy names. Any other name, the exact-set
+// strategies included, is an error wrapping kverr.ErrConfig that lists the
+// accepted set.
+func NewLiveChooser(name string, seed int64) (Chooser, error) {
+	if strategies[name].over&tableStats == 0 {
+		return nil, fmt.Errorf("compaction: strategy %q cannot plan from table statistics (have %s): %w",
+			name, strings.Join(EngineStrategies(), ", "), kverr.ErrConfig)
+	}
+	return strategies[name].build(seed), nil
+}
+
+// StrategyNames returns the paper's strategies, the names NewChooserByName
+// accepts, sorted.
+func StrategyNames() []string { return names(keySets, keySets) }
+
+// LiveStrategies returns the paper's strategies the engine accepts, sorted:
+// StrategyNames minus the two exact-set strategies.
+func LiveStrategies() []string { return names(keySets|tableStats, keySets|tableStats) }
+
+// Baselines returns the names of the engine's baseline choosers, sorted.
+func Baselines() []string { return names(keySets|tableStats, tableStats) }
+
+// EngineStrategies returns the names the engine accepts, NewLiveChooser's,
+// in the engine matrix's order: the baselines, then LiveStrategies.
+func EngineStrategies() []string { return append(Baselines(), LiveStrategies()...) }
 
 // EvaluatedStrategies returns the five strategies compared in the paper's
 // Figure 7, in the paper's presentation order.

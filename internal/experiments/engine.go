@@ -72,7 +72,7 @@ type EngineCell struct {
 // shard make every count a function of the stream and the policy alone;
 // cells share nothing, so four run at once.
 func EngineMatrix(dir string) ([]EngineCell, error) {
-	policies := append(compaction.Baselines(), compaction.LiveStrategies()...)
+	policies := compaction.EngineStrategies()
 	cells := make([]EngineCell, len(EngineMixes)*len(policies))
 	return cells, inParallel(len(cells), func(i int) (err error) {
 		mix, policy := EngineMixes[i/len(policies)], policies[i%len(policies)]

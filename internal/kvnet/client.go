@@ -227,7 +227,7 @@ func (c *Client) send(cl *call, tag uint32, req *Request) error {
 	}
 	cl.wbuf = frame
 	c.wmu.Lock()
-	c.conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
+	c.conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
 	_, err = c.conn.Write(frame)
 	c.wmu.Unlock()
 	if err != nil {

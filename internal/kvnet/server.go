@@ -44,8 +44,8 @@ type snapshotter interface {
 
 // Default connection deadlines (see Server.idleTimeout).
 const (
-	DefaultIdleTimeout  = 5 * time.Minute
-	DefaultWriteTimeout = time.Minute
+	defaultIdleTimeout  = 5 * time.Minute
+	defaultWriteTimeout = time.Minute
 )
 
 // Server serves one storage engine to many concurrent connections. Each
@@ -60,8 +60,8 @@ type Server struct {
 	// that died without closing its socket is reaped instead of pinning
 	// its goroutines forever. writeTimeout bounds writing one frame; a
 	// peer that stopped reading cannot wedge the connection's workers in a
-	// blocked send for longer. They are DefaultIdleTimeout and
-	// DefaultWriteTimeout; tests shorten them.
+	// blocked send for longer. They are defaultIdleTimeout and
+	// defaultWriteTimeout; tests shorten them.
 	idleTimeout, writeTimeout time.Duration
 
 	// lease is handleLease; tests shorten it. onLeaseExpiry (tests only) runs
@@ -124,8 +124,8 @@ func NewServer(db Engine) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		db:           db,
-		idleTimeout:  DefaultIdleTimeout,
-		writeTimeout: DefaultWriteTimeout,
+		idleTimeout:  defaultIdleTimeout,
+		writeTimeout: defaultWriteTimeout,
 		lease:        handleLease,
 		baseCtx:      ctx,
 		cancel:       cancel,

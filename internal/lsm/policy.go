@@ -73,14 +73,14 @@ func (p *Policy) pick(tables []compaction.LiveTable) (*compaction.Schedule, erro
 
 // PolicyByName resolves a compaction-policy name the way the engine's
 // front ends (kv options, lsmserver/lsmdb flags) spell them: "none" (or
-// empty) for no policy, the baselines "threshold", "size-tiered" and
-// "leveled", or any live-capable strategy name from the paper registry (SI,
-// SO, BT, BT(I), BT(O), CHAIN, RANDOM). k is the fan-in of threshold and of
-// the paper's strategies, which trigger at 2k live tables, and leveled's L0
-// trigger; size-tiered merges up to 32 tables at once (Cassandra's
-// max_threshold) and leveled whatever its overlap closure holds. k below 2
-// selects 4; seed feeds RANDOM. Any other name is compaction.NewLiveChooser's
-// error, which wraps kverr.ErrConfig and lists the accepted set.
+// empty) for no policy, or any name compaction.EngineStrategies lists — the
+// baselines and the paper's live strategies. k is the fan-in of threshold
+// and of the paper's strategies, which trigger at 2k live tables, and
+// leveled's L0 trigger; size-tiered merges up to 32 tables at once
+// (Cassandra's max_threshold) and leveled whatever its overlap closure
+// holds. k below 2 selects 4; seed feeds RANDOM. Any other name is
+// compaction.NewLiveChooser's error, which wraps kverr.ErrConfig and lists
+// the accepted set.
 func PolicyByName(name string, k int, seed int64) (*Policy, error) {
 	if k < 2 {
 		k = 4
@@ -88,8 +88,6 @@ func PolicyByName(name string, k int, seed int64) (*Policy, error) {
 	switch name {
 	case "", "none":
 		return nil, nil
-	case "threshold":
-		return &Policy{name: name, k: k, chooser: func() compaction.Chooser { return &compaction.Threshold{} }}, nil
 	case "size-tiered":
 		return &Policy{name: name, k: 32, chooser: func() compaction.Chooser { return &compaction.SizeTiered{} }}, nil
 	case "leveled":
@@ -100,7 +98,8 @@ func PolicyByName(name string, k int, seed int64) (*Policy, error) {
 	}
 	// Trigger at 2k live tables and merge k of them: the gap between trigger
 	// and fan-in is what gives the strategy a real choice — at exactly k
-	// tables every strategy would pick the same set.
+	// tables every strategy would pick the same set. A chooser with its own
+	// trigger (threshold) is asked that instead.
 	return &Policy{name: name, k: k, minTables: 2 * k, chooser: func() compaction.Chooser {
 		ch, _ := compaction.NewLiveChooser(name, seed) // resolved above: never fails
 		return ch

@@ -300,7 +300,7 @@ func TestStressPurgeKeepsEveryReadRight(t *testing.T) { TestPurgeKeepsEveryReadR
 // before the TestStress/TestAlloc rule; TestStressPurgeKeepsEveryReadRight
 // puts it under that rule.
 func TestPurgeKeepsEveryReadRight(t *testing.T) {
-	families := append(compaction.Baselines(), compaction.LiveStrategies()...)
+	families := compaction.EngineStrategies()
 	for _, stream := range []struct {
 		name      string
 		deleteOdd float64

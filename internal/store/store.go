@@ -53,9 +53,9 @@ const markerName = "SHARDS"
 
 // Options tunes a Store. The embedded lsm.Options apply to every shard,
 // with two adjustments: the block-cache budget is split evenly across
-// shards (so BlockCacheBytes stays the total), and each shard's skiplist
-// seed is offset by its index. MemtableBytes remains per shard — total
-// buffered memory is Shards × MemtableBytes.
+// shards (so BlockCacheBytes stays the total), and more than one shard
+// share one WriteLoad gauge unless the caller set one. MemtableBytes
+// remains per shard — total buffered memory is Shards × MemtableBytes.
 type Options struct {
 	// Shards is the number of partitions. Zero adopts the count persisted
 	// in the store directory, or 1 for a new store. Opening an existing

@@ -200,9 +200,10 @@ func (b *Batch) Reset() { b.wb.Reset() }
 // CompactOptions selects the merge schedule of one Compact call.
 type CompactOptions struct {
 	// Strategy names a merge-scheduling strategy that plans from table
-	// statistics — "BT", "BT(I)", "SI", "SO", "RANDOM", ..., or a baseline
-	// such as "size-tiered" (see compaction.NewLiveChooser); any other name
-	// fails with ErrConfig. Empty selects the engine's configured default
+	// statistics — "BT", "BT(I)", "SI", "SO", ..., or a baseline such as
+	// "size-tiered": one of compaction.EngineStrategies, read from the
+	// compaction package's strategy table. Any other name fails with
+	// ErrConfig. Empty selects the engine's configured default
 	// (WithCompactionStrategy, itself defaulting to "BT(I)").
 	Strategy string
 	// K bounds the merge fan-in. Zero selects the configured default.

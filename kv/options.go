@@ -151,9 +151,10 @@ func WithBlockCacheBytes(n int) Option {
 // WithAutoCompact enables minor compactions after flushes with the named
 // policy: "size-tiered" (Cassandra's bucketing), "threshold" (Bigtable's
 // count trigger), "leveled" (the LevelDB-style layout with per-level
-// size targets), any live-capable strategy from the paper registry (SI,
-// SO, BT, BT(I), BT(O), CHAIN, RANDOM — picking from per-table statistics
-// and HyperLogLog overlap sketches), or "none" (the default).
+// size targets), any live-capable paper strategy (SI, SO, BT, BT(I),
+// BT(O), CHAIN, RANDOM — picking from per-table statistics and HyperLogLog
+// overlap sketches), or "none" (the default): compaction.EngineStrategies,
+// read from the compaction package's strategy table, and "none".
 func WithAutoCompact(policy string) Option {
 	return openOnly("WithAutoCompact", func(c *config) error {
 		if policy != "none" {
