@@ -11,10 +11,11 @@ import (
 // paper says "bears resemblance to our SMALLESTINPUT heuristic", and the
 // LevelDB-style leveled layout (Leveled). They rank by what only a live
 // table carries — file size, key range, LSM level — so they run under Plan,
-// Pick and PickLive but not under the exact model. Each also carries its
-// own trigger, Due, which the engine asks before every pick; when nothing
-// is due, which only a full Plan asks about, each merges the k smallest
-// tables by size.
+// Pick and PickLive but not under the exact model. SizeTiered and Leveled
+// carry their own trigger, Due, which the package's Due asks for them;
+// Threshold is due, as every other chooser is, at 2k live tables. When
+// nothing is due, which only a full Plan asks about, each merges the k
+// smallest tables by size.
 
 // liveSet is a baseline's collection of live nodes, in the order Init and
 // Observe delivered them.
@@ -51,44 +52,29 @@ func bySize(nodes []*Node) []*Node {
 	return out
 }
 
-// Threshold is Bigtable's compaction trigger: once MaxTables tables are
-// live, merge the k smallest.
-type Threshold struct {
-	// MaxTables is the live table count that triggers a merge. Zero
-	// selects 8.
-	MaxTables int
-	liveSet
-}
+// Threshold is Bigtable's compaction trigger: once 2k tables are live (see
+// Due), merge the k smallest.
+type Threshold struct{ liveSet }
 
 // Name implements Chooser.
 func (c *Threshold) Name() string { return "threshold" }
-
-// Due reports whether tables warrant a merge.
-func (c *Threshold) Due(tables []LiveTable) bool {
-	maxTables := c.MaxTables
-	if maxTables <= 0 {
-		maxTables = 8
-	}
-	return len(tables) >= maxTables
-}
 
 // Choose implements Chooser.
 func (c *Threshold) Choose() ([]*Node, error) { return c.smallest(), nil }
 
 // SizeTiered is Cassandra's STCS: tables are grouped into buckets of similar
 // size (within [bucketLow·avg, bucketHigh·avg] of the bucket's running
-// average), and the fullest bucket of at least MinThreshold tables merges,
-// up to k of them.
-type SizeTiered struct {
-	// MinThreshold is the smallest bucket that triggers a merge. Zero
-	// selects Cassandra's 4.
-	MinThreshold int
-	liveSet
-}
+// average), and the fullest bucket of at least minBucket tables merges, up
+// to k of them.
+type SizeTiered struct{ liveSet }
 
 // bucketLow and bucketHigh bound a size-tiered bucket relative to its
-// average size: Cassandra's defaults.
-const bucketLow, bucketHigh = 0.5, 1.5
+// average size, and minBucket is the smallest bucket that triggers a merge:
+// Cassandra's defaults.
+const (
+	bucketLow, bucketHigh = 0.5, 1.5
+	minBucket             = 4
+)
 
 // Name implements Chooser.
 func (c *SizeTiered) Name() string { return "size-tiered" }
@@ -104,17 +90,13 @@ func (c *SizeTiered) Choose() ([]*Node, error) {
 	return c.smallest(), nil
 }
 
-// bucket returns the fullest bucket of nodes that reaches MinThreshold, or
+// bucket returns the fullest bucket of nodes that reaches minBucket, or
 // nil.
 func (c *SizeTiered) bucket(nodes []*Node) []*Node {
-	minT := c.MinThreshold
-	if minT <= 1 {
-		minT = 4
-	}
 	var best, bucket []*Node
 	var avg float64
 	flush := func() {
-		if len(bucket) >= minT && len(bucket) > len(best) {
+		if len(bucket) >= minBucket && len(bucket) > len(best) {
 			best = bucket
 		}
 	}

@@ -103,6 +103,21 @@ func Pick(tables []LiveTable, k int, chooser Chooser) (*Schedule, error) {
 	return sc, nil
 }
 
+// Due is the one minor-compaction trigger: it reports whether a pick of
+// tables by chooser under fan-in k is due at all. A chooser with a trigger
+// of its own (SizeTiered's bucket, Leveled's level targets) answers for
+// itself; every other chooser, Threshold included, is due at 2k live
+// tables. The gap between trigger and fan-in is what gives a strategy a
+// real choice: at exactly k tables every strategy would pick the same set.
+// No trigger reads Entries, so the answer is the same before and after
+// LiveEntries sizes the tables, and the engine asks it first.
+func Due(tables []LiveTable, k int, chooser Chooser) bool {
+	if own, ok := chooser.(interface{ Due([]LiveTable) bool }); ok {
+		return own.Due(tables)
+	}
+	return len(tables) >= 2*k
+}
+
 // Plan schedules the complete merge of tables down to one, with chooser and
 // fan-in k, from the statistics the tables persist — the paper's own
 // implementation note (Section 5.1): a scheduler must not touch key data,

@@ -425,6 +425,55 @@ func TestLiveEntriesMatchesExactShadowing(t *testing.T) {
 	t.Logf("worst error: %.2fσ of |newer| + |newer ∪ T|", worst)
 }
 
+// TestDueIgnoresEntries: no trigger reads Entries, so Due answers the same
+// over exact counts as over LiveEntries' estimates — what lets the engine
+// ask it before it estimates. The tables overlap, so the estimates shrink
+// the older ones well below their exact counts.
+func TestDueIgnoresEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	answered := map[string]map[bool]bool{}
+	for trial := 0; trial < 300; trial++ {
+		exact := make([]LiveTable, 2+rng.Intn(10))
+		for i := range exact {
+			lo, n := rng.Intn(4000), 200+rng.Intn(1000)
+			keys := make([]uint64, n)
+			for j := range keys {
+				keys[j] = uint64(lo + j)
+			}
+			sketch, err := hll.SketchOfUint64s(DefaultHLLPrecision, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact[i] = LiveTable{SizeBytes: uint64(20 * n), Entries: n, MaxSeq: uint64(i + 1), Sketch: sketch,
+				Smallest: binary.BigEndian.AppendUint64(nil, keys[0]), Largest: binary.BigEndian.AppendUint64(nil, keys[n-1]),
+				Level: rng.Intn(3)}
+		}
+		estimated := make([]LiveTable, len(exact))
+		copy(estimated, exact)
+		for i, e := range LiveEntries(exact) {
+			estimated[i].Entries = e
+		}
+		k := 2 + rng.Intn(3)
+		for _, name := range EngineStrategies() {
+			a, _ := NewLiveChooser(name, 1)
+			b, _ := NewLiveChooser(name, 1)
+			due := Due(exact, k, a)
+			if Due(estimated, k, b) != due {
+				t.Fatalf("trial %d: %s is due over exact counts %t, over estimates %t", trial, name, due, !due)
+			}
+			if answered[name] == nil {
+				answered[name] = map[bool]bool{}
+			}
+			answered[name][due] = true
+		}
+	}
+	for name, both := range answered {
+		if !both[true] || !both[false] {
+			t.Errorf("%s answered only %v: the tables never test its trigger", name, both)
+		}
+	}
+}
+
 // TestLiveEntriesClamps: the newest table and every table the estimate
 // cannot size keep their exact counts, a shadowed table keeps 1, an empty
 // one 0, and no estimate exceeds the count it stands for.

@@ -48,7 +48,7 @@ func TestLeveledNeverOverlapsWithinLevel(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
 		MemtableBytes: 4 << 10,
-		AutoCompact:   tuned(0, compaction.Leveled{L0Trigger: 2, BaseTargetBytes: 8 << 10}),
+		AutoCompact:   tuned(compaction.Leveled{L0Trigger: 2, BaseTargetBytes: 8 << 10}),
 	}
 	db, err := Open(dir, opts)
 	if err != nil {
@@ -128,7 +128,7 @@ func level(lv int, lo, hi string, size uint64) TableInfo {
 // TestLeveledOutputLevels pins the level-assignment rule: a single-level
 // pick moves down one level, a two-level pick lands at the deeper level.
 func TestLeveledOutputLevels(t *testing.T) {
-	p := tuned(0, compaction.Leveled{L0Trigger: 2, BaseTargetBytes: 10})
+	p := tuned(compaction.Leveled{L0Trigger: 2, BaseTargetBytes: 10})
 	for _, tc := range []struct {
 		what   string
 		tables []TableInfo
@@ -138,13 +138,9 @@ func TestLeveledOutputLevels(t *testing.T) {
 		{"L0+L1", []TableInfo{level(0, "a", "b", 1), level(0, "c", "d", 1), level(1, "b", "c", 1)}, 1},
 		{"L1+L1", []TableInfo{level(1, "a", "b", 8), level(1, "c", "d", 8)}, 2},
 	} {
-		live := make([]compaction.LiveTable, len(tc.tables))
-		for i, info := range tc.tables {
-			live[i] = info.LiveTable
-		}
-		sc, err := p.pick(live)
-		if err != nil || sc == nil || len(sc.Leaves) != len(tc.tables) {
-			t.Fatalf("%s: pick %v, %v; want every table", tc.what, sc, err)
+		sc := pickOf(t, p, tc.tables)
+		if sc == nil || len(sc.Leaves) != len(tc.tables) {
+			t.Fatalf("%s: pick %v; want every table", tc.what, sc)
 		}
 		if got := sc.Root.Live.Level; got != tc.want {
 			t.Errorf("%s output level = %d, want %d", tc.what, got, tc.want)
@@ -179,7 +175,7 @@ func TestLeveledPickClosesOverlap(t *testing.T) {
 // plan's last merge, whose inputs share that level, moves it one deeper.
 func TestLeveledMajorRootKeepsDeepestLevel(t *testing.T) {
 	for _, strategy := range []string{"BT(I)", "leveled"} {
-		db := openTestDB(t, Options{MemtableBytes: 16 << 10, AutoCompact: tuned(0, compaction.Leveled{L0Trigger: 2, BaseTargetBytes: 64 << 10})})
+		db := openTestDB(t, Options{MemtableBytes: 16 << 10, AutoCompact: tuned(compaction.Leveled{L0Trigger: 2, BaseTargetBytes: 64 << 10})})
 		for i := 0; i < 6000; i++ {
 			if err := db.PutContext(context.Background(), []byte(fmt.Sprintf("key-%05d", i)), []byte("value-payload-of-some-length")); err != nil {
 				t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/compaction"
 	"repro/internal/model"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -344,7 +343,7 @@ func TestPipelineStressDuringFlushes(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{
 		MemtableBytes: 8 << 10,
 		// A merge at every second table: the run may flush only three times.
-		AutoCompact: tuned(2, compaction.Threshold{MaxTables: 2}),
+		AutoCompact: pickFirstN(2),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -26,58 +27,27 @@ type TableInfo struct {
 	Name string
 }
 
-// Policy is a minor-compaction policy: a live compaction chooser, the
-// fan-in it picks under and the trigger that says when it picks at all.
-// After every write-triggered flush the engine offers it the tables no
-// merge owns. PolicyByName builds one for every name the engine accepts.
+// Policy is a minor-compaction policy: a live compaction chooser and the
+// fan-in it picks under. After every write-triggered flush the engine offers
+// it the tables no merge owns, and compaction.Due says whether it picks at
+// all. PolicyByName builds one for every name the engine accepts.
 type Policy struct {
 	name string
 	// k caps a pick's fan-in; 0 leaves the group to the chooser.
-	k int
-	// minTables is the trigger of a chooser without one of its own (a
-	// trigger): the table count at which it picks.
-	minTables int
-	chooser   func() compaction.Chooser
-}
-
-// trigger is a chooser's own test of whether tables warrant a merge at all,
-// as the compaction package's baselines carry one.
-type trigger interface {
-	Due(tables []compaction.LiveTable) bool
+	k       int
+	chooser func() compaction.Chooser
 }
 
 // Name identifies the policy in Stats.CompactionPicks and logs.
 func (p *Policy) Name() string { return p.name }
 
-// due reports whether p's trigger holds over tables. No trigger reads
-// Entries, so the answer is the same before and after liveTables sizes them.
-func (p *Policy) due(tables []compaction.LiveTable) bool {
-	if tr, ok := p.chooser().(trigger); ok {
-		return tr.Due(tables)
-	}
-	return len(tables) >= p.minTables
-}
-
-// pick returns the one-merge schedule p makes of tables, or nil when its
-// trigger does not hold.
-func (p *Policy) pick(tables []compaction.LiveTable) (*compaction.Schedule, error) {
-	if !p.due(tables) {
-		return nil, nil
-	}
-	k := p.k
-	if k == 0 {
-		k = len(tables)
-	}
-	return compaction.Pick(tables, k, p.chooser())
-}
-
 // PolicyByName resolves a compaction-policy name the way the engine's
 // front ends (kv options, lsmserver/lsmdb flags) spell them: "none" (or
 // empty) for no policy, or any name compaction.EngineStrategies lists — the
 // baselines and the paper's live strategies. k is the fan-in of threshold
-// and of the paper's strategies, which trigger at 2k live tables, and
-// leveled's L0 trigger; size-tiered merges up to 32 tables at once
-// (Cassandra's max_threshold) and leveled whatever its overlap closure
+// and of the paper's strategies, which compaction.Due triggers at 2k live
+// tables, and leveled's L0 trigger; size-tiered merges up to 32 tables at
+// once (Cassandra's max_threshold) and leveled whatever its overlap closure
 // holds. k below 2 selects 4; seed feeds RANDOM. Any other name is
 // compaction.NewLiveChooser's error, which wraps kverr.ErrConfig and lists
 // the accepted set.
@@ -96,11 +66,7 @@ func PolicyByName(name string, k int, seed int64) (*Policy, error) {
 	if _, err := compaction.NewLiveChooser(name, seed); err != nil {
 		return nil, fmt.Errorf("lsm: compaction policy (none or a strategy): %w", err)
 	}
-	// Trigger at 2k live tables and merge k of them: the gap between trigger
-	// and fan-in is what gives the strategy a real choice — at exactly k
-	// tables every strategy would pick the same set. A chooser with its own
-	// trigger (threshold) is asked that instead.
-	return &Policy{name: name, k: k, minTables: 2 * k, chooser: func() compaction.Chooser {
+	return &Policy{name: name, k: k, chooser: func() compaction.Chooser {
 		ch, _ := compaction.NewLiveChooser(name, seed) // resolved above: never fails
 		return ch
 	}}, nil
@@ -179,7 +145,8 @@ func (db *DB) minorCompact(p *Policy) (*CompactionResult, bool, error) {
 func (db *DB) minorCompactLocked(p *Policy) (*CompactionResult, bool, error) {
 	// Tables another merge owns are off limits: merging one away would
 	// invalidate the set that merge is about to swap out. They still shadow
-	// the others' keys, so a due pick sizes every live table.
+	// the others' keys, so a due pick sizes every live table. One chooser
+	// answers the trigger, on exact counts, and then makes the pick.
 	tables := oldestFirst(db.tables)
 	var eligible []*tableHandle
 	var live []compaction.LiveTable
@@ -189,7 +156,8 @@ func (db *DB) minorCompactLocked(p *Policy) (*CompactionResult, bool, error) {
 			live = append(live, th.live())
 		}
 	}
-	if !p.due(live) {
+	chooser := p.chooser()
+	if !compaction.Due(live, p.k, chooser) {
 		return nil, false, nil
 	}
 	live = live[:0]
@@ -198,7 +166,7 @@ func (db *DB) minorCompactLocked(p *Policy) (*CompactionResult, bool, error) {
 			live = append(live, lt)
 		}
 	}
-	sched, err := p.pick(live)
+	sched, err := compaction.Pick(live, cmp.Or(p.k, len(live)), chooser)
 	if err != nil || sched == nil {
 		return nil, false, err
 	}

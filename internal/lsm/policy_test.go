@@ -1,9 +1,11 @@
 package lsm
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/compaction"
@@ -19,17 +21,29 @@ func infos(sizes ...uint64) []TableInfo {
 	return out
 }
 
-// picked returns the indices of the tables p merges next, nil for none.
-func picked(t testing.TB, p *Policy, tables []TableInfo) []int {
+// pickOf returns the one-merge schedule p makes of tables, nil when its
+// trigger does not hold: what minorCompactLocked asks, over given tables.
+func pickOf(t testing.TB, p *Policy, tables []TableInfo) *compaction.Schedule {
 	t.Helper()
 	live := make([]compaction.LiveTable, len(tables))
 	for i, info := range tables {
 		live[i] = info.LiveTable
 	}
-	sc, err := p.pick(live)
+	chooser := p.chooser()
+	if !compaction.Due(live, p.k, chooser) {
+		return nil
+	}
+	sc, err := compaction.Pick(live, cmp.Or(p.k, len(live)), chooser)
 	if err != nil {
 		t.Fatalf("%s: %v", p.Name(), err)
 	}
+	return sc
+}
+
+// picked returns the indices of the tables p merges next, nil for none.
+func picked(t testing.TB, p *Policy, tables []TableInfo) []int {
+	t.Helper()
+	sc := pickOf(t, p, tables)
 	if sc == nil {
 		return nil
 	}
@@ -40,15 +54,12 @@ func picked(t testing.TB, p *Policy, tables []TableInfo) []int {
 	return idx
 }
 
-// tuned is the engine's policy for a baseline chooser tuned as a test
-// needs, with fan-in k (0 for uncapped); each pick gets a fresh copy of cfg.
-func tuned[C any, P interface {
-	*C
-	compaction.Chooser
-}](k int, cfg C) *Policy {
-	return &Policy{name: P(&cfg).Name(), k: k, chooser: func() compaction.Chooser {
+// tuned is the engine's leveled policy with the level trigger and targets
+// a test needs; each pick gets a fresh copy of cfg.
+func tuned(cfg compaction.Leveled) *Policy {
+	return &Policy{name: "leveled", chooser: func() compaction.Chooser {
 		c := cfg
-		return P(&c)
+		return &c
 	}}
 }
 
@@ -61,34 +72,34 @@ func mustPolicy(t testing.TB, name string, k int) *Policy {
 	return p
 }
 
+// TestThresholdPolicy: threshold first picks at exactly 2k live tables, as
+// every chooser without a trigger of its own does, and merges the k
+// smallest.
 func TestThresholdPolicy(t *testing.T) {
-	p := tuned(3, compaction.Threshold{MaxTables: 4})
-	if got := picked(t, p, infos(10, 20, 30)); got != nil {
-		t.Errorf("below threshold picked %v", got)
-	}
-	got := picked(t, p, infos(40, 10, 30, 20))
-	if len(got) != 3 {
-		t.Fatalf("picked %v, want 3 smallest", got)
-	}
-	// Indices of the three smallest: 1 (10), 3 (20), 2 (30).
-	want := map[int]bool{1: true, 3: true, 2: true}
-	for _, i := range got {
-		if !want[i] {
-			t.Errorf("picked index %d, want smallest three", i)
+	for _, k := range []int{2, 3, 4, 6} {
+		p := mustPolicy(t, "threshold", k)
+		// Largest first, so the k smallest are the last k.
+		sizes := make([]uint64, 2*k)
+		for i := range sizes {
+			sizes[i] = uint64(10 * (2*k - i))
 		}
-	}
-	// Defaults clamp sensibly.
-	d := mustPolicy(t, "threshold", 4)
-	if picked(t, d, infos(1, 2, 3)) != nil {
-		t.Errorf("default policy fired below default threshold")
-	}
-	if got := picked(t, d, infos(1, 2, 3, 4, 5, 6, 7, 8)); len(got) != 4 {
-		t.Errorf("default fanin = %d", len(got))
+		if got := picked(t, p, infos(sizes[1:]...)); got != nil {
+			t.Errorf("k=%d: %d tables picked %v, want none below 2k", k, len(sizes)-1, got)
+		}
+		got := picked(t, p, infos(sizes...))
+		slices.Sort(got)
+		want := make([]int, 0, k)
+		for i := k; i < 2*k; i++ {
+			want = append(want, i)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("k=%d: %d tables picked %v, want the %d smallest %v", k, len(sizes), got, k, want)
+		}
 	}
 }
 
 func TestSizeTieredPolicyBuckets(t *testing.T) {
-	p := tuned(32, compaction.SizeTiered{MinThreshold: 3})
+	p := mustPolicy(t, "size-tiered", 4)
 	// Four similar-sized tables and two much larger ones: the similar
 	// bucket must be chosen.
 	got := picked(t, p, infos(100, 110, 5000, 95, 105, 9000))
@@ -105,7 +116,8 @@ func TestSizeTieredPolicyBuckets(t *testing.T) {
 		t.Errorf("picked %v from dissimilar tables", got)
 	}
 	// The fan-in caps the group.
-	capped := tuned(3, compaction.SizeTiered{MinThreshold: 2})
+	capped := mustPolicy(t, "size-tiered", 4)
+	capped.k = 3
 	if got := picked(t, capped, infos(10, 10, 10, 10, 10, 10)); len(got) != 3 {
 		t.Errorf("cap ignored: picked %d tables", len(got))
 	}
@@ -120,15 +132,15 @@ func TestSizeTieredEmptyAndSingle(t *testing.T) {
 func TestMinorCompactMergesAndKeepsData(t *testing.T) {
 	db := openTestDB(t, Options{})
 	want := fillTables(t, db, 6, 150)
-	res, ran, err := db.minorCompact(tuned(4, compaction.Threshold{MaxTables: 2}))
+	res, ran, err := db.minorCompact(mustPolicy(t, "threshold", 3))
 	if err != nil || !ran {
 		t.Fatalf("MinorCompact: ran=%v err=%v", ran, err)
 	}
-	if res.TablesBefore != 4 || res.BytesWritten == 0 {
+	if res.TablesBefore != 3 || res.BytesWritten == 0 {
 		t.Errorf("result = %+v", res)
 	}
-	if got := db.Stats().Tables; got != 3 { // 6 - 4 + 1
-		t.Errorf("tables after = %d, want 3", got)
+	if got := db.Stats().Tables; got != 4 { // 6 - 3 + 1
+		t.Errorf("tables after = %d, want 4", got)
 	}
 	model.Check(t, dbReader{db}, want)
 }
@@ -167,7 +179,8 @@ func TestMinorCompactKeepsTombstones(t *testing.T) {
 	}
 }
 
-// fixedPick is a test chooser whose first pick is the leaves at idx.
+// fixedPick is a test chooser whose first pick is the leaves at idx, due
+// once every table it names exists.
 type fixedPick struct {
 	idx    []int
 	leaves []*compaction.Node
@@ -176,21 +189,19 @@ type fixedPick struct {
 func (c *fixedPick) Name() string                                { return "fixed" }
 func (c *fixedPick) Init(leaves []*compaction.Node, _ int) error { c.leaves = leaves; return nil }
 func (c *fixedPick) Observe(*compaction.Node)                    {}
+func (c *fixedPick) Due(tables []compaction.LiveTable) bool      { return len(tables) > slices.Max(c.idx) }
 func (c *fixedPick) Choose() ([]*compaction.Node, error) {
 	group := make([]*compaction.Node, len(c.idx))
 	for i, j := range c.idx {
-		if j >= len(c.leaves) {
-			return nil, fmt.Errorf("no table %d", j)
-		}
 		group[i] = c.leaves[j]
 	}
 	return group, nil
 }
 
 // pickIndices is a test policy merging the tables at idx, in the table
-// set's order (oldest first), once there are at least two tables.
+// set's order (oldest first), once they exist.
 func pickIndices(idx ...int) *Policy {
-	return &Policy{name: "fixed", k: len(idx), minTables: 2, chooser: func() compaction.Chooser { return &fixedPick{idx: idx} }}
+	return &Policy{name: "fixed", k: len(idx), chooser: func() compaction.Chooser { return &fixedPick{idx: idx} }}
 }
 
 // pickFirstN is a test policy merging the first (oldest) n tables once
@@ -200,9 +211,34 @@ func pickFirstN(n int) *Policy {
 	for i := range idx {
 		idx[i] = i
 	}
-	p := pickIndices(idx...)
-	p.minTables = n
-	return p
+	return pickIndices(idx...)
+}
+
+// TestMinorCompactBuildsOneChooser: a minor pick builds its policy's
+// chooser once, whether or not the pick is due — the trigger and the pick
+// ask the same chooser — under a paper strategy and each baseline.
+func TestMinorCompactBuildsOneChooser(t *testing.T) {
+	for _, name := range append([]string{"BT(I)"}, compaction.Baselines()...) {
+		db := openTestDB(t, Options{})
+		p := mustPolicy(t, name, 2)
+		build, builds := p.chooser, 0
+		p.chooser = func() compaction.Chooser {
+			builds++
+			return build()
+		}
+		// One table is due under no policy; four similar ones under all.
+		for _, tables := range []int{1, 4} {
+			fillTables(t, db, tables-len(db.TableInfos()), 100)
+			builds = 0
+			_, ran, err := db.minorCompact(p)
+			if err != nil || ran != (tables == 4) {
+				t.Fatalf("%s over %d tables: ran=%v err=%v", name, tables, ran, err)
+			}
+			if builds != 1 {
+				t.Errorf("%s over %d tables built %d choosers, want 1", name, tables, builds)
+			}
+		}
+	}
 }
 
 func TestMinorCompactRejectsBadPolicy(t *testing.T) {
@@ -242,7 +278,7 @@ func TestMinorCompactNothingToDo(t *testing.T) {
 func TestAutoCompactBoundsTables(t *testing.T) {
 	db := openTestDB(t, Options{
 		MemtableBytes: 8 << 10,
-		AutoCompact:   tuned(4, compaction.Threshold{MaxTables: 4}),
+		AutoCompact:   mustPolicy(t, "threshold", 2),
 	})
 	for i := 0; i < 5000; i++ {
 		k := []byte(fmt.Sprintf("key-%06d", i))
@@ -269,7 +305,7 @@ func TestAutoCompactBoundsTables(t *testing.T) {
 func TestMinorThenMajorCompaction(t *testing.T) {
 	db := openTestDB(t, Options{})
 	want := fillTables(t, db, 8, 100)
-	if _, ran, err := db.minorCompact(tuned(32, compaction.SizeTiered{MinThreshold: 2})); err != nil || !ran {
+	if _, ran, err := db.minorCompact(mustPolicy(t, "size-tiered", 4)); err != nil || !ran {
 		t.Fatalf("minor: ran=%v err=%v", ran, err)
 	}
 	if _, err := db.MajorCompact("SI", 2, 0); err != nil {

@@ -15,36 +15,11 @@ import (
 	"repro/internal/vfs"
 )
 
-// oneMerge is a chooser that merges the live tables at fixed positions,
-// newest first as DB.tables holds them: a test's way to leave a chosen
-// table outside a merge.
-type oneMerge struct {
-	at     []int
-	leaves []*compaction.Node
-}
-
-func (c *oneMerge) Name() string { return "fixed" }
-
-func (c *oneMerge) Init(leaves []*compaction.Node, _ int) error {
-	c.leaves = leaves
-	return nil
-}
-
-func (c *oneMerge) Choose() ([]*compaction.Node, error) {
-	var out []*compaction.Node
-	for _, i := range c.at {
-		out = append(out, c.leaves[i])
-	}
-	return out, nil
-}
-
-func (c *oneMerge) Observe(*compaction.Node) {}
-
-// mergeAt runs one minor compaction of the live tables at positions at.
+// mergeAt runs one minor compaction of the live tables at positions at,
+// oldest first: a test's way to leave a chosen table outside a merge.
 func mergeAt(t testing.TB, db *DB, at ...int) *CompactionResult {
 	t.Helper()
-	p := &Policy{name: "fixed", k: len(at), chooser: func() compaction.Chooser { return &oneMerge{at: at} }}
-	res, ran, err := db.minorCompact(p)
+	res, ran, err := db.minorCompact(pickIndices(at...))
 	if err != nil || !ran {
 		t.Fatalf("merge of tables %v: ran=%v, %v", at, ran, err)
 	}

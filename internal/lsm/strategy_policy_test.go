@@ -19,9 +19,7 @@ func TestStrategyPolicyDrivesMinorCompaction(t *testing.T) {
 		t.Run(strategy, func(t *testing.T) {
 			db := openTestDB(t, Options{})
 			want := fillTables(t, db, 5, 120)
-			p := mustPolicy(t, strategy, 3)
-			p.minTables = 2
-			res, ran, err := db.minorCompact(p)
+			res, ran, err := db.minorCompact(mustPolicy(t, strategy, 2))
 			if err != nil || !ran {
 				t.Fatalf("minorCompact: ran=%v err=%v", ran, err)
 			}

@@ -154,7 +154,10 @@ func WithBlockCacheBytes(n int) Option {
 // size targets), any live-capable paper strategy (SI, SO, BT, BT(I),
 // BT(O), CHAIN, RANDOM — picking from per-table statistics and HyperLogLog
 // overlap sketches), or "none" (the default): compaction.EngineStrategies,
-// read from the compaction package's strategy table, and "none".
+// read from the compaction package's strategy table, and "none". A pick is
+// due when compaction.Due says so: size-tiered and leveled by their own
+// triggers, threshold and the paper's strategies at twice the fan-in
+// WithCompactionStrategy sets.
 func WithAutoCompact(policy string) Option {
 	return openOnly("WithAutoCompact", func(c *config) error {
 		if policy != "none" {
