@@ -41,6 +41,12 @@ type Policy struct {
 // Name identifies the policy in Stats.CompactionPicks and logs.
 func (p *Policy) Name() string { return p.name }
 
+// pickWith is chooser's one-merge pick of live at p's fan-in, or of every
+// table when p leaves the group to the chooser.
+func (p *Policy) pickWith(chooser compaction.Chooser, live []compaction.LiveTable) (*compaction.Schedule, error) {
+	return compaction.Pick(live, cmp.Or(p.k, len(live)), chooser)
+}
+
 // PolicyByName resolves a compaction-policy name the way the engine's
 // front ends (kv options, lsmserver/lsmdb flags) spell them: "none" (or
 // empty) for no policy, or any name compaction.EngineStrategies lists — the
@@ -166,7 +172,7 @@ func (db *DB) minorCompactLocked(p *Policy) (*CompactionResult, bool, error) {
 			live = append(live, lt)
 		}
 	}
-	sched, err := compaction.Pick(live, cmp.Or(p.k, len(live)), chooser)
+	sched, err := p.pickWith(chooser, live)
 	if err != nil || sched == nil {
 		return nil, false, err
 	}

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -33,7 +32,7 @@ func pickOf(t testing.TB, p *Policy, tables []TableInfo) *compaction.Schedule {
 	if !compaction.Due(live, p.k, chooser) {
 		return nil
 	}
-	sc, err := compaction.Pick(live, cmp.Or(p.k, len(live)), chooser)
+	sc, err := p.pickWith(chooser, live)
 	if err != nil {
 		t.Fatalf("%s: %v", p.Name(), err)
 	}
@@ -111,8 +110,8 @@ func TestSizeTieredPolicyBuckets(t *testing.T) {
 			t.Errorf("picked a large table (size %d)", s)
 		}
 	}
-	// No bucket reaches the threshold: nothing to do.
-	if got := picked(t, p, infos(10, 1000, 100000)); got != nil {
+	// Enough tables for a bucket, but no two alike: nothing to do.
+	if got := picked(t, p, infos(10, 1000, 100000, 10000000)); got != nil {
 		t.Errorf("picked %v from dissimilar tables", got)
 	}
 	// The fan-in caps the group.
