@@ -62,9 +62,9 @@ func hintTarget(key []byte) string {
 
 // hintFormat is a hint batch's first byte. It is any byte but
 // kvnet.RecordFormat: a holder parks a hint with a plain put, and a value
-// that read as a record would lift the holder's stamp floor (see
-// kvnet.OpVersionedWrite) to whatever its bytes 2..9 hold — a hinted key's
-// first eight bytes, far above any real stamp.
+// that read as a record would lift the stamp floor of its key's stripe on
+// the holder (see kvnet.OpVersionedWrite) to whatever its bytes 2..9 hold —
+// a hinted key's first eight bytes, far above any real stamp.
 const hintFormat = 0x02
 
 // encodeHintBatch serializes the (key, record) pairs owed to a target:

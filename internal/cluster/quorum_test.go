@@ -67,26 +67,25 @@ func TestHintBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// stampReadCounter is a node's engine that counts one-key scans: the reads
+// stampReadCounter is a node's engine that counts point reads: the reads
 // of a stored stamp that a versioned write makes when its stamp is not
-// above the node's stamp floor.
+// above its stripe's stamp floor.
 type stampReadCounter struct {
 	*lsm.DB
 	reads atomic.Int64
 }
 
-func (e *stampReadCounter) RangeContext(ctx context.Context, start, end []byte, fn func(key, value []byte) error) error {
-	if len(end) == len(start)+1 && bytes.HasPrefix(end, start) && end[len(start)] == 0 {
-		e.reads.Add(1)
-	}
-	return e.DB.RangeContext(ctx, start, end, fn)
+func (e *stampReadCounter) GetContext(ctx context.Context, key []byte) ([]byte, error) {
+	e.reads.Add(1)
+	return e.DB.GetContext(ctx, key)
 }
 
 // TestParkedHintKeepsStampFloor: a hint is parked with a plain put, which
-// raises the holder's stamp floor to the stamp of any value that reads as a
-// record. A hint must not read as one — for one hinted key its bytes would
-// be a stamp far above any clock's — so a fresh versioned write to the
-// holder still skips reading what is stored.
+// raises the floor of its key's stripe on the holder to the stamp of any
+// value that reads as a record. A hint must not read as one — for one
+// hinted key its bytes would be a stamp far above any clock's — so fresh
+// versioned writes to the holder, one in every stripe and so one in the
+// hint key's, still skip reading what is stored.
 func TestParkedHintKeepsStampFloor(t *testing.T) {
 	ctx := context.Background()
 	var engines []*stampReadCounter
@@ -123,18 +122,24 @@ func TestParkedHintKeepsStampFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	freshWriteReads := func(i int) bool {
+	// freshWritesRead writes keys fresh-from … fresh-(from+n-1) in one
+	// batch and reports whether any of them read its stored stamp.
+	freshWritesRead := func(from, n int) bool {
 		t.Helper()
-		rec := Record{Version: rt.clock.Next(), Value: []byte("fresh")}
+		value := Record{Version: rt.clock.Next(), Value: []byte("fresh")}.Encode()
+		ops := make([]kvnet.BatchOp, n)
+		for i := range ops {
+			ops[i] = kvnet.BatchOp{Key: []byte(fmt.Sprintf("fresh-%d", from+i)), Value: value}
+		}
 		before := e.reads.Load()
-		if n, err := c.WriteVersioned(ctx, []kvnet.BatchOp{{Key: []byte(fmt.Sprintf("fresh-%d", i)), Value: rec.Encode()}}); err != nil || n != 1 {
-			t.Fatalf("fresh write %d applied %d puts, %v", i, n, err)
+		if applied, err := c.WriteVersioned(ctx, ops); err != nil || applied != n {
+			t.Fatalf("fresh writes from %d applied %d of %d puts, %v", from, applied, n, err)
 		}
 		return e.reads.Load() != before
 	}
 	// The holder scans for its floor in the background; until then every
 	// write reads.
-	for i, deadline := 0, time.Now().Add(10*time.Second); freshWriteReads(i); i++ {
+	for i, deadline := 0, time.Now().Add(10*time.Second); freshWritesRead(i, 1); i++ {
 		if time.Now().After(deadline) {
 			t.Fatal("fresh writes never stopped reading their stored stamp")
 		}
@@ -151,7 +156,8 @@ func TestParkedHintKeepsStampFloor(t *testing.T) {
 	if _, err := c.Get(ctx, key); err != nil {
 		t.Fatalf("the hint is not on the holder: %v", err)
 	}
-	if freshWriteReads(-1) {
+	// 4096 keys fall in every one of the holder's 256 stripes.
+	if freshWritesRead(1<<20, 4096) {
 		t.Error("a fresh versioned write read its stored stamp after a hint was parked on the node")
 	}
 }

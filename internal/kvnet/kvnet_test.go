@@ -316,7 +316,7 @@ func TestVersionedWriteKeepsHighestStamp(t *testing.T) {
 // TestVersionedWriteOverStoredRecords: a server started over records it
 // did not write — another server's, or its own plain puts — holds every
 // versioned write to them to their stamps, though fresh writes skip reading
-// what is stored (see stampFloor).
+// what is stored (see stampFloors).
 func TestVersionedWriteOverStoredRecords(t *testing.T) {
 	ctx := context.Background()
 	db, err := lsm.Open(t.TempDir(), lsm.Options{})
@@ -362,7 +362,7 @@ func TestVersionedWriteOverStoredRecords(t *testing.T) {
 
 // slowScan is an engine whose scans of the whole keyspace wait until
 // released or cancelled: a node holding more than a request's deadline can
-// scan. It counts the one-key scans that read a stored stamp.
+// scan. It counts the point reads that read a stored stamp.
 type slowScan struct {
 	*lsm.DB
 	release    chan struct{}
@@ -376,10 +376,13 @@ func (e *slowScan) RangeContext(ctx context.Context, start, end []byte, fn func(
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-	} else {
-		e.stampReads.Add(1)
 	}
 	return e.DB.RangeContext(ctx, start, end, fn)
+}
+
+func (e *slowScan) GetContext(ctx context.Context, key []byte) ([]byte, error) {
+	e.stampReads.Add(1)
+	return e.DB.GetContext(ctx, key)
 }
 
 // TestVersionedWriteDoesNotWaitForFloor: a server whose scan for the stamp
@@ -443,6 +446,78 @@ func TestVersionedWriteDoesNotWaitForFloor(t *testing.T) {
 	}
 	if n := versioned("k", 4); n != 0 {
 		t.Fatalf("k at stamp 4 over the stored 5 applied %d puts once the floor is known", n)
+	}
+}
+
+// TestVersionedWriteReadsOnlyBelowItsStripe: once the stamp floors are
+// known, a versioned put reads its key's stored stamp only when it is
+// stamped at or below its own stripe's floor. Two writers whose stamps
+// reach keys of different stripes out of order read nothing; a put at or
+// below its stripe's floor reads once, and is dropped if it does not beat
+// the stored stamp, applied if it does.
+func TestVersionedWriteReadsOnlyBelowItsStripe(t *testing.T) {
+	db, err := lsm.Open(t.TempDir(), lsm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	e := &slowScan{DB: db, release: make(chan struct{})}
+	close(e.release)
+	srv := NewServer(e)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	var writers [2]*Client
+	for i := range writers {
+		if writers[i], err = Dial(ln.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		defer writers[i].Close()
+	}
+	// a and a2 share a stripe; b is in another.
+	a := []byte("a")
+	var a2, b []byte
+	for i := 0; a2 == nil || b == nil; i++ {
+		k := []byte(fmt.Sprintf("k%d", i))
+		switch {
+		case stripeOf(k) != stripeOf(a):
+			b = k
+		case a2 == nil:
+			a2 = k
+		}
+	}
+	ctx := context.Background()
+	write := func(w int, key []byte, stamp uint64, applied int, reads int64) {
+		t.Helper()
+		before := e.stampReads.Load()
+		n, err := writers[w].WriteVersioned(ctx, []BatchOp{{Key: key, Value: stamped(stamp, "")}})
+		if err != nil || n != applied {
+			t.Fatalf("writer %d: %s at stamp %d applied %d puts, %v; want %d", w, key, stamp, n, err, applied)
+		}
+		if got := e.stampReads.Load() - before; got != reads {
+			t.Fatalf("writer %d: %s at stamp %d read %d stored stamps, want %d", w, key, stamp, got, reads)
+		}
+	}
+	write(0, a, 1, 1, 1) // the floors are unknown until the scan it starts ends
+	for deadline := time.Now().Add(10 * time.Second); !srv.stamps.known.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stamp floors never became known")
+		}
+	}
+	write(0, a, 10, 1, 0)
+	write(1, b, 5, 1, 0) // below a's stripe, above its own
+	write(1, a, 7, 0, 1)
+	write(0, a, 10, 0, 1)
+	write(0, a2, 9, 1, 1) // nothing stored under a2
+	write(1, a2, 11, 1, 0)
+	for key, want := range map[string]uint64{"a": 10, string(a2): 11, string(b): 5} {
+		v, err := db.GetContext(ctx, []byte(key))
+		if stamp, _ := RecordStamp(v); err != nil || stamp != want {
+			t.Errorf("%s holds stamp %d, %v; want %d", key, stamp, err, want)
+		}
 	}
 }
 

@@ -81,10 +81,10 @@ type Server struct {
 	openSnapshots atomic.Int64
 	leaseExpiries atomic.Uint64
 
-	// stamps serialise versioned writes per key, and floor lets most of
-	// them skip reading the stamp they must beat (see writeVersioned).
-	stamps stampLocks
-	floor  stampFloor
+	// stamps serialise versioned writes per key, and their floors let
+	// most of them skip reading the stamp they must beat (see
+	// writeVersioned).
+	stamps stampFloors
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -495,7 +495,7 @@ func (w *worker) execute(ctx context.Context, payload, out []byte) []byte {
 			if del {
 				w.batch.Delete(key)
 			} else {
-				w.c.s.floor.raise(value)
+				w.c.s.stamps.raise(key, value)
 				w.batch.Put(key, value)
 			}
 		})
@@ -510,7 +510,7 @@ func (w *worker) execute(ctx context.Context, payload, out []byte) []byte {
 	}
 	switch req.Op {
 	case OpPut:
-		w.c.s.floor.raise(req.Value)
+		w.c.s.stamps.raise(req.Key, req.Value)
 		return appendResult(out, okValue, db.PutContext(ctx, req.Key, req.Value))
 	case OpGet:
 		v, err := db.GetContext(ctx, req.Key)

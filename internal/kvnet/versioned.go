@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -11,71 +12,76 @@ import (
 	"sync/atomic"
 )
 
-// stampStripes is how many locks a server hashes the keys of versioned
+// stampStripes is how many stripes a server hashes the keys of versioned
 // writes over: enough that concurrent writes to different keys rarely
 // share one.
 const stampStripes = 256
 
-// stampLocks serialise a server's versioned writes per key, striped: the
-// check of a key's stored stamp and the write that beats it happen under
-// one lock, so two writes to the key cannot both pass the check against
-// the same stored record.
-type stampLocks [stampStripes]sync.Mutex
+// stampStripe is one stripe of a server's keys. Its lock serialises the
+// versioned writes to them: the check of a key's stored stamp and the write
+// that beats it happen under one lock, so two writes to the key cannot both
+// pass the check against the same stored record. Its floor is at least the
+// stamp of every record the engine holds under the stripe's keys, so a
+// versioned put stamped above it cannot lose and skips reading its key's
+// stored stamp: the common case, a fresh write, even when another
+// router's writes to other stripes are stamped higher.
+type stampStripe struct {
+	sync.Mutex
+	floor atomic.Uint64
+}
 
-// stampFloor is at least the stamp of every record the engine holds, so a
-// versioned put stamped above it cannot lose and skips the read of its
-// key's stored stamp: the common case, a fresh write. One scan of the
-// engine finds it, started in the background at the first versioned write
-// (a server that never takes one never scans); until the scan has finished
-// every versioned put reads its stored stamp, so no write waits for the
-// scan. Every put the server applies raises the floor before it lands (a
+// stampFloors are a server's stripes. One scan of the engine finds their
+// floors, started in the background at the first versioned write (a server
+// that never takes one never scans); until the scan has finished every
+// versioned put reads its stored stamp, so no write waits for the scan.
+// Every put the server applies raises its key's floor before it lands (a
 // write that fails may have landed all the same). That assumes the server
 // is the engine's only writer, as a cluster node's is.
-type stampFloor struct {
+type stampFloors struct {
+	stripes        [stampStripes]stampStripe
 	started, known atomic.Bool
-	v              atomic.Uint64
 }
 
-// raise lifts the floor to the stamp of value, if value is a record.
-func (f *stampFloor) raise(value []byte) {
-	if stamp, ok := RecordStamp(value); ok {
-		f.raiseTo(stamp)
+// raise lifts the floor of key's stripe to the stamp of value, if value is
+// a record.
+func (f *stampFloors) raise(key, value []byte) {
+	stamp, ok := RecordStamp(value)
+	if !ok {
+		return
+	}
+	fl := &f.stripes[stripeOf(key)].floor
+	for v := fl.Load(); stamp > v && !fl.CompareAndSwap(v, stamp); v = fl.Load() {
 	}
 }
 
-func (f *stampFloor) raiseTo(stamp uint64) {
-	for v := f.v.Load(); stamp > v && !f.v.CompareAndSwap(v, stamp); v = f.v.Load() {
+// floor returns the floor of key's stripe, or the largest stamp while the
+// floors are unknown: no put is then stamped above it.
+func (f *stampFloors) floor(key []byte) uint64 {
+	if !f.known.Load() {
+		return math.MaxUint64
 	}
+	return f.stripes[stripeOf(key)].floor.Load()
 }
 
-// findFloor starts the scan for the stamp floor, the first time it is
+// findFloor starts the scan for the stamp floors, the first time it is
 // called: in the background and under the server's own context, so no
 // request waits for it and no request's cancellation stops it. If the scan
-// fails the floor stays unknown, and every versioned put goes on reading
+// fails the floors stay unknown, and every versioned put goes on reading
 // its stored stamp. Callers serve a request, so s.wg is above zero.
 func (s *Server) findFloor() {
-	f := &s.floor
+	f := &s.stamps
 	if f.started.Load() || !f.started.CompareAndSwap(false, true) {
 		return
 	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		err := s.db.RangeContext(s.baseCtx, nil, nil, func(_, value []byte) error {
-			f.raise(value)
+		err := s.db.RangeContext(s.baseCtx, nil, nil, func(key, value []byte) error {
+			f.raise(key, value)
 			return nil
 		})
 		f.known.Store(err == nil)
 	}()
-}
-
-// get returns the floor, or the largest stamp while it is unknown: no put
-// is then stamped above it.
-func (f *stampFloor) get() uint64 {
-	if !f.known.Load() {
-		return math.MaxUint64
-	}
-	return f.v.Load()
 }
 
 // stripeOf hashes key (FNV-1a) onto a stripe.
@@ -90,27 +96,23 @@ func stripeOf(key []byte) uint16 {
 
 // versioned is a worker's scratch for OpVersionedWrite, kept from request
 // to request so that one allocates nothing in the steady state: the
-// batch's puts, the stripes they lock, the one-key scan that reads a
-// stored stamp — its exclusive end, its result and its callback, bound
-// once — and the encoded count of puts applied.
+// batch's puts, the stripes they lock and the encoded count of puts
+// applied.
 type versioned struct {
-	applied     []byte
-	ops         []BatchOp
-	stripes     []uint16
-	end         []byte
-	stamp       uint64
-	readStampFn func(key, value []byte) error
+	applied []byte
+	ops     []BatchOp
+	stripes []uint16
 }
 
 // writeVersioned serves OpVersionedWrite. It takes the stripe locks of the
 // batch's keys in stripe order, so two batches never wait on each other in
 // a cycle. Under them it drops every put that does not beat its key's
 // stored stamp, and of several puts of one key all but the highest
-// stamped; the rest go to the engine as one batch. A put stamped above the
-// floor beats whatever is stored; for any other the stored stamp is read,
-// with a scan of [key, key+"\x00"): Engine has no point read that does not
-// copy the value, and a stored value that is not a record counts as stamp
-// 0. It returns how many puts it applied.
+// stamped; the rest go to the engine as one batch. A put stamped above its
+// stripe's floor beats whatever is stored; for any other the stored stamp
+// is read (see storedStamp). The floors rise only once every put is
+// decided: a put applied here must not send a later put of the batch to
+// read what is not yet stored. It returns how many puts it applied.
 func (w *worker) writeVersioned(ctx context.Context, body []byte) (int, error) {
 	v := &w.versioned
 	v.ops = v.ops[:0]
@@ -135,11 +137,11 @@ func (w *worker) writeVersioned(ctx context.Context, body []byte) (int, error) {
 	slices.Sort(v.stripes)
 	v.stripes = slices.Compact(v.stripes)
 	for _, i := range v.stripes {
-		s.stamps[i].Lock()
+		s.stamps.stripes[i].Lock()
 	}
 	defer func() {
 		for _, i := range v.stripes {
-			s.stamps[i].Unlock()
+			s.stamps.stripes[i].Unlock()
 		}
 	}()
 
@@ -151,15 +153,14 @@ func (w *worker) writeVersioned(ctx context.Context, body []byte) (int, error) {
 		sb, _ := RecordStamp(b.Value)
 		return cmp.Compare(sa, sb)
 	})
-	w.batch.Reset()
-	floor, top := s.floor.get(), uint64(0)
+	n := 0
 	for i, op := range v.ops {
 		if i+1 < len(v.ops) && bytes.Equal(op.Key, v.ops[i+1].Key) {
 			continue // the next put of the key stamps at least as high
 		}
 		stamp, _ := RecordStamp(op.Value)
-		if stamp <= floor {
-			stored, err := w.storedStamp(ctx, op.Key)
+		if stamp <= s.stamps.floor(op.Key) {
+			stored, err := s.storedStamp(ctx, op.Key)
 			if err != nil {
 				return 0, err
 			}
@@ -167,33 +168,30 @@ func (w *worker) writeVersioned(ctx context.Context, body []byte) (int, error) {
 				continue
 			}
 		}
-		w.batch.Put(op.Key, op.Value)
-		top = max(top, stamp)
+		v.ops[n] = op
+		n++
 	}
-	if w.batch.Empty() {
+	if n == 0 {
 		return 0, nil
 	}
-	s.floor.raiseTo(top)
+	w.batch.Reset()
+	for _, op := range v.ops[:n] {
+		s.stamps.raise(op.Key, op.Value)
+		w.batch.Put(op.Key, op.Value)
+	}
 	if err := s.db.WriteContext(ctx, &w.batch); err != nil {
 		return 0, err
 	}
-	return w.batch.Len(), nil
+	return n, nil
 }
 
-// storedStamp returns the stamp of the record the engine holds under key,
-// 0 if none.
-func (w *worker) storedStamp(ctx context.Context, key []byte) (uint64, error) {
-	v := &w.versioned
-	if v.readStampFn == nil {
-		v.readStampFn = w.readStamp
+// storedStamp returns the stamp of the record the engine holds under key:
+// 0 if it holds none, or a value that is not a record.
+func (s *Server) storedStamp(ctx context.Context, key []byte) (uint64, error) {
+	value, err := s.db.GetContext(ctx, key)
+	if errors.Is(err, ErrNotFound) {
+		return 0, nil
 	}
-	v.end = append(append(v.end[:0], key...), 0)
-	v.stamp = 0
-	err := w.c.s.db.RangeContext(ctx, key, v.end, v.readStampFn)
-	return v.stamp, err
-}
-
-func (w *worker) readStamp(_, value []byte) error {
-	w.versioned.stamp, _ = RecordStamp(value)
-	return nil
+	stamp, _ := RecordStamp(value)
+	return stamp, err
 }

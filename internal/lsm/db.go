@@ -632,7 +632,7 @@ func (db *DB) GetContext(ctx context.Context, key []byte) ([]byte, error) {
 		return nil, err
 	}
 	defer v.unpin()
-	val, bad, err := v.get(ctx, key)
+	val, bad, err := v.get(ctx, key, skiplist.MaxSeq)
 	if err != nil && bad != nil && errors.Is(err, ErrCorrupt) {
 		// A checksum mismatch in one table must not wedge the engine:
 		// quarantine the damaged file (rename aside, drop from the view)
@@ -657,23 +657,31 @@ func (db *DB) Flush() error {
 }
 
 // acquireSnapshot captures a consistent read state without touching
-// db.mu: it pins the published view, registers on the view's memtable and
-// takes its sequence bound under applyMu's read side (so a concurrent
-// group commit lies wholly above or wholly below the bound), and retains
-// the view's memtables and its tables narrowed to [start, end), appending
-// the tables to tables. The caller must release the state.
+// db.mu (see pinAt): the published view's memtables and its tables
+// narrowed to [start, end), the tables appended to tables. The caller must
+// release the state.
 func (db *DB) acquireSnapshot(tables []*tableHandle, start, end []byte) (readState, error) {
-	v, err := db.pinView()
+	v, bound, err := db.pinAt()
 	if err != nil {
 		return readState{}, err
 	}
 	defer v.unpin()
+	return v.state(bound, tables, start, end), nil
+}
+
+// pinAt pins the published view and registers on its memtable, taking its
+// sequence bound under applyMu's read side, so a concurrent group commit
+// lies wholly above or wholly below the bound. The caller owns the pin and
+// the registration.
+func (db *DB) pinAt() (*readView, uint64, error) {
+	v, err := db.pinView()
+	if err != nil {
+		return nil, 0, err
+	}
 	db.applyMu.RLock()
 	bound := v.mem.Pin()
 	db.applyMu.RUnlock()
-	v.mem.Retain()
-	v.imm.Retain()
-	return readState{mem: v.mem, bound: bound, imm: v.imm, tables: retainOverlapping(tables, v.tables, start, end)}, nil
+	return v, bound, nil
 }
 
 // rangeCtxCheckEvery is how many merged entries a context-aware scan loop

@@ -237,7 +237,7 @@ func TestPinnedMemtableStillFlushes(t *testing.T) {
 	if st := pinned.Stats(); st.Flushes != 0 {
 		t.Errorf("snapshot open, no other reader: %d flushes, want 0", st.Flushes)
 	}
-	if got, want := snap.rs.mem.SizeBytes(), one+9+len("before"); got != want {
+	if got, want := snap.view.mem.SizeBytes(), one+9+len("before"); got != want {
 		t.Errorf("snapshot open, no other reader: memtable holds %d bytes, want %d (the snapshot's version and the live one)", got, want)
 	}
 
@@ -255,7 +255,7 @@ func TestPinnedMemtableStillFlushes(t *testing.T) {
 	if st := pinned.Stats(); st.Flushes != 1 {
 		t.Errorf("snapshot open, a scan per write: %d flushes, want exactly 1 (the pinned memtable reaching %d bytes)", st.Flushes, memtableBytes)
 	}
-	if got := snap.rs.mem.SizeBytes(); got < memtableBytes || got > memtableBytes+2*(len(val)+9) {
+	if got := snap.view.mem.SizeBytes(); got < memtableBytes || got > memtableBytes+2*(len(val)+9) {
 		t.Errorf("pinned memtable holds %d bytes, want just past the %d threshold", got, memtableBytes)
 	}
 	if v, err := snap.Get(key); err != nil || string(v) != "before" {

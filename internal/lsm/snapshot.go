@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/iterator"
-	"repro/internal/keyhash"
 	"repro/internal/memtable"
 	"repro/internal/skiplist"
 	"repro/internal/sstable"
@@ -28,16 +27,6 @@ type readState struct {
 	tables []*tableHandle
 }
 
-// getMem is the point read of the state's memtables: the newest version of
-// key as of the state, if they hold one.
-func (rs readState) getMem(key []byte) (iterator.Entry, bool) {
-	e, ok := rs.mem.GetAt(key, rs.bound)
-	if !ok && rs.imm != nil {
-		e, ok = rs.imm.Get(key)
-	}
-	return e, ok
-}
-
 func (rs readState) release() {
 	rs.mem.Unpin()
 	rs.mem.Release()
@@ -48,19 +37,11 @@ func (rs readState) release() {
 // retainOverlapping retains the tables whose key range intersects
 // [start, end) and appends them to dst, in the order given. With both
 // bounds open that is every table, empty ones included: a whole-keyspace
-// snapshot probes by key and keeps the full set. A range of one key,
-// [k, k+"\x00") — how a kvnet server reads a stored record's stamp —
-// also skips the tables whose Bloom filter rules k out (a raw probe,
-// counted nowhere), so it seeks only where k may be.
+// snapshot probes by key and keeps the full set.
 func retainOverlapping(dst, tables []*tableHandle, start, end []byte) []*tableHandle {
 	dst = slices.Grow(dst, len(tables))
-	oneKey := len(end) == len(start)+1 && end[len(start)] == 0 && bytes.HasPrefix(end, start)
-	var h keyhash.Hash
-	if oneKey {
-		h = keyhash.Of(start)
-	}
 	for _, th := range tables {
-		if start == nil && end == nil || th.overlaps(start, end) && (!oneKey || th.rd.MayContainHash(h)) {
+		if start == nil && end == nil || th.overlaps(start, end) {
 			th.retain()
 			dst = append(dst, th)
 		}
@@ -174,21 +155,18 @@ func (sc *scan) Err() error {
 	return nil
 }
 
-// Snapshot is a consistent point-in-time read view of one DB: the memtable
-// as of a sequence bound, a frozen memtable awaiting its flush, plus the
-// then-live sstables, held alive by a
-// reader registration and reference counts. Writes, flushes and
-// compactions after the acquisition are invisible through it. Taking one
-// costs O(tables) whatever the memtable holds; until it is released its
-// memtable stays in memory, the versions it sees there stay linked and
-// count toward the flush threshold once superseded, and superseded sstable
-// files are not deleted. A Snapshot is safe for concurrent use and must be Released
-// exactly once.
+// Snapshot is a consistent point-in-time read view of one DB: the read
+// view that was published when it was taken, pinned, with the sequence
+// bound under which it reads the view's memtable, where it holds a reader
+// registration. Writes, flushes and compactions after the acquisition are
+// invisible through it. Taking one costs O(1) whatever the memtable and
+// the table set hold; until it is released its memtable stays in memory,
+// the versions it sees there stay linked and count toward the flush
+// threshold once superseded, and superseded sstable files are not deleted.
+// A Snapshot is safe for concurrent use and must be Released exactly once.
 type Snapshot struct {
-	rs readState
-	// byseq is the state's table set sorted by descending maxSeq, the
-	// probe order point lookups use for pruning and early exit.
-	byseq []*tableHandle
+	view  *readView
+	bound uint64
 	// mu makes reads atomic with Release: a reader in Get (or deriving the
 	// state of a new iterator) holds the read lock, so Release cannot drop
 	// the references out from under it.
@@ -197,14 +175,14 @@ type Snapshot struct {
 }
 
 // Snapshot captures a point-in-time view of the whole key space without
-// touching the store lock: the memtable is pinned at its current sequence
-// bound and the sstables are retained by reference; nothing is copied.
+// touching the store lock: the published view is pinned and its memtable
+// registered at its current sequence bound; nothing is copied.
 func (db *DB) Snapshot() (*Snapshot, error) {
-	rs, err := db.acquireSnapshot(nil, nil, nil)
+	v, bound, err := db.pinAt()
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{rs: rs, byseq: sortByMaxSeq(rs.tables)}, nil
+	return &Snapshot{view: v, bound: bound}, nil
 }
 
 // SnapshotView is the read surface of a point-in-time snapshot, the part
@@ -225,8 +203,8 @@ func (db *DB) SnapshotView() (SnapshotView, error) {
 	return s, nil
 }
 
-// Release drops the snapshot's memtable registration and table references;
-// the last release of a superseded table closes and deletes it. Further
+// Release drops the snapshot's memtable registration and view pin; the
+// last release of a superseded table closes and deletes it. Further
 // reads through the snapshot return ErrClosed. Release is idempotent, and
 // a release concurrent with a read waits for the read to finish.
 func (s *Snapshot) Release() {
@@ -234,31 +212,23 @@ func (s *Snapshot) Release() {
 	defer s.mu.Unlock()
 	if !s.released {
 		s.released = true
-		s.rs.release()
+		s.view.mem.Unpin()
+		s.view.unpin()
 	}
 }
 
-// Get returns the value stored for key as of the snapshot, or ErrNotFound.
-// The lookup mirrors DB.GetContext: the memtable as of the snapshot's
-// bound wins if it holds any version of the key; otherwise the snapshot's
-// sstables are probed in descending max-sequence order with key-range
-// pruning and early exit.
+// Get returns the value stored for key as of the snapshot, or ErrNotFound:
+// DB.GetContext's lookup, reading the memtable under the snapshot's bound.
 func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.released {
 		return nil, ErrClosed
 	}
-	if e, ok := s.rs.getMem(key); ok {
-		if e.Tombstone {
-			return nil, ErrNotFound
-		}
-		return append([]byte(nil), e.Value...), nil
-	}
 	// The offending table of a failed probe is dropped here: a snapshot
 	// has no DB to quarantine through, and its caller still gets the
 	// typed corruption error.
-	val, _, err := probeTables(context.Background(), s.byseq, key)
+	val, _, err := s.view.get(context.Background(), key, s.bound)
 	return val, err
 }
 
@@ -279,8 +249,6 @@ func (s *Snapshot) acquireSnapshot(tables []*tableHandle, start, end []byte) (re
 	if s.released {
 		return readState{}, ErrClosed
 	}
-	s.rs.mem.Pin()
-	s.rs.mem.Retain()
-	s.rs.imm.Retain()
-	return readState{mem: s.rs.mem, bound: s.rs.bound, imm: s.rs.imm, tables: retainOverlapping(tables, s.rs.tables, start, end)}, nil
+	s.view.mem.Pin()
+	return s.view.state(s.bound, tables, start, end), nil
 }

@@ -20,8 +20,9 @@ package lsm
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/cache"
@@ -78,16 +79,6 @@ func (v *readView) unpin() {
 	}
 }
 
-// sortByMaxSeq returns tables ordered by descending maxSeq (stable, so
-// equal-seq tables keep their set order). The probe loop relies on this
-// order for its early exit.
-func sortByMaxSeq(tables []*tableHandle) []*tableHandle {
-	byseq := make([]*tableHandle, len(tables))
-	copy(byseq, tables)
-	sort.SliceStable(byseq, func(i, j int) bool { return byseq[i].maxSeq > byseq[j].maxSeq })
-	return byseq
-}
-
 // installViewLocked publishes the DB's current (mem, imm, tables) as the read
 // view, retaining every table and memtable on the new view's behalf and
 // dropping the previous view's publisher reference. Callers hold db.mu; the
@@ -100,7 +91,10 @@ func (db *DB) installViewLocked() {
 	}
 	db.mem.Retain()
 	db.imm.Retain()
-	v := &readView{mem: db.mem, imm: db.imm, tables: tables, byseq: sortByMaxSeq(tables)}
+	// Stable, so equal-seq tables keep their set order.
+	byseq := slices.Clone(tables)
+	slices.SortStableFunc(byseq, func(a, b *tableHandle) int { return cmp.Compare(b.maxSeq, a.maxSeq) })
+	v := &readView{mem: db.mem, imm: db.imm, tables: tables, byseq: byseq}
 	v.refs.Store(1)
 	if old := db.view.Swap(v); old != nil {
 		old.unpin()
@@ -131,12 +125,12 @@ func (db *DB) pinView() (*readView, error) {
 	}
 }
 
-// get serves a point read against the pinned view: memtable first (the
-// newest version of a key lives there if anywhere), then the frozen one,
-// then the sstables in descending max-sequence order with key-range pruning
-// and early exit.
-func (v *readView) get(ctx context.Context, key []byte) ([]byte, *tableHandle, error) {
-	e, ok := v.mem.Get(key)
+// get serves a point read against the pinned view: memtable first, as of
+// bound (the newest version of a key lives there if anywhere), then the
+// frozen one, then the sstables in descending max-sequence order with
+// key-range pruning and early exit.
+func (v *readView) get(ctx context.Context, key []byte, bound uint64) ([]byte, *tableHandle, error) {
+	e, ok := v.mem.GetAt(key, bound)
 	if !ok && v.imm != nil {
 		e, ok = v.imm.Get(key)
 	}
@@ -148,6 +142,16 @@ func (v *readView) get(ctx context.Context, key []byte) ([]byte, *tableHandle, e
 		return append([]byte(nil), e.Value...), nil, nil
 	}
 	return probeTables(ctx, v.byseq, key)
+}
+
+// state is a read state over the view as of bound, for a reader that holds
+// a registration on the view's memtable: it retains the memtables and the
+// tables overlapping [start, end), appending those to tables. The
+// registration passes to the state.
+func (v *readView) state(bound uint64, tables []*tableHandle, start, end []byte) readState {
+	v.mem.Retain()
+	v.imm.Retain()
+	return readState{mem: v.mem, bound: bound, imm: v.imm, tables: retainOverlapping(tables, v.tables, start, end)}
 }
 
 // probeTables resolves the newest version of key across tables, which

@@ -282,8 +282,8 @@ func TestPinnedViewFrozenAndReleasedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preFiles := make([]string, len(snap.rs.tables))
-	for i, th := range snap.rs.tables {
+	preFiles := make([]string, len(snap.view.tables))
+	for i, th := range snap.view.tables {
 		preFiles[i] = th.name
 	}
 	if len(preFiles) != 3 {
@@ -306,7 +306,7 @@ func TestPinnedViewFrozenAndReleasedOnce(t *testing.T) {
 	if v, err := snap.Get([]byte("key-007")); err != nil || string(v) != "t2" {
 		t.Fatalf("snapshot Get after compaction = %q, %v; want the frozen t2", v, err)
 	}
-	for i, th := range snap.rs.tables {
+	for i, th := range snap.view.tables {
 		if th.name != preFiles[i] {
 			t.Fatalf("snapshot table set changed: %s became %s", preFiles[i], th.name)
 		}
@@ -347,7 +347,7 @@ func TestPinnedViewFrozenAndReleasedOnce(t *testing.T) {
 			t.Fatalf("obsolete table %s not deleted after last release (err=%v)", name, err)
 		}
 	}
-	for _, th := range snap.rs.tables {
+	for _, th := range snap.view.tables {
 		if refs := th.refs.Load(); refs != 0 {
 			t.Fatalf("table %s has %d refs after final release, want 0", th.name, refs)
 		}

@@ -382,7 +382,7 @@ func TestStressHoldsNewerIgnoresResidency(t *testing.T) {
 		holds := func(key []byte, seq uint64) bool {
 			at := src.reads
 			held := rd.HoldsNewer(key, keyhash.Of(key), seq)
-			if src.reads != at && !rd.MayContainHash(keyhash.Of(key)) {
+			if src.reads != at && !rd.filter.MayContainHash(keyhash.Of(key)) {
 				t.Fatalf("%s: %q, which the filter rejects, read the table", when, key)
 			}
 			return held

@@ -373,11 +373,6 @@ func (rd *Reader) findBlockForKey(key []byte) (blockHandle, bool, error) {
 	return handles[bi], true, nil
 }
 
-// MayContainHash reports whether the table's Bloom filter lets through the
-// key h is keyhash.Of of: false means the table does not hold the key. It
-// counts nothing in the FilterMetrics.
-func (rd *Reader) MayContainHash(h keyhash.Hash) bool { return rd.filter.MayContainHash(h) }
-
 // HoldsNewer reports whether the table holds key (h is keyhash.Of(key)) at a
 // sequence number above seq: the purge test of a merge (see MergeTo), whose
 // answer is a function of the table alone, whatever the cache holds. The
@@ -391,7 +386,7 @@ func (rd *Reader) HoldsNewer(key []byte, h keyhash.Hash, seq uint64) bool {
 	b := &rd.bounds
 	if rd.f.entryCount == 0 || b.MaxSeq <= seq ||
 		bytes.Compare(key, b.Smallest) < 0 || bytes.Compare(key, b.Largest) > 0 ||
-		!rd.MayContainHash(h) {
+		!rd.filter.MayContainHash(h) {
 		return false
 	}
 	bh, ok, err := rd.findBlockForKey(key)
