@@ -139,8 +139,8 @@ func nodeState(t *testing.T, addr string) (replicaState, error) {
 		return nil, err
 	}
 	defer c.Close()
-	st, err := c.Stream(context.Background(), nil, nil)
-	if err != nil {
+	st := new(kvnet.Stream)
+	if err := c.OpenStream(context.Background(), st, nil, nil); err != nil {
 		return nil, err
 	}
 	defer st.Close()

@@ -161,7 +161,7 @@ func (it *Iterator) advance() {
 }
 
 func (it *Iterator) step(st *kvnet.Stream) {
-	if st.Next(); st.Err() != nil {
+	if st.Next(); !st.Valid() && st.Err() != nil {
 		it.lose(st.Err())
 		st.Close()
 	}

@@ -95,8 +95,8 @@ func TestScanPrefixAndLimit(t *testing.T) {
 		}
 	}
 	// A prefix scan is the range from the prefix to its successor.
-	st, err := c.Stream(context.Background(), []byte("a:"), []byte("a;"))
-	if err != nil {
+	st := new(Stream)
+	if err := c.OpenStream(context.Background(), st, []byte("a:"), []byte("a;")); err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
@@ -114,8 +114,8 @@ func TestScanPrefixAndLimit(t *testing.T) {
 	}
 	// A limit is the caller's: read ten entries and close the stream; the
 	// connection carries on.
-	st, err = c.Stream(context.Background(), nil, nil)
-	if err != nil {
+	st = new(Stream)
+	if err := c.OpenStream(context.Background(), st, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for n = 0; n < 10 && st.Valid(); st.Next() {

@@ -123,8 +123,8 @@ func TestSharedClientManyInFlight(t *testing.T) {
 					continue
 				}
 				// This goroutine's keys, and only they, in order.
-				st, err := c.Stream(ctx, []byte(prefix), []byte(fmt.Sprintf("g%02d.", g)))
-				if err != nil {
+				st := new(Stream)
+				if err := c.OpenStream(ctx, st, []byte(prefix), []byte(fmt.Sprintf("g%02d.", g))); err != nil {
 					t.Errorf("%s: Stream: %v", prefix, err)
 					return
 				}
@@ -269,8 +269,8 @@ func TestLeaseReapsAbandonedHandles(t *testing.T) {
 	c := serve(t, srv)
 	ctx := context.Background()
 
-	st, err := c.Stream(ctx, nil, nil) // 500 entries > the first grant: the scan parks
-	if err != nil {
+	st := new(Stream) // 500 entries > the first grant: the scan parks
+	if err := c.OpenStream(ctx, st, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
@@ -302,8 +302,8 @@ func TestLeaseReapsAbandonedHandles(t *testing.T) {
 	if _, err := snap.Get(ctx, []byte("k000001")); !errors.Is(err, kverr.ErrClosed) {
 		t.Errorf("Get through a reaped snapshot = %v, want ErrClosed", err)
 	}
-	if _, err := snap.Stream(ctx, nil, nil); !errors.Is(err, kverr.ErrClosed) {
-		t.Errorf("Stream through a reaped snapshot = %v, want ErrClosed", err)
+	if err := snap.OpenStream(ctx, new(Stream), nil, nil); !errors.Is(err, kverr.ErrClosed) {
+		t.Errorf("OpenStream through a reaped snapshot = %v, want ErrClosed", err)
 	}
 	// The connection itself is fine.
 	if _, err := c.Get(ctx, []byte("k000001")); err != nil {
@@ -320,8 +320,8 @@ func TestHandlesReleasedOnClose(t *testing.T) {
 	c := serve(t, srv)
 	ctx := context.Background()
 
-	st, err := c.Stream(ctx, nil, nil)
-	if err != nil {
+	st := new(Stream)
+	if err := c.OpenStream(ctx, st, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := c.Snapshot(ctx)
@@ -338,7 +338,7 @@ func TestHandlesReleasedOnClose(t *testing.T) {
 		t.Errorf("Get through a released snapshot = %v, want ErrClosed", err)
 	}
 
-	if _, err := c.Stream(ctx, nil, nil); err != nil {
+	if err := c.OpenStream(ctx, new(Stream), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Snapshot(ctx); err != nil {
@@ -381,8 +381,8 @@ func TestSnapshotIsPointInTime(t *testing.T) {
 	if _, err := snap.Get(ctx, []byte("new")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("snapshot Get(written after) = %v, want ErrNotFound", err)
 	}
-	st, err := snap.Stream(ctx, nil, nil)
-	if err != nil {
+	st := new(Stream)
+	if err := snap.OpenStream(ctx, st, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
@@ -402,11 +402,11 @@ func TestSnapshotIsPointInTime(t *testing.T) {
 	if _, err := bare.Snapshot(ctx); !errors.Is(err, kverr.ErrConfig) {
 		t.Errorf("Snapshot on an engine without snapshots = %v, want ErrConfig", err)
 	}
-	if st, err := bare.Stream(ctx, nil, []byte("k000010")); err != nil || !st.Valid() {
-		t.Errorf("Stream on the same engine = %v", err)
-	} else {
-		st.Close()
+	bareSt := new(Stream)
+	if err := bare.OpenStream(ctx, bareSt, nil, []byte("k000010")); err != nil || !bareSt.Valid() {
+		t.Errorf("OpenStream on the same engine = %v", err)
 	}
+	bareSt.Close()
 }
 
 // TestStreamClientMemoryBounded: a full scan of a database far larger than
@@ -417,8 +417,8 @@ func TestStreamClientMemoryBounded(t *testing.T) {
 	const n = 30000 // ~3.3 MB of entries, 13x maxCredit
 	fill(t, db, n)
 	c := serve(t, NewServer(db))
-	st, err := c.Stream(context.Background(), nil, nil)
-	if err != nil {
+	st := new(Stream)
+	if err := c.OpenStream(context.Background(), st, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
@@ -471,7 +471,7 @@ func (c *lateCtx) Err() error {
 // mid-chunk serves what it already holds and then stops with the context's
 // error; it does not ask the server for another chunk, which could arrive
 // before the expiry is noticed and be served instead. The "late" case is
-// that race lost for good: only Stream.Next's own context check can
+// that race lost for good: only the stream's own check before a grant can
 // surface the abort, because await never sees Done.
 func TestCancelledStreamGrantsNoMoreCredit(t *testing.T) {
 	late := &lateCtx{Context: context.Background()}
@@ -491,8 +491,8 @@ func TestCancelledStreamGrantsNoMoreCredit(t *testing.T) {
 			fill(t, db, 2000)
 			srv := NewServer(db)
 			c := serve(t, srv)
-			st, err := c.Stream(tc.ctx, nil, nil)
-			if err != nil {
+			st := new(Stream)
+			if err := c.OpenStream(tc.ctx, st, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			defer st.Close()
@@ -516,27 +516,61 @@ func TestCancelledStreamGrantsNoMoreCredit(t *testing.T) {
 	}
 }
 
-// TestShortScanFetchesLittle: a scan closed after a few entries costs the
-// server one small chunk, not a page.
+// TestShortScanFetchesLittle: a scan closed after a few entries, or just
+// past its first chunk, costs the server that one small chunk. 37 of fill's
+// 109-byte entries fill the 4 KiB first grant, and the server reads one more
+// that did not fit. The bound is a literal, so a larger first grant fails; a
+// grant sent before the caller asks for the entry after the chunk costs the
+// server a whole second chunk.
 func TestShortScanFetchesLittle(t *testing.T) {
+	const limit = 38
 	db := openDB(t)
 	fill(t, db, 2000)
-	counting := countingEngine{Engine: db, produced: new(atomic.Int64)}
-	srv := NewServer(counting)
-	c := serve(t, srv)
-	st, err := c.Stream(context.Background(), []byte("k000100"), nil)
-	if err != nil {
-		t.Fatal(err)
+	first := func(n int) func(*Stream) int {
+		return func(st *Stream) int {
+			i := 0
+			for ; i < n && st.Valid(); i++ {
+				st.Next()
+			}
+			return i
+		}
 	}
-	for i := 0; i < 10 && st.Valid(); i++ {
-		st.Next()
-	}
-	st.Close()
-	waitFor(t, "the cancelled scan to end", func() bool { return srv.Stats().OpenStreams == 0 })
-	// One initial grant's worth, plus the entry that did not fit.
-	limit := int64(initialCredit/entrySize(make([]byte, 7), make([]byte, 100)) + 1)
-	if got := counting.produced.Load(); got > limit {
-		t.Errorf("server produced %d entries for a 10-entry scan, want <= %d", got, limit)
+	for _, tc := range []struct {
+		name  string
+		take  func(*Stream) int // takes entries and says how many
+		chunk bool              // took the whole first chunk and stepped past it
+	}{
+		{"10 entries", first(10), false},
+		{"30 entries", first(30), false},
+		{"the first chunk, then Next", func(st *Stream) int {
+			for i := 1; st.Valid(); i++ {
+				last := len(st.rest) == 0
+				if st.Next(); last {
+					return i
+				}
+			}
+			return 0
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			counting := countingEngine{Engine: db, produced: new(atomic.Int64)}
+			srv := NewServer(counting)
+			c := serve(t, srv)
+			st := new(Stream)
+			if err := c.OpenStream(context.Background(), st, []byte("k000100"), nil); err != nil {
+				t.Fatal(err)
+			}
+			took := tc.take(st)
+			st.Close()
+			waitFor(t, "the cancelled scan to end", func() bool { return srv.Stats().OpenStreams == 0 })
+			got := counting.produced.Load()
+			if got > limit {
+				t.Errorf("server produced %d entries for a %d-entry scan, want <= %d", got, took, limit)
+			}
+			if tc.chunk && got > int64(took)+1 {
+				t.Errorf("server produced %d entries for a scan that took its %d-entry first chunk, want <= %d", got, took, took+1)
+			}
+		})
 	}
 }
 

@@ -35,13 +35,17 @@
 // consistent read view end to end — and encodes entries into a chunk until
 // the next entry would exceed the credit; it then sends the chunk
 // (StatusChunk) and parks inside the scan. The client decodes the chunk in
-// place, and when its iterator has drained it sends OpCredit under the
-// stream's tag; the server resumes. The last chunk is a StatusOK entries
-// response, which retires the tag; an error response does too. The first
-// grant is initialCredit and each later grant doubles up to maxCredit, so a
-// short scan fetches little more than it reads, a long one runs in large
-// chunks, and the client never buffers more than maxCredit (or one entry,
-// if a single entry is larger). The server clamps a grant to maxCredit.
+// place. Stream.Next never waits on the network: once it has stepped past
+// a chunk's last entry, the next Valid, Key or Value sends OpCredit under
+// the stream's tag and waits for the next chunk, and an error surfaces
+// there. So a caller that stops after the entry it wanted grants nothing
+// more, and the server reads nothing more for it. The last chunk is a
+// StatusOK entries response, which retires the tag; an error response does
+// too. The first grant is initialCredit (4 KiB) and each later grant
+// doubles up to maxCredit (256 KiB), so a short scan fetches little more
+// than it reads, a long one runs in large chunks, and the client never
+// buffers more than maxCredit (or one entry, if a single entry is larger).
+// The server clamps a grant to maxCredit.
 // A stream's server state (credit slot, cancel signal, lease timer, bounds)
 // is recycled per connection, so a stream allocates nothing there. Cancel
 // is a flag the scan checks per entry plus a wake for a parked scan.
@@ -176,7 +180,7 @@ const MaxMessageSize = 32 << 20
 
 // Flow-control and lease constants; see the package comment.
 const (
-	initialCredit = 8 << 10
+	initialCredit = 4 << 10
 	maxCredit     = 256 << 10
 	handleLease   = time.Minute
 	// maxInFlight bounds the unary requests one connection executes at

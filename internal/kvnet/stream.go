@@ -10,7 +10,11 @@ import (
 // read view, and sends in credit-sized chunks (see the package comment).
 // Entries are decoded in place from the current chunk, so the stream holds
 // at most one chunk — never more than maxCredit bytes unless a single
-// entry is larger. It is not safe for concurrent use, and must be Closed.
+// entry is larger. Next never waits on the network: when it runs off the
+// end of a chunk, the next Valid, Key or Value grants the following one and
+// waits for it, so a caller that stops after its last entry costs the
+// server nothing more. It is not safe for concurrent use, and must be
+// Closed.
 type Stream struct {
 	c   *Client
 	ctx context.Context
@@ -20,6 +24,7 @@ type Stream struct {
 	rest       []byte // entries of the current chunk not yet decoded
 	key, value []byte
 	valid      bool
+	pending    bool   // Next ran: Valid positions the stream
 	more       bool   // the server parked the scan: a grant resumes it
 	credit     uint64 // the last grant
 	err        error
@@ -29,25 +34,20 @@ type Stream struct {
 	maxChunk int
 }
 
-// Stream opens a scan of start <= key < end (nil or empty bounds are open)
-// over the live store, positioned at the first entry. The scan lives until
-// ctx expires, the stream is closed, or it is drained.
-func (c *Client) Stream(ctx context.Context, start, end []byte) (*Stream, error) {
-	return new(Stream).open(ctx, c, 0, start, end)
-}
-
-// OpenStream is Stream into s, which must be new or closed: an iterator
+// OpenStream opens into s, which must be new or closed, a scan of
+// start <= key < end (nil or empty bounds are open) over the live store,
+// positioned at the first entry. The scan lives until ctx expires, the
+// stream is closed, or it is drained. s is the caller's, so an iterator
 // that holds its Stream by value opens a scan without allocating one.
 func (c *Client) OpenStream(ctx context.Context, s *Stream, start, end []byte) error {
-	_, err := s.open(ctx, c, 0, start, end)
-	return err
+	return s.open(ctx, c, 0, start, end)
 }
 
-// open opens s on a scan through snapshot handle (0 for the live store) and
-// returns it, or nil and why not.
-func (s *Stream) open(ctx context.Context, c *Client, handle uint64, start, end []byte) (*Stream, error) {
+// open opens s on a scan through snapshot handle (0 for the live store), or
+// closes it and says why not.
+func (s *Stream) open(ctx context.Context, c *Client, handle uint64, start, end []byte) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if len(end) == 0 {
 		end = nil
@@ -59,14 +59,13 @@ func (s *Stream) open(ctx context.Context, c *Client, handle uint64, start, end 
 	s.tag, err = c.start(cl, &Request{Op: OpStream, Handle: handle, Start: start, End: end, Credit: s.credit})
 	if err == nil {
 		s.receive()
-		s.Next()
+		s.advance()
 		err = s.err
 	}
 	if err != nil {
 		s.Close()
-		return nil, err
 	}
-	return s, nil
+	return err
 }
 
 // receive waits for the stream's next frame and makes its entries current.
@@ -92,21 +91,44 @@ func (s *Stream) receive() {
 	}
 }
 
-// Valid reports whether the stream is positioned at an entry.
-func (s *Stream) Valid() bool { return s.valid }
+// Valid reports whether the stream is positioned at an entry. After Next
+// it first decodes the following entry; when the chunk is drained and the
+// server has more, it grants twice the previous credit (up to maxCredit)
+// and waits for the next chunk, and a failure there ends the stream with
+// Err set.
+func (s *Stream) Valid() bool {
+	if s.pending {
+		s.pending = false
+		s.advance()
+	}
+	return s.valid
+}
 
-// Key returns the current key; it aliases the chunk buffer and is valid
-// only until the next call to Next or Close.
-func (s *Stream) Key() []byte { return s.key }
+// Key returns the current key, or nil when the stream is not Valid; it
+// aliases the chunk buffer and is valid only until the next call to Next
+// or Close.
+func (s *Stream) Key() []byte {
+	if !s.Valid() {
+		return nil
+	}
+	return s.key
+}
 
 // Value returns the current value; same caveats as Key.
-func (s *Stream) Value() []byte { return s.value }
+func (s *Stream) Value() []byte {
+	if !s.Valid() {
+		return nil
+	}
+	return s.value
+}
 
-// Next advances to the following entry. When the current chunk is drained
-// and the server has more, it grants twice the previous credit (up to
-// maxCredit) and waits for the next chunk.
-func (s *Stream) Next() {
-	s.valid = false
+// Next moves past the current entry. It never waits on the network: the
+// next Valid, Key or Value positions the stream.
+func (s *Stream) Next() { s.valid, s.pending = false, true }
+
+// advance positions the stream at the next entry, granting credit for a
+// further chunk when the current one is drained.
+func (s *Stream) advance() {
 	if s.err != nil || s.closed {
 		return
 	}
@@ -136,7 +158,8 @@ func (s *Stream) Next() {
 
 // Err returns the error that ended the stream early: the context's, a
 // typed server error, or the connection's failure. A drained stream
-// returns nil.
+// returns nil. The error surfaces in Valid, so Err is read after it, not
+// straight after Next.
 func (s *Stream) Err() error { return s.err }
 
 // Close ends the stream; if the server-side scan is still open it is
@@ -183,16 +206,10 @@ func (s *Snapshot) Get(ctx context.Context, key []byte) ([]byte, error) {
 	return s.c.get(ctx, []byte{}, &Request{Op: OpSnapGet, Handle: s.handle, Key: key})
 }
 
-// Stream is Client.Stream through the snapshot. The stream pins its own
-// table references, so it outlives Release.
-func (s *Snapshot) Stream(ctx context.Context, start, end []byte) (*Stream, error) {
-	return new(Stream).open(ctx, s.c, s.handle, start, end)
-}
-
-// OpenStream is Client.OpenStream through the snapshot.
+// OpenStream is Client.OpenStream through the snapshot. The stream pins its
+// own table references, so it outlives Release.
 func (s *Snapshot) OpenStream(ctx context.Context, st *Stream, start, end []byte) error {
-	_, err := st.open(ctx, s.c, s.handle, start, end)
-	return err
+	return st.open(ctx, s.c, s.handle, start, end)
 }
 
 // Release drops the server-side view without waiting for an answer.

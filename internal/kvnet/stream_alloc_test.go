@@ -15,15 +15,16 @@ import (
 	"repro/kv"
 )
 
-// TestAllocStreamOnlyItsIterator pins what a short remote scan costs the
-// whole process, server included: open a stream, take ten entries, close it
-// and wait for the server to end the scan. The round parks the scan once (ten
-// entries are far short of the first chunk), so it covers the stream's
-// set-up, its lease and its cancel. What is left is the client's iterator —
-// a kvnet.Stream, or kv's iterator with the stream inside it. Per-stream
-// server state (a request copy, the stream, its channels, a cancel context,
-// closures, a lease timer per park) cost about seventeen objects before it
-// was recycled per connection.
+// TestAllocStreamOnlyItsIterator pins what a remote scan costs the whole
+// process, server included: open a stream, take some entries, close it and
+// wait for the server to end the scan. Ten entries are far short of the first
+// chunk, so that round parks the scan once and covers the stream's set-up,
+// its lease and its cancel; a hundred cross a chunk boundary, so that round
+// also sends a grant and parks the scan again. What is left is the client's
+// iterator — a kvnet.Stream, or kv's iterator with the stream inside it.
+// Per-stream server state (a request copy, the stream, its channels, a
+// cancel context, closures, a lease timer per park) cost about seventeen
+// objects before it was recycled per connection.
 func TestAllocStreamOnlyItsIterator(t *testing.T) {
 	if kvnet.RaceEnabled {
 		t.Skip("pooled objects are dropped at random under the race detector")
@@ -77,43 +78,44 @@ func TestAllocStreamOnlyItsIterator(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
-		stream := testing.AllocsPerRun(200, func() {
-			s, err := c.Stream(ctx, start, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 10 && s.Valid(); i++ {
-				s.Next()
-			}
-			if !s.Valid() || s.Err() != nil {
-				t.Fatalf("stream ended early: %v", s.Err())
-			}
-			s.Close()
-			ended()
-		})
-
 		e, err := kv.Dial(ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { e.Close() })
-		iter := testing.AllocsPerRun(200, func() {
-			it, err := e.NewIterator(ctx, start, nil)
-			if err != nil {
-				t.Fatal(err)
+		for _, entries := range []int{10, 100} {
+			stream := testing.AllocsPerRun(200, func() {
+				var s kvnet.Stream
+				if err := c.OpenStream(ctx, &s, start, nil); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < entries && s.Valid(); i++ {
+					s.Next()
+				}
+				if !s.Valid() || s.Err() != nil {
+					t.Fatalf("stream ended early: %v", s.Err())
+				}
+				s.Close()
+				ended()
+			})
+			iter := testing.AllocsPerRun(200, func() {
+				it, err := e.NewIterator(ctx, start, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < entries && it.Valid(); i++ {
+					it.Next()
+				}
+				if !it.Valid() || it.Err() != nil {
+					t.Fatalf("iterator ended early: %v", it.Err())
+				}
+				it.Close()
+				ended()
+			})
+			t.Logf("%s, %d entries: kvnet.Stream %.1f objects per scan, kv iterator %.1f", tc.name, entries, stream, iter)
+			if stream > 1 || iter > 1 {
+				t.Errorf("%s: a %d-entry remote scan allocates %.1f objects through kvnet.Stream and %.1f through a kv iterator, want at most 1 (the iterator)", tc.name, entries, stream, iter)
 			}
-			for i := 0; i < 10 && it.Valid(); i++ {
-				it.Next()
-			}
-			if !it.Valid() || it.Err() != nil {
-				t.Fatalf("iterator ended early: %v", it.Err())
-			}
-			it.Close()
-			ended()
-		})
-		t.Logf("%s: kvnet.Stream %.1f objects per scan, kv iterator %.1f", tc.name, stream, iter)
-		if stream > 1 || iter > 1 {
-			t.Errorf("%s: a 10-entry remote scan allocates %.1f objects through kvnet.Stream and %.1f through a kv iterator, want at most 1 (the iterator)", tc.name, stream, iter)
 		}
 	}
 }

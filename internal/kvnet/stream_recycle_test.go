@@ -36,8 +36,8 @@ func TestStressGrantRacingLeaseExpiryIsAnswered(t *testing.T) {
 	c := serve(t, srv)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	st, err := c.Stream(ctx, nil, nil) // 500 entries > the first grant: the scan parks
-	if err != nil {
+	st := new(Stream) // 500 entries > the first grant: the scan parks
+	if err := c.OpenStream(ctx, st, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
@@ -86,15 +86,15 @@ func TestStressRecycledStreamStateIsolated(t *testing.T) {
 	// scan reads up to limit entries of [lo, hi) (hi = n: open) through
 	// open, checking each, and reports how many it read and how the stream
 	// ended.
-	scan := func(open func(ctx context.Context, start, end []byte) (*Stream, error), lo, hi, limit int, pause time.Duration) (int, error) {
+	scan := func(open func(ctx context.Context, st *Stream, start, end []byte) error, lo, hi, limit int, pause time.Duration) (int, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		var end []byte
 		if hi < n {
 			end = keys[hi]
 		}
-		st, err := open(ctx, keys[lo], end)
-		if err != nil {
+		st := new(Stream)
+		if err := open(ctx, st, keys[lo], end); err != nil {
 			return 0, err
 		}
 		defer st.Close()
@@ -109,7 +109,7 @@ func TestStressRecycledStreamStateIsolated(t *testing.T) {
 		}
 		return got, st.Err()
 	}
-	live := func(ctx context.Context, start, end []byte) (*Stream, error) { return c.Stream(ctx, start, end) }
+	live := c.OpenStream
 
 	var wg sync.WaitGroup
 	seed := int64(0)
@@ -154,7 +154,7 @@ func TestStressRecycledStreamStateIsolated(t *testing.T) {
 			}
 			defer snap.Release()
 			lo := r.Intn(n / 2)
-			got, err := scan(snap.Stream, lo, n, n, 0)
+			got, err := scan(snap.OpenStream, lo, n, n, 0)
 			if err == nil && got != n-lo {
 				err = fmt.Errorf("snapshot [%d, %d) ended after %d entries", lo, n, got)
 			}
@@ -169,8 +169,8 @@ func TestStressRecycledStreamStateIsolated(t *testing.T) {
 			return nil
 		})
 		worker(fmt.Sprintf("grant behind cancel %d", w), 150, func(r *rand.Rand) error {
-			st, err := c.Stream(context.Background(), keys[r.Intn(n/2)], nil)
-			if err != nil {
+			st := new(Stream)
+			if err := c.OpenStream(context.Background(), st, keys[r.Intn(n/2)], nil); err != nil {
 				return err
 			}
 			// The cancel wakes the parked scan and the grant lands in its
@@ -202,8 +202,8 @@ func TestStressRecycledStreamStateIsolated(t *testing.T) {
 	const open = 1000
 	streams := make([]*Stream, open)
 	for i := range streams {
-		st, err := c.Stream(context.Background(), keys[i], nil)
-		if err != nil {
+		st := new(Stream)
+		if err := c.OpenStream(context.Background(), st, keys[i], nil); err != nil {
 			t.Fatal(err)
 		}
 		streams[i] = st

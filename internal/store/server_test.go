@@ -54,8 +54,8 @@ func TestStoreOverKvnet(t *testing.T) {
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	scan, err := c.Stream(context.Background(), []byte("key-"), []byte("key."))
-	if err != nil {
+	scan := new(kvnet.Stream)
+	if err := c.OpenStream(context.Background(), scan, []byte("key-"), []byte("key.")); err != nil {
 		t.Fatal(err)
 	}
 	scanned := 0
@@ -122,8 +122,9 @@ func TestStressServedScanSurfacesCorruptTable(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
-	drain := func(what string, st *kvnet.Stream, err error) {
-		if err != nil {
+	drain := func(what string, open func(context.Context, *kvnet.Stream, []byte, []byte) error, start, end []byte) {
+		st := new(kvnet.Stream)
+		if err := open(ctx, st, start, end); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		defer st.Close()
@@ -135,15 +136,12 @@ func TestStressServedScanSurfacesCorruptTable(t *testing.T) {
 			t.Errorf("%s read %d of %d entries and ended with %v, want ErrCorrupt", what, n, corruptKeys, st.Err())
 		}
 	}
-	st, err := c.Stream(ctx, nil, nil)
-	drain("Stream", st, err)
+	drain("Stream", c.OpenStream, nil, nil)
 	sn, err := c.Snapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sn.Release()
-	st, err = sn.Stream(ctx, nil, nil)
-	drain("Snapshot.Stream", st, err)
-	st, err = c.Stream(ctx, []byte("key-"), []byte("key."))
-	drain("bounded Stream", st, err)
+	drain("Snapshot.OpenStream", sn.OpenStream, nil, nil)
+	drain("bounded OpenStream", c.OpenStream, []byte("key-"), []byte("key."))
 }

@@ -208,7 +208,8 @@ func (e *remoteEngine) Close() error {
 
 // remoteIterator adapts a server-held stream — one scan under one
 // consistent view, fetched a credit's worth at a time — to Iterator. It
-// holds the stream by value, so a scan allocates the iterator alone.
+// holds the stream by value, so a scan allocates the iterator alone. The
+// stream's error surfaces in its Valid, so Valid records it here.
 type remoteIterator struct {
 	e      *remoteEngine
 	st     kvnet.Stream
@@ -217,7 +218,14 @@ type remoteIterator struct {
 }
 
 func (it *remoteIterator) Valid() bool {
-	return it.err == nil && !it.closed && it.st.Valid()
+	if it.err != nil || it.closed {
+		return false
+	}
+	if it.st.Valid() {
+		return true
+	}
+	it.err = it.e.closedErr(it.st.Err())
+	return false
 }
 
 func (it *remoteIterator) Key() []byte {
@@ -241,7 +249,6 @@ func (it *remoteIterator) Next() {
 		it.err = ErrClosed
 	default:
 		it.st.Next()
-		it.err = it.e.closedErr(it.st.Err())
 	}
 }
 
