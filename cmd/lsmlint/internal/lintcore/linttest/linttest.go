@@ -24,10 +24,10 @@ import (
 // wantRe matches one expectation: want "..." or want `...`.
 var wantRe = regexp.MustCompile("// want (\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`)")
 
-// Run loads the fixture module rooted at dir (relative to the test's
-// working directory) and checks the analyzers' combined findings against
-// the fixture's // want comments. Every finding must be wanted and every
-// want must be found, line by line.
+// Test support: Run loads the fixture module rooted at dir (relative to the
+// test's working directory) and checks the analyzers' combined findings
+// against the fixture's // want comments. Every finding must be wanted and
+// every want must be found, line by line.
 func Run(t *testing.T, dir string, analyzers ...*lintcore.Analyzer) {
 	t.Helper()
 	abs, err := filepath.Abs(dir)

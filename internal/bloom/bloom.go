@@ -18,7 +18,7 @@ type Filter struct {
 	bits   []uint64
 	nbits  uint64
 	hashes uint32
-	count  uint64 // number of Add calls, informational
+	count  uint64 // number of AddHash calls, informational
 }
 
 // New creates a filter with nbits bits (rounded up to a multiple of 64) and
@@ -56,9 +56,6 @@ func NewWithEstimates(n uint64, p float64) *Filter {
 	return New(m, k)
 }
 
-// Add inserts key into the filter.
-func (f *Filter) Add(key []byte) { f.AddHash(keyhash.Of(key)) }
-
 // AddHash inserts the key whose hash is h. Probe positions follow
 // Kirsch–Mitzenmacher double hashing over the finalised pair,
 // g_i = (fmix64(H1) + i·fmix64(H2) mod 2^64) mod nbits, stepped by one
@@ -84,19 +81,9 @@ func fmix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// AddUint64 inserts a fixed-width integer key.
-func (f *Filter) AddUint64(key uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], key)
-	f.Add(buf[:])
-}
-
-// MayContain reports whether key is possibly in the filter. A false return
-// is definitive: the key was never added.
-func (f *Filter) MayContain(key []byte) bool { return f.MayContainHash(keyhash.Of(key)) }
-
-// MayContainHash is MayContain for a key already hashed, so a lookup that
-// probes several tables' filters hashes its key once.
+// MayContainHash reports whether the key whose hash is h is possibly in the
+// filter; a false return is definitive. A lookup that probes several
+// tables' filters hashes its key once.
 func (f *Filter) MayContainHash(h keyhash.Hash) bool {
 	x, step := fmix64(h.H1), fmix64(h.H2)
 	for i := uint32(0); i < f.hashes; i++ {
@@ -107,29 +94,6 @@ func (f *Filter) MayContainHash(h keyhash.Hash) bool {
 		x += step
 	}
 	return true
-}
-
-// MayContainUint64 is MayContain for fixed-width integer keys.
-func (f *Filter) MayContainUint64(key uint64) bool {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], key)
-	return f.MayContain(buf[:])
-}
-
-// Count returns the number of keys added.
-func (f *Filter) Count() uint64 { return f.count }
-
-// NumBits returns the filter's bit capacity.
-func (f *Filter) NumBits() uint64 { return f.nbits }
-
-// NumHashes returns the number of hash probes per key.
-func (f *Filter) NumHashes() uint32 { return f.hashes }
-
-// EstimatedFalsePositiveRate returns the expected false positive rate given
-// the number of added keys: (1 - e^{-kn/m})^k.
-func (f *Filter) EstimatedFalsePositiveRate() float64 {
-	k, n, m := float64(f.hashes), float64(f.count), float64(f.nbits)
-	return math.Pow(1-math.Exp(-k*n/m), k)
 }
 
 // Marshal serializes the filter to a compact binary form:

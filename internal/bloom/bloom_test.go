@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/keyhash"
 )
 
 func TestNoFalseNegatives(t *testing.T) {
@@ -313,3 +316,40 @@ func BenchmarkFilterMiss(b *testing.B) {
 		benchSink = f.MayContain(absent[i%len(absent)])
 	}
 }
+
+// AddUint64 inserts a fixed-width integer key.
+func (f *Filter) AddUint64(key uint64) {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], key)
+	f.Add(buf[:])
+}
+
+// MayContainUint64 is MayContain for fixed-width integer keys.
+func (f *Filter) MayContainUint64(key uint64) bool {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], key)
+	return f.MayContain(buf[:])
+}
+
+// Count returns the number of keys added.
+func (f *Filter) Count() uint64 { return f.count }
+
+// NumBits returns the filter's bit capacity.
+func (f *Filter) NumBits() uint64 { return f.nbits }
+
+// NumHashes returns the number of hash probes per key.
+func (f *Filter) NumHashes() uint32 { return f.hashes }
+
+// EstimatedFalsePositiveRate returns the expected false positive rate given
+// the number of added keys: (1 - e^{-kn/m})^k.
+func (f *Filter) EstimatedFalsePositiveRate() float64 {
+	k, n, m := float64(f.hashes), float64(f.count), float64(f.nbits)
+	return math.Pow(1-math.Exp(-k*n/m), k)
+}
+
+// Add inserts key into the filter.
+func (f *Filter) Add(key []byte) { f.AddHash(keyhash.Of(key)) }
+
+// MayContain reports whether key is possibly in the filter. A false return
+// is definitive: the key was never added.
+func (f *Filter) MayContain(key []byte) bool { return f.MayContainHash(keyhash.Of(key)) }

@@ -316,8 +316,9 @@ type LRU struct {
 	hits, misses uint64
 }
 
-// New creates a cache bounded to capacity bytes (of cached payloads; keys,
-// bookkeeping and array slack are not counted). capacity must be positive.
+// Test support: New creates a single LRU bounded to capacity bytes (of
+// cached payloads; keys, bookkeeping and array slack are not counted).
+// capacity must be positive. The engine's cache is NewSharded's.
 func New(capacity int) *LRU { return newLRU(capacity, new(mark)) }
 
 // newLRU creates a cache, or one stripe of one, under the high-water rule m.
@@ -514,7 +515,7 @@ func (c *LRU) Stats() (hits, misses uint64, usedBytes int) {
 	return c.hits, c.misses, c.used
 }
 
-// Len returns the number of cached blocks.
+// Test support: Len returns the number of cached blocks.
 func (c *LRU) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -533,15 +534,14 @@ type uncached struct{ free freeList }
 // size: a merge in its steady state frees one as it asks for the next.
 var Uncached = &uncached{free: newFreeList(256<<10, nil)}
 
-func (u *uncached) Get(Key) (*Block, bool)         { return nil, false }
-func (u *uncached) Peek(Key) (*Block, bool)        { return nil, false }
-func (u *uncached) Demote(*Block)                  {}
-func (u *uncached) Unspend(uint64)                 {}
-func (u *uncached) Publish(Key, []byte, bool)      {}
-func (u *uncached) Alloc(k Key, n int) *Block      { return u.free.get(k, n) }
-func (u *uncached) Add(b *Block, payload []byte)   { b.data = payload }
-func (u *uncached) Put(k Key, value []byte) *Block { return u.free.adopt(k, value) }
-func (u *uncached) DropTable(uint64)               {}
+func (u *uncached) Get(Key) (*Block, bool)       { return nil, false }
+func (u *uncached) Peek(Key) (*Block, bool)      { return nil, false }
+func (u *uncached) Demote(*Block)                {}
+func (u *uncached) Unspend(uint64)               {}
+func (u *uncached) Publish(Key, []byte, bool)    {}
+func (u *uncached) Alloc(k Key, n int) *Block    { return u.free.get(k, n) }
+func (u *uncached) Add(b *Block, payload []byte) { b.data = payload }
+func (u *uncached) DropTable(uint64)             {}
 
 // Sharded is a block cache striped over N independent LRU shards, each
 // with its own mutex. A single LRU serializes every Get and Put of every
@@ -678,7 +678,7 @@ func (s *Sharded) Balance() float64 {
 	return float64(maxUsed) * float64(len(s.shards)) / float64(total)
 }
 
-// Len returns the number of cached blocks across all shards.
+// Test support: Len returns the number of cached blocks across all shards.
 func (s *Sharded) Len() int {
 	n := 0
 	for _, sh := range s.shards {

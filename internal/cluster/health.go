@@ -95,20 +95,6 @@ func (h *health) markUp(node int) bool {
 	return transition
 }
 
-// downReasons returns, for each currently-down node, the error that
-// demoted it.
-func (h *health) downReasons() map[string]error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[string]error)
-	for i := range h.nodes {
-		if s := &h.nodes[i]; s.down.Load() {
-			out[s.name] = s.lastErr
-		}
-	}
-	return out
-}
-
 // downNodes returns the currently-down node names in ring-id order.
 func (h *health) downNodes() []string {
 	var out []string

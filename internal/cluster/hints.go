@@ -220,15 +220,6 @@ func (rt *Router) handoffLoop() {
 	}
 }
 
-// Handoff runs one synchronous handoff sweep: every live node is scanned
-// for parked hints and each hint whose target is live is replayed and
-// deleted. It returns the first error encountered; hints it could not
-// deliver stay parked for the next sweep. Tests and operators use it to
-// force convergence without waiting for the interval.
-func (rt *Router) Handoff(ctx context.Context) error {
-	return rt.handoffSweep(ctx)
-}
-
 // handoffSweep drains hints from every live holder. Sweeping all nodes —
 // not just the ones this router parked on — means a fresh router (or a
 // restarted one) delivers hints parked by routers that no longer exist.
@@ -319,30 +310,4 @@ func (rt *Router) deleteHint(ctx context.Context, holder int, key []byte) error 
 	return rt.do(ctx, holder, func(actx context.Context, c *kvnet.Client) error {
 		return c.Delete(actx, key)
 	})
-}
-
-// PendingHints counts the hints currently parked across all live nodes,
-// plus any still deferred in router memory awaiting a holder.
-func (rt *Router) PendingHints(ctx context.Context) (int, error) {
-	rt.hintMu.Lock()
-	total := len(rt.deferredHints)
-	rt.hintMu.Unlock()
-	for holder := range rt.conns {
-		if rt.health.isDown(holder) {
-			continue
-		}
-		var st kvnet.Stream
-		err := rt.stream(ctx, holder, &st, []byte(hintPrefix), []byte(hintEnd))
-		if err == nil {
-			for ; st.Valid(); st.Next() {
-				total++
-			}
-			err = st.Err()
-			st.Close()
-		}
-		if err != nil {
-			return total, fmt.Errorf("cluster: hint count on %s: %w", rt.ring.names[holder], err)
-		}
-	}
-	return total, nil
 }

@@ -70,69 +70,18 @@ func (r *Ring) AddNode(name string) {
 	sort.Slice(r.vnodes, func(a, b int) bool { return r.vnodes[a].hash < r.vnodes[b].hash })
 }
 
-// RemoveNode deletes a node and its virtual nodes (idempotent).
-func (r *Ring) RemoveNode(name string) {
-	id, ok := r.nodes[name]
-	if !ok {
-		return
-	}
-	delete(r.nodes, name)
-	kept := r.vnodes[:0]
-	for _, v := range r.vnodes {
-		if v.id != id {
-			kept = append(kept, v)
-		}
-	}
-	r.vnodes = kept
-}
-
-// Nodes returns the node names, sorted.
-func (r *Ring) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Lookup returns the node owning key — the first member of its replica
-// set — or "" on an empty ring.
-func (r *Ring) Lookup(key []byte) string {
-	rs := r.ReplicaSet(key, 1)
-	if len(rs) == 0 {
-		return ""
-	}
-	return rs[0]
-}
-
-// ReplicaSet returns the n distinct nodes replicating key: the ring walk
-// clockwise from the key's position, skipping virtual nodes of already
-// chosen physical nodes. The first member is the key's primary owner.
-// Fewer than n nodes in the ring yields all of them (a degenerate set the
-// caller's quorums clamp to); an empty ring yields nil.
+// AppendReplicaIDs appends to dst the ids of the n distinct nodes
+// replicating key: the ring walk clockwise from the key's position,
+// skipping virtual nodes of already chosen physical nodes. The first member
+// is the key's primary owner. Fewer than n nodes in the ring yields all of
+// them (a degenerate set the caller's quorums clamp to). It allocates
+// nothing when dst has room, and replica sets are tiny, so members already
+// chosen are found by scanning the ones appended so far.
 //
 // The walk order gives replication the same minimal-movement property as
 // single-owner consistent hashing: adding or removing a node changes a
 // key's replica set only where that node enters or leaves the walk — the
 // surviving members keep their positions.
-func (r *Ring) ReplicaSet(key []byte, n int) []string {
-	var buf [8]int
-	ids := r.AppendReplicaIDs(buf[:0], key, n)
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = r.names[id]
-	}
-	return out
-}
-
-// AppendReplicaIDs is ReplicaSet in node ids, appended to dst: the form
-// the router's hot path uses, since it allocates nothing when dst has
-// room. Replica sets are tiny, so members already chosen are found by
-// scanning the ones appended so far.
 func (r *Ring) AppendReplicaIDs(dst []int, key []byte, n int) []int {
 	if n > len(r.nodes) {
 		n = len(r.nodes)

@@ -323,17 +323,6 @@ func (rt *Router) Metrics() Metrics {
 	}
 }
 
-// DownNodes returns the nodes the failure detector currently considers
-// unreachable.
-func (rt *Router) DownNodes() []string {
-	return rt.health.downNodes()
-}
-
-// ReplicaNodes returns the full replica set for key.
-func (rt *Router) ReplicaNodes(key []byte) []string {
-	return rt.ring.ReplicaSet(key, rt.opts.ReplicationFactor)
-}
-
 func (rt *Router) dial(addr string) (*kvnet.Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, rt.opts.DialTimeout)
 	if err != nil {
@@ -373,12 +362,6 @@ func (rt *Router) noteFailure(node int, gen uint64, err error) {
 	if rt.health.markDown(node, gen, err) {
 		rt.nodeDown.Add(1)
 	}
-}
-
-// DownReasons reports, for each node the failure detector currently
-// considers down, the error that demoted it.
-func (rt *Router) DownReasons() map[string]error {
-	return rt.health.downReasons()
 }
 
 // kickHandoff nudges the handoff loop to sweep now (non-blocking).

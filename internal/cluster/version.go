@@ -74,11 +74,6 @@ const (
 	recordTombstone = 0x01
 )
 
-// Encode serializes the record.
-func (r Record) Encode() []byte {
-	return r.AppendTo(make([]byte, 0, recordHdrLen+len(r.Value)))
-}
-
 // AppendTo appends the serialized record to dst.
 func (r Record) AppendTo(dst []byte) []byte {
 	flags := byte(0)

@@ -133,7 +133,7 @@ func TestCostIdentities(t *testing.T) {
 			}
 			// Submodular cost with cardinality = simple − leaves.
 			wantSub := float64(sc.CostSimple() - inst.LowerBound())
-			if got := sc.CostSubmodular(keyset.CardinalityCost); got != wantSub {
+			if got := sc.CostSubmodular(func(s keyset.Set) float64 { return float64(s.Len()) }); got != wantSub {
 				t.Fatalf("%s: submodular %v != %v", name, got, wantSub)
 			}
 			if sc.CostSimple() < inst.LowerBound() {

@@ -81,8 +81,10 @@ func ExampleSchedule_CostSubmodular() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plain := sched.CostSubmodular(keyset.CardinalityCost)
-	withInit := sched.CostSubmodular(keyset.InitPlusCardinalityCost(100))
+	cardinality := func(s keyset.Set) float64 { return float64(s.Len()) }
+	initPlusCardinality := func(s keyset.Set) float64 { return 100 + float64(s.Len()) }
+	plain := sched.CostSubmodular(cardinality)
+	withInit := sched.CostSubmodular(initPlusCardinality)
 	fmt.Println("cardinality:", plain)
 	fmt.Println("with init cost:", withInit)
 	// Fewer, wider merges pay the init cost fewer times.
@@ -90,7 +92,7 @@ func ExampleSchedule_CostSubmodular() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("with init cost, k=3:", wide.CostSubmodular(keyset.InitPlusCardinalityCost(100)))
+	fmt.Println("with init cost, k=3:", wide.CostSubmodular(initPlusCardinality))
 	// Output:
 	// cardinality: 30
 	// with init cost: 430

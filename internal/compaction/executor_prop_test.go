@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -66,7 +67,8 @@ func TestPropExecuteParallelMatchesSequential(t *testing.T) {
 			}
 			// Each collected output must also match the schedule's own label.
 			for i, keys := range sequential {
-				if !keyset.FromSorted(keys).Equal(sc.Steps[i].Output.Set) {
+				got := keyset.New(keys...)
+				if !slices.IsSorted(keys) || got.Len() != len(keys) || !got.Equal(sc.Steps[i].Output.Set) {
 					t.Fatalf("trial %d %s k=%d: step %d output disagrees with schedule label", trial, name, k, i)
 				}
 			}

@@ -12,7 +12,7 @@ import (
 // (x, i) — runs the SMALLESTINPUT greedy on the disjoint copies (where SI
 // is Huffman-optimal, Lemma 4.3), and then merges the real sets along the
 // resulting tree and leaf assignment. The result is within a factor
-// f = MaxFrequency of optimal.
+// f of optimal, f being the most input sets any one element appears in.
 //
 // Because the disjoint copies only matter through their cardinalities, the
 // implementation materializes each A'_i as a fresh block of |A_i| unique

@@ -92,25 +92,6 @@ func (in *Instance) Universe() keyset.Set {
 	return keyset.UnionAll(sets...)
 }
 
-// MaxFrequency returns f = max_x |{i : x ∈ A_i}|, the maximum number of
-// input sets any element appears in. FreqMerge is an f-approximation
-// (Section 4.4).
-func (in *Instance) MaxFrequency() int {
-	freq := make(map[uint64]int)
-	for _, t := range in.tables {
-		for _, k := range t.Set.Keys() {
-			freq[k]++
-		}
-	}
-	max := 0
-	for _, c := range freq {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
 // Validate checks that the instance is a well-formed input for Run: at
 // least one table, none empty. Empty sets are rejected because the paper's
 // model has sstables flushed from non-empty memtables, and zero-size sets
@@ -125,4 +106,18 @@ func (in *Instance) Validate() error {
 		}
 	}
 	return nil
+}
+
+// WorkingExample returns the 5-set instance that Section 4.3 traces through
+// every heuristic: A1={1,2,3,5}, A2={1,2,3,4}, A3={3,4,5}, A4={6,7,8},
+// A5={7,8,9}. The paper reports merge costs (costactual) of 45 for
+// BALANCETREE, 47 for SMALLESTINPUT and 40 for SMALLESTOUTPUT.
+func WorkingExample() *Instance {
+	return NewInstance(
+		keyset.New(1, 2, 3, 5),
+		keyset.New(1, 2, 3, 4),
+		keyset.New(3, 4, 5),
+		keyset.New(6, 7, 8),
+		keyset.New(7, 8, 9),
+	)
 }

@@ -5,8 +5,8 @@ import "sort"
 // LargestMatch implements the LARGESTMATCH (LM) heuristic of Section
 // 4.3.4: each iteration merges the sets with the largest pairwise
 // intersection, hoping overlap makes the output small. The paper shows its
-// worst case is Ω(n) — see AdversarialLargestMatch for the nested-set
-// family realizing the gap — so LM is included for completeness and as a
+// worst case is Ω(n) — the nested-set family of the tests'
+// AdversarialLargestMatch realizes the gap — so LM is included for completeness and as a
 // cautionary baseline, not as a recommended strategy.
 type LargestMatch struct {
 	k     int

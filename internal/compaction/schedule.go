@@ -110,17 +110,6 @@ func (sc *Schedule) CostActual() int {
 	return total
 }
 
-// CostSubmodular is the SUBMODULARMERGING cost: Σ over merge steps of
-// f(output set). With f = cardinality this equals CostSimple minus the
-// (constant) total leaf size.
-func (sc *Schedule) CostSubmodular(f keyset.CostFn) float64 {
-	total := 0.0
-	for _, st := range sc.Steps {
-		total += f(st.Output.Set)
-	}
-	return total
-}
-
 // Height returns the height of the merge tree (edges on the longest
 // root-leaf path).
 func (sc *Schedule) Height() int {
@@ -140,10 +129,9 @@ func (sc *Schedule) Height() int {
 	return walk(sc.Root)
 }
 
-// Validate checks structural invariants: every leaf is consumed exactly
-// once, every step's output is the union of its inputs, fan-in respects K,
-// and the root's set equals the union of all leaves. Used heavily in tests
-// and as a guard in the experiment harness.
+// Test support: Validate checks structural invariants: every leaf is
+// consumed exactly once, every step's output is the union of its inputs,
+// fan-in respects K, and the root's set equals the union of all leaves.
 func (sc *Schedule) Validate() error {
 	if sc.Root == nil {
 		return fmt.Errorf("compaction: schedule has no root")

@@ -2,17 +2,20 @@ package compaction
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/keyset"
 )
 
-// This file implements the analytical machinery of Section 2 and Appendix
-// A: the per-element cost reformulation (equation 2.2), fixed-tree merge
-// schedules (the OPT-TREE-ASSIGN problem), caterpillar and complete tree
-// shapes, and the η(T) path-length functional used to force complete trees
-// in the NP-hardness reduction. These are not needed to *run* compaction —
-// they exist to verify the paper's identities and constructions
-// empirically, and to support the hardness-themed tests and examples.
+// This file holds the paper's offline theory that only the lemma tests
+// use: the analytical machinery of Section 2 and Appendix A (the
+// per-element cost reformulation of equation 2.2, fixed-tree merge
+// schedules for the OPT-TREE-ASSIGN problem, caterpillar and complete tree
+// shapes, and the η(T) path-length functional that forces complete trees in
+// the NP-hardness reduction), the SUBMODULARMERGING cost, the maximum
+// element frequency FreqMerge's bound is stated in, and the worst-case
+// instance families that prove the bounds tight. None of it is needed to
+// run compaction.
 
 // CostByElement computes the schedule cost via the reformulation of
 // equation 2.2: cost(T, π) = Σ_{x∈U} (|T(x)| + 1), where T(x) is the
@@ -36,7 +39,7 @@ func (sc *Schedule) CostByElement() int {
 func (sc *Schedule) ElementSpan(x uint64) int {
 	n := 0
 	for _, nd := range sc.Nodes() {
-		if nd.Set.Contains(x) {
+		if _, found := slices.BinarySearch(nd.Set.Keys(), x); found {
 			n++
 		}
 	}
@@ -242,4 +245,138 @@ func PadWithDisjoint(inst *Instance, size int) *Instance {
 // MinPadSize returns the Lemma A.5 threshold 2mn+1 for the instance.
 func MinPadSize(inst *Instance) int {
 	return 2*inst.Universe().Len()*inst.N() + 1
+}
+
+// AdversarialBalanceTree returns the Lemma 4.2 family: n−1 copies of {1}
+// plus one set {1,...,n}. The left-to-right chain merge costs 4n−3
+// (costactual ≈), while BALANCETREE pays at least n·(log n + 1) because the
+// big set appears at every level — realizing the Ω(log n) gap. n should be
+// a power of two for the cleanest effect.
+func AdversarialBalanceTree(n int) *Instance {
+	sets := make([]keyset.Set, n)
+	for i := 0; i < n-1; i++ {
+		sets[i] = keyset.New(1)
+	}
+	sets[n-1] = keyset.Range(1, uint64(n)+1)
+	return NewInstance(sets...)
+}
+
+// DisjointSingletons returns the Lemma 4.5 family: n disjoint singletons
+// {1},...,{n}. Any balanced merge (which SI and SO produce here) costs
+// n·log n + n in simple cost, against the lower bound LOPT = n — showing
+// the greedy analysis is tight with respect to LOPT, not that the
+// heuristics are bad: the true optimum is also n·log n + n (Huffman on
+// equal frequencies).
+func DisjointSingletons(n int) *Instance {
+	sets := make([]keyset.Set, n)
+	for i := 0; i < n; i++ {
+		sets[i] = keyset.New(uint64(i + 1))
+	}
+	return NewInstance(sets...)
+}
+
+// AdversarialLargestMatch returns the Section 4.3.4 family: nested sets
+// A_i = {1, ..., 2^(i-1)} for i = 1..n. The optimal left-to-right merge
+// costs 2^(n+1)−3 while LARGESTMATCH always grabs the huge set A_n first
+// (it has the largest intersection with everything), paying 2^(n−1)·(n−1):
+// an Ω(n) approximation gap. n is capped at 20 to keep sets in memory.
+func AdversarialLargestMatch(n int) *Instance {
+	if n > 20 {
+		n = 20
+	}
+	sets := make([]keyset.Set, n)
+	for i := 0; i < n; i++ {
+		sets[i] = keyset.Range(1, 1+(uint64(1)<<uint(i)))
+	}
+	return NewInstance(sets...)
+}
+
+// HuffmanInstance returns n disjoint sets with the given sizes, on which
+// BINARYMERGING coincides with Huffman coding (Section 2): SI and SO are
+// provably optimal there, making it a strong oracle for tests.
+func HuffmanInstance(sizes []int) *Instance {
+	sets := make([]keyset.Set, len(sizes))
+	var offset uint64
+	for i, sz := range sizes {
+		if sz < 1 {
+			sz = 1
+		}
+		sets[i] = keyset.Range(offset, offset+uint64(sz))
+		offset += uint64(sz)
+	}
+	return NewInstance(sets...)
+}
+
+// HuffmanCost returns the optimal simple cost for disjoint sets of the
+// given sizes: total leaf mass plus the weighted internal path length of
+// the optimal prefix-free code tree, computed with the classic two-smallest
+// greedy.
+func HuffmanCost(sizes []int) int {
+	if len(sizes) == 0 {
+		return 0
+	}
+	heap := make([]int, len(sizes))
+	copy(heap, sizes)
+	// Simple O(n²) selection keeps this oracle obviously correct.
+	total := 0
+	for _, s := range heap {
+		total += s
+	}
+	for len(heap) > 1 {
+		i1 := smallestIndex(heap, -1)
+		i2 := smallestIndex(heap, i1)
+		merged := heap[i1] + heap[i2]
+		total += merged
+		// Remove the larger index first to keep positions valid.
+		if i1 < i2 {
+			i1, i2 = i2, i1
+		}
+		heap = append(heap[:i1], heap[i1+1:]...)
+		heap = append(heap[:i2], heap[i2+1:]...)
+		heap = append(heap, merged)
+	}
+	return total
+}
+
+func smallestIndex(xs []int, skip int) int {
+	best := -1
+	for i, x := range xs {
+		if i == skip {
+			continue
+		}
+		if best < 0 || x < xs[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// MaxFrequency returns f = max_x |{i : x ∈ A_i}|, the maximum number of
+// input sets any element appears in. FreqMerge is an f-approximation
+// (Section 4.4).
+func (in *Instance) MaxFrequency() int {
+	freq := make(map[uint64]int)
+	for _, t := range in.tables {
+		for _, k := range t.Set.Keys() {
+			freq[k]++
+		}
+	}
+	max := 0
+	for _, c := range freq {
+		if c > max {
+			max = c
+		}
+	}
+	return max
+}
+
+// CostSubmodular is the SUBMODULARMERGING cost: Σ over merge steps of
+// f(output set). With f = cardinality this equals CostSimple minus the
+// (constant) total leaf size.
+func (sc *Schedule) CostSubmodular(f func(keyset.Set) float64) float64 {
+	total := 0.0
+	for _, st := range sc.Steps {
+		total += f(st.Output.Set)
+	}
+	return total
 }

@@ -26,9 +26,10 @@ type EngineMix struct {
 	Ops          int               `json:"ops"`
 }
 
-// EngineMixes are the matrix's streams, each long enough for BT(I) to make
-// at least three minor picks: update_heavy's 50 % zipfian updates, the
-// 97 % latest updates the paper presents, and an insert-heavy 10 % uniform.
+// Test support: EngineMixes are the matrix's streams, each long enough for
+// BT(I) to make at least three minor picks: update_heavy's 50 % zipfian
+// updates, the 97 % latest updates the paper presents, and an insert-heavy
+// 10 % uniform.
 var EngineMixes = []EngineMix{
 	{Name: "update50-zipfian", Update: 0.5, Distribution: ycsb.Zipfian, Records: 1_000, Ops: 4_000},
 	{Name: "update97-latest", Update: 0.97, Distribution: ycsb.Latest, Records: 2_000, Ops: 4_000},
@@ -65,12 +66,12 @@ type EngineCell struct {
 	MajorBytesWritten uint64 `json:"major_bytes_written"`
 }
 
-// EngineMatrix runs every EngineMixes stream through a fresh engine under
-// every minor policy the engine accepts except "none" (the baselines, then
-// the paper's live strategies), each cell in its own directory under dir,
-// and returns the cells mix by mix in policy order. One writer and one
-// shard make every count a function of the stream and the policy alone;
-// cells share nothing, so four run at once.
+// Test support: EngineMatrix runs every EngineMixes stream through a fresh
+// engine under every minor policy the engine accepts except "none" (the
+// baselines, then the paper's live strategies), each cell in its own
+// directory under dir, and returns the cells mix by mix in policy order. One
+// writer and one shard make every count a function of the stream and the
+// policy alone; cells share nothing, so four run at once.
 func EngineMatrix(dir string) ([]EngineCell, error) {
 	policies := compaction.EngineStrategies()
 	cells := make([]EngineCell, len(EngineMixes)*len(policies))
@@ -171,8 +172,8 @@ type unsyncedFile struct{ vfs.File }
 
 func (unsyncedFile) Sync() error { return nil }
 
-// FormatEngineMatrix renders the cells as one Markdown table, a row per
-// cell in the order given.
+// Test support: FormatEngineMatrix renders the cells as one Markdown table,
+// a row per cell in the order given.
 func FormatEngineMatrix(cells []EngineCell) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "| mix | policy | write amp | space amp | flushes | minor picks | tables left | versions purged | major cost (keys) | major MB written |")

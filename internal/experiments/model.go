@@ -36,9 +36,6 @@ func (kt *keyTable) Add(key uint64) (full bool) {
 	return len(kt.keys) >= kt.capacity
 }
 
-// Len returns the number of distinct keys buffered.
-func (kt *keyTable) Len() int { return len(kt.keys) }
-
 // Empty reports whether no keys are buffered.
 func (kt *keyTable) Empty() bool { return len(kt.keys) == 0 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/compaction"
+	"repro/internal/keyset"
 	"repro/internal/ycsb"
 )
 
@@ -250,10 +251,8 @@ func TestKeyTableFlushResets(t *testing.T) {
 	if s.Len() != 5 {
 		t.Errorf("flushed set size = %d", s.Len())
 	}
-	for k := uint64(0); k < 5; k++ {
-		if !s.Contains(k * 10) {
-			t.Errorf("flushed set missing %d", k*10)
-		}
+	if want := keyset.New(0, 10, 20, 30, 40); !s.Equal(want) {
+		t.Errorf("flushed set = %v, want %v", s, want)
 	}
 	if !kt.Empty() {
 		t.Errorf("memtable not empty after flush")
@@ -294,3 +293,6 @@ func TestKeyTableSimulationShape(t *testing.T) {
 			len(updateHeavy), len(insertHeavy))
 	}
 }
+
+// Len returns the number of distinct keys buffered.
+func (kt *keyTable) Len() int { return len(kt.keys) }

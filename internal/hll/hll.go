@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"repro/internal/keyhash"
 )
 
 // MinPrecision and MaxPrecision bound the sketch precision parameter p;
@@ -53,9 +51,6 @@ func MustNew(p uint8) *Sketch {
 	return s
 }
 
-// Precision returns the sketch's precision parameter p.
-func (s *Sketch) Precision() uint8 { return s.p }
-
 // hash64 mixes a 64-bit key (splitmix64 finalizer); HLL needs well-mixed
 // bits since it reads both the top p bits and the trailing-pattern rank.
 func hash64(x uint64) uint64 {
@@ -69,10 +64,6 @@ func hash64(x uint64) uint64 {
 func (s *Sketch) AddUint64(key uint64) {
 	s.addHash(hash64(key))
 }
-
-// Add observes an arbitrary byte key: AddUint64 of the key's first hash, so
-// a caller that already holds the hash passes H1 to AddUint64 instead.
-func (s *Sketch) Add(key []byte) { s.AddUint64(keyhash.Of(key).H1) }
 
 func (s *Sketch) addHash(h uint64) {
 	idx := h >> (64 - s.p)
@@ -177,12 +168,6 @@ func Union(sketches ...*Sketch) *Sketch {
 		}
 	}
 	return acc
-}
-
-// StdError returns the theoretical relative standard error 1.04/√m of the
-// sketch.
-func (s *Sketch) StdError() float64 {
-	return 1.04 / math.Sqrt(float64(len(s.registers)))
 }
 
 // sparseFlag marks a sparse encoding in the header byte's high bit;

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/keyhash"
 )
 
 func TestNewPrecisionBounds(t *testing.T) {
@@ -238,4 +240,17 @@ func BenchmarkUnion(b *testing.B) {
 			b.Fatal("empty union")
 		}
 	}
+}
+
+// Precision returns the sketch's precision parameter p.
+func (s *Sketch) Precision() uint8 { return s.p }
+
+// Add observes an arbitrary byte key: AddUint64 of the key's first hash, so
+// a caller that already holds the hash passes H1 to AddUint64 instead.
+func (s *Sketch) Add(key []byte) { s.AddUint64(keyhash.Of(key).H1) }
+
+// StdError returns the theoretical relative standard error 1.04/√m of the
+// sketch.
+func (s *Sketch) StdError() float64 {
+	return 1.04 / math.Sqrt(float64(len(s.registers)))
 }

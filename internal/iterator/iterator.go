@@ -168,8 +168,8 @@ func (d *Dedup) Entry() Entry { return d.cur }
 // Next implements Iterator.
 func (d *Dedup) Next() { d.advance() }
 
-// Drain reads all remaining entries from it into a slice; convenience for
-// tests and small merges. The entries are copies: a source need only keep
+// Test support: Drain reads all remaining entries from it into a slice. The
+// entries are copies: a source need only keep
 // an Entry valid until it is advanced again (sstable iterators recycle
 // block memory behind them), and Drain keeps every one.
 func Drain(it Iterator) []Entry {

@@ -41,17 +41,6 @@ func New(keys ...uint64) Set {
 	return Set{keys: out}
 }
 
-// FromSorted wraps a strictly increasing slice as a Set without copying.
-// It panics if keys are not strictly increasing; this is a programmer error.
-func FromSorted(keys []uint64) Set {
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			panic(fmt.Sprintf("keyset: FromSorted input not strictly increasing at index %d", i))
-		}
-	}
-	return Set{keys: keys}
-}
-
 // Range builds the set {lo, lo+1, ..., hi-1}. It returns the empty set when
 // hi <= lo.
 func Range(lo, hi uint64) Set {
@@ -74,12 +63,6 @@ func (s Set) Empty() bool { return len(s.keys) == 0 }
 
 // Keys returns the underlying sorted key slice. Callers must not modify it.
 func (s Set) Keys() []uint64 { return s.keys }
-
-// Contains reports whether key is a member of the set.
-func (s Set) Contains(key uint64) bool {
-	i := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= key })
-	return i < len(s.keys) && s.keys[i] == key
-}
 
 // Union returns the set union s ∪ t. This is the paper's merge operation on
 // sstables: one entry per key present in either input.
@@ -127,25 +110,6 @@ func UnionAll(sets ...Set) Set {
 	return acc
 }
 
-// Intersect returns the set intersection s ∩ t.
-func (s Set) Intersect(t Set) Set {
-	out := make([]uint64, 0)
-	i, j := 0, 0
-	for i < len(s.keys) && j < len(t.keys) {
-		switch {
-		case s.keys[i] < t.keys[j]:
-			i++
-		case s.keys[i] > t.keys[j]:
-			j++
-		default:
-			out = append(out, s.keys[i])
-			i++
-			j++
-		}
-	}
-	return Set{keys: out}
-}
-
 // IntersectLen returns |s ∩ t| without allocating the intersection. The
 // LARGESTMATCH heuristic calls this for every candidate pair, so avoiding
 // the allocation matters.
@@ -186,29 +150,6 @@ func (s Set) Equal(t Set) bool {
 	return true
 }
 
-// Subset reports whether every key of s is in t.
-func (s Set) Subset(t Set) bool {
-	if len(s.keys) > len(t.keys) {
-		return false
-	}
-	i, j := 0, 0
-	for i < len(s.keys) && j < len(t.keys) {
-		switch {
-		case s.keys[i] == t.keys[j]:
-			i++
-			j++
-		case s.keys[i] > t.keys[j]:
-			j++
-		default:
-			return false
-		}
-	}
-	return i == len(s.keys)
-}
-
-// Disjoint reports whether s and t share no keys.
-func (s Set) Disjoint(t Set) bool { return s.IntersectLen(t) == 0 }
-
 // String formats the set like {1, 2, 3}; large sets are abbreviated.
 func (s Set) String() string {
 	const maxShown = 16
@@ -226,19 +167,4 @@ func (s Set) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// CostFn maps a merged set to its merge cost. The paper requires cost
-// functions to be monotone submodular; the constructors in this package all
-// satisfy that.
-type CostFn func(Set) float64
-
-// CardinalityCost is the BINARYMERGING cost: f(X) = |X|.
-func CardinalityCost(s Set) float64 { return float64(s.Len()) }
-
-// InitPlusCardinalityCost returns f(X) = init + |X|, the paper's example of
-// "a constant cost ... involved with initializing a new sstable". Monotone
-// and submodular for init >= 0.
-func InitPlusCardinalityCost(init float64) CostFn {
-	return func(s Set) float64 { return init + float64(s.Len()) }
 }

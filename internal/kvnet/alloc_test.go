@@ -27,7 +27,7 @@ func TestGetRoundTripAllocatesOnlyItsValue(t *testing.T) {
 	}
 	defer ln.Close()
 	value := bytes.Repeat([]byte{'v'}, 100)
-	answer := EncodeResponse(Response{Status: StatusOK, Value: value})
+	answer := AppendResponse(nil, Response{Status: StatusOK, Value: value})
 	served := make(chan struct{})
 	go func() {
 		defer close(served)

@@ -32,7 +32,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		{Op: OpSnapGet, Handle: 7, Key: []byte("k")},
 		{Op: OpRelease, Handle: 7},
 	} {
-		f.Add(EncodeRequest(req))
+		f.Add(AppendRequest(nil, &req))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
@@ -47,7 +47,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			return
 		}
 		// Valid decodes must re-encode/decode stably.
-		again, err := DecodeRequest(EncodeRequest(req))
+		again, err := DecodeRequest(AppendRequest(nil, &req))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -70,7 +70,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		{Status: StatusError, Code: CodeConfig, Err: "x"},
 		{Status: StatusNotFound},
 	} {
-		f.Add(EncodeResponse(resp))
+		f.Add(AppendResponse(nil, resp))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(StatusChunk), 'V', 0})                            // a chunk must be entries
@@ -78,8 +78,8 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(append([]byte{byte(StatusOK), 'E'}, appendEntry(nil, []byte("k"), []byte("v"))...))
 	f.Add(append([]byte{byte(StatusChunk), 'E'}, appendEntry(appendEntry(nil, []byte("k"), []byte("v")), []byte("k2"), nil)...))
 	f.Add([]byte{byte(StatusChunk), 'E'}) // an empty chunk
-	f.Add(EncodeResponse(Response{Status: StatusOK, Stats: &lsm.Stats{Tables: 3, CompactionPicks: map[string]uint64{"SI": 2}}}))
-	f.Add(EncodeResponse(Response{Status: StatusOK, Compact: &lsm.CompactionResult{Strategy: "BT(I)", StepStats: make([]sstable.MergeStats, 2)}}))
+	f.Add(AppendResponse(nil, Response{Status: StatusOK, Stats: &lsm.Stats{Tables: 3, CompactionPicks: map[string]uint64{"SI": 2}}}))
+	f.Add(AppendResponse(nil, Response{Status: StatusOK, Compact: &lsm.CompactionResult{Strategy: "BT(I)", StepStats: make([]sstable.MergeStats, 2)}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := DecodeResponse(data); err != nil && !errors.Is(err, ErrProtocol) {
 			t.Fatalf("decode error does not wrap ErrProtocol: %v", err)

@@ -228,7 +228,7 @@ func TestWriteRequestRoundTrip(t *testing.T) {
 		{Delete: true, Key: []byte{0, 0xff}},
 		{Key: []byte("c"), Value: nil},
 	}}
-	got, err := DecodeRequest(EncodeRequest(req))
+	got, err := DecodeRequest(AppendRequest(nil, &req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestWriteRequestRoundTrip(t *testing.T) {
 		}
 	}
 	// Truncated and hostile encodings must error, not panic or misparse.
-	enc := EncodeRequest(req)
+	enc := AppendRequest(nil, &req)
 	for cut := 1; cut < len(enc); cut++ {
 		if _, err := DecodeRequest(enc[:cut]); err == nil && cut < len(enc)-1 {
 			t.Fatalf("truncated batch request at %d decoded without error", cut)
@@ -577,7 +577,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{Op: OpStats},
 	}
 	for _, req := range reqs {
-		got, err := DecodeRequest(EncodeRequest(req))
+		got, err := DecodeRequest(AppendRequest(nil, &req))
 		if err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
@@ -602,7 +602,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 			WALRecoveredBytes: 23, WALRecoveryTruncated: true, ReadOnly: true, QuarantinedTables: 24, CleanupFailures: 25}},
 	}
 	for _, resp := range resps {
-		got, err := DecodeResponse(EncodeResponse(resp))
+		got, err := DecodeResponse(AppendResponse(nil, resp))
 		if err != nil {
 			t.Fatalf("%+v: %v", resp, err)
 		}
@@ -677,7 +677,7 @@ func BenchmarkRoundTrip(b *testing.B) {
 func TestQuickProtocolRequests(t *testing.T) {
 	f := func(key, value []byte) bool {
 		req := Request{Op: OpPut, Key: key, Value: value}
-		got, err := DecodeRequest(EncodeRequest(req))
+		got, err := DecodeRequest(AppendRequest(nil, &req))
 		return err == nil && bytes.Equal(got.Key, key) && bytes.Equal(got.Value, value)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -703,7 +703,7 @@ func TestDurabilityErrorCodesOverWire(t *testing.T) {
 		if resp.Status != StatusError || resp.Code != tc.code {
 			t.Fatalf("errResponse(%v) = %+v, want code %d", tc.in, resp, tc.code)
 		}
-		got, err := DecodeResponse(EncodeResponse(resp))
+		got, err := DecodeResponse(AppendResponse(nil, resp))
 		if err != nil {
 			t.Fatal(err)
 		}

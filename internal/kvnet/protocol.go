@@ -394,9 +394,6 @@ func nextEntry(buf []byte) (key, value, rest []byte, err error) {
 	return key, value, rest, nil
 }
 
-// EncodeRequest serializes req into a frame payload.
-func EncodeRequest(req Request) []byte { return AppendRequest(nil, &req) }
-
 // AppendRequest appends req's payload encoding to out. It takes a pointer,
 // as does every client function on the way here, because a Request is a
 // few hundred bytes: passed by value down the call chain it outgrows the
@@ -550,9 +547,6 @@ func DecodeRequest(buf []byte) (Request, error) {
 	}
 	return req, nil
 }
-
-// EncodeResponse serializes resp into a frame payload.
-func EncodeResponse(resp Response) []byte { return AppendResponse(nil, resp) }
 
 // AppendResponse appends resp's payload encoding to dst. A stream's
 // entries frames are not Responses: kind 'E', under StatusChunk or (the

@@ -26,7 +26,7 @@ func TestDecodeErrorsWrapProtocolSentinel(t *testing.T) {
 		}
 	}
 
-	stats := EncodeResponse(Response{Status: StatusOK, Stats: &lsm.Stats{Tables: 1}})
+	stats := AppendResponse(nil, Response{Status: StatusOK, Stats: &lsm.Stats{Tables: 1}})
 	badResponses := map[string][]byte{
 		"empty response":      nil,
 		"unknown kind":        {byte(StatusOK), 'Z'},

@@ -193,7 +193,7 @@ func TestServerIdleTimeout(t *testing.T) {
 func TestErrorCodeRoundTrip(t *testing.T) {
 	for _, code := range []ErrCode{CodeGeneric, CodeClosed, CodeStalled, CodeBatchTooLarge, CodeCanceled, CodeDeadlineExceeded} {
 		in := Response{Status: StatusError, Code: code, Err: "boom"}
-		out, err := DecodeResponse(EncodeResponse(in))
+		out, err := DecodeResponse(AppendResponse(nil, in))
 		if err != nil {
 			t.Fatalf("code %d: %v", code, err)
 		}
@@ -211,7 +211,7 @@ func TestRangeRequestRoundTrip(t *testing.T) {
 		{Op: OpStream, Start: nil, End: nil, Credit: 0},
 		{Op: OpStream, Start: []byte("x"), End: nil, Credit: 3},
 	} {
-		got, err := DecodeRequest(EncodeRequest(req))
+		got, err := DecodeRequest(AppendRequest(nil, &req))
 		if err != nil {
 			t.Fatal(err)
 		}

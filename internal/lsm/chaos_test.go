@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -196,6 +197,49 @@ func countSSTFiles(t *testing.T, dir string) int {
 	return n
 }
 
+// TestReopenRemovesWhatFailedRemovalsLeft: a merge whose input files
+// cannot be removed still commits, counts each failed removal in
+// Stats().CleanupFailures, and leaves the files on disk as orphans; the next
+// open's cleanup pass removes them, so only the merged table's file is left.
+func TestReopenRemovesWhatFailedRemovalsLeft(t *testing.T) {
+	dir := t.TempDir()
+	fault := vfs.NewFault(vfs.Default, 1)
+	db, err := Open(dir, Options{FS: fault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen := 0; gen < 3; gen++ {
+		flushRange(t, db, 0, 100, 1, gen)
+	}
+	fault.SetPathFilter(func(path string) bool { return strings.HasSuffix(path, ".sst") })
+	fault.SetProb(vfs.OpRemove, 1)
+	if _, ran, err := db.minorCompact(pickFirstN(3)); err != nil || !ran {
+		t.Fatalf("merge: ran=%t, %v", ran, err)
+	}
+	if got := db.Stats().CleanupFailures; got != 3 {
+		t.Errorf("CleanupFailures = %d, want 3", got)
+	}
+	if got := countSSTFiles(t, dir); got != 4 {
+		t.Errorf("%d table files after the merge, want 4: three inputs and the output", got)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := countSSTFiles(t, dir); got != 1 {
+		t.Errorf("%d table files after reopening, want 1", got)
+	}
+	for i := 0; i < 100; i++ {
+		if v, err := db.GetContext(context.Background(), scanKey(i)); err != nil || !bytes.Equal(v, residencyValue(i, 2)) {
+			t.Fatalf("Get(%s) = %q, %v after reopening", scanKey(i), v, err)
+		}
+	}
+}
+
 // crashImage copies dir as a process kill would leave it: everything the
 // store has handed to the filesystem, synced or not.
 func crashImage(t *testing.T, dir string) string {
@@ -364,7 +408,7 @@ func TestRecoveryOfOddWALDirectories(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range recs {
-			if err := w.Append(r); err != nil {
+			if err := w.AppendBatch([]wal.Record{r}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -541,7 +585,7 @@ func TestOpenKeepsNoStaleSegment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Append(wal.Record{Op: wal.OpPut, Seq: seq, Key: []byte(name), Value: []byte("1")}); err != nil {
+		if err := w.AppendBatch([]wal.Record{{Op: wal.OpPut, Seq: seq, Key: []byte(name), Value: []byte("1")}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {

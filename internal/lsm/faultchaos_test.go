@@ -345,6 +345,67 @@ func TestFaultENOSPCIsRetryable(t *testing.T) {
 	model.Check(t, chaosReader{db}, m)
 }
 
+// TestFaultENOSPCTornFrameRollback: a WAL frame the full disk cuts short is
+// rolled back by truncating the log to its last whole frame. When the
+// truncate works, the put fails with ENOSPC, the DB stays writable, and a
+// crash image replays the writes on either side of the torn one and not the
+// torn one. When the truncate fails too, the log's tail is of unknown state:
+// the DB turns read-only and refuses the next write with ErrReadOnly.
+func TestFaultENOSPCTornFrameRollback(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		failTruncate bool
+	}{
+		{"rollback truncates", false},
+		{"rollback fails", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			dir := t.TempDir()
+			fault := vfs.NewFault(vfs.Default, 7)
+			db, err := lsm.Open(dir, lsm.Options{FS: fault, SyncWAL: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if err := db.PutContext(ctx, []byte("before"), []byte("kept")); err != nil {
+				t.Fatal(err)
+			}
+			fault.SetDiskFullAfter(5) // the next WAL frame lands torn
+			if tc.failTruncate {
+				fault.FailNextTruncate()
+			}
+			err = db.PutContext(ctx, []byte("torn"), []byte("refused"))
+			if !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("put of a torn frame = %v, want ENOSPC", err)
+			}
+			if got := db.Stats().ReadOnly; got != tc.failTruncate {
+				t.Fatalf("ReadOnly = %t after the rollback, want %t", got, tc.failTruncate)
+			}
+			fault.SetDiskFullAfter(-1)
+			err = db.PutContext(ctx, []byte("after"), []byte("resumed"))
+			if tc.failTruncate {
+				if !errors.Is(err, lsm.ErrReadOnly) {
+					t.Fatalf("put after a failed rollback = %v, want ErrReadOnly", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("put after space freed: %v", err)
+			}
+			re, err := lsm.Open(lsm.CrashImage(t, dir), lsm.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			m := model.New()
+			m.Put("before", "kept")
+			m.Put("after", "resumed")
+			model.Check(t, chaosReader{re}, m)
+		})
+	}
+}
+
 // TestBackgroundFlushFailureSemantics: a flush runs behind the writes, so its
 // failures arrive late and at whoever next has to wait for the flusher.
 //

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/compaction"
 	"repro/internal/hll"
+	"repro/internal/keyhash"
 	"repro/internal/keyset"
 	"repro/internal/kverr"
 	"repro/internal/vfs"
@@ -138,7 +139,7 @@ func TestPlanToleratesOddSketches(t *testing.T) {
 	db.tables[1].sketch = nil
 	small := hll.MustNew(10)
 	for i := 0; i < 1000; i++ {
-		small.Add(scanKey(6*i + 3))
+		small.AddUint64(keyhash.Of(scanKey(6*i + 3)).H1)
 	}
 	db.tables[3].sketch = small
 	db.mu.Unlock()

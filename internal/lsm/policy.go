@@ -38,9 +38,6 @@ type Policy struct {
 	chooser func() compaction.Chooser
 }
 
-// Name identifies the policy in Stats.CompactionPicks and logs.
-func (p *Policy) Name() string { return p.name }
-
 // pickWith is chooser's one-merge pick of live at p's fan-in, or of every
 // table when p leaves the group to the chooser.
 func (p *Policy) pickWith(chooser compaction.Chooser, live []compaction.LiveTable) (*compaction.Schedule, error) {
@@ -131,18 +128,6 @@ func liveTables(tables []*tableHandle) []compaction.LiveTable {
 		live[i].Entries = n
 	}
 	return live
-}
-
-// minorCompact asks p for a merge of the tables no other merge owns and, if
-// it makes one, runs it (keeping tombstones). It reports whether a
-// compaction ran.
-func (db *DB) minorCompact(p *Policy) (*CompactionResult, bool, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, false, ErrClosed
-	}
-	return db.minorCompactLocked(p)
 }
 
 // minorCompactLocked picks under mu and claims the pick's inputs, then

@@ -372,3 +372,18 @@ func TestOpenRejectsUnknownStrategy(t *testing.T) {
 		}
 	}
 }
+
+// Name identifies the policy in Stats.CompactionPicks and logs.
+func (p *Policy) Name() string { return p.name }
+
+// minorCompact asks p for a merge of the tables no other merge owns and, if
+// it makes one, runs it (keeping tombstones). It reports whether a
+// compaction ran.
+func (db *DB) minorCompact(p *Policy) (*CompactionResult, bool, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return nil, false, ErrClosed
+	}
+	return db.minorCompactLocked(p)
+}

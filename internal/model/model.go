@@ -19,13 +19,13 @@ import (
 	"testing"
 )
 
-// Op is one write: a put of Value at Key, or a delete of Key.
+// Test support: Op is one write: a put of Value at Key, or a delete of Key.
 type Op struct {
 	Key, Value string
 	Delete     bool
 }
 
-// Reader is the read side of an engine under test.
+// Test support: Reader is the read side of an engine under test.
 type Reader interface {
 	// Get returns key's value, or found == false with a nil error.
 	Get(key []byte) (value []byte, found bool, err error)
@@ -34,8 +34,8 @@ type Reader interface {
 	Scan(start, end []byte, fn func(key, value []byte) error) error
 }
 
-// Model holds what reads may return. It is safe for concurrent use; writers
-// that share a key must record their writes in commit order.
+// Test support: Model holds what reads may return. It is safe for concurrent
+// use; writers that share a key must record their writes in commit order.
 type Model struct {
 	mu      sync.Mutex
 	keys    map[string]*entry
@@ -50,7 +50,7 @@ type entry struct {
 	maybeGone bool     // a failed delete since, or nothing acknowledged
 }
 
-// New returns an empty model.
+// Test support: New returns an empty model.
 func New() *Model { return &Model{keys: map[string]*entry{}} }
 
 // Put records an acknowledged put.
@@ -119,9 +119,10 @@ func (m *Model) Verify(key, value string, found bool) error {
 	return fmt.Errorf("%s = %.40q; want %.40q (live %v, %d failed puts)", key, value, e.value, e.live, len(e.maybe))
 }
 
-// Check fails t unless r agrees with m: a Get of every key m has seen and
-// of one it has not, a full scan, and a few seeded sub-range scans, each of
-// which must return exactly the full scan's entries within its bounds.
+// Test support: Check fails t unless r agrees with m: a Get of every key m
+// has seen and of one it has not, a full scan, and a few seeded sub-range
+// scans, each of which must return exactly the full scan's entries within
+// its bounds.
 func Check(t testing.TB, r Reader, m *Model) {
 	t.Helper()
 	keys := m.Keys()
@@ -212,8 +213,8 @@ func (m *Model) Prefix(t testing.TB, r Reader) int {
 	return n
 }
 
-// scan collects r's entries in [start, end), failing t on an error or on
-// keys out of order.
+// Test support: scan collects r's entries in [start, end), failing t on an
+// error or on keys out of order.
 func scan(t testing.TB, r Reader, start, end []byte) [][2]string {
 	t.Helper()
 	var out [][2]string
@@ -229,7 +230,7 @@ func scan(t testing.TB, r Reader, start, end []byte) [][2]string {
 	return out
 }
 
-// Mix shapes a Stream.
+// Test support: Mix shapes a Stream.
 type Mix struct {
 	Prefix string  // every key begins with it
 	Keys   int     // the stream writes Prefix+"key-0000" and on, this many
@@ -238,8 +239,8 @@ type Mix struct {
 	Pad    int     // values are padded to this many bytes
 }
 
-// Stream returns n writes drawn from seed, each one op or a batch of three.
-// Every put writes a value no other op of the stream writes.
+// Test support: Stream returns n writes drawn from seed, each one op or a
+// batch of three. Every put writes a value no other op of the stream writes.
 func Stream(seed int64, n int, mix Mix) [][]Op {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([][]Op, n)

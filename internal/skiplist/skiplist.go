@@ -203,10 +203,6 @@ func (s *slabs[T]) retire(spare [][]T) [][]T {
 	return spare
 }
 
-// New creates an empty list with a free list of its own. seed makes tower
-// heights deterministic, which keeps tests and simulations reproducible.
-func New(seed int64) *List { return new(FreeList).New(seed) }
-
 // FreeList holds the slabs of the lists recycled into it — about one
 // memtable's worth — for the lists drawn from it to carve from, and the
 // last such list for the next New to reuse. The zero value is empty; it is

@@ -315,3 +315,7 @@ func BenchmarkGet(b *testing.B) {
 		}
 	}
 }
+
+// New creates an empty list with a free list of its own. seed makes tower
+// heights deterministic, which keeps tests and simulations reproducible.
+func New(seed int64) *List { return new(FreeList).New(seed) }

@@ -125,14 +125,9 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	return rd, nil
 }
 
-// Open opens an sstable file by path; Close releases the file handle.
-func Open(path string) (*Reader, error) {
-	return OpenFS(vfs.Default, path, nil)
-}
-
-// OpenFS is Open reading through fsys, so tests can serve table reads from a
-// fault-injecting filesystem. hint is unused: a table's bounds are always
-// read from the table.
+// OpenFS opens the sstable file at path through fsys, so tests can serve
+// table reads from a fault-injecting filesystem; Close releases the file
+// handle. hint is unused: a table's bounds are always read from the table.
 func OpenFS(fsys vfs.FS, path string, hint *Bounds) (*Reader, error) {
 	file, err := fsys.Open(path)
 	if err != nil {
@@ -404,23 +399,11 @@ func (rd *Reader) HoldsNewer(key []byte, h keyhash.Hash, seq uint64) bool {
 	return found && hd.seq > seq
 }
 
-// Get returns the entry for key, or ErrNotFound. The Bloom filter rejects
-// most absent keys without touching data blocks. The entry's value is the
-// caller's own copy; its key is the probe key.
-func (rd *Reader) Get(key []byte) (iterator.Entry, error) {
-	e, b, err := rd.GetEntry(key)
-	if err != nil {
-		return e, err
-	}
-	e.Value = append(e.Value[:0:0], e.Value...)
-	b.Release()
-	return e, nil
-}
-
-// GetEntry is Get without the copy: on a hit the entry's value aliases the
-// returned block, which is pinned on the caller's behalf — copy out what
-// must outlive it, then Release. The entry's key is the probe key itself.
-// On a miss or an error the block is nil.
+// GetEntry returns the entry for key, or ErrNotFound; the Bloom filter
+// rejects most absent keys without touching data blocks. On a hit the
+// entry's value aliases the returned block, which is pinned on the caller's
+// behalf — copy out what must outlive it, then Release. The entry's key is
+// the probe key itself. On a miss or an error the block is nil.
 func (rd *Reader) GetEntry(key []byte) (iterator.Entry, *cache.Block, error) {
 	return rd.GetEntryHashed(key, keyhash.Of(key))
 }

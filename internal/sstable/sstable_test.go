@@ -12,6 +12,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/iterator"
+	"repro/internal/vfs"
 )
 
 func entry(key, val string, seq uint64) iterator.Entry {
@@ -472,4 +473,22 @@ func BenchmarkReaderGet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Open opens an sstable file by path; Close releases the file handle.
+func Open(path string) (*Reader, error) {
+	return OpenFS(vfs.Default, path, nil)
+}
+
+// Get returns the entry for key, or ErrNotFound. The Bloom filter rejects
+// most absent keys without touching data blocks. The entry's value is the
+// caller's own copy; its key is the probe key.
+func (rd *Reader) Get(key []byte) (iterator.Entry, error) {
+	e, b, err := rd.GetEntry(key)
+	if err != nil {
+		return e, err
+	}
+	e.Value = append(e.Value[:0:0], e.Value...)
+	b.Release()
+	return e, nil
 }

@@ -241,9 +241,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// ShardCount returns the number of shards.
-func (s *Store) ShardCount() int { return len(s.shards) }
-
 // ShardFor returns the index of the shard owning key; a one-shard store
 // routes without hashing.
 func (s *Store) ShardFor(key []byte) int {
@@ -252,9 +249,6 @@ func (s *Store) ShardFor(key []byte) int {
 	}
 	return int(keyhash.Placement(key) % uint64(len(s.shards)))
 }
-
-// Shard returns shard i's engine, for per-shard inspection (stats, tests).
-func (s *Store) Shard(i int) *lsm.DB { return s.shards[i] }
 
 // Close closes every shard; shard errors are combined.
 func (s *Store) Close() error {
@@ -431,7 +425,7 @@ func (sn *Snapshot) Release() {
 // paper's picture of many servers compacting locally, in miniature — and
 // returns the aggregated result: summed table counts, costs and I/O, the
 // concatenated per-merge stats, and the wall-clock duration of the slowest
-// shard. Per-shard results are available through Shard(i).
+// shard.
 func (s *Store) MajorCompact(strategy string, k int, seed int64) (*lsm.CompactionResult, error) {
 	results := make([]*lsm.CompactionResult, len(s.shards))
 	err := s.forAllIndexed(func(i int, db *lsm.DB) error {

@@ -686,3 +686,9 @@ func TestOnlyTheFailingShardDegrades(t *testing.T) {
 	m.Fail(model.Op{Key: string(keys[bad][0]), Value: "v"})
 	model.Check(t, reader{s}, m)
 }
+
+// ShardCount returns the number of shards.
+func (s *Store) ShardCount() int { return len(s.shards) }
+
+// Shard returns shard i's engine, for per-shard inspection (stats, tests).
+func (s *Store) Shard(i int) *lsm.DB { return s.shards[i] }

@@ -64,10 +64,10 @@ func (e *injectedError) Error() string {
 
 func (e *injectedError) Unwrap() []error { return []error{ErrInjected, e.errno} }
 
-// Fault wraps an FS and injects deterministic failures. Faults are driven
-// by a seeded PRNG (per-op probabilities) and by scripted triggers
-// (fail-the-Nth-sync, disk-full after N bytes, fail-next-truncate). All
-// configuration methods are safe for concurrent use with operations.
+// Test support: Fault wraps an FS and injects deterministic failures. Faults
+// are driven by a seeded PRNG (per-op probabilities) and by scripted
+// triggers (fail-the-Nth-sync, disk-full after N bytes, fail-next-truncate).
+// All configuration methods are safe for concurrent use with operations.
 //
 // A torn write injects realistically: a random prefix of the buffer
 // reaches the underlying file before the error returns, modeling a crash
@@ -88,9 +88,9 @@ type Fault struct {
 	failTruncate bool  // fail the next Truncate (one-shot)
 }
 
-// NewFault wraps inner with a fault injector seeded for deterministic
-// replay. Injection starts enabled but with all probabilities zero and no
-// scripted triggers, so it is inert until configured.
+// Test support: NewFault wraps inner with a fault injector seeded for
+// deterministic replay. Injection starts enabled but with all probabilities
+// zero and no scripted triggers, so it is inert until configured.
 func NewFault(inner FS, seed int64) *Fault {
 	return &Fault{
 		inner:    inner,
@@ -138,7 +138,8 @@ func (f *Fault) SetDiskFullAfter(n int64) {
 
 // FailNextTruncate makes the next Truncate call fail with an injected
 // EIO (one-shot). The WAL truncates to roll back a torn append; failing
-// it exercises the log-poisoning path.
+// it exercises the log-poisoning path. The fault is counted, and its error
+// reported, as an OpWrite fault.
 func (f *Fault) FailNextTruncate() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -166,17 +167,6 @@ func (f *Fault) Injected(op Op) uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.counts[op]
-}
-
-// InjectedTotal reports the total number of injected faults.
-func (f *Fault) InjectedTotal() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var n uint64
-	for _, c := range f.counts {
-		n += c
-	}
-	return n
 }
 
 // active reports (under f.mu) whether injection applies to path.
@@ -340,7 +330,8 @@ func (f *Fault) SyncDir(path string) error {
 	return f.inner.SyncDir(path)
 }
 
-// faultFile threads per-call injection through an open handle.
+// Test support: faultFile threads per-call injection through an open
+// handle.
 type faultFile struct {
 	File
 	fault *Fault

@@ -104,16 +104,15 @@ func decodeRecord(payload []byte) (Record, []byte, error) {
 // A failed append rolls the file back to the end of the last good frame,
 // so later appends stay recoverable; if the rollback itself fails — or an
 // fsync fails, after which the page cache can no longer be trusted — the
-// writer is poisoned: every subsequent Append, AppendBatch and Sync
+// writer is poisoned: every subsequent AppendBatch and Sync
 // returns the sticky error. Without this, a torn frame in the middle of
 // the log would silently cut off every later (even fsynced and
 // acknowledged) record at replay, which stops at the first damaged frame.
 type Writer struct {
 	f    vfs.File
 	size int64
-	buf  []byte    // reusable frame encode buffer
-	one  [1]Record // scratch so Append doesn't allocate a slice
-	err  error     // sticky: the log tail is no longer trustworthy
+	buf  []byte // reusable frame encode buffer
+	err  error  // sticky: the log tail is no longer trustworthy
 }
 
 // Create opens (truncating) a new log file at path through fsys.
@@ -123,13 +122,6 @@ func Create(fsys vfs.FS, path string) (*Writer, error) {
 		return nil, fmt.Errorf("wal: create: %w", err)
 	}
 	return &Writer{f: f}, nil
-}
-
-// Append writes one record as a batch of one. The record is buffered by the
-// OS; call Sync for durability.
-func (w *Writer) Append(r Record) error {
-	w.one[0] = r
-	return w.AppendBatch(w.one[:])
 }
 
 // AppendBatch writes all of recs as a single frame — one buffer encode, one
@@ -189,9 +181,6 @@ func (w *Writer) Sync() error {
 
 // Err returns the sticky error, if the writer has been poisoned.
 func (w *Writer) Err() error { return w.err }
-
-// Size returns the bytes appended so far.
-func (w *Writer) Size() int64 { return w.size }
 
 // Close closes the underlying file.
 func (w *Writer) Close() error { return w.f.Close() }

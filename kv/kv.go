@@ -119,7 +119,8 @@ type Engine interface {
 	// snapshot.
 	Snapshot(ctx context.Context) (Snapshot, error)
 	// Flush forces buffered writes (the memtable, every shard's memtable)
-	// to sstables.
+	// to sstables. No WithAutoCompact pick follows an explicit Flush; a pick
+	// follows only a flush that writes trigger, and only when one is due.
 	Flush(ctx context.Context) error
 	// Compact runs a major compaction scheduled by opts.Strategy (nil
 	// selects the engine's configured default), blocking until it

@@ -148,8 +148,8 @@ func WithBlockCacheBytes(n int) Option {
 	})
 }
 
-// WithAutoCompact enables minor compactions after flushes with the named
-// policy: "size-tiered" (Cassandra's bucketing), "threshold" (Bigtable's
+// WithAutoCompact enables minor compactions after write-triggered flushes
+// with the named policy: "size-tiered" (Cassandra's bucketing), "threshold" (Bigtable's
 // count trigger), "leveled" (the LevelDB-style layout with per-level
 // size targets), any live-capable paper strategy (SI, SO, BT, BT(I),
 // BT(O), CHAIN, RANDOM — picking from per-table statistics and HyperLogLog
@@ -157,7 +157,7 @@ func WithBlockCacheBytes(n int) Option {
 // read from the compaction package's strategy table, and "none". A pick is
 // due when compaction.Due says so: size-tiered and leveled by their own
 // triggers, threshold and the paper's strategies at twice the fan-in
-// WithCompactionStrategy sets.
+// WithCompactionStrategy sets. No pick follows an explicit Flush.
 func WithAutoCompact(policy string) Option {
 	return openOnly("WithAutoCompact", func(c *config) error {
 		if policy != "none" {

@@ -206,7 +206,7 @@ func TestNoLayerDropsACounter(t *testing.T) {
 		t.Error("Add shares its argument's CompactionPicks map")
 	}
 
-	resp, err := kvnet.DecodeResponse(kvnet.EncodeResponse(kvnet.Response{Status: kvnet.StatusOK, Stats: &want}))
+	resp, err := kvnet.DecodeResponse(kvnet.AppendResponse(nil, kvnet.Response{Status: kvnet.StatusOK, Stats: &want}))
 	if err != nil {
 		t.Fatal(err)
 	}
