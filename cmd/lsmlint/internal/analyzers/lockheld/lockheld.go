@@ -280,6 +280,14 @@ func (w *walker) checkCall(call *ast.CallExpr, held map[string]token.Pos) {
 		}
 	}
 
+	// A dial one call down from net.Dial — a dial function field or a
+	// method (p.dial, rt.dial) — waits on the network as well. The
+	// analysis does not follow calls, so it goes by the name.
+	if strings.HasPrefix(name, "dial") || strings.HasPrefix(name, "Dial") {
+		w.report(call.Pos(), name+" network I/O", held)
+		return
+	}
+
 	// Blocking methods on net types (conn.Read, conn.Write,
 	// listener.Accept). Close is deliberately excluded: closing a
 	// connection is how pending I/O gets *unblocked*, and poisoning a dead

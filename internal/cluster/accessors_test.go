@@ -23,7 +23,7 @@ func (rt *Router) PendingHints(ctx context.Context) (int, error) {
 	rt.hintMu.Lock()
 	total := len(rt.deferredHints)
 	rt.hintMu.Unlock()
-	for holder := range rt.conns {
+	for holder := range rt.peers {
 		if rt.health.isDown(holder) {
 			continue
 		}

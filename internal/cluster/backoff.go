@@ -1,32 +1,31 @@
 package cluster
 
 // This file is the router's one implementation of jittered exponential
-// backoff: the failure detector's probes of a down node (ProbeBackoff) and
-// the re-attempt a replica read or write gets (RetryBackoff) both use it.
+// backoff: the failure detector's probes of a down node (probeBackoff) and
+// the re-attempt a replica read or write gets (retryBackoff) both use it.
 // Only the probes grow: a replica's one re-attempt is attempt 0, uniform in
-// [Base/2, Base] at the default jitter (12.5–25ms at the default Base).
+// [base/2, base] at the default jitter (12.5–25ms at the default base).
 
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"time"
 )
 
-// Backoff computes per-attempt delays: Base doubling each attempt, capped
-// at Max, with a uniformly random jitter fraction subtracted so that many
+// backoff computes per-attempt delays: base doubling each attempt, capped
+// at max, with a uniformly random jitter fraction subtracted so that many
 // independent retriers (replica writes fanned out together, N routers
 // probing the same dead node) do not synchronize into retry storms. The
 // zero value is usable and selects the defaults below.
-type Backoff struct {
-	// Base is the delay before the first retry. Zero selects 10ms.
-	Base time.Duration
-	// Max caps the exponential growth. Zero selects 2s.
-	Max time.Duration
-	// Jitter is the fraction of the computed delay randomly shaved off:
-	// the actual delay is uniform in [d*(1-Jitter), d]. Zero selects 0.5;
+type backoff struct {
+	// base is the delay before the first retry. Zero selects 10ms.
+	base time.Duration
+	// max caps the exponential growth. Zero selects 2s.
+	max time.Duration
+	// jitter is the fraction of the computed delay randomly shaved off:
+	// the actual delay is uniform in [d*(1-jitter), d]. Zero selects 0.5;
 	// negative disables jitter (deterministic delays, for tests).
-	Jitter float64
+	jitter float64
 }
 
 const (
@@ -35,19 +34,11 @@ const (
 	defaultJitter = 0.5
 )
 
-// jitterRand is the shared jitter source. math/rand's global functions
-// would do, but a dedicated locked source keeps backoff independent of
-// global seeding and makes the lock scope explicit.
-var (
-	jitterMu   sync.Mutex
-	jitterRand = rand.New(rand.NewSource(time.Now().UnixNano()))
-)
-
-// Delay returns the backoff delay for the given retry attempt, counted
-// from 0 (the delay before the first retry). Delays grow Base·2^attempt up
-// to Max, then jitter shaves off a random fraction.
-func (b Backoff) Delay(attempt int) time.Duration {
-	base, max, jitter := b.Base, b.Max, b.Jitter
+// delay returns the backoff delay for the given retry attempt, counted
+// from 0 (the delay before the first retry). Delays grow base·2^attempt up
+// to max, then jitter shaves off a random fraction.
+func (b backoff) delay(attempt int) time.Duration {
+	base, max, jitter := b.base, b.max, b.jitter
 	if base <= 0 {
 		base = defaultBase
 	}
@@ -73,10 +64,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 		d = max
 	}
 	if jitter > 0 {
-		jitterMu.Lock()
-		f := jitterRand.Float64()
-		jitterMu.Unlock()
-		d = d - time.Duration(f*jitter*float64(d))
+		d = d - time.Duration(rand.Float64()*jitter*float64(d))
 	}
 	if d < 0 {
 		d = 0
@@ -84,10 +72,10 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	return d
 }
 
-// Sleep blocks for the attempt's delay or until ctx expires, returning
+// sleep blocks for the attempt's delay or until ctx expires, returning
 // ctx's error in the latter case. The timer is torn down on early exit.
-func (b Backoff) Sleep(ctx context.Context, attempt int) error {
-	d := b.Delay(attempt)
+func (b backoff) sleep(ctx context.Context, attempt int) error {
+	d := b.delay(attempt)
 	if d <= 0 {
 		return ctx.Err()
 	}

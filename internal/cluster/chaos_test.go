@@ -107,9 +107,9 @@ func chaosOptions() Options {
 		// detector that wait is real; dead nodes are still detected fast
 		// (connection refused, 40ms pings), not by timeout.
 		RequestTimeout:  1500 * time.Millisecond,
-		PingInterval:    40 * time.Millisecond,
-		HandoffInterval: 150 * time.Millisecond,
-		ProbeBackoff:    Backoff{Base: 20 * time.Millisecond, Max: 150 * time.Millisecond},
+		pingInterval:    40 * time.Millisecond,
+		handoffInterval: 150 * time.Millisecond,
+		probeBackoff:    backoff{base: 20 * time.Millisecond, max: 150 * time.Millisecond},
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/keyhash"
 	"repro/internal/kvnet"
@@ -134,6 +136,17 @@ func TestEmptyRing(t *testing.T) {
 // startCluster brings up n servers and a router over them.
 func startCluster(t testing.TB, n int) *Router {
 	t.Helper()
+	rt, err := DialCluster(startNodes(t, n), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	return rt
+}
+
+// startNodes stands up n loopback servers and returns their addresses.
+func startNodes(t testing.TB, n int) []string {
+	t.Helper()
 	addrs := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		db, err := lsm.Open(t.TempDir(), lsm.Options{})
@@ -152,12 +165,7 @@ func startCluster(t testing.TB, n int) *Router {
 		})
 		addrs = append(addrs, ln.Addr().String())
 	}
-	rt, err := DialCluster(addrs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rt.Close() })
-	return rt
+	return addrs
 }
 
 func TestRouterCRUD(t *testing.T) {
@@ -280,7 +288,7 @@ func TestRouterScanMergesSorted(t *testing.T) {
 	if err := rt.Delete(context.Background(), []byte("q:0000")); err != nil {
 		t.Fatal(err)
 	}
-	c, err := rt.client(0)
+	c, err := rt.peers[0].Client(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,5 +442,61 @@ func TestRouterRedialsReapedConnection(t *testing.T) {
 	}
 	if n := len(ln.accepted()); n <= len(dropped) {
 		t.Fatalf("%d connections accepted, %d dropped: the router never re-dialed", n, len(dropped))
+	}
+}
+
+// TestRouterHeldDialHoldsOnlyItsNode: a node whose re-dial hangs holds up
+// neither another node's re-dial nor Close; each dial runs outside every
+// lock the router shares.
+func TestRouterHeldDialHoldsOnlyItsNode(t *testing.T) {
+	addrs := startNodes(t, 2)
+	tcp := kvnet.TCPDialer(time.Second)
+	var holdA atomic.Bool
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	defer close(release)
+	rt, err := DialCluster(addrs, Options{pingInterval: time.Hour,
+		dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			if addr == addrs[0] && holdA.Load() {
+				entered <- struct{}{}
+				select {
+				case <-release:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			return tcp(ctx, addr)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ping := func(ctx context.Context, c *kvnet.Client) error { return c.Ping(ctx) }
+	for node := range rt.peers {
+		c, err := rt.peers[node].Client(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	holdA.Store(true)
+	go rt.do(context.Background(), 0, ping)
+	<-entered
+
+	start := time.Now()
+	if err := rt.do(context.Background(), 1, ping); err != nil {
+		t.Fatalf("node B's re-dial while A's dial is held: %v", err)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Fatalf("node B's re-dial took %v behind A's held dial, want < 500ms", took)
+	}
+	closed := make(chan struct{})
+	go func() {
+		rt.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(500 * time.Millisecond):
+		t.Fatal("Close waited behind a held dial for 500ms")
 	}
 }

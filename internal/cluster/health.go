@@ -19,7 +19,7 @@ import (
 // down, and what is its up-epoch — are atomics written under it, so the
 // request path reads them without a lock.
 type health struct {
-	backoff Backoff
+	backoff backoff
 
 	mu    sync.Mutex
 	nodes []nodeHealth
@@ -44,7 +44,7 @@ type nodeHealth struct {
 	lastErr   error
 }
 
-func newHealth(probeBackoff Backoff, names []string) *health {
+func newHealth(probeBackoff backoff, names []string) *health {
 	h := &health{backoff: probeBackoff, nodes: make([]nodeHealth, len(names))}
 	for i, name := range names {
 		h.nodes[i].name = name
@@ -76,7 +76,7 @@ func (h *health) markDown(node int, gen uint64, err error) bool {
 	transition := !s.down.Load()
 	s.down.Store(true)
 	s.failures++
-	s.nextProbe = time.Now().Add(h.backoff.Delay(s.failures - 1))
+	s.nextProbe = time.Now().Add(h.backoff.delay(s.failures - 1))
 	s.lastErr = err
 	return transition
 }

@@ -11,7 +11,7 @@ import (
 // delivering a failure from before a node's restart re-demotes the
 // recovered node and fails quorums that were healthy.
 func TestHealthEpochGuardDiscardsStaleVerdicts(t *testing.T) {
-	h := newHealth(Backoff{}, []string{"n1"})
+	h := newHealth(backoff{}, []string{"n1"})
 	const n1 = 0
 	errBoom := errors.New("boom")
 

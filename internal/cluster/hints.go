@@ -144,8 +144,8 @@ func (rt *Router) parkHintFor(target int, ops []kvnet.BatchOp) {
 // just past the target, so hints for one node spread over its
 // neighbors.
 func (rt *Router) parkEncoded(target int, key, value []byte) bool {
-	for i := 1; i < len(rt.conns); i++ {
-		holder := (target + i) % len(rt.conns)
+	for i := 1; i < len(rt.peers); i++ {
+		holder := (target + i) % len(rt.peers)
 		if rt.health.isDown(holder) {
 			continue
 		}
@@ -203,11 +203,11 @@ func (rt *Router) reparkDeferred(ctx context.Context) {
 	}
 }
 
-// handoffLoop sweeps parked hints every HandoffInterval, and immediately
+// handoffLoop sweeps parked hints every handoffInterval, and immediately
 // when the failure detector promotes a node back up.
 func (rt *Router) handoffLoop() {
 	defer rt.loops.Done()
-	t := time.NewTicker(rt.opts.HandoffInterval)
+	t := time.NewTicker(rt.opts.handoffInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -226,7 +226,7 @@ func (rt *Router) handoffLoop() {
 func (rt *Router) handoffSweep(ctx context.Context) error {
 	rt.reparkDeferred(ctx)
 	var first error
-	for holder := range rt.conns {
+	for holder := range rt.peers {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}

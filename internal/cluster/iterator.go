@@ -38,7 +38,7 @@ var errScanClosed = fmt.Errorf("cluster: scan closed: %w", kverr.ErrClosed)
 // spareNodes is how many nodes a scan may lose: N−R, over the nodes the
 // ring has.
 func (rt *Router) spareNodes() int {
-	n := min(rt.opts.ReplicationFactor, len(rt.conns))
+	n := min(rt.opts.ReplicationFactor, len(rt.peers))
 	return n - min(rt.opts.ReadQuorum, n)
 }
 
@@ -72,7 +72,7 @@ func (rt *Router) stream(ctx context.Context, node int, st *kvnet.Stream, start,
 	if rt.health.isDown(node) {
 		return errNodeDown
 	}
-	c, err := rt.client(node)
+	c, err := rt.peers[node].Client(ctx)
 	if err != nil {
 		return err
 	}
@@ -81,7 +81,7 @@ func (rt *Router) stream(ctx context.Context, node int, st *kvnet.Stream, start,
 
 // merge opens one stream per node through open and positions the merge.
 func (rt *Router) merge(ctx context.Context, open func(node int, st *kvnet.Stream) error) (*Iterator, error) {
-	it := &Iterator{rt: rt, ctx: ctx, streams: make([]kvnet.Stream, len(rt.conns)), spare: rt.spareNodes()}
+	it := &Iterator{rt: rt, ctx: ctx, streams: make([]kvnet.Stream, len(rt.peers)), spare: rt.spareNodes()}
 	for node := range it.streams {
 		if err := open(node, &it.streams[node]); err != nil {
 			if it.lose(err); it.err != nil {
@@ -230,7 +230,7 @@ type Snapshot struct {
 // Snapshot pins a view on every node the failure detector has not marked
 // down, tolerating N−R that are down or fail to answer.
 func (rt *Router) Snapshot(ctx context.Context) (*Snapshot, error) {
-	s := &Snapshot{rt: rt, views: make([]*kvnet.Snapshot, len(rt.conns))}
+	s := &Snapshot{rt: rt, views: make([]*kvnet.Snapshot, len(rt.peers))}
 	spare := rt.spareNodes()
 	for node := range s.views {
 		err := errNodeDown

@@ -98,7 +98,7 @@ type leg struct {
 func (l *leg) answered() bool { return l.reported && l.err == nil }
 
 func newQuorumOp(rt *Router) *quorumOp {
-	o := &quorumOp{rt: rt, legs: make([]leg, len(rt.conns)), results: make(chan int, len(rt.conns))}
+	o := &quorumOp{rt: rt, legs: make([]leg, len(rt.peers)), results: make(chan int, len(rt.peers))}
 	for node := range o.legs {
 		l := &o.legs[node]
 		l.op, l.node, l.runFn = o, node, l.run
@@ -233,7 +233,7 @@ func (o *quorumOp) start(node int) {
 }
 
 // run executes the leg and reports it. A transport-level failure gets one
-// paced re-attempt (Options.RetryBackoff) before the error counts against
+// paced re-attempt (Options.retryBackoff) before the error counts against
 // the quorum, unless the op is decided by the end of the pause: without
 // the retry a single hiccup on a live replica while another node is down
 // fails an otherwise healthy quorum, and once the op is decided nothing
@@ -243,7 +243,7 @@ func (l *leg) run() {
 	defer rt.bg.Done()
 	defer o.release()
 	err := rt.doCall(o.ctx, o.first, l.node, l)
-	if err != nil && !terminalReplicaErr(err) && rt.opts.RetryBackoff.Sleep(o.ctx, 0) == nil && !o.decided.Load() {
+	if err != nil && !terminalReplicaErr(err) && rt.opts.retryBackoff.sleep(o.ctx, 0) == nil && !o.decided.Load() {
 		err = rt.doCall(o.ctx, nil, l.node, l)
 	}
 	if err != nil && !o.read && o.ctx.Err() == nil {
@@ -289,7 +289,7 @@ func (o *quorumOp) stage(batch []kvnet.BatchOp) {
 	if cap(o.buf) < size {
 		o.buf = make([]byte, 0, size) // sized up front: batch slices buf as it fills
 	}
-	o.width = min(rt.opts.ReplicationFactor, len(rt.conns))
+	o.width = min(rt.opts.ReplicationFactor, len(rt.peers))
 	for i := range batch {
 		in := &batch[i]
 		k := len(o.buf)
@@ -430,7 +430,7 @@ func rotation(seq uint64, width int) int { return int(keyhash.Mix64(seq) % uint6
 // first; ones the failure detector has down are asked only once the live
 // ones cannot make up R — the rule writes follow for a quorum without
 // slack, since the detector may be wrong or a beat behind a restart. A leg that fails,
-// or has said nothing for RetryBackoff.Base, is hedged: the next replica
+// or has said nothing for retryBackoff.base, is hedged: the next replica
 // in line is asked as well, and whichever R answer first decide the read,
 // so a replica that has gone silent but is not demoted yet costs one
 // hedge delay rather than RequestTimeout.
@@ -540,7 +540,7 @@ func rotate(s []int, k int) {
 
 // armHedge starts the hedge delay on the op's reusable timer.
 func (o *quorumOp) armHedge() <-chan time.Time {
-	d := o.rt.opts.RetryBackoff.Base
+	d := o.rt.opts.retryBackoff.base
 	if o.hedge == nil {
 		o.hedge = time.NewTimer(d)
 		return o.hedge.C

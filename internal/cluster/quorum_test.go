@@ -109,7 +109,7 @@ func TestParkedHintKeepsStampFloor(t *testing.T) {
 		engines = append(engines, e)
 		addrs = append(addrs, ln.Addr().String())
 	}
-	rt, err := DialCluster(addrs, Options{HandoffInterval: time.Hour})
+	rt, err := DialCluster(addrs, Options{handoffInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,7 +724,7 @@ func (gc *gatedCluster) readFrom(offset int) {
 // semanticsOptions keep timeouts far from anything a gated test waits on:
 // nothing here may be decided by a deadline.
 func semanticsOptions() Options {
-	return Options{RequestTimeout: 20 * time.Second, RetryBackoff: Backoff{Base: 2 * time.Second, Max: 2 * time.Second, Jitter: -1}}
+	return Options{RequestTimeout: 20 * time.Second, retryBackoff: backoff{base: 2 * time.Second, max: 2 * time.Second, jitter: -1}}
 }
 
 // TestAckedWriteVisibleToEveryReadSubset is docs/cluster.md's first promise,
@@ -939,8 +939,8 @@ func TestSilentReplicaCostsOneHedgeDelay(t *testing.T) {
 	const hedgeDelay = 30 * time.Millisecond
 	gc := startGatedCluster(t, Options{
 		RequestTimeout: 20 * time.Second,
-		PingInterval:   10 * time.Millisecond,
-		RetryBackoff:   Backoff{Base: hedgeDelay, Max: hedgeDelay, Jitter: -1},
+		pingInterval:   10 * time.Millisecond,
+		retryBackoff:   backoff{base: hedgeDelay, max: hedgeDelay, jitter: -1},
 	})
 	ctx := context.Background()
 	key, value := []byte("hedged"), []byte("value")

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,29 +35,34 @@ type Options struct {
 
 	// RequestTimeout bounds each per-replica request attempt (default
 	// 2s); a dead-but-routable node costs at most this before failover.
-	// DialTimeout bounds connection establishment (default 5s).
+	// DialTimeout bounds connection establishment (default
+	// kvnet.DefaultDialTimeout).
 	RequestTimeout time.Duration
 	DialTimeout    time.Duration
 
-	// PingInterval is how often live nodes are health-probed (default
-	// 500ms). Down nodes are probed on ProbeBackoff's jittered
+	// pingInterval is how often live nodes are health-probed (default
+	// 500ms). Down nodes are probed on probeBackoff's jittered
 	// exponential schedule instead, so a crashed peer is not hammered.
-	// HandoffInterval is how often parked hints are swept for replay
+	// handoffInterval is how often parked hints are swept for replay
 	// (default 2s); a node coming back is also swept immediately.
-	PingInterval    time.Duration
-	HandoffInterval time.Duration
-	ProbeBackoff    Backoff
+	pingInterval    time.Duration
+	handoffInterval time.Duration
+	probeBackoff    backoff
 
-	// RetryBackoff paces the single in-flight re-attempt a replica read
+	// retryBackoff paces the single in-flight re-attempt a replica read
 	// or write gets, while its operation still waits for it, before it
 	// counts against the quorum. The re-attempt is the first retry, so it
-	// waits Base less its jitter, uniformly in [Base/2, Base] at the
-	// default jitter, and Max never grows it. Base defaults to 25ms: a
+	// waits base less its jitter, uniformly in [base/2, base] at the
+	// default jitter, and max never grows it. base defaults to 25ms: a
 	// 12.5–25ms wait. Without it one transient hiccup on a live replica
 	// while another node is down would fail an otherwise healthy quorum.
-	// Its Base is also a read's hedge delay: how long a replica may stay
+	// Its base is also a read's hedge delay: how long a replica may stay
 	// silent before the read asks the next one as well.
-	RetryBackoff Backoff
+	retryBackoff backoff
+
+	// dial opens each node's transport (default kvnet.TCPDialer with
+	// DialTimeout); tests hold or fail it.
+	dial kvnet.DialFunc
 }
 
 func (o Options) withDefaults() Options {
@@ -75,19 +79,22 @@ func (o Options) withDefaults() Options {
 		o.RequestTimeout = 2 * time.Second
 	}
 	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
+		o.DialTimeout = kvnet.DefaultDialTimeout
 	}
-	if o.PingInterval <= 0 {
-		o.PingInterval = 500 * time.Millisecond
+	if o.pingInterval <= 0 {
+		o.pingInterval = 500 * time.Millisecond
 	}
-	if o.HandoffInterval <= 0 {
-		o.HandoffInterval = 2 * time.Second
+	if o.handoffInterval <= 0 {
+		o.handoffInterval = 2 * time.Second
 	}
-	if o.ProbeBackoff == (Backoff{}) {
-		o.ProbeBackoff = Backoff{Base: 250 * time.Millisecond, Max: 5 * time.Second}
+	if o.probeBackoff == (backoff{}) {
+		o.probeBackoff = backoff{base: 250 * time.Millisecond, max: 5 * time.Second}
 	}
-	if o.RetryBackoff.Base <= 0 {
-		o.RetryBackoff.Base = 25 * time.Millisecond
+	if o.retryBackoff.base <= 0 {
+		o.retryBackoff.base = 25 * time.Millisecond
+	}
+	if o.dial == nil {
+		o.dial = kvnet.TCPDialer(o.DialTimeout)
 	}
 	return o
 }
@@ -135,7 +142,7 @@ type Metrics struct {
 	// sent, so ReadLegs/Reads is how many replicas a Get touches: R when
 	// nothing goes wrong, up to N when legs are hedged. HedgedReads counts
 	// the legs added because a contacted replica failed or stayed silent
-	// for RetryBackoff.Base.
+	// for the hedge delay (25ms).
 	Reads       uint64 `json:"reads"`
 	ReadLegs    uint64 `json:"read_legs"`
 	HedgedReads uint64 `json:"hedged_reads"`
@@ -160,7 +167,7 @@ type Router struct {
 	// request path reads it without a lock. Everything per node — health,
 	// connections, an operation's legs — is indexed by the ring's node id.
 	ring  *Ring
-	conns []atomic.Pointer[kvnet.Client]
+	peers []*kvnet.Peer
 
 	// ops recycles quorumOps; readSeq rotates each read's R-subset.
 	ops     sync.Pool
@@ -194,9 +201,7 @@ type Router struct {
 	readLegs      atomic.Uint64
 	hedgedReads   atomic.Uint64
 
-	mu      sync.Mutex // serializes redials against each other and Close
-	closing bool       // Close has begun draining; makes Close idempotent
-	closed  bool
+	closing atomic.Bool // Close has begun draining; makes Close idempotent
 }
 
 // DialCluster connects to every address and builds a quorum router over
@@ -219,13 +224,13 @@ func DialCluster(addrs []string, opts Options) (*Router, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	rt := &Router{
 		opts:        opts,
-		health:      newHealth(opts.ProbeBackoff, ring.names),
+		health:      newHealth(opts.probeBackoff, ring.names),
 		token:       uint32(time.Now().UnixNano()),
 		baseCtx:     ctx,
 		cancelBase:  cancel,
 		handoffKick: make(chan struct{}, 1),
 		ring:        ring,
-		conns:       make([]atomic.Pointer[kvnet.Client], len(ring.names)),
+		peers:       make([]*kvnet.Peer, len(ring.names)),
 	}
 	rt.ops.New = func() any { return newQuorumOp(rt) }
 	// A quorum client must come up even when some replicas are down —
@@ -236,15 +241,14 @@ func DialCluster(addrs []string, opts Options) (*Router, error) {
 	reachable := 0
 	var firstErr error
 	for node, addr := range ring.names {
-		c, err := rt.dial(addr)
-		if err != nil {
+		rt.peers[node] = kvnet.NewPeer(addr, opts.dial)
+		if _, err := rt.peers[node].Client(ctx); err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: dial %s: %w", addr, err)
+				firstErr = err
 			}
 			rt.noteFailure(node, rt.health.generation(node), err)
 			continue
 		}
-		rt.conns[node].Store(c)
 		reachable++
 	}
 	if reachable == 0 {
@@ -267,46 +271,28 @@ func DialCluster(addrs []string, opts Options) (*Router, error) {
 // with the connections still usable, then makes one bounded attempt to
 // park anything still deferred in memory, and only then tears down.
 func (rt *Router) Close() error {
-	rt.mu.Lock()
-	if rt.closing {
-		rt.mu.Unlock()
+	if !rt.closing.CompareAndSwap(false, true) {
 		return nil
 	}
-	rt.closing = true
-	rt.mu.Unlock()
 
 	rt.bg.Wait()
 	drainCtx, cancelDrain := context.WithTimeout(rt.baseCtx, rt.opts.RequestTimeout)
 	rt.reparkDeferred(drainCtx)
 	cancelDrain()
 
-	rt.mu.Lock()
-	rt.closed = true
-	conns := make([]*kvnet.Client, len(rt.conns))
-	for node := range rt.conns {
-		conns[node] = rt.conns[node].Swap(nil)
-	}
-	rt.mu.Unlock()
-
 	rt.cancelBase()
-	var first error
-	for _, c := range conns {
-		if c == nil {
-			continue
-		}
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
+	for _, p := range rt.peers {
+		p.Close()
 	}
 	rt.loops.Wait()
 	rt.bg.Wait()
-	return first
+	return nil
 }
 
 // Metrics returns a snapshot of the router's replication counters.
 func (rt *Router) Metrics() Metrics {
 	return Metrics{
-		Nodes:             len(rt.conns),
+		Nodes:             len(rt.peers),
 		DownNodes:         len(rt.health.downNodes()),
 		ReplicationFactor: rt.opts.ReplicationFactor,
 		WriteQuorum:       rt.opts.WriteQuorum,
@@ -321,37 +307,6 @@ func (rt *Router) Metrics() Metrics {
 		ReadLegs:          rt.readLegs.Load(),
 		HedgedReads:       rt.hedgedReads.Load(),
 	}
-}
-
-func (rt *Router) dial(addr string) (*kvnet.Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, rt.opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	return kvnet.NewClient(conn), nil
-}
-
-// client returns node's connection, re-dialing if the cached one was
-// closed or has failed. The cached, healthy case is one atomic load.
-func (rt *Router) client(node int) (*kvnet.Client, error) {
-	if c := rt.conns[node].Load(); c != nil && c.Healthy() {
-		return c, nil
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.closed {
-		return nil, fmt.Errorf("cluster: router closed: %w", kverr.ErrClosed)
-	}
-	// Recheck under the lock: another goroutine may have re-dialed.
-	if c := rt.conns[node].Load(); c != nil && c.Healthy() {
-		return c, nil
-	}
-	c, err := rt.dial(rt.ring.names[node])
-	if err != nil {
-		return nil, fmt.Errorf("cluster: redial %s: %w", rt.ring.names[node], err)
-	}
-	rt.conns[node].Store(c)
-	return c, nil
 }
 
 // noteFailure reports a node-level failure to the failure detector. gen
@@ -410,7 +365,7 @@ func (rt *Router) do(ctx context.Context, node int, fn func(ctx context.Context,
 func (rt *Router) doCall(ctx, first context.Context, node int, call nodeCall) error {
 	for attempt := 0; ; attempt++ {
 		gen := rt.health.generation(node)
-		c, err := rt.client(node)
+		c, err := rt.peers[node].Client(ctx)
 		if err != nil {
 			if ctx.Err() == nil && rt.baseCtx.Err() == nil {
 				rt.noteFailure(node, gen, err)
@@ -599,13 +554,13 @@ func gather[T any](ctx context.Context, rt *Router, what string, fetch func(cont
 	return out, nil
 }
 
-// healthLoop probes nodes on PingInterval: up nodes every tick, down
+// healthLoop probes nodes on pingInterval: up nodes every tick, down
 // nodes on their backoff schedule. A down node answering a ping is
 // promoted and the handoff loop kicked so its parked hints replay
 // immediately.
 func (rt *Router) healthLoop() {
 	defer rt.loops.Done()
-	t := time.NewTicker(rt.opts.PingInterval)
+	t := time.NewTicker(rt.opts.pingInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -69,13 +69,10 @@ func putCall(cl *call) {
 	callPool.Put(cl)
 }
 
-// Dial connects to a server at addr.
+// Dial connects to a server at addr over TCP, waiting at most
+// DefaultDialTimeout.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("kvnet: dial: %w", err)
-	}
-	return NewClient(conn), nil
+	return NewPeer(addr, TCPDialer(DefaultDialTimeout)).Client(context.Background())
 }
 
 // NewClient wraps an established connection (useful with net.Pipe in

@@ -62,6 +62,13 @@
 // lease fires. Connection loss releases everything the connection held.
 // So a client that vanishes cannot pin tables for longer than the lease.
 //
+// # Connections
+//
+// A Peer is the one re-dial path: kv.Dial's engine holds one, and a cluster
+// router one per node. Once its connection breaks, the next caller
+// re-dials under its own context and outside any lock; racing re-dials
+// keep the first connection, and one that lands after Close is closed.
+//
 // # Statistics
 //
 // OpStats is answered with a kind-'S' body: the JSON of lsm.Stats, whose

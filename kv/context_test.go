@@ -198,7 +198,7 @@ func TestRemoteCancelSameConnection(t *testing.T) {
 	if err := eng.Put(ctx, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	before, err := re.client()
+	before, err := re.peer.Client(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRemoteCancelSameConnection(t *testing.T) {
 	if v, err := eng.Get(ctx, []byte("k")); err != nil || string(v) != "v" {
 		t.Fatalf("Get after cancelled requests = %q, %v", v, err)
 	}
-	after, err := re.client()
+	after, err := re.peer.Client(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

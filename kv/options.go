@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/compaction"
+	"repro/internal/kvnet"
 	"repro/internal/lsm"
 	"repro/internal/vfs"
 )
@@ -37,6 +38,8 @@ type config struct {
 
 	// Dial and DialCluster.
 	dialTimeout time.Duration
+	// dial, when set, replaces Dial's TCP connect: tests hold or fail it.
+	dial kvnet.DialFunc
 
 	// DialCluster.
 	replicationN   int
@@ -51,7 +54,7 @@ func defaultConfig(entry entryPoint) config {
 		autoCompact:     "none",
 		compactStrategy: "BT(I)",
 		compactK:        4,
-		dialTimeout:     10 * time.Second,
+		dialTimeout:     kvnet.DefaultDialTimeout,
 	}
 }
 
@@ -205,7 +208,8 @@ func WithCompactionStrategy(strategy string, k int) Option {
 }
 
 // WithDialTimeout bounds how long Dial and DialCluster (and any
-// transparent re-dial after a connection broke) wait for the TCP connect.
+// transparent re-dial after a connection broke) wait for the TCP connect
+// (default 10s). A re-dial also ends with the operation that needs it.
 func WithDialTimeout(d time.Duration) Option {
 	return func(c *config) error {
 		if c.entry != entryDial && c.entry != entryCluster {

@@ -3,8 +3,6 @@ package kv
 import (
 	"context"
 	"fmt"
-	"net"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/kvnet"
@@ -14,65 +12,25 @@ import (
 // multiplexed connection: concurrent operations share it, and a cancelled
 // operation is withdrawn by tag without disturbing the others. Only a
 // broken transport (the server went away, or reaped an idle connection)
-// makes the engine re-dial, on the next operation.
+// makes the engine re-dial, on the next operation (see kvnet.Peer).
 type remoteEngine struct {
-	addr   string
 	cfg    config
+	peer   *kvnet.Peer
 	closed atomic.Bool
-
-	mu sync.Mutex
-	c  *kvnet.Client
 }
 
 func newRemoteEngine(cfg config, addr string) (*remoteEngine, error) {
-	e := &remoteEngine{addr: addr, cfg: cfg}
+	dial := cfg.dial
+	if dial == nil {
+		dial = kvnet.TCPDialer(cfg.dialTimeout)
+	}
+	e := &remoteEngine{cfg: cfg, peer: kvnet.NewPeer(addr, dial)}
 	// Dial eagerly so an unreachable address fails at Dial, not at the
 	// first operation.
-	if _, err := e.client(); err != nil {
+	if _, err := e.peer.Client(context.Background()); err != nil {
 		return nil, err
 	}
 	return e, nil
-}
-
-// client returns the live connection, re-dialing if the previous one
-// failed. The dial happens outside e.mu: a slow or timing-out dial must
-// not hold the lock and queue every other operation on the engine behind
-// it for up to the dial timeout. Concurrent re-dials may race; the losers
-// close their connections and adopt the winner's.
-func (e *remoteEngine) client() (*kvnet.Client, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	e.mu.Lock()
-	if e.c != nil && e.c.Healthy() {
-		c := e.c
-		e.mu.Unlock()
-		return c, nil
-	}
-	e.mu.Unlock()
-
-	conn, err := net.DialTimeout("tcp", e.addr, e.cfg.dialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("kv: dial %s: %w", e.addr, err)
-	}
-	c := kvnet.NewClient(conn)
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed.Load() {
-		// Close raced in while the dial was in flight: don't leak the
-		// fresh connection and don't resurrect a closed engine.
-		c.Close()
-		return nil, ErrClosed
-	}
-	if e.c != nil && e.c.Healthy() {
-		// Another goroutine finished its re-dial first; adopt its
-		// connection so the engine keeps to one.
-		c.Close()
-		return e.c, nil
-	}
-	e.c = c
-	return c, nil
 }
 
 // closedErr maps an error observed after the engine was closed — closing
@@ -85,7 +43,7 @@ func (e *remoteEngine) closedErr(err error) error {
 }
 
 func (e *remoteEngine) Put(ctx context.Context, key, value []byte) error {
-	c, err := e.client()
+	c, err := e.peer.Client(ctx)
 	if err != nil {
 		return err
 	}
@@ -93,7 +51,7 @@ func (e *remoteEngine) Put(ctx context.Context, key, value []byte) error {
 }
 
 func (e *remoteEngine) Get(ctx context.Context, key []byte) ([]byte, error) {
-	c, err := e.client()
+	c, err := e.peer.Client(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +59,7 @@ func (e *remoteEngine) Get(ctx context.Context, key []byte) ([]byte, error) {
 }
 
 func (e *remoteEngine) Delete(ctx context.Context, key []byte) error {
-	c, err := e.client()
+	c, err := e.peer.Client(ctx)
 	if err != nil {
 		return err
 	}
@@ -122,7 +80,7 @@ func (e *remoteEngine) Write(ctx context.Context, b *Batch) error {
 		key, value, del := b.wb.Op(i)
 		ops[i] = kvnet.BatchOp{Delete: del, Key: key, Value: value}
 	}
-	c, err := e.client()
+	c, err := e.peer.Client(ctx)
 	if err != nil {
 		return err
 	}
@@ -131,7 +89,7 @@ func (e *remoteEngine) Write(ctx context.Context, b *Batch) error {
 
 func (e *remoteEngine) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
 	return openRange(ctx, e.closed.Load(), start, end, func(start, end []byte) (Iterator, error) {
-		c, err := e.client()
+		c, err := e.peer.Client(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +106,7 @@ func (e *remoteEngine) NewIterator(ctx context.Context, start, end []byte) (Iter
 // server's lease: a snapshot left unused for longer, or whose connection
 // broke, answers ErrClosed or the transport's error from then on.
 func (e *remoteEngine) Snapshot(ctx context.Context) (Snapshot, error) {
-	c, err := e.client()
+	c, err := e.peer.Client(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +118,7 @@ func (e *remoteEngine) Snapshot(ctx context.Context) (Snapshot, error) {
 }
 
 func (e *remoteEngine) Flush(ctx context.Context) error {
-	c, err := e.client()
+	c, err := e.peer.Client(ctx)
 	if err != nil {
 		return err
 	}
@@ -169,7 +127,7 @@ func (e *remoteEngine) Flush(ctx context.Context) error {
 
 func (e *remoteEngine) Compact(ctx context.Context, opts *CompactOptions) (*CompactionInfo, error) {
 	strategy, k := e.cfg.compactSchedule(opts)
-	c, err := e.client()
+	c, err := e.peer.Client(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +139,7 @@ func (e *remoteEngine) Compact(ctx context.Context, opts *CompactOptions) (*Comp
 }
 
 func (e *remoteEngine) Stats(ctx context.Context) (Stats, error) {
-	c, err := e.client()
+	c, err := e.peer.Client(ctx)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -198,11 +156,7 @@ func (e *remoteEngine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.c != nil {
-		return e.c.Close()
-	}
+	e.peer.Close()
 	return nil
 }
 

@@ -3,18 +3,20 @@ package kv
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/kvnet"
 )
 
 // TestRemoteRedialConcurrent breaks the remote engine's connection — the
 // one thing that still makes it re-dial — and then fires many operations at
-// once. Every operation must transparently re-dial and succeed; the losers
-// of the re-dial race must adopt the winner's connection instead of
-// deadlocking or erroring. This is the regression test for dialing outside
-// e.mu: with the dial inside the lock, a slow dial would serialize all of
-// these behind one another.
+// once. Every operation must transparently re-dial and succeed, and the
+// race must leave the engine one healthy connection.
 func TestRemoteRedialConcurrent(t *testing.T) {
 	eng := openRemote(t)
 	re, ok := eng.(*remoteEngine)
@@ -28,11 +30,9 @@ func TestRemoteRedialConcurrent(t *testing.T) {
 
 	// Break the live connection the way a lost transport would: close it
 	// out from under the engine so Healthy() reports false.
-	re.mu.Lock()
-	c := re.c
-	re.mu.Unlock()
-	if c == nil {
-		t.Fatal("remote engine has no connection after a successful Put")
+	c, err := re.peer.Client(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
 	c.Close()
 
@@ -65,15 +65,59 @@ func TestRemoteRedialConcurrent(t *testing.T) {
 		}
 	}
 
-	// The race left exactly one adopted connection; it must be healthy and
-	// the engine must still work.
-	re.mu.Lock()
-	c = re.c
-	re.mu.Unlock()
-	if c == nil || !c.Healthy() {
-		t.Fatalf("no healthy connection after concurrent re-dial")
+	if c, err = re.peer.Client(ctx); err != nil || !c.Healthy() {
+		t.Fatalf("no healthy connection after concurrent re-dial: %v", err)
 	}
 	if _, err := eng.Get(ctx, []byte("k-0")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoteRedialHonoursDeadline: an operation whose connection broke
+// re-dials under its own context, so a held dial costs it its deadline,
+// not the dial timeout.
+func TestRemoteRedialHonoursDeadline(t *testing.T) {
+	cfg := defaultConfig(entryDial)
+	tcp := kvnet.TCPDialer(cfg.dialTimeout)
+	held, release := make(chan struct{}, 1), make(chan struct{})
+	defer close(release)
+	cfg.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		select {
+		case <-held:
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		default:
+		}
+		return tcp(ctx, addr)
+	}
+	re, err := newRemoteEngine(cfg, serveLocal(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	c, err := re.peer.Client(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	held <- struct{}{}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() { errc <- re.Put(ctx, []byte("k"), []byte("v")) }()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Put during a held re-dial = %v, want DeadlineExceeded", err)
+		}
+	case <-time.After(500 * time.Millisecond):
+		t.Fatal("Put with a 100ms deadline still waiting on a held re-dial after 500ms")
+	}
+	if err := re.Put(context.Background(), []byte("k"), []byte("v")); err != nil {
+		t.Fatalf("Put once the dial is free = %v", err)
 	}
 }
