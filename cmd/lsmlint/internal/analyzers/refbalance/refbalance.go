@@ -1,6 +1,6 @@
 // Package refbalance proves, per function, that every acquired reference —
-// a pinned read view, a snapshot, an iterator release func, a read
-// state, a Ref'd handle, a pinned cache block — is released on every
+// a read view pinned by pinView or pinAt, a snapshot, an iterator release
+// func, a Ref'd handle, a pinned cache block — is released on every
 // control-flow path, including early error returns. A missed unpin never
 // crashes: it pins an immutable view forever, so obsolete sstables survive
 // compaction and disk usage creeps until an operator notices. That failure
@@ -42,10 +42,10 @@ type spec struct {
 
 var specs = []spec{
 	{call: "pinView", result: 0, method: "unpin", what: "view pin", release: "unpin"},
+	{call: "pinAt", result: 0, method: "unpin", what: "view pin", release: "unpin"},
 	{call: "Snapshot", result: 0, method: "Release", what: "snapshot", release: "Release"},
 	{call: "SnapshotView", result: 0, method: "Release", what: "snapshot", release: "Release"},
 	{call: "NewIterator", result: 1, callRes: true, what: "iterator release func", release: "calling it"},
-	{call: "acquireSnapshot", result: 0, method: "release", what: "read state", release: "release"},
 	{call: "Ref", result: 0, method: "Unref", what: "ref", release: "Unref"},
 	// Cache block pins: a leaked one is never recycled, so a leak on a hot
 	// path quietly turns every cold read back into a 4 KiB allocation.

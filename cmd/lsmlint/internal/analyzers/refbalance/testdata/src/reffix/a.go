@@ -16,8 +16,6 @@ type Snapshot struct{}
 func (s *Snapshot) Release()    {}
 func (s *Snapshot) stale() bool { return false }
 
-type table struct{}
-
 type iter struct{}
 
 func (it *iter) valid() bool { return false }
@@ -29,13 +27,7 @@ func (d *db) Snapshot() (*Snapshot, error) { return &Snapshot{}, nil }
 func (d *db) NewIterator(start, end []byte) (*iter, func(), error) {
 	return &iter{}, func() {}, nil
 }
-func (d *db) acquireSnapshot(start, end []byte) (readState, error) {
-	return readState{}, nil
-}
-
-type readState struct{ tables []*table }
-
-func (rs readState) release() {}
+func (d *db) pinAt() (*view, uint64, error) { return d.v, 0, nil }
 
 func step() error { return nil }
 
@@ -170,39 +162,39 @@ func IterDefer(d *db) error {
 	return nil
 }
 
-// StateLeak drops the read state on the empty-result return.
-func StateLeak(d *db) error {
-	rs, err := d.acquireSnapshot(nil, nil) // want `read state "rs" acquired from acquireSnapshot is not released on every path`
+// AtLeak leaves the view pinned on the stale-bound return.
+func AtLeak(d *db) error {
+	v, bound, err := d.pinAt() // want `view pin "v" acquired from pinAt is not released on every path`
 	if err != nil {
 		return err
 	}
-	if len(rs.tables) == 0 {
+	if bound < uint64(v.seq()) {
 		return errStale
 	}
-	rs.release()
+	v.unpin()
 	return nil
 }
 
-// StateDefer releases the state on every path via defer.
-func StateDefer(d *db) (int, error) {
-	rs, err := d.acquireSnapshot(nil, nil)
+// AtDefer unpins the view on every path via defer.
+func AtDefer(d *db) (int, error) {
+	v, bound, err := d.pinAt()
 	if err != nil {
 		return 0, err
 	}
-	defer rs.release()
-	if len(rs.tables) == 0 {
+	defer v.unpin()
+	if bound == 0 {
 		return 0, errStale
 	}
-	return len(rs.tables), nil
+	return v.seq(), nil
 }
 
-// StateHandOff returns the release as a method value: the caller owns it.
-func StateHandOff(d *db) (func(), error) {
-	rs, err := d.acquireSnapshot(nil, nil)
+// AtHandOff returns the unpin as a method value: the caller owns it.
+func AtHandOff(d *db) (func(), error) {
+	v, _, err := d.pinAt()
 	if err != nil {
 		return nil, err
 	}
-	return rs.release, nil
+	return v.unpin, nil
 }
 
 type handle struct{ refs int }

@@ -500,3 +500,55 @@ func TestRouterHeldDialHoldsOnlyItsNode(t *testing.T) {
 		t.Fatal("Close waited behind a held dial for 500ms")
 	}
 }
+
+// TestRouterStragglerLegDialsUnderItsDeadline: a W=2 put is acknowledged
+// while its third leg hangs in a re-dial. That leg runs on in the
+// background and Close waits for it, so the dial must end with the leg's
+// RequestTimeout-bounded attempt, not with DialTimeout or never.
+func TestRouterStragglerLegDialsUnderItsDeadline(t *testing.T) {
+	addrs := startNodes(t, 3)
+	tcp := kvnet.TCPDialer(time.Second)
+	var holdA atomic.Bool
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	defer close(release)
+	const timeout = 500 * time.Millisecond
+	rt, err := DialCluster(addrs, Options{RequestTimeout: timeout, pingInterval: time.Hour, handoffInterval: time.Hour,
+		dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			if addr == addrs[0] && holdA.Load() {
+				select {
+				case entered <- struct{}{}:
+				default:
+				}
+				select {
+				case <-release:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			return tcp(ctx, addr)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() }) // after the deferred release of a held dial
+	c, err := rt.peers[0].Client(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	holdA.Store(true)
+	if err := rt.Put(context.Background(), []byte("k"), []byte("v")); err != nil {
+		t.Fatalf("W=2 put with one leg's dial held: %v", err)
+	}
+	<-entered
+	closed := make(chan struct{})
+	go func() {
+		rt.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(timeout + 500*time.Millisecond):
+		t.Fatalf("Close waited more than RequestTimeout+500ms (%v) behind a straggler leg's dial", timeout+500*time.Millisecond)
+	}
+}

@@ -359,27 +359,31 @@ func (rt *Router) do(ctx context.Context, node int, fn func(ctx context.Context,
 // the node's fault (not the caller's cancelled context) are reported to
 // the failure detector.
 //
+// Each attempt, its re-dial included, runs under the timeout, so a leg
+// left running after its quorum was met holds Close for at most that.
 // first, when non-nil, is ctx already bounded by the timeout: a quorum
 // operation derives it once and every leg's first attempt runs under it.
 // Only the retry — already the slow path — derives a deadline of its own.
 func (rt *Router) doCall(ctx, first context.Context, node int, call nodeCall) error {
 	for attempt := 0; ; attempt++ {
 		gen := rt.health.generation(node)
-		c, err := rt.peers[node].Client(ctx)
-		if err != nil {
-			if ctx.Err() == nil && rt.baseCtx.Err() == nil {
-				rt.noteFailure(node, gen, err)
-			}
-			return err
-		}
 		actx, cancel := first, context.CancelFunc(nil)
 		if actx == nil || attempt > 0 {
 			actx, cancel = context.WithTimeout(ctx, rt.opts.RequestTimeout)
 		}
-		err = call.call(actx, c)
+		c, err := rt.peers[node].Client(actx)
+		if err == nil {
+			err = call.call(actx, c)
+		}
 		timedOut := actx.Err() != nil
 		if cancel != nil {
 			cancel()
+		}
+		if c == nil {
+			if ctx.Err() == nil && rt.baseCtx.Err() == nil {
+				rt.noteFailure(node, gen, err)
+			}
+			return err
 		}
 		if err == nil {
 			return nil

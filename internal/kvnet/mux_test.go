@@ -253,7 +253,7 @@ func sstFiles(t *testing.T, dir string) int {
 
 // TestLeaseReapsAbandonedHandles: a stream parked on a client that never
 // grants credit, and a snapshot nobody names again, are reaped after the
-// lease; their table references go with them, so the sstables a compaction
+// lease; their view pins go with them, so the sstables a compaction
 // superseded are deleted; and a late use of either fails with ErrClosed.
 func TestLeaseReapsAbandonedHandles(t *testing.T) {
 	dir := t.TempDir()

@@ -56,11 +56,12 @@
 // valid on this connection only. OpSnapGet and OpStream name the handle to
 // read through it; OpRelease drops it. A handle that no frame has named for
 // handleLease, and a parked stream that has received no credit for
-// handleLease, are reaped: their table references are released, and a later
+// handleLease, are reaped: their view pins are released, and a later
 // use of the handle, or a later grant to the stream, is answered with
 // kverr.ErrClosed — as is a grant that races the expiry, arriving as the
 // lease fires. Connection loss releases everything the connection held.
-// So a client that vanishes cannot pin tables for longer than the lease.
+// So a client that vanishes cannot pin a view, and every table it keeps,
+// for longer than the lease.
 //
 // # Connections
 //

@@ -110,7 +110,7 @@ func (st *srvStream) serve() {
 	st.body = len(st.out.b)
 	var err error
 	if st.snap != nil {
-		// The iterator takes table references of its own.
+		// The iterator takes a view pin of its own.
 		err = lsm.RangeOver(c.ctx, st.snap.view, st.start, st.end, st.emit)
 	} else {
 		err = c.s.db.RangeContext(c.ctx, st.start, st.end, st.emit)

@@ -206,8 +206,8 @@ func (s *Snapshot) Get(ctx context.Context, key []byte) ([]byte, error) {
 	return s.c.get(ctx, []byte{}, &Request{Op: OpSnapGet, Handle: s.handle, Key: key})
 }
 
-// OpenStream is Client.OpenStream through the snapshot. The stream pins its
-// own table references, so it outlives Release.
+// OpenStream is Client.OpenStream through the snapshot. The stream pins the
+// snapshot's view itself, so it outlives Release.
 func (s *Snapshot) OpenStream(ctx context.Context, st *Stream, start, end []byte) error {
 	return st.open(ctx, s.c, s.handle, start, end)
 }

@@ -179,7 +179,7 @@ func claimLocked(ins []*tableHandle) {
 
 // shadowedBy is the purge test of a merge of ins that pinned the view v when
 // it claimed them. Its outside set is every other table of v, claimed by
-// another merge or not, tried in v's byseq order (newest maxSeq first) and
+// another merge or not, tried in v's order (newest maxSeq first) and
 // kept open by the pin until the merge ends; the inputs are left out, since
 // none holds a version newer than the merge's own newest. A version goes
 // when an outside table provably holds a newer version of its key
@@ -187,19 +187,19 @@ func claimLocked(ins []*tableHandle) {
 // cache holds), and each one that goes counts in purged. The newest version
 // of a key is never dropped, so what a read of the live set returns is
 // unchanged. The memtable is no proof — with SyncWAL off its versions are not
-// durable — and snapshots and iterators pin the tables they read. No view
+// durable — and snapshots and iterators pin views of their own. No view
 // (a major compaction's, which claims every table) or no outside table
 // gives nil: nothing to test.
 func shadowedBy(v *readView, ins []*tableHandle, purged *atomic.Uint64) func(iterator.Entry) bool {
-	if v == nil || len(v.byseq) == len(ins) {
+	if v == nil || len(v.tables) == len(ins) {
 		return nil
 	}
 	return func(e iterator.Entry) bool {
-		if v.byseq[0].maxSeq <= e.Seq {
+		if v.tables[0].maxSeq <= e.Seq {
 			return false
 		}
 		h := keyhash.Of(e.Key)
-		for _, th := range v.byseq {
+		for _, th := range v.tables {
 			if th.maxSeq <= e.Seq {
 				return false
 			}

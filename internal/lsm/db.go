@@ -656,19 +656,6 @@ func (db *DB) Flush() error {
 	return db.flushMemLocked()
 }
 
-// acquireSnapshot captures a consistent read state without touching
-// db.mu (see pinAt): the published view's memtables and its tables
-// narrowed to [start, end), the tables appended to tables. The caller must
-// release the state.
-func (db *DB) acquireSnapshot(tables []*tableHandle, start, end []byte) (readState, error) {
-	v, bound, err := db.pinAt()
-	if err != nil {
-		return readState{}, err
-	}
-	defer v.unpin()
-	return v.state(bound, tables, start, end), nil
-}
-
 // pinAt pins the published view and registers on its memtable, taking its
 // sequence bound under applyMu's read side, so a concurrent group commit
 // lies wholly above or wholly below the bound. The caller owns the pin and

@@ -117,7 +117,7 @@ func (th *tableHandle) live() compaction.LiveTable {
 // liveTables returns tables as a minor pick ranks them: each one's
 // statistics, with Entries its estimated live count, the keys no table of
 // higher maxSeq among tables holds (compaction.LiveEntries walks them in the
-// view's byseq order). The estimate only decides which tables merge; what a
+// view's table order). The estimate only decides which tables merge; what a
 // merge drops is still proved key by key (see shadowedBy).
 func liveTables(tables []*tableHandle) []compaction.LiveTable {
 	live := make([]compaction.LiveTable, len(tables))

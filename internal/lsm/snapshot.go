@@ -3,7 +3,6 @@ package lsm
 import (
 	"bytes"
 	"context"
-	"slices"
 	"sync"
 
 	"repro/internal/iterator"
@@ -12,54 +11,17 @@ import (
 	"repro/internal/sstable"
 )
 
-// readState is one point-in-time read of a DB: a memtable with the
-// sequence bound under which to read it, the frozen memtable that was
-// awaiting its flush (nil if none; nothing writes to it, so it needs neither
-// bound nor registration), plus the sstables that were live beside them,
-// newest first. Holding one keeps a reader registration on the memtable
-// (writes retain the versions it can see, counted toward the flush
-// threshold) and a reference on each memtable and table; release drops
-// them all.
-type readState struct {
-	mem    *memtable.Table
-	bound  uint64
-	imm    *memtable.Table
-	tables []*tableHandle
-}
-
-func (rs readState) release() {
-	rs.mem.Unpin()
-	rs.mem.Release()
-	rs.imm.Release()
-	releaseTables(rs.tables)
-}
-
-// retainOverlapping retains the tables whose key range intersects
-// [start, end) and appends them to dst, in the order given. With both
-// bounds open that is every table, empty ones included: a whole-keyspace
-// snapshot probes by key and keeps the full set.
-func retainOverlapping(dst, tables []*tableHandle, start, end []byte) []*tableHandle {
-	dst = slices.Grow(dst, len(tables))
-	for _, th := range tables {
-		if start == nil && end == nil || th.overlaps(start, end) {
-			th.retain()
-			dst = append(dst, th)
-		}
-	}
-	return dst
-}
-
 // scan is one range read: the memtables' and tables' iterators of one or
-// more read states k-way-merged, the newest version of each key kept,
-// deleted keys hidden, the stream cut at an exclusive end. It holds
-// everything a read sets up and is recycled with its slices, so once a scan
-// has run, NewIterator allocates nothing however many tables and shards it
-// merges. Its release closes the table iterators, releases the states and
+// more pinned read views k-way-merged, the newest version of each key kept,
+// deleted keys hidden, the stream cut at an exclusive end. It holds one
+// pin and one memtable registration per view, as every other reader does,
+// and is recycled with its slices, so once a scan has run, NewIterator
+// allocates nothing however many tables and shards it merges. Its release
+// closes the table iterators, drops the registrations and pins and
 // recycles the scan: every entry dies there.
 type scan struct {
 	iterator.Dedup
-	states   []readState
-	handles  []*tableHandle // every state's tables, end to end
+	views    []*readView
 	mems     []memtable.Iter
 	tables   []*sstable.Iter
 	children []iterator.Iterator
@@ -73,13 +35,14 @@ var scans = sync.Pool{New: func() any { return new(scan) }}
 
 // source is what a scan reads: a DB's published view or a snapshot's.
 type source interface {
-	acquireSnapshot(tables []*tableHandle, start, end []byte) (readState, error)
+	pinAt() (*readView, uint64, error)
 }
 
 // NewShardIterator is NewIterator over several DBs, or several snapshots,
 // whose key sets are disjoint — the shards of a store — as one merge. Each
-// shard's state is taken in turn: the stream is consistent per shard, not
-// across shards.
+// shard's view is pinned in turn: the stream is consistent per shard, not
+// across shards. Only the view's tables overlapping [start, end) are read,
+// but the pin keeps all of them until the release.
 func NewShardIterator[S source](shards []S, start, end []byte) (iterator.Iterator, func(), error) {
 	sc := scans.Get().(*scan)
 	if sc.release == nil {
@@ -87,26 +50,28 @@ func NewShardIterator[S source](shards []S, start, end []byte) (iterator.Iterato
 	}
 	sc.open, sc.end = true, end
 	for _, sh := range shards {
-		n := len(sc.handles)
-		rs, err := sh.acquireSnapshot(sc.handles, start, end)
+		v, bound, err := sh.pinAt()
 		if err != nil {
 			sc.close()
 			return nil, nil, err
 		}
-		sc.handles, rs.tables = rs.tables, rs.tables[n:]
-		sc.states = append(sc.states, rs)
-		sc.mems = append(sc.mems, rs.mem.IterAt(start, rs.bound))
-		if rs.imm != nil {
-			sc.mems = append(sc.mems, rs.imm.IterAt(start, skiplist.MaxSeq))
+		sc.views = append(sc.views, v)
+		sc.mems = append(sc.mems, v.mem.IterAt(start, bound))
+		if v.imm != nil {
+			sc.mems = append(sc.mems, v.imm.IterAt(start, skiplist.MaxSeq))
 		}
 	}
 	for i := range sc.mems {
 		sc.children = append(sc.children, &sc.mems[i])
 	}
-	for _, th := range sc.handles {
-		it := th.rd.IterFrom(start)
-		sc.tables = append(sc.tables, it)
-		sc.children = append(sc.children, it)
+	for _, v := range sc.views {
+		for _, th := range v.tables {
+			if th.overlaps(start, end) {
+				it := th.rd.IterFrom(start)
+				sc.tables = append(sc.tables, it)
+				sc.children = append(sc.children, it)
+			}
+		}
 	}
 	sc.merge.Reset(sc.children...)
 	sc.Dedup.Reset(&sc.merge, iterator.IsTombstone)
@@ -122,12 +87,13 @@ func (sc *scan) close() {
 	for _, it := range sc.tables {
 		it.Close()
 	}
-	for _, rs := range sc.states {
-		rs.release()
+	for _, v := range sc.views {
+		v.mem.Unpin()
+		v.unpin()
 	}
 	sc.merge.Reset()
-	*sc = scan{states: emptied(sc.states), handles: emptied(sc.handles), mems: emptied(sc.mems),
-		tables: emptied(sc.tables), children: emptied(sc.children), merge: sc.merge, release: sc.release}
+	*sc = scan{views: emptied(sc.views), mems: emptied(sc.mems), tables: emptied(sc.tables),
+		children: emptied(sc.children), merge: sc.merge, release: sc.release}
 	scans.Put(sc)
 }
 
@@ -167,8 +133,8 @@ func (sc *scan) Err() error {
 type Snapshot struct {
 	view  *readView
 	bound uint64
-	// mu makes reads atomic with Release: a reader in Get (or deriving the
-	// state of a new iterator) holds the read lock, so Release cannot drop
+	// mu makes reads atomic with Release: a reader in Get (or pinning the
+	// view for a new iterator) holds the read lock, so Release cannot drop
 	// the references out from under it.
 	mu       sync.RWMutex
 	released bool
@@ -233,22 +199,25 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 }
 
 // NewIterator is DB.NewIterator over the snapshot. The iterator takes its
-// own memtable registration and table references, so it remains valid even
-// if the snapshot is released while it is still draining.
+// own pin on the snapshot's view and its own memtable registration, so it
+// remains valid even if the snapshot is released while it is still
+// draining.
 func (s *Snapshot) NewIterator(start, end []byte) (iterator.Iterator, func(), error) {
 	return NewShardIterator([]*Snapshot{s}, start, end)
 }
 
-// acquireSnapshot returns a second, independently released state over the
-// snapshot's point in time whose tables, appended to tables, are those
-// overlapping [start, end). The extra registration is for the bound the
-// snapshot already holds, so it needs no writer excluded.
-func (s *Snapshot) acquireSnapshot(tables []*tableHandle, start, end []byte) (readState, error) {
+// pinAt takes a second pin on the snapshot's view and a second
+// registration on its memtable, released independently of the snapshot's.
+// The registration is for the bound the snapshot already holds, so it
+// needs no writer excluded, and the pin cannot fail while the snapshot
+// holds its own.
+func (s *Snapshot) pinAt() (*readView, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.released {
-		return readState{}, ErrClosed
+		return nil, 0, ErrClosed
 	}
+	s.view.pin()
 	s.view.mem.Pin()
-	return s.view.state(s.bound, tables, start, end), nil
+	return s.view, s.bound, nil
 }

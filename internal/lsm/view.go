@@ -38,20 +38,18 @@ import (
 // awaiting its flush if there is one (every version in it is older than any
 // in mem and newer than any in the tables), and the then-live sstables,
 // each retained once by the view, as are the memtables. The publisher holds
-// one reference; readers pin and unpin around their probes. Dropping the
-// last reference releases the tables, which closes — and for superseded
-// tables deletes — any whose live reference is already gone, and the
-// memtables, which recycles a flushed one nothing else holds.
+// one reference; every reader — a Get, a scan, a Snapshot, a minor merge's
+// purge test — holds one pin for as long as it reads. Dropping the last
+// reference releases the tables, which closes — and for superseded tables
+// deletes — any whose live reference is already gone, and the memtables,
+// which recycles a flushed one nothing else holds.
 type readView struct {
 	mem *memtable.Table
 	imm *memtable.Table // nil when no flush is pending
-	// tables is the live set in table-set order (newest first), the order
-	// scans and snapshots capture.
+	// tables is the live set sorted by descending maxSeq, equal ones in
+	// set order: the probe order that makes first-newest early exit sound.
 	tables []*tableHandle
-	// byseq is the same set sorted by descending maxSeq: the probe order
-	// that makes first-newest early exit sound.
-	byseq []*tableHandle
-	refs  atomic.Int64
+	refs   atomic.Int64
 }
 
 // pin takes a reference, failing when the view is already drained (its
@@ -84,17 +82,14 @@ func (v *readView) unpin() {
 // dropping the previous view's publisher reference. Callers hold db.mu; the
 // swap itself is what readers observe, atomically.
 func (db *DB) installViewLocked() {
-	tables := make([]*tableHandle, len(db.tables))
-	copy(tables, db.tables)
+	tables := slices.Clone(db.tables)
 	for _, th := range tables {
 		th.retain()
 	}
 	db.mem.Retain()
 	db.imm.Retain()
-	// Stable, so equal-seq tables keep their set order.
-	byseq := slices.Clone(tables)
-	slices.SortStableFunc(byseq, func(a, b *tableHandle) int { return cmp.Compare(b.maxSeq, a.maxSeq) })
-	v := &readView{mem: db.mem, imm: db.imm, tables: tables, byseq: byseq}
+	slices.SortStableFunc(tables, func(a, b *tableHandle) int { return cmp.Compare(b.maxSeq, a.maxSeq) })
+	v := &readView{mem: db.mem, imm: db.imm, tables: tables}
 	v.refs.Store(1)
 	if old := db.view.Swap(v); old != nil {
 		old.unpin()
@@ -141,17 +136,7 @@ func (v *readView) get(ctx context.Context, key []byte, bound uint64) ([]byte, *
 		// The memtable buffer is shared with future flushes: copy.
 		return append([]byte(nil), e.Value...), nil, nil
 	}
-	return probeTables(ctx, v.byseq, key)
-}
-
-// state is a read state over the view as of bound, for a reader that holds
-// a registration on the view's memtable: it retains the memtables and the
-// tables overlapping [start, end), appending those to tables. The
-// registration passes to the state.
-func (v *readView) state(bound uint64, tables []*tableHandle, start, end []byte) readState {
-	v.mem.Retain()
-	v.imm.Retain()
-	return readState{mem: v.mem, bound: bound, imm: v.imm, tables: retainOverlapping(tables, v.tables, start, end)}
+	return probeTables(ctx, v.tables, key)
 }
 
 // probeTables resolves the newest version of key across tables, which

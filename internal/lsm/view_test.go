@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/iterator"
 	"repro/internal/vfs"
 )
 
@@ -358,6 +359,133 @@ func TestPinnedViewFrozenAndReleasedOnce(t *testing.T) {
 	}
 }
 
+// TestNarrowScanHoldsItsWholeView pins what a scan holds: per shard, one
+// pin on the published view and one registration on its memtable. A scan
+// over [m, n) reads only the tables overlapping that range, but its pin
+// keeps every table of the view, so a table outside the range that a
+// compaction supersedes keeps its file until the release, as under a
+// Snapshot. The release leaves each view with its publisher's reference
+// alone and its memtable with no reader.
+func TestNarrowScanHoldsItsWholeView(t *testing.T) {
+	start, end := []byte("m"), []byte("n")
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dbs := make([]*DB, shards)
+			put := func(i int, key, val string) {
+				t.Helper()
+				if err := dbs[i].PutContext(context.Background(), []byte(key), []byte(val)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hot := func(i int) string { return fmt.Sprintf("z-hot-%d", i) }
+			for i := range dbs {
+				dbs[i] = openTestDB(t, Options{})
+				for _, prefix := range []string{"b", "m"} {
+					for k := 0; k < 50; k++ {
+						put(i, fmt.Sprintf("%s-%03d-%d", prefix, k, i), "old")
+					}
+					if err := dbs[i].Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// overwrite rewrites shard i's hot key at the same size and
+			// reports how the memtable's size moved. It grows when a reader
+			// registered since the last write keeps the version it
+			// supersedes, and shrinks when no reader is left, since then
+			// every older version is unlinked.
+			overwrite := func(i int) int {
+				mem := dbs[i].view.Load().mem
+				before := mem.SizeBytes()
+				put(i, hot(i), "1")
+				return mem.SizeBytes() - before
+			}
+			drain := func(it iterator.Iterator, release func()) {
+				t.Helper()
+				n := 0
+				for ; it.Valid(); it.Next() {
+					if e := it.Entry(); !bytes.HasPrefix(e.Key, start) || string(e.Value) != "old" {
+						t.Fatalf("scan over [m, n) saw %q = %q", e.Key, e.Value)
+					}
+					n++
+				}
+				if n != 50*shards {
+					t.Fatalf("scan yielded %d entries, want %d", n, 50*shards)
+				}
+				release()
+			}
+
+			var outside []string
+			for i := range dbs {
+				for _, th := range dbs[i].view.Load().tables {
+					if !th.overlaps(start, end) {
+						outside = append(outside, filepath.Join(dbs[i].dir, th.name))
+					}
+				}
+			}
+			if len(outside) != shards {
+				t.Fatalf("%d tables outside [m, n), want one per shard", len(outside))
+			}
+			it, release, err := NewShardIterator(dbs, start, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range dbs {
+				for k := 0; k < 50; k++ {
+					put(i, fmt.Sprintf("b-%03d-%d", k, i), "new")
+				}
+				if err := dbs[i].Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dbs[i].MajorCompact("BT(I)", 2, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, path := range outside {
+				if _, err := os.Stat(path); err != nil {
+					t.Fatalf("superseded table outside the scan's range deleted while the scan is open: %v", err)
+				}
+			}
+			drain(it, release)
+			for _, path := range outside {
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Fatalf("superseded table %s not deleted at the scan's release (err=%v)", path, err)
+				}
+			}
+
+			// Each memtable gets a key to overwrite.
+			for i := range dbs {
+				put(i, hot(i), "0")
+			}
+			views := make([]*readView, shards)
+			for i := range dbs {
+				views[i] = dbs[i].view.Load()
+			}
+			it, release, err = NewShardIterator(dbs, start, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range views {
+				if refs := v.refs.Load(); refs != 2 {
+					t.Fatalf("shard %d: open scan leaves its view at %d refs, want 2", i, refs)
+				}
+				if overwrite(i) <= 0 {
+					t.Fatalf("shard %d: open scan holds no registration on the memtable", i)
+				}
+			}
+			drain(it, release)
+			for i, v := range views {
+				if refs := v.refs.Load(); refs != 1 {
+					t.Fatalf("shard %d: released scan leaves its view at %d refs, want the publisher's 1", i, refs)
+				}
+				if overwrite(i) >= 0 {
+					t.Fatalf("shard %d: released scan left a registration on the memtable", i)
+				}
+			}
+		})
+	}
+}
+
 // TestKeyRangePruning builds tables with disjoint, adjacent and
 // overlapping key ranges and checks point reads at and around every
 // boundary, plus that lookups outside all ranges are pruned without
@@ -477,7 +605,7 @@ func TestProbeTablesContextCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.unpin()
-	if _, _, err := probeTables(ctx, v.byseq, []byte("key-1")); err != context.Canceled {
+	if _, _, err := probeTables(ctx, v.tables, []byte("key-1")); err != context.Canceled {
 		t.Fatalf("probeTables with cancelled ctx err = %v, want context.Canceled", err)
 	}
 	// And through the public face.

@@ -40,7 +40,7 @@ func goldenBytes(t *testing.T) []byte {
 	entries := goldenEntries()
 	var buf bytes.Buffer
 	// Small blocks so the fixture spans several blocks and index chunks.
-	w := NewWriterOpts(&buf, len(entries), WriterOptions{BlockSize: 512, IndexChunkSize: 8})
+	w := newWriterOpts(&buf, len(entries), writerOptions{BlockSize: 512, IndexChunkSize: 8})
 	for _, e := range entries {
 		if err := w.Add(e); err != nil {
 			t.Fatal(err)

@@ -64,9 +64,9 @@ func FuzzReaderOpen(f *testing.F) {
 	for _, k := range []string{"a", "b", "c"} {
 		entries = append(entries, iterator.Entry{Key: []byte(k), Value: []byte("v"), Seq: 1})
 	}
-	build := func(opts WriterOptions) []byte {
+	build := func(opts writerOptions) []byte {
 		var buf bytes.Buffer
-		w := NewWriterOpts(&buf, len(entries), opts)
+		w := newWriterOpts(&buf, len(entries), opts)
 		for _, e := range entries {
 			if err := w.Add(e); err != nil {
 				f.Fatal(err)
@@ -77,7 +77,7 @@ func FuzzReaderOpen(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	table := build(WriterOptions{})
+	table := build(writerOptions{})
 	withMagic := func(magic string) []byte {
 		out := append([]byte(nil), table...)
 		for i := 0; i < 8; i++ {
@@ -94,7 +94,7 @@ func FuzzReaderOpen(f *testing.F) {
 	f.Add(table[:len(table)-footerSize-3]) // footer gone, index truncated
 	f.Add(withBlockCodec(f, table, 2))
 	f.Add(withBlockCodec(f, table, 1))
-	f.Add(build(WriterOptions{BlockSize: 16, IndexChunkSize: 1})) // many chunks
+	f.Add(build(writerOptions{BlockSize: 16, IndexChunkSize: 1})) // many chunks
 	f.Add([]byte("not a table"))
 	f.Add(withMagic("STBL003F"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -149,7 +149,7 @@ func FuzzBornReaderMatchesReopened(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := NewWriterOpts(file, len(entries), WriterOptions{BlockSize: 256, IndexChunkSize: int(chunk % 1024)})
+		w := newWriterOpts(file, len(entries), writerOptions{BlockSize: 256, IndexChunkSize: int(chunk % 1024)})
 		for _, e := range entries {
 			if err := w.Add(e); err != nil {
 				t.Fatal(err)
@@ -260,7 +260,7 @@ func FuzzSeparatorIndexMatchesModel(f *testing.F) {
 			}
 		}
 		var buf bytes.Buffer
-		w := NewWriterOpts(&buf, len(entries), WriterOptions{BlockSize: 16 + int(blockSize%497), IndexChunkSize: 1 + int(chunk)})
+		w := newWriterOpts(&buf, len(entries), writerOptions{BlockSize: 16 + int(blockSize%497), IndexChunkSize: 1 + int(chunk)})
 		for _, e := range entries {
 			if err := w.Add(e); err != nil {
 				t.Fatal(err)

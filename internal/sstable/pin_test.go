@@ -24,7 +24,7 @@ func churn(t *testing.T, c Cache, stop <-chan struct{}) *sync.WaitGroup {
 	for i := 0; i < 400; i++ {
 		other = append(other, entry(fmt.Sprintf("other-%06d", i), fmt.Sprintf("filler-%032d", i), uint64(i+1)))
 	}
-	rd := buildTableOpts(t, other, WriterOptions{BlockSize: 256})
+	rd := buildTableOpts(t, other, writerOptions{BlockSize: 256})
 	rd.SetBlockCache(c)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -67,7 +67,7 @@ func TestStressEntryValidAcrossOneNext(t *testing.T) {
 		entries = append(entries, entry(fmt.Sprintf("key-%06d", i), fmt.Sprintf("value-%024d", i), uint64(i+1)))
 	}
 	// ~5 entries per block: a boundary every few Nexts.
-	rd := buildTableOpts(t, entries, WriterOptions{BlockSize: 256})
+	rd := buildTableOpts(t, entries, writerOptions{BlockSize: 256})
 	c := cache.New(600)
 	rd.SetBlockCache(c)
 	stop := make(chan struct{})
@@ -129,7 +129,7 @@ func TestStressMergeDedupOverRecycledBlocks(t *testing.T) {
 				newest[string(e.Key)] = e
 			}
 		}
-		rd := buildTableOpts(t, entries, WriterOptions{BlockSize: 200})
+		rd := buildTableOpts(t, entries, writerOptions{BlockSize: 200})
 		rd.SetBlockCache(c)
 		it := rd.Iter()
 		defer it.Close()
@@ -178,7 +178,7 @@ func TestStressRebuiltKeysLiveTwoBlocks(t *testing.T) {
 	}
 	// ~5 entries per block: each block's first key is stored whole, the rest
 	// are rebuilt.
-	rd := buildTableOpts(t, entries, WriterOptions{BlockSize: 256})
+	rd := buildTableOpts(t, entries, writerOptions{BlockSize: 256})
 	for _, scan := range []bool{false, true} {
 		it := rd.Iter()
 		if scan {
@@ -253,7 +253,7 @@ func TestAllocScanAndMergeRecycleArenas(t *testing.T) {
 		t.Skip("pooled iterators are dropped at random under the race detector")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	opts := WriterOptions{BlockSize: 256}
+	opts := writerOptions{BlockSize: 256}
 	table := func(n int) ([]iterator.Entry, *Reader) {
 		var entries []iterator.Entry
 		for i := 0; i < n; i++ {
@@ -272,14 +272,14 @@ func TestAllocScanAndMergeRecycleArenas(t *testing.T) {
 	}
 	merge := func(rd *Reader) func() {
 		return func() {
-			if _, err := MergeTo(NewWriterOpts(io.Discard, MergeEntries(rd), opts), nil, rd); err != nil {
+			if _, err := MergeTo(newWriterOpts(io.Discard, MergeEntries(rd), opts), nil, rd); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	write := func(entries []iterator.Entry) func() {
 		return func() {
-			w := NewWriterOpts(io.Discard, len(entries), opts)
+			w := newWriterOpts(io.Discard, len(entries), opts)
 			for _, e := range entries {
 				if err := w.Add(e); err != nil {
 					t.Fatal(err)

@@ -87,7 +87,7 @@ func TestStressScanIterMatchesIter(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 12; round++ {
 		entries := randomEntries(rng, 200+rng.Intn(3000))
-		opts := WriterOptions{
+		opts := writerOptions{
 			BlockSize:      []int{128, 512, 4096}[round%3],
 			IndexChunkSize: []int{3, 8, 256}[round%3],
 		}
@@ -141,7 +141,7 @@ func TestStressScanIterErrorInOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	entries := randomEntries(rng, 1500)
 	var buf bytes.Buffer
-	w := NewWriterOpts(&buf, len(entries), WriterOptions{BlockSize: 256, IndexChunkSize: 16})
+	w := newWriterOpts(&buf, len(entries), writerOptions{BlockSize: 256, IndexChunkSize: 16})
 	for _, e := range entries {
 		if err := w.Add(e); err != nil {
 			t.Fatal(err)
@@ -231,7 +231,7 @@ func TestStressScanIterEarlyCloseBalancesPins(t *testing.T) {
 	defer cache.PoisonFreed.Store(false)
 	rng := rand.New(rand.NewSource(11))
 	entries := randomEntries(rng, 4000)
-	rd := buildTableOpts(t, entries, WriterOptions{BlockSize: 256, IndexChunkSize: 16})
+	rd := buildTableOpts(t, entries, writerOptions{BlockSize: 256, IndexChunkSize: 16})
 	c := &peekRecorder{LRU: cache.New(8 << 20)}
 	rd.SetBlockCache(c)
 	for i, e := range entries {
@@ -277,7 +277,7 @@ func TestStressScanIterEarlyCloseBalancesPins(t *testing.T) {
 // that iterates — entering a table of several spans starts nothing beside it.
 func TestScanIterStartsNoGoroutine(t *testing.T) {
 	entries := randomEntries(rand.New(rand.NewSource(13)), 3000)
-	rd := buildTableOpts(t, entries, WriterOptions{BlockSize: 256, IndexChunkSize: 64})
+	rd := buildTableOpts(t, entries, writerOptions{BlockSize: 256, IndexChunkSize: 64})
 	if n := len(rd.chunks); n < 2 {
 		t.Fatalf("the table has %d index chunks; the test needs several spans", n)
 	}

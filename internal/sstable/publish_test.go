@@ -24,10 +24,10 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 
 // publishedTable writes entries through a Writer publishing to c and takes
 // the Reader it hands over, reads counted.
-func publishedTable(t *testing.T, c Cache, entries []iterator.Entry, opts WriterOptions) (*Reader, *countingReaderAt) {
+func publishedTable(t *testing.T, c Cache, entries []iterator.Entry, opts writerOptions) (*Reader, *countingReaderAt) {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriterOpts(&buf, len(entries), opts)
+	w := newWriterOpts(&buf, len(entries), opts)
 	w.PublishTo(c)
 	for _, e := range entries {
 		if err := w.Add(e); err != nil {
@@ -72,7 +72,7 @@ func TestStressWriterPublishesWhatReadersCache(t *testing.T) {
 	t.Run("v3/raw", func(t *testing.T) {
 		entries := compressibleEntries("key", 800)
 		c := cache.NewSharded(8<<20, 0)
-		rd, src := publishedTable(t, c, entries, WriterOptions{BlockSize: 512})
+		rd, src := publishedTable(t, c, entries, writerOptions{BlockSize: 512})
 		handles := allHandles(t, rd)
 		if len(handles) < 50 || c.Len() != len(handles) {
 			t.Fatalf("%d data blocks, %d published", len(handles), c.Len())
@@ -145,10 +145,10 @@ func warm(t *testing.T, rd *Reader) {
 
 // mergePublished merges inputs into a table published to c and takes its
 // Reader.
-func mergePublished(t *testing.T, c Cache, opts WriterOptions, inputs ...*Reader) *Reader {
+func mergePublished(t *testing.T, c Cache, opts writerOptions, inputs ...*Reader) *Reader {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriterOpts(&buf, MergeEntries(inputs...), opts)
+	w := newWriterOpts(&buf, MergeEntries(inputs...), opts)
 	w.PublishTo(c)
 	if _, err := MergeTo(w, nil, inputs...); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func stridedEntries(lo, stride, n int) []iterator.Entry {
 // away).
 func TestStressMergeCarriesResidency(t *testing.T) {
 	c := cache.NewSharded(8<<20, 0)
-	opts := WriterOptions{BlockSize: 512}
+	opts := writerOptions{BlockSize: 512}
 	hot, _ := publishedTable(t, c, compressibleEntries("a", 600), opts)
 	cold, coldSrc := publishedTable(t, c, compressibleEntries("b", 600), opts)
 	c.DropTable(cold.id)
@@ -225,7 +225,7 @@ func (c *demoteRecorder) Demote(b *cache.Block) {
 func TestStressMergeSpendsItsInputs(t *testing.T) {
 	const capacity = 1 << 20
 	c := &demoteRecorder{LRU: cache.New(capacity)}
-	opts := WriterOptions{BlockSize: 512}
+	opts := writerOptions{BlockSize: 512}
 	bystander, _ := publishedTable(t, c, compressibleEntries("s", 600), opts)
 	a, aSrc := publishedTable(t, c, stridedEntries(0, 2, 1200), opts)
 	b, bSrc := publishedTable(t, c, stridedEntries(1, 2, 1200), opts)
@@ -298,7 +298,7 @@ func TestStressMergeSpendsItsInputs(t *testing.T) {
 // reached it), and part of the output is resident in its place. Fully cold:
 // nothing is spent, so nothing is published and nothing evicted.
 func TestStressColdOutputAdmittedOnlyAgainstSpentInput(t *testing.T) {
-	opts := WriterOptions{BlockSize: 512}
+	opts := writerOptions{BlockSize: 512}
 	sizing := cache.New(64 << 20)
 	bystander, _ := publishedTable(t, sizing, compressibleEntries("s", 600), opts)
 	hot, hotSrc := publishedTable(t, sizing, stridedEntries(0, 2, 1200), opts)
@@ -367,7 +367,7 @@ func TestStressColdOutputAdmittedOnlyAgainstSpentInput(t *testing.T) {
 func TestStressHoldsNewerIgnoresResidency(t *testing.T) {
 	entries := compressibleEntries("key", 800)
 	c := cache.New(8 << 20)
-	born, src := publishedTable(t, c, entries, WriterOptions{BlockSize: 512, IndexChunkSize: 8})
+	born, src := publishedTable(t, c, entries, writerOptions{BlockSize: 512, IndexChunkSize: 8})
 	var fm FilterMetrics
 	absent := []string{"kex", "kez"} // below, above
 	for i := range entries {

@@ -30,10 +30,10 @@ func prefixedEntries(n int) []iterator.Entry {
 	return entries
 }
 
-func buildTableOpts(t testing.TB, entries []iterator.Entry, opts WriterOptions) *Reader {
+func buildTableOpts(t testing.TB, entries []iterator.Entry, opts writerOptions) *Reader {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriterOpts(&buf, len(entries), opts)
+	w := newWriterOpts(&buf, len(entries), opts)
 	for _, e := range entries {
 		if err := w.Add(e); err != nil {
 			t.Fatalf("Add(%q): %v", e.Key, err)
@@ -56,10 +56,10 @@ func TestRoundTripAcrossVersionsAndCodecs(t *testing.T) {
 	entries := prefixedEntries(3000)
 	cases := []struct {
 		name string
-		opts WriterOptions
+		opts writerOptions
 	}{
-		{"v3-raw", WriterOptions{}},
-		{"v3-chunked", WriterOptions{BlockSize: 256, IndexChunkSize: 4}},
+		{"v3-raw", writerOptions{}},
+		{"v3-chunked", writerOptions{BlockSize: 256, IndexChunkSize: 4}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -112,7 +112,7 @@ func TestRoundTripAcrossVersionsAndCodecs(t *testing.T) {
 // they touch.
 func TestPartitionedIndexLazyLoad(t *testing.T) {
 	entries := prefixedEntries(2000)
-	rd := buildTableOpts(t, entries, WriterOptions{BlockSize: 128, IndexChunkSize: 8})
+	rd := buildTableOpts(t, entries, writerOptions{BlockSize: 128, IndexChunkSize: 8})
 	if len(rd.chunks) < 4 {
 		t.Fatalf("want a multi-chunk index, got %d chunks", len(rd.chunks))
 	}
@@ -153,7 +153,7 @@ func TestRestartSearchWithinBlock(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		entries = append(entries, entry(fmt.Sprintf("key-%06d", i*2), fmt.Sprintf("v%d", i), uint64(i+1)))
 	}
-	rd := buildTableOpts(t, entries, WriterOptions{BlockSize: 1 << 20})
+	rd := buildTableOpts(t, entries, writerOptions{BlockSize: 1 << 20})
 	if n := len(rd.chunks); n != 1 {
 		t.Fatalf("expected single chunk, got %d", n)
 	}
@@ -199,7 +199,7 @@ func TestFullBlocksFillOneArray(t *testing.T) {
 		rng.Read(value)
 		entries[i] = iterator.Entry{Key: []byte(fmt.Sprintf("user%016x", id)), Value: value, Seq: uint64(i + 1)}
 	}
-	rd := buildTableOpts(t, entries, WriterOptions{})
+	rd := buildTableOpts(t, entries, writerOptions{})
 	handles := allHandles(t, rd)
 	for i, h := range handles[:len(handles)-1] {
 		if frame := int(h.length) + 4; frame > BlockSize {
@@ -221,7 +221,7 @@ func TestFullBlocksFillOneArray(t *testing.T) {
 // pays for itself on prefix-heavy keys: the key bytes the data blocks store
 // are under a third of the keys they hold.
 func TestV3PrefixCompressionShrinksKeys(t *testing.T) {
-	rd := buildTableOpts(t, prefixedEntries(5000), WriterOptions{})
+	rd := buildTableOpts(t, prefixedEntries(5000), writerOptions{})
 	stored := 0
 	for _, h := range allHandles(t, rd) {
 		b, err := rd.readBlock(h)

@@ -19,8 +19,8 @@ import (
 // thousand top-level entries while each chunk parses lazily on first use.
 const DefaultIndexChunkSize = 256
 
-// WriterOptions configures table construction.
-type WriterOptions struct {
+// writerOptions configures table construction.
+type writerOptions struct {
 	// BlockSize overrides the target data-block frame size; zero selects
 	// BlockSize.
 	BlockSize int
@@ -29,7 +29,7 @@ type WriterOptions struct {
 	IndexChunkSize int
 }
 
-func (o WriterOptions) withDefaults() WriterOptions {
+func (o writerOptions) withDefaults() writerOptions {
 	if o.BlockSize <= 0 {
 		o.BlockSize = BlockSize
 	}
@@ -44,7 +44,7 @@ func (o WriterOptions) withDefaults() WriterOptions {
 type Writer struct {
 	w    io.Writer
 	off  uint64
-	opts WriterOptions
+	opts writerOptions
 
 	// blocks is where finished data blocks are published (PublishTo), under
 	// the table's id; inputs, set by a merge, are the iterators the entries
@@ -78,12 +78,12 @@ type Writer struct {
 // NewWriter creates a Writer emitting to w. expectedEntries sizes the Bloom filter; an estimate is fine, and zero
 // selects a small default.
 func NewWriter(w io.Writer, expectedEntries int) *Writer {
-	return NewWriterOpts(w, expectedEntries, WriterOptions{})
+	return newWriterOpts(w, expectedEntries, writerOptions{})
 }
 
-// NewWriterOpts creates a Writer with its block size and index chunking
+// newWriterOpts creates a Writer with its block size and index chunking
 // chosen.
-func NewWriterOpts(w io.Writer, expectedEntries int, opts WriterOptions) *Writer {
+func newWriterOpts(w io.Writer, expectedEntries int, opts writerOptions) *Writer {
 	if expectedEntries <= 0 {
 		expectedEntries = 1024
 	}

@@ -195,3 +195,63 @@ func TestStressScanSurfacesCorruptTable(t *testing.T) {
 		})
 	}
 }
+
+// TestNarrowScanHoldsItsWholeView is lsm's test of the same name through a
+// 2-shard store: a scan over [m, n) pins each shard's whole view, so every
+// table a compaction supersedes under it, those outside its range too,
+// keeps its file until the release and loses it there.
+func TestNarrowScanHoldsItsWholeView(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	put := func(prefix, val string) {
+		t.Helper()
+		for k := 0; k < 50; k++ {
+			if err := s.PutContext(context.Background(), []byte(fmt.Sprintf("%s-%03d", prefix, k)), []byte(val)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("b", "old")
+	put("m", "old")
+	before, err := filepath.Glob(filepath.Join(dir, "*", "*.sst"))
+	if err != nil || len(before) != 4 {
+		t.Fatalf("2 shards hold tables %v (%v), want two each", before, err)
+	}
+
+	it, release, err := s.NewIterator([]byte("m"), []byte("n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	put("b", "new")
+	if _, err := s.MajorCompact("BT(I)", 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range before {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("superseded table deleted while the scan is open: %v", err)
+		}
+	}
+	n := 0
+	for ; it.Valid(); it.Next() {
+		if e := it.Entry(); !bytes.HasPrefix(e.Key, []byte("m-")) || string(e.Value) != "old" {
+			t.Fatalf("scan over [m, n) saw %q = %q", e.Key, e.Value)
+		}
+		n++
+	}
+	release()
+	if n != 50 {
+		t.Fatalf("scan yielded %d entries, want 50", n)
+	}
+	for _, path := range before {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("superseded table %s not deleted at the scan's release (err=%v)", path, err)
+		}
+	}
+}

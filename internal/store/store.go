@@ -412,7 +412,7 @@ func (sn *Snapshot) NewIterator(start, end []byte) (iterator.Iterator, func(), e
 	return lsm.NewShardIterator(sn.shards, start, end)
 }
 
-// Release drops every shard snapshot's table references.
+// Release drops every shard snapshot's view pin.
 func (sn *Snapshot) Release() {
 	for _, shard := range sn.shards {
 		if shard != nil {

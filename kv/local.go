@@ -223,8 +223,8 @@ func (s *localSnapshot) NewIterator(ctx context.Context, start, end []byte) (Ite
 		if err != nil {
 			return nil, err
 		}
-		// Snapshot iterators pin their own table references, so they
-		// survive snapshot release; engine close still invalidates them.
+		// A snapshot iterator takes its own pin on the snapshot's view, so
+		// it survives snapshot release; engine close still invalidates it.
 		return &localIterator{ctx: ctx, it: it, release: release, engineClosed: s.engineClosed}, nil
 	})
 }
