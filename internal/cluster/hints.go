@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/kverr"
@@ -31,8 +30,11 @@ import (
 //
 // target is the node address the hinted write is owed to (addresses
 // never contain NUL); stamp/token/seq make keys unique across routers
-// parking hints concurrently. The value is an encoded batch of (key,
-// record) pairs — see encodeHintBatch; [hintPrefix, hintEnd) is every hint.
+// parking hints concurrently. The value is hintFormat — never
+// kvnet.RecordFormat, so a parked hint lifts no stamp floor — followed by
+// kvnet's batch body of the (key, record) puts owed to the target; replay
+// deletes a value that does not decode so (damaged, forged, or of an
+// earlier layout). [hintPrefix, hintEnd) is every hint.
 const hintPrefix, hintEnd = "\x00\xffcluster.hint\x00", "\x00\xffcluster.hint\x01"
 
 func hintKey(target string, stamp uint64, token uint32, seq uint64) []byte {
@@ -60,55 +62,34 @@ func hintTarget(key []byte) string {
 	return string(rest[:i])
 }
 
-// hintFormat is a hint batch's first byte. It is any byte but
-// kvnet.RecordFormat: a holder parks a hint with a plain put, and a value
-// that read as a record would lift the stamp floor of its key's stripe on
-// the holder (see kvnet.OpVersionedWrite) to whatever its bytes 2..9 hold —
-// a hinted key's first eight bytes, far above any real stamp.
-const hintFormat = 0x02
+// hintFormat is a hint value's first byte; the rest is the batch body
+// kvnet sends for OpWrite (kvnet.AppendBatch) of the (key, record) puts
+// owed to the target. It is any byte but kvnet.RecordFormat: a holder parks
+// a hint with a plain put, and a value that read as a record would lift the
+// stamp floor of its key's stripe on the holder (see
+// kvnet.OpVersionedWrite) to whatever its bytes 2..9 hold — a hinted key's
+// first eight bytes, far above any real stamp. Replay deletes a hint that
+// does not decode: damaged, forged, or of the earlier 0x02 layout.
+const hintFormat = 0x03
 
-// encodeHintBatch serializes the (key, record) pairs owed to a target:
-// hintFormat, uvarint count, then per pair uvarint-length-prefixed key and
-// record.
-func encodeHintBatch(ops []kvnet.BatchOp) []byte {
-	out := []byte{hintFormat}
-	out = binary.AppendUvarint(out, uint64(len(ops)))
-	for _, op := range ops {
-		out = binary.AppendUvarint(out, uint64(len(op.Key)))
-		out = append(out, op.Key...)
-		out = binary.AppendUvarint(out, uint64(len(op.Value)))
-		out = append(out, op.Value...)
+// hintRecords decodes a hint value into the puts it carries, dropping any
+// whose value is not a record: one such would fail the whole versioned
+// write. A value of another format, a body that does not decode, and a
+// delete op all make the hint damaged — ErrCorrupt.
+func hintRecords(hint []byte) ([]kvnet.BatchOp, error) {
+	if len(hint) == 0 || hint[0] != hintFormat {
+		return nil, fmt.Errorf("cluster: hint of unknown format: %w", kverr.ErrCorrupt)
 	}
-	return out
-}
-
-func decodeHintBatch(b []byte) ([]kvnet.BatchOp, error) {
-	bad := func() ([]kvnet.BatchOp, error) {
+	var ops []kvnet.BatchOp
+	deletes := false
+	err := kvnet.DecodeBatch(hint[1:], func(del bool, key, value []byte) {
+		deletes = deletes || del
+		if _, ok := kvnet.RecordStamp(value); ok {
+			ops = append(ops, kvnet.BatchOp{Key: key, Value: value})
+		}
+	})
+	if err != nil || deletes {
 		return nil, fmt.Errorf("cluster: undecodable hint batch: %w", kverr.ErrCorrupt)
-	}
-	if len(b) == 0 || b[0] != hintFormat {
-		return bad()
-	}
-	n, sz := binary.Uvarint(b[1:])
-	if sz <= 0 {
-		return bad()
-	}
-	b = b[1+sz:]
-	ops := make([]kvnet.BatchOp, 0, n)
-	for i := uint64(0); i < n; i++ {
-		klen, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < klen {
-			return bad()
-		}
-		key := b[sz : sz+int(klen)]
-		b = b[sz+int(klen):]
-		vlen, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < vlen {
-			return bad()
-		}
-		val := b[sz : sz+int(vlen)]
-		b = b[sz+int(vlen):]
-		ops = append(ops, kvnet.BatchOp{Key: key, Value: val})
 	}
 	return ops, nil
 }
@@ -124,7 +105,7 @@ func (rt *Router) parkHintFor(target int, ops []kvnet.BatchOp) {
 		return
 	}
 	key := hintKey(rt.ring.names[target], rt.clock.Next(), rt.token, rt.hintSeq.Add(1))
-	value := encodeHintBatch(ops)
+	value := kvnet.AppendBatch([]byte{hintFormat}, ops)
 	rt.bg.Add(1)
 	go func() {
 		defer rt.bg.Done()
@@ -276,21 +257,16 @@ func (rt *Router) drainHolder(ctx context.Context, holder int) error {
 // old hint — or two sweeps replaying hints of one key in either order —
 // never regresses a key.
 func (rt *Router) replayHint(ctx context.Context, holder, target int, key, value []byte) error {
-	ops, err := decodeHintBatch(value)
+	ops, err := hintRecords(value)
 	if err != nil {
-		// The hint itself is damaged; drop it, the data it carried is
-		// also on the W-quorum replicas and read repair covers the rest.
+		// The hint itself is damaged, forged or of an earlier layout; drop
+		// it, the data it carried is also on the W-quorum replicas and read
+		// repair covers the rest.
 		rt.deleteHint(ctx, holder, key)
 		return nil
 	}
-	// A record that does not decode would fail the whole batch; it is
-	// dropped like a damaged hint.
-	fresh := slices.DeleteFunc(ops, func(op kvnet.BatchOp) bool {
-		_, err := decodeRecord(op.Value)
-		return err != nil
-	})
 	err = rt.do(ctx, target, func(actx context.Context, c *kvnet.Client) error {
-		_, err := c.WriteVersioned(actx, fresh)
+		_, err := c.WriteVersioned(actx, ops)
 		return err
 	})
 	if err != nil {

@@ -47,7 +47,8 @@ func TestHintBatchRoundTrip(t *testing.T) {
 		{Key: []byte("a"), Value: Record{Version: 1, Value: []byte("x")}.Encode()},
 		{Key: []byte("b/long/key"), Value: Record{Version: 2, Tombstone: true}.Encode()},
 	}
-	got, err := decodeHintBatch(encodeHintBatch(ops))
+	hint := kvnet.AppendBatch([]byte{hintFormat}, ops)
+	got, err := hintRecords(hint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,62 @@ func TestHintBatchRoundTrip(t *testing.T) {
 			t.Errorf("op %d mangled", i)
 		}
 	}
-	if _, err := decodeHintBatch([]byte{hintFormat, 0x05, 0x01}); !errors.Is(err, kverr.ErrCorrupt) {
-		t.Errorf("truncated hint batch decoded: %v", err)
+	// A put whose value is not a record would fail the whole replay; it
+	// is dropped and the rest of the hint kept.
+	mixed := kvnet.AppendBatch([]byte{hintFormat}, append([]kvnet.BatchOp{{Key: []byte("raw"), Value: []byte("v")}}, ops...))
+	if got, err := hintRecords(mixed); err != nil || len(got) != len(ops) {
+		t.Errorf("hint with one unstamped put kept %d of %d records, %v", len(got), len(ops), err)
 	}
-	if _, err := decodeHintBatch(encodeHintBatch(ops)[1:]); !errors.Is(err, kverr.ErrCorrupt) {
-		t.Errorf("hint batch without its format byte decoded: %v", err)
+	// The layout hints had before they reused kvnet's batch body: format
+	// byte 0x02, count, then length-prefixed key and record per pair.
+	old := []byte{0x02, 1, 1, 'a', byte(len(ops[0].Value))}
+	old = append(old, ops[0].Value...)
+	for _, bad := range []struct {
+		name string
+		hint []byte
+	}{
+		{"truncated", []byte{hintFormat, 0x05, 0x01}},
+		{"no format byte", hint[1:]},
+		{"count of 2^60 over three bytes", append(binary.AppendUvarint([]byte{hintFormat}, 1<<60), 0, 1, 'k')},
+		{"a delete", kvnet.AppendBatch([]byte{hintFormat}, append(ops[:1:1], kvnet.BatchOp{Delete: true, Key: []byte("d")}))},
+		{"layout 0x02", old},
+	} {
+		if _, err := hintRecords(bad.hint); !errors.Is(err, kverr.ErrCorrupt) {
+			t.Errorf("%s: hint decoded: %v", bad.name, err)
+		}
+	}
+}
+
+// TestForgedHintDroppedBySweep: a value that claims 2^60 ops, parked by a
+// plain put under a live member's hint key, is deleted by the handoff
+// sweep as damaged; the sweep returns and the cluster keeps serving.
+func TestForgedHintDroppedBySweep(t *testing.T) {
+	ctx := context.Background()
+	rt, err := DialCluster(startNodes(t, 3), Options{handoffInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	c, err := kvnet.Dial(rt.ring.names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	key := hintKey(rt.ring.names[1], 1, 2, 3)
+	if err := c.Put(ctx, key, binary.AppendUvarint([]byte{hintFormat}, 1<<60)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.handoffSweep(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Get(ctx, key); !errors.Is(err, kvnet.ErrNotFound) {
+		t.Fatalf("forged hint still parked after the sweep: %v", err)
+	}
+	if err := rt.Put(ctx, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := rt.Get(ctx, []byte("k")); err != nil || string(v) != "v" {
+		t.Fatalf("Get after the sweep = %q, %v", v, err)
 	}
 }
 
@@ -146,11 +198,11 @@ func TestParkedHintKeepsStampFloor(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	hinted := []kvnet.BatchOp{{Key: []byte("user0123456789abcdef"), Value: Record{Version: rt.clock.Next(), Value: []byte("v")}.Encode()}}
-	if _, ok := kvnet.RecordStamp(encodeHintBatch(hinted)); ok {
+	if _, ok := kvnet.RecordStamp(kvnet.AppendBatch([]byte{hintFormat}, hinted)); ok {
 		t.Error("a one-op hint batch reads as a record")
 	}
 	key := hintKey(rt.ring.names[target], rt.clock.Next(), rt.token, rt.hintSeq.Add(1))
-	if !rt.parkEncoded(target, key, encodeHintBatch(hinted)) {
+	if !rt.parkEncoded(target, key, kvnet.AppendBatch([]byte{hintFormat}, hinted)) {
 		t.Fatal("no holder took the hint")
 	}
 	if _, err := c.Get(ctx, key); err != nil {
@@ -898,7 +950,7 @@ func TestReplicaWritesCommute(t *testing.T) {
 			case "replay":
 				target := gc.rt.ring.nodes[node]
 				hint := hintKey(node, gc.rt.clock.Next(), gc.rt.token, gc.rt.hintSeq.Add(1))
-				if !gc.rt.parkEncoded(target, hint, encodeHintBatch([]kvnet.BatchOp{{Key: key, Value: v1.Encode()}})) {
+				if !gc.rt.parkEncoded(target, hint, kvnet.AppendBatch([]byte{hintFormat}, []kvnet.BatchOp{{Key: key, Value: v1.Encode()}})) {
 					t.Fatal("no holder took the hint")
 				}
 				replayed := make(chan error, 1)

@@ -3,6 +3,7 @@ package kvnet
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -38,6 +39,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{0xff})
 	f.Add([]byte{byte(OpWrite) + 1, 1, 'p', 1, 'q', 9})                                       // the retired OpRange's op byte
 	f.Add([]byte{byte(OpStream), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // varint overflow
+	f.Add(append(binary.AppendUvarint([]byte{byte(OpWrite)}, 1<<60), 0, 1, 'k'))              // 2^60 ops claimed in 13 bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(data)
 		if err != nil {

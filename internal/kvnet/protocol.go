@@ -419,18 +419,7 @@ func AppendRequest(out []byte, req *Request) []byte {
 		out = appendBytes(out, []byte(req.Strategy))
 		out = binary.AppendUvarint(out, req.K)
 	case OpWrite, OpVersionedWrite:
-		out = binary.AppendUvarint(out, uint64(len(req.Batch)))
-		for _, op := range req.Batch {
-			kind := byte(0)
-			if op.Delete {
-				kind = 1
-			}
-			out = append(out, kind)
-			out = appendBytes(out, op.Key)
-			if !op.Delete {
-				out = appendBytes(out, op.Value)
-			}
-		}
+		out = AppendBatch(out, req.Batch)
 	case OpStream:
 		out = binary.AppendUvarint(out, req.Handle)
 		out = appendBytes(out, req.Start)
@@ -447,9 +436,29 @@ func AppendRequest(out []byte, req *Request) []byte {
 	return out
 }
 
-// decodeBatch walks an OpWrite or OpVersionedWrite body, handing each
-// operation to fn.
-func decodeBatch(buf []byte, fn func(del bool, key, value []byte)) error {
+// AppendBatch appends the body of an OpWrite or OpVersionedWrite request
+// to out: a uvarint op count, then per op a kind byte (1 for a delete), the
+// key and, for a put, the value.
+func AppendBatch(out []byte, ops []BatchOp) []byte {
+	out = binary.AppendUvarint(out, uint64(len(ops)))
+	for _, op := range ops {
+		kind := byte(0)
+		if op.Delete {
+			kind = 1
+		}
+		out = append(out, kind)
+		out = appendBytes(out, op.Key)
+		if !op.Delete {
+			out = appendBytes(out, op.Value)
+		}
+	}
+	return out
+}
+
+// DecodeBatch walks a body AppendBatch wrote, handing each operation to fn;
+// key and value alias buf. It refuses a count the payload cannot hold and
+// allocates nothing itself, so a forged count costs no memory.
+func DecodeBatch(buf []byte, fn func(del bool, key, value []byte)) error {
 	n, buf, err := readUvarint(buf)
 	if err != nil {
 		return err
@@ -515,7 +524,7 @@ func DecodeRequest(buf []byte) (Request, error) {
 	case OpWrite, OpVersionedWrite:
 		// The slice grows only as ops decode, so a hostile count can never
 		// force a large allocation.
-		err = decodeBatch(buf, func(del bool, key, value []byte) {
+		err = DecodeBatch(buf, func(del bool, key, value []byte) {
 			req.Batch = append(req.Batch, BatchOp{Delete: del, Key: key, Value: value})
 		})
 		if err != nil {

@@ -491,7 +491,7 @@ func (w *worker) execute(ctx context.Context, payload, out []byte) []byte {
 	case OpWrite:
 		// Decoded straight into the worker's batch: no []BatchOp in between.
 		w.batch.Reset()
-		err := decodeBatch(payload[1:], func(del bool, key, value []byte) {
+		err := DecodeBatch(payload[1:], func(del bool, key, value []byte) {
 			if del {
 				w.batch.Delete(key)
 			} else {

@@ -117,7 +117,7 @@ func (w *worker) writeVersioned(ctx context.Context, body []byte) (int, error) {
 	v := &w.versioned
 	v.ops = v.ops[:0]
 	valid := true
-	err := decodeBatch(body, func(del bool, key, value []byte) {
+	err := DecodeBatch(body, func(del bool, key, value []byte) {
 		_, ok := RecordStamp(value)
 		valid = valid && ok && !del
 		v.ops = append(v.ops, BatchOp{Key: key, Value: value})

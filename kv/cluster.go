@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
-	"repro/internal/kvnet"
 	"repro/internal/lsm"
 )
 
@@ -88,16 +87,9 @@ func (e *clusterEngine) Write(ctx context.Context, b *Batch) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	if b == nil || b.Len() == 0 {
-		return nil
-	}
-	if b.SizeBytes() > MaxBatchBytes {
-		return fmt.Errorf("%w: %d bytes > %d", ErrBatchTooLarge, b.SizeBytes(), MaxBatchBytes)
-	}
-	ops := make([]kvnet.BatchOp, b.Len())
-	for i := 0; i < b.Len(); i++ {
-		key, value, del := b.wb.Op(i)
-		ops[i] = kvnet.BatchOp{Delete: del, Key: key, Value: value}
+	ops, err := b.wireOps()
+	if ops == nil {
+		return err
 	}
 	return e.rt.Write(ctx, ops)
 }

@@ -66,19 +66,29 @@ func (e *remoteEngine) Delete(ctx context.Context, key []byte) error {
 	return c.Delete(ctx, key)
 }
 
-func (e *remoteEngine) Write(ctx context.Context, b *Batch) error {
+// wireOps converts b to the ops a kvnet write ships: nil for an empty
+// batch, and ErrBatchTooLarge past MaxBatchBytes — checked before shipping,
+// since a server would reject it anyway and an over-cap batch can also
+// exceed the wire frame limit.
+func (b *Batch) wireOps() ([]kvnet.BatchOp, error) {
 	if b == nil || b.Len() == 0 {
-		return nil
+		return nil, nil
 	}
-	// Enforce the batch cap before shipping: the server would reject it
-	// anyway, and an over-cap batch can also exceed the wire frame limit.
 	if b.SizeBytes() > MaxBatchBytes {
-		return fmt.Errorf("%w: %d bytes > %d", ErrBatchTooLarge, b.SizeBytes(), MaxBatchBytes)
+		return nil, fmt.Errorf("%w: %d bytes > %d", ErrBatchTooLarge, b.SizeBytes(), MaxBatchBytes)
 	}
 	ops := make([]kvnet.BatchOp, b.Len())
-	for i := 0; i < b.Len(); i++ {
+	for i := range ops {
 		key, value, del := b.wb.Op(i)
 		ops[i] = kvnet.BatchOp{Delete: del, Key: key, Value: value}
+	}
+	return ops, nil
+}
+
+func (e *remoteEngine) Write(ctx context.Context, b *Batch) error {
+	ops, err := b.wireOps()
+	if ops == nil {
+		return err
 	}
 	c, err := e.peer.Client(ctx)
 	if err != nil {
