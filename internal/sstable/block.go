@@ -306,10 +306,10 @@ func searchV3Block(pb parsedBlock, target []byte, h *v3EntryHeader) error {
 }
 
 // keyArena is the backing store for the keys of one block that a block
-// iterator has to rebuild from their prefix-compressed form (and for a
-// Writer's index keys). It only appends while that block's keys may be read,
-// and empty makes it ready for a later block, keeping its newest chunk: in
-// steady state a scan rebuilds every key in memory it already has.
+// iterator has to rebuild from their prefix-compressed form. It only appends
+// while that block's keys may be read, and empty makes it ready for a later
+// block, keeping its newest chunk: in steady state a scan rebuilds every key
+// in memory it already has.
 type keyArena struct {
 	buf []byte
 }

@@ -35,7 +35,7 @@ func goldenEntries() []iterator.Entry {
 	return entries
 }
 
-func goldenBytes(t *testing.T) []byte {
+func goldenBytes(t testing.TB) []byte {
 	t.Helper()
 	entries := goldenEntries()
 	var buf bytes.Buffer

@@ -44,11 +44,11 @@
 // binary-searches the restart array to the right restart and then walks at
 // most one interval of entries instead of scanning the whole block. The
 // block index is partitioned into fixed-size chunks located by a small
-// top-level index; Open materializes only the top level, and each chunk is
-// parsed lazily the first time a lookup or scan lands in it. A block's index
-// key is the shortest prefix of its first key above the previous block's last
-// key (the first block's is its first key whole); a lookup takes the last
-// handle whose key is <= the probe.
+// top-level index; Open reads only the top level, and each chunk the first
+// time a lookup or scan lands in it, and keeps both as they are stored. A
+// block's index key is the shortest prefix of its first key above the
+// previous block's last key (the first block's is its first key whole); a
+// lookup takes the last handle whose key is <= the probe.
 //
 // The Bloom filter probes bit (fmix64(H1) + i·fmix64(H2) mod 2^64) mod nbits
 // for i < k, where H1 and H2 are keyhash.Of(key) and fmix64 is splitmix64's

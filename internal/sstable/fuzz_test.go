@@ -3,10 +3,12 @@ package sstable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -97,6 +99,9 @@ func FuzzReaderOpen(f *testing.F) {
 	f.Add(build(writerOptions{BlockSize: 16, IndexChunkSize: 1})) // many chunks
 	f.Add([]byte("not a table"))
 	f.Add(withMagic("STBL003F"))
+	golden := goldenBytes(f)
+	f.Add(withIndexCount(f, golden, -1, 1<<40)) // the top-level index
+	f.Add(withIndexCount(f, golden, 0, 1<<40))  // one chunk
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
@@ -172,23 +177,17 @@ func FuzzBornReaderMatchesReopened(f *testing.F) {
 		if !bytes.Equal(born.filter.Marshal(), re.filter.Marshal()) || !bytes.Equal(born.sketch.Marshal(), re.sketch.Marshal()) {
 			t.Fatal("filter or sketch differs from the reopened table's")
 		}
-		if len(born.chunks) != len(re.chunks) {
-			t.Fatalf("%d chunks, reopened %d", len(born.chunks), len(re.chunks))
+		sameIndex := func(a, b *indexBlock) bool {
+			return bytes.Equal(a.data, b.data) && slices.Equal(a.offs, b.offs)
 		}
-		for ci, c := range born.chunks {
-			rc := re.chunks[ci]
-			if !bytes.Equal(c.key, rc.key) || c.offset != rc.offset || c.length != rc.length {
-				t.Fatalf("chunk %d: %+v, reopened %+v", ci, c, rc)
-			}
-			seeded := born.chunkData[ci].Load()
-			parsed, err := re.chunkHandles(ci)
-			if seeded == nil || err != nil || len(*seeded) != len(parsed) {
-				t.Fatalf("chunk %d: born with %v handles, reopened parses %d (%v)", ci, seeded, len(parsed), err)
-			}
-			for bi, h := range *seeded {
-				if p := parsed[bi]; !bytes.Equal(h.key, p.key) || h.offset != p.offset || h.length != p.length {
-					t.Fatalf("chunk %d block %d: %+v, reopened %+v", ci, bi, h, p)
-				}
+		if !sameIndex(&born.top, &re.top) || len(born.chunks) != len(re.chunks) {
+			t.Fatalf("top index %+v, reopened %+v", born.top, re.top)
+		}
+		for ci := range born.chunks {
+			seeded := born.chunks[ci].Load()
+			read, err := re.chunk(ci)
+			if seeded == nil || err != nil || !sameIndex(seeded, read) {
+				t.Fatalf("chunk %d: born with %+v, reopened reads %+v (%v)", ci, seeded, read, err)
 			}
 		}
 
@@ -456,14 +455,115 @@ func withBlockCodec(tb testing.TB, data []byte, codec byte) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	handles, err := rd.chunkHandles(0)
+	c, err := rd.chunk(0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h := handles[0]
+	h := c.handle(0)
 	out := append([]byte(nil), data...)
 	frame := out[h.offset : h.offset+h.length]
 	frame[0] = codec
 	binary.LittleEndian.PutUint32(out[h.offset+h.length:], crc32.Checksum(frame, crcTable))
 	return out
+}
+
+// withIndexCount returns a copy of the table data whose top-level index (ci
+// < 0) or index chunk ci claims count handles. The list keeps its length —
+// the bytes after the new count are the old handles, cut short — and its
+// checksum is recomputed, so only the count gives it away.
+func withIndexCount(tb testing.TB, data []byte, ci int, count uint64) []byte {
+	tb.Helper()
+	rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	off, length := rd.f.indexOff, rd.f.indexLen
+	if ci >= 0 {
+		h := rd.top.handle(ci)
+		off, length = h.offset, h.length
+	}
+	out := append([]byte(nil), data...)
+	payload := out[off : off+length-4]
+	_, n := binary.Uvarint(payload)
+	copy(payload, append(binary.AppendUvarint(nil, count), payload[n:]...))
+	binary.LittleEndian.PutUint32(out[off+length-4:], crc32.Checksum(payload, crcTable))
+	return out
+}
+
+// TestForgedIndexCountRefused: an index list claiming 2^40 handles behind a
+// valid checksum is ErrCorrupt — the top-level index at open, a chunk at the
+// first lookup that lands in it — and nothing is sized by the count first.
+func TestForgedIndexCountRefused(t *testing.T) {
+	data := goldenBytes(t)
+	forged := withIndexCount(t, data, -1, 1<<40)
+	if _, err := NewReader(bytes.NewReader(forged), int64(len(forged))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a top-level index claiming 2^40 chunks: NewReader err = %v, want ErrCorrupt", err)
+	}
+	forged = withIndexCount(t, data, 0, 1<<40)
+	rd, err := NewReader(bytes.NewReader(forged), int64(len(forged)))
+	if err != nil {
+		t.Fatalf("a forged chunk is read at its first lookup, not at open: %v", err)
+	}
+	if _, err := rd.Get(goldenEntries()[0].Key); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a chunk claiming 2^40 blocks: Get err = %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzIndexChunk throws arbitrary payloads straight at the index decoder, as
+// one index chunk of a 1 MiB file — past the checksum, which FuzzReaderOpen's
+// random bytes almost never pass. It must never panic or size its offsets by
+// more handles than the payload can hold, every handle it accepts must lie in
+// the file, and what it accepts must survive a re-encode through
+// indexBuilder, handle for handle and offset for offset. Where the keys
+// ascend, a search for each key lands on its handle.
+func FuzzIndexChunk(f *testing.F) {
+	var b indexBuilder
+	b.add(blockHandle{key: []byte("apple"), offset: 0, length: 100})
+	b.add(blockHandle{key: []byte("b"), offset: 104, length: BlockSize})
+	b.add(blockHandle{key: bytes.Repeat([]byte("c"), 200), offset: 1644, length: 1})
+	good := b.finish().data
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(append(binary.AppendUvarint(nil, 1<<40), good[1:]...))
+	f.Add(binary.AppendUvarint(nil, uint64(len(good))/3))
+	f.Add([]byte{0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		const size = 1 << 20
+		ib, err := parseIndex(payload, 4, size)
+		if err != nil {
+			if err != ErrCorrupt {
+				t.Fatalf("parse err = %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		if cap(ib.offs) > len(payload)/3 {
+			t.Fatalf("%d offsets allocated for a %d-byte payload", cap(ib.offs), len(payload))
+		}
+		var b indexBuilder
+		for i := range ib.len() {
+			h := ib.handle(i)
+			if h.length < 1 || h.offset+h.length+4 > size {
+				t.Fatalf("handle %d: %+v, in a %d-byte file", i, h, size)
+			}
+			b.add(h)
+		}
+		re := b.finish()
+		again, err := parseIndex(re.data, 4, size)
+		if err != nil || len(re.data) > len(payload) || !slices.Equal(again.offs, re.offs) {
+			t.Fatalf("re-encoded %d bytes (from %d), offsets %v, parsed %v (%v)", len(re.data), len(payload), re.offs, again.offs, err)
+		}
+		ascending := true
+		for i := range ib.len() {
+			if h, r := ib.handle(i), re.handle(i); !bytes.Equal(h.key, r.key) || h.offset != r.offset || h.length != r.length {
+				t.Fatalf("handle %d: %+v, re-encoded %+v", i, h, r)
+			}
+			ascending = ascending && (i == 0 || bytes.Compare(ib.handle(i-1).key, ib.handle(i).key) < 0)
+		}
+		for i := range ib.len() {
+			if key := ib.handle(i).key; ascending && ib.search(key) != i {
+				t.Fatalf("search(%q) = %d, want %d", key, ib.search(key), i)
+			}
+		}
+	})
 }

@@ -150,7 +150,7 @@ func TestStressScanIterErrorInOrder(t *testing.T) {
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	blocks := w.index
+	blocks := allHandles(t, w.Reader(bytes.NewReader(buf.Bytes())))
 	// How many entries lie before block j: the position of the first entry
 	// at or above its index key, which may be shorter than that entry's key.
 	before := func(j int) int {

@@ -46,11 +46,13 @@ func allHandles(t *testing.T, rd *Reader) []blockHandle {
 	t.Helper()
 	var out []blockHandle
 	for ci := range rd.chunks {
-		hs, err := rd.chunkHandles(ci)
+		c, err := rd.chunk(ci)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, hs...)
+		for bi := range c.len() {
+			out = append(out, c.handle(bi))
+		}
 	}
 	return out
 }
@@ -77,13 +79,16 @@ func TestStressWriterPublishesWhatReadersCache(t *testing.T) {
 		if len(handles) < 50 || c.Len() != len(handles) {
 			t.Fatalf("%d data blocks, %d published", len(handles), c.Len())
 		}
+		plain, err := NewReader(src, rd.size) // no cache: reads every block from the file
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, h := range handles {
-			key := cache.Key{Table: rd.id, Offset: h.offset}
-			pub, ok := c.Peek(key)
+			pub, ok := c.Peek(cache.Key{Table: rd.id, Offset: h.offset})
 			if !ok {
 				t.Fatalf("block at %d not published", h.offset)
 			}
-			fromFile, err := rd.loadBlock(cache.Uncached, key, h)
+			fromFile, err := plain.readBlock(h)
 			if err != nil {
 				t.Fatal(err)
 			}

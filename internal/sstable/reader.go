@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -43,8 +43,8 @@ type FilterMetrics struct {
 // reclaims instead. The cache's byte budget counts payload bytes of
 // resident blocks; arrays pinned past their eviction and the free lists (a
 // few arrays per stripe) sit outside it. Keys are (table ID, file offset)
-// pairs; a table's data blocks and index chunks occupy disjoint offsets in
-// the same file, so the one key space covers both without collision.
+// pairs of data blocks. Index chunks never enter the cache: a Reader keeps
+// each one it has read, encoded (see indexBlock), for as long as it is open.
 //
 // Blocks also arrive from the other side: a Writer given a cache
 // (PublishTo) Publishes a copy of every data block's decoded body under its
@@ -77,17 +77,17 @@ type Reader struct {
 	size   int64
 	f      footer
 	bounds Bounds
-	// chunks is the top-level index; chunkData caches each chunk's parsed
-	// handles, loaded lazily the first time a lookup or scan lands in the
-	// chunk (open materializes only the top level; a Writer's Reader is
-	// born with every chunk's handles).
-	chunks    []blockHandle
-	chunkData []atomic.Pointer[[]blockHandle]
-	filter    *bloom.Filter
-	sketch    *hll.Sketch // key sketch from the bounds tail
-	closer    io.Closer   // non-nil when the Reader owns the underlying file
-	blocks    Cache
-	fm        *FilterMetrics
+	// top is the top-level index, one handle per index chunk; chunks[ci]
+	// holds chunk ci once a lookup or scan first lands in it (open reads
+	// only the top level; a Writer's Reader is born with every chunk). Both
+	// stay encoded, as the file stores them (see indexBlock).
+	top    indexBlock
+	chunks []atomic.Pointer[indexBlock]
+	filter *bloom.Filter
+	sketch *hll.Sketch // key sketch from the bounds tail
+	closer io.Closer   // non-nil when the Reader owns the underlying file
+	blocks Cache
+	fm     *FilterMetrics
 }
 
 // NewReader opens a table stored in r, whose total length is size bytes.
@@ -176,8 +176,8 @@ func (rd *Reader) Close() error {
 }
 
 // readChecksummed reads and verifies a framed payload+crc32 region. The
-// returned payload aliases a freshly allocated buffer the caller owns (the
-// index and bloom loaders retain slices of it, so it cannot be pooled).
+// returned payload aliases a freshly allocated buffer the caller owns (an
+// indexBlock keeps it, so it cannot be pooled).
 func (rd *Reader) readChecksummed(off, length uint64) ([]byte, error) {
 	buf := make([]byte, length)
 	if _, err := rd.r.ReadAt(buf, int64(off)); err != nil {
@@ -195,13 +195,7 @@ func (rd *Reader) readBlock(h blockHandle) (*cache.Block, error) {
 	if b, ok := rd.blocks.Get(key); ok {
 		return b, nil
 	}
-	return rd.loadBlock(rd.blocks, key, h)
-}
-
-// loadBlock reads the data block at h from the file into a buffer of c,
-// verifies it and adds it to c, returning it pinned.
-func (rd *Reader) loadBlock(c Cache, key cache.Key, h blockHandle) (*cache.Block, error) {
-	b := c.Alloc(key, int(h.length)+4)
+	b := rd.blocks.Alloc(key, int(h.length)+4)
 	if _, err := rd.r.ReadAt(b.Buf(), int64(h.offset)); err != nil {
 		b.Release()
 		return nil, fmt.Errorf("sstable: read block at %d: %w", h.offset, err)
@@ -211,48 +205,95 @@ func (rd *Reader) loadBlock(c Cache, key cache.Key, h blockHandle) (*cache.Block
 		b.Release()
 		return nil, err
 	}
-	c.Add(b, payload)
+	rd.blocks.Add(b, payload)
 	return b, nil
 }
 
-// parseHandles decodes a list of handles: the block handles of one index
-// chunk, whose frames are length+crc bytes with crc 4, or the top index's
-// chunk handles, whose lengths include the crc (crc 0). Like the footer
-// regions, every frame must hold a byte beyond its crc and lie within the
-// file, or reads would allocate and read garbage-sized buffers.
-func (rd *Reader) parseHandles(payload []byte, crc uint64) ([]blockHandle, error) {
-	count, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return nil, ErrCorrupt
+// indexBlock is a list of handles kept as the file stores it — the payload
+// of one index chunk, or of the top-level index — with the offset of each
+// handle in it: a lookup binary-searches the offsets and decodes only the
+// handles it lands on.
+type indexBlock struct {
+	data []byte
+	offs []uint32
+}
+
+// decodeHandle decodes the handle p starts with, its key aliasing p, and
+// the bytes it takes: 0 if p does not start with a whole handle.
+func decodeHandle(p []byte) (blockHandle, int) {
+	klen, n := binary.Uvarint(p)
+	if n <= 0 || uint64(len(p[n:])) < klen {
+		return blockHandle{}, 0
 	}
-	payload = payload[n:]
-	handles := make([]blockHandle, 0, count)
-	for i := uint64(0); i < count; i++ {
-		klen, n := binary.Uvarint(payload)
-		if n <= 0 || uint64(len(payload[n:])) < klen {
-			return nil, ErrCorrupt
-		}
-		payload = payload[n:]
-		key := payload[:klen:klen]
-		payload = payload[klen:]
-		off, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return nil, ErrCorrupt
-		}
-		payload = payload[n:]
-		length, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return nil, ErrCorrupt
-		}
-		payload = payload[n:]
+	h := blockHandle{key: p[n : n+int(klen) : n+int(klen)]}
+	n += int(klen)
+	off, a := binary.Uvarint(p[n:])
+	if a <= 0 {
+		return blockHandle{}, 0
+	}
+	length, b := binary.Uvarint(p[n+a:])
+	if b <= 0 {
+		return blockHandle{}, 0
+	}
+	h.offset, h.length = off, length
+	return h, n + a + b
+}
+
+// parseIndex validates an index payload and records where each handle
+// starts: the block handles of one index chunk, whose frames are
+// length+crc bytes with crc 4, or the top index's chunk handles, whose
+// lengths include the crc (crc 0). Like the footer regions, every frame must
+// hold a byte beyond its crc and lie within a file of size bytes, or reads
+// would allocate and read garbage-sized buffers. A handle takes at least
+// three bytes, so a count above a third of the payload is refused before
+// anything is sized by it.
+func parseIndex(payload []byte, crc, size uint64) (indexBlock, error) {
+	count, p := binary.Uvarint(payload)
+	if p <= 0 || count > uint64(len(payload)-p)/3 || uint64(len(payload)) > math.MaxUint32 {
+		return indexBlock{}, ErrCorrupt
+	}
+	ib := indexBlock{data: payload, offs: make([]uint32, 0, count)}
+	for range count {
+		ib.offs = append(ib.offs, uint32(p))
+		h, n := decodeHandle(payload[p:])
 		// Ordered to avoid overflow.
-		size := uint64(rd.size)
-		if length > size || length+crc > size || length+crc < 5 || off > size-(length+crc) {
-			return nil, ErrCorrupt
+		if n == 0 || h.length > size || h.length+crc > size || h.length+crc < 5 || h.offset > size-(h.length+crc) {
+			return indexBlock{}, ErrCorrupt
 		}
-		handles = append(handles, blockHandle{key: key, offset: off, length: length})
+		p += n
 	}
-	return handles, nil
+	return ib, nil
+}
+
+func (ib *indexBlock) len() int { return len(ib.offs) }
+
+// handle decodes handle i, which parseIndex has validated.
+func (ib *indexBlock) handle(i int) blockHandle {
+	h, _ := decodeHandle(ib.data[ib.offs[i]:])
+	return h
+}
+
+// search returns the index of the last handle whose index key is <= key,
+// or -1 when key precedes every handle. It decodes only the key of each
+// handle it probes, in line, and a length under 128 in one byte: every
+// lookup pays this search twice.
+func (ib *indexBlock) search(key []byte) int {
+	d, lo, hi := ib.data, 0, len(ib.offs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		o := int(ib.offs[m])
+		start, end := o+1, o+1+int(d[o])
+		if d[o] >= 0x80 {
+			klen, n := binary.Uvarint(d[o:])
+			start, end = o+n, o+n+int(klen)
+		}
+		if bytes.Compare(d[start:end], key) > 0 {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo - 1
 }
 
 func (rd *Reader) loadIndex() error {
@@ -260,33 +301,30 @@ func (rd *Reader) loadIndex() error {
 	if err != nil {
 		return err
 	}
-	// Only the top-level chunk index materializes at open; each chunk's
-	// handles parse lazily in chunkHandles.
-	if rd.chunks, err = rd.parseHandles(payload, 0); err != nil {
+	if rd.top, err = parseIndex(payload, 0, uint64(rd.size)); err != nil {
 		return err
 	}
-	rd.chunkData = make([]atomic.Pointer[[]blockHandle], len(rd.chunks))
+	rd.chunks = make([]atomic.Pointer[indexBlock], rd.top.len())
 	return nil
 }
 
-// chunkHandles returns the block handles of chunk ci, parsing and caching
-// them on first use. Concurrent first uses may both parse; the store is
-// idempotent.
-func (rd *Reader) chunkHandles(ci int) ([]blockHandle, error) {
-	if p := rd.chunkData[ci].Load(); p != nil {
-		return *p, nil
+// chunk returns index chunk ci, reading and validating it on first use.
+// Concurrent first uses may both read it; the store is idempotent.
+func (rd *Reader) chunk(ci int) (*indexBlock, error) {
+	if c := rd.chunks[ci].Load(); c != nil {
+		return c, nil
 	}
-	c := rd.chunks[ci]
-	payload, err := rd.readChecksummed(c.offset, c.length)
+	h := rd.top.handle(ci)
+	payload, err := rd.readChecksummed(h.offset, h.length)
 	if err != nil {
 		return nil, err
 	}
-	handles, err := rd.parseHandles(payload, 4)
+	c, err := parseIndex(payload, 4, uint64(rd.size))
 	if err != nil {
 		return nil, err
 	}
-	rd.chunkData[ci].Store(&handles)
-	return handles, nil
+	rd.chunks[ci].Store(&c)
+	return &c, nil
 }
 
 func (rd *Reader) loadBloom() error {
@@ -341,31 +379,22 @@ func (rd *Reader) EntryCount() uint64 { return rd.f.entryCount }
 // quantity compaction counts as disk I/O when the table is read or written.
 func (rd *Reader) FileSize() uint64 { return uint64(rd.size) }
 
-// searchHandles returns the index of the last handle whose index key is
-// <= key, or -1 when key precedes every handle.
-func searchHandles(handles []blockHandle, key []byte) int {
-	return sort.Search(len(handles), func(i int) bool {
-		return bytes.Compare(handles[i].key, key) > 0
-	}) - 1
-}
-
 // findBlockForKey locates the data block that could contain key: a
 // top-level chunk search plus an in-chunk search.
 func (rd *Reader) findBlockForKey(key []byte) (blockHandle, bool, error) {
-	var zero blockHandle
-	ci := searchHandles(rd.chunks, key)
+	ci := rd.top.search(key)
 	if ci < 0 {
-		return zero, false, nil
+		return blockHandle{}, false, nil
 	}
-	handles, err := rd.chunkHandles(ci)
+	c, err := rd.chunk(ci)
 	if err != nil {
-		return zero, false, err
+		return blockHandle{}, false, err
 	}
-	bi := searchHandles(handles, key)
+	bi := c.search(key)
 	if bi < 0 {
-		return zero, false, nil
+		return blockHandle{}, false, nil
 	}
-	return handles[bi], true, nil
+	return c.handle(bi), true, nil
 }
 
 // HoldsNewer reports whether the table holds key (h is keyhash.Of(key)) at a
@@ -572,18 +601,14 @@ func (it *Iter) SeekGE(target []byte) {
 		it.valid = false
 		return
 	}
-	ci := max(0, searchHandles(it.rd.chunks, target))
-	handles, err := it.rd.chunkHandles(ci)
+	ci := max(0, it.rd.top.search(target))
+	c, err := it.rd.chunk(ci)
 	if err != nil {
 		it.err = err
 		return
 	}
-	bi := searchHandles(handles, target)
-	if bi < 0 {
-		bi = 0
-	}
 	it.stopAhead()
-	it.cursor = cursor{handles: handles, ci: ci + 1, bi: bi}
+	it.cursor = cursor{chunk: c, ci: ci + 1, bi: max(0, c.search(target))}
 	it.v3.leave()
 	it.valid = false
 	it.advance()
@@ -697,32 +722,37 @@ func (rd *Reader) readRun(handles []blockHandle, sp *span) error {
 
 // cursor is a position in a table's block index: the next block to load.
 type cursor struct {
-	handles []blockHandle // block handles of the chunk being iterated
-	ci      int           // next chunk to load (handles == nil) or current+1
-	bi      int           // next block to load within handles
+	chunk *indexBlock // the chunk being iterated
+	ci    int         // next chunk to load (chunk == nil) or current+1
+	bi    int         // next block to load within chunk
 }
 
-// next returns the handles of up to n blocks from the position on, all in
-// one index chunk, and moves past them; none at the end of the table.
-func (c *cursor) next(rd *Reader, n int) ([]blockHandle, error) {
-	for c.handles == nil || c.bi >= len(c.handles) {
+// next decodes into dst the handles of up to len(dst) blocks from the
+// position on, all in one index chunk, and moves past them; it returns how
+// many, none at the end of the table.
+func (c *cursor) next(rd *Reader, dst []blockHandle) (int, error) {
+	for c.chunk == nil || c.bi >= c.chunk.len() {
 		if c.ci >= len(rd.chunks) {
-			return nil, nil
+			return 0, nil
 		}
-		handles, err := rd.chunkHandles(c.ci)
+		chunk, err := rd.chunk(c.ci)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		c.handles, c.ci, c.bi = handles, c.ci+1, 0
+		c.chunk, c.ci, c.bi = chunk, c.ci+1, 0
 	}
-	hs := c.handles[c.bi:min(c.bi+n, len(c.handles))]
-	c.bi += len(hs)
-	return hs, nil
+	n := min(len(dst), c.chunk.len()-c.bi)
+	for i := range dst[:n] {
+		dst[i] = c.chunk.handle(c.bi + i)
+	}
+	c.bi += n
+	return n, nil
 }
 
-// scanState is a started ScanIter's span: the blocks it fetched last, of
-// which those from si on are not yet entered.
+// scanState is a started ScanIter's span: the handles and the blocks it
+// fetched last, of which those from si on are not yet entered.
 type scanState struct {
+	hs [spanBlocks]blockHandle
 	sp span
 	si int
 }
@@ -741,11 +771,11 @@ func (it *Iter) stopAhead() {
 // the cache, block by block; a ScanIter fetches a span at a time.
 func (it *Iter) fetchBlock() (fetched, error) {
 	if !it.nofill {
-		hs, err := it.cursor.next(it.rd, 1)
-		if len(hs) == 0 {
+		var h [1]blockHandle
+		if n, err := it.cursor.next(it.rd, h[:]); n == 0 {
 			return fetched{}, err
 		}
-		b, err := it.rd.readBlock(hs[0])
+		b, err := it.rd.readBlock(h[0])
 		if err != nil {
 			return fetched{}, err
 		}
@@ -760,11 +790,11 @@ func (it *Iter) fetchBlock() (fetched, error) {
 		if s.sp.err != nil {
 			return fetched{}, s.sp.err
 		}
-		hs, err := it.cursor.next(it.rd, spanBlocks)
-		if len(hs) == 0 {
+		n, err := it.cursor.next(it.rd, s.hs[:])
+		if n == 0 {
 			return fetched{}, err
 		}
-		it.rd.fetchSpan(hs, &s.sp)
+		it.rd.fetchSpan(s.hs[:n], &s.sp)
 		s.si = 0
 		if s.sp.n == 0 {
 			return fetched{}, s.sp.err

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/iterator"
+	"repro/internal/vfs"
 )
 
 // prefixedEntries builds sorted entries with heavily shared key prefixes:
@@ -118,8 +122,8 @@ func TestPartitionedIndexLazyLoad(t *testing.T) {
 	}
 	loaded := func() int {
 		n := 0
-		for i := range rd.chunkData {
-			if rd.chunkData[i].Load() != nil {
+		for i := range rd.chunks {
+			if rd.chunks[i].Load() != nil {
 				n++
 			}
 		}
@@ -146,6 +150,82 @@ func TestPartitionedIndexLazyLoad(t *testing.T) {
 	}
 }
 
+// TestAllocIndexBytesPerBlock bounds what an open table's index holds in
+// memory, outside every cache budget, at 24 bytes per data block: for the
+// Reader a Writer hands over, and for one opened from the file with every
+// chunk read. The table has the benchmark's shape — 20-byte keys of random
+// ids, 100-byte values, default blocks and chunks — and over 10 000 blocks.
+func TestAllocIndexBytesPerBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([][]byte, 130_000)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "user%016x", rng.Uint64())
+	}
+	slices.SortFunc(keys, bytes.Compare)
+	keys = slices.CompactFunc(keys, bytes.Equal)
+	value := bytes.Repeat([]byte{'v'}, 100)
+	path := filepath.Join(t.TempDir(), "t.sst")
+	file, err := vfs.Default.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(file, len(keys))
+	for i, k := range keys {
+		if err := w.Add(iterator.Entry{Key: k, Value: value, Seq: uint64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	born := w.Reader(file)
+	defer born.Close()
+	re, err := OpenFS(vfs.Default, path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	blocks := 0
+	for ci := range re.chunks {
+		c, err := re.chunk(ci)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks += c.len()
+	}
+	if blocks < 10_000 {
+		t.Fatalf("the table has %d blocks, want at least 10 000", blocks)
+	}
+	for _, tc := range []struct {
+		name string
+		rd   *Reader
+	}{{"handed over", born}, {"reopened", re}} {
+		per := float64(residentIndexBytes(tc.rd)) / float64(blocks)
+		if per > 24 {
+			t.Errorf("%s: the index holds %.1f B per block, want at most 24", tc.name, per)
+		}
+		t.Logf("%s: %.1f B per block over %d blocks", tc.name, per, blocks)
+	}
+}
+
+// residentIndexBytes is the live heap rd's index holds: the live heap less
+// what is live once rd lets its index go. rd serves nothing afterwards.
+func residentIndexBytes(rd *Reader) int64 {
+	with := liveHeap()
+	rd.top, rd.chunks = indexBlock{}, nil
+	return with - liveHeap()
+}
+
+// liveHeap collects twice, so that pooled objects dropped at the first
+// collection are gone too, and returns the bytes still allocated.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
 // TestRestartSearchWithinBlock packs many entries into one block so the
 // restart binary search, not the block index, resolves the probes.
 func TestRestartSearchWithinBlock(t *testing.T) {
@@ -157,9 +237,9 @@ func TestRestartSearchWithinBlock(t *testing.T) {
 	if n := len(rd.chunks); n != 1 {
 		t.Fatalf("expected single chunk, got %d", n)
 	}
-	handles, err := rd.chunkHandles(0)
-	if err != nil || len(handles) != 1 {
-		t.Fatalf("expected single block, got %d handles (err %v)", len(handles), err)
+	c, err := rd.chunk(0)
+	if err != nil || c.len() != 1 {
+		t.Fatalf("expected single block, got %v (err %v)", c, err)
 	}
 	for i, want := range entries {
 		got, err := rd.Get(want.Key)

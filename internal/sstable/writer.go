@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"sync/atomic"
 
@@ -55,11 +56,13 @@ type Writer struct {
 
 	bb       blockBuilder // current block
 	blockKey []byte       // index key of the current block
-	keys     keyArena     // backs every index key; never emptied
 	frameBuf []byte       // reusable frame buffer, one allocation per table
-	index    []blockHandle
-	filter   *bloom.Filter
-	sketch   *hll.Sketch
+	// index encodes the handles of the chunk being filled; chunks holds the
+	// finished ones, framed, for Finish to write and the Reader to keep.
+	index  indexBuilder
+	chunks []indexBlock
+	filter *bloom.Filter
+	sketch *hll.Sketch
 
 	lastKey    []byte
 	minSeq     uint64
@@ -72,7 +75,7 @@ type Writer struct {
 	// What Finish wrote, for the Reader it hands over.
 	f      footer
 	bounds Bounds
-	chunks []blockHandle
+	top    indexBlock
 }
 
 // NewWriter creates a Writer emitting to w. expectedEntries sizes the Bloom filter; an estimate is fine, and zero
@@ -114,21 +117,20 @@ func (w *Writer) Abandon() { w.blocks.DropTable(w.id) }
 // Reader hands over the finished table as a Reader of file, which holds
 // the bytes the Writer wrote (for a table on disk, the handle it was written
 // through). Everything Finish wrote — footer, filter, bounds, sketch and
-// every index chunk's block handles — comes from what the Writer holds, so
-// the Reader reads nothing back; its data blocks are found in the cache the
-// Writer published them to. If file is also an io.Closer, the Reader owns
-// it: Close closes it. Call once, after a successful Finish.
+// every index chunk, in the bytes it was written from — comes from what the
+// Writer holds, so the Reader reads nothing back; its data blocks are found
+// in the cache the Writer published them to. If file is also an io.Closer,
+// the Reader owns it: Close closes it. Call once, after a successful Finish.
 func (w *Writer) Reader(file io.ReaderAt) *Reader {
 	if !w.finished {
 		panic("sstable: Reader before Finish")
 	}
-	rd := &Reader{id: w.id, r: file, size: int64(w.off), f: w.f, bounds: w.bounds, chunks: w.chunks,
-		chunkData: make([]atomic.Pointer[[]blockHandle], len(w.chunks)),
-		filter:    w.filter, sketch: w.sketch, blocks: w.blocks}
+	rd := &Reader{id: w.id, r: file, size: int64(w.off), f: w.f, bounds: w.bounds, top: w.top,
+		chunks: make([]atomic.Pointer[indexBlock], len(w.chunks)),
+		filter: w.filter, sketch: w.sketch, blocks: w.blocks}
 	rd.closer, _ = file.(io.Closer)
-	for ci := range rd.chunkData {
-		hs := w.index[ci*w.opts.IndexChunkSize : min((ci+1)*w.opts.IndexChunkSize, len(w.index))]
-		rd.chunkData[ci].Store(&hs)
+	for ci := range rd.chunks {
+		rd.chunks[ci].Store(&w.chunks[ci])
 	}
 	return rd
 }
@@ -167,13 +169,12 @@ func (w *Writer) Add(e iterator.Entry) error {
 	}
 	if w.bb.empty() {
 		// The index key: the shortest prefix of e.Key above the last key, e.Key
-		// whole in the first block; carved from chunks that never move.
+		// whole in the first block.
 		n := len(e.Key)
 		if w.entryCount > 0 {
 			n = sharedPrefix(w.lastKey, e.Key) + 1
 		}
-		w.blockKey = w.keys.alloc(n, w.opts.BlockSize)[:n:n]
-		copy(w.blockKey, e.Key)
+		w.blockKey = append(w.blockKey[:0], e.Key[:n]...)
 	}
 	if w.entryCount == 0 || e.Seq < w.minSeq {
 		w.minSeq = e.Seq
@@ -201,52 +202,72 @@ func (w *Writer) flushBlock() error {
 	// allocation for the lifetime of the table.
 	framed := appendBlock(w.frameBuf[:0], body)
 	w.frameBuf = framed
-	w.index = append(w.index, blockHandle{
+	w.index.add(blockHandle{
 		key:    w.blockKey,
 		offset: w.off,
 		length: uint64(len(framed) - 4), // stored payload, excluding crc
 	})
+	if len(w.index.offs) == w.opts.IndexChunkSize {
+		w.chunks = append(w.chunks, w.index.finish())
+	}
 	if _, err := w.w.Write(framed); err != nil {
 		return fmt.Errorf("sstable: write block: %w", err)
 	}
 	w.blocks.Publish(cache.Key{Table: w.id, Offset: w.off}, body, !w.inputsResident())
 	w.off += uint64(len(framed))
 	w.bb.reset()
-	w.blockKey = nil
 	return nil
 }
 
-// appendHandles encodes the block handles of one index chunk, or the chunk
-// handles of the top-level index.
-func appendHandles(dst []byte, handles []blockHandle) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(handles)))
-	for _, h := range handles {
-		dst = binary.AppendUvarint(dst, uint64(len(h.key)))
-		dst = append(dst, h.key...)
-		dst = binary.AppendUvarint(dst, h.offset)
-		dst = binary.AppendUvarint(dst, h.length)
-	}
-	return dst
+// indexBuilder encodes a list of handles as they arrive: the block handles
+// of one index chunk, or the chunk handles of the top-level index.
+type indexBuilder struct {
+	body []byte   // the handles added so far, encoded, without the count
+	offs []uint32 // where each starts in body
 }
 
-// writeIndex emits the index — fixed-size chunks plus a top-level chunk
-// index, which it keeps in w.chunks — and points f at it.
+func (b *indexBuilder) add(h blockHandle) {
+	b.offs = append(b.offs, uint32(len(b.body)))
+	b.body = binary.AppendUvarint(b.body, uint64(len(h.key)))
+	b.body = append(b.body, h.key...)
+	b.body = binary.AppendUvarint(b.body, h.offset)
+	b.body = binary.AppendUvarint(b.body, h.length)
+}
+
+// finish returns the handles added since the last finish as an indexBlock,
+// in an array of its exact size that holds the payload's crc32 right after
+// it, and starts the next list.
+func (b *indexBuilder) finish() indexBlock {
+	count := uint64(len(b.offs))
+	buf := make([]byte, 0, uvarintLen(count)+len(b.body)+4)
+	buf = binary.AppendUvarint(buf, count)
+	shift := uint32(len(buf))
+	buf = append(buf, b.body...)
+	ib := indexBlock{data: buf, offs: make([]uint32, len(b.offs))}
+	binary.LittleEndian.PutUint32(buf[len(buf):cap(buf)], crc32.Checksum(buf, crcTable))
+	for i, o := range b.offs {
+		ib.offs[i] = o + shift
+	}
+	b.body, b.offs = b.body[:0], b.offs[:0]
+	return ib
+}
+
+// writeIndex emits the index — the chunks, then the top-level chunk index,
+// which it keeps in w.top — and points f at it.
 func (w *Writer) writeIndex(f *footer) error {
-	chunkSize := w.opts.IndexChunkSize
-	for start := 0; start < len(w.index); start += chunkSize {
-		end := min(start+chunkSize, len(w.index))
-		framed := appendChecksummed(nil, appendHandles(nil, w.index[start:end]))
-		w.chunks = append(w.chunks, blockHandle{
-			key:    w.index[start].key,
-			offset: w.off,
-			length: uint64(len(framed)),
-		})
+	if len(w.index.offs) > 0 {
+		w.chunks = append(w.chunks, w.index.finish())
+	}
+	for _, c := range w.chunks {
+		framed := c.data[:len(c.data)+4] // payload and crc32, as finish left them
+		w.index.add(blockHandle{key: c.handle(0).key, offset: w.off, length: uint64(len(framed))})
 		if _, err := w.w.Write(framed); err != nil {
 			return fmt.Errorf("sstable: write index chunk: %w", err)
 		}
 		w.off += uint64(len(framed))
 	}
-	framed := appendChecksummed(nil, appendHandles(nil, w.chunks))
+	w.top = w.index.finish()
+	framed := w.top.data[:len(w.top.data)+4]
 	f.indexOff, f.indexLen = w.off, uint64(len(framed))
 	if _, err := w.w.Write(framed); err != nil {
 		return fmt.Errorf("sstable: write index: %w", err)
@@ -287,7 +308,7 @@ func (w *Writer) Finish() error {
 	// path prunes with, then the key sketch. An empty table encodes nil keys
 	// and a zero range.
 	if w.entryCount > 0 {
-		w.bounds = Bounds{Smallest: w.index[0].key, Largest: w.lastKey, MinSeq: w.minSeq, MaxSeq: w.maxSeq}
+		w.bounds = Bounds{Smallest: w.top.handle(0).key, Largest: w.lastKey, MinSeq: w.minSeq, MaxSeq: w.maxSeq}
 	}
 	framed = appendChecksummed(nil, appendBoundsSketch(marshalBounds(w.bounds), w.sketch))
 	f.boundsOff, f.boundsLen = w.off, uint64(len(framed))
