@@ -81,6 +81,14 @@ func fmix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
+// Fill sets every bit: the filter then answers "maybe" for every key, as
+// one that was never asked to rule a key out. Its encoding keeps its size.
+func (f *Filter) Fill() {
+	for i := range f.bits {
+		f.bits[i] = ^uint64(0)
+	}
+}
+
 // MayContainHash reports whether the key whose hash is h is possibly in the
 // filter; a false return is definitive. A lookup that probes several
 // tables' filters hashes its key once.

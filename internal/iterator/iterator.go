@@ -6,7 +6,10 @@
 // versions a merge has proved shadowed by a newer table outside it.
 package iterator
 
-import "bytes"
+import (
+	"bytes"
+	"slices"
+)
 
 // Entry is a single versioned key-value record. Tombstone entries mark
 // deletions; they carry no value.
@@ -33,10 +36,12 @@ type Iterator interface {
 // Merging merges any number of sorted child iterators into one sorted
 // stream. When two children are positioned at equal keys, the child with
 // the lower index wins ties first (callers order children newest-first so
-// the freshest version surfaces before older ones).
+// the freshest version surfaces before older ones). The heap compares each
+// child's current Entry, taken once when the merge positions the child.
 type Merging struct {
 	children []Iterator
-	heap     []int // indices into children, ordered as a binary min-heap
+	heads    []Entry // heads[i] is children[i]'s current Entry, zero once it is spent
+	heap     []int   // indices into children, ordered as a binary min-heap
 }
 
 // NewMerging builds a merging iterator over children. Children that are
@@ -48,11 +53,14 @@ func NewMerging(children ...Iterator) *Merging {
 }
 
 // Reset points m at new children as NewMerging would, reusing its heap;
-// with none it lets go of the previous ones.
+// with none it lets go of the previous ones and of every Entry it held.
 func (m *Merging) Reset(children ...Iterator) {
+	clear(m.heads) // and heads[len:cap] is zero already
 	m.children, m.heap = children, m.heap[:0]
+	m.heads = slices.Grow(m.heads[:0], len(children))[:len(children)]
 	for i, c := range children {
 		if c.Valid() {
+			m.heads[i] = c.Entry()
 			m.heap = append(m.heap, i)
 		}
 	}
@@ -64,7 +72,7 @@ func (m *Merging) Reset(children ...Iterator) {
 // less orders child i before child j by (key, child index).
 func (m *Merging) less(i, j int) bool {
 	a, b := m.heap[i], m.heap[j]
-	cmp := bytes.Compare(m.children[a].Entry().Key, m.children[b].Entry().Key)
+	cmp := bytes.Compare(m.heads[a].Key, m.heads[b].Key)
 	if cmp != 0 {
 		return cmp < 0
 	}
@@ -93,13 +101,18 @@ func (m *Merging) siftDown(i int) {
 func (m *Merging) Valid() bool { return len(m.heap) > 0 }
 
 // Entry implements Iterator.
-func (m *Merging) Entry() Entry { return m.children[m.heap[0]].Entry() }
+func (m *Merging) Entry() Entry { return m.heads[m.heap[0]] }
 
-// Next implements Iterator.
+// Next implements Iterator: it advances the top child and takes its next
+// Entry, the only head that changes.
 func (m *Merging) Next() {
 	top := m.heap[0]
-	m.children[top].Next()
-	if !m.children[top].Valid() {
+	c := m.children[top]
+	c.Next()
+	if c.Valid() {
+		m.heads[top] = c.Entry()
+	} else {
+		m.heads[top] = Entry{}
 		m.heap[0] = m.heap[len(m.heap)-1]
 		m.heap = m.heap[:len(m.heap)-1]
 	}

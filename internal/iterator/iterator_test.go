@@ -180,6 +180,83 @@ func TestQuickDedupYieldsDistinctSortedKeys(t *testing.T) {
 	}
 }
 
+// countingIterator is a SliceIterator that counts the Entry calls made on it.
+type countingIterator struct {
+	SliceIterator
+	entryCalls *int
+}
+
+func (it *countingIterator) Entry() Entry {
+	*it.entryCalls++
+	return it.SliceIterator.Entry()
+}
+
+// TestQuickMergingCachedHeads checks Merging against a sort-based reference
+// merge over random children: keys shared across children, where the lower
+// child index comes first; several versions of a key within a child, in the
+// child's order; children empty or running out at different points. One
+// Merging is reused through Reset for every case, and each child's Entry is
+// asked for once per position. A Reset with no children must keep no Entry:
+// a recycled scan would otherwise hold slices into block memory.
+func TestQuickMergingCachedHeads(t *testing.T) {
+	var m Merging
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		type ref struct {
+			e          Entry
+			child, pos int
+		}
+		var want []ref
+		calls := 0
+		children := make([]Iterator, r.Intn(7))
+		for c := range children {
+			var entries []Entry
+			for k, n := 0, r.Intn(12); len(entries) < n; {
+				k += r.Intn(3) // 0: another version of the same key
+				en := Entry{Key: []byte(fmt.Sprintf("%03d", k)), Value: []byte(fmt.Sprint(c, len(entries))), Seq: uint64(len(want))}
+				entries = append(entries, en)
+				want = append(want, ref{en, c, len(entries) - 1})
+			}
+			children[c] = &countingIterator{SliceIterator{entries: entries}, &calls}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if c := bytes.Compare(a.e.Key, b.e.Key); c != 0 {
+				return c < 0
+			}
+			if a.child != b.child {
+				return a.child < b.child
+			}
+			return a.pos < b.pos
+		})
+		m.Reset(children...)
+		got := Drain(&m)
+		if len(got) != len(want) || calls != len(want) {
+			t.Logf("seed %d: merged %d entries with %d Entry calls, want %d", seed, len(got), calls, len(want))
+			return false
+		}
+		for i := range got {
+			if w := want[i].e; !bytes.Equal(got[i].Key, w.Key) || !bytes.Equal(got[i].Value, w.Value) || got[i].Seq != w.Seq {
+				t.Logf("seed %d: entry %d = %+v, want %+v", seed, i, got[i], w)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	m.Reset(NewSlice([]Entry{e("a", 1), e("b", 1)}), NewSlice([]Entry{e("a", 2)}))
+	if m.Reset(); m.Valid() || m.children != nil {
+		t.Fatalf("Reset() left %d children", len(m.children))
+	}
+	for i, h := range m.heads[:cap(m.heads)] {
+		if h.Key != nil || h.Value != nil {
+			t.Fatalf("Reset() kept head %d: %+v", i, h)
+		}
+	}
+}
+
 func BenchmarkMerging8Way(b *testing.B) {
 	const perSrc = 1000
 	mk := func(off int) []Entry {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -490,7 +493,7 @@ func BenchmarkMergeFourWay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("bench-%06d.sst", i)
-		rd, _, err := db.mergeTables(name, iterator.IsTombstone, inputs)
+		rd, _, err := db.mergeTables(name, iterator.IsTombstone, inputs, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -575,4 +578,91 @@ func BenchmarkUpdateHeavyCachePressure(b *testing.B) {
 	b.ReportMetric(readBytes/ops, "file-read-B/op")
 	b.ReportMetric(misses/ops, "get-misses/op")
 	b.ReportMetric(cacheBytes/peakBytes, "cache/peak-table-bytes")
+}
+
+// BenchmarkMajorCompactReadColdShape is the major compaction of bench/'s
+// read_cold set-up on its own: 300 000 records in the ycsb load order
+// (user%016x keys of a hashed id) with 100-byte random values, loaded
+// through 1 MiB memtables into 37 flushed tables beside a 2 MiB block cache,
+// then merged to one table by BT(I) at k = 4. Only the major is timed. It
+// reports the major's wall time and the root merge's, from the root's create
+// to its fsync: the last step of the schedule's critical path, and the one
+// table a major fsyncs.
+//
+// Run with:
+//
+//	go test -bench BenchmarkMajorCompactReadColdShape -benchtime 5x -run XXX ./internal/lsm
+func BenchmarkMajorCompactReadColdShape(b *testing.B) {
+	const records = 300_000
+	var (
+		mu      sync.Mutex
+		created = map[string]time.Time{}
+		root    time.Duration // the last table fsync's time since its create
+	)
+	fsys := &gateFS{FS: vfs.Default, at: func(op fileOp, path string) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch op {
+		case tableCreate:
+			created[path] = time.Now()
+		case tableSynced:
+			root = time.Since(created[path])
+		}
+	}}
+	var major, roots time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		db, err := Open(dir, Options{MemtableBytes: 1 << 20, BlockCacheBytes: 2 << 20, FS: fsys})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gen, err := ycsb.NewGenerator(ycsb.Config{RecordCount: records, OperationCount: 1, ReadProportion: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(1))
+		val := make([]byte, 100)
+		var wb WriteBatch
+		for op, ok := gen.NextLoad(); ok; op, ok = gen.NextLoad() {
+			r.Read(val)
+			wb.Put([]byte(fmt.Sprintf("user%016x", op.Key)), val)
+			if wb.Len() == 256 {
+				if err := db.WriteContext(context.Background(), &wb); err != nil {
+					b.Fatal(err)
+				}
+				wb.Reset()
+			}
+		}
+		if err := db.WriteContext(context.Background(), &wb); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if n := db.Stats().Tables; n < 30 {
+			b.Fatalf("the load left %d tables, want read_cold's 37", n)
+		}
+		mu.Lock()
+		root = 0
+		mu.Unlock()
+		b.StartTimer()
+		res, err := db.MajorCompact("BT(I)", 4, 1)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		major += res.Duration
+		mu.Lock()
+		roots += root
+		mu.Unlock()
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(major.Milliseconds())/float64(b.N), "major-ms")
+	b.ReportMetric(float64(roots.Milliseconds())/float64(b.N), "root-ms")
 }

@@ -117,9 +117,10 @@ func (r *CompactionResult) Add(o *CompactionResult) {
 // during the merge survive the swap, so the store holds those tables plus
 // the merged root afterwards. Concurrent MajorCompact calls serialize.
 //
-// Crash safety: the manifest is only rewritten at the swap. A crash before
-// the swap leaves the old manifest pointing at the old tables; the merge
-// outputs become orphans that Open deletes on recovery.
+// Crash safety: the manifest is only rewritten at the swap, once the root —
+// the one table a major fsyncs (see executeSchedule) — is durable. A crash
+// before the swap leaves the old manifest pointing at the old tables; the
+// merge outputs become orphans that Open deletes on recovery.
 func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResult, error) {
 	chooser, err := compaction.NewLiveChooser(strategy, seed)
 	if err != nil {
@@ -347,7 +348,8 @@ func (db *DB) allocTableNameLocked() string {
 // GOMAXPROCS workers. Tombstones survive intermediate merges —
 // dropping one early would let an older version in a not-yet-merged table
 // resurface — and are purged only at a major compaction's root merge, which
-// covers all data.
+// covers all data. Every step but the root's builds a scratch table, with
+// no fsync, filter or key sketch (see sstable.Writer.Scratch).
 //
 // The returned slice maps node ID → handle: the first len(snap) entries
 // are the inputs, the rest the created merge outputs (nil where a step did
@@ -368,12 +370,12 @@ func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, s
 			}
 			inputs[j] = nodes[in.ID].rd
 		}
-		drop := shadowed
-		if major && step.Output.ID == rootID {
+		drop, scratch := shadowed, step.Output.ID != rootID
+		if major && !scratch {
 			drop = iterator.IsTombstone
 		}
 		name := db.allocTableName()
-		rd, mstats, err := db.mergeTables(name, drop, inputs)
+		rd, mstats, err := db.mergeTables(name, drop, inputs, scratch)
 		if err != nil {
 			return err
 		}

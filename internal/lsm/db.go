@@ -404,13 +404,15 @@ func (db *DB) blocks() sstable.Cache {
 }
 
 // buildTable creates the sstable file name, has fill write and finish it
-// through a Writer sized for expected entries, makes it durable and returns
-// the Reader the Writer hands over: born open and resident, it reads from
-// the handle the table was written through and finds every block the Writer
-// published (see sstable.Writer.PublishTo and Reader), so nothing is read
-// back. The one check a re-open made, that the Reader decodes what the
-// Writer encodes, is sstable's FuzzBornReaderMatchesReopened; Open still
-// re-opens and CRC-checks every table.
+// through a Writer sized for expected entries, makes it durable unless it is
+// scratch (see sstable.Writer.Scratch: no manifest names one, so a crash
+// leaves it an orphan Open deletes) and returns the Reader the Writer hands
+// over: born open and resident, it reads from the handle the table was
+// written through and finds every block the Writer published (see
+// sstable.Writer.PublishTo and Reader), so nothing is read back. The one
+// check a re-open made, that the Reader decodes what the Writer encodes, is
+// sstable's FuzzBornReaderMatchesReopened; Open still re-opens and
+// CRC-checks every table.
 //
 // The Writer writes through a 32 KiB buffer, the size of the span a merge
 // reads its inputs in, on the goroutine that called: a write error surfaces
@@ -423,7 +425,7 @@ func (db *DB) blocks() sstable.Cache {
 // the Reader exists its Close drops them and closes the file, so a caller
 // that abandons the table later (a failed manifest save) closes the Reader
 // and removes the file.
-func (db *DB) buildTable(name string, expected int, fill func(*sstable.Writer) error) (*sstable.Reader, error) {
+func (db *DB) buildTable(name string, expected int, scratch bool, fill func(*sstable.Writer) error) (*sstable.Reader, error) {
 	f, err := db.fs.Create(filepath.Join(db.dir, name))
 	if err != nil {
 		return nil, fmt.Errorf("lsm: create sstable: %w", err)
@@ -431,13 +433,16 @@ func (db *DB) buildTable(name string, expected int, fill func(*sstable.Writer) e
 	bw := bufio.NewWriterSize(f, 32<<10)
 	w := sstable.NewWriter(bw, expected)
 	w.PublishTo(db.blocks())
+	if scratch {
+		w.Scratch()
+	}
 	err = fill(w)
 	if err == nil {
 		if err = bw.Flush(); err != nil {
 			err = fmt.Errorf("lsm: write sstable: %w", err)
 		}
 	}
-	if err == nil {
+	if err == nil && !scratch {
 		err = f.Sync()
 	}
 	if err != nil {
@@ -451,9 +456,9 @@ func (db *DB) buildTable(name string, expected int, fill func(*sstable.Writer) e
 
 // mergeTables is buildTable for the merge of inputs, dropping what drop
 // reports (see sstable.MergeTo).
-func (db *DB) mergeTables(name string, drop func(iterator.Entry) bool, inputs []*sstable.Reader) (*sstable.Reader, sstable.MergeStats, error) {
+func (db *DB) mergeTables(name string, drop func(iterator.Entry) bool, inputs []*sstable.Reader, scratch bool) (*sstable.Reader, sstable.MergeStats, error) {
 	var stats sstable.MergeStats
-	rd, err := db.buildTable(name, sstable.MergeEntries(inputs...), func(w *sstable.Writer) (err error) {
+	rd, err := db.buildTable(name, sstable.MergeEntries(inputs...), scratch, func(w *sstable.Writer) (err error) {
 		stats, err = sstable.MergeTo(w, drop, inputs...)
 		return err
 	})

@@ -348,7 +348,7 @@ func (db *DB) flushImmLocked() error {
 	imm := db.imm
 	name := db.allocTableNameLocked()
 	db.mu.Unlock()
-	rd, err := db.buildTable(name, imm.Len(), func(w *sstable.Writer) error {
+	rd, err := db.buildTable(name, imm.Len(), false, func(w *sstable.Writer) error {
 		return sstable.WriteAll(w, imm.Iter())
 	})
 	db.mu.Lock()

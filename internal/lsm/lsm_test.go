@@ -10,11 +10,16 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/compaction"
+	"repro/internal/keyhash"
 	"repro/internal/kverr"
 	"repro/internal/model"
 	"repro/internal/sstable"
+	"repro/internal/vfs"
 )
 
 func openTestDB(t testing.TB, opts Options) *DB {
@@ -486,7 +491,10 @@ func TestMajorCompactKWay(t *testing.T) {
 // TestMajorCompactResultPinned pins what a BT(I) k=4 major compaction of
 // five overlapping flushes does — the tables lsmdb's "fill 3000/2000/2500/
 // 100/4000, flush after each" script leaves — down to the merge count, the
-// measured cost in keys and the bytes it writes.
+// measured cost in keys and the bytes it writes. Its one non-root output is
+// a scratch table: its filter is filled rather than built, so it keeps its
+// size, and its key sketch is empty, 4 096 bytes under a dense one (153 307
+// while every output carried a sketch).
 func TestMajorCompactResultPinned(t *testing.T) {
 	db := openTestDB(t, Options{})
 	for _, n := range []int{3000, 2000, 2500, 100, 4000} {
@@ -504,8 +512,112 @@ func TestMajorCompactResultPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := [4]uint64{uint64(len(res.StepStats)), uint64(res.CostActual), res.BytesWritten, uint64(res.TablesAfter)}
-	if want := [4]uint64{2, 21600, 153307, 1}; got != want {
+	if want := [4]uint64{2, 21600, 149211, 1}; got != want {
 		t.Errorf("merges, CostActual, BytesWritten, TablesAfter = %v, want %v", got, want)
+	}
+}
+
+// TestScratchTableDeniesNoKey runs a BT(I) k=2 schedule's merges as a major
+// runs them and looks every key of each intermediate output up through the
+// two lookups that consult a table's filter. A scratch table's filter must
+// answer "maybe" for every key: one left sized but empty would deny them all.
+func TestScratchTableDeniesNoKey(t *testing.T) {
+	db := openTestDB(t, Options{})
+	fillTables(t, db, 6, 300)
+	db.mu.RLock()
+	snap := oldestFirst(db.tables)
+	db.mu.RUnlock()
+	chooser, err := compaction.NewLiveChooser("BT(I)", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := planMajor(snap, 2, chooser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, _, err := db.executeSchedule(sched, snap, nil, true)
+	t.Cleanup(func() {
+		for _, th := range nodes[len(snap):] {
+			if th != nil {
+				th.rd.Close()
+				db.removeFile(th.name)
+			}
+		}
+		for _, th := range snap {
+			th.rd.Unspend()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := 0
+	for id, th := range nodes[len(snap):] {
+		if id+len(snap) == sched.Root.ID {
+			continue
+		}
+		scratch++
+		it := th.rd.Iter()
+		n := 0
+		for ; it.Valid(); it.Next() {
+			e := it.Entry()
+			got, blk, err := th.rd.GetEntry(e.Key)
+			if err != nil || got.Seq != e.Seq || !bytes.Equal(got.Value, e.Value) {
+				t.Fatalf("%s: GetEntry(%q) = seq %d, %v; want seq %d", th.name, e.Key, got.Seq, err, e.Seq)
+			}
+			blk.Release()
+			if !th.rd.HoldsNewer(e.Key, keyhash.Of(e.Key), 0) {
+				t.Fatalf("%s: HoldsNewer(%q, 0) = false for a key it holds", th.name, e.Key)
+			}
+			n++
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		it.Close()
+		if n == 0 || uint64(n) != th.rd.EntryCount() {
+			t.Fatalf("%s: iterated %d of %d entries", th.name, n, th.rd.EntryCount())
+		}
+	}
+	if scratch == 0 {
+		t.Fatalf("the schedule of %d steps built no intermediate output", len(sched.Steps))
+	}
+}
+
+// TestMajorFsyncsOnlyItsRoot runs a BT(I) k=2 major over eight tables, seven
+// merges of which six build intermediate outputs, and records the table
+// fsyncs and manifest creates it makes: exactly one fsync, of the table the
+// manifest then names, and then the manifest.
+func TestMajorFsyncsOnlyItsRoot(t *testing.T) {
+	var (
+		major  atomic.Bool
+		mu     sync.Mutex
+		events []string
+	)
+	fsys := &gateFS{FS: vfs.Default, at: func(op fileOp, path string) {
+		if major.Load() && (op == tableSynced || op == manifestCreate) {
+			mu.Lock()
+			events = append(events, op.String()+" "+filepath.Base(path))
+			mu.Unlock()
+		}
+	}}
+	db := openTestDB(t, Options{FS: fsys})
+	fillTables(t, db, 8, 200)
+	major.Store(true)
+	res, err := db.MajorCompact("BT(I)", 2, 1)
+	major.Store(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.StepStats) < 2 {
+		t.Fatalf("%d merges: no intermediate output to leave unsynced", len(res.StepStats))
+	}
+	infos := db.TableInfos()
+	if len(infos) != 1 {
+		t.Fatalf("%d tables after the major, want 1", len(infos))
+	}
+	want := []string{"table sync " + infos[0].Name, "manifest create " + manifestName + ".tmp"}
+	if !reflect.DeepEqual(events, want) {
+		t.Errorf("a major of %d merges made %q, want %q", len(res.StepStats), events, want)
 	}
 }
 

@@ -607,7 +607,7 @@ func TestStressAbandonedTableWritesLeaveNoBlocks(t *testing.T) {
 func TestTableBuildStartsNoGoroutine(t *testing.T) {
 	db := openTestDB(t, Options{})
 	before, during := runtime.NumGoroutine(), 0
-	rd, err := db.buildTable(db.allocTableName(), 1000, func(w *sstable.Writer) error {
+	rd, err := db.buildTable(db.allocTableName(), 1000, false, func(w *sstable.Writer) error {
 		during = runtime.NumGoroutine()
 		for i := 0; i < 1000; i++ {
 			if err := w.Add(iterator.Entry{Key: scanKey(i), Value: residencyValue(i, 0), Seq: uint64(i + 1)}); err != nil {

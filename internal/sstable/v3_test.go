@@ -2,7 +2,9 @@ package sstable
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -32,6 +34,19 @@ func prefixedEntries(n int) []iterator.Entry {
 		entries = append(entries, e)
 	}
 	return entries
+}
+
+// writerOptions chooses a test Writer's block size and index chunking; a
+// zero field keeps the default.
+type writerOptions struct{ BlockSize, IndexChunkSize int }
+
+// newWriterOpts is NewWriter with the block size and index chunking opts
+// choose.
+func newWriterOpts(w io.Writer, expectedEntries int, opts writerOptions) *Writer {
+	tw := NewWriter(w, expectedEntries)
+	tw.blockSize = cmp.Or(opts.BlockSize, tw.blockSize)
+	tw.chunkSize = cmp.Or(opts.IndexChunkSize, tw.chunkSize)
+	return tw
 }
 
 func buildTableOpts(t testing.TB, entries []iterator.Entry, opts writerOptions) *Reader {

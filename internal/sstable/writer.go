@@ -20,32 +20,15 @@ import (
 // thousand top-level entries while each chunk parses lazily on first use.
 const DefaultIndexChunkSize = 256
 
-// writerOptions configures table construction.
-type writerOptions struct {
-	// BlockSize overrides the target data-block frame size; zero selects
-	// BlockSize.
-	BlockSize int
-	// IndexChunkSize overrides the number of block handles per index
-	// chunk; zero selects DefaultIndexChunkSize.
-	IndexChunkSize int
-}
-
-func (o writerOptions) withDefaults() writerOptions {
-	if o.BlockSize <= 0 {
-		o.BlockSize = BlockSize
-	}
-	if o.IndexChunkSize <= 0 {
-		o.IndexChunkSize = DefaultIndexChunkSize
-	}
-	return o
-}
-
 // Writer builds an sstable from entries added in strictly increasing key
 // order. Use one Writer per table; call Finish exactly once.
 type Writer struct {
-	w    io.Writer
-	off  uint64
-	opts writerOptions
+	w   io.Writer
+	off uint64
+	// blockSize is the target data-block frame size and chunkSize the number
+	// of block handles per index chunk: BlockSize and DefaultIndexChunkSize,
+	// unless a test chose others.
+	blockSize, chunkSize int
 
 	// blocks is where finished data blocks are published (PublishTo), under
 	// the table's id; inputs, set by a merge, are the iterators the entries
@@ -59,10 +42,11 @@ type Writer struct {
 	frameBuf []byte       // reusable frame buffer, one allocation per table
 	// index encodes the handles of the chunk being filled; chunks holds the
 	// finished ones, framed, for Finish to write and the Reader to keep.
-	index  indexBuilder
-	chunks []indexBlock
-	filter *bloom.Filter
-	sketch *hll.Sketch
+	index   indexBuilder
+	chunks  []indexBlock
+	filter  *bloom.Filter
+	sketch  *hll.Sketch
+	scratch bool // see Scratch
 
 	lastKey    []byte
 	minSeq     uint64
@@ -81,22 +65,17 @@ type Writer struct {
 // NewWriter creates a Writer emitting to w. expectedEntries sizes the Bloom filter; an estimate is fine, and zero
 // selects a small default.
 func NewWriter(w io.Writer, expectedEntries int) *Writer {
-	return newWriterOpts(w, expectedEntries, writerOptions{})
-}
-
-// newWriterOpts creates a Writer with its block size and index chunking
-// chosen.
-func newWriterOpts(w io.Writer, expectedEntries int, opts writerOptions) *Writer {
 	if expectedEntries <= 0 {
 		expectedEntries = 1024
 	}
 	return &Writer{
-		w:      w,
-		opts:   opts.withDefaults(),
-		blocks: cache.Uncached,
-		id:     tableIDs.Add(1),
-		filter: bloom.NewWithEstimates(uint64(expectedEntries), 0.01),
-		sketch: hll.MustNew(SketchPrecision),
+		w:         w,
+		blockSize: BlockSize,
+		chunkSize: DefaultIndexChunkSize,
+		blocks:    cache.Uncached,
+		id:        tableIDs.Add(1),
+		filter:    bloom.NewWithEstimates(uint64(expectedEntries), 0.01),
+		sketch:    hll.MustNew(SketchPrecision),
 	}
 }
 
@@ -110,6 +89,18 @@ func newWriterOpts(w io.Writer, expectedEntries int, opts writerOptions) *Writer
 // gives the table up before taking its Reader must Abandon it. Call before
 // the first Add.
 func (w *Writer) PublishTo(c Cache) { w.blocks = c }
+
+// Scratch marks the table as a merge's intermediate output, which the next
+// merge reads whole and which dies when the root installs: no lookup probes
+// it and no plan sizes it, so Add hashes no key. Its filter is filled — it
+// answers "maybe" for every key, so a lookup that did probe the table would
+// pay a read, never a wrong answer — and its key sketch stays empty. Its
+// blocks, CRCs and index are a table's like any other. Call before the
+// first Add.
+func (w *Writer) Scratch() {
+	w.scratch = true
+	w.filter.Fill()
+}
 
 // Abandon drops every block the Writer has published.
 func (w *Writer) Abandon() { w.blocks.DropTable(w.id) }
@@ -162,7 +153,7 @@ func (w *Writer) Add(e iterator.Entry) error {
 	}
 	// Cut before e if it would take the frame past the target (see BlockSize);
 	// 64 bytes bound every varint, flag and slot, so most entries skip frameWith.
-	if !w.bb.empty() && w.bb.size()+len(e.Key)+len(e.Value)+64 > w.opts.BlockSize && w.bb.frameWith(e) > w.opts.BlockSize {
+	if !w.bb.empty() && w.bb.size()+len(e.Key)+len(e.Value)+64 > w.blockSize && w.bb.frameWith(e) > w.blockSize {
 		if err := w.flushBlock(); err != nil {
 			return err
 		}
@@ -184,9 +175,11 @@ func (w *Writer) Add(e iterator.Entry) error {
 	}
 	w.bb.add(e)
 	w.lastKey = append(w.lastKey[:0], e.Key...)
-	h := keyhash.Of(e.Key)
-	w.filter.AddHash(h)
-	w.sketch.AddUint64(h.H1)
+	if !w.scratch {
+		h := keyhash.Of(e.Key)
+		w.filter.AddHash(h)
+		w.sketch.AddUint64(h.H1)
+	}
 	w.entryCount++
 	w.keyBytes += uint64(len(e.Key))
 	w.valBytes += uint64(len(e.Value))
@@ -207,7 +200,7 @@ func (w *Writer) flushBlock() error {
 		offset: w.off,
 		length: uint64(len(framed) - 4), // stored payload, excluding crc
 	})
-	if len(w.index.offs) == w.opts.IndexChunkSize {
+	if len(w.index.offs) == w.chunkSize {
 		w.chunks = append(w.chunks, w.index.finish())
 	}
 	if _, err := w.w.Write(framed); err != nil {
