@@ -81,12 +81,12 @@ func fmix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// Fill sets every bit: the filter then answers "maybe" for every key, as
-// one that was never asked to rule a key out. Its encoding keeps its size.
-func (f *Filter) Fill() {
-	for i := range f.bits {
-		f.bits[i] = ^uint64(0)
-	}
+// Full returns a one-word filter with every bit set: it answers "maybe" for
+// every key, as one that was never asked to rule a key out.
+func Full() *Filter {
+	f := New(64, 1)
+	f.bits[0] = ^uint64(0)
+	return f
 }
 
 // MayContainHash reports whether the key whose hash is h is possibly in the

@@ -2,6 +2,7 @@ package compaction
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -156,7 +157,7 @@ func (b *BalanceTree) chooseSmallestOutput(at []*Node, g int) ([]*Node, error) {
 		var bestExtra *Node
 		extraScore := 0.0
 		for _, nd := range at {
-			if containsNode(group, nd) {
+			if slices.Contains(group, nd) {
 				continue
 			}
 			score, err := b.est.GroupEstimate(group, nd)

@@ -1,6 +1,9 @@
 package compaction
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // LargestMatch implements the LARGESTMATCH (LM) heuristic of Section
 // 4.3.4: each iteration merges the sets with the largest pairwise
@@ -47,7 +50,7 @@ func (l *LargestMatch) Choose() ([]*Node, error) {
 		var best *Node
 		bestScore = -1
 		for _, nd := range l.alive {
-			if containsNode(group, nd) {
+			if slices.Contains(group, nd) {
 				continue
 			}
 			if score := union.IntersectLen(nd.Set); score > bestScore {
@@ -67,7 +70,7 @@ func (l *LargestMatch) Choose() ([]*Node, error) {
 func (l *LargestMatch) remove(group []*Node) {
 	kept := l.alive[:0]
 	for _, nd := range l.alive {
-		if !containsNode(group, nd) {
+		if !slices.Contains(group, nd) {
 			kept = append(kept, nd)
 		}
 	}

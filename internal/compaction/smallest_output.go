@@ -3,6 +3,7 @@ package compaction
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 
 	"repro/internal/hll"
 )
@@ -187,7 +188,7 @@ func (s *SmallestOutput) Choose() ([]*Node, error) {
 		var bestExtra *Node
 		bestScore := 0.0
 		for nd := range s.alive {
-			if nd == group[0] || containsNode(group, nd) {
+			if slices.Contains(group, nd) {
 				continue
 			}
 			score, err := s.est.GroupEstimate(group, nd)
@@ -231,15 +232,6 @@ func (s *SmallestOutput) Observe(merged *Node) {
 		heap.Push(&s.pairs, pairEntry{a: a, b: b, score: score})
 	}
 	s.alive[merged] = true
-}
-
-func containsNode(nodes []*Node, target *Node) bool {
-	for _, nd := range nodes {
-		if nd == target {
-			return true
-		}
-	}
-	return false
 }
 
 // pairEntry scores one candidate merge pair.

@@ -36,6 +36,9 @@ type engineReport struct {
 // for count, with the committed testdata/engine_matrix.json and with the
 // table README.md renders from it; -update rewrites both. Its delayed
 // subtest re-runs one mix of it with the flusher and the merges slowed.
+// MajorBytesWritten also counts what the major's scratch intermediates
+// carry besides entries: each carries a one-word filter, 3 to 5 KB less
+// per cell than the full-size filled filter they carried before.
 func TestEngineMatrixGolden(t *testing.T) {
 	start := time.Now()
 	cells, err := EngineMatrix(t.TempDir())

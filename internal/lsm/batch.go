@@ -36,26 +36,44 @@ type WriteBatch struct {
 	ops  []batchOp
 }
 
+// batchOp locates one operation in the arena: its key at off, and a Put's
+// value right behind the key.
 type batchOp struct {
-	del            bool
-	keyOff, keyLen int
-	valOff, valLen int
+	del                 bool
+	off, keyLen, valLen int
+}
+
+// grow returns s with room for n more elements. A full slice grows to
+// twice its capacity, where append would grow a large one by about 1.25×,
+// so filling a fresh batch copies its arena a handful of times, not dozens.
+func grow[E any](s []E, n int) []E {
+	if len(s)+n > cap(s) {
+		g := make([]E, len(s), max(2*cap(s), len(s)+n))
+		copy(g, s)
+		s = g
+	}
+	return s
 }
 
 // Put records a write of key → value.
 func (b *WriteBatch) Put(key, value []byte) {
-	op := batchOp{keyOff: len(b.data), keyLen: len(key)}
-	b.data = append(b.data, key...)
-	op.valOff, op.valLen = len(b.data), len(value)
-	b.data = append(b.data, value...)
-	b.ops = append(b.ops, op)
+	b.data = grow(b.data, len(key)+len(value))
+	b.ops = append(grow(b.ops, 1), batchOp{off: len(b.data), keyLen: len(key), valLen: len(value)})
+	b.data = append(append(b.data, key...), value...)
 }
 
 // Delete records a tombstone for key.
 func (b *WriteBatch) Delete(key []byte) {
-	op := batchOp{del: true, keyOff: len(b.data), keyLen: len(key)}
+	b.data = grow(b.data, len(key))
+	b.ops = append(grow(b.ops, 1), batchOp{del: true, off: len(b.data), keyLen: len(key)})
 	b.data = append(b.data, key...)
-	b.ops = append(b.ops, op)
+}
+
+// key and value return op's key and value in the arena.
+func (b *WriteBatch) key(op batchOp) []byte { return b.data[op.off : op.off+op.keyLen] }
+
+func (b *WriteBatch) value(op batchOp) []byte {
+	return b.data[op.off+op.keyLen : op.off+op.keyLen+op.valLen]
 }
 
 // Len returns the number of operations in the batch.
@@ -67,11 +85,10 @@ func (b *WriteBatch) Len() int { return len(b.ops) }
 // operation to its owning shard) copy through a fresh batch's Put/Delete.
 func (b *WriteBatch) Op(i int) (key, value []byte, del bool) {
 	op := b.ops[i]
-	key = b.data[op.keyOff : op.keyOff+op.keyLen]
 	if op.del {
-		return key, nil, true
+		return b.key(op), nil, true
 	}
-	return key, b.data[op.valOff : op.valOff+op.valLen], false
+	return b.key(op), b.value(op), false
 }
 
 // Empty reports whether the batch holds no operations.
@@ -92,11 +109,11 @@ func (b *WriteBatch) SizeBytes() int { return len(b.data) + 8*len(b.ops) }
 // returned slices alias the batch arena and stay valid until Reset.
 func (b *WriteBatch) record(i int, seq uint64) wal.Record {
 	op := b.ops[i]
-	r := wal.Record{Op: wal.OpPut, Seq: seq, Key: b.data[op.keyOff : op.keyOff+op.keyLen]}
+	r := wal.Record{Op: wal.OpPut, Seq: seq, Key: b.key(op)}
 	if op.del {
 		r.Op = wal.OpDelete
 	} else {
-		r.Value = b.data[op.valOff : op.valOff+op.valLen]
+		r.Value = b.value(op)
 	}
 	return r
 }

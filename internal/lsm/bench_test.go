@@ -666,3 +666,60 @@ func BenchmarkMajorCompactReadColdShape(b *testing.B) {
 	b.ReportMetric(float64(major.Milliseconds())/float64(b.N), "major-ms")
 	b.ReportMetric(float64(roots.Milliseconds())/float64(b.N), "root-ms")
 }
+
+// BenchmarkLoadUpdateHeavyShape is bench/'s update_heavy set-up on its own:
+// 100 000 records in the ycsb load order (user%016x keys of a hashed id)
+// with 100 B values, written in fresh 256-op batches through 1 MiB memtables
+// beside a 32 MiB block cache, with BT(I) k = 4 minor picks live, and a
+// closing Flush. It reports the load's wall time and the part of it writers
+// spent stalled behind the flusher.
+//
+// Run with:
+//
+//	go test -bench BenchmarkLoadUpdateHeavyShape -benchtime 10x -run XXX ./internal/lsm
+func BenchmarkLoadUpdateHeavyShape(b *testing.B) {
+	const records = 100_000
+	policy, err := PolicyByName("BT(I)", 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	val := make([]byte, 100)
+	var load, stall time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db := openTestDB(b, Options{MemtableBytes: 1 << 20, BlockCacheBytes: 32 << 20, AutoCompact: policy})
+		gen, err := ycsb.NewGenerator(ycsb.Config{RecordCount: records, OperationCount: 1, ReadProportion: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		keys := make([][]byte, 0, records)
+		for op, ok := gen.NextLoad(); ok; op, ok = gen.NextLoad() {
+			keys = append(keys, []byte(fmt.Sprintf("user%016x", op.Key)))
+		}
+		b.StartTimer()
+		start := time.Now()
+		for len(keys) > 0 {
+			n := min(len(keys), 256)
+			wb := new(WriteBatch)
+			for _, k := range keys[:n] {
+				wb.Put(k, val)
+			}
+			if err := db.WriteContext(context.Background(), wb); err != nil {
+				b.Fatal(err)
+			}
+			keys = keys[n:]
+		}
+		if err := db.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		load += time.Since(start)
+		b.StopTimer()
+		stall += db.Stats().WriteStallTime
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(load.Microseconds())/1e3/float64(b.N), "load-ms")
+	b.ReportMetric(float64(stall.Microseconds())/1e3/float64(b.N), "stall-ms")
+}

@@ -80,6 +80,9 @@ type CompactionResult struct {
 	// VersionsPurged counts the versions the merges dropped because a
 	// table outside the compaction held a newer one (see shadowedBy).
 	VersionsPurged uint64
+	// ProbesSkipped counts the keys the merges kept without a purge probe,
+	// because their probes had stopped finding anything (see probeGate).
+	ProbesSkipped uint64
 	// Duration is the wall-clock time of a major compaction's planning plus
 	// merging.
 	Duration time.Duration
@@ -97,6 +100,7 @@ func (r *CompactionResult) Add(o *CompactionResult) {
 	r.CostSimple += o.CostSimple
 	r.CostActual += o.CostActual
 	r.VersionsPurged += o.VersionsPurged
+	r.ProbesSkipped += o.ProbesSkipped
 	r.Duration = max(r.Duration, o.Duration)
 }
 
@@ -178,6 +182,13 @@ func claimLocked(ins []*tableHandle) {
 	}
 }
 
+// purge is the purge test of one merge: the tables outside it, and what
+// its steps dropped and skipped.
+type purge struct {
+	outside         []*tableHandle
+	purged, skipped atomic.Uint64
+}
+
 // shadowedBy is the purge test of a merge of ins that pinned the view v when
 // it claimed them. Its outside set is every other table of v, claimed by
 // another merge or not, tried in v's order (newest maxSeq first) and
@@ -191,26 +202,94 @@ func claimLocked(ins []*tableHandle) {
 // durable — and snapshots and iterators pin views of their own. No view
 // (a major compaction's, which claims every table) or no outside table
 // gives nil: nothing to test.
-func shadowedBy(v *readView, ins []*tableHandle, purged *atomic.Uint64) func(iterator.Entry) bool {
+func shadowedBy(v *readView, ins []*tableHandle) *purge {
 	if v == nil || len(v.tables) == len(ins) {
 		return nil
 	}
+	p := &purge{outside: make([]*tableHandle, 0, len(v.tables)-len(ins))}
+	for _, th := range v.tables {
+		if !slices.Contains(ins, th) {
+			p.outside = append(p.outside, th)
+		}
+	}
+	return p
+}
+
+// step returns the drop predicate of one merge step, behind a probeGate of
+// its own: steps that run side by side share no gate state. A nil purge
+// gives nil.
+func (p *purge) step() func(iterator.Entry) bool {
+	if p == nil {
+		return nil
+	}
+	g := probeGate{stride: 1}
 	return func(e iterator.Entry) bool {
-		if v.tables[0].maxSeq <= e.Seq {
+		if p.outside[0].maxSeq <= e.Seq {
+			return false // no outside table is newer: not a probe
+		}
+		if g.skip() {
+			p.skipped.Add(1)
 			return false
 		}
 		h := keyhash.Of(e.Key)
-		for _, th := range v.tables {
+		for _, th := range p.outside {
 			if th.maxSeq <= e.Seq {
-				return false
+				break
 			}
-			if !slices.Contains(ins, th) && th.rd.HoldsNewer(e.Key, h, e.Seq) {
-				purged.Add(1)
+			if th.rd.HoldsNewer(e.Key, h, e.Seq) {
+				p.purged.Add(1)
+				g.record(true)
 				return true
 			}
 		}
+		g.record(false)
 		return false
 	}
+}
+
+// probeRun and probeMaxStride are the probe gate's constants: the misses in
+// a row that double its stride, and the stride it stops at.
+const (
+	probeRun       = 1024
+	probeMaxStride = 1024
+)
+
+// maxProbeStride is probeMaxStride. Test support: a test sets it to 1 to
+// run merges ungated and compare what they drop.
+var maxProbeStride = probeMaxStride
+
+// probeGate thins a merge step's purge probes where they find nothing: after
+// probeRun probed keys in a row drop nothing, it probes every 2nd key, after
+// probeRun more every 4th, and so on up to every probeMaxStride-th; a drop
+// resets it to every key. Skipping a probe only keeps a version, so what a
+// read returns is unchanged. Its state is a function of the step's key order
+// and its tables' contents, so what a merge drops is still a function of
+// the op stream.
+type probeGate struct {
+	stride int // probe every stride-th key
+	misses int // probes in a row that dropped nothing, since stride last changed
+	wait   int // keys still to skip before the next probe
+}
+
+// skip reports whether the next key goes unprobed.
+func (g *probeGate) skip() bool {
+	if g.wait > 0 {
+		g.wait--
+		return true
+	}
+	return false
+}
+
+// record notes a probe's outcome.
+func (g *probeGate) record(dropped bool) {
+	if dropped {
+		*g = probeGate{stride: 1}
+		return
+	}
+	if g.misses++; g.misses == probeRun && g.stride < maxProbeStride {
+		g.stride, g.misses = 2*g.stride, 0
+	}
+	g.wait = g.stride - 1
 }
 
 // unclaim gives back the inputs of a merge that did not install, live
@@ -241,9 +320,12 @@ func (db *DB) compact(pick string, sched *compaction.Schedule, ins []*tableHandl
 	if major {
 		db.setState(CompactionMerging)
 	}
-	var purged atomic.Uint64
-	nodes, stats, err := db.executeSchedule(sched, ins, shadowedBy(v, ins, &purged), major)
-	res := &CompactionResult{Strategy: pick, TablesBefore: len(ins), VersionsPurged: purged.Load()}
+	p := shadowedBy(v, ins)
+	nodes, stats, err := db.executeSchedule(sched, ins, p, major)
+	res := &CompactionResult{Strategy: pick, TablesBefore: len(ins)}
+	if p != nil {
+		res.VersionsPurged, res.ProbesSkipped = p.purged.Load(), p.skipped.Load()
+	}
 	res.record(ins, stats)
 	if err == nil {
 		err = db.install(res, sched, nodes, major)
@@ -344,7 +426,7 @@ func (db *DB) allocTableNameLocked() string {
 // executeSchedule runs sched's merges on the compaction package's worker
 // pool (compaction.ExecuteParallelFunc): leaf i of the schedule is snap[i],
 // every step merges its inputs' files into a fresh sstable, dropping what
-// shadowed reports, and independent steps run concurrently on up to
+// its step of p reports, and independent steps run concurrently on up to
 // GOMAXPROCS workers. Tombstones survive intermediate merges —
 // dropping one early would let an older version in a not-yet-merged table
 // resurface — and are purged only at a major compaction's root merge, which
@@ -354,7 +436,7 @@ func (db *DB) allocTableNameLocked() string {
 // The returned slice maps node ID → handle: the first len(snap) entries
 // are the inputs, the rest the created merge outputs (nil where a step did
 // not run). On error the caller owns closing and removing created tables.
-func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, shadowed func(iterator.Entry) bool, major bool) ([]*tableHandle, []sstable.MergeStats, error) {
+func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, p *purge, major bool) ([]*tableHandle, []sstable.MergeStats, error) {
 	nodes := make([]*tableHandle, len(snap)+len(sched.Steps))
 	for i, th := range snap {
 		nodes[i] = th
@@ -370,7 +452,7 @@ func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, s
 			}
 			inputs[j] = nodes[in.ID].rd
 		}
-		drop, scratch := shadowed, step.Output.ID != rootID
+		drop, scratch := p.step(), step.Output.ID != rootID
 		if major && !scratch {
 			drop = iterator.IsTombstone
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/compaction"
 	"repro/internal/model"
 	"repro/internal/vfs"
+	"repro/internal/ycsb"
 )
 
 // mergeAt runs one minor compaction of the live tables at positions at,
@@ -321,4 +322,130 @@ func purgeModelRun(t *testing.T, db *DB, policy *Policy, deleteOdd float64) uint
 		}
 	}
 	return db.Stats().VersionsPurged
+}
+
+// gatedPurgeRun writes a ycsb stream — a load of records keys, then updates
+// zipfian overwrites of them — in rounds of 2 000 writes, each flushed and
+// followed by every BT(I) k=4 minor pick it makes due, and returns what the
+// picks purged and the keys their probe gates skipped. ungated runs the same
+// merges with the gate's stride held at 1.
+func gatedPurgeRun(t *testing.T, records, updates, cacheBytes int, ungated bool) (purged, skipped uint64) {
+	t.Helper()
+	if ungated {
+		maxProbeStride = 1
+		defer func() { maxProbeStride = probeMaxStride }()
+	}
+	policy, err := PolicyByName("BT(I)", 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := openTestDB(t, Options{BlockCacheBytes: cacheBytes})
+	gen, err := ycsb.NewGenerator(ycsb.Config{RecordCount: records, OperationCount: updates,
+		UpdateProportion: 1, Distribution: ycsb.Zipfian, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte("v"), 32)
+	var wb WriteBatch
+	for n := 1; n <= records+updates; n++ {
+		op, ok := gen.NextLoad()
+		if !ok {
+			op, _ = gen.NextRun()
+		}
+		wb.Put(fmt.Appendf(nil, "user%016x", op.Key), val)
+		if n%2000 != 0 && n < records+updates {
+			continue
+		}
+		if err := db.WriteContext(context.Background(), &wb); err != nil {
+			t.Fatal(err)
+		}
+		wb.Reset()
+		flush(t, db)
+		for {
+			res, ran, err := db.minorCompact(policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ran {
+				break
+			}
+			purged += res.VersionsPurged
+			skipped += res.ProbesSkipped
+		}
+	}
+	if got := db.Stats().VersionsPurged; got != purged {
+		t.Fatalf("Stats().VersionsPurged = %d, the picks' results sum to %d", got, purged)
+	}
+	return purged, skipped
+}
+
+// TestProbeGateLosesNoPurge runs one zipfian overwrite stream through minor
+// picks gated and ungated: the gate skips keys, yet drops exactly the
+// versions the ungated predicate does, at 8 MiB and at 256 MiB of cache
+// alike. On this stream its skips fall in merges that have nothing to drop;
+// TestProbeGateResetsOnDrop covers a merge where misses turn into drops. A
+// stream of fresh keys, which leaves nothing to drop, purges nothing and
+// skips keys.
+func TestProbeGateLosesNoPurge(t *testing.T) {
+	ungated, _ := gatedPurgeRun(t, 20_000, 40_000, 8<<20, true)
+	for _, cache := range []int{8 << 20, 256 << 20} {
+		purged, skipped := gatedPurgeRun(t, 20_000, 40_000, cache, false)
+		t.Logf("zipfian, %d MiB cache: %d versions purged (ungated %d), %d keys unprobed", cache>>20, purged, ungated, skipped)
+		if purged != ungated || skipped == 0 {
+			t.Errorf("%d MiB cache: the gate purged %d versions and skipped %d keys; ungated purged %d: want equal purges and some keys skipped",
+				cache>>20, purged, skipped, ungated)
+		}
+	}
+	purged, skipped := gatedPurgeRun(t, 30_000, 0, 8<<20, false)
+	t.Logf("fresh keys: %d versions purged, %d keys unprobed", purged, skipped)
+	if purged != 0 || skipped == 0 {
+		t.Errorf("a load of fresh keys purged %d versions and skipped %d keys, want none purged and some skipped", purged, skipped)
+	}
+}
+
+// TestProbeGateResetsOnDrop pins the gate's arithmetic on one merge. Table A
+// holds k-00000…k-09999, C ten unrelated keys, and N, newest and left
+// outside the merge of A and C, k-05000…k-09999. The merge meets 5 000 keys
+// N does not shadow, then 5 000 it does. Every key to k-01023 is probed;
+// the stride then doubles to 2 and, 1 024 probes later, at k-03071, to 4,
+// so probes land on k-03075, k-03079, …, k-04999, k-05003. The three
+// shadowed keys in that last window go unprobed and are kept — the gate's
+// whole cost here — and the drop at k-05003 resets the stride to 1, so every
+// later shadowed key goes: 4 997 of the ungated 5 000. A gate that kept its
+// stride would drop only every 4th.
+func TestProbeGateResetsOnDrop(t *testing.T) {
+	run := func(ungated bool) *CompactionResult {
+		if ungated {
+			maxProbeStride = 1
+			defer func() { maxProbeStride = probeMaxStride }()
+		}
+		db := openTestDB(t, Options{})
+		m := model.New()
+		put := func(from, to int, value string) {
+			for i := from; i < to; i++ {
+				key := fmt.Sprintf("k-%05d", i)
+				if err := db.PutContext(context.Background(), []byte(key), []byte(value)); err != nil {
+					t.Fatal(err)
+				}
+				m.Put(key, value)
+			}
+			flush(t, db)
+		}
+		put(0, 10_000, "old")
+		putRange(t, db, m, "m", 10, "m")
+		flush(t, db)
+		put(5_000, 10_000, "new")
+		res := mergeAt(t, db, 0, 1)
+		model.Check(t, dbReader{db}, m)
+		return res
+	}
+	ungated, gated := run(true), run(false)
+	if ungated.VersionsPurged != 5_000 || ungated.ProbesSkipped != 0 {
+		t.Fatalf("ungated: %d purged, %d skipped, want 5000 and 0", ungated.VersionsPurged, ungated.ProbesSkipped)
+	}
+	// Skipped: 1 024 keys at stride 2, 1 446 at stride 4 before k-05000,
+	// and the 3 shadowed ones after it.
+	if gated.VersionsPurged != 4_997 || gated.ProbesSkipped != 2_473 {
+		t.Errorf("gated: %d purged, %d skipped, want 4997 and 2473", gated.VersionsPurged, gated.ProbesSkipped)
+	}
 }

@@ -26,12 +26,19 @@
 //
 // A write allocates one object: its version, which carries a copy of the
 // value inline (up to 208 bytes; a larger value gets an array of its own).
-// Nodes, their towers of forward pointers — each cut to the node's height —
-// and their key copies are carved from slabs the list owns, since a node
-// lives as long as the list. Versions are not: a superseded version that no
-// reader can see is unlinked and left to the garbage collector, so a key
-// overwritten a million times holds one version's memory, not a million —
-// the same bound SizeBytes reports.
+// Nodes, the towers of forward pointers of the tall ones, and their key
+// copies are carved from slabs the list owns, since a node lives as long as
+// the list. Versions are not: a superseded version that no reader can see
+// is unlinked and left to the garbage collector, so a key overwritten a
+// million times holds one version's memory, not a million — the same bound
+// SizeBytes reports.
+//
+// A node is 64 bytes, one cache line: its key, the key's first 8 bytes as a
+// big-endian integer (zero-padded), its version list's head, its forward
+// links at levels 0 and 1, and a pointer to a tower holding the links
+// above. A search compares the integers and compares keys only when they
+// tie, and fifteen nodes in sixteen have no tower at all, so most hops of a
+// search read one node and nothing it points to.
 //
 // A list's slabs come from a FreeList and go back to it, zeroed, when the
 // list is recycled once nothing reads it any more; the memtable filling
@@ -50,6 +57,8 @@ package skiplist
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sync"
@@ -66,10 +75,14 @@ const (
 	// versionOverhead is what SizeBytes charges a version on top of its
 	// value: the sequence number and the tombstone flag.
 	versionOverhead = 9
-	// nodeSlab is how many nodes one slab holds (14 KiB), towerSlab how many
-	// forward pointers (8 KiB; a node takes 4/3 on average), and keySlab the
-	// bytes of one key slab; a key longer than maxSlabKey gets an array of
-	// its own rather than strand the rest of a slab.
+	// inlineLevels is how many of a node's forward links it holds itself;
+	// a node linked higher has a tower of the rest, carved from the tower
+	// slabs at full height so that the node holds it by one pointer.
+	inlineLevels = 2
+	// nodeSlab is how many nodes one slab holds (16 KiB), towerSlab how many
+	// forward pointers (8 KiB, 102 towers; one node in 16 has a tower), and
+	// keySlab the bytes of one key slab; a key longer than maxSlabKey gets an
+	// array of its own rather than strand the rest of a slab.
 	nodeSlab   = 256
 	towerSlab  = 1024
 	keySlab    = 4 << 10
@@ -93,14 +106,56 @@ type Version struct {
 
 type node struct {
 	key []byte
+	// prefix is key's first 8 bytes, zero-padded, as a big-endian integer
+	// (see keyPrefix).
+	prefix uint64
 	// head is swapped atomically when the key is overwritten, so a
 	// lock-free reader sees either the old or the new version, never a
 	// torn mix.
-	head atomic.Pointer[Version]
-	next []atomic.Pointer[node] // one per level the node is linked at
+	head  atomic.Pointer[Version]
+	next  [inlineLevels]atomic.Pointer[node]
+	tower *tower // nil unless the node is linked above level inlineLevels-1
 }
 
-func (n *node) loadNext(level int) *node { return n.next[level].Load() }
+// tower holds a node's links from level inlineLevels up.
+type tower [maxHeight - inlineLevels]atomic.Pointer[node]
+
+// link returns the node's forward link at level.
+func (n *node) link(level int) *atomic.Pointer[node] {
+	if level < inlineLevels {
+		return &n.next[level]
+	}
+	return &n.tower[level-inlineLevels]
+}
+
+func (n *node) loadNext(level int) *node { return n.link(level).Load() }
+
+// keyPrefix returns key's first 8 bytes, zero-padded, as a big-endian
+// integer. Two keys whose prefixes differ order as their prefixes do (a key
+// that pads with zeros is a prefix of the other, or smaller at the first
+// byte they differ in), so only keys whose prefixes tie need a byte compare.
+func keyPrefix(key []byte) uint64 {
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64(key)
+	}
+	var b [8]byte
+	copy(b[:], key)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// compare orders n's key against key, whose prefix is p.
+func (n *node) compare(key []byte, p uint64) int {
+	if n.prefix != p {
+		return cmp.Compare(n.prefix, p)
+	}
+	return bytes.Compare(n.key, key)
+}
+
+// holds reports whether n's key is key, whose prefix is p. A node whose
+// prefix differs answers without a read of its key.
+func (n *node) holds(key []byte, p uint64) bool {
+	return n.prefix == p && bytes.Equal(n.key, key)
+}
 
 // at returns the node's newest version with Seq <= bound, or nil.
 func (n *node) at(bound uint64) *Version {
@@ -224,7 +279,7 @@ func (f *FreeList) New(seed int64) *List {
 	f.mu.Unlock()
 	if l == nil {
 		l = &List{rng: rand.New(rand.NewSource(seed)), free: f}
-		l.head.next = make([]atomic.Pointer[node], maxHeight)
+		l.head.tower = new(tower)
 	} else {
 		l.rng.Seed(seed)
 	}
@@ -249,7 +304,8 @@ func (l *List) Recycle() {
 			}
 		}
 	}
-	clear(l.head.next)
+	clear(l.head.next[:])
+	clear(l.head.tower[:])
 	l.length, l.bytes = 0, 0
 	f := l.free
 	f.mu.Lock()
@@ -276,18 +332,19 @@ func (l *List) randomHeight() int {
 	return h
 }
 
-// findGreaterOrEqual locates the first node with key >= target and fills
-// prev with the rightmost node before it at every level. The node returned
-// is the one the level-0 walk compared against key, not a fresh load of
-// the same pointer: a writer may link a smaller key there in between, and
-// a lock-free reader handed that node would miss a key that is present.
-func (l *List) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node {
+// findGreaterOrEqual locates the first node with key >= target, whose
+// prefix is p, and fills prev with the rightmost node before it at every
+// level. The node returned is the one the level-0 walk compared against
+// key, not a fresh load of the same pointer: a writer may link a smaller key
+// there in between, and a lock-free reader handed that node would miss a
+// key that is present.
+func (l *List) findGreaterOrEqual(key []byte, p uint64, prev *[maxHeight]*node) *node {
 	x := &l.head
 	var nx *node
 	for level := int(l.height.Load()) - 1; level >= 0; level-- {
 		for {
 			nx = x.loadNext(level)
-			if nx == nil || bytes.Compare(nx.key, key) >= 0 {
+			if nx == nil || nx.compare(key, p) >= 0 {
 				break
 			}
 			x = nx
@@ -303,7 +360,10 @@ func (l *List) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node {
 func (l *List) newNode(key []byte, h int) *node {
 	f := l.free
 	n := &l.nodes.carve(1, nodeSlab, &f.mu, &f.nodes)[0]
-	n.next = l.towers.carve(h, towerSlab, &f.mu, &f.towers)
+	if h > inlineLevels {
+		n.tower = (*tower)(l.towers.carve(maxHeight-inlineLevels, towerSlab, &f.mu, &f.towers))
+	}
+	n.prefix = keyPrefix(key)
 	if len(key) > maxSlabKey {
 		n.key = append([]byte(nil), key...)
 	} else {
@@ -325,7 +385,8 @@ func (l *List) Set(key, value []byte, seq uint64, tombstone bool, retainBelow ui
 	v := newVersion(value, seq, tombstone)
 	l.bytes += versionOverhead + len(value)
 	var prev [maxHeight]*node
-	if n := l.findGreaterOrEqual(key, &prev); n != nil && bytes.Equal(n.key, key) {
+	p := keyPrefix(key)
+	if n := l.findGreaterOrEqual(key, p, &prev); n != nil && n.holds(key, p) {
 		// Versions behind the head were kept under an earlier, lower
 		// retainBelow, so unless it is zero the walk stops after one step.
 		old := n.head.Load()
@@ -349,10 +410,10 @@ func (l *List) Set(key, value []byte, seq uint64, tombstone bool, retainBelow ui
 	// at any level: a reader that encounters n through one level's link can
 	// safely continue through any lower level.
 	for level := 0; level < h; level++ {
-		n.next[level].Store(prev[level].loadNext(level))
+		n.link(level).Store(prev[level].loadNext(level))
 	}
 	for level := 0; level < h; level++ {
-		prev[level].next[level].Store(n)
+		prev[level].link(level).Store(n)
 	}
 	l.length++
 	l.bytes += len(key)
@@ -362,7 +423,8 @@ func (l *List) Set(key, value []byte, seq uint64, tombstone bool, retainBelow ui
 // is absent or every version of it is newer. Safe to call concurrently
 // with one writer.
 func (l *List) Get(key []byte, bound uint64) *Version {
-	if n := l.findGreaterOrEqual(key, nil); n != nil && bytes.Equal(n.key, key) {
+	p := keyPrefix(key)
+	if n := l.findGreaterOrEqual(key, p, nil); n != nil && n.holds(key, p) {
 		return n.at(bound)
 	}
 	return nil
@@ -385,7 +447,7 @@ type Iterator struct {
 func (l *List) Seek(start []byte, bound uint64) Iterator {
 	// A nil start compares below every key, so the search lands on the
 	// first node.
-	it := Iterator{n: l.findGreaterOrEqual(start, nil), bound: bound}
+	it := Iterator{n: l.findGreaterOrEqual(start, keyPrefix(start), nil), bound: bound}
 	it.settle()
 	return it
 }

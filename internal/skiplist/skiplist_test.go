@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // put is Set with the test's usual shape: a live value, nothing retained.
@@ -285,6 +286,113 @@ func TestStressReadersNeverMissPresentKey(t *testing.T) {
 	if n := missed.Load(); n != 0 {
 		t.Fatalf("%d lookups missed a key that was present throughout", n)
 	}
+}
+
+// TestPrefixCompareMatchesSortedReference draws keys that stress the
+// 8-byte prefix a search compares first — keys shorter than 8 bytes, keys
+// holding 0x00 (so zero padding ties them with their own prefixes), keys
+// that share their first 8 bytes, keys that are prefixes of others — and
+// checks every node comparison against bytes.Compare, then Get, Seek and
+// full iteration against a sorted reference after random-order inserts
+// with overwrites. The list grows towers of height 3 and more, so links
+// cross from a node's inline levels into its tower slab.
+func TestPrefixCompareMatchesSortedReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	bases := []string{"a", "ab", "ab\x00", "\x00", "\x00\x00\x00\x00\x00\x00\x00\x00", "user0000", "user000", "\xff\xff\xff\xff\xff\xff\xff\xff"}
+	tails := []byte{0x00, 0x01, '0', 0xff}
+	draw := func() string {
+		k := []byte(bases[r.Intn(len(bases))])
+		for n := r.Intn(5); n > 0; n-- {
+			k = append(k, tails[r.Intn(len(tails))])
+		}
+		return string(k)
+	}
+	l := New(3)
+	ref := map[string]string{}
+	for i := 0; i < 3000; i++ {
+		k, v := draw(), fmt.Sprint(i)
+		put(l, k, v, uint64(i+1))
+		ref[k] = v
+	}
+	if h := l.height.Load(); h < inlineLevels+1 {
+		t.Fatalf("list height %d: no node links from a tower slab", h)
+	}
+	if size := unsafe.Sizeof(node{}); size != 64 {
+		t.Errorf("a node is %d bytes, want 64: one cache line", size)
+	}
+	keys := make([]string, 0, len(ref))
+	for k := range ref {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+
+	for _, a := range keys {
+		n := &node{key: []byte(a), prefix: keyPrefix([]byte(a))}
+		for _, b := range keys {
+			if got, want := n.compare([]byte(b), keyPrefix([]byte(b))), bytes.Compare([]byte(a), []byte(b)); got != want {
+				t.Fatalf("compare(%q, %q) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+	var got []string
+	for it := l.Seek(nil, MaxSeq); it.Valid(); it.Next() {
+		got = append(got, string(it.Key()))
+		if v := string(it.Version().Value); v != ref[string(it.Key())] {
+			t.Errorf("iteration at %q holds %q, want %q", it.Key(), v, ref[string(it.Key())])
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(keys) {
+		t.Fatalf("iteration yields %d keys, want the %d of the reference in order", len(got), len(keys))
+	}
+	for i := 0; i < 2000; i++ {
+		k := draw()
+		if v, ok := ref[k]; ok != (l.Get([]byte(k), MaxSeq) != nil) || ok && string(l.Get([]byte(k), MaxSeq).Value) != v {
+			t.Errorf("Get(%q) disagrees with the reference (present: %v)", k, ok)
+		}
+		it := l.Seek([]byte(k), MaxSeq)
+		j := sort.SearchStrings(keys, k)
+		if j == len(keys) {
+			if it.Valid() {
+				t.Errorf("Seek(%q) at %q, want past the end", k, it.Key())
+			}
+		} else if !it.Valid() || string(it.Key()) != keys[j] {
+			t.Errorf("Seek(%q) at %q, want %q", k, it.Key(), keys[j])
+		}
+	}
+}
+
+// loadShapeKeys returns n keys of the bulk load's shape: user%016x of a
+// scrambled id, so inserts land at random places in the list.
+func loadShapeKeys(tb testing.TB, n int) [][]byte {
+	tb.Helper()
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%016x", uint64(i)*0x9e3779b97f4a7c15))
+	}
+	return keys
+}
+
+// BenchmarkSetLoadShape fills one memtable's worth of a bulk load — 8 000
+// user%016x keys with 100 B values — into a list recycled from the last
+// iteration's, as the engine's memtables are, and reports the cost of one
+// insert.
+//
+// Run with:
+//
+//	go test -bench BenchmarkSetLoadShape -run XXX ./internal/skiplist
+func BenchmarkSetLoadShape(b *testing.B) {
+	keys := loadShapeKeys(b, 8000)
+	val := make([]byte, 100)
+	var free FreeList
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l := free.New(int64(i))
+		for j, k := range keys {
+			l.Set(k, val, uint64(j+1), false, 0)
+		}
+		l.Recycle()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/insert")
 }
 
 func BenchmarkSet(b *testing.B) {

@@ -92,14 +92,14 @@ func (w *Writer) PublishTo(c Cache) { w.blocks = c }
 
 // Scratch marks the table as a merge's intermediate output, which the next
 // merge reads whole and which dies when the root installs: no lookup probes
-// it and no plan sizes it, so Add hashes no key. Its filter is filled — it
-// answers "maybe" for every key, so a lookup that did probe the table would
-// pay a read, never a wrong answer — and its key sketch stays empty. Its
-// blocks, CRCs and index are a table's like any other. Call before the
-// first Add.
+// it and no plan sizes it, so Add hashes no key. Its filter is one word
+// with every bit set (bloom.Full) — it answers "maybe" for every key, so a
+// lookup that did probe the table would pay a read, never a wrong answer —
+// and its key sketch stays empty. Its blocks, CRCs and index are a table's
+// like any other. Call before the first Add.
 func (w *Writer) Scratch() {
 	w.scratch = true
-	w.filter.Fill()
+	w.filter = bloom.Full()
 }
 
 // Abandon drops every block the Writer has published.
