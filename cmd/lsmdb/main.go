@@ -43,11 +43,11 @@ import (
 )
 
 func main() {
-	autoUsage := fmt.Sprintf("auto minor compaction: %s, a paper strategy (%s), or none", strings.Join(compaction.Baselines(), ", "), strings.Join(compaction.LiveStrategies(), ", "))
+	autoUsage := fmt.Sprintf("auto minor compaction: %s, a paper strategy (%s), or none (empty: kv.Open's default)", strings.Join(compaction.Baselines(), ", "), strings.Join(compaction.LiveStrategies(), ", "))
 	dir := flag.String("dir", "", "database directory (required)")
 	sync := flag.Bool("sync", false, "fsync the WAL on every write")
 	shards := flag.Int("shards", 0, "engine shard count (0 = adopt existing store, 1 for a new one)")
-	auto := flag.String("auto", "none", autoUsage)
+	auto := flag.String("auto", "", autoUsage)
 	clusterAddrs := flag.String("cluster", "", "comma-separated server addresses; connect as a quorum client instead of opening -dir")
 	rf := flag.Int("rf", 3, "cluster replication factor N (with -cluster)")
 	w := flag.Int("w", 2, "cluster write quorum W (with -cluster)")

@@ -1,9 +1,9 @@
 // Command lsmserver serves an LSM store over TCP with the kvnet protocol —
 // the single-node NoSQL server of the paper's setting: writes buffer in a
 // memtable backed by a WAL, sstables accumulate on disk, minor compactions
-// (size-tiered by default, the Cassandra policy the paper's related work
-// describes) keep the table count bounded, and clients can trigger a major
-// compaction with any strategy that plans from table statistics.
+// (kv.Open's default, BT(I) at fan-in 4, unless -auto says otherwise; never
+// after an explicit Flush) keep the table count bounded, and clients can
+// trigger a major compaction with any strategy that plans from table stats.
 //
 // The process is a thin shell over the public kv package: kv.Open builds
 // the engine (single partition or -shards N hash-sharded) and kv.NewServer
@@ -23,8 +23,8 @@
 //
 // Usage:
 //
-//	lsmserver -dir /var/lib/lsm -listen 127.0.0.1:7700 -auto size-tiered
-//	lsmserver -dir /var/lib/lsm -auto "BT(I)"
+//	lsmserver -dir /var/lib/lsm -listen 127.0.0.1:7700
+//	lsmserver -dir /var/lib/lsm -auto size-tiered
 //	lsmserver -dir /var/lib/lsm -shards 4 -sync -stats-http 127.0.0.1:7701
 package main
 
@@ -53,11 +53,11 @@ func main() {
 }
 
 func run() error {
-	autoUsage := fmt.Sprintf("auto minor compaction: %s, a paper strategy (%s), or none", strings.Join(compaction.Baselines(), ", "), strings.Join(compaction.LiveStrategies(), ", "))
+	autoUsage := fmt.Sprintf("auto minor compaction: %s, a paper strategy (%s), or none (empty: kv.Open's default)", strings.Join(compaction.Baselines(), ", "), strings.Join(compaction.LiveStrategies(), ", "))
 	var (
 		dir        = flag.String("dir", "", "database directory (required)")
 		listen     = flag.String("listen", "127.0.0.1:7700", "listen address")
-		auto       = flag.String("auto", "size-tiered", autoUsage)
+		auto       = flag.String("auto", "", autoUsage)
 		memSize    = flag.Int("memtable", 4<<20, "memtable flush threshold in bytes, per shard (total buffered memory is shards x this)")
 		sync       = flag.Bool("sync", false, "fsync the WAL on every write")
 		statsEvery = flag.Duration("stats-every", 0, "periodically log write-pipeline stats (0 = off)")
@@ -128,8 +128,7 @@ func run() error {
 		go logStats(ctx, eng, srv, *statsEvery)
 	}
 
-	fmt.Printf("lsmserver: serving %s on %s (shards=%d, auto=%s%s)\n",
-		*dir, ln.Addr(), st.Shards, *auto, extra)
+	fmt.Printf("lsmserver: serving %s on %s (shards=%d%s)\n", *dir, ln.Addr(), st.Shards, extra)
 	err = srv.Serve(ln)
 	if errors.Is(err, net.ErrClosed) {
 		return nil

@@ -65,15 +65,15 @@ func (c *Threshold) Choose() ([]*Node, error) { return c.smallest(), nil }
 // SizeTiered is Cassandra's STCS: tables are grouped into buckets of similar
 // size (within [bucketLow·avg, bucketHigh·avg] of the bucket's running
 // average), and the fullest bucket of at least minBucket tables merges, up
-// to k of them.
+// to maxBucket of them and at most k.
 type SizeTiered struct{ liveSet }
 
 // bucketLow and bucketHigh bound a size-tiered bucket relative to its
-// average size, and minBucket is the smallest bucket that triggers a merge:
+// average size, and minBucket and maxBucket the tables one merge takes:
 // Cassandra's defaults.
 const (
 	bucketLow, bucketHigh = 0.5, 1.5
-	minBucket             = 4
+	minBucket, maxBucket  = 4, 32
 )
 
 // Name implements Chooser.
@@ -85,7 +85,7 @@ func (c *SizeTiered) Due(tables []LiveTable) bool { return c.bucket(liveLeaves(t
 // Choose implements Chooser.
 func (c *SizeTiered) Choose() ([]*Node, error) {
 	if b := c.bucket(c.nodes); b != nil {
-		return c.capped(b), nil
+		return c.capped(b[:min(len(b), maxBucket)]), nil
 	}
 	return c.smallest(), nil
 }

@@ -61,11 +61,11 @@ func (t *LiveTable) extend(o *LiveTable) {
 // first CHOOSETWOSETS call the model makes on the equivalent instance — leaf
 // IDs are the slice indices, entry counts stand in for set cardinalities,
 // and persisted sketches are register for register the model's (the sstable
-// writer and the model hash keys identically). A baseline picks at its
-// defaults whether or not its trigger holds. PickLive returns nil when fewer
+// writer and the model hash keys identically). A baseline picks as built
+// from k whether or not its trigger holds. PickLive returns nil when fewer
 // than two tables exist, and NewLiveChooser's error for any other name.
 func PickLive(tables []LiveTable, strategy string, k int, seed int64) ([]int, error) {
-	chooser, err := NewLiveChooser(strategy, seed)
+	chooser, err := NewLiveChooser(strategy, k, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -103,19 +103,21 @@ func Pick(tables []LiveTable, k int, chooser Chooser) (*Schedule, error) {
 	return sc, nil
 }
 
-// Due is the one minor-compaction trigger: it reports whether a pick of
-// tables by chooser under fan-in k is due at all. A chooser with a trigger
-// of its own (SizeTiered's bucket, Leveled's level targets) answers for
-// itself; every other chooser, Threshold included, is due at 2k live
-// tables. The gap between trigger and fan-in is what gives a strategy a
-// real choice: at exactly k tables every strategy would pick the same set.
-// No trigger reads Entries, so the answer is the same before and after
-// LiveEntries sizes the tables, and the engine asks it first.
-func Due(tables []LiveTable, k int, chooser Chooser) bool {
-	if own, ok := chooser.(interface{ Due([]LiveTable) bool }); ok {
-		return own.Due(tables)
+// Due is the one minor-compaction trigger: the fan-in of the pick of tables
+// by chooser under fan-in k, 0 when none is due. A chooser with a trigger of
+// its own (SizeTiered's bucket, Leveled's level targets) answers for itself
+// and sizes its own group from every table; every other chooser, Threshold
+// included, is due at 2k live tables and merges k. The gap between trigger
+// and fan-in is what gives a strategy a real choice: at exactly k tables
+// every strategy would pick the same set. No trigger reads Entries, so the
+// answer is the same before and after LiveEntries sizes the tables.
+func Due(tables []LiveTable, k int, chooser Chooser) int {
+	if own, ok := chooser.(interface{ Due([]LiveTable) bool }); ok && own.Due(tables) {
+		return len(tables)
+	} else if ok || len(tables) < 2*k {
+		return 0
 	}
-	return len(tables) >= 2*k
+	return k
 }
 
 // Plan schedules the complete merge of tables down to one, with chooser and

@@ -303,7 +303,7 @@ func TestPlanRefusesExactStrategies(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"SO(exact)", "LM", "nope", ""} {
-		if _, err := NewLiveChooser(name, 1); !errors.Is(err, kverr.ErrConfig) {
+		if _, err := NewLiveChooser(name, 4, 1); !errors.Is(err, kverr.ErrConfig) {
 			t.Errorf("NewLiveChooser(%q) = %v, want ErrConfig", name, err)
 		}
 	}
@@ -323,7 +323,7 @@ func TestPlanRunsBaselines(t *testing.T) {
 			live[i].Level = rng.Intn(3)
 		}
 		for _, name := range Baselines() {
-			chooser, err := NewLiveChooser(name, 1)
+			chooser, err := NewLiveChooser(name, k, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -455,16 +455,16 @@ func TestDueIgnoresEntries(t *testing.T) {
 		}
 		k := 2 + rng.Intn(3)
 		for _, name := range EngineStrategies() {
-			a, _ := NewLiveChooser(name, 1)
-			b, _ := NewLiveChooser(name, 1)
+			a, _ := NewLiveChooser(name, k, 1)
+			b, _ := NewLiveChooser(name, k, 1)
 			due := Due(exact, k, a)
-			if Due(estimated, k, b) != due {
-				t.Fatalf("trial %d: %s is due over exact counts %t, over estimates %t", trial, name, due, !due)
+			if got := Due(estimated, k, b); got != due {
+				t.Fatalf("trial %d: %s is due at fan-in %d over exact counts, %d over estimates", trial, name, due, got)
 			}
 			if answered[name] == nil {
 				answered[name] = map[bool]bool{}
 			}
-			answered[name][due] = true
+			answered[name][due > 0] = true
 		}
 	}
 	for name, both := range answered {
@@ -549,7 +549,7 @@ func TestOneStepPickAliases(t *testing.T) {
 		for _, pair := range [][2]string{{"SI", "BT(I)"}, {"CHAIN", "BT"}} {
 			var picks [2][]int
 			for i, name := range pair {
-				chooser, err := NewLiveChooser(name, 1)
+				chooser, err := NewLiveChooser(name, k, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -26,24 +26,26 @@ const (
 // chooser's Name reports. Every resolver and name list reads it: the model
 // takes the entries that plan over key sets (the paper's strategies), the
 // engine those that plan over table statistics (the paper's strategies but
-// SO(exact) and LM, and the baselines). build constructs a fresh chooser, a
-// baseline at its defaults; seed feeds RANDOM.
+// SO(exact) and LM, and the baselines). build constructs a fresh chooser:
+// k is leveled's level-0 trigger (the others take k at Init), seed RANDOM's.
 var strategies = map[string]struct {
 	over  plansOver
-	build func(seed int64) Chooser
+	build func(k int, seed int64) Chooser
 }{
-	"SI":          {keySets | tableStats, func(int64) Chooser { return NewSmallestInput() }},
-	"SO":          {keySets | tableStats, func(int64) Chooser { return NewSmallestOutput(NewHLLEstimator(DefaultHLLPrecision)) }},
-	"BT":          {keySets | tableStats, func(int64) Chooser { return NewBalanceTree(OrderArbitrary, nil) }},
-	"BT(I)":       {keySets | tableStats, func(int64) Chooser { return NewBalanceTree(OrderSmallestInput, nil) }},
-	"BT(O)":       {keySets | tableStats, func(int64) Chooser { return NewBalanceTree(OrderSmallestOutput, NewHLLEstimator(DefaultHLLPrecision)) }},
-	"CHAIN":       {keySets | tableStats, func(int64) Chooser { return NewChain() }},
-	"RANDOM":      {keySets | tableStats, func(seed int64) Chooser { return NewRandom(seed) }},
-	"SO(exact)":   {keySets, func(int64) Chooser { return NewSmallestOutput(ExactEstimator{}) }},
-	"LM":          {keySets, func(int64) Chooser { return NewLargestMatch() }},
-	"leveled":     {tableStats, func(int64) Chooser { return &Leveled{} }},
-	"size-tiered": {tableStats, func(int64) Chooser { return &SizeTiered{} }},
-	"threshold":   {tableStats, func(int64) Chooser { return &Threshold{} }},
+	"SI":    {keySets | tableStats, func(int, int64) Chooser { return NewSmallestInput() }},
+	"SO":    {keySets | tableStats, func(int, int64) Chooser { return NewSmallestOutput(NewHLLEstimator(DefaultHLLPrecision)) }},
+	"BT":    {keySets | tableStats, func(int, int64) Chooser { return NewBalanceTree(OrderArbitrary, nil) }},
+	"BT(I)": {keySets | tableStats, func(int, int64) Chooser { return NewBalanceTree(OrderSmallestInput, nil) }},
+	"BT(O)": {keySets | tableStats, func(int, int64) Chooser {
+		return NewBalanceTree(OrderSmallestOutput, NewHLLEstimator(DefaultHLLPrecision))
+	}},
+	"CHAIN":       {keySets | tableStats, func(int, int64) Chooser { return NewChain() }},
+	"RANDOM":      {keySets | tableStats, func(_ int, seed int64) Chooser { return NewRandom(seed) }},
+	"SO(exact)":   {keySets, func(int, int64) Chooser { return NewSmallestOutput(ExactEstimator{}) }},
+	"LM":          {keySets, func(int, int64) Chooser { return NewLargestMatch() }},
+	"leveled":     {tableStats, func(k int, _ int64) Chooser { return &Leveled{L0Trigger: k} }},
+	"size-tiered": {tableStats, func(int, int64) Chooser { return &SizeTiered{} }},
+	"threshold":   {tableStats, func(int, int64) Chooser { return &Threshold{} }},
 }
 
 // names returns the table's names whose entry, masked by mask, plans over
@@ -66,20 +68,20 @@ func NewChooserByName(name string, seed int64) (Chooser, error) {
 	if strategies[name].over&keySets == 0 {
 		return nil, fmt.Errorf("compaction: unknown strategy %q (have %s)", name, strings.Join(StrategyNames(), ", "))
 	}
-	return strategies[name].build(seed), nil
+	return strategies[name].build(0, seed), nil
 }
 
 // NewLiveChooser constructs a fresh chooser for a name EngineStrategies
-// lists, a baseline at its defaults; seed feeds RANDOM. It is the one
-// resolver of the engine's strategy names. Any other name, the exact-set
-// strategies included, is an error wrapping kverr.ErrConfig that lists the
-// accepted set.
-func NewLiveChooser(name string, seed int64) (Chooser, error) {
+// lists, under fan-in k, leveled's level-0 trigger; seed feeds RANDOM. It is
+// the one resolver of the engine's strategy names, minor picks and major
+// plans alike. Any other name, the exact-set strategies included, is an
+// error wrapping kverr.ErrConfig that lists the accepted set.
+func NewLiveChooser(name string, k int, seed int64) (Chooser, error) {
 	if strategies[name].over&tableStats == 0 {
 		return nil, fmt.Errorf("compaction: strategy %q cannot plan from table statistics (have %s): %w",
 			name, strings.Join(EngineStrategies(), ", "), kverr.ErrConfig)
 	}
-	return strategies[name].build(seed), nil
+	return strategies[name].build(k, seed), nil
 }
 
 // StrategyNames returns the paper's strategies, the names NewChooserByName

@@ -17,15 +17,18 @@ import (
 // lsm.PolicyByName accepts exactly the engine's names, "" and "none".
 func TestStrategyTableResolvesEveryList(t *testing.T) {
 	type resolver func(string, int64) (compaction.Chooser, error)
+	live := func(name string, seed int64) (compaction.Chooser, error) {
+		return compaction.NewLiveChooser(name, 4, seed)
+	}
 	for _, list := range []struct {
 		name    string
 		names   []string
 		resolve resolver
 	}{
 		{"StrategyNames by NewChooserByName", compaction.StrategyNames(), compaction.NewChooserByName},
-		{"LiveStrategies by NewLiveChooser", compaction.LiveStrategies(), compaction.NewLiveChooser},
-		{"Baselines by NewLiveChooser", compaction.Baselines(), compaction.NewLiveChooser},
-		{"EngineStrategies by NewLiveChooser", compaction.EngineStrategies(), compaction.NewLiveChooser},
+		{"LiveStrategies by NewLiveChooser", compaction.LiveStrategies(), live},
+		{"Baselines by NewLiveChooser", compaction.Baselines(), live},
+		{"EngineStrategies by NewLiveChooser", compaction.EngineStrategies(), live},
 	} {
 		if len(list.names) == 0 {
 			t.Errorf("%s: empty list", list.name)
@@ -45,7 +48,7 @@ func TestStrategyTableResolvesEveryList(t *testing.T) {
 
 	tables := []compaction.LiveTable{{Entries: 1}, {Entries: 2}}
 	for _, name := range []string{"SO(exact)", "LM"} {
-		if _, err := compaction.NewLiveChooser(name, 1); !errors.Is(err, kverr.ErrConfig) {
+		if _, err := compaction.NewLiveChooser(name, 4, 1); !errors.Is(err, kverr.ErrConfig) {
 			t.Errorf("NewLiveChooser(%q) = %v, want ErrConfig", name, err)
 		}
 		ch, err := compaction.NewChooserByName(name, 1)

@@ -171,6 +171,31 @@ func TestCompactOverWire(t *testing.T) {
 	}
 }
 
+// TestCompactOverWireDefaultsFanIn: a Compact that sends K = 0 plans at the
+// engine's own default fan-in, 4, as an embedded one does: a BT(I) major of
+// nine tables takes three merges, not the eight of k = 2.
+func TestCompactOverWireDefaultsFanIn(t *testing.T) {
+	c, _, _ := startServer(t)
+	ctx := context.Background()
+	for gen := 0; gen < 9; gen++ {
+		for i := 0; i < 50; i++ {
+			if err := c.Put(ctx, []byte(fmt.Sprintf("key-%d-%02d", gen, i)), []byte("value")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info, err := c.Compact(ctx, "BT(I)", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.TablesBefore != 9 || len(info.StepStats) != 3 {
+		t.Errorf("K = 0 compacted %d tables in %d merges, want 9 in 3 (k = 4)", info.TablesBefore, len(info.StepStats))
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	_, _, addr := startServer(t)
 	const clients = 4

@@ -525,7 +525,7 @@ func (w *worker) execute(ctx context.Context, payload, out []byte) []byte {
 	case OpFlush:
 		return appendResult(out, okValue, db.Flush())
 	case OpCompact:
-		res, err := db.MajorCompact(req.Strategy, max(int(req.K), 2), 1)
+		res, err := db.MajorCompact(req.Strategy, int(req.K), 1)
 		return appendResult(out, Response{Status: StatusOK, Compact: res}, err)
 	case OpStats:
 		st := db.Stats()

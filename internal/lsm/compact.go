@@ -107,8 +107,8 @@ func (r *CompactionResult) Add(o *CompactionResult) {
 // MajorCompact merges all live sstables (after flushing the memtable) into
 // a single table, scheduling the pairwise/k-way merges with the named
 // strategy from the compaction package ("SI", "SO", "BT(I)", ...): any name
-// compaction.NewLiveChooser accepts. Any other name fails with
-// kverr.ErrConfig before the compaction touches a table.
+// compaction.NewLiveChooser accepts, at fan-in fanIn(k). Any other name
+// fails with kverr.ErrConfig before the compaction touches a table.
 //
 // The compaction is non-blocking: the live table set is snapshotted and
 // the memtable flushed (by the flusher, while the caller waits) in a short
@@ -126,7 +126,8 @@ func (r *CompactionResult) Add(o *CompactionResult) {
 // before the swap leaves the old manifest pointing at the old tables; the
 // merge outputs become orphans that Open deletes on recovery.
 func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResult, error) {
-	chooser, err := compaction.NewLiveChooser(strategy, seed)
+	k = fanIn(k)
+	chooser, err := compaction.NewLiveChooser(strategy, k, seed)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: major compaction: %w", err)
 	}

@@ -203,3 +203,61 @@ func TestLeveledMajorRootKeepsDeepestLevel(t *testing.T) {
 		}
 	}
 }
+
+// TestLeveledMinorAndMajorShareL0Trigger: a leveled minor pick and a
+// leveled major plan at the same k build the same chooser, level-0 trigger
+// included. Three tiny flushes merge to level 1; then three level-0 tables
+// of 200 keys each are due at k = 3, so the major's first merge takes them
+// (600 entries in). A major that kept the default trigger, 4, would find
+// nothing due and merge the three smallest tables: the level-1 table and two
+// level-0 ones.
+func TestLeveledMinorAndMajorShareL0Trigger(t *testing.T) {
+	const k = 3
+	db := openTestDB(t, Options{})
+	p := mustPolicy(t, "leveled", k)
+	flush := func(tab, keys int) {
+		t.Helper()
+		for i := 0; i < keys; i++ {
+			if err := db.PutContext(context.Background(), fmt.Appendf(nil, "k%02d-%03d", tab, i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tab := 0; tab < k; tab++ {
+		flush(tab, 10)
+	}
+	if _, ran, err := db.minorCompact(p); err != nil || !ran {
+		t.Fatalf("minor over %d level-0 tables: ran=%v err=%v", k, ran, err)
+	}
+	for tab := k; tab < 2*k; tab++ {
+		flush(tab, 200)
+	}
+	infos := db.TableInfos()
+	live := make([]compaction.LiveTable, len(infos))
+	for i, info := range infos {
+		live[i] = info.LiveTable
+	}
+	chooser, err := p.newChooser()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := compaction.Plan(live, k, chooser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range plan.Steps[0].Inputs {
+		if in.Live.Level != 0 {
+			t.Fatalf("the minor's chooser plans a first merge of %d tables with one at level %d, want the level-0 ones", len(plan.Steps[0].Inputs), in.Live.Level)
+		}
+	}
+	res, err := db.MajorCompact("leveled", k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.StepStats[0].EntriesIn; got != k*200 {
+		t.Errorf("the major's first merge read %d entries, want %d: the level-0 tables its trigger k = %d makes due", got, k*200, k)
+	}
+}

@@ -528,7 +528,7 @@ func TestScratchTableDeniesNoKey(t *testing.T) {
 	db.mu.RLock()
 	snap := oldestFirst(db.tables)
 	db.mu.RUnlock()
-	chooser, err := compaction.NewLiveChooser("BT(I)", 1)
+	chooser, err := compaction.NewLiveChooser("BT(I)", 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

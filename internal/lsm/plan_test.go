@@ -45,7 +45,7 @@ func planFixture(tb testing.TB, fsys vfs.FS, tables, keys int) *DB {
 // table files and allocated.
 func planCost(t *testing.T, db *DB, fsys *sstReads, strategy string) (read int64, alloc uint64) {
 	t.Helper()
-	chooser, err := compaction.NewLiveChooser(strategy, 1)
+	chooser, err := compaction.NewLiveChooser(strategy, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func BenchmarkMajorCompactPlan(b *testing.B) {
 		b.Run(strategy, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				chooser, err := compaction.NewLiveChooser(strategy, 1)
+				chooser, err := compaction.NewLiveChooser(strategy, 4, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -235,7 +235,7 @@ func TestMajorCostActualIsTheModelsCost(t *testing.T) {
 			if n := len(snap); n < 12 || n > 16 {
 				t.Fatalf("%v: %d tables, want 12 to 16", cfg.Distribution, n)
 			}
-			chooser, err := compaction.NewLiveChooser(strategy, 1)
+			chooser, err := compaction.NewLiveChooser(strategy, 4, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -27,52 +26,51 @@ type TableInfo struct {
 	Name string
 }
 
-// Policy is a minor-compaction policy: a live compaction chooser and the
-// fan-in it picks under. After every write-triggered flush the engine offers
-// it the tables no merge owns, and compaction.Due says whether it picks at
-// all. PolicyByName builds one for every name the engine accepts.
+// Policy is a minor-compaction policy: a strategy the compaction package's
+// table builds a fresh chooser of for every pick. After every write-triggered
+// flush the engine offers it the tables no merge owns, and compaction.Due
+// says at what fan-in it picks, if at all. PolicyByName builds every Policy.
 type Policy struct {
 	name string
-	// k caps a pick's fan-in; 0 leaves the group to the chooser.
-	k       int
+	k    int
+	seed int64
+	// chooser, when set, replaces the table's (fixed picks, tuned levels).
 	chooser func() compaction.Chooser
 }
 
-// pickWith is chooser's one-merge pick of live at p's fan-in, or of every
-// table when p leaves the group to the chooser.
-func (p *Policy) pickWith(chooser compaction.Chooser, live []compaction.LiveTable) (*compaction.Schedule, error) {
-	return compaction.Pick(live, cmp.Or(p.k, len(live)), chooser)
+// newChooser builds the chooser of one pick.
+func (p *Policy) newChooser() (compaction.Chooser, error) {
+	if p.chooser != nil {
+		return p.chooser(), nil
+	}
+	return compaction.NewLiveChooser(p.name, p.k, p.seed)
+}
+
+// fanIn is the one fan-in default of minor picks and majors: k < 2 selects 4.
+func fanIn(k int) int {
+	if k < 2 {
+		return 4
+	}
+	return k
 }
 
 // PolicyByName resolves a compaction-policy name the way the engine's
 // front ends (kv options, lsmserver/lsmdb flags) spell them: "none" (or
 // empty) for no policy, or any name compaction.EngineStrategies lists — the
-// baselines and the paper's live strategies. k is the fan-in of threshold
-// and of the paper's strategies, which compaction.Due triggers at 2k live
-// tables, and leveled's L0 trigger; size-tiered merges up to 32 tables at
-// once (Cassandra's max_threshold) and leveled whatever its overlap closure
-// holds. k below 2 selects 4; seed feeds RANDOM. Any other name is
-// compaction.NewLiveChooser's error, which wraps kverr.ErrConfig and lists
-// the accepted set.
+// baselines and the paper's live strategies. k, defaulted by fanIn, is the
+// fan-in of threshold and of the paper's strategies, which compaction.Due
+// triggers at 2k live tables, and leveled's L0 trigger; seed feeds RANDOM.
+// Any other name is compaction.NewLiveChooser's error, which wraps
+// kverr.ErrConfig and lists the accepted set.
 func PolicyByName(name string, k int, seed int64) (*Policy, error) {
-	if k < 2 {
-		k = 4
-	}
-	switch name {
-	case "", "none":
+	if name == "" || name == "none" {
 		return nil, nil
-	case "size-tiered":
-		return &Policy{name: name, k: 32, chooser: func() compaction.Chooser { return &compaction.SizeTiered{} }}, nil
-	case "leveled":
-		return &Policy{name: name, chooser: func() compaction.Chooser { return &compaction.Leveled{L0Trigger: k} }}, nil
 	}
-	if _, err := compaction.NewLiveChooser(name, seed); err != nil {
+	p := &Policy{name: name, k: fanIn(k), seed: seed}
+	if _, err := p.newChooser(); err != nil {
 		return nil, fmt.Errorf("lsm: compaction policy (none or a strategy): %w", err)
 	}
-	return &Policy{name: name, k: k, chooser: func() compaction.Chooser {
-		ch, _ := compaction.NewLiveChooser(name, seed) // resolved above: never fails
-		return ch
-	}}, nil
+	return p, nil
 }
 
 // TableInfos returns descriptors of the live sstables, oldest first (the
@@ -147,8 +145,12 @@ func (db *DB) minorCompactLocked(p *Policy) (*CompactionResult, bool, error) {
 			live = append(live, th.live())
 		}
 	}
-	chooser := p.chooser()
-	if !compaction.Due(live, p.k, chooser) {
+	chooser, err := p.newChooser()
+	if err != nil {
+		return nil, false, err
+	}
+	k := compaction.Due(live, p.k, chooser)
+	if k == 0 {
 		return nil, false, nil
 	}
 	live = live[:0]
@@ -157,7 +159,7 @@ func (db *DB) minorCompactLocked(p *Policy) (*CompactionResult, bool, error) {
 			live = append(live, lt)
 		}
 	}
-	sched, err := p.pickWith(chooser, live)
+	sched, err := compaction.Pick(live, k, chooser)
 	if err != nil || sched == nil {
 		return nil, false, err
 	}

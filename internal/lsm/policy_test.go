@@ -28,11 +28,15 @@ func pickOf(t testing.TB, p *Policy, tables []TableInfo) *compaction.Schedule {
 	for i, info := range tables {
 		live[i] = info.LiveTable
 	}
-	chooser := p.chooser()
-	if !compaction.Due(live, p.k, chooser) {
+	chooser, err := p.newChooser()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := compaction.Due(live, p.k, chooser)
+	if k == 0 {
 		return nil
 	}
-	sc, err := p.pickWith(chooser, live)
+	sc, err := compaction.Pick(live, k, chooser)
 	if err != nil {
 		t.Fatalf("%s: %v", p.Name(), err)
 	}
@@ -114,11 +118,13 @@ func TestSizeTieredPolicyBuckets(t *testing.T) {
 	if got := picked(t, p, infos(10, 1000, 100000, 10000000)); got != nil {
 		t.Errorf("picked %v from dissimilar tables", got)
 	}
-	// The fan-in caps the group.
-	capped := mustPolicy(t, "size-tiered", 4)
-	capped.k = 3
-	if got := picked(t, capped, infos(10, 10, 10, 10, 10, 10)); len(got) != 3 {
-		t.Errorf("cap ignored: picked %d tables", len(got))
+	// Cassandra's max_threshold caps the group, whatever the fan-in.
+	alike := make([]uint64, 40)
+	for i := range alike {
+		alike[i] = 10
+	}
+	if got := picked(t, p, infos(alike...)); len(got) != 32 {
+		t.Errorf("cap ignored: picked %d of 40 tables, want 32", len(got))
 	}
 }
 
@@ -219,11 +225,11 @@ func pickFirstN(n int) *Policy {
 func TestMinorCompactBuildsOneChooser(t *testing.T) {
 	for _, name := range append([]string{"BT(I)"}, compaction.Baselines()...) {
 		db := openTestDB(t, Options{})
-		p := mustPolicy(t, name, 2)
-		build, builds := p.chooser, 0
+		p, builds := mustPolicy(t, name, 2), 0
 		p.chooser = func() compaction.Chooser {
 			builds++
-			return build()
+			ch, _ := compaction.NewLiveChooser(name, p.k, p.seed)
+			return ch
 		}
 		// One table is due under no policy; four similar ones under all.
 		for _, tables := range []int{1, 4} {

@@ -54,11 +54,11 @@ func TestEnginePickIsPlansFirstStep(t *testing.T) {
 			live[i] = info.LiveTable
 		}
 		p := mustPolicy(t, name, 3)
-		k := p.k
-		if k == 0 {
-			k = len(live)
+		chooser, err := p.newChooser()
+		if err != nil {
+			t.Fatal(err)
 		}
-		plan, err := compaction.Plan(live, k, p.chooser())
+		plan, err := compaction.Plan(live, compaction.Due(live, p.k, chooser), chooser)
 		if err != nil {
 			t.Fatalf("%s: Plan: %v", name, err)
 		}

@@ -119,8 +119,8 @@ type Engine interface {
 	// snapshot.
 	Snapshot(ctx context.Context) (Snapshot, error)
 	// Flush forces buffered writes (the memtable, every shard's memtable)
-	// to sstables. No WithAutoCompact pick follows an explicit Flush; a pick
-	// follows only a flush that writes trigger, and only when one is due.
+	// to sstables. No WithAutoCompact pick (BT(I) unless set) follows an
+	// explicit Flush; a pick follows only a flush writes trigger, when due.
 	Flush(ctx context.Context) error
 	// Compact runs a major compaction scheduled by opts.Strategy (nil
 	// selects the engine's configured default), blocking until it
@@ -205,9 +205,9 @@ type CompactOptions struct {
 	// "size-tiered": one of compaction.EngineStrategies, read from the
 	// compaction package's strategy table. Any other name fails with
 	// ErrConfig. Empty selects the engine's configured default
-	// (WithCompactionStrategy, itself defaulting to "BT(I)").
+	// (WithCompactionStrategy, itself defaulting to "BT(I)" as picks do).
 	Strategy string
-	// K bounds the merge fan-in. Zero selects the configured default.
+	// K bounds the merge fan-in. Below 2 selects the configured one (4).
 	K int
 }
 

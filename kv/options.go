@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -48,12 +49,13 @@ type config struct {
 	requestTimeout time.Duration
 }
 
+// defaultConfig names the one default policy, of minor picks and Compact.
 func defaultConfig(entry entryPoint) config {
+	const strategy = "BT(I)"
 	return config{
 		entry:           entry,
-		autoCompact:     "none",
-		compactStrategy: "BT(I)",
-		compactK:        4,
+		autoCompact:     strategy,
+		compactStrategy: strategy,
 		dialTimeout:     kvnet.DefaultDialTimeout,
 	}
 }
@@ -66,27 +68,21 @@ func (c *config) lsmOptions() lsm.Options {
 		BlockCacheBytes: c.blockCacheBytes,
 		FS:              c.fs,
 	}
-	// WithAutoCompact already validated the name, so resolution here
-	// cannot fail; the strategy seed and fan-in ride the Compact defaults.
-	if p, err := lsm.PolicyByName(c.autoCompact, c.compactK, 1); err == nil {
-		opts.AutoCompact = p
-	}
+	// WithAutoCompact validated the name; seed and fan-in ride Compact's.
+	opts.AutoCompact, _ = lsm.PolicyByName(c.autoCompact, c.compactK, 1)
 	return opts
 }
 
 // compactSchedule resolves one Compact call's strategy and fan-in: opts
 // where set, the configured defaults otherwise.
 func (c *config) compactSchedule(opts *CompactOptions) (strategy string, k int) {
-	strategy, k = c.compactStrategy, c.compactK
-	if opts != nil {
-		if opts.Strategy != "" {
-			strategy = opts.Strategy
-		}
-		if opts.K >= 2 {
-			k = opts.K
-		}
+	if opts == nil {
+		opts = &CompactOptions{}
 	}
-	return strategy, k
+	if k = opts.K; k < 2 {
+		k = c.compactK
+	}
+	return cmp.Or(opts.Strategy, c.compactStrategy), k
 }
 
 // Option configures Open or Dial.
@@ -151,24 +147,23 @@ func WithBlockCacheBytes(n int) Option {
 	})
 }
 
-// WithAutoCompact enables minor compactions after write-triggered flushes
-// with the named policy: "size-tiered" (Cassandra's bucketing), "threshold" (Bigtable's
-// count trigger), "leveled" (the LevelDB-style layout with per-level
-// size targets), any live-capable paper strategy (SI, SO, BT, BT(I),
-// BT(O), CHAIN, RANDOM — picking from per-table statistics and HyperLogLog
-// overlap sketches), or "none" (the default): compaction.EngineStrategies,
-// read from the compaction package's strategy table, and "none". A pick is
-// due when compaction.Due says so: size-tiered and leveled by their own
-// triggers, threshold and the paper's strategies at twice the fan-in
+// WithAutoCompact sets the policy of the minor compactions that follow
+// write-triggered flushes: "size-tiered" (Cassandra's bucketing),
+// "threshold" (Bigtable's count trigger), "leveled" (the LevelDB-style
+// layout with per-level size targets), any live-capable paper strategy (SI,
+// SO, BT, BT(I), BT(O), CHAIN, RANDOM — picking from per-table statistics
+// and HyperLogLog overlap sketches), or "none", which disables them:
+// compaction.EngineStrategies, read from the compaction package's strategy
+// table, and "none". The default, which "" keeps, is "BT(I)" at fan-in 4. A
+// pick is due when compaction.Due says so: size-tiered and leveled by their
+// own triggers, threshold and the paper's strategies at twice the fan-in
 // WithCompactionStrategy sets. No pick follows an explicit Flush.
 func WithAutoCompact(policy string) Option {
 	return openOnly("WithAutoCompact", func(c *config) error {
-		if policy != "none" {
-			if _, err := lsm.PolicyByName(policy, 0, 0); err != nil {
-				return fmt.Errorf("kv: %w", err)
-			}
+		if _, err := lsm.PolicyByName(policy, 0, 0); err != nil {
+			return fmt.Errorf("kv: %w", err)
 		}
-		c.autoCompact = policy
+		c.autoCompact = cmp.Or(policy, c.autoCompact)
 		return nil
 	})
 }
@@ -187,8 +182,8 @@ func WithFS(fsys vfs.FS) Option {
 }
 
 // WithCompactionStrategy sets the default merge-scheduling strategy and
-// fan-in used by Compact calls whose CompactOptions do not override them.
-// The initial default is "BT(I)" with fan-in 4.
+// fan-in (WithAutoCompact's too) of Compact calls whose CompactOptions do
+// not override them. The initial default is "BT(I)" with fan-in 4.
 func WithCompactionStrategy(strategy string, k int) Option {
 	return func(c *config) error {
 		if k >= 2 {
@@ -197,9 +192,8 @@ func WithCompactionStrategy(strategy string, k int) Option {
 		if strategy == "" {
 			return nil
 		}
-		// A name the engine does not plan with (see
-		// compaction.NewLiveChooser) fails here, not at every Compact.
-		if _, err := compaction.NewLiveChooser(strategy, 0); err != nil {
+		// A name the engine does not plan with fails here, not at Compact.
+		if _, err := compaction.NewLiveChooser(strategy, k, 0); err != nil {
 			return fmt.Errorf("kv: %w", err)
 		}
 		c.compactStrategy = strategy
