@@ -83,13 +83,14 @@ type Key struct {
 // read Data (and, before publishing, fill Buf); nobody may write to a
 // published block.
 type Block struct {
-	key        Key
-	buf        []byte // the whole backing array; what is recycled
-	data       []byte // the payload readers see and the budget counts
-	refs       atomic.Int32
-	prev, next *Block // LRU links while resident; next links a free list's stack
-	spent      bool   // demoted and not read since; guarded by the LRU's mutex
-	home       *freeList
+	key          Key
+	buf          []byte // the whole backing array; what is recycled
+	data         []byte // the payload readers see and the budget counts
+	refs         atomic.Int32
+	spent        bool   // demoted and not read since; guarded by the LRU's mutex
+	prev, next   *Block // LRU links while resident; next links a free list's stack
+	tprev, tnext *Block // links among the stripe's resident blocks of key.Table
+	home         *freeList
 }
 
 // Buf is the buffer Alloc sized for the caller to fill before Add.
@@ -311,6 +312,7 @@ type LRU struct {
 	mark     *mark // the high-water rule of the cache this is a stripe of
 	root     Block // list sentinel: root.next is most recent, root.prev least
 	index    map[Key]*Block
+	tables   map[uint64]*Block // per table, the first of its resident blocks
 	free     freeList
 
 	hits, misses uint64
@@ -326,7 +328,7 @@ func newLRU(capacity int, m *mark) *LRU {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	c := &LRU{capacity: capacity, index: make(map[Key]*Block), mark: m, free: newFreeList(freeListBytes, m)}
+	c := &LRU{capacity: capacity, index: make(map[Key]*Block), tables: make(map[uint64]*Block), mark: m, free: newFreeList(freeListBytes, m)}
 	c.root.prev, c.root.next = &c.root, &c.root
 	m.lists = append(m.lists, &c.free)
 	return c
@@ -348,6 +350,18 @@ func (c *LRU) evict(b *Block) {
 	c.mark.used.Add(-int64(len(b.data)))
 	delete(c.index, b.key)
 	c.unlink(b)
+	switch {
+	case b.tprev != nil:
+		b.tprev.tnext = b.tnext
+	case b.tnext != nil:
+		c.tables[b.key.Table] = b.tnext
+	default:
+		delete(c.tables, b.key.Table)
+	}
+	if b.tnext != nil {
+		b.tnext.tprev = b.tprev
+	}
+	b.tprev, b.tnext = nil, nil
 	b.spent = false
 	b.Release()
 }
@@ -407,10 +421,8 @@ func (c *LRU) Demote(b *Block) {
 func (c *LRU) Unspend(table uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for b := c.root.next; b != &c.root; b = b.next {
-		if b.key.Table == table {
-			b.spent = false
-		}
+	for b := c.tables[table]; b != nil; b = b.tnext {
+		b.spent = false
 	}
 }
 
@@ -440,6 +452,10 @@ func (c *LRU) add(b *Block, payload []byte, cold bool) {
 		b.refs.Add(1)
 		c.index[b.key] = b
 		c.pushFront(b)
+		if b.tnext = c.tables[b.key.Table]; b.tnext != nil {
+			b.tnext.tprev = b
+		}
+		c.tables[b.key.Table] = b
 		c.used += len(payload)
 		c.mark.used.Add(int64(len(payload)))
 		// The residents grew: raise the mark, or give up the free room
@@ -499,12 +515,8 @@ func (c *LRU) Publish(k Key, data []byte, cold bool) {
 func (c *LRU) DropTable(table uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for b := c.root.next; b != &c.root; {
-		next := b.next
-		if b.key.Table == table {
-			c.evict(b)
-		}
-		b = next
+	for b := c.tables[table]; b != nil; b = c.tables[table] {
+		c.evict(b)
 	}
 }
 

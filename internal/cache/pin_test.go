@@ -270,6 +270,7 @@ func modelRun(t *testing.T, capacity, steps int) {
 		if i != len(m.order) || len(c.index) != len(m.order) {
 			t.Fatalf("step %d: %d resident (%d indexed), model has %d", step, i, len(c.index), len(m.order))
 		}
+		checkTableLists(t, c)
 		if c.used != m.used || c.used > capacity {
 			t.Fatalf("step %d: used = %d, model %d, capacity %d", step, c.used, m.used, capacity)
 		}
@@ -327,6 +328,76 @@ func modelRun(t *testing.T, capacity, steps int) {
 		t.Fatalf("the free list rose above its floor at only %d steps", aboveFloor)
 	}
 	t.Logf("free list above its floor at %d steps", aboveFloor)
+}
+
+// checkTableLists fails unless the stripe's per-table lists hold exactly its
+// resident blocks, each under its own table, with the links agreeing.
+func checkTableLists(t *testing.T, c *LRU) {
+	t.Helper()
+	n := 0
+	for table, b := range c.tables {
+		if b == nil || b.tprev != nil {
+			t.Fatalf("table %d: list head %v has a predecessor or is nil", table, b)
+		}
+		for ; b != nil; b = b.tnext {
+			if b.key.Table != table || c.index[b.key] != b || (b.tnext != nil && b.tnext.tprev != b) {
+				t.Fatalf("table %d: listed block %v is not its resident block, or its links disagree", table, b.key)
+			}
+			n++
+		}
+	}
+	if n != len(c.index) {
+		t.Fatalf("the table lists hold %d blocks, %d are resident", n, len(c.index))
+	}
+}
+
+// TestRetiringATableTouchesOnlyItsBlocks: with many tables resident and two
+// of them spent by a merge, Unspend and DropTable of one table change that
+// table's blocks alone — every other table's stay resident, and stay spent
+// or live as they were — and each walks the table's own list, which leaves
+// the lists matching the residents.
+func TestRetiringATableTouchesOnlyItsBlocks(t *testing.T) {
+	const tables, blocks = 40, 6
+	c := New(tables * blocks * 100)
+	for table := uint64(0); table < tables; table++ {
+		for off := uint64(0); off < blocks; off++ {
+			c.Publish(Key{Table: table, Offset: off}, make([]byte, 100), false)
+		}
+	}
+	spend := func(table uint64) {
+		for off := uint64(0); off < blocks; off++ {
+			b, _ := c.Peek(Key{Table: table, Offset: off})
+			c.Demote(b)
+			b.Release()
+		}
+	}
+	spend(7)
+	spend(23)
+	gone := map[uint64]bool{}
+	check := func(what string, spent map[uint64]bool) {
+		t.Helper()
+		checkTableLists(t, c)
+		for table := uint64(0); table < tables; table++ {
+			for off := uint64(0); off < blocks; off++ {
+				b := c.index[Key{Table: table, Offset: off}]
+				if (b != nil) == gone[table] || b != nil && b.spent != spent[table] {
+					t.Fatalf("%s: block %d of table %d resident=%v spent=%v", what, off, table, b != nil, b != nil && b.spent)
+				}
+			}
+		}
+	}
+	check("spent", map[uint64]bool{7: true, 23: true})
+	c.Unspend(23)
+	check("after Unspend", map[uint64]bool{7: true})
+	c.DropTable(7)
+	gone[7] = true
+	check("after DropTable of a spent table", nil)
+	c.DropTable(30)
+	gone[30] = true
+	check("after DropTable of a live one", nil)
+	if _, ok := c.tables[30]; ok || len(c.tables) != tables-2 {
+		t.Fatalf("table lists left: %d, table 30 listed: %v", len(c.tables), ok)
+	}
 }
 
 // order lists the resident keys' offsets from most to least recent, a spent

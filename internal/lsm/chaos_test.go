@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -340,21 +341,99 @@ func TestChaosCrashAtFlushPoints(t *testing.T) {
 			defer db2.Close()
 			model.Check(t, dbReader{db2}, m)
 			checkNoOrphans(t, image, db2)
+			// Open flushes what it replayed to one table.
 			st := db2.Stats()
-			wantTables, wantMem, wantRecords := 0, n, n+2
+			wantTables, wantRecords := 1, n+2
 			if op == segmentRemove {
 				// The first segment's records are in the table the manifest
 				// names: replay must pass over them.
-				wantTables, wantMem, wantRecords = 1, after, after
+				wantTables, wantRecords = 2, after
 			}
-			if st.Tables != wantTables || st.MemtableKeys != wantMem || st.WALRecoveredRecords != wantRecords || st.Flushes != 0 {
-				t.Fatalf("after recovery: %d tables, %d memtable keys, %d records replayed, %d flushes; want %d, %d, %d, 0",
-					st.Tables, st.MemtableKeys, st.WALRecoveredRecords, st.Flushes, wantTables, wantMem, wantRecords)
+			if st.Tables != wantTables || st.MemtableKeys != 0 || st.WALRecoveredRecords != wantRecords || st.Flushes != 1 {
+				t.Fatalf("after recovery: %d tables, %d memtable keys, %d records replayed, %d flushes; want %d, 0, %d, 1",
+					st.Tables, st.MemtableKeys, st.WALRecoveredRecords, st.Flushes, wantTables, wantRecords)
 			}
 			if segs := walSegments(t, image); len(segs) != 1 {
 				t.Fatalf("after recovery the directory holds WAL files %v, want one segment", segs)
 			}
 		})
+	}
+}
+
+// TestChaosCrashAtRecoveryPoints kills the store at each file operation of
+// the flush Open runs on what it replayed — the table's create and fsync,
+// the manifest save naming it, the removal of each replayed segment — and
+// reopens every crash image, and the directory the finished recovery left:
+// each must hold every acknowledged write and no orphan table, and keep a
+// write acknowledged after its own recovery through the next one.
+func TestChaosCrashAtRecoveryPoints(t *testing.T) {
+	// The WAL spans two segments: the flusher is held before it writes the
+	// frozen memtable, and writes go on into the next segment, shadowing
+	// keys of the first.
+	dir := t.TempDir()
+	fsys, reached, release := wedgeFlusher(t, vfs.Default, tableCreate)
+	db, err := Open(dir, Options{FS: fsys, SyncWAL: true, MemtableBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := fillUntil(t, db, reached, 0, wedgeKey, wedgeVal)
+	m := model.New()
+	for i := 0; i < n; i++ {
+		m.Put(string(wedgeKey(i)), string(wedgeVal(i)))
+	}
+	if err := db.DeleteContext(context.Background(), wedgeKey(1)); err != nil {
+		t.Fatal(err)
+	}
+	m.Delete(string(wedgeKey(1)))
+	if err := db.PutContext(context.Background(), wedgeKey(2), []byte("second segment wins")); err != nil {
+		t.Fatal(err)
+	}
+	m.Put(string(wedgeKey(2)), "second segment wins")
+	recovering := crashImage(t, dir)
+	release()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs := walSegments(t, recovering); len(segs) != 2 {
+		t.Fatalf("the directory to recover holds WAL files %v, want two segments", segs)
+	}
+
+	var ops []fileOp
+	var images []string
+	gate := &gateFS{FS: vfs.Default, at: func(op fileOp, _ string) {
+		ops = append(ops, op)
+		images = append(images, crashImage(t, recovering))
+	}}
+	db, err = Open(recovering, Options{FS: gate, SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []fileOp{tableCreate, tableSynced, manifestCreate, segmentRemove, segmentRemove}
+	if !slices.Equal(ops, want) {
+		t.Fatalf("Open's recovery reached %v, want %v", ops, want)
+	}
+	for i, image := range append(images, recovering) {
+		for round := 0; round < 2; round++ {
+			db, err := Open(image, Options{SyncWAL: true})
+			if err != nil {
+				t.Fatalf("image %d, round %d: %v", i, round, err)
+			}
+			model.Check(t, dbReader{db}, m)
+			checkNoOrphans(t, image, db)
+			if round == 0 {
+				if err := db.PutContext(context.Background(), []byte("after recovery"), []byte("1")); err != nil {
+					t.Fatal(err)
+				}
+				m.Put("after recovery", "1")
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Delete("after recovery") // the next image predates it
 	}
 }
 
@@ -396,10 +475,11 @@ func TestChaosCloseDuringWedgedFlush(t *testing.T) {
 
 // TestRecoveryOfOddWALDirectories: a directory from before segments (a bare
 // wal.log) opens as segment 0 and orders before any numbered segment; a
-// leftover wal.log.new — Open killed while re-logging — is ignored and
-// removed; a segment that lost its tail — torn, or cut at a frame boundary —
-// ends the replay, because the segments after it were written after the part
-// that was lost, and a torn segment that lost nothing ends nothing.
+// leftover wal.log.new — an earlier version's Open killed while re-logging —
+// is ignored and removed; a segment that lost its tail — torn, or cut at a
+// frame boundary — ends the replay, because the segments after it were
+// written after the part that was lost, and a torn segment that lost nothing
+// ends nothing.
 func TestRecoveryOfOddWALDirectories(t *testing.T) {
 	segment := func(t *testing.T, path string, recs ...wal.Record) {
 		t.Helper()
@@ -472,10 +552,10 @@ func TestRecoveryOfOddWALDirectories(t *testing.T) {
 			truncated: true, records: 1,
 		},
 		{
-			// An Open that found the first segment torn re-logged its prefix
-			// into the second and failed before the first was gone; writes
-			// acknowledged since are in the second. The stale torn segment
-			// must not hide them.
+			// An earlier version's Open found the first segment torn,
+			// re-logged its prefix into the second and failed before the
+			// first was gone; writes acknowledged since are in the second.
+			// The stale torn segment must not hide them.
 			name:  "torn segment does not hide the re-log that replaced it",
 			first: []wal.Record{put(1, "a", "1"), put(2, "b", "1")}, cut: 3,
 			second:    []wal.Record{put(1, "a", "1"), put(2, "c", "acked")},
@@ -518,11 +598,63 @@ func TestRecoveryOfOddWALDirectories(t *testing.T) {
 	}
 }
 
-// TestOpenKeepsNoStaleSegment: Open re-logs what it recovered into a new
-// segment and must not hand out a DB while a segment it replayed is still
-// there — the next Open would read the stale one first. With the removal
-// failing, Open fails, nothing is acknowledged against that directory, and a
-// later Open finds the prefix and keeps what is written after it.
+// TestRecoveryOfKeyOrderedSegment: an earlier version's Open re-logged the
+// memtable it recovered in key order into the next segment, so its sequence
+// numbers ascend only per key. What replays from it must still keep each
+// key's newest version, tombstones included, and the writes after it must
+// be numbered above all of them, not above the last.
+func TestRecoveryOfKeyOrderedSegment(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Create(vfs.Default, filepath.Join(dir, "wal.log.000002"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendBatch([]wal.Record{
+		{Op: wal.OpPut, Seq: 4, Key: []byte("a"), Value: []byte("v-a")},
+		{Op: wal.OpPut, Seq: 3, Key: []byte("b"), Value: []byte("v-b")},
+		{Op: wal.OpDelete, Seq: 5, Key: []byte("c")},
+		{Op: wal.OpPut, Seq: 1, Key: []byte("d"), Value: []byte("v-d")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := "[a=v-a b=v-b d=v-d]"
+	for round := 0; round < 2; round++ {
+		db, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		if err := db.RangeContext(context.Background(), nil, nil, func(k, v []byte) error {
+			got = append(got, string(k)+"="+string(v))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != want {
+			t.Fatalf("round %d: recovered %v, want %s", round, got, want)
+		}
+		// A write after the recovery shadows the re-logged versions.
+		if err := db.PutContext(context.Background(), []byte("c"), []byte("v-c")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want = "[a=v-a b=v-b c=v-c d=v-d]"
+	}
+}
+
+// TestOpenKeepsNoStaleSegment: Open flushes what it recovered, and that
+// flush removes the segments it replayed. A torn one whose removal fails is
+// counted in CleanupFailures and stays behind, harmless: it holds only
+// records the table holds, so the next Open skips them and keeps what was
+// written after it. A segment past a sequence gap is another matter: left
+// behind, it would end the next replay before the writes that follow it, so
+// Open fails while it cannot be removed, and no write is acknowledged behind
+// the gap.
 func TestOpenKeepsNoStaleSegment(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{SyncWAL: true})
@@ -549,13 +681,6 @@ func TestOpenKeepsNoStaleSegment(t *testing.T) {
 	fault := vfs.NewFault(vfs.Default, 1)
 	fault.SetPathFilter(func(path string) bool { return strings.HasPrefix(filepath.Base(path), walPrefix) })
 	fault.SetProb(vfs.OpRemove, 1)
-	if db, err := Open(dir, Options{FS: fault, SyncWAL: true}); !errors.Is(err, vfs.ErrInjected) {
-		if err == nil {
-			db.Close()
-		}
-		t.Fatalf("Open with the torn segment irremovable: %v, want the injected error", err)
-	}
-	fault.Disable()
 	for round := 0; round < 2; round++ {
 		db, err := Open(dir, Options{FS: fault, SyncWAL: true})
 		if err != nil {
@@ -567,18 +692,22 @@ func TestOpenKeepsNoStaleSegment(t *testing.T) {
 				t.Fatalf("round %d: Get(%s): %v, want present=%v", round, k, err, present)
 			}
 		}
+		if got := db.Stats().CleanupFailures; got != uint64(1-round) {
+			t.Fatalf("round %d: CleanupFailures = %d, want %d", round, got, 1-round)
+		}
 		if err := db.PutContext(context.Background(), []byte("acked"), []byte("1")); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		activeSegment(t, dir) // one segment, whatever the failed Open left
+		fault.Disable()
 	}
+	activeSegment(t, dir) // the stale one went with the second recovery
 
-	// A segment replay dropped (it begins after a lost tail) must not be
-	// left as the oldest by a removal that fails part-way: it would be
-	// replayed next time.
+	// A segment replay dropped (it begins after a lost tail) must go before
+	// the DB takes a write: left as it is, it would hide that write from the
+	// next Open.
 	gap := t.TempDir()
 	for name, seq := range map[string]uint64{"wal.log.000001": 1, "wal.log.000002": 3} {
 		w, err := wal.Create(vfs.Default, filepath.Join(gap, name))
@@ -602,15 +731,25 @@ func TestOpenKeepsNoStaleSegment(t *testing.T) {
 		t.Fatalf("Open with the dropped segment irremovable: %v, want the injected error", err)
 	}
 	fault.Disable()
-	db, err = Open(gap, Options{FS: fault})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.GetContext(context.Background(), []byte("wal.log.000001")); err != nil {
-		t.Fatalf("record before the gap: %v", err)
-	}
-	if _, err := db.GetContext(context.Background(), []byte("wal.log.000002")); err != ErrNotFound {
-		t.Fatalf("record after the gap: %v, want not found", err)
+	for round := 0; round < 2; round++ {
+		db, err := Open(gap, Options{FS: fault})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.GetContext(context.Background(), []byte("wal.log.000001")); err != nil {
+			t.Fatalf("round %d: record before the gap: %v", round, err)
+		}
+		if _, err := db.GetContext(context.Background(), []byte("wal.log.000002")); err != ErrNotFound {
+			t.Fatalf("round %d: record after the gap: %v, want not found", round, err)
+		}
+		if _, err := db.GetContext(context.Background(), []byte("acked")); (err == nil) != (round == 1) {
+			t.Fatalf("round %d: the write after recovery: %v", round, err)
+		}
+		if err := db.PutContext(context.Background(), []byte("acked"), []byte("1")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

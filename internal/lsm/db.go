@@ -229,6 +229,8 @@ type DB struct {
 	// filterMetrics accumulates Bloom-filter outcomes across all table
 	// readers, surviving table turnover under compaction.
 	filterMetrics sstable.FilterMetrics
+	// tablesProbed is Stats.TablesProbed, counted by probeTables.
+	tablesProbed atomic.Uint64
 
 	// majorMu serializes major compactions; the store lock mu is only held
 	// for their short snapshot/swap sections.
@@ -281,8 +283,8 @@ type DB struct {
 	// records only one past what the tables hold (see flushImmLocked).
 	nextSeq uint64
 	// imm is the frozen memtable the flusher is writing out (see
-	// flusher.go), nil when there is none; immLogNum is the WAL segment that
-	// holds its records and immPicks whether AutoCompact picks follow its
+	// flusher.go), nil when there is none; immLogs are the WAL segments that
+	// hold its records and immPicks whether AutoCompact picks follow its
 	// flush. rotations counts memtables frozen since Open. flushCond is
 	// signalled whenever a rotation, a finished flush or merge, a flusher
 	// failure or Close may let a waiter on the flusher (or the flusher)
@@ -290,7 +292,7 @@ type DB struct {
 	// counts minor merges in flight, and flushErr holds the flusher's last
 	// failure until a waiter takes it.
 	imm       *memtable.Table
-	immLogNum uint64
+	immLogs   []uint64
 	immPicks  bool
 	rotations uint64
 	flushCond *sync.Cond
@@ -312,8 +314,9 @@ type DB struct {
 }
 
 // Open opens (creating if necessary) a store in dir, replaying the WAL
-// segments left by a previous crash into the memtable and deleting any
-// sstable files a crashed flush or compaction left outside the manifest.
+// segments left by a previous crash into a memtable it flushes before it
+// returns, and deleting any sstable files a crashed flush or compaction
+// left outside the manifest.
 func Open(dir string, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
 	fsys := opts.FS
@@ -361,18 +364,24 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.installViewLocked()
 	db.flusherWG.Add(1)
 	go db.flusher()
+	// Flush waits for the flush of what recoverWAL recovered: no write
+	// lands before it.
+	if err := db.Flush(); err != nil {
+		db.Close()
+		return nil, err
+	}
 	return db, nil
 }
 
 // removeOrphans deletes sstable files in dir that the manifest does not
 // reference — the output of a flush or merge that crashed between writing
 // its file and committing it — plus any stale manifest or WAL temp file.
-// (WAL segments are not orphans until recoverWAL has replayed them; it
-// removes them itself.) Recovery is thereby idempotent: reopening after a
-// crash converges to exactly the manifest's view of the store. A removal
-// that fails is counted and skipped rather than failing Open: an
-// undeletable orphan is only leaked space, and the next Open retries it;
-// quarantined files (.sst.corrupt) are never touched.
+// (WAL segments are not orphans until recoverWAL has replayed them; the
+// flush of what they hold removes them.) Recovery is thereby idempotent:
+// reopening after a crash converges to exactly the manifest's view of the
+// store. A removal that fails is counted and skipped rather than failing
+// Open: an undeletable orphan is only leaked space, and the next Open
+// retries it; quarantined files (.sst.corrupt) are never touched.
 func removeOrphans(fsys vfs.FS, dir string, man *manifest) (failed uint64, err error) {
 	live := make(map[string]bool, len(man.tables))
 	for _, name := range man.tables {
@@ -385,7 +394,7 @@ func removeOrphans(fsys vfs.FS, dir string, man *manifest) (failed uint64, err e
 	for _, ent := range entries {
 		name := ent.Name()
 		orphanSST := strings.HasSuffix(name, ".sst") && !live[name]
-		if orphanSST || name == manifestName+".tmp" || name == walTmpName {
+		if orphanSST || name == manifestName+".tmp" || name == walPrefix+".new" {
 			if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
 				failed++
 			}

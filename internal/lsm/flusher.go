@@ -3,7 +3,8 @@
 // goroutine writes imm to a table and runs the AutoCompact picks with no
 // lock held across file I/O. At most one imm exists — a writer that fills
 // the next memtable first waits — so rotation points, flush contents and
-// the pick sequence depend on the operations alone, never on timing.
+// the pick sequence depend on the operations alone, never on timing. The
+// memtable Open recovers leaves the same way, and Open waits for its flush.
 package lsm
 
 import (
@@ -24,11 +25,8 @@ import (
 
 // walPrefix starts the name of every WAL file. Segment n is wal.log.NNNNNN;
 // a bare wal.log, which earlier versions wrote, reads as segment 0, and
-// wal.log.new is the segment Open is still building.
-const (
-	walPrefix  = "wal.log"
-	walTmpName = walPrefix + ".new"
-)
+// wal.log.new, which an earlier version's Open built, is an orphan.
+const walPrefix = "wal.log"
 
 func segmentName(n uint64) string {
 	if n == 0 {
@@ -65,8 +63,9 @@ func listSegments(fsys vfs.FS, dir string) ([]uint64, error) {
 var errWALGap = errors.New("lsm: wal segment does not continue the sequence")
 
 // recoverWAL replays the WAL segments a previous incarnation left, oldest
-// first, into the fresh memtable, and replaces them with one new segment
-// holding what was recovered. A record at or below the highest sequence
+// first, into the fresh memtable, which becomes imm — flushed with no picks
+// after it, as on an explicit Flush, and the flush removes the segments —
+// and opens a fresh segment. A record at or below the highest sequence
 // number in any table is already flushed — its segment outlived the
 // manifest save that made it redundant — and is skipped.
 //
@@ -74,9 +73,7 @@ var errWALGap = errors.New("lsm: wal segment does not continue the sequence")
 // torn frame, is what ends replay: a segment after the oldest that begins
 // past the next unseen number was written after records that are lost, so
 // it and what follows it are dropped, as the tail behind a tear is. A tear
-// that lost only flushed records ends nothing, and a segment whose records
-// were seen already (an Open cut short between writing its segment and
-// removing the old ones) applies them again. Called from Open before
+// that lost only flushed records ends nothing. Called from Open before
 // anything else can touch the DB.
 func (db *DB) recoverWAL() error {
 	segs, err := listSegments(db.fs, db.dir)
@@ -129,72 +126,30 @@ func (db *DB) recoverWAL() error {
 		db.stats.WALRecoveryTruncated = db.stats.WALRecoveryTruncated || stats.Truncated
 	}
 
-	// Re-log what was recovered, in chunked batch frames, into a temporary
-	// file that becomes the next segment by rename: a crash here leaves the
-	// old segments or the new one complete.
-	tmp := filepath.Join(db.dir, walTmpName)
-	log, err := wal.Create(db.fs, tmp)
-	if err != nil {
-		return err
-	}
-	var recs []wal.Record
-	chunkBytes := 0
-	appendChunk := func() error {
-		err := log.AppendBatch(recs)
-		recs, chunkBytes = recs[:0], 0
-		return err
-	}
-	for it := db.mem.Iter(); it.Valid() && err == nil; it.Next() {
-		e := it.Entry()
-		rec := wal.Record{Op: wal.OpPut, Seq: e.Seq, Key: e.Key, Value: e.Value}
-		if e.Tombstone {
-			rec = wal.Record{Op: wal.OpDelete, Seq: e.Seq, Key: e.Key}
-		}
-		recs = append(recs, rec)
-		chunkBytes += len(rec.Key) + len(rec.Value) + 32
-		// Chunks are bounded by record count and by encoded size: a
-		// recovered memtable full of large values must never build a frame
-		// the replayer (MaxFrameBytes) would refuse.
-		if len(recs) >= 1024 || chunkBytes >= 4<<20 {
-			err = appendChunk()
+	// A segment replay dropped would end the next replay again, ahead of the
+	// writes to come: the DB takes none until all are gone.
+	for _, n := range segs[replayed:] {
+		if err := db.fs.Remove(db.segmentPath(n)); err != nil {
+			return fmt.Errorf("lsm: remove wal segment past a gap: %w", err)
 		}
 	}
-	if err == nil {
-		err = appendChunk()
-	}
-	if err == nil {
-		err = log.Sync()
-	}
+	segs = segs[:replayed]
 	if len(segs) > 0 {
 		db.logNum = segs[len(segs)-1]
 	}
-	db.logNum++
-	if err == nil {
-		if err = db.fs.Rename(tmp, db.segmentPath(db.logNum)); err != nil {
-			err = fmt.Errorf("lsm: swap wal: %w", err)
-		}
-	}
-	if err == nil && db.mem.Len() > 0 {
-		// The old segments are about to go: the rename that replaces them
-		// must be on disk first.
-		err = db.fs.SyncDir(db.dir)
-	}
-	if err != nil {
-		log.Close()
+	if err := db.openSegment(); err != nil {
 		return err
 	}
-	// The next Open expects every segment but the oldest to continue the one
-	// before it, and the new one — the memtable in key order — continues
-	// nothing: it may follow only segments that hold all it holds. So the
-	// old ones go oldest first — after those replay dropped, none of which
-	// may become the oldest — and the DB takes no write until all are gone.
-	for _, n := range slices.Concat(segs[replayed:], segs[:replayed]) {
-		if err := db.fs.Remove(db.segmentPath(n)); err != nil {
-			log.Close()
-			return fmt.Errorf("lsm: remove replayed wal segment: %w", err)
+	if db.mem.Len() == 0 {
+		// The tables hold every record the segments do.
+		for _, n := range segs {
+			db.removeFile(segmentName(n))
 		}
+		return nil
 	}
-	db.log = log
+	db.imm, db.immLogs, db.immPicks = db.mem, segs, false
+	db.rotations++
+	db.mem = memtable.NewFrom(&db.slabs, int64(db.rotations))
 	return nil
 }
 
@@ -214,6 +169,28 @@ func (db *DB) removeFile(name string) {
 // race a group commit's append-then-apply window) and mu, with imm nil. A
 // failure leaves everything as it was and the next commit tries again.
 func (db *DB) rotateLocked(picks bool) error {
+	old, oldNum := db.log, db.logNum
+	if err := db.openSegment(); err != nil {
+		return err
+	}
+	// The old segment is complete; what it holds stays on disk until the
+	// flush of imm is in the manifest.
+	if cerr := old.Close(); cerr != nil {
+		db.cleanupFails.Add(1)
+	}
+	db.imm, db.immLogs, db.immPicks = db.mem, []uint64{oldNum}, picks
+	// The skiplist seed counts rotations, not file numbers: those are
+	// handed out to flushes and merges running beside the writer.
+	db.rotations++
+	db.mem = memtable.NewFrom(&db.slabs, int64(db.rotations))
+	db.installViewLocked()
+	db.flushCond.Broadcast()
+	return nil
+}
+
+// openSegment directs writes to a fresh WAL segment, numbered one past the
+// current one. A failure changes nothing and leaves no file behind.
+func (db *DB) openSegment() error {
 	num := db.logNum + 1
 	log, err := wal.Create(db.fs, db.segmentPath(num))
 	if err == nil && db.opts.SyncWAL {
@@ -225,21 +202,9 @@ func (db *DB) rotateLocked(picks bool) error {
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("lsm: rotate wal: %w", err)
+		return fmt.Errorf("lsm: create wal segment: %w", err)
 	}
-	// The old segment is complete; what it holds stays on disk until the
-	// flush of imm is in the manifest.
-	if cerr := db.log.Close(); cerr != nil {
-		db.cleanupFails.Add(1)
-	}
-	db.imm, db.immLogNum, db.immPicks = db.mem, db.logNum, picks
 	db.log, db.logNum = log, num
-	// The skiplist seed counts rotations, not file numbers: those are
-	// handed out to flushes and merges running beside the writer.
-	db.rotations++
-	db.mem = memtable.NewFrom(&db.slabs, int64(db.rotations))
-	db.installViewLocked()
-	db.flushCond.Broadcast()
 	return nil
 }
 
@@ -341,9 +306,10 @@ func (db *DB) flusher() {
 }
 
 // flushImmLocked writes imm to a fresh sstable and makes it the newest live
-// table. It is called and returns with mu held, and releases it while the
-// table is written. A failure before the manifest records the table leaves
-// imm and its WAL segment in place for the retry.
+// table, then removes imm's WAL segments. It is called and returns with mu
+// held, and releases it for the file I/O. A failure before the manifest
+// records the table leaves imm and its segments in place for the retry; a
+// segment left by a failed removal holds only records the next Open skips.
 func (db *DB) flushImmLocked() error {
 	imm := db.imm
 	name := db.allocTableNameLocked()
@@ -375,7 +341,7 @@ func (db *DB) flushImmLocked() error {
 		}
 		return err
 	}
-	seg := segmentName(db.immLogNum)
+	segs := db.immLogs
 	db.stats.Flushes++
 	db.stats.BytesFlushed += rd.FileSize()
 	// Readers pinned to an older view keep reading imm, whose contents the
@@ -384,7 +350,9 @@ func (db *DB) flushImmLocked() error {
 	imm.Release()
 	db.flushCond.Broadcast()
 	db.mu.Unlock()
-	db.removeFile(seg)
+	for _, n := range segs {
+		db.removeFile(segmentName(n))
+	}
 	db.mu.Lock()
 	return nil
 }

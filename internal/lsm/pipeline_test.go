@@ -236,8 +236,8 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 }
 
 // TestRecoveryRelogsLargeMemtable reopens a store whose unflushed
-// memtable exceeds the WAL's 64 MiB frame limit; Open's re-log must chunk
-// by bytes (not just record count) or recovery would fail with
+// memtable exceeds the WAL's 64 MiB frame limit. Recovery must never gather
+// what it replayed into one WAL frame, or it would fail with
 // ErrBatchTooLarge and the store would be unopenable after a crash.
 func TestRecoveryRelogsLargeMemtable(t *testing.T) {
 	dir := t.TempDir()

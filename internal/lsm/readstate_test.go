@@ -119,10 +119,11 @@ func TestGroupsNeverHalfVisible(t *testing.T) {
 	}
 }
 
-// TestReadBoundCoversRecoveredMemtable: Open re-logs a recovered memtable
-// in key order, so a second unflushed restart replays sequence numbers out
-// of order. The read bound must still cover the newest of them: a scan and
-// a snapshot see every recovered key, tombstones included, as Get does.
+// TestReadBoundCoversRecoveredMemtable: writes made in reverse key order
+// are recovered across two unflushed restarts. The read bound must cover the
+// newest of them: a scan and a snapshot see every recovered key, tombstones
+// included, as Get does. (TestRecoveryOfKeyOrderedSegment replays sequence
+// numbers out of order.)
 func TestReadBoundCoversRecoveredMemtable(t *testing.T) {
 	dir := t.TempDir()
 	reopen := func() *DB {

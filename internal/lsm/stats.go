@@ -68,6 +68,9 @@ type Stats struct {
 	// block probes). Their ratio is the realized filter effectiveness.
 	FilterNegatives      uint64 `json:"filter_negatives"`
 	FilterFalsePositives uint64 `json:"filter_false_positives"`
+	// TablesProbed counts the tables point reads consulted past their key
+	// range check, each a filter probe and perhaps a block read.
+	TablesProbed uint64 `json:"tables_probed"`
 	// GroupCommits counts commit groups written through the pipeline, and
 	// GroupedWrites the records they carried; GroupedWrites/GroupCommits is
 	// the average group size.
@@ -141,6 +144,7 @@ func (s *Stats) Add(o Stats) {
 	s.BlockCacheShardBalance = max(s.BlockCacheShardBalance, o.BlockCacheShardBalance)
 	s.FilterNegatives += o.FilterNegatives
 	s.FilterFalsePositives += o.FilterFalsePositives
+	s.TablesProbed += o.TablesProbed
 	s.GroupCommits += o.GroupCommits
 	s.GroupedWrites += o.GroupedWrites
 	s.WALSyncs += o.WALSyncs
@@ -175,6 +179,7 @@ func (db *DB) Stats() Stats {
 	}
 	st.FilterNegatives = db.filterMetrics.Negatives.Load()
 	st.FilterFalsePositives = db.filterMetrics.FalsePositives.Load()
+	st.TablesProbed = db.tablesProbed.Load()
 	st.ReadOnly = db.roCause != nil
 	st.CleanupFailures = db.cleanupFails.Load()
 	return st

@@ -50,6 +50,7 @@ type readView struct {
 	// set order: the probe order that makes first-newest early exit sound.
 	tables []*tableHandle
 	refs   atomic.Int64
+	probed *atomic.Uint64 // the DB's tablesProbed
 }
 
 // pin takes a reference, failing when the view is already drained (its
@@ -89,7 +90,7 @@ func (db *DB) installViewLocked() {
 	db.mem.Retain()
 	db.imm.Retain()
 	slices.SortStableFunc(tables, func(a, b *tableHandle) int { return cmp.Compare(b.maxSeq, a.maxSeq) })
-	v := &readView{mem: db.mem, imm: db.imm, tables: tables}
+	v := &readView{mem: db.mem, imm: db.imm, tables: tables, probed: &db.tablesProbed}
 	v.refs.Store(1)
 	if old := db.view.Swap(v); old != nil {
 		old.unpin()
@@ -136,7 +137,7 @@ func (v *readView) get(ctx context.Context, key []byte, bound uint64) ([]byte, *
 		// The memtable buffer is shared with future flushes: copy.
 		return append([]byte(nil), e.Value...), nil, nil
 	}
-	return probeTables(ctx, v.tables, key)
+	return probeTables(ctx, v.tables, key, v.probed)
 }
 
 // probeTables resolves the newest version of key across tables, which
@@ -148,8 +149,8 @@ func (v *readView) get(ctx context.Context, key []byte, bound uint64) ([]byte, *
 // at most one table's disk read. On a probe failure the offending table
 // is returned alongside the error, so the DB-level caller can quarantine
 // a table whose blocks fail their checksums. The key is hashed once, for
-// every table's Bloom filter.
-func probeTables(ctx context.Context, tables []*tableHandle, key []byte) ([]byte, *tableHandle, error) {
+// every table's Bloom filter. probed counts the tables consulted.
+func probeTables(ctx context.Context, tables []*tableHandle, key []byte, probed *atomic.Uint64) ([]byte, *tableHandle, error) {
 	var (
 		best    iterator.Entry
 		bestPin *cache.Block // pins the block best.Value aliases; nil until a version is found
@@ -173,6 +174,7 @@ func probeTables(ctx context.Context, tables []*tableHandle, key []byte) ([]byte
 				return nil, nil, err
 			}
 		}
+		probed.Add(1)
 		e, pin, err := th.rd.GetEntryHashed(key, hash)
 		if err != nil {
 			if err == sstable.ErrNotFound {

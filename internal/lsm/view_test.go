@@ -581,6 +581,64 @@ func TestKeyRangePruning(t *testing.T) {
 	}
 }
 
+// TestTablesProbedCountsRangeChecksPassed pins Stats.TablesProbed on four
+// flushed tables with disjoint and overlapping key ranges: a point read
+// counts each table whose range holds the key, newest first, up to the
+// table holding the newest version, and nothing when the memtable answers.
+func TestTablesProbedCountsRangeChecksPassed(t *testing.T) {
+	db := openTestDB(t, Options{})
+	for _, keys := range [][]string{
+		{"b", "c", "d"}, // [b, d]
+		{"d", "e", "f"}, // [d, f], overlapping the first at d
+		{"m", "n", "p"}, // [m, p], disjoint
+		{"c", "n"},      // [c, n], the newest, overlapping all three
+	} {
+		for _, k := range keys {
+			if err := db.PutContext(context.Background(), []byte(k), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.PutContext(context.Background(), []byte("e"), []byte("in the memtable")); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	var total uint64
+	for _, tc := range []struct {
+		key    string
+		probed uint64
+		snap   bool
+	}{
+		{key: "a"},             // below every range
+		{key: "z"},             // above every range
+		{key: "b", probed: 1},  // only [b, d] holds it
+		{key: "c", probed: 1},  // the newest table holds it: no older one can beat it
+		{key: "d", probed: 2},  // [c, n] misses, [d, f] holds it, [b, d] is older
+		{key: "ca", probed: 2}, // absent from both ranges that hold it
+		{key: "g", probed: 1},  // inside [c, n] alone
+		{key: "m", probed: 2},  // [c, n] misses, [m, p] holds it
+		{key: "e"},             // the memtable answers
+		{key: "d", probed: 2, snap: true},
+	} {
+		if tc.snap {
+			snap.Get([]byte(tc.key))
+		} else {
+			db.GetContext(context.Background(), []byte(tc.key))
+		}
+		total += tc.probed
+		if got := db.Stats().TablesProbed; got != total {
+			t.Fatalf("after Get(%q): TablesProbed = %d, want %d", tc.key, got, total)
+		}
+	}
+}
+
 // TestProbeTablesContextCancelled exercises the per-table cancellation
 // check: a probe with an expired context stops between tables instead of
 // draining the whole set.
@@ -605,7 +663,7 @@ func TestProbeTablesContextCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.unpin()
-	if _, _, err := probeTables(ctx, v.tables, []byte("key-1")); err != context.Canceled {
+	if _, _, err := probeTables(ctx, v.tables, []byte("key-1"), v.probed); err != context.Canceled {
 		t.Fatalf("probeTables with cancelled ctx err = %v, want context.Canceled", err)
 	}
 	// And through the public face.

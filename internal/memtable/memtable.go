@@ -39,8 +39,8 @@ import (
 // what lets the engine's read path run without the store lock. Writers
 // (Put, Delete) must be serialized externally and present non-decreasing
 // sequence numbers per key; the engine runs them under its commit
-// pipeline's store lock. Across keys the order is free: replaying a WAL
-// that Open re-logged in key order applies sequences out of order.
+// pipeline's store lock. Across keys the order is free: a WAL segment an
+// earlier version re-logged in key order replays sequences out of order.
 type Table struct {
 	list *skiplist.List
 	// seq is the highest sequence number applied: the bound that covers

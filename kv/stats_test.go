@@ -26,7 +26,7 @@ var statsKeys = strings.Fields(`backend shards tables table_bytes memtable_keys 
 	minor_compactions major_compactions write_stalls write_stall_nanos bytes_flushed
 	bytes_compacted compaction_picks versions_purged group_commits grouped_writes wal_syncs
 	block_cache_hits block_cache_misses block_cache_shard_balance filter_negatives
-	filter_false_positives compaction_state wal_recovered_records wal_recovered_batches
+	filter_false_positives tables_probed compaction_state wal_recovered_records wal_recovered_batches
 	wal_recovered_bytes wal_recovery_truncated read_only quarantined_tables cleanup_failures
 	per_shard cluster`)
 
@@ -41,7 +41,7 @@ func TestStatsHandler(t *testing.T) {
 	printed := strings.Fields(`backend tables table_bytes memtable_keys flushes
 		minor_compactions major_compactions write_stalls bytes_flushed group_commits
 		grouped_writes wal_syncs block_cache_hits block_cache_misses block_cache_shard_balance
-		filter_negatives filter_false_positives compaction_state`)
+		filter_negatives filter_false_positives tables_probed compaction_state`)
 	for _, tc := range []struct {
 		name, backend string
 		shards        int
