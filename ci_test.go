@@ -360,6 +360,50 @@ func TestInternalExportsHaveProductionCallers(t *testing.T) {
 	}
 }
 
+// TestSyncPoolOnlyInRecycle: no non-test Go outside internal/recycle names
+// sync.Pool, so every recycled object follows recycle.Pool's one rule for
+// reset, a second release and recycle.Poison, and the discipline cannot
+// erode one hand-rolled pool at a time.
+func TestSyncPoolOnlyInRecycle(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (path == filepath.Join("internal", "recycle") || d.Name() == "testdata" ||
+			path != "." && strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		sync := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"sync"` {
+				sync = "sync"
+				if imp.Name != nil {
+					sync = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pool" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == sync {
+					t.Errorf("%s: names sync.Pool; recycle an object through recycle.Pool", fset.Position(sel.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDocsNameEveryEngineStrategy: README's WithAutoCompact(policy) options
 // row quotes exactly the names the engine accepts (the compaction package's
 // strategy table) and "none", so a strategy added to, renamed in or retired

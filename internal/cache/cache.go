@@ -70,6 +70,8 @@ package cache
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/recycle"
 )
 
 // Key identifies one cached block: a reader-unique table ID plus the
@@ -125,13 +127,6 @@ const sizeGranule = 512
 // 1.5 KiB arrays, more than a point read and one table's iterator return
 // between two misses.
 const freeListBytes = 32 << 10
-
-// PoisonFreed is a test hook: when set, an array is overwritten as it
-// enters a free list, an sstable iterator's key arena as it is emptied and
-// a memtable's key slabs as they are recycled, so a read through a
-// released pin, a closed iterator or a released memtable fails a value
-// check instead of passing by luck.
-var PoisonFreed atomic.Bool
 
 // freeList holds released blocks, struct and array together, for reuse: a
 // LIFO stack per array size, linked through Block.next. When the bound
@@ -253,11 +248,7 @@ func (f *freeList) put(b *Block) {
 	if i == 0 || i >= len(f.classes) {
 		return
 	}
-	if PoisonFreed.Load() {
-		for j := range b.buf {
-			b.buf[j] = 0xdb
-		}
-	}
+	recycle.Scrub(b.buf)
 	f.mu.Lock()
 	for !f.fits(len(b.buf)) && f.evict(f.classes[i].asked) {
 	}

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/recycle"
 )
 
 // parentLRU is the algorithm this package had before blocks were pinned:
@@ -147,8 +149,8 @@ func freeBlocks(f *freeList) []*Block {
 // bytes stay within that mark whenever the free list is above its floor.
 // At 8 KiB the room never reaches the floor; at 96 KiB it does.
 func TestStressModelAgainstParentLRU(t *testing.T) {
-	PoisonFreed.Store(true)
-	defer PoisonFreed.Store(false)
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
 	for _, run := range []struct{ capacity, steps int }{{8 << 10, 20000}, {96 << 10, 10000}} {
 		t.Run(fmt.Sprint(run.capacity), func(t *testing.T) { modelRun(t, run.capacity, run.steps) })
 	}
@@ -423,8 +425,8 @@ func order(c *LRU) []int {
 // live block would have to;
 // DropTable finds spent blocks; no recycled array carries the mark.
 func TestDemoteAndSpent(t *testing.T) {
-	PoisonFreed.Store(true)
-	defer PoisonFreed.Store(false)
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
 	c := New(4000)
 	key := func(i int) Key { return Key{Table: 1, Offset: uint64(i)} }
 	put := func(i int) *Block {
@@ -559,8 +561,8 @@ func TestOversizedPutStaysUsable(t *testing.T) {
 // correctness — the array of a block whose pin is dropped on the floor is
 // never handed to another fill, however long ago it was evicted.
 func TestUnreleasedPinNeverRecycled(t *testing.T) {
-	PoisonFreed.Store(true)
-	defer PoisonFreed.Store(false)
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
 	c := New(16 << 10)
 	k := Key{Table: 1, Offset: 0}
 	leaked := c.Alloc(k, 4100)
@@ -762,8 +764,8 @@ func TestSteadyStateFillAllocatesNothing(t *testing.T) {
 // shows the poison (or another key's pattern) instead of its own. Run under
 // -race.
 func TestStressPoison(t *testing.T) {
-	PoisonFreed.Store(true)
-	defer PoisonFreed.Store(false)
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
 	c := NewSharded(12<<10, 1) // three blocks
 	const (
 		workers = 6

@@ -8,6 +8,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
+
+	"repro/internal/kvnet"
+	"repro/internal/recycle"
 )
 
 // TestStressOpDeadlineNotInheritedOnReuse: a quorum op keeps its legs' deadline
@@ -19,8 +23,12 @@ import (
 // hour to run, and that op's leg must see neither the expiry nor the
 // closed channel of the one before. Run under -race.
 func TestStressOpDeadlineNotInheritedOnReuse(t *testing.T) {
+	reusedAndPoisoned(t, stressOpDeadlineNotInheritedOnReuse)
+}
+
+func stressOpDeadlineNotInheritedOnReuse(t *testing.T) {
 	rt := &Router{}
-	rt.ops.New = func() any { return newQuorumOp(rt) }
+	rt.ops.New = func() *quorumOp { return newQuorumOp(rt) }
 	r := rand.New(rand.NewSource(1))
 	var expired, reused int
 	var failures atomic.Int32
@@ -79,7 +87,10 @@ func TestStressOpDeadlineNotInheritedOnReuse(t *testing.T) {
 		<-legDone
 	}
 	t.Logf("%d of 2000 deadlines fired mid-leg; %d ops reused at once", expired, reused)
-	if failures.Load() == 0 && (expired == 0 || reused < 200) {
+	if recycle.Poison.Load() && reused > 0 {
+		t.Fatalf("%d ops were reused under recycle.Poison", reused)
+	}
+	if failures.Load() == 0 && (expired == 0 || reused < 200 && !recycle.Poison.Load()) {
 		t.Fatalf("%d deadlines fired and %d ops were reused: the test no longer covers reuse after expiry", expired, reused)
 	}
 }
@@ -90,6 +101,10 @@ func TestStressOpDeadlineNotInheritedOnReuse(t *testing.T) {
 // stalling reads, a cancelled Get returns at once and its legs finish with
 // it, long before the 20 s request timeout.
 func TestStressCancelledCallerReachesLegs(t *testing.T) {
+	reusedAndPoisoned(t, stressCancelledCallerReachesLegs)
+}
+
+func stressCancelledCallerReachesLegs(t *testing.T) {
 	gc := startGatedCluster(t, semanticsOptions())
 	key, value := []byte("cancelled"), []byte("v")
 	if err := gc.rt.Put(context.Background(), key, value); err != nil {
@@ -125,4 +140,55 @@ func TestStressCancelledCallerReachesLegs(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the cancelled Get's legs are still waiting on their replicas")
 	}
+}
+
+// reusedAndPoisoned runs test as two subtests: with recycled objects reused,
+// and under recycle.Poison, which resets and drops them instead. An object
+// recycled while still in use shows as somebody else's data in the first
+// and as a reset object in the second.
+func reusedAndPoisoned(t *testing.T, test func(t *testing.T)) {
+	for _, poison := range []bool{false, true} {
+		t.Run(map[bool]string{false: "reused", true: "poisoned"}[poison], func(t *testing.T) {
+			recycle.Poison.Store(poison)
+			defer recycle.Poison.Store(false)
+			test(t)
+		})
+	}
+}
+
+// putTwicePanics checks that a second Put of x into p panics. It runs under
+// recycle.Poison, so that nothing can Get x between the two.
+func putTwicePanics[P recycle.Recyclable](t *testing.T, p *recycle.Pool[P], x P) {
+	t.Helper()
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
+	p.Put(x)
+	defer func() {
+		if recover() == nil {
+			t.Errorf("a second Put of a %T did not panic", x)
+		}
+	}()
+	p.Put(x)
+}
+
+// TestRecycledResetBoundsBuffers: a quorum op's Reset keeps the key and
+// record buffer, the batch and the legs' value buffers at normal size, and
+// drops each grown past recycle.RetainLimit. A second Put panics.
+func TestRecycledResetBoundsBuffers(t *testing.T) {
+	rt := &Router{peers: make([]*kvnet.Peer, 3)}
+	rt.ops.New = func() *quorumOp { return newQuorumOp(rt) }
+	for _, size := range []int{4 << 10, recycle.RetainLimit + 1} {
+		o := rt.acquireOp(context.Background())
+		o.buf = make([]byte, size)
+		o.batch = make([]kvnet.BatchOp, size/int(unsafe.Sizeof(kvnet.BatchOp{}))+1)
+		o.legs[0].val = make([]byte, size)
+		o.Reset()
+		want := size <= recycle.RetainLimit
+		for name, kept := range map[string]bool{"buf": o.buf != nil, "batch": o.batch != nil, "leg value": o.legs[0].val != nil} {
+			if kept != want {
+				t.Errorf("%s of %d bytes: Reset kept it %t, want %t", name, size, kept, want)
+			}
+		}
+	}
+	putTwicePanics(t, &rt.ops, rt.acquireOp(context.Background()))
 }

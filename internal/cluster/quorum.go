@@ -11,6 +11,7 @@ import (
 	"repro/internal/keyhash"
 	"repro/internal/kverr"
 	"repro/internal/kvnet"
+	"repro/internal/recycle"
 )
 
 // quorumOp is the state of one quorum operation — a Get, or a Write of one
@@ -25,6 +26,7 @@ import (
 // op keeps, and one deadline, re-armed per op, serves every leg's first
 // attempt.
 type quorumOp struct {
+	recycle.Mark
 	rt   *Router
 	refs atomic.Int32
 
@@ -108,7 +110,7 @@ func newQuorumOp(rt *Router) *quorumOp {
 
 // acquireOp returns a recycled op holding the caller's reference.
 func (rt *Router) acquireOp(ctx context.Context) *quorumOp {
-	o := rt.ops.Get().(*quorumOp)
+	o := rt.ops.Get()
 	o.refs.Store(1)
 	o.ctx = ctx
 	if ctx.Done() == nil {
@@ -131,9 +133,13 @@ func (o *quorumOp) finish() {
 // release drops one reference; the last one recycles the op. By then
 // every leg has reported, so nothing can send on results or read buf.
 func (o *quorumOp) release() {
-	if o.refs.Add(-1) != 0 {
-		return
+	if o.refs.Add(-1) == 0 {
+		o.rt.ops.Put(o)
 	}
+}
+
+// Reset implements recycle.Recyclable.
+func (o *quorumOp) Reset() {
 	if o.cancel != nil {
 		o.cancel()
 	} else {
@@ -149,16 +155,13 @@ func (o *quorumOp) release() {
 	for i := range o.legs {
 		l := &o.legs[i]
 		l.writes, l.share, l.skipped = l.writes[:0], l.share[:0], l.skipped[:0]
-		l.rec, l.err, l.reported = Record{}, nil, false
-		if cap(l.val) > 1<<20 { // kvnet's workers' bound: a huge value's buffer goes
-			l.val = nil
-		}
+		l.rec, l.err, l.reported, l.val = Record{}, nil, false, recycle.Trim(l.val)
 	}
 	o.read = false
 	o.decided.Store(false)
 	clear(o.batch) // drops the last references into a buffer that may have been outgrown
-	o.buf, o.batch, o.replicas, o.acks, o.fails = o.buf[:0], o.batch[:0], o.replicas[:0], o.acks[:0], o.fails[:0]
-	o.rt.ops.Put(o)
+	o.buf, o.batch = recycle.Trim(o.buf), recycle.Trim(o.batch)
+	o.replicas, o.acks, o.fails = o.replicas[:0], o.acks[:0], o.fails[:0]
 }
 
 // opDeadline is a quorum op's own context for its legs' first attempts:

@@ -12,6 +12,7 @@ import (
 	"repro/internal/kverr"
 	"repro/internal/kvnet"
 	"repro/internal/lsm"
+	"repro/internal/recycle"
 )
 
 // vnodes is the number of virtual nodes per physical node on a Router's
@@ -170,7 +171,7 @@ type Router struct {
 	peers []*kvnet.Peer
 
 	// ops recycles quorumOps; readSeq rotates each read's R-subset.
-	ops     sync.Pool
+	ops     recycle.Pool[*quorumOp]
 	readSeq atomic.Uint64
 
 	// token distinguishes this router's hint keys from other routers'
@@ -232,7 +233,7 @@ func DialCluster(addrs []string, opts Options) (*Router, error) {
 		ring:        ring,
 		peers:       make([]*kvnet.Peer, len(ring.names)),
 	}
-	rt.ops.New = func() any { return newQuorumOp(rt) }
+	rt.ops.New = func() *quorumOp { return newQuorumOp(rt) }
 	// A quorum client must come up even when some replicas are down —
 	// that is the whole point. An unreachable node joins the ring marked
 	// down (the health loop probes and re-admits it; requests redial

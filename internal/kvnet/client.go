@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/kverr"
 	"repro/internal/lsm"
+	"repro/internal/recycle"
 )
 
 // ErrNotFound reports a missing key. It aliases the canonical sentinel in
@@ -49,6 +50,7 @@ type Client struct {
 // stream for as long as it is open. Calls and their buffers are pooled, so
 // a round trip allocates nothing of its own.
 type call struct {
+	recycle.Mark
 	// done is signalled exactly once per arming: by the reader delivering
 	// a frame into buf, or by the connection failing (err).
 	done   chan struct{}
@@ -62,11 +64,11 @@ type call struct {
 	armed bool
 }
 
-var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+var calls = recycle.Pool[*call]{New: func() *call { return &call{done: make(chan struct{}, 1)} }}
 
-func putCall(cl *call) {
-	cl.err, cl.stream = nil, false
-	callPool.Put(cl)
+// Reset implements recycle.Recyclable.
+func (cl *call) Reset() {
+	*cl = call{done: cl.done, buf: recycle.Trim(cl.buf), wbuf: recycle.Trim(cl.wbuf)}
 }
 
 // Dial connects to a server at addr over TCP, waiting at most
@@ -250,15 +252,15 @@ func (c *Client) await(ctx context.Context, tag uint32, cl *call) error {
 
 // roundTrip sends one unary request and waits for its response. On success
 // the response's byte fields alias the returned call's buffer: the caller
-// hands the call back with putCall once it is done with them.
+// hands the call back to calls once it is done with them.
 func (c *Client) roundTrip(ctx context.Context, req *Request) (*call, Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Response{}, err
 	}
-	cl := callPool.Get().(*call)
+	cl := calls.Get()
 	resp, err := c.exchange(ctx, cl, req)
 	if err != nil {
-		putCall(cl)
+		calls.Put(cl)
 		return nil, Response{}, err
 	}
 	return cl, resp, nil
@@ -302,7 +304,7 @@ func (c *Client) exchange(ctx context.Context, cl *call, req *Request) (Response
 func (c *Client) do(ctx context.Context, req *Request) error {
 	cl, _, err := c.roundTrip(ctx, req)
 	if err == nil {
-		putCall(cl)
+		calls.Put(cl)
 	}
 	return err
 }
@@ -363,7 +365,7 @@ func (c *Client) get(ctx context.Context, dst []byte, req *Request) ([]byte, err
 	} else {
 		dst = append(dst, resp.Value...)
 	}
-	putCall(cl)
+	calls.Put(cl)
 	return dst, err
 }
 
@@ -396,7 +398,7 @@ func (c *Client) WriteVersioned(ctx context.Context, batch []BatchOp) (applied i
 		return 0, err
 	}
 	n, _ := binary.Uvarint(resp.Value)
-	putCall(cl)
+	calls.Put(cl)
 	return int(n), nil
 }
 
@@ -419,7 +421,7 @@ func (c *Client) Compact(ctx context.Context, strategy string, k int) (*lsm.Comp
 	if err != nil {
 		return nil, err
 	}
-	putCall(cl)
+	calls.Put(cl)
 	if resp.Compact == nil {
 		return nil, fmt.Errorf("kvnet: malformed compact response: %w", ErrProtocol)
 	}
@@ -432,7 +434,7 @@ func (c *Client) Stats(ctx context.Context) (*lsm.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	putCall(cl)
+	calls.Put(cl)
 	if resp.Stats == nil {
 		return nil, fmt.Errorf("kvnet: malformed stats response: %w", ErrProtocol)
 	}

@@ -195,9 +195,6 @@ const (
 	// once; when every worker is busy the server stops reading the
 	// connection, which is the back-pressure.
 	maxInFlight = 64
-	// retainLimit is the largest buffer a connection-lifetime owner (a
-	// server worker) keeps for reuse; larger ones go back to the collector.
-	retainLimit = 1 << 20
 	// maxHandles bounds the streams plus snapshots one connection may hold
 	// open, so a peer cannot park goroutines and pin views without limit.
 	maxHandles = 1024

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/kverr"
 	"repro/internal/lsm"
+	"repro/internal/recycle"
 )
 
 // Engine is the storage surface the server exposes over the wire. Both
@@ -239,9 +240,15 @@ type srvReq struct {
 
 // frameBuf is a pooled byte buffer for request payloads and response
 // frames.
-type frameBuf struct{ b []byte }
+type frameBuf struct {
+	recycle.Mark
+	b []byte
+}
 
-var frameBufPool = sync.Pool{New: func() any { return new(frameBuf) }}
+var frameBufs = recycle.Pool[*frameBuf]{New: func() *frameBuf { return new(frameBuf) }}
+
+// Reset implements recycle.Recyclable.
+func (fb *frameBuf) Reset() { fb.b = recycle.Trim(fb.b) }
 
 // worker executes unary requests one at a time under a context that lives
 // across requests, so the common case allocates none: only a request that
@@ -279,7 +286,7 @@ func (c *srvConn) readLoop() {
 		if !c.awaitFrame(r) {
 			return
 		}
-		fb := frameBufPool.Get().(*frameBuf)
+		fb := frameBufs.Get()
 		tag, payload, err := readFrame(r, fb.b)
 		fb.b = payload
 		if err != nil || len(payload) == 0 {
@@ -310,7 +317,7 @@ func (c *srvConn) readLoop() {
 			c.dispatch(srvReq{tag: tag, buf: fb})
 			continue // the worker owns fb now
 		}
-		frameBufPool.Put(fb)
+		frameBufs.Put(fb)
 	}
 }
 
@@ -375,7 +382,7 @@ func (w *worker) serve(req srvReq) {
 
 	w.out = beginFrame(w.out, req.tag)
 	w.out = w.execute(ctx, req.buf.b, w.out)
-	frameBufPool.Put(req.buf)
+	frameBufs.Put(req.buf)
 
 	s.inFlight.Add(-1)
 	c.busy.Add(-1)
@@ -390,12 +397,8 @@ func (w *worker) serve(req srvReq) {
 	c.writeFrame(w.out)
 	// A worker lives as long as its connection: it keeps its buffers from
 	// request to request, but not the rare huge one.
-	if cap(w.out) > retainLimit {
-		w.out = nil
-	}
-	if w.batch.SizeBytes() > retainLimit {
-		w.batch = lsm.WriteBatch{}
-	}
+	w.out = recycle.Trim(w.out)
+	w.batch.Reset()
 }
 
 // cancelTag cancels whatever runs under tag: a worker's current request or
@@ -489,8 +492,8 @@ func (w *worker) execute(ctx context.Context, payload, out []byte) []byte {
 		w.applied = binary.AppendUvarint(w.applied[:0], uint64(n))
 		return appendResult(out, Response{Status: StatusOK, Value: w.applied}, err)
 	case OpWrite:
-		// Decoded straight into the worker's batch: no []BatchOp in between.
-		w.batch.Reset()
+		// Decoded straight into the worker's batch, which serve left empty:
+		// no []BatchOp in between.
 		err := DecodeBatch(payload[1:], func(del bool, key, value []byte) {
 			if del {
 				w.batch.Delete(key)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/kverr"
 	"repro/internal/lsm"
+	"repro/internal/recycle"
 )
 
 // srvStream is one open scan: a goroutine running the engine's range scan,
@@ -105,7 +106,7 @@ func (c *srvConn) openStream(tag uint32, req *Request) error {
 // status byte, so every frame starts as a chunk and the last is re-stamped.
 func (st *srvStream) serve() {
 	c := st.c
-	st.out = frameBufPool.Get().(*frameBuf)
+	st.out = frameBufs.Get()
 	st.out.b = append(beginFrame(st.out.b, st.tag), byte(StatusChunk), 'E')
 	st.body = len(st.out.b)
 	var err error
@@ -199,12 +200,12 @@ func (st *srvStream) finish() {
 	default:
 	}
 	st.cancelled.Store(false)
-	frameBufPool.Put(st.out)
+	frameBufs.Put(st.out)
 	st.out, st.snap = nil, nil
 	c.s.openStreams.Add(-1)
 	c.busy.Add(-1)
 	c.mu.Lock()
-	if len(c.idle) < maxIdleStreams && cap(st.bounds) <= retainLimit {
+	if len(c.idle) < maxIdleStreams && cap(st.bounds) <= recycle.RetainLimit {
 		c.idle = append(c.idle, st)
 	}
 	c.mu.Unlock()

@@ -52,7 +52,7 @@ func (s *Stream) open(ctx context.Context, c *Client, handle uint64, start, end 
 	if len(end) == 0 {
 		end = nil
 	}
-	cl := callPool.Get().(*call)
+	cl := calls.Get()
 	cl.stream = true
 	*s = Stream{c: c, ctx: ctx, cl: cl, credit: initialCredit}
 	var err error
@@ -172,7 +172,7 @@ func (s *Stream) Close() error {
 	if s.c.forget(s.tag, s.cl) {
 		s.c.send(s.cl, s.tag, &Request{Op: OpCancel})
 	}
-	putCall(s.cl)
+	calls.Put(s.cl)
 	s.cl, s.rest, s.key, s.value = nil, nil, nil, nil
 	return nil
 }
@@ -193,7 +193,7 @@ func (c *Client) Snapshot(ctx context.Context) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	putCall(cl)
+	calls.Put(cl)
 	if resp.Handle == 0 {
 		return nil, fmt.Errorf("kvnet: malformed snapshot response: %w", ErrProtocol)
 	}
@@ -216,8 +216,8 @@ func (s *Snapshot) OpenStream(ctx context.Context, st *Stream, start, end []byte
 // Idempotent.
 func (s *Snapshot) Release() {
 	if s.released.CompareAndSwap(false, true) {
-		cl := callPool.Get().(*call)
+		cl := calls.Get()
 		s.c.send(cl, 0, &Request{Op: OpRelease, Handle: s.handle})
-		putCall(cl)
+		calls.Put(cl)
 	}
 }

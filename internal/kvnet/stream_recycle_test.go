@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/kverr"
+	"repro/internal/recycle"
 )
 
 // TestStressGrantRacingLeaseExpiryIsAnswered: a grant that reaches a stream
@@ -66,6 +67,10 @@ func TestStressGrantRacingLeaseExpiryIsAnswered(t *testing.T) {
 // and close: it keeps at most maxIdleStreams of their states, none with an
 // armed timer, and no goroutine outlives them.
 func TestStressRecycledStreamStateIsolated(t *testing.T) {
+	reusedAndPoisoned(t, stressRecycledStreamStateIsolated)
+}
+
+func stressRecycledStreamStateIsolated(t *testing.T) {
 	const n = 3000
 	db := openDB(t)
 	keys, vals := make([][]byte, n), make([][]byte, n)
@@ -241,4 +246,55 @@ func checkIdleStreams(t *testing.T, srv *Server) {
 		}
 		sc.mu.Unlock()
 	}
+}
+
+// reusedAndPoisoned runs test as two subtests: with recycled objects reused,
+// and under recycle.Poison, which resets and drops them instead. An object
+// recycled while still in use shows as somebody else's data in the first
+// and as a reset object in the second.
+func reusedAndPoisoned(t *testing.T, test func(t *testing.T)) {
+	for _, poison := range []bool{false, true} {
+		t.Run(map[bool]string{false: "reused", true: "poisoned"}[poison], func(t *testing.T) {
+			recycle.Poison.Store(poison)
+			defer recycle.Poison.Store(false)
+			test(t)
+		})
+	}
+}
+
+// putTwicePanics checks that a second Put of x into p panics. It runs under
+// recycle.Poison, so that nothing can Get x between the two.
+func putTwicePanics[P recycle.Recyclable](t *testing.T, p *recycle.Pool[P], x P) {
+	t.Helper()
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
+	p.Put(x)
+	defer func() {
+		if recover() == nil {
+			t.Errorf("a second Put of a %T did not panic", x)
+		}
+	}()
+	p.Put(x)
+}
+
+// TestRecycledResetBoundsBuffers: the Reset of a client call and of a server
+// frame buffer keeps a buffer of normal size and drops one grown past
+// recycle.RetainLimit. A second Put of either panics.
+func TestRecycledResetBoundsBuffers(t *testing.T) {
+	for _, size := range []int{4 << 10, recycle.RetainLimit + 1} {
+		want := size <= recycle.RetainLimit
+		cl := calls.New()
+		cl.buf, cl.wbuf = make([]byte, size), make([]byte, size)
+		cl.Reset()
+		fb := frameBufs.New()
+		fb.b = make([]byte, size)
+		fb.Reset()
+		for name, kept := range map[string]bool{"call buffer": cl.buf != nil, "call write buffer": cl.wbuf != nil, "frame buffer": fb.b != nil} {
+			if kept != want {
+				t.Errorf("%s of %d bytes: Reset kept it %t, want %t", name, size, kept, want)
+			}
+		}
+	}
+	putTwicePanics(t, &calls, calls.New())
+	putTwicePanics(t, &frameBufs, frameBufs.New())
 }

@@ -174,8 +174,7 @@ func (w *worker) writeVersioned(ctx context.Context, body []byte) (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	w.batch.Reset()
-	for _, op := range v.ops[:n] {
+	for _, op := range v.ops[:n] { // into the batch serve left empty
 		s.stamps.raise(op.Key, op.Value)
 		w.batch.Put(op.Key, op.Value)
 	}

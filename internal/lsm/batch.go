@@ -18,10 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/kverr"
+	"repro/internal/recycle"
 	"repro/internal/wal"
 )
 
@@ -94,10 +94,10 @@ func (b *WriteBatch) Op(i int) (key, value []byte, del bool) {
 // Empty reports whether the batch holds no operations.
 func (b *WriteBatch) Empty() bool { return len(b.ops) == 0 }
 
-// Reset clears the batch for reuse, retaining its arena capacity.
+// Reset clears the batch for reuse, retaining its arena capacity up to
+// recycle.RetainLimit.
 func (b *WriteBatch) Reset() {
-	b.data = b.data[:0]
-	b.ops = b.ops[:0]
+	b.data, b.ops = recycle.Trim(b.data), recycle.Trim(b.ops)
 }
 
 // SizeBytes approximates the batch's WAL footprint (keys, values and
@@ -125,17 +125,20 @@ func (b *WriteBatch) record(i int, seq uint64) wal.Record {
 // writer whose ctx expires abandons the queue if its request is not yet
 // claimed by a group.
 //
-// Requests, wake channel included, are recycled through commitReqPool. What
-// makes that safe is the wake invariant: a request receives at most one
-// wake, and its writer has consumed it before WriteContext returns. A
-// follower returns only on its wake; a leader got its wake (or, first in an
-// empty queue, never needed one) before it led; and a writer leaves the
-// queue without a wake only through abandonReq, which succeeds only for a
+// Requests, wake channel and one-op batch included, are recycled through
+// commitReqs, so a write allocates nothing but its memtable version. That
+// is safe by the wake invariant: a request receives at most one wake, and
+// its writer has consumed it before WriteContext returns. A follower
+// returns only on its wake; a leader got its wake (or, first in an empty
+// queue, never needed one) before it led; and a writer leaves the queue
+// without a wake only through abandonReq, which succeeds only for a
 // request that is unclaimed and not at the head — one that no leader has
 // woken or can still wake. So once WriteContext returns nothing references
 // the request and its channel is empty.
 type commitReq struct {
+	recycle.Mark
 	batch *WriteBatch
+	one   WriteBatch // the batch of a PutContext or DeleteContext
 	ctx   context.Context
 	err   error
 	wake  chan bool
@@ -158,14 +161,13 @@ const maxGroupBytes = 1 << 20
 // WriteContext returns ErrBatchTooLarge beyond it.
 const MaxBatchBytes = 16 << 20
 
-// writeBatchPool recycles the single-op batches behind PutContext and
-// DeleteContext, and commitReqPool the commit requests of every write (see
-// commitReq for why that is safe), so the write path allocates nothing of
-// its own: what a write costs is its memtable version.
-var (
-	writeBatchPool = sync.Pool{New: func() any { return new(WriteBatch) }}
-	commitReqPool  = sync.Pool{New: func() any { return &commitReq{wake: make(chan bool, 1)} }}
-)
+var commitReqs = recycle.Pool[*commitReq]{New: func() *commitReq { return &commitReq{wake: make(chan bool, 1)} }}
+
+// Reset implements recycle.Recyclable.
+func (req *commitReq) Reset() {
+	req.one.Reset()
+	*req = commitReq{one: req.one, wake: req.wake}
+}
 
 // WriteContext commits the batch atomically: every operation, or none,
 // survives a crash, and scans and snapshots observe the batch as a unit
@@ -192,6 +194,15 @@ func (db *DB) WriteContext(ctx context.Context, b *WriteBatch) error {
 	if b == nil || b.Len() == 0 {
 		return nil
 	}
+	req := commitReqs.Get()
+	req.batch = b
+	return db.write(ctx, req)
+}
+
+// write commits req.batch as WriteContext does and recycles req.
+func (db *DB) write(ctx context.Context, req *commitReq) error {
+	defer commitReqs.Put(req)
+	b := req.batch
 	for _, op := range b.ops {
 		if op.keyLen == 0 {
 			return fmt.Errorf("lsm: empty key: %w", kverr.ErrConfig)
@@ -206,12 +217,8 @@ func (db *DB) WriteContext(ctx context.Context, b *WriteBatch) error {
 	load := db.loadGauge()
 	load.Add(1)
 	defer load.Add(-1)
-	req := commitReqPool.Get().(*commitReq)
-	req.batch, req.ctx = b, ctx
-	err := db.commit(req)
-	*req = commitReq{wake: req.wake}
-	commitReqPool.Put(req)
-	return err
+	req.ctx = ctx
+	return db.commit(req)
 }
 
 // commit runs req through the commit queue and returns its outcome, having

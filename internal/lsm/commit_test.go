@@ -82,7 +82,9 @@ func TestAllocPutOneObject(t *testing.T) {
 // recycled, so one put back while a wake was still on its way would hand
 // that wake to the next writer, which would return an outcome that is not
 // its own; that fails here. Run under -race.
-func TestStressCommitCancellation(t *testing.T) {
+func TestStressCommitCancellation(t *testing.T) { reusedAndPoisoned(t, stressCommitCancellation) }
+
+func stressCommitCancellation(t *testing.T) {
 	db := openTestDB(t, Options{SyncWAL: true, MemtableBytes: 256 << 10})
 	const writers, writes = 8, 250
 	type outcome struct {

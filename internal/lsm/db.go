@@ -515,24 +515,20 @@ func (db *DB) Close() error {
 // WAL append (and at most one fsync) for the whole group — see batch.go,
 // and WriteContext for the cancellation points on the pipeline.
 func (db *DB) PutContext(ctx context.Context, key, value []byte) error {
-	b := writeBatchPool.Get().(*WriteBatch)
-	b.Reset()
-	b.Put(key, value)
-	err := db.WriteContext(ctx, b)
-	writeBatchPool.Put(b)
-	return err
+	req := commitReqs.Get()
+	req.one.Put(key, value)
+	req.batch = &req.one
+	return db.write(ctx, req)
 }
 
 // DeleteContext removes key by writing a tombstone; the key physically
 // disappears at the next major compaction. Like Puts, deletes ride the
 // group-commit pipeline.
 func (db *DB) DeleteContext(ctx context.Context, key []byte) error {
-	b := writeBatchPool.Get().(*WriteBatch)
-	b.Reset()
-	b.Delete(key)
-	err := db.WriteContext(ctx, b)
-	writeBatchPool.Put(b)
-	return err
+	req := commitReqs.Get()
+	req.one.Delete(key)
+	req.batch = &req.one
+	return db.write(ctx, req)
 }
 
 // recordPickLocked counts a completed compaction against the policy or

@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/iterator"
+	"repro/internal/recycle"
 )
 
 // rangeModel checks a scan of [lo, hi) entry by entry against what the
@@ -49,17 +49,31 @@ func (m *rangeModel) skipTo(i int) error {
 	return nil
 }
 
+// reusedAndPoisoned runs test as two subtests: with recycled objects reused,
+// and under recycle.Poison, which resets and drops them instead. An object
+// recycled while still in use shows as somebody else's data in the first
+// and as a reset object in the second.
+func reusedAndPoisoned(t *testing.T, test func(t *testing.T)) {
+	for _, poison := range []bool{false, true} {
+		t.Run(map[bool]string{false: "reused", true: "poisoned"}[poison], func(t *testing.T) {
+			recycle.Poison.Store(poison)
+			defer recycle.Poison.Store(false)
+			test(t)
+		})
+	}
+}
+
 // TestStressRecycledScan races short scans and snapshot iterators — each
 // drawing its merge, table iterators and key arenas from the free lists the
 // last one returned them to — against write-triggered flushes, live minor
-// compactions and repeated major compactions, with freed block arrays and
-// emptied key arenas poisoned. Every entry is checked against the model and
+// compactions and repeated major compactions, once reusing what is
+// recycled and once under recycle.Poison. Every entry is checked against the model and
 // two iterators over one snapshot are read in lockstep, so an iterator
 // recycled while a merge, a scan or its caller still reads it fails a
 // comparison here. Run under -race.
-func TestStressRecycledScan(t *testing.T) {
-	cache.PoisonFreed.Store(true)
-	defer cache.PoisonFreed.Store(false)
+func TestStressRecycledScan(t *testing.T) { reusedAndPoisoned(t, stressRecycledScan) }
+
+func stressRecycledScan(t *testing.T) {
 	db := openTestDB(t, Options{
 		MemtableBytes:   16 << 10,
 		BlockCacheBytes: 128 << 10,
@@ -191,12 +205,12 @@ func TestStressRecycledScan(t *testing.T) {
 // TestStressHeldMemtableKeepsItsSlabs: a scan or a snapshot holding a
 // memtable the DB has flushed keeps its slabs out of reuse, however many
 // memtables rotate meanwhile, and reads it whole; the release of the last
-// holder recycles them, and under cache.PoisonFreed a key the scan handed out
+// holder recycles them, and under recycle.Poison a key the scan handed out
 // then reads as poison. Were the DB to recycle a memtable on its own
 // reference alone, the key would change while the scan still held it.
 func TestStressHeldMemtableKeepsItsSlabs(t *testing.T) {
-	cache.PoisonFreed.Store(true)
-	defer cache.PoisonFreed.Store(false)
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
 	db := openTestDB(t, Options{MemtableBytes: 64 << 20})
 	ctx := context.Background()
 	for i := 0; i < 500; i++ {
@@ -269,8 +283,8 @@ func TestStressHeldMemtableKeepsItsSlabs(t *testing.T) {
 // memtable on the DB's reference alone, ignoring the read views and read
 // states that hold it, fails here. Run under -race.
 func TestStressRecycledMemtable(t *testing.T) {
-	cache.PoisonFreed.Store(true)
-	defer cache.PoisonFreed.Store(false)
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
 	db := openTestDB(t, Options{MemtableBytes: 8 << 10, BlockCacheBytes: 64 << 10})
 	const keys, window = 600, 16
 	var latest [keys]atomic.Int64
@@ -398,4 +412,65 @@ func TestStressRecycledMemtable(t *testing.T) {
 		t.Fatalf("only %d flushes: memtables were not recycled", st.Flushes)
 	}
 	t.Logf("%d flushes, %d Gets, %d scans, %d snapshots", db.Stats().Flushes, gets.Load(), scans.Load(), snapshots.Load())
+}
+
+// putTwicePanics checks that a second Put of x into p panics. It runs under
+// recycle.Poison, so that nothing can Get x between the two.
+func putTwicePanics[P recycle.Recyclable](t *testing.T, p *recycle.Pool[P], x P) {
+	t.Helper()
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
+	p.Put(x)
+	defer func() {
+		if recover() == nil {
+			t.Errorf("a second Put of a %T did not panic", x)
+		}
+	}()
+	p.Put(x)
+}
+
+// TestRecycledResetBoundsBuffers: the Reset of a recycled commit request,
+// and of a WriteBatch — a store's sub-batches and a kvnet worker's batch —
+// keeps an arena of normal size, so that the lanes' allocations do not move,
+// and drops one grown past recycle.RetainLimit. A second Put of a commit
+// request or a scan panics.
+func TestRecycledResetBoundsBuffers(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reset func(value []byte) (kept bool)
+	}{
+		{"commit request", func(value []byte) bool {
+			req := commitReqs.New()
+			req.one.Put([]byte("key"), value)
+			req.Reset()
+			return req.one.data != nil
+		}},
+		{"write batch", func(value []byte) bool {
+			var b WriteBatch
+			b.Put([]byte("key"), value)
+			b.Reset()
+			return b.data != nil && b.ops != nil
+		}},
+	} {
+		for _, size := range []int{4 << 10, recycle.RetainLimit} {
+			if kept, want := tc.reset(make([]byte, size)), size < recycle.RetainLimit; kept != want {
+				t.Errorf("%s holding a %d-byte value: Reset kept its arena %t, want %t", tc.name, size, kept, want)
+			}
+		}
+	}
+	putTwicePanics(t, &commitReqs, commitReqs.New())
+	db := openTestDB(t, Options{})
+	_, release, err := db.NewIterator(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recycle.Poison.Store(true) // the scan is dropped: nothing can take it in between
+	defer recycle.Poison.Store(false)
+	release()
+	defer func() {
+		if recover() == nil {
+			t.Error("a second release of a scan did not panic")
+		}
+	}()
+	release()
 }

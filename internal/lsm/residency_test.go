@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/iterator"
+	"repro/internal/recycle"
 	"repro/internal/sstable"
 	"repro/internal/vfs"
 )
@@ -633,8 +634,8 @@ func TestTableBuildStartsNoGoroutine(t *testing.T) {
 // a buffer the writer has since reused, fails a value check. Run under
 // -race.
 func TestStressResidency(t *testing.T) {
-	cache.PoisonFreed.Store(true)
-	defer cache.PoisonFreed.Store(false)
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
 	db := openTestDB(t, Options{
 		MemtableBytes:   32 << 10,
 		BlockCacheBytes: 160 << 10,

@@ -3,10 +3,12 @@ package lsm
 import (
 	"bytes"
 	"context"
+	"slices"
 	"sync"
 
 	"repro/internal/iterator"
 	"repro/internal/memtable"
+	"repro/internal/recycle"
 	"repro/internal/skiplist"
 	"repro/internal/sstable"
 )
@@ -15,23 +17,31 @@ import (
 // more pinned read views k-way-merged, the newest version of each key kept,
 // deleted keys hidden, the stream cut at an exclusive end. It holds one
 // pin and one memtable registration per view, as every other reader does,
-// and is recycled with its slices, so once a scan has run, NewIterator
+// and is recycled with its slices and the table iterators it holds by
+// value, key arenas included, so once a scan has run, NewIterator
 // allocates nothing however many tables and shards it merges. Its release
 // closes the table iterators, drops the registrations and pins and
 // recycles the scan: every entry dies there.
 type scan struct {
+	recycle.Mark
 	iterator.Dedup
 	views    []*readView
 	mems     []memtable.Iter
-	tables   []*sstable.Iter
+	tables   []sstable.Iter
 	children []iterator.Iterator
 	merge    iterator.Merging
 	end      []byte
-	open     bool
 	release  func() // close, bound once so handing it out allocates nothing
 }
 
-var scans = sync.Pool{New: func() any { return new(scan) }}
+var scans = recycle.Pool[*scan]{New: func() *scan { return new(scan) }}
+
+// Reset implements recycle.Recyclable.
+func (sc *scan) Reset() {
+	sc.merge.Reset()
+	*sc = scan{views: emptied(sc.views), mems: emptied(sc.mems), tables: sc.tables[:0],
+		children: emptied(sc.children), merge: sc.merge, release: sc.release}
+}
 
 // source is what a scan reads: a DB's published view or a snapshot's.
 type source interface {
@@ -44,11 +54,11 @@ type source interface {
 // across shards. Only the view's tables overlapping [start, end) are read,
 // but the pin keeps all of them until the release.
 func NewShardIterator[S source](shards []S, start, end []byte) (iterator.Iterator, func(), error) {
-	sc := scans.Get().(*scan)
+	sc := scans.Get()
 	if sc.release == nil {
 		sc.release = sc.close
 	}
-	sc.open, sc.end = true, end
+	sc.end = end
 	for _, sh := range shards {
 		v, bound, err := sh.pinAt()
 		if err != nil {
@@ -61,39 +71,36 @@ func NewShardIterator[S source](shards []S, start, end []byte) (iterator.Iterato
 			sc.mems = append(sc.mems, v.imm.IterAt(start, skiplist.MaxSeq))
 		}
 	}
-	for i := range sc.mems {
-		sc.children = append(sc.children, &sc.mems[i])
-	}
 	for _, v := range sc.views {
 		for _, th := range v.tables {
 			if th.overlaps(start, end) {
-				it := th.rd.IterFrom(start)
-				sc.tables = append(sc.tables, it)
-				sc.children = append(sc.children, it)
+				n := len(sc.tables) // reslice: an Iter past len keeps its arenas
+				sc.tables = slices.Grow(sc.tables, 1)[:n+1]
+				th.rd.OpenIter(&sc.tables[n], start)
 			}
 		}
+	}
+	for i := range sc.mems {
+		sc.children = append(sc.children, &sc.mems[i])
+	}
+	for i := range sc.tables {
+		sc.children = append(sc.children, &sc.tables[i])
 	}
 	sc.merge.Reset(sc.children...)
 	sc.Dedup.Reset(&sc.merge, iterator.IsTombstone)
 	return sc, sc.release, nil
 }
 
-// close ends the read and recycles the scan. A second release would end
-// somebody else's read, so it panics while it still can.
+// close ends the read and recycles the scan; a second release panics in
+// Put.
 func (sc *scan) close() {
-	if !sc.open {
-		panic("lsm: iterator released twice")
-	}
-	for _, it := range sc.tables {
-		it.Close()
+	for i := range sc.tables {
+		sc.tables[i].Close()
 	}
 	for _, v := range sc.views {
 		v.mem.Unpin()
 		v.unpin()
 	}
-	sc.merge.Reset()
-	*sc = scan{views: emptied(sc.views), mems: emptied(sc.mems), tables: emptied(sc.tables),
-		children: emptied(sc.children), merge: sc.merge, release: sc.release}
 	scans.Put(sc)
 }
 
@@ -113,8 +120,8 @@ func (sc *scan) Valid() bool {
 // treats a failed source as exhausted, and without it a corrupt block would
 // end the scan as if it were complete.
 func (sc *scan) Err() error {
-	for _, it := range sc.tables {
-		if err := it.Err(); err != nil {
+	for i := range sc.tables {
+		if err := sc.tables[i].Err(); err != nil {
 			return err
 		}
 	}

@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/cache"
+	"repro/internal/recycle"
 	"repro/internal/skiplist"
 )
 
@@ -269,8 +269,8 @@ func TestStressReadersOverSlabsAndInlineVersions(t *testing.T) {
 // itself — no node, tower or key slab, and no skiplist. What a released
 // memtable handed out is gone with it: its keys read as poison.
 func TestAllocRotationRecyclesSlabs(t *testing.T) {
-	cache.PoisonFreed.Store(true)
-	defer cache.PoisonFreed.Store(false)
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
 	const keys = 2500 // ten node slabs, about 3.3 of 4 tower slabs, ten key slabs
 	var free skiplist.FreeList
 	ks := make([][]byte, keys)

@@ -64,7 +64,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cache"
+	"repro/internal/recycle"
 )
 
 const (
@@ -288,7 +288,7 @@ func (f *FreeList) New(seed int64) *List {
 }
 
 // Recycle returns the list's slabs to its free list zeroed, so no retired
-// version stays reachable (under cache.PoisonFreed, keys poisoned).
+// version stays reachable (under recycle.Poison, keys poisoned).
 // Nothing may touch the list, or a key it handed out, afterwards.
 func (l *List) Recycle() {
 	for _, slab := range l.nodes.all {
@@ -298,11 +298,7 @@ func (l *List) Recycle() {
 		clear(slab)
 	}
 	for _, slab := range l.keys.all {
-		if cache.PoisonFreed.Load() {
-			for i := range slab {
-				slab[i] = 0xdb
-			}
-		}
+		recycle.Scrub(slab)
 	}
 	clear(l.head.next[:])
 	clear(l.head.tower[:])

@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"math/bits"
 
-	"repro/internal/cache"
 	"repro/internal/iterator"
+	"repro/internal/recycle"
 )
 
 // Data blocks: prefix-compressed entries terminated by a
@@ -318,17 +318,12 @@ type keyArena struct {
 // large value does not cost a chunk of its size.
 const maxArenaChunk = 4096
 
-// empty drops every key; under cache.PoisonFreed the kept chunk is
+// empty drops every key; under recycle.Poison the kept chunk is
 // overwritten, so a key read after its block was left behind fails a check
 // instead of passing.
 func (a *keyArena) empty() {
 	a.buf = a.buf[:0]
-	if cache.PoisonFreed.Load() {
-		chunk := a.buf[:cap(a.buf)]
-		for i := range chunk {
-			chunk[i] = 0xdb
-		}
-	}
+	recycle.Scrub(a.buf[:cap(a.buf)])
 }
 
 // alloc returns n bytes nothing else handed out since the last empty. A

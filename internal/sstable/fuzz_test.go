@@ -303,7 +303,7 @@ func FuzzSeparatorIndexMatchesModel(f *testing.F) {
 				} else if err != ErrNotFound {
 					t.Fatalf("Get(%q) of an absent key: %v", p, err)
 				}
-				it := rd.IterFrom(p)
+				it := iterFrom(rd, p)
 				for j := i; j < min(i+3, len(entries)); j++ {
 					if !it.Valid() || !sameEntry(it.Entry(), entries[j]) {
 						t.Fatalf("SeekGE(%q) entry %d: %q (valid %v, %v), want %q", p, j-i, it.Entry().Key, it.Valid(), it.Err(), entries[j].Key)

@@ -43,28 +43,27 @@ func MergeEntries(inputs ...*Reader) int {
 func MergeTo(tw *Writer, drop func(iterator.Entry) bool, inputs ...*Reader) (MergeStats, error) {
 	var stats MergeStats
 	children := make([]iterator.Iterator, len(inputs))
-	iters := make([]*Iter, len(inputs))
+	iters := make([]Iter, len(inputs))
 	for i, rd := range inputs {
-		it := rd.ScanIter()
-		it.spend = true
-		iters[i] = it
-		children[i] = it
+		iters[i] = *rd.ScanIter()
+		iters[i].spend = true
+		children[i] = &iters[i]
 		stats.BytesRead += rd.FileSize()
 		stats.EntriesIn += rd.EntryCount()
 	}
 	tw.inputs = iters
 	defer func() {
-		tw.inputs = nil // Close recycles them: the Writer lets go first
-		for _, it := range iters {
-			it.Close()
+		tw.inputs = nil
+		for i := range iters {
+			iters[i].Close()
 		}
 	}()
 	merged := iterator.NewDedup(iterator.NewMerging(children...), drop)
 	if err := WriteAll(tw, merged); err != nil {
 		return stats, fmt.Errorf("sstable: merge: %w", err)
 	}
-	for i, it := range iters {
-		if err := it.Err(); err != nil {
+	for i := range iters {
+		if err := iters[i].Err(); err != nil {
 			return stats, fmt.Errorf("sstable: merge input %d: %w", i, err)
 		}
 	}

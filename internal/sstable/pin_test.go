@@ -13,11 +13,12 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/iterator"
+	"repro/internal/recycle"
 )
 
 // churn keeps missing in c from a table of its own until stop closes, so
 // every array that reaches c's free list is refilled (and, with
-// cache.PoisonFreed set, was overwritten first) almost at once.
+// recycle.Poison set, was overwritten first) almost at once.
 func churn(t *testing.T, c Cache, stop <-chan struct{}) *sync.WaitGroup {
 	t.Helper()
 	var other []iterator.Entry
@@ -60,8 +61,8 @@ func sameEntry(a, b iterator.Entry) bool {
 // while another reader churns the two-block cache both share and freed arrays
 // are poisoned. Run under -race.
 func TestStressEntryValidAcrossOneNext(t *testing.T) {
-	cache.PoisonFreed.Store(true)
-	defer cache.PoisonFreed.Store(false)
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
 	var entries []iterator.Entry
 	for i := 0; i < 600; i++ {
 		entries = append(entries, entry(fmt.Sprintf("key-%06d", i), fmt.Sprintf("value-%024d", i), uint64(i+1)))
@@ -74,7 +75,7 @@ func TestStressEntryValidAcrossOneNext(t *testing.T) {
 	wg := churn(t, c, stop)
 
 	for pass := 0; pass < 20; pass++ {
-		it := rd.IterFrom(entries[pass].Key)
+		it := iterFrom(rd, entries[pass].Key)
 		for i := pass; it.Valid(); i++ {
 			held := it.Entry()
 			want := cloneEntry(held)
@@ -104,8 +105,8 @@ func TestStressEntryValidAcrossOneNext(t *testing.T) {
 // newest version per key, tombstones dropped — when the tables share a
 // two-block cache that recycles every array behind the iterators.
 func TestStressMergeDedupOverRecycledBlocks(t *testing.T) {
-	cache.PoisonFreed.Store(true)
-	defer cache.PoisonFreed.Store(false)
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
 	const tables, keys = 4, 500
 	newest := map[string]iterator.Entry{}
 	c := cache.New(600)
@@ -166,12 +167,12 @@ func TestStressMergeDedupOverRecycledBlocks(t *testing.T) {
 // rebuilds from their prefix-compressed form: such a key stays intact while
 // its block is the current one or the one before — so across one Next,
 // block boundary or not — and when the iterator enters the block after
-// next, the arena it lies in is reused: under cache.PoisonFreed it then
+// next, the arena it lies in is reused: under recycle.Poison it then
 // reads as poison. An iterator with one arena, emptied at every block,
 // would break the first half; one that never reuses an arena, the second.
 func TestStressRebuiltKeysLiveTwoBlocks(t *testing.T) {
-	cache.PoisonFreed.Store(true)
-	defer cache.PoisonFreed.Store(false)
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
 	var entries []iterator.Entry
 	for i := 0; i < 600; i++ {
 		entries = append(entries, entry(fmt.Sprintf("key-%06d", i), fmt.Sprintf("value-%024d", i), uint64(i+1)))
@@ -231,7 +232,7 @@ func TestStressRebuiltKeysLiveTwoBlocks(t *testing.T) {
 }
 
 // mallocs reports the heap objects one call of fn allocates, fn warmed up
-// first, with collections held off so pooled iterators stay pooled.
+// first, with collections held off.
 func mallocs(fn func()) uint64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fn()
@@ -249,9 +250,6 @@ func mallocs(fn func()) uint64 {
 // per block of its output; that share is measured by writing the same
 // entries directly and taken out.)
 func TestAllocScanAndMergeRecycleArenas(t *testing.T) {
-	if raceEnabled {
-		t.Skip("pooled iterators are dropped at random under the race detector")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	opts := writerOptions{BlockSize: 256}
 	table := func(n int) ([]iterator.Entry, *Reader) {
@@ -307,9 +305,11 @@ func TestAllocScanAndMergeRecycleArenas(t *testing.T) {
 	}
 }
 
-// TestAllocIterSizeClass pins the pooled iterator to the 320-byte allocation
-// size class, so a field added to it must be paid for rather than grow it
-// into the next class silently.
+// TestAllocIterSizeClass keeps the table iterator within 320 bytes, the
+// allocation size class it had when it was pooled. A scan holds one by value
+// for each table it reads and a merge one for each input, so a field added
+// to it must be paid for rather than grow every scan's and merge's iterators
+// silently.
 func TestAllocIterSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Iter{}); size > 320 {
 		t.Errorf("sstable.Iter is %d bytes, past the 320-byte size class", size)

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/iterator"
+	"repro/internal/recycle"
 )
 
 // Tests for the span reads of Reader.ScanIter: a span of blocks fetched at a
@@ -227,8 +228,8 @@ func released(b *cache.Block) (yes bool) {
 // never dropped is found afterwards: once the table has left the cache, every
 // block Peek handed out must have no holder left.
 func TestStressScanIterEarlyCloseBalancesPins(t *testing.T) {
-	cache.PoisonFreed.Store(true)
-	defer cache.PoisonFreed.Store(false)
+	recycle.Poison.Store(true)
+	defer recycle.Poison.Store(false)
 	rng := rand.New(rand.NewSource(11))
 	entries := randomEntries(rng, 4000)
 	rd := buildTableOpts(t, entries, writerOptions{BlockSize: 256, IndexChunkSize: 16})

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bloom"
@@ -484,17 +483,8 @@ func (rd *Reader) getPastFilter(key []byte) (iterator.Entry, *cache.Block, error
 	return iterator.Entry{Key: key, Value: hd.value, Seq: hd.seq, Tombstone: hd.tombstone}, b, nil
 }
 
-// iters is the free list Close returns iterators to, key arenas and all.
-var iters = sync.Pool{New: func() any { return new(Iter) }}
-
-func (rd *Reader) newIter(nofill bool) *Iter {
-	it := iters.Get().(*Iter)
-	it.rd, it.nofill = rd, nofill
-	return it
-}
-
 // Iter returns an iterator over the whole table in key order.
-func (rd *Reader) Iter() *Iter { return rd.newIter(false) }
+func (rd *Reader) Iter() *Iter { return &Iter{rd: rd} }
 
 // ScanIter is Iter for maintenance that reads a whole table once and must
 // not let that show in the cache — the inputs of a compaction merge:
@@ -504,16 +494,17 @@ func (rd *Reader) Iter() *Iter { return rd.newIter(false) }
 // and spends the resident blocks it consumes). Its blocks are
 // fetched — looked up or read, and verified — a span of spanBlocks at a time,
 // on the goroutine that iterates, when its entries reach the next span.
-func (rd *Reader) ScanIter() *Iter { return rd.newIter(true) }
+func (rd *Reader) ScanIter() *Iter { return &Iter{rd: rd, nofill: true} }
 
-// IterFrom returns an iterator positioned at the first entry with
-// key >= start; a nil start is Iter.
-func (rd *Reader) IterFrom(start []byte) *Iter {
-	it := rd.newIter(false)
+// OpenIter positions it, which must be new or closed, at the first entry
+// with key >= start; a nil start reads the whole table, as Iter does. An
+// owner that holds its table iterators by value, and so their key arenas,
+// opens them without allocating.
+func (rd *Reader) OpenIter(it *Iter, start []byte) {
+	it.rd = rd
 	if start != nil {
 		it.SeekGE(start)
 	}
-	return it
 }
 
 // Iter iterates over a Reader's entries block by block, chunk by chunk.
@@ -528,9 +519,9 @@ func (rd *Reader) IterFrom(start []byte) *Iter {
 // twice, because a table holds one version per key — and it keeps a scan at
 // two pinned blocks and two arenas per table whatever its length: entering
 // a block releases the pin and empties the arena of the block two back.
-// Close releases both pins and recycles the iterator, arenas included, for
-// the next Iter, IterFrom or ScanIter: every entry dies there, and the
-// iterator must not be touched again, Err included. One never closed is
+// Close releases both pins and empties both arenas, which the iterator
+// keeps for an OpenIter: every entry dies there, and the iterator must not
+// be read again, Err included, until it is reopened. One never closed is
 // left to the garbage collector.
 type Iter struct {
 	rd *Reader
@@ -554,8 +545,8 @@ type Iter struct {
 // iterator that hit an error reports Valid() == false.
 func (it *Iter) Err() error { return it.err }
 
-// Close releases the iterator's block pins, empties its key arenas and
-// recycles it; a second Close before anything reuses it does nothing.
+// Close releases the iterator's block pins and empties its key arenas,
+// which it keeps for the next OpenIter; a second Close does nothing.
 func (it *Iter) Close() {
 	if it.rd == nil {
 		return
@@ -570,7 +561,6 @@ func (it *Iter) Close() {
 		it.v3.arenas[i].empty()
 	}
 	*it = Iter{v3: v3BlockIter{arenas: it.v3.arenas}}
-	iters.Put(it)
 }
 
 // Valid implements iterator.Iterator.

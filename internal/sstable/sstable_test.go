@@ -126,16 +126,16 @@ func TestIterSeekGE(t *testing.T) {
 		{"", "key-00000000"},             // before everything
 	}
 	for _, c := range cases {
-		it := rd.IterFrom([]byte(c.seek))
+		it := iterFrom(rd, []byte(c.seek))
 		if !it.Valid() || string(it.Entry().Key) != c.want {
 			t.Errorf("SeekGE(%q) at %q, want %q", c.seek, it.Entry().Key, c.want)
 		}
 	}
-	if it := rd.IterFrom([]byte("key-99999999")); it.Valid() {
+	if it := iterFrom(rd, []byte("key-99999999")); it.Valid() {
 		t.Errorf("SeekGE past end should be invalid")
 	}
 	// Iteration after a seek remains sorted and complete.
-	it := rd.IterFrom([]byte("key-00001500"))
+	it := iterFrom(rd, []byte("key-00001500"))
 	n := 0
 	for ; it.Valid(); it.Next() {
 		n++

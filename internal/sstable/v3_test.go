@@ -49,6 +49,13 @@ func newWriterOpts(w io.Writer, expectedEntries int, opts writerOptions) *Writer
 	return tw
 }
 
+// iterFrom returns a new iterator over rd opened at start.
+func iterFrom(rd *Reader, start []byte) *Iter {
+	it := new(Iter)
+	rd.OpenIter(it, start)
+	return it
+}
+
 func buildTableOpts(t testing.TB, entries []iterator.Entry, opts writerOptions) *Reader {
 	t.Helper()
 	var buf bytes.Buffer
@@ -114,12 +121,12 @@ func TestRoundTripAcrossVersionsAndCodecs(t *testing.T) {
 			}
 			// Seeks land on the right entries.
 			for i := 0; i < len(entries); i += 211 {
-				it := rd.IterFrom(entries[i].Key)
+				it := iterFrom(rd, entries[i].Key)
 				if !it.Valid() || !bytes.Equal(it.Entry().Key, entries[i].Key) {
 					t.Fatalf("SeekGE(%q) landed at %q", entries[i].Key, it.Entry().Key)
 				}
 			}
-			if it := rd.IterFrom([]byte("zzzz")); it.Valid() {
+			if it := iterFrom(rd, []byte("zzzz")); it.Valid() {
 				t.Fatal("SeekGE past end should be invalid")
 			}
 		})

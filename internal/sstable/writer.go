@@ -35,7 +35,7 @@ type Writer struct {
 	// come from.
 	blocks Cache
 	id     uint64
-	inputs []*Iter
+	inputs []Iter
 
 	bb       blockBuilder // current block
 	blockKey []byte       // index key of the current block
@@ -132,9 +132,9 @@ func (w *Writer) Reader(file io.ReaderAt) *Reader {
 // what users just wrote: always resident.
 func (w *Writer) inputsResident() bool {
 	resident := true
-	for _, it := range w.inputs {
-		resident = resident && !it.sawCold
-		it.sawCold = false
+	for i := range w.inputs {
+		resident = resident && !w.inputs[i].sawCold
+		w.inputs[i].sawCold = false
 	}
 	return resident
 }

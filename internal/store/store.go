@@ -41,6 +41,7 @@ import (
 	"repro/internal/keyhash"
 	"repro/internal/kverr"
 	"repro/internal/lsm"
+	"repro/internal/recycle"
 	"repro/internal/vfs"
 )
 
@@ -71,7 +72,7 @@ type Store struct {
 	dir    string
 	shards []*lsm.DB
 	// writes pools the scratch of a cross-shard WriteContext.
-	writes sync.Pool
+	writes recycle.Pool[*shardWrites]
 }
 
 // shardWrites is the scratch of one cross-shard WriteContext: a sub-batch
@@ -79,6 +80,7 @@ type Store struct {
 // bound method values, a write fanned out over N shards allocates nothing
 // beyond what each shard's own commit does.
 type shardWrites struct {
+	recycle.Mark
 	subs []shardWrite
 	wg   sync.WaitGroup
 }
@@ -207,7 +209,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	s := &Store{dir: dir, shards: make([]*lsm.DB, n)}
-	s.writes.New = func() any {
+	s.writes.New = func() *shardWrites {
 		ws := &shardWrites{subs: make([]shardWrite, n)}
 		for i := range ws.subs {
 			w := &ws.subs[i]
@@ -306,7 +308,7 @@ func (s *Store) WriteContext(ctx context.Context, b *lsm.WriteBatch) error {
 	if b.SizeBytes() > lsm.MaxBatchBytes {
 		return fmt.Errorf("%w: %d bytes > %d", lsm.ErrBatchTooLarge, b.SizeBytes(), lsm.MaxBatchBytes)
 	}
-	ws := s.writes.Get().(*shardWrites)
+	ws := s.writes.Get()
 	subs := ws.subs
 	for i := 0; i < b.Len(); i++ {
 		key, value, del := b.Op(i)
@@ -336,15 +338,21 @@ func (s *Store) WriteContext(ctx context.Context, b *lsm.WriteBatch) error {
 	ws.wg.Wait()
 	var errs []error
 	for i := range subs {
-		w := &subs[i]
-		if w.err != nil {
-			errs = append(errs, w.err)
+		if err := subs[i].err; err != nil {
+			errs = append(errs, err)
 		}
-		w.batch.Reset()
-		w.ctx, w.err = nil, nil
 	}
 	s.writes.Put(ws)
 	return errors.Join(errs...)
+}
+
+// Reset implements recycle.Recyclable.
+func (ws *shardWrites) Reset() {
+	for i := range ws.subs {
+		w := &ws.subs[i]
+		w.batch.Reset()
+		w.ctx, w.err = nil, nil
+	}
 }
 
 // Flush forces every shard's memtable to an sstable.

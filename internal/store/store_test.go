@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/lsm"
 	"repro/internal/model"
+	"repro/internal/recycle"
 	"repro/internal/vfs"
 	"repro/internal/wal"
 )
@@ -692,3 +693,31 @@ func (s *Store) ShardCount() int { return len(s.shards) }
 
 // Shard returns shard i's engine, for per-shard inspection (stats, tests).
 func (s *Store) Shard(i int) *lsm.DB { return s.shards[i] }
+
+// TestRecycledResetEmptiesSubBatches: the Reset of a cross-shard write's
+// scratch empties every sub-batch (each WriteBatch.Reset bounds its arena;
+// see lsm's TestRecycledResetBoundsBuffers) and forgets its context and
+// error, and a second Put of the scratch panics.
+func TestRecycledResetEmptiesSubBatches(t *testing.T) {
+	s := openStore(t, 2, lsm.Options{})
+	ws := s.writes.Get()
+	for i := range ws.subs {
+		ws.subs[i].batch.Put([]byte("key"), []byte("value"))
+		ws.subs[i].ctx, ws.subs[i].err = context.Background(), errors.New("failed")
+	}
+	ws.Reset()
+	for i, w := range ws.subs {
+		if !w.batch.Empty() || w.ctx != nil || w.err != nil {
+			t.Errorf("sub-batch %d after Reset: %d ops, ctx %v, err %v", i, w.batch.Len(), w.ctx, w.err)
+		}
+	}
+	recycle.Poison.Store(true) // ws is dropped: nothing can take it in between
+	defer recycle.Poison.Store(false)
+	s.writes.Put(ws)
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Put of a cross-shard write's scratch did not panic")
+		}
+	}()
+	s.writes.Put(ws)
+}

@@ -195,7 +195,7 @@ func (b *Batch) Len() int { return b.wb.Len() }
 // MaxBatchBytes bounds.
 func (b *Batch) SizeBytes() int { return b.wb.SizeBytes() }
 
-// Reset clears the batch for reuse, retaining its capacity.
+// Reset clears the batch for reuse, retaining its capacity up to 1 MiB.
 func (b *Batch) Reset() { b.wb.Reset() }
 
 // CompactOptions selects the merge schedule of one Compact call.
