@@ -1,15 +1,32 @@
 // Command compactsim regenerates the paper's evaluation figures from
-// internal/experiments. Each figure prints as an aligned text table; -csv
-// additionally writes machine-readable data.
+// internal/experiments. Each table prints as aligned text; -csv DIR also
+// writes every printed table to DIR/<name>.csv.
 //
 // Usage:
 //
 //	compactsim -fig 7            # Figures 7a and 7b (cost & time vs update %)
+//	compactsim -fig 7a           # Figure 7a alone (7b: Figure 7b alone)
 //	compactsim -fig 8            # Figure 8 (BT(I) vs lower bound)
 //	compactsim -fig 9a -runs 3   # Figure 9a (SI cost vs time, update sweep)
 //	compactsim -fig 9b           # Figure 9b (SI cost vs time, data sweep)
 //	compactsim -fig optgap       # extension: heuristics vs exact optimum
+//	compactsim -fig ablation     # ablations: merge fan-in k, HLL precision
 //	compactsim -fig all          # everything
+//	compactsim -dump FILE        # write one generated instance to FILE
+//	compactsim -score FILE       # score an instance file with every strategy
+//
+// The CSV files and their columns, where a Stat column X is the two
+// columns X_mean,X_std and other numbers are single columns:
+//
+//	fig7a.csv         update_pct, <strategy> (Stat, costactual) per strategy, sstables
+//	fig7b.csv         update_pct, <strategy>_ms (Stat) per strategy, sstables
+//	fig8.csv          distribution, memtable_keys, sstables, cost (Stat), lopt (Stat), cost_over_lopt
+//	fig9a.csv         distribution, update_pct, cost (Stat), time_ms (Stat)
+//	fig9b.csv         distribution, operation_count, cost (Stat), time_ms (Stat)
+//	optgap.csv        strategy, mean_cost_over_opt, worst_cost_over_opt, mean_cost_over_lopt, trials
+//	ablation_k.csv    strategy, k, cost (Stat), steps, time_ms, cost_over_lopt
+//	ablation_hll.csv  estimator, cost (Stat), time_ms, cost_over_exact
+//	score.csv         strategy, cost_simple, cost_actual
 //
 // The defaults reproduce the paper's Section 5.2 parameters (operationcount
 // 100K, recordcount 1000, memtable 1000 keys, 3 runs, k=2, latest
@@ -23,9 +40,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
-	"text/tabwriter"
 
 	"repro/internal/compaction"
 	"repro/internal/experiments"
@@ -43,12 +59,15 @@ func main() {
 	}
 }
 
+// figNames are the values of -fig.
+const figNames = "7, 7a, 7b, 8, 9a, 9b, optgap, ablation, all"
+
 // run parses args as compactsim's command line and prints the requested
 // figures, score or dump report to stdout.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("compactsim", flag.ContinueOnError)
 	var (
-		fig     = fs.String("fig", "all", "figure to regenerate: 7, 7a, 7b, 8, 9a, 9b, optgap, ablation, all")
+		fig     = fs.String("fig", "all", "figure to regenerate: "+figNames)
 		ops     = fs.Int("ops", 100000, "YCSB operationcount")
 		records = fs.Int("records", 1000, "YCSB recordcount")
 		mem     = fs.Int("memtable", 1000, "memtable capacity in distinct keys")
@@ -83,6 +102,9 @@ func run(args []string, stdout io.Writer) error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must not be negative, got %d", *workers)
 	}
+	if !slices.Contains(strings.Split(figNames, ", "), *fig) {
+		return fmt.Errorf("-fig must be one of %s, got %q", figNames, *fig)
+	}
 
 	d, err := ycsb.ParseDistribution(*dist)
 	if err != nil {
@@ -109,97 +131,47 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *score != "" {
-		return scoreFile(stdout, *score, *k, *seed)
+		return scoreFile(stdout, *csvDir, *score, *k, *seed)
 	}
 	if *dump != "" {
 		return dumpInstance(stdout, *dump, p)
 	}
 
-	want := func(names ...string) bool {
-		for _, n := range names {
-			if *fig == n {
-				return true
+	one := func(t experiments.Table, err error) ([]experiments.Table, error) { return []experiments.Table{t}, err }
+	figures := []struct {
+		name   string
+		tables func() ([]experiments.Table, error)
+	}{
+		{"7", func() ([]experiments.Table, error) { return experiments.Fig7(p) }},
+		{"8", func() ([]experiments.Table, error) { return one(experiments.Fig8(p)) }},
+		{"9a", func() ([]experiments.Table, error) { return one(experiments.Fig9a(p)) }},
+		{"9b", func() ([]experiments.Table, error) { return one(experiments.Fig9b(p)) }},
+		{"optgap", func() ([]experiments.Table, error) { return one(experiments.OptGap(p, *tables, *trials)) }},
+		{"ablation", func() ([]experiments.Table, error) {
+			ks, err := experiments.KSweep(p, 40, nil)
+			if err != nil {
+				return nil, err
+			}
+			hs, err := experiments.HLLSweep(p, 40, nil)
+			return []experiments.Table{ks, hs}, err
+		}},
+	}
+	// -fig 7a and 7b run Figure 7 and print the one table they name.
+	for _, f := range figures {
+		if *fig != "all" && !strings.HasPrefix(*fig, f.name) {
+			continue
+		}
+		ts, err := f.tables()
+		if err != nil {
+			return err
+		}
+		for _, t := range ts {
+			if *fig == "all" || *fig == f.name || t.Name == "fig"+*fig {
+				if err := emit(stdout, *csvDir, t); err != nil {
+					return err
+				}
 			}
 		}
-		return *fig == "all"
-	}
-	ran := false
-
-	if want("7", "7a", "7b") {
-		ran = true
-		rows, err := experiments.Fig7(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, experiments.FormatFig7(rows))
-		if err := writeCSV(*csvDir, "fig7.csv", func(f io.Writer) error {
-			return experiments.WriteFig7CSV(f, rows)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("8") {
-		ran = true
-		rows, err := experiments.Fig8(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, experiments.FormatFig8(rows))
-		if err := writeCSV(*csvDir, "fig8.csv", func(f io.Writer) error {
-			return experiments.WriteFig8CSV(f, rows)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("9a") {
-		ran = true
-		rows, err := experiments.Fig9a(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, experiments.FormatFig9("Figure 9a: SI cost vs time, update percentage sweep", "update%", rows))
-		if err := writeCSV(*csvDir, "fig9a.csv", func(f io.Writer) error {
-			return experiments.WriteFig9CSV(f, "update_pct", rows)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("9b") {
-		ran = true
-		rows, err := experiments.Fig9b(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, experiments.FormatFig9("Figure 9b: SI cost vs time, operationcount sweep", "opcount", rows))
-		if err := writeCSV(*csvDir, "fig9b.csv", func(f io.Writer) error {
-			return experiments.WriteFig9CSV(f, "operation_count", rows)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("optgap") {
-		ran = true
-		rows, err := experiments.OptGap(p, *tables, *trials)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, experiments.FormatOptGap(rows))
-	}
-	if want("ablation") {
-		ran = true
-		ks, err := experiments.KSweep(p, 40, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, experiments.FormatKSweep(ks))
-		hs, err := experiments.HLLSweep(p, 40, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, experiments.FormatHLLSweep(hs))
-	}
-	if !ran {
-		return fmt.Errorf("unknown figure %q (want 7, 7a, 7b, 8, 9a, 9b, optgap, ablation, all)", *fig)
 	}
 	return nil
 }
@@ -222,9 +194,8 @@ func parseStrategies(s string) ([]string, error) {
 	return out, nil
 }
 
-// scoreFile scores an instance file with every strategy (and the exact
-// optimum when feasible), printing simple and actual costs.
-func scoreFile(stdout io.Writer, path string, k int, seed int64) error {
+// scoreFile scores an instance file with experiments.Score.
+func scoreFile(stdout io.Writer, csvDir, path string, k int, seed int64) error {
 	f, err := vfs.Default.Open(path)
 	if err != nil {
 		return err
@@ -239,37 +210,17 @@ func scoreFile(stdout io.Writer, path string, k int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	scores, err := compaction.ScoreInstance(inst, k, seed)
+	t, err := experiments.Score(inst, k, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "instance: %d tables, %d distinct keys, LOPT = %d\n\n",
-		inst.N(), inst.Universe().Len(), inst.LowerBound())
-	names := make([]string, 0, len(scores))
-	for name := range scores {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool { return scores[names[i]][0] < scores[names[j]][0] })
-	tw := tabwriter.NewWriter(stdout, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "strategy\tcost (eq 2.1)\tcostactual")
-	for _, name := range names {
-		fmt.Fprintf(tw, "%s\t%d\t%d\n", name, scores[name][0], scores[name][1])
-	}
-	return tw.Flush()
+	return emit(stdout, csvDir, t)
 }
 
 // dumpInstance generates one phase-one instance from the workload
 // parameters and writes it in the instance text format.
 func dumpInstance(stdout io.Writer, path string, p experiments.Params) error {
-	cfg := ycsb.Config{
-		RecordCount:      p.RecordCount,
-		OperationCount:   p.OperationCount,
-		UpdateProportion: 0.6,
-		InsertProportion: 0.4,
-		Distribution:     p.Distribution,
-		Seed:             p.Seed,
-	}
-	inst, err := experiments.GenerateTables(cfg, p.MemtableKeys)
+	inst, err := experiments.GenerateTables(experiments.WorkloadConfig(p, 60, p.Seed), p.MemtableKeys)
 	if err != nil {
 		return err
 	}
@@ -288,16 +239,16 @@ func dumpInstance(stdout io.Writer, path string, p experiments.Params) error {
 	return nil
 }
 
-// writeCSV writes one CSV file into dir when dir is non-empty.
-func writeCSV(dir, name string, fn func(io.Writer) error) error {
-	if dir == "" {
-		return nil
+// emit prints t and, when dir is set, writes it to dir/<t.Name>.csv.
+func emit(stdout io.Writer, dir string, t experiments.Table) error {
+	if err := t.WriteText(stdout); err != nil || dir == "" {
+		return err
 	}
-	f, err := vfs.Default.Create(filepath.Join(dir, name))
+	f, err := vfs.Default.Create(filepath.Join(dir, t.Name+".csv"))
 	if err != nil {
 		return err
 	}
-	if err := fn(f); err != nil {
+	if err := t.WriteCSV(f); err != nil {
 		f.Close()
 		return err
 	}

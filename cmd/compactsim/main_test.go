@@ -2,7 +2,9 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,6 +24,7 @@ func TestOutOfRangeFlagsRejected(t *testing.T) {
 		{"-optgap-tables", []string{"-optgap-tables", "0"}},
 		{"-optgap-trials", []string{"-optgap-trials", "0"}},
 		{"-workers", []string{"-workers", "-1"}},
+		{"-fig", []string{"-fig", "7c"}},
 	} {
 		var out strings.Builder
 		err := run(tc.args, &out)
@@ -35,21 +38,38 @@ func TestOutOfRangeFlagsRejected(t *testing.T) {
 }
 
 // TestFiguresRunEndToEnd runs every figure but Figure 8, which sweeps its
-// own operation counts, at a tiny scale and checks each one's header.
+// own operation counts, at a tiny scale with -csv: each prints exactly the
+// tables it names (7a and 7b one each) and writes one CSV file per table
+// printed.
 func TestFiguresRunEndToEnd(t *testing.T) {
-	for fig, header := range map[string]string{
-		"7":        "Figure 7b: compaction time vs update percentage",
-		"9a":       "Figure 9a: SI cost vs time",
-		"9b":       "Figure 9b: SI cost vs time",
-		"optgap":   "Optimality gap vs exact DP optimum",
-		"ablation": "Ablation: SMALLESTOUTPUT cardinality estimation precision",
+	titles := map[string]string{
+		"fig7a":        "Figure 7a: compaction cost vs update percentage",
+		"fig7b":        "Figure 7b: compaction time vs update percentage",
+		"fig9a":        "Figure 9a: SI cost vs time",
+		"fig9b":        "Figure 9b: SI cost vs time",
+		"optgap":       "Optimality gap vs exact DP optimum",
+		"ablation_k":   "Ablation: merge fan-in k",
+		"ablation_hll": "Ablation: SMALLESTOUTPUT cardinality estimation precision",
+	}
+	for fig, want := range map[string][]string{
+		"7":        {"fig7a", "fig7b"},
+		"7a":       {"fig7a"},
+		"7b":       {"fig7b"},
+		"9a":       {"fig9a"},
+		"9b":       {"fig9b"},
+		"optgap":   {"optgap"},
+		"ablation": {"ablation_k", "ablation_hll"},
 	} {
+		dir := t.TempDir()
 		var out strings.Builder
-		if err := run([]string{"-fig", fig, "-ops", "2000", "-runs", "1", "-optgap-trials", "1"}, &out); err != nil {
+		if err := run([]string{"-fig", fig, "-ops", "2000", "-runs", "1", "-optgap-trials", "1", "-csv", dir}, &out); err != nil {
 			t.Fatalf("-fig %s: %v", fig, err)
 		}
-		if !strings.Contains(out.String(), header) {
-			t.Errorf("-fig %s printed no %q:\n%s", fig, header, out.String())
+		for name, title := range titles {
+			_, err := os.Stat(filepath.Join(dir, name+".csv"))
+			if printed, wanted := strings.Contains(out.String(), title), slices.Contains(want, name); printed != wanted || (err == nil) != wanted {
+				t.Errorf("-fig %s: %s printed %v, its CSV written %v; want %v", fig, name, printed, err == nil, wanted)
+			}
 		}
 	}
 }
@@ -66,8 +86,12 @@ func TestDumpThenScoreRoundTrips(t *testing.T) {
 	if _, err := fmt.Sscanf(dumped.String(), "wrote %d tables", &n); err != nil || n < 2 {
 		t.Fatalf("-dump printed %q", dumped.String())
 	}
-	if err := run([]string{"-score", path}, &scored); err != nil {
+	dir := t.TempDir()
+	if err := run([]string{"-score", path, "-csv", dir}, &scored); err != nil {
 		t.Fatal(err)
+	}
+	if csv, err := os.ReadFile(filepath.Join(dir, "score.csv")); err != nil || !strings.HasPrefix(string(csv), "strategy,cost_simple,cost_actual\n") {
+		t.Errorf("-score -csv wrote %q, %v", csv, err)
 	}
 	if want := fmt.Sprintf("instance: %d tables", n); !strings.HasPrefix(scored.String(), want) {
 		t.Errorf("-score printed %q, want it to begin %q", scored.String(), want)

@@ -112,35 +112,3 @@ func WriteInstance(w io.Writer, inst *Instance) error {
 	}
 	return bw.Flush()
 }
-
-// ScoreInstance runs every registered strategy (plus FREQ, plus the exact
-// optimum when the instance is small enough) on inst and returns the
-// simple and actual costs by strategy name, with "OPT" holding the DP
-// optimum when available.
-func ScoreInstance(inst *Instance, k int, seed int64) (map[string][2]int, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	out := make(map[string][2]int)
-	for _, name := range StrategyNames() {
-		ch, err := NewChooserByName(name, seed)
-		if err != nil {
-			return nil, err
-		}
-		sc, err := Run(inst, k, ch)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = [2]int{sc.CostSimple(), sc.CostActual()}
-	}
-	if fm, err := FreqMerge(inst, k); err == nil {
-		out["FREQ"] = [2]int{fm.CostSimple(), fm.CostActual()}
-	}
-	if inst.N() <= MaxOptimalN && k == 2 {
-		opt, err := OptimalBinary(inst)
-		if err == nil {
-			out["OPT"] = [2]int{opt.CostSimple(), opt.CostActual()}
-		}
-	}
-	return out, nil
-}

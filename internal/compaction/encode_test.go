@@ -89,33 +89,3 @@ func TestWriteInstanceCompressesRanges(t *testing.T) {
 		t.Errorf("expected compressed range in %q", b.String())
 	}
 }
-
-func TestScoreInstance(t *testing.T) {
-	scores, err := ScoreInstance(WorkingExample(), 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := scores["SO(exact)"]; got[0] != 40 {
-		t.Errorf("SO(exact) = %v", got)
-	}
-	opt, ok := scores["OPT"]
-	if !ok || opt[0] != 40 {
-		t.Errorf("OPT = %v, %v", opt, ok)
-	}
-	if _, ok := scores["FREQ"]; !ok {
-		t.Errorf("FREQ missing")
-	}
-	for name, pair := range scores {
-		if pair[0] < opt[0] {
-			t.Errorf("%s cost %d beats OPT %d", name, pair[0], opt[0])
-		}
-	}
-	// k=3: no OPT entry (DP only wired for binary in ScoreInstance).
-	scores3, err := ScoreInstance(WorkingExample(), 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := scores3["OPT"]; ok {
-		t.Errorf("OPT present for k=3")
-	}
-}

@@ -24,71 +24,73 @@ func BenchmarkFig7(b *testing.B) {
 		b.Run("strategy="+strat, func(b *testing.B) {
 			p := benchParams()
 			p.Strategies = []string{strat}
-			var rows []Fig7Row
+			var tables []Table
 			for i := 0; i < b.N; i++ {
 				var err error
-				if rows, err = Fig7(p); err != nil {
+				if tables, err = Fig7(p); err != nil {
 					b.Fatal(err)
 				}
 			}
-			cost := 0.0
-			for _, row := range rows {
-				cost += row.Cells[strat].Cost.Mean
-			}
-			b.ReportMetric(cost, "cost_keys")
+			b.ReportMetric(columnSum(tables[0], 1), "cost_keys")
 		})
 	}
+}
+
+// columnSum sums the means of column col over t's rows.
+func columnSum(t Table, col int) float64 {
+	sum := 0.0
+	for _, row := range t.Rows {
+		switch v := row[col].(type) {
+		case Stat:
+			sum += v.Mean
+		case float64:
+			sum += v
+		}
+	}
+	return sum
 }
 
 // BenchmarkFig8 regenerates Figure 8; cost_over_LOPT is the mean over its
 // points of BT(I)'s cost over the Σ|A_i| lower bound, the constant factor
 // the paper's log-log plot shows.
 func BenchmarkFig8(b *testing.B) {
-	var rows []Fig8Row
+	var t Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		if rows, err = Fig8(benchParams()); err != nil {
+		if t, err = Fig8(benchParams()); err != nil {
 			b.Fatal(err)
 		}
 	}
-	ratio := 0.0
-	for _, r := range rows {
-		ratio += r.Ratio / float64(len(rows))
-	}
-	b.ReportMetric(ratio, "cost_over_LOPT")
+	b.ReportMetric(columnSum(t, 5)/float64(len(t.Rows)), "cost_over_LOPT")
 }
 
 func BenchmarkFig9a(b *testing.B) { benchFig9(b, Fig9a) }
 
 func BenchmarkFig9b(b *testing.B) { benchFig9(b, Fig9b) }
 
-func benchFig9(b *testing.B, fig func(Params) ([]Fig9Row, error)) {
-	var rows []Fig9Row
+func benchFig9(b *testing.B, fig func(Params) (Table, error)) {
+	var t Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		if rows, err = fig(benchParams()); err != nil {
+		if t, err = fig(benchParams()); err != nil {
 			b.Fatal(err)
 		}
 	}
-	cost := 0.0
-	for _, r := range rows {
-		cost += r.Cost.Mean
-	}
-	b.ReportMetric(cost, "cost_keys")
+	b.ReportMetric(columnSum(t, 2), "cost_keys")
 }
 
 // BenchmarkOptGap runs the optimality-gap experiment on one 10-table
 // instance and reports each strategy's cost over the exact optimum.
 func BenchmarkOptGap(b *testing.B) {
-	var rows []OptGapRow
+	var t Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		if rows, err = OptGap(benchParams(), 10, 1); err != nil {
+		if t, err = OptGap(benchParams(), 10, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.MeanRatio, "cost_over_OPT/"+r.Strategy)
+	for _, row := range t.Rows {
+		b.ReportMetric(row[1].(float64), "cost_over_OPT/"+row[0].(string))
 	}
 }
 
@@ -97,7 +99,7 @@ func BenchmarkOptGap(b *testing.B) {
 // less a merge-only replay of the same schedule.
 func BenchmarkPlanningOverhead(b *testing.B) {
 	p := benchParams().withDefaults()
-	inst, err := GenerateTables(workloadConfig(p, 40, p.Seed), p.MemtableKeys)
+	inst, err := GenerateTables(WorkloadConfig(p, 40, p.Seed), p.MemtableKeys)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func BenchmarkPlanningOverhead(b *testing.B) {
 			var res result
 			for i := 0; i < b.N; i++ {
 				var err error
-				if res, err = runStrategy(inst, strat, p.K, p.Seed, 1); err != nil {
+				if res, err = runStrategy(inst, strategies(strat)[0], p.K, p.Seed, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -17,7 +17,7 @@ import (
 	"repro/internal/vfs"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/engine_matrix.json and README.md's engine table from a fresh EngineMatrix run")
+var update = flag.Bool("update", false, "rewrite testdata/engine_matrix.json and README.md's engine table from a fresh EngineMatrix run, and testdata/figures.golden")
 
 const (
 	engineMatrixFile = "testdata/engine_matrix.json"

@@ -15,8 +15,11 @@
 // the exact DP optimum on small instances, a comparison the paper
 // approximated with the lower bound.
 //
-// Each experiment averages over independent runs (the paper uses 3) and
-// reports mean ± standard deviation.
+// Every figure is a sweep of one measurement loop, in which each solver (a
+// strategy, FREQ, the DP optimum) compacts the same generated instances;
+// each averages over independent runs (the paper uses 3), reports mean ±
+// standard deviation, and returns Tables, which print as aligned text or
+// CSV.
 //
 // EngineMatrix asks the same question of the real engine, through the kv
 // package: every minor policy over a few YCSB write streams, in counts
@@ -25,7 +28,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 
@@ -56,9 +58,6 @@ func NewStat(xs []float64) Stat {
 	}
 	return Stat{Mean: mean, Std: math.Sqrt(ss / float64(len(xs)-1))}
 }
-
-// String formats the stat as "mean ± std".
-func (s Stat) String() string { return fmt.Sprintf("%.0f ± %.0f", s.Mean, s.Std) }
 
 // Params holds the knobs shared by the experiments, defaulting to the
 // paper's Section 5.2 settings.
@@ -131,10 +130,10 @@ func (p Params) withDefaults() Params {
 // update-heavy.
 var UpdatePercentages = []int{0, 20, 40, 60, 80, 100}
 
-// workloadConfig builds the YCSB config for a given update percentage: the
-// paper sweeps "from insert heavy (insert proportion 100% and update
-// proportion 0%) to update heavy (update proportion 100%)".
-func workloadConfig(p Params, updatePct int, seed int64) ycsb.Config {
+// WorkloadConfig builds the YCSB config of p's workload at a given update
+// percentage: the paper sweeps "from insert heavy (insert proportion 100%
+// and update proportion 0%) to update heavy (update proportion 100%)".
+func WorkloadConfig(p Params, updatePct int, seed int64) ycsb.Config {
 	return ycsb.Config{
 		RecordCount:      p.RecordCount,
 		OperationCount:   p.OperationCount,

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/compaction"
 	"repro/internal/ycsb"
 )
 
@@ -23,6 +25,27 @@ func smallParams() Params {
 	}
 }
 
+// cell returns the number in row of tb under the column headed head: a
+// Stat's mean, or a float64 or an int.
+func cell(t *testing.T, tb Table, row int, head string) float64 {
+	t.Helper()
+	for i, c := range tb.Cols {
+		if c.Head != head {
+			continue
+		}
+		switch v := tb.Rows[row][i].(type) {
+		case Stat:
+			return v.Mean
+		case float64:
+			return v
+		case int:
+			return float64(v)
+		}
+	}
+	t.Fatalf("%s has no numeric column %q", tb.Name, head)
+	return 0
+}
+
 func TestNewStat(t *testing.T) {
 	if s := NewStat(nil); s.Mean != 0 || s.Std != 0 {
 		t.Errorf("empty stat = %+v", s)
@@ -37,8 +60,13 @@ func TestNewStat(t *testing.T) {
 	if math.Abs(s.Std-2) > 1e-9 {
 		t.Errorf("std = %v, want 2", s.Std)
 	}
-	if got := s.String(); !strings.Contains(got, "±") {
-		t.Errorf("String = %q", got)
+	// A Stat cell prints as "mean ± std" at its column's precision, and as
+	// two CSV fields in full.
+	if got := strings.Join(fields(NewStat([]float64{0.125, 0.375}), 2), " ± "); got != "0.25 ± 0.18" {
+		t.Errorf("text cell = %q", got)
+	}
+	if got := fields(NewStat([]float64{0.125, 0.125}), -1); len(got) != 2 || got[0] != "0.125" || got[1] != "0" {
+		t.Errorf("CSV fields = %q", got)
 	}
 }
 
@@ -55,32 +83,34 @@ func TestDefaultParams(t *testing.T) {
 }
 
 func TestFig7ShapesHold(t *testing.T) {
-	rows, err := Fig7(smallParams())
+	tables, err := Fig7(smallParams())
 	if err != nil {
 		t.Fatalf("Fig7: %v", err)
 	}
-	if len(rows) != len(UpdatePercentages) {
-		t.Fatalf("rows = %d", len(rows))
+	cost := tables[0]
+	if len(cost.Rows) != len(UpdatePercentages) {
+		t.Fatalf("rows = %d", len(cost.Rows))
 	}
-	first, last := rows[0], rows[len(rows)-1]
+	first, last := 0, len(cost.Rows)-1
+	strats := compaction.EvaluatedStrategies()
 	// Shape 1: for every strategy, cost decreases from 0% to 100% updates.
-	for _, s := range first.Strategies {
-		if last.Cells[s].Cost.Mean >= first.Cells[s].Cost.Mean {
+	for _, s := range strats {
+		if cell(t, cost, last, s) >= cell(t, cost, first, s) {
 			t.Errorf("%s: cost did not decrease with updates (%v → %v)",
-				s, first.Cells[s].Cost.Mean, last.Cells[s].Cost.Mean)
+				s, cell(t, cost, first, s), cell(t, cost, last, s))
 		}
 	}
 	// Shape 2: RANDOM is the worst strategy at 0% updates.
-	rnd := first.Cells["RANDOM"].Cost.Mean
+	rnd := cell(t, cost, first, "RANDOM")
 	for _, s := range []string{"SI", "SO", "BT(I)", "BT(O)"} {
-		if rnd <= first.Cells[s].Cost.Mean {
-			t.Errorf("RANDOM (%v) not worse than %s (%v) at 0%% updates", rnd, s, first.Cells[s].Cost.Mean)
+		if rnd <= cell(t, cost, first, s) {
+			t.Errorf("RANDOM (%v) not worse than %s (%v) at 0%% updates", rnd, s, cell(t, cost, first, s))
 		}
 	}
 	// Shape 3: at 100% updates the strategies converge (within ~15%).
 	var lo, hi float64
-	for _, s := range last.Strategies {
-		c := last.Cells[s].Cost.Mean
+	for _, s := range strats {
+		c := cell(t, cost, last, s)
 		if lo == 0 || c < lo {
 			lo = c
 		}
@@ -94,8 +124,8 @@ func TestFig7ShapesHold(t *testing.T) {
 	// Shape 4: SI cost ≤ SO cost at 0% updates (SO pays estimation error;
 	// paper: SI and BT(I) marginally lower than BT(O) and SO). Allow a
 	// small tolerance since both are near-optimal here.
-	if first.Cells["SI"].Cost.Mean > 1.05*first.Cells["SO"].Cost.Mean {
-		t.Errorf("SI (%v) unexpectedly above SO (%v)", first.Cells["SI"].Cost.Mean, first.Cells["SO"].Cost.Mean)
+	if si, so := cell(t, cost, first, "SI"), cell(t, cost, first, "SO"); si > 1.05*so {
+		t.Errorf("SI (%v) unexpectedly above SO (%v)", si, so)
 	}
 }
 
@@ -109,21 +139,22 @@ func TestFig7ShapeHoldsForAllDistributions(t *testing.T) {
 		p.Runs = 1
 		p.OperationCount = 15000
 		p.Distribution = dist
-		rows, err := Fig7(p)
+		tables, err := Fig7(p)
 		if err != nil {
 			t.Fatalf("%v: %v", dist, err)
 		}
-		first, last := rows[0], rows[len(rows)-1]
-		for _, s := range first.Strategies {
-			if last.Cells[s].Cost.Mean >= first.Cells[s].Cost.Mean {
+		cost := tables[0]
+		first, last := 0, len(cost.Rows)-1
+		for _, s := range compaction.EvaluatedStrategies() {
+			if cell(t, cost, last, s) >= cell(t, cost, first, s) {
 				t.Errorf("%v/%s: cost did not fall with updates", dist, s)
 			}
 		}
-		rnd := first.Cells["RANDOM"].Cost.Mean
+		rnd := cell(t, cost, first, "RANDOM")
 		for _, s := range []string{"SI", "BT(I)"} {
-			if rnd <= first.Cells[s].Cost.Mean {
+			if rnd <= cell(t, cost, first, s) {
 				t.Errorf("%v: RANDOM (%v) not worse than %s (%v) at 0%% updates",
-					dist, rnd, s, first.Cells[s].Cost.Mean)
+					dist, rnd, s, cell(t, cost, first, s))
 			}
 		}
 	}
@@ -132,32 +163,32 @@ func TestFig7ShapeHoldsForAllDistributions(t *testing.T) {
 func TestFig8ConstantFactor(t *testing.T) {
 	p := smallParams()
 	p.Runs = 1
-	rows, err := Fig8(p)
+	fig, err := Fig8(p)
 	if err != nil {
 		t.Fatalf("Fig8: %v", err)
 	}
-	if len(rows) != 3*len(Fig8MemtableSizes) {
-		t.Fatalf("rows = %d", len(rows))
+	if len(fig.Rows) != 3*len(Fig8MemtableSizes) {
+		t.Fatalf("rows = %d", len(fig.Rows))
 	}
-	for _, r := range rows {
+	byDist := map[string][]float64{}
+	for i, row := range fig.Rows {
+		dist, ms := row[0].(string), cell(t, fig, i, "memtable")
+		ratio, tables := cell(t, fig, i, "cost/LOPT"), cell(t, fig, i, "sstables")
 		// BT(I) is a (⌈log n⌉+1)-approximation (Lemma 4.1); the observed
 		// ratio must respect that bound for the actual table count. The
 		// count itself is approximate: memtable dedup absorbs updates, so
 		// update-heavy runs flush fewer than the nominal 100 tables
 		// ("sstables may be smaller and vary in size", Section 5.1).
-		bound := math.Ceil(math.Log2(r.Tables.Mean)) + 1
-		if r.Ratio < 1 || r.Ratio > bound {
-			t.Errorf("%s ms=%d: ratio %.2f out of [1,%.0f]", r.Distribution, r.MemtableKeys, r.Ratio, bound)
+		bound := math.Ceil(math.Log2(tables)) + 1
+		if ratio < 1 || ratio > bound {
+			t.Errorf("%s ms=%.0f: ratio %.2f out of [1,%.0f]", dist, ms, ratio, bound)
 		}
-		if r.Tables.Mean < Fig8TargetTables/2 || r.Tables.Mean > 2.2*Fig8TargetTables {
-			t.Errorf("%s ms=%d: generated %.0f tables, want within 2x of 100", r.Distribution, r.MemtableKeys, r.Tables.Mean)
+		if tables < Fig8TargetTables/2 || tables > 2.2*Fig8TargetTables {
+			t.Errorf("%s ms=%.0f: generated %.0f tables, want within 2x of 100", dist, ms, tables)
 		}
+		byDist[dist] = append(byDist[dist], ratio)
 	}
 	// Constant factor: ratios within each distribution vary by < 2.5x.
-	byDist := map[string][]float64{}
-	for _, r := range rows {
-		byDist[r.Distribution] = append(byDist[r.Distribution], r.Ratio)
-	}
 	for dist, ratios := range byDist {
 		lo, hi := ratios[0], ratios[0]
 		for _, x := range ratios {
@@ -177,22 +208,21 @@ func TestFig8ConstantFactor(t *testing.T) {
 func TestFig9TimeGrowsWithCost(t *testing.T) {
 	p := smallParams()
 	p.Runs = 1
-	rows, err := Fig9b(p)
+	fig, err := Fig9b(p)
 	if err != nil {
 		t.Fatalf("Fig9b: %v", err)
 	}
-	if len(rows) != 3*len(Fig9bOperationCounts) {
-		t.Fatalf("rows = %d", len(rows))
+	if len(fig.Rows) != 3*len(Fig9bOperationCounts) {
+		t.Fatalf("rows = %d", len(fig.Rows))
 	}
 	// Per distribution, both cost and time must increase from the smallest
 	// to the largest operation count (the near-linear relation of §5.4).
-	byDist := map[string][]Fig9Row{}
-	for _, r := range rows {
-		byDist[r.Distribution] = append(byDist[r.Distribution], r)
+	byDist := map[string][]float64{}
+	for i, row := range fig.Rows {
+		byDist[row[0].(string)] = append(byDist[row[0].(string)], cell(t, fig, i, "cost (keys)"))
 	}
-	for dist, rs := range byDist {
-		first, last := rs[0], rs[len(rs)-1]
-		if last.Cost.Mean <= first.Cost.Mean {
+	for dist, costs := range byDist {
+		if costs[len(costs)-1] <= costs[0] {
 			t.Errorf("%s: cost did not grow with opcount", dist)
 		}
 	}
@@ -203,14 +233,14 @@ func TestFig9TimeGrowsWithCost(t *testing.T) {
 	for _, dist := range []ycsb.Distribution{ycsb.Uniform, ycsb.Zipfian, ycsb.Latest} {
 		var fastest [2]time.Duration
 		for i, ops := range ends {
-			cfg := workloadConfig(p, 60, p.Seed)
+			cfg := WorkloadConfig(p, 60, p.Seed)
 			cfg.Distribution, cfg.OperationCount = dist, ops
 			inst, err := GenerateTables(cfg, p.MemtableKeys)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for rep := 0; rep < 5; rep++ {
-				res, err := runStrategy(inst, "SI", p.K, p.Seed, 1)
+				res, err := runStrategy(inst, strategies("SI")[0], p.K, p.Seed, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -229,35 +259,37 @@ func TestFig9aRuns(t *testing.T) {
 	p := smallParams()
 	p.Runs = 1
 	p.OperationCount = 10000
-	rows, err := Fig9a(p)
+	fig, err := Fig9a(p)
 	if err != nil {
 		t.Fatalf("Fig9a: %v", err)
 	}
-	if len(rows) != 3*len(UpdatePercentages) {
-		t.Fatalf("rows = %d", len(rows))
+	if len(fig.Rows) != 3*len(UpdatePercentages) {
+		t.Fatalf("rows = %d", len(fig.Rows))
 	}
 }
 
 func TestOptGap(t *testing.T) {
 	p := smallParams()
 	p.MemtableKeys = 500
-	rows, err := OptGap(p, 8, 3)
+	gap, err := OptGap(p, 8, 3)
 	if err != nil {
 		t.Fatalf("OptGap: %v", err)
 	}
-	if len(rows) != 7 { // 5 evaluated + LM + FREQ
-		t.Fatalf("rows = %d", len(rows))
+	if len(gap.Rows) != 7 { // 5 evaluated + LM + FREQ
+		t.Fatalf("rows = %d", len(gap.Rows))
 	}
-	for _, r := range rows {
-		if r.MeanRatio < 1-1e-9 {
-			t.Errorf("%s: mean ratio %.3f below 1 (beat the optimum?)", r.Strategy, r.MeanRatio)
+	for i, row := range gap.Rows {
+		s := row[0].(string)
+		mean, worst, lopt := cell(t, gap, i, "mean cost/OPT"), cell(t, gap, i, "worst cost/OPT"), cell(t, gap, i, "mean cost/LOPT")
+		if mean < 1-1e-9 {
+			t.Errorf("%s: mean ratio %.3f below 1 (beat the optimum?)", s, mean)
 		}
-		if r.WorstRatio < r.MeanRatio-1e-9 {
-			t.Errorf("%s: worst %.3f below mean %.3f", r.Strategy, r.WorstRatio, r.MeanRatio)
+		if worst < mean-1e-9 {
+			t.Errorf("%s: worst %.3f below mean %.3f", s, worst, mean)
 		}
-		if r.MeanLOPTRatio < r.MeanRatio-1e-9 {
+		if lopt < mean-1e-9 {
 			// LOPT ≤ OPT, so cost/LOPT ≥ cost/OPT.
-			t.Errorf("%s: LOPT ratio %.3f below OPT ratio %.3f", r.Strategy, r.MeanLOPTRatio, r.MeanRatio)
+			t.Errorf("%s: LOPT ratio %.3f below OPT ratio %.3f", s, lopt, mean)
 		}
 	}
 }
@@ -271,50 +303,48 @@ func TestOptGapValidation(t *testing.T) {
 	}
 }
 
+// TestFormatters checks the one Table type's two renderings on Figure 7:
+// aligned text with each column's precision (7b's times at two decimals),
+// and CSV with a Stat column as <name>_mean,<name>_std.
 func TestFormatters(t *testing.T) {
 	p := smallParams()
 	p.Runs = 1
 	p.OperationCount = 5000
-	f7, err := Fig7(p)
+	tables, err := Fig7(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FormatFig7(f7)
-	for _, want := range []string{"Figure 7a", "Figure 7b", "RANDOM", "update%"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatFig7 missing %q", want)
+	var text bytes.Buffer
+	for _, tb := range tables {
+		if err := tb.WriteText(&text); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if FormatFig7(nil) != "" {
-		t.Errorf("FormatFig7(nil) not empty")
+	out := text.String()
+	for _, want := range []string{"Figure 7a", "Figure 7b", "RANDOM", "update%"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Figure 7 text missing %q", want)
+		}
+	}
+	times := out[strings.Index(out, "Figure 7b"):]
+	for _, line := range strings.Split(strings.TrimSpace(times), "\n")[2:] {
+		if strings.Count(line, ".") != 2*len(compaction.EvaluatedStrategies()) {
+			t.Errorf("7b row %q does not print every time at two decimals", line)
+		}
 	}
 
 	var csv strings.Builder
-	if err := WriteFig7CSV(&csv, f7); err != nil {
+	if err := tables[0].WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Count(csv.String(), "\n"); lines != 1+len(f7)*5 {
-		t.Errorf("fig7 csv lines = %d", lines)
+	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
+	if len(lines) != 1+len(tables[0].Rows) {
+		t.Errorf("fig7a csv lines = %d", len(lines))
 	}
-
-	f8 := []Fig8Row{{MemtableKeys: 10, Distribution: "latest", Ratio: 1.5}}
-	if !strings.Contains(FormatFig8(f8), "Figure 8") {
-		t.Errorf("FormatFig8 output wrong")
+	if want := "update_pct,SI_mean,SI_std,SO_mean,SO_std,"; !strings.HasPrefix(lines[0], want) || !strings.HasSuffix(lines[0], ",sstables") {
+		t.Errorf("fig7a csv header = %q", lines[0])
 	}
-	var csv8 strings.Builder
-	if err := WriteFig8CSV(&csv8, f8); err != nil {
-		t.Fatal(err)
-	}
-	f9 := []Fig9Row{{X: 20, Distribution: "uniform"}}
-	if !strings.Contains(FormatFig9("Figure 9a", "update%", f9), "Figure 9a") {
-		t.Errorf("FormatFig9 output wrong")
-	}
-	var csv9 strings.Builder
-	if err := WriteFig9CSV(&csv9, "update_pct", f9); err != nil {
-		t.Fatal(err)
-	}
-	og := []OptGapRow{{Strategy: "SI", MeanRatio: 1.01, WorstRatio: 1.05, MeanLOPTRatio: 1.3, Trials: 5}}
-	if !strings.Contains(FormatOptGap(og), "SI") {
-		t.Errorf("FormatOptGap output wrong")
+	if fields := strings.Count(lines[1], ",") + 1; fields != 2+2*len(compaction.EvaluatedStrategies()) {
+		t.Errorf("fig7a csv row has %d fields: %q", fields, lines[1])
 	}
 }

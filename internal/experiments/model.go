@@ -97,11 +97,8 @@ func GenerateTables(workload ycsb.Config, memtableKeys int) (*compaction.Instanc
 	return compaction.NewInstance(sets...), nil
 }
 
-// result reports one strategy run over one instance.
+// result reports one solver's run over one instance.
 type result struct {
-	// Strategy and K identify the run.
-	Strategy string
-	K        int
 	// Tables is the number of input sstables.
 	Tables int
 	// CostSimple is the equation 2.1 cost of the schedule (keys).
@@ -110,6 +107,8 @@ type result struct {
 	CostActual int
 	// LowerBound is LOPT = Σ|A_i| for the instance.
 	LowerBound int
+	// Steps is the number of merges in the schedule.
+	Steps int
 	// PlanAndMerge is the wall time of the greedy loop, which both decides
 	// merges (strategy overhead: heap pops, HLL estimates, ...) and
 	// performs them sequentially.
@@ -118,9 +117,6 @@ type result struct {
 	// one worker; PlanAndMerge − MergeSequential estimates pure strategy
 	// overhead.
 	MergeSequential time.Duration
-	// MergeParallel is the wall time to execute the merges on Workers
-	// workers (only meaningfully smaller for BT-shaped trees).
-	MergeParallel time.Duration
 	// Reported is the headline time, mirroring the paper's measurement:
 	// strategy overhead plus merge time, with the merge executed in
 	// parallel for the BALANCETREE strategies and sequentially otherwise.
@@ -137,27 +133,112 @@ func (r result) Overhead() time.Duration {
 	return 0
 }
 
-// runStrategy runs phase two: it schedules and merges inst with the named
-// strategy (see compaction.NewChooserByName) and measures cost and time.
-// workers bounds merge parallelism for the BALANCETREE strategies, whose
-// within-level merges are independent ("we use threads to parallelly
-// initiate multiple merge operations", Section 5.1); other strategies
-// execute sequentially exactly as the paper's implementation does.
-func runStrategy(inst *compaction.Instance, strategy string, k int, seed int64, workers int) (result, error) {
-	res := result{Strategy: strategy, K: k, Tables: inst.N(), LowerBound: inst.LowerBound()}
+// solver is one way to compact an instance: a chooser run through
+// compaction.Run, or an algorithm that builds the whole schedule (FREQ, the
+// DP optimum). seed feeds RANDOM.
+type solver struct {
+	name     string
+	schedule func(inst *compaction.Instance, k int, seed int64) (*compaction.Schedule, error)
+}
 
-	chooser, err := compaction.NewChooserByName(strategy, seed)
-	if err != nil {
-		return res, err
+// strategies returns the solvers of strategy names
+// compaction.NewChooserByName accepts; an unknown name fails when run.
+func strategies(names ...string) []solver {
+	out := make([]solver, len(names))
+	for i, name := range names {
+		out[i] = solver{name, func(inst *compaction.Instance, k int, seed int64) (*compaction.Schedule, error) {
+			ch, err := compaction.NewChooserByName(name, seed)
+			if err != nil {
+				return nil, err
+			}
+			return compaction.Run(inst, k, ch)
+		}}
 	}
+	return out
+}
+
+// soAt is SMALLESTOUTPUT estimating cardinalities with HLL sketches of
+// precision prec.
+func soAt(prec uint8) solver {
+	return solver{fmt.Sprintf("HLL p=%d", prec), func(inst *compaction.Instance, k int, _ int64) (*compaction.Schedule, error) {
+		return compaction.Run(inst, k, compaction.NewSmallestOutput(compaction.NewHLLEstimator(prec)))
+	}}
+}
+
+var (
+	freq = solver{"FREQ", func(inst *compaction.Instance, k int, _ int64) (*compaction.Schedule, error) {
+		return compaction.FreqMerge(inst, k)
+	}}
+	// optimum is the exact BINARYMERGING optimum, whatever k.
+	optimum = solver{"OPT", func(inst *compaction.Instance, _ int, _ int64) (*compaction.Schedule, error) {
+		return compaction.OptimalBinary(inst)
+	}}
+)
+
+// point summarises one solver's runs at one workload point: each field is
+// the mean and standard deviation over the runs.
+type point struct {
+	CostActual, CostSimple, LOPT, TimeMs, Tables, Steps Stat
+}
+
+// measure is the measurement loop of every figure: phase one generates
+// p.Runs instances from p's workload at updatePct, run r's seeded
+// p.Seed + 1000r + offset, and every solver compacts each of them.
+func measure(p Params, updatePct int, offset int64, solvers []solver) ([]point, error) {
+	samples := make([][6][]float64, len(solvers))
+	for run := 0; run < p.Runs; run++ {
+		seed := p.Seed + int64(run)*1000 + offset
+		inst, err := GenerateTables(WorkloadConfig(p, updatePct, seed), p.MemtableKeys)
+		if err != nil {
+			return nil, err
+		}
+		results, err := solve(inst, solvers, p.K, seed+7, p.Workers)
+		if err != nil {
+			return nil, err
+		}
+		for i, r := range results {
+			for j, x := range [6]float64{float64(r.CostActual), float64(r.CostSimple), float64(r.LowerBound),
+				float64(r.Reported.Microseconds()) / 1000, float64(r.Tables), float64(r.Steps)} {
+				samples[i][j] = append(samples[i][j], x)
+			}
+		}
+	}
+	points := make([]point, len(solvers))
+	for i, s := range samples {
+		points[i] = point{NewStat(s[0]), NewStat(s[1]), NewStat(s[2]), NewStat(s[3]), NewStat(s[4]), NewStat(s[5])}
+	}
+	return points, nil
+}
+
+// solve runs phase two with every solver on inst (see runStrategy).
+func solve(inst *compaction.Instance, solvers []solver, k int, seed int64, workers int) ([]result, error) {
+	results := make([]result, len(solvers))
+	for i, s := range solvers {
+		var err error
+		if results[i], err = runStrategy(inst, s, k, seed, workers); err != nil {
+			return nil, fmt.Errorf("%s: %w", s.name, err)
+		}
+	}
+	return results, nil
+}
+
+// runStrategy runs phase two: it schedules and merges inst with s and
+// measures cost and time. workers bounds merge parallelism for the
+// BALANCETREE strategies, whose within-level merges are independent ("we
+// use threads to parallelly initiate multiple merge operations", Section
+// 5.1); other solvers execute sequentially exactly as the paper's
+// implementation does.
+func runStrategy(inst *compaction.Instance, s solver, k int, seed int64, workers int) (result, error) {
+	res := result{Tables: inst.N(), LowerBound: inst.LowerBound()}
 	start := time.Now()
-	sched, err := compaction.Run(inst, k, chooser)
+	sched, err := s.schedule(inst, k, seed)
 	if err != nil {
 		return res, err
 	}
 	res.PlanAndMerge = time.Since(start)
 	res.CostSimple = sched.CostSimple()
 	res.CostActual = sched.CostActual()
+	res.Steps = len(sched.Steps)
 	res.Parallelism = compaction.MaxParallelism(sched)
 
 	start = time.Now()
@@ -166,26 +247,13 @@ func runStrategy(inst *compaction.Instance, strategy string, k int, seed int64, 
 	}
 	res.MergeSequential = time.Since(start)
 
-	if workers > 1 {
+	res.Reported = res.PlanAndMerge
+	if strings.HasPrefix(s.name, "BT") && workers > 1 {
 		start = time.Now()
 		if err := compaction.ExecuteParallel(sched, workers); err != nil {
 			return res, err
 		}
-		res.MergeParallel = time.Since(start)
-	} else {
-		res.MergeParallel = res.MergeSequential
-	}
-
-	if isParallelStrategy(strategy) && workers > 1 {
-		res.Reported = res.Overhead() + res.MergeParallel
-	} else {
-		res.Reported = res.PlanAndMerge
+		res.Reported = res.Overhead() + time.Since(start)
 	}
 	return res, nil
-}
-
-// isParallelStrategy reports whether the paper's implementation of the
-// strategy merges concurrently (the BALANCETREE family).
-func isParallelStrategy(name string) bool {
-	return strings.HasPrefix(name, "BT")
 }

@@ -84,7 +84,7 @@ func TestRunStrategyAllEvaluated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strat := range []string{"SI", "SO", "BT(I)", "BT(O)", "RANDOM"} {
-		res, err := runStrategy(inst, strat, 2, 1, 4)
+		res, err := runStrategy(inst, strategies(strat)[0], 2, 1, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -110,7 +110,7 @@ func TestRunStrategyUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runStrategy(inst, "nope", 2, 0, 1); err == nil {
+	if _, err := runStrategy(inst, strategies("nope")[0], 2, 0, 1); err == nil {
 		t.Errorf("unknown strategy accepted")
 	}
 }
@@ -125,7 +125,7 @@ func TestCostDecreasesWithUpdates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := runStrategy(inst, strat, 2, 1, 1)
+			res, err := runStrategy(inst, strategies(strat)[0], 2, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,11 +148,11 @@ func TestRandomWorstAtLowUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, err := runStrategy(inst, "SI", 2, 1, 1)
+	si, err := runStrategy(inst, strategies("SI")[0], 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := runStrategy(inst, "RANDOM", 2, 1, 1)
+	rnd, err := runStrategy(inst, strategies("RANDOM")[0], 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestBTParallelismExceedsSI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := runStrategy(inst, "BT(I)", 2, 1, 4)
+	bt, err := runStrategy(inst, strategies("BT(I)")[0], 2, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestOverheadNeverNegative(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strat := range []string{"SI", "SO"} {
-		res, err := runStrategy(inst, strat, 2, 1, 2)
+		res, err := runStrategy(inst, strategies(strat)[0], 2, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,9 +84,12 @@ func stressRecycledStreamStateIsolated(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(db)
-	srv.lease = 150 * time.Millisecond
-	c := serve(t, srv)
+	// The expiring scans park on a server of their own, whose short lease
+	// reaps them; every other stream runs under the default lease, so that
+	// a long scan slowed by a loaded machine is never reaped mid-read.
+	srv, short := NewServer(db), NewServer(db)
+	short.lease = 150 * time.Millisecond
+	c, cs := serve(t, srv), serve(t, short)
 
 	// scan reads up to limit entries of [lo, hi) (hi = n: open) through
 	// open, checking each, and reports how many it read and how the stream
@@ -167,7 +170,7 @@ func stressRecycledStreamStateIsolated(t *testing.T) {
 		})
 		worker(fmt.Sprintf("expiring scan %d", w), 3, func(r *rand.Rand) error {
 			// Parked past its lease: the rest of the chunk, then ErrClosed.
-			_, err := scan(live, r.Intn(n/2), n, n, 3*srv.lease)
+			_, err := scan(cs.OpenStream, r.Intn(n/2), n, n, 3*short.lease)
 			if !errors.Is(err, kverr.ErrClosed) {
 				return fmt.Errorf("stream parked past its lease ended with %v, want ErrClosed", err)
 			}
@@ -187,14 +190,17 @@ func stressRecycledStreamStateIsolated(t *testing.T) {
 		})
 	}
 	wg.Wait()
-	waitFor(t, "the stress's streams to end", func() bool { return srv.Stats().OpenStreams == 0 })
-	if srv.Stats().LeaseExpiries == 0 {
+	waitFor(t, "the stress's streams to end", func() bool {
+		return srv.Stats().OpenStreams == 0 && short.Stats().OpenStreams == 0
+	})
+	if short.Stats().LeaseExpiries == 0 {
 		t.Error("no stream was reaped by its lease")
 	}
-	if !c.Healthy() {
+	if !c.Healthy() || !cs.Healthy() {
 		t.Fatal("connection failed under the stress")
 	}
 	checkIdleStreams(t, srv)
+	checkIdleStreams(t, short)
 
 	// A connection on a server with the full lease, so that all of them
 	// are open at once however slowly they open.
